@@ -507,6 +507,7 @@ func TestCLIFlagValidation(t *testing.T) {
 		{[]string{"-genome", "-1"}, "-genome must be"},
 		{[]string{"-nodes", "0"}, "-nodes must be"},
 		{[]string{"-reply-chunk", "-1"}, "-reply-chunk must be"},
+		{[]string{"-reply-chunk", "0"}, "-reply-chunk must be at least 1"},
 		{[]string{"-reply-depth", "0"}, "-reply-depth must be"},
 		{[]string{"-reply-depth", "64"}, "-reply-depth must be"},
 		{[]string{"-async-exchange=false", "-reply-chunk", "4096"}, "-reply-chunk streams"},

@@ -66,7 +66,7 @@ func DefaultConfig() *Config {
 		CkptPath: "dibella/internal/ckpt",
 		CollectiveFuncs: set(
 			"Alltoallv", "Alltoall", "AlltoallvPacked",
-			"IAlltoallv", "IAlltoallvPacked", "IAlltoallvStreamed",
+			"IAlltoallv", "IAlltoallvStreamed",
 			"Allgather", "AllreduceI64", "AllreduceF64",
 			"Bcast", "ExclusiveScanI64", "GatherTo",
 			"MaxReduceRegisters", "AgreeCommit",
@@ -84,9 +84,9 @@ func DefaultConfig() *Config {
 			// serve-vs-batch byte-identity invariant.
 			"dibella/internal/serve",
 		},
-		HandleTypes: set("PendingExchange", "Handle", "PackedHandle"),
+		HandleTypes: set("PendingExchange", "Handle"),
 		TransportTypes: map[string]map[string]bool{
-			"Transport":       set("Alltoallv", "IAlltoallv", "Allgather", "Barrier"),
+			"Transport":       set("IAlltoallv"),
 			"PendingExchange": set("Wait"),
 		},
 		PricingMethods: set(

@@ -2,9 +2,8 @@ package main
 
 // handleleak: every posted exchange handle must reach Wait.
 //
-// IAlltoallv and its packed/streamed relatives return a handle
-// (spmd.Handle, spmd.PackedHandle, or the raw spmd.PendingExchange) the
-// caller must Wait on: the peers have already posted their sides, so a
+// IAlltoallv (typed or on the raw transport) returns a handle
+// (spmd.Handle or spmd.PendingExchange) the caller must Wait on: the peers have already posted their sides, so a
 // rank that drops its handle leaves the world's exchange matrix
 // half-completed and the next collective deadlocks. This is the
 // lostcancel shape, but the leak costs the whole world, not one
@@ -43,7 +42,7 @@ import (
 
 var handleleakAnalyzer = &Analyzer{
 	Name: "handleleak",
-	Doc:  "flags exchange handles (PendingExchange, Handle, PackedHandle) that can miss Wait on some path",
+	Doc:  "flags exchange handles (PendingExchange, Handle) that can miss Wait on some path",
 	Run:  runHandleleak,
 }
 

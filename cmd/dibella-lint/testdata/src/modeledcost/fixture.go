@@ -11,7 +11,11 @@ import (
 // BadUnpriced exchanges bytes with no machine.Model pricing in reach:
 // the virtual_seconds series would undercount this mechanism.
 func BadUnpriced(tr spmd.Transport, send [][]byte) [][]byte {
-	recv, _, _, err := tr.Alltoallv(send, 0, 0) // want modeledcost:"nothing is modeled as free"
+	pe, err := tr.IAlltoallv(send, 0, 0) // want modeledcost:"nothing is modeled as free"
+	if err != nil {
+		panic(err)
+	}
+	recv, _, _, err := pe.Wait() // want modeledcost:"nothing is modeled as free"
 	if err != nil {
 		panic(err)
 	}
@@ -27,7 +31,11 @@ func BadUnpricedWait(pe spmd.PendingExchange) error {
 // GoodPriced prices the exchange directly.
 func GoodPriced(m *machine.Model, tr spmd.Transport, send [][]byte, maxBytes float64) ([][]byte, error) {
 	cost := m.AlltoallvTime(0, maxBytes)
-	recv, _, _, err := tr.Alltoallv(send, cost, maxBytes)
+	pe, err := tr.IAlltoallv(send, cost, maxBytes)
+	if err != nil {
+		return nil, err
+	}
+	recv, _, _, err := pe.Wait()
 	return recv, err
 }
 
@@ -41,12 +49,13 @@ func GoodPricedViaHelper(m *machine.Model, pe spmd.PendingExchange) error {
 
 func advance(m *machine.Model) float64 { return m.IPostTime() }
 
-// SuppressedTransfer documents why this call is free; the diagnostic is
-// emitted but suppressed.
-func SuppressedTransfer(tr spmd.Transport, send [][]byte) {
+// SuppressedTransfer documents why this post is free (the caller waits
+// and prices); the diagnostic is emitted but suppressed.
+func SuppressedTransfer(tr spmd.Transport, send [][]byte) spmd.PendingExchange {
 	//lint:ignore modeledcost fixture exercising the suppression path
-	_, _, _, err := tr.Alltoallv(send, 0, 0) // wantsup modeledcost:"Transport.Alltoallv"
+	pe, err := tr.IAlltoallv(send, 0, 0) // wantsup modeledcost:"Transport.IAlltoallv"
 	if err != nil {
 		panic(err)
 	}
+	return pe
 }

@@ -97,7 +97,7 @@ func main() {
 		asyncEx  = flag.Bool("async-exchange", true, "overlap exchanges with computation via non-blocking collectives (same output; disable for the paper's bulk-synchronous schedule)")
 		allSeeds = flag.Bool("keep-all-seed-alignments", false, "emit one PAF row per explored seed instead of the best per (pair, strand)")
 
-		replyChunk = flag.Int("reply-chunk", spmd.DefaultChunkBytes, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (0: whole-payload reply; same output; requires -async-exchange)")
+		replyChunk = flag.Int("reply-chunk", spmd.DefaultChunkBytes, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (same output; requires -async-exchange)")
 		replyDepth = flag.Int("reply-depth", spmd.DefaultStreamDepth, fmt.Sprintf("streamed reply chunk exchanges kept in flight, 1..%d (with -reply-chunk)", spmd.MaxStreamDepth))
 		buildDepth = flag.Int("build-depth", 0, fmt.Sprintf("DHT-build exchange rounds kept in flight per pass, 1..%d (0: default 2; schedule-only, the built table is identical at every depth)", spmd.MaxStreamDepth))
 
@@ -174,8 +174,8 @@ func main() {
 		usageError("-genome must be positive, got %g", *genome)
 	case *nodes < 1:
 		usageError("-nodes must be at least 1, got %d", *nodes)
-	case *replyChunk < 0:
-		usageError("-reply-chunk must be non-negative (0 disables streaming), got %d", *replyChunk)
+	case *replyChunk < 1:
+		usageError("-reply-chunk must be at least 1, got %d", *replyChunk)
 	case *replyDepth < 1 || *replyDepth > spmd.MaxStreamDepth:
 		usageError("-reply-depth must be in [1,%d], got %d", spmd.MaxStreamDepth, *replyDepth)
 	case *buildDepth < 0 || *buildDepth > spmd.MaxStreamDepth:
@@ -278,21 +278,17 @@ func main() {
 		// a reportable pair.
 		KeepSingletons: *serveAddr != "",
 	}
-	// Schedule selection: bulk-synchronous when -async-exchange=false,
-	// streamed reply (the default) when -reply-chunk > 0, plain async
-	// otherwise. Output is byte-identical across all three.
-	switch {
-	case !*asyncEx:
-		if explicit["reply-chunk"] && *replyChunk > 0 {
+	// Schedule selection: the paper's bulk-synchronous reference when
+	// -async-exchange=false, the streamed schedule otherwise. Output is
+	// byte-identical across the two.
+	if *asyncEx {
+		cfg.ReplyChunk = *replyChunk
+		cfg.ReplyDepth = *replyDepth
+	} else {
+		if explicit["reply-chunk"] {
 			usageError("-reply-chunk streams over non-blocking exchanges; drop it or re-enable -async-exchange")
 		}
 		cfg.Exchange = pipeline.ExchangeSync
-	case *replyChunk > 0:
-		cfg.Exchange = pipeline.ExchangeStreamed
-		cfg.ReplyChunk = *replyChunk
-		cfg.ReplyDepth = *replyDepth
-	default:
-		cfg.Exchange = pipeline.ExchangeAsync
 	}
 	switch *seedMode {
 	case "one":

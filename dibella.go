@@ -57,12 +57,12 @@ const (
 	AllSeeds    = overlap.AllSeeds
 )
 
-// Exchange scheduling modes: non-blocking overlapped exchanges (the
-// default) or the paper's bulk-synchronous schedule. Both produce
-// byte-identical PAF.
+// Exchange scheduling modes: non-blocking overlapped exchanges with a
+// streamed alignment-stage reply (the default) or the paper's
+// bulk-synchronous schedule. Both produce byte-identical PAF.
 const (
-	ExchangeAsync = pipeline.ExchangeAsync
-	ExchangeSync  = pipeline.ExchangeSync
+	ExchangeStreamed = pipeline.ExchangeStreamed
+	ExchangeSync     = pipeline.ExchangeSync
 )
 
 // The paper's evaluated platforms (Table 1).

@@ -116,8 +116,8 @@ type ServeBench struct {
 }
 
 // BenchResult is the full snapshot: the same workload under the
-// bulk-synchronous, the non-blocking round-pipelined, and the streamed
-// chunked-reply schedules, modeled as a Cori job, plus a pipelining-depth
+// bulk-synchronous and the streamed chunked-reply schedules, modeled as a
+// Cori job, plus a pipelining-depth
 // sweep of the streamed reply (the ROADMAP's depth>2 question) and a
 // checkpoint-enabled run (streamed schedule + snapshots at every stage
 // boundary, the snapshot I/O priced by the machine model) so the
@@ -131,7 +131,6 @@ type BenchResult struct {
 	ReplyChunkBytes int      `json:"reply_chunk_bytes"`
 	ReplyDepth      int      `json:"reply_depth"`
 	Sync            BenchRun `json:"sync"`
-	Async           BenchRun `json:"async"`
 	Streamed        BenchRun `json:"streamed"`
 	Ckpt            BenchRun `json:"ckpt"`
 	CkptOverhead    float64  `json:"ckpt_overhead_fraction"`
@@ -142,7 +141,6 @@ type BenchResult struct {
 	// otherwise rather than committing a snapshot of a broken recorder.
 	Traced             BenchRun     `json:"traced"`
 	TracedWallOverhead float64      `json:"traced_wall_overhead_fraction"`
-	SpeedupModel       float64      `json:"modeled_speedup_async_over_sync"`
 	SpeedupStreamed    float64      `json:"modeled_speedup_streamed_over_sync"`
 	SweepChunkBytes    int          `json:"sweep_chunk_bytes"`
 	DepthSweep         []DepthPoint `json:"streamed_depth_sweep"`
@@ -220,10 +218,6 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figures: sync bench: %w", err)
 	}
-	asyncRun, err := run(pipeline.ExchangeAsync, 0, 0, 0, nil)
-	if err != nil {
-		return nil, fmt.Errorf("figures: async bench: %w", err)
-	}
 	streamRun, err := run(pipeline.ExchangeStreamed, benchReplyChunk, benchReplyDepth, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("figures: streamed bench: %w", err)
@@ -265,15 +259,12 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 		Platform: machine.Cori.Name, Nodes: nodes, SimRanks: p,
 		Reads:           len(reads),
 		ReplyChunkBytes: benchReplyChunk, ReplyDepth: benchReplyDepth,
-		Sync: syncRun, Async: asyncRun, Streamed: streamRun, Ckpt: ckptRun,
+		Sync: syncRun, Streamed: streamRun, Ckpt: ckptRun,
 		Traced:           tracedRun,
 		SweepChunkBytes:  benchSweepChunk,
 		Minimizer:        minRun,
 		MinimizerWindow:  benchMinimizerWindow,
 		PredictedDensity: kmer.MinimizerDensity(benchMinimizerWindow),
-	}
-	if asyncRun.VirtualSeconds > 0 {
-		res.SpeedupModel = syncRun.VirtualSeconds / asyncRun.VirtualSeconds
 	}
 	if streamRun.VirtualSeconds > 0 {
 		res.SpeedupStreamed = syncRun.VirtualSeconds / streamRun.VirtualSeconds

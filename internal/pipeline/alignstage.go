@@ -60,7 +60,7 @@ type readView interface {
 }
 
 // aligner is the per-rank alignment state shared by the synchronous and
-// overlapped schedules: the read view, a reverse-complement cache (one RC
+// streamed schedules: the read view, a reverse-complement cache (one RC
 // per read, however many tasks touch it), and the accumulating output.
 type aligner struct {
 	c      *spmd.Comm
@@ -192,24 +192,15 @@ func (al *aligner) alignSeeds(task overlap.Task, seqA, seqB []byte) {
 
 // alignStage fetches non-local reads and computes every seed's x-drop
 // alignment locally. All ranks must call it collectively (the read
-// request/reply exchanges are all-to-alls). With Config.ExchangeAsync the
-// exchanges are posted non-blocking and overlapped: tasks whose reads are
-// both local align during the request exchange's flight, and reverse
-// complements of local B reads are precomputed during the reply
-// exchange's. With Config.ExchangeStreamed the reply exchange is
-// additionally chunked (spmd.IAlltoallvStreamed) and remote tasks run
-// under a readiness-driven scheduler: each task aligns the moment its last
-// missing sequence is installed, so alignment compute overlaps the chunks
-// still in flight instead of starting after the full install. The emitted
-// alignments are identical under every schedule (records are sorted into
-// a total order before output).
+// request/reply exchanges are all-to-alls). Config.Exchange picks one of
+// two schedules over the same plan: the paper's bulk-synchronous reference
+// (alignSync) or the overlapped, streamed one (alignStreamed). The emitted
+// alignments are identical under both (records are sorted into a total
+// order before output).
 func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 	tasks []overlap.Task, cfg Config) ([]Alignment, AlignStats) {
 
 	st := AlignStats{Tasks: int64(len(tasks))}
-	p := c.Size()
-	async := cfg.Exchange != ExchangeSync
-	streamed := cfg.Exchange == ExchangeStreamed
 	// Exchange/overlap accounting snapshots Comm stats once around the
 	// stage: everything else here only ticks local time, so the stats
 	// delta is exactly the two exchanges (posting costs included).
@@ -225,8 +216,20 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 			al.rcNeed[task.Pair.B]++
 		}
 	}
+	reqs := al.planRequests(tasks)
+	if cfg.Exchange == ExchangeSync {
+		al.alignSync(reqs, tasks)
+	} else {
+		al.alignStreamed(reqs, tasks)
+	}
+	addComm(&st.Breakdown, preComm, c.Stats())
+	return al.out, st
+}
 
-	// Identify the remote reads this rank needs, deduplicated, per owner.
+// planRequests identifies the remote reads this rank needs, deduplicated
+// and sorted, per owner.
+func (al *aligner) planRequests(tasks []overlap.Task) [][]uint32 {
+	st, view := al.st, al.view
 	t0 := walltime.Now()
 	needed := make(map[uint32]bool)
 	for _, task := range tasks {
@@ -237,7 +240,7 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 			needed[task.Pair.B] = true
 		}
 	}
-	reqs := make([][]uint32, p)
+	reqs := make([][]uint32, al.c.Size())
 	for id := range needed {
 		o := view.OwnerOf(id)
 		reqs[o] = append(reqs[o], id)
@@ -246,93 +249,72 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 		sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
 	}
 	st.BytesPacked += int64(len(needed)) * 4 // request payload: one uint32 ID per wanted read
-	st.LocalVirtual += price(c, model, float64(len(needed)), machine.RatePairGen, 0)
+	st.LocalVirtual += price(al.c, al.model, float64(len(needed)), machine.RatePairGen, 0)
 	st.LocalWall += walltime.Since(t0)
+	return reqs
+}
 
-	// Request exchange: ship wanted IDs to their owners. Under the
-	// overlapped schedule, align the all-local tasks while it flies.
-	var incoming [][]uint32
-	var remote []overlap.Task
-	if async {
-		reqH := spmd.IAlltoallv(c, reqs)
-		t0 = walltime.Now()
-		for _, task := range tasks {
-			if view.Owns(task.Pair.A) && view.Owns(task.Pair.B) {
-				al.alignTask(task)
-			} else {
-				remote = append(remote, task)
-			}
-		}
-		st.LocalWall += walltime.Since(t0)
-		incoming = reqH.Wait()
-	} else {
-		remote = tasks
-		incoming = spmd.Alltoallv(c, reqs)
-	}
-
-	// Reply packing: each owner packs the requested sequences, in request
-	// order, so no IDs need to travel back.
-	t0 = walltime.Now()
-	replies := make([]spmd.PackedBufs, p)
+// packReplies packs the sequences each peer requested, in request order,
+// so no IDs need to travel back.
+func (al *aligner) packReplies(incoming [][]uint32) []spmd.PackedBufs {
+	st := al.st
+	t0 := walltime.Now()
+	replies := make([]spmd.PackedBufs, len(incoming))
 	var packedBytes int64
 	for src, ids := range incoming {
 		for _, id := range ids {
-			seq := view.OwnedSeq(id)
+			seq := al.view.OwnedSeq(id)
 			replies[src].AppendItem(seq)
 			packedBytes += int64(len(seq))
 		}
 	}
 	st.BytesPacked += packedBytes // reply payload: the requested sequences
-	st.PackVirtual += price(c, model, float64(packedBytes), machine.RatePack, 0)
+	st.PackVirtual += price(al.c, al.model, float64(packedBytes), machine.RatePack, 0)
 	st.PackWall += walltime.Since(t0)
+	return replies
+}
 
-	// Reply exchange. The streamed schedule installs replicas and aligns
-	// newly-ready tasks as chunks land; the other schedules exchange the
-	// whole payload, then install, then align.
-	if streamed {
-		al.streamReplies(reqs, replies, remote, cfg)
-		addComm(&st.Breakdown, preComm, c.Stats())
-		return al.out, st
-	}
-	// Under the overlapped schedule, precompute the reverse complements
-	// the remaining tasks will need from reads already resident while the
-	// sequences fly.
-	var got []spmd.PackedBufs
-	if async {
-		repH := spmd.IAlltoallvPacked(c, replies)
-		t0 = walltime.Now()
-		for _, task := range remote {
-			if view.Owns(task.Pair.B) && needsRC(task) {
-				al.revComp(task.Pair.B, view.Seq(task.Pair.B))
-			}
-		}
-		st.LocalWall += walltime.Since(t0)
-		got = repH.Wait()
-	} else {
-		got = spmd.AlltoallvPacked(c, replies)
-	}
-	addComm(&st.Breakdown, preComm, c.Stats())
+// alignSync is the paper's bulk-synchronous schedule: request exchange,
+// reply exchange, install every replica, then align every task.
+func (al *aligner) alignSync(reqs [][]uint32, tasks []overlap.Task) {
+	st := al.st
+	incoming := spmd.Alltoallv(al.c, reqs)
+	got := spmd.AlltoallvPacked(al.c, al.packReplies(incoming))
 
-	// Replica installation.
-	t0 = walltime.Now()
-	for src := 0; src < p; src++ {
+	t0 := walltime.Now()
+	for src := range got {
 		items := got[src].Items()
 		for i, id := range reqs[src] {
-			view.AddReplica(id, items[i])
+			al.view.AddReplica(id, items[i])
 			st.ReadsFetched++
 			st.FetchedBytes += int64(len(items[i]))
 		}
 	}
-	st.LocalVirtual += price(c, model, float64(st.FetchedBytes), machine.RatePack, 0)
-	st.LocalWall += walltime.Since(t0)
-
-	// Embarrassingly parallel per-rank alignment of what remains.
-	t0 = walltime.Now()
-	for _, task := range remote {
+	st.LocalVirtual += price(al.c, al.model, float64(st.FetchedBytes), machine.RatePack, 0)
+	for _, task := range tasks {
 		al.alignTask(task)
 	}
 	st.LocalWall += walltime.Since(t0)
-	return al.out, st
+}
+
+// alignStreamed is the overlapped schedule: tasks whose reads are both
+// local align while the posted request exchange flies, and the reply
+// exchange is streamed (streamReplies) so each remote task aligns the
+// moment its last missing sequence is installed.
+func (al *aligner) alignStreamed(reqs [][]uint32, tasks []overlap.Task) {
+	reqH := spmd.IAlltoallv(al.c, reqs)
+	t0 := walltime.Now()
+	var remote []overlap.Task
+	for _, task := range tasks {
+		if al.view.Owns(task.Pair.A) && al.view.Owns(task.Pair.B) {
+			al.alignTask(task)
+		} else {
+			remote = append(remote, task)
+		}
+	}
+	al.st.LocalWall += walltime.Since(t0)
+	incoming := reqH.Wait()
+	al.streamReplies(reqs, al.packReplies(incoming), remote)
 }
 
 // streamReplies is the readiness-driven reply schedule: the packed reply
@@ -342,8 +324,7 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 // waits, so it hides the modeled (and wall) cost of the rounds still in
 // flight; the blocking tail shrinks to whatever compute the final chunk
 // leaves behind.
-func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs,
-	remote []overlap.Task, cfg Config) {
+func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs, remote []overlap.Task) {
 
 	st := al.st
 	// Index remote tasks by the reads they are missing. A task appears
@@ -380,7 +361,7 @@ func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs,
 		st.LocalWall += walltime.Since(t0)
 	}
 	spmd.IAlltoallvStreamed(al.c, replies,
-		spmd.StreamOpts{ChunkBytes: cfg.ReplyChunk, Depth: cfg.ReplyDepth}, deliver)
+		spmd.StreamOpts{ChunkBytes: al.cfg.ReplyChunk, Depth: al.cfg.ReplyDepth}, deliver)
 	// Every remote task must have aligned during the stream; a leftover
 	// means the request bookkeeping diverged from the reply layout.
 	for ti, n := range waitCount {

@@ -37,31 +37,27 @@ import (
 type ExchangeMode int
 
 const (
-	// ExchangeAsync (the default) posts exchanges as non-blocking
-	// collectives (spmd.IAlltoallv) and overlaps them with packing,
-	// processing, and — in the alignment stage — local alignment work.
-	// Output is byte-identical to the synchronous schedule.
-	ExchangeAsync ExchangeMode = iota
+	// ExchangeStreamed (the default) posts exchanges as non-blocking
+	// collectives (spmd.IAlltoallv), overlapping them with packing and
+	// processing, and streams the alignment stage's reply exchange in
+	// chunks (spmd.IAlltoallvStreamed): remote tasks are aligned the
+	// moment their last missing sequence lands, instead of after every
+	// replica is installed. Output is byte-identical to the synchronous
+	// schedule.
+	ExchangeStreamed ExchangeMode = iota
 	// ExchangeSync is the paper's bulk-synchronous schedule: pack →
-	// blocking exchange → process. Retained for A/B comparison.
+	// blocking exchange → process. Retained as the reference the streamed
+	// schedule is compared against.
 	ExchangeSync
-	// ExchangeStreamed is ExchangeAsync plus a chunked, streaming reply
-	// exchange in the alignment stage (spmd.IAlltoallvStreamed): remote
-	// tasks are aligned the moment their last missing sequence lands,
-	// instead of after every replica is installed. Output is
-	// byte-identical to both other schedules.
-	ExchangeStreamed
 )
 
 // String names the schedule the way Report.Summary prints it.
 func (m ExchangeMode) String() string {
 	switch m {
-	case ExchangeAsync:
-		return "async"
-	case ExchangeSync:
-		return "sync"
 	case ExchangeStreamed:
 		return "streamed"
+	case ExchangeSync:
+		return "sync"
 	default:
 		return fmt.Sprintf("ExchangeMode(%d)", int(m))
 	}
@@ -103,10 +99,9 @@ type Config struct {
 	// memory on large runs).
 	KeepAlignments bool
 
-	// Exchange selects non-blocking (default), bulk-synchronous, or
-	// streamed exchange scheduling. The schedules move identical data and
-	// produce byte-identical PAF; only when and how long ranks block
-	// differs.
+	// Exchange selects streamed (default) or bulk-synchronous exchange
+	// scheduling. The schedules move identical data and produce
+	// byte-identical PAF; only when and how long ranks block differs.
 	Exchange ExchangeMode
 
 	// ReplyChunk bounds the per-peer payload (bytes) of one chunk of the

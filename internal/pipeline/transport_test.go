@@ -139,9 +139,10 @@ func pafBytes(t *testing.T, rep *Report, reads []*fastq.Record) []byte {
 	return buf.Bytes()
 }
 
-// TestAsyncExchangeMatchesSync is the PR's equivalence guarantee: the
-// non-blocking round-pipelined schedule must produce byte-identical PAF to
-// the bulk-synchronous one, on both the in-process and TCP transports. The
+// TestAsyncExchangeMatchesSync is the overlapped schedule's equivalence
+// guarantee at its defaults (the zero Config.Exchange): non-blocking
+// round-pipelined exchanges must produce byte-identical PAF to the
+// bulk-synchronous ones, on both the in-process and TCP transports. The
 // MinDistance seed mode keeps multi-seed pairs in play so the overlapped
 // alignment paths (early local tasks, RC precompute, per-pair dedup) are
 // all exercised.
@@ -224,7 +225,7 @@ func TestAsyncExchangeReducesModeledTime(t *testing.T) {
 		return rep
 	}
 	syncRep := run(ExchangeSync)
-	asyncRep := run(ExchangeAsync)
+	asyncRep := run(ExchangeStreamed)
 	bloomHash := func(rep *Report) float64 {
 		return rep.StageVirtual(StageBloom) + rep.StageVirtual(StageHash)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -593,4 +594,55 @@ func scrapedValue(t *testing.T, scrape []byte, sample string) int64 {
 	}
 	t.Fatalf("sample %s not found in scrape:\n%s", sample, scrape)
 	return 0
+}
+
+// TestShutdownAckSurvivesTeardown cycles daemon start → Client.Shutdown:
+// every cycle must observe the typed acknowledgement. The handler used
+// to signal the loop before writing the ack, so shutdown's closeConns
+// could cut the frame off mid-write (about one call in three).
+func TestShutdownAckSurvivesTeardown(t *testing.T) {
+	indexed, _, _ := splitDataset(t, 5, 3)
+	cfg := serveTestConfig()
+	for cycle := 0; cycle < 60; cycle++ {
+		var err error
+		runServeWorld(t, 2, indexed[:8], cfg, Options{Addr: "127.0.0.1:0"}, func(addr string) {
+			var cl *Client
+			if cl, err = Dial(addr); err != nil {
+				return
+			}
+			defer cl.Close()
+			err = cl.Shutdown("")
+		})
+		if err != nil {
+			t.Fatalf("cycle %d: Shutdown did not see its ack: %v", cycle, err)
+		}
+	}
+}
+
+// closeLogConn records the order connections are closed in.
+type closeLogConn struct {
+	net.Conn
+	id  int
+	log *[]int
+}
+
+func (c *closeLogConn) Close() error {
+	*c.log = append(*c.log, c.id)
+	return nil
+}
+
+// TestDropConnKeepsAcceptOrder checks the registry's teardown contract:
+// dropping a connection from the middle leaves closeConns closing the
+// rest in accept order.
+func TestDropConnKeepsAcceptOrder(t *testing.T) {
+	var closed []int
+	s := &server{}
+	for id := 0; id < 4; id++ {
+		s.conns = append(s.conns, &closeLogConn{id: id, log: &closed})
+	}
+	s.dropConn(s.conns[1])
+	s.closeConns()
+	if want := []int{0, 2, 3}; !slices.Equal(closed, want) {
+		t.Errorf("closeConns closed %v, want accept order %v", closed, want)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -560,20 +561,13 @@ func (s *server) closeConns() {
 	s.conns = nil
 }
 
-// dropConn removes one connection from the registry (swap-remove by
-// identity; the teardown order we care about is closeConns', which is
-// accept order).
+// dropConn removes one connection from the registry, preserving the
+// accept order of the rest (closeConns' teardown order).
 func (s *server) dropConn(conn net.Conn) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	for i, c := range s.conns {
-		if c == conn {
-			last := len(s.conns) - 1
-			s.conns[i] = s.conns[last]
-			s.conns[last] = nil
-			s.conns = s.conns[:last]
-			return
-		}
+	if i := slices.Index(s.conns, conn); i >= 0 {
+		s.conns = slices.Delete(s.conns, i, i+1)
 	}
 }
 
@@ -626,8 +620,10 @@ func (s *server) handleConn(conn net.Conn) {
 				writeFrontendFrame(conn, frameErr, errorResponse{Code: "bad-tenant", Msg: ErrBadTenant.Error()})
 				continue
 			}
-			s.stopOnce.Do(func() { s.jobs <- nil })
+			// Ack before signalling the loop: once it hears the stop,
+			// shutdown's closeConns may cut this connection at any moment.
 			writeFrontendFrame(conn, frameErr, errorResponse{Code: "shutting-down", Msg: "shutdown accepted"})
+			s.stopOnce.Do(func() { s.jobs <- nil })
 		default:
 			return
 		}

@@ -1,0 +1,328 @@
+package spmd
+
+// The one exchange path of the typed layer. Every collective in this
+// package is the same two steps over Transport.IAlltoallv: post (cast the
+// typed rows to bytes and hand them to the transport) and Handle.Wait
+// (complete, fold the modeled cost into the BSP clock, copy the payloads
+// out). What distinguishes a blocking Alltoallv from a barrier, a posted
+// non-blocking exchange or one chunk round of a stream is only how it is
+// priced, and that is data: a pricing value.
+//
+// Non-blocking exchanges are the MPI_Ialltoallv analogue that lets a rank
+// post round r+1's exchange and keep computing on round r while the
+// payloads move — the mechanism behind the pipeline's exchange/compute
+// overlap (the paper's Figs. 9-10 show exchange as the scaling limiter
+// precisely because the bulk-synchronous rounds pay pack → exchange →
+// process as a sum).
+//
+// Clock semantics at Wait: the exchange is modeled as starting at the
+// maximum posting clock across ranks (BSP — data cannot move before the
+// last rank contributes) and completing one modeled exchange cost later.
+// The waiting rank's clock advances to max(its own clock, that completion
+// time), so an overlapped round costs max(local, exchange) rather than
+// local + exchange; the hidden portion is accounted in Stats.OverlapVirtual.
+// A blocking collective is the degenerate case: waited at its own posting
+// clock, it hides nothing and pays the full cost.
+//
+// Ordering contract: handles must be waited in posting order, and no
+// blocking collective may run while any handle is pending (enforced —
+// violations panic). Posting further exchanges while handles are pending
+// is allowed; that is the point.
+
+import (
+	"fmt"
+	"time"
+)
+
+// asyncCommModel is the optional CommModel extension pricing the CPU-side
+// cost of posting a non-blocking exchange (machine.Model implements it).
+type asyncCommModel interface {
+	IPostTime() float64
+}
+
+// streamCommModel is the optional CommModel extension pricing chunk rounds
+// of a streamed exchange (machine.Model implements it): successive chunks
+// of one posted streamed collective reuse the descriptors and per-peer
+// state the first round set up, so both the posting and the exchange cost
+// per chunk are a fraction of a full collective's.
+type streamCommModel interface {
+	ChunkPostTime() float64
+	StreamChunkTime(callIdx int64, maxChunkBytes float64) float64
+}
+
+// pricing is one exchange flavour's accounting rule.
+type pricing struct {
+	op string // names the collective in failures
+	// blocking: waited immediately. The Comm must be idle, posting is free
+	// (there is no descriptor to keep alive across compute), and the
+	// caller, not the exchange, emits the trace span.
+	blocking bool
+	// small: a latency-bound collective — CollectiveTime and
+	// Stats.Collectives, no byte accounting. Otherwise AlltoallvTime (or
+	// the chunk rate), Stats.Alltoallvs and Stats.BytesSent.
+	small bool
+	// chunk: a data round of a streamed exchange — ChunkPostTime and
+	// StreamChunkTime where the model has them.
+	chunk bool
+}
+
+var (
+	priceAlltoallv = pricing{op: "alltoallv", blocking: true}
+	priceBarrier   = pricing{op: "barrier", blocking: true, small: true}
+	priceAllgather = pricing{op: "allgather", blocking: true, small: true}
+	pricePosted    = pricing{op: "ialltoallv"}
+	priceChunk     = pricing{op: "ialltoallv chunk", chunk: true}
+)
+
+// postCost prices the CPU side of posting: descriptor setup and buffer
+// registration run on the rank's own clock. Chunk rounds of a stream pay
+// the reduced per-chunk cost where the model has one.
+func (c *Comm) postCost(r *pricing) float64 {
+	if r.blocking {
+		return 0
+	}
+	if sm, ok := c.model.(streamCommModel); ok && r.chunk {
+		return sm.ChunkPostTime()
+	}
+	if am, ok := c.model.(asyncCommModel); ok {
+		return am.IPostTime()
+	}
+	return 0
+}
+
+// exchangeCost prices one completed exchange whose busiest rank sent
+// maxBytes, adding it to Stats.ExchangeVirtual. Streams fall back to full
+// collective pricing on models without stream support.
+func (c *Comm) exchangeCost(r *pricing, maxBytes float64) float64 {
+	if c.model == nil {
+		return 0
+	}
+	var d float64
+	sm, stream := c.model.(streamCommModel)
+	switch {
+	case r.small:
+		d = c.model.CollectiveTime()
+	case r.chunk && stream:
+		d = sm.StreamChunkTime(c.stats.Alltoallvs, maxBytes)
+	default:
+		d = c.model.AlltoallvTime(c.stats.Alltoallvs, maxBytes)
+	}
+	c.stats.ExchangeVirtual += d
+	return d
+}
+
+// streamState is the shared accounting of one streamed exchange: the
+// modeled completion watermark that serializes its rounds. Chunks of one
+// stream travel back-to-back on each peer connection, so in modeled time
+// chunk r cannot start before chunk r-1 (or the header) has fully drained
+// — without this, early-posted chunks would appear to move in parallel
+// and a chunked exchange would price below the monolithic one.
+type streamState struct {
+	completion float64
+}
+
+// Handle is the completion handle of one posted exchange.
+type Handle[T any] struct {
+	c       *Comm
+	pe      PendingExchange
+	rule    *pricing
+	id      uint64
+	myBytes int64
+	posted  time.Time
+	done    bool
+	// serial is the owning stream's completion watermark (nil for
+	// standalone exchanges).
+	serial *streamState
+	// flow links this exchange's post and wait events across ranks in the
+	// flight recorder (see Comm.postSeq); 0 when tracing is disabled.
+	flow uint64
+}
+
+// requireIdle panics if a non-blocking exchange is still pending: a
+// blocking collective issued between a post and its Wait would consume the
+// pending exchange's frames on serializing transports and deliver wrong
+// data, so the schedule error fails loudly instead.
+func (c *Comm) requireIdle(op string) {
+	if len(c.pending) > 0 {
+		panic(fmt.Sprintf("spmd: rank %d issued blocking %s with %d non-blocking exchange(s) pending; Wait them first",
+			c.Rank(), op, len(c.pending)))
+	}
+}
+
+// post is the one cast-and-post step: rank i's send[j] will be delivered
+// as rank j's recv[i] when every rank has posted the matching exchange.
+func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *Handle[T] {
+	p := c.Size()
+	if len(send) != p {
+		panic(fmt.Sprintf("spmd: %s send length %d != world size %d", r.op, len(send), p))
+	}
+	if r.blocking {
+		c.requireIdle(r.op)
+	}
+	if !c.tr.Shared() && !isPOD[T]() {
+		panic(fmt.Sprintf("spmd: %s element type %T contains pointers and cannot cross an address-space boundary", r.op, *new(T)))
+	}
+	now := time.Now()
+	raw := make([][]byte, p)
+	var myBytes int64
+	for dst := 0; dst < p; dst++ {
+		raw[dst] = castToBytes(send[dst])
+		myBytes += int64(len(raw[dst]))
+	}
+	if r.small {
+		myBytes = 0 // latency-bound: priced per call, not per byte
+	}
+	pe, err := c.tr.IAlltoallv(raw, c.clock, float64(myBytes))
+	if err != nil {
+		collectiveFailed(c, r.op, err)
+	}
+	// Posting is not free: the cost is exchange accounting (it exists
+	// only because of the exchange) but is CPU-bound, so it never counts
+	// as hidden.
+	if d := c.postCost(r); d > 0 {
+		c.Tick(d)
+		c.stats.ExchangeVirtual += d
+	}
+	h := &Handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now, serial: serial}
+	c.nextID++
+	if !r.blocking {
+		c.postSeq++
+		if c.rec != nil {
+			h.flow = c.postSeq
+			if r.chunk {
+				c.rec.Instant(traceChunkPost, c.clock, myBytes)
+			} else {
+				c.rec.Instant(tracePost, c.clock, myBytes)
+			}
+			c.rec.FlowOut(traceExchange, c.clock, h.flow)
+		}
+		inflightExchanges.Add(1)
+	}
+	if len(c.pending) == 0 {
+		// First in-flight exchange: compute from here on counts as
+		// overlap (until attributed by a Wait).
+		c.anchorWall = now
+		c.anchorExchWall = c.stats.ExchangeWall
+	}
+	c.pending = append(c.pending, h.id)
+	return h
+}
+
+// Wait blocks until the exchange completes and returns the received
+// buffers (recv[src] is what rank src sent here). It folds the exchange's
+// modeled cost into the BSP clock as described in the package comment and
+// must be called exactly once per handle, in posting order.
+func (h *Handle[T]) Wait() [][]T {
+	c, r := h.c, h.rule
+	if h.done {
+		panic("spmd: exchange waited twice")
+	}
+	if len(c.pending) == 0 || c.pending[0] != h.id {
+		panic("spmd: non-blocking exchanges must be waited in posting order")
+	}
+	c.pending = c.pending[1:]
+	h.done = true
+
+	// A blocking collective has been blocked since its post. A posted one
+	// is blocked from here; compute time since the anchor (the last point
+	// already credited), excluding time blocked in collectives, overlapped
+	// its flight.
+	start := h.posted
+	if !r.blocking {
+		if r.chunk {
+			c.rec.Begin(traceChunkWait, c.clock)
+		} else {
+			c.rec.Begin(traceWait, c.clock)
+		}
+		overlapped := time.Since(c.anchorWall) - (c.stats.ExchangeWall - c.anchorExchWall)
+		if overlapped > 0 {
+			c.stats.OverlapWall += overlapped
+		}
+		start = time.Now()
+	}
+	rraw, tmax, bmax, err := h.pe.Wait()
+	if err != nil {
+		collectiveFailed(c, r.op, err)
+	}
+	blocked := time.Since(start)
+	c.stats.ExchangeWall += blocked
+	// The anchor advances so the next Wait starts fresh.
+	c.anchorWall = start.Add(blocked)
+	c.anchorExchWall = c.stats.ExchangeWall
+
+	// A stream's rounds drain one after another on each peer connection:
+	// this round starts at the later of its BSP post maximum and the
+	// previous round's modeled completion.
+	if h.serial != nil && h.serial.completion > tmax {
+		tmax = h.serial.completion
+	}
+	cost := c.exchangeCost(r, bmax)
+	if h.serial != nil {
+		h.serial.completion = tmax + cost
+	}
+	// The exchange occupied modeled time [tmax, tmax+cost]; whatever local
+	// progress the rank made past tmax hid that much of the cost.
+	hidden := min(max(c.clock-tmax, 0), cost)
+	c.stats.OverlapVirtual += hidden
+	c.clock = max(c.clock, tmax+cost)
+	if r.small {
+		c.stats.Collectives++
+	} else {
+		c.stats.Alltoallvs++
+		c.stats.BytesSent += h.myBytes
+		exchangesTotal.Inc()
+	}
+	if !r.blocking {
+		if r.chunk {
+			c.rec.End(traceChunkWait, c.clock, h.myBytes)
+		} else {
+			c.rec.End(traceWait, c.clock, h.myBytes)
+		}
+		c.rec.FlowIn(traceExchange, c.clock, h.flow)
+		inflightExchanges.Add(-1)
+	}
+
+	shared := c.tr.Shared()
+	recv := make([][]T, len(rraw))
+	rec, _ := c.tr.(recvBufRecycler)
+	for src := range rraw {
+		recv[src] = castFromBytes[T](rraw[src], shared)
+		// Copied out — recycle the pooled frame payload (own rank's
+		// column aliases the posted send buffer; skip it).
+		if rec != nil && !shared && src != c.Rank() {
+			rec.RecycleRecvBuf(rraw[src])
+		}
+	}
+	return recv
+}
+
+// Alltoallv performs an irregular all-to-all: rank i's send[j] is delivered
+// as rank j's recv[i]. send must have length Size. On the in-process
+// backend the received slices alias the sender's memory (zero-copy, as
+// intra-node MPI would); receivers must not mutate them. On serializing
+// backends T must be pointer-free (fixed-size integers, floats, or
+// structs/arrays of them) — variable-length payloads go through
+// AlltoallvPacked.
+func Alltoallv[T any](c *Comm, send [][]T) [][]T {
+	c.rec.Begin(traceAlltoallv, c.clock)
+	h := post(c, send, &priceAlltoallv, nil)
+	recv := h.Wait()
+	c.rec.End(traceAlltoallv, c.clock, h.myBytes)
+	return recv
+}
+
+// IAlltoallv posts an irregular all-to-all without blocking; the returned
+// handle's Wait yields the received buffers. Element and aliasing rules
+// match Alltoallv; additionally the send slices are handed off at post
+// time and must not be mutated until every rank has waited the exchange.
+func IAlltoallv[T any](c *Comm, send [][]T) *Handle[T] {
+	return post(c, send, &pricePosted, nil)
+}
+
+// Barrier synchronizes all ranks and their virtual clocks: an all-to-all
+// of empty contributions.
+func (c *Comm) Barrier() {
+	c.rec.Begin(traceBarrier, c.clock)
+	post(c, make([][]byte, c.Size()), &priceBarrier, nil).Wait()
+	c.rec.End(traceBarrier, c.clock, 0)
+}

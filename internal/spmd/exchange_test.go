@@ -74,34 +74,6 @@ func TestIAlltoallvPipelinedTCP(t *testing.T) {
 	}
 }
 
-func TestIAlltoallvPackedBothTransports(t *testing.T) {
-	prog := func(c *Comm) error {
-		p := c.Size()
-		send := make([]PackedBufs, p)
-		for dst := 0; dst < p; dst++ {
-			send[dst].AppendItem([]byte(fmt.Sprintf("r%d>d%d", c.Rank(), dst)))
-			send[dst].AppendItem(nil)
-		}
-		got := IAlltoallvPacked(c, send).Wait()
-		for src := 0; src < p; src++ {
-			items := got[src].Items()
-			if len(items) != 2 {
-				return fmt.Errorf("rank %d: %d items from %d", c.Rank(), len(items), src)
-			}
-			if want := fmt.Sprintf("r%d>d%d", src, c.Rank()); string(items[0]) != want {
-				return fmt.Errorf("rank %d: got %q from %d, want %q", c.Rank(), items[0], src, want)
-			}
-		}
-		return nil
-	}
-	if err := Run(3, prog); err != nil {
-		t.Fatalf("mem: %v", err)
-	}
-	if err := runTCPWorld(t, 3, nil, prog); err != nil {
-		t.Fatalf("tcp: %v", err)
-	}
-}
-
 // fixedModel prices every exchange at a constant cost so clock folding is
 // easy to assert.
 type fixedModel struct{ cost float64 }

@@ -2,79 +2,52 @@ package spmd
 
 import "sync"
 
-// The in-process transport: ranks are goroutines in one address space,
-// collectives move data through a shared exchange matrix guarded by the
-// reusable cyclic barrier in barrier.go. Payloads are delivered zero-copy
-// (receivers alias the sender's memory), exactly as the runtime behaved
-// before the Transport split.
-//
-// Non-blocking exchanges bypass the barrier entirely: each posted
-// collective gets its own sequence-numbered slot (the per-rank counters
-// agree because SPMD ranks issue collectives in program order), so a rank
-// can post round r+1 while peers are still posting round r. A slot is
-// reclaimed once every rank has read its row.
+// The in-process transport: ranks are goroutines in one address space.
+// Each posted exchange gets its own sequence-numbered slot (the per-rank
+// counters agree because SPMD ranks post in program order), so a rank can
+// post exchange r+1 while peers are still posting r, and waiting an
+// exchange right after posting it is the blocking collective. Payloads
+// are delivered zero-copy (receivers alias the sender's memory). A slot is
+// reclaimed once every rank has read its column.
 
-// memSlot is one outstanding non-blocking exchange: per-rank staged rows
-// plus the posting clocks/byte counts.
+// memSlot is one outstanding exchange: per-rank staged rows plus the
+// running maxima of the posting clocks and byte counts.
 type memSlot struct {
-	rows   [][][]byte // rows[src][dst]
-	clocks []float64
-	bytes  []float64
-	posted int
-	taken  int
+	rows     [][][]byte // rows[src][dst]
+	maxClock float64
+	maxBytes float64
+	posted   int
+	taken    int
 }
 
 // memWorld is the state shared by all ranks of one in-process world.
 type memWorld struct {
-	size  int
-	cells [][]any // cells[src][dst]: staged payloads
-	vals  []any   // per-rank slots for gathers
-	bar   *barrier
+	size int
 
-	amu      sync.Mutex
-	acond    *sync.Cond
-	slots    map[uint64]*memSlot // outstanding async exchanges by sequence
-	aaborted bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	slots   map[uint64]*memSlot // outstanding exchanges by sequence
+	aborted bool
 }
 
 func newMemWorld(p int) *memWorld {
-	w := &memWorld{
-		size:  p,
-		cells: make([][]any, p),
-		vals:  make([]any, p),
-		bar:   newBarrier(p),
-		slots: make(map[uint64]*memSlot),
-	}
-	w.acond = sync.NewCond(&w.amu)
-	for i := range w.cells {
-		w.cells[i] = make([]any, p)
-	}
+	w := &memWorld{size: p, slots: make(map[uint64]*memSlot)}
+	w.cond = sync.NewCond(&w.mu)
 	return w
-}
-
-// slot returns (creating if needed) the async slot for sequence seq.
-// Callers hold amu.
-func (w *memWorld) slot(seq uint64) *memSlot {
-	sl, ok := w.slots[seq]
-	if !ok {
-		sl = &memSlot{
-			rows:   make([][][]byte, w.size),
-			clocks: make([]float64, w.size),
-			bytes:  make([]float64, w.size),
-		}
-		w.slots[seq] = sl
-	}
-	return sl
 }
 
 // rank returns rank r's Transport handle on the world.
 func (w *memWorld) rank(r int) Transport { return &memRank{w: w, rank: r} }
 
 // memRank is one rank's handle; it is confined to that rank's goroutine.
+// It is also the PendingExchange of every exchange it posts: handles are
+// waited in posting order, so Wait completes sequence waited, then the
+// next.
 type memRank struct {
-	w    *memWorld
-	rank int
-	aseq uint64 // next async collective sequence (consistent by SPMD order)
+	w      *memWorld
+	rank   int
+	posted uint64 // next exchange sequence (consistent by SPMD order)
+	waited uint64 // next sequence Wait completes
 }
 
 func (m *memRank) Rank() int    { return m.rank }
@@ -83,125 +56,56 @@ func (m *memRank) Shared() bool { return true }
 func (m *memRank) Close() error { return nil }
 
 func (m *memRank) Abort() {
-	m.w.bar.abort()
-	m.w.amu.Lock()
-	m.w.aaborted = true
-	m.w.acond.Broadcast()
-	m.w.amu.Unlock()
-}
-
-// memPending is one rank's handle on an outstanding async exchange.
-type memPending struct {
-	m   *memRank
-	seq uint64
+	m.w.mu.Lock()
+	m.w.aborted = true
+	m.w.cond.Broadcast()
+	m.w.mu.Unlock()
 }
 
 func (m *memRank) IAlltoallv(send [][]byte, clock, sentBytes float64) (PendingExchange, error) {
 	w := m.w
-	w.amu.Lock()
-	if w.aaborted {
-		w.amu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.aborted {
 		return nil, ErrAborted
 	}
-	sl := w.slot(m.aseq)
+	sl, ok := w.slots[m.posted]
+	if !ok {
+		sl = &memSlot{rows: make([][][]byte, w.size), maxClock: clock, maxBytes: sentBytes}
+		w.slots[m.posted] = sl
+	}
 	sl.rows[m.rank] = send
-	sl.clocks[m.rank] = clock
-	sl.bytes[m.rank] = sentBytes
+	sl.maxClock = max(sl.maxClock, clock)
+	sl.maxBytes = max(sl.maxBytes, sentBytes)
 	sl.posted++
 	if sl.posted == w.size {
-		w.acond.Broadcast()
+		w.cond.Broadcast()
 	}
-	w.amu.Unlock()
-	h := &memPending{m: m, seq: m.aseq}
-	m.aseq++
-	return h, nil
+	m.posted++
+	return m, nil
 }
 
-func (p *memPending) Wait() ([][]byte, float64, float64, error) {
-	w := p.m.w
-	w.amu.Lock()
-	defer w.amu.Unlock()
-	sl := w.slots[p.seq]
-	for sl.posted < w.size && !w.aaborted {
-		w.acond.Wait()
+func (m *memRank) Wait() ([][]byte, float64, float64, error) {
+	w := m.w
+	w.mu.Lock()
+	sl := w.slots[m.waited]
+	for sl.posted < w.size && !w.aborted {
+		w.cond.Wait()
 	}
-	if w.aaborted {
+	if w.aborted {
+		w.mu.Unlock()
 		return nil, 0, 0, ErrAborted
-	}
-	recv := make([][]byte, w.size)
-	tmax, bmax := sl.clocks[0], sl.bytes[0]
-	for src := 0; src < w.size; src++ {
-		recv[src] = sl.rows[src][p.m.rank]
-		if sl.clocks[src] > tmax {
-			tmax = sl.clocks[src]
-		}
-		if sl.bytes[src] > bmax {
-			bmax = sl.bytes[src]
-		}
 	}
 	sl.taken++
 	if sl.taken == w.size {
-		delete(w.slots, p.seq)
+		delete(w.slots, m.waited)
 	}
-	return recv, tmax, bmax, nil
-}
-
-func (m *memRank) Alltoallv(send [][]byte, clock, sentBytes float64) ([][]byte, float64, float64, error) {
-	w := m.w
-	for dst := 0; dst < w.size; dst++ {
-		w.cells[m.rank][dst] = send[dst]
-	}
-	tmax, bmax, ok := w.bar.await(clock, sentBytes)
-	if !ok {
-		return nil, 0, 0, ErrAborted
-	}
+	w.mu.Unlock()
+	m.waited++
+	// Every rank has posted: the slot's rows and maxima are final.
 	recv := make([][]byte, w.size)
-	for src := 0; src < w.size; src++ {
-		if v := w.cells[src][m.rank]; v != nil {
-			recv[src] = v.([]byte)
-		}
+	for src := range recv {
+		recv[src] = sl.rows[src][m.rank]
 	}
-	// Second phase: no rank may overwrite its cells (next collective)
-	// until every rank has read this one's.
-	if _, _, ok := w.bar.await(tmax, 0); !ok {
-		return nil, 0, 0, ErrAborted
-	}
-	return recv, tmax, bmax, nil
-}
-
-func (m *memRank) AllgatherAny(v any, clock float64) ([]any, float64, error) {
-	w := m.w
-	w.vals[m.rank] = v
-	tmax, _, ok := w.bar.await(clock, 0)
-	if !ok {
-		return nil, 0, ErrAborted
-	}
-	out := make([]any, w.size)
-	copy(out, w.vals)
-	if _, _, ok := w.bar.await(tmax, 0); !ok {
-		return nil, 0, ErrAborted
-	}
-	return out, tmax, nil
-}
-
-func (m *memRank) Allgather(blob []byte, clock float64) ([][]byte, float64, error) {
-	vals, tmax, err := m.AllgatherAny(blob, clock)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]byte, len(vals))
-	for i, v := range vals {
-		if v != nil {
-			out[i] = v.([]byte)
-		}
-	}
-	return out, tmax, nil
-}
-
-func (m *memRank) Barrier(clock float64) (float64, error) {
-	tmax, _, ok := m.w.bar.await(clock, 0)
-	if !ok {
-		return 0, ErrAborted
-	}
-	return tmax, nil
+	return recv, sl.maxClock, sl.maxBytes, nil
 }

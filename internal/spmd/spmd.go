@@ -4,14 +4,14 @@
 // The paper's diBELLA runs P MPI ranks (one per core) and communicates
 // exclusively through bulk-synchronous collectives — MPI_Alltoall,
 // MPI_Alltoallv, and reductions. Go has no MPI ecosystem, so this package
-// redesigns the layer: typed collectives run over a pluggable byte-level
-// Transport (see transport.go). The default backend keeps each rank as a
-// goroutine and moves data through a shared exchange matrix guarded by a
-// reusable cyclic barrier; the TCP backend (tcp.go) runs one OS process
-// per rank with length-prefixed frames over per-peer connections.
-// Collective semantics (every rank participates, data moves only at the
-// collective, happens-before across the barrier) match MPI's on both
-// backends, which is all the algorithm depends on.
+// redesigns the layer: typed collectives, all derived from one posted
+// all-to-all (exchange.go), run over a pluggable byte-level Transport (see
+// transport.go). The default backend keeps each rank as a goroutine and
+// moves data through sequence-numbered exchange slots; the TCP backend
+// (tcp.go) runs one OS process per rank with length-prefixed frames over
+// per-peer connections. Collective semantics (every rank participates,
+// data moves only at the collective, happens-before across it) match
+// MPI's on both backends, which is all the algorithm depends on.
 //
 // Two clocks are tracked per rank:
 //
@@ -244,41 +244,6 @@ func collectiveFailed(c *Comm, op string, err error) {
 	panic(commError{fmt.Errorf("spmd: rank %d: %s: %w", c.Rank(), op, err)})
 }
 
-// requireIdle panics if a non-blocking exchange is still pending: a
-// blocking collective issued between a post and its Wait would consume the
-// pending exchange's frames on serializing transports and deliver wrong
-// data, so the schedule error fails loudly instead.
-func (c *Comm) requireIdle(op string) {
-	if len(c.pending) > 0 {
-		panic(fmt.Sprintf("spmd: rank %d issued blocking %s with %d non-blocking exchange(s) pending; Wait them first",
-			c.Rank(), op, len(c.pending)))
-	}
-}
-
-// Barrier synchronizes all ranks and their virtual clocks.
-func (c *Comm) Barrier() {
-	c.requireIdle("barrier")
-	c.rec.Begin(traceBarrier, c.clock)
-	start := time.Now()
-	t, err := c.tr.Barrier(c.clock)
-	if err != nil {
-		collectiveFailed(c, "barrier", err)
-	}
-	c.clock = t + c.modelCollective()
-	c.stats.Collectives++
-	c.stats.ExchangeWall += time.Since(start)
-	c.rec.End(traceBarrier, c.clock, 0)
-}
-
-func (c *Comm) modelCollective() float64 {
-	if c.model == nil {
-		return 0
-	}
-	d := c.model.CollectiveTime()
-	c.stats.ExchangeVirtual += d
-	return d
-}
-
 // elemSize reports the in-memory size of T's direct representation.
 func elemSize[T any]() int {
 	var zero T
@@ -351,76 +316,6 @@ func castFromBytes[T any](b []byte, shared bool) []T {
 	return out
 }
 
-// Alltoallv performs an irregular all-to-all: rank i's send[j] is delivered
-// as rank j's recv[i]. send must have length Size. On the in-process
-// backend the received slices alias the sender's memory (zero-copy, as
-// intra-node MPI would); receivers must not mutate them. On serializing
-// backends T must be pointer-free (fixed-size integers, floats, or
-// structs/arrays of them) — variable-length payloads go through
-// AlltoallvPacked.
-func Alltoallv[T any](c *Comm, send [][]T) [][]T {
-	p := c.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("spmd: Alltoallv send length %d != world size %d", len(send), p))
-	}
-	c.requireIdle("alltoallv")
-	shared := c.tr.Shared()
-	if !shared && !isPOD[T]() {
-		panic(fmt.Sprintf("spmd: Alltoallv element type %T contains pointers and cannot cross an address-space boundary", *new(T)))
-	}
-	c.rec.Begin(traceAlltoallv, c.clock)
-	start := time.Now()
-	raw := make([][]byte, p)
-	var myBytes int64
-	for dst := 0; dst < p; dst++ {
-		raw[dst] = castToBytes(send[dst])
-		myBytes += int64(len(raw[dst]))
-	}
-	rraw, tmax, bmax, err := c.tr.Alltoallv(raw, c.clock, float64(myBytes))
-	if err != nil {
-		collectiveFailed(c, "alltoallv", err)
-	}
-	recv := make([][]T, p)
-	rec, _ := c.tr.(recvBufRecycler)
-	for src := 0; src < p; src++ {
-		recv[src] = castFromBytes[T](rraw[src], shared)
-		// The copy above ends the raw buffer's life — recycle it. The
-		// rank's own column aliases the caller's send buffer, not a
-		// pooled one; leave it alone.
-		if rec != nil && !shared && src != c.Rank() {
-			rec.RecycleRecvBuf(rraw[src])
-		}
-	}
-	c.clock = tmax + c.modelAlltoallv(bmax)
-	c.stats.Alltoallvs++
-	c.stats.BytesSent += myBytes
-	c.stats.ExchangeWall += time.Since(start)
-	c.rec.End(traceAlltoallv, c.clock, myBytes)
-	exchangesTotal.Inc()
-	return recv
-}
-
-func (c *Comm) modelAlltoallv(maxBytes float64) float64 {
-	if c.model == nil {
-		return 0
-	}
-	d := c.model.AlltoallvTime(c.stats.Alltoallvs, maxBytes)
-	c.stats.ExchangeVirtual += d
-	return d
-}
-
-// modelStreamChunk prices one chunk round of a streamed exchange, falling
-// back to full collective pricing on models without stream support.
-func (c *Comm) modelStreamChunk(maxBytes float64) float64 {
-	sm, ok := c.model.(streamCommModel)
-	if !ok {
-		return c.modelAlltoallv(maxBytes)
-	}
-	d := sm.StreamChunkTime(c.stats.Alltoallvs, maxBytes)
-	c.stats.ExchangeVirtual += d
-	return d
-}
-
 // Alltoall delivers exactly one element to every rank: rank i's send[j]
 // becomes rank j's recv[i]. It matches MPI_Alltoall with count 1 and is
 // how the pipeline exchanges per-destination counts before an Alltoallv.
@@ -450,54 +345,43 @@ const (
 	OpMin
 )
 
-// gatherVals runs the allgather protocol underlying the small collectives
-// and returns this rank's view of all contributed values, in rank order.
-// Shared-memory transports exchange the values directly; serializing
-// transports move them as gob blobs (values must be gob-encodable).
+// gatherVals runs the allgather underlying the small collectives and
+// returns this rank's view of all contributed values, in rank order: every
+// rank sends its one value to every rank. Wherever the bytes of T may
+// travel as they are — any T on a shared transport, by the aliasing rule
+// Alltoallv applies, and plain-old-data on any transport — that is an
+// exchange of the one-element []T{v}; only a value with pointers crossing
+// an address-space boundary is gob-encoded first (and must be
+// gob-encodable).
 func gatherVals[T any](c *Comm, v T) []T {
-	c.requireIdle("allgather")
 	c.rec.Begin(traceAllgather, c.clock)
-	start := time.Now()
-	var out []T
-	var tmax float64
-	if ag, ok := c.tr.(anyGatherer); ok {
-		vals, t, err := ag.AllgatherAny(v, c.clock)
-		if err != nil {
-			collectiveFailed(c, "allgather", err)
+	out := make([]T, c.Size())
+	if c.tr.Shared() || isPOD[T]() {
+		for i, part := range post(c, replicate(c, []T{v}), &priceAllgather, nil).Wait() {
+			out[i] = part[0]
 		}
-		out = make([]T, len(vals))
-		for i, val := range vals {
-			out[i] = val.(T)
-		}
-		tmax = t
 	} else {
 		blob, err := encodeGob(&v)
 		if err != nil {
 			panic(fmt.Errorf("spmd: allgather encode %T: %w", v, err))
 		}
-		blobs, t, err := c.tr.Allgather(blob, c.clock)
-		if err != nil {
-			collectiveFailed(c, "allgather", err)
-		}
-		out = make([]T, len(blobs))
-		rec, _ := c.tr.(recvBufRecycler)
-		for i, blob := range blobs {
-			if err := decodeGob(blob, &out[i]); err != nil {
+		for i, b := range post(c, replicate(c, blob), &priceAllgather, nil).Wait() {
+			if err := decodeGob(b, &out[i]); err != nil {
 				panic(fmt.Errorf("spmd: allgather decode from rank %d: %w", i, err))
 			}
-			// Decoded: the raw blob can be reused. The own-rank column is
-			// the caller-side encode buffer, not a pooled frame.
-			if rec != nil && i != c.Rank() {
-				rec.RecycleRecvBuf(blob)
-			}
 		}
-		tmax = t
 	}
-	c.clock = tmax + c.modelCollective()
-	c.stats.Collectives++
-	c.stats.ExchangeWall += time.Since(start)
 	c.rec.End(traceAllgather, c.clock, 0)
 	return out
+}
+
+// replicate addresses the same row to every rank.
+func replicate[T any](c *Comm, row []T) [][]T {
+	send := make([][]T, c.Size())
+	for i := range send {
+		send[i] = row
+	}
+	return send
 }
 
 // AllreduceI64 reduces one int64 across ranks; every rank gets the result.

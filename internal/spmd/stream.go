@@ -1,10 +1,11 @@
 package spmd
 
-// Streamed variable-length exchange: the chunked IAlltoallvPacked that
-// lets a receiver start consuming a peer's payload before the whole
-// exchange has drained. The monolithic packed exchange delivers nothing
-// until every byte of every contribution has arrived — exactly the
-// install-everything-then-process tail the alignment stage suffers from.
+// Streamed variable-length exchange: the chunked, non-blocking
+// AlltoallvPacked that lets a receiver start consuming a peer's payload
+// before the whole exchange has drained. The monolithic packed exchange
+// delivers nothing until every byte of every contribution has arrived —
+// exactly the install-everything-then-process tail the alignment stage
+// suffers from.
 // Here each rank splits every per-destination payload into chunks of at
 // most ChunkBytes and posts one non-blocking exchange per chunk round,
 // keeping Depth rounds in flight; as each round completes, the items that
@@ -143,20 +144,20 @@ func IAlltoallvStreamed(c *Comm, send []PackedBufs, opt StreamOpts, deliver func
 	for i := range send {
 		lens[i] = send[i].Lens
 	}
-	headerH := iAlltoallv(c, lens, st, false)
+	headerH := post(c, lens, &pricePosted, st)
 
-	post := func(r int) *Handle[byte] {
+	postRound := func(r int) *Handle[byte] {
 		rows := make([][]byte, p)
 		for dst := range send {
 			rows[dst] = chunkOf(send[dst].Data, r, opt.ChunkBytes)
 		}
-		return iAlltoallv(c, rows, st, true)
+		return post(c, rows, &priceChunk, st)
 	}
 	// Open the pipeline window behind the header before waiting anything.
 	pending := make([]*Handle[byte], 0, opt.Depth)
 	next := 0
 	for ; next < rounds && next < opt.Depth; next++ {
-		pending = append(pending, post(next))
+		pending = append(pending, postRound(next))
 	}
 
 	recvLens := headerH.Wait()
@@ -176,7 +177,7 @@ func IAlltoallvStreamed(c *Comm, send []PackedBufs, opt StreamOpts, deliver func
 		pending = pending[1:]
 		recv := h.Wait()
 		if next < rounds {
-			pending = append(pending, post(next))
+			pending = append(pending, postRound(next))
 			next++
 		}
 		for src := 0; src < p; src++ {

@@ -22,10 +22,10 @@ import (
 // each unordered pair shares exactly one connection (the rendezvous
 // connection doubles as the rank-0 mesh edge).
 //
-// Each collective is one frame per peer in each direction, carrying the
+// Each exchange is one frame per peer in each direction, carrying the
 // sender's virtual clock and byte count in the header; since every rank
 // hears from every other rank, each computes the world maxima locally —
-// the same quantities the in-process barrier accumulates.
+// the same quantities the in-process slots accumulate.
 
 // tcpConfig configures one rank's endpoint of a TCP world. It is internal:
 // callers describe the world with a Bootstrap (bootstrap.go) and obtain a
@@ -618,16 +618,6 @@ func (t *tcpTransport) failQueued() {
 	}
 }
 
-// exchange is the shared engine of every blocking collective: one posted
-// exchange waited immediately.
-func (t *tcpTransport) exchange(send [][]byte, clock, sentBytes float64) ([][]byte, float64, float64, error) {
-	h, err := t.IAlltoallv(send, clock, sentBytes)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return h.Wait()
-}
-
 func (t *tcpTransport) Rank() int    { return t.rank }
 func (t *tcpTransport) Size() int    { return t.size }
 func (t *tcpTransport) Shared() bool { return false }
@@ -635,27 +625,6 @@ func (t *tcpTransport) Shared() bool { return false }
 // RecycleRecvBuf returns a received frame payload to the pool once the
 // typed layer has copied its contents out (recvBufRecycler).
 func (t *tcpTransport) RecycleRecvBuf(b []byte) { putFrameBuf(b) }
-
-func (t *tcpTransport) Alltoallv(send [][]byte, clock, sentBytes float64) ([][]byte, float64, float64, error) {
-	return t.exchange(send, clock, sentBytes)
-}
-
-func (t *tcpTransport) Allgather(blob []byte, clock float64) ([][]byte, float64, error) {
-	send := make([][]byte, t.size)
-	for i := range send {
-		send[i] = blob
-	}
-	recv, maxClock, _, err := t.exchange(send, clock, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	return recv, maxClock, nil
-}
-
-func (t *tcpTransport) Barrier(clock float64) (float64, error) {
-	_, maxClock, _, err := t.exchange(make([][]byte, t.size), clock, 0)
-	return maxClock, err
-}
 
 func (t *tcpTransport) isAborted() bool {
 	t.amu.Lock()

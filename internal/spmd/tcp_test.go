@@ -12,17 +12,16 @@ import (
 	"time"
 )
 
-// runTCPWorld forms a Size-p TCP world on the loopback interface, one
-// goroutine per rank (each with its own transport and real sockets), runs
-// fn on every rank via RunTransport, and returns the world error exactly
-// as RunWithModel would.
-func runTCPWorld(t *testing.T, p int, model CommModel, fn func(*Comm) error) error {
+// formTCPWorld forms a Size-p TCP world on the loopback interface — every
+// rank with its own transport and real sockets — and returns the ranks'
+// transports in rank order.
+func formTCPWorld(t testing.TB, p int) []Transport {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("rendezvous listen: %v", err)
 	}
-	rendezvous := ln.Addr().String()
+	trs := make([]Transport, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -30,18 +29,37 @@ func runTCPWorld(t *testing.T, p int, model CommModel, fn func(*Comm) error) err
 		go func(rank int) {
 			defer wg.Done()
 			cfg := tcpConfig{
-				Rank: rank, Size: p, Rendezvous: rendezvous,
+				Rank: rank, Size: p, Rendezvous: ln.Addr().String(),
 				Timeout: 20 * time.Second,
 			}
 			if rank == 0 {
 				cfg.Listener = ln
 			}
-			tr, err := dialTCP(cfg)
-			if err != nil {
-				errs[rank] = fmt.Errorf("rank %d: DialTCP: %w", rank, err)
-				return
-			}
-			errs[rank] = RunTransport(tr, model, fn)
+			trs[rank], errs[rank] = dialTCP(cfg)
+		}(r)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: dialTCP: %v", rank, err)
+		}
+	}
+	return trs
+}
+
+// runTCPWorld runs fn on every rank of a fresh loopback TCP world, one
+// goroutine per rank via RunTransport, and returns the world error
+// exactly as RunWithModel would.
+func runTCPWorld(t *testing.T, p int, model CommModel, fn func(*Comm) error) error {
+	t.Helper()
+	trs := formTCPWorld(t, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := range trs {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			errs[rank] = RunTransport(trs[rank], model, fn)
 		}(r)
 	}
 	wg.Wait()
@@ -274,50 +292,6 @@ func TestTCPPeerPanicAbortsWorld(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaput") {
 		t.Fatalf("err = %v, want panic surfaced", err)
-	}
-}
-
-func TestTCPAbortedCollectiveReturnsErrAborted(t *testing.T) {
-	// Direct transport-level check: rank 1 aborts while rank 0 is blocked
-	// waiting for its contribution.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := make([]Transport, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := tcpConfig{Rank: rank, Size: 2, Rendezvous: ln.Addr().String()}
-			if rank == 0 {
-				cfg.Listener = ln
-			}
-			tr, err := dialTCP(cfg)
-			if err != nil {
-				t.Errorf("rank %d: %v", rank, err)
-				return
-			}
-			trs[rank] = tr
-		}(r)
-	}
-	wg.Wait()
-	if trs[0] == nil || trs[1] == nil {
-		t.Fatal("world formation failed")
-	}
-	defer trs[0].Close()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		trs[1].Abort()
-	}()
-	_, _, _, err = trs[0].Alltoallv(make([][]byte, 2), 0, 0)
-	if !errors.Is(err, ErrAborted) {
-		t.Errorf("blocked collective returned %v, want ErrAborted", err)
-	}
-	// Subsequent collectives on the aborted world fail fast, too.
-	if _, err := trs[1].Barrier(0); !errors.Is(err, ErrAborted) {
-		t.Errorf("collective after local abort returned %v, want ErrAborted", err)
 	}
 }
 

@@ -1,88 +1,70 @@
 package spmd
 
 // Transport is the byte-level communication substrate one rank uses to
-// participate in an SPMD world. The typed collectives in this package
-// (Alltoallv, Allgather, reductions, ...) are built on top of it, so the
-// same pipeline code runs over any backend:
+// participate in an SPMD world: the rank's identity plus one primitive,
+// the posted irregular all-to-all. diBELLA moves every byte through
+// MPI_Alltoallv between supersteps, and so does this runtime — every typed
+// collective in this package (Alltoallv, Barrier, the gathers and
+// reductions, the streamed exchange) is derived once, in exchange.go, from
+// IAlltoallv + Wait, so a backend has exactly one thing to get right,
+// instrument and fault-inject. Two backends exist:
 //
-//   - the in-process transport (goroutine ranks over a shared exchange
-//     matrix; the default, created by Run/RunWithModel), and
+//   - the in-process transport (goroutine ranks over sequence-numbered
+//     exchange slots; the default, created by Run/RunWithModel), and
 //   - the TCP transport (one OS process per rank, length-prefixed frames
 //     over per-peer persistent connections; created by Connect from a
 //     Bootstrap describing the world, see bootstrap.go).
 //
-// Every collective doubles as the BSP synchronization point, so alongside
-// the payload each method carries this rank's virtual clock and returns the
-// maximum clock across the world (plus, for Alltoallv, the busiest
-// sender's byte count — the quantity the communication model prices).
+// Every exchange doubles as the BSP synchronization point, so alongside
+// the payload each post carries this rank's virtual clock and Wait returns
+// the maximum clock across the world plus the busiest sender's byte count
+// — the quantity the communication model prices.
 //
-// Collective calls must be issued in the same order by every rank; a
-// Transport may detect divergence (the TCP backend does, via sequence
-// numbers) but is not required to.
+// Exchanges must be posted in the same order by every rank; a Transport
+// may detect divergence (the TCP backend does, via sequence numbers) but
+// is not required to.
 type Transport interface {
 	// Rank returns this rank's index in [0, Size).
 	Rank() int
 	// Size returns the number of ranks in the world.
 	Size() int
 
-	// Alltoallv delivers send[dst] to rank dst; recv[src] is the buffer
-	// rank src addressed to this rank (nil for empty contributions).
-	// clock and sentBytes are this rank's BSP contributions; maxClock and
-	// maxBytes are their maxima over all ranks.
-	Alltoallv(send [][]byte, clock, sentBytes float64) (recv [][]byte, maxClock, maxBytes float64, err error)
+	// Shared reports whether buffers returned by Wait alias the sender's
+	// memory (true for the in-process backend). When false the buffers
+	// crossed an address-space boundary and the typed layer must treat
+	// element types containing pointers as unserializable.
+	Shared() bool
 
-	// IAlltoallv posts the same irregular all-to-all without blocking and
-	// returns a completion handle. The posting rank's clock contribution is
-	// its clock at post time, so the returned maxClock is the exchange's
-	// BSP start time regardless of how much local work ran before Wait.
+	// IAlltoallv posts one irregular all-to-all without blocking — send[dst]
+	// is delivered to rank dst (nil for empty contributions) — and returns
+	// its completion handle. clock and sentBytes are this rank's BSP
+	// contributions at post time, so the maxClock Wait returns is the
+	// exchange's BSP start time regardless of how much local work ran
+	// before Wait.
 	//
-	// Ordering contract (the typed layer in async.go enforces it): every
-	// rank posts collectives in the same order, outstanding handles are
-	// waited in posting order, and no other collective is issued while a
-	// handle is pending except posting further exchanges. On shared
-	// transports the send buffers are handed off at post time and must not
-	// be mutated afterwards.
+	// Ordering contract (the typed layer enforces it): every rank posts
+	// exchanges in the same order and waits outstanding handles in posting
+	// order. On shared transports the send buffers are handed off at post
+	// time and must not be mutated afterwards.
 	IAlltoallv(send [][]byte, clock, sentBytes float64) (PendingExchange, error)
 
-	// Allgather distributes blob to every rank, returning all ranks'
-	// blobs in rank order along with the clock maximum.
-	Allgather(blob []byte, clock float64) (blobs [][]byte, maxClock float64, err error)
-
-	// Barrier synchronizes all ranks and returns the clock maximum.
-	Barrier(clock float64) (maxClock float64, err error)
-
-	// Abort poisons the world: ranks blocked in (or later entering) a
-	// collective fail with ErrAborted instead of deadlocking. Safe to
-	// call concurrently with collectives and more than once.
+	// Abort poisons the world: ranks blocked in (or later entering) an
+	// exchange fail with ErrAborted instead of deadlocking. Safe to call
+	// concurrently with exchanges and more than once.
 	Abort()
 
 	// Close releases the transport's resources. On a distributed backend
 	// it is the graceful shutdown (all ranks have finished the same
-	// collective sequence); it does not abort peers.
+	// exchange sequence); it does not abort peers.
 	Close() error
-
-	// Shared reports whether buffers returned by collectives alias the
-	// sender's memory (true for the in-process backend). When false the
-	// buffers crossed an address-space boundary and the typed layer must
-	// treat element types containing pointers as unserializable.
-	Shared() bool
 }
 
-// PendingExchange is a transport-level handle on one posted non-blocking
-// all-to-all. Wait blocks until every rank has posted the matching
-// collective and all payloads are available, returning exactly what the
-// blocking Alltoallv would have: the received buffers plus the world maxima
-// of the posting clocks and sent-byte counts. Wait must be called exactly
-// once.
+// PendingExchange is a transport-level handle on one posted all-to-all.
+// Wait blocks until every rank has posted the matching exchange and all
+// payloads are available: recv[src] is the buffer rank src addressed to
+// this rank (recv[Rank] is the rank's own send buffer), maxClock and
+// maxBytes are the world maxima of the posting clocks and sent-byte
+// counts. Wait must be called exactly once.
 type PendingExchange interface {
 	Wait() (recv [][]byte, maxClock, maxBytes float64, err error)
-}
-
-// anyGatherer is an optional fast path for transports whose ranks share an
-// address space: values are exchanged as interface values with no
-// serialization at all, preserving the zero-cost semantics the in-process
-// runtime always had. Serializing transports simply don't implement it and
-// the typed layer falls back to gob over Allgather.
-type anyGatherer interface {
-	AllgatherAny(v any, clock float64) (vals []any, maxClock float64, err error)
 }
