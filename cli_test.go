@@ -370,10 +370,10 @@ func startHostLauncher(t *testing.T, dibella string, args []string) (*exec.Cmd, 
 }
 
 // TestCLIJoinConfigShipping: a `dibella -join <addr>` agent with no
-// config flags must receive the launcher's resolved configuration in the
-// formation handshake and produce the same output as an in-process run;
-// an agent passing a conflicting config flag must fail formation with a
-// clear error naming the flag.
+// config flags must receive the launcher's configuration once the world
+// has formed and produce the same output as an in-process run; an agent
+// passing a conflicting config flag must fail the run with a clear error
+// naming the flag.
 func TestCLIJoinConfigShipping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test in short mode")
@@ -413,8 +413,8 @@ func TestCLIJoinConfigShipping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join address %q: %v", joinAddr, err)
 	}
-	// The agent passes no config flags at all: everything ships in the
-	// assignment.
+	// The agent passes no config flags at all: rank 0's ship to it (and to
+	// the worker it forks) over the formed world.
 	agentOut, agentErr := exec.Command(dibella, "-join", "127.0.0.1:"+port).CombinedOutput()
 	launchErr := launcher.Wait()
 	if agentErr != nil {
@@ -454,6 +454,104 @@ func TestCLIJoinConfigShipping(t *testing.T) {
 	}
 }
 
+// runPlacedWorld starts a 2-rank world the way a scheduler does: one
+// dibella process per rank started by hand, coordinates in the DIBELLA_*
+// env contract, no launcher. Rank 1 dials once and gives up, so it is
+// re-run until rank 0 has bound the rendezvous. Returns each rank's
+// combined output and exit error.
+func runPlacedWorld(t *testing.T, dibella string, rank0Args, rank1Args []string) (outs [2]string, errs [2]error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendezvous := ln.Addr().String()
+	ln.Close()
+	placed := func(rank int, args []string) *exec.Cmd {
+		cmd := exec.Command(dibella, args...)
+		cmd.Env = append(os.Environ(),
+			"DIBELLA_RANK="+strconv.Itoa(rank), "DIBELLA_WORLD_SIZE=2", "DIBELLA_RENDEZVOUS="+rendezvous)
+		return cmd
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		out, err := placed(0, rank0Args).CombinedOutput()
+		outs[0], errs[0] = string(out), err
+	}()
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		out, err := placed(1, rank1Args).CombinedOutput()
+		outs[1], errs[1] = string(out), err
+		if !strings.Contains(outs[1], "connection refused") || time.Now().After(deadline) {
+			break
+		}
+	}
+	<-done
+	return outs, errs
+}
+
+// TestCLISchedulerPlacedWorld covers the launch mode with no launcher at
+// all. Like every rank but rank 0, a scheduler-placed rank learns the
+// run's configuration from rank 0 over the formed world: (a) with no
+// config flags of its own it runs rank 0's configuration, byte-identical
+// to the in-process run; (b) with a flag that disagrees with rank 0's it
+// fails the run on both ranks, naming the flag, instead of running a
+// silently divergent world.
+func TestCLISchedulerPlacedWorld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test in short mode")
+	}
+	dir := t.TempDir()
+	seqgen := buildTool(t, dir, "./cmd/seqgen")
+	dibella := buildTool(t, dir, "./cmd/dibella")
+
+	reads := filepath.Join(dir, "reads.fastq")
+	if out, err := exec.Command(seqgen,
+		"-genome", "20000", "-coverage", "10", "-mean-len", "1500",
+		"-error-rate", "0.06", "-seed", "11", "-out", reads,
+	).CombinedOutput(); err != nil {
+		t.Fatalf("seqgen: %v\n%s", err, out)
+	}
+	memPAF := filepath.Join(dir, "mem.paf")
+	if out, err := exec.Command(dibella,
+		"-in", reads, "-p", "2", "-k", "17", "-error-rate", "0.06", "-out", memPAF,
+	).CombinedOutput(); err != nil {
+		t.Fatalf("mem run: %v\n%s", err, out)
+	}
+	memBytes, err := os.ReadFile(memPAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	placedPAF := filepath.Join(dir, "placed.paf")
+	rank0 := []string{"-in", reads, "-k", "17", "-error-rate", "0.06", "-out", placedPAF}
+	outs, errs := runPlacedWorld(t, dibella, rank0, nil)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("placed rank %d: %v\n%s", r, err, outs[r])
+		}
+	}
+	placedBytes, err := os.ReadFile(placedPAF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(memBytes) == 0 || !bytes.Equal(memBytes, placedBytes) {
+		t.Errorf("scheduler-placed world PAF differs from mem run (%d vs %d bytes)", len(placedBytes), len(memBytes))
+	}
+
+	outs, errs = runPlacedWorld(t, dibella, rank0, []string{"-k", "19"})
+	for r := range errs {
+		if errs[r] == nil {
+			t.Errorf("rank %d of a world disagreeing on -k succeeded:\n%s", r, outs[r])
+		}
+		for _, want := range []string{"conflict", "rank 1: -k: this command says 19, launcher says 17"} {
+			if !strings.Contains(outs[r], want) {
+				t.Errorf("rank %d: conflict error missing %q:\n%s", r, want, outs[r])
+			}
+		}
+	}
+}
+
 func TestCLIBenchList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test in short mode")
@@ -479,7 +577,7 @@ func TestCLIBenchList(t *testing.T) {
 	}
 }
 
-// TestCLIFlagValidation: nonsense numeric flags must be rejected at
+// TestCLIFlagValidation: nonsense flag values must be rejected at
 // startup with a clear usage error (exit 2), not surface later as opaque
 // panics or formation hangs. Unlike the other CLI smoke tests this one
 // runs in -short mode too (and hence in CI): each case exits during flag
@@ -514,6 +612,10 @@ func TestCLIFlagValidation(t *testing.T) {
 		{[]string{"-window", "0"}, "-window must be"},
 		{[]string{"-seed", "foo"}, "unknown -seed"},
 		{[]string{"-window", "7"}, "-window only applies"},
+		{[]string{"-transport", "bogus"}, "unknown -transport"},
+		{[]string{"-seed-mode", "bogus"}, "unknown -seed-mode"},
+		{[]string{"-platform", "bogus"}, "unknown platform"},
+		{[]string{"-hosts", "a", "-hostfile", "b"}, "mutually exclusive"},
 	}
 	for _, tc := range cases {
 		args := append([]string{"-in", reads}, tc.args...)

@@ -2,228 +2,379 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"time"
 
-	"dibella/internal/ckpt"
+	"dibella/internal/kmer"
+	"dibella/internal/machine"
+	"dibella/internal/overlap"
 	"dibella/internal/pipeline"
 	"dibella/internal/serve"
+	"dibella/internal/spmd"
 )
 
-// runParams is the resolved run configuration: everything a rank needs
-// to execute the pipeline, independent of how it learned it (its own
-// flags, the launcher's formation handshake, or the parent's env blob).
-//
-// It is the payload of config shipping: a `-hosts` launcher serializes
-// its runParams into the world-formation handshake, so `dibella -join
-// <addr>` needs no other flags — and a joiner that *does* pass explicit
-// config flags has them checked against the launcher's values, failing
-// formation on a mismatch instead of running a silently divergent rank.
+// flagClass says whom a flag concerns. It is declared once, where the
+// flag is defined; what ships to other ranks, what a joiner's command
+// line is checked against, and what -resume or batch mode rejects are all
+// derived from it.
+type flagClass int
+
+const (
+	// perProcess flags shape only the process they were typed on (-out,
+	// -p, -transport, -hosts, ...): never shipped, free to differ per host.
+	perProcess flagClass = iota
+	// shared flags describe the run itself. Rank 0's values ship to every
+	// other rank, whose own explicitly-set values must agree with them.
+	shared
+	// outputAffecting flags are shared and change the PAF, so -resume
+	// rejects them: the snapshot's manifest is authoritative.
+	outputAffecting
+	// serveOnly flags are shared and mean nothing without -serve-addr.
+	serveOnly
+)
+
+// runParams is the run configuration as typed: the flag set binds straight
+// into it, and it is what travels between ranks. Everything the run body
+// consumes is derived from it by resolve.
 type runParams struct {
-	In             string `json:"in"`
-	Platform       string `json:"platform,omitempty"`
-	Nodes          int    `json:"nodes"`
-	CkptDir        string `json:"ckpt_dir,omitempty"`
-	CkptEvery      string `json:"ckpt_every,omitempty"`
-	CkptAbortAfter string `json:"ckpt_abort_after,omitempty"`
-	Resume         string `json:"resume,omitempty"`
-	// Trace ships with the config (not in outputAffectingFlags): tracing
-	// is observability-only, but every rank must record for the teardown
-	// gather to assemble a full timeline.
-	Trace string          `json:"trace,omitempty"`
-	Serve serveParams     `json:"serve"`
-	Cfg   pipeline.Config `json:"pipeline"`
+	fs     *flag.FlagSet
+	class  map[string]flagClass
+	bounds []intBound
+
+	Out, Transport, Hosts, Hostfile, Join string
+	P                                     int
+	Breakdown                             bool
+	FormTimeout                           time.Duration
+
+	In, SeedMode, Seed, Platform, Trace          string
+	K, MaxFreq, Window, MinDist, XDrop, MinScore int
+	ErrorRate, Coverage, Genome                  float64
+	HLL, AsyncExchange, AllSeeds                 bool
+	Nodes, ReplyChunk, ReplyDepth, BuildDepth    int
+
+	ServeAddr, ServeTenants, RouteScorers, MetricsAddr string
+	ServeInflight, ServeMaxReads, ServeBatches         int
+
+	CkptDir, CkptEvery, CkptAbortAfter, Resume string
 }
 
-// serveParams is serve mode's slice of the run configuration. Only rank 0
-// opens the frontend, but the whole struct ships with the rest of the
-// config so every rank agrees the run is a serve run (and a joiner's
-// conflicting serve flags fail formation like any other config flag).
-type serveParams struct {
-	Enabled       bool   `json:"enabled,omitempty"`
-	Addr          string `json:"addr,omitempty"`
-	MaxInflight   int    `json:"max_inflight,omitempty"`
-	MaxBatchReads int    `json:"max_batch_reads,omitempty"`
-	Tenants       string `json:"tenants,omitempty"`
-	Scorers       string `json:"scorers,omitempty"`
-	MaxBatches    int    `json:"max_batches,omitempty"`
-	MetricsAddr   string `json:"metrics_addr,omitempty"`
+// intBound is one integer flag's accepted range, declared with the flag.
+type intBound struct {
+	name   string
+	v      *int
+	lo, hi int
 }
 
-// serveOptions translates the serve params into daemon options,
-// validating the routing profile and tenant list (flag typos should fail
-// at startup, before any forking or world formation).
-func (p *runParams) serveOptions() (serve.Options, error) {
-	scorers, err := serve.ParseScorerConfigs(p.Serve.Scorers)
+const unbounded = math.MaxInt
+
+// bindFlags defines the command's flags on fs, bound to a new runParams.
+func bindFlags(fs *flag.FlagSet) *runParams {
+	p := &runParams{fs: fs, class: make(map[string]flagClass)}
+	str := func(v *string, c flagClass, name, def, usage string) {
+		fs.StringVar(v, name, def, usage)
+		p.class[name] = c
+	}
+	num := func(v *int, c flagClass, name string, def, lo, hi int, usage string) {
+		fs.IntVar(v, name, def, usage)
+		p.class[name] = c
+		p.bounds = append(p.bounds, intBound{name, v, lo, hi})
+	}
+	real := func(v *float64, c flagClass, name string, def float64, usage string) {
+		fs.Float64Var(v, name, def, usage)
+		p.class[name] = c
+	}
+	flg := func(v *bool, c flagClass, name string, def bool, usage string) {
+		fs.BoolVar(v, name, def, usage)
+		p.class[name] = c
+	}
+	depths := spmd.MaxStreamDepth
+
+	str(&p.In, outputAffecting, "in", "", "input FASTQ/FASTA file (required unless -resume)")
+	str(&p.Out, perProcess, "out", "", "output PAF file (default: stdout)")
+	num(&p.P, perProcess, "p", 8, 1, unbounded, "number of ranks (goroutines, or processes with -transport tcp)")
+	num(&p.K, outputAffecting, "k", 0, 0, kmer.MaxK, "k-mer length (0: derive from -error-rate/-genome)")
+	num(&p.MaxFreq, outputAffecting, "m", 0, 0, unbounded, "high-frequency k-mer cutoff (0: derive)")
+	str(&p.SeedMode, outputAffecting, "seed-mode", "one", "seed exploration: one | dist | all")
+	str(&p.Seed, outputAffecting, "seed", "exact", "seed extraction: exact (every k-mer) | minimizer ((w,k)-minimizers only; see -window)")
+	num(&p.Window, outputAffecting, "window", 5, 1, unbounded, "minimizer window w for -seed minimizer: ship only each window's minimum-hash k-mer, ~2/(w+1) of the k-mer volume")
+	num(&p.MinDist, outputAffecting, "min-dist", 1000, 1, unbounded, "min seed separation for -seed-mode dist")
+	num(&p.XDrop, outputAffecting, "xdrop", 7, 0, unbounded, "x-drop threshold")
+	num(&p.MinScore, outputAffecting, "min-score", 0, -unbounded, unbounded, "drop alignments scoring below this")
+	real(&p.ErrorRate, outputAffecting, "error-rate", 0.15, "per-base error rate (for parameter derivation)")
+	real(&p.Coverage, outputAffecting, "coverage", 30, "sequencing depth (for parameter derivation)")
+	real(&p.Genome, outputAffecting, "genome", 4.64e6, "estimated genome size (for k derivation)")
+	flg(&p.HLL, shared, "hll", false, "size the Bloom filter via HyperLogLog")
+	str(&p.Platform, shared, "platform", "", "model a platform: cori | edison | titan | aws")
+	num(&p.Nodes, shared, "nodes", 1, 1, unbounded, "modeled node count (with -platform)")
+	flg(&p.Breakdown, perProcess, "breakdown", false, "print the per-stage time breakdown")
+
+	flg(&p.AsyncExchange, shared, "async-exchange", true, "overlap exchanges with computation via non-blocking collectives (same output; disable for the paper's bulk-synchronous schedule)")
+	flg(&p.AllSeeds, outputAffecting, "keep-all-seed-alignments", false, "emit one PAF row per explored seed instead of the best per (pair, strand)")
+	num(&p.ReplyChunk, shared, "reply-chunk", spmd.DefaultChunkBytes, 1, unbounded, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (same output; requires -async-exchange)")
+	num(&p.ReplyDepth, shared, "reply-depth", spmd.DefaultStreamDepth, 1, depths, fmt.Sprintf("streamed reply chunk exchanges kept in flight, 1..%d (with -reply-chunk)", depths))
+	num(&p.BuildDepth, shared, "build-depth", 0, 0, depths, fmt.Sprintf("DHT-build exchange rounds kept in flight per pass, 1..%d (0: default 2; schedule-only, the built table is identical at every depth)", depths))
+
+	str(&p.Trace, shared, "trace", "", "record per-rank flight-recorder timelines and write a Chrome trace-event file here at teardown (open in Perfetto; observability-only: output is byte-identical with or without it)")
+	str(&p.MetricsAddr, serveOnly, "metrics-addr", "", "serve mode: rank 0 serves Prometheus /metrics and /debug/pprof/ on this address")
+
+	str(&p.ServeAddr, shared, "serve-addr", "", "serve mode: keep the formed world resident and answer FASTQ query batches on this frontend address (see the README's \"Serve mode\")")
+	num(&p.ServeInflight, serveOnly, "serve-max-inflight", 4, 1, unbounded, "serve mode: bound on admitted-but-unfinished batches; the excess is rejected queue-full")
+	num(&p.ServeMaxReads, serveOnly, "serve-max-batch-reads", 1024, 1, unbounded, "serve mode: per-batch read limit; larger batches are rejected too-large")
+	str(&p.ServeTenants, serveOnly, "serve-tenants", "", "serve mode: comma-separated tenant allow list (empty admits any tenant)")
+	str(&p.RouteScorers, serveOnly, "route-scorers", "", "serve mode: weighted routing profile as name:weight,... over queue-depth, mem-utilization, load-balance (default queue-depth:2,mem-utilization:2,load-balance:1)")
+	num(&p.ServeBatches, serveOnly, "serve-batches", 0, 0, unbounded, "serve mode: exit after serving this many batches (0: serve until a client requests shutdown)")
+
+	str(&p.CkptDir, shared, "ckpt-dir", "", "snapshot pipeline state at stage boundaries into this directory (per-rank segments + rank-0 manifest)")
+	str(&p.CkptEvery, shared, "ckpt-every", "", "comma-separated stage boundaries to snapshot: load, dht, overlap (default: all; with -ckpt-dir)")
+	str(&p.CkptAbortAfter, shared, "ckpt-abort-after", "", "abort the run right after this stage's snapshot commits — a kill switch for restart drills (with -ckpt-dir)")
+	str(&p.Resume, shared, "resume", "", "restart from this checkpoint directory's latest complete snapshot (any -p; config comes from the snapshot manifest)")
+
+	str(&p.Transport, perProcess, "transport", "mem", "spmd backend: mem (goroutine ranks) | tcp (one OS process per rank)")
+	str(&p.Hosts, perProcess, "hosts", "", "comma-separated host[:ranks] list for a multi-host TCP world (first entry is this machine; loopback entries are simulated locally)")
+	str(&p.Hostfile, perProcess, "hostfile", "", "file with one host[:ranks] per line (alternative to -hosts)")
+	str(&p.Join, perProcess, "join", "", "enter a -hosts world: the launcher's join address printed at launch")
+	fs.DurationVar(&p.FormTimeout, "form-timeout", 30*time.Second, "world-formation deadline (dials, handshakes, host joins)")
+	return p
+}
+
+// runPlan is what resolve derives from the params: the values the run body
+// hands to the pipeline, the daemon and the platform model.
+type runPlan struct {
+	params   *runParams
+	cfg      pipeline.Config
+	ckpt     *pipeline.CkptOptions // nil: no snapshots
+	serve    *serve.Options        // nil: a batch run
+	platform *machine.Platform     // nil: unmodeled
+}
+
+// resolve is the one validation of the configuration: every flag value,
+// every cross-flag rule, and the translation into the pipeline's, the
+// daemon's and the checkpoint writer's option types. A nonsense value
+// otherwise surfaces much later as an opaque panic (k=0 entering the k-mer
+// packer, p=0 dividing the read distribution) or a formation hang.
+// explicit names the flags set on this command line (nil for values
+// adopted from rank 0, checked there); a follower — any rank but rank 0 of
+// a multi-process world — may start without -in, which rank 0 supplies.
+func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, error) {
+	for _, b := range p.bounds {
+		switch v := *b.v; {
+		case v >= b.lo && v <= b.hi:
+		case b.hi == unbounded:
+			return nil, fmt.Errorf("-%s must be at least %d, got %d", b.name, b.lo, v)
+		default:
+			return nil, fmt.Errorf("-%s must be in [%d,%d], got %d", b.name, b.lo, b.hi, v)
+		}
+	}
+	switch {
+	case p.ErrorRate < 0 || p.ErrorRate >= 1:
+		return nil, fmt.Errorf("-error-rate must be in [0,1), got %g", p.ErrorRate)
+	case p.Coverage <= 0:
+		return nil, fmt.Errorf("-coverage must be positive, got %g", p.Coverage)
+	case p.Genome <= 0:
+		return nil, fmt.Errorf("-genome must be positive, got %g", p.Genome)
+	case p.FormTimeout <= 0:
+		return nil, fmt.Errorf("-form-timeout must be positive, got %v", p.FormTimeout)
+	case p.Transport != "mem" && p.Transport != "tcp":
+		return nil, fmt.Errorf("unknown -transport %q (want mem or tcp)", p.Transport)
+	case p.Hosts != "" && p.Hostfile != "":
+		return nil, fmt.Errorf("-hosts and -hostfile are mutually exclusive")
+	case p.In == "" && p.Resume == "" && !follower:
+		return nil, fmt.Errorf("-in is required (or -resume to restart from a snapshot)")
+	case explicit["window"] && p.Seed != "minimizer":
+		return nil, fmt.Errorf("-window only applies with -seed minimizer")
+	case explicit["reply-chunk"] && !p.AsyncExchange:
+		return nil, fmt.Errorf("-reply-chunk streams over non-blocking exchanges; drop it or re-enable -async-exchange")
+	}
+	var err error
+	p.fs.VisitAll(func(f *flag.Flag) {
+		switch c := p.class[f.Name]; {
+		case err != nil || !explicit[f.Name]:
+		case c == serveOnly && p.ServeAddr == "":
+			err = fmt.Errorf("-%s only applies in serve mode (set -serve-addr)", f.Name)
+		case c == outputAffecting && p.Resume != "":
+			err = fmt.Errorf("-%s has no effect with -resume: the snapshot's manifest supplies the configuration (only scheduling flags like -reply-chunk may change on resume)", f.Name)
+		}
+	})
 	if err != nil {
-		return serve.Options{}, fmt.Errorf("-route-scorers: %w", err)
+		return nil, err
 	}
-	var tenants []string
-	for _, t := range strings.Split(p.Serve.Tenants, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			tenants = append(tenants, t)
+
+	plan := &runPlan{params: p, cfg: pipeline.Config{
+		K: p.K, MaxFreq: p.MaxFreq,
+		MinDist: p.MinDist, XDrop: p.XDrop, MinAlignScore: p.MinScore,
+		ErrorRate: p.ErrorRate, Coverage: p.Coverage, GenomeEst: p.Genome,
+		UseHLL: p.HLL, KeepAlignments: true,
+		KeepAllSeedAlignments: p.AllSeeds,
+		BuildDepth:            p.BuildDepth,
+		// The resident index must keep singletons (and high-frequency
+		// tombstones): a query occurrence can lift an indexed singleton to
+		// a reportable pair.
+		KeepSingletons: p.ServeAddr != "",
+	}}
+	// Schedule selection: the paper's bulk-synchronous reference when
+	// -async-exchange=false, the streamed schedule otherwise. Output is
+	// byte-identical across the two.
+	if p.AsyncExchange {
+		plan.cfg.ReplyChunk, plan.cfg.ReplyDepth = p.ReplyChunk, p.ReplyDepth
+	} else {
+		plan.cfg.Exchange = pipeline.ExchangeSync
+	}
+	switch p.SeedMode {
+	case "one":
+		plan.cfg.SeedMode = overlap.OneSeed
+	case "dist":
+		plan.cfg.SeedMode = overlap.MinDistance
+	case "all":
+		plan.cfg.SeedMode = overlap.AllSeeds
+	default:
+		return nil, fmt.Errorf("unknown -seed-mode %q (want one, dist or all)", p.SeedMode)
+	}
+	// Seed extraction: minimizer mode ships only (w,k)-minimizers through
+	// both DHT build passes, cutting exchange volume to ~2/(w+1) of exact
+	// seeding at a small recall cost (see the README's "Seeding modes").
+	switch p.Seed {
+	case "exact":
+	case "minimizer":
+		plan.cfg.MinimizerWindow = p.Window
+	default:
+		return nil, fmt.Errorf("unknown -seed %q (want exact or minimizer)", p.Seed)
+	}
+	if p.Platform != "" {
+		pv, err := machine.PlatformByName(p.Platform)
+		if err != nil {
+			return nil, fmt.Errorf("-platform: %w", err)
+		}
+		plan.platform = &pv
+	}
+	if p.CkptDir != "" {
+		plan.ckpt = &pipeline.CkptOptions{Dir: p.CkptDir, AbortAfter: p.CkptAbortAfter}
+		if p.CkptEvery != "all" {
+			plan.ckpt.Stages = splitList(p.CkptEvery)
+		}
+		if err := plan.ckpt.Validate(); err != nil {
+			return nil, fmt.Errorf("-ckpt-every/-ckpt-abort-after: %w", err)
+		}
+	} else if p.CkptEvery != "" || p.CkptAbortAfter != "" {
+		return nil, fmt.Errorf("-ckpt-every/-ckpt-abort-after require -ckpt-dir")
+	}
+	if p.ServeAddr != "" {
+		// Serve mode keeps the formed world resident; the batch-only
+		// features below are structurally incompatible with that.
+		switch {
+		case p.Resume != "":
+			return nil, fmt.Errorf("-serve-addr cannot restart from a snapshot: a serve index keeps singleton k-mers, which batch-mode snapshots prune")
+		case p.CkptDir != "":
+			return nil, fmt.Errorf("-serve-addr does not snapshot; drop -ckpt-dir")
+		case p.Seed == "minimizer":
+			return nil, fmt.Errorf("-serve-addr requires exact seeding: queries cannot be answered against a minimizer-sparsified index")
+		}
+		scorers, err := serve.ParseScorerConfigs(p.RouteScorers)
+		if err != nil {
+			return nil, fmt.Errorf("-route-scorers: %w", err)
+		}
+		plan.serve = &serve.Options{
+			Addr:          p.ServeAddr,
+			MaxInflight:   p.ServeInflight,
+			MaxBatchReads: p.ServeMaxReads,
+			Tenants:       splitList(p.ServeTenants),
+			Scorers:       scorers,
+			MaxBatches:    p.ServeBatches,
+			MetricsAddr:   p.MetricsAddr,
 		}
 	}
-	return serve.Options{
-		Addr:          p.Serve.Addr,
-		MaxInflight:   p.Serve.MaxInflight,
-		MaxBatchReads: p.Serve.MaxBatchReads,
-		Tenants:       tenants,
-		Scorers:       scorers,
-		MaxBatches:    p.Serve.MaxBatches,
-		MetricsAddr:   p.Serve.MetricsAddr,
-	}, nil
+	return plan, nil
 }
 
-// encode serializes the params for the formation handshake / env blob.
-func (p *runParams) encode() ([]byte, error) { return json.Marshal(p) }
-
-// decodeRunParams parses a shipped blob.
-func decodeRunParams(blob []byte) (*runParams, error) {
-	var p runParams
-	if err := json.Unmarshal(blob, &p); err != nil {
-		return nil, fmt.Errorf("shipped run config: %w", err)
+// splitList splits a comma-separated flag value, dropping blank entries.
+func splitList(s string) []string {
+	var out []string
+	for _, e := range strings.Split(s, ",") {
+		if e = strings.TrimSpace(e); e != "" {
+			out = append(out, e)
+		}
 	}
-	return &p, nil
+	return out
 }
 
-// configFlagFields maps every config-bearing flag name to the runParams
-// field it resolves into, for comparing a joiner's explicit flags
-// against the launcher's shipped config. Flags that only shape the local
-// process (-out, -breakdown, -form-timeout, -transport, -p, -join,
-// -hosts, -hostfile) are deliberately absent: they may differ per host.
-var configFlagFields = map[string]func(*runParams) any{
-	"in":       func(p *runParams) any { return p.In },
-	"platform": func(p *runParams) any { return p.Platform },
-	"nodes":    func(p *runParams) any { return p.Nodes },
-
-	"ckpt-dir":         func(p *runParams) any { return p.CkptDir },
-	"ckpt-every":       func(p *runParams) any { return p.CkptEvery },
-	"ckpt-abort-after": func(p *runParams) any { return p.CkptAbortAfter },
-	"resume":           func(p *runParams) any { return p.Resume },
-	"trace":            func(p *runParams) any { return p.Trace },
-
-	"k":         func(p *runParams) any { return p.Cfg.K },
-	"m":         func(p *runParams) any { return p.Cfg.MaxFreq },
-	"seed-mode": func(p *runParams) any { return p.Cfg.SeedMode },
-	"min-dist":  func(p *runParams) any { return p.Cfg.MinDist },
-	"xdrop":     func(p *runParams) any { return p.Cfg.XDrop },
-	"min-score": func(p *runParams) any { return p.Cfg.MinAlignScore },
-
-	// -seed and -window both resolve into MinimizerWindow (0: exact;
-	// >1: minimizer seeding at that window).
-	"seed":   func(p *runParams) any { return p.Cfg.MinimizerWindow },
-	"window": func(p *runParams) any { return p.Cfg.MinimizerWindow },
-
-	"error-rate": func(p *runParams) any { return p.Cfg.ErrorRate },
-	"coverage":   func(p *runParams) any { return p.Cfg.Coverage },
-	"genome":     func(p *runParams) any { return p.Cfg.GenomeEst },
-	"hll":        func(p *runParams) any { return p.Cfg.UseHLL },
-
-	"async-exchange":           func(p *runParams) any { return p.Cfg.Exchange },
-	"reply-chunk":              func(p *runParams) any { return p.Cfg.ReplyChunk },
-	"reply-depth":              func(p *runParams) any { return p.Cfg.ReplyDepth },
-	"build-depth":              func(p *runParams) any { return p.Cfg.BuildDepth },
-	"keep-all-seed-alignments": func(p *runParams) any { return p.Cfg.KeepAllSeedAlignments },
-
-	"serve-addr":            func(p *runParams) any { return p.Serve.Addr },
-	"serve-max-inflight":    func(p *runParams) any { return p.Serve.MaxInflight },
-	"serve-max-batch-reads": func(p *runParams) any { return p.Serve.MaxBatchReads },
-	"serve-tenants":         func(p *runParams) any { return p.Serve.Tenants },
-	"route-scorers":         func(p *runParams) any { return p.Serve.Scorers },
-	"serve-batches":         func(p *runParams) any { return p.Serve.MaxBatches },
-	"metrics-addr":          func(p *runParams) any { return p.Serve.MetricsAddr },
+// hostList resolves -hosts/-hostfile into a fully-assigned host list.
+// Explicit per-host counts determine the world size on their own unless -p
+// was given too.
+func (p *runParams) hostList(pExplicit bool) ([]spmd.HostSpec, error) {
+	parse, list := spmd.ParseHostList, p.Hosts
+	if list == "" {
+		parse, list = spmd.ParseHostFile, p.Hostfile
+	}
+	hosts, err := parse(list)
+	if err != nil {
+		return nil, err
+	}
+	explicitRanks, allExplicit := 0, true
+	for _, h := range hosts {
+		explicitRanks += h.Ranks
+		allExplicit = allExplicit && h.Ranks > 0
+	}
+	if allExplicit && !pExplicit {
+		p.P = explicitRanks
+	}
+	return spmd.AssignHostRanks(hosts, p.P)
 }
 
-// configFlagConflicts compares the flags this process's user explicitly
-// set against the launcher's shipped configuration. Explicit flags that
-// agree are fine (the common case for simulated host agents, which
-// inherit the launcher's full command line); disagreements are returned
-// one per flag, sorted for a deterministic error message.
-func configFlagConflicts(explicit map[string]bool, local, shipped *runParams) []string {
+// reschedule carries this command's scheduling knobs onto a resumed
+// configuration. Only output-neutral fields are touched; the pipeline
+// verifies that against the manifest's config hash regardless.
+func (pl *runPlan) reschedule(c *pipeline.Config) {
+	c.Exchange = pl.cfg.Exchange
+	c.ReplyChunk = pl.cfg.ReplyChunk
+	c.ReplyDepth = pl.cfg.ReplyDepth
+	c.BuildDepth = pl.cfg.BuildDepth
+	c.KeepAlignments = true // rank 0 writes PAF
+}
+
+// encode serializes the shared flags as typed, by name: all of them (rank
+// 0, whose values every rank adopts) or only those in set (any other rank,
+// whose explicitly-set flags must agree with rank 0's).
+func (p *runParams) encode(set map[string]bool) ([]byte, error) {
+	vals := make(map[string]string)
+	p.fs.VisitAll(func(f *flag.Flag) {
+		if p.class[f.Name] != perProcess && (set == nil || set[f.Name]) {
+			vals[f.Name] = f.Value.String()
+		}
+	})
+	return json.Marshal(vals)
+}
+
+// adopt is every rank's half of the config agreement, given what each
+// rank said (said[r] is rank r's decoded encode). A flag some rank set
+// explicitly to a value other than rank 0's fails the run on every rank
+// with the same error — a silently divergent rank would corrupt the
+// collective run; explicit flags that agree are fine (forked workers
+// inherit the launcher's command line). Every rank but rank 0 then takes
+// rank 0's values for its own.
+func (p *runParams) adopt(said []map[string]string, rank int) error {
 	var conflicts []string
-	for name, field := range configFlagFields {
-		if !explicit[name] {
-			continue
-		}
-		lv, sv := field(local), field(shipped)
-		if lv != sv {
-			conflicts = append(conflicts, fmt.Sprintf("-%s: this command says %v, launcher says %v", name, lv, sv))
+	for r := 1; r < len(said); r++ {
+		for name, v := range said[r] {
+			if lv := said[0][name]; lv != v {
+				conflicts = append(conflicts, fmt.Sprintf("rank %d: -%s: this command says %s, launcher says %s", r, name, v, lv))
+			}
 		}
 	}
-	sort.Strings(conflicts)
-	return conflicts
-}
-
-// outputAffectingFlags are the config flags that change the pipeline's
-// output and are therefore meaningless with -resume (the snapshot's
-// manifest is authoritative); passing one explicitly is rejected so the
-// user learns the flag was not applied.
-var outputAffectingFlags = []string{
-	"in", "k", "m", "seed-mode", "seed", "window", "min-dist", "xdrop",
-	"min-score", "error-rate", "coverage", "genome",
-	"keep-all-seed-alignments",
-}
-
-// resumeFlagError reports the first explicitly-set flag that a -resume
-// run cannot honor.
-func resumeFlagError(explicit map[string]bool) error {
-	for _, name := range outputAffectingFlags {
-		if explicit[name] {
-			return fmt.Errorf("-%s has no effect with -resume: the snapshot's manifest supplies the configuration (only scheduling flags like -reply-chunk may change on resume)", name)
+	if len(conflicts) > 0 {
+		sort.Strings(conflicts)
+		return fmt.Errorf("flags conflict with the launcher's configuration (drop them or make them match):\n  %s",
+			strings.Join(conflicts, "\n  "))
+	}
+	if rank == 0 {
+		return nil
+	}
+	for name, v := range said[0] {
+		if err := p.fs.Set(name, v); err != nil {
+			return fmt.Errorf("adopting the launcher's -%s: %w (mismatched dibella binaries?)", name, err)
 		}
 	}
 	return nil
-}
-
-// ckptOptions translates the checkpoint flags into pipeline options,
-// validating stage names early (a typo should fail at startup, not after
-// world formation).
-func (p *runParams) ckptOptions() (*pipeline.CkptOptions, error) {
-	if p.CkptDir == "" {
-		if p.CkptEvery != "" || p.CkptAbortAfter != "" {
-			return nil, fmt.Errorf("-ckpt-every/-ckpt-abort-after require -ckpt-dir")
-		}
-		return nil, nil
-	}
-	opts := &pipeline.CkptOptions{Dir: p.CkptDir, AbortAfter: p.CkptAbortAfter}
-	if p.CkptEvery != "" && p.CkptEvery != "all" {
-		for _, s := range strings.Split(p.CkptEvery, ",") {
-			s = strings.TrimSpace(s)
-			if ckpt.StageOrder(s) < 0 {
-				return nil, fmt.Errorf("-ckpt-every: unknown stage %q (want load, dht, overlap, or all)", s)
-			}
-			opts.Stages = append(opts.Stages, s)
-		}
-	}
-	if opts.AbortAfter != "" {
-		if ckpt.StageOrder(opts.AbortAfter) < 0 {
-			return nil, fmt.Errorf("-ckpt-abort-after: unknown stage %q (want load, dht, or overlap)", opts.AbortAfter)
-		}
-		if len(opts.Stages) > 0 {
-			found := false
-			for _, s := range opts.Stages {
-				found = found || s == opts.AbortAfter
-			}
-			if !found {
-				return nil, fmt.Errorf("-ckpt-abort-after %q is not among the -ckpt-every stages %q", opts.AbortAfter, p.CkptEvery)
-			}
-		}
-	}
-	return opts, nil
-}
-
-// scheduleMutator carries this command's scheduling knobs onto a resumed
-// configuration. Only output-neutral fields are touched; the pipeline
-// verifies that against the manifest's config hash regardless.
-func (p *runParams) scheduleMutator() func(*pipeline.Config) {
-	cfg := p.Cfg
-	return func(c *pipeline.Config) {
-		c.Exchange = cfg.Exchange
-		c.ReplyChunk = cfg.ReplyChunk
-		c.ReplyDepth = cfg.ReplyDepth
-		c.BuildDepth = cfg.BuildDepth
-		c.KeepAlignments = true // rank 0 writes PAF
-	}
 }

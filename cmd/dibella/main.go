@@ -31,14 +31,17 @@
 // With -hosts (or -hostfile) the world spans machines: the launcher
 // assigns each host a contiguous rank range, binds public rendezvous and
 // join ports, and prints the `dibella -join <addr>` command to run on
-// each remote host. The launcher's resolved configuration ships to every
-// joiner in the formation handshake, so join commands need no other
-// flags; a joiner that passes conflicting config flags fails formation
-// with a clear error. Host entries that resolve to loopback are
-// simulated — the launcher forks their join agents locally — so a
-// multi-host launch can be rehearsed on one machine. Schedulers that
-// already place one process per rank skip all of this by exporting
-// DIBELLA_RANK, DIBELLA_WORLD_SIZE, and DIBELLA_RENDEZVOUS directly.
+// each remote host. Host entries that resolve to loopback are simulated —
+// the launcher forks their join agents locally — so a multi-host launch
+// can be rehearsed on one machine. Schedulers that already place one
+// process per rank skip all of this by exporting DIBELLA_RANK,
+// DIBELLA_WORLD_SIZE, and DIBELLA_RENDEZVOUS directly.
+//
+// However a multi-process world was launched, it is configured one way:
+// once it has formed, rank 0's flags travel to every other rank, which
+// adopts them. A join command or a scheduler-placed rank therefore needs
+// no config flags, and one whose flag disagrees with rank 0's fails the
+// run on every rank, naming it.
 //
 // With -ckpt-dir the pipeline snapshots its state at stage boundaries
 // (sharded read store after loading, k-mer DHT partitions after
@@ -53,18 +56,15 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
-	"time"
 
 	"dibella/internal/fastq"
-	"dibella/internal/kmer"
 	"dibella/internal/machine"
-	"dibella/internal/overlap"
 	"dibella/internal/paf"
 	"dibella/internal/pipeline"
 	"dibella/internal/serve"
@@ -74,55 +74,10 @@ import (
 )
 
 func main() {
-	var (
-		in       = flag.String("in", "", "input FASTQ/FASTA file (required unless -resume)")
-		out      = flag.String("out", "", "output PAF file (default: stdout)")
-		p        = flag.Int("p", 8, "number of ranks (goroutines, or processes with -transport tcp)")
-		k        = flag.Int("k", 0, "k-mer length (0: derive from -error-rate/-genome)")
-		maxFreq  = flag.Int("m", 0, "high-frequency k-mer cutoff (0: derive)")
-		seedMode = flag.String("seed-mode", "one", "seed exploration: one | dist | all")
-		seed     = flag.String("seed", "exact", "seed extraction: exact (every k-mer) | minimizer ((w,k)-minimizers only; see -window)")
-		window   = flag.Int("window", 5, "minimizer window w for -seed minimizer: ship only each window's minimum-hash k-mer, ~2/(w+1) of the k-mer volume")
-		minDist  = flag.Int("min-dist", 1000, "min seed separation for -seed-mode dist")
-		xdrop    = flag.Int("xdrop", 7, "x-drop threshold")
-		minScore = flag.Int("min-score", 0, "drop alignments scoring below this")
-		errRate  = flag.Float64("error-rate", 0.15, "per-base error rate (for parameter derivation)")
-		coverage = flag.Float64("coverage", 30, "sequencing depth (for parameter derivation)")
-		genome   = flag.Float64("genome", 4.64e6, "estimated genome size (for k derivation)")
-		useHLL   = flag.Bool("hll", false, "size the Bloom filter via HyperLogLog")
-		platform = flag.String("platform", "", "model a platform: cori | edison | titan | aws")
-		nodes    = flag.Int("nodes", 1, "modeled node count (with -platform)")
-		showBrk  = flag.Bool("breakdown", false, "print the per-stage time breakdown")
-
-		asyncEx  = flag.Bool("async-exchange", true, "overlap exchanges with computation via non-blocking collectives (same output; disable for the paper's bulk-synchronous schedule)")
-		allSeeds = flag.Bool("keep-all-seed-alignments", false, "emit one PAF row per explored seed instead of the best per (pair, strand)")
-
-		replyChunk = flag.Int("reply-chunk", spmd.DefaultChunkBytes, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (same output; requires -async-exchange)")
-		replyDepth = flag.Int("reply-depth", spmd.DefaultStreamDepth, fmt.Sprintf("streamed reply chunk exchanges kept in flight, 1..%d (with -reply-chunk)", spmd.MaxStreamDepth))
-		buildDepth = flag.Int("build-depth", 0, fmt.Sprintf("DHT-build exchange rounds kept in flight per pass, 1..%d (0: default 2; schedule-only, the built table is identical at every depth)", spmd.MaxStreamDepth))
-
-		tracePath   = flag.String("trace", "", "record per-rank flight-recorder timelines and write a Chrome trace-event file here at teardown (open in Perfetto; observability-only: output is byte-identical with or without it)")
-		metricsAddr = flag.String("metrics-addr", "", "serve mode: rank 0 serves Prometheus /metrics and /debug/pprof/ on this address")
-
-		serveAddr     = flag.String("serve-addr", "", "serve mode: keep the formed world resident and answer FASTQ query batches on this frontend address (see the README's \"Serve mode\")")
-		serveInflight = flag.Int("serve-max-inflight", 4, "serve mode: bound on admitted-but-unfinished batches; the excess is rejected queue-full")
-		serveMaxReads = flag.Int("serve-max-batch-reads", 1024, "serve mode: per-batch read limit; larger batches are rejected too-large")
-		serveTenants  = flag.String("serve-tenants", "", "serve mode: comma-separated tenant allow list (empty admits any tenant)")
-		routeScorers  = flag.String("route-scorers", "", "serve mode: weighted routing profile as name:weight,... over queue-depth, mem-utilization, load-balance (default queue-depth:2,mem-utilization:2,load-balance:1)")
-		serveBatches  = flag.Int("serve-batches", 0, "serve mode: exit after serving this many batches (0: serve until a client requests shutdown)")
-
-		ckptDir   = flag.String("ckpt-dir", "", "snapshot pipeline state at stage boundaries into this directory (per-rank segments + rank-0 manifest)")
-		ckptEvery = flag.String("ckpt-every", "", "comma-separated stage boundaries to snapshot: load, dht, overlap (default: all; with -ckpt-dir)")
-		ckptAbort = flag.String("ckpt-abort-after", "", "abort the run right after this stage's snapshot commits — a kill switch for restart drills (with -ckpt-dir)")
-		resume    = flag.String("resume", "", "restart from this checkpoint directory's latest complete snapshot (any -p; config comes from the snapshot manifest)")
-
-		transport   = flag.String("transport", "mem", "spmd backend: mem (goroutine ranks) | tcp (one OS process per rank)")
-		hosts       = flag.String("hosts", "", "comma-separated host[:ranks] list for a multi-host TCP world (first entry is this machine; loopback entries are simulated locally)")
-		hostfile    = flag.String("hostfile", "", "file with one host[:ranks] per line (alternative to -hosts)")
-		join        = flag.String("join", "", "enter a -hosts world: the launcher's join address printed at launch")
-		formTimeout = flag.Duration("form-timeout", 30*time.Second, "world-formation deadline (dials, handshakes, host joins)")
-	)
+	params := bindFlags(flag.CommandLine)
 	flag.Parse()
+	explicit := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	// A worker forked by a launcher (or placed by a scheduler) carries its
 	// coordinates in DIBELLA_* env vars; -rank/-rendezvous style flags no
@@ -131,7 +86,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	joinAddr, hostIndex := *join, 0
+	joinAddr, hostIndex := params.Join, 0
 	if joinAddr == "" {
 		// Simulated host agents are forked with the join address in env.
 		joinAddr = os.Getenv(spmd.EnvJoin)
@@ -141,487 +96,243 @@ func main() {
 			}
 		}
 	}
-	// Joiners and env-placed workers may legitimately start with no config
-	// flags at all: the launcher's configuration arrives in the formation
-	// handshake (join agents) or the DIBELLA_CONFIG env blob (workers).
-	remoteConfigured := isWorker || joinAddr != ""
-
-	if *in == "" && *resume == "" && !remoteConfigured {
-		usageError("-in is required (or -resume to restart from a snapshot)")
-	}
-	if *in != "" && *resume != "" {
-		usageError("-in and -resume are mutually exclusive: a resumed run reads its input from the snapshot")
-	}
-	// Numeric flags are validated up front: a nonsense value otherwise
-	// surfaces much later as an opaque panic (k=0 entering the k-mer
-	// packer, p=0 dividing the read distribution) or a formation hang.
-	switch {
-	case *p < 1:
-		usageError("-p must be at least 1 rank, got %d", *p)
-	case *k < 0 || *k > kmer.MaxK:
-		usageError("-k must be in [1,%d] (or 0 to derive it), got %d", kmer.MaxK, *k)
-	case *maxFreq < 0:
-		usageError("-m must be non-negative (0 derives it), got %d", *maxFreq)
-	case *minDist < 1:
-		usageError("-min-dist must be at least 1, got %d", *minDist)
-	case *xdrop < 0:
-		usageError("-xdrop must be non-negative, got %d", *xdrop)
-	case *errRate < 0 || *errRate >= 1:
-		usageError("-error-rate must be in [0,1), got %g", *errRate)
-	case *coverage <= 0:
-		usageError("-coverage must be positive, got %g", *coverage)
-	case *genome <= 0:
-		usageError("-genome must be positive, got %g", *genome)
-	case *nodes < 1:
-		usageError("-nodes must be at least 1, got %d", *nodes)
-	case *replyChunk < 1:
-		usageError("-reply-chunk must be at least 1, got %d", *replyChunk)
-	case *replyDepth < 1 || *replyDepth > spmd.MaxStreamDepth:
-		usageError("-reply-depth must be in [1,%d], got %d", spmd.MaxStreamDepth, *replyDepth)
-	case *buildDepth < 0 || *buildDepth > spmd.MaxStreamDepth:
-		usageError("-build-depth must be in [1,%d] (or 0 for the default), got %d", spmd.MaxStreamDepth, *buildDepth)
-	case *serveInflight < 1:
-		usageError("-serve-max-inflight must be at least 1, got %d", *serveInflight)
-	case *serveMaxReads < 1:
-		usageError("-serve-max-batch-reads must be at least 1, got %d", *serveMaxReads)
-	case *serveBatches < 0:
-		usageError("-serve-batches must be non-negative (0 serves until shutdown), got %d", *serveBatches)
-	case *window < 1:
-		usageError("-window must be at least 1 (1 degenerates to exact seeding), got %d", *window)
-	case *formTimeout <= 0:
-		usageError("-form-timeout must be positive, got %v", *formTimeout)
-	}
-	if *seed != "exact" && *seed != "minimizer" {
-		usageError("unknown -seed %q (want exact or minimizer)", *seed)
-	}
-	if *transport != "mem" && *transport != "tcp" {
-		fatal(fmt.Errorf("unknown -transport %q (want mem or tcp)", *transport))
-	}
-	if *hosts != "" && *hostfile != "" {
-		fatal(fmt.Errorf("-hosts and -hostfile are mutually exclusive"))
-	}
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["window"] && *seed != "minimizer" {
-		usageError("-window only applies with -seed minimizer")
-	}
-	if *serveAddr == "" {
-		for _, name := range []string{"serve-max-inflight", "serve-max-batch-reads", "serve-tenants", "route-scorers", "serve-batches", "metrics-addr"} {
-			if explicit[name] {
-				usageError("-%s only applies in serve mode (set -serve-addr)", name)
-			}
-		}
-	} else {
-		// Serve mode keeps the formed world resident; the batch-only
-		// features below are structurally incompatible with that.
-		switch {
-		case *resume != "":
-			usageError("-serve-addr cannot restart from a snapshot: a serve index keeps singleton k-mers, which batch-mode snapshots prune")
-		case *ckptDir != "":
-			usageError("-serve-addr does not snapshot; drop -ckpt-dir")
-		case *seed == "minimizer":
-			usageError("-serve-addr requires exact seeding: queries cannot be answered against a minimizer-sparsified index")
-		}
-	}
-	if *resume != "" {
-		if err := resumeFlagError(explicit); err != nil {
-			usageError("%v", err)
-		}
-	}
-	// Multi-host modes and env-placed workers are TCP by construction.
-	if remoteConfigured || *hosts != "" || *hostfile != "" {
-		if explicit["transport"] && *transport == "mem" {
-			fatal(fmt.Errorf("-transport mem cannot form a multi-host world; drop it or use -transport tcp"))
-		}
-		*transport = "tcp"
-	}
-
-	// Resolve the host list (launcher only): explicit per-host counts may
-	// determine the world size on their own.
-	var hostList []spmd.HostSpec
-	if !remoteConfigured && (*hosts != "" || *hostfile != "") {
-		if *hosts != "" {
-			hostList, err = spmd.ParseHostList(*hosts)
-		} else {
-			hostList, err = spmd.ParseHostFile(*hostfile)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		explicitRanks, allExplicit := 0, true
-		for _, h := range hostList {
-			explicitRanks += h.Ranks
-			allExplicit = allExplicit && h.Ranks > 0
-		}
-		if allExplicit && !explicit["p"] {
-			*p = explicitRanks
-		}
-		if hostList, err = spmd.AssignHostRanks(hostList, *p); err != nil {
-			fatal(err)
-		}
-	}
-	if isWorker {
-		// The forked command line still carries the launcher's flags;
-		// the env contract is authoritative for world shape.
-		*p = envBoot.Size
-	}
-
-	cfg := pipeline.Config{
-		K: *k, MaxFreq: *maxFreq,
-		MinDist: *minDist, XDrop: *xdrop, MinAlignScore: *minScore,
-		ErrorRate: *errRate, Coverage: *coverage, GenomeEst: *genome,
-		UseHLL: *useHLL, KeepAlignments: true,
-		KeepAllSeedAlignments: *allSeeds,
-		BuildDepth:            *buildDepth,
-		// The resident index must keep singletons (and high-frequency
-		// tombstones): a query occurrence can lift an indexed singleton to
-		// a reportable pair.
-		KeepSingletons: *serveAddr != "",
-	}
-	// Schedule selection: the paper's bulk-synchronous reference when
-	// -async-exchange=false, the streamed schedule otherwise. Output is
-	// byte-identical across the two.
-	if *asyncEx {
-		cfg.ReplyChunk = *replyChunk
-		cfg.ReplyDepth = *replyDepth
-	} else {
-		if explicit["reply-chunk"] {
-			usageError("-reply-chunk streams over non-blocking exchanges; drop it or re-enable -async-exchange")
-		}
-		cfg.Exchange = pipeline.ExchangeSync
-	}
-	switch *seedMode {
-	case "one":
-		cfg.SeedMode = overlap.OneSeed
-	case "dist":
-		cfg.SeedMode = overlap.MinDistance
-	case "all":
-		cfg.SeedMode = overlap.AllSeeds
-	default:
-		fatal(fmt.Errorf("unknown -seed-mode %q", *seedMode))
-	}
-	// Seed extraction: minimizer mode ships only (w,k)-minimizers through
-	// both DHT build passes, cutting exchange volume to ~2/(w+1) of exact
-	// seeding at a small recall cost (see the README's "Seeding modes").
-	if *seed == "minimizer" {
-		cfg.MinimizerWindow = *window
-	}
-
-	params := &runParams{
-		In: *in, Platform: *platform, Nodes: *nodes,
-		CkptDir: *ckptDir, CkptEvery: *ckptEvery, CkptAbortAfter: *ckptAbort,
-		Resume: *resume, Trace: *tracePath, Cfg: cfg,
-		Serve: serveParams{
-			Enabled: *serveAddr != "", Addr: *serveAddr,
-			MaxInflight: *serveInflight, MaxBatchReads: *serveMaxReads,
-			Tenants: *serveTenants, Scorers: *routeScorers,
-			MaxBatches: *serveBatches, MetricsAddr: *metricsAddr,
-		},
-	}
-	// Checkpoint flag validation (stage-name typos) should beat forking.
-	if _, err := params.ckptOptions(); err != nil {
+	// Every process validates its own command line before any forking or
+	// formation; a follower gets its configuration from rank 0 afterwards.
+	follower := joinAddr != "" || isWorker && envBoot.Rank != 0
+	plan, err := params.resolve(explicit, follower)
+	if err != nil {
 		usageError("%v", err)
 	}
-	// Likewise the routing profile: a scorer typo fails at startup.
-	if _, err := params.serveOptions(); err != nil {
-		usageError("%v", err)
-	}
-	// An env-contract worker whose parent shipped the launcher's config (a
-	// join agent's forked rank) adopts it wholesale: its own command line
-	// is the agent's, possibly just `-join <addr>`.
-	if blob, ok, err := spmd.ConfigFromEnv(); err != nil {
-		fatal(err)
-	} else if ok {
-		adopted, err := decodeRunParams(blob)
-		if err != nil {
-			fatal(err)
-		}
-		params = adopted
-	}
-	// Resolve the platform early (flag errors should beat any forking);
-	// the model itself is shaped per world size, which TCP processes may
-	// only learn at world formation (join agents), so it is built later.
-	if _, err := params.platform(); err != nil {
-		fatal(err)
-	}
-	// Arm the flight recorder before any rank starts. Forked TCP workers
-	// re-exec this command line (so they arm too); join agents learn the
-	// launcher's trace path only at formation and arm in runTCP.
-	if params.Trace != "" {
-		trace.Enable(trace.DefaultCapacity)
-	}
 
-	if *transport == "mem" {
-		if params.Serve.Enabled {
-			runServeMem(params, *p)
-			return
-		}
-		runMem(params, *p, *out, *showBrk)
-		return
-	}
-
-	// TCP path: pick the bootstrap that matches how this process was
-	// started, form the world, and run the pipeline with cooperative
-	// sharded loading (or snapshot loading under -resume).
+	// Pick the bootstrap that matches how this process was started; none
+	// means goroutine ranks in this process.
 	var boot spmd.Bootstrap
 	switch {
 	case isWorker:
-		envBoot.Timeout = pickTimeout(envBoot.Timeout, *formTimeout)
+		if envBoot.Timeout <= 0 { // the env contract's deadline beats the inherited flag's
+			envBoot.Timeout = params.FormTimeout
+		}
 		boot = envBoot
 	case joinAddr != "":
-		boot = &spmd.HostJoinBootstrap{Addr: joinAddr, HostIndex: hostIndex, Timeout: *formTimeout}
-	case hostList != nil:
-		blob, err := params.encode()
+		boot = &spmd.HostJoinBootstrap{Addr: joinAddr, HostIndex: hostIndex, Timeout: params.FormTimeout}
+	case params.Hosts != "" || params.Hostfile != "":
+		hosts, err := params.hostList(explicit["p"])
 		if err != nil {
-			fatal(err)
+			usageError("%v", err)
 		}
-		boot = &spmd.HostListBootstrap{Hosts: hostList, Timeout: *formTimeout, ConfigBlob: blob}
-	default:
-		boot = &spmd.ForkBootstrap{Size: *p, Timeout: *formTimeout}
+		boot = &spmd.HostListBootstrap{Hosts: hosts, Timeout: params.FormTimeout}
+	case params.Transport == "tcp":
+		boot = &spmd.ForkBootstrap{Size: params.P, Timeout: params.FormTimeout}
 	}
-	rep, store, rank, err := runTCP(boot, params, explicit)
+	// Multi-host modes and env-placed workers are TCP by construction.
+	if boot != nil && explicit["transport"] && params.Transport == "mem" {
+		usageError("-transport mem cannot form a multi-host world; drop it or use -transport tcp")
+	}
+
+	var rep *pipeline.Report
+	var store *fastq.ReadStore
+	if boot == nil {
+		rep, store, err = runInProcess(plan)
+	} else {
+		rep, store, err = runProcesses(boot, params, explicit)
+	}
 	if err != nil {
-		fatalRun(err)
+		fatal(err)
 	}
-	if rank != 0 || rep == nil {
-		return // workers, join agents, and serve runs: no batch PAF output
+	if rep == nil {
+		return // not rank 0, or an untraced serve run
 	}
 	writeTrace(params.Trace, rep.Trace)
-	writeOutput(rep, rep.PAFRecordsFromStore(store), *out, *showBrk)
-}
-
-// platform resolves the params' modeled platform (nil when unset).
-func (p *runParams) platform() (*machine.Platform, error) {
-	if p.Platform == "" {
-		return nil, nil
+	if store != nil { // nil for a serve run: there is no batch PAF
+		writeOutput(rep, rep.PAFRecordsFromStore(store), params.Out, params.Breakdown)
 	}
-	pv, err := machine.PlatformByName(p.Platform)
-	if err != nil {
-		return nil, err
-	}
-	return &pv, nil
 }
 
 // model builds the platform model shaped for a world of size ranks (nil
 // when no platform was requested).
-func (p *runParams) model(ranks int, announce bool) (*machine.Model, error) {
-	plat, err := p.platform()
-	if err != nil {
-		return nil, err
-	}
-	if plat == nil {
+func (pl *runPlan) model(ranks int, announce bool) (*machine.Model, error) {
+	if pl.platform == nil {
 		return nil, nil
 	}
-	mdl, err := machine.NewModelScaled(*plat, p.Nodes, ranks)
+	mdl, err := machine.NewModelScaled(*pl.platform, pl.params.Nodes, ranks)
 	if err != nil {
 		return nil, err
 	}
 	if announce {
 		fmt.Fprintf(os.Stderr, "modeling %s, %d nodes (%d ranks) with %d ranks\n",
-			plat.Name, p.Nodes, mdl.RealRanks(), ranks)
+			pl.platform.Name, pl.params.Nodes, mdl.RealRanks(), ranks)
 	}
 	return mdl, nil
 }
 
-// runMem executes the run on p in-process goroutine ranks.
-func runMem(params *runParams, p int, outPath string, showBrk bool) {
-	mdl, err := params.model(p, true)
-	if err != nil {
-		fatal(err)
+// runInProcess starts the run body on -p goroutine ranks, which share this
+// process's plan and its one parse of the input (a resume reads none).
+func runInProcess(plan *runPlan) (*pipeline.Report, *fastq.ReadStore, error) {
+	p := plan.params
+	if p.Trace != "" {
+		trace.Enable(trace.DefaultCapacity)
 	}
-	ckOpts, err := params.ckptOptions()
+	mdl, err := plan.model(p.P, true)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	if params.Resume != "" {
-		rep, store, err := pipeline.ExecuteResume(p, mdl, params.Resume, params.scheduleMutator(), ckOpts)
+	var preloaded *fastq.ReadStore
+	if p.Resume == "" {
+		reads, err := fastq.ReadFile(p.In)
 		if err != nil {
-			fatalRun(err)
+			return nil, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "resumed %s: %s\n", params.Resume, store.Stats())
-		writeTrace(params.Trace, rep.Trace)
-		writeOutput(rep, rep.PAFRecordsFromStore(store), outPath, showBrk)
-		return
+		fmt.Fprintf(os.Stderr, "loaded %s: %s\n", p.In, fastq.Summarize(reads))
+		preloaded = fastq.NewReadStore(reads, p.P)
 	}
-	reads, err := fastq.ReadFile(params.In)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "loaded %s: %s\n", params.In, fastq.Summarize(reads))
-	var rep *pipeline.Report
-	if ckOpts != nil {
-		rep, err = pipeline.ExecuteCkpt(p, mdl, reads, params.Cfg, *ckOpts)
-	} else {
-		rep, err = pipeline.Execute(p, mdl, reads, params.Cfg)
-	}
-	if err != nil {
-		fatalRun(err)
-	}
-	writeTrace(params.Trace, rep.Trace)
-	writeOutput(rep, rep.PAFRecords(reads), outPath, showBrk)
+	return pipeline.InProcess(p.P, mdl, func(c *spmd.Comm) (*pipeline.Report, *fastq.ReadStore, error) {
+		return runWorld(c, mdl, plan, preloaded)
+	})
 }
 
-// runServeMem forms the world on p in-process goroutine ranks and runs
-// the resident daemon until it serves its batch budget or a client
-// requests shutdown.
-func runServeMem(params *runParams, p int) {
-	mdl, err := params.model(p, true)
+// runProcesses forms this process's endpoint of a TCP world via the
+// bootstrap, agrees the configuration with the other ranks, starts the run
+// body, and reaps whatever the bootstrap forked. The plan and the platform
+// model come from the agreed values and the formed world's size — a join
+// agent or scheduler-placed rank learns both only here, not from its flags.
+func runProcesses(boot spmd.Bootstrap, params *runParams, explicit map[string]bool) (
+	rep *pipeline.Report, store *fastq.ReadStore, err error) {
+
+	tr, err := spmd.Connect(boot)
 	if err != nil {
-		fatal(err)
+		return nil, nil, boot.Finish(err)
 	}
-	reads, err := fastq.ReadFile(params.In)
+	var plan *runPlan
+	var mdl *machine.Model
+	if err = agreeParams(tr, params, explicit); err == nil {
+		plan, err = params.resolve(nil, false)
+	}
+	if err == nil {
+		// Every rank records, or the teardown gather has no full timeline.
+		if params.Trace != "" {
+			trace.Enable(trace.DefaultCapacity)
+		}
+		mdl, err = plan.model(tr.Size(), tr.Rank() == 0)
+	}
 	if err != nil {
-		fatal(err)
+		// Deterministic in what every rank now holds, so all ranks fail
+		// alike; abort just backstops a partial world.
+		tr.Abort()
+		tr.Close()
+		return nil, nil, boot.Finish(err)
 	}
-	fmt.Fprintf(os.Stderr, "loaded %s: %s\n", params.In, fastq.Summarize(reads))
 	var comm spmd.CommModel
 	if mdl != nil {
 		comm = mdl
 	}
-	err = spmd.RunWithModel(p, comm, func(c *spmd.Comm) error {
-		store := fastq.NewReadStore(reads, c.Size())
-		return serveWorld(c, mdl, store, params)
+	err = spmd.RunTransport(tr, comm, func(c *spmd.Comm) error {
+		r, s, err := runWorld(c, mdl, plan, nil)
+		if c.Rank() == 0 {
+			rep, store = r, s
+		}
+		return err
 	})
-	if err != nil {
-		fatalRun(err)
-	}
+	return rep, store, boot.Finish(err)
 }
 
-// serveWorld is the collective serve body shared by both transports:
-// form the resident world, run the daemon, and print rank 0's lifetime
-// stats when it exits.
-func serveWorld(c *spmd.Comm, mdl *machine.Model, store *fastq.ReadStore, params *runParams) error {
-	opts, err := params.serveOptions()
-	if err != nil {
-		return err // validated at startup; unreachable for forked ranks too
+// agreeParams is the one way configuration crosses a process boundary,
+// however a rank was launched — forked worker, join agent, an agent's
+// worker, scheduler-placed. Over the formed world each rank tells every
+// other what was typed on its command line (rank 0 every shared flag, the
+// others those they set explicitly), and all apply the same rule to the
+// same answers (runParams.adopt). The exchange belongs to forming the
+// world, not to the run: it precedes the Comm, its clock and the platform
+// model, which -platform — one of the values agreed — selects.
+func agreeParams(tr spmd.Transport, params *runParams, explicit map[string]bool) error {
+	set := explicit
+	if tr.Rank() == 0 {
+		set = nil
 	}
-	if c.Rank() == 0 {
+	blob, err := params.encode(set)
+	if err != nil {
+		return err
+	}
+	send := make([][]byte, tr.Size())
+	for r := range send {
+		send[r] = blob
+	}
+	var recv [][]byte
+	//lint:ignore modeledcost formation-time exchange: it selects the platform model, so no clock or model exists yet to price it
+	pe, err := tr.IAlltoallv(send, 0, 0)
+	if err == nil {
+		//lint:ignore modeledcost completes the formation-time post above
+		recv, _, _, err = pe.Wait()
+	}
+	if err != nil {
+		return fmt.Errorf("agreeing the run configuration: %w", err)
+	}
+	said := make([]map[string]string, len(recv))
+	for r, b := range recv {
+		if err := json.Unmarshal(b, &said[r]); err != nil {
+			return fmt.Errorf("rank %d's run configuration: %w", r, err)
+		}
+	}
+	return params.adopt(said, tr.Rank())
+}
+
+// runWorld is the run body: what every rank of the world executes,
+// whichever transport backs c. It obtains the read store — a resume's
+// snapshot, else the store the launcher preloaded for its goroutine ranks,
+// else this rank's shard of a cooperative load — then resumes, executes or
+// serves. The caller keeps rank 0's report and store.
+func runWorld(c *spmd.Comm, mdl *machine.Model, plan *runPlan, preloaded *fastq.ReadStore) (
+	*pipeline.Report, *fastq.ReadStore, error) {
+
+	p := plan.params
+	root := c.Rank() == 0
+	if p.Resume != "" {
+		rep, store, err := pipeline.ResumeComm(c, mdl, p.Resume, plan.reschedule, plan.ckpt)
+		if err == nil && root {
+			fmt.Fprintf(os.Stderr, "resumed %s: %s\n", p.Resume, store.Stats())
+		}
+		return rep, store, err
+	}
+	store := preloaded
+	if preloaded == nil {
+		var err error
+		if store, err = pipeline.LoadStore(c, p.In); err != nil {
+			return nil, nil, err
+		}
+		if root {
+			fmt.Fprintf(os.Stderr, "loaded %s cooperatively: %s (rank 0 parsed %d bytes)\n",
+				p.In, store.Stats(), store.ParsedBytes)
+		}
+	}
+	if plan.serve == nil {
+		rep, err := pipeline.ExecuteComm(c, mdl, store, plan.cfg, plan.ckpt)
+		return rep, store, err
+	}
+	// The resident daemon: form the world, serve until the batch budget is
+	// spent or a client requests shutdown, print rank 0's lifetime stats.
+	opts := *plan.serve
+	if root {
 		opts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	w, err := pipeline.FormWorld(c, mdl, store, params.Cfg)
+	w, err := pipeline.FormWorld(c, mdl, store, plan.cfg)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	st, err := serve.Serve(w, opts)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if c.Rank() == 0 {
+	if root {
 		fmt.Fprintf(os.Stderr, "serve: done: served=%d rejected=%d routed=%v modeled=%.4fs\n",
 			st.Served, st.Rejected, st.RoutedPerRank, st.VirtualSeconds)
 	}
-	// The teardown trace gather is itself collective, so every rank calls
-	// it; only rank 0 receives the buffers and writes the file.
-	if trace.Enabled() {
-		writeTrace(params.Trace, pipeline.GatherTrace(c))
+	// A serve run has no batch PAF, hence no store; its report carries only
+	// the trace. The teardown gather is collective, so every rank calls it.
+	if !trace.Enabled() {
+		return nil, nil, nil
 	}
-	return nil
-}
-
-// pickTimeout prefers the env-propagated formation deadline over the
-// flag's (inherited, launcher-side) value.
-func pickTimeout(env, flag time.Duration) time.Duration {
-	if env > 0 {
-		return env
-	}
-	return flag
-}
-
-// runTCP forms this process's world endpoint via the bootstrap, adopts
-// the launcher's shipped configuration when one arrived in the
-// formation handshake (join agents; explicit conflicting flags fail
-// here), runs the pipeline collectively with cooperative sharded input
-// loading — or snapshot loading under -resume — and reaps whatever the
-// bootstrap forked. rank is this process's rank in the world (-1 if
-// formation failed). The platform model is shaped to the formed world's
-// size — a join agent or env worker learns that size only here, not
-// from its own flags.
-func runTCP(boot spmd.Bootstrap, params *runParams, explicit map[string]bool) (
-	*pipeline.Report, *fastq.ReadStore, int, error) {
-
-	tr, err := spmd.Connect(boot)
-	if err != nil {
-		return nil, nil, -1, boot.Finish(err)
-	}
-	rank := tr.Rank()
-	bail := func(err error) (*pipeline.Report, *fastq.ReadStore, int, error) {
-		tr.Abort()
-		tr.Close()
-		return nil, nil, rank, boot.Finish(err)
-	}
-	// Config shipping: a join agent receives the launcher's resolved
-	// configuration with its rank assignment. Explicit flags on the join
-	// command line must agree with it — a silently divergent rank would
-	// corrupt the collective run.
-	if hjb, ok := boot.(*spmd.HostJoinBootstrap); ok && len(hjb.ReceivedConfig) > 0 {
-		shipped, err := decodeRunParams(hjb.ReceivedConfig)
-		if err != nil {
-			return bail(err)
-		}
-		if conflicts := configFlagConflicts(explicit, params, shipped); len(conflicts) > 0 {
-			err := fmt.Errorf("join flags conflict with the launcher's configuration (drop them or make them match):\n  %s",
-				strings.Join(conflicts, "\n  "))
-			return bail(err)
-		}
-		params = shipped
-		// A join agent learns the launcher wants tracing only here, after
-		// formation — arm before any rank's pipeline starts recording.
-		if params.Trace != "" {
-			trace.Enable(trace.DefaultCapacity)
-		}
-	}
-	mdl, err := params.model(tr.Size(), rank == 0)
-	if err != nil {
-		// Deterministic in (platform, nodes, size), so every rank fails
-		// identically; abort just backstops a partial world.
-		return bail(err)
-	}
-	ckOpts, err := params.ckptOptions()
-	if err != nil {
-		return bail(err)
-	}
-	var comm spmd.CommModel
-	if mdl != nil {
-		comm = mdl
-	}
-	var rep *pipeline.Report
-	var store *fastq.ReadStore
-	runErr := spmd.RunTransport(tr, comm, func(c *spmd.Comm) error {
-		if params.Resume != "" {
-			r, s, err := pipeline.ResumeComm(c, mdl, params.Resume, params.scheduleMutator(), ckOpts)
-			if err != nil {
-				return err
-			}
-			rep, store = r, s
-			if c.Rank() == 0 {
-				fmt.Fprintf(os.Stderr, "resumed %s: %s\n", params.Resume, s.Stats())
-			}
-			return nil
-		}
-		s, err := pipeline.LoadStore(c, params.In)
-		if err != nil {
-			return err
-		}
-		store = s
-		if c.Rank() == 0 {
-			fmt.Fprintf(os.Stderr, "loaded %s cooperatively: %s (rank 0 parsed %d bytes)\n",
-				params.In, s.Stats(), s.ParsedBytes)
-		}
-		if params.Serve.Enabled {
-			return serveWorld(c, mdl, s, params) // rep stays nil: no batch PAF
-		}
-		var r *pipeline.Report
-		if ckOpts != nil {
-			r, err = pipeline.ExecuteCommCkpt(c, mdl, s, params.Cfg, *ckOpts)
-		} else {
-			r, err = pipeline.ExecuteComm(c, mdl, s, params.Cfg)
-		}
-		rep = r
-		return err
-	})
-	return rep, store, rank, boot.Finish(runErr)
+	return &pipeline.Report{Trace: pipeline.GatherTrace(c)}, nil, nil
 }
 
 // writeTrace writes the gathered flight-recorder buffers as a Chrome
@@ -704,15 +415,10 @@ func printBreakdown(rep *pipeline.Report) {
 	fmt.Fprintln(os.Stderr, pipeline.DescribeLoad(rep))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dibella:", err)
-	os.Exit(1)
-}
-
-// fatalRun reports a pipeline failure, distinguishing the deliberate
+// fatal reports a failure and exits, distinguishing the deliberate
 // post-checkpoint abort (exit 3, so restart drills can assert on it)
 // from real errors (exit 1).
-func fatalRun(err error) {
+func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dibella:", err)
 	if errors.Is(err, pipeline.ErrCkptAbort) {
 		os.Exit(3)

@@ -91,16 +91,24 @@ func DecodePartition(b []byte) (*Partition, error) {
 	if !kmer.ValidK(p.K) {
 		return nil, fmt.Errorf("dht: partition segment has invalid k %d", p.K)
 	}
+	// An entry is at least its 16-byte header; a larger count than the
+	// bytes can hold is a truncation, caught before it sizes an allocation.
+	if count > uint64(len(b))/16 {
+		return nil, fmt.Errorf("dht: partition segment truncated (%d entries declared, %d bytes follow)", count, len(b))
+	}
 	p.Table = make(map[kmer.Kmer]*Entry, count)
+	var prev kmer.Kmer
 	for i := uint64(0); i < count; i++ {
 		km, e, rest, err := decodeEntry(b)
 		if err != nil {
 			return nil, fmt.Errorf("dht: partition segment entry %d: %w", i, err)
 		}
-		if _, dup := p.Table[km]; dup {
-			return nil, fmt.Errorf("dht: partition segment repeats k-mer %#x", uint64(km))
+		// Encode writes entries in strictly ascending k-mer order; anything
+		// else (a repeat included) is not a blob Encode produced.
+		if i > 0 && km <= prev {
+			return nil, fmt.Errorf("dht: partition segment entry %d: k-mer %#x repeats or is out of order", i, uint64(km))
 		}
-		p.Table[km] = e
+		p.Table[km], prev = e, km
 		b = rest
 	}
 	if len(b) != 0 {

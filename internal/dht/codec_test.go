@@ -2,7 +2,9 @@ package dht
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dibella/internal/kmer"
@@ -60,6 +62,49 @@ func TestPartitionCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodePartition(append(append([]byte(nil), blob...), 1, 2, 3)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// A header alone declaring 2^32-1 entries is a truncation, rejected
+	// before the count sizes a map.
+	header := func(count uint64) []byte {
+		return binary.BigEndian.AppendUint64([]byte{0, 0, 0, 17, 0, 0, 0, 8}, count)
+	}
+	for _, blob := range [][]byte{
+		header(1<<32 - 1),
+		append(header(2), make([]byte, 16)...), // 2 declared, room for 1
+	} {
+		if _, err := DecodePartition(blob); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("count beyond the bytes that follow: err = %v", err)
+		}
+	}
+	// Entries Encode would have written in another order (or only once).
+	two := append(header(2), make([]byte, 32)...)
+	if _, err := DecodePartition(two); err == nil {
+		t.Error("repeated k-mer accepted")
+	}
+	two[16+7] = 9 // first entry's k-mer now above the second's
+	if _, err := DecodePartition(two); err == nil {
+		t.Error("descending k-mers accepted")
+	}
+}
+
+// FuzzDecodePartition: arbitrary bytes never panic the decoder, never
+// yield more entries than bytes, and whatever decodes re-encodes to the
+// same bytes.
+func FuzzDecodePartition(f *testing.F) {
+	f.Add((&Partition{K: 17, MaxFreq: 8}).Encode())
+	f.Add(buildTestPartition(17, 8, 9, 3).Encode())
+	f.Add(binary.BigEndian.AppendUint64([]byte{0, 0, 0, 17, 0, 0, 0, 8}, 1<<32-1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodePartition(b)
+		if err != nil {
+			return
+		}
+		if len(p.Table) > len(b) {
+			t.Fatalf("%d entries from %d bytes", len(p.Table), len(b))
+		}
+		if back := p.Encode(); !bytes.Equal(back, b) {
+			t.Fatalf("re-encoding differs: %x -> %x", b, back)
+		}
+	})
 }
 
 // TestReshardMatchesOwnership re-homes a 3-rank partition set onto worlds

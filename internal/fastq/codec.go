@@ -51,6 +51,11 @@ func DecodeShardSegment(b []byte) (idStart uint32, recs []*Record, err error) {
 	idStart = binary.BigEndian.Uint32(b)
 	count := binary.BigEndian.Uint32(b[4:])
 	b = b[8:]
+	// A record is at least its two length fields; a larger count than the
+	// bytes can hold is a truncation, caught before it sizes an allocation.
+	if uint64(count) > uint64(len(b))/6 {
+		return 0, nil, fmt.Errorf("fastq: shard segment truncated (%d records declared, %d bytes follow)", count, len(b))
+	}
 	recs = make([]*Record, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(b) < 2 {

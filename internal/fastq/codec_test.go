@@ -2,6 +2,7 @@ package fastq
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +44,39 @@ func TestShardSegmentRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeShardSegment(nil); err == nil {
 		t.Error("empty blob accepted")
 	}
+	// A header alone declaring 2^32-1 records is a truncation, rejected
+	// before the count sizes an allocation (it used to demand 32 GiB).
+	for _, blob := range [][]byte{
+		{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF},
+		{0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0}, // 2 declared, room for 1
+	} {
+		if _, _, err := DecodeShardSegment(blob); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("count beyond the bytes that follow: err = %v", err)
+		}
+	}
+}
+
+// FuzzDecodeShardSegment: arbitrary bytes never panic the decoder, never
+// yield more records than bytes, and whatever decodes re-encodes to the
+// same bytes.
+func FuzzDecodeShardSegment(f *testing.F) {
+	f.Add(EncodeShardSegment(7, nil))
+	f.Add(EncodeShardSegment(42, []*Record{
+		{Name: "read/1", Seq: []byte("ACGTACGT")}, {Name: "", Seq: []byte("GG")}, {Name: "empty"},
+	}))
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		idStart, recs, err := DecodeShardSegment(b)
+		if err != nil {
+			return
+		}
+		if len(recs) > len(b) {
+			t.Fatalf("%d records from %d bytes", len(recs), len(b))
+		}
+		if back := EncodeShardSegment(idStart, recs); !bytes.Equal(back, b) {
+			t.Fatalf("re-encoding differs: %x -> %x", b, back)
+		}
+	})
 }
 
 func TestShardSegmentEmpty(t *testing.T) {

@@ -184,12 +184,11 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 		// in-flight exchanges to hide (one monolithic round would leave
 		// the Bloom/hash passes nothing to overlap).
 		cfg.MaxKmersPerRound = 1 << 16
-		var rep *pipeline.Report
-		if ck != nil {
-			rep, err = pipeline.ExecuteCkpt(p, mdl, reads, cfg, *ck)
-		} else {
-			rep, err = pipeline.Execute(p, mdl, reads, cfg)
-		}
+		store := fastq.NewReadStore(reads, p)
+		rep, _, err := pipeline.InProcess(p, mdl, func(c *spmd.Comm) (*pipeline.Report, *fastq.ReadStore, error) {
+			r, err := pipeline.ExecuteComm(c, mdl, store, cfg, ck)
+			return r, store, err
+		})
 		if err != nil {
 			return BenchRun{}, err
 		}

@@ -69,6 +69,9 @@ func decodeTask(b []byte) (t Task, rest []byte, err error) {
 	t.Seeds = make([]Seed, nSeeds)
 	for i := range t.Seeds {
 		o := b[9*i:]
+		if o[8] > 3 {
+			return Task{}, nil, fmt.Errorf("overlap: task (%d,%d) seed %d has unknown flag bits %#x", t.Pair.A, t.Pair.B, i, o[8])
+		}
 		t.Seeds[i] = Seed{
 			PosA: binary.BigEndian.Uint32(o),
 			PosB: binary.BigEndian.Uint32(o[4:]),
@@ -86,6 +89,11 @@ func DecodeTasks(b []byte) ([]Task, error) {
 	}
 	count := binary.BigEndian.Uint32(b)
 	b = b[4:]
+	// A task is at least its 12-byte header; a larger count than the bytes
+	// can hold is a truncation, caught before it sizes an allocation.
+	if uint64(count) > uint64(len(b))/12 {
+		return nil, fmt.Errorf("overlap: task segment truncated (%d tasks declared, %d bytes follow)", count, len(b))
+	}
 	tasks := make([]Task, 0, count)
 	for i := uint32(0); i < count; i++ {
 		t, rest, err := decodeTask(b)

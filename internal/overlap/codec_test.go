@@ -3,6 +3,7 @@ package overlap
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dibella/internal/spmd"
@@ -52,6 +53,42 @@ func TestTaskCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodeTasks(append(append([]byte(nil), blob...), 9)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// A header alone declaring 2^32-1 tasks is a truncation, rejected
+	// before the count sizes an allocation.
+	for _, blob := range [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF},
+		append([]byte{0, 0, 0, 2}, make([]byte, 12)...), // 2 declared, room for 1
+	} {
+		if _, err := DecodeTasks(blob); err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("count beyond the bytes that follow: err = %v", err)
+		}
+	}
+	// Flag bits EncodeTasks never sets are not silently dropped.
+	one := EncodeTasks(testTasks(1))
+	one[len(one)-1] |= 0x80
+	if _, err := DecodeTasks(one); err == nil {
+		t.Error("unknown seed flag bits accepted")
+	}
+}
+
+// FuzzDecodeTasks: arbitrary bytes never panic the decoder, never yield
+// more tasks than bytes, and whatever decodes re-encodes to the same bytes.
+func FuzzDecodeTasks(f *testing.F) {
+	f.Add(EncodeTasks(nil))
+	f.Add(EncodeTasks(testTasks(5)))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tasks, err := DecodeTasks(b)
+		if err != nil {
+			return
+		}
+		if len(tasks) > len(b) {
+			t.Fatalf("%d tasks from %d bytes", len(tasks), len(b))
+		}
+		if back := EncodeTasks(tasks); !bytes.Equal(back, b) {
+			t.Fatalf("re-encoding differs: %x -> %x", b, back)
+		}
+	})
 }
 
 // TestReshardTasksMatchesPolicy re-homes a task set across world sizes

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 
 	"dibella/internal/align"
 	"dibella/internal/ckpt"
@@ -119,37 +118,57 @@ type ckptState struct {
 	abortAfter  string
 }
 
-// newCkptState validates opts and builds the per-rank emission state.
-// cfg must be resolved; resumedFrom names the stage a resume restored
-// ("" for fresh runs).
-func newCkptState(cfg Config, model *machine.Model, opts CkptOptions, resumedFrom string) (*ckptState, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("pipeline: checkpointing requested without a directory")
+// Validate checks the options on their own terms: a directory is named,
+// every stage is a real boundary, and the kill switch is among the stages
+// being snapshotted. It is the one place stage names are checked — the CLI
+// calls it at startup, newCkptState before a run.
+func (o *CkptOptions) Validate() error {
+	if o.Dir == "" {
+		return fmt.Errorf("pipeline: checkpointing requested without a directory")
 	}
-	want := make(map[string]bool, len(ckpt.Stages))
-	if len(opts.Stages) == 0 {
-		for _, s := range ckpt.Stages {
-			want[s] = true
+	abortListed := len(o.Stages) == 0
+	for _, s := range o.Stages {
+		if ckpt.StageOrder(s) < 0 {
+			return fmt.Errorf("pipeline: unknown checkpoint stage %q (want load, dht, or overlap)", s)
 		}
-	} else {
-		for _, s := range opts.Stages {
-			if ckpt.StageOrder(s) < 0 {
-				return nil, fmt.Errorf("pipeline: unknown checkpoint stage %q (want load, dht, or overlap)", s)
-			}
-			want[s] = true
-		}
+		abortListed = abortListed || s == o.AbortAfter
 	}
-	if opts.AbortAfter != "" {
-		if !want[opts.AbortAfter] {
-			return nil, fmt.Errorf("pipeline: -ckpt-abort-after stage %q is not among the snapshotted stages", opts.AbortAfter)
-		}
-		if ckpt.StageOrder(opts.AbortAfter) <= ckpt.StageOrder(resumedFrom) {
-			// The resume restored this boundary instead of re-running it,
-			// so its snapshot — and therefore the kill switch — would
-			// never fire; completing with exit 0 would silently mis-pass
-			// a restart drill expecting the abort.
-			return nil, fmt.Errorf("pipeline: -ckpt-abort-after %q cannot fire: the resume already restored the %q snapshot", opts.AbortAfter, resumedFrom)
-		}
+	if o.AbortAfter == "" {
+		return nil
+	}
+	if ckpt.StageOrder(o.AbortAfter) < 0 {
+		return fmt.Errorf("pipeline: unknown abort-after stage %q (want load, dht, or overlap)", o.AbortAfter)
+	}
+	if !abortListed {
+		return fmt.Errorf("pipeline: abort-after stage %q is not among the snapshotted stages %q", o.AbortAfter, o.Stages)
+	}
+	return nil
+}
+
+// newCkptState validates opts and builds the per-rank emission state (nil,
+// and inert, for nil opts). cfg must be resolved; resumedFrom names the
+// stage a resume restored ("" for fresh runs).
+func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFrom string) (*ckptState, error) {
+	if opts == nil {
+		return nil, nil
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	stages := opts.Stages
+	if len(stages) == 0 {
+		stages = ckpt.Stages
+	}
+	want := make(map[string]bool, len(stages))
+	for _, s := range stages {
+		want[s] = true
+	}
+	if opts.AbortAfter != "" && ckpt.StageOrder(opts.AbortAfter) <= ckpt.StageOrder(resumedFrom) {
+		// The resume restored this boundary instead of re-running it, so
+		// its snapshot — and therefore the kill switch — would never
+		// fire; completing with exit 0 would silently mis-pass a restart
+		// drill expecting the abort.
+		return nil, fmt.Errorf("pipeline: -ckpt-abort-after %q cannot fire: the resume already restored the %q snapshot", opts.AbortAfter, resumedFrom)
 	}
 	blob, err := json.Marshal(cfg)
 	if err != nil {
@@ -219,20 +238,6 @@ func storeSections(store *fastq.ReadStore, rank int) []ckpt.Section {
 		recs = append(recs, store.Get(id))
 	}
 	return []ckpt.Section{{Name: sectionReads, Data: fastq.EncodeShardSegment(start, recs)}}
-}
-
-// ExecuteCommCkpt is ExecuteComm with stage-boundary snapshots.
-func ExecuteCommCkpt(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg Config,
-	opts CkptOptions) (*Report, error) {
-
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
-	ck, err := newCkptState(cfg, model, opts, "")
-	if err != nil {
-		return nil, err
-	}
-	return executeGather(c, model, store, cfg, ck, nil)
 }
 
 // ResumeComm restarts the pipeline collectively from dir's latest
@@ -313,11 +318,9 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 		}
 	}
 
-	var ck *ckptState
-	if opts != nil {
-		if ck, err = newCkptState(cfg, model, *opts, latest.Stage); err != nil {
-			return nil, nil, err
-		}
+	ck, err := newCkptState(cfg, model, opts, latest.Stage)
+	if err != nil {
+		return nil, nil, err
 	}
 	rep, err := executeGather(c, model, store, cfg, ck, res)
 	if err != nil {
@@ -395,74 +398,4 @@ func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config)
 		}
 	}
 	return held, partHold, taskHold, parsedBytes, nil
-}
-
-// ExecuteCkpt is Execute with stage-boundary snapshots: the in-process
-// form of a checkpointed run (goroutine ranks share the directory just
-// as processes on a shared file system would).
-func ExecuteCkpt(p int, model *machine.Model, reads []*fastq.Record, cfg Config,
-	opts CkptOptions) (*Report, error) {
-
-	if model != nil && model.Ranks() != p {
-		return nil, fmt.Errorf("pipeline: model is shaped for %d ranks, running %d", model.Ranks(), p)
-	}
-	store := fastq.NewReadStore(reads, p)
-	var rep *Report
-	var mu sync.Mutex
-	var comm spmd.CommModel
-	if model != nil {
-		comm = model
-	}
-	wall := walltime.Now()
-	err := spmd.RunWithModel(p, comm, func(c *spmd.Comm) error {
-		r, err := ExecuteCommCkpt(c, model, store, cfg, opts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			rep = r
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.WallTime = walltime.Since(wall)
-	return rep, nil
-}
-
-// ExecuteResume is ResumeComm over p in-process ranks: restart a
-// snapshotted run on the current machine, at any world size. Returns
-// rank 0's gathered report and sharded store (for PAF output via
-// PAFRecordsFromStore).
-func ExecuteResume(p int, model *machine.Model, dir string, mutate func(*Config),
-	opts *CkptOptions) (*Report, *fastq.ReadStore, error) {
-
-	var rep *Report
-	var store *fastq.ReadStore
-	var mu sync.Mutex
-	var comm spmd.CommModel
-	if model != nil {
-		comm = model
-	}
-	wall := walltime.Now()
-	err := spmd.RunWithModel(p, comm, func(c *spmd.Comm) error {
-		r, s, err := ResumeComm(c, model, dir, mutate, opts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			rep, store = r, s
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.WallTime = walltime.Since(wall)
-	return rep, store, nil
 }

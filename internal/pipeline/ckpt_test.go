@@ -51,12 +51,32 @@ func pafBytesStore(t *testing.T, rep *Report, store *fastq.ReadStore) []byte {
 	return buf.Bytes()
 }
 
+// runCkpt is Execute with stage-boundary snapshots: goroutine ranks share
+// the directory just as processes on a shared file system would.
+func runCkpt(p int, model *machine.Model, reads []*fastq.Record, cfg Config, opts CkptOptions) (*Report, error) {
+	store := fastq.NewReadStore(reads, p)
+	rep, _, err := InProcess(p, model, func(c *spmd.Comm) (*Report, *fastq.ReadStore, error) {
+		r, err := ExecuteComm(c, model, store, cfg, &opts)
+		return r, store, err
+	})
+	return rep, err
+}
+
+// runResume is ResumeComm over p in-process ranks, at any world size.
+func runResume(p int, model *machine.Model, dir string, mutate func(*Config),
+	opts *CkptOptions) (*Report, *fastq.ReadStore, error) {
+
+	return InProcess(p, model, func(c *spmd.Comm) (*Report, *fastq.ReadStore, error) {
+		return ResumeComm(c, model, dir, mutate, opts)
+	})
+}
+
 // killAt runs a checkpointed in-process pipeline that aborts right after
 // the given stage's snapshot commits, leaving dir holding snapshots up
 // to and including that stage.
 func killAt(t *testing.T, p int, reads []*fastq.Record, cfg Config, dir, stage string) {
 	t.Helper()
-	_, err := ExecuteCkpt(p, nil, reads, cfg, CkptOptions{Dir: dir, AbortAfter: stage})
+	_, err := runCkpt(p, nil, reads, cfg, CkptOptions{Dir: dir, AbortAfter: stage})
 	if !errors.Is(err, ErrCkptAbort) {
 		t.Fatalf("abort after %s: err = %v, want ErrCkptAbort", stage, err)
 	}
@@ -121,7 +141,7 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 			dir := t.TempDir()
 			killAt(t, p, reads, cfg, dir, stage)
 			for _, resumeP := range []int{p, p / 2, 2 * p} {
-				rep, store, err := ExecuteResume(resumeP, nil, dir, nil, nil)
+				rep, store, err := runResume(resumeP, nil, dir, nil, nil)
 				if err != nil {
 					t.Fatalf("resume at P=%d: %v", resumeP, err)
 				}
@@ -136,7 +156,7 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 			// Kill a checkpointed TCP world after the stage commits.
 			err := runTCPLoopbackWorld(t, p, func(c *spmd.Comm) error {
 				store := fastq.NewReadStore(reads, p)
-				_, err := ExecuteCommCkpt(c, nil, store, cfg, CkptOptions{Dir: dir, AbortAfter: stage})
+				_, err := ExecuteComm(c, nil, store, cfg, &CkptOptions{Dir: dir, AbortAfter: stage})
 				return err
 			})
 			if !errors.Is(err, ErrCkptAbort) {
@@ -174,7 +194,7 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 		dir := t.TempDir()
 		killAt(t, p, reads, mcfg, dir, ckpt.StageDHT)
 		for _, resumeP := range []int{p, p / 2} {
-			rep, store, err := ExecuteResume(resumeP, nil, dir, nil, nil)
+			rep, store, err := runResume(resumeP, nil, dir, nil, nil)
 			if err != nil {
 				t.Fatalf("minimizer resume at P=%d: %v", resumeP, err)
 			}
@@ -186,7 +206,7 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 					resumeP, len(got), len(mwant))
 			}
 		}
-		_, _, err = ExecuteResume(p, nil, dir, func(c *Config) { c.MinimizerWindow = 9 }, nil)
+		_, _, err = runResume(p, nil, dir, func(c *Config) { c.MinimizerWindow = 9 }, nil)
 		if err == nil || !strings.Contains(err.Error(), "output-affecting") {
 			t.Errorf("window override on resume: err = %v, want output-affecting rejection", err)
 		}
@@ -217,7 +237,7 @@ func TestResumeRejectsCorruptSegment(t *testing.T) {
 	if err := os.WriteFile(path, img[:len(img)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ExecuteResume(2, nil, dir, nil, nil)
+	_, _, err = runResume(2, nil, dir, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "truncated or partial") {
 		t.Errorf("truncated segment: err = %v, want truncation error", err)
 	}
@@ -228,7 +248,7 @@ func TestResumeRejectsCorruptSegment(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ExecuteResume(2, nil, dir, nil, nil)
+	_, _, err = runResume(2, nil, dir, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Errorf("corrupt segment: err = %v, want digest error", err)
 	}
@@ -243,7 +263,7 @@ func TestResumeRejectsOutputAffectingOverrides(t *testing.T) {
 	killAt(t, 2, reads, cfg, dir, ckpt.StageLoad)
 
 	// Changing the exchange schedule is fine...
-	rep, store, err := ExecuteResume(2, nil, dir, func(c *Config) { c.Exchange = ExchangeSync }, nil)
+	rep, store, err := runResume(2, nil, dir, func(c *Config) { c.Exchange = ExchangeSync }, nil)
 	if err != nil {
 		t.Fatalf("schedule-only override rejected: %v", err)
 	}
@@ -252,7 +272,7 @@ func TestResumeRejectsOutputAffectingOverrides(t *testing.T) {
 	}
 	_ = store
 	// ... changing k is not.
-	_, _, err = ExecuteResume(2, nil, dir, func(c *Config) { c.K = 19 }, nil)
+	_, _, err = runResume(2, nil, dir, func(c *Config) { c.K = 19 }, nil)
 	if err == nil || !strings.Contains(err.Error(), "output-affecting") {
 		t.Errorf("k override: err = %v, want output-affecting rejection", err)
 	}
@@ -274,7 +294,7 @@ func TestResumeContinuesCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	killAt(t, 4, reads, cfg, dir, ckpt.StageDHT)
 	// Resume at P=2, checkpointing onward; kill again after overlap.
-	_, _, err = ExecuteResume(2, nil, dir, nil, &CkptOptions{Dir: dir, AbortAfter: ckpt.StageOverlap})
+	_, _, err = runResume(2, nil, dir, nil, &CkptOptions{Dir: dir, AbortAfter: ckpt.StageOverlap})
 	if !errors.Is(err, ErrCkptAbort) {
 		t.Fatalf("second kill: %v", err)
 	}
@@ -289,7 +309,7 @@ func TestResumeContinuesCheckpointing(t *testing.T) {
 		t.Errorf("overlap snapshot from the resumed world missing: %+v ok=%v", st, ok)
 	}
 	// Second-generation resume, again elastic.
-	rep, store, err := ExecuteResume(3, nil, dir, nil, nil)
+	rep, store, err := runResume(3, nil, dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +327,7 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := ExecuteCkpt(3, nil, reads, cfg, CkptOptions{Dir: t.TempDir()})
+	ck, err := runCkpt(3, nil, reads, cfg, CkptOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +355,7 @@ func TestCheckpointIOPriced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := ExecuteCkpt(p, mdl(), reads, cfg, CkptOptions{Dir: t.TempDir()})
+	ck, err := runCkpt(p, mdl(), reads, cfg, CkptOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func executeSharded(c *spmd.Comm, path string, cfg Config, out *shardedResult, m
 	if err != nil {
 		return err
 	}
-	rep, err := ExecuteComm(c, nil, store, cfg)
+	rep, err := ExecuteComm(c, nil, store, cfg, nil)
 	if err != nil {
 		return err
 	}

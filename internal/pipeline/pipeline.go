@@ -15,7 +15,6 @@ package pipeline
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"dibella/internal/walltime"
@@ -434,13 +433,6 @@ func (rep *Report) TaskImbalance() float64 {
 	return stats.Imbalance(vals)
 }
 
-// Run executes the full pipeline on one rank. All ranks call it
-// collectively; store must describe the same global read set on every
-// rank (whole or sharded — see ExecuteComm).
-func Run(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg Config) (RankReport, []Alignment, error) {
-	return run(c, model, store, cfg, nil, nil)
-}
-
 // overlapConfig builds the overlap stage's configuration (shared by the
 // fresh run and the checkpoint loader's task re-shard).
 func (cfg *Config) overlapConfig(store *fastq.ReadStore) overlap.Config {
@@ -456,7 +448,7 @@ func (cfg *Config) overlapConfig(store *fastq.ReadStore) overlap.Config {
 	return ovCfg
 }
 
-// run is the stage driver behind Run: optionally emitting stage-boundary
+// run is the stage driver: optionally emitting stage-boundary
 // snapshots (ck) and optionally starting from a restored stage boundary
 // (res) instead of the beginning. All ranks call it collectively with
 // the same ck/res shape. It composes the same stage objects serve mode
@@ -485,23 +477,33 @@ func run(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg Config,
 // the copy and sort elsewhere keeps the gather's cost from scaling with
 // ranks that immediately discard it). store must describe the same global
 // read set on every rank: either the identical whole store, or each
-// rank's endpoint of one cooperative sharded load (LoadStore).
-func ExecuteComm(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg Config) (*Report, error) {
-	return executeGather(c, model, store, cfg, nil, nil)
+// rank's endpoint of one cooperative sharded load (LoadStore). ck, when
+// non-nil, snapshots the configured stage boundaries as the run passes
+// them; nil runs without snapshots.
+func ExecuteComm(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg Config,
+	ck *CkptOptions) (*Report, error) {
+
+	// Derive parameters up front so the Report and the snapshot manifest
+	// carry the resolved values; derivation is deterministic and identical
+	// on every rank.
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
+	st, err := newCkptState(cfg, model, ck, "")
+	if err != nil {
+		return nil, err
+	}
+	return executeGather(c, model, store, cfg, st, nil)
 }
 
-// executeGather is ExecuteComm with optional checkpointing (ck) and
-// resume state (res) threaded through to the stage driver.
+// executeGather runs the stage driver on a resolved cfg — with the
+// checkpoint writer (ck) and resume state (res) of ExecuteComm and
+// ResumeComm threaded through — and gathers the Report.
 func executeGather(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg Config,
 	ck *ckptState, res *resumeState) (*Report, error) {
 
 	if model != nil && model.Ranks() != c.Size() {
 		return nil, fmt.Errorf("pipeline: model is shaped for %d ranks, running %d", model.Ranks(), c.Size())
-	}
-	// Derive parameters up front so the Report carries the resolved
-	// values; derivation is deterministic and identical on every rank.
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
 	}
 	wall := walltime.Now()
 	rr, recs, err := run(c, model, store, cfg, ck, res)
@@ -579,39 +581,43 @@ func (a *Alignment) less(b *Alignment) bool {
 	return a.Score < b.Score
 }
 
-// Execute runs the pipeline across p goroutine ranks over the in-process
-// transport and gathers the global Report. model may be nil (no platform
-// pricing; host wall time is still measured).
-func Execute(p int, model *machine.Model, reads []*fastq.Record, cfg Config) (*Report, error) {
-	if model != nil && model.Ranks() != p {
-		return nil, fmt.Errorf("pipeline: model is shaped for %d ranks, running %d", model.Ranks(), p)
-	}
-	store := fastq.NewReadStore(reads, p)
-	var rep *Report
-	var mu sync.Mutex
+// InProcess runs fn collectively on p goroutine ranks over the in-process
+// transport and keeps rank 0's result: the report and the store its PAF
+// names come from. It is how one process runs a whole world — Execute, the
+// mem-transport CLI, tests and the bench harness wrap ExecuteComm or
+// ResumeComm in it. model may be nil (no platform pricing; host wall time
+// is still measured).
+func InProcess(p int, model *machine.Model,
+	fn func(c *spmd.Comm) (*Report, *fastq.ReadStore, error)) (*Report, *fastq.ReadStore, error) {
 
 	var comm spmd.CommModel
 	if model != nil {
 		comm = model
 	}
-	wall := walltime.Now()
+	var rep *Report
+	var store *fastq.ReadStore
 	err := spmd.RunWithModel(p, comm, func(c *spmd.Comm) error {
-		r, err := ExecuteComm(c, model, store, cfg)
-		if err != nil {
-			return err
-		}
+		r, s, err := fn(c)
 		if c.Rank() == 0 {
-			mu.Lock()
-			rep = r
-			mu.Unlock()
+			rep, store = r, s // one writer; RunWithModel's join orders the read
 		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rep.WallTime = walltime.Since(wall)
-	return rep, nil
+	return rep, store, nil
+}
+
+// Execute runs the pipeline across p goroutine ranks over the in-process
+// transport and gathers the global Report.
+func Execute(p int, model *machine.Model, reads []*fastq.Record, cfg Config) (*Report, error) {
+	store := fastq.NewReadStore(reads, p)
+	rep, _, err := InProcess(p, model, func(c *spmd.Comm) (*Report, *fastq.ReadStore, error) {
+		r, err := ExecuteComm(c, model, store, cfg, nil)
+		return r, store, err
+	})
+	return rep, err
 }
 
 // PAFRecords converts kept alignment records into PAF lines using the

@@ -31,8 +31,8 @@ var (
 // snapshot is taken before the gather runs, so the gather's own
 // collective events never appear in the emitted trace. All ranks must
 // call it collectively; callers gate on trace.Enabled(), which every
-// rank of a world agrees on by construction (the CLI ships -trace in
-// the config every worker adopts).
+// rank of a world agrees on by construction (-trace is part of the
+// configuration every rank of a world adopts from rank 0).
 func GatherTrace(c *spmd.Comm) []trace.RankEvents {
 	snap := trace.Snapshot(c.Rank())
 	all := spmd.GatherTo(c, snap, 0)

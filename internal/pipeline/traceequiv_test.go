@@ -113,7 +113,7 @@ func executeTCPLoopbackModel(t *testing.T, p int, mdl *machine.Model, reads []*f
 	)
 	err := runTCPLoopbackWorldModel(t, p, mdl, func(c *spmd.Comm) error {
 		store := fastq.NewReadStore(reads, p)
-		r, err := ExecuteComm(c, mdl, store, cfg)
+		r, err := ExecuteComm(c, mdl, store, cfg, nil)
 		if err != nil {
 			return err
 		}

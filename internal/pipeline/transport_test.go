@@ -68,7 +68,7 @@ func executeTCPLoopback(t *testing.T, p int, reads []*fastq.Record, cfg Config) 
 		// Each rank builds its own store, as separate worker processes
 		// would.
 		store := fastq.NewReadStore(reads, p)
-		r, err := ExecuteComm(c, nil, store, cfg)
+		r, err := ExecuteComm(c, nil, store, cfg, nil)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package spmd
 
 import (
 	"bytes"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -33,6 +32,10 @@ import (
 //   - JoinBootstrap: one explicitly-placed rank. Schedulers (SLURM array
 //     jobs, k8s indexed jobs, ...) that already know every process's rank
 //     export the DIBELLA_* env contract themselves.
+//
+// Formation moves coordinates only, never application payload: whatever an
+// application's ranks must agree on before running (cmd/dibella's flags)
+// travels over the formed Transport, the same way under every bootstrap.
 
 // World is a Bootstrap's answer: one process's coordinates in a formed
 // (or forming) world, ready to hand to the TCP transport.
@@ -114,25 +117,7 @@ const (
 	// EnvHostIndex tells a spawned join agent which host-list entry it
 	// stands in for, so rank-range assignment is deterministic.
 	EnvHostIndex = "DIBELLA_HOST_INDEX"
-	// EnvConfig carries the launcher's opaque application-config blob
-	// (base64) to env-contract workers whose command line does not repeat
-	// the launcher's flags — the forked ranks of a `dibella -join` agent.
-	EnvConfig = "DIBELLA_CONFIG"
 )
-
-// ConfigFromEnv decodes the EnvConfig blob, if one was provided by the
-// forking parent. ok is false when the variable is unset.
-func ConfigFromEnv() (blob []byte, ok bool, err error) {
-	s, ok := os.LookupEnv(EnvConfig)
-	if !ok {
-		return nil, false, nil
-	}
-	blob, err = base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, true, fmt.Errorf("spmd: %s: %v", EnvConfig, err)
-	}
-	return blob, true, nil
-}
 
 // JoinBootstrap places one explicitly-coordinated rank: everything is
 // already known, Form just validates and passes it through. It is the
@@ -240,7 +225,7 @@ func (b *ForkBootstrap) Form() (World, error) {
 	}
 	addr := ln.Addr().String()
 	fmt.Fprintf(out, "tcp transport: launching %d worker processes (rendezvous %s)\n", b.Size-1, addr)
-	workers, err := forkRankWorkers(1, b.Size, b.Size, addr, "", b.Timeout, out, nil)
+	workers, err := forkRankWorkers(1, b.Size, b.Size, addr, "", b.Timeout, out)
 	if err != nil {
 		ln.Close()
 		return World{}, err
@@ -267,9 +252,7 @@ type worker struct {
 // workerEnv builds the child environment for one env-contract worker:
 // the parent's environment scrubbed of DIBELLA_* (a join agent's own
 // coordinates must not leak into its children) plus the child's own.
-func workerEnv(rank, size int, rendezvous, listenAddr string, timeout time.Duration,
-	configBlob []byte) []string {
-
+func workerEnv(rank, size int, rendezvous, listenAddr string, timeout time.Duration) []string {
 	env := scrubEnv(os.Environ())
 	env = append(env,
 		EnvRank+"="+strconv.Itoa(rank),
@@ -281,9 +264,6 @@ func workerEnv(rank, size int, rendezvous, listenAddr string, timeout time.Durat
 	}
 	if timeout > 0 {
 		env = append(env, EnvFormTimeout+"="+timeout.String())
-	}
-	if len(configBlob) > 0 {
-		env = append(env, EnvConfig+"="+base64.StdEncoding.EncodeToString(configBlob))
 	}
 	return env
 }
@@ -302,13 +282,12 @@ func scrubEnv(env []string) []string {
 // forkRankWorkers forks ranks [start,end) of a size-rank world as
 // env-contract workers of the current binary, with "[rank N] "-prefixed
 // output. On a fork failure the already-started workers are reaped.
-// configBlob, when non-empty, rides along in EnvConfig.
 func forkRankWorkers(start, end, size int, rendezvous, listenAddr string,
-	timeout time.Duration, out io.Writer, configBlob []byte) ([]worker, error) {
+	timeout time.Duration, out io.Writer) ([]worker, error) {
 
 	var workers []worker
 	for r := start; r < end; r++ {
-		w, err := forkWorker(os.Args[1:], workerEnv(r, size, rendezvous, listenAddr, timeout, configBlob),
+		w, err := forkWorker(os.Args[1:], workerEnv(r, size, rendezvous, listenAddr, timeout),
 			out, fmt.Sprintf("[rank %d] ", r))
 		if err != nil {
 			reapWorkers(workers)

@@ -133,12 +133,10 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 	// The launcher and both join agents log concurrently from their own
 	// goroutines; sharing a bare bytes.Buffer races.
 	var log syncBuffer
-	configBlob := []byte(`{"in":"reads.fastq","k":17}`)
 	launcher := &HostListBootstrap{
 		Hosts: hosts, Timeout: 20 * time.Second,
 		Output: &log, NoSpawn: true,
 		JoinListener: jln, RendezvousListener: rln,
-		ConfigBlob: configBlob,
 	}
 	joinAddr := jln.Addr().String()
 
@@ -190,43 +188,6 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "joined, assigned ranks") {
 		t.Errorf("launcher log missing join lines:\n%s", log.String())
-	}
-	// Config shipping: every joining agent must have received the
-	// launcher's blob in its assignment, so join commands need not repeat
-	// the launcher's flags.
-	for i, agent := range []*HostJoinBootstrap{agent1, agent2} {
-		if !bytes.Equal(agent.ReceivedConfig, configBlob) {
-			t.Errorf("agent %d ReceivedConfig = %q, want %q", i+1, agent.ReceivedConfig, configBlob)
-		}
-	}
-}
-
-func TestConfigFromEnv(t *testing.T) {
-	if _, ok, _ := ConfigFromEnv(); ok {
-		t.Skipf("%s already set in the test environment", EnvConfig)
-	}
-	blob := []byte("opaque-config")
-	env := workerEnv(1, 2, "127.0.0.1:9", "", 0, blob)
-	found := ""
-	for _, kv := range env {
-		if strings.HasPrefix(kv, EnvConfig+"=") {
-			found = strings.TrimPrefix(kv, EnvConfig+"=")
-		}
-	}
-	if found == "" {
-		t.Fatalf("workerEnv did not set %s", EnvConfig)
-	}
-	t.Setenv(EnvConfig, found)
-	got, ok, err := ConfigFromEnv()
-	if !ok || err != nil {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Errorf("roundtripped %q, want %q", got, blob)
-	}
-	t.Setenv(EnvConfig, "%%%not-base64")
-	if _, ok, err := ConfigFromEnv(); !ok || err == nil {
-		t.Errorf("malformed blob: ok=%v err=%v, want set-but-malformed", ok, err)
 	}
 }
 

@@ -59,8 +59,7 @@ type frame struct {
 	Payload []byte
 }
 
-// appendFrameHeader encodes f's header into buf (which must have room for
-// frameHeaderSize bytes).
+// putFrameHeader encodes f's header into buf[:frameHeaderSize].
 func putFrameHeader(buf []byte, f *frame) {
 	binary.BigEndian.PutUint16(buf[0:], frameMagic)
 	buf[2] = byte(f.Type)

@@ -16,9 +16,9 @@ import (
 // binds two public listeners: the rendezvous (the TCP transport's usual
 // world-formation port) and a join port. An agent started on another host
 // with `dibella -join <join-addr>` (HostJoinBootstrap) asks the join port
-// for its assignment, receives its rank range plus the rendezvous port,
-// and forks its local share of ranks — which then enter world formation
-// exactly like single-host workers. Hosts that resolve to loopback are
+// for its assignment, receives its rank range plus the rendezvous port —
+// placement, nothing else — and forks its local share of ranks, which then
+// enter world formation exactly like single-host workers. Hosts that resolve to loopback are
 // "simulated": the launcher forks their join agents itself, so a
 // multi-host launch can be rehearsed end-to-end on one machine.
 
@@ -159,12 +159,6 @@ type assignMsg struct {
 	RankEnd        int // ... and forks (RankStart, RankEnd) as local workers
 	Size           int
 	RendezvousPort int // combined with the join address's host by the agent
-	// ConfigBlob is the launcher's opaque application config (cmd/dibella
-	// ships its resolved pipeline parameters), so a join command does not
-	// have to repeat every launcher flag. The transport does not interpret
-	// it; the agent exposes it as ReceivedConfig and forwards it to its
-	// forked workers through EnvConfig.
-	ConfigBlob []byte
 }
 
 // HostListBootstrap launches a multi-host world from the first host of the
@@ -180,10 +174,6 @@ type HostListBootstrap struct {
 	// BindAddr is where the rendezvous and join listeners bind (default
 	// ":0": all interfaces, ephemeral ports).
 	BindAddr string
-
-	// ConfigBlob is an opaque application payload shipped to every joining
-	// host in its assignment reply (see assignMsg.ConfigBlob).
-	ConfigBlob []byte
 
 	// Timeout bounds world formation, including the wait for every
 	// host's join (default 30s).
@@ -269,7 +259,7 @@ func (b *HostListBootstrap) Form() (World, error) {
 
 	if !b.NoSpawn {
 		// This host's remaining ranks (rank 0 is the calling process).
-		workers, err := forkRankWorkers(1, ranges[0][1], size, rendezvous, ":0", timeout, out, b.ConfigBlob)
+		workers, err := forkRankWorkers(1, ranges[0][1], size, rendezvous, ":0", timeout, out)
 		if err != nil {
 			return fail(err)
 		}
@@ -387,7 +377,6 @@ func (b *HostListBootstrap) answerJoin(conn net.Conn, assigned []bool, ranges []
 		Magic: protoMagic, Version: protoVersion,
 		HostIndex: idx, RankStart: ranges[idx][0], RankEnd: ranges[idx][1],
 		Size: size, RendezvousPort: rdvPort,
-		ConfigBlob: b.ConfigBlob,
 	}
 	payload, err := encodeGob(reply)
 	if err != nil {
@@ -427,13 +416,6 @@ type HostJoinBootstrap struct {
 
 	// NoSpawn suppresses forking the range's remaining ranks (tests).
 	NoSpawn bool
-
-	// ReceivedConfig is the launcher's ConfigBlob, populated by Form. The
-	// application reads it after Connect to adopt the launcher's resolved
-	// configuration instead of requiring every flag on the join command
-	// line. Form also forwards it to this host's forked workers through
-	// the EnvConfig variable.
-	ReceivedConfig []byte
 
 	workers []worker
 }
@@ -484,7 +466,6 @@ func (b *HostJoinBootstrap) Form() (World, error) {
 		return World{}, fmt.Errorf("spmd: assignment ranks [%d,%d) of %d is malformed",
 			assign.RankStart, assign.RankEnd, assign.Size)
 	}
-	b.ReceivedConfig = assign.ConfigBlob
 	launcherHost, _, err := net.SplitHostPort(b.Addr)
 	if err != nil {
 		return World{}, fmt.Errorf("spmd: join address %q: %w", b.Addr, err)
@@ -494,11 +475,11 @@ func (b *HostJoinBootstrap) Form() (World, error) {
 		assign.HostIndex, assign.RankStart, assign.RankEnd-1, assign.Size, rendezvous)
 
 	if !b.NoSpawn {
-		// Workers inherit the agent's command line, which with config
-		// shipping may be just `-join <addr>`; the launcher's config blob
-		// travels to them through the env contract instead.
+		// Workers inherit the agent's command line, which may be just
+		// `-join <addr>`: like every rank, they learn the run's
+		// configuration from rank 0 once the world has formed.
 		workers, err := forkRankWorkers(assign.RankStart+1, assign.RankEnd, assign.Size,
-			rendezvous, ":0", timeout, out, assign.ConfigBlob)
+			rendezvous, ":0", timeout, out)
 		if err != nil {
 			return World{}, err
 		}

@@ -59,10 +59,13 @@ type tcpConfig struct {
 // Wire-protocol identity carried in every hello and join message. A peer
 // whose binary speaks a different protocol (or is not dibella at all) is
 // rejected with a clear error during world formation, instead of failing
-// later with a frame-decode panic mid-collective.
+// later with a frame-decode panic mid-collective. Version 2 dropped the
+// application-config payload from the join assignment and the worker
+// environment: a version-1 peer would form a world and then wait for a
+// configuration that formation no longer carries, so it is refused here.
 const (
 	protoMagic   = 0x44694245 // "DiBE"
-	protoVersion = 1
+	protoVersion = 2
 )
 
 // checkProto validates a peer's protocol identity fields.

@@ -81,9 +81,9 @@ var (
 // Enable turns the flight recorder on with the given per-rank ring
 // capacity (events; <= 0 selects DefaultCapacity). Existing rings are
 // discarded, so a test can Enable/Disable around a run and observe only
-// that run. All ranks of a world must agree on enablement before the
-// world forms; the CLI guarantees that by shipping -trace in the
-// config blob every worker adopts.
+// that run. All ranks of a world must agree on enablement before any of
+// them records; the CLI guarantees that by arming the recorder only once
+// every rank has adopted rank 0's configuration, -trace included.
 func Enable(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
