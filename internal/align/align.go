@@ -12,12 +12,53 @@
 // early exit; every kernel here therefore reports the exact number of DP
 // cells it computed, which both the machine model and the load-balance
 // experiments consume.
+//
+// # The x-drop kernel's layout
+//
+// There is one x-drop kernel (xdrop.go); the kernel it replaced survives as
+// referenceXDrop in reference_test.go, the oracle of the differential fuzz
+// target. An extension walks antidiagonals d = i+j outward from cell (0,0).
+// Three int32 rows roll over antidiagonals d, d-1 and d-2; a row stores cell
+// (i, d-i) at index i+1 and is live over a window [lo,hi] of i. After a
+// row's window has shrunk to its surviving cells, the pruned sentinel is
+// written at lo-1 and hi+1. Every read the next two antidiagonals make of
+// that row lands on a stored cell or on one of those two sentinels, so the
+// recurrence max(up, left)+gap, diag+sub needs no window test, no "is this
+// neighbour pruned" test and no i>=1 / j>=1 test: a cell fed only by pruned
+// neighbours falls below the prune threshold and is stored as pruned again.
+// Nothing is cleared between antidiagonals or between calls; cells outside
+// the sentinels are stale and unread. For the same reason the two sequences
+// are handed to the kernel with one spare base before their first (the last
+// seed base, or a spare buffer slot): cells (0,j) and (i,0) index it, and
+// their diagonal neighbour is a sentinel, so what the base is cannot matter.
+//
+// Along an antidiagonal i rises while j falls, so the second sequence is
+// held reversed and both are read in ascending order over pre-sliced
+// windows, which lets the compiler drop the bounds checks in the loop. The
+// right extension reverses t's flank; the left extension is the same loop
+// over reversed views, which means reversing s's flank and reading t's as
+// it lies. The reversal is built on demand, doubling ahead of the
+// antidiagonal that needs it, so an extension that dies after a few cells
+// costs a few dozen bytes of copying, not a flank. Rows and the reversal
+// buffer live in a sync.Pool'd workspace: steady state allocates nothing.
+//
+// int32 is safe because it is checked, not assumed: Scoring.Validate bounds
+// each score by MaxScoreMagnitude, and XDrop panics if (len(s)+len(t)) times
+// the largest score magnitude could bring a live score near the sentinel.
+// An x larger than any score difference the inputs can produce is clamped to
+// exactly that difference, which cannot change what is pruned.
+//
+// Cells counts every cell of every window as computed, that is, before the
+// window shrinks: a cell that is computed and then pruned was still paid
+// for. machine.Model prices alignment by this count, so it is part of the
+// kernel's contract and must not change with the implementation.
 package align
 
 import "fmt"
 
 // Scoring is a linear-gap scoring scheme. Match must be positive; Mismatch
-// and Gap must be negative (BELLA's defaults are +1/-1/-1).
+// and Gap must be negative (BELLA's defaults are +1/-1/-1); none may exceed
+// MaxScoreMagnitude in size.
 type Scoring struct {
 	Match    int
 	Mismatch int
@@ -27,8 +68,26 @@ type Scoring struct {
 // DefaultScoring is BELLA's +1/-1/-1 scheme.
 var DefaultScoring = Scoring{Match: 1, Mismatch: -1, Gap: -1}
 
+// MaxScoreMagnitude bounds |Match|, |Mismatch| and |Gap|. XDrop keeps its
+// cells in int32: with scores this small a pair of reads totalling under
+// 2^19 bases fits at any scoring, and under 2^29 bases at BELLA's +1/-1/-1.
+const MaxScoreMagnitude = 1 << 10
+
+// inRange reports whether every score is within MaxScoreMagnitude of zero.
+func (sc Scoring) inRange() bool {
+	for _, v := range [...]int{sc.Match, sc.Mismatch, sc.Gap} {
+		if v < -MaxScoreMagnitude || v > MaxScoreMagnitude {
+			return false
+		}
+	}
+	return true
+}
+
 // Validate reports whether the scheme is sane.
 func (sc Scoring) Validate() error {
+	if !sc.inRange() {
+		return fmt.Errorf("align: scoring %+v exceeds magnitude %d", sc, MaxScoreMagnitude)
+	}
 	if sc.Match <= 0 {
 		return fmt.Errorf("align: match score %d must be positive", sc.Match)
 	}

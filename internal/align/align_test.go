@@ -422,44 +422,6 @@ func reversed(s []byte) []byte {
 	return out
 }
 
-func BenchmarkXDropSimilar(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	template := randomSeq(rng, 10000)
-	s := mutate(rng, template, 0.075)
-	u := mutate(rng, template, 0.075)
-	k := 17
-	seedS, seedT := -1, -1
-	for i := 0; i+k <= len(s) && seedS < 0; i += 13 {
-		if j := bytes.Index(u, s[i:i+k]); j >= 0 {
-			seedS, seedT = i, j
-		}
-	}
-	if seedS < 0 {
-		b.Skip("no shared seed")
-	}
-	b.ResetTimer()
-	var cells int64
-	for i := 0; i < b.N; i++ {
-		r := XDrop(s, u, seedS, seedT, k, DefaultScoring, 30)
-		cells += r.Cells
-	}
-	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
-}
-
-func BenchmarkXDropDivergent(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	k := 17
-	core := randomSeq(rng, k)
-	s := concat(randomSeq(rng, 5000), core, randomSeq(rng, 5000))
-	u := concat(randomSeq(rng, 5000), core, randomSeq(rng, 5000))
-	seedS := bytes.Index(s, core)
-	seedT := bytes.Index(u, core)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		XDrop(s, u, seedS, seedT, k, DefaultScoring, 30)
-	}
-}
-
 func BenchmarkSmithWaterman1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	s := randomSeq(rng, 1000)

@@ -1,0 +1,169 @@
+package align
+
+import "testing"
+
+// referenceXDrop is the x-drop kernel as it stood before the int32
+// antidiagonal rewrite, kept verbatim as the oracle every differential test
+// and FuzzXDropMatchesReference compare XDrop against, field for field.
+func referenceXDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
+	right := referenceExtend(s[seedS+k:], t[seedT+k:], sc, x, false)
+	left := referenceExtend(s[:seedS], t[:seedT], sc, x, true)
+	return Result{
+		Score:  k*sc.Match + right.score + left.score,
+		SStart: seedS - left.aLen,
+		SEnd:   seedS + k + right.aLen,
+		TStart: seedT - left.bLen,
+		TEnd:   seedT + k + right.bLen,
+		Cells:  right.cells + left.cells,
+	}
+}
+
+// referenceExtend grows an alignment from position (0,0) of a and b (or of
+// their reversals when rev is true), maximizing the extension score under
+// x-drop pruning. Unlike local alignment the score may go negative (down to
+// best-x) before recovering.
+func referenceExtend(a, b []byte, sc Scoring, x int, rev bool) extension {
+	n, m := len(a), len(b)
+	if n == 0 && m == 0 {
+		return extension{}
+	}
+	at := func(i int) byte {
+		if rev {
+			return a[n-i]
+		}
+		return a[i-1]
+	}
+	bt := func(j int) byte {
+		if rev {
+			return b[m-j]
+		}
+		return b[j-1]
+	}
+
+	// Three rolling antidiagonals indexed by i, with valid windows.
+	prev2 := make([]int, n+1)
+	prev1 := make([]int, n+1)
+	cur := make([]int, n+1)
+	lo2, hi2 := 0, -1 // d-2 window (empty initially)
+	lo1, hi1 := 0, 0  // d-1 window: the single cell (0,0)
+	prev1[0] = 0
+
+	val := func(arr []int, i, lo, hi int) int {
+		if i < lo || i > hi {
+			return negInf
+		}
+		return arr[i]
+	}
+
+	best := extension{}
+	bestScore := 0
+	for d := 1; d <= n+m; d++ {
+		lo := lo1
+		if d-m > lo {
+			lo = d - m
+		}
+		hi := hi1 + 1
+		if d < hi {
+			hi = d
+		}
+		if n < hi {
+			hi = n
+		}
+		if lo > hi {
+			break
+		}
+		pruneBelow := bestScore - x
+		for i := lo; i <= hi; i++ {
+			j := d - i
+			v := negInf
+			if j >= 1 {
+				if left := val(prev1, i, lo1, hi1); left != negInf && left+sc.Gap > v {
+					v = left + sc.Gap
+				}
+			}
+			if i >= 1 {
+				if up := val(prev1, i-1, lo1, hi1); up != negInf && up+sc.Gap > v {
+					v = up + sc.Gap
+				}
+			}
+			if i >= 1 && j >= 1 {
+				if diag := val(prev2, i-1, lo2, hi2); diag != negInf {
+					if w := diag + sc.sub(at(i), bt(j)); w > v {
+						v = w
+					}
+				}
+			}
+			best.cells++
+			if v < pruneBelow {
+				v = negInf
+			}
+			cur[i] = v
+			if v > bestScore {
+				bestScore = v
+				best.score = v
+				best.aLen, best.bLen = i, j
+			}
+		}
+		// Shrink the active window to surviving cells.
+		for lo <= hi && cur[lo] == negInf {
+			lo++
+		}
+		for hi >= lo && cur[hi] == negInf {
+			hi--
+		}
+		if lo > hi {
+			break
+		}
+		prev2, prev1, cur = prev1, cur, prev2
+		lo2, hi2 = lo1, hi1
+		lo1, hi1 = lo, hi
+	}
+	return best
+}
+
+// fuzzXs are the x-drop thresholds the fuzz target draws from: prune
+// everything, the pipeline default, the bench default, and never prune.
+var fuzzXs = [...]int{0, 1, 7, 30, 1 << 30}
+
+// fuzzScores are the score magnitudes it draws from, up to the largest
+// Scoring.Validate admits.
+var fuzzScores = [...]int{1, 2, 3, 5, MaxScoreMagnitude}
+
+// FuzzXDropMatchesReference holds XDrop to referenceXDrop field for field.
+// The raw bytes become bases (low two bits), so a mutation of one input
+// yields a similar pair; seed position, k, scoring and x come from the
+// remaining arguments, covering empty flanks on either or both sides, seeds
+// at either end, and reads longer than any row the pool has seen.
+func FuzzXDropMatchesReference(f *testing.F) {
+	f.Add([]byte("ACGTACGTACGT"), []byte("ACGTACGTACGT"), uint16(4), uint16(4), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("AC"), []byte("GGGGGGGGGGAC"), uint16(0), uint16(10), uint8(1), uint8(4), uint8(1), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, sRaw, uRaw []byte, posS, posU uint16, kRaw, xSel, mSel, misSel, gSel uint8) {
+		if len(sRaw) == 0 || len(uRaw) == 0 {
+			t.Skip()
+		}
+		s, u := toBases(sRaw), toBases(uRaw)
+		k := 1 + int(kRaw)%min(len(s), len(u), 32)
+		seedS := int(posS) % (len(s) - k + 1)
+		seedU := int(posU) % (len(u) - k + 1)
+		sc := Scoring{
+			Match:    fuzzScores[int(mSel)%len(fuzzScores)],
+			Mismatch: -fuzzScores[int(misSel)%len(fuzzScores)],
+			Gap:      -fuzzScores[int(gSel)%len(fuzzScores)],
+		}
+		x := fuzzXs[int(xSel)%len(fuzzXs)]
+		got := XDrop(s, u, seedS, seedU, k, sc, x)
+		want := referenceXDrop(s, u, seedS, seedU, k, sc, x)
+		if got != want {
+			t.Fatalf("XDrop(|s|=%d |u|=%d seed=(%d,%d) k=%d sc=%+v x=%d)\n got %+v\nwant %+v",
+				len(s), len(u), seedS, seedU, k, sc, x, got, want)
+		}
+	})
+}
+
+func toBases(raw []byte) []byte {
+	out := make([]byte, len(raw))
+	for i, b := range raw {
+		out[i] = "ACGT"[b&3]
+	}
+	return out
+}

@@ -1,6 +1,10 @@
 package align
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // XDrop performs seed-and-extend alignment: the k bases at s[seedS:seedS+k]
 // and t[seedT:seedT+k] are assumed to match exactly (they are a shared
@@ -11,6 +15,10 @@ import "fmt"
 // This reimplements the greedy x-drop extension of Zhang, Schwartz, Wagner
 // & Miller (2000) — the algorithm behind SeqAn's extendSeed that diBELLA
 // calls — over antidiagonals with a shrinking active window.
+//
+// DP scores are held in int32. XDrop panics, as it does for a bad seed, when
+// a score magnitude exceeds MaxScoreMagnitude or (len(s)+len(t))·max|score|
+// is too large for the pruned-cell sentinel to stay below every live score.
 func XDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
 	if k <= 0 || seedS < 0 || seedT < 0 || seedS+k > len(s) || seedT+k > len(t) {
 		panic(fmt.Sprintf("align: bad seed (s:%d t:%d k:%d |s|:%d |t|:%d)",
@@ -19,8 +27,23 @@ func XDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
 	if x < 0 {
 		panic(fmt.Sprintf("align: negative x-drop %d", x))
 	}
-	right := extend(s[seedS+k:], t[seedT+k:], sc, x, false)
-	left := extend(s[:seedS], t[:seedT], sc, x, true)
+	x32 := clampXDrop(len(s)+len(t), sc, x)
+
+	w := workspaces.Get().(*workspace)
+	// The kernel reads a[i] and brev[m-j] for 0 <= i <= n, 0 <= j <= m, so
+	// each view carries one extra base at i == 0 / j == 0: the last seed base
+	// on the un-reversed side, the buffer's spare slot on the reversed side.
+	tail := t[seedT+k:]
+	buf := w.buffer(len(tail) + 1)
+	w.rev = reversal{src: tail, dst: buf[:len(tail)], back: true}
+	right := w.extend(s[seedS+k-1:], buf, sc, x32)
+
+	buf = w.buffer(seedS + 1)
+	w.rev = reversal{src: s[:seedS], dst: buf[1:]}
+	left := w.extend(buf, t[:seedT+1], sc, x32)
+
+	w.rev = reversal{} // do not pin the caller's reads from the pool
+	workspaces.Put(w)
 	return Result{
 		Score:  k*sc.Match + right.score + left.score,
 		SStart: seedS - left.aLen,
@@ -46,111 +69,169 @@ func SeedMatches(s, t []byte, seedS, seedT, k int) bool {
 	return true
 }
 
+// pruned marks an abandoned cell and fills the sentinels around each row's
+// window. It sits far enough below zero that pruned+score stays in int32
+// and, given clampXDrop's precondition, below every prune threshold, so a
+// cell fed only by pruned neighbours prunes itself with no explicit test.
+const pruned = math.MinInt32 / 2
+
+// clampXDrop returns x as the kernel uses it. A live cell scores within
+// total·maxAbs of zero on either side, so any x at or above twice that can
+// never prune and is replaced by exactly that value: same result, and
+// best-x keeps clear of the sentinel.
+func clampXDrop(total int, sc Scoring, x int) int32 {
+	if !sc.inRange() {
+		panic(fmt.Sprintf("align: scoring %+v exceeds magnitude %d", sc, MaxScoreMagnitude))
+	}
+	maxAbs := max(sc.Match, -sc.Match, sc.Mismatch, -sc.Mismatch, sc.Gap, -sc.Gap)
+	noPrune := 2 * total * maxAbs
+	if noPrune+maxAbs >= -pruned {
+		panic(fmt.Sprintf("align: %d bases at score magnitude %d overflow the int32 x-drop kernel",
+			total, maxAbs))
+	}
+	return int32(min(x, noPrune))
+}
+
 type extension struct {
 	score      int
 	aLen, bLen int // extension extents achieving the best score
 	cells      int64
 }
 
-// extend grows an alignment from position (0,0) of a and b (or of their
-// reversals when rev is true), maximizing the extension score under x-drop
-// pruning. Unlike local alignment the score may go negative (down to
-// best-x) before recovering.
-func extend(a, b []byte, sc Scoring, x int, rev bool) extension {
-	n, m := len(a), len(b)
-	if n == 0 && m == 0 {
-		return extension{}
-	}
-	at := func(i int) byte {
-		if rev {
-			return a[n-i]
-		}
-		return a[i-1]
-	}
-	bt := func(j int) byte {
-		if rev {
-			return b[m-j]
-		}
-		return b[j-1]
-	}
+// workspace is the scratch one XDrop call needs: three rolling antidiagonal
+// rows and the buffer the reversed flank is built in. Pooled, so steady
+// state allocates nothing; nothing in it is cleared between calls.
+type workspace struct {
+	rows [3][]int32
+	buf  []byte
+	rev  reversal
+}
 
-	// Three rolling antidiagonals indexed by i, with valid windows.
-	prev2 := make([]int, n+1)
-	prev1 := make([]int, n+1)
-	cur := make([]int, n+1)
-	lo2, hi2 := 0, -1 // d-2 window (empty initially)
-	lo1, hi1 := 0, 0  // d-1 window: the single cell (0,0)
-	prev1[0] = 0
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-	val := func(arr []int, i, lo, hi int) int {
-		if i < lo || i > hi {
-			return negInf
-		}
-		return arr[i]
+func (w *workspace) buffer(n int) []byte {
+	if cap(w.buf) < n {
+		w.buf = make([]byte, n)
 	}
+	return w.buf[:n]
+}
 
-	best := extension{}
-	bestScore := 0
+// reversal builds dst[p] = src[len(src)-1-p] on demand, from dst's low end
+// or (back) its high end, so an extension that dies after a few
+// antidiagonals does not pay to reverse a whole flank.
+type reversal struct {
+	src, dst []byte
+	back     bool
+	done     int // bases reversed so far
+}
+
+// fill makes the first d bases of src available, at least doubling the
+// reversed span so total work stays proportional to how far d gets.
+func (r *reversal) fill(d int) {
+	l := len(r.src)
+	to := min(l, max(2*d, 64))
+	lo, hi := r.done, to
+	if r.back {
+		lo, hi = l-to, l-r.done
+	}
+	dst, src := r.dst[lo:hi], r.src[l-hi:l-lo]
+	for p := range dst {
+		dst[p] = src[len(src)-1-p]
+	}
+	r.done = to
+	if to == l {
+		r.done = math.MaxInt // no antidiagonal asks again
+	}
+}
+
+// extend grows an alignment from cell (0,0) over bases a[1..n] and b[1..m],
+// maximizing the extension score under x-drop pruning. b arrives reversed,
+// brev[m-j] holding base j, so that along an antidiagonal both sequences are
+// read in ascending index order. Unlike local alignment the score may go
+// negative (down to best-x) before recovering. a[0] and brev[m] exist but
+// are never scored: the cells that read them have a pruned diagonal.
+//
+// Antidiagonal d holds cell (i, d-i) at row index i+1, live over a window
+// [lo,hi] with a pruned sentinel stored at lo-1 and hi+1, so the three
+// neighbour reads need no window or edge test (see the package comment).
+// Whichever of a, brev is w.rev.dst is filled ahead of the antidiagonal
+// that reads it.
+func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
+	n, m := len(a)-1, len(brev)-1
+	for r := range w.rows {
+		if cap(w.rows[r]) < n+3 {
+			w.rows[r] = make([]int32, n+3)
+		}
+	}
+	p2, p1, cur := w.rows[0][:n+3], w.rows[1][:n+3], w.rows[2][:n+3]
+	// d-1 is the single cell (0,0) scoring 0; d-2 is empty.
+	p1[0], p1[1], p1[2] = pruned, 0, pruned
+	p2[0], p2[1] = pruned, pruned
+	lo1, hi1 := 0, 0
+
+	match, mismatch, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
+	var best int32
+	var bestI, bestD int
+	var cells int64
 	for d := 1; d <= n+m; d++ {
-		lo := lo1
-		if d-m > lo {
-			lo = d - m
-		}
-		hi := hi1 + 1
-		if d < hi {
-			hi = d
-		}
-		if n < hi {
-			hi = n
-		}
+		lo, hi := max(lo1, d-m), min(hi1+1, n)
 		if lo > hi {
 			break
 		}
-		pruneBelow := bestScore - x
-		for i := lo; i <= hi; i++ {
-			j := d - i
-			v := negInf
-			if j >= 1 {
-				if left := val(prev1, i, lo1, hi1); left != negInf && left+sc.Gap > v {
-					v = left + sc.Gap
-				}
-			}
-			if i >= 1 {
-				if up := val(prev1, i-1, lo1, hi1); up != negInf && up+sc.Gap > v {
-					v = up + sc.Gap
-				}
-			}
-			if i >= 1 && j >= 1 {
-				if diag := val(prev2, i-1, lo2, hi2); diag != negInf {
-					if w := diag + sc.sub(at(i), bt(j)); w > v {
-						v = w
-					}
-				}
-			}
-			best.cells++
-			if v < pruneBelow {
-				v = negInf
-			}
-			cur[i] = v
-			if v > bestScore {
-				bestScore = v
-				best.score = v
-				best.aLen, best.bLen = i, j
-			}
+		if d > w.rev.done {
+			w.rev.fill(d)
 		}
-		// Shrink the active window to surviving cells.
-		for lo <= hi && cur[lo] == negInf {
+		width := hi - lo + 1
+		cells += int64(width) // every cell of the window, before it shrinks
+		c := cur[lo+1:][:width]
+		rowMax := antidiagonal(c, p1[lo+1:], p2[lo:], a[lo:], brev[m-d+lo:],
+			p1[lo], best-x, match, mismatch, gap)
+		if rowMax == pruned {
+			break
+		}
+		if rowMax > best { // first cell in ascending i to reach it
+			k := 0
+			for c[k] != rowMax {
+				k++
+			}
+			best, bestI, bestD = rowMax, lo+k, d
+		}
+		// Shrink the window to surviving cells; one exists.
+		for cur[lo+1] == pruned {
 			lo++
 		}
-		for hi >= lo && cur[hi] == negInf {
+		for cur[hi+1] == pruned {
 			hi--
 		}
-		if lo > hi {
-			break
-		}
-		prev2, prev1, cur = prev1, cur, prev2
-		lo2, hi2 = lo1, hi1
+		cur[lo], cur[hi+2] = pruned, pruned
+		p2, p1, cur = p1, cur, p2
 		lo1, hi1 = lo, hi
 	}
-	return best
+	return extension{score: int(best), aLen: bestI, bLen: bestD - bestI, cells: cells}
+}
+
+// antidiagonal scores the window c of antidiagonal d and returns its largest
+// cell. left, diag, ai and bj are aligned with c: for the cell (i, j) at c[k]
+// they hold d-1's (i, j-1), d-2's (i-1, j-1) and the two bases; up is d-1's
+// (i-1, j) for c[0], and the previous left thereafter. It is a function of
+// its own because the loop then competes for registers with nothing but its
+// own operands; written inline in extend it ran a sixth slower at x=30.
+func antidiagonal(c, left, diag []int32, ai, bj []byte, up, prune, match, mismatch, gap int32) int32 {
+	left, diag, ai, bj = left[:len(c)], diag[:len(c)], ai[:len(c)], bj[:len(c)]
+	rowMax := int32(pruned)
+	for k := range c {
+		sub := mismatch
+		if ai[k] == bj[k] {
+			sub = match
+		}
+		l := left[k]
+		v := max(max(up, l)+gap, diag[k]+sub)
+		if v < prune {
+			v = pruned
+		}
+		c[k] = v
+		rowMax = max(rowMax, v)
+		up = l
+	}
+	return rowMax
 }

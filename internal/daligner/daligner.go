@@ -60,6 +60,9 @@ func (cfg *Config) setDefaults() error {
 	if cfg.Scoring == (align.Scoring{}) {
 		cfg.Scoring = align.DefaultScoring
 	}
+	if err := cfg.Scoring.Validate(); err != nil {
+		return err
+	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = runtime.GOMAXPROCS(0)
 	}

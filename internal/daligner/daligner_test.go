@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dibella/internal/align"
 	"dibella/internal/dht"
 	"dibella/internal/kmer"
 	"dibella/internal/overlap"
@@ -65,6 +66,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(nil, Config{K: 17, MaxFreq: 1}); err == nil {
 		t.Error("m=1 accepted")
+	}
+	huge := align.Scoring{Match: align.MaxScoreMagnitude + 1, Mismatch: -1, Gap: -1}
+	if _, err := Run(nil, Config{K: 17, MaxFreq: 8, Scoring: huge}); err == nil {
+		t.Error("oversized match score accepted")
 	}
 }
 

@@ -49,6 +49,16 @@ func TestConfigDefaults(t *testing.T) {
 	if err := neg.setDefaults(); err == nil {
 		t.Error("negative xdrop accepted")
 	}
+	// Scores the int32 x-drop kernel cannot hold are a config error here,
+	// not a panic in the alignment stage.
+	big := Config{K: 17, Scoring: align.Scoring{Match: align.MaxScoreMagnitude + 1, Mismatch: -1, Gap: -1}}
+	if err := big.setDefaults(); err == nil {
+		t.Error("oversized match score accepted")
+	}
+	edge := Config{K: 17, Scoring: align.Scoring{Match: align.MaxScoreMagnitude, Mismatch: -1, Gap: -1}}
+	if err := edge.setDefaults(); err != nil {
+		t.Errorf("match score at the bound rejected: %v", err)
+	}
 }
 
 func TestExecuteModelShapeMismatch(t *testing.T) {
