@@ -9,7 +9,7 @@
 // Usage:
 //
 //	benchcheck -fresh BENCH_CI.json              # auto-discover the committed baseline
-//	benchcheck -prev BENCH_PR4.json -fresh BENCH_CI.json
+//	benchcheck -prev BENCH_PR10.json -fresh BENCH_CI.json
 //
 // The diff is strictly per-schedule (sync / async / streamed / ckpt /
 // ...): only schedules present in both snapshots gate the build, so a

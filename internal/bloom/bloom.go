@@ -3,30 +3,49 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// Filter is a Bloom filter over 64-bit keys (pre-hashed k-mers).
-// The zero value is unusable; construct with New or NewWithEstimate.
+const (
+	blockWords = 8               // one 64-byte cache line
+	blockBits  = blockWords * 64 // 512: a probe is 9 bits of hash
+	probeBits  = 9
+	probesPer  = 64 / probeBits // probes one 64-bit remix pays for
+
+	// Odd multipliers (the 64-bit golden ratio and MurmurHash3's second
+	// fmix64 constant) for the two remixes in locate.
+	mixBlock = 0x9e3779b97f4a7c15
+	mixProbe = 0xc4ceb9fe1a85ec53
+
+	// fpSlack is how much of the blocked layout's false-positive penalty
+	// NewWithEstimate pays in FP before it starts paying in bits.
+	fpSlack = 1.25
+)
+
+// Filter is a cache-line-blocked Bloom filter over 64-bit keys (pre-hashed
+// k-mers). The zero value is unusable; construct with New or
+// NewWithEstimate.
 type Filter struct {
-	bits     []uint64
-	m        uint64 // number of bits
-	h        int    // number of hash probes
-	inserted uint64 // number of Insert calls (not distinct elements)
+	bits   []uint64
+	blocks uint64 // len(bits) / blockWords
+	h      int    // probes per key, all inside one block
 }
 
-// New creates a filter with m bits (rounded up to a multiple of 64) and h
-// hash probes.
+// New creates a filter with m bits (rounded up to whole 512-bit blocks)
+// and h probes per key.
 func New(m uint64, h int) *Filter {
 	if m == 0 || h <= 0 {
 		panic(fmt.Sprintf("bloom: invalid parameters m=%d h=%d", m, h))
 	}
-	words := (m + 63) / 64
-	return &Filter{bits: make([]uint64, words), m: words * 64, h: h}
+	blocks := (m + blockBits - 1) / blockBits
+	return &Filter{bits: make([]uint64, blocks*blockWords), blocks: blocks, h: h}
 }
 
 // NewWithEstimate sizes a filter for n expected distinct elements at target
-// false-positive rate p, using the optimal m = -n·ln p / (ln 2)² and
-// h = (m/n)·ln 2.
+// false-positive rate p, using the classic optimum m = -n·ln p / (ln 2)²
+// and h = (m/n)·ln 2. Blocking costs false positives (keys spread unevenly
+// over blocks); up to fpSlack·p that cost is paid in FP, beyond it — below
+// p ≈ 0.003 — in extra blocks.
 func NewWithEstimate(n uint64, p float64) *Filter {
 	if n == 0 {
 		n = 1
@@ -39,46 +58,57 @@ func NewWithEstimate(n uint64, p float64) *Filter {
 	if h < 1 {
 		h = 1
 	}
-	return New(m, h)
+	blocks := (m + blockBits - 1) / blockBits
+	for blockedFP(float64(n)/float64(blocks), h) > fpSlack*p {
+		blocks += blocks/64 + 1
+	}
+	return New(blocks*blockBits, h)
+}
+
+// blockedFP is the false-positive rate of h probes into a 512-bit block
+// whose key count is Poisson with mean load: Σ_j P(j)·(1-(1-1/512)^(hj))^h
+// (Putze, Sanders & Singler 2007, Eq. 3).
+func blockedFP(load float64, h int) float64 {
+	fp, pj := 0.0, math.Exp(-load)
+	for j := 1.0; j < 6*load+64; j++ {
+		pj *= load / j
+		fp += pj * math.Pow(1-math.Pow(1-1.0/blockBits, float64(h)*j), float64(h))
+	}
+	return fp
 }
 
 // NumBits returns the filter size in bits.
-func (f *Filter) NumBits() uint64 { return f.m }
-
-// NumHashes returns the number of hash probes per element.
-func (f *Filter) NumHashes() int { return f.h }
+func (f *Filter) NumBits() uint64 { return f.blocks * blockBits }
 
 // SizeBytes returns the heap footprint of the bit array.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 
-// probe derives the i-th bit index for a pre-hashed key via double hashing.
-// h2 is forced odd so that, with m a power-of-two multiple of 64, the probe
-// sequence cycles through distinct positions.
-func (f *Filter) probe(hash uint64, i int) uint64 {
-	h1 := hash
-	h2 := (hash>>32 | hash<<32) | 1
-	return (h1 + uint64(i)*h2) % f.m
+// locate returns the key's block and the remix its probes are cut from.
+// The block index must not be a function of the hash's top bits alone:
+// kmer.Owner routes on exactly those, so every key one rank's filter sees
+// shares them and a plain multiply-shift of the hash would fill 1/P of the
+// blocks. One odd multiply folds every hash bit into the product's top
+// bits; the probes come from a second remix so that keys sharing a block
+// (hence those top bits) still scatter inside it.
+func (f *Filter) locate(hash uint64) (block *[blockWords]uint64, probes uint64) {
+	x := hash * mixBlock
+	i, _ := bits.Mul64(x, f.blocks)
+	return (*[blockWords]uint64)(f.bits[i*blockWords:]), remix(x)
 }
 
-// Insert adds a pre-hashed key.
-func (f *Filter) Insert(hash uint64) {
-	for i := 0; i < f.h; i++ {
-		b := f.probe(hash, i)
-		f.bits[b/64] |= 1 << (b % 64)
-	}
-	f.inserted++
-}
+func remix(x uint64) uint64 { return (x ^ x>>32) * mixProbe }
 
 // Contains reports whether the key may be present (false positives
 // possible; false negatives impossible).
 func (f *Filter) Contains(hash uint64) bool {
-	for i := 0; i < f.h; i++ {
-		b := f.probe(hash, i)
-		if f.bits[b/64]&(1<<(b%64)) == 0 {
-			return false
+	block, y := f.locate(hash)
+	present := uint64(1)
+	for n := f.h; n > 0; n, y = n-probesPer, remix(y) {
+		for i, v := 0, y; i < min(n, probesPer); i, v = i+1, v>>probeBits {
+			present &= block[v>>6&(blockWords-1)] >> (v & 63)
 		}
 	}
-	return true
+	return present == 1
 }
 
 // InsertAndTest inserts the key and reports whether it may have been
@@ -86,69 +116,17 @@ func (f *Filter) Contains(hash uint64) bool {
 // Bloom stage uses: a "true" return means the k-mer has (probably) been
 // seen before and should seed the hash table.
 func (f *Filter) InsertAndTest(hash uint64) bool {
-	present := true
-	for i := 0; i < f.h; i++ {
-		b := f.probe(hash, i)
-		word, bit := b/64, uint64(1)<<(b%64)
-		if f.bits[word]&bit == 0 {
-			present = false
-			f.bits[word] |= bit
+	block, y := f.locate(hash)
+	present := uint64(1)
+	for n := f.h; n > 0; n, y = n-probesPer, remix(y) {
+		for i, v := 0, y; i < min(n, probesPer); i, v = i+1, v>>probeBits {
+			w := &block[v>>6&(blockWords-1)]
+			present &= *w >> (v & 63)
+			*w |= 1 << (v & 63)
 		}
 	}
-	f.inserted++
-	return present
+	return present == 1
 }
-
-// FillRatio returns the fraction of set bits, from which the realized
-// false-positive rate can be estimated as FillRatio^h.
-func (f *Filter) FillRatio() float64 {
-	ones := 0
-	for _, w := range f.bits {
-		ones += popcount(w)
-	}
-	return float64(ones) / float64(f.m)
-}
-
-// EstimatedFPRate returns the filter's current false-positive probability
-// estimate, FillRatio^h.
-func (f *Filter) EstimatedFPRate() float64 {
-	return math.Pow(f.FillRatio(), float64(f.h))
-}
-
-// EstimatedCardinality estimates the number of distinct inserted elements
-// from the fill ratio: n ≈ -(m/h)·ln(1 - X/m) where X is the set-bit count
-// (Swamidass & Baldi).
-func (f *Filter) EstimatedCardinality() float64 {
-	x := f.FillRatio()
-	if x >= 1 {
-		return math.Inf(1)
-	}
-	return -float64(f.m) / float64(f.h) * math.Log(1-x)
-}
-
-// Inserted returns the number of Insert/InsertAndTest calls.
-func (f *Filter) Inserted() uint64 { return f.inserted }
 
 // Reset clears the filter for reuse.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.inserted = 0
-}
-
-// TheoreticalFPRate returns the design false-positive rate of a filter with
-// m bits and h hashes after n distinct insertions:
-// (1 - e^{-hn/m})^h.
-func TheoreticalFPRate(m uint64, h int, n uint64) float64 {
-	return math.Pow(1-math.Exp(-float64(h)*float64(n)/float64(m)), float64(h))
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
-}
+func (f *Filter) Reset() { clear(f.bits) }

@@ -1,19 +1,28 @@
 package bloom
 
 import (
-	"math"
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dibella/internal/kmer"
 )
 
 func TestNewRoundsUp(t *testing.T) {
-	f := New(100, 3)
-	if f.NumBits()%64 != 0 || f.NumBits() < 100 {
-		t.Errorf("NumBits = %d", f.NumBits())
+	for _, c := range []struct{ m, want uint64 }{
+		{1, 512}, {100, 512}, {512, 512}, {513, 1024}, {64 * 10, 1024},
+	} {
+		if got := New(c.m, 3).NumBits(); got != c.want {
+			t.Errorf("New(%d).NumBits() = %d, want %d: sizes round up to whole 512-bit blocks", c.m, got, c.want)
+		}
 	}
-	if f.NumHashes() != 3 {
-		t.Errorf("NumHashes = %d", f.NumHashes())
+}
+
+func TestSizeBytes(t *testing.T) {
+	if got := New(64*10, 2).SizeBytes(); got != 128 {
+		t.Errorf("SizeBytes = %d, want 128 (two 64-byte blocks)", got)
 	}
 }
 
@@ -46,57 +55,147 @@ func TestNewWithEstimatePanics(t *testing.T) {
 	}
 }
 
-// Property: no false negatives, ever.
-func TestNoFalseNegatives(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw)%2000 + 1
-		rng := rand.New(rand.NewSource(seed))
-		bf := NewWithEstimate(uint64(n), 0.05)
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = rng.Uint64()
-			bf.Insert(keys[i])
+// FuzzBloomNoFalseNegatives is the filter's one hard contract: whatever the
+// keys and however the filter was sized (one key, one block, one key over a
+// block boundary, more keys than it was sized for), everything inserted is
+// contained and every re-insert reports present.
+func FuzzBloomNoFalseNegatives(f *testing.F) {
+	key := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
 		}
-		for _, k := range keys {
-			if !bf.Contains(k) {
-				return false
-			}
-		}
-		return true
+		return b
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	f.Add(key(42), uint32(1), uint8(1))
+	f.Add(key(0, ^uint64(0), 1<<63, 1), uint32(53), uint8(1)) // 9.59 bits/key: 53 keys fill one block,
+	f.Add(key(7, 7, 7), uint32(54), uint8(1))                 // 54 spill into a second
+	f.Add(key(1, 2, 3, 4, 5, 6, 7, 8, 9), uint32(2), uint8(0))
+	f.Add([]byte{1, 2, 3}, uint32(100000), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, n uint32, pIdx uint8) {
+		var keys []uint64
+		for ; len(data) >= 8; data = data[8:] {
+			keys = append(keys, binary.LittleEndian.Uint64(data))
+		}
+		checkNoFalseNegatives(t, keys, uint64(n%(1<<20)), []float64{0.0001, 0.01, 0.1, 0.5}[pIdx%4])
+	})
+}
+
+func checkNoFalseNegatives(t *testing.T, keys []uint64, n uint64, p float64) {
+	t.Helper()
+	bf := NewWithEstimate(n, p)
+	for _, k := range keys {
+		bf.InsertAndTest(k)
+	}
+	for _, k := range keys {
+		if !bf.Contains(k) {
+			t.Fatalf("key %#x inserted but not contained (n=%d p=%v)", k, n, p)
+		}
+		if !bf.InsertAndTest(k) {
+			t.Fatalf("re-insert of %#x reported absent (n=%d p=%v)", k, n, p)
+		}
+	}
+}
+
+// The same contract on random key sets at design load, and on whatever
+// slices testing/quick makes up.
+func TestNoFalseNegatives(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 53, 54, 2000} {
+		checkNoFalseNegatives(t, randomKeys(rng, n), uint64(n), 0.05)
+	}
+}
+
+func TestInsertAndTestNeverForgets(t *testing.T) {
+	f := func(keys []uint64) bool {
+		checkNoFalseNegatives(t, keys, uint64(len(keys)), 0.05)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestFalsePositiveRateBounded(t *testing.T) {
-	const n = 100000
-	const target = 0.02
-	bf := NewWithEstimate(n, target)
-	rng := rand.New(rand.NewSource(1))
-	inserted := make(map[uint64]bool, n)
-	for len(inserted) < n {
-		k := rng.Uint64()
-		inserted[k] = true
-		bf.Insert(k)
+// measureFP fills a filter sized for len(keys) at rate p with keys and
+// returns the fraction of probes (none of them inserted) it claims to
+// contain.
+func measureFP(keys, probes []uint64, p float64) (*Filter, float64) {
+	bf := NewWithEstimate(uint64(len(keys)), p)
+	for _, k := range keys {
+		bf.InsertAndTest(k)
 	}
 	fp := 0
-	const trials = 200000
-	for i := 0; i < trials; i++ {
-		k := rng.Uint64()
-		if inserted[k] {
-			continue
-		}
+	for _, k := range probes {
 		if bf.Contains(k) {
 			fp++
 		}
 	}
-	rate := float64(fp) / trials
-	if rate > target*2 {
-		t.Errorf("observed FP rate %.4f exceeds 2x target %.4f", rate, target)
+	return bf, float64(fp) / float64(len(probes))
+}
+
+func randomKeys(rng *rand.Rand, n int) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64()
 	}
-	if est := bf.EstimatedFPRate(); math.Abs(est-rate) > target {
-		t.Errorf("estimated FP rate %.4f far from observed %.4f", est, rate)
+	return keys
+}
+
+// At design load the measured false-positive rate stays within 1.5x of the
+// configured one — the blocked layout's penalty included.
+func TestFalsePositiveRateBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := randomKeys(rng, 100000)
+	probes := randomKeys(rng, 1000000)
+	for _, p := range []float64{0.001, 0.01, 0.1} {
+		if _, rate := measureFP(keys, probes, p); rate > 1.5*p {
+			t.Errorf("p=%v: measured FP %.5f exceeds 1.5x the target", p, rate)
+		} else {
+			t.Logf("p=%v: measured FP %.5f (%.2fx)", p, rate, rate/p)
+		}
+	}
+}
+
+// One rank's filter only ever sees keys whose kmer.Owner is that rank —
+// keys that share the top bits of their hash. The block index has to
+// ignore that: restricted to one owner, the filter must fill its blocks as
+// evenly and keep the same false-positive rate as on unrestricted keys. (A
+// block index taken straight from the hash's top bits passes every other
+// test in the repo and fails this one: it uses 1/P of the blocks.)
+func TestOwnerRestrictedKeysSpreadOverAllBlocks(t *testing.T) {
+	const n, trials, target = 60000, 300000, 0.01
+	rng := rand.New(rand.NewSource(2))
+	_, base := measureFP(randomKeys(rng, n), randomKeys(rng, trials), target)
+	for _, p := range []int{2, 3, 8} {
+		for _, r := range []int{0, p - 1} {
+			owned := func(count int) []uint64 {
+				out := make([]uint64, 0, count)
+				for len(out) < count {
+					if km := kmer.Kmer(rng.Uint64()); km.Owner(p) == r {
+						out = append(out, km.Hash())
+					}
+				}
+				return out
+			}
+			bf, rate := measureFP(owned(n), owned(trials), target)
+			if rate > 1.2*base+0.001 || rate > 1.5*target {
+				t.Errorf("P=%d rank %d: FP %.4f on owner-restricted keys, %.4f unrestricted", p, r, rate, base)
+			}
+			maxSet, total := 0, 0
+			for b := 0; b < len(bf.bits); b += blockWords {
+				set := 0
+				for _, w := range bf.bits[b : b+blockWords] {
+					set += bits.OnesCount64(w)
+				}
+				maxSet, total = max(maxSet, set), total+set
+			}
+			// Half the bits set on average at design load; an even spread
+			// keeps the fullest of ~1100 blocks under 1.5x that.
+			mean := float64(total) / float64(bf.blocks)
+			if mean < 0.4*blockBits || float64(maxSet) > 1.5*mean {
+				t.Errorf("P=%d rank %d: block occupancy max %d, mean %.1f of %d bits", p, r, maxSet, mean, blockBits)
+			}
+		}
 	}
 }
 
@@ -113,49 +212,9 @@ func TestInsertAndTestSemantics(t *testing.T) {
 	}
 }
 
-// Property: InsertAndTest(x) after Insert(x) always reports present.
-func TestInsertAndTestNeverForgets(t *testing.T) {
-	f := func(keys []uint64) bool {
-		if len(keys) == 0 {
-			return true
-		}
-		bf := NewWithEstimate(uint64(len(keys)), 0.05)
-		for _, k := range keys {
-			bf.Insert(k)
-		}
-		for _, k := range keys {
-			if !bf.InsertAndTest(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEstimatedCardinality(t *testing.T) {
-	const n = 50000
-	bf := NewWithEstimate(n, 0.01)
-	rng := rand.New(rand.NewSource(2))
-	seen := make(map[uint64]bool)
-	for len(seen) < n {
-		k := rng.Uint64()
-		if !seen[k] {
-			seen[k] = true
-			bf.Insert(k)
-		}
-	}
-	est := bf.EstimatedCardinality()
-	if est < n*0.95 || est > n*1.05 {
-		t.Errorf("cardinality estimate %.0f, want ~%d", est, n)
-	}
-}
-
 func TestReset(t *testing.T) {
 	bf := New(1024, 3)
-	bf.Insert(7)
+	bf.InsertAndTest(7)
 	if !bf.Contains(7) {
 		t.Fatal("insert failed")
 	}
@@ -163,30 +222,8 @@ func TestReset(t *testing.T) {
 	if bf.Contains(7) {
 		t.Error("Reset did not clear bits")
 	}
-	if bf.Inserted() != 0 {
-		t.Error("Reset did not clear insert count")
-	}
-	if bf.FillRatio() != 0 {
-		t.Error("Reset left set bits")
-	}
-}
-
-func TestTheoreticalFPRate(t *testing.T) {
-	// Design point: m/n = 10 bits per element, h = 7 -> ~0.8% FP.
-	got := TheoreticalFPRate(10000, 7, 1000)
-	if got < 0.005 || got > 0.012 {
-		t.Errorf("TheoreticalFPRate = %v, want ~0.008", got)
-	}
-	// More insertions -> higher FP rate (monotonicity).
-	if TheoreticalFPRate(10000, 7, 2000) <= got {
-		t.Error("FP rate not monotone in n")
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	bf := New(64*10, 2)
-	if bf.SizeBytes() != 80 {
-		t.Errorf("SizeBytes = %d, want 80", bf.SizeBytes())
+	if bf.InsertAndTest(7) {
+		t.Error("first insertion after Reset reported present")
 	}
 }
 
@@ -197,10 +234,7 @@ func TestSingletonDetectionScenario(t *testing.T) {
 	// must contain all true repeats.
 	rng := rand.New(rand.NewSource(4))
 	const distinct = 20000
-	keys := make([]uint64, distinct)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-	}
+	keys := randomKeys(rng, distinct)
 	// First 10% of keys appear 3x, the rest once (long-read-like skew).
 	var stream []uint64
 	repeated := make(map[uint64]bool)
@@ -232,10 +266,19 @@ func TestSingletonDetectionScenario(t *testing.T) {
 	}
 }
 
+// The filter is the size dht.Build gives one rank on the bench workloads
+// (~1.2 MB, cache-resident), refilled to design load over and over.
 func BenchmarkInsertAndTest(b *testing.B) {
-	bf := NewWithEstimate(uint64(b.N)+1, 0.01)
-	b.ResetTimer()
+	const n = 1 << 20
+	bf := NewWithEstimate(n, 0.01)
+	seen := 0
 	for i := 0; i < b.N; i++ {
-		bf.InsertAndTest(uint64(i) * 0x9e3779b97f4a7c15)
+		if i%n == 0 {
+			bf.Reset()
+		}
+		if bf.InsertAndTest(uint64(i) * 0x9e3779b97f4a7c15) {
+			seen++
+		}
 	}
+	b.ReportMetric(float64(seen)/float64(b.N), "fp/op")
 }

@@ -279,7 +279,7 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceBloomPass, c.Now())
-	stats.Bloom = bloomPass(c, pr, reads, cfg, rounds, filter, part)
+	stats.Bloom = bloomPass(c, pr, reads, cfg, rounds, localUnits, filter, part)
 	stats.TableEntries = len(part.Table)
 	// The Bloom stage's peak footprint is the filter plus the nascent
 	// table — both alive this one instant, the filter freed just below.
@@ -292,7 +292,7 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 
 	// Pass 2: occurrence accumulation and pruning.
 	rec.Begin(traceHashPass, c.Now())
-	stats.Hash = hashPass(c, pr, reads, cfg, rounds, part)
+	stats.Hash = hashPass(c, pr, reads, cfg, rounds, localUnits, part)
 	t0 := walltime.Now()
 	prunedS, prunedH := prune(part, cfg.KeepSingletons)
 	stats.Hash.LocalVirtual += pr.tick(float64(stats.TableEntries),
@@ -450,9 +450,26 @@ func runRounds[T any](c *spmd.Comm, st *StageStats, cfg Config, rounds int,
 	}
 }
 
+// roundBufs returns one round's per-destination send buffers, sized once.
+// The round ships n = min(left, MaxKmersPerRound) records and Owner spreads
+// them uniformly, so n/p plus a sixteenth (dozens of standard deviations at
+// any n that matters) does not regrow; append's doubling remains the
+// fallback for a stream skewed by one very frequent k-mer.
+func roundBufs[T any](p int, cfg Config, left int64) [][]T {
+	n := max(0, min(left, int64(cfg.MaxKmersPerRound)))
+	per := min(n, n/int64(p)+n/int64(16*p)+32)
+	send := make([][]T, p)
+	for dst := range send {
+		send[dst] = make([]T, 0, per)
+	}
+	return send
+}
+
 // bloomPass streams k-mer keys to their owners and populates the Bloom
-// filter, seeding the table with keys seen (probably) more than once.
-func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
+// filter, seeding the table with keys seen (probably) more than once. left
+// is how many keys this rank's stream will emit (an upper bound when reads
+// contain non-ACGT bytes).
+func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int, left int64,
 	filter *bloom.Filter, part *Partition) StageStats {
 
 	st := StageStats{Rounds: rounds}
@@ -463,16 +480,18 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int
 	}
 	pack := func() [][]kmer.Kmer {
 		t0 := walltime.Now()
-		send := make([][]kmer.Kmer, p)
+		send := roundBufs[kmer.Kmer](p, cfg, left)
 		parsed := int64(0)
 		for parsed < int64(cfg.MaxKmersPerRound) {
 			ex, ok := str.next()
 			if !ok {
 				break
 			}
-			send[ex.Kmer.Owner(p)] = append(send[ex.Kmer.Owner(p)], ex.Kmer)
+			dst := ex.Kmer.Owner(p)
+			send[dst] = append(send[dst], ex.Kmer)
 			parsed++
 		}
+		left -= parsed
 		st.KmersParsed += parsed
 		// Parse time covers every k-mer scanned, not just those shipped:
 		// a minimizer stream reads the full bag to select its windows'
@@ -519,8 +538,8 @@ type occMsg struct {
 }
 
 // hashPass streams occurrences to owners, accumulating counts and
-// locations for resident keys.
-func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
+// locations for resident keys. left is as in bloomPass.
+func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int, left int64,
 	part *Partition) StageStats {
 
 	st := StageStats{Rounds: rounds}
@@ -529,17 +548,18 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 	ws := func() float64 { return float64(len(part.Table)) * 64 }
 	pack := func() [][]occMsg {
 		t0 := walltime.Now()
-		send := make([][]occMsg, p)
+		send := roundBufs[occMsg](p, cfg, left)
 		parsed := int64(0)
 		for parsed < int64(cfg.MaxKmersPerRound) {
 			ex, ok := str.next()
 			if !ok {
 				break
 			}
-			msg := occMsg{Km: ex.Kmer, O: MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)}
-			send[ex.Kmer.Owner(p)] = append(send[ex.Kmer.Owner(p)], msg)
+			dst := ex.Kmer.Owner(p)
+			send[dst] = append(send[dst], occMsg{Km: ex.Kmer, O: MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)})
 			parsed++
 		}
+		left -= parsed
 		st.KmersParsed += parsed
 		// Full scan priced, as in bloomPass: minimizer selection is not
 		// free even though only the minima travel.

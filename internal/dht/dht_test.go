@@ -3,6 +3,8 @@ package dht
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -64,11 +66,7 @@ func naiveRetained(seqs [][]byte, k, maxFreq int) map[kmer.Kmer][]Occ {
 // and merges the partitions for verification.
 func buildDistributed(t *testing.T, seqs [][]byte, p, k, maxFreq int, cfg Config) (map[kmer.Kmer][]Occ, []BuildStats) {
 	t.Helper()
-	recs := make([]*fastq.Record, len(seqs))
-	for i, s := range seqs {
-		recs[i] = &fastq.Record{Name: fmt.Sprintf("r%d", i), Seq: s}
-	}
-	store := fastq.NewReadStore(recs, p)
+	store := fastq.NewReadStore(recordsOf(seqs), p)
 	cfg.K = k
 	cfg.MaxFreq = maxFreq
 
@@ -76,12 +74,7 @@ func buildDistributed(t *testing.T, seqs [][]byte, p, k, maxFreq int, cfg Config
 	merged := make(map[kmer.Kmer][]Occ)
 	allStats := make([]BuildStats, p)
 	err := spmd.Run(p, func(c *spmd.Comm) error {
-		start, end := store.LocalIDs(c.Rank())
-		local := LocalReads{IDStart: start}
-		for id := start; id < end; id++ {
-			local.Seqs = append(local.Seqs, store.Seq(id))
-		}
-		part, stats, err := Build(c, nil, local, cfg)
+		part, stats, err := Build(c, nil, localReadsOf(store, c.Rank()), cfg)
 		if err != nil {
 			return err
 		}
@@ -100,6 +93,24 @@ func buildDistributed(t *testing.T, seqs [][]byte, p, k, maxFreq int, cfg Config
 		t.Fatal(err)
 	}
 	return merged, allStats
+}
+
+// localReadsOf is rank's block of the store, as Build takes it.
+func localReadsOf(store *fastq.ReadStore, rank int) LocalReads {
+	start, end := store.LocalIDs(rank)
+	local := LocalReads{IDStart: start}
+	for id := start; id < end; id++ {
+		local.Seqs = append(local.Seqs, store.Seq(id))
+	}
+	return local
+}
+
+func recordsOf(seqs [][]byte) []*fastq.Record {
+	recs := make([]*fastq.Record, len(seqs))
+	for i, s := range seqs {
+		recs[i] = &fastq.Record{Name: fmt.Sprintf("r%d", i), Seq: s}
+	}
+	return recs
 }
 
 func randReads(rng *rand.Rand, n, minLen, maxLen int) [][]byte {
@@ -324,12 +335,7 @@ func TestBuildWithModelProducesVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = spmd.RunWithModel(4, mdl, func(c *spmd.Comm) error {
-		start, end := store.LocalIDs(c.Rank())
-		local := LocalReads{IDStart: start}
-		for id := start; id < end; id++ {
-			local.Seqs = append(local.Seqs, store.Seq(id))
-		}
-		_, stats, err := Build(c, mdl, local, Config{K: 17, MaxFreq: 10, ErrorRate: 0.1})
+		_, stats, err := Build(c, mdl, localReadsOf(store, c.Rank()), Config{K: 17, MaxFreq: 10, ErrorRate: 0.1})
 		if err != nil {
 			return err
 		}
@@ -477,5 +483,92 @@ func TestStageStatsTotals(t *testing.T) {
 	s := StageStats{Breakdown: stats.Breakdown{PackVirtual: 1, LocalVirtual: 2, ExchangeVirtual: 3}}
 	if s.TotalVirtual() != 6 {
 		t.Errorf("TotalVirtual = %v", s.TotalVirtual())
+	}
+}
+
+// sparseReads tiles a random genome with reads that overlap their
+// neighbours by a tenth: most k-mers are singletons, as in a low-depth
+// long-read sample, so the build's cost is its two exchanges.
+func sparseReads(seed int64, genome int) [][]byte {
+	template := randReads(rand.New(rand.NewSource(seed)), 1, genome, genome)[0]
+	var seqs [][]byte
+	for i := 0; i+2000 <= len(template); i += 1800 {
+		seqs = append(seqs, template[i:i+2000])
+	}
+	return seqs
+}
+
+// buildAllocBytes runs a 2-rank Build and returns the bytes the whole
+// process allocated during it, next to what the build had to move and
+// keep: both passes' packed bytes plus the final partitions.
+func buildAllocBytes(t *testing.T, seqs [][]byte, cfg Config) (allocated, needed int64) {
+	t.Helper()
+	store := fastq.NewReadStore(recordsOf(seqs), 2)
+	locals := []LocalReads{localReadsOf(store, 0), localReadsOf(store, 1)}
+	perRank := make([]int64, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := spmd.Run(2, func(c *spmd.Comm) error {
+		part, st, err := Build(c, nil, locals[c.Rank()], cfg)
+		if err == nil {
+			perRank[c.Rank()] = st.Bloom.BytesPacked + st.Hash.BytesPacked + part.MemBytes()
+		}
+		return err
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(after.TotalAlloc - before.TotalAlloc), perRank[0] + perRank[1]
+}
+
+// TestBuildAllocationBudget is the noise-free form of the build's memory
+// claim: send buffers are sized once per round, so a build allocates little
+// more than it ships and keeps — and what it allocates follows the data,
+// not how many rounds the data was cut into.
+func TestBuildAllocationBudget(t *testing.T) {
+	seqs := sparseReads(11, 400000)
+	cfg := Config{K: 17, MaxFreq: 8, Async: true}
+	allocated, needed := buildAllocBytes(t, seqs, cfg)
+	t.Logf("one round: allocated %d bytes, shipped+kept %d (%.2fx)", allocated, needed, float64(allocated)/float64(needed))
+	if float64(allocated) > 1.5*float64(needed) {
+		t.Errorf("build allocated %d bytes, budget 1.5 x %d", allocated, needed)
+	}
+	for _, rounds := range []int{4, 32} {
+		cfg.MaxKmersPerRound = len(seqs) / 2 * 2000 / rounds
+		sliced, _ := buildAllocBytes(t, seqs, cfg)
+		t.Logf("~%d rounds: allocated %d bytes (%.2fx one round)", rounds, sliced, float64(sliced)/float64(allocated))
+		if float64(sliced) > 1.15*float64(allocated) {
+			t.Errorf("~%d rounds allocated %d bytes, one round %d: allocation grows with the round count", rounds, sliced, allocated)
+		}
+	}
+}
+
+// TestBuildIndependentOfBloomFP is the written-down reason a change to the
+// Bloom filter (its layout, its hash, its sizing) cannot reach the PAF: a
+// false positive only ever admits a key whose count stays below 2, and the
+// prune removes it. Filters from near-exact to one-in-three-wrong must
+// leave identical partitions and differ only in how much the prune removed.
+func TestBuildIndependentOfBloomFP(t *testing.T) {
+	seqs := sparseReads(12, 60000)
+	for _, p := range []int{1, 2, 4} {
+		var want map[kmer.Kmer][]Occ
+		pruned := map[int]bool{}
+		for _, fp := range []float64{0.001, 0.01, 0.3} {
+			got, stats := buildDistributed(t, seqs, p, 17, 8, Config{BloomFP: fp})
+			n := 0
+			for _, st := range stats {
+				n += st.PrunedSingleton
+			}
+			pruned[n] = true
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("p=%d: BloomFP %v changed the retained partition", p, fp)
+			}
+		}
+		if len(want) == 0 || len(pruned) != 3 {
+			t.Errorf("p=%d: %d retained k-mers; pruned-singleton counts %v should differ per FP rate", p, len(want), pruned)
+		}
 	}
 }

@@ -24,6 +24,19 @@
 // rank per round, so the full k-mer bag never resides in memory — the
 // paper's streaming design.
 //
+// A round's send buffers are sized once (roundBufs): the round's record
+// count is known and Owner is uniform, so each destination gets n/P plus a
+// sixteenth and append never regrows it — a build allocates ~1.06x the
+// bytes it ships, not the ~3x that doubling from nil cost
+// (TestBuildAllocationBudget). Every round gets fresh buffers, because a
+// posted buffer must stay untouched until every rank has finished reading
+// it, and on the in-process transport receivers read the sender's memory
+// while they process the round, after their Wait. The earliest safe reuse
+// of round r's set is after this rank's Wait(r+BuildDepth) — a peer posts
+// that round only once it has processed round r — i.e. a ring of
+// 2·BuildDepth sets. None ships: the bench workloads run two rounds per
+// pass, where a ring recycles nothing.
+//
 // With Config.MinimizerWindow > 1 both passes extract and exchange only
 // (w,k)-minimizer occurrences (kmer.Minimizers) instead of every k-mer,
 // shrinking the index and the exchanged bytes to ~2/(w+1) of the exact

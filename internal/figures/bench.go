@@ -2,7 +2,7 @@ package figures
 
 // The perf-trajectory benchmark: a small fixed workload run under the
 // exchange schedules, distilled into a machine-readable snapshot that CI
-// uploads (BENCH_PR2.json onward). Successive PRs append comparable
+// uploads (BENCH_PR<N>.json). Successive PRs commit comparable
 // files, so the repo accumulates a history of how the hot paths move;
 // cmd/benchcheck compares a fresh run against the latest committed
 // snapshot and fails CI on a modeled regression.

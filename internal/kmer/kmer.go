@@ -169,8 +169,10 @@ type Extracted struct {
 }
 
 // Scanner iterates over the canonical k-mers of a read using rolling
-// extraction: each step shifts in one base; runs are restarted after any
-// non-ACGT byte, so no emitted k-mer spans an ambiguous base.
+// extraction: each step shifts one base into the forward k-mer and its
+// complement into the reverse-complement k-mer from the other end; runs
+// are restarted after any non-ACGT byte, so no emitted k-mer spans an
+// ambiguous base.
 type Scanner struct {
 	seq    []byte
 	k      int
@@ -178,6 +180,7 @@ type Scanner struct {
 	pos    int  // index of the *next* byte to consume
 	run    int  // number of consecutive valid bases ending just before pos
 	cur    Kmer // rolling forward k-mer over the current run
+	rc     Kmer // its reverse complement, once run >= k
 }
 
 // NewScanner returns a Scanner over seq for the given k and read identifier.
@@ -197,9 +200,15 @@ func (s *Scanner) Next() (ex Extracted, ok bool) {
 			continue
 		}
 		s.cur = s.cur.AppendBase(code, s.k)
+		// Bases older than k positions shift out of rc's low end, so stale
+		// bits from before a run restart are gone by the time run reaches k.
+		s.rc = s.rc>>2 | Kmer(3-code)<<(2*uint(s.k-1))
 		s.run++
 		if s.run >= s.k {
-			canon, fwd := s.cur.Canonical(s.k)
+			canon, fwd := s.cur, true
+			if s.rc < s.cur {
+				canon, fwd = s.rc, false
+			}
 			return Extracted{
 				Kmer: canon,
 				Occ: Occurrence{

@@ -3,6 +3,7 @@ package kmer
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +278,30 @@ func TestScannerMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	// The rolling reverse complement is never reset: an N at every offset
+	// (and two in a row) checks that whatever it held before a run restart
+	// has shifted out by the time the run is k long again.
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{1, 17, 31, 32} {
+		clean := randomSeq(rng, 2*k+9)
+		for off := 0; off < len(clean); off++ {
+			s := append([]byte(nil), clean...)
+			s[off] = 'N'
+			if off%2 == 1 && off+1 < len(s) {
+				s[off+1] = 'N'
+			}
+			var want []Extracted
+			for i := 0; i+k <= len(s); i++ {
+				if w, ok := Pack(s[i:i+k], k); ok {
+					canon, fwd := w.Canonical(k)
+					want = append(want, Extracted{canon, Occurrence{ReadID: 1, Pos: uint32(i), Forward: fwd}})
+				}
+			}
+			if got := ExtractAll(s, k, 1); !slices.Equal(got, want) {
+				t.Fatalf("k=%d N at %d: scanner emitted %v, naive %v", k, off, got, want)
+			}
+		}
 	}
 }
 

@@ -314,7 +314,14 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 // IAlltoallv posts an irregular all-to-all without blocking; the returned
 // handle's Wait yields the received buffers. Element and aliasing rules
 // match Alltoallv; additionally the send slices are handed off at post
-// time and must not be mutated until every rank has waited the exchange.
+// time and must not be mutated until every rank has finished *reading*
+// what it received. On the in-process backend that is later than "every
+// rank has waited": the received slices alias this memory and a peer goes
+// on reading them after its Wait returns, for as long as it holds them. A
+// caller that wants to reuse a send buffer needs its own evidence that
+// every peer is done with it (internal/dht's doc states the rule for its
+// rounds); allocating per post, as every caller in the tree does, needs
+// none.
 func IAlltoallv[T any](c *Comm, send [][]T) *Handle[T] {
 	return post(c, send, &pricePosted, nil)
 }
