@@ -100,29 +100,6 @@ func BenchmarkBaselineHost(b *testing.B) {
 
 // --- Ablation benchmarks for DESIGN.md's called-out choices ---
 
-// BenchmarkAblationBloomSizingEq2 vs ...HLL: the §6 discussion — the
-// closed-form Eq. 2 Bloom sizing vs the HyperLogLog fallback (extra pass).
-func BenchmarkAblationBloomSizingEq2(b *testing.B) {
-	benchAblationSizing(b, false)
-}
-
-func BenchmarkAblationBloomSizingHLL(b *testing.B) {
-	benchAblationSizing(b, true)
-}
-
-func benchAblationSizing(b *testing.B, useHLL bool) {
-	b.Helper()
-	reads := getBenchReads(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(8, reads, Config{
-			K: 17, MaxFreq: 10, SeedMode: OneSeed, UseHLL: useHLL,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationRounds* explores the memory/communication trade of the
 // streaming round size (§4's two-pass memory-limited design).
 func BenchmarkAblationRoundsLarge(b *testing.B) { benchAblationRounds(b, 1<<20) }

@@ -68,8 +68,7 @@ func DefaultConfig() *Config {
 			"Alltoallv", "Alltoall", "AlltoallvPacked",
 			"IAlltoallv", "IAlltoallvStreamed",
 			"Allgather", "AllreduceI64", "AllreduceF64",
-			"Bcast", "ExclusiveScanI64", "GatherTo",
-			"MaxReduceRegisters", "AgreeCommit",
+			"Bcast", "ExclusiveScanI64", "GatherTo", "AgreeCommit",
 		),
 		CollectiveMethods: set("Barrier", "Wait"),
 		DetmapPackages: []string{

@@ -53,7 +53,7 @@ type runParams struct {
 	In, SeedMode, Seed, Platform, Trace          string
 	K, MaxFreq, Window, MinDist, XDrop, MinScore int
 	ErrorRate, Coverage, Genome                  float64
-	HLL, AsyncExchange, AllSeeds                 bool
+	AsyncExchange                                bool
 	Nodes, ReplyChunk, ReplyDepth, BuildDepth    int
 
 	ServeAddr, ServeTenants, RouteScorers, MetricsAddr string
@@ -107,13 +107,11 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 	real(&p.ErrorRate, outputAffecting, "error-rate", 0.15, "per-base error rate (for parameter derivation)")
 	real(&p.Coverage, outputAffecting, "coverage", 30, "sequencing depth (for parameter derivation)")
 	real(&p.Genome, outputAffecting, "genome", 4.64e6, "estimated genome size (for k derivation)")
-	flg(&p.HLL, shared, "hll", false, "size the Bloom filter via HyperLogLog")
 	str(&p.Platform, shared, "platform", "", "model a platform: cori | edison | titan | aws")
 	num(&p.Nodes, shared, "nodes", 1, 1, unbounded, "modeled node count (with -platform)")
 	flg(&p.Breakdown, perProcess, "breakdown", false, "print the per-stage time breakdown")
 
 	flg(&p.AsyncExchange, shared, "async-exchange", true, "overlap exchanges with computation via non-blocking collectives (same output; disable for the paper's bulk-synchronous schedule)")
-	flg(&p.AllSeeds, outputAffecting, "keep-all-seed-alignments", false, "emit one PAF row per explored seed instead of the best per (pair, strand)")
 	num(&p.ReplyChunk, shared, "reply-chunk", spmd.DefaultChunkBytes, 1, unbounded, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (same output; requires -async-exchange)")
 	num(&p.ReplyDepth, shared, "reply-depth", spmd.DefaultStreamDepth, 1, depths, fmt.Sprintf("streamed reply chunk exchanges kept in flight, 1..%d (with -reply-chunk)", depths))
 	num(&p.BuildDepth, shared, "build-depth", 0, 0, depths, fmt.Sprintf("DHT-build exchange rounds kept in flight per pass, 1..%d (0: default 2; schedule-only, the built table is identical at every depth)", depths))
@@ -207,9 +205,8 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 		K: p.K, MaxFreq: p.MaxFreq,
 		MinDist: p.MinDist, XDrop: p.XDrop, MinAlignScore: p.MinScore,
 		ErrorRate: p.ErrorRate, Coverage: p.Coverage, GenomeEst: p.Genome,
-		UseHLL: p.HLL, KeepAlignments: true,
-		KeepAllSeedAlignments: p.AllSeeds,
-		BuildDepth:            p.BuildDepth,
+		KeepAlignments: true,
+		BuildDepth:     p.BuildDepth,
 		// The resident index must keep singletons (and high-frequency
 		// tombstones): a query occurrence can lift an indexed singleton to
 		// a reportable pair.

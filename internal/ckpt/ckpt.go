@@ -135,7 +135,7 @@ func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (int64
 	// The commit point is the manifest rename; every rank must share its
 	// outcome or a crashed rank 0 would leave survivors believing in a
 	// snapshot that was never published.
-	if s := spmd.Bcast(c, status, 0); s != "" {
+	if s := spmd.Bcast(c, []byte(status), 0); len(s) != 0 {
 		return nbytes, fmt.Errorf("ckpt: publishing %s snapshot manifest: %s", stage, s)
 	}
 	return nbytes, nil

@@ -3,12 +3,14 @@ package ckpt
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dibella/internal/spmd"
+	"dibella/internal/wire"
 )
 
 func TestSegmentCodecRoundtrip(t *testing.T) {
@@ -18,10 +20,7 @@ func TestSegmentCodecRoundtrip(t *testing.T) {
 		{Name: "dht", Data: bytes.Repeat([]byte{0xAB}, 1000)},
 		{Name: "empty", Data: nil},
 	}
-	img, err := encodeSegment(hdr, sections)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := encodeSegment(hdr, sections)
 	gotHdr, gotSecs, err := decodeSegment(img)
 	if err != nil {
 		t.Fatal(err)
@@ -46,18 +45,15 @@ func TestSegmentCodecRoundtrip(t *testing.T) {
 }
 
 func TestSegmentCodecRejectsCorruption(t *testing.T) {
-	img, err := encodeSegment(SegmentHeader{Stage: StageLoad, Epoch: 1, World: 1, Rank: 0},
+	img := encodeSegment(SegmentHeader{Stage: StageLoad, Epoch: 1, World: 1, Rank: 0},
 		[]Section{{Name: "reads", Data: []byte("0123456789")}})
-	if err != nil {
-		t.Fatal(err)
+	for cut := 0; cut < len(img); cut++ {
+		if _, _, err := decodeSegment(img[:cut]); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("truncation to %d bytes: err = %v, want truncated", cut, err)
+		}
 	}
-	for _, cut := range []int{0, 4, 8, 20, len(img) - 1} {
-		if cut >= len(img) {
-			continue
-		}
-		if _, _, err := decodeSegment(img[:cut]); err == nil {
-			t.Errorf("truncation to %d bytes accepted", cut)
-		}
+	if _, _, err := decodeSegment(append(append([]byte(nil), img...), 0)); err == nil {
+		t.Error("trailing byte accepted")
 	}
 	bad := append([]byte(nil), img...)
 	bad[0] ^= 0xFF

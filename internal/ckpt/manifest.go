@@ -42,8 +42,11 @@ func StageOrder(stage string) int {
 // directory.
 const manifestName = "manifest.json"
 
-// manifestVersion is bumped on incompatible manifest schema changes.
-const manifestVersion = 1
+// manifestVersion is bumped on incompatible manifest schema changes, and
+// with segVersion: version 2 manifests point at version 2 segments, so a
+// directory an older binary wrote is refused here, by version, before its
+// config hash or a segment is looked at.
+const manifestVersion = 2
 
 // SegmentInfo is the manifest's record of one rank's committed segment.
 type SegmentInfo struct {

@@ -31,11 +31,12 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
+
+	"dibella/internal/wire"
 )
 
 const (
@@ -43,10 +44,8 @@ const (
 	segMagic = 0xD1BECC09
 	// segVersion is the segment format version; bumped on incompatible
 	// layout changes so an old binary rejects a new segment cleanly.
-	segVersion = 1
-	// maxSectionBytes bounds a single decoded section; a corrupt length
-	// field fails fast instead of attempting a huge allocation.
-	maxSectionBytes = 1 << 34
+	// Version 2 put every name behind the wire package's uint32 length.
+	segVersion = 2
 )
 
 // crcTable is the ECMA polynomial table used for segment digests.
@@ -72,83 +71,44 @@ type Section struct {
 	Data []byte
 }
 
-// encodeSegment renders the full segment file image.
-func encodeSegment(hdr SegmentHeader, sections []Section) ([]byte, error) {
-	if len(hdr.Stage) > 0xFF {
-		return nil, fmt.Errorf("ckpt: stage name %q too long", hdr.Stage)
-	}
-	n := 4 + 4 + 1 + len(hdr.Stage) + 8 + 4 + 4 + 4
+// encodeSegment renders the full segment file image: magic and version,
+// the header fields, then each section's name and — behind a uint64
+// length, sections outgrow 4 GiB — its data.
+func encodeSegment(hdr SegmentHeader, sections []Section) []byte {
+	n := 8 + 4 + len(hdr.Stage) + 8 + 4 + 4 + 4
 	for _, s := range sections {
-		n += 1 + len(s.Name) + 8 + len(s.Data)
+		n += 4 + len(s.Name) + 8 + len(s.Data)
 	}
-	buf := make([]byte, 0, n)
-	buf = binary.BigEndian.AppendUint32(buf, segMagic)
-	buf = binary.BigEndian.AppendUint32(buf, segVersion)
-	buf = append(buf, byte(len(hdr.Stage)))
-	buf = append(buf, hdr.Stage...)
-	buf = binary.BigEndian.AppendUint64(buf, hdr.Epoch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(hdr.World))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(hdr.Rank))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(sections)))
+	buf := wire.U32(make([]byte, 0, n), segMagic)
+	buf = wire.U32(buf, segVersion)
+	buf = wire.Bytes(buf, hdr.Stage)
+	buf = wire.U64(buf, hdr.Epoch)
+	buf = wire.U32(wire.U32(buf, uint32(hdr.World)), uint32(hdr.Rank))
+	buf = wire.U32(buf, uint32(len(sections)))
 	for _, s := range sections {
-		if len(s.Name) > 0xFF {
-			return nil, fmt.Errorf("ckpt: section name %q too long", s.Name)
-		}
-		buf = append(buf, byte(len(s.Name)))
-		buf = append(buf, s.Name...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(len(s.Data)))
+		buf = wire.U64(wire.Bytes(buf, s.Name), uint64(len(s.Data)))
 		buf = append(buf, s.Data...)
 	}
-	return buf, nil
+	return buf
 }
 
-// decodeSegment parses a segment file image.
+// decodeSegment parses a segment file image. Section data aliases b.
 func decodeSegment(b []byte) (SegmentHeader, []Section, error) {
-	var hdr SegmentHeader
-	if len(b) < 9 {
-		return hdr, nil, fmt.Errorf("ckpt: segment header truncated (%d bytes)", len(b))
+	r := wire.NewReader(b)
+	if m := r.U32(); m != segMagic {
+		r.Fail(fmt.Errorf("bad magic %#08x (not a checkpoint segment)", m))
 	}
-	if m := binary.BigEndian.Uint32(b); m != segMagic {
-		return hdr, nil, fmt.Errorf("ckpt: bad segment magic %#08x (not a checkpoint segment)", m)
+	if v := r.U32(); v != segVersion {
+		r.Fail(fmt.Errorf("format version %d, this binary reads %d", v, segVersion))
 	}
-	if v := binary.BigEndian.Uint32(b[4:]); v != segVersion {
-		return hdr, nil, fmt.Errorf("ckpt: segment format version %d, this binary reads %d", v, segVersion)
+	hdr := SegmentHeader{Stage: r.String(), Epoch: r.U64(), World: int(r.U32()), Rank: int(r.U32())}
+	// A section is at least its two length fields.
+	sections := make([]Section, r.Count(uint64(r.U32()), 12))
+	for i := range sections {
+		sections[i] = Section{Name: r.String(), Data: r.Take(r.U64())}
 	}
-	stageLen := int(b[8])
-	b = b[9:]
-	if len(b) < stageLen+20 {
-		return hdr, nil, fmt.Errorf("ckpt: segment header truncated")
-	}
-	hdr.Stage = string(b[:stageLen])
-	b = b[stageLen:]
-	hdr.Epoch = binary.BigEndian.Uint64(b)
-	hdr.World = int(binary.BigEndian.Uint32(b[8:]))
-	hdr.Rank = int(binary.BigEndian.Uint32(b[12:]))
-	nSections := int(binary.BigEndian.Uint32(b[16:]))
-	b = b[20:]
-	sections := make([]Section, 0, nSections)
-	for i := 0; i < nSections; i++ {
-		if len(b) < 1 {
-			return hdr, nil, fmt.Errorf("ckpt: segment truncated at section %d", i)
-		}
-		nameLen := int(b[0])
-		b = b[1:]
-		if len(b) < nameLen+8 {
-			return hdr, nil, fmt.Errorf("ckpt: segment truncated at section %d name", i)
-		}
-		name := string(b[:nameLen])
-		b = b[nameLen:]
-		dataLen := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		if dataLen > maxSectionBytes || uint64(len(b)) < dataLen {
-			return hdr, nil, fmt.Errorf("ckpt: segment truncated in section %q (%d of %d bytes)",
-				name, len(b), dataLen)
-		}
-		sections = append(sections, Section{Name: name, Data: b[:dataLen]})
-		b = b[dataLen:]
-	}
-	if len(b) != 0 {
-		return hdr, nil, fmt.Errorf("ckpt: segment has %d trailing bytes", len(b))
+	if err := r.Finish(); err != nil {
+		return SegmentHeader{}, nil, fmt.Errorf("ckpt: segment: %w", err)
 	}
 	return hdr, sections, nil
 }
@@ -169,10 +129,7 @@ func SegmentFile(stage string, rank int, epoch uint64) string {
 // temporary file in the same directory, fsync, rename into place.
 // Returns the file's byte count and CRC-64 digest for the manifest.
 func writeSegmentFile(path string, hdr SegmentHeader, sections []Section) (int64, uint64, error) {
-	img, err := encodeSegment(hdr, sections)
-	if err != nil {
-		return 0, 0, err
-	}
+	img := encodeSegment(hdr, sections)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, 0, err
 	}

@@ -1,12 +1,12 @@
 package dht
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"dibella/internal/kmer"
 	"dibella/internal/spmd"
+	"dibella/internal/wire"
 )
 
 // Partition-segment codec and ownership re-shard: the checkpoint
@@ -21,6 +21,13 @@ import (
 // the same data would hold (entry occurrence multisets included — an
 // entry's occurrences travel with it, never split).
 
+// Encoded sizes: an entry is its k-mer, count and occurrence count, an
+// occurrence its read and position word.
+const (
+	entryHeaderSize = 16
+	occSize         = 8
+)
+
 // Encode serializes the partition's entries in ascending k-mer order, so
 // the encoding (and therefore a segment digest) is deterministic despite
 // Go's randomized map iteration.
@@ -29,13 +36,12 @@ func (p *Partition) Encode() []byte {
 	n := 16
 	for km, e := range p.Table {
 		kms = append(kms, km)
-		n += 16 + 8*len(e.Occs)
+		n += entryHeaderSize + occSize*len(e.Occs)
 	}
 	sort.Slice(kms, func(i, j int) bool { return kms[i] < kms[j] })
-	buf := make([]byte, 0, n)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.K))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.MaxFreq))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(kms)))
+	buf := wire.U32(make([]byte, 0, n), uint32(p.K))
+	buf = wire.U32(buf, uint32(p.MaxFreq))
+	buf = wire.U64(buf, uint64(len(kms)))
 	for _, km := range kms {
 		buf = appendEntry(buf, km, p.Table[km])
 	}
@@ -44,75 +50,46 @@ func (p *Partition) Encode() []byte {
 
 // appendEntry serializes one (k-mer, entry) pair.
 func appendEntry(buf []byte, km kmer.Kmer, e *Entry) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(km))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(e.Count))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Occs)))
+	buf = wire.U64(buf, uint64(km))
+	buf = wire.U32(wire.U32(buf, uint32(e.Count)), uint32(len(e.Occs)))
 	for _, o := range e.Occs {
-		buf = binary.BigEndian.AppendUint32(buf, o.Read)
-		buf = binary.BigEndian.AppendUint32(buf, o.PosFlag)
+		buf = wire.U32(wire.U32(buf, o.Read), o.PosFlag)
 	}
 	return buf
 }
 
-// decodeEntry parses one appendEntry blob prefix, returning the remainder.
-func decodeEntry(b []byte) (km kmer.Kmer, e *Entry, rest []byte, err error) {
-	if len(b) < 16 {
-		return 0, nil, nil, fmt.Errorf("dht: entry header truncated (%d bytes)", len(b))
-	}
-	km = kmer.Kmer(binary.BigEndian.Uint64(b))
-	e = &Entry{Count: int32(binary.BigEndian.Uint32(b[8:]))}
-	nOccs := int(binary.BigEndian.Uint32(b[12:]))
-	b = b[16:]
-	if len(b) < 8*nOccs {
-		return 0, nil, nil, fmt.Errorf("dht: entry for k-mer %#x truncated (%d of %d occurrence bytes)",
-			uint64(km), len(b), 8*nOccs)
-	}
-	e.Occs = make([]Occ, nOccs)
+// readEntry parses one appendEntry record.
+func readEntry(r *wire.Reader) (kmer.Kmer, *Entry) {
+	km := kmer.Kmer(r.U64())
+	e := &Entry{Count: int32(r.U32())}
+	e.Occs = make([]Occ, r.Count(uint64(r.U32()), occSize))
 	for i := range e.Occs {
-		e.Occs[i] = Occ{
-			Read:    binary.BigEndian.Uint32(b[8*i:]),
-			PosFlag: binary.BigEndian.Uint32(b[8*i+4:]),
-		}
+		e.Occs[i] = Occ{Read: r.U32(), PosFlag: r.U32()}
 	}
-	return km, e, b[8*nOccs:], nil
+	return km, e
 }
 
 // DecodePartition parses an Encode blob back into a Partition.
 func DecodePartition(b []byte) (*Partition, error) {
-	if len(b) < 16 {
-		return nil, fmt.Errorf("dht: partition segment header truncated (%d bytes)", len(b))
-	}
-	p := &Partition{
-		K:       int(binary.BigEndian.Uint32(b)),
-		MaxFreq: int(binary.BigEndian.Uint32(b[4:])),
-	}
-	count := binary.BigEndian.Uint64(b[8:])
-	b = b[16:]
+	r := wire.NewReader(b)
+	p := &Partition{K: int(r.U32()), MaxFreq: int(r.U32())}
 	if !kmer.ValidK(p.K) {
-		return nil, fmt.Errorf("dht: partition segment has invalid k %d", p.K)
+		r.Fail(fmt.Errorf("invalid k %d", p.K))
 	}
-	// An entry is at least its 16-byte header; a larger count than the
-	// bytes can hold is a truncation, caught before it sizes an allocation.
-	if count > uint64(len(b))/16 {
-		return nil, fmt.Errorf("dht: partition segment truncated (%d entries declared, %d bytes follow)", count, len(b))
-	}
+	count := r.Count(r.U64(), entryHeaderSize)
 	p.Table = make(map[kmer.Kmer]*Entry, count)
 	var prev kmer.Kmer
-	for i := uint64(0); i < count; i++ {
-		km, e, rest, err := decodeEntry(b)
-		if err != nil {
-			return nil, fmt.Errorf("dht: partition segment entry %d: %w", i, err)
-		}
+	for i := 0; i < count; i++ {
+		km, e := readEntry(r)
 		// Encode writes entries in strictly ascending k-mer order; anything
 		// else (a repeat included) is not a blob Encode produced.
 		if i > 0 && km <= prev {
-			return nil, fmt.Errorf("dht: partition segment entry %d: k-mer %#x repeats or is out of order", i, uint64(km))
+			r.Fail(fmt.Errorf("entry %d: k-mer %#x repeats or is out of order", i, uint64(km)))
 		}
 		p.Table[km], prev = e, km
-		b = rest
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("dht: partition segment has %d trailing bytes", len(b))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("dht: partition segment: %w", err)
 	}
 	return p, nil
 }
@@ -142,12 +119,10 @@ func Reshard(c *spmd.Comm, part *Partition) (*Partition, error) {
 	out := &Partition{K: part.K, MaxFreq: part.MaxFreq, Table: make(map[kmer.Kmer]*Entry)}
 	for src := 0; src < p; src++ {
 		for _, item := range recv[src].Items() {
-			km, e, rest, err := decodeEntry(item)
-			if err != nil {
+			r := wire.NewReader(item)
+			km, e := readEntry(r)
+			if err := r.Finish(); err != nil {
 				return nil, fmt.Errorf("dht: reshard from rank %d: %w", src, err)
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("dht: reshard from rank %d: %d trailing bytes", src, len(rest))
 			}
 			if km.Owner(p) != c.Rank() {
 				return nil, fmt.Errorf("dht: reshard delivered k-mer %#x to rank %d, owner is %d",

@@ -6,7 +6,6 @@ import (
 
 	"dibella/internal/bella"
 	"dibella/internal/bloom"
-	"dibella/internal/hll"
 	"dibella/internal/kmer"
 	"dibella/internal/machine"
 	"dibella/internal/spmd"
@@ -116,12 +115,6 @@ type Config struct {
 	DistinctRatio float64
 	ErrorRate     float64 // used to derive DistinctRatio when set
 
-	// UseHLL sizes the Bloom filter from a HyperLogLog cardinality
-	// estimate (an extra scan plus a register all-reduce) instead of the
-	// Equation-2 closed form — the HipMer fallback discussed in §6.
-	UseHLL       bool
-	HLLPrecision uint8 // default 12
-
 	// MinimizerWindow > 1 ships only (w,k)-minimizers instead of every
 	// k-mer (the Minimap2-style compaction of §11's related work),
 	// cutting exchange volume by ~(w+1)/2 at a small recall cost.
@@ -173,9 +166,6 @@ func (cfg *Config) setDefaults() error {
 		} else {
 			cfg.DistinctRatio = 0.75
 		}
-	}
-	if cfg.HLLPrecision == 0 {
-		cfg.HLLPrecision = 12
 	}
 	if cfg.MinimizerWindow < 0 {
 		return fmt.Errorf("dht: minimizer window %d must be non-negative", cfg.MinimizerWindow)
@@ -260,16 +250,12 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	globalBag := spmd.AllreduceI64(c, localKmers, spmd.OpSum)
 
 	// Size the Bloom filter. A minimizer run inserts only ~2/(w+1) of the
-	// bag, so the Eq. 2 estimate scales by the minimizer density (the HLL
-	// pass sketches the shipped stream directly). Sizing never affects
-	// output — a Bloom false positive creates a table entry whose count
-	// stays below 2 and is pruned — only memory and modeled insert time.
-	if cfg.UseHLL {
-		stats.DistinctEstimate = estimateWithHLL(c, pr, reads, cfg)
-	} else {
-		stats.DistinctEstimate = float64(globalBag) * cfg.DistinctRatio *
-			kmer.MinimizerDensity(cfg.MinimizerWindow)
-	}
+	// bag, so the Eq. 2 estimate scales by the minimizer density. Sizing
+	// never affects output — a Bloom false positive creates a table entry
+	// whose count stays below 2 and is pruned — only memory and modeled
+	// insert time.
+	stats.DistinctEstimate = float64(globalBag) * cfg.DistinctRatio *
+		kmer.MinimizerDensity(cfg.MinimizerWindow)
 	perRank := uint64(stats.DistinctEstimate/float64(c.Size())*1.1) + 64
 	filter := bloom.NewWithEstimate(perRank, cfg.BloomFP)
 	stats.BloomBits = filter.NumBits()
@@ -302,27 +288,6 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	stats.Retained = len(part.Table)
 	rec.End(traceHashPass, c.Now(), stats.Hash.BytesPacked)
 	return part, stats, nil
-}
-
-// estimateWithHLL runs the optional HyperLogLog cardinality pass over the
-// stream the passes will actually ship (every k-mer, or only the
-// minimizers), so the estimate matches what the Bloom filter will see.
-func estimateWithHLL(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config) float64 {
-	sk := hll.New(cfg.HLLPrecision)
-	str := newStream(reads, cfg.K, cfg.MinimizerWindow)
-	for {
-		ex, ok := str.next()
-		if !ok {
-			break
-		}
-		sk.Add(ex.Kmer.Hash())
-	}
-	pr.tick(float64(str.takeScanned()), machine.RateParse, float64(sk.SizeBytes()))
-	merged := spmd.MaxReduceRegisters(c, sk.Registers())
-	if err := sk.SetRegisters(merged); err != nil {
-		panic(err) // same precision by construction
-	}
-	return sk.Estimate()
 }
 
 // stream walks a rank's reads emitting k-mers (or minimizers) in batches

@@ -169,35 +169,6 @@ func TestBuildMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestBuildWithHLLSizing(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	template := randReads(rng, 1, 2000, 2000)[0]
-	var seqs [][]byte
-	for i := 0; i+300 <= len(template); i += 120 {
-		seqs = append(seqs, template[i:i+300])
-	}
-	const k, m = 15, 8
-	want := naiveRetained(seqs, k, m)
-	got, stats := buildDistributed(t, seqs, 3, k, m, Config{UseHLL: true})
-	if len(got) != len(want) {
-		t.Fatalf("HLL sizing changed results: %d vs %d", len(got), len(want))
-	}
-	if stats[0].DistinctEstimate <= 0 {
-		t.Error("no HLL estimate recorded")
-	}
-	// The HLL estimate should be within 25% of the true distinct count.
-	distinct := make(map[kmer.Kmer]bool)
-	for id, s := range seqs {
-		for _, ex := range kmer.ExtractAll(s, k, uint32(id)) {
-			distinct[ex.Kmer] = true
-		}
-	}
-	ratio := stats[0].DistinctEstimate / float64(len(distinct))
-	if ratio < 0.75 || ratio > 1.25 {
-		t.Errorf("HLL estimate off: %.0f vs %d true", stats[0].DistinctEstimate, len(distinct))
-	}
-}
-
 func TestHighFrequencyFiltering(t *testing.T) {
 	// A k-mer occurring more than m times must vanish.
 	rng := rand.New(rand.NewSource(3))

@@ -1,11 +1,11 @@
 package overlap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"dibella/internal/spmd"
+	"dibella/internal/wire"
 )
 
 // Task-segment codec and placement re-shard: the checkpoint
@@ -24,24 +24,27 @@ import (
 func EncodeTasks(tasks []Task) []byte {
 	n := 4
 	for i := range tasks {
-		n += 12 + 9*len(tasks[i].Seeds)
+		n += taskHeaderSize + seedSize*len(tasks[i].Seeds)
 	}
-	buf := make([]byte, 0, n)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(tasks)))
+	buf := wire.U32(make([]byte, 0, n), uint32(len(tasks)))
 	for i := range tasks {
 		buf = appendTask(buf, &tasks[i])
 	}
 	return buf
 }
 
+// Encoded sizes: a task is its pair and seed count, a seed its two
+// positions and a flag byte.
+const (
+	taskHeaderSize = 12
+	seedSize       = 9
+)
+
 // appendTask serializes one task.
 func appendTask(buf []byte, t *Task) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, t.Pair.A)
-	buf = binary.BigEndian.AppendUint32(buf, t.Pair.B)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.Seeds)))
+	buf = wire.U32(wire.U32(buf, t.Pair.A), t.Pair.B)
+	buf = wire.U32(buf, uint32(len(t.Seeds)))
 	for _, s := range t.Seeds {
-		buf = binary.BigEndian.AppendUint32(buf, s.PosA)
-		buf = binary.BigEndian.AppendUint32(buf, s.PosB)
 		var flags byte
 		if s.FwdA {
 			flags |= 1
@@ -49,62 +52,34 @@ func appendTask(buf []byte, t *Task) []byte {
 		if s.FwdB {
 			flags |= 2
 		}
-		buf = append(buf, flags)
+		buf = wire.U8(wire.U32(wire.U32(buf, s.PosA), s.PosB), flags)
 	}
 	return buf
 }
 
-// decodeTask parses one appendTask blob prefix, returning the remainder.
-func decodeTask(b []byte) (t Task, rest []byte, err error) {
-	if len(b) < 12 {
-		return Task{}, nil, fmt.Errorf("overlap: task header truncated (%d bytes)", len(b))
-	}
-	t.Pair = Pair{A: binary.BigEndian.Uint32(b), B: binary.BigEndian.Uint32(b[4:])}
-	nSeeds := int(binary.BigEndian.Uint32(b[8:]))
-	b = b[12:]
-	if len(b) < 9*nSeeds {
-		return Task{}, nil, fmt.Errorf("overlap: task (%d,%d) truncated (%d of %d seed bytes)",
-			t.Pair.A, t.Pair.B, len(b), 9*nSeeds)
-	}
-	t.Seeds = make([]Seed, nSeeds)
+// readTask parses one appendTask record.
+func readTask(r *wire.Reader) Task {
+	t := Task{Pair: Pair{A: r.U32(), B: r.U32()}}
+	t.Seeds = make([]Seed, r.Count(uint64(r.U32()), seedSize))
 	for i := range t.Seeds {
-		o := b[9*i:]
-		if o[8] > 3 {
-			return Task{}, nil, fmt.Errorf("overlap: task (%d,%d) seed %d has unknown flag bits %#x", t.Pair.A, t.Pair.B, i, o[8])
+		posA, posB, flags := r.U32(), r.U32(), r.U8()
+		if flags > 3 {
+			r.Fail(fmt.Errorf("task (%d,%d) seed %d has unknown flag bits %#x", t.Pair.A, t.Pair.B, i, flags))
 		}
-		t.Seeds[i] = Seed{
-			PosA: binary.BigEndian.Uint32(o),
-			PosB: binary.BigEndian.Uint32(o[4:]),
-			FwdA: o[8]&1 != 0,
-			FwdB: o[8]&2 != 0,
-		}
+		t.Seeds[i] = Seed{PosA: posA, PosB: posB, FwdA: flags&1 != 0, FwdB: flags&2 != 0}
 	}
-	return t, b[9*nSeeds:], nil
+	return t
 }
 
 // DecodeTasks parses an EncodeTasks blob.
 func DecodeTasks(b []byte) ([]Task, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("overlap: task segment header truncated (%d bytes)", len(b))
+	r := wire.NewReader(b)
+	tasks := make([]Task, r.Count(uint64(r.U32()), taskHeaderSize))
+	for i := range tasks {
+		tasks[i] = readTask(r)
 	}
-	count := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	// A task is at least its 12-byte header; a larger count than the bytes
-	// can hold is a truncation, caught before it sizes an allocation.
-	if uint64(count) > uint64(len(b))/12 {
-		return nil, fmt.Errorf("overlap: task segment truncated (%d tasks declared, %d bytes follow)", count, len(b))
-	}
-	tasks := make([]Task, 0, count)
-	for i := uint32(0); i < count; i++ {
-		t, rest, err := decodeTask(b)
-		if err != nil {
-			return nil, fmt.Errorf("overlap: task segment entry %d: %w", i, err)
-		}
-		tasks = append(tasks, t)
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("overlap: task segment has %d trailing bytes", len(b))
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("overlap: task segment: %w", err)
 	}
 	return tasks, nil
 }
@@ -139,14 +114,11 @@ func ReshardTasks(c *spmd.Comm, tasks []Task, owner OwnerFunc, cfg Config) ([]Ta
 	var out []Task
 	for src := 0; src < p; src++ {
 		for _, item := range recv[src].Items() {
-			t, rest, err := decodeTask(item)
-			if err != nil {
+			r := wire.NewReader(item)
+			out = append(out, readTask(r))
+			if err := r.Finish(); err != nil {
 				return nil, fmt.Errorf("overlap: reshard from rank %d: %w", src, err)
 			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("overlap: reshard from rank %d: %d trailing bytes", src, len(rest))
-			}
-			out = append(out, t)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -123,10 +123,9 @@ func (al *aligner) alignTask(task overlap.Task) {
 }
 
 // alignSeeds runs every seed's x-drop extension for one task and appends
-// the surviving alignments. By default only the best-scoring alignment per
-// (pair, strand) is kept — BELLA's semantics; a multi-seed pair otherwise
-// emits duplicate overlapping records — with Config.KeepAllSeedAlignments
-// as the per-seed escape hatch. Ties keep the earliest seed's alignment
+// the surviving alignments. Only the best-scoring alignment per (pair,
+// strand) is kept — BELLA's semantics; a multi-seed pair otherwise emits
+// duplicate overlapping records. Ties keep the earliest seed's alignment
 // (seed lists arrive sorted by PosA), so the choice is deterministic and
 // schedule-independent.
 func (al *aligner) alignSeeds(task overlap.Task, seqA, seqB []byte) {
@@ -165,19 +164,12 @@ func (al *aligner) alignSeeds(task overlap.Task, seqA, seqB []byte) {
 			// Map the span back to B's forward coordinates.
 			a.BStart, a.BEnd = len(seqB)-r.TEnd, len(seqB)-r.TStart
 		}
-		switch {
-		case cfg.KeepAllSeedAlignments:
-			if a.Score >= cfg.MinAlignScore {
-				al.out = append(al.out, a)
-			}
-		case strand == '+':
+		if strand == '+' {
 			if !haveFwd || a.Score > bestFwd.Score {
 				bestFwd, haveFwd = a, true
 			}
-		default:
-			if !haveRev || a.Score > bestRev.Score {
-				bestRev, haveRev = a, true
-			}
+		} else if !haveRev || a.Score > bestRev.Score {
+			bestRev, haveRev = a, true
 		}
 	}
 	if haveFwd && bestFwd.Score >= cfg.MinAlignScore {

@@ -65,23 +65,22 @@ type CkptOptions struct {
 
 // outputConfig is the subset of Config that determines the pipeline's
 // output. Scheduling knobs (Exchange, ReplyChunk/Depth,
-// MaxKmersPerRound) and sizing heuristics (BloomFP, UseHLL) move the
+// MaxKmersPerRound) and the sizing heuristic (BloomFP) move the
 // same data on different timetables and are deliberately excluded: a
 // snapshot may be resumed under a different schedule, never under a
 // different k. Derivation inputs (ErrorRate, Coverage, GenomeEst) are
 // covered through the derived K/MaxFreq.
 type outputConfig struct {
-	K                     int
-	MaxFreq               int
-	SeedMode              overlap.SeedMode
-	MinDist               int
-	MaxSeeds              int
-	OwnerPolicy           overlap.OwnerPolicy
-	XDrop                 int
-	Scoring               align.Scoring
-	MinAlignScore         int
-	MinimizerWindow       int
-	KeepAllSeedAlignments bool
+	K               int
+	MaxFreq         int
+	SeedMode        overlap.SeedMode
+	MinDist         int
+	MaxSeeds        int
+	OwnerPolicy     overlap.OwnerPolicy
+	XDrop           int
+	Scoring         align.Scoring
+	MinAlignScore   int
+	MinimizerWindow int
 	// KeepSingletons changes what the DHT snapshot contains (singletons
 	// and tombstones stay resident), so a serve-formed checkpoint can
 	// never resume into a batch run or vice versa. BuildDepth, by
@@ -97,8 +96,7 @@ func (cfg *Config) outputHash() string {
 		SeedMode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds,
 		OwnerPolicy: cfg.OwnerPolicy, XDrop: cfg.XDrop, Scoring: cfg.Scoring,
 		MinAlignScore: cfg.MinAlignScore, MinimizerWindow: cfg.MinimizerWindow,
-		KeepAllSeedAlignments: cfg.KeepAllSeedAlignments,
-		KeepSingletons:        cfg.KeepSingletons,
+		KeepSingletons: cfg.KeepSingletons,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("pipeline: canonicalizing config: %v", err)) // plain-data struct; cannot fail
@@ -257,21 +255,22 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 		return nil, nil, fmt.Errorf("pipeline: model is shaped for %d ranks, running %d", model.Ranks(), c.Size())
 	}
 	// Rank 0 reads the manifest; everyone agrees on the outcome, then
-	// shares the contents.
-	var m ckpt.Manifest
+	// shares the contents as the JSON it is persisted as.
+	var blob []byte
 	var readErr error
 	if c.Rank() == 0 {
-		mp, err := ckpt.ReadManifest(dir)
-		if err != nil {
-			readErr = err
-		} else {
-			m = *mp
+		var mp *ckpt.Manifest
+		if mp, readErr = ckpt.ReadManifest(dir); readErr == nil {
+			blob, readErr = json.Marshal(mp)
 		}
 	}
 	if err := agreeError(c, "resume from "+dir, readErr); err != nil {
 		return nil, nil, err
 	}
-	m = spmd.Bcast(c, m, 0)
+	var m ckpt.Manifest
+	if err := json.Unmarshal(spmd.Bcast(c, blob, 0), &m); err != nil {
+		return nil, nil, fmt.Errorf("pipeline: manifest from rank 0: %w", err)
+	}
 	latest, ok := m.Latest()
 	if !ok {
 		return nil, nil, fmt.Errorf("pipeline: %s has no committed snapshot to resume from", dir)

@@ -24,14 +24,8 @@ import (
 	"dibella/internal/fastq"
 	"dibella/internal/spmd"
 	"dibella/internal/trace"
+	"dibella/internal/wire"
 )
-
-// shardMeta is one rank's contribution to the global read-ID map: the
-// names and lengths of the records its file shard contained.
-type shardMeta struct {
-	Names []string
-	Lens  []int32
-}
 
 // agreeError is the collective error-agreement idiom: every rank
 // contributes its local failure (or ""), and if any rank failed, every
@@ -42,9 +36,9 @@ func agreeError(c *spmd.Comm, op string, err error) error {
 	if err != nil {
 		status = fmt.Sprintf("rank %d: %v", c.Rank(), err)
 	}
-	for _, s := range spmd.Allgather(c, status) {
-		if s != "" {
-			return errors.New("pipeline: " + op + ": " + s)
+	for _, s := range spmd.Allgather(c, []byte(status)) {
+		if len(s) != 0 {
+			return errors.New("pipeline: " + op + ": " + string(s))
 		}
 	}
 	return nil
@@ -81,22 +75,29 @@ func LoadStore(c *spmd.Comm, path string) (*fastq.ReadStore, error) {
 // owners in one packed all-to-all.
 func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.ReadStore, error) {
 	p, rank := c.Size(), c.Rank()
-	meta := shardMeta{Names: make([]string, len(held)), Lens: make([]int32, len(held))}
-	for i, rec := range held {
-		meta.Names[i] = rec.Name
-		meta.Lens[i] = int32(rec.Len())
+	// One rank's contribution to the global read-ID map, as one byte row:
+	// the count, then the length and name of each record it holds.
+	meta := wire.U32(nil, uint32(len(held)))
+	for _, rec := range held {
+		meta = wire.Bytes(wire.U32(meta, uint32(rec.Len())), rec.Name)
 	}
-	all := spmd.Allgather(c, meta)
 
 	// Global ID map: IDs follow the rank-order concatenation of the held
 	// runs. heldStart[r] is the first global ID rank r holds.
 	heldStart := make([]int, p+1)
 	var names []string
 	var lens []int32
-	for r, m := range all {
-		heldStart[r+1] = heldStart[r] + len(m.Names)
-		names = append(names, m.Names...)
-		lens = append(lens, m.Lens...)
+	for r, row := range spmd.Allgather(c, meta) {
+		rd := wire.NewReader(row)
+		n := rd.Count(uint64(rd.U32()), 8)
+		for i := 0; i < n; i++ {
+			lens = append(lens, int32(rd.U32()))
+			names = append(names, rd.String())
+		}
+		if err := rd.Finish(); err != nil {
+			return nil, fmt.Errorf("pipeline: read metadata from rank %d: %w", r, err)
+		}
+		heldStart[r+1] = heldStart[r] + n
 	}
 	ranges := fastq.PartitionLens(lens, p)
 

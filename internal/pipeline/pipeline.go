@@ -83,7 +83,6 @@ type Config struct {
 
 	MaxKmersPerRound int     // streaming batch bound (default 1<<19)
 	BloomFP          float64 // Bloom false-positive target (default 0.01)
-	UseHLL           bool    // size the Bloom filter via HyperLogLog
 	// MinimizerWindow > 1 seeds overlaps from (w,k)-minimizers only,
 	// trading a little recall for ~(w+1)/2 less k-mer traffic (extension;
 	// Minimap2-style, §11).
@@ -125,13 +124,6 @@ type Config struct {
 	// count 2 in the combined run served output is compared against, so
 	// the index must keep them to reproduce those pairs.
 	KeepSingletons bool
-
-	// KeepAllSeedAlignments emits one alignment record per explored seed
-	// instead of the default BELLA semantics of keeping only the
-	// best-scoring alignment per (pair, strand). Multi-seed pairs under
-	// MinDistance/AllSeeds otherwise produce duplicate overlapping PAF
-	// rows for the same read pair.
-	KeepAllSeedAlignments bool
 }
 
 func (cfg *Config) setDefaults() error {

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"dibella/internal/spmd"
 	"dibella/internal/trace"
 )
@@ -34,10 +36,16 @@ var (
 // rank of a world agrees on by construction (-trace is part of the
 // configuration every rank of a world adopts from rank 0).
 func GatherTrace(c *spmd.Comm) []trace.RankEvents {
-	snap := trace.Snapshot(c.Rank())
-	all := spmd.GatherTo(c, snap, 0)
-	if c.Rank() != 0 {
-		return nil
+	rows := spmd.GatherTo(c, trace.Snapshot(c.Rank()).Encode(), 0)
+	var all []trace.RankEvents
+	for rank, row := range rows {
+		snap, err := trace.DecodeRankEvents(row)
+		if err != nil {
+			// Bytes this binary's Encode wrote on a peer the handshake
+			// matched to it: only a bug gets here.
+			panic(fmt.Sprintf("pipeline: trace gather from rank %d: %v", rank, err))
+		}
+		all = append(all, snap)
 	}
 	return all
 }

@@ -72,7 +72,6 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 		MaxKmersPerRound: cfg.MaxKmersPerRound,
 		BloomFP:          cfg.BloomFP,
 		ErrorRate:        cfg.ErrorRate,
-		UseHLL:           cfg.UseHLL,
 		MinimizerWindow:  cfg.MinimizerWindow,
 		Async:            cfg.Exchange != ExchangeSync,
 		BuildDepth:       cfg.BuildDepth,

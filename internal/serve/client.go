@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"time"
 
 	"dibella/internal/pipeline"
+	"dibella/internal/wire"
 )
 
 // Client speaks the frontend protocol to a running daemon. One client
@@ -63,66 +65,54 @@ type QueryResult struct {
 	QueueWaitSecs  float64 // wall seconds the batch waited for admission-order service
 }
 
+// roundTrip sends one frame and reads the daemon's answer to it. An error
+// frame comes back as the error it carries.
+func (cl *Client) roundTrip(typ uint8, payload []byte) (uint8, []byte, error) {
+	cl.deadline()
+	if err := writeFrontendFrame(cl.bw, typ, payload); err != nil {
+		return 0, nil, err
+	}
+	if err := cl.bw.Flush(); err != nil {
+		return 0, nil, err
+	}
+	typ, body, err := readFrontendFrame(cl.br)
+	if err == nil && typ == frameErr {
+		var e errorResponse
+		if e, err = decodeErrorResponse(body); err == nil {
+			err = codeErr(e.Code, e.Msg)
+		}
+	}
+	return typ, body, err
+}
+
 // Query sends one batch and waits for its answer. Admission rejections
 // come back as errors matching the package sentinels under errors.Is
 // (ErrQueueFull, ErrBadTenant, ErrTooLarge, ErrEmptyBatch,
-// ErrShuttingDown).
+// ErrShuttingDown); a daemon from another build answers ErrBadVersion.
 func (cl *Client) Query(tenant string, reads []pipeline.QueryRead) (*QueryResult, error) {
-	cl.deadline()
-	if err := writeFrontendFrame(cl.bw, frameQuery, queryRequest{Tenant: tenant, Reads: reads}); err != nil {
-		return nil, err
-	}
-	if err := cl.bw.Flush(); err != nil {
-		return nil, err
-	}
-	typ, body, err := readFrontendFrame(cl.br)
+	typ, body, err := cl.roundTrip(frameQuery, queryRequest{Tenant: tenant, Reads: reads}.encode())
 	if err != nil {
 		return nil, err
 	}
-	switch typ {
-	case framePAF:
-		var resp queryResponse
-		if err := decodeFrontend(body, &resp); err != nil {
-			return nil, err
-		}
-		return &QueryResult{
-			PAF: resp.PAF, Records: resp.Records, Home: resp.Home,
-			VirtualSeconds: resp.VirtualSeconds, QueueWaitSecs: resp.QueueWaitSecs,
-		}, nil
-	case frameErr:
-		var e errorResponse
-		if err := decodeFrontend(body, &e); err != nil {
-			return nil, err
-		}
-		return nil, codeErr(e.Code, e.Msg)
-	default:
+	if typ != framePAF {
 		return nil, fmt.Errorf("serve: unexpected frame type %d", typ)
 	}
+	res, err := decodeQueryResult(body)
+	if err != nil {
+		return nil, fmt.Errorf("serve: malformed reply: %w", err)
+	}
+	return &res, nil
 }
 
 // Shutdown asks the daemon to stop admitting work and exit once the
 // admitted queue drains.
 func (cl *Client) Shutdown(tenant string) error {
-	cl.deadline()
-	if err := writeFrontendFrame(cl.bw, frameShutdown, shutdownRequest{Tenant: tenant}); err != nil {
-		return err
+	typ, _, err := cl.roundTrip(frameShutdown, wire.Bytes(nil, tenant))
+	if errors.Is(err, ErrShuttingDown) {
+		return nil // the expected acknowledgement
 	}
-	if err := cl.bw.Flush(); err != nil {
-		return err
-	}
-	typ, body, err := readFrontendFrame(cl.br)
 	if err != nil {
 		return err
-	}
-	if typ == frameErr {
-		var e errorResponse
-		if err := decodeFrontend(body, &e); err != nil {
-			return err
-		}
-		if e.Code == "shutting-down" {
-			return nil // the expected acknowledgement
-		}
-		return codeErr(e.Code, e.Msg)
 	}
 	return fmt.Errorf("serve: unexpected frame type %d acknowledging shutdown", typ)
 }

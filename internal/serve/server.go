@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"slices"
@@ -73,59 +74,60 @@ var (
 	ErrEmptyBatch = errors.New("serve: empty query batch")
 	// ErrShuttingDown means the daemon stopped admitting work.
 	ErrShuttingDown = errors.New("serve: daemon is shutting down")
+	// ErrBadVersion means the peer speaks another version of the frontend
+	// protocol (a dibella-query and a daemon from different builds).
+	ErrBadVersion = errors.New("serve: frontend protocol version mismatch")
 )
 
-// errCode maps an admission or service error to its wire code.
-func errCode(err error) string {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return "queue-full"
-	case errors.Is(err, ErrBadTenant):
-		return "bad-tenant"
-	case errors.Is(err, ErrTooLarge):
-		return "too-large"
-	case errors.Is(err, ErrEmptyBatch):
-		return "empty-batch"
-	case errors.Is(err, ErrShuttingDown):
-		return "shutting-down"
-	default:
-		return "internal"
-	}
+// refusals pairs each typed refusal with its wire code.
+var refusals = []struct {
+	err  error
+	code string
+}{
+	{ErrQueueFull, "queue-full"},
+	{ErrBadTenant, "bad-tenant"},
+	{ErrTooLarge, "too-large"},
+	{ErrEmptyBatch, "empty-batch"},
+	{ErrShuttingDown, "shutting-down"},
+	{ErrBadVersion, "bad-version"},
 }
 
-// RejectionCode maps a typed admission rejection to its sentinel wire
-// code ("queue-full", "bad-tenant", ...). ok is false for errors that
-// are not admission rejections (transport failures, internal errors),
-// so callers — dibella-query's exit-status logic, scrape assertions —
-// can distinguish "the daemon said no" from "the request never made
-// it".
+// RejectionCode maps a typed refusal to its sentinel wire code
+// ("queue-full", "bad-tenant", ...). ok is false for errors that are not
+// the daemon refusing (transport failures, internal errors), so callers —
+// dibella-query's exit-status logic, scrape assertions — can distinguish
+// "the daemon said no" from "the request never made it".
 func RejectionCode(err error) (code string, ok bool) {
-	for _, sentinel := range []error{ErrQueueFull, ErrBadTenant, ErrTooLarge, ErrEmptyBatch, ErrShuttingDown} {
-		if errors.Is(err, sentinel) {
-			return errCode(err), true
+	for _, r := range refusals {
+		if errors.Is(err, r.err) {
+			return r.code, true
 		}
 	}
 	return "", false
 }
 
+// errCode maps an admission or service error to its wire code.
+func errCode(err error) string {
+	if code, ok := RejectionCode(err); ok {
+		return code
+	}
+	return "internal"
+}
+
 // codeErr maps a wire code back to its sentinel (clients use errors.Is).
 func codeErr(code, msg string) error {
-	base := map[string]error{
-		"queue-full":    ErrQueueFull,
-		"bad-tenant":    ErrBadTenant,
-		"too-large":     ErrTooLarge,
-		"empty-batch":   ErrEmptyBatch,
-		"shutting-down": ErrShuttingDown,
-	}[code]
-	if base == nil {
-		return fmt.Errorf("serve: remote error (%s): %s", code, msg)
+	for _, r := range refusals {
+		if r.code != code {
+			continue
+		}
+		// The wire message usually is the server-side error, which already
+		// starts with the sentinel's text; keep only its detail suffix.
+		if suffix, ok := strings.CutPrefix(msg, r.err.Error()); ok {
+			return fmt.Errorf("%w%s", r.err, suffix)
+		}
+		return fmt.Errorf("%w: %s", r.err, msg)
 	}
-	// The wire message usually is the server-side error, which already
-	// starts with the sentinel's text; keep only its detail suffix.
-	if suffix, ok := strings.CutPrefix(msg, base.Error()); ok {
-		return fmt.Errorf("%w%s", base, suffix)
-	}
-	return fmt.Errorf("%w: %s", base, msg)
+	return fmt.Errorf("serve: remote error (%s): %s", code, msg)
 }
 
 // Options configures the daemon.
@@ -215,7 +217,7 @@ type job struct {
 }
 
 type jobResult struct {
-	resp queryResponse
+	resp QueryResult
 	err  error
 }
 
@@ -296,7 +298,10 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 				local, j = s.next(served)
 			}
 		}
-		op := spmd.Bcast(c, local, 0)
+		op, err := decodeServOp(spmd.Bcast(c, local.encode(), 0))
+		if err != nil {
+			return Stats{}, fmt.Errorf("serve: op from rank 0: %w", err)
+		}
 		switch op.Kind {
 		case opQuery:
 			// Query errors are deterministic and collectively
@@ -423,7 +428,7 @@ func (s *server) finish(j *job, recs []pipeline.Alignment, err error, served int
 		if werr := paf.Write(&buf, s.w.QueryPAF(j.batch, recs)); werr != nil {
 			j.resp <- jobResult{err: werr}
 		} else {
-			j.resp <- jobResult{resp: queryResponse{
+			j.resp <- jobResult{resp: QueryResult{
 				PAF:            buf.Bytes(),
 				Records:        len(recs),
 				Home:           j.home,
@@ -483,10 +488,7 @@ func (s *server) admit(req *queryRequest, reqBytes int) (*job, error) {
 	defer s.mu.Unlock()
 	reject := func(err error) (*job, error) {
 		s.rejected++
-		code, _ := RejectionCode(err)
-		if code == "" {
-			code = errCode(err)
-		}
+		code := errCode(err)
 		rejectionsTotal.With(code).Inc()
 		s.rec.InstantTag(traceReject, 0, code)
 		return nil, err
@@ -578,51 +580,60 @@ func (s *server) handleConn(conn net.Conn) {
 		conn.Close()
 		s.dropConn(conn)
 	}()
+	refuse := func(err error) error {
+		return writeFrontendFrame(conn, frameErr, errorResponse{Code: errCode(err), Msg: err.Error()}.encode())
+	}
 	for {
 		typ, body, err := readFrontendFrame(conn)
 		if err != nil {
+			if errors.Is(err, ErrBadVersion) {
+				refuse(err)
+				// Closing on unread bytes resets the connection, which can
+				// take the refusal with it: read off, briefly, what the
+				// peer had already sent.
+				//lint:ignore detmap a socket deadline needs an absolute instant; it bounds a refused client's teardown and never reaches output
+				conn.SetReadDeadline(time.Now().Add(time.Second))
+				io.Copy(io.Discard, conn)
+			}
 			return // closed or malformed; nothing sane to answer
 		}
 		switch typ {
 		case frameQuery:
-			var req queryRequest
-			if err := decodeFrontend(body, &req); err != nil {
-				writeFrontendFrame(conn, frameErr, errorResponse{Code: "internal", Msg: err.Error()})
+			req, err := decodeQueryRequest(body)
+			if err != nil {
+				refuse(fmt.Errorf("serve: malformed query: %w", err))
 				return
 			}
 			j, err := s.admit(&req, len(body))
 			if err != nil {
-				if werr := writeFrontendFrame(conn, frameErr, errorResponse{Code: errCode(err), Msg: err.Error()}); werr != nil {
+				if refuse(err) != nil {
 					return
 				}
 				continue
 			}
 			res := <-j.resp
+			var werr error
 			if res.err != nil {
-				werr := writeFrontendFrame(conn, frameErr, errorResponse{Code: errCode(res.err), Msg: res.err.Error()})
-				s.respWG.Done()
-				if werr != nil {
-					return
-				}
-				continue
+				werr = refuse(res.err)
+			} else {
+				werr = writeFrontendFrame(conn, framePAF, res.resp.encode())
 			}
-			werr := writeFrontendFrame(conn, framePAF, res.resp)
 			s.respWG.Done()
 			if werr != nil {
 				return
 			}
 		case frameShutdown:
-			var req shutdownRequest
-			if err := decodeFrontend(body, &req); err != nil {
+			tenant, err := decodeTenant(body)
+			if err != nil {
 				return
 			}
-			if s.tenants != nil && !s.tenants[req.Tenant] {
-				writeFrontendFrame(conn, frameErr, errorResponse{Code: "bad-tenant", Msg: ErrBadTenant.Error()})
+			if s.tenants != nil && !s.tenants[tenant] {
+				refuse(ErrBadTenant)
 				continue
 			}
 			// Ack before signalling the loop: once it hears the stop,
 			// shutdown's closeConns may cut this connection at any moment.
-			writeFrontendFrame(conn, frameErr, errorResponse{Code: "shutting-down", Msg: "shutdown accepted"})
+			writeFrontendFrame(conn, frameErr, errorResponse{Code: "shutting-down", Msg: "shutdown accepted"}.encode())
 			s.stopOnce.Do(func() { s.jobs <- nil })
 		default:
 			return

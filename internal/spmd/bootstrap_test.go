@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dibella/internal/wire"
 )
 
 func TestJoinBootstrapFromEnv(t *testing.T) {
@@ -211,9 +213,8 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	h := hello(1, "127.0.0.1:1")
-	h.Version = protoVersion + 7
-	if err := sendHello(conn, h, time.Now().Add(5*time.Second)); err != nil {
+	foreign := wire.U32(wire.U32(nil, protoMagic), protoVersion+7)
+	if err := writeFrame(conn, &frame{Type: frameHello, Payload: foreign}); err != nil {
 		t.Fatal(err)
 	}
 	err = <-rootErr
@@ -241,8 +242,9 @@ func TestHandshakeRejectsForeignMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	h := helloMsg{Rank: 1, Addr: "127.0.0.1:1"} // zero Magic: pre-versioning binary
-	if err := sendHello(conn, h, time.Now().Add(5*time.Second)); err != nil {
+	// What a gob-era (protocol 2) binary's hello looks like from here:
+	// bytes that do not open with the magic.
+	if err := writeFrame(conn, &frame{Type: frameHello, Payload: []byte("\x2b\xff\x81\x03\x01\x01\x08helloMsg")}); err != nil {
 		t.Fatal(err)
 	}
 	err = <-rootErr

@@ -1,8 +1,11 @@
 package spmd
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
+
+	"dibella/internal/wire"
 )
 
 // Collective commit: the epoch-agreement primitive under checkpoint
@@ -30,13 +33,21 @@ type CommitVote struct {
 // success/failure path stay in lockstep — the epoch-barrier semantics the
 // checkpoint subsystem's crash consistency rests on.
 func AgreeCommit(c *Comm, v CommitVote) ([]CommitVote, bool) {
-	votes := Allgather(c, v)
-	for _, vote := range votes {
-		if !vote.OK {
-			return votes, false
-		}
+	var ok uint8
+	if v.OK {
+		ok = 1
 	}
-	return votes, true
+	mine := wire.U64(wire.U64(wire.Bytes(wire.U8(nil, ok), v.Err), v.Digest), uint64(v.Bytes))
+	votes, agreed := make([]CommitVote, c.Size()), true
+	for rank, b := range Allgather(c, mine) {
+		r := wire.NewReader(b)
+		votes[rank] = CommitVote{OK: r.U8() == 1, Err: r.String(), Digest: r.U64(), Bytes: int64(r.U64())}
+		if err := r.Finish(); err != nil {
+			panic(fmt.Sprintf("spmd: commit vote from rank %d: %v", rank, err))
+		}
+		agreed = agreed && votes[rank].OK
+	}
+	return votes, agreed
 }
 
 // CommitFailure renders the veto(s) of a failed epoch, one line per

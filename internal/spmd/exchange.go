@@ -159,8 +159,8 @@ func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *Handle[T
 	if r.blocking {
 		c.requireIdle(r.op)
 	}
-	if !c.tr.Shared() && !isPOD[T]() {
-		panic(fmt.Sprintf("spmd: %s element type %T contains pointers and cannot cross an address-space boundary", r.op, *new(T)))
+	if !isPOD[T]() {
+		panic(fmt.Sprintf("spmd: %s element type %T contains pointers; the typed layer carries pointer-free elements only (encode to bytes, or use AlltoallvPacked)", r.op, *new(T)))
 	}
 	now := time.Now()
 	raw := make([][]byte, p)
@@ -299,8 +299,8 @@ func (h *Handle[T]) Wait() [][]T {
 // Alltoallv performs an irregular all-to-all: rank i's send[j] is delivered
 // as rank j's recv[i]. send must have length Size. On the in-process
 // backend the received slices alias the sender's memory (zero-copy, as
-// intra-node MPI would); receivers must not mutate them. On serializing
-// backends T must be pointer-free (fixed-size integers, floats, or
+// intra-node MPI would); receivers must not mutate them. T must be
+// pointer-free on every backend (fixed-size integers, floats, or
 // structs/arrays of them) — variable-length payloads go through
 // AlltoallvPacked.
 func Alltoallv[T any](c *Comm, send [][]T) [][]T {

@@ -1,10 +1,10 @@
 package spmd
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"dibella/internal/wire"
 )
 
 // The TCP backend's wire format: length-prefixed binary frames. Every
@@ -18,9 +18,11 @@ import (
 //	plen    uint32  payload length
 //	payload [plen]byte
 //
-// All integers are big-endian. Control frames (hello/peers) carry
-// gob-encoded payloads; collective frames carry raw bytes whose meaning
-// belongs to the typed layer.
+// Header and control payloads are written with internal/wire (big-endian
+// integers, length-prefixed strings). Control frames (hello, peers, join,
+// assign) carry the payloads defined at the end of this file, each opening
+// with the protocol identity; collective frames carry raw bytes whose
+// meaning belongs to the typed layer.
 
 type frameType uint8
 
@@ -59,24 +61,15 @@ type frame struct {
 	Payload []byte
 }
 
-// putFrameHeader encodes f's header into buf[:frameHeaderSize].
-func putFrameHeader(buf []byte, f *frame) {
-	binary.BigEndian.PutUint16(buf[0:], frameMagic)
-	buf[2] = byte(f.Type)
-	binary.BigEndian.PutUint64(buf[3:], f.Seq)
-	binary.BigEndian.PutUint64(buf[11:], math.Float64bits(f.Clock))
-	binary.BigEndian.PutUint64(buf[19:], math.Float64bits(f.Bytes))
-	binary.BigEndian.PutUint32(buf[27:], uint32(len(f.Payload)))
-}
-
 // writeFrame writes one frame to w.
 func writeFrame(w io.Writer, f *frame) error {
 	if len(f.Payload) > maxFramePayload {
 		return fmt.Errorf("spmd: frame payload %d exceeds limit %d", len(f.Payload), maxFramePayload)
 	}
-	var hdr [frameHeaderSize]byte
-	putFrameHeader(hdr[:], f)
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := wire.U8(wire.U16(make([]byte, 0, frameHeaderSize), frameMagic), uint8(f.Type))
+	hdr = wire.F64(wire.F64(wire.U64(hdr, f.Seq), f.Clock), f.Bytes)
+	hdr = wire.U32(hdr, uint32(len(f.Payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(f.Payload) > 0 {
@@ -101,19 +94,15 @@ func readFrameBuf(r io.Reader, alloc func(n int) []byte) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	if m := binary.BigEndian.Uint16(hdr[0:]); m != frameMagic {
+	h := wire.NewReader(hdr[:])
+	if m := h.U16(); m != frameMagic {
 		return frame{}, fmt.Errorf("spmd: bad frame magic %#04x (stream desync?)", m)
 	}
-	f := frame{
-		Type:  frameType(hdr[2]),
-		Seq:   binary.BigEndian.Uint64(hdr[3:]),
-		Clock: math.Float64frombits(binary.BigEndian.Uint64(hdr[11:])),
-		Bytes: math.Float64frombits(binary.BigEndian.Uint64(hdr[19:])),
-	}
+	f := frame{Type: frameType(h.U8()), Seq: h.U64(), Clock: h.F64(), Bytes: h.F64()}
 	if f.Type < frameHello || f.Type > frameAssign {
 		return frame{}, fmt.Errorf("spmd: unknown frame type %d", f.Type)
 	}
-	plen := binary.BigEndian.Uint32(hdr[27:])
+	plen := h.U32()
 	if plen > maxFramePayload {
 		return frame{}, fmt.Errorf("spmd: frame payload %d exceeds limit %d", plen, maxFramePayload)
 	}
@@ -124,4 +113,88 @@ func readFrameBuf(r io.Reader, alloc func(n int) []byte) (frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// Control payloads. Each opens with the protocol identity (writeProto /
+// openPayload), so a peer that is not this binary is refused by name before
+// any other field is believed.
+
+// Wire-protocol identity. A peer whose binary speaks a different protocol
+// (or is not dibella at all) is rejected with a clear error during world
+// formation, instead of failing later with a frame-decode panic
+// mid-collective. Version 2 dropped the application-config payload from
+// the join assignment and the worker environment; version 3 replaced the
+// gob control payloads with the ones below.
+const (
+	protoMagic   = 0x44694245 // "DiBE"
+	protoVersion = 3
+)
+
+func writeProto(b []byte) []byte { return wire.U32(wire.U32(b, protoMagic), protoVersion) }
+
+// openPayload returns a Reader over a control payload, positioned past its
+// identity and already failed if that identity is foreign.
+func openPayload(b []byte) *wire.Reader {
+	r := wire.NewReader(b)
+	magic, version := r.U32(), r.U32()
+	switch {
+	case magic != protoMagic:
+		r.Fail(fmt.Errorf("peer protocol magic %#08x, want %#08x (peer is not a dibella process, or predates protocol version 3?)", magic, protoMagic))
+	case version != protoVersion:
+		r.Fail(fmt.Errorf("peer speaks protocol version %d, this binary speaks %d (mismatched dibella binaries?)", version, protoVersion))
+	}
+	return r
+}
+
+// rank-sized ints travel as int32: HostIndex is -1 when unknown.
+func putInt(b []byte, v int) []byte { return wire.U32(b, uint32(int32(v))) }
+func getInt(r *wire.Reader) int     { return int(int32(r.U32())) }
+
+func (h helloMsg) encode() []byte {
+	return wire.Bytes(putInt(writeProto(nil), h.Rank), h.Addr)
+}
+
+func decodeHello(b []byte) (h helloMsg, err error) {
+	r := openPayload(b)
+	h = helloMsg{Rank: getInt(r), Addr: r.String()}
+	return h, r.Finish()
+}
+
+// encodePeers renders rank 0's rendezvous reply: every rank's mesh address.
+func encodePeers(addrs []string) []byte {
+	b := wire.U32(writeProto(nil), uint32(len(addrs)))
+	for _, a := range addrs {
+		b = wire.Bytes(b, a)
+	}
+	return b
+}
+
+func decodePeers(b []byte) ([]string, error) {
+	r := openPayload(b)
+	addrs := make([]string, r.Count(uint64(r.U32()), 4))
+	for i := range addrs {
+		addrs[i] = r.String()
+	}
+	return addrs, r.Finish()
+}
+
+func (m joinMsg) encode() []byte {
+	return wire.Bytes(putInt(writeProto(nil), m.HostIndex), m.Hostname)
+}
+
+func decodeJoin(b []byte) (m joinMsg, err error) {
+	r := openPayload(b)
+	m = joinMsg{HostIndex: getInt(r), Hostname: r.String()}
+	return m, r.Finish()
+}
+
+func (m assignMsg) encode() []byte {
+	b := putInt(putInt(putInt(writeProto(nil), m.HostIndex), m.RankStart), m.RankEnd)
+	return putInt(putInt(b, m.Size), m.RendezvousPort)
+}
+
+func decodeAssign(b []byte) (m assignMsg, err error) {
+	r := openPayload(b)
+	m = assignMsg{HostIndex: getInt(r), RankStart: getInt(r), RankEnd: getInt(r), Size: getInt(r), RendezvousPort: getInt(r)}
+	return m, r.Finish()
 }

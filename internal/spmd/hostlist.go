@@ -141,19 +141,15 @@ func isLoopbackHost(host string) bool {
 	return ip != nil && ip.IsLoopback()
 }
 
-// joinMsg is the gob payload of a frameJoin: an agent asking for its
+// joinMsg is the payload of a frameJoin: an agent asking for its
 // assignment.
 type joinMsg struct {
-	Magic     uint32
-	Version   uint32
 	HostIndex int    // host-list index the agent stands in for; <= 0 if unknown
 	Hostname  string // os.Hostname, matched against the host list as a fallback
 }
 
-// assignMsg is the gob payload of a frameAssign: the launcher's reply.
+// assignMsg is the payload of a frameAssign: the launcher's reply.
 type assignMsg struct {
-	Magic          uint32
-	Version        uint32
 	HostIndex      int
 	RankStart      int // the agent runs this rank itself ...
 	RankEnd        int // ... and forks (RankStart, RankEnd) as local workers
@@ -343,12 +339,9 @@ func (b *HostListBootstrap) answerJoin(conn net.Conn, assigned []bool, ranges []
 	if f.Type != frameJoin {
 		return 0, "", fmt.Errorf("spmd: expected join request, got frame type %d", f.Type)
 	}
-	var req joinMsg
-	if err := decodeGob(f.Payload, &req); err != nil {
+	req, err := decodeJoin(f.Payload)
+	if err != nil {
 		return 0, "", fmt.Errorf("spmd: decoding join request: %w", err)
-	}
-	if err := checkProto(req.Magic, req.Version); err != nil {
-		return 0, "", err
 	}
 	idx = -1
 	switch {
@@ -374,15 +367,10 @@ func (b *HostListBootstrap) answerJoin(conn net.Conn, assigned []bool, ranges []
 		return 0, "", fmt.Errorf("spmd: join from %q but every host slot is already assigned", req.Hostname)
 	}
 	reply := assignMsg{
-		Magic: protoMagic, Version: protoVersion,
 		HostIndex: idx, RankStart: ranges[idx][0], RankEnd: ranges[idx][1],
 		Size: size, RendezvousPort: rdvPort,
 	}
-	payload, err := encodeGob(reply)
-	if err != nil {
-		return 0, "", err
-	}
-	if err := writeFrame(conn, &frame{Type: frameAssign, Payload: payload}); err != nil {
+	if err := writeFrame(conn, &frame{Type: frameAssign, Payload: reply.encode()}); err != nil {
 		return 0, "", fmt.Errorf("spmd: sending assignment to host %d: %w", idx, err)
 	}
 	return idx, req.Hostname, nil
@@ -438,14 +426,8 @@ func (b *HostJoinBootstrap) Form() (World, error) {
 	defer conn.Close()
 	conn.SetDeadline(deadline)
 	hostname, _ := os.Hostname()
-	payload, err := encodeGob(joinMsg{
-		Magic: protoMagic, Version: protoVersion,
-		HostIndex: b.HostIndex, Hostname: hostname,
-	})
-	if err != nil {
-		return World{}, err
-	}
-	if err := writeFrame(conn, &frame{Type: frameJoin, Payload: payload}); err != nil {
+	join := joinMsg{HostIndex: b.HostIndex, Hostname: hostname}
+	if err := writeFrame(conn, &frame{Type: frameJoin, Payload: join.encode()}); err != nil {
 		return World{}, fmt.Errorf("spmd: sending join request to %s: %w", b.Addr, err)
 	}
 	f, err := readFrame(conn)
@@ -455,12 +437,9 @@ func (b *HostJoinBootstrap) Form() (World, error) {
 	if f.Type != frameAssign {
 		return World{}, fmt.Errorf("spmd: expected assignment, got frame type %d", f.Type)
 	}
-	var assign assignMsg
-	if err := decodeGob(f.Payload, &assign); err != nil {
+	assign, err := decodeAssign(f.Payload)
+	if err != nil {
 		return World{}, fmt.Errorf("spmd: decoding assignment: %w", err)
-	}
-	if err := checkProto(assign.Magic, assign.Version); err != nil {
-		return World{}, err
 	}
 	if assign.RankStart < 0 || assign.RankStart >= assign.RankEnd || assign.RankEnd > assign.Size {
 		return World{}, fmt.Errorf("spmd: assignment ranks [%d,%d) of %d is malformed",

@@ -13,6 +13,16 @@
 // data moves only at the collective, happens-before across it) match
 // MPI's on both backends, which is all the algorithm depends on.
 //
+// The typed layer's contract is one rule on every transport: a collective
+// carries a pointer-free value (Allgather, Bcast, the reductions) or rows
+// of pointer-free elements (Alltoallv, GatherTo, a row handed to Allgather
+// or Bcast) — bytes included, and variable-length items through
+// AlltoallvPacked. The elements move as their own memory, as diBELLA's
+// packed MPI_Alltoallv buffers do; nothing is serialized reflectively. A
+// type with pointers panics naming itself, on goroutine ranks exactly as
+// over TCP; its owner encodes it to bytes first (internal/wire, or the
+// JSON it is already persisted as).
+//
 // Two clocks are tracked per rank:
 //
 //   - wall time, i.e. real host time actually spent inside collectives,
@@ -255,8 +265,9 @@ func elemSize[T any]() int {
 // their memory. Keyed by reflect.Type, value bool.
 var podTypes sync.Map
 
-func isPOD[T any]() bool {
-	rt := reflect.TypeFor[T]()
+func isPOD[T any]() bool { return isPODType(reflect.TypeFor[T]()) }
+
+func isPODType(rt reflect.Type) bool {
 	if v, ok := podTypes.Load(rt); ok {
 		return v.(bool)
 	}
@@ -347,28 +358,42 @@ const (
 
 // gatherVals runs the allgather underlying the small collectives and
 // returns this rank's view of all contributed values, in rank order: every
-// rank sends its one value to every rank. Wherever the bytes of T may
-// travel as they are — any T on a shared transport, by the aliasing rule
-// Alltoallv applies, and plain-old-data on any transport — that is an
-// exchange of the one-element []T{v}; only a value with pointers crossing
-// an address-space boundary is gob-encoded first (and must be
-// gob-encodable).
+// rank sends its one value to every rank. T is a pointer-free value, or a
+// row ([]E) of pointer-free elements — []byte included, which is how
+// structured values travel: their owner encodes them (internal/wire, JSON)
+// and the typed layer ships the bytes. The value moves as its own memory
+// and is copied out on receipt, on every transport alike; any other T
+// panics, naming it.
 func gatherVals[T any](c *Comm, v T) []T {
 	c.rec.Begin(traceAllgather, c.clock)
+	rt := reflect.TypeFor[T]()
+	size := int(rt.Size()) // of the value, or of one row element
+	row := false
+	var raw []byte
+	switch {
+	case isPODType(rt):
+		raw = unsafe.Slice((*byte)(unsafe.Pointer(&v)), size)
+	case rt.Kind() == reflect.Slice && isPODType(rt.Elem()):
+		row, size = true, int(rt.Elem().Size())
+		if rv := reflect.ValueOf(v); rv.Len() > 0 {
+			raw = unsafe.Slice((*byte)(rv.UnsafePointer()), rv.Len()*size)
+		}
+	default:
+		panic(fmt.Sprintf("spmd: allgather of %T: not a pointer-free value or a row of pointer-free elements; encode it to bytes first", v))
+	}
 	out := make([]T, c.Size())
-	if c.tr.Shared() || isPOD[T]() {
-		for i, part := range post(c, replicate(c, []T{v}), &priceAllgather, nil).Wait() {
-			out[i] = part[0]
+	for i, b := range post(c, replicate(c, raw), &priceAllgather, nil).Wait() {
+		if len(b)%size != 0 || !row && len(b) != size {
+			panic(fmt.Sprintf("spmd: allgather of %T: rank %d sent %d bytes, element size %d", v, i, len(b), size))
 		}
-	} else {
-		blob, err := encodeGob(&v)
-		if err != nil {
-			panic(fmt.Errorf("spmd: allgather encode %T: %w", v, err))
+		dst := unsafe.Pointer(&out[i])
+		if row {
+			rv := reflect.MakeSlice(rt, len(b)/size, len(b)/size)
+			out[i] = rv.Interface().(T)
+			dst = rv.UnsafePointer()
 		}
-		for i, b := range post(c, replicate(c, blob), &priceAllgather, nil).Wait() {
-			if err := decodeGob(b, &out[i]); err != nil {
-				panic(fmt.Errorf("spmd: allgather decode from rank %d: %w", i, err))
-			}
+		if len(b) > 0 {
+			copy(unsafe.Slice((*byte)(dst), len(b)), b)
 		}
 	}
 	c.rec.End(traceAllgather, c.clock, 0)
@@ -384,9 +409,9 @@ func replicate[T any](c *Comm, row []T) [][]T {
 	return send
 }
 
-// AllreduceI64 reduces one int64 across ranks; every rank gets the result.
-func AllreduceI64(c *Comm, v int64, op Op) int64 {
-	vals := gatherVals(c, v)
+// reduce folds the gathered values in rank order, so a floating-point sum
+// is the same on every rank.
+func reduce[T int64 | float64](vals []T, op Op) T {
 	acc := vals[0]
 	for _, x := range vals[1:] {
 		switch op {
@@ -404,30 +429,15 @@ func AllreduceI64(c *Comm, v int64, op Op) int64 {
 	}
 	return acc
 }
+
+// AllreduceI64 reduces one int64 across ranks; every rank gets the result.
+func AllreduceI64(c *Comm, v int64, op Op) int64 { return reduce(gatherVals(c, v), op) }
 
 // AllreduceF64 reduces one float64 across ranks; every rank gets the result.
-func AllreduceF64(c *Comm, v float64, op Op) float64 {
-	vals := gatherVals(c, v)
-	acc := vals[0]
-	for _, x := range vals[1:] {
-		switch op {
-		case OpSum:
-			acc += x
-		case OpMax:
-			if x > acc {
-				acc = x
-			}
-		case OpMin:
-			if x < acc {
-				acc = x
-			}
-		}
-	}
-	return acc
-}
+func AllreduceF64(c *Comm, v float64, op Op) float64 { return reduce(gatherVals(c, v), op) }
 
-// Allgather collects one value from every rank, ordered by rank. On
-// serializing transports the value must be gob-encodable.
+// Allgather collects one value (see gatherVals for what may travel) from
+// every rank, ordered by rank.
 func Allgather[T any](c *Comm, v T) []T { return gatherVals(c, v) }
 
 // Bcast distributes root's value to all ranks.
@@ -449,57 +459,21 @@ func ExclusiveScanI64(c *Comm, v int64) int64 {
 	return sum
 }
 
-// GatherTo collects one gob-encodable value from every rank on root
-// (MPI_Gatherv): root receives all values in rank order, other ranks
-// receive nil. Unlike Allgather, non-root values travel only to root —
-// on a distributed backend that is 1x the payload over the wire instead
-// of (P-1)x. It is implemented as one irregular all-to-all (with empty
-// contributions everywhere but the root column), so its clock and
-// statistics accounting is identical on every backend.
-func GatherTo[T any](c *Comm, v T, root int) []T {
+// GatherTo collects one row of pointer-free elements from every rank on
+// root (MPI_Gatherv): root receives all rows in rank order, other ranks
+// receive nil. Unlike Allgather, the rows travel only to root — on a
+// distributed backend that is 1x the payload over the wire instead of
+// (P-1)x. It is one irregular all-to-all with only the root column
+// filled, so its accounting and its aliasing rule are Alltoallv's.
+func GatherTo[E any](c *Comm, row []E, root int) [][]E {
 	if root < 0 || root >= c.Size() {
 		panic(fmt.Sprintf("spmd: GatherTo root %d out of range", root))
 	}
-	blob, err := encodeGob(&v)
-	if err != nil {
-		panic(fmt.Errorf("spmd: GatherTo encode %T: %w", v, err))
-	}
-	send := make([][]byte, c.Size())
-	send[root] = blob
+	send := make([][]E, c.Size())
+	send[root] = row
 	recv := Alltoallv(c, send)
 	if c.Rank() != root {
 		return nil
 	}
-	out := make([]T, c.Size())
-	for i, b := range recv {
-		if err := decodeGob(b, &out[i]); err != nil {
-			panic(fmt.Errorf("spmd: GatherTo decode from rank %d: %w", i, err))
-		}
-	}
-	return out
-}
-
-// MaxReduceRegisters all-reduces HyperLogLog-style register arrays by
-// element-wise max; every rank receives a fresh merged array.
-//
-// The contribution is deep-copied before the gather: on the shared-memory
-// backend ranks read each other's arrays after leaving the collective, so
-// sharing the caller's slice would race with any later mutation of it
-// (e.g. installing the merged result back into the sketch).
-func MaxReduceRegisters(c *Comm, regs []uint8) []uint8 {
-	private := append([]uint8(nil), regs...)
-	all := gatherVals(c, private)
-	out := make([]uint8, len(regs))
-	copy(out, all[0])
-	for _, a := range all[1:] {
-		if len(a) != len(out) {
-			panic("spmd: register length mismatch in MaxReduceRegisters")
-		}
-		for i, v := range a {
-			if v > out[i] {
-				out[i] = v
-			}
-		}
-	}
-	return out
+	return recv
 }

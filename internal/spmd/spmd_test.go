@@ -191,24 +191,6 @@ func TestAllgatherBcastScan(t *testing.T) {
 	}
 }
 
-func TestMaxReduceRegisters(t *testing.T) {
-	const p = 4
-	err := Run(p, func(c *Comm) error {
-		regs := []uint8{byte(c.Rank()), byte(3 - c.Rank()), 7}
-		out := MaxReduceRegisters(c, regs)
-		want := []uint8{3, 3, 7}
-		for i := range want {
-			if out[i] != want[i] {
-				return fmt.Errorf("out = %v", out)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestErrorUnblocksWorld(t *testing.T) {
 	// Rank 2 fails before the collective; the others must not deadlock.
 	err := Run(4, func(c *Comm) error {

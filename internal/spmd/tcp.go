@@ -2,8 +2,6 @@ package spmd
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -56,35 +54,10 @@ type tcpConfig struct {
 	Timeout time.Duration
 }
 
-// Wire-protocol identity carried in every hello and join message. A peer
-// whose binary speaks a different protocol (or is not dibella at all) is
-// rejected with a clear error during world formation, instead of failing
-// later with a frame-decode panic mid-collective. Version 2 dropped the
-// application-config payload from the join assignment and the worker
-// environment: a version-1 peer would form a world and then wait for a
-// configuration that formation no longer carries, so it is refused here.
-const (
-	protoMagic   = 0x44694245 // "DiBE"
-	protoVersion = 2
-)
-
-// checkProto validates a peer's protocol identity fields.
-func checkProto(magic, version uint32) error {
-	if magic != protoMagic {
-		return fmt.Errorf("spmd: peer protocol magic %#08x, want %#08x (peer is not a dibella process?)", magic, protoMagic)
-	}
-	if version != protoVersion {
-		return fmt.Errorf("spmd: peer speaks protocol version %d, this binary speaks %d (mismatched dibella binaries?)", version, protoVersion)
-	}
-	return nil
-}
-
-// helloMsg is the gob payload of a frameHello.
+// helloMsg is the payload of a frameHello.
 type helloMsg struct {
-	Magic   uint32 // protoMagic
-	Version uint32 // protoVersion
-	Rank    int
-	Addr    string // mesh listen address (rendezvous connection only)
+	Rank int
+	Addr string // mesh listen address (rendezvous connection only)
 }
 
 // peerMsg is carried on a peer's frame channel: one decoded frame or the
@@ -205,10 +178,7 @@ func (t *tcpTransport) formRoot(cfg tcpConfig, deadline time.Time) error {
 		}
 		addrs[hello.Rank] = hello.Addr
 	}
-	table, err := encodeGob(addrs)
-	if err != nil {
-		return err
-	}
+	table := encodePeers(addrs)
 	for r := 1; r < t.size; r++ {
 		p := t.peers[r]
 		if err := p.write(&frame{Type: framePeers, Payload: table}); err != nil {
@@ -238,7 +208,7 @@ func (t *tcpTransport) formLeaf(cfg tcpConfig, deadline time.Time) error {
 	// the rendezvous from: a ":0"-style bind has no routable host of its
 	// own, and the rendezvous path is the one route peers are known to
 	// share with us.
-	if err := sendHello(root, hello(t.rank, advertiseAddr(ln.Addr(), root.LocalAddr())), deadline); err != nil {
+	if err := sendHello(root, helloMsg{Rank: t.rank, Addr: advertiseAddr(ln.Addr(), root.LocalAddr())}, deadline); err != nil {
 		root.Close()
 		return fmt.Errorf("spmd: rank %d introducing itself to rendezvous %s: %w", t.rank, cfg.Rendezvous, err)
 	}
@@ -257,8 +227,8 @@ func (t *tcpTransport) formLeaf(cfg tcpConfig, deadline time.Time) error {
 	if pf.Type != framePeers {
 		return fmt.Errorf("spmd: rank %d expected peer table, got frame type %d", t.rank, pf.Type)
 	}
-	var addrs []string
-	if err := decodeGob(pf.Payload, &addrs); err != nil {
+	addrs, err := decodePeers(pf.Payload)
+	if err != nil {
 		return fmt.Errorf("spmd: rank %d decoding peer table: %w", t.rank, err)
 	}
 	if len(addrs) != t.size {
@@ -266,7 +236,7 @@ func (t *tcpTransport) formLeaf(cfg tcpConfig, deadline time.Time) error {
 	}
 
 	for r := 1; r < t.rank; r++ {
-		conn, err := t.dialPeer(addrs[r], hello(t.rank, ""), deadline)
+		conn, err := t.dialPeer(addrs[r], helloMsg{Rank: t.rank}, deadline)
 		if err != nil {
 			return fmt.Errorf("spmd: rank %d dialing rank %d at %s: %w", t.rank, r, addrs[r], err)
 		}
@@ -297,19 +267,10 @@ func (t *tcpTransport) formLeaf(cfg tcpConfig, deadline time.Time) error {
 	return nil
 }
 
-// hello builds this binary's hello for one connection.
-func hello(rank int, addr string) helloMsg {
-	return helloMsg{Magic: protoMagic, Version: protoVersion, Rank: rank, Addr: addr}
-}
-
 // sendHello writes one hello frame on a freshly dialed connection.
 func sendHello(conn net.Conn, h helloMsg, deadline time.Time) error {
-	payload, err := encodeGob(h)
-	if err != nil {
-		return err
-	}
 	conn.SetWriteDeadline(deadline)
-	if err := writeFrame(conn, &frame{Type: frameHello, Payload: payload}); err != nil {
+	if err := writeFrame(conn, &frame{Type: frameHello, Payload: h.encode()}); err != nil {
 		return fmt.Errorf("spmd: sending hello: %w", err)
 	}
 	return nil
@@ -357,12 +318,9 @@ func (t *tcpTransport) handshake(conn net.Conn, deadline time.Time) (helloMsg, e
 	if f.Type != frameHello {
 		return helloMsg{}, fmt.Errorf("spmd: rank %d expected hello, got frame type %d", t.rank, f.Type)
 	}
-	var h helloMsg
-	if err := decodeGob(f.Payload, &h); err != nil {
+	h, err := decodeHello(f.Payload)
+	if err != nil {
 		return helloMsg{}, fmt.Errorf("spmd: rank %d decoding hello: %w", t.rank, err)
-	}
-	if err := checkProto(h.Magic, h.Version); err != nil {
-		return helloMsg{}, err
 	}
 	if h.Rank < 0 || h.Rank >= t.size {
 		return helloMsg{}, fmt.Errorf("spmd: hello from out-of-range rank %d", h.Rank)
@@ -671,16 +629,4 @@ func (t *tcpTransport) teardown() {
 		}
 		p.conn.Close()
 	}
-}
-
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGob(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

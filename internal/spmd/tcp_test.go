@@ -107,9 +107,9 @@ func TestTCPSmallCollectives(t *testing.T) {
 		if got := AllreduceF64(c, float64(c.Rank()), OpMax); got != p-1 {
 			return fmt.Errorf("fmax = %v", got)
 		}
-		gathered := Allgather(c, fmt.Sprintf("rank-%d", c.Rank()))
+		gathered := Allgather(c, []byte(fmt.Sprintf("rank-%d", c.Rank())))
 		for i, s := range gathered {
-			if s != fmt.Sprintf("rank-%d", i) {
+			if string(s) != fmt.Sprintf("rank-%d", i) {
 				return fmt.Errorf("Allgather[%d] = %q", i, s)
 			}
 		}
@@ -119,10 +119,11 @@ func TestTCPSmallCollectives(t *testing.T) {
 		if scan := ExclusiveScanI64(c, 10); scan != int64(c.Rank()*10) {
 			return fmt.Errorf("scan = %d", scan)
 		}
-		regs := []uint8{byte(c.Rank()), byte(3 - c.Rank()), 7}
-		out := MaxReduceRegisters(c, regs)
-		if out[0] != 3 || out[1] != 3 || out[2] != 7 {
-			return fmt.Errorf("MaxReduceRegisters = %v", out)
+		// A row of wider elements, lengths differing by rank, one empty.
+		for i, row := range Allgather(c, make([]int32, c.Rank())) {
+			if len(row) != i {
+				return fmt.Errorf("Allgather row[%d] has %d elements", i, len(row))
+			}
 		}
 		c.Barrier()
 		if st := c.Stats(); st.Collectives != 7 {
@@ -138,7 +139,7 @@ func TestTCPSmallCollectives(t *testing.T) {
 func TestGatherToBothBackends(t *testing.T) {
 	const p, root = 4, 2
 	program := func(c *Comm) error {
-		got := GatherTo(c, fmt.Sprintf("r%d", c.Rank()), root)
+		got := GatherTo(c, []byte(fmt.Sprintf("r%d", c.Rank())), root)
 		if c.Rank() != root {
 			if got != nil {
 				return fmt.Errorf("rank %d: non-root received %v", c.Rank(), got)
@@ -146,7 +147,7 @@ func TestGatherToBothBackends(t *testing.T) {
 			return nil
 		}
 		for i, s := range got {
-			if s != fmt.Sprintf("r%d", i) {
+			if string(s) != fmt.Sprintf("r%d", i) {
 				return fmt.Errorf("root got[%d] = %q", i, s)
 			}
 		}

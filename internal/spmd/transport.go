@@ -31,8 +31,8 @@ type Transport interface {
 
 	// Shared reports whether buffers returned by Wait alias the sender's
 	// memory (true for the in-process backend). When false the buffers
-	// crossed an address-space boundary and the typed layer must treat
-	// element types containing pointers as unserializable.
+	// crossed an address-space boundary and the typed layer copies them
+	// into aligned memory of its own.
 	Shared() bool
 
 	// IAlltoallv posts one irregular all-to-all without blocking — send[dst]

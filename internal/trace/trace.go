@@ -37,8 +37,8 @@ const (
 	PhaseFlowIn  = 'f' // flow finish: that exchange delivered on a peer
 )
 
-// Event is one recorded occurrence. All fields are exported so a
-// snapshot travels through the spmd gob collectives unchanged.
+// Event is one recorded occurrence. A snapshot travels to rank 0 in the
+// encoding of codec.go.
 type Event struct {
 	Name  string        // registered package-level constant
 	Phase byte          // one of the Phase* values

@@ -3,8 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dibella/internal/wire"
 )
 
 // Test-local names; production names live as constants in the emitting
@@ -162,5 +166,31 @@ func TestPrometheusExposition(t *testing.T) {
 	// Label values render sorted: bad-tenant before queue-full.
 	if strings.Index(out, `"bad-tenant"`) > strings.Index(out, `"queue-full"`) {
 		t.Error("vec children not sorted by label value")
+	}
+}
+
+// TestRankEventsCodec: the teardown gather's byte row round-trips every
+// field, and every proper prefix or extension of it is refused.
+func TestRankEventsCodec(t *testing.T) {
+	snap := RankEvents{Rank: 3, Dropped: 7, Events: []Event{
+		{Name: "stage.align", Phase: PhaseBegin, Wall: 1234567, Virt: 0.25, Tag: "alice"},
+		{Name: "spmd.exchange", Phase: PhaseFlowOut, Wall: -1, Virt: -0.5, Arg: -42, Flow: 1<<63 + 9},
+		{},
+	}}
+	blob := snap.Encode()
+	back, err := DecodeRankEvents(blob)
+	if err != nil || !reflect.DeepEqual(back, snap) {
+		t.Fatalf("round trip: %+v, %v", back, err)
+	}
+	if empty, err := DecodeRankEvents(RankEvents{Rank: 1}.Encode()); err != nil || !reflect.DeepEqual(empty, RankEvents{Rank: 1}) {
+		t.Errorf("empty snapshot: %+v, %v", empty, err)
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := DecodeRankEvents(blob[:cut]); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("cut to %d bytes: err = %v, want truncated", cut, err)
+		}
+	}
+	if _, err := DecodeRankEvents(append(blob, 0)); err == nil {
+		t.Error("trailing byte accepted")
 	}
 }
