@@ -126,8 +126,8 @@ func TestCLITCPTransportMatchesMem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dibella -transport tcp: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "launching 3 worker processes") {
-		t.Errorf("tcp run did not fork workers:\n%s", out)
+	if !strings.Contains(string(out), "world of 4 ranks over 1 host(s); rendezvous 127.0.0.1:") {
+		t.Errorf("tcp run did not announce a one-host loopback world:\n%s", out)
 	}
 
 	memBytes, err := os.ReadFile(memPAF)
@@ -189,10 +189,10 @@ func TestCLIHostListMatchesMem(t *testing.T) {
 		t.Fatalf("dibella -hosts: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"world of 4 ranks over 2 hosts", // launcher banner
-		"joined, assigned ranks 2-3",    // the simulated host's join
-		"[host 1] ",                     // its prefixed agent output
-		"input bytes parsed per rank:",  // the cooperative-I/O counter
+		"world of 4 ranks over 2 host(s)", // launcher banner
+		"joined, assigned ranks 2-3",      // the simulated host's join
+		"[host 1] ",                       // its prefixed agent output
+		"input bytes parsed per rank:",    // the cooperative-I/O counter
 	} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("hosts run output missing %q:\n%s", want, out)
@@ -334,14 +334,15 @@ func TestCLICheckpointResume(t *testing.T) {
 }
 
 // startHostLauncher launches a -hosts world whose second host must be
-// joined externally, and returns the advertised join address plus the
-// command (still running).
+// joined externally, and returns the one address the launcher prints — its
+// rendezvous — plus the command (still running).
 func startHostLauncher(t *testing.T, dibella string, args []string) (*exec.Cmd, string, *bytes.Buffer) {
 	t.Helper()
 	cmd := exec.Command(dibella, args...)
 	var buf bytes.Buffer
 	pr, pw := io.Pipe()
-	cmd.Stdout = &buf
+	// Stdout (a PAF stream at most) is discarded: copying it into buf too
+	// would race with the stderr copy and truncate the log.
 	cmd.Stderr = io.MultiWriter(&buf, pw)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -351,8 +352,8 @@ func startHostLauncher(t *testing.T, dibella string, args []string) (*exec.Cmd, 
 		sc := bufio.NewScanner(pr)
 		for sc.Scan() {
 			line := sc.Text()
-			if i := strings.Index(line, "join address "); i >= 0 {
-				addrCh <- strings.TrimSpace(line[i+len("join address "):])
+			if i := strings.Index(line, "; rendezvous "); i >= 0 {
+				addrCh <- strings.TrimSpace(line[i+len("; rendezvous "):])
 				break
 			}
 		}
@@ -364,7 +365,7 @@ func startHostLauncher(t *testing.T, dibella string, args []string) (*exec.Cmd, 
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
 		cmd.Wait()
-		t.Fatalf("launcher never printed a join address:\n%s", buf.String())
+		t.Fatalf("launcher never printed its rendezvous:\n%s", buf.String())
 		return nil, "", nil
 	}
 }
@@ -407,21 +408,20 @@ func TestCLIJoinConfigShipping(t *testing.T) {
 		"-in", reads, "-p", "4", "-k", "17", "-error-rate", "0.06",
 		"-hosts", "127.0.0.1:2,farhost:2", "-out", hostsPAF,
 	})
-	// The join address advertises the unresolvable host name; dial the
-	// launcher over loopback instead.
-	_, port, err := net.SplitHostPort(joinAddr)
-	if err != nil {
-		t.Fatalf("join address %q: %v", joinAddr, err)
-	}
-	// The agent passes no config flags at all: rank 0's ship to it (and to
-	// the worker it forks) over the formed world.
-	agentOut, agentErr := exec.Command(dibella, "-join", "127.0.0.1:"+port).CombinedOutput()
+	// The agent is given the one address the launcher printed and no config
+	// flags at all: rank 0's ship to it (and to the worker it forks) over
+	// the formed world.
+	agentOut, agentErr := exec.Command(dibella, "-join", joinAddr).CombinedOutput()
 	launchErr := launcher.Wait()
 	if agentErr != nil {
 		t.Fatalf("bare -join agent: %v\n%s", agentErr, agentOut)
 	}
 	if launchErr != nil {
 		t.Fatalf("launcher: %v\n%s", launchErr, launcherOut.String())
+	}
+	// One address in the whole log: the banner and the -join hint name it.
+	if log := launcherOut.String(); strings.Count(log, "127.0.0.1:") != 2 || strings.Count(log, joinAddr) != 2 {
+		t.Errorf("launcher log names an address other than its rendezvous %s:\n%s", joinAddr, log)
 	}
 	hostsBytes, err := os.ReadFile(hostsPAF)
 	if err != nil {
@@ -437,11 +437,7 @@ func TestCLIJoinConfigShipping(t *testing.T) {
 		"-in", reads, "-p", "4", "-k", "17", "-error-rate", "0.06",
 		"-hosts", "127.0.0.1:2,farhost:2",
 	})
-	_, port2, err := net.SplitHostPort(joinAddr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agentOut2, agentErr2 := exec.Command(dibella, "-join", "127.0.0.1:"+port2, "-k", "19").CombinedOutput()
+	agentOut2, agentErr2 := exec.Command(dibella, "-join", joinAddr2, "-k", "19").CombinedOutput()
 	launcher2.Wait() // world aborts once the joiner bails; exit status is secondary
 	_ = launcher2Out
 	if agentErr2 == nil {

@@ -134,7 +134,7 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 	str(&p.Transport, perProcess, "transport", "mem", "spmd backend: mem (goroutine ranks) | tcp (one OS process per rank)")
 	str(&p.Hosts, perProcess, "hosts", "", "comma-separated host[:ranks] list for a multi-host TCP world (first entry is this machine; loopback entries are simulated locally)")
 	str(&p.Hostfile, perProcess, "hostfile", "", "file with one host[:ranks] per line (alternative to -hosts)")
-	str(&p.Join, perProcess, "join", "", "enter a -hosts world: the launcher's join address printed at launch")
+	str(&p.Join, perProcess, "join", "", "enter a -hosts world: the rendezvous address its launcher printed")
 	fs.DurationVar(&p.FormTimeout, "form-timeout", 30*time.Second, "world-formation deadline (dials, handshakes, host joins)")
 	return p
 }
@@ -297,13 +297,17 @@ func splitList(s string) []string {
 	return out
 }
 
-// hostList resolves -hosts/-hostfile into a fully-assigned host list.
-// Explicit per-host counts determine the world size on their own unless -p
-// was given too.
+// hostList resolves -hosts/-hostfile into a fully-assigned host list; with
+// neither, this machine is the whole list. Explicit per-host counts
+// determine the world size on their own unless -p was given too.
 func (p *runParams) hostList(pExplicit bool) ([]spmd.HostSpec, error) {
 	parse, list := spmd.ParseHostList, p.Hosts
-	if list == "" {
+	switch {
+	case list != "":
+	case p.Hostfile != "":
 		parse, list = spmd.ParseHostFile, p.Hostfile
+	default:
+		list = fmt.Sprintf("127.0.0.1:%d", p.P)
 	}
 	hosts, err := parse(list)
 	if err != nil {

@@ -8,7 +8,7 @@
 //	dibella -in reads.fastq -platform cori -nodes 8     # modeled platform run
 //	dibella -in reads.fastq -transport tcp -p 4         # 4 OS processes over TCP
 //	dibella -in reads.fastq -hosts n1,n2:4 -p 8         # multi-host world
-//	dibella -join n1:33441                              # enter a -hosts world
+//	dibella -join n1:33441                              # enter a -hosts world at its rendezvous
 //	dibella -in reads.fastq -ckpt-dir ck -p 8           # snapshot stage boundaries
 //	dibella -resume ck -p 4                             # restart (any world size)
 //	dibella -in reads.fastq -serve-addr 127.0.0.1:7913  # resident query daemon
@@ -19,7 +19,7 @@
 // with admission control and weighted query routing — see the README's
 // "Serve mode" section and docs/SERVE.md.
 //
-// With -transport tcp the process acts as a launcher: it binds a loopback
+// With -transport tcp the process acts as a launcher: it binds the world's
 // rendezvous port, forks P-1 copies of itself as worker processes (ranks
 // 1..P-1, coordinates passed through DIBELLA_* environment variables —
 // see the README's env-var contract), and participates as rank 0. The
@@ -28,14 +28,15 @@
 // of the input (cooperative I/O) and output is byte-identical to a
 // -transport mem run.
 //
-// With -hosts (or -hostfile) the world spans machines: the launcher
-// assigns each host a contiguous rank range, binds public rendezvous and
-// join ports, and prints the `dibella -join <addr>` command to run on
-// each remote host. Host entries that resolve to loopback are simulated —
-// the launcher forks their join agents locally — so a multi-host launch
-// can be rehearsed on one machine. Schedulers that already place one
-// process per rank skip all of this by exporting DIBELLA_RANK,
-// DIBELLA_WORLD_SIZE, and DIBELLA_RENDEZVOUS directly.
+// With -hosts (or -hostfile) the same launcher spans machines (-transport
+// tcp alone is the host list "127.0.0.1:P"): it assigns each host a
+// contiguous rank range and prints the one address of the world, its
+// rendezvous, in the `dibella -join <addr>` command to run on each remote
+// host. Host entries that resolve to loopback are simulated — the launcher
+// forks their agents locally — so a multi-host launch can be rehearsed on
+// one machine. Schedulers that already place one process per rank skip all
+// of this by exporting DIBELLA_RANK, DIBELLA_WORLD_SIZE, and
+// DIBELLA_RENDEZVOUS directly.
 //
 // However a multi-process world was launched, it is configured one way:
 // once it has formed, rank 0's flags travel to every other rank, which
@@ -61,7 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 
 	"dibella/internal/fastq"
 	"dibella/internal/machine"
@@ -79,50 +79,33 @@ func main() {
 	explicit := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	// A worker forked by a launcher (or placed by a scheduler) carries its
-	// coordinates in DIBELLA_* env vars; -rank/-rendezvous style flags no
-	// longer exist, so internal plumbing cannot be passed by hand.
-	envBoot, isWorker, err := spmd.JoinBootstrapFromEnv()
+	// Pick the bootstrap that matches how this process was started: placed
+	// by its environment (a launcher's or agent's fork, a scheduler's job
+	// script; -rank/-rendezvous style flags do not exist, so internal
+	// plumbing cannot be passed by hand), told where to -join, or a launcher
+	// itself. None means goroutine ranks in this process.
+	boot, err := spmd.BootstrapFromEnv(params.FormTimeout)
 	if err != nil {
 		fatal(err)
 	}
-	joinAddr, hostIndex := params.Join, 0
-	if joinAddr == "" {
-		// Simulated host agents are forked with the join address in env.
-		joinAddr = os.Getenv(spmd.EnvJoin)
-		if idx := os.Getenv(spmd.EnvHostIndex); idx != "" {
-			if hostIndex, err = strconv.Atoi(idx); err != nil {
-				fatal(fmt.Errorf("%s=%q: %w", spmd.EnvHostIndex, idx, err))
-			}
-		}
+	if boot == nil && params.Join != "" {
+		boot = &spmd.HostJoinBootstrap{Addr: params.Join, Timeout: params.FormTimeout}
 	}
 	// Every process validates its own command line before any forking or
-	// formation; a follower gets its configuration from rank 0 afterwards.
-	follower := joinAddr != "" || isWorker && envBoot.Rank != 0
+	// formation; a follower — whoever enters a world as anything but its
+	// rank 0 — gets its configuration from rank 0 afterwards.
+	placed, _ := boot.(*spmd.JoinBootstrap)
+	follower := boot != nil && (placed == nil || placed.Rank != 0)
 	plan, err := params.resolve(explicit, follower)
 	if err != nil {
 		usageError("%v", err)
 	}
-
-	// Pick the bootstrap that matches how this process was started; none
-	// means goroutine ranks in this process.
-	var boot spmd.Bootstrap
-	switch {
-	case isWorker:
-		if envBoot.Timeout <= 0 { // the env contract's deadline beats the inherited flag's
-			envBoot.Timeout = params.FormTimeout
-		}
-		boot = envBoot
-	case joinAddr != "":
-		boot = &spmd.HostJoinBootstrap{Addr: joinAddr, HostIndex: hostIndex, Timeout: params.FormTimeout}
-	case params.Hosts != "" || params.Hostfile != "":
+	if boot == nil && (params.Transport == "tcp" || params.Hosts != "" || params.Hostfile != "") {
 		hosts, err := params.hostList(explicit["p"])
 		if err != nil {
 			usageError("%v", err)
 		}
 		boot = &spmd.HostListBootstrap{Hosts: hosts, Timeout: params.FormTimeout}
-	case params.Transport == "tcp":
-		boot = &spmd.ForkBootstrap{Size: params.P, Timeout: params.FormTimeout}
 	}
 	// Multi-host modes and env-placed workers are TCP by construction.
 	if boot != nil && explicit["transport"] && params.Transport == "mem" {

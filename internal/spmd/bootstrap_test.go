@@ -3,6 +3,7 @@ package spmd
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -13,19 +14,32 @@ import (
 )
 
 func TestJoinBootstrapFromEnv(t *testing.T) {
-	if _, ok, _ := JoinBootstrapFromEnv(); ok {
-		t.Skipf("%s already set in the test environment", EnvRank)
+	if b, err := BootstrapFromEnv(0); b != nil || err != nil {
+		t.Skipf("the test environment already carries a DIBELLA_* placement (%v, %v)", b, err)
 	}
 	t.Run("parses", func(t *testing.T) {
 		t.Setenv(EnvRank, "0")
 		t.Setenv(EnvWorldSize, "4")
 		t.Setenv(EnvRendezvous, "127.0.0.1:9999")
 		t.Setenv(EnvFormTimeout, "5s")
-		b, ok, err := JoinBootstrapFromEnv()
+		boot, err := BootstrapFromEnv(time.Minute)
+		b, ok := boot.(*JoinBootstrap)
 		if !ok || err != nil {
-			t.Fatalf("ok=%v err=%v", ok, err)
+			t.Fatalf("boot=%T err=%v", boot, err)
 		}
 		if b.Rank != 0 || b.Size != 4 || b.Rendezvous != "127.0.0.1:9999" || b.Timeout != 5*time.Second {
+			t.Errorf("parsed %+v", b)
+		}
+	})
+	t.Run("asks for a placement", func(t *testing.T) {
+		t.Setenv(EnvRendezvous, "127.0.0.1:9999")
+		t.Setenv(EnvHostIndex, "2")
+		boot, err := BootstrapFromEnv(time.Minute)
+		b, ok := boot.(*HostJoinBootstrap)
+		if !ok || err != nil {
+			t.Fatalf("boot=%T err=%v", boot, err)
+		}
+		if b.Addr != "127.0.0.1:9999" || b.HostIndex != 2 || b.Timeout != time.Minute {
 			t.Errorf("parsed %+v", b)
 		}
 	})
@@ -33,28 +47,28 @@ func TestJoinBootstrapFromEnv(t *testing.T) {
 		t.Setenv(EnvRank, "two")
 		t.Setenv(EnvWorldSize, "4")
 		t.Setenv(EnvRendezvous, "127.0.0.1:9999")
-		if _, ok, err := JoinBootstrapFromEnv(); !ok || err == nil {
-			t.Errorf("ok=%v err=%v, want set-but-malformed", ok, err)
+		if b, err := BootstrapFromEnv(0); b != nil || err == nil {
+			t.Errorf("boot=%v err=%v, want set-but-malformed", b, err)
 		}
 	})
 	t.Run("missing rendezvous", func(t *testing.T) {
 		t.Setenv(EnvRank, "1")
 		t.Setenv(EnvWorldSize, "4")
 		t.Setenv(EnvRendezvous, "")
-		if _, ok, err := JoinBootstrapFromEnv(); !ok || err == nil {
-			t.Errorf("ok=%v err=%v, want error", ok, err)
+		if b, err := BootstrapFromEnv(0); b != nil || err == nil {
+			t.Errorf("boot=%v err=%v, want error", b, err)
 		}
 	})
 }
 
 func TestJoinBootstrapValidation(t *testing.T) {
-	if _, err := (&JoinBootstrap{Rank: 0, Size: 0}).Form(); err == nil {
+	if _, err := Connect(&JoinBootstrap{Rank: 0, Size: 0}); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := (&JoinBootstrap{Rank: 3, Size: 2, Rendezvous: "x:1"}).Form(); err == nil {
+	if _, err := Connect(&JoinBootstrap{Rank: 3, Size: 2, Rendezvous: "x:1"}); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
-	if _, err := (&JoinBootstrap{Rank: 1, Size: 2}).Form(); err == nil {
+	if _, err := Connect(&JoinBootstrap{Rank: 1, Size: 2}); err == nil {
 		t.Error("missing rendezvous accepted")
 	}
 }
@@ -118,17 +132,14 @@ func (b *syncBuffer) String() string {
 }
 
 // TestHostListBootstrapLoopback forms a 3-rank world across three
-// simulated "hosts" entirely in-process: the launcher (rank 0) serves the
-// join protocol while two HostJoinBootstrap agents — standing in for
-// remote machines — fetch their assignments and dial in. It is the
-// loopback rehearsal of a real multi-host launch, without forking.
+// simulated "hosts" entirely in-process: the launcher's rank 0 answers
+// placement requests on the rendezvous while two HostJoinBootstrap agents —
+// standing in for remote machines — fetch their assignments from that same
+// address and dial back in. It is the loopback rehearsal of a real
+// multi-host launch, without forking.
 func TestHostListBootstrapLoopback(t *testing.T) {
 	hosts := []HostSpec{{"127.0.0.1", 1}, {"127.0.0.1", 1}, {"127.0.0.1", 1}}
-	jln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +148,9 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 	var log syncBuffer
 	launcher := &HostListBootstrap{
 		Hosts: hosts, Timeout: 20 * time.Second,
-		Output: &log, NoSpawn: true,
-		JoinListener: jln, RendezvousListener: rln,
+		Output: &log, NoSpawn: true, Listener: ln,
 	}
-	joinAddr := jln.Addr().String()
+	rendezvous := ln.Addr().String()
 
 	const p = 3
 	ranks := make([]int, p)
@@ -164,8 +174,8 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 		})
 		errs[slot] = b.Finish(errs[slot])
 	}
-	agent1 := &HostJoinBootstrap{Addr: joinAddr, HostIndex: 2, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
-	agent2 := &HostJoinBootstrap{Addr: joinAddr, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
+	agent1 := &HostJoinBootstrap{Addr: rendezvous, HostIndex: 2, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
+	agent2 := &HostJoinBootstrap{Addr: rendezvous, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
 	wg.Add(3)
 	go run(0, launcher)
 	// Agent for host 2 carries its index; the host-1 agent relies on
@@ -191,6 +201,46 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 	if !strings.Contains(log.String(), "joined, assigned ranks") {
 		t.Errorf("launcher log missing join lines:\n%s", log.String())
 	}
+	if n := strings.Count(log.String(), "rendezvous "+rendezvous); n != 3 {
+		t.Errorf("the one address was printed %d times (launcher once, each agent once), want 3:\n%s", n, log.String())
+	}
+}
+
+// TestPlacedWorldRefusesJoin: a placement request arriving at a world of
+// explicitly placed ranks — no host table to answer from — is told so by
+// name, and costs the forming world nothing.
+func TestPlacedWorldRefusesJoin(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendezvous := ln.Addr().String()
+	trs := make([]Transport, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	dial := func(rank int) {
+		defer wg.Done()
+		boot := &JoinBootstrap{Rank: rank, Size: 2, Rendezvous: rendezvous, Timeout: 20 * time.Second}
+		if rank == 0 {
+			boot.Listener = ln
+		}
+		trs[rank], errs[rank] = Connect(boot)
+	}
+	wg.Add(1)
+	go dial(0)
+	stray := &HostJoinBootstrap{Addr: rendezvous, Timeout: 20 * time.Second, Output: io.Discard, NoSpawn: true}
+	if _, err := stray.Form(); err == nil || !strings.Contains(err.Error(), "placed explicitly") {
+		t.Errorf("join to a placed world: err = %v, want a refusal naming the placed world", err)
+	}
+	wg.Add(1)
+	go dial(1)
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+		trs[rank].Close()
+	}
 }
 
 // TestHandshakeRejectsVersionMismatch: a peer speaking a different
@@ -203,7 +253,7 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 	}
 	rootErr := make(chan error, 1)
 	go func() {
-		_, err := dialTCP(tcpConfig{
+		_, err := dialTCP(&JoinBootstrap{
 			Rank: 0, Size: 2, Listener: ln, Timeout: 5 * time.Second,
 		})
 		rootErr <- err
@@ -232,7 +282,7 @@ func TestHandshakeRejectsForeignMagic(t *testing.T) {
 	}
 	rootErr := make(chan error, 1)
 	go func() {
-		_, err := dialTCP(tcpConfig{
+		_, err := dialTCP(&JoinBootstrap{
 			Rank: 0, Size: 2, Listener: ln, Timeout: 5 * time.Second,
 		})
 		rootErr <- err
@@ -282,12 +332,7 @@ func TestConnectClosesListenerOnDialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Invalid coordinates that pass JoinBootstrap validation shape-wise
-	// but fail in dialTCP are impossible (Form validates the same
-	// fields), so drive Connect with a bootstrap whose world is broken.
-	_, err = Connect(bootstrapFunc(func() (World, error) {
-		return World{Rank: 5, Size: 2, Listener: ln}, nil
-	}))
+	_, err = Connect(&JoinBootstrap{Rank: 5, Size: 2, Listener: ln})
 	if err == nil {
 		t.Fatal("broken world accepted")
 	}
@@ -296,9 +341,3 @@ func TestConnectClosesListenerOnDialFailure(t *testing.T) {
 		t.Error("Connect leaked the rendezvous listener on dial failure")
 	}
 }
-
-// bootstrapFunc adapts a closure into a Bootstrap for tests.
-type bootstrapFunc func() (World, error)
-
-func (f bootstrapFunc) Form() (World, error)      { return f() }
-func (f bootstrapFunc) Finish(runErr error) error { return runErr }

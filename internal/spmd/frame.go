@@ -36,11 +36,12 @@ const (
 	frameColl
 	// frameAbort poisons the receiver's world (a peer failed).
 	frameAbort
-	// frameJoin is a host agent's request to enter a host-list world: its
-	// host index (or -1) and hostname, sent to the launcher's join port.
+	// frameJoin is a host agent's request for a placement in a host-list
+	// world: its host index (or -1) and hostname, sent to the rendezvous in
+	// place of a hello.
 	frameJoin
-	// frameAssign is the launcher's join reply: the agent's contiguous
-	// rank range, the world size, and the rendezvous port.
+	// frameAssign is rank 0's reply: the agent's contiguous rank range and
+	// the world size, or why there is no placement for it.
 	frameAssign
 )
 
@@ -50,6 +51,10 @@ const (
 	// maxFramePayload bounds a single rank-to-rank transfer; a corrupt
 	// length prefix fails fast instead of attempting a huge allocation.
 	maxFramePayload = 1 << 30
+	// maxControlPayload bounds what is read while a world forms, when the
+	// sender may be any stranger who found the rendezvous port. The largest
+	// honest control payload is the peer table: Size short strings.
+	maxControlPayload = 1 << 20
 )
 
 // frame is one decoded wire frame.
@@ -80,16 +85,18 @@ func writeFrame(w io.Writer, f *frame) error {
 	return nil
 }
 
-// readFrame reads one frame from r. The returned payload is freshly
-// allocated and owned by the caller.
+// readFrame reads one formation-time frame from r, whatever its type: a
+// payload claim above maxControlPayload is refused before it is allocated.
+// The returned payload is freshly allocated and owned by the caller.
 func readFrame(r io.Reader) (frame, error) {
-	return readFrameBuf(r, func(n int) []byte { return make([]byte, n) })
+	return readFrameBuf(r, maxControlPayload, func(n int) []byte { return make([]byte, n) })
 }
 
-// readFrameBuf reads one frame from r, obtaining the payload buffer from
-// alloc (which must return a length-n slice). The pooled read path
-// passes getFrameBuf; everything else allocates fresh.
-func readFrameBuf(r io.Reader, alloc func(n int) []byte) (frame, error) {
+// readFrameBuf reads one frame from r, refusing a payload longer than limit
+// and obtaining the payload buffer from alloc (which must return a length-n
+// slice). The pooled mid-world read path passes maxFramePayload and
+// getFrameBuf.
+func readFrameBuf(r io.Reader, limit uint32, alloc func(n int) []byte) (frame, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
@@ -103,8 +110,8 @@ func readFrameBuf(r io.Reader, alloc func(n int) []byte) (frame, error) {
 		return frame{}, fmt.Errorf("spmd: unknown frame type %d", f.Type)
 	}
 	plen := h.U32()
-	if plen > maxFramePayload {
-		return frame{}, fmt.Errorf("spmd: frame payload %d exceeds limit %d", plen, maxFramePayload)
+	if plen > limit {
+		return frame{}, fmt.Errorf("spmd: frame payload %d exceeds limit %d", plen, limit)
 	}
 	if plen > 0 {
 		f.Payload = alloc(int(plen))
@@ -124,10 +131,12 @@ func readFrameBuf(r io.Reader, alloc func(n int) []byte) (frame, error) {
 // formation, instead of failing later with a frame-decode panic
 // mid-collective. Version 2 dropped the application-config payload from
 // the join assignment and the worker environment; version 3 replaced the
-// gob control payloads with the ones below.
+// gob control payloads with the ones below; version 4 moved the placement
+// request onto the rendezvous port (the assignment names no second port and
+// may carry a refusal).
 const (
 	protoMagic   = 0x44694245 // "DiBE"
-	protoVersion = 3
+	protoVersion = 4
 )
 
 func writeProto(b []byte) []byte { return wire.U32(wire.U32(b, protoMagic), protoVersion) }
@@ -190,11 +199,11 @@ func decodeJoin(b []byte) (m joinMsg, err error) {
 
 func (m assignMsg) encode() []byte {
 	b := putInt(putInt(putInt(writeProto(nil), m.HostIndex), m.RankStart), m.RankEnd)
-	return putInt(putInt(b, m.Size), m.RendezvousPort)
+	return wire.Bytes(putInt(b, m.Size), m.Refused)
 }
 
 func decodeAssign(b []byte) (m assignMsg, err error) {
 	r := openPayload(b)
-	m = assignMsg{HostIndex: getInt(r), RankStart: getInt(r), RankEnd: getInt(r), Size: getInt(r), RendezvousPort: getInt(r)}
+	m = assignMsg{HostIndex: getInt(r), RankStart: getInt(r), RankEnd: getInt(r), Size: getInt(r), Refused: r.String()}
 	return m, r.Finish()
 }

@@ -3,7 +3,9 @@ package spmd
 import (
 	"bytes"
 	"errors"
+	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ var (
 	sampleHello  = helloMsg{Rank: 3, Addr: "10.0.0.7:4123"}
 	samplePeers  = []string{"127.0.0.1:1", "", "[::1]:65535"}
 	sampleJoin   = joinMsg{HostIndex: -1, Hostname: "nid00042"}
-	sampleAssign = assignMsg{HostIndex: 2, RankStart: 8, RankEnd: 12, Size: 16, RendezvousPort: 40123}
+	sampleAssign = assignMsg{HostIndex: 2, RankStart: 8, RankEnd: 12, Size: 16, Refused: "every host slot is already assigned"}
 )
 
 // controlCodecs is every formation payload as (sample encoding, decode and
@@ -101,6 +103,74 @@ func FuzzControlPayloads(f *testing.F) {
 		}
 		if !bytes.Equal(back, b) {
 			t.Fatalf("%s: re-encoding differs: %x -> %x", c.name, b, back)
+		}
+	})
+}
+
+// TestHeaderOnlyStrangerHoldsNoPayloadMemory: whoever finds the rendezvous
+// port and sends it a 31-byte header claiming the largest collective payload
+// is refused by name before the claim is allocated. net.Pipe makes the
+// order observable: a Write returns once the reader has consumed it (or
+// hung up), so after the second Write the reader is past its buffer set-up.
+func TestHeaderOnlyStrangerHoldsNoPayloadMemory(t *testing.T) {
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		_, err := readFrame(server)
+		server.Close()
+		done <- err
+	}()
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	hdr := wire.U8(wire.U16(nil, frameMagic), uint8(frameHello))
+	hdr = wire.U32(wire.F64(wire.F64(wire.U64(hdr, 0), 0), 0), maxFramePayload)
+	if _, err := client.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	client.Write([]byte{0}) // fails once the reader has refused and hung up
+	if grown := int64(live()) - int64(before); grown > 1<<20 {
+		t.Errorf("a stalled header claiming %d bytes pinned %d bytes of heap", maxFramePayload, grown)
+	}
+	client.Close()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("formation-time frame claiming %d bytes: err = %v, want the limit named", maxFramePayload, err)
+	}
+}
+
+// FuzzReadFrame: no bytes off a socket panic the frame reader or make it
+// ask for a payload buffer above the limit it was given (here the input's
+// own length, which no acceptable frame exceeds), and what it accepts
+// writeFrame renders back to the same bytes.
+func FuzzReadFrame(f *testing.F) {
+	for i, typ := range []frameType{frameHello, framePeers, frameJoin, frameAssign} {
+		var buf bytes.Buffer
+		writeFrame(&buf, &frame{Type: typ, Payload: controlCodecs[i].sample})
+		f.Add(buf.Bytes())
+	}
+	var buf bytes.Buffer
+	writeFrame(&buf, &frame{Type: frameColl, Seq: 42, Clock: 1.25, Bytes: 4096, Payload: []byte("hello world")})
+	writeFrame(&buf, &frame{Type: frameAbort, Seq: ^uint64(0), Clock: -1.5, Bytes: 1e308})
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		asked := 0
+		got, err := readFrameBuf(bytes.NewReader(b), uint32(len(b)), func(n int) []byte {
+			asked += n
+			return make([]byte, n)
+		})
+		if asked > len(b) {
+			t.Fatalf("asked for %d payload bytes of a %d-byte input", asked, len(b))
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, &got); err != nil || !bytes.Equal(again.Bytes(), b[:again.Len()]) {
+			t.Fatalf("frame re-encoding differs (%v): %x -> %x", err, b, again.Bytes())
 		}
 	})
 }

@@ -10,16 +10,14 @@ import (
 	"time"
 )
 
-// The host-list launch protocol: a world spanning machines, formed from a
-// `-hosts h1,h2:4,...` list (or hostfile). The launcher runs on the first
-// host, becomes rank 0, and assigns each host a contiguous rank range. It
-// binds two public listeners: the rendezvous (the TCP transport's usual
-// world-formation port) and a join port. An agent started on another host
-// with `dibella -join <join-addr>` (HostJoinBootstrap) asks the join port
-// for its assignment, receives its rank range plus the rendezvous port —
-// placement, nothing else — and forks its local share of ranks, which then
-// enter world formation exactly like single-host workers. Hosts that resolve to loopback are
-// "simulated": the launcher forks their join agents itself, so a
+// The host-list launch: a world on one machine or spanning several, formed
+// from a `-hosts h1,h2:4,...` list (or hostfile; `-transport tcp -p N` is
+// the list "127.0.0.1:N"). The launcher runs on the first host, becomes
+// rank 0, and gives each host a contiguous rank range. An agent started on
+// another host with `dibella -join <rendezvous>` (HostJoinBootstrap) asks
+// for its range and forks its local share of ranks, which then enter the
+// world exactly like the launcher's own workers. Hosts that resolve to
+// loopback are "simulated": the launcher forks their agents itself, so a
 // multi-host launch can be rehearsed end-to-end on one machine.
 
 // HostSpec is one host-list entry: a host and the number of ranks it
@@ -148,246 +146,183 @@ type joinMsg struct {
 	Hostname  string // os.Hostname, matched against the host list as a fallback
 }
 
-// assignMsg is the payload of a frameAssign: the launcher's reply.
+// assignMsg is the payload of a frameAssign: rank 0's reply.
 type assignMsg struct {
-	HostIndex      int
-	RankStart      int // the agent runs this rank itself ...
-	RankEnd        int // ... and forks (RankStart, RankEnd) as local workers
-	Size           int
-	RendezvousPort int // combined with the join address's host by the agent
+	HostIndex int
+	RankStart int // the agent runs this rank itself ...
+	RankEnd   int // ... and forks (RankStart, RankEnd) as local workers
+	Size      int
+	Refused   string // non-empty: why the agent gets no placement
 }
 
-// HostListBootstrap launches a multi-host world from the first host of the
-// list. The calling process becomes rank 0 and forks its host's remaining
-// ranks; every other host is either simulated (loopback entries — the
-// launcher forks a local join agent) or joined manually by running
-// `dibella -join <addr>` there.
+// hostTable is the launcher's record of which host-list entries have been
+// handed to an agent; rank 0's accept loop answers placement requests from
+// it. A world of explicitly placed ranks has none (nil) and refuses them.
+type hostTable struct {
+	hosts    []HostSpec
+	assigned []bool
+	out      io.Writer
+}
+
+// place picks the host-list entry for one request — by explicit index,
+// then hostname, then first free — and marks it taken.
+func (h *hostTable) place(req joinMsg) assignMsg {
+	if h == nil {
+		return assignMsg{Refused: "its ranks are placed explicitly, not from a host list: there is no placement to ask for"}
+	}
+	firstFree := func(ok func(i int) bool) int {
+		for i := 1; i < len(h.hosts); i++ {
+			if !h.assigned[i] && ok(i) {
+				return i
+			}
+		}
+		return -1
+	}
+	idx := firstFree(func(i int) bool { return i == req.HostIndex })
+	if idx < 0 {
+		idx = firstFree(func(i int) bool { return h.hosts[i].Host == req.Hostname })
+	}
+	if idx < 0 {
+		idx = firstFree(func(int) bool { return true })
+	}
+	if idx < 0 {
+		return assignMsg{Refused: "every host slot is already assigned"}
+	}
+	h.assigned[idx] = true
+	ranges, size := hostRanges(h.hosts)
+	// Name the actual joiner: a first-free fallback assignment (e.g. FQDN
+	// hostnames that don't match the list entries) would otherwise be
+	// invisible in the log.
+	fmt.Fprintf(h.out, "hosts: host %d (%s, agent %q) joined, assigned ranks %d-%d\n",
+		idx, h.hosts[idx].Host, req.Hostname, ranges[idx][0], ranges[idx][1]-1)
+	return assignMsg{HostIndex: idx, RankStart: ranges[idx][0], RankEnd: ranges[idx][1], Size: size}
+}
+
+// answer replies to the placement request that opened conn. A request that
+// cannot be placed is told why and costs the forming world nothing.
+func (h *hostTable) answer(conn net.Conn, payload []byte) error {
+	req, err := decodeJoin(payload)
+	if err != nil {
+		return fmt.Errorf("spmd: decoding join request: %w", err)
+	}
+	if err := writeFrame(conn, &frame{Type: frameAssign, Payload: h.place(req).encode()}); err != nil {
+		return fmt.Errorf("spmd: sending assignment to %q: %w", req.Hostname, err)
+	}
+	return nil
+}
+
+// HostListBootstrap launches a world from the first host of the list. The
+// calling process becomes rank 0 and forks its host's remaining ranks;
+// every other host is either simulated (loopback entries — the launcher
+// forks a local agent) or joined manually by running `dibella -join
+// <rendezvous>` there.
 type HostListBootstrap struct {
 	// Hosts is the fully-assigned host list (every Ranks >= 1; see
 	// ParseHostList + AssignHostRanks). Hosts[0] is this machine.
 	Hosts []HostSpec
 
-	// BindAddr is where the rendezvous and join listeners bind (default
-	// ":0": all interfaces, ephemeral ports).
-	BindAddr string
-
-	// Timeout bounds world formation, including the wait for every
-	// host's join (default 30s).
+	// Timeout bounds world formation, including the wait for every host's
+	// agent (default 30s).
 	Timeout time.Duration
 
 	// Output receives launcher progress and the forked processes'
 	// prefixed output (default os.Stderr).
 	Output io.Writer
 
-	// NoSpawn suppresses all forking (rank workers and simulated join
-	// agents); every other participant is provided externally. Used by
-	// in-process tests and manual launches.
+	// NoSpawn suppresses all forking (rank workers and simulated agents);
+	// every other participant is provided externally. Used by in-process
+	// tests and manual launches.
 	NoSpawn bool
 
-	// JoinListener and RendezvousListener, when set, are pre-bound
-	// sockets (tests bind first so the join address is known before Form
-	// runs).
-	JoinListener       net.Listener
-	RendezvousListener net.Listener
+	// Listener, when set, is the pre-bound rendezvous socket (tests bind
+	// first so the address is known before Form runs). Unset, Form binds
+	// loopback for an all-loopback list and every interface otherwise.
+	Listener net.Listener
 
 	workers []worker
 }
 
-// Form binds the rendezvous and join ports, forks this host's workers and
-// the simulated hosts' agents, then serves the join protocol until every
-// host has its assignment. It returns rank 0's coordinates.
-func (b *HostListBootstrap) Form() (World, error) {
+// Form binds the rendezvous — the one socket a launcher listens on — forks
+// this host's workers and the simulated hosts' agents, and returns rank 0's
+// placement carrying the host table.
+func (b *HostListBootstrap) Form() (*JoinBootstrap, error) {
 	ranges, size := hostRanges(b.Hosts)
+	bind := "127.0.0.1:0"
 	for i, h := range b.Hosts {
 		if h.Ranks <= 0 {
-			return World{}, fmt.Errorf("spmd: host %d (%s) has %d ranks; run the list through AssignHostRanks", i, h.Host, h.Ranks)
+			return nil, fmt.Errorf("spmd: host %d (%s) has %d ranks; run the list through AssignHostRanks", i, h.Host, h.Ranks)
+		}
+		if !isLoopbackHost(h.Host) {
+			bind = ":0"
 		}
 	}
 	out := b.Output
 	if out == nil {
 		out = os.Stderr
 	}
-	timeout := b.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	bind := b.BindAddr
-	if bind == "" {
-		bind = ":0"
-	}
-
-	rln := b.RendezvousListener
-	if rln == nil {
+	ln := b.Listener
+	if ln == nil {
 		var err error
-		if rln, err = net.Listen("tcp", bind); err != nil {
-			return World{}, fmt.Errorf("spmd: binding rendezvous port: %w", err)
+		if ln, err = net.Listen("tcp", bind); err != nil {
+			return nil, fmt.Errorf("spmd: binding rendezvous port: %w", err)
 		}
 	}
-	jln := b.JoinListener
-	if jln == nil {
-		var err error
-		if jln, err = net.Listen("tcp", bind); err != nil {
-			rln.Close()
-			return World{}, fmt.Errorf("spmd: binding join port: %w", err)
-		}
-	}
-	fail := func(err error) (World, error) {
-		jln.Close()
-		rln.Close()
+	fail := func(err error) (*JoinBootstrap, error) {
+		ln.Close()
 		reapWorkers(b.workers)
 		b.workers = nil
-		return World{}, err
+		return nil, err
 	}
-	rdvPort, err := portOf(rln.Addr())
+	// The address every other process reaches the rendezvous at: the
+	// listener may be bound to every interface, so the routable host comes
+	// from the host list.
+	_, port, err := net.SplitHostPort(ln.Addr().String())
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("spmd: rendezvous listener: %w", err))
 	}
-	// Address this host's own processes (and, via the assignment, every
-	// joining host) use to reach the rendezvous: the listener bound ":0",
-	// so the routable host must come from the host list / join address.
-	rendezvous := net.JoinHostPort(b.Hosts[0].Host, strconv.Itoa(rdvPort))
-	joinAddr := jln.Addr().String()
-	if port, err := portOf(jln.Addr()); err == nil {
-		joinAddr = net.JoinHostPort(b.Hosts[0].Host, strconv.Itoa(port))
-	}
-	fmt.Fprintf(out, "hosts: world of %d ranks over %d hosts; rendezvous %s, join address %s\n",
-		size, len(b.Hosts), rendezvous, joinAddr)
+	rendezvous := net.JoinHostPort(b.Hosts[0].Host, port)
+	fmt.Fprintf(out, "tcp transport: world of %d ranks over %d host(s); rendezvous %s\n",
+		size, len(b.Hosts), rendezvous)
 
 	if !b.NoSpawn {
 		// This host's remaining ranks (rank 0 is the calling process).
-		workers, err := forkRankWorkers(1, ranges[0][1], size, rendezvous, ":0", timeout, out)
-		if err != nil {
+		if b.workers, err = forkRankWorkers(1, ranges[0][1], size, rendezvous, b.Timeout, out); err != nil {
 			return fail(err)
 		}
-		b.workers = workers
-		// Simulated hosts: loopback entries get their join agent forked
-		// locally; real hosts are joined by the operator.
+		// Simulated hosts: loopback entries get their agent forked locally,
+		// told where to ask but not who it is; real hosts are joined by the
+		// operator.
 		for i := 1; i < len(b.Hosts); i++ {
 			if !isLoopbackHost(b.Hosts[i].Host) {
 				fmt.Fprintf(out, "hosts: waiting for `dibella -join %s` on %s (ranks %d-%d)\n",
-					joinAddr, b.Hosts[i].Host, ranges[i][0], ranges[i][1]-1)
+					rendezvous, b.Hosts[i].Host, ranges[i][0], ranges[i][1]-1)
 				continue
 			}
-			env := scrubEnv(os.Environ())
-			env = append(env,
-				EnvJoin+"="+joinAddr,
-				EnvHostIndex+"="+strconv.Itoa(i),
-				EnvFormTimeout+"="+timeout.String(),
-			)
-			w, err := forkWorker(os.Args[1:], env, out, fmt.Sprintf("[host %d] ", i))
+			w, err := forkWorker(fmt.Sprintf("host %d", i), out, rendezvous, b.Timeout, EnvHostIndex+"="+strconv.Itoa(i))
 			if err != nil {
-				return fail(fmt.Errorf("spmd: starting simulated host %d (%s): %w", i, b.Hosts[i].Host, err))
+				return fail(err)
 			}
-			w.label = fmt.Sprintf("host %d (%s)", i, b.Hosts[i].Host)
 			b.workers = append(b.workers, w)
 		}
 	}
-
-	if err := b.serveJoins(jln, ranges, size, rdvPort, timeout, out); err != nil {
-		return fail(err)
-	}
-	jln.Close()
-	return World{
-		Rank: 0, Size: size,
-		Rendezvous: rendezvous, Listener: rln,
-		ListenAddr: ":0", FormTimeout: timeout,
+	return &JoinBootstrap{
+		Rank: 0, Size: size, Rendezvous: rendezvous, Listener: ln, Timeout: b.Timeout,
+		hosts: &hostTable{hosts: b.Hosts, assigned: make([]bool, len(b.Hosts)), out: out},
 	}, nil
 }
 
-// serveJoins answers one join per non-launcher host, matching agents to
-// host-list entries by explicit index, then hostname, then first-free.
-func (b *HostListBootstrap) serveJoins(jln net.Listener, ranges [][2]int, size, rdvPort int,
-	timeout time.Duration, out io.Writer) error {
-
-	deadline := time.Now().Add(timeout)
-	if tl, ok := jln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-	assigned := make([]bool, len(b.Hosts))
-	for joined := 1; joined < len(b.Hosts); joined++ {
-		conn, err := jln.Accept()
-		if err != nil {
-			return fmt.Errorf("spmd: waiting for host joins (%d/%d hosts arrived): %w",
-				joined, len(b.Hosts), err)
-		}
-		idx, agent, err := b.answerJoin(conn, assigned, ranges, size, rdvPort, deadline)
-		conn.Close()
-		if err != nil {
-			return err
-		}
-		assigned[idx] = true
-		// Name the actual joiner: a first-free fallback assignment (e.g.
-		// FQDN hostnames that don't match the list entries) would
-		// otherwise be invisible in the log.
-		fmt.Fprintf(out, "hosts: host %d (%s, agent %q) joined, assigned ranks %d-%d\n",
-			idx, b.Hosts[idx].Host, agent, ranges[idx][0], ranges[idx][1]-1)
-	}
-	return nil
-}
-
-// answerJoin handles one join connection: validates the request, picks the
-// host-list entry, and replies with the assignment. agent is the joiner's
-// self-reported hostname, for log attribution.
-func (b *HostListBootstrap) answerJoin(conn net.Conn, assigned []bool, ranges [][2]int,
-	size, rdvPort int, deadline time.Time) (idx int, agent string, err error) {
-
-	conn.SetDeadline(deadline)
-	f, err := readFrame(conn)
-	if err != nil {
-		return 0, "", fmt.Errorf("spmd: reading join request: %w", err)
-	}
-	if f.Type != frameJoin {
-		return 0, "", fmt.Errorf("spmd: expected join request, got frame type %d", f.Type)
-	}
-	req, err := decodeJoin(f.Payload)
-	if err != nil {
-		return 0, "", fmt.Errorf("spmd: decoding join request: %w", err)
-	}
-	idx = -1
-	switch {
-	case req.HostIndex > 0 && req.HostIndex < len(b.Hosts) && !assigned[req.HostIndex]:
-		idx = req.HostIndex
-	default:
-		for i := 1; i < len(b.Hosts); i++ {
-			if !assigned[i] && b.Hosts[i].Host == req.Hostname {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			for i := 1; i < len(b.Hosts); i++ {
-				if !assigned[i] {
-					idx = i
-					break
-				}
-			}
-		}
-	}
-	if idx < 0 {
-		return 0, "", fmt.Errorf("spmd: join from %q but every host slot is already assigned", req.Hostname)
-	}
-	reply := assignMsg{
-		HostIndex: idx, RankStart: ranges[idx][0], RankEnd: ranges[idx][1],
-		Size: size, RendezvousPort: rdvPort,
-	}
-	if err := writeFrame(conn, &frame{Type: frameAssign, Payload: reply.encode()}); err != nil {
-		return 0, "", fmt.Errorf("spmd: sending assignment to host %d: %w", idx, err)
-	}
-	return idx, req.Hostname, nil
-}
-
 // Finish reaps the launcher's forked processes (this host's workers and
-// any simulated join agents), merging their exit status into runErr.
+// any simulated agents), merging their exit status into runErr.
 func (b *HostListBootstrap) Finish(runErr error) error {
 	return waitWorkers(b.workers, runErr)
 }
 
 // HostJoinBootstrap enters a host-list world from another machine (the
-// `dibella -join <addr>` mode): it asks the launcher's join port for an
+// `dibella -join <rendezvous>` mode): it asks the rendezvous for an
 // assignment, forks this host's remaining ranks, and becomes the first
 // rank of the assigned range itself.
 type HostJoinBootstrap struct {
-	// Addr is the launcher's join address.
+	// Addr is the world's rendezvous address, as the launcher printed it.
 	Addr string
 
 	// HostIndex pins this agent to a host-list entry (launcher-forked
@@ -395,7 +330,8 @@ type HostJoinBootstrap struct {
 	// or first-free slot.
 	HostIndex int
 
-	// Timeout bounds the join exchange and world formation (default 30s).
+	// Timeout bounds the placement request and world formation (default
+	// 30s).
 	Timeout time.Duration
 
 	// Output receives progress and the forked workers' prefixed output
@@ -409,77 +345,57 @@ type HostJoinBootstrap struct {
 }
 
 // Form requests this host's assignment and forks its local workers.
-func (b *HostJoinBootstrap) Form() (World, error) {
+func (b *HostJoinBootstrap) Form() (*JoinBootstrap, error) {
 	out := b.Output
 	if out == nil {
 		out = os.Stderr
 	}
-	timeout := b.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := formDeadline(b.Timeout)
 	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", b.Addr)
 	if err != nil {
-		return World{}, fmt.Errorf("spmd: dialing join address %s: %w", b.Addr, err)
+		return nil, fmt.Errorf("spmd: dialing rendezvous %s: %w", b.Addr, err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(deadline)
 	hostname, _ := os.Hostname()
 	join := joinMsg{HostIndex: b.HostIndex, Hostname: hostname}
 	if err := writeFrame(conn, &frame{Type: frameJoin, Payload: join.encode()}); err != nil {
-		return World{}, fmt.Errorf("spmd: sending join request to %s: %w", b.Addr, err)
+		return nil, fmt.Errorf("spmd: sending join request to %s: %w", b.Addr, err)
 	}
 	f, err := readFrame(conn)
 	if err != nil {
-		return World{}, fmt.Errorf("spmd: awaiting assignment from %s: %w", b.Addr, err)
+		return nil, fmt.Errorf("spmd: awaiting assignment from %s: %w", b.Addr, err)
 	}
 	if f.Type != frameAssign {
-		return World{}, fmt.Errorf("spmd: expected assignment, got frame type %d", f.Type)
+		return nil, fmt.Errorf("spmd: expected assignment, got frame type %d", f.Type)
 	}
 	assign, err := decodeAssign(f.Payload)
 	if err != nil {
-		return World{}, fmt.Errorf("spmd: decoding assignment: %w", err)
+		return nil, fmt.Errorf("spmd: decoding assignment: %w", err)
+	}
+	if assign.Refused != "" {
+		return nil, fmt.Errorf("spmd: the world at %s refused the join: %s", b.Addr, assign.Refused)
 	}
 	if assign.RankStart < 0 || assign.RankStart >= assign.RankEnd || assign.RankEnd > assign.Size {
-		return World{}, fmt.Errorf("spmd: assignment ranks [%d,%d) of %d is malformed",
+		return nil, fmt.Errorf("spmd: assignment ranks [%d,%d) of %d is malformed",
 			assign.RankStart, assign.RankEnd, assign.Size)
 	}
-	launcherHost, _, err := net.SplitHostPort(b.Addr)
-	if err != nil {
-		return World{}, fmt.Errorf("spmd: join address %q: %w", b.Addr, err)
-	}
-	rendezvous := net.JoinHostPort(launcherHost, strconv.Itoa(assign.RendezvousPort))
 	fmt.Fprintf(out, "joined world as host %d: ranks %d-%d of %d (rendezvous %s)\n",
-		assign.HostIndex, assign.RankStart, assign.RankEnd-1, assign.Size, rendezvous)
+		assign.HostIndex, assign.RankStart, assign.RankEnd-1, assign.Size, b.Addr)
 
 	if !b.NoSpawn {
 		// Workers inherit the agent's command line, which may be just
 		// `-join <addr>`: like every rank, they learn the run's
 		// configuration from rank 0 once the world has formed.
-		workers, err := forkRankWorkers(assign.RankStart+1, assign.RankEnd, assign.Size,
-			rendezvous, ":0", timeout, out)
+		b.workers, err = forkRankWorkers(assign.RankStart+1, assign.RankEnd, assign.Size, b.Addr, b.Timeout, out)
 		if err != nil {
-			return World{}, err
+			return nil, err
 		}
-		b.workers = workers
 	}
-	return World{
-		Rank: assign.RankStart, Size: assign.Size,
-		Rendezvous: rendezvous, ListenAddr: ":0", FormTimeout: timeout,
-	}, nil
+	return &JoinBootstrap{Rank: assign.RankStart, Size: assign.Size, Rendezvous: b.Addr, Timeout: b.Timeout}, nil
 }
 
 // Finish reaps this host's forked workers.
 func (b *HostJoinBootstrap) Finish(runErr error) error {
 	return waitWorkers(b.workers, runErr)
-}
-
-// portOf extracts the port of a bound listener address.
-func portOf(a net.Addr) (int, error) {
-	ta, ok := a.(*net.TCPAddr)
-	if !ok {
-		return 0, fmt.Errorf("spmd: %v is not a TCP address", a)
-	}
-	return ta.Port, nil
 }

@@ -10,8 +10,8 @@ import (
 // serve-mode traffic (many small query collectives per second, for the
 // life of the daemon) that allocation pressure is constant. The typed
 // layer always copies received bytes out of a non-shared transport's
-// buffers (castFromBytes, gob decode), so once a collective has been
-// decoded the raw payload can go straight back to the pool.
+// buffers (castFromBytes), so once a collective has been decoded the raw
+// payload can go straight back to the pool.
 //
 // The handoff is explicit: a transport that can reuse its receive
 // buffers implements recvBufRecycler, and the typed collectives return
@@ -51,11 +51,11 @@ type recvBufRecycler interface {
 	RecycleRecvBuf(b []byte)
 }
 
-// readFramePooled is readFrame with the payload drawn from the frame
-// pool instead of a fresh allocation. Only the mid-world collective read
-// loop uses it — formation-time frames (hello, peer table, join) keep
-// plain readFrame, since their payloads outlive the read call in
-// decoded form anyway and never recycle.
+// readFramePooled reads one mid-world frame: the payload may be as large
+// as a collective's (maxFramePayload) and is drawn from the frame pool
+// instead of a fresh allocation. Only the collective read loop uses it —
+// formation-time frames (hello, peer table, join) keep plain readFrame and
+// its small cap, since their senders are not yet known to be peers.
 func readFramePooled(r io.Reader) (frame, error) {
-	return readFrameBuf(r, getFrameBuf)
+	return readFrameBuf(r, maxFramePayload, getFrameBuf)
 }

@@ -12,47 +12,29 @@ import (
 // The TCP transport: one OS process (or goroutine, in tests) per rank,
 // exchanging length-prefixed frames over per-peer persistent connections.
 //
-// World formation is a rank-0 rendezvous, in the spirit of go-p2p's
-// swarm bootstrap: every rank opens a mesh listener, ranks 1..P-1 dial
-// rank 0 and introduce themselves (rank + listen address), and once all
-// have arrived rank 0 replies with the full address table. Rank i then
-// dials every rank 0 < j < i and accepts connections from every j > i, so
-// each unordered pair shares exactly one connection (the rendezvous
-// connection doubles as the rank-0 mesh edge).
+// A world forms in one conversation on one port, rank 0's rendezvous — the
+// only address anyone is ever told (Kademlia's rule: a node joins by
+// contacting one known node). A connection to it opens with one of two
+// frames:
+//
+//   - frameJoin, "where do I go?": a host agent asking for its host's rank
+//     range. A launcher's rank 0 answers with a frameAssign from its host
+//     table and the connection closes; the agent forks that range with the
+//     same rendezvous address in the DIBELLA_* env contract.
+//   - frameHello, "here I am": a placed rank introducing itself (rank +
+//     mesh listen address). The connection stays: it is that rank's mesh
+//     edge to rank 0.
+//
+// Once P-1 hellos have arrived rank 0 replies to each with the full address
+// table. Rank i then dials every rank 0 < j < i and accepts connections
+// from every j > i, so each unordered pair shares exactly one connection.
+// Until the world stands nothing read from a socket may claim more than
+// maxControlPayload.
 //
 // Each exchange is one frame per peer in each direction, carrying the
 // sender's virtual clock and byte count in the header; since every rank
 // hears from every other rank, each computes the world maxima locally —
 // the same quantities the in-process slots accumulate.
-
-// tcpConfig configures one rank's endpoint of a TCP world. It is internal:
-// callers describe the world with a Bootstrap (bootstrap.go) and obtain a
-// transport through Connect.
-type tcpConfig struct {
-	Rank int // this rank, in [0, Size)
-	Size int // world size P
-
-	// Rendezvous is rank 0's listen address (host:port). Required for
-	// ranks > 0, and for rank 0 unless Listener is set.
-	Rendezvous string
-
-	// Listener, when set on rank 0, is the pre-bound rendezvous socket.
-	// A launcher that forks workers binds port 0 first, passes the
-	// resolved address to the children, and hands the listener to its
-	// in-process rank 0 — no bind race.
-	Listener net.Listener
-
-	// ListenAddr is where ranks > 0 bind their mesh listener
-	// (default "127.0.0.1:0"). Multi-host worlds bind ":0"; the address
-	// advertised to peers then substitutes the host this rank reaches the
-	// rendezvous from, so the mesh address is dialable across machines.
-	ListenAddr string
-
-	// Timeout bounds world formation: dials, handshakes, and the wait
-	// for slower ranks to arrive (default 30s). Collectives themselves
-	// never time out — BSP ranks legitimately wait on the slowest peer.
-	Timeout time.Duration
-}
 
 // helloMsg is the payload of a frameHello.
 type helloMsg struct {
@@ -103,31 +85,27 @@ type tcpTransport struct {
 // dialTCP forms (this rank's endpoint of) a TCP world and returns once
 // every pairwise connection is established, i.e. when all ranks have
 // arrived. The transport is ready for collectives on return.
-func dialTCP(cfg tcpConfig) (Transport, error) {
-	if cfg.Size <= 0 {
-		return nil, fmt.Errorf("spmd: world size %d must be positive", cfg.Size)
-	}
-	if cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("spmd: rank %d out of range [0,%d)", cfg.Rank, cfg.Size)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = "127.0.0.1:0"
+func dialTCP(p *JoinBootstrap) (Transport, error) {
+	switch {
+	case p.Size <= 0:
+		return nil, fmt.Errorf("spmd: world size %d must be positive", p.Size)
+	case p.Rank < 0 || p.Rank >= p.Size:
+		return nil, fmt.Errorf("spmd: rank %d out of range [0,%d)", p.Rank, p.Size)
+	case p.Rendezvous == "" && !(p.Rank == 0 && p.Listener != nil):
+		return nil, errors.New("spmd: a placement needs a rendezvous address")
 	}
 	t := &tcpTransport{
-		rank:  cfg.Rank,
-		size:  cfg.Size,
-		peers: make([]*peerConn, cfg.Size),
+		rank:  p.Rank,
+		size:  p.Size,
+		peers: make([]*peerConn, p.Size),
 		done:  make(chan struct{}),
 	}
-	deadline := time.Now().Add(cfg.Timeout)
+	deadline := formDeadline(p.Timeout)
 	var err error
-	if cfg.Rank == 0 {
-		err = t.formRoot(cfg, deadline)
+	if p.Rank == 0 {
+		err = t.formRoot(p, deadline)
 	} else {
-		err = t.formLeaf(cfg, deadline)
+		err = t.formLeaf(p, deadline)
 	}
 	if err != nil {
 		t.Close()
@@ -144,40 +122,23 @@ func dialTCP(cfg tcpConfig) (Transport, error) {
 	return t, nil
 }
 
-// formRoot runs rank 0's side of world formation: accept P-1 rendezvous
-// connections, learn every rank's mesh address, broadcast the table.
-func (t *tcpTransport) formRoot(cfg tcpConfig, deadline time.Time) error {
-	ln := cfg.Listener
+// formRoot runs rank 0's side of world formation: answer placement
+// requests, accept P-1 hellos, learn every rank's mesh address, broadcast
+// the table.
+func (t *tcpTransport) formRoot(p *JoinBootstrap, deadline time.Time) error {
+	ln := p.Listener
 	if ln == nil {
 		var err error
-		ln, err = net.Listen("tcp", cfg.Rendezvous)
+		ln, err = net.Listen("tcp", p.Rendezvous)
 		if err != nil {
 			return fmt.Errorf("spmd: rank 0 rendezvous listen: %w", err)
 		}
 	}
-	defer ln.Close()
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
+	addrs, err := t.acceptHigher(ln, p.hosts, deadline)
+	if err != nil {
+		return err
 	}
-	addrs := make([]string, t.size)
 	addrs[0] = ln.Addr().String()
-	for arrived := 1; arrived < t.size; arrived++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("spmd: rank 0 rendezvous accept (%d/%d ranks arrived): %w",
-				arrived, t.size, err)
-		}
-		hello, err := t.handshake(conn, deadline)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if err := t.admit(hello.Rank, conn); err != nil {
-			conn.Close()
-			return err
-		}
-		addrs[hello.Rank] = hello.Addr
-	}
 	table := encodePeers(addrs)
 	for r := 1; r < t.size; r++ {
 		p := t.peers[r]
@@ -190,36 +151,37 @@ func (t *tcpTransport) formRoot(cfg tcpConfig, deadline time.Time) error {
 
 // formLeaf runs rank i>0's side: introduce ourselves to rank 0, learn the
 // address table, dial lower ranks, accept higher ones.
-func (t *tcpTransport) formLeaf(cfg tcpConfig, deadline time.Time) error {
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
+func (t *tcpTransport) formLeaf(p *JoinBootstrap, deadline time.Time) error {
+	dialer := net.Dialer{Deadline: deadline}
+	root, err := dialer.Dial("tcp", p.Rendezvous)
 	if err != nil {
+		return fmt.Errorf("spmd: rank %d dialing rendezvous %s: %w", t.rank, p.Rendezvous, err)
+	}
+	// Bind the mesh listener where the route to the rendezvous says peers
+	// are: a rendezvous reached over loopback means a one-machine world.
+	bind := p.ListenAddr
+	if bind == "" {
+		bind = ":0"
+		if ra, ok := root.RemoteAddr().(*net.TCPAddr); ok && ra.IP.IsLoopback() {
+			bind = "127.0.0.1:0"
+		}
+	}
+	ln, err := net.Listen("tcp", bind)
+	if err != nil {
+		root.Close()
 		return fmt.Errorf("spmd: rank %d mesh listen: %w", t.rank, err)
 	}
 	defer ln.Close()
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-
-	root, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", cfg.Rendezvous)
-	if err != nil {
-		return fmt.Errorf("spmd: rank %d dialing rendezvous %s: %w", t.rank, cfg.Rendezvous, err)
-	}
 	// Advertise the mesh listener under the interface this rank reaches
 	// the rendezvous from: a ":0"-style bind has no routable host of its
 	// own, and the rendezvous path is the one route peers are known to
 	// share with us.
-	if err := sendHello(root, helloMsg{Rank: t.rank, Addr: advertiseAddr(ln.Addr(), root.LocalAddr())}, deadline); err != nil {
-		root.Close()
-		return fmt.Errorf("spmd: rank %d introducing itself to rendezvous %s: %w", t.rank, cfg.Rendezvous, err)
-	}
-	if err := t.admit(0, root); err != nil {
-		root.Close()
-		return err
+	if err := t.introduce(0, root, advertiseAddr(ln.Addr(), root.LocalAddr()), deadline); err != nil {
+		return fmt.Errorf("spmd: rank %d introducing itself to rendezvous %s: %w", t.rank, p.Rendezvous, err)
 	}
 	// Read the table unbuffered: rank 0 may already be streaming
 	// collective frames behind it, and a throwaway buffered reader would
 	// swallow their first bytes.
-	root.SetReadDeadline(deadline)
 	pf, err := readFrame(root)
 	if err != nil {
 		return fmt.Errorf("spmd: rank %d awaiting peer table: %w", t.rank, err)
@@ -234,46 +196,35 @@ func (t *tcpTransport) formLeaf(cfg tcpConfig, deadline time.Time) error {
 	if len(addrs) != t.size {
 		return fmt.Errorf("spmd: rank %d peer table has %d entries, want %d", t.rank, len(addrs), t.size)
 	}
-
 	for r := 1; r < t.rank; r++ {
-		conn, err := t.dialPeer(addrs[r], helloMsg{Rank: t.rank}, deadline)
+		conn, err := dialer.Dial("tcp", addrs[r])
+		if err == nil {
+			err = t.introduce(r, conn, "", deadline)
+		}
 		if err != nil {
 			return fmt.Errorf("spmd: rank %d dialing rank %d at %s: %w", t.rank, r, addrs[r], err)
 		}
-		if err := t.admit(r, conn); err != nil {
-			conn.Close()
-			return err
-		}
 	}
-	for need := t.size - 1 - t.rank; need > 0; need-- {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fmt.Errorf("spmd: rank %d mesh accept: %w", t.rank, err)
-		}
-		hello, err := t.handshake(conn, deadline)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if hello.Rank <= t.rank {
-			conn.Close()
-			return fmt.Errorf("spmd: rank %d got mesh dial from lower rank %d", t.rank, hello.Rank)
-		}
-		if err := t.admit(hello.Rank, conn); err != nil {
-			conn.Close()
-			return err
-		}
-	}
-	return nil
+	_, err = t.acceptHigher(ln, nil, deadline)
+	return err
 }
 
-// sendHello writes one hello frame on a freshly dialed connection.
-func sendHello(conn net.Conn, h helloMsg, deadline time.Time) error {
-	conn.SetWriteDeadline(deadline)
-	if err := writeFrame(conn, &frame{Type: frameHello, Payload: h.encode()}); err != nil {
-		return fmt.Errorf("spmd: sending hello: %w", err)
+// introduce sends this rank's hello on a freshly dialed connection — addr is
+// its mesh listen address, which only the rendezvous needs — and installs
+// the connection as the edge to rank r. It owns conn: a failure closes it.
+func (t *tcpTransport) introduce(r int, conn net.Conn, addr string, deadline time.Time) error {
+	conn.SetDeadline(deadline)
+	hello := helloMsg{Rank: t.rank, Addr: addr}
+	err := writeFrame(conn, &frame{Type: frameHello, Payload: hello.encode()})
+	if err != nil {
+		err = fmt.Errorf("spmd: sending hello: %w", err)
+	} else {
+		err = t.admit(r, conn)
 	}
-	return nil
+	if err != nil {
+		conn.Close()
+	}
+	return err
 }
 
 // advertiseAddr returns the mesh address to announce to peers: the bound
@@ -294,45 +245,58 @@ func advertiseAddr(ln, local net.Addr) string {
 	return ln.String()
 }
 
-// dialPeer connects to addr and sends our hello.
-func (t *tcpTransport) dialPeer(addr string, h helloMsg, deadline time.Time) (net.Conn, error) {
-	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
-	if err != nil {
-		return nil, err
+// acceptHigher takes connections off this rank's formation listener until
+// every higher rank has said hello — only higher ranks dial: every rank > 0
+// the rendezvous, rank j the mesh listener of each rank 0 < i < j — and
+// returns the mesh addresses they announced. Opening frames are read under
+// the formation cap, their senders not yet known to be peers, and a peer
+// speaking another protocol (mismatched binaries) is refused by name. On
+// the rendezvous a connection may open with a placement request instead: it
+// is answered from hosts and closed, and is not an arrival. The listener is
+// closed on return.
+func (t *tcpTransport) acceptHigher(ln net.Listener, hosts *hostTable, deadline time.Time) ([]string, error) {
+	defer ln.Close()
+	if tl, ok := ln.(*net.TCPListener); ok {
+		tl.SetDeadline(deadline)
 	}
-	if err := sendHello(conn, h, deadline); err != nil {
-		conn.Close()
-		return nil, err
+	addrs := make([]string, t.size)
+	for need := t.size - 1 - t.rank; need > 0; {
+		conn, err := ln.Accept()
+		if err != nil {
+			return nil, fmt.Errorf("spmd: rank %d accepting peers (%d still to arrive): %w", t.rank, need, err)
+		}
+		conn.SetDeadline(deadline)
+		f, err := readFrame(conn)
+		h, herr := decodeHello(f.Payload)
+		switch {
+		case err != nil:
+			err = fmt.Errorf("spmd: rank %d reading hello: %w", t.rank, err)
+		case f.Type == frameJoin && t.rank == 0:
+			if err = hosts.answer(conn, f.Payload); err == nil {
+				conn.Close()
+				continue
+			}
+		case f.Type != frameHello:
+			err = fmt.Errorf("spmd: rank %d expected hello, got frame type %d", t.rank, f.Type)
+		case herr != nil:
+			err = fmt.Errorf("spmd: rank %d decoding hello: %w", t.rank, herr)
+		case h.Rank <= t.rank || h.Rank >= t.size:
+			err = fmt.Errorf("spmd: rank %d of %d got a hello from rank %d, which has no reason to dial it", t.rank, t.size, h.Rank)
+		default:
+			err = t.admit(h.Rank, conn)
+		}
+		if err != nil {
+			conn.Close()
+			return nil, err
+		}
+		addrs[h.Rank] = h.Addr
+		need--
 	}
-	return conn, nil
-}
-
-// handshake reads and validates the dialer's hello, rejecting peers that
-// speak a different protocol (mismatched binaries) with a clear error.
-func (t *tcpTransport) handshake(conn net.Conn, deadline time.Time) (helloMsg, error) {
-	conn.SetReadDeadline(deadline)
-	f, err := readFrame(conn)
-	if err != nil {
-		return helloMsg{}, fmt.Errorf("spmd: rank %d reading hello: %w", t.rank, err)
-	}
-	if f.Type != frameHello {
-		return helloMsg{}, fmt.Errorf("spmd: rank %d expected hello, got frame type %d", t.rank, f.Type)
-	}
-	h, err := decodeHello(f.Payload)
-	if err != nil {
-		return helloMsg{}, fmt.Errorf("spmd: rank %d decoding hello: %w", t.rank, err)
-	}
-	if h.Rank < 0 || h.Rank >= t.size {
-		return helloMsg{}, fmt.Errorf("spmd: hello from out-of-range rank %d", h.Rank)
-	}
-	return h, nil
+	return addrs, nil
 }
 
 // admit installs a newly established connection as the peer edge for rank r.
 func (t *tcpTransport) admit(r int, conn net.Conn) error {
-	if r == t.rank {
-		return fmt.Errorf("spmd: rank %d connected to itself", r)
-	}
 	if t.peers[r] != nil {
 		return fmt.Errorf("spmd: duplicate connection for rank %d", r)
 	}

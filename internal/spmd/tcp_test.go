@@ -28,20 +28,20 @@ func formTCPWorld(t testing.TB, p int) []Transport {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			cfg := tcpConfig{
+			boot := &JoinBootstrap{
 				Rank: rank, Size: p, Rendezvous: ln.Addr().String(),
 				Timeout: 20 * time.Second,
 			}
 			if rank == 0 {
-				cfg.Listener = ln
+				boot.Listener = ln
 			}
-			trs[rank], errs[rank] = dialTCP(cfg)
+			trs[rank], errs[rank] = Connect(boot)
 		}(r)
 	}
 	wg.Wait()
 	for rank, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: dialTCP: %v", rank, err)
+			t.Fatalf("rank %d: Connect: %v", rank, err)
 		}
 	}
 	return trs
@@ -312,10 +312,10 @@ func TestTCPRejectsPointerElementTypes(t *testing.T) {
 }
 
 func TestDialTCPValidation(t *testing.T) {
-	if _, err := dialTCP(tcpConfig{Rank: 0, Size: 0}); err == nil {
+	if _, err := dialTCP(&JoinBootstrap{Rank: 0, Size: 0}); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := dialTCP(tcpConfig{Rank: 3, Size: 2, Rendezvous: "127.0.0.1:1"}); err == nil {
+	if _, err := dialTCP(&JoinBootstrap{Rank: 3, Size: 2, Rendezvous: "127.0.0.1:1"}); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
 }
@@ -326,7 +326,7 @@ func TestDialTCPTimesOutWithoutPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	_, err = dialTCP(tcpConfig{
+	_, err = dialTCP(&JoinBootstrap{
 		Rank: 0, Size: 2, Listener: ln,
 		Timeout: 200 * time.Millisecond,
 	})
