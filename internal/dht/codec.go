@@ -2,7 +2,6 @@ package dht
 
 import (
 	"fmt"
-	"sort"
 
 	"dibella/internal/kmer"
 	"dibella/internal/spmd"
@@ -28,48 +27,51 @@ const (
 	occSize         = 8
 )
 
-// Encode serializes the partition's entries in ascending k-mer order, so
-// the encoding (and therefore a segment digest) is deterministic despite
-// Go's randomized map iteration.
+// Encode serializes the partition's entries in ascending k-mer order, each
+// entry's occurrences in arrival order, so the encoding (and therefore a
+// segment digest) is a function of the entries alone — not of the table's
+// capacity or insertion history, and byte for byte what the map-backed
+// partition this replaced wrote (TestEncodeMatchesReference).
 func (p *Partition) Encode() []byte {
-	kms := make([]kmer.Kmer, 0, len(p.Table))
-	n := 16
-	for km, e := range p.Table {
-		kms = append(kms, km)
-		n += entryHeaderSize + occSize*len(e.Occs)
-	}
-	sort.Slice(kms, func(i, j int) bool { return kms[i] < kms[j] })
-	buf := wire.U32(make([]byte, 0, n), uint32(p.K))
+	buf := make([]byte, 0, 16+entryHeaderSize*p.n+occSize*len(p.occs))
+	buf = wire.U32(buf, uint32(p.K))
 	buf = wire.U32(buf, uint32(p.MaxFreq))
-	buf = wire.U64(buf, uint64(len(kms)))
-	for _, km := range kms {
-		buf = appendEntry(buf, km, p.Table[km])
-	}
+	buf = wire.U64(buf, uint64(p.n))
+	p.forEachSlot(func(s *slot) { buf = p.appendEntry(buf, s) })
 	return buf
 }
 
-// appendEntry serializes one (k-mer, entry) pair.
-func appendEntry(buf []byte, km kmer.Kmer, e *Entry) []byte {
-	buf = wire.U64(buf, uint64(km))
-	buf = wire.U32(wire.U32(buf, uint32(e.Count)), uint32(len(e.Occs)))
-	for _, o := range e.Occs {
+// appendEntry serializes one entry.
+func (p *Partition) appendEntry(buf []byte, s *slot) []byte {
+	buf = wire.U64(buf, uint64(s.key))
+	buf = wire.U32(wire.U32(buf, uint32(s.count)), s.n)
+	for _, o := range p.span(s) {
 		buf = wire.U32(wire.U32(buf, o.Read), o.PosFlag)
 	}
 	return buf
 }
 
-// readEntry parses one appendEntry record.
-func readEntry(r *wire.Reader) (kmer.Kmer, *Entry) {
+// readEntry parses one appendEntry record into p, straight into the arena.
+// It reports false, leaving p as it was, for a k-mer p already holds.
+func (p *Partition) readEntry(r *wire.Reader) (kmer.Kmer, bool) {
 	km := kmer.Kmer(r.U64())
-	e := &Entry{Count: int32(r.U32())}
-	e.Occs = make([]Occ, r.Count(uint64(r.U32()), occSize))
-	for i := range e.Occs {
-		e.Occs[i] = Occ{Read: r.U32(), PosFlag: r.U32()}
+	count := int32(r.U32())
+	n := r.Count(uint64(r.U32()), occSize)
+	s, added := p.insert(km)
+	if !added {
+		return km, false
 	}
-	return km, e
+	s.count = count
+	s.off, s.n = uint32(len(p.occs)), uint32(n)
+	for i := 0; i < n; i++ {
+		p.occs = append(p.occs, Occ{Read: r.U32(), PosFlag: r.U32()})
+	}
+	arenaIndex(len(p.occs)) // the span's end fits in 32 bits, so its start did
+	return km, true
 }
 
-// DecodePartition parses an Encode blob back into a Partition.
+// DecodePartition parses an Encode blob back into a Partition, sized once
+// from the header's entry count.
 func DecodePartition(b []byte) (*Partition, error) {
 	r := wire.NewReader(b)
 	p := &Partition{K: int(r.U32()), MaxFreq: int(r.U32())}
@@ -77,16 +79,18 @@ func DecodePartition(b []byte) (*Partition, error) {
 		r.Fail(fmt.Errorf("invalid k %d", p.K))
 	}
 	count := r.Count(r.U64(), entryHeaderSize)
-	p.Table = make(map[kmer.Kmer]*Entry, count)
+	p.reserve(count)
+	p.occs = make([]Occ, 0, (len(b)-entryHeaderSize*count)/occSize)
 	var prev kmer.Kmer
 	for i := 0; i < count; i++ {
-		km, e := readEntry(r)
 		// Encode writes entries in strictly ascending k-mer order; anything
 		// else (a repeat included) is not a blob Encode produced.
-		if i > 0 && km <= prev {
+		km, added := p.readEntry(r)
+		if i > 0 && km <= prev || !added {
 			r.Fail(fmt.Errorf("entry %d: k-mer %#x repeats or is out of order", i, uint64(km)))
+			break
 		}
-		p.Table[km], prev = e, km
+		prev = km
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("dht: partition segment: %w", err)
@@ -106,21 +110,25 @@ func Reshard(c *spmd.Comm, part *Partition) (*Partition, error) {
 	// Deterministic send order (sorted k-mers) keeps the exchange payload
 	// reproducible; correctness does not depend on it, but digest-level
 	// reproducibility of resumed runs is easier to reason about.
-	kms := make([]kmer.Kmer, 0, len(part.Table))
-	for km := range part.Table {
-		kms = append(kms, km)
-	}
-	sort.Slice(kms, func(i, j int) bool { return kms[i] < kms[j] })
-	for _, km := range kms {
-		dst := km.Owner(p)
-		send[dst].AppendItem(appendEntry(nil, km, part.Table[km]))
-	}
+	var item []byte
+	part.forEachSlot(func(s *slot) {
+		item = part.appendEntry(item[:0], s)
+		send[s.key.Owner(p)].AppendItem(item)
+	})
 	recv := spmd.AlltoallvPacked(c, send)
-	out := &Partition{K: part.K, MaxFreq: part.MaxFreq, Table: make(map[kmer.Kmer]*Entry)}
+	out := &Partition{K: part.K, MaxFreq: part.MaxFreq}
+	entries := 0
+	for src := range recv {
+		entries += len(recv[src].Lens)
+	}
+	out.reserve(entries)
 	for src := 0; src < p; src++ {
 		for _, item := range recv[src].Items() {
 			r := wire.NewReader(item)
-			km, e := readEntry(r)
+			km, added := out.readEntry(r)
+			if !added {
+				return nil, fmt.Errorf("dht: reshard received k-mer %#x twice (overlapping segments?)", uint64(km))
+			}
 			if err := r.Finish(); err != nil {
 				return nil, fmt.Errorf("dht: reshard from rank %d: %w", src, err)
 			}
@@ -128,10 +136,6 @@ func Reshard(c *spmd.Comm, part *Partition) (*Partition, error) {
 				return nil, fmt.Errorf("dht: reshard delivered k-mer %#x to rank %d, owner is %d",
 					uint64(km), c.Rank(), km.Owner(p))
 			}
-			if _, dup := out.Table[km]; dup {
-				return nil, fmt.Errorf("dht: reshard received k-mer %#x twice (overlapping segments?)", uint64(km))
-			}
-			out.Table[km] = e
 		}
 	}
 	return out, nil

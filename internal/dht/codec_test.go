@@ -13,14 +13,14 @@ import (
 
 // buildTestPartition fills a partition with synthetic entries.
 func buildTestPartition(k, maxFreq, entries int, salt uint64) *Partition {
-	p := &Partition{K: k, MaxFreq: maxFreq, Table: make(map[kmer.Kmer]*Entry)}
+	p := &Partition{K: k, MaxFreq: maxFreq}
 	for i := 0; i < entries; i++ {
 		km := kmer.Kmer(uint64(i)*0x9e3779b97f4a7c15 + salt)
-		e := &Entry{Count: int32(2 + i%5)}
+		var occs []Occ
 		for j := 0; j <= i%4; j++ {
-			e.Occs = append(e.Occs, MakeOcc(uint32(i+j), uint32(j*100), j%2 == 0))
+			occs = append(occs, MakeOcc(uint32(i+j), uint32(j*100), j%2 == 0))
 		}
-		p.Table[km] = e
+		p.put(km, int32(2+i%5), occs)
 	}
 	return p
 }
@@ -41,15 +41,6 @@ func TestPartitionCodecRoundtrip(t *testing.T) {
 	if !bytes.Equal(blob, p.Encode()) {
 		t.Error("encoding is not deterministic")
 	}
-}
-
-// tableOf flattens a partition into a comparable map.
-func tableOf(p *Partition) map[kmer.Kmer]Entry {
-	out := make(map[kmer.Kmer]Entry, len(p.Table))
-	for km, e := range p.Table {
-		out[km] = Entry{Count: e.Count, Occs: append([]Occ(nil), e.Occs...)}
-	}
-	return out
 }
 
 func TestPartitionCodecRejectsCorruption(t *testing.T) {
@@ -98,8 +89,8 @@ func FuzzDecodePartition(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(p.Table) > len(b) {
-			t.Fatalf("%d entries from %d bytes", len(p.Table), len(b))
+		if p.Retained() > len(b) {
+			t.Fatalf("%d entries from %d bytes", p.Retained(), len(b))
 		}
 		if back := p.Encode(); !bytes.Equal(back, b) {
 			t.Fatalf("re-encoding differs: %x -> %x", b, back)
@@ -115,14 +106,12 @@ func TestReshardMatchesOwnership(t *testing.T) {
 	// it would own at P=3 (as a real build produces).
 	const oldP = 3
 	oldParts := make([]*Partition, oldP)
-	global := make(map[kmer.Kmer]Entry)
 	for r := range oldParts {
-		oldParts[r] = &Partition{K: 17, MaxFreq: 8, Table: make(map[kmer.Kmer]*Entry)}
+		oldParts[r] = &Partition{K: 17, MaxFreq: 8}
 	}
-	src := buildTestPartition(17, 8, 200, 11)
-	for km, e := range src.Table {
-		oldParts[km.Owner(oldP)].Table[km] = e
-		global[km] = Entry{Count: e.Count, Occs: append([]Occ(nil), e.Occs...)}
+	global := tableOf(buildTestPartition(17, 8, 200, 11))
+	for km, e := range global {
+		oldParts[km.Owner(oldP)].put(km, e.Count, e.Occs)
 	}
 
 	for _, newP := range []int{1, 2, 3, 5} {
@@ -130,11 +119,11 @@ func TestReshardMatchesOwnership(t *testing.T) {
 		err := spmd.Run(newP, func(c *spmd.Comm) error {
 			// Contiguous assignment of old segments to new ranks, as the
 			// resume loader uses.
-			hold := &Partition{K: 17, MaxFreq: 8, Table: make(map[kmer.Kmer]*Entry)}
+			hold := &Partition{K: 17, MaxFreq: 8}
 			lo, hi := c.Rank()*oldP/newP, (c.Rank()+1)*oldP/newP
 			for s := lo; s < hi; s++ {
-				for km, e := range oldParts[s].Table {
-					hold.Table[km] = e
+				if err := hold.Merge(oldParts[s]); err != nil {
+					return err
 				}
 			}
 			out, err := Reshard(c, hold)
@@ -147,13 +136,13 @@ func TestReshardMatchesOwnership(t *testing.T) {
 		if err != nil {
 			t.Fatalf("newP=%d: %v", newP, err)
 		}
-		merged := make(map[kmer.Kmer]Entry)
+		merged := make(map[kmer.Kmer]refEntry)
 		for r, p := range got {
-			for km, e := range p.Table {
+			for km, e := range tableOf(p) {
 				if km.Owner(newP) != r {
 					t.Errorf("newP=%d: k-mer %#x on rank %d, owner %d", newP, uint64(km), r, km.Owner(newP))
 				}
-				merged[km] = Entry{Count: e.Count, Occs: append([]Occ(nil), e.Occs...)}
+				merged[km] = e
 			}
 		}
 		if !reflect.DeepEqual(global, merged) {

@@ -2,7 +2,6 @@ package dht
 
 import (
 	"fmt"
-	"sort"
 
 	"dibella/internal/bella"
 	"dibella/internal/bloom"
@@ -19,75 +18,6 @@ const (
 	traceBloomPass = "stage.bloom"
 	traceHashPass  = "stage.hash"
 )
-
-// Occ is a compact k-mer occurrence: the read it was seen in and its
-// position, with the orientation bit packed into the low position bit.
-type Occ struct {
-	Read    uint32
-	PosFlag uint32
-}
-
-// MakeOcc packs an occurrence.
-func MakeOcc(read, pos uint32, forward bool) Occ {
-	pf := pos << 1
-	if forward {
-		pf |= 1
-	}
-	return Occ{Read: read, PosFlag: pf}
-}
-
-// Pos returns the k-mer's offset within the read.
-func (o Occ) Pos() uint32 { return o.PosFlag >> 1 }
-
-// Forward reports whether the canonical k-mer matched the read's forward
-// orientation.
-func (o Occ) Forward() bool { return o.PosFlag&1 == 1 }
-
-// Entry is one hash-table value: the total sighting count and the
-// occurrence list (capped at the high-frequency cutoff, beyond which the
-// k-mer is doomed to pruning anyway).
-type Entry struct {
-	Count int32
-	Occs  []Occ
-}
-
-// Partition is one rank's shard of the distributed hash table.
-type Partition struct {
-	K       int
-	MaxFreq int
-	Table   map[kmer.Kmer]*Entry
-}
-
-// Retained returns the number of retained (post-prune) k-mers in the
-// partition.
-func (p *Partition) Retained() int { return len(p.Table) }
-
-// ForEach visits every retained k-mer in ascending k-mer order. The
-// deterministic order costs one key sort per call but means consumers
-// (the overlap stage packs exchange payloads straight out of this loop)
-// cannot leak Go's randomized map order into wire bytes or output.
-func (p *Partition) ForEach(fn func(km kmer.Kmer, occs []Occ)) {
-	kms := make([]kmer.Kmer, 0, len(p.Table))
-	for km := range p.Table {
-		kms = append(kms, km)
-	}
-	sort.Slice(kms, func(i, j int) bool { return kms[i] < kms[j] })
-	for _, km := range kms {
-		fn(km, p.Table[km].Occs)
-	}
-}
-
-// MemBytes estimates the partition's resident footprint: table buckets
-// plus occurrence lists. Serve mode's mem-utilization scorer routes
-// query batches on this quantity.
-func (p *Partition) MemBytes() int64 {
-	// ~48 bytes per entry: bucket slot, 8-byte key, entry header.
-	n := int64(len(p.Table)) * 48
-	for _, e := range p.Table {
-		n += int64(len(e.Occs)) * 8
-	}
-	return n
-}
 
 // LocalReads is one rank's block of the read set: sequences with global
 // IDs IDStart, IDStart+1, ...
@@ -260,13 +190,18 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	filter := bloom.NewWithEstimate(perRank, cfg.BloomFP)
 	stats.BloomBits = filter.NumBits()
 
-	part := &Partition{K: cfg.K, MaxFreq: cfg.MaxFreq, Table: make(map[kmer.Kmer]*Entry)}
+	part := &Partition{K: cfg.K, MaxFreq: cfg.MaxFreq}
+	if cfg.KeepSingletons {
+		// Every distinct key gets an entry, and perRank is the Eq. 2
+		// estimate of how many this rank will see: size the table once.
+		part.reserve(int(perRank))
+	}
 
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceBloomPass, c.Now())
 	stats.Bloom = bloomPass(c, pr, reads, cfg, rounds, localUnits, filter, part)
-	stats.TableEntries = len(part.Table)
+	stats.TableEntries = part.n
 	// The Bloom stage's peak footprint is the filter plus the nascent
 	// table — both alive this one instant, the filter freed just below.
 	stats.BloomMemBytes = part.MemBytes() + int64(filter.NumBits()/8)
@@ -280,12 +215,12 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	rec.Begin(traceHashPass, c.Now())
 	stats.Hash = hashPass(c, pr, reads, cfg, rounds, localUnits, part)
 	t0 := walltime.Now()
-	prunedS, prunedH := prune(part, cfg.KeepSingletons)
+	prunedS, prunedH := part.prune(cfg.KeepSingletons)
 	stats.Hash.LocalVirtual += pr.tick(float64(stats.TableEntries),
 		machine.RateHTPrune, float64(stats.TableEntries)*64)
 	stats.Hash.LocalWall += walltime.Since(t0)
 	stats.PrunedSingleton, stats.PrunedHighFreq = prunedS, prunedH
-	stats.Retained = len(part.Table)
+	stats.Retained = part.n
 	rec.End(traceHashPass, c.Now(), stats.Hash.BytesPacked)
 	return part, stats, nil
 }
@@ -300,7 +235,8 @@ type stream struct {
 	k       int
 	w       int // minimizer window; <=1 streams every k-mer
 	idx     int
-	sc      *kmer.Scanner
+	sc      kmer.Scanner // over the current read, held by value: no allocation per read
+	inRead  bool
 	mins    []kmer.Extracted // current read's minimizers (w > 1)
 	mIdx    int
 	scanned int64 // k-mers scanned since the last takeScanned
@@ -339,11 +275,11 @@ func (s *stream) next() (kmer.Extracted, bool) {
 		}
 	}
 	for {
-		if s.sc == nil {
+		if !s.inRead {
 			if s.idx >= len(s.reads.Seqs) {
 				return kmer.Extracted{}, false
 			}
-			s.sc = kmer.NewScanner(s.reads.Seqs[s.idx], s.k, s.reads.IDStart+uint32(s.idx))
+			s.sc, s.inRead = *kmer.NewScanner(s.reads.Seqs[s.idx], s.k, s.reads.IDStart+uint32(s.idx)), true
 			s.idx++
 		}
 		ex, ok := s.sc.Next()
@@ -351,7 +287,7 @@ func (s *stream) next() (kmer.Extracted, bool) {
 			s.scanned++
 			return ex, true
 		}
-		s.sc = nil
+		s.inRead = false
 	}
 }
 
@@ -441,7 +377,7 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int
 	p := c.Size()
 	str := newStream(reads, cfg.K, cfg.MinimizerWindow)
 	ws := func() float64 {
-		return float64(filter.SizeBytes()) + float64(len(part.Table))*48
+		return float64(filter.SizeBytes()) + float64(part.n)*48
 	}
 	pack := func() [][]kmer.Kmer {
 		t0 := walltime.Now()
@@ -474,16 +410,10 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int
 		received := int64(0)
 		for _, batch := range recv {
 			for _, km := range batch {
-				if cfg.KeepSingletons {
-					// Serve-mode index: every distinct key gets an entry —
-					// a later query occurrence may be its second sighting.
-					if _, ok := part.Table[km]; !ok {
-						part.Table[km] = &Entry{}
-					}
-				} else if filter.InsertAndTest(km.Hash()) {
-					if _, ok := part.Table[km]; !ok {
-						part.Table[km] = &Entry{}
-					}
+				// Serve-mode index: every distinct key gets an entry — a
+				// later query occurrence may be its second sighting.
+				if cfg.KeepSingletons || filter.InsertAndTest(km.Hash()) {
+					part.admit(km)
 				}
 				received++
 			}
@@ -510,7 +440,12 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 	st := StageStats{Rounds: rounds}
 	p := c.Size()
 	str := newStream(reads, cfg.K, cfg.MinimizerWindow)
-	ws := func() float64 { return float64(len(part.Table)) * 64 }
+	ws := func() float64 { return float64(part.n) * 64 }
+	// The Bloom pass counted what each resident key will receive: allocate
+	// every occurrence span now, once.
+	t0 := walltime.Now()
+	part.layOut(cfg.KeepSingletons)
+	st.LocalWall += walltime.Since(t0)
 	pack := func() [][]occMsg {
 		t0 := walltime.Now()
 		send := roundBufs[occMsg](p, cfg, left)
@@ -541,13 +476,8 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 		received := int64(0)
 		for _, batch := range recv {
 			for _, msg := range batch {
-				if e, ok := part.Table[msg.Km]; ok {
-					e.Count++
-					// Occurrences beyond the cutoff cannot survive the
-					// prune; stop storing them (counting continues).
-					if int(e.Count) <= part.MaxFreq {
-						e.Occs = append(e.Occs, msg.O)
-					}
+				if s := part.find(msg.Km); s != nil {
+					part.record(s, msg.O)
 				}
 				received++
 			}
@@ -558,30 +488,4 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 	}
 	runRounds(c, &st, cfg, rounds, pack, process)
 	return st
-}
-
-// prune removes false-positive singletons and high-frequency k-mers,
-// returning how many of each were dropped. A serve-mode index
-// (keepSingletons) keeps its singletons, and keeps the high-frequency
-// tail as tombstones — count retained, occurrence list dropped — so a
-// query can tell "frequent in the index" (the combined count exceeds m
-// too; no pairs) apart from "absent" (the combined count is the query
-// occurrences alone).
-func prune(part *Partition, keepSingletons bool) (singletons, highFreq int) {
-	//lint:ignore detmap each iteration only counts, self-deletes, or nils its own entry's Occs — no iteration order escapes
-	for km, e := range part.Table {
-		switch {
-		case e.Count < 2 && !keepSingletons:
-			delete(part.Table, km)
-			singletons++
-		case int(e.Count) > part.MaxFreq:
-			highFreq++
-			if keepSingletons {
-				e.Occs = nil
-				continue
-			}
-			delete(part.Table, km)
-		}
-	}
-	return
 }

@@ -469,10 +469,10 @@ func sparseReads(seed int64, genome int) [][]byte {
 	return seqs
 }
 
-// buildAllocBytes runs a 2-rank Build and returns the bytes the whole
-// process allocated during it, next to what the build had to move and
-// keep: both passes' packed bytes plus the final partitions.
-func buildAllocBytes(t *testing.T, seqs [][]byte, cfg Config) (allocated, needed int64) {
+// buildAllocs runs a 2-rank Build and returns the bytes and the objects the
+// whole process allocated during it, next to what the build had to move
+// and keep: both passes' packed bytes plus the final partitions.
+func buildAllocs(t *testing.T, seqs [][]byte, cfg Config) (allocated, needed, mallocs int64) {
 	t.Helper()
 	store := fastq.NewReadStore(recordsOf(seqs), 2)
 	locals := []LocalReads{localReadsOf(store, 0), localReadsOf(store, 1)}
@@ -490,28 +490,48 @@ func buildAllocBytes(t *testing.T, seqs [][]byte, cfg Config) (allocated, needed
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(after.TotalAlloc - before.TotalAlloc), perRank[0] + perRank[1]
+	return int64(after.TotalAlloc - before.TotalAlloc), perRank[0] + perRank[1], int64(after.Mallocs - before.Mallocs)
 }
 
 // TestBuildAllocationBudget is the noise-free form of the build's memory
-// claim: send buffers are sized once per round, so a build allocates little
-// more than it ships and keeps — and what it allocates follows the data,
-// not how many rounds the data was cut into.
+// claim: send buffers are sized once per round and the table is two
+// arrays, so a build allocates little more than it ships and keeps (the
+// slack is the slot arrays the table outgrew) in a few hundred objects —
+// and what it allocates follows the data, not how many rounds the data was
+// cut into.
 func TestBuildAllocationBudget(t *testing.T) {
 	seqs := sparseReads(11, 400000)
 	cfg := Config{K: 17, MaxFreq: 8, Async: true}
-	allocated, needed := buildAllocBytes(t, seqs, cfg)
-	t.Logf("one round: allocated %d bytes, shipped+kept %d (%.2fx)", allocated, needed, float64(allocated)/float64(needed))
-	if float64(allocated) > 1.5*float64(needed) {
-		t.Errorf("build allocated %d bytes, budget 1.5 x %d", allocated, needed)
+	allocated, needed, mallocs := buildAllocs(t, seqs, cfg)
+	t.Logf("one round: allocated %d bytes in %d objects, shipped+kept %d (%.2fx)",
+		allocated, mallocs, needed, float64(allocated)/float64(needed))
+	if float64(allocated) > 1.4*float64(needed) {
+		t.Errorf("build allocated %d bytes, budget 1.4 x %d", allocated, needed)
+	}
+	if mallocs > 500 {
+		t.Errorf("build allocated %d objects, budget 500: something allocates per key again", mallocs)
 	}
 	for _, rounds := range []int{4, 32} {
 		cfg.MaxKmersPerRound = len(seqs) / 2 * 2000 / rounds
-		sliced, _ := buildAllocBytes(t, seqs, cfg)
+		sliced, _, _ := buildAllocs(t, seqs, cfg)
 		t.Logf("~%d rounds: allocated %d bytes (%.2fx one round)", rounds, sliced, float64(sliced)/float64(allocated))
 		if float64(sliced) > 1.15*float64(allocated) {
 			t.Errorf("~%d rounds allocated %d bytes, one round %d: allocation grows with the round count", rounds, sliced, allocated)
 		}
+	}
+}
+
+// TestIndexFormAllocsIndependentOfKeys: forming a serve index
+// (KeepSingletons: every distinct k-mer gets an entry) costs a number of
+// allocations that does not follow the number of keys — the map it
+// replaced paid two per key. Twice the reads, well under 1.2x the objects.
+func TestIndexFormAllocsIndependentOfKeys(t *testing.T) {
+	cfg := Config{K: 17, MaxFreq: 8, Async: true, KeepSingletons: true}
+	_, _, small := buildAllocs(t, sparseReads(13, 200000), cfg)
+	_, _, large := buildAllocs(t, sparseReads(13, 400000), cfg)
+	t.Logf("mallocs: %d for 200 kb of reads, %d for 400 kb (%.2fx)", small, large, float64(large)/float64(small))
+	if float64(large) >= 1.2*float64(small) {
+		t.Errorf("twice the reads took %d allocations against %d: allocation count follows the key count", large, small)
 	}
 }
 

@@ -24,11 +24,57 @@
 // rank per round, so the full k-mer bag never resides in memory — the
 // paper's streaming design.
 //
+// A partition is three pointer-free arrays (table.go). The table is an
+// open-addressed, linearly probed []slot, each slot holding its entry
+// inline: the k-mer, the sighting count, and the offset and length of the
+// entry's span in the arena. Beside it runs one control byte per slot:
+// zero for an empty slot, else a marker bit plus seven bits of the key's
+// hash. A probe reads eight control bytes in one load and finds, without a
+// branch per slot, the bytes that could be its key and the empty byte that
+// ends its run — so a miss, which is most probes (the hash pass sees mostly
+// singletons the Bloom pass kept out; a served query's k-mers mostly carry
+// a read error), ends in an array a twenty-fourth the size of the slots
+// without comparing a key. The arena is one []Occ holding every entry's
+// occurrences, contiguous per entry and in arrival order. There is no map,
+// no heap object per key and no slice header per key, so a partition costs
+// three allocations however many keys it holds, and the runtime allocates
+// them as noscan: the collector never walks a resident index, which the
+// serve daemon's per-query garbage used to make it do on every cycle
+// (TestPartitionIsPointerFree, TestIndexFormAllocsIndependentOfKeys).
+// Emptiness is the control byte, not a key value: k-mer 0 (poly-A) is a
+// key and k = 32 uses all 64 bits. A slot's arena offset is 32 bits, so a
+// partition holds at most 2³² occurrences (32 GiB of arena per rank).
+//
+// The two passes fill it in place. The Bloom pass admits keys and counts,
+// up to the cutoff, the sightings each admitted key goes on to receive;
+// between the passes layOut turns those counts into spans (plus one for a
+// key admitted at its second sighting, the latest the filter allows) and
+// allocates the arena once; the hash pass writes each occurrence into its
+// key's span; prune deletes in place by backward shift — no tombstones, so
+// a later miss still stops at the first empty slot — and leaves the dropped
+// keys' short spans as holes in the arena. The table is sized once where
+// the entry count is known beforehand (DecodePartition's header, Reshard's
+// received items, Merge, and a KeepSingletons build, where every distinct
+// key gets an entry and the Eq. 2 estimate that sizes the Bloom filter is
+// the count); otherwise it starts at 64 slots and doubles whenever more
+// than 5/8 are used, the discarded arrays being pointer-free garbage. The
+// slot index is a multiply-shift of the k-mer hash, so the capacity need
+// not be a power of two — but of the hash remixed by one odd multiply, as
+// bloom.locate's block index is: kmer.Owner routed on the hash's top bits,
+// so every key a rank holds shares them and the bare hash would crowd 1/P
+// of the slots. Slot order is a function of capacity and insertion
+// history, so nothing that leaves the process follows it: ForEach, Encode
+// and Reshard walk the keys in ascending order, and Encode's bytes are
+// those the map-backed partition wrote (reference_test.go keeps that
+// implementation as the oracle; TestEncodeMatchesReference,
+// FuzzTableMatchesMap).
+//
 // A round's send buffers are sized once (roundBufs): the round's record
 // count is known and Owner is uniform, so each destination gets n/P plus a
 // sixteenth and append never regrows it — a build allocates ~1.06x the
 // bytes it ships, not the ~3x that doubling from nil cost
-// (TestBuildAllocationBudget). Every round gets fresh buffers, because a
+// (TestBuildAllocationBudget holds a whole build to 1.4x what it ships and
+// keeps, in under 500 objects). Every round gets fresh buffers, because a
 // posted buffer must stay untouched until every rank has finished reading
 // it, and on the in-process transport receivers read the sender's memory
 // while they process the round, after their Wait. The earliest safe reuse

@@ -243,10 +243,11 @@ func consolidate(batches [][]PairMsg, cfg Config, st *Stats) (tasks []Task, seed
 }
 
 // Consolidate is the exported consolidation entry point for the
-// serve-mode query path: the home rank of a query batch feeds the pair
-// messages it received from every partition owner through the same
-// merge/filter/sort pipeline the batch overlap stage uses, so a served
-// task list is bit-for-bit the batch task list restricted to
+// serve-mode query path: each rank feeds the pair messages it received
+// from every partition owner — the pairs whose indexed read it owns, plus
+// the batch's query×query pairs on the home rank — through the same
+// merge/filter/sort pipeline the batch overlap stage uses, so the served
+// task lists together are bit-for-bit the batch task list restricted to
 // query-involving pairs. Returns the tasks and the per-batch counts.
 func Consolidate(batches [][]PairMsg, cfg Config) ([]Task, Stats, error) {
 	if err := cfg.setDefaults(); err != nil {

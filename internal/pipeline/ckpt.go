@@ -28,7 +28,6 @@ import (
 	"dibella/internal/ckpt"
 	"dibella/internal/dht"
 	"dibella/internal/fastq"
-	"dibella/internal/kmer"
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
 	"dibella/internal/spmd"
@@ -187,15 +186,17 @@ func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFr
 // snapshot collectively commits one stage boundary (when configured to),
 // charges the modeled snapshot I/O to the adjacent stage's packing
 // account — checkpoints are never free in virtual_seconds — and aborts
-// the run when this boundary is the configured kill point.
-func (ck *ckptState) snapshot(c *spmd.Comm, stage string, sections []ckpt.Section, brk *stats.Breakdown) error {
+// the run when this boundary is the configured kill point. sections is
+// called only when the boundary is written: a run without checkpoints
+// encodes nothing.
+func (ck *ckptState) snapshot(c *spmd.Comm, stage string, sections func() []ckpt.Section, brk *stats.Breakdown) error {
 	if ck == nil || !ck.want[stage] || ckpt.StageOrder(stage) <= ck.skipThrough {
 		return nil
 	}
 	rec := trace.Rec(c.Rank())
 	rec.BeginTag(traceCkptSnap, c.Now(), stage)
 	t0 := walltime.Now()
-	nbytes, err := ck.w.Snapshot(c, stage, sections)
+	nbytes, err := ck.w.Snapshot(c, stage, sections())
 	if err != nil {
 		return err
 	}
@@ -339,7 +340,7 @@ func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config)
 
 	W, P, rank := latest.World, c.Size(), c.Rank()
 	lo, hi := rank*W/P, (rank+1)*W/P
-	partHold = &dht.Partition{K: cfg.K, MaxFreq: cfg.MaxFreq, Table: make(map[kmer.Kmer]*dht.Entry)}
+	partHold = &dht.Partition{K: cfg.K, MaxFreq: cfg.MaxFreq}
 	expectNext := -1
 	for s := lo; s < hi; s++ {
 		seg := &latest.Segments[s]
@@ -377,12 +378,8 @@ func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config)
 				return nil, nil, nil, 0, fmt.Errorf("segment %s was built with k=%d m=%d, resume config has k=%d m=%d",
 					seg.File, part.K, part.MaxFreq, cfg.K, cfg.MaxFreq)
 			}
-			for km, e := range part.Table {
-				if _, dup := partHold.Table[km]; dup {
-					return nil, nil, nil, 0, fmt.Errorf("segment %s repeats k-mer %#x already loaded from an earlier segment",
-						seg.File, uint64(km))
-				}
-				partHold.Table[km] = e
+			if err := partHold.Merge(part); err != nil {
+				return nil, nil, nil, 0, fmt.Errorf("segment %s repeats an earlier segment: %w", seg.File, err)
 			}
 		case ckpt.StageOverlap:
 			blob, err := ckpt.SectionByName(sections, sectionTasks)

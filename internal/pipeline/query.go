@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dibella/internal/dht"
@@ -32,7 +34,7 @@ type QueryStats struct {
 	Batches     int64 // batches served (collectively identical)
 	KmersRouted int64 // query k-mer occurrences this rank routed
 	PairsMade   int64 // query-involving pair messages this rank generated
-	Tasks       int64 // consolidated tasks this rank aligned (home rank only)
+	Tasks       int64 // consolidated tasks this rank aligned
 	Alignments  int64 // x-drop extensions this rank executed
 	stats.Breakdown
 }
@@ -46,14 +48,13 @@ type queryOcc struct {
 
 // batchQueryView is the alignment stage's read access for a served
 // batch: query sequences are resident on every rank (the serve loop
-// broadcast the batch), so only indexed reads are ever fetched. Fetched
-// replicas live on this view, not the world's, so one batch's fetches
-// cannot leak into the next.
+// broadcast the batch) and RunQuery places every task with the indexed
+// read it touches, so the stage finds both reads of every task here and
+// fetches nothing.
 type batchQueryView struct {
-	world    *fastq.LocalView
-	base     uint32
-	batch    []QueryRead
-	replicas map[uint32][]byte
+	world *fastq.LocalView
+	base  uint32
+	batch []QueryRead
 }
 
 func (v *batchQueryView) Owns(id uint32) bool { return id >= v.base || v.world.Owns(id) }
@@ -62,10 +63,7 @@ func (v *batchQueryView) Seq(id uint32) []byte {
 	if id >= v.base {
 		return v.batch[id-v.base].Seq
 	}
-	if v.world.Owns(id) {
-		return v.world.Seq(id)
-	}
-	return v.replicas[id]
+	return v.world.Seq(id)
 }
 
 func (v *batchQueryView) OwnedSeq(id uint32) []byte {
@@ -75,7 +73,11 @@ func (v *batchQueryView) OwnedSeq(id uint32) []byte {
 	return v.world.OwnedSeq(id)
 }
 
-func (v *batchQueryView) AddReplica(id uint32, seq []byte) { v.replicas[id] = seq }
+// AddReplica is the alignment stage installing a fetched read: a served
+// task that needed one was sent to the wrong rank.
+func (v *batchQueryView) AddReplica(id uint32, _ []byte) {
+	panic(fmt.Sprintf("pipeline: served batch fetched read %d; query tasks are placed with their indexed read", id))
+}
 
 func (v *batchQueryView) OwnerOf(id uint32) int { return v.world.OwnerOf(id) }
 
@@ -84,12 +86,17 @@ func (v *batchQueryView) OwnerOf(id uint32) int { return v.world.OwnerOf(id) }
 // serve loop broadcasts both before calling). The returned alignments
 // are assembled and sorted on rank 0 only; other ranks return nil.
 //
+// The epoch is owner-computes, as the batch alignment stage is: an
+// indexed×query pair is consolidated and aligned by the rank that owns
+// the indexed read — the query sequence is resident everywhere, so no
+// sequence travels — and only the batch's query×query pairs go to home.
+//
 // The house invariant: the records equal a batch-mode run over the
 // indexed reads plus the batch restricted to pairs involving at least
 // one query read, regardless of which home rank the frontend's scorers
-// picked — consolidation sorts tasks, seed filtering sorts seeds, and
-// the gathered records are sorted into the same total order batch mode
-// uses.
+// picked — every seed of a pair reaches one rank, consolidation sorts
+// tasks, seed filtering sorts seeds, and the gathered records are sorted
+// into the same total order batch mode uses.
 func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 	c, model, cfg := w.c, w.model, w.cfg
 	p := c.Size()
@@ -114,10 +121,19 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 
 	// Route this rank's slice of the batch's k-mer occurrences to their
 	// partition owners — the hash pass's exchange, one round, with query
-	// read IDs appended after the indexed ID space.
+	// read IDs appended after the indexed ID space. Owner spreads the
+	// slice's k-mers uniformly, so each destination is sized once, as the
+	// build's rounds are.
 	t0 := walltime.Now()
 	lo, hi := blockRange(len(batch), p, c.Rank())
+	n := 0
+	for j := lo; j < hi; j++ {
+		n += kmer.Count(len(batch[j].Seq), cfg.K)
+	}
 	send := make([][]queryOcc, p)
+	for dst := range send {
+		send[dst] = make([]queryOcc, 0, min(n, n/p+n/(16*p)+32))
+	}
 	var routed int64
 	for j := lo; j < hi; j++ {
 		sc := kmer.NewScanner(batch[j].Seq, cfg.K, base+uint32(j))
@@ -126,7 +142,8 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 			if !ok {
 				break
 			}
-			send[ex.Kmer.Owner(p)] = append(send[ex.Kmer.Owner(p)], queryOcc{
+			dst := ex.Kmer.Owner(p)
+			send[dst] = append(send[dst], queryOcc{
 				Km: ex.Kmer,
 				O:  dht.MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward),
 			})
@@ -139,72 +156,76 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 	qs.LocalWall += walltime.Since(t0)
 
 	preComm := c.Stats()
-	occs := spmd.Alltoallv(c, send)
+	recv := spmd.Alltoallv(c, send)
 
 	// Probe the resident partition and emit every query-involving pair.
 	// The combined count decides retention exactly as the batch prune
 	// would: an entry's count covers the indexed occurrences (singletons
 	// and high-frequency tombstones included — KeepSingletons keeps
 	// both resident), the query occurrences are this batch's.
+	//
+	// The received occurrences are sorted once and walked as runs of one
+	// k-mer. (k-mer, read, position) is a total order and, within a k-mer,
+	// the order they arrived in: sources hold ascending blocks of the batch
+	// and scan each read front to back.
 	t0 = walltime.Now()
-	byKm := make(map[kmer.Kmer][]dht.Occ)
-	for _, msgs := range occs {
-		for _, m := range msgs {
-			byKm[m.Km] = append(byKm[m.Km], m.O)
+	occs := slices.Concat(recv...)
+	slices.SortFunc(occs, func(a, b queryOcc) int {
+		if a.Km != b.Km {
+			return cmp.Compare(a.Km, b.Km)
 		}
-	}
-	kms := make([]kmer.Kmer, 0, len(byKm))
-	for km := range byKm {
-		kms = append(kms, km)
-	}
-	sort.Slice(kms, func(i, j int) bool { return kms[i] < kms[j] })
+		return cmp.Compare(uint64(a.O.Read)<<32|uint64(a.O.PosFlag), uint64(b.O.Read)<<32|uint64(b.O.PosFlag))
+	})
 	pairSend := make([][]overlap.PairMsg, p)
-	var made int64
-	for _, km := range kms {
-		q := byKm[km]
-		var indexed []dht.Occ
-		count := 0
-		if e, ok := w.part.Table[km]; ok {
-			count = int(e.Count)
-			indexed = e.Occs
+	var made, distinct int64
+	for len(occs) > 0 {
+		km := occs[0].Km
+		end := 1
+		for end < len(occs) && occs[end].Km == km {
+			end++
 		}
+		q := occs[:end]
+		occs = occs[end:]
+		distinct++
+		count, indexed, _ := w.part.Lookup(km)
 		combined := count + len(q)
 		if combined < 2 || combined > w.part.MaxFreq {
 			continue
 		}
 		for _, oi := range indexed {
+			// Indexed and query ID spaces are disjoint, so the pair can
+			// never be a same-read repeat. It goes where the indexed read
+			// lives; the query read lives everywhere.
+			dst := w.view.OwnerOf(oi.Read)
 			for _, oq := range q {
-				// Indexed and query ID spaces are disjoint, so the pair
-				// can never be a same-read repeat.
-				pairSend[home] = append(pairSend[home], overlap.PairMsg{
-					RA: oi.Read, RB: oq.Read, PFA: oi.PosFlag, PFB: oq.PosFlag,
+				pairSend[dst] = append(pairSend[dst], overlap.PairMsg{
+					RA: oi.Read, RB: oq.O.Read, PFA: oi.PosFlag, PFB: oq.O.PosFlag,
 				})
 				made++
 			}
 		}
 		for i := 0; i < len(q); i++ {
 			for j := i + 1; j < len(q); j++ {
-				if q[i].Read == q[j].Read {
+				if q[i].O.Read == q[j].O.Read {
 					continue // a repeat within one query read is not an overlap
 				}
 				pairSend[home] = append(pairSend[home], overlap.PairMsg{
-					RA: q[i].Read, RB: q[j].Read, PFA: q[i].PosFlag, PFB: q[j].PosFlag,
+					RA: q[i].O.Read, RB: q[j].O.Read, PFA: q[i].O.PosFlag, PFB: q[j].O.PosFlag,
 				})
 				made++
 			}
 		}
 	}
 	qs.PairsMade += made
-	qs.LocalVirtual += price(c, model, float64(len(kms)), machine.RateOverlapScan, 0) +
+	qs.LocalVirtual += price(c, model, float64(distinct), machine.RateOverlapScan, 0) +
 		price(c, model, float64(made), machine.RatePairGen, 0)
 	qs.PackVirtual += price(c, model, float64(made*16), machine.RatePack, 0)
 	qs.LocalWall += walltime.Since(t0)
 
 	pairRecv := spmd.Alltoallv(c, pairSend)
 
-	// Consolidate on the home rank (everyone else received nothing) —
-	// the batch stage's merge/filter/sort, so task and seed order are
-	// placement-independent.
+	// Consolidate this rank's share — the batch stage's merge/filter/sort,
+	// so task and seed order are placement-independent.
 	t0 = walltime.Now()
 	tasks, ovStats, err := overlap.Consolidate(pairRecv, overlap.Config{
 		K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds,
@@ -217,10 +238,10 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 		price(c, model, float64(ovStats.SeedsKept+ovStats.SeedsDropped), machine.RateSeedPrep, 0)
 	qs.LocalWall += walltime.Since(t0)
 
-	// Align collectively: the home rank fetches the indexed sequences it
-	// lacks through the same request/reply exchanges (and schedule) the
-	// batch stage uses; query sequences are already resident everywhere.
-	qv := &batchQueryView{world: w.view, base: base, batch: batch, replicas: make(map[uint32][]byte)}
+	// Align collectively, through the batch stage's schedule. Every task
+	// has both reads resident where it landed, so the stage's request and
+	// reply exchanges carry no sequence.
+	qv := &batchQueryView{world: w.view, base: base, batch: batch}
 	recs, alStats := alignStage(c, model, qv, tasks, cfg)
 	qs.Alignments += alStats.Alignments
 	qs.addComm(preComm, c.Stats())

@@ -55,7 +55,8 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 	// Load boundary: the sharded read store is durable; a restart can
 	// skip parsing and reshuffling the input. Its I/O cost is charged to
 	// the Bloom stage's packing account (the stage the snapshot delays).
-	if err := ck.snapshot(c, ckpt.StageLoad, storeSections(store, c.Rank()), &w.rr.Bloom.Breakdown); err != nil {
+	err := ck.snapshot(c, ckpt.StageLoad, func() []ckpt.Section { return storeSections(store, c.Rank()) }, &w.rr.Bloom.Breakdown)
+	if err != nil {
 		return nil, err
 	}
 
@@ -93,8 +94,10 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 
 	// DHT boundary: partitions plus the read store, so the snapshot is
 	// self-contained.
-	sections := append(storeSections(store, c.Rank()), ckpt.Section{Name: sectionDHT, Data: part.Encode()})
-	if err := ck.snapshot(c, ckpt.StageDHT, sections, &w.rr.Hash.Breakdown); err != nil {
+	err = ck.snapshot(c, ckpt.StageDHT, func() []ckpt.Section {
+		return append(storeSections(store, c.Rank()), ckpt.Section{Name: sectionDHT, Data: part.Encode()})
+	}, &w.rr.Hash.Breakdown)
+	if err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -126,8 +129,10 @@ func (w *World) overlapStage(ck *ckptState, res *resumeState, retain bool) ([]ov
 	}
 
 	// Overlap boundary: consolidated task sets plus the read store.
-	sections := append(storeSections(w.store, w.c.Rank()), ckpt.Section{Name: sectionTasks, Data: overlap.EncodeTasks(tasks)})
-	if err := ck.snapshot(w.c, ckpt.StageOverlap, sections, &w.rr.Overlap.Breakdown); err != nil {
+	err = ck.snapshot(w.c, ckpt.StageOverlap, func() []ckpt.Section {
+		return append(storeSections(w.store, w.c.Rank()), ckpt.Section{Name: sectionTasks, Data: overlap.EncodeTasks(tasks)})
+	}, &w.rr.Overlap.Breakdown)
+	if err != nil {
 		return nil, err
 	}
 	return tasks, nil

@@ -19,8 +19,12 @@ import (
 // aliases the caller's send buffer rather than a pooled one.
 
 // maxPooledBuf caps what the pool retains: a one-off giant frame should
-// be reclaimed by the GC, not pinned for the life of the world.
-const maxPooledBuf = 4 << 20
+// be reclaimed by the GC, not pinned for the life of the world. The cap
+// covers one full default hash-pass round to a single peer (dht's
+// MaxKmersPerRound, 1<<19 records of 16 bytes): at 4 MiB it sat on the
+// mean frame of a two-rank build (half a round, give or take a few KB), so
+// every other such frame was allocated fresh and dropped.
+const maxPooledBuf = 8 << 20
 
 var framePool sync.Pool
 

@@ -38,6 +38,20 @@ func TestFrameBufPool(t *testing.T) {
 		t.Fatalf("getFrameBuf(64) returned len %d", len(got))
 	}
 
+	// The largest frame a default build ships — one whole hash-pass round
+	// (1<<19 records of 16 bytes) to a single peer — is retained, so the
+	// two-rank build's half-round frames, which scatter a few KB around
+	// 4 MiB, all are.
+	for i := 0; i < 100; i++ {
+		round := make([]byte, (1<<19)*16)
+		putFrameBuf(round)
+		if got := getFrameBuf(len(round)/2 + 4096); &got[0] == &round[0] {
+			break
+		} else if i == 99 {
+			t.Errorf("a full hash-pass round's frame (%d bytes) was never reused", len(round))
+		}
+	}
+
 	// Oversized buffers never enter the pool.
 	huge := make([]byte, maxPooledBuf+1)
 	putFrameBuf(huge)
