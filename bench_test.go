@@ -185,40 +185,6 @@ func benchMinimizers(b *testing.B, w int) {
 	b.ReportMetric(float64(pairs), "pairs")
 }
 
-// BenchmarkAblationOwnerPolicy* compares the paper's Algorithm 1 odd/even
-// task placement against the future-work alternatives (§9): hashed
-// placement and longer-read placement (which shrinks the alignment-stage
-// read exchange). The reported metric is bytes of read sequence fetched.
-func BenchmarkAblationOwnerOddEven(b *testing.B) {
-	benchOwnerPolicy(b, overlap.PolicyOddEven)
-}
-func BenchmarkAblationOwnerHashed(b *testing.B) {
-	benchOwnerPolicy(b, overlap.PolicyHashed)
-}
-func BenchmarkAblationOwnerLongerRead(b *testing.B) {
-	benchOwnerPolicy(b, overlap.PolicyLongerRead)
-}
-
-func benchOwnerPolicy(b *testing.B, policy overlap.OwnerPolicy) {
-	b.Helper()
-	reads := getBenchReads(b)
-	b.ResetTimer()
-	var fetched int64
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(8, reads, Config{
-			K: 17, MaxFreq: 10, SeedMode: OneSeed, OwnerPolicy: policy,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fetched = 0
-		for _, rr := range rep.PerRank {
-			fetched += rr.Align.FetchedBytes
-		}
-	}
-	b.ReportMetric(float64(fetched), "fetched-bytes")
-}
-
 // BenchmarkDalignerBlockMode measures the paper's point about DALIGNER's
 // blocked distribution: repeated sorting of block pairs.
 func BenchmarkDalignerBlocks1(b *testing.B) { benchBlocks(b, 1) }

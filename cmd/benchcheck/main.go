@@ -1,17 +1,20 @@
 // Command benchcheck is the CI bench-regression gate: it compares a fresh
 // dibella-bench snapshot against the latest committed BENCH_PR*.json and
-// fails (exit 1) if any schedule's modeled virtual_seconds regressed by
-// more than the tolerance. The modeled times are machine-independent, so
-// a fresh CI run of unchanged code reproduces the committed numbers
-// exactly; a drift beyond tolerance means a code change slowed a modeled
-// hot path.
+// fails (exit 1) if any schedule's modeled virtual_seconds moved by more
+// than the tolerance in either direction. The modeled times are
+// machine-independent, so a fresh CI run of unchanged code reproduces the
+// committed numbers exactly; a regression beyond tolerance means a code
+// change slowed a modeled hot path, and an improvement beyond tolerance
+// means the committed snapshot is stale — left in place it would let the
+// same schedule regress by that much again unnoticed, so the PR that
+// earned the improvement re-bases the snapshot.
 //
 // Usage:
 //
 //	benchcheck -fresh BENCH_CI.json              # auto-discover the committed baseline
-//	benchcheck -prev BENCH_PR10.json -fresh BENCH_CI.json
+//	benchcheck -prev BENCH_PR20.json -fresh BENCH_CI.json
 //
-// The diff is strictly per-schedule (sync / async / streamed / ckpt /
+// The diff is strictly per-schedule (sync / streamed / ckpt / serve /
 // ...): only schedules present in both snapshots gate the build, so a
 // fresh snapshot that *adds* a schedule (a new feature's run) passes
 // with the addition reported as informational, and a schedule missing
@@ -36,7 +39,7 @@ func main() {
 		prev      = flag.String("prev", "", "committed baseline snapshot (default: highest-numbered BENCH_PR*.json in -dir)")
 		fresh     = flag.String("fresh", "", "freshly generated snapshot (required)")
 		dir       = flag.String("dir", ".", "directory to search for the committed baseline")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional virtual_seconds regression")
+		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional virtual_seconds change, either way")
 	)
 	flag.Parse()
 	if *fresh == "" {
@@ -110,8 +113,12 @@ func compare(prevSnap, freshSnap *snapshot, prevPath, freshPath string, toleranc
 		p, f := prevRuns[name], freshRuns[name]
 		delta := (f - p) / p
 		status := "ok"
-		if delta > tolerance {
+		switch {
+		case delta > tolerance:
 			status = "REGRESSED"
+			failed = true
+		case delta < -tolerance:
+			status = "improved beyond tolerance: re-base the committed snapshot"
 			failed = true
 		}
 		fmt.Fprintf(&b, "  %-10s virtual_seconds %.6f -> %.6f (%+.1f%%) %s\n",
@@ -156,8 +163,8 @@ func (s *snapshot) comparable(o *snapshot) error {
 // loadSnapshot extracts the workload identity and every schedule's
 // virtual_seconds from a snapshot. The run decoding is schema-tolerant:
 // any top-level object carrying a numeric "virtual_seconds" counts as a
-// schedule, so older snapshots (sync/async only) and newer ones (plus
-// streamed) compare on their intersection.
+// schedule, so older snapshots (fewer schedules) and newer ones compare
+// on their intersection.
 func loadSnapshot(path string) (*snapshot, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

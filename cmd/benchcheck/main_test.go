@@ -12,8 +12,8 @@ func snap(runs map[string]float64) *snapshot {
 }
 
 func TestComparePerSchedule(t *testing.T) {
-	prev := snap(map[string]float64{"sync": 1.0, "async": 0.8, "gone": 0.5})
-	fresh := snap(map[string]float64{"sync": 1.05, "async": 0.79, "ckpt": 0.9})
+	prev := snap(map[string]float64{"sync": 1.0, "streamed": 0.8, "gone": 0.5})
+	fresh := snap(map[string]float64{"sync": 1.05, "streamed": 0.79, "ckpt": 0.9})
 
 	report, failed, err := compare(prev, fresh, "prev.json", "fresh.json", 0.10)
 	if err != nil {
@@ -25,7 +25,7 @@ func TestComparePerSchedule(t *testing.T) {
 		t.Errorf("within-tolerance diff failed:\n%s", report)
 	}
 	for _, want := range []string{
-		"sync", "async",
+		"sync", "streamed",
 		"ckpt", "new schedule, no baseline",
 		"gone", "missing from fresh",
 	} {
@@ -42,6 +42,17 @@ func TestComparePerSchedule(t *testing.T) {
 	}
 	if !failed || !strings.Contains(report, "REGRESSED") {
 		t.Errorf("20%% regression passed:\n%s", report)
+	}
+
+	// So does a >10% improvement: the baseline is stale, and gating
+	// against it would let the schedule regress by as much unnoticed.
+	fresh.runs["sync"], fresh.runs["streamed"] = 1.0, 0.7
+	report, failed, err = compare(prev, fresh, "prev.json", "fresh.json", 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed || !strings.Contains(report, "re-base the committed snapshot") || strings.Contains(report, "REGRESSED") {
+		t.Errorf("12.5%% improvement against a stale baseline passed:\n%s", report)
 	}
 
 	// An added schedule alone (no common ones) is an error, not a pass.

@@ -79,7 +79,7 @@ func DefaultConfig() *Config {
 			"dibella/internal/pipeline",
 			"dibella/internal/ckpt",
 			// Served PAF is output too: a nondeterministic iteration in
-			// the daemon's routing or reply path would break the
+			// the daemon's admission or reply path would break the
 			// serve-vs-batch byte-identity invariant.
 			"dibella/internal/serve",
 		},
@@ -91,7 +91,7 @@ func DefaultConfig() *Config {
 		PricingMethods: set(
 			"AlltoallvTime", "CollectiveTime", "IPostTime",
 			"StreamChunkTime", "ChunkPostTime", "SnapshotTime",
-			"QueryAdmitTime", "QueryRouteTime",
+			"QueryAdmitTime",
 		),
 		PricedCommitMethods: set("Writer.Snapshot"),
 		// Close is the graceful teardown after the last collective and

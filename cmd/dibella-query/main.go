@@ -96,8 +96,8 @@ func main() {
 				fatal(err)
 			}
 			if !*quiet {
-				fmt.Fprintf(os.Stderr, "batch %d..%d: %d records (rank %d, waited %.3fs, modeled %.4fs)\n",
-					lo, hi-1, res.Records, res.Home, res.QueueWaitSecs, res.VirtualSeconds)
+				fmt.Fprintf(os.Stderr, "batch %d..%d: %d records (waited %.3fs, modeled %.4fs)\n",
+					lo, hi-1, res.Records, res.QueueWaitSecs, res.VirtualSeconds)
 			}
 		}
 	}

@@ -56,8 +56,8 @@ type runParams struct {
 	AsyncExchange                                bool
 	Nodes, ReplyChunk, ReplyDepth, BuildDepth    int
 
-	ServeAddr, ServeTenants, RouteScorers, MetricsAddr string
-	ServeInflight, ServeMaxReads, ServeBatches         int
+	ServeAddr, ServeTenants, MetricsAddr       string
+	ServeInflight, ServeMaxReads, ServeBatches int
 
 	CkptDir, CkptEvery, CkptAbortAfter, Resume string
 }
@@ -123,7 +123,6 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 	num(&p.ServeInflight, serveOnly, "serve-max-inflight", 4, 1, unbounded, "serve mode: bound on admitted-but-unfinished batches; the excess is rejected queue-full")
 	num(&p.ServeMaxReads, serveOnly, "serve-max-batch-reads", 1024, 1, unbounded, "serve mode: per-batch read limit; larger batches are rejected too-large")
 	str(&p.ServeTenants, serveOnly, "serve-tenants", "", "serve mode: comma-separated tenant allow list (empty admits any tenant)")
-	str(&p.RouteScorers, serveOnly, "route-scorers", "", "serve mode: weighted routing profile as name:weight,... over queue-depth, mem-utilization, load-balance (default queue-depth:2,mem-utilization:2,load-balance:1)")
 	num(&p.ServeBatches, serveOnly, "serve-batches", 0, 0, unbounded, "serve mode: exit after serving this many batches (0: serve until a client requests shutdown)")
 
 	str(&p.CkptDir, shared, "ckpt-dir", "", "snapshot pipeline state at stage boundaries into this directory (per-rank segments + rank-0 manifest)")
@@ -269,16 +268,11 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 		case p.Seed == "minimizer":
 			return nil, fmt.Errorf("-serve-addr requires exact seeding: queries cannot be answered against a minimizer-sparsified index")
 		}
-		scorers, err := serve.ParseScorerConfigs(p.RouteScorers)
-		if err != nil {
-			return nil, fmt.Errorf("-route-scorers: %w", err)
-		}
 		plan.serve = &serve.Options{
 			Addr:          p.ServeAddr,
 			MaxInflight:   p.ServeInflight,
 			MaxBatchReads: p.ServeMaxReads,
 			Tenants:       splitList(p.ServeTenants),
-			Scorers:       scorers,
 			MaxBatches:    p.ServeBatches,
 			MetricsAddr:   p.MetricsAddr,
 		}

@@ -16,8 +16,8 @@
 // With -serve-addr the process becomes a resident alignment daemon: the
 // world stays formed after the load and build stages, and rank 0 answers
 // FASTQ query batches (sent by dibella-query) against the resident index,
-// with admission control and weighted query routing — see the README's
-// "Serve mode" section and docs/SERVE.md.
+// under admission control — see the README's "Serve mode" section and
+// docs/SERVE.md.
 //
 // With -transport tcp the process acts as a launcher: it binds the world's
 // rendezvous port, forks P-1 copies of itself as worker processes (ranks
@@ -307,8 +307,8 @@ func runWorld(c *spmd.Comm, mdl *machine.Model, plan *runPlan, preloaded *fastq.
 		return nil, nil, err
 	}
 	if root {
-		fmt.Fprintf(os.Stderr, "serve: done: served=%d rejected=%d routed=%v modeled=%.4fs\n",
-			st.Served, st.Rejected, st.RoutedPerRank, st.VirtualSeconds)
+		fmt.Fprintf(os.Stderr, "serve: done: served=%d rejected=%d modeled=%.4fs\n",
+			st.Served, st.Rejected, st.VirtualSeconds)
 	}
 	// A serve run has no batch PAF, hence no store; its report carries only
 	// the trace. The teardown gather is collective, so every rank calls it.

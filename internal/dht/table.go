@@ -120,8 +120,8 @@ func (p *Partition) forEachSlot(fn func(s *slot)) {
 }
 
 // MemBytes is the partition's resident footprint: control bytes, slots and
-// the occurrence arena. Serve mode's mem-utilization scorer routes query
-// batches on this quantity.
+// the occurrence arena — the partition's share of the resident-memory
+// gauge.
 func (p *Partition) MemBytes() int64 {
 	return int64(cap(p.ctrl)) + int64(cap(p.slots))*slotBytes + int64(cap(p.occs))*occSize
 }

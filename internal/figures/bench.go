@@ -18,7 +18,6 @@ import (
 	"dibella/internal/kmer"
 	"dibella/internal/machine"
 	"dibella/internal/pipeline"
-	"dibella/internal/serve"
 	"dibella/internal/spmd"
 	"dibella/internal/trace"
 )
@@ -105,14 +104,13 @@ type ServeBench struct {
 	// first batch's service time divided by benchServeUtilization.
 	ArrivalSpacing float64 `json:"arrival_spacing_virtual_seconds"`
 	// VirtualSeconds is the modeled completion time of the last batch
-	// (admission, routing, and every query collective priced).
+	// (admission and every query collective priced).
 	VirtualSeconds float64 `json:"virtual_seconds"`
 	ModeledQPS     float64 `json:"modeled_qps"`
 	MeanService    float64 `json:"mean_service_virtual_seconds"`
 	P50QueueWait   float64 `json:"p50_queue_wait_virtual_seconds"`
 	P99QueueWait   float64 `json:"p99_queue_wait_virtual_seconds"`
 	Alignments     int64   `json:"alignments"`
-	RoutedPerRank  []int64 `json:"routed_per_rank"`
 }
 
 // BenchResult is the full snapshot: the same workload under the
@@ -303,9 +301,7 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 // under a deterministic synthetic arrival trace. Arrival i lands at
 // i*spacing on the modeled clock; service is serial in admission order
 // (the daemon's SPMD loop), so batch i starts at max(arrival_i,
-// finish_{i-1}) and its queue wait is the difference. Routing uses the
-// default weighted scorers against the simulated queue state, exactly as
-// the daemon's admission path would.
+// finish_{i-1}) and its queue wait is the difference.
 func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 	reads, err := o.Reads30x()
 	if err != nil {
@@ -325,7 +321,6 @@ func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 		b := i / benchServeBatchReads
 		batches[b] = append(batches[b], pipeline.QueryRead{Name: r.Name, Seq: r.Seq})
 	}
-	scorers := serve.DefaultScorerConfigs()
 	var sb *ServeBench
 	err = spmd.RunWithModel(p, mdl, func(c *spmd.Comm) error {
 		cfg := oneSeedConfig()
@@ -337,11 +332,8 @@ func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 		if err != nil {
 			return err
 		}
-		mem := w.GatherMemBytes()
 		var (
 			service, waits, finish []float64
-			homes                  []int
-			routed                 = make([]int64, c.Size())
 			aligns                 int64
 			spacing                float64
 		)
@@ -352,31 +344,15 @@ func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 			return float64(i/benchServeBurst) * benchServeBurst * spacing
 		}
 		for i, batch := range batches {
-			home := 0
 			if c.Rank() == 0 {
-				// Admission at arrival time: the scorers see the queue the
-				// trace has built up by then.
-				ai := arrival(i)
-				snaps := make([]serve.RankSnapshot, c.Size())
-				for r := range snaps {
-					snaps[r] = serve.RankSnapshot{Rank: r, MemBytes: mem[r], Routed: routed[r]}
-				}
-				for j, fj := range finish {
-					if fj > ai {
-						snaps[homes[j]].QueueDepth++
-					}
-				}
-				home = serve.PickRank(scorers, snaps)
 				var reqBytes int
 				for _, q := range batch {
 					reqBytes += len(q.Seq)
 				}
 				c.Tick(mdl.QueryAdmitTime(float64(reqBytes)))
-				c.Tick(mdl.QueryRouteTime(c.Size(), len(scorers)))
 			}
-			home = spmd.Bcast(c, home, 0)
 			v0 := c.Now()
-			recs, err := w.RunQuery(home, batch)
+			recs, err := w.RunQuery(0, batch)
 			if err != nil {
 				return err
 			}
@@ -395,8 +371,6 @@ func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 			service = append(service, sv)
 			waits = append(waits, start-ai)
 			finish = append(finish, start+sv)
-			homes = append(homes, home)
-			routed[home]++
 			aligns += int64(len(recs))
 		}
 		if c.Rank() != 0 {
@@ -419,10 +393,9 @@ func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 			P50QueueWait:   percentile(sorted, 0.50),
 			P99QueueWait:   percentile(sorted, 0.99),
 			Alignments:     aligns,
-			RoutedPerRank:  routed,
 		}
-		o.logf("bench serve: %d batches, qps=%.2f p50 wait=%.4fs p99 wait=%.4fs routed=%v",
-			sb.Batches, sb.ModeledQPS, sb.P50QueueWait, sb.P99QueueWait, sb.RoutedPerRank)
+		o.logf("bench serve: %d batches, qps=%.2f p50 wait=%.4fs p99 wait=%.4fs",
+			sb.Batches, sb.ModeledQPS, sb.P50QueueWait, sb.P99QueueWait)
 		return nil
 	})
 	if err != nil {

@@ -358,10 +358,6 @@ const (
 	// serveDecodeBW is the rate at which the frontend ingests and decodes
 	// a query batch's payload bytes (gob decode plus copy-in).
 	serveDecodeBW = 200e6
-	// serveScorePerRank is the routing cost per candidate rank per scorer
-	// pass: reading one rank's load snapshot and accumulating its weighted
-	// normalized score.
-	serveScorePerRank = 100e-9
 )
 
 // QueryAdmitTime prices the serve frontend's handling of one query
@@ -374,18 +370,6 @@ func (m *Model) QueryAdmitTime(reqBytes float64) float64 {
 		reqBytes = 0
 	}
 	return serveAdmitLatency + reqBytes/serveDecodeBW
-}
-
-// QueryRouteTime prices weighted scorer routing of one admitted batch:
-// every configured scorer reads a load snapshot of every rank.
-func (m *Model) QueryRouteTime(ranks, scorers int) float64 {
-	if ranks < 0 {
-		ranks = 0
-	}
-	if scorers < 1 {
-		scorers = 1
-	}
-	return float64(ranks*scorers) * serveScorePerRank
 }
 
 // CollectiveTime implements spmd.CommModel: a latency-bound tree

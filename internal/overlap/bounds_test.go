@@ -66,46 +66,6 @@ func TestMeasuredPairsWithinBounds(t *testing.T) {
 	}
 }
 
-// Task-owner policies must not change the discovered pair set — only the
-// placement of tasks.
-func TestPoliciesSamePairSet(t *testing.T) {
-	seqs := overlappingReads(9)
-	lens := func(r uint32) int { return len(seqs[r]) }
-	collect := func(cfg Config) map[Pair]bool {
-		tasks, _ := buildTasks(t, seqs, 4, cfg)
-		out := make(map[Pair]bool)
-		for _, task := range tasks {
-			out[task.Pair] = true
-		}
-		return out
-	}
-	base := collect(Config{K: 17, Mode: OneSeed, Policy: PolicyOddEven})
-	if len(base) == 0 {
-		t.Fatal("no pairs")
-	}
-	for _, cfg := range []Config{
-		{K: 17, Mode: OneSeed, Policy: PolicyHashed},
-		{K: 17, Mode: OneSeed, Policy: PolicyLongerRead, ReadLen: lens},
-	} {
-		got := collect(cfg)
-		if len(got) != len(base) {
-			t.Fatalf("policy %d changed pair count: %d vs %d", cfg.Policy, len(got), len(base))
-		}
-		for p := range base {
-			if !got[p] {
-				t.Fatalf("policy %d lost pair %v", cfg.Policy, p)
-			}
-		}
-	}
-}
-
-func TestPolicyLongerReadRequiresLengths(t *testing.T) {
-	cfg := Config{K: 17, Policy: PolicyLongerRead}
-	if err := (&cfg).setDefaults(); err == nil {
-		t.Error("missing ReadLen accepted")
-	}
-}
-
 // buildTasksMaxFreq is buildTasks with a custom frequency cutoff.
 func buildTasksMaxFreq(t *testing.T, seqs [][]byte, p int, cfg Config, maxFreq int) ([]Task, []Stats) {
 	t.Helper()

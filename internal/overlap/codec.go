@@ -84,30 +84,19 @@ func DecodeTasks(b []byte) ([]Task, error) {
 	return tasks, nil
 }
 
-// TaskOwner applies the configured placement policy to a canonical pair
-// (ra < rb): the rank that aligns this pair under owner's distribution.
-// Exported for the checkpoint loader, which re-evaluates placement
-// against the resumed world's distribution.
-func (cfg Config) TaskOwner(ra, rb uint32, owner OwnerFunc) int {
-	return cfg.taskOwner(ra, rb, owner)
-}
-
-// ReshardTasks re-routes tasks to the ranks the placement policy picks
-// under owner (the new world's read distribution). All ranks call it
+// ReshardTasks re-routes tasks to the ranks Algorithm 1's odd/even rule
+// picks under owner (the new world's read distribution). All ranks call it
 // collectively; the union of their task lists must cover each pair
 // exactly once (as a per-rank snapshot of one world does). Returns this
 // rank's tasks, sorted by (A, B) — the order Run emits, so the
 // continuation is indistinguishable from a fresh overlap stage at the
 // new size.
-func ReshardTasks(c *spmd.Comm, tasks []Task, owner OwnerFunc, cfg Config) ([]Task, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
+func ReshardTasks(c *spmd.Comm, tasks []Task, owner OwnerFunc) ([]Task, error) {
 	p := c.Size()
 	send := make([]spmd.PackedBufs, p)
 	for i := range tasks {
 		t := &tasks[i]
-		dst := cfg.taskOwner(t.Pair.A, t.Pair.B, owner)
+		dst := oddEvenOwner(t.Pair.A, t.Pair.B, owner)
 		send[dst].AppendItem(appendTask(nil, t))
 	}
 	recv := spmd.AlltoallvPacked(c, send)

@@ -92,12 +92,11 @@ func FuzzDecodeTasks(f *testing.F) {
 }
 
 // TestReshardTasksMatchesPolicy re-homes a task set across world sizes
-// and checks each task lands exactly where the policy places it, with the
+// and checks each task lands exactly where odd/even places it, with the
 // global set preserved and per-rank order sorted.
 func TestReshardTasksMatchesPolicy(t *testing.T) {
 	const reads = 40
 	all := testTasks(reads / 2)
-	cfg := Config{K: 17}
 	for _, newP := range []int{1, 2, 4} {
 		// Block distribution of `reads` reads over newP ranks.
 		owner := func(id uint32) int { return int(id) * newP / reads }
@@ -114,7 +113,7 @@ func TestReshardTasksMatchesPolicy(t *testing.T) {
 			if newP == 1 {
 				hold = all
 			}
-			out, err := ReshardTasks(c, hold, owner, cfg)
+			out, err := ReshardTasks(c, hold, owner)
 			if err != nil {
 				return err
 			}
@@ -127,8 +126,8 @@ func TestReshardTasksMatchesPolicy(t *testing.T) {
 		var merged []Task
 		for r, ts := range got {
 			for i := range ts {
-				if want := cfg.TaskOwner(ts[i].Pair.A, ts[i].Pair.B, owner); want != r {
-					t.Errorf("newP=%d: task %v on rank %d, policy places it on %d", newP, ts[i].Pair, r, want)
+				if want := oddEvenOwner(ts[i].Pair.A, ts[i].Pair.B, owner); want != r {
+					t.Errorf("newP=%d: task %v on rank %d, odd/even places it on %d", newP, ts[i].Pair, r, want)
 				}
 				if i > 0 && ts[i].Pair.A < ts[i-1].Pair.A {
 					t.Errorf("newP=%d: rank %d tasks out of order", newP, r)

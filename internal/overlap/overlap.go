@@ -64,41 +64,12 @@ const (
 	AllSeeds
 )
 
-// OwnerPolicy selects how alignment tasks are assigned to ranks. Every
-// policy preserves the key locality property — the chosen rank owns one of
-// the pair's two reads — so only load balance and alignment-stage exchange
-// volume differ.
-type OwnerPolicy int
-
-// Task-owner policies.
-const (
-	// PolicyOddEven is the paper's Algorithm 1 heuristic (default).
-	PolicyOddEven OwnerPolicy = iota
-	// PolicyHashed picks between the two owners by a hash of the pair —
-	// statistically equivalent balance to odd/even with no parity
-	// structure.
-	PolicyHashed
-	// PolicyLongerRead assigns the task to the owner of the longer read,
-	// so the shorter read is the one replicated in the alignment stage —
-	// the paper's future-work direction of optimizing the exchange for
-	// variable read lengths (§9). Requires Config.ReadLen.
-	PolicyLongerRead
-)
-
 // Config controls the overlap stage.
 type Config struct {
 	K        int
 	Mode     SeedMode
 	MinDist  int // used by MinDistance (default 1000)
 	MaxSeeds int // optional cap on seeds per pair; 0 = unlimited
-
-	// Policy selects the task-owner heuristic (default PolicyOddEven,
-	// the paper's Algorithm 1).
-	Policy OwnerPolicy
-	// ReadLen supplies read lengths for PolicyLongerRead. In the MPI
-	// setting this is an allgather of one int per read at startup; here
-	// the shared store provides it directly.
-	ReadLen func(read uint32) int
 }
 
 func (cfg *Config) setDefaults() error {
@@ -113,9 +84,6 @@ func (cfg *Config) setDefaults() error {
 	}
 	if cfg.MaxSeeds < 0 {
 		return fmt.Errorf("overlap: max seeds %d must be non-negative", cfg.MaxSeeds)
-	}
-	if cfg.Policy == PolicyLongerRead && cfg.ReadLen == nil {
-		return fmt.Errorf("overlap: PolicyLongerRead requires ReadLen")
 	}
 	return nil
 }
@@ -175,7 +143,7 @@ func Run(c *spmd.Comm, model *machine.Model, part *dht.Partition, owner OwnerFun
 					ra, rb = rb, ra
 					pfa, pfb = pfb, pfa
 				}
-				dst := cfg.taskOwner(ra, rb, owner)
+				dst := oddEvenOwner(ra, rb, owner)
 				send[dst] = append(send[dst], PairMsg{
 					RA: ra, RB: rb, PFA: pfa, PFB: pfb,
 				})
@@ -245,7 +213,7 @@ func consolidate(batches [][]PairMsg, cfg Config, st *Stats) (tasks []Task, seed
 // Consolidate is the exported consolidation entry point for the
 // serve-mode query path: each rank feeds the pair messages it received
 // from every partition owner — the pairs whose indexed read it owns, plus
-// the batch's query×query pairs on the home rank — through the same
+// its share of the batch's query×query pairs — through the same
 // merge/filter/sort pipeline the batch overlap stage uses, so the served
 // task lists together are bit-for-bit the batch task list restricted to
 // query-involving pairs. Returns the tasks and the per-batch counts.
@@ -266,26 +234,6 @@ func price(c *spmd.Comm, model *machine.Model, ops, rate float64) float64 {
 	d := model.ComputeTime(ops, rate, 0)
 	c.Tick(d)
 	return d
-}
-
-// taskOwner dispatches to the configured owner policy. Every policy
-// returns owner(ra) or owner(rb), preserving alignment-stage locality.
-func (cfg *Config) taskOwner(ra, rb uint32, owner OwnerFunc) int {
-	switch cfg.Policy {
-	case PolicyHashed:
-		h := (uint64(ra)<<32 | uint64(rb)) * 0x9e3779b97f4a7c15
-		if h>>63 == 0 {
-			return owner(ra)
-		}
-		return owner(rb)
-	case PolicyLongerRead:
-		if cfg.ReadLen(ra) >= cfg.ReadLen(rb) {
-			return owner(ra)
-		}
-		return owner(rb)
-	default:
-		return oddEvenOwner(ra, rb, owner)
-	}
 }
 
 // oddEvenOwner is Algorithm 1's odd/even heuristic: alternate which member

@@ -59,7 +59,7 @@ func TestTaskOwnerMatchesAlgorithm1(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := oddEvenOwner(c.ra, c.rb, owner); got != c.want {
-			t.Errorf("taskOwner(%d,%d) = %d, want %d", c.ra, c.rb, got, c.want)
+			t.Errorf("oddEvenOwner(%d,%d) = %d, want %d", c.ra, c.rb, got, c.want)
 		}
 	}
 }
@@ -69,17 +69,8 @@ func TestTaskOwnerLocality(t *testing.T) {
 	f := func(ra, rb uint32, pRaw uint8) bool {
 		p := int(pRaw)%8 + 1
 		owner := func(r uint32) int { return int(r) % p }
-		for _, cfg := range []Config{
-			{Policy: PolicyOddEven},
-			{Policy: PolicyHashed},
-			{Policy: PolicyLongerRead, ReadLen: func(r uint32) int { return int(r % 97) }},
-		} {
-			got := cfg.taskOwner(ra, rb, owner)
-			if got != owner(ra) && got != owner(rb) {
-				return false
-			}
-		}
-		return true
+		got := oddEvenOwner(ra, rb, owner)
+		return got == owner(ra) || got == owner(rb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -312,24 +303,28 @@ func TestOverlapMatchesNaive(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no expected pairs")
 	}
-	for _, p := range []int{1, 2, 4} {
-		tasks, _ := buildTasks(t, seqs, p, Config{K: k, Mode: AllSeeds})
-		got := make(map[Pair]bool)
-		for _, task := range tasks {
-			if got[task.Pair] {
-				t.Fatalf("p=%d: pair %+v consolidated on two ranks", p, task.Pair)
+	// Neither the world size (where odd/even places a task) nor the seed
+	// mode changes which pairs are discovered.
+	for _, mode := range []SeedMode{AllSeeds, OneSeed} {
+		for _, p := range []int{1, 2, 4} {
+			tasks, _ := buildTasks(t, seqs, p, Config{K: k, Mode: mode})
+			got := make(map[Pair]bool)
+			for _, task := range tasks {
+				if got[task.Pair] {
+					t.Fatalf("mode=%d p=%d: pair %+v consolidated on two ranks", mode, p, task.Pair)
+				}
+				got[task.Pair] = true
+				if len(task.Seeds) == 0 {
+					t.Fatalf("mode=%d p=%d: pair %+v has no seeds", mode, p, task.Pair)
+				}
 			}
-			got[task.Pair] = true
-			if len(task.Seeds) == 0 {
-				t.Fatalf("p=%d: pair %+v has no seeds", p, task.Pair)
+			if len(got) != len(want) {
+				t.Fatalf("mode=%d p=%d: %d pairs, want %d", mode, p, len(got), len(want))
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("p=%d: %d pairs, want %d", p, len(got), len(want))
-		}
-		for pr := range want {
-			if !got[pr] {
-				t.Fatalf("p=%d: missing pair %+v", p, pr)
+			for pr := range want {
+				if !got[pr] {
+					t.Fatalf("mode=%d p=%d: missing pair %+v", mode, p, pr)
+				}
 			}
 		}
 	}

@@ -75,7 +75,6 @@ type outputConfig struct {
 	SeedMode        overlap.SeedMode
 	MinDist         int
 	MaxSeeds        int
-	OwnerPolicy     overlap.OwnerPolicy
 	XDrop           int
 	Scoring         align.Scoring
 	MinAlignScore   int
@@ -93,7 +92,7 @@ func (cfg *Config) outputHash() string {
 	blob, err := json.Marshal(outputConfig{
 		K: cfg.K, MaxFreq: cfg.MaxFreq,
 		SeedMode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds,
-		OwnerPolicy: cfg.OwnerPolicy, XDrop: cfg.XDrop, Scoring: cfg.Scoring,
+		XDrop: cfg.XDrop, Scoring: cfg.Scoring,
 		MinAlignScore: cfg.MinAlignScore, MinimizerWindow: cfg.MinimizerWindow,
 		KeepSingletons: cfg.KeepSingletons,
 	})
@@ -313,7 +312,7 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 			return nil, nil, err
 		}
 	case ckpt.StageOverlap:
-		if res.tasks, err = overlap.ReshardTasks(c, taskHold, store.Owner, cfg.overlapConfig(store)); err != nil {
+		if res.tasks, err = overlap.ReshardTasks(c, taskHold, store.Owner); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -278,6 +278,20 @@ func TestResumeRejectsOutputAffectingOverrides(t *testing.T) {
 	}
 }
 
+// TestOutputHashPinned holds the digest of a default resolved
+// configuration: an edit to outputConfig — a field added, dropped or
+// renamed — makes every checkpoint an older build wrote unresumable
+// (the config-mismatch error above), so it must show up here as a diff.
+func TestOutputHashPinned(t *testing.T) {
+	cfg := Config{K: 17}
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfg.outputHash(), "92489aaa3b15abb5"; got != want {
+		t.Errorf("outputHash of the default k=17 configuration = %s, pinned %s", got, want)
+	}
+}
+
 // TestResumeContinuesCheckpointing: a resumed run may itself checkpoint;
 // its first commit preserves the resumed-from stage and supersedes the
 // later ones, and a second-generation resume still reproduces the fresh

@@ -71,12 +71,6 @@ type Config struct {
 	MinDist  int // seed spacing for MinDistance mode (default 1000)
 	MaxSeeds int // optional per-pair seed cap
 
-	// OwnerPolicy selects the alignment-task placement heuristic
-	// (default: the paper's Algorithm 1 odd/even rule; PolicyLongerRead
-	// implements the §9 future-work idea of placing tasks with the longer
-	// read so less sequence moves).
-	OwnerPolicy overlap.OwnerPolicy
-
 	XDrop         int           // x-drop threshold (default 7, BELLA's)
 	Scoring       align.Scoring // zero value: align.DefaultScoring
 	MinAlignScore int           // drop alignments scoring below this
@@ -426,18 +420,9 @@ func (rep *Report) TaskImbalance() float64 {
 }
 
 // overlapConfig builds the overlap stage's configuration (shared by the
-// fresh run and the checkpoint loader's task re-shard).
-func (cfg *Config) overlapConfig(store *fastq.ReadStore) overlap.Config {
-	ovCfg := overlap.Config{
-		K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds,
-		Policy: cfg.OwnerPolicy,
-	}
-	if cfg.OwnerPolicy == overlap.PolicyLongerRead {
-		// In the MPI setting read lengths are allgathered once at startup
-		// (4 bytes per read); both store layouts provide them globally.
-		ovCfg.ReadLen = store.Len
-	}
-	return ovCfg
+// batch stage and the served query epoch's consolidation).
+func (cfg *Config) overlapConfig() overlap.Config {
+	return overlap.Config{K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds}
 }
 
 // run is the stage driver: optionally emitting stage-boundary

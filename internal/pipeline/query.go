@@ -48,9 +48,9 @@ type queryOcc struct {
 
 // batchQueryView is the alignment stage's read access for a served
 // batch: query sequences are resident on every rank (the serve loop
-// broadcast the batch) and RunQuery places every task with the indexed
-// read it touches, so the stage finds both reads of every task here and
-// fetches nothing.
+// broadcast the batch) and RunQuery places every task that touches an
+// indexed read with that read, so the stage finds both reads of every
+// task here and fetches nothing.
 type batchQueryView struct {
 	world *fastq.LocalView
 	base  uint32
@@ -82,22 +82,25 @@ func (v *batchQueryView) AddReplica(id uint32, _ []byte) {
 func (v *batchQueryView) OwnerOf(id uint32) int { return v.world.OwnerOf(id) }
 
 // RunQuery answers one query batch against the resident partition. All
-// ranks must call it collectively with the same home and batch (the
-// serve loop broadcasts both before calling). The returned alignments
-// are assembled and sorted on rank 0 only; other ranks return nil.
+// ranks must call it collectively with the same root and batch (the
+// serve loop broadcasts the batch before calling). The returned
+// alignments are gathered and sorted on rank root only; other ranks
+// return nil. Every caller passes 0: the parameter survives because
+// bench/check.go spells the call with two arguments, and the next
+// benchmark PR should drop it.
 //
-// The epoch is owner-computes, as the batch alignment stage is: an
-// indexed×query pair is consolidated and aligned by the rank that owns
-// the indexed read — the query sequence is resident everywhere, so no
-// sequence travels — and only the batch's query×query pairs go to home.
+// The epoch is owner-computes, as the batch alignment stage is, and a
+// task is placed by rule: an indexed×query pair is consolidated and
+// aligned by the rank that owns the indexed read, a query×query pair by
+// rank (the lower query read's index in the batch) mod p. Query
+// sequences are resident everywhere, so no sequence travels.
 //
 // The house invariant: the records equal a batch-mode run over the
 // indexed reads plus the batch restricted to pairs involving at least
-// one query read, regardless of which home rank the frontend's scorers
-// picked — every seed of a pair reaches one rank, consolidation sorts
-// tasks, seed filtering sorts seeds, and the gathered records are sorted
-// into the same total order batch mode uses.
-func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
+// one query read — every seed of a pair reaches one rank, consolidation
+// sorts tasks, seed filtering sorts seeds, and the gathered records are
+// sorted into the same total order batch mode uses.
+func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	c, model, cfg := w.c, w.model, w.cfg
 	p := c.Size()
 	if w.part == nil {
@@ -106,8 +109,8 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 	if cfg.MinimizerWindow > 1 {
 		return nil, fmt.Errorf("pipeline: serve queries are not supported under minimizer seeding")
 	}
-	if home < 0 || home >= p {
-		return nil, fmt.Errorf("pipeline: query home rank %d out of range (%d ranks)", home, p)
+	if root < 0 || root >= p {
+		return nil, fmt.Errorf("pipeline: query gather root %d out of range (%d ranks)", root, p)
 	}
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("pipeline: empty query batch")
@@ -209,7 +212,9 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 				if q[i].O.Read == q[j].O.Read {
 					continue // a repeat within one query read is not an overlap
 				}
-				pairSend[home] = append(pairSend[home], overlap.PairMsg{
+				// q is sorted by read, so q[i] is the pair's lower read.
+				dst := int(q[i].O.Read-base) % p
+				pairSend[dst] = append(pairSend[dst], overlap.PairMsg{
 					RA: q[i].O.Read, RB: q[j].O.Read, PFA: q[i].O.PosFlag, PFB: q[j].O.PosFlag,
 				})
 				made++
@@ -227,9 +232,7 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 	// Consolidate this rank's share — the batch stage's merge/filter/sort,
 	// so task and seed order are placement-independent.
 	t0 = walltime.Now()
-	tasks, ovStats, err := overlap.Consolidate(pairRecv, overlap.Config{
-		K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds,
-	})
+	tasks, ovStats, err := overlap.Consolidate(pairRecv, cfg.overlapConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -246,8 +249,8 @@ func (w *World) RunQuery(home int, batch []QueryRead) ([]Alignment, error) {
 	qs.Alignments += alStats.Alignments
 	qs.addComm(preComm, c.Stats())
 
-	all := spmd.GatherTo(c, recs, 0)
-	if c.Rank() != 0 {
+	all := spmd.GatherTo(c, recs, root)
+	if c.Rank() != root {
 		return nil, nil
 	}
 	var out []Alignment

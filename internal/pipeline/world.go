@@ -113,7 +113,7 @@ func (w *World) overlapStage(ck *ckptState, res *resumeState, retain bool) ([]ov
 	}
 	rec := trace.Rec(w.c.Rank())
 	rec.Begin(traceOverlap, w.c.Now())
-	tasks, ovStats, err := overlap.Run(w.c, w.model, w.part, w.store.Owner, w.cfg.overlapConfig(w.store))
+	tasks, ovStats, err := overlap.Run(w.c, w.model, w.part, w.store.Owner, w.cfg.overlapConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (w *World) alignTasks(tasks []overlap.Task) []Alignment {
 }
 
 // Comm returns the world's communicator (rank, size, and the virtual
-// clock the serve frontend prices admission and routing on).
+// clock the serve frontend prices admission on).
 func (w *World) Comm() *spmd.Comm { return w.c }
 
 // Model returns the platform model the world was formed under (nil when
@@ -177,8 +177,7 @@ func (w *World) Report() RankReport { return w.rr }
 func (w *World) QueryStats() QueryStats { return w.query }
 
 // MemBytes estimates this rank's resident footprint: the DHT partition
-// plus replicated sequences — the quantity the serve frontend's
-// mem-utilization scorer routes on.
+// plus replicated sequences — the resident-memory gauge's value.
 func (w *World) MemBytes() int64 {
 	var n int64
 	if w.part != nil {
@@ -189,8 +188,8 @@ func (w *World) MemBytes() int64 {
 }
 
 // GatherMemBytes allgathers every rank's MemBytes. All ranks must call
-// it collectively; the serve frontend refreshes its routing snapshot
-// with the result after each batch.
+// it collectively; the serve daemon seeds its per-rank resident-memory
+// gauge with the result at start-up.
 func (w *World) GatherMemBytes() []int64 {
 	return spmd.Allgather(w.c, w.MemBytes())
 }

@@ -60,7 +60,6 @@ func (cl *Client) deadline() {
 type QueryResult struct {
 	PAF            []byte  // rendered PAF lines
 	Records        int     // alignment records
-	Home           int     // rank the batch was routed to
 	VirtualSeconds float64 // modeled service time on the daemon's clock
 	QueueWaitSecs  float64 // wall seconds the batch waited for admission-order service
 }

@@ -17,11 +17,12 @@ import (
 const (
 	// frontendMagic opens every frame. Its high byte brands a dibella
 	// frontend, its low byte is the protocol version: 0xBF framed gob
-	// payloads, 0xC0 frames the messages below. A peer of another version
+	// payloads, 0xC0 a QueryResult that named a home rank, 0xC1 frames the
+	// messages below. A peer of another version
 	// is refused by name (ErrBadVersion) at its first header, and because
 	// the whole magic differs an older build drops this one's frames at
 	// once instead of waiting on a length it misreads.
-	frontendMagic uint16 = 0xD1C0
+	frontendMagic uint16 = 0xD1C1
 
 	// maxFrontendPayload bounds one frame; a request larger than this is
 	// malformed, not merely over the admission limit.
@@ -100,15 +101,15 @@ func decodeTenant(b []byte) (string, error) {
 }
 
 func (q QueryResult) encode() []byte {
-	b := wire.Bytes(make([]byte, 0, 28+len(q.PAF)), q.PAF)
-	b = wire.U32(wire.U32(b, uint32(q.Records)), uint32(q.Home))
+	b := wire.Bytes(make([]byte, 0, 24+len(q.PAF)), q.PAF)
+	b = wire.U32(b, uint32(q.Records))
 	return wire.F64(wire.F64(b, q.VirtualSeconds), q.QueueWaitSecs)
 }
 
 func decodeQueryResult(b []byte) (QueryResult, error) {
 	r := wire.NewReader(b)
 	q := QueryResult{
-		PAF: r.Bytes(), Records: int(r.U32()), Home: int(r.U32()),
+		PAF: r.Bytes(), Records: int(r.U32()),
 		VirtualSeconds: r.F64(), QueueWaitSecs: r.F64(),
 	}
 	return q, r.Finish()
@@ -123,14 +124,13 @@ func decodeErrorResponse(b []byte) (errorResponse, error) {
 }
 
 func (op servOp) encode() []byte {
-	b := make([]byte, 0, 9+len(op.Msg)+readsLen(op.Batch))
-	b = wire.U32(wire.U8(b, uint8(op.Kind)), uint32(op.Home))
-	return appendReads(wire.Bytes(b, op.Msg), op.Batch)
+	b := make([]byte, 0, 5+len(op.Msg)+readsLen(op.Batch))
+	return appendReads(wire.Bytes(wire.U8(b, uint8(op.Kind)), op.Msg), op.Batch)
 }
 
 func decodeServOp(b []byte) (servOp, error) {
 	r := wire.NewReader(b)
-	op := servOp{Kind: int(r.U8()), Home: int(r.U32()), Msg: r.String(), Batch: readReads(r)}
+	op := servOp{Kind: int(r.U8()), Msg: r.String(), Batch: readReads(r)}
 	return op, r.Finish()
 }
 

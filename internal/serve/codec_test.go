@@ -19,9 +19,9 @@ var (
 		{Name: "q_empty"},
 	}
 	sampleRequest = queryRequest{Tenant: "alice", Reads: testReads}
-	sampleResult  = QueryResult{PAF: []byte("a\tb\n"), Records: 1, Home: 3, VirtualSeconds: 0.5, QueueWaitSecs: 1e-3}
+	sampleResult  = QueryResult{PAF: []byte("a\tb\n"), Records: 1, VirtualSeconds: 0.5, QueueWaitSecs: 1e-3}
 	sampleError   = errorResponse{Code: "queue-full", Msg: "4 in flight"}
-	sampleOp      = servOp{Kind: opQuery, Home: 1, Batch: testReads}
+	sampleOp      = servOp{Kind: opQuery, Batch: testReads}
 )
 
 // messageCodecs is every frontend message and the op broadcast as (sample
@@ -72,7 +72,7 @@ func TestMessagesRoundTrip(t *testing.T) {
 	}
 	for _, op := range []servOp{sampleOp, {Kind: opStop}, {Kind: opFail, Msg: "listen: in use"}} {
 		got, err := decodeServOp(op.encode())
-		if err != nil || got.Kind != op.Kind || got.Home != op.Home || got.Msg != op.Msg || !sameReads(got.Batch, op.Batch) {
+		if err != nil || got.Kind != op.Kind || got.Msg != op.Msg || !sameReads(got.Batch, op.Batch) {
 			t.Errorf("servOp %+v: %+v, %v", op, got, err)
 		}
 	}

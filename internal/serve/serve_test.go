@@ -129,7 +129,7 @@ func runServeWorld(t *testing.T, p int, indexed []*fastq.Record, cfg pipeline.Co
 // TestServeMatchesBatch is the house invariant over the in-process
 // transport: a served batch's PAF is byte-identical to the combined
 // batch run restricted to query-involving pairs, at multiple world
-// sizes and under every routing profile's possible home choice.
+// sizes.
 func TestServeMatchesBatch(t *testing.T) {
 	indexed, query, all := splitDataset(t, 11, 6)
 	base := len(indexed)
@@ -337,12 +337,9 @@ func TestAdmissionControl(t *testing.T) {
 	opts := Options{MaxInflight: 1, MaxBatchReads: 4, Tenants: []string{"alice"}}
 	opts.setDefaults()
 	s := &server{
-		opts:       opts,
-		tenants:    map[string]bool{"alice": true},
-		queueDepth: make([]int, 2),
-		routed:     make([]int64, 2),
-		mem:        make([]int64, 2),
-		jobs:       make(chan *job, opts.MaxInflight+16),
+		opts:    opts,
+		tenants: map[string]bool{"alice": true},
+		jobs:    make(chan *job, opts.MaxInflight+16),
 	}
 	batch := []pipeline.QueryRead{{Name: "q", Seq: []byte("ACGT")}}
 
@@ -403,89 +400,11 @@ func TestServeRejectsOverWire(t *testing.T) {
 	}
 }
 
-func TestParseScorerConfigs(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    []ScorerConfig
-		wantErr string
-	}{
-		{in: "", want: nil},
-		{in: "queue-depth:2", want: []ScorerConfig{{Name: "queue-depth", Weight: 2}}},
-		{
-			in: "queue-depth:2, mem-utilization:1.5,load-balance:0.5",
-			want: []ScorerConfig{
-				{Name: "queue-depth", Weight: 2},
-				{Name: "mem-utilization", Weight: 1.5},
-				{Name: "load-balance", Weight: 0.5},
-			},
-		},
-		{in: "queue-depth", wantErr: "expected name:weight"},
-		{in: "kv-utilization:2", wantErr: "unknown scorer"},
-		{in: "queue-depth:0", wantErr: "finite positive"},
-		{in: "queue-depth:-1", wantErr: "finite positive"},
-		{in: "queue-depth:NaN", wantErr: "finite positive"},
-		{in: "queue-depth:+Inf", wantErr: "finite positive"},
-		{in: "queue-depth:x", wantErr: "invalid weight"},
-	}
-	for _, tc := range cases {
-		got, err := ParseScorerConfigs(tc.in)
-		if tc.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("ParseScorerConfigs(%q): err %v, want containing %q", tc.in, err, tc.wantErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseScorerConfigs(%q): %v", tc.in, err)
-			continue
-		}
-		if len(got) != len(tc.want) {
-			t.Errorf("ParseScorerConfigs(%q) = %v, want %v", tc.in, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("ParseScorerConfigs(%q)[%d] = %v, want %v", tc.in, i, got[i], tc.want[i])
-			}
-		}
-	}
-}
-
-// TestPickRank checks each scorer steers away from the loaded rank and
-// ties break to the lowest rank.
-func TestPickRank(t *testing.T) {
-	snaps := []RankSnapshot{
-		{Rank: 0, QueueDepth: 3, MemBytes: 100, Routed: 5},
-		{Rank: 1, QueueDepth: 0, MemBytes: 100, Routed: 5},
-	}
-	if got := PickRank([]ScorerConfig{{Name: "queue-depth", Weight: 1}}, snaps); got != 1 {
-		t.Errorf("queue-depth picked rank %d, want 1", got)
-	}
-	snaps = []RankSnapshot{
-		{Rank: 0, MemBytes: 400},
-		{Rank: 1, MemBytes: 100},
-	}
-	if got := PickRank([]ScorerConfig{{Name: "mem-utilization", Weight: 1}}, snaps); got != 1 {
-		t.Errorf("mem-utilization picked rank %d, want 1", got)
-	}
-	snaps = []RankSnapshot{
-		{Rank: 0, Routed: 9},
-		{Rank: 1, Routed: 2},
-	}
-	if got := PickRank([]ScorerConfig{{Name: "load-balance", Weight: 1}}, snaps); got != 1 {
-		t.Errorf("load-balance picked rank %d, want 1", got)
-	}
-	// Identical snapshots: deterministic lowest-rank tie-break.
-	snaps = []RankSnapshot{{Rank: 0}, {Rank: 1}, {Rank: 2}}
-	if got := PickRank(nil, snaps); got != 0 {
-		t.Errorf("tie picked rank %d, want 0", got)
-	}
-}
-
 // TestServeMetricsEndpoint reconciles the /metrics scrape against
-// client-observed ground truth: one deterministic bad-tenant rejection
-// and two served batches must appear in the exposition exactly, and the
-// pprof index must answer. Counters are compared as deltas against a
+// client-observed ground truth: two deterministic bad-tenant rejections
+// (a query and a shutdown request) and two served batches must appear in
+// the exposition and in the daemon's exit stats exactly, and the pprof
+// index must answer. Counters are compared as deltas against a
 // pre-run snapshot because the registry is process-global across tests.
 func TestServeMetricsEndpoint(t *testing.T) {
 	indexed, query, _ := splitDataset(t, 13, 4)
@@ -502,7 +421,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		pprofStatus int
 		driveErr    error
 	)
-	runServeWorld(t, p, indexed, cfg, Options{
+	stats := runServeWorld(t, p, indexed, cfg, Options{
 		Addr: "127.0.0.1:0", Tenants: []string{"alice"},
 		MetricsAddr:  "127.0.0.1:0",
 		MetricsReady: func(addr string) { metricsCh <- addr },
@@ -521,6 +440,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		defer cl.Shutdown("alice")
 		if _, err := cl.Query("mallory", query); !errors.Is(err, ErrBadTenant) {
 			fail(fmt.Errorf("wrong tenant: got %v, want ErrBadTenant", err))
+			return
+		}
+		if err := cl.Shutdown("mallory"); !errors.Is(err, ErrBadTenant) {
+			fail(fmt.Errorf("wrong tenant's shutdown: got %v, want ErrBadTenant", err))
 			return
 		}
 		for i := 0; i < 2; i++ {
@@ -566,13 +489,16 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if got := scrapedValue(t, scrape, `dibella_serve_requests_total`); got != reqBefore+3 {
 		t.Errorf("scraped requests_total %d, want %d (3 client requests)", got, reqBefore+3)
 	}
-	if got := scrapedValue(t, scrape, `dibella_serve_rejections_total{reason="bad-tenant"}`); got != rejBefore+1 {
-		t.Errorf("scraped bad-tenant rejections %d, want %d (1 client-observed rejection)", got, rejBefore+1)
+	if got := scrapedValue(t, scrape, `dibella_serve_rejections_total{reason="bad-tenant"}`); got != rejBefore+2 {
+		t.Errorf("scraped bad-tenant rejections %d, want %d (2 client-observed rejections)", got, rejBefore+2)
+	}
+	if stats.Rejected != 2 || stats.Served != 2 {
+		t.Errorf("daemon stats: served %d rejected %d, want 2 and 2", stats.Served, stats.Rejected)
 	}
 	if got := scrapedValue(t, scrape, `dibella_serve_batch_latency_seconds_count`); got != latBefore+2 {
 		t.Errorf("scraped latency sample count %d, want %d (2 served batches)", got, latBefore+2)
 	}
-	for _, name := range []string{"dibella_resident_memory_bytes", "dibella_serve_routed_total", "dibella_serve_inflight"} {
+	for _, name := range []string{"dibella_resident_memory_bytes", "dibella_serve_inflight"} {
 		if !bytes.Contains(scrape, []byte(name)) {
 			t.Errorf("scrape is missing metric %s", name)
 		}

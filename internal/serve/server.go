@@ -1,3 +1,12 @@
+// Package serve implements dibella's resident alignment-as-a-service
+// daemon: after the load and build stages, the formed world (read store
+// plus DHT partition) stays resident, and rank 0 exposes a TCP frontend
+// accepting batches of FASTQ query reads. Admission control bounds the
+// in-flight work, and the SPMD world answers each admitted batch
+// collectively against the resident index, every alignment task placed
+// by rule (pipeline.RunQuery). Served output is byte-identical to a
+// batch-mode run over the indexed plus query reads, restricted to
+// query-involving pairs.
 package serve
 
 import (
@@ -19,26 +28,22 @@ import (
 	"dibella/internal/walltime"
 )
 
-// Flight-recorder event names for the request path (admit → route →
-// broadcast → align → reply) and the daemon's metric names. Registered
-// package-level constants, as the tracename analyzer requires.
+// Flight-recorder event names for the request path (admit → broadcast →
+// align → reply) and the daemon's metric names. Registered package-level
+// constants, as the tracename analyzer requires.
 //
-// Admission and routing run on connection goroutines, off the SPMD loop
-// thread that owns the virtual clock, so their events carry wall time
-// only (virtual 0). The batch span runs on the loop thread and carries
-// both clocks.
+// Admission runs on connection goroutines, off the SPMD loop thread that
+// owns the virtual clock, so its events carry wall time only (virtual 0).
+// The batch span runs on the loop thread and carries both clocks.
 const (
 	traceAdmit  = "serve.admit"
 	traceReject = "serve.reject"
-	traceRoute  = "serve.route"
 	traceBatch  = "serve.batch"
 	traceReply  = "serve.reply"
 
 	metricRequests    = "dibella_serve_requests_total"
 	metricRejections  = "dibella_serve_rejections_total"
 	metricInflight    = "dibella_serve_inflight"
-	metricQueueDepth  = "dibella_serve_queue_depth"
-	metricRouted      = "dibella_serve_routed_total"
 	metricLatency     = "dibella_serve_batch_latency_seconds"
 	metricResidentMem = "dibella_resident_memory_bytes" // shared with the pipeline gauge
 )
@@ -50,10 +55,6 @@ var (
 		"admission rejections by sentinel reason", "reason")
 	inflightBatches = trace.RegisterGauge(metricInflight,
 		"batches admitted but not yet answered")
-	queueDepthPerRank = trace.RegisterGaugeVec(metricQueueDepth,
-		"admitted batches routed to each home rank and not yet finished", "rank")
-	routedTotal = trace.RegisterCounterVec(metricRouted,
-		"batches routed to each home rank", "rank")
 	batchLatency = trace.RegisterHistogram(metricLatency,
 		"admission-to-reply latency of served batches, seconds", nil)
 	residentMemoryServe = trace.RegisterGaugeVec(metricResidentMem,
@@ -141,9 +142,6 @@ type Options struct {
 	MaxBatchReads int
 	// Tenants is the allow list of tenant tokens; empty admits any.
 	Tenants []string
-	// Scorers is the weighted routing profile (default
-	// DefaultScorerConfigs).
-	Scorers []ScorerConfig
 	// MaxBatches stops the daemon after serving this many batches
 	// (0: serve until a client sends a shutdown request).
 	MaxBatches int
@@ -169,9 +167,6 @@ func (o *Options) setDefaults() {
 	if o.MaxBatchReads <= 0 {
 		o.MaxBatchReads = 1024
 	}
-	if len(o.Scorers) == 0 {
-		o.Scorers = DefaultScorerConfigs()
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -180,11 +175,10 @@ func (o *Options) setDefaults() {
 // Stats summarizes a daemon's lifetime (rank 0; followers return zero
 // stats).
 type Stats struct {
-	Served        int64
-	Rejected      int64
-	RoutedPerRank []int64
+	Served   int64
+	Rejected int64
 	// VirtualSeconds is the rank-0 modeled clock advance across the
-	// serving loop (admission, routing, and every collective priced).
+	// serving loop (admission and every collective priced).
 	VirtualSeconds float64
 }
 
@@ -198,7 +192,6 @@ const (
 
 type servOp struct {
 	Kind  int
-	Home  int
 	Batch []pipeline.QueryRead
 	Msg   string // opFail diagnostic
 }
@@ -206,7 +199,6 @@ type servOp struct {
 // job is one admitted batch waiting for the SPMD loop.
 type job struct {
 	batch    []pipeline.QueryRead
-	home     int
 	reqBytes int
 	tenant   string
 	admitted walltime.Point
@@ -227,14 +219,11 @@ type server struct {
 	ln      net.Listener
 	tenants map[string]bool
 
-	mu         sync.Mutex
-	inflight   int
-	admitted   int64
-	rejected   int64
-	closed     bool
-	queueDepth []int
-	routed     []int64
-	mem        []int64
+	mu       sync.Mutex
+	inflight int
+	admitted int64
+	rejected int64
+	closed   bool
 
 	// rec is rank 0's flight recorder (nil unless tracing is enabled).
 	// Emits happen from both the SPMD loop and connection goroutines;
@@ -268,8 +257,8 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 	c := w.Comm()
 
 	// One collective memory snapshot up front: the partition footprint
-	// is fixed after forming, so the mem-utilization scorer routes on
-	// this gather for the daemon's lifetime.
+	// is fixed after forming, so this gather is the resident-memory
+	// gauge's value for the daemon's lifetime.
 	mem := w.GatherMemBytes()
 
 	// Rank 0's frontend setup is local; a listen failure reaches the
@@ -308,7 +297,7 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 			// consistent, so every rank keeps serving after one; rank 0
 			// also reports it to the waiting client.
 			vStart := c.Now()
-			recs, err := w.RunQuery(op.Home, op.Batch)
+			recs, err := w.RunQuery(0, op.Batch)
 			served++
 			if c.Rank() == 0 {
 				s.finish(j, recs, err, served, c.Now()-vStart)
@@ -333,17 +322,11 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 // listener and accept loop. No collectives: a failure here is local
 // until the op stream shares it.
 func startFrontend(w *pipeline.World, opts Options, mem []int64) (*server, error) {
-	p := w.Comm().Size()
 	s := &server{
 		w: w, opts: opts,
-		queueDepth: make([]int, p),
-		routed:     make([]int64, p),
-		mem:        mem,
-		jobs:       make(chan *job, opts.MaxInflight+16),
-		rec:        trace.Rec(w.Comm().Rank()),
+		jobs: make(chan *job, opts.MaxInflight+16),
+		rec:  trace.Rec(w.Comm().Rank()),
 	}
-	// The startup memory gather is the router's per-rank snapshot; it
-	// also seeds the resident-memory gauge the /metrics endpoint serves.
 	for r, m := range mem {
 		residentMemoryServe.WithRank(r).Set(m)
 	}
@@ -358,8 +341,8 @@ func startFrontend(w *pipeline.World, opts Options, mem []int64) (*server, error
 		return nil, fmt.Errorf("serve: listen %s: %w", opts.Addr, err)
 	}
 	s.ln = ln
-	opts.Logf("serve: listening on %s (ranks=%d inflight<=%d scorers=%d)",
-		ln.Addr(), p, opts.MaxInflight, len(opts.Scorers))
+	opts.Logf("serve: listening on %s (ranks=%d inflight<=%d)",
+		ln.Addr(), w.Comm().Size(), opts.MaxInflight)
 	if opts.Ready != nil {
 		opts.Ready(ln.Addr().String())
 	}
@@ -383,7 +366,7 @@ func startFrontend(w *pipeline.World, opts Options, mem []int64) (*server, error
 // next dequeues rank 0's next op for the broadcast stream: admitted
 // jobs in admission order, or the stop decision. Frontend costs land
 // on the rank-0 clock here — nothing is free, including decoding the
-// request and scoring the ranks.
+// request.
 func (s *server) next(served int64) (servOp, *job) {
 	if s.opts.MaxBatches > 0 && served >= int64(s.opts.MaxBatches) {
 		return servOp{Kind: opStop}, nil
@@ -395,14 +378,13 @@ func (s *server) next(served int64) (servOp, *job) {
 	c := s.w.Comm()
 	if model := s.w.Model(); model != nil {
 		c.Tick(model.QueryAdmitTime(float64(j.reqBytes)))
-		c.Tick(model.QueryRouteTime(c.Size(), len(s.opts.Scorers)))
 	}
 	j.wait = walltime.Since(j.admitted)
 	// The batch span runs on the SPMD loop thread, which owns the
 	// virtual clock: it covers broadcast, the collective query, and the
 	// reply handoff, in both timelines.
 	s.rec.BeginTag(traceBatch, c.Now(), j.tenant)
-	return servOp{Kind: opQuery, Home: j.home, Batch: j.batch}, j
+	return servOp{Kind: opQuery, Batch: j.batch}, j
 }
 
 // finish answers the connection handler waiting on one served batch
@@ -413,10 +395,8 @@ func (s *server) finish(j *job, recs []pipeline.Alignment, err error, served int
 	// what lets tests (and operators) reconcile /metrics against
 	// client-observed ground truth without racing the daemon.
 	s.mu.Lock()
-	s.queueDepth[j.home]--
 	s.inflight--
 	s.mu.Unlock()
-	queueDepthPerRank.WithRank(j.home).Add(-1)
 	inflightBatches.Add(-1)
 	batchLatency.Observe(walltime.Since(j.admitted).Seconds())
 	s.rec.Instant(traceReply, s.w.Comm().Now(), int64(len(recs)))
@@ -431,14 +411,13 @@ func (s *server) finish(j *job, recs []pipeline.Alignment, err error, served int
 			j.resp <- jobResult{resp: QueryResult{
 				PAF:            buf.Bytes(),
 				Records:        len(recs),
-				Home:           j.home,
 				VirtualSeconds: virtSecs,
 				QueueWaitSecs:  j.wait.Seconds(),
 			}}
 		}
 	}
-	s.opts.Logf("serve: batch %d -> rank %d (%d reads, %d records)",
-		served, j.home, len(j.batch), len(recs))
+	s.opts.Logf("serve: batch %d (%d reads, %d records)",
+		served, len(j.batch), len(recs))
 }
 
 // shutdown stops admission, rejects the queue, waits for the in-flight
@@ -447,7 +426,6 @@ func (s *server) shutdown(served int64, virtSecs float64) Stats {
 	s.mu.Lock()
 	s.closed = true
 	rejected := s.rejected
-	routed := append([]int64(nil), s.routed...)
 	s.mu.Unlock()
 	s.drain()
 	// Every admitted job has an answer queued by now; wait for the
@@ -459,10 +437,7 @@ func (s *server) shutdown(served int64, virtSecs float64) Stats {
 		s.metricsSrv.Close()
 	}
 	s.closeConns()
-	return Stats{
-		Served: served, Rejected: rejected, RoutedPerRank: routed,
-		VirtualSeconds: virtSecs,
-	}
+	return Stats{Served: served, Rejected: rejected, VirtualSeconds: virtSecs}
 }
 
 // drain rejects every job still queued after the stop decision.
@@ -479,60 +454,57 @@ func (s *server) drain() {
 	}
 }
 
-// admit applies admission control and, on success, routes the batch to
-// a home rank under the current snapshot and enqueues it. Rejections
-// are counted and typed.
+// reject counts one typed refusal and returns it. The caller holds s.mu.
+func (s *server) reject(err error) error {
+	s.rejected++
+	code := errCode(err)
+	rejectionsTotal.With(code).Inc()
+	s.rec.InstantTag(traceReject, 0, code)
+	return err
+}
+
+// checkTenant refuses a token that is not on the allow list. The caller
+// holds s.mu.
+func (s *server) checkTenant(tenant string) error {
+	if s.tenants != nil && !s.tenants[tenant] {
+		return s.reject(fmt.Errorf("%w: %q", ErrBadTenant, tenant))
+	}
+	return nil
+}
+
+// admit applies admission control and, on success, enqueues the batch.
+// Rejections are counted and typed.
 func (s *server) admit(req *queryRequest, reqBytes int) (*job, error) {
 	requestsTotal.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reject := func(err error) (*job, error) {
-		s.rejected++
-		code := errCode(err)
-		rejectionsTotal.With(code).Inc()
-		s.rec.InstantTag(traceReject, 0, code)
+	if s.closed {
+		return nil, s.reject(ErrShuttingDown)
+	}
+	if err := s.checkTenant(req.Tenant); err != nil {
 		return nil, err
 	}
-	if s.closed {
-		return reject(ErrShuttingDown)
-	}
-	if s.tenants != nil && !s.tenants[req.Tenant] {
-		return reject(fmt.Errorf("%w: %q", ErrBadTenant, req.Tenant))
-	}
 	if len(req.Reads) == 0 {
-		return reject(ErrEmptyBatch)
+		return nil, s.reject(ErrEmptyBatch)
 	}
 	if len(req.Reads) > s.opts.MaxBatchReads {
-		return reject(fmt.Errorf("%w: %d reads > limit %d", ErrTooLarge, len(req.Reads), s.opts.MaxBatchReads))
+		return nil, s.reject(fmt.Errorf("%w: %d reads > limit %d", ErrTooLarge, len(req.Reads), s.opts.MaxBatchReads))
 	}
 	if s.inflight >= s.opts.MaxInflight {
-		return reject(fmt.Errorf("%w: %d in flight", ErrQueueFull, s.inflight))
+		return nil, s.reject(fmt.Errorf("%w: %d in flight", ErrQueueFull, s.inflight))
 	}
 	if s.opts.MaxBatches > 0 && s.admitted >= int64(s.opts.MaxBatches) {
-		return reject(ErrShuttingDown)
+		return nil, s.reject(ErrShuttingDown)
 	}
-	snaps := make([]RankSnapshot, len(s.queueDepth))
-	for r := range snaps {
-		snaps[r] = RankSnapshot{
-			Rank: r, QueueDepth: s.queueDepth[r],
-			MemBytes: s.mem[r], Routed: s.routed[r],
-		}
-	}
-	home := PickRank(s.opts.Scorers, snaps)
 	s.inflight++
 	s.admitted++
-	s.queueDepth[home]++
-	s.routed[home]++
-	// Admission and routing happen here, on the connection goroutine:
-	// wall-clock-only events (the virtual clock lives on the loop
-	// thread), plus the live queue metrics the scrape endpoint serves.
+	// Admission happens here, on the connection goroutine: a
+	// wall-clock-only event (the virtual clock lives on the loop thread),
+	// plus the live in-flight gauge the scrape endpoint serves.
 	s.rec.InstantTag(traceAdmit, 0, req.Tenant)
-	s.rec.Instant(traceRoute, 0, int64(home))
 	inflightBatches.Add(1)
-	queueDepthPerRank.WithRank(home).Add(1)
-	routedTotal.WithRank(home).Inc()
 	j := &job{
-		batch: req.Reads, home: home, reqBytes: reqBytes, tenant: req.Tenant,
+		batch: req.Reads, reqBytes: reqBytes, tenant: req.Tenant,
 		admitted: walltime.Now(), resp: make(chan jobResult, 1),
 	}
 	s.respWG.Add(1)
@@ -627,8 +599,13 @@ func (s *server) handleConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			if s.tenants != nil && !s.tenants[tenant] {
-				refuse(ErrBadTenant)
+			s.mu.Lock()
+			err = s.checkTenant(tenant)
+			s.mu.Unlock()
+			if err != nil {
+				if refuse(err) != nil {
+					return
+				}
 				continue
 			}
 			// Ack before signalling the loop: once it hears the stop,
