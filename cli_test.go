@@ -116,15 +116,29 @@ func TestCLITCPTransportMatchesMem(t *testing.T) {
 
 	memPAF := filepath.Join(dir, "mem.paf")
 	tcpPAF := filepath.Join(dir, "tcp.paf")
-	common := []string{"-in", reads, "-p", "4", "-k", "17", "-error-rate", "0.06"}
+	// Profiling rides along on both runs: it must not change the PAF, one
+	// process writes one pair of files, and the four processes of the TCP
+	// world, whose command lines are identical, each write their own.
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	common := []string{"-in", reads, "-p", "4", "-k", "17", "-error-rate", "0.06",
+		"-cpuprofile", cpu, "-memprofile", mem}
 	if out, err := exec.Command(dibella,
 		append(common, "-out", memPAF)...).CombinedOutput(); err != nil {
 		t.Fatalf("dibella -transport mem: %v\n%s", err, out)
 	}
+	profiles := []string{cpu, mem}
 	out, err := exec.Command(dibella,
 		append(common, "-transport", "tcp", "-out", tcpPAF)...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("dibella -transport tcp: %v\n%s", err, out)
+	}
+	for rank := 0; rank < 4; rank++ {
+		profiles = append(profiles, cpu+".rank"+strconv.Itoa(rank), mem+".rank"+strconv.Itoa(rank))
+	}
+	for _, path := range profiles {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", filepath.Base(path), err)
+		}
 	}
 	if !strings.Contains(string(out), "world of 4 ranks over 1 host(s); rendezvous 127.0.0.1:") {
 		t.Errorf("tcp run did not announce a one-host loopback world:\n%s", out)

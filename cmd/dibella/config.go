@@ -46,6 +46,7 @@ type runParams struct {
 	bounds []intBound
 
 	Out, Transport, Hosts, Hostfile, Join string
+	CPUProfile, MemProfile                string
 	P                                     int
 	Breakdown                             bool
 	FormTimeout                           time.Duration
@@ -134,6 +135,8 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 	str(&p.Hosts, perProcess, "hosts", "", "comma-separated host[:ranks] list for a multi-host TCP world (first entry is this machine; loopback entries are simulated locally)")
 	str(&p.Hostfile, perProcess, "hostfile", "", "file with one host[:ranks] per line (alternative to -hosts)")
 	str(&p.Join, perProcess, "join", "", "enter a -hosts world: the rendezvous address its launcher printed")
+	str(&p.CPUProfile, perProcess, "cpuprofile", "", "write this process's CPU profile here (with -transport tcp every rank process writes its own, suffixed .rankN)")
+	str(&p.MemProfile, perProcess, "memprofile", "", "write this process's allocation profile here at exit (suffixed .rankN like -cpuprofile)")
 	fs.DurationVar(&p.FormTimeout, "form-timeout", 30*time.Second, "world-formation deadline (dials, handshakes, host joins)")
 	return p
 }

@@ -12,6 +12,7 @@
 //	dibella -in reads.fastq -ckpt-dir ck -p 8           # snapshot stage boundaries
 //	dibella -resume ck -p 4                             # restart (any world size)
 //	dibella -in reads.fastq -serve-addr 127.0.0.1:7913  # resident query daemon
+//	dibella -in reads.fastq -cpuprofile cpu.prof        # profile the run (per rank process on tcp)
 //
 // With -serve-addr the process becomes a resident alignment daemon: the
 // world stays formed after the load and build stages, and rank 0 answers
@@ -114,7 +115,9 @@ func main() {
 
 	var rep *pipeline.Report
 	var store *fastq.ReadStore
+	defer prof.stop()
 	if boot == nil {
+		prof.start(params, "")
 		rep, store, err = runInProcess(plan)
 	} else {
 		rep, store, err = runProcesses(boot, params, explicit)
@@ -187,6 +190,7 @@ func runProcesses(boot spmd.Bootstrap, params *runParams, explicit map[string]bo
 	}
 	var plan *runPlan
 	var mdl *machine.Model
+	prof.start(params, fmt.Sprintf(".rank%d", tr.Rank()))
 	if err = agreeParams(tr, params, explicit); err == nil {
 		plan, err = params.resolve(nil, false)
 	}
@@ -403,6 +407,7 @@ func printBreakdown(rep *pipeline.Report) {
 // from real errors (exit 1).
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dibella:", err)
+	prof.stop()
 	if errors.Is(err, pipeline.ErrCkptAbort) {
 		os.Exit(3)
 	}

@@ -42,6 +42,38 @@
 // costs a few dozen bytes of copying, not a flank. Rows and the reversal
 // buffer live in a sync.Pool'd workspace: steady state allocates nothing.
 //
+// On amd64 with AVX2 (probed once from CPUID; no flag, no build tag) one
+// antidiagonal is scored eight cells a step by antidiagonalAVX2 in
+// xdrop_amd64.s, a lane-for-lane transliteration of the Go loop in
+// antidiagonal over the same rows, sentinels and reversed flank: up and left
+// are two unaligned loads of the d-1 row one lane apart, so nothing is
+// carried from lane to lane. It works in whole vectors, so with vw the window
+// width rounded up to 8 it reads vw bases of each sequence, vw+1 cells of the
+// d-1 row and vw of the d-2 row, and stores vw cells; the lanes past the
+// window are computed from whatever lies there (stale cells, bases outside
+// the window) and stored as pruned, which is what a cell beyond the upper
+// sentinel may hold. extend calls it only where all of that lies inside the
+// slices as they are, lo+vw <= n+1 and d-lo >= vw-1, so there is no unsafe,
+// no padded copy of a read and no row growth. The Go loop therefore
+// owns the edges, the first fourteen or so antidiagonals of an extension and
+// its last handful, and it is the whole kernel on every other GOARCH and on
+// an amd64 without AVX2 (xdrop_other.go); tests switch the leaf off to hold
+// it to the loop cell for cell (TestVectorLeafMatchesLoop) and to run the
+// suite on the loop alone (TestPortableKernel). Three things to know before
+// touching the assembly. It must be VEX-encoded throughout: one legacy-SSE
+// instruction (MOVQ AX, X0 where VMOVD was meant) among the VPBROADCASTDs
+// makes every call pay the SSE/AVX state transition, 680 ns a call against 6
+// in the first prototype, and a single one put back into this file made the
+// whole x=7 kernel ten times slower. And go vet's asmdecl rejects a
+// VPBROADCASTD of a 4-byte frame argument, so the scores are loaded from the
+// workspace (moving them through a register would do too). And at x=7 the
+// leaf is bound by latency, not width: each call reloads, one lane off, the
+// row the previous call stored, and a vector load that overlaps a narrower
+// store still in flight waits for the cache. That is why extend
+// looks before writing a sentinel after the leaf has run; keeping the rows
+// in registers from one antidiagonal to the next would be the real cure, and
+// is a different kernel.
+//
 // int32 is safe because it is checked, not assumed: Scoring.Validate bounds
 // each score by MaxScoreMagnitude, and XDrop panics if (len(s)+len(t)) times
 // the largest score magnitude could bring a live score near the sentinel.

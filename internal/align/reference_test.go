@@ -1,6 +1,9 @@
 package align
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // referenceXDrop is the x-drop kernel as it stood before the int32
 // antidiagonal rewrite, kept verbatim as the oracle every differential test
@@ -129,14 +132,28 @@ var fuzzXs = [...]int{0, 1, 7, 30, 1 << 30}
 // Scoring.Validate admits.
 var fuzzScores = [...]int{1, 2, 3, 5, MaxScoreMagnitude}
 
-// FuzzXDropMatchesReference holds XDrop to referenceXDrop field for field.
-// The raw bytes become bases (low two bits), so a mutation of one input
-// yields a similar pair; seed position, k, scoring and x come from the
-// remaining arguments, covering empty flanks on either or both sides, seeds
-// at either end, and reads longer than any row the pool has seen.
+// FuzzXDropMatchesReference holds XDrop to referenceXDrop field for field,
+// once as the host runs it and, where that is with the vector leaf, once more
+// on the Go loop alone. The raw bytes become bases (low two bits), so a
+// mutation of one input yields a similar pair; seed position, k, scoring and
+// x come from the remaining arguments, covering empty flanks on either or
+// both sides, seeds at either end, and reads longer than any row the pool
+// has seen.
 func FuzzXDropMatchesReference(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGT"), []byte("ACGTACGTACGT"), uint16(4), uint16(4), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte("AC"), []byte("GGGGGGGGGGAC"), uint16(0), uint16(10), uint8(1), uint8(4), uint8(1), uint8(2), uint8(3))
+	// The vector leaf takes over some fourteen antidiagonals into an
+	// extension: 48 similar bases either side of the seed reach it, at the
+	// pipeline's x and the bench's, at unit scores and at the largest match
+	// and mismatch (a gap that size exceeds either x, and a first
+	// antidiagonal of two gap cells then ends the extension where it began).
+	long := randomSeq(rand.New(rand.NewSource(64)), 104)
+	near := concat(long[:20], []byte("T"), long[20:70], long[71:90], []byte("G"), long[91:])
+	for _, x := range []uint8{2, 3} {
+		for _, mag := range []uint8{0, 4} {
+			f.Add(long, near, uint16(48), uint16(49), uint8(7), x, mag, mag, uint8(0))
+		}
+	}
 	f.Fuzz(func(t *testing.T, sRaw, uRaw []byte, posS, posU uint16, kRaw, xSel, mSel, misSel, gSel uint8) {
 		if len(sRaw) == 0 || len(uRaw) == 0 {
 			t.Skip()
@@ -151,11 +168,17 @@ func FuzzXDropMatchesReference(f *testing.F) {
 			Gap:      -fuzzScores[int(gSel)%len(fuzzScores)],
 		}
 		x := fuzzXs[int(xSel)%len(fuzzXs)]
-		got := XDrop(s, u, seedS, seedU, k, sc, x)
 		want := referenceXDrop(s, u, seedS, seedU, k, sc, x)
-		if got != want {
-			t.Fatalf("XDrop(|s|=%d |u|=%d seed=(%d,%d) k=%d sc=%+v x=%d)\n got %+v\nwant %+v",
-				len(s), len(u), seedS, seedU, k, sc, x, got, want)
+		check := func(kernel string) {
+			if got := XDrop(s, u, seedS, seedU, k, sc, x); got != want {
+				t.Fatalf("XDrop(|s|=%d |u|=%d seed=(%d,%d) k=%d sc=%+v x=%d), %s\n got %+v\nwant %+v",
+					len(s), len(u), seedS, seedU, k, sc, x, kernel, got, want)
+			}
+		}
+		check("kernel as the host selects it")
+		if setLeaf(false) {
+			defer setLeaf(true)
+			check("Go loop alone")
 		}
 	})
 }

@@ -105,6 +105,7 @@ type workspace struct {
 	rows [3][]int32
 	buf  []byte
 	rev  reversal
+	leaf [4]int32 // prune, match, mismatch, gap, where the vector leaf loads them
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -170,6 +171,7 @@ func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 	lo1, hi1 := 0, 0
 
 	match, mismatch, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
+	w.leaf = [4]int32{-x, match, mismatch, gap}
 	var best int32
 	var bestI, bestD int
 	var cells int64
@@ -183,18 +185,31 @@ func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 		}
 		width := hi - lo + 1
 		cells += int64(width) // every cell of the window, before it shrinks
-		c := cur[lo+1:][:width]
-		rowMax := antidiagonal(c, p1[lo+1:], p2[lo:], a[lo:], brev[m-d+lo:],
-			p1[lo], best-x, match, mismatch, gap)
+		// The vector leaf works in whole vectors of 8 lanes: it reads
+		// a[lo:lo+vw], brev[m-d+lo:][:vw] and vw+1 cells of p1, and writes
+		// cur[lo+1:][:vw]. Away from an extension's first and last
+		// antidiagonals all of that lies inside the slices as they are;
+		// there, and off amd64, the Go loop is the kernel.
+		vw := (width + 7) &^ 7
+		vector := useAVX2 && lo+vw <= n+1 && d-lo >= vw-1
+		var rowMax int32
+		if vector {
+			rowMax = antidiagonalAVX2(&cur[lo+1], &p1[lo], &p2[lo], &a[lo], &brev[m-d+lo],
+				width, &w.leaf)
+		} else {
+			rowMax = antidiagonal(cur[lo+1:][:width], p1[lo+1:], p2[lo:], a[lo:], brev[m-d+lo:],
+				p1[lo], best-x, match, mismatch, gap)
+		}
 		if rowMax == pruned {
 			break
 		}
 		if rowMax > best { // first cell in ascending i to reach it
-			k := 0
-			for c[k] != rowMax {
-				k++
+			i := lo
+			for cur[i+1] != rowMax {
+				i++
 			}
-			best, bestI, bestD = rowMax, lo+k, d
+			best, bestI, bestD = rowMax, i, d
+			w.leaf[0] = best - x
 		}
 		// Shrink the window to surviving cells; one exists.
 		for cur[lo+1] == pruned {
@@ -203,7 +218,24 @@ func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 		for cur[hi+1] == pruned {
 			hi--
 		}
-		cur[lo], cur[hi+2] = pruned, pruned
+		if vector {
+			// The next antidiagonal loads this row a vector at a time, and
+			// a vector load over a narrower store still in flight is not
+			// forwarded: it waits for the store to reach the cache. More
+			// often than not the sentinel is there already (the window
+			// shrank over a pruned cell, or the leaf stored a lane past
+			// width), so look before writing: a ninth off the whole kernel
+			// at x=7. The Go loop's scalar loads forward from any store,
+			// and it only lost (5 to 10%) to the two extra branches.
+			if cur[lo] != pruned {
+				cur[lo] = pruned
+			}
+			if cur[hi+2] != pruned {
+				cur[hi+2] = pruned
+			}
+		} else {
+			cur[lo], cur[hi+2] = pruned, pruned
+		}
 		p2, p1, cur = p1, cur, p2
 		lo1, hi1 = lo, hi
 	}

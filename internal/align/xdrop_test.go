@@ -145,6 +145,35 @@ func TestXDropConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// The Go loop is the kernel on every GOARCH but amd64 and on an amd64 without
+// AVX2; here it runs every XDrop test again with the vector leaf switched
+// off, so the runner that has the leaf tests the portable kernel too.
+func TestPortableKernel(t *testing.T) {
+	if !setLeaf(false) {
+		t.Skip("no vector leaf on this host: every XDrop test has already run on the Go loop")
+	}
+	defer setLeaf(true)
+	for _, tc := range []struct {
+		name string
+		f    func(*testing.T)
+	}{
+		{"MatchesReference", TestXDropMatchesReference},
+		{"WorkspaceGrows", TestXDropWorkspaceGrows},
+		{"AtMostSmithWaterman", TestXDropAtMostSmithWaterman},
+		{"ZeroAllocs", TestXDropZeroAllocs},
+		{"Concurrent", TestXDropConcurrent},
+		{"ExtremeScoresUnboundedX", TestXDropExtremeScoresUnboundedX},
+		{"IdenticalStrings", TestXDropIdenticalStrings},
+		{"Panics", TestXDropPanics},
+		{"MatchesNaiveExtension", TestXDropMatchesNaiveExtension},
+		{"LowerBoundAndSpans", TestXDropLowerBoundAndSpans},
+		{"EarlyTermination", TestXDropEarlyTermination},
+		{"RecoversTrueOverlapScore", TestXDropRecoversTrueOverlapScore},
+	} {
+		t.Run(tc.name, tc.f)
+	}
+}
+
 func TestScoringValidateMagnitude(t *testing.T) {
 	const m = MaxScoreMagnitude
 	if err := (Scoring{m, -m, -m}).Validate(); err != nil {
@@ -244,7 +273,11 @@ func BenchmarkXDropSimilar(b *testing.B) {
 	benchXDrop(b, s, u, seedS, seedU, 17, 30)
 }
 
-// The pipeline's own shape: x=7 on 6 kb reads at 15% pairwise error.
+// The pipeline's own shape: x=7 on 6 kb reads at 15% pairwise error. With a
+// window 6 to 9 cells wide one vector is the antidiagonal, so on an AVX2 host
+// this times the leaf and extend's bookkeeping around it, in about equal
+// parts (the Go loop runs the first and last dozen of some 12 000
+// antidiagonals); anywhere else it times the Go loop.
 func BenchmarkXDropSimilarX7(b *testing.B) {
 	s, u, seedS, seedU := similarPair(b, 6000, 0.075)
 	benchXDrop(b, s, u, seedS, seedU, 17, 7)

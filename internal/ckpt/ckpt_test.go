@@ -62,6 +62,36 @@ func TestSegmentCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSegment: arbitrary bytes never panic the segment decoder; what
+// decodes was paid for by the input (a section costs its two length fields,
+// and names and data together are no longer than the image); and it
+// re-encodes to the same bytes, so decoding those again changes nothing.
+func FuzzDecodeSegment(f *testing.F) {
+	f.Add(encodeSegment(SegmentHeader{}, nil))
+	f.Add(encodeSegment(SegmentHeader{Stage: StageLoad, Epoch: 1, World: 1, Rank: 0},
+		[]Section{{Name: "reads", Data: []byte("0123456789")}}))
+	f.Add(encodeSegment(SegmentHeader{Stage: StageDHT, Epoch: 7, World: 4, Rank: 2},
+		[]Section{{Name: "reads", Data: []byte("read-bytes")}, {Name: "dht", Data: bytes.Repeat([]byte{0xAB}, 100)}, {Name: "empty"}}))
+	// A header that promises 2^32-1 sections and delivers none.
+	f.Add(append(encodeSegment(SegmentHeader{Stage: StageOverlap}, nil)[:8+4+len(StageOverlap)+8+4+4], 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		hdr, sections, err := decodeSegment(b)
+		if err != nil {
+			return
+		}
+		payload := len(hdr.Stage)
+		for _, s := range sections {
+			payload += len(s.Name) + len(s.Data)
+		}
+		if 12*len(sections) > len(b) || payload > len(b) {
+			t.Fatalf("%d sections holding %d bytes from a %d-byte image", len(sections), payload, len(b))
+		}
+		if back := encodeSegment(hdr, sections); !bytes.Equal(back, b) {
+			t.Fatalf("re-encoding differs: %x -> %x", b, back)
+		}
+	})
+}
+
 // snapshotWorld commits the given stages over a p-rank in-process world,
 // with per-rank sections derived from rank and stage.
 func snapshotWorld(t *testing.T, dir string, w func(rank int) *Writer, p int, stages []string) {

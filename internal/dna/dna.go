@@ -9,7 +9,10 @@
 // k-mers.
 package dna
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Base codes for the 2-bit representation.
 const (
@@ -102,11 +105,20 @@ func CountValid(s []byte) int {
 // ReverseComplement returns the reverse complement of s as a new slice.
 // Non-ACGT bytes become 'N'.
 func ReverseComplement(s []byte) []byte {
-	out := make([]byte, len(s))
+	return AppendReverseComplement(make([]byte, 0, len(s)), s)
+}
+
+// AppendReverseComplement appends the reverse complement of s to dst and
+// returns the extended slice, so a caller that keeps its buffers pays for a
+// new one only when a read outgrows them. s must not overlap dst's spare
+// capacity.
+func AppendReverseComplement(dst, s []byte) []byte {
+	dst = slices.Grow(dst, len(s))
+	out := dst[len(dst) : len(dst)+len(s)]
 	for i, b := range s {
 		out[len(s)-1-i] = complementTable[b]
 	}
-	return out
+	return dst[:len(dst)+len(s)]
 }
 
 // ReverseComplementInPlace reverse-complements s in place.

@@ -70,16 +70,40 @@ type aligner struct {
 	st     *AlignStats
 	rc     map[uint32][]byte // reverse complements by read ID
 	rcNeed map[uint32]int    // tasks still needing each read's RC; at 0 the entry is evicted
+	rcFree [][]byte          // evicted entries' buffers, taken last-in first-out by the next RC built
 	out    []Alignment
 }
 
+// newAligner starts a stage over tasks: each opposite-strand task holds one
+// claim on read B's reverse complement until alignTask releases it.
+func newAligner(c *spmd.Comm, model *machine.Model, view readView, cfg Config, st *AlignStats, tasks []overlap.Task) *aligner {
+	al := &aligner{
+		c: c, model: model, view: view, cfg: cfg, st: st,
+		rc:     make(map[uint32][]byte),
+		rcNeed: make(map[uint32]int),
+		out:    make([]Alignment, 0, len(tasks)),
+	}
+	for _, task := range tasks {
+		if needsRC(task) {
+			al.rcNeed[task.Pair.B]++
+		}
+	}
+	return al
+}
+
 // revComp returns (computing and caching on first use) the reverse
-// complement of read id's sequence.
+// complement of read id's sequence, built in a buffer an evicted entry left
+// behind when there is one: the stage allocates as many as are ever live at
+// once, not one per opposite-strand read.
 func (al *aligner) revComp(id uint32, seq []byte) []byte {
 	if rc, ok := al.rc[id]; ok {
 		return rc
 	}
-	rc := dna.ReverseComplement(seq)
+	var buf []byte
+	if n := len(al.rcFree); n > 0 {
+		buf, al.rcFree = al.rcFree[n-1], al.rcFree[:n-1]
+	}
+	rc := dna.AppendReverseComplement(buf[:0], seq)
 	al.st.LocalVirtual += price(al.c, al.model, float64(len(seq)), machine.RatePack, 0)
 	al.rc[id] = rc
 	return rc
@@ -117,7 +141,10 @@ func (al *aligner) alignTask(task overlap.Task) {
 		al.rcNeed[task.Pair.B]--
 		if al.rcNeed[task.Pair.B] <= 0 {
 			delete(al.rcNeed, task.Pair.B)
-			delete(al.rc, task.Pair.B)
+			if rc, ok := al.rc[task.Pair.B]; ok {
+				al.rcFree = append(al.rcFree, rc)
+				delete(al.rc, task.Pair.B)
+			}
 		}
 	}
 }
@@ -197,17 +224,7 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 	// stage: everything else here only ticks local time, so the stats
 	// delta is exactly the two exchanges (posting costs included).
 	preComm := c.Stats()
-	al := &aligner{
-		c: c, model: model, view: view, cfg: cfg, st: &st,
-		rc:     make(map[uint32][]byte),
-		rcNeed: make(map[uint32]int),
-		out:    make([]Alignment, 0, len(tasks)),
-	}
-	for _, task := range tasks {
-		if needsRC(task) {
-			al.rcNeed[task.Pair.B]++
-		}
-	}
+	al := newAligner(c, model, view, cfg, &st, tasks)
 	reqs := al.planRequests(tasks)
 	if cfg.Exchange == ExchangeSync {
 		al.alignSync(reqs, tasks)
