@@ -98,7 +98,7 @@ func BenchmarkBaselineHost(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks for DESIGN.md's called-out choices ---
+// --- Ablation benchmarks for the round size and the seed policy ---
 
 // BenchmarkAblationRounds* explores the memory/communication trade of the
 // streaming round size (§4's two-pass memory-limited design).

@@ -8,8 +8,8 @@
 //	dibella-bench -list
 //
 // Scale 1.0 corresponds to the paper's full E. coli data sets; the default
-// reduced scale reproduces curve shapes in minutes. See EXPERIMENTS.md for
-// the recorded comparison against the paper.
+// reduced scale reproduces curve shapes in minutes. With -bench-out it
+// writes the modeled perf snapshot instead (docs/BENCH.md).
 package main
 
 import (

@@ -83,8 +83,8 @@ func (prog *Program) SummaryOf(fn *types.Func) *FuncSummary {
 
 // funcKey is the stable cross-package identity of a function: import
 // path, receiver type name for methods, and function name. Origin()
-// strips generic instantiations so Handle[byte].Wait and
-// Handle[int64].Wait share one summary.
+// strips generic instantiations so Rounds[kmer.Kmer] and
+// Rounds[dht.occMsg] share one summary.
 func funcKey(fn *types.Func) string {
 	fn = fn.Origin()
 	key := pkgPathOf(fn) + "."

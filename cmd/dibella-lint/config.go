@@ -20,18 +20,13 @@ type Config struct {
 	// SpmdPath: every rank must call them in the same order.
 	CollectiveFuncs map[string]bool
 	// CollectiveMethods are collective methods on SpmdPath types
-	// (Comm.Barrier, Handle.Wait, ...), keyed by method name.
+	// (Comm.Barrier, PendingExchange.Wait), keyed by method name.
 	CollectiveMethods map[string]bool
 
 	// DetmapPackages are import-path prefixes of the output-affecting
 	// packages detmap audits: a nondeterministic iteration there can
 	// change the bytes of the PAF output or a checkpoint digest.
 	DetmapPackages []string
-
-	// HandleTypes names the SpmdPath types that represent a posted,
-	// not-yet-completed exchange; handleleak requires every value of
-	// these types to reach Wait on every path.
-	HandleTypes map[string]bool
 
 	// TransportTypes names the SpmdPath interface types whose method
 	// calls move bytes (modeledcost call sites), mapped to the method
@@ -66,7 +61,7 @@ func DefaultConfig() *Config {
 		CkptPath: "dibella/internal/ckpt",
 		CollectiveFuncs: set(
 			"Alltoallv", "Alltoall", "AlltoallvPacked",
-			"IAlltoallv", "IAlltoallvStreamed",
+			"Rounds", "AlltoallvDuring", "IAlltoallvStreamed",
 			"Allgather", "AllreduceI64", "AllreduceF64",
 			"Bcast", "ExclusiveScanI64", "GatherTo", "AgreeCommit",
 		),
@@ -83,7 +78,6 @@ func DefaultConfig() *Config {
 			// serve-vs-batch byte-identity invariant.
 			"dibella/internal/serve",
 		},
-		HandleTypes: set("PendingExchange", "Handle"),
 		TransportTypes: map[string]map[string]bool{
 			"Transport":       set("IAlltoallv"),
 			"PendingExchange": set("Wait"),

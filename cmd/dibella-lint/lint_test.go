@@ -97,7 +97,6 @@ func TestFixtures(t *testing.T) {
 		{"detmap", "detmap"},
 		{"modeledcost", "modeledcost"},
 		{"collecterr", "collecterr"},
-		{"handleleak", "handleleak"},
 		// interproc imports interproc/helpers: the engine must see
 		// through the package boundary via the shared call graph.
 		{"interproc", "spmdorder"},

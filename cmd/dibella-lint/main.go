@@ -8,7 +8,8 @@
 //	modeledcost  transport/commit call sites must be priced by a
 //	             machine.Model call — nothing is modeled as free
 //	collecterr   collective/checkpoint errors must not be dropped
-//	handleleak   posted exchange handles must reach Wait on every path
+//	tracename    trace event and metric names must be package-level
+//	             constants
 //
 // Usage:
 //

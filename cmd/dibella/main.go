@@ -239,17 +239,7 @@ func agreeParams(tr spmd.Transport, params *runParams, explicit map[string]bool)
 	if err != nil {
 		return err
 	}
-	send := make([][]byte, tr.Size())
-	for r := range send {
-		send[r] = blob
-	}
-	var recv [][]byte
-	//lint:ignore modeledcost formation-time exchange: it selects the platform model, so no clock or model exists yet to price it
-	pe, err := tr.IAlltoallv(send, 0, 0)
-	if err == nil {
-		//lint:ignore modeledcost completes the formation-time post above
-		recv, _, _, err = pe.Wait()
-	}
+	recv, err := spmd.FormationAllgather(tr, blob)
 	if err != nil {
 		return fmt.Errorf("agreeing the run configuration: %w", err)
 	}

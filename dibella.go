@@ -2,14 +2,19 @@
 // long-read to long-read overlapper and aligner of Ellis, Guidi, Buluç,
 // Oliker & Yelick (ICPP 2019).
 //
-// The library runs BELLA's seed-and-extend overlap/alignment method as a
-// four-stage bulk-synchronous pipeline — distributed Bloom filter, k-mer
-// hash table, overlap detection, x-drop alignment — over an in-process SPMD
-// runtime (goroutine ranks + MPI-style collectives). A per-platform
+// The library runs BELLA's seed-and-extend overlap/alignment method as the
+// paper's four-stage pipeline — distributed Bloom filter, k-mer hash table,
+// overlap detection, x-drop alignment — over an in-process SPMD runtime
+// (goroutine ranks + MPI-style collectives). Every byte moves in an
+// irregular all-to-all between supersteps, as in the paper; by default the
+// rounds keep a window of those exchanges in flight under packing,
+// inserting and aligning (ExchangeStreamed), and Config.Exchange =
+// ExchangeSync selects the paper's pack → exchange → process sum, kept as
+// the reference with byte-identical output. A per-platform
 // performance model reprices executed work to regenerate the paper's
 // cross-architecture evaluation on the Cori/Edison/Titan/AWS machine
-// models; see DESIGN.md for the substitution inventory and EXPERIMENTS.md
-// for paper-versus-measured results.
+// models; docs/BENCH.md ("What machine.Model prices") says what is
+// counted and how it is priced.
 //
 // Quick start:
 //
@@ -105,7 +110,7 @@ func WritePAF(w io.Writer, rep *Report, reads []*Record) error {
 
 // GenerateEColi30x synthesizes the paper's E. coli 30x analogue data set
 // at a genome-scale factor in (0, 1] (substitution for the PacBio input;
-// see DESIGN.md).
+// see internal/seqgen).
 func GenerateEColi30x(scale float64, seed int64) ([]*Record, error) {
 	ds, err := seqgen.Generate(seqgen.EColi30x(scale, seed))
 	if err != nil {

@@ -92,6 +92,75 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
+// FuzzDecodeManifest: arbitrary bytes in manifest.json never panic the
+// decoder ReadManifest hands the file to (fuzzed without the file: the os
+// calls make coverage irreproducible and the engine spends its budget
+// minimizing), and a manifest it accepts is one pipeline.ResumeComm can
+// index without looking again — every recorded stage is a known one, filed
+// under its own name, with exactly World segments and segment i recorded
+// for rank i — and survives being written back and read again.
+func FuzzDecodeManifest(f *testing.F) {
+	manifestBytes := func(m *Manifest) []byte {
+		blob, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
+	}
+	stage := func(name string, world, segments int) StageInfo {
+		st := StageInfo{Stage: name, Epoch: 1, World: world}
+		for r := 0; r < segments; r++ {
+			st.Segments = append(st.Segments, SegmentInfo{Rank: r, File: SegmentFile(name, r, 1), Bytes: 64, CRC64: uint64(r)})
+		}
+		return st
+	}
+	for _, world := range []int{1, 3} {
+		f.Add(manifestBytes(&Manifest{
+			Version: manifestVersion, ConfigHash: "abc", ConfigJSON: []byte(`{"k":17}`), Epoch: 2,
+			Stages: map[string]StageInfo{StageLoad: stage(StageLoad, world, world), StageDHT: stage(StageDHT, world, world)},
+		}))
+	}
+	// A stage that claims a billion ranks and lists one segment.
+	f.Add(manifestBytes(&Manifest{
+		Version: manifestVersion, ConfigJSON: []byte(`null`),
+		Stages: map[string]StageInfo{StageOverlap: stage(StageOverlap, 1<<30, 1)},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := decodeManifest("fuzz", b)
+		if err != nil {
+			return
+		}
+		for name, st := range m.Stages {
+			if name != st.Stage || StageOrder(name) < 0 {
+				t.Fatalf("accepted stage %q under key %q", st.Stage, name)
+			}
+			if len(st.Segments) != st.World || st.World > len(b) {
+				t.Fatalf("stage %q: %d segments for world %d from a %d-byte manifest", name, len(st.Segments), st.World, len(b))
+			}
+			for i, seg := range st.Segments {
+				if seg.Rank != i {
+					t.Fatalf("stage %q: segment %d recorded for rank %d", name, i, seg.Rank)
+				}
+			}
+		}
+		if latest, ok := m.Latest(); ok != (len(m.Stages) > 0) || ok && m.Stages[latest.Stage].Epoch != latest.Epoch {
+			t.Fatalf("Latest() = %+v, %v over %d stages", latest, ok, len(m.Stages))
+		}
+		// Re-marshaled as writeManifest does, less its fsync and rename.
+		blob, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		back, err := decodeManifest("fuzz", blob)
+		if err != nil {
+			t.Fatalf("re-marshaled manifest refused: %v", err)
+		}
+		if len(back.Stages) != len(m.Stages) || back.Epoch != m.Epoch || back.ConfigHash != m.ConfigHash {
+			t.Fatalf("re-marshaled manifest differs: %+v -> %+v", m, back)
+		}
+	})
+}
+
 // snapshotWorld commits the given stages over a p-rank in-process world,
 // with per-rank sections derived from rank and stage.
 func snapshotWorld(t *testing.T, dir string, w func(rank int) *Writer, p int, stages []string) {

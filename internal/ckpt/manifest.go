@@ -101,9 +101,15 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading manifest: %w", err)
 	}
+	return decodeManifest(ManifestPath(dir), blob)
+}
+
+// decodeManifest parses and validates a manifest image; path names it in
+// a syntax error.
+func decodeManifest(path string, blob []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", ManifestPath(dir), err)
+		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("ckpt: manifest version %d, this binary reads %d", m.Version, manifestVersion)

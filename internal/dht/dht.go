@@ -300,13 +300,12 @@ func (st *StageStats) addComm(pre, post spmd.Stats) {
 	st.OverlapWall += post.OverlapWall - pre.OverlapWall
 }
 
-// runRounds drives one pass's exchange rounds. pack produces the next
-// round's send buffers (charging parse/pack time to st), process consumes
-// one round's received batches. With cfg.Async the rounds are pipelined:
-// round r+1 is packed and posted while round r's exchange is in flight,
-// and processing round r overlaps round r+1's exchange — the paper's
-// pack → exchange → process sum becomes max(exchange, local). The
-// process calls see identical data in identical order either way.
+// runRounds drives one pass's exchange rounds through spmd.Rounds: pack
+// produces the next round's send buffers (charging parse/pack time to st),
+// process consumes one round's received batches. With cfg.Async up to
+// cfg.BuildDepth exchanges are in flight (default 2); without it the
+// window is 1, the paper's bulk-synchronous pack → exchange → process.
+// The process calls see identical data in identical order either way.
 //
 // Exchange/overlap accounting snapshots Comm stats once around the whole
 // pass: pack and process only tick local time, so every stats delta in
@@ -314,41 +313,16 @@ func (st *StageStats) addComm(pre, post spmd.Stats) {
 func runRounds[T any](c *spmd.Comm, st *StageStats, cfg Config, rounds int,
 	pack func() [][]T, process func([][]T)) {
 
+	depth := 1
+	if cfg.Async {
+		depth = cfg.BuildDepth
+		if depth <= 0 {
+			depth = 2
+		}
+	}
 	pre := c.Stats()
-	defer func() { st.addComm(pre, c.Stats()) }()
-	depth := cfg.BuildDepth
-	if depth <= 0 {
-		depth = 2
-	}
-	// A single-round pass has nothing to pipeline — posting cost would be
-	// pure loss — so the non-blocking schedule needs at least two rounds
-	// and a window of at least two exchanges.
-	if !cfg.Async || rounds < 2 || depth < 2 {
-		for round := 0; round < rounds; round++ {
-			send := pack()
-			process(spmd.Alltoallv(c, send))
-		}
-		return
-	}
-	// Keep up to depth exchanges in flight: prefill depth-1 posts, then
-	// post one more ahead of each wait. At depth 2 this is exactly the
-	// post-one-ahead schedule the pass has always run; deeper windows give
-	// slow rounds more exchange time to hide under.
-	var pending []*spmd.Handle[T]
-	posted := 0
-	for posted < rounds && posted < depth-1 {
-		pending = append(pending, spmd.IAlltoallv(c, pack()))
-		posted++
-	}
-	for round := 0; round < rounds; round++ {
-		if posted < rounds {
-			pending = append(pending, spmd.IAlltoallv(c, pack()))
-			posted++
-		}
-		recv := pending[0].Wait()
-		pending = pending[1:]
-		process(recv)
-	}
+	spmd.Rounds(c, rounds, depth, pack, process)
+	st.addComm(pre, c.Stats())
 }
 
 // roundBufs returns one round's per-destination send buffers, sized once.

@@ -57,7 +57,6 @@ const (
 
 // BenchRun is one schedule's numbers on the bench workload.
 type BenchRun struct {
-	WallSeconds          float64 `json:"wall_seconds"`
 	VirtualSeconds       float64 `json:"virtual_seconds"`
 	BloomHashVirtual     float64 `json:"bloom_hash_virtual_seconds"`
 	ExchangeVirtual      float64 `json:"exchange_virtual_seconds"`
@@ -132,16 +131,16 @@ type BenchResult struct {
 	Streamed        BenchRun `json:"streamed"`
 	Ckpt            BenchRun `json:"ckpt"`
 	CkptOverhead    float64  `json:"ckpt_overhead_fraction"`
-	// Traced is the streamed run repeated with the flight recorder armed
-	// (informational: quantifies tracing's wall-clock cost). The recorder
-	// must never touch the modeled clock, so its virtual_seconds is
-	// required to be bit-identical to Streamed's — the bench fails
-	// otherwise rather than committing a snapshot of a broken recorder.
-	Traced             BenchRun     `json:"traced"`
-	TracedWallOverhead float64      `json:"traced_wall_overhead_fraction"`
-	SpeedupStreamed    float64      `json:"modeled_speedup_streamed_over_sync"`
-	SweepChunkBytes    int          `json:"sweep_chunk_bytes"`
-	DepthSweep         []DepthPoint `json:"streamed_depth_sweep"`
+	// Traced is the streamed run repeated with the flight recorder armed.
+	// The recorder must never touch the modeled clock, so its
+	// virtual_seconds is required to be bit-identical to Streamed's — the
+	// bench fails otherwise rather than committing a snapshot of a broken
+	// recorder. (Its wall cost is the interleaved harness's to measure:
+	// bench/'s trace.traced_wall_ratio.)
+	Traced          BenchRun     `json:"traced"`
+	SpeedupStreamed float64      `json:"modeled_speedup_streamed_over_sync"`
+	SweepChunkBytes int          `json:"sweep_chunk_bytes"`
+	DepthSweep      []DepthPoint `json:"streamed_depth_sweep"`
 	// Minimizer is the streamed schedule rerun with -seed minimizer at
 	// MinimizerWindow: same workload and exchange shape, sparser seed set.
 	// MinimizerByteRatio compares its build exchange bytes against the
@@ -193,7 +192,6 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 		o.logf("bench exchange=%v chunk=%d depth=%d window=%d ckpt=%v: %s", mode, chunk, depth, window, ck != nil, rep.Summary())
 		bh := rep.StageVirtual(pipeline.StageBloom) + rep.StageVirtual(pipeline.StageHash)
 		br := BenchRun{
-			WallSeconds:      rep.WallTime.Seconds(),
 			VirtualSeconds:   rep.TotalVirtual(),
 			BloomHashVirtual: bh,
 			ExchangeVirtual:  rep.ExchangeVirtual(),
@@ -237,7 +235,7 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 		return nil, fmt.Errorf("figures: ckpt bench: %w", err)
 	}
 	// The traced rerun: same streamed schedule with the flight recorder
-	// armed, so every snapshot carries the recorder's measured wall cost.
+	// armed, held to the untraced run's modeled clock below.
 	wasEnabled := trace.Enabled()
 	trace.Enable(trace.DefaultCapacity)
 	tracedRun, err := run(pipeline.ExchangeStreamed, benchReplyChunk, benchReplyDepth, 0, nil)
@@ -266,9 +264,6 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 	if streamRun.VirtualSeconds > 0 {
 		res.SpeedupStreamed = syncRun.VirtualSeconds / streamRun.VirtualSeconds
 		res.CkptOverhead = ckptRun.VirtualSeconds/streamRun.VirtualSeconds - 1
-	}
-	if streamRun.WallSeconds > 0 {
-		res.TracedWallOverhead = tracedRun.WallSeconds/streamRun.WallSeconds - 1
 	}
 	if streamRun.BuildExchangeBytes > 0 {
 		res.MinimizerByteRatio = float64(minRun.BuildExchangeBytes) / float64(streamRun.BuildExchangeBytes)

@@ -11,7 +11,7 @@
 // the counted work per platform and node count. Absolute magnitudes track
 // the paper only at full genome scale; at reduced scale the *shapes* —
 // who wins, where crossovers fall, which stage dominates — are the
-// reproduction targets recorded in EXPERIMENTS.md.
+// reproduction targets TestSweepShapeClaims asserts.
 package figures
 
 import (

@@ -4,10 +4,11 @@
 // be priced under each platform and the paper's cross-architecture figures
 // regenerated.
 //
-// The substitution (documented in DESIGN.md): we cannot run on the paper's
-// hardware, so the pipeline counts its real work — k-mers parsed and
-// inserted, bytes packed and exchanged, alignment DP cells computed — and
-// this package converts counts into modeled seconds using
+// The substitution (docs/BENCH.md, "What machine.Model prices"): we cannot
+// run on the paper's hardware, so the pipeline counts its real work —
+// k-mers parsed and inserted, bytes packed and exchanged, alignment DP
+// cells computed — and this package converts counts into modeled seconds
+// using
 //
 //   - a per-core compute rate (frequency × architecture factor) with a
 //     cache multiplier that speeds up strong-scaled working sets as they
@@ -21,8 +22,9 @@
 //     internal-setup effect the paper measures ("the first call ... is
 //     almost twice as expensive ... as the second", §10).
 //
-// All constants are calibration parameters, not measurements; EXPERIMENTS.md
-// compares the resulting curve shapes against the paper's.
+// All constants are calibration parameters, not measurements;
+// internal/figures' TestSweepShapeClaims holds the resulting curve shapes
+// to the paper's.
 package machine
 
 import (
@@ -420,7 +422,8 @@ func (m *Model) ComputeTime(ops, opsPerSec, workingSetBytes float64) float64 {
 
 // Baseline per-core processing rates (operations per second on a Cori
 // Haswell core with an out-of-cache working set). These are the model's
-// calibration constants; see EXPERIMENTS.md for the shape validation.
+// calibration constants; internal/figures' TestSweepShapeClaims is the
+// shape validation.
 const (
 	// RateParse: k-mers parsed+hashed from reads per second.
 	RateParse = 8e6

@@ -115,7 +115,7 @@ func TestEdisonLatencyAdvantage(t *testing.T) {
 	// Table 1 measures Edison's 128-byte Get latency at 0.8 us vs Cori's
 	// 2.7 us; that shows up in latency-bound collectives. Cori's newer
 	// Aries wins on the bulk all-to-alls (it must, to lead Fig. 13
-	// overall — the calibration choice is documented in EXPERIMENTS.md).
+	// overall — a calibration choice, held by figures.TestSweepShapeClaims).
 	cori := mustModel(t, Cori, 16, Cori.CoresPerNode)
 	edison := mustModel(t, Edison, 16, Edison.CoresPerNode)
 	if edison.CollectiveTime() >= cori.CollectiveTime() {

@@ -311,18 +311,18 @@ func (al *aligner) alignSync(reqs [][]uint32, tasks []overlap.Task) {
 // exchange is streamed (streamReplies) so each remote task aligns the
 // moment its last missing sequence is installed.
 func (al *aligner) alignStreamed(reqs [][]uint32, tasks []overlap.Task) {
-	reqH := spmd.IAlltoallv(al.c, reqs)
-	t0 := walltime.Now()
 	var remote []overlap.Task
-	for _, task := range tasks {
-		if al.view.Owns(task.Pair.A) && al.view.Owns(task.Pair.B) {
-			al.alignTask(task)
-		} else {
-			remote = append(remote, task)
+	incoming := spmd.AlltoallvDuring(al.c, reqs, func() {
+		t0 := walltime.Now()
+		for _, task := range tasks {
+			if al.view.Owns(task.Pair.A) && al.view.Owns(task.Pair.B) {
+				al.alignTask(task)
+			} else {
+				remote = append(remote, task)
+			}
 		}
-	}
-	al.st.LocalWall += walltime.Since(t0)
-	incoming := reqH.Wait()
+		al.st.LocalWall += walltime.Since(t0)
+	})
 	al.streamReplies(reqs, al.packReplies(incoming), remote)
 }
 

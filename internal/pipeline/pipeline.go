@@ -1,7 +1,11 @@
 // Package pipeline assembles diBELLA's four-stage distributed pipeline
 // (§4): Bloom filter construction, hash table construction, overlap
-// detection, and pairwise alignment, all over the spmd runtime with
-// bulk-synchronous all-to-all exchanges.
+// detection, and pairwise alignment, all over the spmd runtime's irregular
+// all-to-all exchanges. The default schedule (ExchangeStreamed) keeps a
+// window of those exchanges in flight under local work — spmd.Rounds in
+// the two build passes, spmd.AlltoallvDuring and the chunked reply stream
+// in the alignment stage; the paper's bulk-synchronous schedule
+// (ExchangeSync) is kept as the reference, with byte-identical output.
 //
 // Each stage records a per-rank breakdown (packing / local processing /
 // exchange) in both modeled platform seconds and measured host time; the
@@ -37,12 +41,12 @@ type ExchangeMode int
 
 const (
 	// ExchangeStreamed (the default) posts exchanges as non-blocking
-	// collectives (spmd.IAlltoallv), overlapping them with packing and
-	// processing, and streams the alignment stage's reply exchange in
-	// chunks (spmd.IAlltoallvStreamed): remote tasks are aligned the
-	// moment their last missing sequence lands, instead of after every
-	// replica is installed. Output is byte-identical to the synchronous
-	// schedule.
+	// collectives (spmd.Rounds, spmd.AlltoallvDuring), overlapping them
+	// with packing and processing, and streams the alignment stage's reply
+	// exchange in chunks (spmd.IAlltoallvStreamed): remote tasks are
+	// aligned the moment their last missing sequence lands, instead of
+	// after every replica is installed. Output is byte-identical to the
+	// synchronous schedule.
 	ExchangeStreamed ExchangeMode = iota
 	// ExchangeSync is the paper's bulk-synchronous schedule: pack →
 	// blocking exchange → process. Retained as the reference the streamed

@@ -1,6 +1,5 @@
 // Package seqgen synthesizes long-read sequencing data sets with known
-// ground truth, standing in for the paper's PacBio E. coli inputs
-// (substitution documented in DESIGN.md).
+// ground truth, standing in for the paper's PacBio E. coli inputs.
 //
 // The generator builds a reference genome (uniform random bases, optionally
 // seeded with exact repeat copies to exercise the high-frequency k-mer

@@ -2,7 +2,7 @@ package spmd
 
 // The one exchange path of the typed layer. Every collective in this
 // package is the same two steps over Transport.IAlltoallv: post (cast the
-// typed rows to bytes and hand them to the transport) and Handle.Wait
+// typed rows to bytes and hand them to the transport) and handle.Wait
 // (complete, fold the modeled cost into the BSP clock, copy the payloads
 // out). What distinguishes a blocking Alltoallv from a barrier, a posted
 // non-blocking exchange or one chunk round of a stream is only how it is
@@ -24,10 +24,11 @@ package spmd
 // A blocking collective is the degenerate case: waited at its own posting
 // clock, it hides nothing and pays the full cost.
 //
-// Ordering contract: handles must be waited in posting order, and no
-// blocking collective may run while any handle is pending (enforced —
-// violations panic). Posting further exchanges while handles are pending
-// is allowed; that is the point.
+// Ordering contract: handles are waited in posting order, and no blocking
+// collective runs while one is pending (violations panic, and a rank that
+// returns with one pending fails the run). The contract is this package's
+// alone: a handle never leaves it. Callers get Rounds, AlltoallvDuring and
+// IAlltoallvStreamed, each of which waits what it posted before returning.
 
 import (
 	"fmt"
@@ -121,8 +122,8 @@ type streamState struct {
 	completion float64
 }
 
-// Handle is the completion handle of one posted exchange.
-type Handle[T any] struct {
+// handle is the completion handle of one posted exchange.
+type handle[T any] struct {
 	c       *Comm
 	pe      PendingExchange
 	rule    *pricing
@@ -151,7 +152,7 @@ func (c *Comm) requireIdle(op string) {
 
 // post is the one cast-and-post step: rank i's send[j] will be delivered
 // as rank j's recv[i] when every rank has posted the matching exchange.
-func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *Handle[T] {
+func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T] {
 	p := c.Size()
 	if len(send) != p {
 		panic(fmt.Sprintf("spmd: %s send length %d != world size %d", r.op, len(send), p))
@@ -183,7 +184,7 @@ func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *Handle[T
 		c.Tick(d)
 		c.stats.ExchangeVirtual += d
 	}
-	h := &Handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now, serial: serial}
+	h := &handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now, serial: serial}
 	c.nextID++
 	if !r.blocking {
 		c.postSeq++
@@ -212,7 +213,7 @@ func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *Handle[T
 // buffers (recv[src] is what rank src sent here). It folds the exchange's
 // modeled cost into the BSP clock as described in the package comment and
 // must be called exactly once per handle, in posting order.
-func (h *Handle[T]) Wait() [][]T {
+func (h *handle[T]) Wait() [][]T {
 	c, r := h.c, h.rule
 	if h.done {
 		panic("spmd: exchange waited twice")
@@ -311,7 +312,7 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 	return recv
 }
 
-// IAlltoallv posts an irregular all-to-all without blocking; the returned
+// ialltoallv posts an irregular all-to-all without blocking; the returned
 // handle's Wait yields the received buffers. Element and aliasing rules
 // match Alltoallv; additionally the send slices are handed off at post
 // time and must not be mutated until every rank has finished *reading*
@@ -322,8 +323,60 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 // every peer is done with it (internal/dht's doc states the rule for its
 // rounds); allocating per post, as every caller in the tree does, needs
 // none.
-func IAlltoallv[T any](c *Comm, send [][]T) *Handle[T] {
+func ialltoallv[T any](c *Comm, send [][]T) *handle[T] {
 	return post(c, send, &pricePosted, nil)
+}
+
+// Rounds runs a pass of rounds exchange rounds: pack produces the next
+// round's send rows, process consumes one round's received rows, and both
+// are called exactly rounds times, in round order. Up to depth exchanges
+// are kept in flight — depth-1 posted ahead, then one more ahead of each
+// wait — so round r+1 is packed and posted while round r's payloads move
+// and processing round r overlaps round r+1's exchange: the paper's
+// pack → exchange → process sum becomes max(exchange, local). At depth 2
+// that is post-one-ahead; deeper windows give slow rounds more exchange
+// time to hide under.
+//
+// A single-round pass has nothing to pipeline — posting cost would be
+// pure loss — so with fewer than two rounds or a window below two every
+// round is a blocking Alltoallv at blocking pricing: depth 1 is the
+// bulk-synchronous schedule. process sees identical data in identical
+// order either way. Neither callback may issue a collective, and the rows
+// pack returns are handed off as ialltoallv's are: not to be written again
+// while a peer may still be reading them.
+func Rounds[T any](c *Comm, rounds, depth int, pack func() [][]T, process func([][]T)) {
+	if rounds < 2 || depth < 2 {
+		for round := 0; round < rounds; round++ {
+			process(Alltoallv(c, pack()))
+		}
+		return
+	}
+	var pending []*handle[T]
+	posted := 0
+	for posted < rounds && posted < depth-1 {
+		pending = append(pending, ialltoallv(c, pack()))
+		posted++
+	}
+	for round := 0; round < rounds; round++ {
+		if posted < rounds {
+			pending = append(pending, ialltoallv(c, pack()))
+			posted++
+		}
+		recv := pending[0].Wait()
+		pending = pending[1:]
+		process(recv)
+	}
+}
+
+// AlltoallvDuring is Alltoallv with local work hidden under it: the
+// exchange is posted, during runs while the payloads move, and the
+// received rows are returned once it has. Modeled time ticked inside
+// during counts against the exchange's cost (max, not sum). during may
+// not issue a collective, nor write to send.
+func AlltoallvDuring[T any](c *Comm, send [][]T, during func()) [][]T {
+	h := ialltoallv(c, send)
+	during()
+	return h.Wait()
 }
 
 // Barrier synchronizes all ranks and their virtual clocks: an all-to-all

@@ -94,13 +94,14 @@ type CommModel interface {
 
 // Stats accumulates one rank's communication accounting.
 //
-// For non-blocking exchanges (IAlltoallv), ExchangeVirtual still carries
-// the full modeled cost of every exchange, while OverlapVirtual counts the
-// portion of that cost hidden under local computation between post and
-// Wait — so elapsed modeled time is Exchange − Overlap. The wall clocks
-// split the same way: ExchangeWall is time actually blocked (inside
-// blocking collectives or Wait), OverlapWall is compute time that ran while
-// at least the waited exchange was in flight.
+// For non-blocking exchanges (Rounds, AlltoallvDuring, the streamed
+// exchange), ExchangeVirtual still carries the full modeled cost of every
+// exchange, while OverlapVirtual counts the portion of that cost hidden
+// under local computation between post and Wait — so elapsed modeled time
+// is Exchange − Overlap. The wall clocks split the same way: ExchangeWall
+// is time actually blocked (inside blocking collectives or Wait),
+// OverlapWall is compute time that ran while at least the waited exchange
+// was in flight.
 type Stats struct {
 	Alltoallvs      int64         // number of all-to-all exchanges
 	Collectives     int64         // number of small collectives
@@ -220,7 +221,14 @@ func runRank(tr Transport, model CommModel, fn func(*Comm) error) (err error) {
 		}
 	}()
 	c := &Comm{tr: tr, model: model, rec: trace.Rec(tr.Rank())}
-	if err := fn(c); err != nil {
+	err = fn(c)
+	if err == nil && len(c.pending) > 0 {
+		// requireIdle's twin for a rank that issues no further collective:
+		// its peers have posted the matching exchanges and would otherwise
+		// find out at teardown, or never.
+		err = fmt.Errorf("returned with %d non-blocking exchange(s) pending", len(c.pending))
+	}
+	if err != nil {
 		tr.Abort()
 		return fmt.Errorf("spmd: rank %d: %w", tr.Rank(), err)
 	}

@@ -111,9 +111,9 @@ func (a *streamAsm) take(chunk []byte) (first int, items [][]byte) {
 // goroutine as items complete, before the exchange as a whole has drained.
 // Computation done inside deliver runs — and is modeled — as overlapping
 // the chunk rounds still in flight; Tick inside the callback advances the
-// rank clock past in-flight rounds' start times just as compute between an
-// IAlltoallv post and its Wait does. The fully assembled buffers are
-// returned once every round has completed.
+// rank clock past in-flight rounds' start times just as compute inside
+// AlltoallvDuring does. The fully assembled buffers are returned once
+// every round has completed.
 //
 // All ranks must call it collectively with the same opts. Send buffers are
 // handed off at the call and must not be mutated until it returns. Byte
@@ -146,7 +146,7 @@ func IAlltoallvStreamed(c *Comm, send []PackedBufs, opt StreamOpts, deliver func
 	}
 	headerH := post(c, lens, &pricePosted, st)
 
-	postRound := func(r int) *Handle[byte] {
+	postRound := func(r int) *handle[byte] {
 		rows := make([][]byte, p)
 		for dst := range send {
 			rows[dst] = chunkOf(send[dst].Data, r, opt.ChunkBytes)
@@ -154,7 +154,7 @@ func IAlltoallvStreamed(c *Comm, send []PackedBufs, opt StreamOpts, deliver func
 		return post(c, rows, &priceChunk, st)
 	}
 	// Open the pipeline window behind the header before waiting anything.
-	pending := make([]*Handle[byte], 0, opt.Depth)
+	pending := make([]*handle[byte], 0, opt.Depth)
 	next := 0
 	for ; next < rounds && next < opt.Depth; next++ {
 		pending = append(pending, postRound(next))

@@ -68,3 +68,25 @@ type Transport interface {
 type PendingExchange interface {
 	Wait() (recv [][]byte, maxClock, maxBytes float64, err error)
 }
+
+// FormationAllgather is the one unpriced exchange in the tree: every rank
+// contributes blob over the bare transport and receives every rank's, in
+// rank order. It belongs to forming the world, not to a run — cmd/dibella
+// agrees the run configuration with it, and one of the values agreed
+// (-platform) selects the communication model, so no Comm, clock or model
+// exists yet that could price it. Every exchange after formation goes
+// through a Comm.
+func FormationAllgather(tr Transport, blob []byte) ([][]byte, error) {
+	send := make([][]byte, tr.Size())
+	for r := range send {
+		send[r] = blob
+	}
+	//lint:ignore modeledcost formation-time exchange: it selects the platform model, so no clock or model exists yet to price it
+	pe, err := tr.IAlltoallv(send, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	//lint:ignore modeledcost completes the formation-time post above
+	recv, _, _, err := pe.Wait()
+	return recv, err
+}

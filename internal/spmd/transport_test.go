@@ -308,7 +308,7 @@ func TestCollectivesAccountIdenticallyAcrossTransports(t *testing.T) {
 				return fmt.Errorf("blocking collectives credited overlap: virtual %v, wall %v",
 					st.OverlapVirtual, st.OverlapWall)
 			}
-			h := IAlltoallv(c, rows)
+			h := ialltoallv(c, rows)
 			c.Tick(0.75 + float64(me)/16)
 			h.Wait()
 			IAlltoallvStreamed(c, packed, StreamOpts{ChunkBytes: 512, Depth: 2},
