@@ -42,37 +42,84 @@
 // costs a few dozen bytes of copying, not a flank. Rows and the reversal
 // buffer live in a sync.Pool'd workspace: steady state allocates nothing.
 //
-// On amd64 with AVX2 (probed once from CPUID; no flag, no build tag) one
-// antidiagonal is scored eight cells a step by antidiagonalAVX2 in
-// xdrop_amd64.s, a lane-for-lane transliteration of the Go loop in
-// antidiagonal over the same rows, sentinels and reversed flank: up and left
-// are two unaligned loads of the d-1 row one lane apart, so nothing is
-// carried from lane to lane. It works in whole vectors, so with vw the window
-// width rounded up to 8 it reads vw bases of each sequence, vw+1 cells of the
-// d-1 row and vw of the d-2 row, and stores vw cells; the lanes past the
-// window are computed from whatever lies there (stale cells, bases outside
-// the window) and stored as pruned, which is what a cell beyond the upper
-// sentinel may hold. extend calls it only where all of that lies inside the
-// slices as they are, lo+vw <= n+1 and d-lo >= vw-1, so there is no unsafe,
-// no padded copy of a read and no row growth. The Go loop therefore
-// owns the edges, the first fourteen or so antidiagonals of an extension and
-// its last handful, and it is the whole kernel on every other GOARCH and on
-// an amd64 without AVX2 (xdrop_other.go); tests switch the leaf off to hold
-// it to the loop cell for cell (TestVectorLeafMatchesLoop) and to run the
-// suite on the loop alone (TestPortableKernel). Three things to know before
-// touching the assembly. It must be VEX-encoded throughout: one legacy-SSE
-// instruction (MOVQ AX, X0 where VMOVD was meant) among the VPBROADCASTDs
-// makes every call pay the SSE/AVX state transition, 680 ns a call against 6
-// in the first prototype, and a single one put back into this file made the
-// whole x=7 kernel ten times slower. And go vet's asmdecl rejects a
-// VPBROADCASTD of a 4-byte frame argument, so the scores are loaded from the
-// workspace (moving them through a register would do too). And at x=7 the
-// leaf is bound by latency, not width: each call reloads, one lane off, the
-// row the previous call stored, and a vector load that overlaps a narrower
-// store still in flight waits for the cache. That is why extend
-// looks before writing a sentinel after the leaf has run; keeping the rows
-// in registers from one antidiagonal to the next would be the real cure, and
-// is a different kernel.
+// An extension in progress is a front (xdrop.go): the next antidiagonal d, the
+// surviving window lo1..hi1 of d-1, best and the first cell that scored it,
+// the cell count, n, m, x and the three scores; for the length of an assembly
+// call also index 0 of the three rows and of the two base views, and a stop
+// horizon. Two kernels pick an extension up from there and leave it there.
+// advance is the Go loop: the whole kernel on every GOARCH but amd64 and on an
+// amd64 without AVX2, the edge handler otherwise, and the oracle. steadyAVX2
+// (xdrop_amd64.s; AVX2 probed once from CPUID, no flag, no build tag) is the
+// same loop in assembly, eight cells a step: it computes lo, hi and the width,
+// scores the window, finds a new best and its first cell, shrinks the window,
+// writes the two sentinels, rotates the rows and goes on, and it returns to Go
+// only for a reason: the window is at an edge (below), antidiagonal d has no
+// live cell (the extension is over), or d has passed the stop horizon, which
+// workspace.steady sets to the last antidiagonal whose bases the reversal has
+// produced, and at most 4096 on: assembly has no preemption point, and a
+// stop-the-world should not wait on a 100 kb read. extend alternates the two:
+// eight antidiagonals of Go loop, then the routine for as long as it will go,
+// then the Go loop again. useAVX2 is read once per hand-off, not once per
+// antidiagonal, and without it the Go loop simply runs to the end. The routine
+// stores no pointer (there is no write barrier in assembly): the rows rotate by
+// a count (workspace.rot) that the caller advances by as far as d moved. The
+// front's pointers into the caller's reads are cleared before the workspace
+// goes back to the pool.
+//
+// The routine works in whole vectors, so with vw the window width rounded up
+// to 8 it reads vw bases of each sequence, vw+1 cells of the d-1 row and vw of
+// the d-2 row, and stores vw cells; the lanes past the window are computed
+// from whatever lies there (stale cells, bases outside the window) and stored
+// as pruned, which is what a cell beyond the upper sentinel may hold. Before
+// every antidiagonal it checks that all of that lies inside the slices as they
+// are, lo+vw <= n+1 and d-lo >= vw-1, and returns exitEdge otherwise, so the
+// Go side forms no pointer by arithmetic, makes no padded copy of a read and
+// grows no row. The Go loop
+// therefore owns the edges: the first eight or sixteen antidiagonals of an
+// extension and its last handful.
+//
+// At x=7 one vector is the antidiagonal nine times in ten, and then the
+// routine does not load the d-1 and d-2 rows at all. Let C be the vector it
+// just stored for antidiagonal d-1, scored over a window starting at lo',
+// and up', left' the two vectors C was scored from. For antidiagonal d,
+// starting at lo, lane k needs left = row(d-1)[lo+k+1], up = row(d-1)[lo+k]
+// and diag = row(d-2)[lo+k], and C's lane k is row(d-1)[lo'+k+1]. With s =
+// lo-lo':
+//
+//	s = 0: left = C; up = C moved one lane up, pruned in lane 0; diag = up'
+//	s = 1: up = C; left = C moved one lane down, pruned in lane 7; diag = left'
+//
+// one VPERMD and one VPBLENDD. The lanes shifted in are pruned by
+// construction. Lane 0 at s=0 stands for row(d-1)[lo]: lo is then d-1's
+// surviving lo1, and index lo1 is where its lower sentinel is. Lane 7 at s=1
+// stands for row(d-1)[lo'+9]: if lane 7 is inside d's window at all (hi <=
+// hi1+1, so only when d-1's lane 7 survived), that index is hi1+2, the upper
+// sentinel. Every other lane of C is the row as stored, pruned lanes past the
+// width included. diag inherits the argument one antidiagonal later. Anything
+// else (a window wider than 8, a start that moved by 2 or more, the first
+// antidiagonal of a call) loads its neighbours from the rows, which are still
+// stored every antidiagonal and are what the Go loop resumes from.
+// TestSteadyMatchesLoop enters the routine at every antidiagonal of a set of
+// extensions and holds what it leaves to the Go loop advanced as far; it
+// counts the paths, and a width-8 window with a live lane 7 and a start that
+// jumps by 2 are each required to have been reached.
+//
+// Things to know before touching the assembly. It must be VEX-encoded
+// throughout: one legacy-SSE instruction (MOVQ AX, X0 where VMOVD was meant)
+// among the VPBROADCASTDs makes every call pay the SSE/AVX state transition,
+// and a single one made the whole x=7 kernel ten times slower. go vet's
+// asmdecl checks the frame, not the front: field offsets come from go_asm.h,
+// so a reordered struct still assembles right. The bookkeeping is branches
+// on purpose: the shrink reads the stored row cell by cell, and the branch
+// predictor hands lo and hi to the next antidiagonal before this one has
+// been scored. Computing them (VMOVMSKPS, BSF, BSR) removes the
+// mispredictions and puts the whole antidiagonal on the path to the next
+// one's addresses: 730 Mcells/s fell to 500. And the sentinels are written
+// only after looking: a vector load that overlaps a narrower store still in
+// flight is not forwarded and waits for the cache, the multi-vector path
+// loads the row a vector at a time, and more often than not the sentinel is
+// there already (the window shrank over a pruned cell, or a lane past the
+// width was stored).
 //
 // int32 is safe because it is checked, not assumed: Scoring.Validate bounds
 // each score by MaxScoreMagnitude, and XDrop panics if (len(s)+len(t)) times

@@ -133,8 +133,8 @@ var fuzzXs = [...]int{0, 1, 7, 30, 1 << 30}
 var fuzzScores = [...]int{1, 2, 3, 5, MaxScoreMagnitude}
 
 // FuzzXDropMatchesReference holds XDrop to referenceXDrop field for field,
-// once as the host runs it and, where that is with the vector leaf, once more
-// on the Go loop alone. The raw bytes become bases (low two bits), so a
+// once as the host runs it and, where that is with the assembly routine, once
+// more on the Go loop alone. The raw bytes become bases (low two bits), so a
 // mutation of one input yields a similar pair; seed position, k, scoring and
 // x come from the remaining arguments, covering empty flanks on either or
 // both sides, seeds at either end, and reads longer than any row the pool
@@ -142,7 +142,7 @@ var fuzzScores = [...]int{1, 2, 3, 5, MaxScoreMagnitude}
 func FuzzXDropMatchesReference(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGT"), []byte("ACGTACGTACGT"), uint16(4), uint16(4), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte("AC"), []byte("GGGGGGGGGGAC"), uint16(0), uint16(10), uint8(1), uint8(4), uint8(1), uint8(2), uint8(3))
-	// The vector leaf takes over some fourteen antidiagonals into an
+	// The assembly routine takes over nine or seventeen antidiagonals into an
 	// extension: 48 similar bases either side of the seed reach it, at the
 	// pipeline's x and the bench's, at unit scores and at the largest match
 	// and mismatch (a gap that size exceeds either x, and a first
@@ -152,6 +152,19 @@ func FuzzXDropMatchesReference(f *testing.F) {
 	for _, x := range []uint8{2, 3} {
 		for _, mag := range []uint8{0, 4} {
 			f.Add(long, near, uint16(48), uint16(49), uint8(7), x, mag, mag, uint8(0))
+		}
+	}
+	// The assembly routine carries a row in registers from one antidiagonal
+	// to the next while one vector is the window and its start moves by 0 or
+	// 1: 150 bases either side of the seed, two substitutions, an insertion
+	// and a deletion apart, keep it there for some 250 antidiagonals a side at
+	// x=7 and x=1 (a window of one to three cells), under unit scores and
+	// 2/-3/-2; the deletion of two bases makes the window start jump.
+	long = randomSeq(rand.New(rand.NewSource(65)), 317)
+	near = concat(long[:40], []byte("C"), long[41:100], []byte("A"), long[100:201], long[203:260], []byte("T"), long[261:])
+	for _, x := range []uint8{2, 1} {
+		for _, mag := range [][3]uint8{{0, 0, 0}, {1, 2, 1}} {
+			f.Add(long, near, uint16(150), uint16(151), uint8(16), x, mag[0], mag[1], mag[2])
 		}
 	}
 	f.Fuzz(func(t *testing.T, sRaw, uRaw []byte, posS, posU uint16, kRaw, xSel, mSel, misSel, gSel uint8) {
@@ -176,8 +189,8 @@ func FuzzXDropMatchesReference(f *testing.F) {
 			}
 		}
 		check("kernel as the host selects it")
-		if setLeaf(false) {
-			defer setLeaf(true)
+		if setAssembly(false) {
+			defer setAssembly(true)
 			check("Go loop alone")
 		}
 	})

@@ -42,7 +42,9 @@ func XDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
 	w.rev = reversal{src: s[:seedS], dst: buf[1:]}
 	left := w.extend(buf, t[:seedT+1], sc, x32)
 
-	w.rev = reversal{} // do not pin the caller's reads from the pool
+	// Do not pin the caller's reads from the pool.
+	w.rev = reversal{}
+	w.st.a, w.st.brev = nil, nil
 	workspaces.Put(w)
 	return Result{
 		Score:  k*sc.Match + right.score + left.score,
@@ -99,13 +101,38 @@ type extension struct {
 }
 
 // workspace is the scratch one XDrop call needs: three rolling antidiagonal
-// rows and the buffer the reversed flank is built in. Pooled, so steady
-// state allocates nothing; nothing in it is cleared between calls.
+// rows, the buffer the reversed flank is built in, and the extension in
+// progress. Pooled, so steady state allocates nothing; nothing in it is
+// cleared between calls but the pointers into the caller's reads.
 type workspace struct {
 	rows [3][]int32
+	rot  int // rows[rot%3], rows[(rot+1)%3] and rows[(rot+2)%3] are antidiagonals d-2, d-1 and d
 	buf  []byte
 	rev  reversal
-	leaf [4]int32 // prune, match, mismatch, gap, where the vector leaf loads them
+	st   front
+}
+
+// front is an extension between two antidiagonals: everything scoring the
+// next one needs, and everything the result is read from. The Go loop
+// (advance) and the assembly routine (steadyAVX2, which reads this struct by
+// field offset) each pick an extension up from here and leave it here, so
+// either can continue where the other stopped. The pointers are set for an
+// assembly call (workspace.steady) and mean nothing to the Go loop; the two
+// into the caller's reads are cleared before the workspace is pooled.
+type front struct {
+	cur, p1, p2 *int32 // index 0 of the rows of antidiagonals d, d-1, d-2
+	a, brev     *byte  // index 0 of the two base views
+	n, m        int
+	d           int // the next antidiagonal to score
+	stop        int // the last one the assembly may score in this call
+	lo1, hi1    int // surviving window of antidiagonal d-1
+	bestI       int // first cell, in ascending d then i, to score best
+	bestD       int
+	cells       int64
+	best, x     int32
+	match       int32
+	mismatch    int32
+	gap         int32
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
@@ -127,10 +154,13 @@ type reversal struct {
 }
 
 // fill makes the first d bases of src available, at least doubling the
-// reversed span so total work stays proportional to how far d gets.
+// reversed span so total work stays proportional to how far d gets. The
+// first span is 32 bases: an extension with nothing to align dies within 16
+// antidiagonals at the default x, and reversing more than that is most of
+// what such a call would cost.
 func (r *reversal) fill(d int) {
 	l := len(r.src)
-	to := min(l, max(2*d, 64))
+	to := min(l, max(2*d, 32))
 	lo, hi := r.done, to
 	if r.back {
 		lo, hi = l-to, l-r.done
@@ -159,25 +189,89 @@ func (r *reversal) fill(d int) {
 // that reads it.
 func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 	n, m := len(a)-1, len(brev)-1
+	w.begin(n, m, sc, x)
+	st := &w.st
+	for alive := true; alive && st.d <= n+m; {
+		// The Go loop runs the antidiagonals at an extension's edges, where
+		// the assembly's whole-vector reads would leave the slices; steady
+		// runs the rest. Which antidiagonals are which the assembly decides
+		// (it returns at once from one it may not score), so the loop only
+		// has to come back and ask: useAVX2 is read once per hand-off, and
+		// without it the loop runs to the end as if there were nothing to
+		// hand off to.
+		until := n + m
+		if useAVX2 {
+			until = min(until, st.d+edgeRun-1)
+		}
+		alive = w.advance(a, brev, until)
+		if alive && st.d <= n+m {
+			alive = w.steady(a, brev)
+		}
+	}
+	return extension{score: int(st.best), aLen: st.bestI, bLen: st.bestD - st.bestI, cells: st.cells}
+}
+
+// begin sizes the rows for a first sequence of n bases and leaves in w.st the
+// extension that has scored cell (0,0) and nothing else.
+func (w *workspace) begin(n, m int, sc Scoring, x int32) {
 	for r := range w.rows {
 		if cap(w.rows[r]) < n+3 {
 			w.rows[r] = make([]int32, n+3)
 		}
+		w.rows[r] = w.rows[r][:n+3]
 	}
-	p2, p1, cur := w.rows[0][:n+3], w.rows[1][:n+3], w.rows[2][:n+3]
+	w.rot = 0
+	p2, p1, _ := w.threeRows()
 	// d-1 is the single cell (0,0) scoring 0; d-2 is empty.
 	p1[0], p1[1], p1[2] = pruned, 0, pruned
 	p2[0], p2[1] = pruned, pruned
-	lo1, hi1 := 0, 0
+	st := &w.st
+	st.n, st.m, st.d, st.lo1, st.hi1 = n, m, 1, 0, 0
+	st.best, st.bestI, st.bestD, st.cells = 0, 0, 0, 0
+	st.x, st.match, st.mismatch, st.gap = x, int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
+}
 
-	match, mismatch, gap := int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
-	w.leaf = [4]int32{-x, match, mismatch, gap}
-	var best int32
-	var bestI, bestD int
-	var cells int64
-	for d := 1; d <= n+m; d++ {
+// edgeRun is how many antidiagonals the Go loop scores before it offers the
+// extension to the assembly routine (again). The first seven never qualify
+// (the window has to be a vector clear of row index 0), and at x=7 even a
+// pair with no base in common has narrowed to one vector by the ninth; after
+// that the routine usually runs until the window reaches the far edge, a
+// handful of antidiagonals from the end. An offer declined costs about one
+// antidiagonal.
+const edgeRun = 8
+
+// Why the assembly routine returned.
+const (
+	exitStop = iota // front.stop scored: next the flank needs filling, or the call cap
+	exitEdge        // a whole-vector read of antidiagonal d would leave the slices
+	exitDead        // antidiagonal d has no live cell: the extension is over
+)
+
+// threeRows returns the rows of antidiagonals d-2, d-1 and d. They rotate
+// by count, not by moving slices: the assembly cannot store a pointer (no
+// write barrier), and the Go loop saves three of them per call.
+func (w *workspace) threeRows() (p2, p1, cur []int32) {
+	r := w.rot % 3
+	return w.rows[r], w.rows[(r+1)%3], w.rows[(r+2)%3]
+}
+
+// advance is the x-drop kernel in Go: it scores antidiagonals w.st.d to until
+// and leaves the extension in w.st, reporting false once it is over (an empty
+// window, or a whole antidiagonal pruned).
+func (w *workspace) advance(a, brev []byte, until int) (alive bool) {
+	st := &w.st
+	n, m, x := st.n, st.m, st.x
+	match, mismatch, gap := st.match, st.mismatch, st.gap
+	p2, p1, cur := w.threeRows()
+	lo1, hi1 := st.lo1, st.hi1
+	best, bestI, bestD := st.best, st.bestI, st.bestD
+	cells := st.cells
+	d := st.d
+	alive = true
+	for ; d <= until; d++ {
 		lo, hi := max(lo1, d-m), min(hi1+1, n)
 		if lo > hi {
+			alive = false
 			break
 		}
 		if d > w.rev.done {
@@ -185,22 +279,10 @@ func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 		}
 		width := hi - lo + 1
 		cells += int64(width) // every cell of the window, before it shrinks
-		// The vector leaf works in whole vectors of 8 lanes: it reads
-		// a[lo:lo+vw], brev[m-d+lo:][:vw] and vw+1 cells of p1, and writes
-		// cur[lo+1:][:vw]. Away from an extension's first and last
-		// antidiagonals all of that lies inside the slices as they are;
-		// there, and off amd64, the Go loop is the kernel.
-		vw := (width + 7) &^ 7
-		vector := useAVX2 && lo+vw <= n+1 && d-lo >= vw-1
-		var rowMax int32
-		if vector {
-			rowMax = antidiagonalAVX2(&cur[lo+1], &p1[lo], &p2[lo], &a[lo], &brev[m-d+lo],
-				width, &w.leaf)
-		} else {
-			rowMax = antidiagonal(cur[lo+1:][:width], p1[lo+1:], p2[lo:], a[lo:], brev[m-d+lo:],
-				p1[lo], best-x, match, mismatch, gap)
-		}
+		rowMax := antidiagonal(cur[lo+1:][:width], p1[lo+1:], p2[lo:], a[lo:], brev[m-d+lo:],
+			p1[lo], best-x, match, mismatch, gap)
 		if rowMax == pruned {
+			alive = false
 			break
 		}
 		if rowMax > best { // first cell in ascending i to reach it
@@ -209,7 +291,6 @@ func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 				i++
 			}
 			best, bestI, bestD = rowMax, i, d
-			w.leaf[0] = best - x
 		}
 		// Shrink the window to surviving cells; one exists.
 		for cur[lo+1] == pruned {
@@ -218,28 +299,15 @@ func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
 		for cur[hi+1] == pruned {
 			hi--
 		}
-		if vector {
-			// The next antidiagonal loads this row a vector at a time, and
-			// a vector load over a narrower store still in flight is not
-			// forwarded: it waits for the store to reach the cache. More
-			// often than not the sentinel is there already (the window
-			// shrank over a pruned cell, or the leaf stored a lane past
-			// width), so look before writing: a ninth off the whole kernel
-			// at x=7. The Go loop's scalar loads forward from any store,
-			// and it only lost (5 to 10%) to the two extra branches.
-			if cur[lo] != pruned {
-				cur[lo] = pruned
-			}
-			if cur[hi+2] != pruned {
-				cur[hi+2] = pruned
-			}
-		} else {
-			cur[lo], cur[hi+2] = pruned, pruned
-		}
+		cur[lo], cur[hi+2] = pruned, pruned
 		p2, p1, cur = p1, cur, p2
 		lo1, hi1 = lo, hi
 	}
-	return extension{score: int(best), aLen: bestI, bLen: bestD - bestI, cells: cells}
+	w.rot += d - st.d
+	st.d, st.lo1, st.hi1 = d, lo1, hi1
+	st.best, st.bestI, st.bestD = best, bestI, bestD
+	st.cells = cells
+	return alive
 }
 
 // antidiagonal scores the window c of antidiagonal d and returns its largest

@@ -2,5 +2,5 @@
 
 package align
 
-// setLeaf has nothing to switch off amd64: the Go loop is the kernel.
-func setLeaf(bool) (was bool) { return false }
+// setAssembly has nothing to switch off amd64: the Go loop is the kernel.
+func setAssembly(bool) (was bool) { return false }

@@ -146,13 +146,13 @@ func TestXDropConcurrent(t *testing.T) {
 }
 
 // The Go loop is the kernel on every GOARCH but amd64 and on an amd64 without
-// AVX2; here it runs every XDrop test again with the vector leaf switched
-// off, so the runner that has the leaf tests the portable kernel too.
+// AVX2; here it runs every XDrop test again with the assembly routine switched
+// off, so the runner that has the routine tests the portable kernel too.
 func TestPortableKernel(t *testing.T) {
-	if !setLeaf(false) {
-		t.Skip("no vector leaf on this host: every XDrop test has already run on the Go loop")
+	if !setAssembly(false) {
+		t.Skip("no assembly routine on this host: every XDrop test has already run on the Go loop")
 	}
-	defer setLeaf(true)
+	defer setAssembly(true)
 	for _, tc := range []struct {
 		name string
 		f    func(*testing.T)
@@ -275,9 +275,11 @@ func BenchmarkXDropSimilar(b *testing.B) {
 
 // The pipeline's own shape: x=7 on 6 kb reads at 15% pairwise error. With a
 // window 6 to 9 cells wide one vector is the antidiagonal, so on an AVX2 host
-// this times the leaf and extend's bookkeeping around it, in about equal
-// parts (the Go loop runs the first and last dozen of some 12 000
-// antidiagonals); anywhere else it times the Go loop.
+// this times the assembly routine's carried-row path (nine antidiagonals in
+// ten take their neighbours from registers, TestSteadyPathsOnTheRungs) and the
+// branch mispredictions of its bookkeeping, about one every other
+// antidiagonal; the Go loop runs the first eight and last few of some 12 000.
+// Anywhere else it times the Go loop.
 func BenchmarkXDropSimilarX7(b *testing.B) {
 	s, u, seedS, seedU := similarPair(b, 6000, 0.075)
 	benchXDrop(b, s, u, seedS, seedU, 17, 7)

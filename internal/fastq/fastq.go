@@ -88,11 +88,17 @@ func (r *Reader) readLine() ([]byte, error) {
 }
 
 func (r *Reader) nextFastq() (*Record, error) {
-	header, err := r.readLine()
-	if err != nil {
-		return nil, err
+	// Blank lines between records and after the last one are skipped, as
+	// detect skips them before the first: a trailing newline is the
+	// commonest thing an editor or cat adds to a read file.
+	var header []byte
+	for len(header) == 0 {
+		var err error
+		if header, err = r.readLine(); err != nil {
+			return nil, err
+		}
 	}
-	if len(header) == 0 || header[0] != '@' {
+	if header[0] != '@' {
 		return nil, fmt.Errorf("fastq: record %d: malformed header %q", r.nRec, header)
 	}
 	seq, err := r.readLine()

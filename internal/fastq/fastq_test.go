@@ -2,6 +2,7 @@ package fastq
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -77,6 +78,70 @@ func TestCRLFHandling(t *testing.T) {
 	}
 	if string(recs[0].Seq) != "ACGT" {
 		t.Errorf("CRLF seq = %q", recs[0].Seq)
+	}
+}
+
+// Blank lines before the first record, between records and after the last
+// are not part of any record: the reader skips them, LF or CRLF, on the
+// whole-file path and on a byte range alike. One inside a record still
+// breaks it.
+func TestBlankLinesBetweenRecords(t *testing.T) {
+	want := []*Record{
+		{Name: "r0", Seq: []byte("ACGT"), Qual: []byte("IIII")},
+		{Name: "r1", Seq: []byte("GG"), Qual: []byte("@!")},
+	}
+	for _, tc := range []struct{ name, in string }{
+		{"none", "@r0\nACGT\n+\nIIII\n@r1\nGG\n+\n@!\n"},
+		{"trailing", "@r0\nACGT\n+\nIIII\n@r1\nGG\n+\n@!\n\n"},
+		{"several trailing", "@r0\nACGT\n+\nIIII\n@r1\nGG\n+\n@!\n\n\n\n"},
+		{"leading", "\n\n@r0\nACGT\n+\nIIII\n@r1\nGG\n+\n@!\n"},
+		{"inner", "@r0\nACGT\n+\nIIII\n\n@r1\nGG\n+\n@!\n"},
+		{"everywhere", "\n@r0\nACGT\n+\nIIII\n\n\n@r1\nGG\n+\n@!\n\n"},
+		{"CRLF", "\r\n@r0\r\nACGT\r\n+\r\nIIII\r\n\r\n@r1\r\nGG\r\n+\r\n@!\r\n\r\n"},
+		{"no final newline", "@r0\nACGT\n+\nIIII\n\n@r1\nGG\n+\n@!"},
+	} {
+		check := func(path string, got []*Record, err error) {
+			t.Helper()
+			if err != nil {
+				t.Errorf("%s, %s: %v", tc.name, path, err)
+				return
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s, %s: %d records, want %d", tc.name, path, len(got), len(want))
+				return
+			}
+			for i := range want {
+				if got[i].Name != want[i].Name || !bytes.Equal(got[i].Seq, want[i].Seq) || !bytes.Equal(got[i].Qual, want[i].Qual) {
+					t.Errorf("%s, %s: record %d = %+v, want %+v", tc.name, path, i, got[i], want[i])
+				}
+			}
+		}
+		got, err := ReadAll(strings.NewReader(tc.in))
+		check("ReadAll", got, err)
+		path := filepath.Join(t.TempDir(), "reads.fastq")
+		if err := os.WriteFile(path, []byte(tc.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err = ReadRange(path, 0, int64(len(tc.in)))
+		check("ReadRange", got, err)
+		for _, p := range []int{1, 2, 3} {
+			got = nil
+			for rank := 0; rank < p && err == nil; rank++ {
+				var shard []*Record
+				shard, _, err = LoadShard(path, rank, p)
+				got = append(got, shard...)
+			}
+			check(fmt.Sprintf("LoadShard over %d ranks", p), got, err)
+		}
+	}
+	for _, in := range []string{
+		"@r0\n\nACGT\n+\nIIII\n", // the blank line is the sequence, ACGT no separator
+		"@r0\nACGT\n\n+\nIIII\n",
+		"@r0\nACGT\n+\n\nIIII\n",
+	} {
+		if recs, err := ReadAll(strings.NewReader(in)); err == nil {
+			t.Errorf("input %q: parsed to %d records, want an error", in, len(recs))
+		}
 	}
 }
 

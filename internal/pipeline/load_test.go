@@ -141,7 +141,50 @@ func TestShardedLoadMatchesWholeFile(t *testing.T) {
 	if wholeRep.Alignments == 0 {
 		t.Fatal("whole-file run produced no alignments; nothing to compare")
 	}
-	checkShardedEquivalence(t, path, len(ds.Reads), cfg, pafBytes(t, wholeRep, ds.Reads), true)
+	want := pafBytes(t, wholeRep, ds.Reads)
+	checkShardedEquivalence(t, path, len(ds.Reads), cfg, want, true)
+
+	// The same reads in a file an editor has been through: blank lines
+	// before the first record, after every seventh (CRLF every other time)
+	// and after the last. Wherever a shard boundary falls among them, every
+	// rank count sees the same records in the same order.
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(clean, []byte("\n"))
+	blank := [][]byte{[]byte("\n"), []byte("\r\n")}
+	spaced := []byte("\n\n")
+	for i, line := range lines {
+		spaced = append(spaced, line...)
+		if rec := (i + 1) / 4; (i+1)%4 == 0 && rec%7 == 0 {
+			spaced = append(spaced, blank[rec/7%2]...)
+		}
+	}
+	spaced = append(spaced, "\n\n"...)
+	spacedPath := filepath.Join(dir, "spaced.fastq")
+	if err := os.WriteFile(spacedPath, spaced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3, 5, 8, 13} {
+		var got []*fastq.Record
+		for rank := 0; rank < p; rank++ {
+			shard, _, err := fastq.LoadShard(spacedPath, rank, p)
+			if err != nil {
+				t.Fatalf("blank-line file, %d ranks, rank %d: %v", p, rank, err)
+			}
+			got = append(got, shard...)
+		}
+		if len(got) != len(ds.Reads) {
+			t.Fatalf("blank-line file, %d ranks: %d records, want %d", p, len(got), len(ds.Reads))
+		}
+		for i, rec := range got {
+			if rec.Name != ds.Reads[i].Name || !bytes.Equal(rec.Seq, ds.Reads[i].Seq) {
+				t.Fatalf("blank-line file, %d ranks: record %d is %s, want %s", p, i, rec.Name, ds.Reads[i].Name)
+			}
+		}
+	}
+	checkShardedEquivalence(t, spacedPath, len(ds.Reads), cfg, want, true)
 }
 
 // TestShardedLoadUltraLongRead repeats the equivalence check on a file
