@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -158,6 +159,48 @@ func TestCLITCPTransportMatchesMem(t *testing.T) {
 	if !bytes.Equal(memBytes, tcpBytes) {
 		t.Errorf("PAF output differs between transports (%d vs %d bytes)",
 			len(memBytes), len(tcpBytes))
+	}
+}
+
+// TestCLIPeakRSSBounded holds the build's memory bound where a user meets
+// it: the built binary over loopback TCP on a sparse sample (2 Mb genome at
+// 1x, 1.5 kb reads: the index build is most of the run), and the largest
+// resident set any process of the tree reached. Both build passes exchange
+// out of one fixed ring of cache-sized rows and read received frames where
+// they land, so the peak is the reads, the table and a few MiB of exchange
+// memory — 25 MiB on the sizing host. With a round's send buffers allocated
+// fresh and every received row copied it was 54-56 MiB, following the input.
+func TestCLIPeakRSSBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test in short mode")
+	}
+	dir := t.TempDir()
+	seqgen := buildTool(t, dir, "./cmd/seqgen")
+	dibella := buildTool(t, dir, "./cmd/dibella")
+
+	reads := filepath.Join(dir, "reads.fastq")
+	if out, err := exec.Command(seqgen,
+		"-genome", "2000000", "-coverage", "1", "-mean-len", "1500",
+		"-error-rate", "0.15", "-seed", "5", "-out", reads,
+	).CombinedOutput(); err != nil {
+		t.Fatalf("seqgen: %v\n%s", err, out)
+	}
+	cmd := exec.Command(dibella, "-in", reads, "-transport", "tcp", "-p", "2",
+		"-k", "17", "-m", "10", "-out", filepath.Join(dir, "out.paf"))
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("dibella -transport tcp: %v\n%s", err, out)
+	}
+	// The launcher is rank 0 and waits for the worker it forked, so its
+	// rusage covers the tree; Maxrss is the largest of them, in KiB on Linux.
+	ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage)
+	if !ok {
+		t.Skip("no rusage on this platform")
+	}
+	const ceilingMiB = 32
+	peak := float64(ru.Maxrss) / 1024
+	t.Logf("peak RSS of any process: %.1f MiB", peak)
+	if peak > ceilingMiB {
+		t.Errorf("peak RSS %.1f MiB, ceiling %d MiB: the build's memory follows its input again", peak, ceilingMiB)
 	}
 }
 

@@ -360,7 +360,9 @@ func printBreakdown(rep *pipeline.Report) {
 	// seeding, since minimizers shrink wire volume, not stage structure.
 	// "peak mem" is the largest single rank's resident bytes measured at
 	// the stage boundary — the number that decides whether a problem fits
-	// a machine, which per-rank averages hide.
+	// a machine, which per-rank averages hide. For the two build stages it
+	// includes what they exchange through: the ring of send rows and, over
+	// TCP, the received frames borrowed from the pool.
 	headers := []string{"stage", "wall", "modeled s", "exchange s", "overlapped s", "hidden", "exch bytes", "peak mem"}
 	var rows [][]string
 	for _, s := range pipeline.Stages {

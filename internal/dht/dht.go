@@ -32,7 +32,8 @@ type Config struct {
 	MaxFreq int // high-frequency cutoff m
 
 	// MaxKmersPerRound bounds per-rank memory per exchange round
-	// (default 1<<19).
+	// (default 1<<16: a round's 1 MiB of hash-pass records stays in cache
+	// between pack and send; the package comment has the measurements).
 	MaxKmersPerRound int
 
 	// BloomFP is the Bloom filter's target false-positive rate
@@ -81,7 +82,7 @@ func (cfg *Config) setDefaults() error {
 		return fmt.Errorf("dht: max frequency %d must be >= 2", cfg.MaxFreq)
 	}
 	if cfg.MaxKmersPerRound <= 0 {
-		cfg.MaxKmersPerRound = 1 << 19
+		cfg.MaxKmersPerRound = 1 << 16
 	}
 	if cfg.BloomFP == 0 {
 		cfg.BloomFP = 0.01
@@ -105,6 +106,9 @@ func (cfg *Config) setDefaults() error {
 	}
 	if cfg.BuildDepth < 1 || cfg.BuildDepth > spmd.MaxStreamDepth {
 		return fmt.Errorf("dht: build depth %d out of [1,%d]", cfg.BuildDepth, spmd.MaxStreamDepth)
+	}
+	if !cfg.Async {
+		cfg.BuildDepth = 1 // the paper's bulk-synchronous pack → exchange → process
 	}
 	return nil
 }
@@ -130,7 +134,12 @@ type BuildStats struct {
 	Retained         int   // keys surviving the prune
 	PrunedSingleton  int   // Bloom false positives removed
 	PrunedHighFreq   int   // repeat k-mers removed (count > m)
-	BloomMemBytes    int64 // resident bytes at the Bloom pass's end (filter + nascent table)
+	BloomMemBytes    int64 // resident bytes at the Bloom pass's end (filter + nascent table + exchange buffers)
+	// ExchangeMemBytes is what the two passes' exchanges hold, the hash
+	// pass's wider records included: the ring of send rows both pack into
+	// and, on a transport that does not share memory, the received frames
+	// borrowed from its pool.
+	ExchangeMemBytes int64
 }
 
 // pricer converts counted operations into virtual time on c's clock; a nil
@@ -197,14 +206,18 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 		part.reserve(int(perRank))
 	}
 
+	// Both passes exchange out of one ring of send rows.
+	bufs := spmd.NewRoundBufs(cfg.BuildDepth)
+
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceBloomPass, c.Now())
-	stats.Bloom = bloomPass(c, pr, reads, cfg, rounds, localUnits, filter, part)
+	stats.Bloom = bloomPass(c, pr, reads, cfg, bufs, rounds, localUnits, filter, part)
 	stats.TableEntries = part.n
 	// The Bloom stage's peak footprint is the filter plus the nascent
-	// table — both alive this one instant, the filter freed just below.
-	stats.BloomMemBytes = part.MemBytes() + int64(filter.NumBits()/8)
+	// table — both alive this one instant, the filter freed just below —
+	// plus what it exchanged through.
+	stats.BloomMemBytes = part.MemBytes() + int64(filter.NumBits()/8) + bufs.MemBytes()
 	rec.End(traceBloomPass, c.Now(), stats.Bloom.BytesPacked)
 	// The paper frees the Bloom filter here; dropping the reference is the
 	// Go equivalent.
@@ -213,7 +226,8 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 
 	// Pass 2: occurrence accumulation and pruning.
 	rec.Begin(traceHashPass, c.Now())
-	stats.Hash = hashPass(c, pr, reads, cfg, rounds, localUnits, part)
+	stats.Hash = hashPass(c, pr, reads, cfg, bufs, rounds, localUnits, part)
+	stats.ExchangeMemBytes = bufs.MemBytes()
 	t0 := walltime.Now()
 	prunedS, prunedH := part.prune(cfg.KeepSingletons)
 	stats.Hash.LocalVirtual += pr.tick(float64(stats.TableEntries),
@@ -301,50 +315,47 @@ func (st *StageStats) addComm(pre, post spmd.Stats) {
 }
 
 // runRounds drives one pass's exchange rounds through spmd.Rounds: pack
-// produces the next round's send buffers (charging parse/pack time to st),
-// process consumes one round's received batches. With cfg.Async up to
-// cfg.BuildDepth exchanges are in flight (default 2); without it the
-// window is 1, the paper's bulk-synchronous pack → exchange → process.
+// fills the next round's send rows (charging parse/pack time to st), process
+// consumes one round's received batches. bufs carries the window: with
+// cfg.Async up to cfg.BuildDepth exchanges are in flight (default 2),
+// without it one, the paper's bulk-synchronous pack → exchange → process.
 // The process calls see identical data in identical order either way.
 //
 // Exchange/overlap accounting snapshots Comm stats once around the whole
 // pass: pack and process only tick local time, so every stats delta in
 // the window belongs to the pass's exchanges (including posting costs).
-func runRounds[T any](c *spmd.Comm, st *StageStats, cfg Config, rounds int,
-	pack func() [][]T, process func([][]T)) {
+func runRounds[T any](c *spmd.Comm, st *StageStats, bufs *spmd.RoundBufs, rounds int,
+	pack func([][]T), process func([][]T)) {
 
-	depth := 1
-	if cfg.Async {
-		depth = cfg.BuildDepth
-		if depth <= 0 {
-			depth = 2
-		}
-	}
 	pre := c.Stats()
-	spmd.Rounds(c, rounds, depth, pack, process)
+	spmd.Rounds(c, bufs, rounds, pack, process)
 	st.addComm(pre, c.Stats())
 }
 
-// roundBufs returns one round's per-destination send buffers, sized once.
-// The round ships n = min(left, MaxKmersPerRound) records and Owner spreads
-// them uniformly, so n/p plus a sixteenth (dozens of standard deviations at
-// any n that matters) does not regrow; append's doubling remains the
-// fallback for a stream skewed by one very frequent k-mer.
-func roundBufs[T any](p int, cfg Config, left int64) [][]T {
+// sizeRows gives every send row of a set that has not been round the ring
+// yet its memory, once. A round ships at most MaxKmersPerRound records and
+// Owner spreads them uniformly, so n/p plus a sixteenth (dozens of standard
+// deviations at any n that matters) does not regrow; append's doubling
+// remains the fallback for a stream skewed by one very frequent k-mer, and
+// the ring keeps what it grew. Rows are sized for the hash pass's records
+// whichever pass meets them first: the Bloom pass, whose keys are half as
+// wide, asks for fit = 2 of them per record and packs into the same memory.
+func sizeRows[T any](send [][]T, cfg Config, left, fit int64) {
+	p := int64(len(send))
 	n := max(0, min(left, int64(cfg.MaxKmersPerRound)))
-	per := min(n, n/int64(p)+n/int64(16*p)+32)
-	send := make([][]T, p)
+	per := min(n, n/p+n/(16*p)+32) * fit
 	for dst := range send {
-		send[dst] = make([]T, 0, per)
+		if cap(send[dst]) == 0 && per > 0 {
+			send[dst] = make([]T, 0, per)
+		}
 	}
-	return send
 }
 
 // bloomPass streams k-mer keys to their owners and populates the Bloom
 // filter, seeding the table with keys seen (probably) more than once. left
 // is how many keys this rank's stream will emit (an upper bound when reads
 // contain non-ACGT bytes).
-func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int, left int64,
+func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
 	filter *bloom.Filter, part *Partition) StageStats {
 
 	st := StageStats{Rounds: rounds}
@@ -353,9 +364,9 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int
 	ws := func() float64 {
 		return float64(filter.SizeBytes()) + float64(part.n)*48
 	}
-	pack := func() [][]kmer.Kmer {
+	pack := func(send [][]kmer.Kmer) {
 		t0 := walltime.Now()
-		send := roundBufs[kmer.Kmer](p, cfg, left)
+		sizeRows(send, cfg, left, 2)
 		parsed := int64(0)
 		for parsed < int64(cfg.MaxKmersPerRound) {
 			ex, ok := str.next()
@@ -377,7 +388,6 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int
 		st.BytesPacked += parsed * 8
 		st.PackVirtual += pr.tick(float64(parsed*8), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
-		return send
 	}
 	process := func(recv [][]kmer.Kmer) {
 		t0 := walltime.Now()
@@ -396,7 +406,7 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int
 		st.LocalVirtual += pr.tick(float64(received), machine.RateBloomInsert, ws())
 		st.LocalWall += walltime.Since(t0)
 	}
-	runRounds(c, &st, cfg, rounds, pack, process)
+	runRounds(c, &st, bufs, rounds, pack, process)
 	return st
 }
 
@@ -408,7 +418,7 @@ type occMsg struct {
 
 // hashPass streams occurrences to owners, accumulating counts and
 // locations for resident keys. left is as in bloomPass.
-func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int, left int64,
+func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
 	part *Partition) StageStats {
 
 	st := StageStats{Rounds: rounds}
@@ -420,9 +430,9 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 	t0 := walltime.Now()
 	part.layOut(cfg.KeepSingletons)
 	st.LocalWall += walltime.Since(t0)
-	pack := func() [][]occMsg {
+	pack := func(send [][]occMsg) {
 		t0 := walltime.Now()
-		send := roundBufs[occMsg](p, cfg, left)
+		sizeRows(send, cfg, left, 1)
 		parsed := int64(0)
 		for parsed < int64(cfg.MaxKmersPerRound) {
 			ex, ok := str.next()
@@ -443,7 +453,6 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 		st.BytesPacked += parsed * 16
 		st.PackVirtual += pr.tick(float64(parsed*16), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
-		return send
 	}
 	process := func(recv [][]occMsg) {
 		t0 := walltime.Now()
@@ -460,6 +469,6 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, rounds int,
 		st.LocalVirtual += pr.tick(float64(received), machine.RateHTInsert, ws())
 		st.LocalWall += walltime.Since(t0)
 	}
-	runRounds(c, &st, cfg, rounds, pack, process)
+	runRounds(c, &st, bufs, rounds, pack, process)
 	return st
 }

@@ -469,20 +469,32 @@ func sparseReads(seed int64, genome int) [][]byte {
 	return seqs
 }
 
-// buildAllocs runs a 2-rank Build and returns the bytes and the objects the
-// whole process allocated during it, next to what the build had to move
-// and keep: both passes' packed bytes plus the final partitions.
-func buildAllocs(t *testing.T, seqs [][]byte, cfg Config) (allocated, needed, mallocs int64) {
+// buildCost is what a 2-rank Build allocated, process-wide, next to what it
+// had reason to: the ring both passes exchange out of, what it keeps (the
+// final partitions, and the Bloom filter it holds between the passes), and
+// for scale what it shipped.
+type buildCost struct {
+	allocated, mallocs  int64
+	ring, kept, shipped int64
+	table               int64 // the partitions' share of kept
+}
+
+func buildAllocs(t *testing.T, seqs [][]byte, cfg Config) buildCost {
 	t.Helper()
 	store := fastq.NewReadStore(recordsOf(seqs), 2)
 	locals := []LocalReads{localReadsOf(store, 0), localReadsOf(store, 1)}
-	perRank := make([]int64, 2)
+	perRank := make([]buildCost, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := spmd.Run(2, func(c *spmd.Comm) error {
 		part, st, err := Build(c, nil, locals[c.Rank()], cfg)
 		if err == nil {
-			perRank[c.Rank()] = st.Bloom.BytesPacked + st.Hash.BytesPacked + part.MemBytes()
+			perRank[c.Rank()] = buildCost{
+				ring:    st.ExchangeMemBytes,
+				kept:    part.MemBytes() + int64(st.BloomBits/8),
+				table:   part.MemBytes(),
+				shipped: st.Bloom.BytesPacked + st.Hash.BytesPacked,
+			}
 		}
 		return err
 	})
@@ -490,45 +502,73 @@ func buildAllocs(t *testing.T, seqs [][]byte, cfg Config) (allocated, needed, ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(after.TotalAlloc - before.TotalAlloc), perRank[0] + perRank[1], int64(after.Mallocs - before.Mallocs)
+	return buildCost{
+		allocated: int64(after.TotalAlloc - before.TotalAlloc),
+		mallocs:   int64(after.Mallocs - before.Mallocs),
+		ring:      perRank[0].ring + perRank[1].ring,
+		kept:      perRank[0].kept + perRank[1].kept,
+		table:     perRank[0].table + perRank[1].table,
+		shipped:   perRank[0].shipped + perRank[1].shipped,
+	}
 }
 
 // TestBuildAllocationBudget is the noise-free form of the build's memory
-// claim: send buffers are sized once per round and the table is two
-// arrays, so a build allocates little more than it ships and keeps (the
-// slack is the slot arrays the table outgrew) in a few hundred objects —
-// and what it allocates follows the data, not how many rounds the data was
-// cut into.
+// claim: both passes exchange out of one ring of 2·depth row sets and the
+// table is three arrays, so a build allocates its ring, what it keeps and
+// the arrays the table outgrew on the way (doubling: at most the final
+// table's size again) in a few hundred objects however many rounds it runs. What it allocates therefore falls as the
+// same data is cut into more, smaller rounds, and twice the data costs the
+// growth of what is kept and nothing per k-mer shipped.
 func TestBuildAllocationBudget(t *testing.T) {
-	seqs := sparseReads(11, 400000)
+	seqs := sparseReads(11, 800000) // seven default rounds a pass: the ring of four sets is full
 	cfg := Config{K: 17, MaxFreq: 8, Async: true}
-	allocated, needed, mallocs := buildAllocs(t, seqs, cfg)
-	t.Logf("one round: allocated %d bytes in %d objects, shipped+kept %d (%.2fx)",
-		allocated, mallocs, needed, float64(allocated)/float64(needed))
-	if float64(allocated) > 1.4*float64(needed) {
-		t.Errorf("build allocated %d bytes, budget 1.4 x %d", allocated, needed)
+	base := buildAllocs(t, seqs, cfg)
+	budget := base.ring + base.kept + base.table
+	t.Logf("default round: allocated %d bytes in %d objects; ring %d + kept %d + outgrown <= %d (%.2fx), shipped %d",
+		base.allocated, base.mallocs, base.ring, base.kept, base.table, float64(base.allocated)/float64(budget), base.shipped)
+	if float64(base.allocated) > 1.05*float64(budget) {
+		t.Errorf("build allocated %d bytes, budget 1.05 x (ring %d + kept %d + outgrown table %d)", base.allocated, base.ring, base.kept, base.table)
 	}
-	if mallocs > 500 {
-		t.Errorf("build allocated %d objects, budget 500: something allocates per key again", mallocs)
+	if base.mallocs > 500 {
+		t.Errorf("build allocated %d objects, budget 500: something allocates per key or per round again", base.mallocs)
 	}
+
+	prev := buildAllocs(t, seqs, Config{K: 17, MaxFreq: 8, Async: true, MaxKmersPerRound: 1 << 20})
+	t.Logf("one round: allocated %d bytes", prev.allocated)
 	for _, rounds := range []int{4, 32} {
 		cfg.MaxKmersPerRound = len(seqs) / 2 * 2000 / rounds
-		sliced, _, _ := buildAllocs(t, seqs, cfg)
-		t.Logf("~%d rounds: allocated %d bytes (%.2fx one round)", rounds, sliced, float64(sliced)/float64(allocated))
-		if float64(sliced) > 1.15*float64(allocated) {
-			t.Errorf("~%d rounds allocated %d bytes, one round %d: allocation grows with the round count", rounds, sliced, allocated)
+		sliced := buildAllocs(t, seqs, cfg)
+		t.Logf("~%d rounds: allocated %d bytes in %d objects (ring %d)", rounds, sliced.allocated, sliced.mallocs, sliced.ring)
+		if sliced.allocated >= prev.allocated {
+			t.Errorf("~%d rounds allocated %d bytes, fewer rounds %d: allocation does not fall with the round size", rounds, sliced.allocated, prev.allocated)
 		}
+		if sliced.mallocs > base.mallocs+50 {
+			t.Errorf("~%d rounds allocated %d objects, the default round %d: a round allocates", rounds, sliced.mallocs, base.mallocs)
+		}
+		prev = sliced
+	}
+
+	double := buildAllocs(t, sparseReads(11, 1600000), Config{K: 17, MaxFreq: 8, Async: true})
+	grew := double.kept - base.kept
+	t.Logf("twice the reads: allocated %d bytes (+%d), kept +%d, shipped +%d",
+		double.allocated, double.allocated-base.allocated, grew, double.shipped-base.shipped)
+	if double.ring != base.ring {
+		t.Errorf("ring %d bytes for twice the reads, %d before: the ring follows the input", double.ring, base.ring)
+	}
+	if extra := double.allocated - base.allocated; float64(extra) > 2.5*float64(grew) {
+		t.Errorf("twice the reads allocated %d more bytes for %d more kept: allocation follows the k-mer bag", extra, grew)
 	}
 }
 
 // TestIndexFormAllocsIndependentOfKeys: forming a serve index
 // (KeepSingletons: every distinct k-mer gets an entry) costs a number of
 // allocations that does not follow the number of keys — the map it
-// replaced paid two per key. Twice the reads, well under 1.2x the objects.
+// replaced paid two per key — nor, with twice the reads being twice the
+// rounds, the number of rounds. Twice the reads, well under 1.2x the objects.
 func TestIndexFormAllocsIndependentOfKeys(t *testing.T) {
 	cfg := Config{K: 17, MaxFreq: 8, Async: true, KeepSingletons: true}
-	_, _, small := buildAllocs(t, sparseReads(13, 200000), cfg)
-	_, _, large := buildAllocs(t, sparseReads(13, 400000), cfg)
+	small := buildAllocs(t, sparseReads(13, 200000), cfg).mallocs
+	large := buildAllocs(t, sparseReads(13, 400000), cfg).mallocs
 	t.Logf("mallocs: %d for 200 kb of reads, %d for 400 kb (%.2fx)", small, large, float64(large)/float64(small))
 	if float64(large) >= 1.2*float64(small) {
 		t.Errorf("twice the reads took %d allocations against %d: allocation count follows the key count", large, small)

@@ -69,19 +69,52 @@
 // implementation as the oracle; TestEncodeMatchesReference,
 // FuzzTableMatchesMap).
 //
-// A round's send buffers are sized once (roundBufs): the round's record
-// count is known and Owner is uniform, so each destination gets n/P plus a
-// sixteenth and append never regrows it — a build allocates ~1.06x the
-// bytes it ships, not the ~3x that doubling from nil cost
-// (TestBuildAllocationBudget holds a whole build to 1.4x what it ships and
-// keeps, in under 500 objects). Every round gets fresh buffers, because a
-// posted buffer must stay untouched until every rank has finished reading
-// it, and on the in-process transport receivers read the sender's memory
-// while they process the round, after their Wait. The earliest safe reuse
-// of round r's set is after this rank's Wait(r+BuildDepth) — a peer posts
-// that round only once it has processed round r — i.e. a ring of
-// 2·BuildDepth sets. None ships: the bench workloads run two rounds per
-// pass, where a ring recycles nothing.
+// Both passes exchange out of one fixed ring of send rows
+// (spmd.RoundBufs), so a rank's exchange memory is a constant and its peak
+// memory stops following its input. spmd.Rounds hands pack a set of
+// per-destination rows, empty with their capacity kept, and takes them
+// back when the round is posted; pack sizes a row the first time it meets
+// it empty (sizeRows): a round ships at most MaxKmersPerRound records and
+// Owner is uniform, so each destination gets n/P plus a sixteenth and
+// append never regrows it. The rows are kept as bytes and sized for the
+// hash pass's 16-byte records, so the Bloom pass's 8-byte keys pack into
+// the same memory rather than a ring of their own. A set may be written
+// again only when every rank has finished reading it, and on the in-process
+// transport receivers read the sender's memory while they process the
+// round, after their Wait: the earliest safe reuse of round r's set is
+// after this rank's Wait(r+BuildDepth) — a peer posts that round only once
+// it has processed round r — i.e. a ring of 2·BuildDepth sets, which holds
+// at depth 1 with two (spmd.RoundBufs carries the argument, and
+// TestRoundsRingReuse the stamped, slow-rank, race-detected check). In the
+// other direction the rows process is handed are valid only until it
+// returns: on the in-process transport they are the sender's rows, over
+// TCP the frame payloads where the transport read them, back in its pool
+// once process returns, the rank's own column its own send row on both.
+// Neither pass keeps one: the Bloom pass folds keys into the filter and the
+// table, the hash pass copies occurrences into the arena. A build
+// therefore allocates its ring, its filter and its table — in under 500
+// objects and no more bytes when the same reads are cut into more rounds
+// (TestBuildAllocationBudget) — where fresh buffers per round allocated
+// 1.06x every byte shipped.
+//
+// The round is 1<<16 k-mers: a hash-pass round is 1 MiB of records, which
+// is still in cache when the transport sends it and again when the
+// receiver walks it, and the ring is 4 x 1.06 MiB per rank at the default
+// depth. Prototype round sizes on the two-rank loopback-TCP workload of
+// bench/ (a 2 Mb sample at 1x; CPU seconds per run, largest resident set
+// of either process):
+//
+//	round   cpu_s   max RSS
+//	1<<19   0.323   59.7 MB   (the previous default; with it, fresh buffers)
+//	1<<17   0.284   32.7 MB
+//	1<<16   0.294   26.7 MB
+//	1<<15   0.307   23.5 MB
+//	1<<14   0.330   19.7 MB
+//
+// Below 1<<16 the per-round frame cost (61 µs for a small all-to-all over
+// loopback) takes back what the cache gave; above it memory grows for no
+// time. The round size is schedule only: it moves no byte of output
+// (TestStreamingRoundsMatchSingleRound, TestEncodeMatchesReference).
 //
 // With Config.MinimizerWindow > 1 both passes extract and exchange only
 // (w,k)-minimizer occurrences (kmer.Minimizers) instead of every k-mer,

@@ -376,7 +376,8 @@ func referenceBuild(store *fastq.ReadStore, p, rank int, cfg Config, perRound in
 // the bytes the map-backed build wrote — so checkpoint segments stay
 // version 2 and a directory written before the flat table resumes after
 // it — at every world size, in batch and serve (KeepSingletons) shape,
-// over one round and several.
+// over one round, several, and the default round (0: what setDefaults
+// picks, which the oracle is told by asking it).
 func TestEncodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	seqs := randReads(rng, 40, 300, 900)
@@ -390,9 +391,16 @@ func TestEncodeMatchesReference(t *testing.T) {
 		seqs = append(seqs, seqs[i][100:])
 	}
 	for _, keep := range []bool{false, true} {
-		for _, perRound := range []int{1 << 19, 1500} {
+		for _, perRound := range []int{1 << 19, 1500, 0} {
 			for _, p := range []int{1, 2, 4} {
 				cfg := Config{K: 17, MaxFreq: 8, KeepSingletons: keep, MaxKmersPerRound: perRound, Async: true}
+				if perRound == 0 {
+					resolved := cfg
+					if err := resolved.setDefaults(); err != nil {
+						t.Fatal(err)
+					}
+					perRound = resolved.MaxKmersPerRound
+				}
 				store := fastq.NewReadStore(recordsOf(seqs), p)
 				got := make([][]byte, p)
 				err := spmd.Run(p, func(c *spmd.Comm) error {

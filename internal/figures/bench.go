@@ -177,10 +177,6 @@ func ExchangeBench(o *Options) (*BenchResult, error) {
 		cfg.Exchange = mode
 		cfg.ReplyChunk, cfg.ReplyDepth = chunk, depth
 		cfg.MinimizerWindow = window
-		// Several exchange rounds per pass, so the round pipeline has
-		// in-flight exchanges to hide (one monolithic round would leave
-		// the Bloom/hash passes nothing to overlap).
-		cfg.MaxKmersPerRound = 1 << 16
 		store := fastq.NewReadStore(reads, p)
 		rep, _, err := pipeline.InProcess(p, mdl, func(c *spmd.Comm) (*pipeline.Report, *fastq.ReadStore, error) {
 			r, err := pipeline.ExecuteComm(c, mdl, store, cfg, ck)
@@ -321,7 +317,6 @@ func serveBench(o *Options, nodes, p int) (*ServeBench, error) {
 		cfg := oneSeedConfig()
 		cfg.KeepAlignments = true
 		cfg.KeepSingletons = true // the resident index keeps singletons
-		cfg.MaxKmersPerRound = 1 << 16
 		store := fastq.NewReadStore(indexed, c.Size())
 		w, err := pipeline.FormWorld(c, mdl, store, cfg)
 		if err != nil {
@@ -433,7 +428,6 @@ func minimizerRecallStudy(o *Options, nodes, p int) ([]RecallPoint, error) {
 		cfg := oneSeedConfig()
 		cfg.MinimizerWindow = w
 		cfg.KeepAlignments = true
-		cfg.MaxKmersPerRound = 1 << 16
 		rep, err := pipeline.Execute(p, mdl, ds.Reads, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("figures: recall study w=%d: %w", w, err)

@@ -79,7 +79,7 @@ type Config struct {
 	Scoring       align.Scoring // zero value: align.DefaultScoring
 	MinAlignScore int           // drop alignments scoring below this
 
-	MaxKmersPerRound int     // streaming batch bound (default 1<<19)
+	MaxKmersPerRound int     // streaming batch bound (default 1<<16, dht.Config)
 	BloomFP          float64 // Bloom false-positive target (default 0.01)
 	// MinimizerWindow > 1 seeds overlaps from (w,k)-minimizers only,
 	// trading a little recall for ~(w+1)/2 less k-mer traffic (extension;

@@ -127,6 +127,15 @@ func TestTCPTransportMatchesInProcess(t *testing.T) {
 		t.Errorf("PAF output differs between transports (%d vs %d bytes, %d vs %d records)",
 			memPAF.Len(), tcpPAF.Len(), len(memRep.Records), len(tcpRep.Records))
 	}
+
+	// The build stages' memory peaks count what they exchange through: the
+	// ring of send rows on both transports and, where a received row is a
+	// frame and not the sender's memory, the frames borrowed from the pool.
+	for _, s := range []StageName{StageBloom, StageHash} {
+		if m, tc := memRep.StageMemPeak(s), tcpRep.StageMemPeak(s); m <= 0 || tc <= m {
+			t.Errorf("%s stage peak: %d bytes in process, %d over tcp; want the borrowed frames on top", s, m, tc)
+		}
+	}
 }
 
 // pafBytes serializes a report's alignment records.

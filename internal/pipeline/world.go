@@ -83,12 +83,14 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 	}
 	w.part = part
 	w.rr.Bloom, w.rr.Hash, w.rr.Retained = buildStats.Bloom, buildStats.Hash, buildStats.Retained
-	// Stage-end memory samples: Bloom's peak (filter + nascent table) was
-	// taken inside the build while the filter was still alive; Hash is
-	// the world's footprint now that the table stands.
+	// Stage-end memory samples: Bloom's peak (filter + nascent table +
+	// exchange buffers) was taken inside the build while the filter was
+	// still alive; Hash is the world's footprint now that the table stands,
+	// plus the exchange buffers the pass held until a moment ago. What stays
+	// resident is the world alone.
 	w.rr.MemPeak.Bloom = buildStats.BloomMemBytes
-	w.rr.MemPeak.Hash = w.MemBytes()
-	residentMemory.WithRank(c.Rank()).Set(w.rr.MemPeak.Hash)
+	w.rr.MemPeak.Hash = w.MemBytes() + buildStats.ExchangeMemBytes
+	residentMemory.WithRank(c.Rank()).Set(w.MemBytes())
 	stageExchangeBytes.With(string(StageBloom)).Add(buildStats.Bloom.BytesPacked)
 	stageExchangeBytes.With(string(StageHash)).Add(buildStats.Hash.BytesPacked)
 

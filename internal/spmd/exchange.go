@@ -2,11 +2,15 @@ package spmd
 
 // The one exchange path of the typed layer. Every collective in this
 // package is the same two steps over Transport.IAlltoallv: post (cast the
-// typed rows to bytes and hand them to the transport) and handle.Wait
-// (complete, fold the modeled cost into the BSP clock, copy the payloads
-// out). What distinguishes a blocking Alltoallv from a barrier, a posted
-// non-blocking exchange or one chunk round of a stream is only how it is
-// priced, and that is data: a pricing value.
+// typed rows to bytes and hand them to the transport) and complete (wait,
+// fold the modeled cost into the BSP clock). What distinguishes a blocking
+// Alltoallv from a barrier, a posted non-blocking exchange or one chunk
+// round of a stream is only how it is priced, and that is data: a pricing
+// value. What happens to the received rows is the caller's lifetime for
+// them: a collective whose result escapes (handle.Wait under Alltoallv, the
+// gathers, a stream's rounds) copies them out of a non-shared transport's
+// buffers; Rounds, whose process callback is done with them when it
+// returns, reads them where they are.
 //
 // Non-blocking exchanges are the MPI_Ialltoallv analogue that lets a rank
 // post round r+1's exchange and keep computing on round r while the
@@ -122,7 +126,9 @@ type streamState struct {
 	completion float64
 }
 
-// handle is the completion handle of one posted exchange.
+// handle is the completion handle of one posted exchange. It holds nothing
+// of an exchange once that is waited, so Rounds posts a pass through the
+// same few handles.
 type handle[T any] struct {
 	c       *Comm
 	pe      PendingExchange
@@ -144,31 +150,48 @@ type handle[T any] struct {
 // pending exchange's frames on serializing transports and deliver wrong
 // data, so the schedule error fails loudly instead.
 func (c *Comm) requireIdle(op string) {
-	if len(c.pending) > 0 {
+	if n := c.pending(); n > 0 {
 		panic(fmt.Sprintf("spmd: rank %d issued blocking %s with %d non-blocking exchange(s) pending; Wait them first",
-			c.Rank(), op, len(c.pending)))
+			c.Rank(), op, n))
 	}
 }
 
-// post is the one cast-and-post step: rank i's send[j] will be delivered
-// as rank j's recv[i] when every rank has posted the matching exchange.
-func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T] {
-	p := c.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("spmd: %s send length %d != world size %d", r.op, len(send), p))
+// requirePOD refuses an element type the typed layer cannot carry, before
+// anything is posted.
+func requirePOD[T any](op string) {
+	if !isPOD[T]() {
+		panic(fmt.Sprintf("spmd: %s element type %T contains pointers; the typed layer carries pointer-free elements only (encode to bytes, or use AlltoallvPacked)", op, *new(T)))
 	}
+}
+
+// post is the cast-and-post step of a collective called with typed rows:
+// rank i's send[j] will be delivered as rank j's recv[i] when every rank
+// has posted the matching exchange.
+func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T] {
+	if len(send) != c.Size() {
+		panic(fmt.Sprintf("spmd: %s send length %d != world size %d", r.op, len(send), c.Size()))
+	}
+	requirePOD[T](r.op)
+	raw := make([][]byte, len(send))
+	for dst := range raw {
+		raw[dst] = castToBytes(send[dst])
+	}
+	h := new(handle[T])
+	h.post(c, raw, r, serial)
+	return h
+}
+
+// post hands one row per rank to the transport and makes h the exchange's
+// handle. raw belongs to the exchange until it is waited (on a shared
+// transport, until every peer has read its column).
+func (h *handle[T]) post(c *Comm, raw [][]byte, r *pricing, serial *streamState) {
 	if r.blocking {
 		c.requireIdle(r.op)
 	}
-	if !isPOD[T]() {
-		panic(fmt.Sprintf("spmd: %s element type %T contains pointers; the typed layer carries pointer-free elements only (encode to bytes, or use AlltoallvPacked)", r.op, *new(T)))
-	}
 	now := time.Now()
-	raw := make([][]byte, p)
 	var myBytes int64
-	for dst := 0; dst < p; dst++ {
-		raw[dst] = castToBytes(send[dst])
-		myBytes += int64(len(raw[dst]))
+	for _, b := range raw {
+		myBytes += int64(len(b))
 	}
 	if r.small {
 		myBytes = 0 // latency-bound: priced per call, not per byte
@@ -184,7 +207,13 @@ func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T
 		c.Tick(d)
 		c.stats.ExchangeVirtual += d
 	}
-	h := &handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now, serial: serial}
+	*h = handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now, serial: serial}
+	if c.pending() == 0 {
+		// First in-flight exchange: compute from here on counts as
+		// overlap (until attributed by a Wait).
+		c.anchorWall = now
+		c.anchorExchWall = c.stats.ExchangeWall
+	}
 	c.nextID++
 	if !r.blocking {
 		c.postSeq++
@@ -199,29 +228,23 @@ func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T
 		}
 		inflightExchanges.Add(1)
 	}
-	if len(c.pending) == 0 {
-		// First in-flight exchange: compute from here on counts as
-		// overlap (until attributed by a Wait).
-		c.anchorWall = now
-		c.anchorExchWall = c.stats.ExchangeWall
-	}
-	c.pending = append(c.pending, h.id)
-	return h
 }
 
-// Wait blocks until the exchange completes and returns the received
-// buffers (recv[src] is what rank src sent here). It folds the exchange's
-// modeled cost into the BSP clock as described in the package comment and
-// must be called exactly once per handle, in posting order.
-func (h *handle[T]) Wait() [][]T {
+// complete blocks until the exchange completes, folds its modeled cost into
+// the BSP clock as described in the package comment, and returns the
+// received rows as the transport holds them (recv[src] is what rank src
+// sent here; the header is the transport's until this rank's next post or
+// wait). It must be called exactly once per posted exchange, in posting
+// order.
+func (h *handle[T]) complete() [][]byte {
 	c, r := h.c, h.rule
 	if h.done {
 		panic("spmd: exchange waited twice")
 	}
-	if len(c.pending) == 0 || c.pending[0] != h.id {
+	if c.pending() == 0 || c.waitedID != h.id {
 		panic("spmd: non-blocking exchanges must be waited in posting order")
 	}
-	c.pending = c.pending[1:]
+	c.waitedID++
 	h.done = true
 
 	// A blocking collective has been blocked since its post. A posted one
@@ -282,19 +305,48 @@ func (h *handle[T]) Wait() [][]T {
 		c.rec.FlowIn(traceExchange, c.clock, h.flow)
 		inflightExchanges.Add(-1)
 	}
+	return rraw
+}
 
+// Wait completes the exchange and returns the received rows as the
+// caller's own: recv[src] is what rank src sent here, copied out of a
+// non-shared transport's buffers (which go back to the frame pool) and, on
+// a shared one, the sender's memory itself.
+func (h *handle[T]) Wait() [][]T {
+	rraw := h.complete()
+	c := h.c
 	shared := c.tr.Shared()
 	recv := make([][]T, len(rraw))
-	rec, _ := c.tr.(recvBufRecycler)
-	for src := range rraw {
-		recv[src] = castFromBytes[T](rraw[src], shared)
-		// Copied out — recycle the pooled frame payload (own rank's
-		// column aliases the posted send buffer; skip it).
-		if rec != nil && !shared && src != c.Rank() {
-			rec.RecycleRecvBuf(rraw[src])
+	for src, b := range rraw {
+		n := rowLen[T](c, h.rule.op, src, b)
+		if shared || src == c.Rank() || n == 0 {
+			recv[src] = viewRow[T](b, n)
+			continue
 		}
+		recv[src] = make([]T, n)
+		copy(castToBytes(recv[src]), b)
 	}
+	c.recycle(rraw)
 	return recv
+}
+
+// recycle returns one exchange's received payloads to a non-shared
+// transport's frame pool. The rank's own column is skipped: it is the row
+// this rank posted, not a pooled buffer.
+func (c *Comm) recycle(rraw [][]byte) {
+	rec, ok := c.tr.(recvBufRecycler)
+	if !ok || c.tr.Shared() {
+		return
+	}
+	for src, b := range rraw {
+		if src == c.Rank() || cap(b) == 0 {
+			continue
+		}
+		if poisonRecycled {
+			poison(b[:cap(b)])
+		}
+		rec.RecycleRecvBuf(b)
+	}
 }
 
 // Alltoallv performs an irregular all-to-all: rank i's send[j] is delivered
@@ -320,16 +372,65 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 // rank has waited": the received slices alias this memory and a peer goes
 // on reading them after its Wait returns, for as long as it holds them. A
 // caller that wants to reuse a send buffer needs its own evidence that
-// every peer is done with it (internal/dht's doc states the rule for its
-// rounds); allocating per post, as every caller in the tree does, needs
-// none.
+// every peer is done with it — Rounds has it, and is the one place in the
+// tree that does.
 func ialltoallv[T any](c *Comm, send [][]T) *handle[T] {
 	return post(c, send, &pricePosted, nil)
 }
 
-// Rounds runs a pass of rounds exchange rounds: pack produces the next
-// round's send rows, process consumes one round's received rows, and both
-// are called exactly rounds times, in round order. Up to depth exchanges
+// RoundBufs is the memory a build's passes exchange out of: a ring of send
+// row sets, one row per destination in each, that Rounds hands to pack
+// round after round and pass after pass. The rows are kept as bytes, so a
+// pass of 8-byte records and the pass of 16-byte records after it pack into
+// the same memory. The window depth is fixed with the ring because the
+// ring's length follows from it.
+//
+// Why 2·depth sets. Round r's set may be written again once every peer has
+// finished reading it, and on the in-process transport a peer reads it —
+// the received rows are this memory — until its process(r) returns. A peer
+// packs and posts round r+depth only after that (Rounds posts round q right
+// before waiting round q-depth+1, with process(q-depth) behind it), so this
+// rank's wait of round r+depth completing is the evidence that every peer
+// is done with round r. Round q is packed after the wait of round q-depth,
+// which frees the set of round q-2·depth: a ring of 2·depth, and no fewer.
+// The count runs on from one pass into the next — nothing orders the ranks
+// between two passes, so a peer may still be reading the last rounds of
+// one while this rank packs the first of the next. At depth 1, the blocking
+// schedule, the same argument gives two sets.
+type RoundBufs struct {
+	depth int
+	sets  [][][]byte // sets[i][dst]: len what was posted, cap the row's memory
+	next  int        // rounds packed so far, over every pass
+	// borrowed is the most received-payload memory one round held of a
+	// non-shared transport's frame pool.
+	borrowed int64
+}
+
+// NewRoundBufs returns an empty ring for passes that keep depth exchanges
+// in flight (depth 1, or less, is the bulk-synchronous schedule). Rows are
+// allocated by pack, as it first meets each of them empty.
+func NewRoundBufs(depth int) *RoundBufs {
+	depth = max(depth, 1)
+	return &RoundBufs{depth: depth, sets: make([][][]byte, 2*depth)}
+}
+
+// MemBytes is what exchanging through the ring holds at its peak: the
+// ring's rows, plus — where received rows are frames borrowed from the pool
+// rather than the sender's memory — a round's frames for each of the depth
+// rounds a peer may have sent ahead.
+func (b *RoundBufs) MemBytes() int64 {
+	n := int64(b.depth) * b.borrowed
+	for _, set := range b.sets {
+		for _, row := range set {
+			n += int64(cap(row))
+		}
+	}
+	return n
+}
+
+// Rounds runs a pass of rounds exchange rounds: pack fills the next round's
+// send rows, process consumes one round's received rows, and both are
+// called exactly rounds times, in round order. Up to bufs' depth exchanges
 // are kept in flight — depth-1 posted ahead, then one more ahead of each
 // wait — so round r+1 is packed and posted while round r's payloads move
 // and processing round r overlaps round r+1's exchange: the paper's
@@ -339,32 +440,83 @@ func ialltoallv[T any](c *Comm, send [][]T) *handle[T] {
 //
 // A single-round pass has nothing to pipeline — posting cost would be
 // pure loss — so with fewer than two rounds or a window below two every
-// round is a blocking Alltoallv at blocking pricing: depth 1 is the
+// round is a blocking exchange at blocking pricing: depth 1 is the
 // bulk-synchronous schedule. process sees identical data in identical
-// order either way. Neither callback may issue a collective, and the rows
-// pack returns are handed off as ialltoallv's are: not to be written again
-// while a peer may still be reading them.
-func Rounds[T any](c *Comm, rounds, depth int, pack func() [][]T, process func([][]T)) {
+// order either way. Neither callback may issue a collective.
+//
+// Rounds owns the rows in both directions, and a pass in steady state
+// allocates nothing.
+//
+// Send: pack is handed send, one row per destination, each empty with the
+// capacity it had when its set last went round the ring (none the first
+// time: pack sizes it), and appends to send[dst] in place. The rows are
+// read by the exchange and by peers from the moment pack returns; pack must
+// keep no reference to them.
+//
+// Receive: the rows process is handed are valid until it returns. On a
+// shared transport they are the senders' rows, as ever; on any other they
+// are the frame payloads where the transport read them — no copy — and go
+// back to the frame pool when process returns. The rank's own column is
+// its own send row on every transport. process must copy what it keeps.
+func Rounds[T any](c *Comm, bufs *RoundBufs, rounds int, pack func(send [][]T), process func(recv [][]T)) {
+	rule, depth := &pricePosted, bufs.depth
 	if rounds < 2 || depth < 2 {
-		for round := 0; round < rounds; round++ {
-			process(Alltoallv(c, pack()))
-		}
-		return
+		rule, depth = &priceAlltoallv, 1
 	}
-	var pending []*handle[T]
+	requirePOD[T](rule.op)
+	p := c.Size()
+	send, recv := make([][]T, p), make([][]T, p)
+	rraw := make([][]byte, p) // the transport's header stands only until the next post
+	handles := make([]handle[T], depth)
 	posted := 0
-	for posted < rounds && posted < depth-1 {
-		pending = append(pending, ialltoallv(c, pack()))
+	postNext := func() {
+		i := bufs.next % len(bufs.sets)
+		bufs.next++
+		if bufs.sets[i] == nil {
+			bufs.sets[i] = make([][]byte, p)
+		}
+		set := bufs.sets[i]
+		for dst, b := range set {
+			if poisonRecycled {
+				poison(b[:cap(b)])
+			}
+			send[dst] = emptyRow[T](b)
+		}
+		pack(send)
+		for dst, row := range send {
+			set[dst] = castToBytes(row[:cap(row)])[:len(row)*elemSize[T]()]
+		}
+		h := &handles[posted%depth]
+		if rule.blocking {
+			c.rec.Begin(traceAlltoallv, c.clock)
+		}
+		h.post(c, set, rule, nil)
 		posted++
+	}
+	for posted < rounds && posted < depth-1 {
+		postNext()
 	}
 	for round := 0; round < rounds; round++ {
 		if posted < rounds {
-			pending = append(pending, ialltoallv(c, pack()))
-			posted++
+			postNext()
 		}
-		recv := pending[0].Wait()
-		pending = pending[1:]
+		h := &handles[round%depth]
+		copy(rraw, h.complete())
+		if rule.blocking {
+			c.rec.End(traceAlltoallv, c.clock, h.myBytes)
+		}
+		var held int64
+		for src, b := range rraw {
+			recv[src] = viewRow[T](b, rowLen[T](c, rule.op, src, b))
+			if src != c.Rank() {
+				held += int64(cap(b))
+			}
+		}
 		process(recv)
+		if !c.tr.Shared() {
+			bufs.borrowed = max(bufs.borrowed, held)
+		}
+		c.recycle(rraw)
 	}
 }
 

@@ -20,17 +20,15 @@ func roundsTransposeProgram(rounds, depth int) func(*Comm) error {
 				failed = fmt.Errorf(format, args...)
 			}
 		}
-		pack := func() [][]int32 {
+		pack := func(send [][]int32) {
 			round := packed
 			packed++
-			send := make([][]int32, p)
 			for dst := 0; dst < p; dst++ {
 				n := (c.Rank()+dst+round)%3 + 1
 				for k := 0; k < n; k++ {
 					send[dst] = append(send[dst], int32(round*100000+c.Rank()*1000+dst*10+k))
 				}
 			}
-			return send
 		}
 		process := func(recv [][]int32) {
 			round := processed
@@ -56,7 +54,7 @@ func roundsTransposeProgram(rounds, depth int) func(*Comm) error {
 				}
 			}
 		}
-		Rounds(c, rounds, depth, pack, process)
+		Rounds(c, NewRoundBufs(depth), rounds, pack, process)
 		if failed != nil {
 			return failed
 		}
@@ -166,8 +164,8 @@ func TestRoundsPricing(t *testing.T) {
 		{rounds: 3, depth: 2, clock: 28, exchange: 3 * (cost + 1), hidden: 2 + 10 + 5},
 	} {
 		err := RunWithModel(2, postingModel{fixedModel{cost: cost}}, func(c *Comm) error {
-			Rounds(c, tc.rounds, tc.depth,
-				func() [][]int32 { return make([][]int32, 2) },
+			Rounds(c, NewRoundBufs(tc.depth), tc.rounds,
+				func([][]int32) {},
 				func([][]int32) { c.Tick(4) })
 			st := c.Stats()
 			if c.Now() != tc.clock || st.ExchangeVirtual != tc.exchange || st.OverlapVirtual != tc.hidden {
@@ -257,7 +255,7 @@ var closureShapes = []struct {
 		AlltoallvDuring(c, make([][]int32, c.Size()), body)
 	}},
 	{"process", func(c *Comm, body func()) {
-		Rounds(c, 4, 2, func() [][]int32 { return make([][]int32, c.Size()) },
+		Rounds(c, NewRoundBufs(2), 4, func([][]int32) {},
 			func([][]int32) { body() })
 	}},
 }

@@ -116,12 +116,14 @@ type Stats struct {
 // virtual clock and accounting. It is confined to that rank's goroutine
 // (or process); only the transport synchronizes.
 type Comm struct {
-	tr      Transport
-	model   CommModel
-	clock   float64 // virtual seconds
-	stats   Stats
-	pending []uint64 // posted-but-unwaited non-blocking handles, FIFO
-	nextID  uint64
+	tr    Transport
+	model CommModel
+	clock float64 // virtual seconds
+	stats Stats
+	// Exchanges are waited in posting order, so the posted-but-unwaited
+	// ones are the ids in [waitedID, nextID).
+	nextID   uint64
+	waitedID uint64
 	// Flight recorder (nil unless tracing is enabled; every emit on a nil
 	// recorder is a no-op). postSeq numbers posted exchanges: posts are
 	// collectively ordered, so post k on one rank and wait k on another
@@ -139,6 +141,9 @@ type Comm struct {
 
 // Rank returns this rank's index in [0, Size).
 func (c *Comm) Rank() int { return c.tr.Rank() }
+
+// pending is the number of exchanges posted and not yet waited.
+func (c *Comm) pending() int { return int(c.nextID - c.waitedID) }
 
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.tr.Size() }
@@ -222,11 +227,11 @@ func runRank(tr Transport, model CommModel, fn func(*Comm) error) (err error) {
 	}()
 	c := &Comm{tr: tr, model: model, rec: trace.Rec(tr.Rank())}
 	err = fn(c)
-	if err == nil && len(c.pending) > 0 {
+	if err == nil && c.pending() > 0 {
 		// requireIdle's twin for a rank that issues no further collective:
 		// its peers have posted the matching exchanges and would otherwise
 		// find out at teardown, or never.
-		err = fmt.Errorf("returned with %d non-blocking exchange(s) pending", len(c.pending))
+		err = fmt.Errorf("returned with %d non-blocking exchange(s) pending", c.pending())
 	}
 	if err != nil {
 		tr.Abort()
@@ -313,26 +318,57 @@ func castToBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*elemSize[T]())
 }
 
-// castFromBytes turns raw bytes back into a []T. When shared, the bytes
-// are the sender's own []T memory (correctly aligned by construction) and
-// are reinterpreted in place, preserving the zero-copy semantics of the
-// in-process backend; otherwise the bytes arrived from another process and
-// are copied into a freshly allocated, properly aligned []T.
-func castFromBytes[T any](b []byte, shared bool) []T {
-	if len(b) == 0 {
-		return nil
-	}
+// rowLen is how many T the bytes rank src sent hold. A payload that is not
+// a whole number of them is a peer's protocol violation — mismatched
+// binaries, a corrupted stream — and fails the collective as a torn
+// connection does: a rank-attributed error that aborts the world, not a
+// panic's stack trace.
+func rowLen[T any](c *Comm, op string, src int, b []byte) int {
 	size := elemSize[T]()
 	if len(b)%size != 0 {
-		panic(fmt.Sprintf("spmd: received %d bytes, not a multiple of element size %d", len(b), size))
+		collectiveFailed(c, op, fmt.Errorf("rank %d sent %d bytes, not a multiple of element size %d", src, len(b), size))
 	}
-	n := len(b) / size
-	if shared {
-		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+	return len(b) / size
+}
+
+// viewRow reinterprets received bytes as the n T they hold, in place. The
+// bytes are a sender's own []T (a shared transport, or this rank's own
+// column) or a frame-pool buffer, and aligned for T either way.
+func viewRow[T any](b []byte, n int) []T {
+	if n == 0 {
+		return nil
 	}
-	out := make([]T, n)
-	copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(b)), b)
-	return out
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n)
+}
+
+// emptyRow is the zero-length []T over all of b's memory, or nil when that
+// memory holds no T or is not aligned for one (it was last some other
+// element type's row).
+func emptyRow[T any](b []byte) []T {
+	var zero T
+	n := cap(b) / int(unsafe.Sizeof(zero))
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if n == 0 || uintptr(p)%unsafe.Alignof(zero) != 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(p), n)[:0]
+}
+
+// poisonRecycled makes every row that goes round — a send row handed back
+// to pack, a received frame returned to the pool — be overwritten first, so
+// that a reader that kept an alias past its time reads 0xDB and not
+// plausible stale data.
+var poisonRecycled bool
+
+// PoisonRecycledRows arms the overwrite for the life of the process. It is
+// for TestMain: the packages whose tests run Rounds arm it before any world
+// exists, and nothing else may call it.
+func PoisonRecycledRows() { poisonRecycled = true }
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // Alltoall delivers exactly one element to every rank: rank i's send[j]
@@ -392,7 +428,7 @@ func gatherVals[T any](c *Comm, v T) []T {
 	out := make([]T, c.Size())
 	for i, b := range post(c, replicate(c, raw), &priceAllgather, nil).Wait() {
 		if len(b)%size != 0 || !row && len(b) != size {
-			panic(fmt.Sprintf("spmd: allgather of %T: rank %d sent %d bytes, element size %d", v, i, len(b), size))
+			collectiveFailed(c, priceAllgather.op, fmt.Errorf("allgather of %T: rank %d sent %d bytes, element size %d", v, i, len(b), size))
 		}
 		dst := unsafe.Pointer(&out[i])
 		if row {

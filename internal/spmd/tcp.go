@@ -75,6 +75,11 @@ type tcpTransport struct {
 	rank, size int
 	peers      []*peerConn // indexed by rank; nil at own index
 	seq        uint64      // collective sequence number
+	// Confined to the rank's own goroutine, which alone posts and waits:
+	// the header Wait returns, reused by the next Wait, and the handles of
+	// completed exchanges, reused by later posts.
+	recv [][]byte
+	idle []*tcpPending
 
 	done     chan struct{} // closed on shutdown; unblocks readers/receivers
 	shutdown sync.Once
@@ -98,6 +103,7 @@ func dialTCP(p *JoinBootstrap) (Transport, error) {
 		rank:  p.Rank,
 		size:  p.Size,
 		peers: make([]*peerConn, p.Size),
+		recv:  make([][]byte, p.Size),
 		done:  make(chan struct{}),
 	}
 	deadline := formDeadline(p.Timeout)
@@ -367,7 +373,7 @@ func (t *tcpTransport) writeLoop(p *peerConn) {
 // readLoop decodes frames from one peer for the life of the world,
 // delivering them (or the terminal error) to the collective receive
 // path. Payloads come from the frame pool; the typed layer recycles
-// them (RecycleRecvBuf) after copying the data out.
+// them (RecycleRecvBuf) once it is done with them.
 func (t *tcpTransport) readLoop(p *peerConn) {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
 	for {
@@ -418,13 +424,15 @@ func (t *tcpTransport) recvColl(src int, seq uint64) (frame, error) {
 }
 
 // tcpPending is one posted non-blocking exchange: the sequence it was
-// assigned, this rank's contributions, the receive buffers, and the write
-// completion tracking shared with the per-peer writer goroutines.
+// assigned, this rank's contributions, the frames queued on the per-peer
+// writer goroutines and their completion tracking. A handle whose Wait
+// succeeded has no reader left and serves a later post.
 type tcpPending struct {
 	t            *tcpTransport
 	seq          uint64
 	clock, bytes float64
-	recv         [][]byte
+	own          []byte  // this rank's own column
+	frames       []frame // the outbound frame per peer, indexed by rank
 	wg           sync.WaitGroup
 	writeErrs    []error
 }
@@ -437,28 +445,25 @@ func (t *tcpTransport) IAlltoallv(send [][]byte, clock, sentBytes float64) (Pend
 	if t.isAborted() {
 		return nil, ErrAborted
 	}
-	seq := t.seq
-	t.seq++
-	h := &tcpPending{
-		t: t, seq: seq, clock: clock, bytes: sentBytes,
-		recv:      make([][]byte, t.size),
-		writeErrs: make([]error, t.size),
+	var h *tcpPending
+	if n := len(t.idle); n > 0 {
+		h, t.idle = t.idle[n-1], t.idle[:n-1]
+	} else {
+		h = &tcpPending{t: t, frames: make([]frame, t.size), writeErrs: make([]error, t.size)}
 	}
-	h.recv[t.rank] = send[t.rank]
+	h.seq, h.clock, h.bytes, h.own = t.seq, clock, sentBytes, send[t.rank]
+	t.seq++
 	for dst := 0; dst < t.size; dst++ {
 		if dst == t.rank {
 			continue
 		}
 		h.wg.Add(1)
-		of := outFrame{
-			f: &frame{
-				Type: frameColl, Seq: seq,
-				Clock: clock, Bytes: sentBytes,
-				Payload: send[dst],
-			},
-			wg:   &h.wg,
-			errp: &h.writeErrs[dst],
+		h.frames[dst] = frame{
+			Type: frameColl, Seq: h.seq,
+			Clock: clock, Bytes: sentBytes,
+			Payload: send[dst],
 		}
+		of := outFrame{f: &h.frames[dst], wg: &h.wg, errp: &h.writeErrs[dst]}
 		select {
 		case t.peers[dst].sendq <- of:
 		case <-t.done:
@@ -479,6 +484,7 @@ func (h *tcpPending) Wait() ([][]byte, float64, float64, error) {
 	var collErr error
 	for src := 0; src < t.size; src++ {
 		if src == t.rank {
+			t.recv[src] = h.own
 			continue
 		}
 		f, err := t.recvColl(src, h.seq)
@@ -486,7 +492,7 @@ func (h *tcpPending) Wait() ([][]byte, float64, float64, error) {
 			collErr = err
 			break
 		}
-		h.recv[src] = f.Payload
+		t.recv[src] = f.Payload
 		if f.Clock > maxClock {
 			maxClock = f.Clock
 		}
@@ -503,7 +509,12 @@ func (h *tcpPending) Wait() ([][]byte, float64, float64, error) {
 			}
 		}
 		if collErr == nil {
-			return h.recv, maxClock, maxBytes, nil
+			// Flushed and received: nothing refers to the handle any more.
+			// Its send rows go with it, not to be pinned until the reuse.
+			h.own = nil
+			clear(h.frames)
+			t.idle = append(t.idle, h)
+			return t.recv, maxClock, maxBytes, nil
 		}
 	}
 	// Failure path. Classify before tearing down (Abort sets the flag we
@@ -548,7 +559,7 @@ func (t *tcpTransport) Size() int    { return t.size }
 func (t *tcpTransport) Shared() bool { return false }
 
 // RecycleRecvBuf returns a received frame payload to the pool once the
-// typed layer has copied its contents out (recvBufRecycler).
+// typed layer is done with it (recvBufRecycler).
 func (t *tcpTransport) RecycleRecvBuf(b []byte) { putFrameBuf(b) }
 
 func (t *tcpTransport) isAborted() bool {

@@ -405,3 +405,113 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		t.Error("oversize write accepted")
 	}
 }
+
+// rawPeer joins a world of size ranks as its last rank by hand, over bare
+// connections: it says hello at the rendezvous, reads the peer table and
+// dials every rank in between, and returns one connection per real rank —
+// a peer that speaks the framing and nothing else, for injecting frames no
+// honest rank would send.
+func rawPeer(t *testing.T, rendezvous string, size int) []net.Conn {
+	t.Helper()
+	me := size - 1
+	hello := func(addr, mesh string) net.Conn {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Errorf("raw peer dialing %s: %v", addr, err)
+			return nil
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := writeFrame(conn, &frame{Type: frameHello, Payload: helloMsg{Rank: me, Addr: mesh}.encode()}); err != nil {
+			t.Errorf("raw peer hello to %s: %v", addr, err)
+		}
+		return conn
+	}
+	conns := make([]net.Conn, me)
+	// The last rank is dialed by nobody; the address it announces is never used.
+	if conns[0] = hello(rendezvous, "127.0.0.1:1"); conns[0] == nil {
+		return nil
+	}
+	pf, err := readFrame(conns[0])
+	if err != nil || pf.Type != framePeers {
+		t.Errorf("raw peer awaiting the peer table: type %d, %v", pf.Type, err)
+		return nil
+	}
+	addrs, err := decodePeers(pf.Payload)
+	if err != nil {
+		t.Errorf("raw peer decoding the peer table: %v", err)
+		return nil
+	}
+	for r := 1; r < me; r++ {
+		if conns[r] = hello(addrs[r], ""); conns[r] == nil {
+			return nil
+		}
+	}
+	return conns
+}
+
+// TestMalformedRowFailsEveryRank: a peer's collective frame whose payload is
+// not a whole number of elements — 7 bytes into an exchange of uint64 — is a
+// communication failure like a torn connection: the rank that reads it
+// returns an error naming the sender and what it sent, the world aborts, and
+// every rank is out in bounded time. It used to be a bare panic: one stack
+// trace, attributed to nobody. Both receive paths are held to it, the
+// copy-out under Alltoallv and the in-place view under Rounds.
+func TestMalformedRowFailsEveryRank(t *testing.T) {
+	const p = 3 // ranks 0 and 1 are real, rank 2 is the raw peer
+	for _, path := range []struct {
+		name     string
+		exchange func(c *Comm)
+	}{
+		{"alltoallv", func(c *Comm) { Alltoallv(c, make([][]uint64, p)) }},
+		{"rounds", func(c *Comm) {
+			Rounds(c, NewRoundBufs(2), 3, func([][]uint64) {}, func([][]uint64) {})
+		}},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, p-1)
+			for rank := 0; rank < p-1; rank++ {
+				go func() {
+					boot := &JoinBootstrap{Rank: rank, Size: p, Rendezvous: ln.Addr().String(), Timeout: 10 * time.Second}
+					if rank == 0 {
+						boot.Listener = ln
+					}
+					tr, err := Connect(boot)
+					if err != nil {
+						errs <- fmt.Errorf("rank %d: Connect: %w", rank, err)
+						return
+					}
+					errs <- RunTransport(tr, nil, func(c *Comm) error { path.exchange(c); return nil })
+				}()
+			}
+			for _, conn := range rawPeer(t, ln.Addr().String(), p) {
+				bad := &frame{Type: frameColl, Seq: 0, Payload: []byte("7 bytes")}
+				if err := writeFrame(conn, bad); err != nil {
+					t.Errorf("raw peer writing its frame: %v", err)
+				}
+			}
+			named := false
+			for i := 0; i < p-1; i++ {
+				select {
+				case err := <-errs:
+					switch {
+					case err == nil:
+						t.Errorf("a rank completed an exchange holding a 7-byte row of uint64")
+					case strings.Contains(err.Error(), "panicked"):
+						t.Errorf("a malformed row surfaced as a panic: %v", err)
+					case strings.Contains(err.Error(), "rank 2 sent 7 bytes, not a multiple of element size 8"):
+						named = true
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatal("a rank is still in the exchange 20 s after a malformed row arrived")
+				}
+			}
+			if !named {
+				t.Errorf("no rank's error names the sender and the malformed row")
+			}
+		})
+	}
+}

@@ -1,5 +1,7 @@
 package spmd
 
+import "slices"
+
 // Transport is the byte-level communication substrate one rank uses to
 // participate in an SPMD world: the rank's identity plus one primitive,
 // the posted irregular all-to-all. diBELLA moves every byte through
@@ -31,8 +33,9 @@ type Transport interface {
 
 	// Shared reports whether buffers returned by Wait alias the sender's
 	// memory (true for the in-process backend). When false the buffers
-	// crossed an address-space boundary and the typed layer copies them
-	// into aligned memory of its own.
+	// crossed an address-space boundary into 8-byte-aligned memory of the
+	// transport's: the typed layer copies a result its caller keeps and
+	// reads a round of Rounds where it lies.
 	Shared() bool
 
 	// IAlltoallv posts one irregular all-to-all without blocking — send[dst]
@@ -64,7 +67,10 @@ type Transport interface {
 // payloads are available: recv[src] is the buffer rank src addressed to
 // this rank (recv[Rank] is the rank's own send buffer), maxClock and
 // maxBytes are the world maxima of the posting clocks and sent-byte
-// counts. Wait must be called exactly once.
+// counts. Wait must be called exactly once. The recv header is the
+// transport's and stands until the rank's next post or Wait — a caller
+// that keeps it copies it — and a waited PendingExchange may be the one a
+// later post returns.
 type PendingExchange interface {
 	Wait() (recv [][]byte, maxClock, maxBytes float64, err error)
 }
@@ -88,5 +94,5 @@ func FormationAllgather(tr Transport, blob []byte) ([][]byte, error) {
 	}
 	//lint:ignore modeledcost completes the formation-time post above
 	recv, _, _, err := pe.Wait()
-	return recv, err
+	return slices.Clone(recv), err
 }

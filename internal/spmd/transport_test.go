@@ -15,21 +15,23 @@ import (
 // against every backend from one table. A new backend (or a wrapper around
 // one) joins by adding a row.
 
+// backends is the conformance table: how a world of each backend forms.
+var backends = []struct {
+	name string
+	form func(t *testing.T, p int) []Transport
+}{
+	{"mem", func(_ *testing.T, p int) []Transport {
+		w := newMemWorld(p)
+		trs := make([]Transport, p)
+		for r := range trs {
+			trs[r] = w.rank(r)
+		}
+		return trs
+	}},
+	{"tcp", func(t *testing.T, p int) []Transport { return formTCPWorld(t, p) }},
+}
+
 func TestTransportConformance(t *testing.T) {
-	backends := []struct {
-		name string
-		form func(t *testing.T, p int) []Transport
-	}{
-		{"mem", func(_ *testing.T, p int) []Transport {
-			w := newMemWorld(p)
-			trs := make([]Transport, p)
-			for r := range trs {
-				trs[r] = w.rank(r)
-			}
-			return trs
-		}},
-		{"tcp", func(t *testing.T, p int) []Transport { return formTCPWorld(t, p) }},
-	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			testTransport(t, func(p int) []Transport { return b.form(t, p) })
