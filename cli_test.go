@@ -662,6 +662,8 @@ func TestCLIFlagValidation(t *testing.T) {
 		{[]string{"-reply-depth", "0"}, "-reply-depth must be"},
 		{[]string{"-reply-depth", "64"}, "-reply-depth must be"},
 		{[]string{"-async-exchange=false", "-reply-chunk", "4096"}, "-reply-chunk streams"},
+		{[]string{"-async-exchange=false", "-reply-depth", "4"}, "-reply-depth streams"},
+		{[]string{"-async-exchange=false", "-build-depth", "4"}, "-build-depth keeps non-blocking exchanges in flight"},
 		{[]string{"-window", "0"}, "-window must be"},
 		{[]string{"-seed", "foo"}, "unknown -seed"},
 		{[]string{"-window", "7"}, "-window only applies"},

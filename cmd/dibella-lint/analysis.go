@@ -47,7 +47,7 @@ type reporter func(pos token.Pos, format string, args ...any)
 
 // allAnalyzers returns the suite in reporting order.
 func allAnalyzers() []*Analyzer {
-	return []*Analyzer{spmdorderAnalyzer, detmapAnalyzer, modeledcostAnalyzer, collecterrAnalyzer, tracenameAnalyzer}
+	return []*Analyzer{spmdorderAnalyzer, detmapAnalyzer, collecterrAnalyzer, tracenameAnalyzer}
 }
 
 // suppression is one parsed //lint:ignore directive.

@@ -1,8 +1,8 @@
 package main
 
 // Analyzer configuration: which packages each analyzer audits and the
-// name sets that define the repo's collective / pricing / transport
-// surfaces. Kept as data (not hard-coded in the analyzers) so the tests
+// name sets that define the repo's collective, commit and trace surfaces.
+// Kept as data (not hard-coded in the analyzers) so the tests
 // can point the same analyzers at fixture packages and so follow-up work
 // (serve mode, distributed string graph) can extend the audited surface
 // by editing one file.
@@ -10,7 +10,7 @@ package main
 // Config carries the per-analyzer package lists and symbol sets.
 type Config struct {
 	// SpmdPath is the import path of the SPMD runtime package whose
-	// collective call surface spmdorder/modeledcost/collecterr key on.
+	// collective call surface spmdorder/collecterr key on.
 	SpmdPath string
 	// CkptPath is the import path of the checkpoint package whose
 	// commit operations collecterr keys on.
@@ -20,25 +20,13 @@ type Config struct {
 	// SpmdPath: every rank must call them in the same order.
 	CollectiveFuncs map[string]bool
 	// CollectiveMethods are collective methods on SpmdPath types
-	// (Comm.Barrier, PendingExchange.Wait), keyed by method name.
+	// (Comm.Barrier, the typed handle's Wait), keyed by method name.
 	CollectiveMethods map[string]bool
 
 	// DetmapPackages are import-path prefixes of the output-affecting
 	// packages detmap audits: a nondeterministic iteration there can
 	// change the bytes of the PAF output or a checkpoint digest.
 	DetmapPackages []string
-
-	// TransportTypes names the SpmdPath interface types whose method
-	// calls move bytes (modeledcost call sites), mapped to the method
-	// names that actually post or complete an exchange.
-	TransportTypes map[string]map[string]bool
-	// PricingMethods are the cost-model methods that price communication
-	// or snapshot I/O; a function (transitively, within its package)
-	// calling one of these is considered to price its transport calls.
-	PricingMethods map[string]bool
-	// PricedCommitMethods maps "Type.Method" of CkptPath operations that
-	// perform modeled I/O (modeledcost requires their callers to price).
-	PricedCommitMethods map[string]bool
 
 	// CollecterrExclude lists SpmdPath/CkptPath method names whose
 	// dropped results collecterr tolerates (non-collective teardown).
@@ -78,16 +66,6 @@ func DefaultConfig() *Config {
 			// serve-vs-batch byte-identity invariant.
 			"dibella/internal/serve",
 		},
-		TransportTypes: map[string]map[string]bool{
-			"Transport":       set("IAlltoallv"),
-			"PendingExchange": set("Wait"),
-		},
-		PricingMethods: set(
-			"AlltoallvTime", "CollectiveTime", "IPostTime",
-			"StreamChunkTime", "ChunkPostTime", "SnapshotTime",
-			"QueryAdmitTime",
-		),
-		PricedCommitMethods: set("Writer.Snapshot"),
 		// Close is the graceful teardown after the last collective and
 		// Abort is the poison path: neither can desynchronize a world
 		// that is already unwinding.

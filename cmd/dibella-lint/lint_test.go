@@ -9,7 +9,7 @@ package main
 //
 // The fixtures are real compiled packages, loaded through the same
 // go list / export-data path as production runs and importing the real
-// spmd / machine / ckpt packages, so the analyzers' type resolution is
+// spmd / ckpt / trace packages, so the analyzers' type resolution is
 // exercised end to end. They live under testdata/ precisely because go
 // wildcards skip it: `dibella-lint ./...` never audits the
 // intentionally-bad code, but the explicit import paths below still load.
@@ -95,7 +95,6 @@ func TestFixtures(t *testing.T) {
 	}{
 		{"spmdorder", "spmdorder"},
 		{"detmap", "detmap"},
-		{"modeledcost", "modeledcost"},
 		{"collecterr", "collecterr"},
 		// interproc imports interproc/helpers: the engine must see
 		// through the package boundary via the shared call graph.

@@ -1,23 +1,21 @@
 // Command dibella-lint statically enforces the repository's SPMD,
-// determinism, and cost-model invariants (see docs/LINT.md):
+// determinism, and observability invariants (see docs/LINT.md):
 //
-//	spmdorder    collectives must not be control-dependent on the rank,
-//	             directly or through any call chain
-//	detmap       no map-iteration order, time.Now, or math/rand in
-//	             output-affecting packages
-//	modeledcost  transport/commit call sites must be priced by a
-//	             machine.Model call — nothing is modeled as free
-//	collecterr   collective/checkpoint errors must not be dropped
-//	tracename    trace event and metric names must be package-level
-//	             constants
+//	spmdorder   collectives must not be control-dependent on the rank,
+//	            directly or through any call chain
+//	detmap      no map-iteration order, time.Now, or math/rand in
+//	            output-affecting packages
+//	collecterr  collective/checkpoint errors must not be dropped
+//	tracename   trace event and metric names must be package-level
+//	            constants
 //
 // Usage:
 //
 //	dibella-lint [-json] [-sarif file] [packages ...]
 //
-// Packages default to ./... and use `go list` syntax. The analyzers
-// share an interprocedural engine: whole-run call-graph summaries
-// computed to a fixpoint over every loaded package (see docs/LINT.md).
+// Packages default to ./... and use `go list` syntax. spmdorder reasons
+// over an interprocedural engine: whole-run call-graph summaries computed
+// to a fixpoint over every loaded package (see docs/LINT.md).
 // Diagnostics are suppressed per line with
 // `//lint:ignore <analyzer> <reason>` (reason mandatory); a directive
 // that suppresses nothing is itself reported as stale. Exit status:

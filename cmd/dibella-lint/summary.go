@@ -13,9 +13,7 @@ package main
 //     splitter: rank in, rank-derived bounds out);
 //   - which parameters control whether — or how many times — a
 //     collective runs (a RunRounds-style loop: rank-derived trip count
-//     in, diverging collective schedules out);
-//   - whether it prices a machine.Model cost (modeledcost's closure,
-//     now cross-package).
+//     in, diverging collective schedules out).
 //
 // Collective calls are label *sanitizers*: their results are
 // world-uniform by construction (every rank gets the same bytes), so
@@ -44,9 +42,6 @@ type FuncSummary struct {
 	// branch around one, bound a loop containing one, or flow into a
 	// callee's guarding parameter).
 	ParamGuards uint64
-	// Prices: the function calls a machine.Model pricing method,
-	// directly or through callees.
-	Prices bool
 }
 
 const rankBit uint64 = 1
@@ -381,21 +376,5 @@ func computeSummary(prog *Program, d *declInfo) *FuncSummary {
 			}
 		}
 	}
-
-	// Pricing closure, now across package boundaries.
-	ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeOf(d.pkg.Info, call); fn != nil {
-			if prog.cfg.PricingMethods[fn.Name()] {
-				s.Prices = true
-			} else if sum := prog.SummaryOf(fn); sum != nil && sum.Prices {
-				s.Prices = true
-			}
-		}
-		return true
-	})
 	return s
 }

@@ -7,7 +7,6 @@ package interproc
 
 import (
 	"dibella/cmd/dibella-lint/testdata/src/interproc/helpers"
-	"dibella/internal/machine"
 	"dibella/internal/spmd"
 )
 
@@ -62,18 +61,6 @@ func GoodRankLocalLoop(c *spmd.Comm) int {
 		sum += i
 	}
 	return sum
-}
-
-// GoodPricedCrossPackage prices its transport calls through a helper in
-// another package: the pricing closure must cross the boundary too.
-func GoodPricedCrossPackage(m *machine.Model, tr spmd.Transport, send [][]byte) ([][]byte, error) {
-	cost := helpers.Price(m)
-	pe, err := tr.IAlltoallv(send, cost, 0)
-	if err != nil {
-		return nil, err
-	}
-	recv, _, _, err := pe.Wait()
-	return recv, err
 }
 
 // SuppressedHelper shows the interprocedural finding riding the same

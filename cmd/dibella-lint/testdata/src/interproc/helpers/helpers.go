@@ -5,10 +5,7 @@
 // diagnostic-free.
 package helpers
 
-import (
-	"dibella/internal/machine"
-	"dibella/internal/spmd"
-)
+import "dibella/internal/spmd"
 
 // DoExchange wraps a collective. A caller that guards it on the rank
 // diverges the collective schedule even though no spmd call appears in
@@ -36,10 +33,4 @@ func RunRounds(c *spmd.Comm, rounds int) {
 	for i := 0; i < rounds; i++ {
 		c.Barrier()
 	}
-}
-
-// Price charges the async-post CPU cost: callers pricing through this
-// wrapper satisfy modeledcost across the package boundary.
-func Price(m *machine.Model) float64 {
-	return m.IPostTime()
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"dibella/internal/machine"
 	"dibella/internal/spmd"
 )
 
@@ -29,6 +30,9 @@ type Writer struct {
 	// KeepThrough, when non-empty, preserves existing manifest stages up
 	// to and including this stage (same ConfigHash only).
 	KeepThrough string
+	// Model prices each committed segment write on the writing rank's
+	// clock (machine.Model.SnapshotTime); nil runs unpriced.
+	Model *machine.Model
 
 	inited   bool
 	manifest *Manifest // maintained on rank 0 only
@@ -72,12 +76,15 @@ func (w *Writer) init() {
 // Snapshot collectively commits one stage boundary: every rank durably
 // writes its segment (the given sections), the world agrees the epoch
 // via spmd.AgreeCommit — any rank's failure vetoes it — and rank 0 then
-// publishes the updated manifest. Returns the segment's byte count (for
-// I/O-cost modeling). On error the directory still holds the previous
-// valid snapshot, never a partial one.
-func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (int64, error) {
+// publishes the updated manifest. Once the commit stands, the segment
+// write is charged to c's clock under the Writer's Model: a checkpointed
+// run is never modeled as free, and a vetoed one is not charged for a
+// snapshot it does not have. Returns the segment's byte count and the
+// modeled seconds charged. On error the directory still holds the
+// previous valid snapshot, never a partial one.
+func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (nbytes int64, charged float64, err error) {
 	if StageOrder(stage) < 0 {
-		return 0, fmt.Errorf("ckpt: unknown stage %q", stage)
+		return 0, 0, fmt.Errorf("ckpt: unknown stage %q", stage)
 	}
 	var next uint64
 	if c.Rank() == 0 {
@@ -100,7 +107,7 @@ func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (int64
 		// Epoch-suffixed file names mean this failed epoch touched no
 		// file any manifest references: the previous snapshot (same
 		// stage included) is still fully intact.
-		return nbytes, fmt.Errorf("ckpt: %s snapshot (epoch %d) aborted: %s",
+		return nbytes, 0, fmt.Errorf("ckpt: %s snapshot (epoch %d) aborted: %s",
 			stage, epoch, spmd.CommitFailure(votes))
 	}
 
@@ -136,7 +143,11 @@ func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (int64
 	// outcome or a crashed rank 0 would leave survivors believing in a
 	// snapshot that was never published.
 	if s := spmd.Bcast(c, []byte(status), 0); len(s) != 0 {
-		return nbytes, fmt.Errorf("ckpt: publishing %s snapshot manifest: %s", stage, s)
+		return nbytes, 0, fmt.Errorf("ckpt: publishing %s snapshot manifest: %s", stage, s)
 	}
-	return nbytes, nil
+	if w.Model != nil {
+		charged = w.Model.SnapshotTime(float64(nbytes))
+		c.Tick(charged)
+	}
+	return nbytes, charged, nil
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"dibella/internal/machine"
 	"dibella/internal/spmd"
 	"dibella/internal/wire"
 )
@@ -169,7 +171,7 @@ func snapshotWorld(t *testing.T, dir string, w func(rank int) *Writer, p int, st
 		wr := w(c.Rank())
 		for _, stage := range stages {
 			data := []byte(stage + "-rank-" + string(rune('0'+c.Rank())))
-			if _, err := wr.Snapshot(c, stage, []Section{{Name: "payload", Data: data}}); err != nil {
+			if _, _, err := wr.Snapshot(c, stage, []Section{{Name: "payload", Data: data}}); err != nil {
 				return err
 			}
 		}
@@ -272,7 +274,7 @@ func TestWriterVetoLeavesPreviousSnapshot(t *testing.T) {
 	}
 	errs := make([]error, p)
 	err := spmd.Run(p, func(c *spmd.Comm) error {
-		_, err := writers[c.Rank()].Snapshot(c, StageDHT, []Section{{Name: "payload", Data: []byte("x")}})
+		_, _, err := writers[c.Rank()].Snapshot(c, StageDHT, []Section{{Name: "payload", Data: []byte("x")}})
 		errs[c.Rank()] = err
 		return nil
 	})
@@ -296,6 +298,52 @@ func TestWriterVetoLeavesPreviousSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotPricesTheCommit: under a Model, a committed snapshot advances
+// the writing rank's clock by exactly SnapshotTime of its segment's bytes
+// and reports that charge; a vetoed one advances it by nothing. The world
+// has no CommModel, so the collectives inside Snapshot are free, and the
+// ranks write equal segments, so the clock synchronization they do is no
+// tick either: every tick seen is the commit's.
+func TestSnapshotPricesTheCommit(t *testing.T) {
+	m, err := machine.NewModel(machine.Cori, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const p = 2
+	writers := make([]*Writer, p)
+	for r := range writers {
+		writers[r] = &Writer{Dir: dir, ConfigHash: "h", Model: m}
+	}
+	// The second snapshot (epoch 2) is vetoed: rank 1's segment path is a
+	// directory.
+	if err := os.MkdirAll(filepath.Join(dir, SegmentFile(StageDHT, 1, 2)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err = spmd.Run(p, func(c *spmd.Comm) error {
+		w := writers[c.Rank()]
+		payload := bytes.Repeat([]byte{1}, 1000)
+		nbytes, charged, err := w.Snapshot(c, StageLoad, []Section{{Name: "payload", Data: payload}})
+		if err != nil {
+			return err
+		}
+		if want := m.SnapshotTime(float64(nbytes)); charged != want || c.Now() != want {
+			return fmt.Errorf("rank %d: commit of %d bytes charged %v, clock %v, want %v", c.Rank(), nbytes, charged, c.Now(), want)
+		}
+		before := c.Now()
+		if _, charged, err = w.Snapshot(c, StageDHT, []Section{{Name: "payload", Data: payload}}); err == nil {
+			return fmt.Errorf("rank %d: blocked snapshot committed", c.Rank())
+		}
+		if charged != 0 || c.Now() != before {
+			return fmt.Errorf("rank %d: vetoed snapshot charged %v, clock %v -> %v", c.Rank(), charged, before, c.Now())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriterVetoedResnapshotKeepsLatestStage: a vetoed re-snapshot of
 // the stage the manifest's latest snapshot lives in must leave that
 // snapshot fully loadable — epoch-suffixed segment names keep the new
@@ -314,7 +362,7 @@ func TestWriterVetoedResnapshotKeepsLatestStage(t *testing.T) {
 	w2 := &Writer{Dir: dir, ConfigHash: "h"}
 	var snapErr error
 	err := spmd.Run(1, func(c *spmd.Comm) error {
-		_, snapErr = w2.Snapshot(c, StageLoad, []Section{{Name: "payload", Data: []byte("new")}})
+		_, _, snapErr = w2.Snapshot(c, StageLoad, []Section{{Name: "payload", Data: []byte("new")}})
 		return nil
 	})
 	if err != nil {

@@ -283,9 +283,9 @@ func (m *Model) AlltoallvTime(callIdx int64, maxSendBytes float64) float64 {
 // initiation at a modest fraction of the blocking call's software cost.
 const iPostFraction = 0.2
 
-// IPostTime implements the spmd async-model extension: the CPU-side cost
-// of posting one non-blocking irregular all-to-all, charged on the posting
-// rank's own clock rather than the exchange's. Without this term an
+// IPostTime implements spmd.CommModel: the CPU-side cost of posting one
+// non-blocking irregular all-to-all, charged on the posting rank's own
+// clock rather than the exchange's. Without this term an
 // overlapped exchange would look entirely free whenever local work covers
 // it, which no real MPI_Ialltoallv achieves.
 func (m *Model) IPostTime() float64 {
@@ -301,9 +301,9 @@ func (m *Model) IPostTime() float64 {
 // fixed, so an over-fine stream prices itself out of its own overlap win.
 const streamChunkFraction = 0.15
 
-// StreamChunkTime implements the spmd stream-model extension: one chunk
-// round of a streamed (chunked) irregular all-to-all in which the busiest
-// rank contributes maxChunkBytes. The sum over a stream's rounds
+// StreamChunkTime implements spmd.CommModel: one chunk round of a
+// streamed (chunked) irregular all-to-all in which the busiest rank
+// contributes maxChunkBytes. The sum over a stream's rounds
 // approaches AlltoallvTime of the whole payload as chunks grow, and
 // degenerates to latency-bound as they shrink. The first-exchange factor
 // applies exactly as for a regular exchange (MPI's internal setup does not
@@ -316,8 +316,8 @@ func (m *Model) StreamChunkTime(callIdx int64, maxChunkBytes float64) float64 {
 	return t
 }
 
-// ChunkPostTime implements the spmd stream-model extension: the CPU-side
-// cost of posting one chunk round, the per-chunk analogue of IPostTime.
+// ChunkPostTime implements spmd.CommModel: the CPU-side cost of posting
+// one chunk round, the per-chunk analogue of IPostTime.
 // Streaming is therefore never modeled as free — every extra round costs
 // the posting rank real (unhideable) clock time.
 func (m *Model) ChunkPostTime() float64 {

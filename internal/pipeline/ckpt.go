@@ -105,9 +105,8 @@ func (cfg *Config) outputHash() string {
 // ckptState is one rank's snapshot-emission state. A nil *ckptState is
 // valid and inert, so the stage driver calls snapshot unconditionally.
 type ckptState struct {
-	w     *ckpt.Writer
-	model *machine.Model
-	want  map[string]bool
+	w    *ckpt.Writer
+	want map[string]bool
 	// skipThrough suppresses re-snapshotting stages a resumed run
 	// restored (their snapshots already exist and are what we loaded).
 	skipThrough int
@@ -174,8 +173,8 @@ func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFr
 		w: &ckpt.Writer{
 			Dir: opts.Dir, ConfigHash: cfg.outputHash(),
 			ConfigJSON: blob, KeepThrough: resumedFrom,
+			Model: model,
 		},
-		model:       model,
 		want:        want,
 		skipThrough: ckpt.StageOrder(resumedFrom),
 		abortAfter:  opts.AbortAfter,
@@ -183,11 +182,10 @@ func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFr
 }
 
 // snapshot collectively commits one stage boundary (when configured to),
-// charges the modeled snapshot I/O to the adjacent stage's packing
-// account — checkpoints are never free in virtual_seconds — and aborts
-// the run when this boundary is the configured kill point. sections is
-// called only when the boundary is written: a run without checkpoints
-// encodes nothing.
+// books what the writer charged for the snapshot I/O to the adjacent
+// stage's packing account, and aborts the run when this boundary is the
+// configured kill point. sections is called only when the boundary is
+// written: a run without checkpoints encodes nothing.
 func (ck *ckptState) snapshot(c *spmd.Comm, stage string, sections func() []ckpt.Section, brk *stats.Breakdown) error {
 	if ck == nil || !ck.want[stage] || ckpt.StageOrder(stage) <= ck.skipThrough {
 		return nil
@@ -195,15 +193,11 @@ func (ck *ckptState) snapshot(c *spmd.Comm, stage string, sections func() []ckpt
 	rec := trace.Rec(c.Rank())
 	rec.BeginTag(traceCkptSnap, c.Now(), stage)
 	t0 := walltime.Now()
-	nbytes, err := ck.w.Snapshot(c, stage, sections())
+	nbytes, charged, err := ck.w.Snapshot(c, stage, sections())
 	if err != nil {
 		return err
 	}
-	if ck.model != nil {
-		d := ck.model.SnapshotTime(float64(nbytes))
-		c.Tick(d)
-		brk.PackVirtual += d
-	}
+	brk.PackVirtual += charged
 	brk.PackWall += walltime.Since(t0)
 	rec.End(traceCkptSnap, c.Now(), nbytes)
 	if ck.abortAfter == stage {

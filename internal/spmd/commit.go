@@ -1,8 +1,8 @@
 package spmd
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"dibella/internal/wire"
@@ -31,44 +31,50 @@ type CommitVote struct {
 // rank voted OK. All ranks receive identical votes and decision, so the
 // commit point (rank 0 publishing the manifest) and every rank's
 // success/failure path stay in lockstep — the epoch-barrier semantics the
-// checkpoint subsystem's crash consistency rests on.
+// checkpoint subsystem's crash consistency rests on. A vote that does not
+// decode is a peer's protocol violation, failed like a malformed row.
 func AgreeCommit(c *Comm, v CommitVote) ([]CommitVote, bool) {
-	var ok uint8
-	if v.OK {
-		ok = 1
-	}
-	mine := wire.U64(wire.U64(wire.Bytes(wire.U8(nil, ok), v.Err), v.Digest), uint64(v.Bytes))
 	votes, agreed := make([]CommitVote, c.Size()), true
-	for rank, b := range Allgather(c, mine) {
-		r := wire.NewReader(b)
-		votes[rank] = CommitVote{OK: r.U8() == 1, Err: r.String(), Digest: r.U64(), Bytes: int64(r.U64())}
-		if err := r.Finish(); err != nil {
-			panic(fmt.Sprintf("spmd: commit vote from rank %d: %v", rank, err))
+	for rank, b := range Allgather(c, encodeVote(v)) {
+		var err error
+		if votes[rank], err = decodeVote(b); err != nil {
+			collectiveFailed(c, "agree commit", fmt.Errorf("commit vote from rank %d: %w", rank, err))
 		}
 		agreed = agreed && votes[rank].OK
 	}
 	return votes, agreed
 }
 
+// encodeVote is a vote's wire form: the OK flag as one byte (0 or 1), the
+// error string, the digest and the byte count.
+func encodeVote(v CommitVote) []byte {
+	var ok uint8
+	if v.OK {
+		ok = 1
+	}
+	return wire.U64(wire.U64(wire.Bytes(wire.U8(nil, ok), v.Err), v.Digest), uint64(v.Bytes))
+}
+
+// decodeVote reads what encodeVote wrote, and nothing else: an OK byte
+// other than 0 or 1, a short input or trailing bytes are refused.
+func decodeVote(b []byte) (CommitVote, error) {
+	r := wire.NewReader(b)
+	ok := r.U8()
+	if ok > 1 {
+		r.Fail(fmt.Errorf("OK flag %d is neither 0 nor 1", ok))
+	}
+	return CommitVote{OK: ok == 1, Err: r.String(), Digest: r.U64(), Bytes: int64(r.U64())}, r.Finish()
+}
+
 // CommitFailure renders the veto(s) of a failed epoch, one line per
 // failed rank.
 func CommitFailure(votes []CommitVote) string {
-	var b strings.Builder
+	var vetoes []string
 	for rank, vote := range votes {
-		if vote.OK {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString("; ")
-		}
-		b.WriteString("rank ")
-		b.WriteString(strconv.Itoa(rank))
-		b.WriteString(": ")
-		if vote.Err == "" {
-			b.WriteString("write failed")
-		} else {
-			b.WriteString(vote.Err)
+		if !vote.OK {
+			msg := cmp.Or(vote.Err, "write failed")
+			vetoes = append(vetoes, fmt.Sprintf("rank %d: %s", rank, msg))
 		}
 	}
-	return b.String()
+	return strings.Join(vetoes, "; ")
 }

@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,25 @@ func TestAgreeCommitVetoed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecodeCommitVote: arbitrary bytes from a peer never panic the vote
+// decoder, and a vote it accepts re-encodes to exactly the bytes it came
+// from — the decoder reads nothing the encoder does not write.
+func FuzzDecodeCommitVote(f *testing.F) {
+	f.Add(encodeVote(CommitVote{OK: true, Digest: 0xC0FFEE, Bytes: 4096}))
+	f.Add(encodeVote(CommitVote{Err: "disk full", Digest: 7, Bytes: -1}))
+	// An error string that claims 2^32-1 bytes and delivers none.
+	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := decodeVote(b)
+		if err != nil {
+			return
+		}
+		if back := encodeVote(v); !bytes.Equal(back, b) {
+			t.Fatalf("re-encoding differs: %x -> %+v -> %x", b, v, back)
+		}
+	})
 }
 
 func TestCommitFailureDefaultMessage(t *testing.T) {

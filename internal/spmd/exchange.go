@@ -1,7 +1,7 @@
 package spmd
 
 // The one exchange path of the typed layer. Every collective in this
-// package is the same two steps over Transport.IAlltoallv: post (cast the
+// package is the same two steps over Transport.ialltoallv: post (cast the
 // typed rows to bytes and hand them to the transport) and complete (wait,
 // fold the modeled cost into the BSP clock). What distinguishes a blocking
 // Alltoallv from a barrier, a posted non-blocking exchange or one chunk
@@ -39,22 +39,6 @@ import (
 	"time"
 )
 
-// asyncCommModel is the optional CommModel extension pricing the CPU-side
-// cost of posting a non-blocking exchange (machine.Model implements it).
-type asyncCommModel interface {
-	IPostTime() float64
-}
-
-// streamCommModel is the optional CommModel extension pricing chunk rounds
-// of a streamed exchange (machine.Model implements it): successive chunks
-// of one posted streamed collective reuse the descriptors and per-peer
-// state the first round set up, so both the posting and the exchange cost
-// per chunk are a fraction of a full collective's.
-type streamCommModel interface {
-	ChunkPostTime() float64
-	StreamChunkTime(callIdx int64, maxChunkBytes float64) float64
-}
-
 // pricing is one exchange flavour's accounting rule.
 type pricing struct {
 	op string // names the collective in failures
@@ -67,7 +51,7 @@ type pricing struct {
 	// the chunk rate), Stats.Alltoallvs and Stats.BytesSent.
 	small bool
 	// chunk: a data round of a streamed exchange — ChunkPostTime and
-	// StreamChunkTime where the model has them.
+	// StreamChunkTime.
 	chunk bool
 }
 
@@ -81,34 +65,29 @@ var (
 
 // postCost prices the CPU side of posting: descriptor setup and buffer
 // registration run on the rank's own clock. Chunk rounds of a stream pay
-// the reduced per-chunk cost where the model has one.
+// the reduced per-chunk cost.
 func (c *Comm) postCost(r *pricing) float64 {
-	if r.blocking {
+	switch {
+	case r.blocking || c.model == nil:
 		return 0
+	case r.chunk:
+		return c.model.ChunkPostTime()
 	}
-	if sm, ok := c.model.(streamCommModel); ok && r.chunk {
-		return sm.ChunkPostTime()
-	}
-	if am, ok := c.model.(asyncCommModel); ok {
-		return am.IPostTime()
-	}
-	return 0
+	return c.model.IPostTime()
 }
 
 // exchangeCost prices one completed exchange whose busiest rank sent
-// maxBytes, adding it to Stats.ExchangeVirtual. Streams fall back to full
-// collective pricing on models without stream support.
+// maxBytes, adding it to Stats.ExchangeVirtual.
 func (c *Comm) exchangeCost(r *pricing, maxBytes float64) float64 {
 	if c.model == nil {
 		return 0
 	}
 	var d float64
-	sm, stream := c.model.(streamCommModel)
 	switch {
 	case r.small:
 		d = c.model.CollectiveTime()
-	case r.chunk && stream:
-		d = sm.StreamChunkTime(c.stats.Alltoallvs, maxBytes)
+	case r.chunk:
+		d = c.model.StreamChunkTime(c.stats.Alltoallvs, maxBytes)
 	default:
 		d = c.model.AlltoallvTime(c.stats.Alltoallvs, maxBytes)
 	}
@@ -131,7 +110,7 @@ type streamState struct {
 // same few handles.
 type handle[T any] struct {
 	c       *Comm
-	pe      PendingExchange
+	pe      pendingExchange
 	rule    *pricing
 	id      uint64
 	myBytes int64
@@ -196,7 +175,7 @@ func (h *handle[T]) post(c *Comm, raw [][]byte, r *pricing, serial *streamState)
 	if r.small {
 		myBytes = 0 // latency-bound: priced per call, not per byte
 	}
-	pe, err := c.tr.IAlltoallv(raw, c.clock, float64(myBytes))
+	pe, err := c.tr.ialltoallv(raw, c.clock, float64(myBytes))
 	if err != nil {
 		collectiveFailed(c, r.op, err)
 	}
@@ -264,7 +243,7 @@ func (h *handle[T]) complete() [][]byte {
 		}
 		start = time.Now()
 	}
-	rraw, tmax, bmax, err := h.pe.Wait()
+	rraw, tmax, bmax, err := h.pe.wait()
 	if err != nil {
 		collectiveFailed(c, r.op, err)
 	}
@@ -315,7 +294,7 @@ func (h *handle[T]) complete() [][]byte {
 func (h *handle[T]) Wait() [][]T {
 	rraw := h.complete()
 	c := h.c
-	shared := c.tr.Shared()
+	shared := c.tr.shared()
 	recv := make([][]T, len(rraw))
 	for src, b := range rraw {
 		n := rowLen[T](c, h.rule.op, src, b)
@@ -335,7 +314,7 @@ func (h *handle[T]) Wait() [][]T {
 // this rank posted, not a pooled buffer.
 func (c *Comm) recycle(rraw [][]byte) {
 	rec, ok := c.tr.(recvBufRecycler)
-	if !ok || c.tr.Shared() {
+	if !ok || c.tr.shared() {
 		return
 	}
 	for src, b := range rraw {
@@ -345,7 +324,7 @@ func (c *Comm) recycle(rraw [][]byte) {
 		if poisonRecycled {
 			poison(b[:cap(b)])
 		}
-		rec.RecycleRecvBuf(b)
+		rec.recycleRecvBuf(b)
 	}
 }
 
@@ -513,7 +492,7 @@ func Rounds[T any](c *Comm, bufs *RoundBufs, rounds int, pack func(send [][]T), 
 			}
 		}
 		process(recv)
-		if !c.tr.Shared() {
+		if !c.tr.shared() {
 			bufs.borrowed = max(bufs.borrowed, held)
 		}
 		c.recycle(rraw)

@@ -94,12 +94,15 @@ func TestIAlltoallvPipelinedTCP(t *testing.T) {
 	}
 }
 
-// fixedModel prices every exchange at a constant cost so clock folding is
-// easy to assert.
+// fixedModel prices every exchange at a constant cost, and posting at
+// nothing, so clock folding is easy to assert.
 type fixedModel struct{ cost float64 }
 
-func (m fixedModel) AlltoallvTime(int64, float64) float64 { return m.cost }
-func (m fixedModel) CollectiveTime() float64              { return 0 }
+func (m fixedModel) AlltoallvTime(int64, float64) float64   { return m.cost }
+func (m fixedModel) StreamChunkTime(int64, float64) float64 { return m.cost }
+func (m fixedModel) CollectiveTime() float64                { return 0 }
+func (m fixedModel) IPostTime() float64                     { return 0 }
+func (m fixedModel) ChunkPostTime() float64                 { return 0 }
 
 // TestIAlltoallvOverlapClock checks the max(exchange, local) semantics:
 // local compute ticked between post and wait hides exchange cost, and the

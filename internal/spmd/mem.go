@@ -62,20 +62,20 @@ func (w *memWorld) slot(seq uint64) *memSlot {
 }
 
 // memRank is one rank's handle; it is confined to that rank's goroutine.
-// It is also the PendingExchange of every exchange it posts: handles are
-// waited in posting order, so Wait completes sequence waited, then the
+// It is also the pendingExchange of every exchange it posts: handles are
+// waited in posting order, so wait completes sequence waited, then the
 // next.
 type memRank struct {
 	w      *memWorld
 	rank   int
 	posted uint64   // next exchange sequence (consistent by SPMD order)
-	waited uint64   // next sequence Wait completes
-	recv   [][]byte // the header Wait returns, reused by the next Wait
+	waited uint64   // next sequence wait completes
+	recv   [][]byte // the header wait returns, reused by the next wait
 }
 
 func (m *memRank) Rank() int    { return m.rank }
 func (m *memRank) Size() int    { return m.w.size }
-func (m *memRank) Shared() bool { return true }
+func (m *memRank) shared() bool { return true }
 func (m *memRank) Close() error { return nil }
 
 func (m *memRank) Abort() {
@@ -85,7 +85,7 @@ func (m *memRank) Abort() {
 	m.w.mu.Unlock()
 }
 
-func (m *memRank) IAlltoallv(send [][]byte, clock, sentBytes float64) (PendingExchange, error) {
+func (m *memRank) ialltoallv(send [][]byte, clock, sentBytes float64) (pendingExchange, error) {
 	w := m.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -107,7 +107,7 @@ func (m *memRank) IAlltoallv(send [][]byte, clock, sentBytes float64) (PendingEx
 	return m, nil
 }
 
-func (m *memRank) Wait() ([][]byte, float64, float64, error) {
+func (m *memRank) wait() ([][]byte, float64, float64, error) {
 	w := m.w
 	w.mu.Lock()
 	defer w.mu.Unlock()

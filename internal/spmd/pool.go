@@ -91,7 +91,7 @@ func putFrameBuf(b []byte) {
 // layer is done with them. The mem transport does not implement
 // it: its "received" slices alias the senders' own memory.
 type recvBufRecycler interface {
-	RecycleRecvBuf(b []byte)
+	recycleRecvBuf(b []byte)
 }
 
 // readFramePooled reads one mid-world frame: the payload may be as large

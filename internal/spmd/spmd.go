@@ -77,9 +77,10 @@ var (
 // error cannot deadlock the world.
 var ErrAborted = errors.New("spmd: world aborted by another rank's failure")
 
-// CommModel prices communication on a modeled platform. Implementations
-// live in internal/machine; a nil model runs with zero-cost virtual
-// communication (wall time is still measured).
+// CommModel prices communication on a modeled platform: every flavour of
+// exchange the typed layer runs has its price here. machine.Model is the
+// implementation; a nil model runs with zero-cost virtual communication
+// (wall time is still measured).
 type CommModel interface {
 	// AlltoallvTime models one irregular all-to-all exchange in which the
 	// busiest rank sends maxSendBytes in total. callIdx counts prior
@@ -90,6 +91,15 @@ type CommModel interface {
 	// CollectiveTime models a latency-bound small collective (barrier,
 	// allreduce, allgather of scalars).
 	CollectiveTime() float64
+	// IPostTime models the CPU-side cost of posting a non-blocking
+	// exchange, charged on the posting rank's own clock.
+	IPostTime() float64
+	// ChunkPostTime and StreamChunkTime price one chunk round of a
+	// streamed exchange, its posting and its exchange: successive chunks
+	// reuse the descriptors and per-peer state the first round set up, so
+	// each is a fraction of a full collective's.
+	ChunkPostTime() float64
+	StreamChunkTime(callIdx int64, maxChunkBytes float64) float64
 }
 
 // Stats accumulates one rank's communication accounting.

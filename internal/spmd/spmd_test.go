@@ -237,7 +237,8 @@ func TestBarrierOrdering(t *testing.T) {
 	}
 }
 
-// fakeModel charges fixed costs so virtual-clock arithmetic is checkable.
+// fakeModel charges fixed costs so virtual-clock arithmetic is checkable:
+// posting is free and a chunk round costs what a full exchange does.
 type fakeModel struct{}
 
 func (fakeModel) AlltoallvTime(callIdx int64, maxBytes float64) float64 {
@@ -247,7 +248,12 @@ func (fakeModel) AlltoallvTime(callIdx int64, maxBytes float64) float64 {
 	}
 	return base + maxBytes/1000
 }
+func (m fakeModel) StreamChunkTime(callIdx int64, maxBytes float64) float64 {
+	return m.AlltoallvTime(callIdx, maxBytes)
+}
 func (fakeModel) CollectiveTime() float64 { return 0.5 }
+func (fakeModel) IPostTime() float64      { return 0 }
+func (fakeModel) ChunkPostTime() float64  { return 0 }
 
 func TestVirtualClockSynchronization(t *testing.T) {
 	const p = 4

@@ -158,11 +158,13 @@ func TestIAlltoallvStreamedAllEmpty(t *testing.T) {
 }
 
 // streamFixedModel prices full exchanges and chunk rounds at distinct
-// fixed costs so the streamed clock folding is easy to assert.
+// fixed costs, and the header's post at nothing, so the streamed clock
+// folding is easy to assert.
 type streamFixedModel struct{ full, chunk, post float64 }
 
 func (m streamFixedModel) AlltoallvTime(int64, float64) float64   { return m.full }
 func (m streamFixedModel) CollectiveTime() float64                { return 0 }
+func (m streamFixedModel) IPostTime() float64                     { return 0 }
 func (m streamFixedModel) StreamChunkTime(int64, float64) float64 { return m.chunk }
 func (m streamFixedModel) ChunkPostTime() float64                 { return m.post }
 
@@ -236,28 +238,6 @@ func TestStreamedOverlapAccounting(t *testing.T) {
 		// batches; chunk 1 is not (no compute had run yet).
 		if want := 2 * chunk; st.OverlapVirtual != want {
 			return fmt.Errorf("rank %d: overlap %v, want %v", c.Rank(), st.OverlapVirtual, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamedFallbackPricing: a CommModel without the stream extension
-// prices chunk rounds as full exchanges (the conservative fallback).
-func TestStreamedFallbackPricing(t *testing.T) {
-	const full = 3.0
-	err := RunWithModel(2, fixedModel{cost: full}, func(c *Comm) error {
-		send := make([]PackedBufs, 2)
-		for dst := range send {
-			send[dst].AppendItem([]byte{1, 2, 3, 4})
-		}
-		before := c.Now()
-		IAlltoallvStreamed(c, send, StreamOpts{ChunkBytes: 2, Depth: 1}, nil)
-		// Header + 2 chunk rounds, all at the full fixed cost, serialized.
-		if got, want := c.Now(), before+3*full; got != want {
-			return fmt.Errorf("rank %d: clock %v, want %v", c.Rank(), got, want)
 		}
 		return nil
 	})

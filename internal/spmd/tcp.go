@@ -76,7 +76,7 @@ type tcpTransport struct {
 	peers      []*peerConn // indexed by rank; nil at own index
 	seq        uint64      // collective sequence number
 	// Confined to the rank's own goroutine, which alone posts and waits:
-	// the header Wait returns, reused by the next Wait, and the handles of
+	// the header wait returns, reused by the next wait, and the handles of
 	// completed exchanges, reused by later posts.
 	recv [][]byte
 	idle []*tcpPending
@@ -373,7 +373,7 @@ func (t *tcpTransport) writeLoop(p *peerConn) {
 // readLoop decodes frames from one peer for the life of the world,
 // delivering them (or the terminal error) to the collective receive
 // path. Payloads come from the frame pool; the typed layer recycles
-// them (RecycleRecvBuf) once it is done with them.
+// them (recycleRecvBuf) once it is done with them.
 func (t *tcpTransport) readLoop(p *peerConn) {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
 	for {
@@ -425,7 +425,7 @@ func (t *tcpTransport) recvColl(src int, seq uint64) (frame, error) {
 
 // tcpPending is one posted non-blocking exchange: the sequence it was
 // assigned, this rank's contributions, the frames queued on the per-peer
-// writer goroutines and their completion tracking. A handle whose Wait
+// writer goroutines and their completion tracking. A handle whose wait
 // succeeded has no reader left and serves a later post.
 type tcpPending struct {
 	t            *tcpTransport
@@ -437,11 +437,11 @@ type tcpPending struct {
 	writeErrs    []error
 }
 
-// IAlltoallv posts one collective: a frame per peer is enqueued on the
+// ialltoallv posts one collective: a frame per peer is enqueued on the
 // per-peer writer goroutines (FIFO per connection, so frames stay in
 // sequence order on the wire) and the handle is returned without waiting
 // for either the writes or the peers.
-func (t *tcpTransport) IAlltoallv(send [][]byte, clock, sentBytes float64) (PendingExchange, error) {
+func (t *tcpTransport) ialltoallv(send [][]byte, clock, sentBytes float64) (pendingExchange, error) {
 	if t.isAborted() {
 		return nil, ErrAborted
 	}
@@ -474,11 +474,11 @@ func (t *tcpTransport) IAlltoallv(send [][]byte, clock, sentBytes float64) (Pend
 	return h, nil
 }
 
-// Wait blocks for one frame from every peer (enforcing the handle's
+// wait blocks for one frame from every peer (enforcing the handle's
 // sequence number), then for this rank's own writes to flush — so that
 // once the final collective of a world has been waited, a graceful Close
 // cannot strand bytes a peer is still expecting.
-func (h *tcpPending) Wait() ([][]byte, float64, float64, error) {
+func (h *tcpPending) wait() ([][]byte, float64, float64, error) {
 	t := h.t
 	maxClock, maxBytes := h.clock, h.bytes
 	var collErr error
@@ -556,11 +556,11 @@ func (t *tcpTransport) failQueued() {
 
 func (t *tcpTransport) Rank() int    { return t.rank }
 func (t *tcpTransport) Size() int    { return t.size }
-func (t *tcpTransport) Shared() bool { return false }
+func (t *tcpTransport) shared() bool { return false }
 
-// RecycleRecvBuf returns a received frame payload to the pool once the
+// recycleRecvBuf returns a received frame payload to the pool once the
 // typed layer is done with it (recvBufRecycler).
-func (t *tcpTransport) RecycleRecvBuf(b []byte) { putFrameBuf(b) }
+func (t *tcpTransport) recycleRecvBuf(b []byte) { putFrameBuf(b) }
 
 func (t *tcpTransport) isAborted() bool {
 	t.amu.Lock()

@@ -455,17 +455,21 @@ func rawPeer(t *testing.T, rendezvous string, size int) []net.Conn {
 // returns an error naming the sender and what it sent, the world aborts, and
 // every rank is out in bounded time. It used to be a bare panic: one stack
 // trace, attributed to nobody. Both receive paths are held to it, the
-// copy-out under Alltoallv and the in-place view under Rounds.
+// copy-out under Alltoallv and the in-place view under Rounds — and so is
+// AgreeCommit, where the same 7 bytes are a valid byte row but not a vote.
 func TestMalformedRowFailsEveryRank(t *testing.T) {
 	const p = 3 // ranks 0 and 1 are real, rank 2 is the raw peer
+	const notRows = "rank 2 sent 7 bytes, not a multiple of element size 8"
 	for _, path := range []struct {
 		name     string
 		exchange func(c *Comm)
+		want     string
 	}{
-		{"alltoallv", func(c *Comm) { Alltoallv(c, make([][]uint64, p)) }},
+		{"alltoallv", func(c *Comm) { Alltoallv(c, make([][]uint64, p)) }, notRows},
 		{"rounds", func(c *Comm) {
 			Rounds(c, NewRoundBufs(2), 3, func([][]uint64) {}, func([][]uint64) {})
-		}},
+		}, notRows},
+		{"agreecommit", func(c *Comm) { AgreeCommit(c, CommitVote{OK: true}) }, "agree commit: commit vote from rank 2"},
 	} {
 		t.Run(path.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -499,10 +503,10 @@ func TestMalformedRowFailsEveryRank(t *testing.T) {
 				case err := <-errs:
 					switch {
 					case err == nil:
-						t.Errorf("a rank completed an exchange holding a 7-byte row of uint64")
+						t.Errorf("a rank completed an exchange holding a malformed 7-byte row")
 					case strings.Contains(err.Error(), "panicked"):
 						t.Errorf("a malformed row surfaced as a panic: %v", err)
-					case strings.Contains(err.Error(), "rank 2 sent 7 bytes, not a multiple of element size 8"):
+					case strings.Contains(err.Error(), path.want):
 						named = true
 					}
 				case <-time.After(20 * time.Second):

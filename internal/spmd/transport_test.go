@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +38,28 @@ func TestTransportConformance(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			testTransport(t, func(p int) []Transport { return b.form(t, p) })
 		})
+	}
+}
+
+// TestTransportIsSealed pins what code outside this package can do with a
+// Transport: name the rank and the world, abort it, close it. An exported
+// exchange method would let it move bytes no Comm prices, and the
+// unexported methods are what keep a Transport from being implemented, or
+// wrapped, anywhere else.
+func TestTransportIsSealed(t *testing.T) {
+	var exported []string
+	sealed := false
+	rt := reflect.TypeFor[Transport]()
+	for i := 0; i < rt.NumMethod(); i++ {
+		if m := rt.Method(i); m.IsExported() {
+			exported = append(exported, m.Name)
+		} else {
+			sealed = true
+		}
+	}
+	slices.Sort(exported)
+	if !slices.Equal(exported, []string{"Abort", "Close", "Rank", "Size"}) || !sealed {
+		t.Errorf("Transport exports %v (sealed: %v), want exactly Abort, Close, Rank, Size behind unexported methods", exported, sealed)
 	}
 }
 
@@ -71,18 +95,18 @@ func cell(seq, src, dst int) []byte {
 
 // postCells posts exchange seq's matrix row with rank-dependent clock and
 // byte contributions, whose world maxima checkCells knows.
-func postCells(tr Transport, seq int) (PendingExchange, error) {
+func postCells(tr Transport, seq int) (pendingExchange, error) {
 	p, me := tr.Size(), tr.Rank()
 	send := make([][]byte, p)
 	for dst := range send {
 		send[dst] = cell(seq, me, dst)
 	}
-	return tr.IAlltoallv(send, float64(seq*100+me), float64(seq*1000+(p-me)))
+	return tr.ialltoallv(send, float64(seq*100+me), float64(seq*1000+(p-me)))
 }
 
-func checkCells(tr Transport, seq int, pe PendingExchange) error {
+func checkCells(tr Transport, seq int, pe pendingExchange) error {
 	p, me := tr.Size(), tr.Rank()
-	recv, maxClock, maxBytes, err := pe.Wait()
+	recv, maxClock, maxBytes, err := pe.wait()
 	if err != nil {
 		return fmt.Errorf("exchange %d: %w", seq, err)
 	}
@@ -138,7 +162,7 @@ func testTransport(t *testing.T, form func(p int) []Transport) {
 		trs := form(3)
 		onRanks(t, trs, func(tr Transport) error {
 			const ahead = MaxStreamDepth + 1 // the deepest window the typed layer opens
-			var pes []PendingExchange
+			var pes []pendingExchange
 			for seq := 0; seq < ahead; seq++ {
 				pe, err := postCells(tr, seq)
 				if err != nil {
@@ -175,7 +199,7 @@ func testTransport(t *testing.T, form func(p int) []Transport) {
 					return err
 				}
 				parked <- struct{}{}
-				if _, _, _, err := pe.Wait(); !errors.Is(err, ErrAborted) {
+				if _, _, _, err := pe.wait(); !errors.Is(err, ErrAborted) {
 					return fmt.Errorf("parked Wait returned %v, want ErrAborted", err)
 				}
 			}
@@ -221,14 +245,14 @@ func testTransport(t *testing.T, form func(p int) []Transport) {
 			for dst := range send {
 				send[dst] = big(me, dst)
 			}
-			pe, err := tr.IAlltoallv(send, 0, 0)
+			pe, err := tr.ialltoallv(send, 0, 0)
 			if err != nil {
 				return err
 			}
 			// Stagger the waits so early ranks close while late ones are
 			// still reading what those ranks sent them.
 			time.Sleep(time.Duration(me) * 5 * time.Millisecond)
-			recv, _, _, err := pe.Wait()
+			recv, _, _, err := pe.wait()
 			if err != nil {
 				return err
 			}
