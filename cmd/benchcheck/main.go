@@ -12,7 +12,7 @@
 // Usage:
 //
 //	benchcheck -fresh BENCH_CI.json              # auto-discover the committed baseline
-//	benchcheck -prev BENCH_PR22.json -fresh BENCH_CI.json
+//	benchcheck -prev BENCH_PR26.json -fresh BENCH_CI.json
 //
 // The diff is strictly per-schedule (sync / streamed / ckpt / serve /
 // ...): only schedules present in both snapshots gate the build, so a

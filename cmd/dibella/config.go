@@ -114,7 +114,7 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 
 	flg(&p.AsyncExchange, shared, "async-exchange", true, "overlap exchanges with computation via non-blocking collectives (same output; disable for the paper's bulk-synchronous schedule)")
 	num(&p.ReplyChunk, shared, "reply-chunk", spmd.DefaultChunkBytes, 1, unbounded, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (same output; requires -async-exchange)")
-	num(&p.ReplyDepth, shared, "reply-depth", spmd.DefaultStreamDepth, 1, depths, fmt.Sprintf("streamed reply chunk exchanges kept in flight, 1..%d (with -reply-chunk; requires -async-exchange)", depths))
+	num(&p.ReplyDepth, shared, "reply-depth", spmd.DefaultStreamDepth, 1, depths, fmt.Sprintf("streamed reply chunk exchanges in flight while a rank waits, 1..%d (1 = blocking chunk rounds; with -reply-chunk; requires -async-exchange)", depths))
 	num(&p.BuildDepth, shared, "build-depth", 0, 0, depths, fmt.Sprintf("DHT-build exchange rounds kept in flight per pass, 1..%d (0: default 2; schedule-only, the built table is identical at every depth; requires -async-exchange)", depths))
 
 	str(&p.Trace, shared, "trace", "", "record per-rank flight-recorder timelines and write a Chrome trace-event file here at teardown (open in Perfetto; observability-only: output is byte-identical with or without it)")

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dibella/internal/machine"
@@ -295,6 +296,72 @@ func TestWriterVetoLeavesPreviousSnapshot(t *testing.T) {
 	}
 	if _, ok := m.Stages[StageLoad]; !ok {
 		t.Error("previous snapshot lost")
+	}
+}
+
+// TestSnapshotSyncsEveryRenamedDirectory: a commit syncs the stage
+// directory once per rank, after its segment's rename and before the vote,
+// and the checkpoint directory once, after the manifest's rename. A failed
+// directory sync is a failed write: on a segment it vetoes the commit on
+// every rank, on the manifest it fails the publish on every rank.
+func TestSnapshotSyncsEveryRenamedDirectory(t *testing.T) {
+	const p = 2
+	real := syncDir
+	t.Cleanup(func() { syncDir = real })
+	var mu sync.Mutex
+	calls := map[string]int{}
+	failing := ""
+	syncDir = func(dir string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[dir]++
+		if dir == failing {
+			return errors.New("injected directory sync failure")
+		}
+		return real(dir)
+	}
+	snapshot := func(dir string, stage string) []error {
+		errs := make([]error, p)
+		err := spmd.Run(p, func(c *spmd.Comm) error {
+			wr := &Writer{Dir: dir, ConfigHash: "h"}
+			_, _, errs[c.Rank()] = wr.Snapshot(c, stage, []Section{{Name: "payload", Data: []byte("x")}})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return errs
+	}
+
+	dir := t.TempDir()
+	for r, err := range snapshot(dir, StageLoad) {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	stageDir := filepath.Join(dir, StageLoad)
+	if calls[stageDir] != p || calls[dir] != 1 || len(calls) != 2 {
+		t.Errorf("directory syncs %v, want %d of %s and 1 of %s", calls, p, stageDir, dir)
+	}
+
+	for _, tc := range []struct{ failing, want string }{
+		{filepath.Join(dir, StageDHT), "aborted"},
+		{dir, "publishing"},
+	} {
+		failing = tc.failing
+		for r, err := range snapshot(dir, StageDHT) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "injected") {
+				t.Errorf("sync of %s failing, rank %d: %v, want %q naming the failure", tc.failing, r, err, tc.want)
+			}
+		}
+		if tc.want != "aborted" {
+			continue
+		}
+		if m, err := ReadManifest(dir); err != nil {
+			t.Fatal(err)
+		} else if _, ok := m.Stages[StageDHT]; ok {
+			t.Error("a vetoed stage appears in the manifest")
+		}
 	}
 }
 

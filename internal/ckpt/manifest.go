@@ -136,7 +136,8 @@ func decodeManifest(path string, blob []byte) (*Manifest, error) {
 }
 
 // writeManifest atomically publishes the manifest: marshal, write to a
-// temporary file, fsync, rename over the previous manifest.
+// temporary file, fsync, rename over the previous manifest, fsync the
+// directory.
 func writeManifest(dir string, m *Manifest) error {
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -159,7 +160,10 @@ func writeManifest(dir string, m *Manifest) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), ManifestPath(dir))
+	if err := os.Rename(tmp.Name(), ManifestPath(dir)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // HashConfig digests a canonical (JSON) rendering of the

@@ -126,7 +126,8 @@ func SegmentFile(stage string, rank int, epoch uint64) string {
 }
 
 // writeSegmentFile durably writes one segment: encode, write to a
-// temporary file in the same directory, fsync, rename into place.
+// temporary file in the same directory, fsync, rename into place, fsync
+// the directory.
 // Returns the file's byte count and CRC-64 digest for the manifest.
 func writeSegmentFile(path string, hdr SegmentHeader, sections []Section) (int64, uint64, error) {
 	img := encodeSegment(hdr, sections)
@@ -152,7 +153,26 @@ func writeSegmentFile(path string, hdr SegmentHeader, sections []Section) (int64
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, 0, err
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return 0, 0, err
+	}
 	return int64(len(img)), crc64.Checksum(img, crcTable), nil
+}
+
+// syncDir makes the renames into dir durable: a renamed file is on disk
+// only once its directory is, so without it a power cut could keep a
+// manifest naming a segment whose rename was lost. A variable so tests can
+// count its calls and fail them.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadSegment loads and verifies one segment file against its manifest

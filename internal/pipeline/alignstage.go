@@ -326,6 +326,9 @@ func (al *aligner) alignStreamed(reqs [][]uint32, tasks []overlap.Task) {
 	al.streamReplies(reqs, al.packReplies(incoming), remote)
 }
 
+// replicaSlab is the memory streamReplies copies replicas into at a time.
+const replicaSlab = 1 << 20
+
 // streamReplies is the readiness-driven reply schedule: the packed reply
 // exchange is streamed in bounded chunks, and remote tasks — indexed by
 // the replica IDs they are waiting on — align the moment their last
@@ -349,12 +352,20 @@ func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs, rem
 			}
 		}
 	}
+	// A delivered item is the stream's until deliver returns, so each
+	// replica is copied into slabs the stage owns: the one receive-side copy.
+	var slab []byte
 	deliver := func(d spmd.StreamDelivery) {
 		t0 := walltime.Now()
 		var installed int64
 		for i, item := range d.Items {
+			if cap(slab)-len(slab) < len(item) {
+				slab = make([]byte, 0, max(len(item), replicaSlab))
+			}
+			n := len(slab)
+			slab = append(slab, item...)
 			id := reqs[d.Src][d.First+i]
-			al.view.AddReplica(id, item)
+			al.view.AddReplica(id, slab[n:len(slab):len(slab)])
 			st.ReadsFetched++
 			st.FetchedBytes += int64(len(item))
 			installed += int64(len(item))

@@ -104,9 +104,10 @@ type Config struct {
 	// alignment stage's streamed reply exchange (ExchangeStreamed only;
 	// 0: spmd.DefaultChunkBytes).
 	ReplyChunk int
-	// ReplyDepth is how many reply chunk rounds are kept in flight
-	// (ExchangeStreamed only; 0: spmd.DefaultStreamDepth, capped at
-	// spmd.MaxStreamDepth).
+	// ReplyDepth is how many reply chunk rounds are in flight while a
+	// rank waits, as BuildDepth counts the build's rounds (ExchangeStreamed
+	// only; 0: spmd.DefaultStreamDepth, capped at spmd.MaxStreamDepth; 1
+	// is blocking chunk rounds, priced as the blocking exchanges they are).
 	ReplyDepth int
 
 	// BuildDepth is how many exchange rounds the hash-table build's

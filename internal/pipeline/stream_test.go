@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"dibella/internal/fastq"
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
 	"dibella/internal/seqgen"
@@ -15,7 +17,9 @@ import (
 // must produce byte-identical PAF to the bulk-synchronous schedule, on
 // both the in-process and TCP transports, while actually hiding exchange
 // time. MinDistance seeds keep multi-seed pairs (and the RC cache paths)
-// in play; the small chunk forces many reply rounds.
+// in play; the small chunk forces many reply rounds. A second streamed
+// shape, 64-byte chunks in blocking rounds (depth 1), cuts nearly every
+// read across chunk boundaries.
 func TestStreamedExchangeMatchesSync(t *testing.T) {
 	const p = 4
 	ds, err := seqgen.Generate(seqgen.Config{
@@ -58,6 +62,22 @@ func TestStreamedExchangeMatchesSync(t *testing.T) {
 	if got := pafBytes(t, tcpStream, ds.Reads); !bytes.Equal(want, got) {
 		t.Errorf("tcp streamed PAF diverges from sync (%d vs %d bytes)", len(got), len(want))
 	}
+	tinyCfg := streamCfg
+	tinyCfg.ReplyChunk, tinyCfg.ReplyDepth = 64, 1
+	memTiny, err := Execute(p, nil, ds.Reads, tinyCfg)
+	if err != nil {
+		t.Fatalf("in-process streamed, 64-byte blocking rounds: %v", err)
+	}
+	tcpTiny, err := executeTCPLoopback(t, p, ds.Reads, tinyCfg)
+	if err != nil {
+		t.Fatalf("tcp streamed, 64-byte blocking rounds: %v", err)
+	}
+	if got := pafBytes(t, memTiny, ds.Reads); !bytes.Equal(want, got) {
+		t.Errorf("in-process streamed PAF in 64-byte blocking rounds diverges from sync (%d vs %d bytes)", len(got), len(want))
+	}
+	if got := pafBytes(t, tcpTiny, ds.Reads); !bytes.Equal(want, got) {
+		t.Errorf("tcp streamed PAF in 64-byte blocking rounds diverges from sync (%d vs %d bytes)", len(got), len(want))
+	}
 	if f := memStream.OverlapFraction(); f <= 0 {
 		t.Errorf("streamed in-process run reports overlap fraction %v, want > 0", f)
 	}
@@ -66,6 +86,46 @@ func TestStreamedExchangeMatchesSync(t *testing.T) {
 	}
 	if n := memStream.PerRank[0].Align.ReadsFetched; n == 0 {
 		t.Error("streamed run installed no replicas on rank 0; the schedule was not exercised")
+	}
+}
+
+// TestStreamedRepliesOutliveTheStream: a delivered item is the stream's
+// until deliver returns, so every replica the stage installs must be its
+// own copy. After the stage each replica a rank holds must still read as
+// the owner's sequence; with recycled rows poisoned, a replica left as a
+// view of a ring row does not (64-byte blocking rounds go round a two-set
+// ring many times over).
+func TestStreamedRepliesOutliveTheStream(t *testing.T) {
+	ds, err := seqgen.Generate(seqgen.Config{
+		GenomeLen: 9000, Coverage: 8, MeanReadLen: 900, MinReadLen: 300, BothStrands: true, ErrorRate: 0.05, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 15, ErrorRate: 0.05, Coverage: 8, Exchange: ExchangeStreamed, ReplyChunk: 64, ReplyDepth: 1}
+	store := fastq.NewReadStore(ds.Reads, 3)
+	err = spmd.Run(3, func(c *spmd.Comm) error {
+		w, err := FormWorld(c, nil, store, cfg)
+		if err != nil {
+			return err
+		}
+		tasks, err := w.overlapStage(nil, nil, false)
+		if err != nil {
+			return err
+		}
+		w.alignTasks(tasks)
+		for id := uint32(0); id < uint32(store.NumReads()); id++ {
+			if seq := w.view.Seq(id); !w.view.Owns(id) && seq != nil && !bytes.Equal(seq, store.Seq(id)) {
+				return fmt.Errorf("rank %d: replica of read %d no longer holds its sequence", c.Rank(), id)
+			}
+		}
+		if w.view.ReplicaCount() == 0 {
+			return fmt.Errorf("rank %d fetched no replicas; nothing was checked", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

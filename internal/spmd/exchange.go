@@ -7,10 +7,10 @@ package spmd
 // Alltoallv from a barrier, a posted non-blocking exchange or one chunk
 // round of a stream is only how it is priced, and that is data: a pricing
 // value. What happens to the received rows is the caller's lifetime for
-// them: a collective whose result escapes (handle.Wait under Alltoallv, the
-// gathers, a stream's rounds) copies them out of a non-shared transport's
-// buffers; Rounds, whose process callback is done with them when it
-// returns, reads them where they are.
+// them: a collective whose result escapes (handle.Wait under Alltoallv and
+// the gathers) copies them out of a non-shared transport's buffers; Rounds,
+// whose process callback is done with them when it returns — a build pass,
+// a stream's chunk rounds — reads them where they are.
 //
 // Non-blocking exchanges are the MPI_Ialltoallv analogue that lets a rank
 // post round r+1's exchange and keep computing on round r while the
@@ -31,8 +31,10 @@ package spmd
 // Ordering contract: handles are waited in posting order, and no blocking
 // collective runs while one is pending (violations panic, and a rank that
 // returns with one pending fails the run). The contract is this package's
-// alone: a handle never leaves it. Callers get Rounds, AlltoallvDuring and
-// IAlltoallvStreamed, each of which waits what it posted before returning.
+// alone: a handle never leaves it. Callers get Rounds and AlltoallvDuring,
+// each of which waits what it posted before returning; IAlltoallvStreamed
+// is a blocking Alltoallv followed by one Rounds pass, and posts nothing of
+// its own.
 
 import (
 	"fmt"
@@ -95,16 +97,6 @@ func (c *Comm) exchangeCost(r *pricing, maxBytes float64) float64 {
 	return d
 }
 
-// streamState is the shared accounting of one streamed exchange: the
-// modeled completion watermark that serializes its rounds. Chunks of one
-// stream travel back-to-back on each peer connection, so in modeled time
-// chunk r cannot start before chunk r-1 (or the header) has fully drained
-// — without this, early-posted chunks would appear to move in parallel
-// and a chunked exchange would price below the monolithic one.
-type streamState struct {
-	completion float64
-}
-
 // handle is the completion handle of one posted exchange. It holds nothing
 // of an exchange once that is waited, so Rounds posts a pass through the
 // same few handles.
@@ -116,9 +108,6 @@ type handle[T any] struct {
 	myBytes int64
 	posted  time.Time
 	done    bool
-	// serial is the owning stream's completion watermark (nil for
-	// standalone exchanges).
-	serial *streamState
 	// flow links this exchange's post and wait events across ranks in the
 	// flight recorder (see Comm.postSeq); 0 when tracing is disabled.
 	flow uint64
@@ -146,7 +135,7 @@ func requirePOD[T any](op string) {
 // post is the cast-and-post step of a collective called with typed rows:
 // rank i's send[j] will be delivered as rank j's recv[i] when every rank
 // has posted the matching exchange.
-func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T] {
+func post[T any](c *Comm, send [][]T, r *pricing) *handle[T] {
 	if len(send) != c.Size() {
 		panic(fmt.Sprintf("spmd: %s send length %d != world size %d", r.op, len(send), c.Size()))
 	}
@@ -156,14 +145,14 @@ func post[T any](c *Comm, send [][]T, r *pricing, serial *streamState) *handle[T
 		raw[dst] = castToBytes(send[dst])
 	}
 	h := new(handle[T])
-	h.post(c, raw, r, serial)
+	h.post(c, raw, r)
 	return h
 }
 
 // post hands one row per rank to the transport and makes h the exchange's
 // handle. raw belongs to the exchange until it is waited (on a shared
 // transport, until every peer has read its column).
-func (h *handle[T]) post(c *Comm, raw [][]byte, r *pricing, serial *streamState) {
+func (h *handle[T]) post(c *Comm, raw [][]byte, r *pricing) {
 	if r.blocking {
 		c.requireIdle(r.op)
 	}
@@ -186,7 +175,7 @@ func (h *handle[T]) post(c *Comm, raw [][]byte, r *pricing, serial *streamState)
 		c.Tick(d)
 		c.stats.ExchangeVirtual += d
 	}
-	*h = handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now, serial: serial}
+	*h = handle[T]{c: c, pe: pe, rule: r, id: c.nextID, myBytes: myBytes, posted: now}
 	if c.pending() == 0 {
 		// First in-flight exchange: compute from here on counts as
 		// overlap (until attributed by a Wait).
@@ -214,8 +203,9 @@ func (h *handle[T]) post(c *Comm, raw [][]byte, r *pricing, serial *streamState)
 // received rows as the transport holds them (recv[src] is what rank src
 // sent here; the header is the transport's until this rank's next post or
 // wait). It must be called exactly once per posted exchange, in posting
-// order.
-func (h *handle[T]) complete() [][]byte {
+// order. ring is the pass a chunk round belongs to (nil otherwise): its
+// watermark serializes the pass's rounds.
+func (h *handle[T]) complete(ring *RoundBufs) [][]byte {
 	c, r := h.c, h.rule
 	if h.done {
 		panic("spmd: exchange waited twice")
@@ -253,15 +243,15 @@ func (h *handle[T]) complete() [][]byte {
 	c.anchorWall = start.Add(blocked)
 	c.anchorExchWall = c.stats.ExchangeWall
 
-	// A stream's rounds drain one after another on each peer connection:
-	// this round starts at the later of its BSP post maximum and the
-	// previous round's modeled completion.
-	if h.serial != nil && h.serial.completion > tmax {
-		tmax = h.serial.completion
+	// A stream's chunk rounds drain one after another on each peer
+	// connection: this round starts at the later of its BSP post maximum
+	// and the previous round's modeled completion.
+	if r.chunk {
+		tmax = max(tmax, ring.completion)
 	}
 	cost := c.exchangeCost(r, bmax)
-	if h.serial != nil {
-		h.serial.completion = tmax + cost
+	if r.chunk {
+		ring.completion = tmax + cost
 	}
 	// The exchange occupied modeled time [tmax, tmax+cost]; whatever local
 	// progress the rank made past tmax hid that much of the cost.
@@ -292,7 +282,7 @@ func (h *handle[T]) complete() [][]byte {
 // non-shared transport's buffers (which go back to the frame pool) and, on
 // a shared one, the sender's memory itself.
 func (h *handle[T]) Wait() [][]T {
-	rraw := h.complete()
+	rraw := h.complete(nil)
 	c := h.c
 	shared := c.tr.shared()
 	recv := make([][]T, len(rraw))
@@ -337,7 +327,7 @@ func (c *Comm) recycle(rraw [][]byte) {
 // AlltoallvPacked.
 func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 	c.rec.Begin(traceAlltoallv, c.clock)
-	h := post(c, send, &priceAlltoallv, nil)
+	h := post(c, send, &priceAlltoallv)
 	recv := h.Wait()
 	c.rec.End(traceAlltoallv, c.clock, h.myBytes)
 	return recv
@@ -354,15 +344,25 @@ func Alltoallv[T any](c *Comm, send [][]T) [][]T {
 // every peer is done with it — Rounds has it, and is the one place in the
 // tree that does.
 func ialltoallv[T any](c *Comm, send [][]T) *handle[T] {
-	return post(c, send, &pricePosted, nil)
+	return post(c, send, &pricePosted)
 }
 
-// RoundBufs is the memory a build's passes exchange out of: a ring of send
-// row sets, one row per destination in each, that Rounds hands to pack
-// round after round and pass after pass. The rows are kept as bytes, so a
-// pass of 8-byte records and the pass of 16-byte records after it pack into
-// the same memory. The window depth is fixed with the ring because the
-// ring's length follows from it.
+// RoundBufs is the memory a pass exchanges out of — a build's two passes,
+// or a stream's chunk rounds: a ring of send row sets, one row per
+// destination in each, that Rounds hands to pack round after round and pass
+// after pass. The rows are kept as bytes, so a pass of 8-byte records and
+// the pass of 16-byte records after it pack into the same memory. The window
+// depth is fixed with the ring because the ring's length follows from it.
+//
+// The ring also carries its passes' pricing rule. A NewRoundBufs ring prices
+// its non-blocking rounds as posted exchanges, each on its own. A stream's
+// ring prices them as chunk rounds and keeps their completion watermark:
+// chunks of one stream travel back-to-back on each peer connection, so in
+// modeled time round r cannot start before round r-1 has drained — without
+// it, rounds posted ahead would appear to move in parallel and a chunked
+// exchange would price below the monolithic one. Either way a pass Rounds
+// runs blocking (depth 1, or fewer than two rounds) is priced as the
+// blocking Alltoallvs it is.
 //
 // Why 2·depth sets. Round r's set may be written again once every peer has
 // finished reading it, and on the in-process transport a peer reads it —
@@ -378,8 +378,11 @@ func ialltoallv[T any](c *Comm, send [][]T) *handle[T] {
 // schedule, the same argument gives two sets.
 type RoundBufs struct {
 	depth int
+	rule  *pricing   // how a non-blocking round is priced
 	sets  [][][]byte // sets[i][dst]: len what was posted, cap the row's memory
 	next  int        // rounds packed so far, over every pass
+	// completion is when the last chunk round drained, in modeled time.
+	completion float64
 	// borrowed is the most received-payload memory one round held of a
 	// non-shared transport's frame pool.
 	borrowed int64
@@ -390,7 +393,7 @@ type RoundBufs struct {
 // allocated by pack, as it first meets each of them empty.
 func NewRoundBufs(depth int) *RoundBufs {
 	depth = max(depth, 1)
-	return &RoundBufs{depth: depth, sets: make([][][]byte, 2*depth)}
+	return &RoundBufs{depth: depth, rule: &pricePosted, sets: make([][][]byte, 2*depth)}
 }
 
 // MemBytes is what exchanging through the ring holds at its peak: the
@@ -420,8 +423,9 @@ func (b *RoundBufs) MemBytes() int64 {
 // A single-round pass has nothing to pipeline — posting cost would be
 // pure loss — so with fewer than two rounds or a window below two every
 // round is a blocking exchange at blocking pricing: depth 1 is the
-// bulk-synchronous schedule. process sees identical data in identical
-// order either way. Neither callback may issue a collective.
+// bulk-synchronous schedule. Otherwise each round is priced by bufs' rule.
+// process sees identical data in identical order either way. Neither
+// callback may issue a collective.
 //
 // Rounds owns the rows in both directions, and a pass in steady state
 // allocates nothing.
@@ -438,7 +442,7 @@ func (b *RoundBufs) MemBytes() int64 {
 // back to the frame pool when process returns. The rank's own column is
 // its own send row on every transport. process must copy what it keeps.
 func Rounds[T any](c *Comm, bufs *RoundBufs, rounds int, pack func(send [][]T), process func(recv [][]T)) {
-	rule, depth := &pricePosted, bufs.depth
+	rule, depth := bufs.rule, bufs.depth
 	if rounds < 2 || depth < 2 {
 		rule, depth = &priceAlltoallv, 1
 	}
@@ -469,7 +473,7 @@ func Rounds[T any](c *Comm, bufs *RoundBufs, rounds int, pack func(send [][]T), 
 		if rule.blocking {
 			c.rec.Begin(traceAlltoallv, c.clock)
 		}
-		h.post(c, set, rule, nil)
+		h.post(c, set, rule)
 		posted++
 	}
 	for posted < rounds && posted < depth-1 {
@@ -480,7 +484,7 @@ func Rounds[T any](c *Comm, bufs *RoundBufs, rounds int, pack func(send [][]T), 
 			postNext()
 		}
 		h := &handles[round%depth]
-		copy(rraw, h.complete())
+		copy(rraw, h.complete(bufs))
 		if rule.blocking {
 			c.rec.End(traceAlltoallv, c.clock, h.myBytes)
 		}
@@ -514,6 +518,6 @@ func AlltoallvDuring[T any](c *Comm, send [][]T, during func()) [][]T {
 // of empty contributions.
 func (c *Comm) Barrier() {
 	c.rec.Begin(traceBarrier, c.clock)
-	post(c, make([][]byte, c.Size()), &priceBarrier, nil).Wait()
+	post(c, make([][]byte, c.Size()), &priceBarrier).Wait()
 	c.rec.End(traceBarrier, c.clock, 0)
 }

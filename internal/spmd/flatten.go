@@ -54,7 +54,26 @@ func AlltoallvPacked(c *Comm, send []PackedBufs) []PackedBufs {
 	rlens := Alltoallv(c, lens)
 	out := make([]PackedBufs, c.Size())
 	for i := range out {
+		if n, err := packedLen(rlens[i]); err != nil || n != int64(len(rdata[i])) {
+			if err == nil {
+				err = fmt.Errorf("%d bytes under item lengths summing to %d", len(rdata[i]), n)
+			}
+			collectiveFailed(c, "alltoallv packed", fmt.Errorf("rank %d sent %w", i, err))
+		}
 		out[i] = PackedBufs{Data: rdata[i], Lens: rlens[i]}
 	}
 	return out
+}
+
+// packedLen is the payload item lengths describe, or an error naming the
+// first negative one.
+func packedLen(lens []int32) (int64, error) {
+	var sum int64
+	for i, n := range lens {
+		if n < 0 {
+			return 0, fmt.Errorf("item %d of length %d", i, n)
+		}
+		sum += int64(n)
+	}
+	return sum, nil
 }

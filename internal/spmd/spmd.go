@@ -436,7 +436,7 @@ func gatherVals[T any](c *Comm, v T) []T {
 		panic(fmt.Sprintf("spmd: allgather of %T: not a pointer-free value or a row of pointer-free elements; encode it to bytes first", v))
 	}
 	out := make([]T, c.Size())
-	for i, b := range post(c, replicate(c, raw), &priceAllgather, nil).Wait() {
+	for i, b := range post(c, replicate(c, raw), &priceAllgather).Wait() {
 		if len(b)%size != 0 || !row && len(b) != size {
 			collectiveFailed(c, priceAllgather.op, fmt.Errorf("allgather of %T: rank %d sent %d bytes, element size %d", v, i, len(b), size))
 		}

@@ -313,13 +313,14 @@ func (t *tcpTransport) admit(r int, conn net.Conn) error {
 		conn: conn,
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 		// Capacity 2*MaxStreamDepth: a peer may post collectives ahead of
-		// our consumption — the round pipeline keeps two in flight, and a
-		// streamed exchange posts its header plus up to MaxStreamDepth
-		// chunk rounds before waiting the first — so the reader needs
-		// headroom for a full pipeline window before it parks. A parked
-		// reader backpressures the peer's writer and, transitively, its
-		// posts; sizing past the deepest legal window keeps the window
-		// itself deadlock-free regardless of socket buffering.
+		// our consumption, and every non-blocking exchange is a Rounds
+		// window (a build pass or a stream's chunk rounds; nothing is
+		// posted ahead of one) or AlltoallvDuring's one. At depth d a peer
+		// posts round q only after waiting round q-d, which needs our frame
+		// of it, and while we wait round r we have posted up to r+d-1: at
+		// most 2d of its frames arrive before we wait them. A parked reader
+		// backpressures the peer's writer and its posts; sizing for the
+		// deepest window keeps it deadlock-free whatever the socket buffers.
 		frames: make(chan peerMsg, 2*MaxStreamDepth),
 		// Same bound on the outbound side: one frame per in-flight
 		// collective per peer.

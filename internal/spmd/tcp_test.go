@@ -457,19 +457,36 @@ func rawPeer(t *testing.T, rendezvous string, size int) []net.Conn {
 // trace, attributed to nobody. Both receive paths are held to it, the
 // copy-out under Alltoallv and the in-place view under Rounds — and so is
 // AgreeCommit, where the same 7 bytes are a valid byte row but not a vote.
+// So are the two rows that describe a payload: a packed exchange's item
+// lengths that do not add up to its bytes, and a stream header announcing
+// a negative length (its first word, 1, is the round count; the frame
+// after it is what a stream's header was when a round-count allreduce
+// came first).
 func TestMalformedRowFailsEveryRank(t *testing.T) {
 	const p = 3 // ranks 0 and 1 are real, rank 2 is the raw peer
 	const notRows = "rank 2 sent 7 bytes, not a multiple of element size 8"
+	sevenBytes := [][]byte{[]byte("7 bytes")}
 	for _, path := range []struct {
 		name     string
 		exchange func(c *Comm)
+		frames   [][]byte // what the raw peer sends, collective after collective
 		want     string
 	}{
-		{"alltoallv", func(c *Comm) { Alltoallv(c, make([][]uint64, p)) }, notRows},
+		{"alltoallv", func(c *Comm) { Alltoallv(c, make([][]uint64, p)) }, sevenBytes, notRows},
 		{"rounds", func(c *Comm) {
 			Rounds(c, NewRoundBufs(2), 3, func([][]uint64) {}, func([][]uint64) {})
-		}, notRows},
-		{"agreecommit", func(c *Comm) { AgreeCommit(c, CommitVote{OK: true}) }, "agree commit: commit vote from rank 2"},
+		}, sevenBytes, notRows},
+		{"agreecommit", func(c *Comm) { AgreeCommit(c, CommitVote{OK: true}) }, sevenBytes, "agree commit: commit vote from rank 2"},
+		{"packed", func(c *Comm) {
+			for _, b := range AlltoallvPacked(c, make([]PackedBufs, p)) {
+				b.Items()
+			}
+		}, [][]byte{[]byte("7 bytes"), castToBytes([]int32{5})},
+			"alltoallv packed: rank 2 sent 7 bytes under item lengths summing to 5"},
+		{"stream-header", func(c *Comm) {
+			IAlltoallvStreamed(c, make([]PackedBufs, p), StreamOpts{}, func(StreamDelivery) {})
+		}, [][]byte{castToBytes([]int32{1, -5}), castToBytes([]int32{-5})},
+			"streamed header: rank 2 sent item 0 of length -5"},
 	} {
 		t.Run(path.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -492,9 +509,11 @@ func TestMalformedRowFailsEveryRank(t *testing.T) {
 				}()
 			}
 			for _, conn := range rawPeer(t, ln.Addr().String(), p) {
-				bad := &frame{Type: frameColl, Seq: 0, Payload: []byte("7 bytes")}
-				if err := writeFrame(conn, bad); err != nil {
-					t.Errorf("raw peer writing its frame: %v", err)
+				for seq, payload := range path.frames {
+					bad := &frame{Type: frameColl, Seq: uint64(seq), Payload: payload}
+					if err := writeFrame(conn, bad); err != nil {
+						t.Errorf("raw peer writing its frame: %v", err)
+					}
 				}
 			}
 			named := false

@@ -364,8 +364,8 @@ func TestCollectivesAccountIdenticallyAcrossTransports(t *testing.T) {
 			t.Errorf("rank %d accounts differ:\n mem %+v\n tcp %+v", r, mem[r], tcp[r])
 		}
 	}
-	// 1 barrier + 7 gathers + the stream's round-count allreduce.
-	if mem[0].Collectives != 9 {
-		t.Errorf("Collectives = %d, want 9", mem[0].Collectives)
+	// 1 barrier + 7 gathers; the stream's header is an Alltoallv.
+	if mem[0].Collectives != 8 {
+		t.Errorf("Collectives = %d, want 8", mem[0].Collectives)
 	}
 }
