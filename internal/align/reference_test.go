@@ -1,6 +1,7 @@
 package align
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -125,8 +126,19 @@ func referenceExtend(a, b []byte, sc Scoring, x int, rev bool) extension {
 }
 
 // fuzzXs are the x-drop thresholds the fuzz target draws from: prune
-// everything, the pipeline default, the bench default, and never prune.
-var fuzzXs = [...]int{0, 1, 7, 30, 1 << 30}
+// everything, the pipeline default, the bench default, never prune, and at
+// the largest scores the largest x the assembly routine takes and the first
+// it declines.
+var fuzzXs = [...]int{0, 1, 7, 30, 1 << 30, narrowXMax(maxScores), narrowXMax(maxScores) + 1}
+
+// maxScores is the scheme with every score at MaxScoreMagnitude.
+var maxScores = Scoring{MaxScoreMagnitude, -MaxScoreMagnitude, -MaxScoreMagnitude}
+
+// narrowXMax is the largest x at which the assembly routine takes an
+// extension scored by sc: x+3·maxAbs <= 65534.
+func narrowXMax(sc Scoring) int {
+	return math.MaxInt16 - math.MinInt16 - 1 - 3*sc.maxAbs()
+}
 
 // fuzzScores are the score magnitudes it draws from, up to the largest
 // Scoring.Validate admits.
@@ -166,6 +178,17 @@ func FuzzXDropMatchesReference(f *testing.F) {
 		for _, mag := range [][3]uint8{{0, 0, 0}, {1, 2, 1}} {
 			f.Add(long, near, uint16(150), uint16(151), uint8(16), x, mag[0], mag[1], mag[2])
 		}
+	}
+	// The routine keeps its cells in int16 relative to a base, and rebases
+	// when best climbs near the ceiling: 400 identical bases at match 1024
+	// climb past it every 120 or so antidiagonals at x=7 (mismatch and gap
+	// at 1), and at every new best at the largest x the routine takes with
+	// all three at 1024; one more and it declines, the Go loop running the
+	// whole extension.
+	ident := randomSeq(rand.New(rand.NewSource(66)), 400)
+	f.Add(ident, ident, uint16(200), uint16(200), uint8(16), uint8(2), uint8(4), uint8(0), uint8(0))
+	for _, x := range []uint8{5, 6} {
+		f.Add(long, near, uint16(150), uint16(151), uint8(16), x, uint8(4), uint8(4), uint8(4))
 	}
 	f.Fuzz(func(t *testing.T, sRaw, uRaw []byte, posS, posU uint16, kRaw, xSel, mSel, misSel, gSel uint8) {
 		if len(sRaw) == 0 || len(uRaw) == 0 {

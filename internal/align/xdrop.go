@@ -33,14 +33,16 @@ func XDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
 	// The kernel reads a[i] and brev[m-j] for 0 <= i <= n, 0 <= j <= m, so
 	// each view carries one extra base at i == 0 / j == 0: the last seed base
 	// on the un-reversed side, the buffer's spare slot on the reversed side.
+	// Past a[n] and brev[m] each view runs on for overread bases where there
+	// are any: the buffer's, or the rest of the seed on t's side.
 	tail := t[seedT+k:]
-	buf := w.buffer(len(tail) + 1)
+	buf := w.buffer(len(tail) + 1 + overread)
 	w.rev = reversal{src: tail, dst: buf[:len(tail)], back: true}
-	right := w.extend(s[seedS+k-1:], buf, sc, x32)
+	right := w.extend(s[seedS+k-1:], buf, len(s)-seedS-k, len(tail), sc, x32)
 
-	buf = w.buffer(seedS + 1)
-	w.rev = reversal{src: s[:seedS], dst: buf[1:]}
-	left := w.extend(buf, t[:seedT+1], sc, x32)
+	buf = w.buffer(seedS + 1 + overread)
+	w.rev = reversal{src: s[:seedS], dst: buf[1 : seedS+1]}
+	left := w.extend(buf, t[:min(len(t), seedT+1+overread)], seedS, seedT, sc, x32)
 
 	// Do not pin the caller's reads from the pool.
 	w.rev = reversal{}
@@ -85,13 +87,18 @@ func clampXDrop(total int, sc Scoring, x int) int32 {
 	if !sc.inRange() {
 		panic(fmt.Sprintf("align: scoring %+v exceeds magnitude %d", sc, MaxScoreMagnitude))
 	}
-	maxAbs := max(sc.Match, -sc.Match, sc.Mismatch, -sc.Mismatch, sc.Gap, -sc.Gap)
+	maxAbs := sc.maxAbs()
 	noPrune := 2 * total * maxAbs
 	if noPrune+maxAbs >= -pruned {
 		panic(fmt.Sprintf("align: %d bases at score magnitude %d overflow the int32 x-drop kernel",
 			total, maxAbs))
 	}
 	return int32(min(x, noPrune))
+}
+
+// maxAbs is the largest score magnitude of the scheme.
+func (sc Scoring) maxAbs() int {
+	return max(sc.Match, -sc.Match, sc.Mismatch, -sc.Mismatch, sc.Gap, -sc.Gap)
 }
 
 type extension struct {
@@ -101,28 +108,33 @@ type extension struct {
 }
 
 // workspace is the scratch one XDrop call needs: three rolling antidiagonal
-// rows, the buffer the reversed flank is built in, and the extension in
-// progress. Pooled, so steady state allocates nothing; nothing in it is
-// cleared between calls but the pointers into the caller's reads.
+// rows for the Go loop and three narrow ones for the assembly routine, the
+// buffer the reversed flank is built in, and the extension in progress.
+// Pooled, so steady state allocates nothing; nothing in it is cleared between
+// calls but the pointers into the caller's reads.
 type workspace struct {
-	rows [3][]int32
-	rot  int // rows[rot%3], rows[(rot+1)%3] and rows[(rot+2)%3] are antidiagonals d-2, d-1 and d
-	buf  []byte
-	rev  reversal
-	st   front
+	rows   [3][]int32
+	narrow [3][]int16
+	rot    int // rows[rot%3], rows[(rot+1)%3] and rows[(rot+2)%3] are antidiagonals d-2, d-1 and d; narrow likewise
+	buf    []byte
+	rev    reversal
+	st     front
 }
 
 // front is an extension between two antidiagonals: everything scoring the
 // next one needs, and everything the result is read from. The Go loop
 // (advance) and the assembly routine (steadyAVX2, which reads this struct by
 // field offset) each pick an extension up from here and leave it here, so
-// either can continue where the other stopped. The pointers are set for an
-// assembly call (workspace.steady) and mean nothing to the Go loop; the two
-// into the caller's reads are cleared before the workspace is pooled.
+// either can continue where the other stopped. The pointers and base are set
+// for an assembly call (workspace.enter) and mean nothing to the Go loop; the
+// two pointers into the caller's reads are cleared before the workspace is
+// pooled.
 type front struct {
-	cur, p1, p2 *int32 // index 0 of the rows of antidiagonals d, d-1, d-2
+	cur, p1, p2 *int16 // index 0 of the narrow rows of antidiagonals d, d-1, d-2
 	a, brev     *byte  // index 0 of the two base views
 	n, m        int
+	alast       int // the last index of a the routine may read: n, or up to overread past it
+	bpad        int // how far past brev[m] it may read, at most overread
 	d           int // the next antidiagonal to score
 	stop        int // the last one the assembly may score in this call
 	lo1, hi1    int // surviving window of antidiagonal d-1
@@ -133,7 +145,16 @@ type front struct {
 	match       int32
 	mismatch    int32
 	gap         int32
+	base        int32 // a narrow cell holds its score minus base
+	floor       int32 // best-base after a rebase (and on entry)
+	ceil        int32 // the largest best-base an antidiagonal is scored from
 }
+
+// fits reports whether the extension's scores fit the narrow rows: whether
+// a rebase leaves best-base at or below ceil (the package comment has the
+// arithmetic). It holds when x+3·maxAbs <= 65534, that is, for every x a
+// pipeline would use; beyond it the Go loop runs the whole extension.
+func (st *front) fits() bool { return st.floor <= st.ceil }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
@@ -180,45 +201,54 @@ func (r *reversal) fill(d int) {
 // brev[m-j] holding base j, so that along an antidiagonal both sequences are
 // read in ascending index order. Unlike local alignment the score may go
 // negative (down to best-x) before recovering. a[0] and brev[m] exist but
-// are never scored: the cells that read them have a pruned diagonal.
+// are never scored: the cells that read them have a pruned diagonal; nor is
+// anything past a[n] or brev[m], which only the routine's lanes past a window
+// read.
 //
 // Antidiagonal d holds cell (i, d-i) at row index i+1, live over a window
 // [lo,hi] with a pruned sentinel stored at lo-1 and hi+1, so the three
 // neighbour reads need no window or edge test (see the package comment).
 // Whichever of a, brev is w.rev.dst is filled ahead of the antidiagonal
 // that reads it.
-func (w *workspace) extend(a, brev []byte, sc Scoring, x int32) extension {
-	n, m := len(a)-1, len(brev)-1
-	w.begin(n, m, sc, x)
+func (w *workspace) extend(a, brev []byte, n, m int, sc Scoring, x int32) extension {
+	w.begin(a, brev, n, m, sc, x)
 	st := &w.st
+	// steady runs the extension until its window reaches an edge, where the
+	// assembly's whole-vector reads would leave the slices, and the Go loop
+	// runs edgeRun antidiagonals from there before it offers the extension
+	// again. Which antidiagonals are which the assembly decides (it returns
+	// at once from one it may not score). Without AVX2, or with scores too
+	// wide for the narrow rows, the loop runs to the end as if there were
+	// nothing to hand off to.
+	vector := useAVX2 && st.fits()
+	run := n + m
+	if vector {
+		run = edgeRun
+	}
 	for alive := true; alive && st.d <= n+m; {
-		// The Go loop runs the antidiagonals at an extension's edges, where
-		// the assembly's whole-vector reads would leave the slices; steady
-		// runs the rest. Which antidiagonals are which the assembly decides
-		// (it returns at once from one it may not score), so the loop only
-		// has to come back and ask: useAVX2 is read once per hand-off, and
-		// without it the loop runs to the end as if there were nothing to
-		// hand off to.
-		until := n + m
-		if useAVX2 {
-			until = min(until, st.d+edgeRun-1)
+		if vector {
+			if alive = w.steady(a, brev); !alive || st.d > n+m {
+				break
+			}
 		}
-		alive = w.advance(a, brev, until)
-		if alive && st.d <= n+m {
-			alive = w.steady(a, brev)
-		}
+		alive = w.advance(a, brev, min(n+m, st.d+run-1))
 	}
 	return extension{score: int(st.best), aLen: st.bestI, bLen: st.bestD - st.bestI, cells: st.cells}
 }
 
 // begin sizes the rows for a first sequence of n bases and leaves in w.st the
-// extension that has scored cell (0,0) and nothing else.
-func (w *workspace) begin(n, m int, sc Scoring, x int32) {
+// extension of a[:n+1] over brev[:m+1] that has scored cell (0,0) and nothing
+// else. The narrow rows are overread cells longer, for the routine's lanes
+// past a window at the n edge.
+func (w *workspace) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
 	for r := range w.rows {
 		if cap(w.rows[r]) < n+3 {
 			w.rows[r] = make([]int32, n+3)
 		}
-		w.rows[r] = w.rows[r][:n+3]
+		if cap(w.narrow[r]) < n+3+overread {
+			w.narrow[r] = make([]int16, n+3+overread)
+		}
+		w.rows[r], w.narrow[r] = w.rows[r][:n+3], w.narrow[r][:n+3+overread]
 	}
 	w.rot = 0
 	p2, p1, _ := w.threeRows()
@@ -227,18 +257,24 @@ func (w *workspace) begin(n, m int, sc Scoring, x int32) {
 	p2[0], p2[1] = pruned, pruned
 	st := &w.st
 	st.n, st.m, st.d, st.lo1, st.hi1 = n, m, 1, 0, 0
+	st.alast, st.bpad = min(len(a)-1, n+overread), min(len(brev)-1-m, overread)
 	st.best, st.bestI, st.bestD, st.cells = 0, 0, 0, 0
 	st.x, st.match, st.mismatch, st.gap = x, int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
+	maxAbs := int32(sc.maxAbs())
+	st.floor = math.MinInt16 + 1 + x + 2*maxAbs
+	st.ceil = math.MaxInt16 - maxAbs
 }
 
 // edgeRun is how many antidiagonals the Go loop scores before it offers the
-// extension to the assembly routine (again). The first seven never qualify
-// (the window has to be a vector clear of row index 0), and at x=7 even a
-// pair with no base in common has narrowed to one vector by the ninth; after
-// that the routine usually runs until the window reaches the far edge, a
-// handful of antidiagonals from the end. An offer declined costs about one
-// antidiagonal.
+// extension to the assembly routine again. The routine takes an extension
+// from its first antidiagonal and usually runs until the window reaches the
+// far edge, a dozen or so antidiagonals from the end, where offers are
+// declined, each for about the cost of one antidiagonal.
 const edgeRun = 8
+
+// overread is how many bases past the last one a view holds the routine
+// reads in the lanes past a window: a vector less one.
+const overread = 15
 
 // Why the assembly routine returned.
 const (

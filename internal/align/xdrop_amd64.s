@@ -3,71 +3,53 @@
 
 // VEX encodings only, down to the moves from general registers: a single
 // legacy-SSE instruction (MOVQ AX, X12 where VMOVD was meant) among the
-// VPBROADCASTDs makes every call pay the SSE/AVX state transition, and the
-// x=7 kernel as a whole ran ten times slower.
+// broadcasts makes every call pay the SSE/AVX state transition, and the x=7
+// kernel as a whole ran ten times slower.
 
-// pruned is the kernel's abandoned-cell sentinel, math.MinInt32/2.
-#define pruned $const_pruned
+// pruned is the abandoned-cell sentinel of the narrow rows, math.MinInt16.
+#define pruned $const_narrowPruned
 
 // nocarry in BX says no row is carried in registers: no window start is
 // within 1 of it.
 #define nocarry $-0x4000000000000000
 
-DATA lanes<>+0(SB)/4, $0
-DATA lanes<>+4(SB)/4, $1
-DATA lanes<>+8(SB)/4, $2
-DATA lanes<>+12(SB)/4, $3
-DATA lanes<>+16(SB)/4, $4
-DATA lanes<>+20(SB)/4, $5
-DATA lanes<>+24(SB)/4, $6
-DATA lanes<>+28(SB)/4, $7
-GLOBL lanes<>(SB), RODATA|NOPTR, $32
+// Sixteen words of math.MaxInt16, then sixteen of math.MinInt16: the 32
+// bytes at 2·(-w&15), taken as a lane-wise upper bound, prune the lanes past
+// the last vector of a window w cells wide and leave the others be.
+DATA tailbound<>+0(SB)/8, $0x7fff7fff7fff7fff
+DATA tailbound<>+8(SB)/8, $0x7fff7fff7fff7fff
+DATA tailbound<>+16(SB)/8, $0x7fff7fff7fff7fff
+DATA tailbound<>+24(SB)/8, $0x7fff7fff7fff7fff
+DATA tailbound<>+32(SB)/8, $-0x7fff7fff7fff8000
+DATA tailbound<>+40(SB)/8, $-0x7fff7fff7fff8000
+DATA tailbound<>+48(SB)/8, $-0x7fff7fff7fff8000
+DATA tailbound<>+56(SB)/8, $-0x7fff7fff7fff8000
+GLOBL tailbound<>(SB), RODATA|NOPTR, $64
 
-// VPERMD indices that move a row one lane up (lane k takes lane k-1) and one
-// lane down (lane k takes lane k+1). Lane 0 of the first and lane 7 of the
-// second are overwritten with pruned after the permute.
-DATA laneup<>+0(SB)/4, $0
-DATA laneup<>+4(SB)/4, $0
-DATA laneup<>+8(SB)/4, $1
-DATA laneup<>+12(SB)/4, $2
-DATA laneup<>+16(SB)/4, $3
-DATA laneup<>+20(SB)/4, $4
-DATA laneup<>+24(SB)/4, $5
-DATA laneup<>+28(SB)/4, $6
-GLOBL laneup<>(SB), RODATA|NOPTR, $32
-
-DATA lanedown<>+0(SB)/4, $1
-DATA lanedown<>+4(SB)/4, $2
-DATA lanedown<>+8(SB)/4, $3
-DATA lanedown<>+12(SB)/4, $4
-DATA lanedown<>+16(SB)/4, $5
-DATA lanedown<>+20(SB)/4, $6
-DATA lanedown<>+24(SB)/4, $7
-DATA lanedown<>+28(SB)/4, $7
-GLOBL lanedown<>(SB), RODATA|NOPTR, $32
-
-DATA eights<>+0(SB)/4, $8
-DATA eights<>+4(SB)/4, $8
-DATA eights<>+8(SB)/4, $8
-DATA eights<>+12(SB)/4, $8
-DATA eights<>+16(SB)/4, $8
-DATA eights<>+20(SB)/4, $8
-DATA eights<>+24(SB)/4, $8
-DATA eights<>+28(SB)/4, $8
-GLOBL eights<>(SB), RODATA|NOPTR, $32
+// VPSHUFB indices that swap the two words of every doubleword.
+DATA swapwords<>+0(SB)/8, $0x0504070601000302
+DATA swapwords<>+8(SB)/8, $0x0d0c0f0e09080b0a
+DATA swapwords<>+16(SB)/8, $0x0504070601000302
+DATA swapwords<>+24(SB)/8, $0x0d0c0f0e09080b0a
+GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 
 // func steadyAVX2(st *front) (exit int)
 //
 // The loop of advance (xdrop.go), antidiagonal after antidiagonal, until it
-// must go back to Go. Row index i+1 holds cell (i, d-i); for the cell in lane
-// k of a window starting at lo, up is p1[lo+k], left p1[lo+k+1], diag
-// p2[lo+k], and the cell is stored at cur[lo+k+1]. Lanes at or past the
-// window's width are computed from whatever lies there and stored as pruned.
+// must go back to Go, over the narrow rows: a cell is its score less
+// front.base, in int16, and pruned is math.MinInt16. Row index i+1 holds cell
+// (i, d-i); for the cell in lane k of a window starting at lo, up is
+// p1[lo+k], left p1[lo+k+1], diag p2[lo+k], and the cell is stored at
+// cur[lo+k+1]. Lanes at or past the window's width are computed from whatever
+// lies there and stored as pruned. Adds saturate, so a cell fed only by
+// pruned neighbours lands at most maxAbs above pruned, under the prune
+// threshold; best-base stays at or below ceil while an antidiagonal is
+// scored, so no live cell saturates, and a new best above ceil rebases.
 //
 // What decides the next window (the shrink, the sentinels, a new best) is
 // branched on, cell by cell from the row as stored, and deliberately so: the
 // predictor then supplies lo and hi to the next antidiagonal before this one
-// has been scored. Computed instead (VMOVMSKPS, BSF, BSR: no branch to miss)
+// has been scored. Computed instead (VPMOVMSKB, BSF, BSR: no branch to miss)
 // they put the whole antidiagonal on the path to the next one's addresses,
 // and the x=7 kernel lost a third.
 //
@@ -78,10 +60,18 @@ GLOBL eights<>(SB), RODATA|NOPTR, $32
 //	BX the window start the carried row was scored at, or nocarry
 //	AX, CX, R14 scratch
 // Vector registers, for the whole call:
-//	Y8 prune  Y9 match  Y10 mismatch  Y11 gap  Y12 pruned  Y14 lane numbers
-//	Y15 best  Y6 laneup  Y7 lanedown
+//	Y7 x  Y8 prune  Y9 match-mismatch  Y10 mismatch  Y11 gap  Y12 pruned
+//	Y14 math.MaxInt16  Y15 best-base
+//	(front.best is written back on the way out)
 //	Y3 the row just scored, Y4 the up and Y5 the left it was scored from
 //	(meaningful when BX is not nocarry)
+//	Y13 the bound of the window's last vector (tailbound)
+//
+// A cell is stored as min(v, (v < prune) XOR MaxInt16), the compare's mask
+// turned into pruned or MaxInt16, and in the last vector min'd with Y13 too;
+// the substitution score is mismatch + (ai == bj AND match-mismatch). Each is
+// one micro-operation an instruction where VPBLENDVB is three, and the x=7
+// rungs ran 3-4% faster for it on a Sapphire Rapids Xeon.
 TEXT ·steadyAVX2(SB), NOSPLIT, $0-16
 	MOVQ st+0(FP), DI
 	MOVQ front_cur(DI), R8
@@ -96,18 +86,21 @@ TEXT ·steadyAVX2(SB), NOSPLIT, $0-16
 	MOVQ front_hi1(DI), R13
 	MOVQ nocarry, BX
 
-	VPBROADCASTD front_best(DI), Y15
-	VPBROADCASTD front_x(DI), Y2
-	VPSUBD       Y2, Y15, Y8
-	VPBROADCASTD front_match(DI), Y9
-	VPBROADCASTD front_mismatch(DI), Y10
-	VPBROADCASTD front_gap(DI), Y11
+	MOVL         front_best(DI), AX
+	SUBL         front_base(DI), AX
+	VMOVD        AX, X15
+	VPBROADCASTW X15, Y15
+	VPBROADCASTW front_x(DI), Y7
+	VPSUBW       Y7, Y15, Y8      // prune = best - x: x may not fit, the difference does
+	VPBROADCASTW front_match(DI), Y9
+	VPBROADCASTW front_mismatch(DI), Y10
+	VPSUBW       Y10, Y9, Y9
+	VPBROADCASTW front_gap(DI), Y11
 	MOVL         pruned, AX
 	VMOVD        AX, X12
-	VPBROADCASTD X12, Y12
-	VMOVDQU      lanes<>(SB), Y14
-	VMOVDQU      laneup<>(SB), Y6
-	VMOVDQU      lanedown<>(SB), Y7
+	VPBROADCASTW X12, Y12
+	VPCMPEQW     Y14, Y14, Y14
+	VPSRLW       $1, Y14, Y14     // 0x7fff
 
 next:
 	CMPQ R11, front_stop(DI)
@@ -127,15 +120,16 @@ next:
 	JLT     dead                 // lo > hi: the window is empty
 	INCQ    AX                   // width
 
-	// With vw the width rounded up to 8, the vectors cover a[lo:lo+vw],
+	// With vw the width rounded up to 16, the vectors cover a[lo:lo+vw],
 	// brev[m-d+lo:][:vw], p1[lo:lo+vw+1], p2[lo:lo+vw] and cur[lo+1:][:vw].
-	// Inside the slices means lo+vw <= n+1 and m-d+lo+vw <= m+1: both say
-	// lo+vw-1 is at most something.
-	LEAQ 7(AX), R14
-	ANDQ $-8, R14
+	// Inside the views means lo+vw-1 <= alast and m-d+lo+vw-1 <= m+bpad, and
+	// the narrow rows are as long as alast allows.
+	LEAQ 15(AX), R14
+	ANDQ $-16, R14
 	LEAQ -1(CX)(R14*1), R14
-	CMPQ R14, front_n(DI)
+	CMPQ R14, front_alast(DI)
 	JGT  edge
+	SUBQ front_bpad(DI), R14
 	CMPQ R14, R11
 	JGT  edge
 
@@ -143,143 +137,194 @@ next:
 	LEAQ -1(CX)(AX*1), R13        // hi
 	ADDQ AX, front_cells(DI)      // every cell of the window, before it shrinks
 
-	VMOVD        AX, X13
-	VPBROADCASTD X13, Y13         // width
+	MOVQ    AX, CX
+	NEGQ    CX
+	ANDQ    $15, CX
+	LEAQ    tailbound<>(SB), R14
+	VMOVDQU (R14)(CX*2), Y13      // the bound of the window's last vector
 
 	// One vector is the antidiagonal, the previous one was too, and the
 	// window start moved by s = 0 or 1: its neighbours are in registers.
-	CMPQ AX, $8
+	CMPQ AX, $16
 	JGT  rows
+	MOVQ R12, CX
 	SUBQ BX, CX                   // s
 	CMPQ CX, $1
 	JHI  rows
 	MOVQ R12, BX
 
-	VPMOVZXBD (SI)(R12*1), Y0
-	VPMOVZXBD (DX)(R12*1), Y1
-	VPCMPEQD  Y0, Y1, Y0
-	VPBLENDVB Y0, Y9, Y10, Y0     // sub = ai == bj ? match : mismatch
-	VPCMPGTD  Y14, Y13, Y13       // k < width
+	VPMOVZXBW (SI)(R12*1), Y0
+	VPMOVZXBW (DX)(R12*1), Y1
+	VPCMPEQW  Y0, Y1, Y0
+	VPAND     Y9, Y0, Y0
+	VPADDW    Y10, Y0, Y0         // sub = ai == bj ? match : mismatch
 	TESTQ     CX, CX
 	JNE       s1
 
 	// s = 0. left is the carried row; up is it one lane up, with the lower
 	// sentinel p1[lo] in lane 0; diag is p2[lo+k], the last up.
-	VPADDD  Y4, Y0, Y0            // diag + sub
-	VPERMD  Y3, Y6, Y4
-	VPBLENDD $0x01, Y12, Y4, Y4   // up
-	VMOVDQA Y3, Y5                // left
-	JMP     cell
+	VPADDSW    Y4, Y0, Y0         // diag + sub
+	VPERM2I128 $0x02, Y12, Y3, Y1 // pruned, then the row's low half
+	VPALIGNR   $14, Y1, Y3, Y4    // up
+	VMOVDQA    Y3, Y5             // left
+	JMP        cell
 
 s1:
-	// s = 1. up is the carried row; left is it one lane down, and lane 7 is
-	// p1[lo+8], which is the upper sentinel if it is inside the window at
+	// s = 1. up is the carried row; left is it one lane down, and lane 15 is
+	// p1[lo+16], which is the upper sentinel if it is inside the window at
 	// all; diag is p2[lo+k], the last left.
-	VPADDD  Y5, Y0, Y0            // diag + sub
-	VPERMD  Y3, Y7, Y5
-	VPBLENDD $0x80, Y12, Y5, Y5   // left
-	VMOVDQA Y3, Y4                // up
+	VPADDSW    Y5, Y0, Y0         // diag + sub
+	VPERM2I128 $0x21, Y12, Y3, Y1 // the row's high half, then pruned
+	VPALIGNR   $2, Y3, Y1, Y5     // left
+	VMOVDQA    Y3, Y4             // up
 
 cell:
-	VPMAXSD   Y4, Y5, Y1          // max(up, left)
-	VPADDD    Y11, Y1, Y1         // + gap
-	VPMAXSD   Y0, Y1, Y0          // v
-	VPCMPGTD  Y0, Y8, Y1          // v < prune
-	VPANDN    Y13, Y1, Y1         // keep = k < width && !(v < prune)
-	VPBLENDVB Y1, Y0, Y12, Y3     // keep ? v : pruned
-	VMOVDQU   Y3, 4(R8)(R12*4)
-	VPCMPGTD  Y15, Y3, Y1         // v > best
-	VMOVMSKPS Y1, AX
+	VPMAXSW   Y4, Y5, Y1          // max(up, left)
+	VPADDSW   Y11, Y1, Y1         // + gap
+	VPMAXSW   Y0, Y1, Y0          // v
+	VPCMPGTW  Y0, Y8, Y1          // v < prune
+	VPMINSW   Y13, Y0, Y0         // past the window: pruned
+	VPXOR     Y14, Y1, Y1         // v < prune ? pruned : MaxInt16
+	VPMINSW   Y1, Y0, Y3
+	VMOVDQU   Y3, 2(R8)(R12*2)
+	VPCMPGTW  Y15, Y3, Y1         // v > best
+	VPMOVMSKB Y1, AX
 	TESTL     AX, AX
 	JEQ       shrink
 
-	// A new best: the row's maximum, in every lane, and the first lane of
-	// the row to hold it.
-	VPERM2I128   $0x01, Y3, Y3, Y0
-	VPMAXSD      Y0, Y3, Y0
-	VPSHUFD      $0x4E, Y0, Y1
-	VPMAXSD      Y1, Y0, Y0
-	VPSHUFD      $0xB1, Y0, Y1
-	VPMAXSD      Y1, Y0, Y15
-	VPBROADCASTD front_x(DI), Y2
-	VPSUBD       Y2, Y15, Y8      // prune = best - x
-	VPCMPEQD     Y15, Y3, Y1
-	VMOVMSKPS    Y1, CX
-	BSFL         CX, CX
-	ADDQ         R12, CX
-	VMOVD        X15, AX
-	MOVL         AX, front_best(DI)
-	MOVQ         CX, front_bestI(DI)
-	MOVQ         R11, front_bestD(DI)
-	JMP          shrink
+	// A new best: the row's maximum, in every lane, and the mask of the
+	// lanes holding it.
+	VPERM2I128 $0x01, Y3, Y3, Y0
+	VPMAXSW    Y0, Y3, Y0
+	VPSHUFD    $0x4E, Y0, Y1
+	VPMAXSW    Y1, Y0, Y0
+	VPSHUFD    $0xB1, Y0, Y1
+	VPMAXSW    Y1, Y0, Y0
+	VPSHUFB    swapwords<>(SB), Y0, Y1
+	VPMAXSW    Y1, Y0, Y15
+	VPSUBW     Y7, Y15, Y8        // prune = best - x
+	VPCMPEQW   Y15, Y3, Y1
+	VPMOVMSKB  Y1, AX
+	MOVQ       R12, CX
+	JMP        found
 
 rows:
-	// Any width, neighbours from the rows. After a single vector Y3, Y4 and
-	// Y5 are what the next antidiagonal may carry.
+	// Any width, neighbours from the rows, the last vector masked by Y13.
+	// After a single vector Y3, Y4 and Y5 are what the next antidiagonal may
+	// carry.
 	MOVQ    R12, BX
 	MOVQ    nocarry, CX
-	CMPQ    AX, $8
+	CMPQ    AX, $16
 	CMOVQGT CX, BX
-	VMOVDQA Y12, Y6               // running max, in laneup's register
+	VMOVDQA Y12, Y6               // running max
 	MOVQ    R12, R14              // i of lane 0
 	ADDQ    R12, AX               // one past the window
 
 vector:
-	VPMOVZXBD (SI)(R14*1), Y0
-	VPMOVZXBD (DX)(R14*1), Y1
-	VPCMPEQD  Y0, Y1, Y0
-	VPBLENDVB Y0, Y9, Y10, Y0     // sub
-	VPADDD    (R10)(R14*4), Y0, Y0 // diag + sub
-	VMOVDQU   (R9)(R14*4), Y4     // up
-	VMOVDQU   4(R9)(R14*4), Y5    // left
-	VPMAXSD   Y4, Y5, Y1
-	VPADDD    Y11, Y1, Y1         // + gap
-	VPMAXSD   Y0, Y1, Y0          // v
-	VPCMPGTD  Y0, Y8, Y1          // v < prune
-	VPCMPGTD  Y14, Y13, Y2        // k < what is left of the width
-	VPANDN    Y2, Y1, Y1
-	VPBLENDVB Y1, Y0, Y12, Y3
-	VMOVDQU   Y3, 4(R8)(R14*4)
-	VPMAXSD   Y3, Y6, Y6
-	VPSUBD    eights<>(SB), Y13, Y13
-	ADDQ      $8, R14
-	CMPQ      R14, AX
-	JLT       vector
-	VEXTRACTI128 $1, Y6, X0
-	VPMAXSD      X0, X6, X0
-	VMOVDQU      laneup<>(SB), Y6
-	VPSHUFD $0x4E, X0, X1
-	VPMAXSD X1, X0, X0
-	VPSHUFD $0xB1, X0, X1
-	VPMAXSD X1, X0, X0
-	VMOVD   X0, AX
-	CMPL    AX, pruned
-	JEQ     dead
-	CMPL    AX, front_best(DI)
-	JLE     shrink
+	VPMOVZXBW (SI)(R14*1), Y0
+	VPMOVZXBW (DX)(R14*1), Y1
+	VPCMPEQW  Y0, Y1, Y0
+	VPAND     Y9, Y0, Y0
+	VPADDW    Y10, Y0, Y0         // sub
+	VPADDSW   (R10)(R14*2), Y0, Y0 // diag + sub
+	VMOVDQU   (R9)(R14*2), Y4     // up
+	VMOVDQU   2(R9)(R14*2), Y5    // left
+	VPMAXSW   Y4, Y5, Y1
+	VPADDSW   Y11, Y1, Y1         // + gap
+	VPMAXSW   Y0, Y1, Y0          // v
+	VPCMPGTW  Y0, Y8, Y1          // v < prune
+	VPXOR     Y14, Y1, Y1         // v < prune ? pruned : MaxInt16
+	LEAQ      16(R14), CX
+	CMPQ      CX, AX
+	JGE       last
+	VPMINSW   Y1, Y0, Y3
+	VMOVDQU   Y3, 2(R8)(R14*2)
+	VPMAXSW   Y3, Y6, Y6
+	MOVQ      CX, R14
+	JMP       vector
 
-	// A new best: the first cell in ascending i to reach it.
-	MOVQ R12, CX
+last:
+	VPMINSW      Y13, Y0, Y0      // past the window: pruned
+	VPMINSW      Y1, Y0, Y3
+	VMOVDQU      Y3, 2(R8)(R14*2)
+	VPMAXSW      Y3, Y6, Y6
+	VPCMPGTW     Y15, Y6, Y1      // v > best, in some vector
+	VPMOVMSKB    Y1, AX
+	TESTL        AX, AX
+	JEQ          shrink
+
+	// A new best: the window's maximum in every lane, and the first vector
+	// to hold it.
+	VPERM2I128 $0x01, Y6, Y6, Y0
+	VPMAXSW    Y0, Y6, Y0
+	VPSHUFD    $0x4E, Y0, Y1
+	VPMAXSW    Y1, Y0, Y0
+	VPSHUFD    $0xB1, Y0, Y1
+	VPMAXSW    Y1, Y0, Y0
+	VPSHUFB    swapwords<>(SB), Y0, Y1
+	VPMAXSW    Y1, Y0, Y15
+	VPSUBW     Y7, Y15, Y8        // prune = best - x
+	MOVQ       R12, CX
 
 first:
-	CMPL AX, 4(R8)(CX*4)
-	JEQ  found
-	INCQ CX
-	JMP  first
+	VPCMPEQW  2(R8)(CX*2), Y15, Y1
+	VPMOVMSKB Y1, AX
+	TESTL     AX, AX
+	JNE       found
+	ADDQ      $16, CX
+	JMP       first
 
 found:
-	MOVL         AX, front_best(DI)
-	MOVQ         CX, front_bestI(DI)
-	MOVQ         R11, front_bestD(DI)
-	VMOVD        AX, X15
-	VPBROADCASTD X15, Y15
-	VPBROADCASTD front_x(DI), Y2
-	VPSUBD       Y2, Y15, Y8      // prune = best - x
+	// The mask of the cells holding best in AX, the first of them in CX.
+	BSFL    AX, AX
+	SHRL    $1, AX
+	ADDQ    AX, CX
+	MOVQ    CX, front_bestI(DI)
+	MOVQ    R11, front_bestD(DI)
+	VMOVD   X15, AX
+	MOVWLSX AX, AX
+	CMPL    AX, front_ceil(DI)
+	JLE     shrink
+
+	// Rebase: best-base down to floor, or by 32767 if that is less (the
+	// most one saturating subtraction moves), in front.base, the registers
+	// and every cell the next antidiagonal can read, which is d's vectors and
+	// d-1 from lo to the end of them. Saturating, so pruned stays pruned.
+rebase:
+	SUBL         front_floor(DI), AX
+	MOVL         $0x7fff, CX
+	CMPL         AX, CX
+	CMOVLGT      CX, AX
+	ADDL         AX, front_base(DI)
+	VMOVD        AX, X2
+	VPBROADCASTW X2, Y2
+	VPSUBW       Y2, Y15, Y15
+	VPSUBW       Y2, Y8, Y8
+	VPSUBSW      Y2, Y3, Y3
+	VPSUBSW      Y2, Y4, Y4
+	VPSUBSW      Y2, Y5, Y5
+	MOVQ         R12, R14
+	MOVWLSX      (R9)(R12*2), CX
+	CMPL         CX, pruned
+	JEQ          rebasevector
+	SUBL         AX, CX
+	MOVW         CX, (R9)(R12*2)
+
+rebasevector:
+	VMOVDQU 2(R8)(R14*2), Y0
+	VPSUBSW Y2, Y0, Y0
+	VMOVDQU Y0, 2(R8)(R14*2)
+	VMOVDQU 2(R9)(R14*2), Y0
+	VPSUBSW Y2, Y0, Y0
+	VMOVDQU Y0, 2(R9)(R14*2)
+	ADDQ    $16, R14
+	CMPQ    R14, R13
+	JLE     rebasevector
 
 shrink:
 	// To the surviving cells. After a single vector nothing has said yet
 	// that one exists.
-	CMPL 4(R8)(R12*4), pruned
+	CMPW 2(R8)(R12*2), pruned
 	JNE  high
 	INCQ R12
 	CMPQ R12, R13
@@ -287,7 +332,7 @@ shrink:
 	JMP  dead
 
 high:
-	CMPL 4(R8)(R13*4), pruned
+	CMPW 2(R8)(R13*2), pruned
 	JNE  sentinels
 	DECQ R13
 	JMP  high
@@ -298,14 +343,14 @@ sentinels:
 	// not forwarded: it waits for the store to reach the cache. More often
 	// than not the sentinel is there already (the window shrank over a
 	// pruned cell, or a lane past the width was stored).
-	CMPL (R8)(R12*4), pruned
+	CMPW (R8)(R12*2), pruned
 	JEQ  upper
-	MOVL pruned, (R8)(R12*4)
+	MOVW pruned, (R8)(R12*2)
 
 upper:
-	CMPL 8(R8)(R13*4), pruned
+	CMPW 4(R8)(R13*2), pruned
 	JEQ  rotate
-	MOVL pruned, 8(R8)(R13*4)
+	MOVW pruned, 4(R8)(R13*2)
 
 rotate:
 	MOVQ R10, CX
@@ -328,7 +373,11 @@ dead:
 	MOVQ $const_exitDead, AX
 
 done:
-	MOVQ R11, front_d(DI)
+	VMOVD   X15, CX
+	MOVWLSX CX, CX
+	ADDL    front_base(DI), CX
+	MOVL    CX, front_best(DI)
+	MOVQ    R11, front_d(DI)
 	MOVQ R12, front_lo1(DI)
 	MOVQ R13, front_hi1(DI)
 	VZEROUPPER

@@ -17,30 +17,34 @@ func setAssembly(on bool) (was bool) {
 }
 
 const (
-	rowCanary  = int32(0x5ca1ab1e)
-	canaryRoom = 16 // cells or bases either side of a row or a base view
+	rowCanary    = int32(0x5ca1ab1e)
+	narrowCanary = int16(0x5ca1)
+	canaryRoom   = 16 // cells or bases either side of a row or a base view
 )
 
-// guarded is a workspace whose rows sit between canaries, with its two base
-// views and their canaried backing, for one right-hand extension of a over b.
+// guarded is a workspace whose rows, wide and narrow, sit between canaries,
+// with its two base views and their canaried backing, for one right-hand
+// extension of a over b.
 type guarded struct {
-	w        workspace
-	rowMem   [3][]int32
-	a, brev  []byte
-	baseMem  [2][]byte
-	baseWant [2][]byte
+	w         workspace
+	rowMem    [3][]int32
+	narrowMem [3][]int16
+	a, brev   []byte
+	baseMem   [2][]byte
+	baseWant  [2][]byte
 }
 
 // newGuarded starts the extension of a[1:] over b as XDrop starts its
 // right-hand one: a as it lies, b reversed on demand into a buffer one base
-// longer.
-func newGuarded(a, b []byte, sc Scoring, x int32) *guarded {
+// longer. The views run on for apad and bpad canary bytes, which the
+// routine may read and nothing may write.
+func newGuarded(a, b []byte, sc Scoring, x int32, apad, bpad int) *guarded {
 	g := new(guarded)
 	pad := func(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
 	g.baseMem[0] = concat(pad(canaryRoom), a, pad(canaryRoom))
 	g.baseMem[1] = pad(canaryRoom + len(b) + 1 + canaryRoom)
-	g.a = g.baseMem[0][canaryRoom:][:len(a):len(a)]
-	g.brev = g.baseMem[1][canaryRoom:][: len(b)+1 : len(b)+1]
+	g.a = g.baseMem[0][canaryRoom:][: len(a)+apad : len(a)+apad]
+	g.brev = g.baseMem[1][canaryRoom:][: len(b)+1+bpad : len(b)+1+bpad]
 	g.w.rev = reversal{src: b, dst: g.brev[:len(b)], back: true}
 	n := len(a) - 1
 	for r := range g.rowMem {
@@ -49,8 +53,13 @@ func newGuarded(a, b []byte, sc Scoring, x int32) *guarded {
 			g.rowMem[r][k] = rowCanary
 		}
 		g.w.rows[r] = g.rowMem[r][canaryRoom:][: n+3 : n+3]
+		g.narrowMem[r] = make([]int16, canaryRoom+n+3+overread+canaryRoom)
+		for k := range g.narrowMem[r] {
+			g.narrowMem[r][k] = narrowCanary
+		}
+		g.w.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3+overread : n+3+overread]
 	}
-	g.w.begin(n, len(b), sc, x)
+	g.w.begin(g.a, g.brev, n, len(b), sc, x)
 	return g
 }
 
@@ -62,6 +71,8 @@ func (g *guarded) clone() *guarded {
 	for r := range g.rowMem {
 		c.rowMem[r] = slices.Clone(g.rowMem[r])
 		c.w.rows[r] = c.rowMem[r][canaryRoom:][:len(g.w.rows[r]):len(g.w.rows[r])]
+		c.narrowMem[r] = slices.Clone(g.narrowMem[r])
+		c.w.narrow[r] = c.narrowMem[r][canaryRoom:][:len(g.w.narrow[r]):len(g.w.narrow[r])]
 	}
 	for v := range g.baseMem {
 		c.baseMem[v] = slices.Clone(g.baseMem[v])
@@ -91,6 +102,13 @@ func (g *guarded) untouched(t *testing.T, when string) {
 			}
 		}
 	}
+	for r, mem := range g.narrowMem {
+		for k, v := range mem {
+			if (k < canaryRoom || k >= len(mem)-canaryRoom) && v != narrowCanary {
+				t.Fatalf("%s: narrow row %d written at index %d, outside [0,%d)", when, r, k-canaryRoom, len(mem)-2*canaryRoom)
+			}
+		}
+	}
 	for v := range g.baseMem {
 		if !bytes.Equal(g.baseMem[v], g.baseWant[v]) {
 			t.Fatalf("%s: base view %d or the bytes around it were written", when, v)
@@ -108,7 +126,8 @@ type window struct {
 // routine takes through them, as the Go loop's windows determine it.
 type pathTally struct {
 	carried0, carried1 int // neighbours from registers, window start moved by 0 or 1
-	lane7              int // of carried1: behind a width-8 window whose lane 7 survived
+	lane15             int // of carried1: behind a width-16 window whose lane 15 survived
+	over8              int // of the carried: windows of 9 to 16 cells
 	jumped             int // from the rows: a single vector after one, start moved by 2+
 	first              int // from the rows: a single vector with nothing to carry from
 	multi              int // from the rows: wider than one vector
@@ -124,28 +143,34 @@ func (p *pathTally) score(w *workspace, a, brev []byte) (alive bool) {
 	width := hi - lo + 1
 	alive = w.advance(a, brev, st.d)
 	switch s := lo - p.prev.lo; {
-	case width > 8:
+	case width > lanes:
 		p.multi++
 	case !p.carry:
 		p.first++
-	case s == 0:
-		p.carried0++
-	case s == 1:
-		p.carried1++
-		if p.prev.width == 8 && p.prev.hi1 == p.prev.lo+7 {
-			p.lane7++ // the lane shifted in stands for the upper sentinel
+	case s == 0 || s == 1:
+		if s == 0 {
+			p.carried0++
+		} else {
+			p.carried1++
+			if p.prev.width == lanes && p.prev.hi1 == p.prev.lo+lanes-1 {
+				p.lane15++ // the lane shifted in stands for the upper sentinel
+			}
+		}
+		if width > 8 {
+			p.over8++
 		}
 	default:
 		p.jumped++
 	}
-	p.carry, p.prev = width <= 8, window{lo, width, st.hi1}
+	p.carry, p.prev = width <= lanes, window{lo, width, st.hi1}
 	return alive
 }
 
 func (p *pathTally) add(q pathTally) {
 	p.carried0 += q.carried0
 	p.carried1 += q.carried1
-	p.lane7 += q.lane7
+	p.lane15 += q.lane15
+	p.over8 += q.over8
 	p.jumped += q.jumped
 	p.first += q.first
 	p.multi += q.multi
@@ -153,16 +178,21 @@ func (p *pathTally) add(q pathTally) {
 
 func (p pathTally) String() string {
 	total := float64(p.carried0+p.carried1+p.jumped+p.first+p.multi) / 100
-	return fmt.Sprintf("carried s=0 %d (%.1f%%), carried s=1 %d (%.1f%%, %d behind a live lane 7), rows after a jump %d (%.1f%%), rows with nothing carried %d (%.1f%%), rows wider than a vector %d (%.1f%%)",
-		p.carried0, float64(p.carried0)/total, p.carried1, float64(p.carried1)/total, p.lane7,
+	return fmt.Sprintf("carried s=0 %d (%.1f%%), carried s=1 %d (%.1f%%, %d behind a live lane 15), of the carried %d (%.1f%%) 9 to 16 cells wide, rows after a jump %d (%.1f%%), rows with nothing carried %d (%.1f%%), rows wider than a vector %d (%.1f%%)",
+		p.carried0, float64(p.carried0)/total, p.carried1, float64(p.carried1)/total, p.lane15,
+		p.over8, float64(p.over8)/total,
 		p.jumped, float64(p.jumped)/total, p.first, float64(p.first)/total, p.multi, float64(p.multi)/total)
 }
 
-// The x=7 rung is the carried path's: on BenchmarkXDropSimilarX7's pair,
-// taken as one assembly call from the ninth antidiagonal on, nearly every
-// antidiagonal finds its neighbours in registers. A change that made the
-// carry rarely valid would pass every equivalence test and lose the kernel
-// its speed; this is where it fails. The shares are logged for CHANGES.md.
+// lanes is the routine's vector: sixteen int16 cells.
+const lanes = 16
+
+// The x=7 rungs are the carried path's: on BenchmarkXDropPipelineX7's and
+// BenchmarkXDropSimilarX7's pairs, taken as one assembly call from the first
+// antidiagonal on, nearly every antidiagonal finds its neighbours in
+// registers. A change that made the carry rarely valid would pass every
+// equivalence test and lose the kernel its speed; this is where it fails. The
+// shares are logged for CHANGES.md.
 func TestSteadyPathsOnTheRungs(t *testing.T) {
 	for _, rung := range []struct {
 		name    string
@@ -170,14 +200,18 @@ func TestSteadyPathsOnTheRungs(t *testing.T) {
 		x       int
 		carried float64 // least share of carried antidiagonals
 	}{
-		{"SimilarX7", 6000, 7, 0.85},
+		{"PipelineX7", 0, 7, 0.95},
+		{"SimilarX7", 6000, 7, 0.95},
 		{"Similar (x=30)", 10000, 30, 0},
 	} {
 		rng := rand.New(rand.NewSource(1))
 		tmpl := randomSeq(rng, rung.length)
 		a, b := concat([]byte("A"), mutate(rng, tmpl, 0.075)), mutate(rng, tmpl, 0.075)
-		g := newGuarded(a, b, DefaultScoring, clampXDrop(len(a)+len(b), DefaultScoring, rung.x))
-		g.w.advance(g.a, g.brev, edgeRun)
+		if rung.length == 0 {
+			s, u, _, _ := pipelinePair(t)
+			a, b = concat([]byte("A"), s), u
+		}
+		g := newGuarded(a, b, DefaultScoring, clampXDrop(len(a)+len(b), DefaultScoring, rung.x), 0, overread)
 		var tally pathTally
 		for g.w.st.d <= g.w.st.n+g.w.st.m && tally.score(&g.w, g.a, g.brev) {
 		}
@@ -212,7 +246,7 @@ func steadyCases() []steadyCase {
 	a, b = pair(1500, 0.12)
 	add("noisier x=7", a, b, DefaultScoring, 7)
 	a, b = pair(900, 0.075)
-	add("similar x=30", a, b, DefaultScoring, 30) // windows past 8 and past 16 cells
+	add("similar x=30", a, b, DefaultScoring, 30) // windows past 16 and past 32 cells
 	add("similar x=30 scores 2/-3/-2", a, b, Scoring{2, -3, -2}, 30)
 	add("divergent x=30", concat([]byte("A"), randomSeq(rng, 600)), randomSeq(rng, 600), DefaultScoring, 30)
 	add("divergent x=7", concat([]byte("A"), randomSeq(rng, 600)), randomSeq(rng, 600), DefaultScoring, 7)
@@ -224,7 +258,41 @@ func steadyCases() []steadyCase {
 	add("b short, d-m edge", a, b[:60], DefaultScoring, 30)
 	add("b short, d-m edge, x=1000", a, b[:40], DefaultScoring, 1000)
 	add("a short, n edge, x=1000", a[:40], b, DefaultScoring, 1000)
+	a, b = pair(1500, 0.15)
+	add("pipeline-like x=7", a, b, DefaultScoring, 7) // windows of 9 to 16 cells, carried
+	// Identity at the largest scores: best climbs 512 an antidiagonal, so the
+	// routine rebases every few dozen antidiagonals at x=44 000 (windows of
+	// two or three vectors) and every hundred or so at x=2 000 (one vector,
+	// carried); at the largest x it takes, ceil is floor and it rebases at
+	// every new best.
+	tmpl := randomSeq(rng, 2000)
+	add("identity, max scores, x=44000", concat([]byte("A"), tmpl), tmpl, maxScores, 44000)
+	add("identity, max scores, x=2000", concat([]byte("A"), tmpl), tmpl, maxScores, 2000)
+	a, b = pair(500, 0.075)
+	add("similar, max scores, x=3000", a, b, maxScores, 3000) // rebases with a row carried at either s
+	add("similar, max scores, largest x", a, b, maxScores, narrowXMax(maxScores))
 	return cases
+}
+
+// Past narrowXMax the routine declines: extend never offers it the
+// extension, and the Go loop alone gives the reference's answer. At it, the
+// routine takes it and gives the same answer.
+func TestSteadyDeclinesPastTheBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	s, u, seedS, seedU := seededPair(rng, 300, 12, 0.05)
+	for _, sc := range []Scoring{maxScores, {MaxScoreMagnitude, -1, -1}, {3, -5, -2}} {
+		for _, x := range []int{narrowXMax(sc) - 1, narrowXMax(sc), narrowXMax(sc) + 1} {
+			var w workspace
+			w.begin(make([]byte, 11), make([]byte, 11), 10, 10, sc, int32(x))
+			if fits := x <= narrowXMax(sc); w.st.fits() != fits {
+				t.Errorf("sc=%+v x=%d: fits() = %v, want %v", sc, x, w.st.fits(), fits)
+			}
+			got := XDrop(s, u, seedS, seedU, 12, sc, x)
+			if want := referenceXDrop(s, u, seedS, seedU, 12, sc, x); got != want {
+				t.Errorf("sc=%+v x=%d: got %+v want %+v", sc, x, got, want)
+			}
+		}
+	}
 }
 
 // The assembly routine is the Go loop, antidiagonal for antidiagonal. Every
@@ -232,24 +300,27 @@ func steadyCases() []steadyCase {
 // that walk the routine is entered on a copy, with a stop horizon that lets
 // it score between one antidiagonal and all that the flank allows, and what
 // it leaves is compared with the Go loop advanced over the same
-// antidiagonals: the rows it wrote over their windows and both sentinels (a
-// row it did not write, whole), lo1, hi1, best, bestI, bestD, cells and d,
-// and the reason it gave for stopping, which has to be true. Canaries either
-// side of every row and of both base views stay as they were. The paths
-// through the routine are counted from the Go loop's windows, and each has
-// to have been taken.
+// antidiagonals: the two rows the Go loop would go on from, as enter widens
+// them from the narrow rows (every row whole, if it scored nothing), lo1,
+// hi1, best, bestI, bestD, cells and d, and the reason it gave for stopping,
+// which has to be true. The base views run on past their last base by what
+// XDrop's views may (nothing, a little, overread); canaries either side of
+// every row, wide and narrow, and of both base views stay as they were. The
+// paths through the routine are counted from the Go loop's windows, and each
+// has to have been taken.
 func TestSteadyMatchesLoop(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("no AVX2 on this host: the Go loop is the whole kernel, and the other tests cover it")
 	}
-	var entered, edges, deaths, fills, caps int
+	var entered, edges, deaths, fills, caps, rebased int
 	var paths pathTally
-	for _, tc := range steadyCases() {
+	for c, tc := range steadyCases() {
 		n, m := len(tc.a)-1, len(tc.b)
 		windowAt := func(st *front) (lo, hi int) { // extend's window arithmetic
 			return max(st.lo1, st.d-m), min(st.hi1+1, n)
 		}
-		ref := newGuarded(tc.a, tc.b, tc.sc, tc.x)
+		pad := [...][2]int{{0, overread}, {overread, overread}, {overread, 0}, {0, 0}, {overread, 7}}[c%5]
+		ref := newGuarded(tc.a, tc.b, tc.sc, tc.x, pad[0], pad[1])
 		for D := 1; D <= n+m; D++ {
 			if D > ref.w.rev.done {
 				ref.w.rev.fill(D) // as steady does ahead of the routine
@@ -267,16 +338,12 @@ func TestSteadyMatchesLoop(t *testing.T) {
 			steps := got.w.st.d - D
 			entered++
 
-			// replay is the Go loop advanced over the first k of them.
-			replay := func(k int) *guarded {
-				g := ref.clone()
-				if k > 0 && !g.w.advance(g.a, g.brev, D+k-1) {
-					t.Fatalf("%s: entered at d=%d the routine scored %d antidiagonals; the Go loop died at %d",
-						tc.name, D, steps, g.w.st.d)
-				}
-				return g
+			// The Go loop advanced over as many.
+			want := ref.clone()
+			if steps > 0 && !want.w.advance(want.a, want.brev, D+steps-1) {
+				t.Fatalf("%s: entered at d=%d the routine scored %d antidiagonals; the Go loop died at %d",
+					tc.name, D, steps, want.w.st.d)
 			}
-			want := replay(steps)
 			gs, ws := &got.w.st, &want.w.st
 			fail := func(format string, args ...any) {
 				t.Helper()
@@ -295,8 +362,8 @@ func TestSteadyMatchesLoop(t *testing.T) {
 				}
 			case exitEdge:
 				lo, hi := windowAt(ws)
-				vw := (hi - lo + 1 + 7) &^ 7
-				if lo > hi || (lo+vw <= n+1 && ws.d-lo >= vw-1) {
+				vw := (hi - lo + 1 + lanes - 1) &^ (lanes - 1)
+				if last := lo + vw - 1; lo > hi || (last <= n+pad[0] && last <= ws.d+pad[1]) {
 					fail("window [%d,%d] at d=%d of n=%d m=%d is no edge", lo, hi, gs.d, n, m)
 				}
 				edges++
@@ -320,17 +387,24 @@ func TestSteadyMatchesLoop(t *testing.T) {
 					fail("window [%d,%d] rot %d, want [%d,%d] rot %d",
 						gs.lo1, gs.hi1, got.w.rot%3, ws.lo1, ws.hi1, want.w.rot%3)
 				}
-				for back := 1; back <= 3; back++ {
+				rows := 3 // a call that scored nothing left every row as it was
+				if steps > 0 {
+					rows = 2
+				}
+				for back := 1; back <= rows; back++ {
 					r := (want.w.rot + 5 - back) % 3 // the row of antidiagonal d-back
 					grow, wrow := got.w.rows[r], want.w.rows[r]
-					if back <= steps { // written in this call: its window and sentinels
-						at := replay(steps - back + 1).w.st
-						grow, wrow = grow[at.lo1:at.hi1+3], wrow[at.lo1:at.hi1+3]
+					if steps > 0 { // as enter widened them: d-1 with its sentinels, d-2 as far as d reads it
+						end := ws.hi1 + 4 - back
+						grow, wrow = grow[ws.lo1:end], wrow[ws.lo1:end]
 					}
 					if !slices.Equal(grow, wrow) {
 						fail("row of antidiagonal d-%d\n got %v\nwant %v", back, grow, wrow)
 					}
 				}
+			}
+			if gs.base != ref.w.st.best-ref.w.st.floor {
+				rebased++
 			}
 
 			// Which paths this call took, from the Go loop's windows.
@@ -345,21 +419,23 @@ func TestSteadyMatchesLoop(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d entries; antidiagonals %v; exits: %d edge, %d dead, %d flank, %d cap",
-		entered, paths, edges, deaths, fills, caps)
+	t.Logf("%d entries, %d of them rebased; antidiagonals %v; exits: %d edge, %d dead, %d flank, %d cap",
+		entered, rebased, paths, edges, deaths, fills, caps)
 	for _, reached := range []struct {
 		what  string
 		count int
 	}{
 		{"antidiagonals carried at s=0", paths.carried0},
 		{"antidiagonals carried at s=1", paths.carried1},
-		{"width-8 windows with a live lane 7 ahead of an s=1", paths.lane7},
+		{"width-16 windows with a live lane 15 ahead of an s=1", paths.lane15},
+		{"carried windows of 9 to 16 cells", paths.over8},
 		{"window starts that jump by 2+ between single vectors", paths.jumped},
 		{"antidiagonals wider than one vector", paths.multi},
 		{"edge exits", edges},
 		{"deaths inside the routine", deaths},
 		{"stops because the flank needs filling", fills},
 		{"stops at a call's cap", caps},
+		{"calls that rebased", rebased},
 	} {
 		if reached.count == 0 {
 			t.Errorf("no case reached: %s", reached.what)

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dibella/internal/seqgen"
 )
 
 // seededPair returns two reads sharing an exact k-mer at (seedS, seedU):
@@ -273,15 +275,43 @@ func BenchmarkXDropSimilar(b *testing.B) {
 	benchXDrop(b, s, u, seedS, seedU, 17, 30)
 }
 
-// The pipeline's own shape: x=7 on 6 kb reads at 15% pairwise error. With a
-// window 6 to 9 cells wide one vector is the antidiagonal, so on an AVX2 host
-// this times the assembly routine's carried-row path (nine antidiagonals in
-// ten take their neighbours from registers, TestSteadyPathsOnTheRungs) and the
-// branch mispredictions of its bookkeeping, about one every other
-// antidiagonal; the Go loop runs the first eight and last few of some 12 000.
-// Anywhere else it times the Go loop.
+// x=7 on 6 kb reads at 7.5% error each, which is 15% pairwise: half the
+// divergence of the pipeline's reads (BenchmarkXDropPipelineX7). The window is
+// 8 cells or fewer on nine antidiagonals in ten, so on an AVX2 host this times
+// the assembly routine's carried-row path (99% of antidiagonals take their
+// neighbours from registers, TestSteadyPathsOnTheRungs) and the branch
+// mispredictions of its bookkeeping; the Go loop runs the last few of some
+// 12 000. Anywhere else it times the Go loop.
 func BenchmarkXDropSimilarX7(b *testing.B) {
 	s, u, seedS, seedU := similarPair(b, 6000, 0.075)
+	benchXDrop(b, s, u, seedS, seedU, 17, 7)
+}
+
+// pipelinePair is two reads of one 6 kb template as cmd/seqgen makes them:
+// 15% error each in its default 12/53/35 substitution/insertion/deletion mix,
+// about 28% pairwise divergence, seeded at their first shared 17-mer.
+// Three antidiagonals in ten are 9 to 16 cells wide at x=7.
+func pipelinePair(tb testing.TB) (s, u []byte, seedS, seedU int) {
+	ds, err := seqgen.Generate(seqgen.Config{GenomeLen: 6000, Seed: 1, Coverage: 2,
+		MeanReadLen: 6000, MinReadLen: 6000, ErrorRate: 0.15})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, u = ds.Reads[0].Seq, ds.Reads[1].Seq
+	for i := 0; i+17 <= len(s); i += 13 {
+		if j := bytes.Index(u, s[i:i+17]); j >= 0 {
+			return s, u, i, j
+		}
+	}
+	tb.Skip("no shared seed")
+	return
+}
+
+// The pipeline's own shape: x=7 on the pair above, as the longread_align
+// workload aligns. On an AVX2 host one int16 vector is the window on 98% of
+// its antidiagonals, carried in registers.
+func BenchmarkXDropPipelineX7(b *testing.B) {
+	s, u, seedS, seedU := pipelinePair(b)
 	benchXDrop(b, s, u, seedS, seedU, 17, 7)
 }
 

@@ -158,11 +158,16 @@ func TestCoriAnomalyInjection(t *testing.T) {
 	}
 }
 
+// Every experiment runs and prints tables with rows in them. This is the
+// smoke test, so it runs them on a 2.3 kb genome at two node counts (a
+// scaling table needs two rows) in about a second; TestSweepShapeClaims and
+// TestSweepConsistency hold the figures' claims at testOptions' scale.
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment set in short mode")
 	}
 	o := testOptions()
+	o.Scale, o.NodeCounts = 0.0005, []int{1, 2}
 	for _, id := range ExperimentIDs() {
 		out, err := RunExperiment(id, o)
 		if err != nil {
@@ -171,8 +176,18 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 		if len(out) < 50 {
 			t.Errorf("%s: suspiciously short output %q", id, out)
 		}
-		if !strings.Contains(out, "\n") {
-			t.Errorf("%s: no table rows", id)
+		lines := strings.Split(out, "\n")
+		tables := 0
+		for i, line := range lines {
+			if strings.HasPrefix(line, "---") {
+				tables++
+				if i+1 == len(lines) || strings.TrimSpace(lines[i+1]) == "" {
+					t.Errorf("%s: a table with no rows\n%s", id, out)
+				}
+			}
+		}
+		if tables == 0 || strings.Contains(out, "NaN") {
+			t.Errorf("%s: no table, or NaN in one\n%s", id, out)
 		}
 	}
 }

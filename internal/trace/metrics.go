@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"sync"
@@ -308,14 +309,47 @@ func writeHistogram(w io.Writer, name string, h *Histogram) error {
 
 func formatBound(b float64) string { return strconv.FormatFloat(b, 'g', -1, 64) }
 
-// MetricsHandler serves /metrics in the Prometheus text format. The
-// handler reads atomics and per-collector locks only — never a
+// MetricsHandler serves /metrics in the Prometheus text format: every
+// registered metric, then the Go runtime's series. The handler reads
+// atomics, per-collector locks and runtime/metrics only — never a
 // collective — so a scrape can never stall or reorder the SPMD loop.
 func MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w)
+		if WritePrometheus(w) == nil {
+			_ = writeRuntime(w)
+		}
 	})
+}
+
+// The Go runtime's series on /metrics. They are read from runtime/metrics at
+// scrape time, not registered: nothing in the program sets them.
+const (
+	goGoroutines = "go_goroutines"
+	goHeapLive   = "go_heap_live_bytes"
+	goGCCycles   = "go_gc_cycles_total"
+)
+
+var runtimeSeries = [...]struct{ name, kind, help, sample string }{
+	{goGoroutines, "gauge", "Goroutines that currently exist.", "/sched/goroutines:goroutines"},
+	{goHeapLive, "gauge", "Heap bytes the last GC marked live.", "/gc/heap/live:bytes"},
+	{goGCCycles, "counter", "GC cycles completed.", "/gc/cycles/total:gc-cycles"},
+}
+
+// writeRuntime renders the runtime series, in the order of runtimeSeries.
+func writeRuntime(w io.Writer) error {
+	var samples [len(runtimeSeries)]rtmetrics.Sample
+	for i, s := range runtimeSeries {
+		samples[i].Name = s.sample
+	}
+	rtmetrics.Read(samples[:])
+	for i, s := range runtimeSeries {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
+			s.name, s.help, s.name, s.kind, s.name, samples[i].Value.Uint64()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NewObservabilityMux returns an http.Handler exposing /metrics plus

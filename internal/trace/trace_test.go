@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"dibella/internal/wire"
@@ -166,6 +170,59 @@ func TestPrometheusExposition(t *testing.T) {
 	// Label values render sorted: bad-tenant before queue-full.
 	if strings.Index(out, `"bad-tenant"`) > strings.Index(out, `"queue-full"`) {
 		t.Error("vec children not sorted by label value")
+	}
+}
+
+// scrapeRuntime serves one /metrics request and returns the runtime series.
+func scrapeRuntime(t *testing.T) map[string]uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	got := map[string]uint64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		for _, name := range []string{goGoroutines, goHeapLive, goGCCycles} {
+			var v uint64
+			if _, err := fmt.Sscanf(line, name+" %d", &v); err == nil && strings.HasPrefix(line, name+" ") {
+				got[name] = v
+			}
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("scrape has %d of the 3 runtime series:\n%s", len(got), rec.Body.String())
+	}
+	return got
+}
+
+// The runtime series are read at scrape time: 64 goroutines parked on a
+// channel raise go_goroutines by at least 64, and a collection raises
+// go_gc_cycles_total and leaves go_heap_live_bytes non-zero.
+func TestMetricsHandlerRuntimeSeries(t *testing.T) {
+	before := scrapeRuntime(t)
+	release := make(chan struct{})
+	var parked, done sync.WaitGroup
+	for range 64 {
+		parked.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			parked.Done()
+			<-release
+		}()
+	}
+	parked.Wait()
+	during := scrapeRuntime(t)
+	close(release)
+	done.Wait()
+	if during[goGoroutines] < before[goGoroutines]+64 {
+		t.Errorf("%s %d with 64 goroutines parked, %d before", goGoroutines, during[goGoroutines], before[goGoroutines])
+	}
+	runtime.GC()
+	after := scrapeRuntime(t)
+	if after[goGCCycles] <= during[goGCCycles] {
+		t.Errorf("%s %d after a collection, %d before", goGCCycles, after[goGCCycles], during[goGCCycles])
+	}
+	if after[goHeapLive] == 0 {
+		t.Errorf("%s is 0 after a collection", goHeapLive)
 	}
 }
 
