@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dibella/internal/daligner"
+	"dibella/internal/fastq"
 	"dibella/internal/figures"
 	"dibella/internal/overlap"
 	"dibella/internal/pipeline"
@@ -54,16 +55,16 @@ func BenchmarkFig12Efficiency(b *testing.B)     { benchExperiment(b, "fig12") }
 func BenchmarkFig13Overall(b *testing.B)        { benchExperiment(b, "fig13") }
 
 // benchReads caches one generated data set across host benchmarks.
-var benchReads []*Record
+var benchReads []*fastq.Record
 
-func getBenchReads(b *testing.B) []*Record {
+func getBenchReads(b *testing.B) []*fastq.Record {
 	b.Helper()
 	if benchReads == nil {
-		reads, err := GenerateEColi30x(0.01, 7)
+		ds, err := seqgen.Generate(seqgen.EColi30x(0.01, 7))
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchReads = reads
+		benchReads = ds.Reads
 	}
 	return benchReads
 }
@@ -75,7 +76,7 @@ func BenchmarkPipelineHost(b *testing.B) {
 	b.ResetTimer()
 	var aligns int64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(8, reads, Config{K: 17, MaxFreq: 10, SeedMode: OneSeed})
+		rep, err := pipeline.Execute(8, nil, reads, pipeline.Config{K: 17, MaxFreq: 10, SeedMode: overlap.OneSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,8 +111,8 @@ func benchAblationRounds(b *testing.B, batch int) {
 	reads := getBenchReads(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(8, reads, Config{
-			K: 17, MaxFreq: 10, SeedMode: OneSeed, MaxKmersPerRound: batch,
+		if _, err := pipeline.Execute(8, nil, reads, pipeline.Config{
+			K: 17, MaxFreq: 10, SeedMode: overlap.OneSeed, MaxKmersPerRound: batch,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -120,17 +121,17 @@ func benchAblationRounds(b *testing.B, batch int) {
 
 // BenchmarkAblationSeedMode* quantifies the computational-intensity knob
 // of §5 (one-seed vs d=1K vs d=k).
-func BenchmarkAblationSeedModeOne(b *testing.B) { benchAblationSeeds(b, OneSeed, 0) }
-func BenchmarkAblationSeedModeD1K(b *testing.B) { benchAblationSeeds(b, MinDistance, 1000) }
-func BenchmarkAblationSeedModeDK(b *testing.B)  { benchAblationSeeds(b, AllSeeds, 0) }
+func BenchmarkAblationSeedModeOne(b *testing.B) { benchAblationSeeds(b, overlap.OneSeed, 0) }
+func BenchmarkAblationSeedModeD1K(b *testing.B) { benchAblationSeeds(b, overlap.MinDistance, 1000) }
+func BenchmarkAblationSeedModeDK(b *testing.B)  { benchAblationSeeds(b, overlap.AllSeeds, 0) }
 
-func benchAblationSeeds(b *testing.B, mode SeedMode, dist int) {
+func benchAblationSeeds(b *testing.B, mode overlap.SeedMode, dist int) {
 	b.Helper()
 	reads := getBenchReads(b)
 	b.ResetTimer()
 	var aligns int64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(8, reads, Config{
+		rep, err := pipeline.Execute(8, nil, reads, pipeline.Config{
 			K: 17, MaxFreq: 10, SeedMode: mode, MinDist: dist,
 		})
 		if err != nil {
@@ -153,7 +154,7 @@ func benchAblationK(b *testing.B, k int) {
 	b.ResetTimer()
 	var pairs int64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(8, reads, Config{K: k, MaxFreq: 10, SeedMode: OneSeed})
+		rep, err := pipeline.Execute(8, nil, reads, pipeline.Config{K: k, MaxFreq: 10, SeedMode: overlap.OneSeed})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,8 +175,8 @@ func benchMinimizers(b *testing.B, w int) {
 	b.ResetTimer()
 	var pairs int64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(8, reads, Config{
-			K: 17, MaxFreq: 10, SeedMode: OneSeed, MinimizerWindow: w,
+		rep, err := pipeline.Execute(8, nil, reads, pipeline.Config{
+			K: 17, MaxFreq: 10, SeedMode: overlap.OneSeed, MinimizerWindow: w,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -208,6 +209,3 @@ func benchBlocks(b *testing.B, blocks int) {
 		}
 	}
 }
-
-// Silence the unused-import guard for pipeline (used via type aliases).
-var _ = pipeline.Stages

@@ -4,8 +4,8 @@ package figures
 // exchange schedules, distilled into a machine-readable snapshot that CI
 // uploads (BENCH_PR<N>.json). Successive PRs commit comparable
 // files, so the repo accumulates a history of how the hot paths move;
-// cmd/benchcheck compares a fresh run against the latest committed
-// snapshot and fails CI on a modeled regression.
+// every field is deterministic, and CI fails unless a fresh run is
+// byte-identical to the committed snapshot.
 
 import (
 	"fmt"

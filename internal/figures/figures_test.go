@@ -19,9 +19,19 @@ func testOptions() *Options {
 	}
 }
 
-func TestSweepConsistency(t *testing.T) {
+// fullSweep is the sweep the consistency, shape and anomaly tests share:
+// testOptions at one and sixteen nodes. Options caches its sweep, so the
+// package executes it once.
+var fullSweep = func() *Options {
 	o := testOptions()
+	o.NodeCounts = []int{1, 16}
+	return o
+}()
+
+func TestSweepConsistency(t *testing.T) {
+	o := fullSweep
 	if testing.Short() {
+		o = testOptions()
 		// The invariants here (positive work counts, exchange < total,
 		// platform-independent work) hold at any scale; shrink the sweep
 		// so short runs stay fast.
@@ -72,9 +82,7 @@ func TestSweepShapeClaims(t *testing.T) {
 		t.Skip("cross-architecture shape claims need a realistic sweep; skipped in short mode")
 	}
 	// The headline cross-architecture claims the reproduction must hold.
-	o := testOptions()
-	o.NodeCounts = []int{1, 16}
-	ms, err := o.Sweep30x()
+	ms, err := fullSweep.Sweep30x()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +128,7 @@ func TestCoriAnomalyInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("anomaly sweep comparison in short mode")
 	}
-	on := testOptions()
-	on.NodeCounts = []int{16}
-	msOn, err := on.Sweep30x()
+	msOn, err := fullSweep.Sweep30x()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,27 +139,20 @@ func TestCoriAnomalyInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coriOn, coriOff RunMetrics
-	for _, m := range msOn {
-		if strings.HasPrefix(m.Platform, "Cori") {
-			coriOn = m
-		}
-	}
 	for _, m := range msOff {
-		if strings.HasPrefix(m.Platform, "Cori") {
-			coriOff = m
+		var on RunMetrics
+		for _, o := range msOn {
+			if o.Platform == m.Platform && o.Nodes == m.Nodes {
+				on = o
+			}
 		}
-	}
-	if coriOn.Stage[pipeline.StageOverlap].Total <= coriOff.Stage[pipeline.StageOverlap].Total {
-		t.Error("anomaly did not inflate Cori@16 overlap stage")
-	}
-	// Other platforms unaffected.
-	for i := range msOn {
-		if strings.HasPrefix(msOn[i].Platform, "Cori") {
-			continue
-		}
-		if msOn[i].Total() != msOff[i].Total() {
-			t.Errorf("anomaly leaked into %s", msOn[i].Platform)
+		if !strings.HasPrefix(m.Platform, "Cori") {
+			// Other platforms unaffected.
+			if on.Total() != m.Total() {
+				t.Errorf("anomaly leaked into %s", m.Platform)
+			}
+		} else if on.Stage[pipeline.StageOverlap].Total <= m.Stage[pipeline.StageOverlap].Total {
+			t.Error("anomaly did not inflate Cori@16 overlap stage")
 		}
 	}
 }

@@ -236,6 +236,9 @@ func TestNewModelScaledValidation(t *testing.T) {
 	if _, err := NewModelScaled(Cori, 2, 0); err == nil {
 		t.Error("simRanks=0 accepted")
 	}
+	if _, err := NewModelScaled(Platform{}, 1, 1); err == nil {
+		t.Error("zero platform accepted")
+	}
 }
 
 func TestExchangeLatencyDominanceAtScale(t *testing.T) {

@@ -12,33 +12,9 @@ import (
 	"dibella/internal/ckpt"
 	"dibella/internal/fastq"
 	"dibella/internal/machine"
-	"dibella/internal/overlap"
 	"dibella/internal/paf"
-	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
 )
-
-// ckptTestConfig exercises multi-seed pairs and several exchange rounds
-// so every schedule path is live during the snapshot/restart cycle.
-func ckptTestConfig() Config {
-	return Config{
-		K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true,
-		SeedMode: overlap.MinDistance, MinDist: 600,
-		MaxKmersPerRound: 1 << 12,
-	}
-}
-
-func ckptTestReads(t *testing.T) []*fastq.Record {
-	t.Helper()
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 20000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500,
-		BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds.Reads
-}
 
 // pafBytesStore serializes a resumed report's records via the store's
 // global name map.
@@ -122,18 +98,10 @@ func resumeTCP(t *testing.T, p int, dir string) (*Report, *fastq.ReadStore, erro
 // (elastic re-sharded resume) — on both transports, and require PAF
 // byte-identical to the uninterrupted run.
 func TestResumeMatchesFreshRun(t *testing.T) {
-	reads := ckptTestReads(t)
-	cfg := ckptTestConfig()
+	reads := input(t, equivalenceInput).Reads
+	cfg := equivalenceConfig()
 	const p = 4
-
-	fresh, err := Execute(p, nil, reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Alignments == 0 {
-		t.Fatal("uninterrupted run produced no alignments; nothing to compare")
-	}
-	want := pafBytes(t, fresh, reads)
+	want := pafBytes(t, reference(t, cfg), reads)
 
 	for _, stage := range ckpt.Stages {
 		stage := stage
@@ -183,14 +151,7 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 	t.Run("minimizer/dht", func(t *testing.T) {
 		mcfg := cfg
 		mcfg.MinimizerWindow = 5
-		mfresh, err := Execute(p, nil, reads, mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mfresh.Alignments == 0 {
-			t.Fatal("fresh minimizer run produced no alignments; nothing to compare")
-		}
-		mwant := pafBytes(t, mfresh, reads)
+		mwant := pafBytes(t, reference(t, mcfg), reads)
 		dir := t.TempDir()
 		killAt(t, p, reads, mcfg, dir, ckpt.StageDHT)
 		for _, resumeP := range []int{p, p / 2} {
@@ -206,7 +167,7 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 					resumeP, len(got), len(mwant))
 			}
 		}
-		_, _, err = runResume(p, nil, dir, func(c *Config) { c.MinimizerWindow = 9 }, nil)
+		_, _, err := runResume(p, nil, dir, func(c *Config) { c.MinimizerWindow = 9 }, nil)
 		if err == nil || !strings.Contains(err.Error(), "output-affecting") {
 			t.Errorf("window override on resume: err = %v, want output-affecting rejection", err)
 		}
@@ -217,8 +178,8 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 // file must fail the resume with a clear error, never feed the pipeline
 // partial state.
 func TestResumeRejectsCorruptSegment(t *testing.T) {
-	reads := ckptTestReads(t)
-	cfg := ckptTestConfig()
+	reads := input(t, equivalenceInput).Reads
+	cfg := equivalenceConfig()
 	dir := t.TempDir()
 	killAt(t, 2, reads, cfg, dir, ckpt.StageDHT)
 
@@ -257,8 +218,8 @@ func TestResumeRejectsCorruptSegment(t *testing.T) {
 // TestResumeRejectsOutputAffectingOverrides: schedule knobs may change
 // on resume, output-affecting parameters may not.
 func TestResumeRejectsOutputAffectingOverrides(t *testing.T) {
-	reads := ckptTestReads(t)
-	cfg := ckptTestConfig()
+	reads := input(t, equivalenceInput).Reads
+	cfg := equivalenceConfig()
 	dir := t.TempDir()
 	killAt(t, 2, reads, cfg, dir, ckpt.StageLoad)
 
@@ -297,18 +258,14 @@ func TestOutputHashPinned(t *testing.T) {
 // later ones, and a second-generation resume still reproduces the fresh
 // run.
 func TestResumeContinuesCheckpointing(t *testing.T) {
-	reads := ckptTestReads(t)
-	cfg := ckptTestConfig()
-	fresh, err := Execute(2, nil, reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pafBytes(t, fresh, reads)
+	reads := input(t, equivalenceInput).Reads
+	cfg := equivalenceConfig()
+	want := pafBytes(t, reference(t, cfg), reads)
 
 	dir := t.TempDir()
 	killAt(t, 4, reads, cfg, dir, ckpt.StageDHT)
 	// Resume at P=2, checkpointing onward; kill again after overlap.
-	_, _, err = runResume(2, nil, dir, nil, &CkptOptions{Dir: dir, AbortAfter: ckpt.StageOverlap})
+	_, _, err := runResume(2, nil, dir, nil, &CkptOptions{Dir: dir, AbortAfter: ckpt.StageOverlap})
 	if !errors.Is(err, ErrCkptAbort) {
 		t.Fatalf("second kill: %v", err)
 	}
@@ -333,19 +290,15 @@ func TestResumeContinuesCheckpointing(t *testing.T) {
 }
 
 // TestCheckpointedRunMatchesPlain: enabling snapshots must not change
-// the output or counts of the run itself.
+// the output of the run itself.
 func TestCheckpointedRunMatchesPlain(t *testing.T) {
-	reads := ckptTestReads(t)
-	cfg := ckptTestConfig()
-	plain, err := Execute(3, nil, reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reads := input(t, equivalenceInput).Reads
+	cfg := equivalenceConfig()
 	ck, err := runCkpt(3, nil, reads, cfg, CkptOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pafBytes(t, plain, reads), pafBytes(t, ck, reads)) {
+	if !bytes.Equal(pafBytes(t, reference(t, cfg), reads), pafBytes(t, ck, reads)) {
 		t.Error("checkpointed run's PAF differs from plain run")
 	}
 }
@@ -354,8 +307,8 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 // cost modeled time (the machine model's SnapshotTime), so checkpoint
 // overhead is visible in virtual_seconds.
 func TestCheckpointIOPriced(t *testing.T) {
-	reads := ckptTestReads(t)
-	cfg := ckptTestConfig()
+	reads := input(t, equivalenceInput).Reads
+	cfg := equivalenceConfig()
 	cfg.KeepAlignments = false
 	const p = 4
 	mdl := func() *machine.Model {

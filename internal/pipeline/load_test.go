@@ -122,22 +122,14 @@ func checkShardedEquivalence(t *testing.T, path string, nReads int, cfg Config, 
 // parsed-bytes counters must show that each rank really read only its
 // share.
 func TestShardedLoadMatchesWholeFile(t *testing.T) {
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500, BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := input(t, equivalenceInput)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "reads.fastq")
 	if err := fastq.WriteFile(path, ds.Reads); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true}
-	wholeRep, err := Execute(4, nil, ds.Reads, cfg)
-	if err != nil {
-		t.Fatalf("whole-file run: %v", err)
-	}
+	cfg := defaultConfig()
+	wholeRep := sharedRun(t, equivalenceInput, 4, cfg)
 	if wholeRep.Alignments == 0 {
 		t.Fatal("whole-file run produced no alignments; nothing to compare")
 	}

@@ -6,20 +6,14 @@ import (
 
 	"dibella/internal/evalx"
 	"dibella/internal/kmer"
-	"dibella/internal/overlap"
-	"dibella/internal/seqgen"
 )
 
-// minimizerTestConfig is the shared minimizer-mode workload: multi-seed
-// pairs and several exchange rounds so every schedule path is live, with
-// w=5 sparsifying the seed set.
+// minimizerTestConfig is equivalenceConfig with w=5 sparsifying the seed
+// set.
 func minimizerTestConfig() Config {
-	return Config{
-		K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true,
-		SeedMode: overlap.MinDistance, MinDist: 600,
-		MaxKmersPerRound: 1 << 12,
-		MinimizerWindow:  5,
-	}
+	cfg := equivalenceConfig()
+	cfg.MinimizerWindow = 5
+	return cfg
 }
 
 // TestMinimizerMatchesAcrossTransports: minimizer seeding changes the
@@ -30,28 +24,13 @@ func minimizerTestConfig() Config {
 // sizes.
 func TestMinimizerMatchesAcrossTransports(t *testing.T) {
 	const p = 4
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500,
-		BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncCfg := minimizerTestConfig()
-	syncCfg.Exchange = ExchangeSync
+	ds := input(t, equivalenceInput)
 	asyncCfg := minimizerTestConfig()
 	streamCfg := minimizerTestConfig()
-	streamCfg.Exchange = ExchangeStreamed
 	streamCfg.ReplyChunk = 4 << 10
 	streamCfg.ReplyDepth = 4
 
-	memSync, err := Execute(p, nil, ds.Reads, syncCfg)
-	if err != nil {
-		t.Fatalf("in-process sync: %v", err)
-	}
-	if memSync.Alignments == 0 {
-		t.Fatal("minimizer run produced no alignments; nothing to compare")
-	}
+	memSync := reference(t, minimizerTestConfig())
 	want := pafBytes(t, memSync, ds.Reads)
 
 	// Schedules on the in-process transport.
@@ -87,12 +66,7 @@ func TestMinimizerMatchesAcrossTransports(t *testing.T) {
 
 	// The point of the mode: the DHT build's exchange volume shrinks
 	// toward the 2/(w+1) density prediction versus an exact run.
-	exactCfg := minimizerTestConfig()
-	exactCfg.MinimizerWindow = 0
-	exact, err := Execute(p, nil, ds.Reads, exactCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := reference(t, equivalenceConfig())
 	buildBytes := func(rep *Report) int64 {
 		return rep.StageExchangeBytes(StageBloom) + rep.StageExchangeBytes(StageHash)
 	}
@@ -108,16 +82,10 @@ func TestMinimizerMatchesAcrossTransports(t *testing.T) {
 // minimizer seeding must keep most of the recall of exact k-mer seeding
 // while shipping a fraction of its k-mer volume.
 func TestMinimizerRecallFloor(t *testing.T) {
-	ds := testDataset(t, 42, 0.10)
-	const p, minOverlap = 4, 2000
+	ds := input(t, recallInput)
+	const minOverlap = 2000
 	run := func(w int) (*Report, evalx.Result) {
-		rep, err := Execute(p, nil, ds.Reads, Config{
-			K: 17, ErrorRate: 0.10, Coverage: 15, KeepAlignments: true,
-			SeedMode: overlap.OneSeed, MinimizerWindow: w,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := sharedRun(t, recallInput, 4, oneSeedConfig(w))
 		pairs := make([]evalx.Pair, 0, len(rep.Records))
 		for _, a := range rep.Records {
 			pairs = append(pairs, evalx.Canon(a.A, a.B))

@@ -9,25 +9,12 @@ import (
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
 	"dibella/internal/paf"
-	"dibella/internal/seqgen"
 )
 
-// testDataset synthesizes a small but realistic long-read set.
-func testDataset(t *testing.T, seed int64, errRate float64) *seqgen.Dataset {
+// keptRun is recallInput on two ranks at the defaults, alignments kept.
+func keptRun(t *testing.T) *Report {
 	t.Helper()
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen:   30000,
-		Seed:        seed,
-		Coverage:    15,
-		MeanReadLen: 2000,
-		MinReadLen:  500,
-		ErrorRate:   errRate,
-		BothStrands: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
+	return sharedRun(t, recallInput, 2, Config{K: 17, KeepAlignments: true})
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -62,7 +49,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestExecuteModelShapeMismatch(t *testing.T) {
-	ds := testDataset(t, 1, 0.1)
+	ds := input(t, recallInput)
 	mdl, err := machine.NewModel(machine.Cori, 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +63,7 @@ func TestPipelineEndToEndRecall(t *testing.T) {
 	// The scientific acceptance test: on synthetic reads with known
 	// origins, the pipeline must recover the bulk of true overlaps long
 	// enough for the k-choice to guarantee a shared correct k-mer.
-	ds := testDataset(t, 42, 0.10)
+	ds := input(t, recallInput)
 	cfg := Config{
 		K: 17, SeedMode: overlap.MinDistance, MinDist: 700,
 		ErrorRate: 0.10, Coverage: 15,
@@ -118,7 +105,7 @@ func TestPipelineEndToEndRecall(t *testing.T) {
 
 func TestPipelineDeterministicAcrossRankCounts(t *testing.T) {
 	// The set of aligned pairs must not depend on the rank count.
-	ds := testDataset(t, 7, 0.08)
+	ds := input(t, recallInput)
 	cfg := Config{K: 17, SeedMode: overlap.OneSeed, KeepAlignments: true}
 	pairSet := func(p int) map[[2]uint32]bool {
 		rep, err := Execute(p, nil, ds.Reads, cfg)
@@ -147,7 +134,7 @@ func TestPipelineDeterministicAcrossRankCounts(t *testing.T) {
 }
 
 func TestPipelineWithModelBreakdowns(t *testing.T) {
-	ds := testDataset(t, 3, 0.1)
+	ds := input(t, recallInput)
 	mdl, err := machine.NewModel(machine.Edison, 2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +175,7 @@ func TestPipelineWithModelBreakdowns(t *testing.T) {
 func TestTaskCountBalance(t *testing.T) {
 	// Fig. 8's companion claim: the number of alignments per rank is
 	// nearly perfectly balanced by the odd/even heuristic.
-	ds := testDataset(t, 11, 0.1)
+	ds := input(t, recallInput)
 	rep, err := Execute(8, nil, ds.Reads, Config{K: 17, SeedMode: overlap.OneSeed})
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +189,8 @@ func TestTaskCountBalance(t *testing.T) {
 }
 
 func TestMinAlignScoreFilters(t *testing.T) {
-	ds := testDataset(t, 5, 0.1)
-	loose, err := Execute(2, nil, ds.Reads, Config{K: 17, KeepAlignments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := input(t, recallInput)
+	loose := keptRun(t)
 	strict, err := Execute(2, nil, ds.Reads, Config{K: 17, KeepAlignments: true, MinAlignScore: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -222,11 +206,8 @@ func TestMinAlignScoreFilters(t *testing.T) {
 }
 
 func TestPAFOutput(t *testing.T) {
-	ds := testDataset(t, 9, 0.1)
-	rep, err := Execute(2, nil, ds.Reads, Config{K: 17, KeepAlignments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := input(t, recallInput)
+	rep := keptRun(t)
 	recs := rep.PAFRecords(ds.Reads)
 	if len(recs) != len(rep.Records) {
 		t.Fatalf("PAF count %d != %d", len(recs), len(rep.Records))
@@ -252,11 +233,7 @@ func TestPAFOutput(t *testing.T) {
 func TestReverseStrandOverlapsFound(t *testing.T) {
 	// With BothStrands data, a healthy fraction of alignments must be on
 	// the '-' strand — exercising the canonical-k-mer orientation logic.
-	ds := testDataset(t, 13, 0.08)
-	rep, err := Execute(2, nil, ds.Reads, Config{K: 17, KeepAlignments: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := keptRun(t)
 	var plus, minus int
 	for _, a := range rep.Records {
 		if a.Strand == '+' {
@@ -275,7 +252,7 @@ func TestNoDuplicatePairsUnderStreaming(t *testing.T) {
 	// arrive out of read-ID order, so the same unordered pair used to
 	// surface as (a,b) and (b,a), route to two owners, and be aligned
 	// twice. Pair counts must be independent of the round size.
-	ds := testDataset(t, 19, 0.1)
+	ds := input(t, recallInput)
 	run := func(batch int) *Report {
 		rep, err := Execute(4, nil, ds.Reads, Config{
 			K: 17, SeedMode: overlap.OneSeed, MaxKmersPerRound: batch,
@@ -297,15 +274,8 @@ func TestNoDuplicatePairsUnderStreaming(t *testing.T) {
 }
 
 func TestMinimizerModeTradesRecallForVolume(t *testing.T) {
-	ds := testDataset(t, 17, 0.08)
 	run := func(w int) (*Report, int64) {
-		rep, err := Execute(4, nil, ds.Reads, Config{
-			K: 17, SeedMode: overlap.OneSeed, KeepAlignments: true,
-			MinimizerWindow: w,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := sharedRun(t, recallInput, 4, oneSeedConfig(w))
 		var parsed int64
 		for _, rr := range rep.PerRank {
 			parsed += rr.Bloom.KmersParsed
@@ -414,12 +384,7 @@ func TestIdenticalReadsPairPerfectly(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	ds := testDataset(t, 15, 0.1)
-	rep, err := Execute(2, nil, ds.Reads, Config{K: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Summary() == "" {
+	if keptRun(t).Summary() == "" {
 		t.Error("empty summary")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"dibella/internal/fastq"
 	"dibella/internal/machine"
-	"dibella/internal/overlap"
 	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
 )
@@ -22,27 +21,11 @@ import (
 // read across chunk boundaries.
 func TestStreamedExchangeMatchesSync(t *testing.T) {
 	const p = 4
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500, BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamCfg := Config{
-		K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true,
-		SeedMode: overlap.MinDistance, MinDist: 600,
-		MaxKmersPerRound: 1 << 12,
-		Exchange:         ExchangeStreamed,
-		ReplyChunk:       2048, ReplyDepth: 3,
-	}
-	syncCfg := streamCfg
-	syncCfg.Exchange = ExchangeSync
-	syncCfg.ReplyChunk, syncCfg.ReplyDepth = 0, 0
+	ds := input(t, equivalenceInput)
+	streamCfg := equivalenceConfig()
+	streamCfg.ReplyChunk, streamCfg.ReplyDepth = 2048, 3
 
-	memSync, err := Execute(p, nil, ds.Reads, syncCfg)
-	if err != nil {
-		t.Fatalf("in-process sync: %v", err)
-	}
+	memSync := reference(t, streamCfg)
 	memStream, err := Execute(p, nil, ds.Reads, streamCfg)
 	if err != nil {
 		t.Fatalf("in-process streamed: %v", err)
@@ -52,9 +35,6 @@ func TestStreamedExchangeMatchesSync(t *testing.T) {
 		t.Fatalf("tcp streamed: %v", err)
 	}
 
-	if memSync.Alignments == 0 {
-		t.Fatal("sync run produced no alignments; nothing to compare")
-	}
 	want := pafBytes(t, memSync, ds.Reads)
 	if got := pafBytes(t, memStream, ds.Reads); !bytes.Equal(want, got) {
 		t.Errorf("in-process streamed PAF diverges from sync (%d vs %d bytes)", len(got), len(want))
@@ -96,15 +76,10 @@ func TestStreamedExchangeMatchesSync(t *testing.T) {
 // view of a ring row does not (64-byte blocking rounds go round a two-set
 // ring many times over).
 func TestStreamedRepliesOutliveTheStream(t *testing.T) {
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 9000, Coverage: 8, MeanReadLen: 900, MinReadLen: 300, BothStrands: true, ErrorRate: 0.05, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := input(t, edgeCaseInput)
 	cfg := Config{K: 15, ErrorRate: 0.05, Coverage: 8, Exchange: ExchangeStreamed, ReplyChunk: 64, ReplyDepth: 1}
 	store := fastq.NewReadStore(ds.Reads, 3)
-	err = spmd.Run(3, func(c *spmd.Comm) error {
+	err := spmd.Run(3, func(c *spmd.Comm) error {
 		w, err := FormWorld(c, nil, store, cfg)
 		if err != nil {
 			return err
@@ -129,40 +104,42 @@ func TestStreamedRepliesOutliveTheStream(t *testing.T) {
 	}
 }
 
-// streamedEquivalenceCase runs one edge-case dataset/config pair through
-// sync (mem) plus streamed (mem and TCP) and demands byte-identical PAF.
-func streamedEquivalenceCase(t *testing.T, name string, reads int, p int, cfg Config) {
+// edgeCaseInput is a 9 kb genome at 8x in 900-base reads: small enough
+// that one-byte chunks and idle ranks stay cheap.
+var edgeCaseInput = seqgen.Config{
+	GenomeLen: 9000, Coverage: 8, MeanReadLen: 900, MinReadLen: 300, BothStrands: true, ErrorRate: 0.05, Seed: 7,
+}
+
+// streamedEquivalenceCase runs the first n reads of edgeCaseInput (all of
+// them when n is 0) through sync (mem) plus streamed (mem and TCP) and
+// demands byte-identical PAF.
+func streamedEquivalenceCase(t *testing.T, name string, n int, p int, cfg Config) {
 	t.Helper()
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 9000, Coverage: 8, MeanReadLen: 900, MinReadLen: 300, BothStrands: true, ErrorRate: 0.05, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reads > 0 && reads < len(ds.Reads) {
-		ds.Reads = ds.Reads[:reads]
+	reads := input(t, edgeCaseInput).Reads
+	if n > 0 && n < len(reads) {
+		reads = reads[:n]
 	}
 	syncCfg := cfg
 	syncCfg.Exchange = ExchangeSync
 	syncCfg.ReplyChunk, syncCfg.ReplyDepth = 0, 0
 
-	memSync, err := Execute(p, nil, ds.Reads, syncCfg)
+	memSync, err := Execute(p, nil, reads, syncCfg)
 	if err != nil {
 		t.Fatalf("%s: in-process sync: %v", name, err)
 	}
-	memStream, err := Execute(p, nil, ds.Reads, cfg)
+	memStream, err := Execute(p, nil, reads, cfg)
 	if err != nil {
 		t.Fatalf("%s: in-process streamed: %v", name, err)
 	}
-	tcpStream, err := executeTCPLoopback(t, p, ds.Reads, cfg)
+	tcpStream, err := executeTCPLoopback(t, p, reads, cfg)
 	if err != nil {
 		t.Fatalf("%s: tcp streamed: %v", name, err)
 	}
-	want := pafBytes(t, memSync, ds.Reads)
-	if got := pafBytes(t, memStream, ds.Reads); !bytes.Equal(want, got) {
+	want := pafBytes(t, memSync, reads)
+	if got := pafBytes(t, memStream, reads); !bytes.Equal(want, got) {
 		t.Errorf("%s: in-process streamed PAF diverges from sync (%d vs %d bytes)", name, len(got), len(want))
 	}
-	if got := pafBytes(t, tcpStream, ds.Reads); !bytes.Equal(want, got) {
+	if got := pafBytes(t, tcpStream, reads); !bytes.Equal(want, got) {
 		t.Errorf("%s: tcp streamed PAF diverges from sync (%d vs %d bytes)", name, len(got), len(want))
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"dibella/internal/fastq"
 	"dibella/internal/machine"
-	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
 	"dibella/internal/trace"
 )
@@ -24,13 +23,8 @@ import (
 // never happens without it.
 func TestTraceObservabilityOnly(t *testing.T) {
 	const p = 4
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500, BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true}
+	ds := input(t, equivalenceInput)
+	cfg := defaultConfig()
 	mdl, err := machine.NewModelScaled(machine.Cori, 4, p)
 	if err != nil {
 		t.Fatal(err)

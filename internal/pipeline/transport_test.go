@@ -10,9 +10,7 @@ import (
 
 	"dibella/internal/fastq"
 	"dibella/internal/machine"
-	"dibella/internal/overlap"
 	"dibella/internal/paf"
-	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
 )
 
@@ -91,18 +89,10 @@ func executeTCPLoopback(t *testing.T, p int, reads []*fastq.Record, cfg Config) 
 // overlaps and alignments — compared as serialized PAF bytes.
 func TestTCPTransportMatchesInProcess(t *testing.T) {
 	const p = 4
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500, BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true}
+	ds := input(t, equivalenceInput)
+	cfg := defaultConfig()
 
-	memRep, err := Execute(p, nil, ds.Reads, cfg)
-	if err != nil {
-		t.Fatalf("in-process backend: %v", err)
-	}
+	memRep := sharedRun(t, equivalenceInput, p, cfg)
 	tcpRep, err := executeTCPLoopback(t, p, ds.Reads, cfg)
 	if err != nil {
 		t.Fatalf("tcp backend: %v", err)
@@ -157,25 +147,10 @@ func pafBytes(t *testing.T, rep *Report, reads []*fastq.Record) []byte {
 // all exercised.
 func TestAsyncExchangeMatchesSync(t *testing.T) {
 	const p = 4
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500, BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	asyncCfg := Config{
-		K: 17, ErrorRate: 0.06, Coverage: 10, KeepAlignments: true,
-		SeedMode: overlap.MinDistance, MinDist: 600,
-		// Small rounds force several pipelined exchanges per pass.
-		MaxKmersPerRound: 1 << 12,
-	}
-	syncCfg := asyncCfg
-	syncCfg.Exchange = ExchangeSync
+	ds := input(t, equivalenceInput)
+	asyncCfg := equivalenceConfig()
 
-	memSync, err := Execute(p, nil, ds.Reads, syncCfg)
-	if err != nil {
-		t.Fatalf("in-process sync: %v", err)
-	}
+	memSync := reference(t, asyncCfg)
 	memAsync, err := Execute(p, nil, ds.Reads, asyncCfg)
 	if err != nil {
 		t.Fatalf("in-process async: %v", err)
@@ -185,9 +160,6 @@ func TestAsyncExchangeMatchesSync(t *testing.T) {
 		t.Fatalf("tcp async: %v", err)
 	}
 
-	if memSync.Alignments == 0 {
-		t.Fatal("sync run produced no alignments; nothing to compare")
-	}
 	want := pafBytes(t, memSync, ds.Reads)
 	if got := pafBytes(t, memAsync, ds.Reads); !bytes.Equal(want, got) {
 		t.Errorf("in-process async PAF diverges from sync (%d vs %d bytes)", len(got), len(want))
@@ -213,12 +185,7 @@ func TestAsyncExchangeMatchesSync(t *testing.T) {
 // bulk-synchronous sum on the same workload.
 func TestAsyncExchangeReducesModeledTime(t *testing.T) {
 	const p = 8
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 24000, Coverage: 10, MeanReadLen: 1500, MinReadLen: 500, BothStrands: true, ErrorRate: 0.06, Seed: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := input(t, equivalenceInput)
 	run := func(mode ExchangeMode) *Report {
 		mdl, err := machine.NewModelScaled(machine.Cori, 8, p)
 		if err != nil {
@@ -250,15 +217,9 @@ func TestAsyncExchangeReducesModeledTime(t *testing.T) {
 // TestTCPTransportPropagatesPipelineErrors checks a rank failure inside
 // the distributed pipeline aborts the whole TCP world cleanly.
 func TestTCPTransportPropagatesPipelineErrors(t *testing.T) {
-	ds, err := seqgen.Generate(seqgen.Config{
-		GenomeLen: 8000, Coverage: 6, MeanReadLen: 1000, MinReadLen: 400, ErrorRate: 0.05, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Invalid config: k unset and underivable → every rank errors before
 	// the first collective; the world must shut down, not hang.
-	_, err = executeTCPLoopback(t, 3, ds.Reads, Config{})
+	_, err := executeTCPLoopback(t, 3, input(t, edgeCaseInput).Reads, Config{})
 	if err == nil {
 		t.Fatal("expected configuration error to surface through the TCP world")
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dibella/internal/pipeline"
+	"dibella/internal/walltime"
 	"dibella/internal/wire"
 )
 
@@ -51,8 +52,7 @@ func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
 // deadline arms the per-request connection deadline, if one is set.
 func (cl *Client) deadline() {
 	if cl.timeout > 0 {
-		//lint:ignore detmap a socket deadline needs an absolute instant; it bounds client I/O and never reaches output
-		cl.conn.SetDeadline(time.Now().Add(cl.timeout))
+		cl.conn.SetDeadline(walltime.Deadline(cl.timeout))
 	}
 }
 

@@ -148,39 +148,54 @@ func writeFrontendFrame(w io.Writer, typ uint8, payload []byte) error {
 }
 
 // readFrontendFrame reads one frame and returns its type and payload.
-// io.EOF before any header byte means a clean close; a peer speaking
-// another protocol version is ErrBadVersion. The payload buffer grows with
-// the bytes that arrive, never from the header's claim alone: a client that
-// announces maxFrontendPayload and then stalls holds a header's worth of
-// memory.
 func readFrontendFrame(r io.Reader) (uint8, []byte, error) {
+	typ, plen, err := readFrontendHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	body, err := readFrontendPayload(r, plen)
+	return typ, body, err
+}
+
+// readFrontendHeader reads one frame header and returns the frame's type
+// and payload length. io.EOF before any header byte means a clean close; a
+// peer speaking another protocol version is ErrBadVersion.
+func readFrontendHeader(r io.Reader) (uint8, int, error) {
 	var hdr [frontendHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("serve: truncated frame header")
+			return 0, 0, fmt.Errorf("serve: truncated frame header")
 		}
-		return 0, nil, err
+		return 0, 0, err
 	}
 	h := wire.NewReader(hdr[:])
 	switch m := h.U16(); {
 	case m == frontendMagic:
 	case m>>8 == frontendMagic>>8:
-		return 0, nil, fmt.Errorf("%w: peer framed %#04x, this binary frames %#04x", ErrBadVersion, m, frontendMagic)
+		return 0, 0, fmt.Errorf("%w: peer framed %#04x, this binary frames %#04x", ErrBadVersion, m, frontendMagic)
 	default:
-		return 0, nil, fmt.Errorf("serve: bad frame magic %#04x", m)
+		return 0, 0, fmt.Errorf("serve: bad frame magic %#04x", m)
 	}
 	typ, plen := h.U8(), int(h.U32())
 	if plen > maxFrontendPayload {
-		return 0, nil, fmt.Errorf("serve: frame payload %d exceeds limit %d", plen, maxFrontendPayload)
+		return 0, 0, fmt.Errorf("serve: frame payload %d exceeds limit %d", plen, maxFrontendPayload)
 	}
+	return typ, plen, nil
+}
+
+// readFrontendPayload reads the plen payload bytes a header announced. The
+// buffer grows with the bytes that arrive, never from the header's claim
+// alone: a client that announces maxFrontendPayload and then stalls holds a
+// header's worth of memory.
+func readFrontendPayload(r io.Reader, plen int) ([]byte, error) {
 	var body bytes.Buffer
 	// MinRead spare bytes let ReadFrom see EOF without growing again.
 	body.Grow(min(plen, 64<<10) + bytes.MinRead)
 	if _, err := body.ReadFrom(io.LimitReader(r, int64(plen))); err != nil {
-		return 0, nil, fmt.Errorf("serve: reading frame payload: %w", err)
+		return nil, fmt.Errorf("serve: reading frame payload: %w", err)
 	}
 	if body.Len() < plen {
-		return 0, nil, fmt.Errorf("serve: truncated frame payload (%d of %d bytes)", body.Len(), plen)
+		return nil, fmt.Errorf("serve: truncated frame payload (%d of %d bytes)", body.Len(), plen)
 	}
-	return typ, body.Bytes(), nil
+	return body.Bytes(), nil
 }

@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"dibella/internal/pipeline"
+	"dibella/internal/walltime"
 	"dibella/internal/wire"
 )
 
@@ -219,6 +221,70 @@ func TestHeaderOnlyClientHoldsNoPayloadMemory(t *testing.T) {
 	client.Close()
 	if err := <-done; err == nil {
 		t.Error("frame with 1 of 64 Mi payload bytes accepted")
+	}
+}
+
+// TestStalledPayloadLosesItsConnection: a connection may sit idle between
+// frames for as long as it likes, but a client that sends a header and part
+// of the payload it announced, then stalls, is cut off once
+// frontendPayloadTimeout passes, and the goroutine serving it exits.
+func TestStalledPayloadLosesItsConnection(t *testing.T) {
+	defer func(d time.Duration) { frontendPayloadTimeout = d }(frontendPayloadTimeout)
+	frontendPayloadTimeout = 100 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		if conn, err := ln.Accept(); err == nil {
+			s.handleConn(conn)
+		}
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ln.Close()
+
+	// Idle for three timeouts before the first header: still connected.
+	time.Sleep(3 * frontendPayloadTimeout)
+	client.SetReadDeadline(walltime.Deadline(frontendPayloadTimeout))
+	var ne net.Error
+	if _, err := client.Read(make([]byte, 1)); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("an idle connection between frames was closed: read returned %v", err)
+	}
+
+	// A header claiming 1 MiB, one byte of it, then nothing.
+	hdr := wire.U32(wire.U8(wire.U16(nil, frontendMagic), frameQuery), 1<<20)
+	if _, err := client.Write(append(hdr, 0)); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		client.SetReadDeadline(time.Time{})
+		_, err := client.Read(make([]byte, 1))
+		closed <- err
+	}()
+	select {
+	case err := <-closed:
+		if err == nil {
+			t.Fatal("the daemon answered a frame it never received")
+		}
+	case <-time.After(20 * frontendPayloadTimeout):
+		t.Fatalf("a stalled payload held its connection for %v, bound %v", 20*frontendPayloadTimeout, frontendPayloadTimeout)
+	}
+	<-served
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the connection closed, %d before it opened", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

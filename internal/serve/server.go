@@ -545,6 +545,12 @@ func (s *server) dropConn(conn net.Conn) {
 	}
 }
 
+// frontendPayloadTimeout bounds how long a connection may take to deliver
+// the rest of a frame once its header has arrived: a client that stalls
+// mid-frame loses its connection instead of parking a goroutine until the
+// daemon exits. It is a variable only so that tests can shorten it.
+var frontendPayloadTimeout = 30 * time.Second
+
 // handleConn serves one client connection: a sequence of query (or
 // shutdown) frames, each answered in order.
 func (s *server) handleConn(conn net.Conn) {
@@ -556,19 +562,27 @@ func (s *server) handleConn(conn net.Conn) {
 		return writeFrontendFrame(conn, frameErr, errorResponse{Code: errCode(err), Msg: err.Error()}.encode())
 	}
 	for {
-		typ, body, err := readFrontendFrame(conn)
+		// A connection may sit idle between frames (a closed-loop client
+		// holds it open between queries), but once a header is in, the
+		// payload it announced must follow within frontendPayloadTimeout.
+		typ, plen, err := readFrontendHeader(conn)
 		if err != nil {
 			if errors.Is(err, ErrBadVersion) {
 				refuse(err)
 				// Closing on unread bytes resets the connection, which can
 				// take the refusal with it: read off, briefly, what the
 				// peer had already sent.
-				//lint:ignore detmap a socket deadline needs an absolute instant; it bounds a refused client's teardown and never reaches output
-				conn.SetReadDeadline(time.Now().Add(time.Second))
+				conn.SetReadDeadline(walltime.Deadline(time.Second))
 				io.Copy(io.Discard, conn)
 			}
 			return // closed or malformed; nothing sane to answer
 		}
+		conn.SetReadDeadline(walltime.Deadline(frontendPayloadTimeout))
+		body, err := readFrontendPayload(conn, plen)
+		if err != nil {
+			return // closed, truncated or stalled
+		}
+		conn.SetReadDeadline(time.Time{})
 		switch typ {
 		case frameQuery:
 			req, err := decodeQueryRequest(body)

@@ -9,6 +9,8 @@
 // *Wall fields of the stage reports — and this package provides exactly
 // that and nothing more: Point is opaque, so an absolute timestamp
 // cannot be compared, formatted, or serialized; only durations escape.
+// The one absolute instant it hands out is a socket deadline (Deadline),
+// which net.Conn accepts in no other form.
 package walltime
 
 import "time"
@@ -24,6 +26,10 @@ func Now() Point { return Point{t: time.Now()} }
 
 // Since returns the wall time elapsed since p was captured.
 func Since(p Point) time.Duration { return time.Since(p.t) }
+
+// Deadline returns the instant d from now, for a net.Conn's SetDeadline
+// or SetReadDeadline. A deadline bounds I/O and never reaches output.
+func Deadline(d time.Duration) time.Time { return time.Now().Add(d) }
 
 // origin anchors Monotonic. It is deliberately unexported: trace
 // timestamps are durations against a process-local instant, so an
