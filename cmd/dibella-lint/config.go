@@ -48,10 +48,10 @@ func DefaultConfig() *Config {
 		SpmdPath: "dibella/internal/spmd",
 		CkptPath: "dibella/internal/ckpt",
 		CollectiveFuncs: set(
-			"Alltoallv", "Alltoall", "AlltoallvPacked",
+			"Alltoallv", "AlltoallvPacked",
 			"Rounds", "AlltoallvDuring", "IAlltoallvStreamed",
-			"Allgather", "AllreduceI64", "AllreduceF64",
-			"Bcast", "ExclusiveScanI64", "GatherTo", "AgreeCommit",
+			"Allgather", "AllreduceI64",
+			"Bcast", "GatherTo", "AgreeCommit",
 		),
 		CollectiveMethods: set("Barrier", "Wait"),
 		DetmapPackages: []string{

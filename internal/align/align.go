@@ -1,8 +1,8 @@
 // Package align implements the pairwise-alignment kernels of the pipeline:
-// full Smith-Waterman local alignment (the O(|s|·|t|) reference), banded
-// Smith-Waterman, and the x-drop seed-and-extend kernel that diBELLA uses
-// in production (the paper delegates to SeqAn's implementation of Zhang et
-// al. 2000; here it is built from scratch).
+// full Smith-Waterman local alignment (the O(|s|·|t|) reference) and the
+// x-drop seed-and-extend kernel that diBELLA uses in production (the paper
+// delegates to SeqAn's implementation of Zhang et al. 2000; here it is
+// built from scratch).
 //
 // X-drop extension is what makes pairwise alignment linear in read length:
 // starting from an exactly matching seed, the DP explores antidiagonals
@@ -245,74 +245,3 @@ type Result struct {
 	// analysis.
 	Cells int64
 }
-
-// AlignedLen returns the mean of the two aligned span lengths, the length
-// figure reported in overlap records.
-func (r Result) AlignedLen() int {
-	return ((r.SEnd - r.SStart) + (r.TEnd - r.TStart)) / 2
-}
-
-// EditOp is one column of an alignment transcript.
-type EditOp byte
-
-// Transcript operations.
-const (
-	OpMatch    EditOp = 'M'
-	OpMismatch EditOp = 'X'
-	OpInsert   EditOp = 'I' // base present in s, gap in t
-	OpDelete   EditOp = 'D' // gap in s, base present in t
-)
-
-// Transcript is an edit transcript between two aligned regions.
-type Transcript []EditOp
-
-// Identity returns the fraction of transcript columns that are matches.
-func (tr Transcript) Identity() float64 {
-	if len(tr) == 0 {
-		return 0
-	}
-	m := 0
-	for _, op := range tr {
-		if op == OpMatch {
-			m++
-		}
-	}
-	return float64(m) / float64(len(tr))
-}
-
-// Counts tallies the transcript by operation.
-func (tr Transcript) Counts() (match, mismatch, ins, del int) {
-	for _, op := range tr {
-		switch op {
-		case OpMatch:
-			match++
-		case OpMismatch:
-			mismatch++
-		case OpInsert:
-			ins++
-		case OpDelete:
-			del++
-		}
-	}
-	return
-}
-
-// String renders the transcript compactly (e.g. "5M1X3M2D").
-func (tr Transcript) String() string {
-	if len(tr) == 0 {
-		return ""
-	}
-	out := make([]byte, 0, len(tr))
-	run := 1
-	for i := 1; i <= len(tr); i++ {
-		if i < len(tr) && tr[i] == tr[i-1] {
-			run++
-			continue
-		}
-		out = append(out, []byte(fmt.Sprintf("%d%c", run, tr[i-1]))...)
-		run = 1
-	}
-	return string(out)
-}
-
-const negInf = int(-1) << 40

@@ -21,24 +21,6 @@ func TestScoringValidate(t *testing.T) {
 	}
 }
 
-func TestTranscript(t *testing.T) {
-	tr := Transcript{OpMatch, OpMatch, OpMismatch, OpMatch, OpDelete, OpDelete, OpInsert}
-	m, x, i, d := tr.Counts()
-	if m != 3 || x != 1 || i != 1 || d != 2 {
-		t.Errorf("counts = %d %d %d %d", m, x, i, d)
-	}
-	if got := tr.Identity(); got != 3.0/7 {
-		t.Errorf("identity = %v", got)
-	}
-	if got := tr.String(); got != "2M1X1M2D1I" {
-		t.Errorf("String = %q", got)
-	}
-	var empty Transcript
-	if empty.Identity() != 0 || empty.String() != "" {
-		t.Error("empty transcript misbehaved")
-	}
-}
-
 func TestSmithWatermanKnown(t *testing.T) {
 	cases := []struct {
 		s, t  string
@@ -91,103 +73,6 @@ func TestSWSymmetric(t *testing.T) {
 	}
 }
 
-func TestSWTraceConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		s := randomSeq(rng, rng.Intn(60)+5)
-		u := mutate(rng, s, 0.2)
-		res, tr := SmithWatermanTrace(s, u, DefaultScoring)
-		plain := SmithWaterman(s, u, DefaultScoring)
-		if res.Score != plain.Score {
-			t.Fatalf("trace score %d != plain score %d", res.Score, plain.Score)
-		}
-		// Recompute the score from the transcript.
-		m, x, ins, del := tr.Counts()
-		sc := DefaultScoring
-		recomputed := m*sc.Match + x*sc.Mismatch + (ins+del)*sc.Gap
-		if recomputed != res.Score {
-			t.Fatalf("transcript score %d != %d (%s)", recomputed, res.Score, tr)
-		}
-		// Spans must match transcript op counts.
-		if res.SEnd-res.SStart != m+x+ins {
-			t.Fatalf("s-span %d != %d", res.SEnd-res.SStart, m+x+ins)
-		}
-		if res.TEnd-res.TStart != m+x+del {
-			t.Fatalf("t-span %d != %d", res.TEnd-res.TStart, m+x+del)
-		}
-		// Walk the transcript against the sequences.
-		i, j := res.SStart, res.TStart
-		for _, op := range tr {
-			switch op {
-			case OpMatch:
-				if s[i] != u[j] {
-					t.Fatal("match op over differing bases")
-				}
-				i, j = i+1, j+1
-			case OpMismatch:
-				if s[i] == u[j] {
-					t.Fatal("mismatch op over equal bases")
-				}
-				i, j = i+1, j+1
-			case OpInsert:
-				i++
-			case OpDelete:
-				j++
-			}
-		}
-		if i != res.SEnd || j != res.TEnd {
-			t.Fatalf("transcript walked to (%d,%d), want (%d,%d)", i, j, res.SEnd, res.TEnd)
-		}
-	}
-}
-
-// Property: a wide band reproduces full Smith-Waterman.
-func TestBandedEqualsFullSW(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomSeq(rng, rng.Intn(40)+1)
-		u := randomSeq(rng, rng.Intn(40)+1)
-		full := SmithWaterman(s, u, DefaultScoring)
-		banded := Banded(s, u, DefaultScoring, len(s)+len(u))
-		return banded.Score == full.Score
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: narrowing the band never raises the score.
-func TestBandedMonotoneInBand(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomSeq(rng, rng.Intn(40)+5)
-		u := mutate(rng, s, 0.15)
-		prev := -1
-		for _, band := range []int{0, 2, 5, 10, 100} {
-			cur := Banded(s, u, DefaultScoring, band).Score
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBandedCellsBounded(t *testing.T) {
-	s := bytes.Repeat([]byte("ACGT"), 100)
-	r := Banded(s, s, DefaultScoring, 5)
-	if r.Cells > int64(len(s))*11 {
-		t.Errorf("banded computed %d cells, want <= %d", r.Cells, len(s)*11)
-	}
-	if r.Score != len(s) {
-		t.Errorf("banded self-alignment score %d", r.Score)
-	}
-}
-
 func TestXDropIdenticalStrings(t *testing.T) {
 	s := []byte("ACGTTGCAACGTAGCTAGGCATTCAG")
 	for _, seed := range []int{0, 5, len(s) - 7} {
@@ -216,20 +101,6 @@ func TestXDropPanics(t *testing.T) {
 			}()
 			XDrop(s, s, c.ss, c.st, c.k, DefaultScoring, c.x)
 		}()
-	}
-}
-
-func TestSeedMatches(t *testing.T) {
-	s := []byte("AACGTT")
-	u := []byte("CCCGTC")
-	if !SeedMatches(s, u, 2, 2, 3) { // CGT vs CGT
-		t.Error("true seed rejected")
-	}
-	if SeedMatches(s, u, 0, 0, 3) {
-		t.Error("false seed accepted")
-	}
-	if SeedMatches(s, u, 4, 4, 3) {
-		t.Error("out-of-bounds seed accepted")
 	}
 }
 
@@ -363,16 +234,6 @@ func TestXDropRecoversTrueOverlapScore(t *testing.T) {
 	span := r.SEnd - r.SStart
 	if span < len(a)/4 {
 		t.Errorf("aligned span %d too short for 10%%-error overlap of %d", span, len(a))
-	}
-	if r.AlignedLen() <= 0 {
-		t.Error("non-positive aligned length")
-	}
-}
-
-func TestResultAlignedLen(t *testing.T) {
-	r := Result{SStart: 10, SEnd: 110, TStart: 0, TEnd: 90}
-	if r.AlignedLen() != 95 {
-		t.Errorf("AlignedLen = %d", r.AlignedLen())
 	}
 }
 

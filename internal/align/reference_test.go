@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// negInf marks an unreachable cell in the oracles' int DP tables.
+const negInf = int(-1) << 40
+
 // referenceXDrop is the x-drop kernel as it stood before the int32
 // antidiagonal rewrite, kept verbatim as the oracle every differential test
 // and FuzzXDropMatchesReference compare XDrop against, field for field.

@@ -32,72 +32,7 @@ func SmithWaterman(s, t []byte, sc Scoring) Result {
 		prev, cur = cur, prev
 	}
 	best.Cells = int64(len(s)) * int64(len(t))
-	// Start positions require traceback; the score-only kernel reports the
-	// end coordinates and leaves starts at 0 when not requested.
+	// Start positions would need a traceback: the kernel reports the end
+	// coordinates and leaves the starts at 0.
 	return best
-}
-
-// SmithWatermanTrace computes the optimal local alignment with a full
-// traceback. It keeps the whole DP matrix (O(|s|·|t|) memory) and is meant
-// for tests, examples, and result inspection rather than the hot path.
-func SmithWatermanTrace(s, t []byte, sc Scoring) (Result, Transcript) {
-	if len(s) == 0 || len(t) == 0 {
-		return Result{}, nil
-	}
-	n, m := len(s), len(t)
-	h := make([][]int, n+1)
-	for i := range h {
-		h[i] = make([]int, m+1)
-	}
-	best := Result{}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			v := h[i-1][j-1] + sc.sub(s[i-1], t[j-1])
-			if up := h[i-1][j] + sc.Gap; up > v {
-				v = up
-			}
-			if left := h[i][j-1] + sc.Gap; left > v {
-				v = left
-			}
-			if v < 0 {
-				v = 0
-			}
-			h[i][j] = v
-			if v > best.Score {
-				best.Score = v
-				best.SEnd, best.TEnd = i, j
-			}
-		}
-	}
-	// Traceback from the best cell to the first zero.
-	var rev Transcript
-	i, j := best.SEnd, best.TEnd
-	for i > 0 && j > 0 && h[i][j] > 0 {
-		v := h[i][j]
-		switch {
-		case v == h[i-1][j-1]+sc.sub(s[i-1], t[j-1]):
-			if s[i-1] == t[j-1] {
-				rev = append(rev, OpMatch)
-			} else {
-				rev = append(rev, OpMismatch)
-			}
-			i, j = i-1, j-1
-		case v == h[i-1][j]+sc.Gap:
-			rev = append(rev, OpInsert)
-			i--
-		case v == h[i][j-1]+sc.Gap:
-			rev = append(rev, OpDelete)
-			j--
-		default:
-			panic("align: inconsistent traceback")
-		}
-	}
-	best.SStart, best.TStart = i, j
-	best.Cells = int64(n) * int64(m)
-	// Reverse into forward order.
-	tr := make(Transcript, len(rev))
-	for k := range rev {
-		tr[k] = rev[len(rev)-1-k]
-	}
-	return best, tr
 }

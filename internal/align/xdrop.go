@@ -58,21 +58,6 @@ func XDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
 	}
 }
 
-// SeedMatches reports whether the claimed seed is an exact k-base match,
-// a precondition XDrop assumes (shared k-mers guarantee it after strand
-// normalization).
-func SeedMatches(s, t []byte, seedS, seedT, k int) bool {
-	if seedS < 0 || seedT < 0 || seedS+k > len(s) || seedT+k > len(t) {
-		return false
-	}
-	for i := 0; i < k; i++ {
-		if s[seedS+i] != t[seedT+i] {
-			return false
-		}
-	}
-	return true
-}
-
 // pruned marks an abandoned cell and fills the sentinels around each row's
 // window. It sits far enough below zero that pruned+score stays in int32
 // and, given clampXDrop's precondition, below every prune threshold, so a

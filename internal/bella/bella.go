@@ -151,58 +151,3 @@ func EstimateSingletonFraction(e float64, k int, d float64) float64 {
 	}
 	return pErr + (1-pErr)*fracCorrectSingleton
 }
-
-// EstimateKmerBag returns the approximate number of k-mer instances parsed
-// from an input of genomeSize·depth bases with mean read length L
-// (Equation 2 of the paper): G·d·(L-k+1)/L ≈ G·d.
-func EstimateKmerBag(genomeSize, depth, meanReadLen float64, k int) float64 {
-	if meanReadLen <= 0 {
-		return 0
-	}
-	per := meanReadLen - float64(k) + 1
-	if per < 0 {
-		per = 0
-	}
-	return genomeSize * depth * per / meanReadLen
-}
-
-// EstimateDistinctKmers approximates |Kset|, the number of distinct k-mers
-// in the bag: each erroneous instance is distinct with near certainty and
-// the correct instances collapse onto ~genomeSize loci.
-func EstimateDistinctKmers(genomeSize, depth, meanReadLen float64, e float64, k int) float64 {
-	bag := EstimateKmerBag(genomeSize, depth, meanReadLen, k)
-	pErr := 1 - ProbKmerCorrect(e, k)
-	return bag*pErr + genomeSize
-}
-
-// Params bundles the derived pipeline parameters for one data set.
-type Params struct {
-	K           int // k-mer length
-	MaxFreq     int // high-frequency cutoff m
-	MinOverlap  int // overlap length the k choice guarantees detection for
-	TargetProb  float64
-	ErrorRate   float64
-	Coverage    float64
-	GenomeSize  float64
-	MeanReadLen float64
-}
-
-// Derive computes the full parameter set the way diBELLA does at startup.
-func Derive(errorRate, coverage, genomeSize, meanReadLen float64, minOverlap int, targetProb float64) (Params, error) {
-	k, err := OptimalK(errorRate, minOverlap, targetProb, genomeSize)
-	if err != nil {
-		return Params{}, err
-	}
-	m := ReliableUpperBound(errorRate, k, coverage, 2, 1e-4)
-	return Params{
-		K: k, MaxFreq: m, MinOverlap: minOverlap, TargetProb: targetProb,
-		ErrorRate: errorRate, Coverage: coverage,
-		GenomeSize: genomeSize, MeanReadLen: meanReadLen,
-	}, nil
-}
-
-// String renders the parameters the way the pipeline logs them.
-func (p Params) String() string {
-	return fmt.Sprintf("k=%d m=%d (e=%.2f d=%.0fx G=%.3g Mbp, P[seed|overlap≥%d]≥%.2f)",
-		p.K, p.MaxFreq, p.ErrorRate, p.Coverage, p.GenomeSize/1e6, p.MinOverlap, p.TargetProb)
-}

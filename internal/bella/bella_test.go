@@ -140,6 +140,22 @@ func TestReliableUpperBound(t *testing.T) {
 	}
 }
 
+// The startup derivation: k from OptimalK, then m from ReliableUpperBound
+// at that k, with the arguments pipeline.Config uses.
+func TestDerive(t *testing.T) {
+	k, err := OptimalK(0.15, 2000, 0.9, 4.64e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ReliableUpperBound(0.15, k, 30, 2, 1e-4)
+	if k < 14 || k > 20 || m < 5 {
+		t.Errorf("k=%d m=%d", k, m)
+	}
+	if _, err := OptimalK(0.9, 100, 0.999, 1e6); err == nil {
+		t.Error("unsatisfiable derivation should error")
+	}
+}
+
 func TestReliableUpperBoundPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -159,45 +175,5 @@ func TestEstimateSingletonFraction(t *testing.T) {
 	short := EstimateSingletonFraction(0.005, 17, 30)
 	if short > long {
 		t.Error("short reads should have fewer singletons")
-	}
-}
-
-func TestEstimateKmerBag(t *testing.T) {
-	// Eq. 2: approx G*d for L >> k.
-	got := EstimateKmerBag(4.64e6, 30, 9958, 17)
-	want := 4.64e6 * 30
-	if math.Abs(got-want)/want > 0.01 {
-		t.Errorf("bag = %g, want ~%g", got, want)
-	}
-	if EstimateKmerBag(1e6, 30, 0, 17) != 0 {
-		t.Error("zero read length should give 0")
-	}
-	if EstimateKmerBag(1e6, 30, 10, 17) != 0 {
-		t.Error("reads shorter than k should give 0")
-	}
-}
-
-func TestEstimateDistinctKmers(t *testing.T) {
-	// Distinct set is far smaller than the bag but at least genome-sized.
-	bag := EstimateKmerBag(4.64e6, 30, 9958, 17)
-	distinct := EstimateDistinctKmers(4.64e6, 30, 9958, 0.15, 17)
-	if distinct >= bag || distinct < 4.64e6 {
-		t.Errorf("distinct = %g (bag %g)", distinct, bag)
-	}
-}
-
-func TestDerive(t *testing.T) {
-	p, err := Derive(0.15, 30, 4.64e6, 9958, 2000, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K < 14 || p.K > 20 || p.MaxFreq < 5 {
-		t.Errorf("params = %+v", p)
-	}
-	if p.String() == "" {
-		t.Error("empty String()")
-	}
-	if _, err := Derive(0.9, 30, 1e6, 1000, 100, 0.999); err == nil {
-		t.Error("unsatisfiable Derive should error")
 	}
 }

@@ -142,30 +142,13 @@ type BuildStats struct {
 	ExchangeMemBytes int64
 }
 
-// pricer converts counted operations into virtual time on c's clock; a nil
-// model prices everything at zero (wall time is still measured).
-type pricer struct {
-	c     *spmd.Comm
-	model *machine.Model
-}
-
-func (p pricer) tick(ops, rate, workingSet float64) float64 {
-	if p.model == nil || ops <= 0 {
-		return 0
-	}
-	d := p.model.ComputeTime(ops, rate, workingSet)
-	p.c.Tick(d)
-	return d
-}
-
 // Build constructs this rank's hash-table partition from its local reads,
 // running both passes. All ranks must call it collectively.
 func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*Partition, BuildStats, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, BuildStats{}, err
 	}
-	pr := pricer{c: c, model: model}
-	stats := BuildStats{}
+	bs := BuildStats{}
 
 	// Agree on the global round count from what each rank will actually
 	// stream: a minimizer run ships only the (w,k)-minimizers, so sizing
@@ -193,11 +176,11 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// never affects output — a Bloom false positive creates a table entry
 	// whose count stays below 2 and is pruned — only memory and modeled
 	// insert time.
-	stats.DistinctEstimate = float64(globalBag) * cfg.DistinctRatio *
+	bs.DistinctEstimate = float64(globalBag) * cfg.DistinctRatio *
 		kmer.MinimizerDensity(cfg.MinimizerWindow)
-	perRank := uint64(stats.DistinctEstimate/float64(c.Size())*1.1) + 64
+	perRank := uint64(bs.DistinctEstimate/float64(c.Size())*1.1) + 64
 	filter := bloom.NewWithEstimate(perRank, cfg.BloomFP)
-	stats.BloomBits = filter.NumBits()
+	bs.BloomBits = filter.NumBits()
 
 	part := &Partition{K: cfg.K, MaxFreq: cfg.MaxFreq}
 	if cfg.KeepSingletons {
@@ -212,13 +195,13 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceBloomPass, c.Now())
-	stats.Bloom = bloomPass(c, pr, reads, cfg, bufs, rounds, localUnits, filter, part)
-	stats.TableEntries = part.n
+	bs.Bloom = bloomPass(c, model, reads, cfg, bufs, rounds, localUnits, filter, part)
+	bs.TableEntries = part.n
 	// The Bloom stage's peak footprint is the filter plus the nascent
 	// table — both alive this one instant, the filter freed just below —
 	// plus what it exchanged through.
-	stats.BloomMemBytes = part.MemBytes() + int64(filter.NumBits()/8) + bufs.MemBytes()
-	rec.End(traceBloomPass, c.Now(), stats.Bloom.BytesPacked)
+	bs.BloomMemBytes = part.MemBytes() + int64(filter.NumBits()/8) + bufs.MemBytes()
+	rec.End(traceBloomPass, c.Now(), bs.Bloom.BytesPacked)
 	// The paper frees the Bloom filter here; dropping the reference is the
 	// Go equivalent.
 	filter = nil
@@ -226,17 +209,17 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 
 	// Pass 2: occurrence accumulation and pruning.
 	rec.Begin(traceHashPass, c.Now())
-	stats.Hash = hashPass(c, pr, reads, cfg, bufs, rounds, localUnits, part)
-	stats.ExchangeMemBytes = bufs.MemBytes()
+	bs.Hash = hashPass(c, model, reads, cfg, bufs, rounds, localUnits, part)
+	bs.ExchangeMemBytes = bufs.MemBytes()
 	t0 := walltime.Now()
 	prunedS, prunedH := part.prune(cfg.KeepSingletons)
-	stats.Hash.LocalVirtual += pr.tick(float64(stats.TableEntries),
-		machine.RateHTPrune, float64(stats.TableEntries)*64)
-	stats.Hash.LocalWall += walltime.Since(t0)
-	stats.PrunedSingleton, stats.PrunedHighFreq = prunedS, prunedH
-	stats.Retained = part.n
-	rec.End(traceHashPass, c.Now(), stats.Hash.BytesPacked)
-	return part, stats, nil
+	bs.Hash.LocalVirtual += stats.Price(c, model, float64(bs.TableEntries),
+		machine.RateHTPrune, float64(bs.TableEntries)*64)
+	bs.Hash.LocalWall += walltime.Since(t0)
+	bs.PrunedSingleton, bs.PrunedHighFreq = prunedS, prunedH
+	bs.Retained = part.n
+	rec.End(traceHashPass, c.Now(), bs.Hash.BytesPacked)
+	return part, bs, nil
 }
 
 // stream walks a rank's reads emitting k-mers (or minimizers) in batches
@@ -305,15 +288,6 @@ func (s *stream) next() (kmer.Extracted, bool) {
 	}
 }
 
-// addComm accumulates one collective's exchange and overlap cost into the
-// stage breakdown from Comm stats snapshots taken around it.
-func (st *StageStats) addComm(pre, post spmd.Stats) {
-	st.ExchangeVirtual += post.ExchangeVirtual - pre.ExchangeVirtual
-	st.OverlapVirtual += post.OverlapVirtual - pre.OverlapVirtual
-	st.ExchangeWall += post.ExchangeWall - pre.ExchangeWall
-	st.OverlapWall += post.OverlapWall - pre.OverlapWall
-}
-
 // runRounds drives one pass's exchange rounds through spmd.Rounds: pack
 // fills the next round's send rows (charging parse/pack time to st), process
 // consumes one round's received batches. bufs carries the window: with
@@ -329,7 +303,7 @@ func runRounds[T any](c *spmd.Comm, st *StageStats, bufs *spmd.RoundBufs, rounds
 
 	pre := c.Stats()
 	spmd.Rounds(c, bufs, rounds, pack, process)
-	st.addComm(pre, c.Stats())
+	st.AddComm(pre, c.Stats())
 }
 
 // sizeRows gives every send row of a set that has not been round the ring
@@ -355,7 +329,7 @@ func sizeRows[T any](send [][]T, cfg Config, left, fit int64) {
 // filter, seeding the table with keys seen (probably) more than once. left
 // is how many keys this rank's stream will emit (an upper bound when reads
 // contain non-ACGT bytes).
-func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
+func bloomPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
 	filter *bloom.Filter, part *Partition) StageStats {
 
 	st := StageStats{Rounds: rounds}
@@ -382,11 +356,11 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd
 		// Parse time covers every k-mer scanned, not just those shipped:
 		// a minimizer stream reads the full bag to select its windows'
 		// minima, and nothing is modeled as free.
-		st.LocalVirtual += pr.tick(float64(str.takeScanned()), machine.RateParse, ws())
+		st.LocalVirtual += stats.Price(c, model, float64(str.takeScanned()), machine.RateParse, ws())
 		st.LocalWall += walltime.Since(t0)
 		t0 = walltime.Now()
 		st.BytesPacked += parsed * 8
-		st.PackVirtual += pr.tick(float64(parsed*8), machine.RatePack, ws())
+		st.PackVirtual += stats.Price(c, model, float64(parsed*8), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
 	}
 	process := func(recv [][]kmer.Kmer) {
@@ -403,7 +377,7 @@ func bloomPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd
 			}
 		}
 		st.KmersReceived += received
-		st.LocalVirtual += pr.tick(float64(received), machine.RateBloomInsert, ws())
+		st.LocalVirtual += stats.Price(c, model, float64(received), machine.RateBloomInsert, ws())
 		st.LocalWall += walltime.Since(t0)
 	}
 	runRounds(c, &st, bufs, rounds, pack, process)
@@ -418,7 +392,7 @@ type occMsg struct {
 
 // hashPass streams occurrences to owners, accumulating counts and
 // locations for resident keys. left is as in bloomPass.
-func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
+func hashPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
 	part *Partition) StageStats {
 
 	st := StageStats{Rounds: rounds}
@@ -447,11 +421,11 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd.
 		st.KmersParsed += parsed
 		// Full scan priced, as in bloomPass: minimizer selection is not
 		// free even though only the minima travel.
-		st.LocalVirtual += pr.tick(float64(str.takeScanned()), machine.RateParse, ws())
+		st.LocalVirtual += stats.Price(c, model, float64(str.takeScanned()), machine.RateParse, ws())
 		st.LocalWall += walltime.Since(t0)
 		t0 = walltime.Now()
 		st.BytesPacked += parsed * 16
-		st.PackVirtual += pr.tick(float64(parsed*16), machine.RatePack, ws())
+		st.PackVirtual += stats.Price(c, model, float64(parsed*16), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
 	}
 	process := func(recv [][]occMsg) {
@@ -466,7 +440,7 @@ func hashPass(c *spmd.Comm, pr pricer, reads LocalReads, cfg Config, bufs *spmd.
 			}
 		}
 		st.KmersReceived += received
-		st.LocalVirtual += pr.tick(float64(received), machine.RateHTInsert, ws())
+		st.LocalVirtual += stats.Price(c, model, float64(received), machine.RateHTInsert, ws())
 		st.LocalWall += walltime.Since(t0)
 	}
 	runRounds(c, &st, bufs, rounds, pack, process)

@@ -1,7 +1,6 @@
 // Package dna provides primitive operations on DNA sequences over the
-// four-letter alphabet {A, C, G, T}: 2-bit base codes, complementation,
-// reverse complements, validation, and a packed 2-bit sequence
-// representation.
+// four-letter alphabet {A, C, G, T}: 2-bit base codes, reverse complements
+// and validation.
 //
 // The 2-bit code assigns A=0, C=1, G=2, T=3. This ordering makes the
 // complement of a code c equal to 3-c (equivalently c^3), which the rest of
@@ -74,13 +73,6 @@ func MustCode(b byte) byte {
 // Base returns the upper-case ASCII base for a 2-bit code in [0,3].
 func Base(code byte) byte { return baseTable[code&3] }
 
-// ComplementCode returns the 2-bit code of the complementary base.
-func ComplementCode(code byte) byte { return code ^ 3 }
-
-// ComplementByte returns the complement of an ASCII base, preserving case;
-// non-ACGT bytes complement to 'N'.
-func ComplementByte(b byte) byte { return complementTable[b] }
-
 // IsValid reports whether every byte of s is an A/C/G/T in either case.
 func IsValid(s []byte) bool {
 	for _, b := range s {
@@ -89,17 +81,6 @@ func IsValid(s []byte) bool {
 		}
 	}
 	return true
-}
-
-// CountValid returns the number of A/C/G/T bytes in s.
-func CountValid(s []byte) int {
-	n := 0
-	for _, b := range s {
-		if codeTable[b] != 0xFF {
-			n++
-		}
-	}
-	return n
 }
 
 // ReverseComplement returns the reverse complement of s as a new slice.
@@ -119,99 +100,4 @@ func AppendReverseComplement(dst, s []byte) []byte {
 		out[len(s)-1-i] = complementTable[b]
 	}
 	return dst[:len(dst)+len(s)]
-}
-
-// ReverseComplementInPlace reverse-complements s in place.
-func ReverseComplementInPlace(s []byte) {
-	i, j := 0, len(s)-1
-	for i < j {
-		s[i], s[j] = complementTable[s[j]], complementTable[s[i]]
-		i, j = i+1, j-1
-	}
-	if i == j {
-		s[i] = complementTable[s[i]]
-	}
-}
-
-// Packed is a DNA sequence stored at 2 bits per base. It supports random
-// access and append; it is the memory-frugal representation used for read
-// storage when replicating reads across ranks in the alignment stage.
-type Packed struct {
-	words []uint64
-	n     int // number of bases
-}
-
-// basesPerWord is the number of 2-bit bases stored per uint64 word.
-const basesPerWord = 32
-
-// NewPacked packs an ASCII sequence. Invalid bytes are recorded as 'A'
-// (callers that care must validate first; k-mer extraction never crosses
-// invalid bytes, so the substitution is harmless downstream).
-func NewPacked(s []byte) *Packed {
-	p := &Packed{words: make([]uint64, 0, (len(s)+basesPerWord-1)/basesPerWord)}
-	for _, b := range s {
-		c := codeTable[b]
-		if c == 0xFF {
-			c = A
-		}
-		p.AppendCode(c)
-	}
-	return p
-}
-
-// Len returns the number of bases in the sequence.
-func (p *Packed) Len() int { return p.n }
-
-// AppendCode appends a single 2-bit base code.
-func (p *Packed) AppendCode(code byte) {
-	slot := p.n % basesPerWord
-	if slot == 0 {
-		p.words = append(p.words, 0)
-	}
-	p.words[len(p.words)-1] |= uint64(code&3) << (2 * uint(slot))
-	p.n++
-}
-
-// CodeAt returns the 2-bit code of the base at index i.
-func (p *Packed) CodeAt(i int) byte {
-	if i < 0 || i >= p.n {
-		panic(fmt.Sprintf("dna: index %d out of range [0,%d)", i, p.n))
-	}
-	w := p.words[i/basesPerWord]
-	return byte(w>>(2*uint(i%basesPerWord))) & 3
-}
-
-// ByteAt returns the upper-case ASCII base at index i.
-func (p *Packed) ByteAt(i int) byte { return baseTable[p.CodeAt(i)] }
-
-// Bytes unpacks the sequence into a fresh ASCII byte slice.
-func (p *Packed) Bytes() []byte {
-	out := make([]byte, p.n)
-	for i := 0; i < p.n; i++ {
-		out[i] = baseTable[p.CodeAt(i)]
-	}
-	return out
-}
-
-// SizeBytes returns the heap footprint of the packed payload in bytes.
-func (p *Packed) SizeBytes() int { return 8 * len(p.words) }
-
-// GC returns the fraction of G or C bases in s, counting only valid bases;
-// it returns 0 for sequences with no valid bases.
-func GC(s []byte) float64 {
-	gc, valid := 0, 0
-	for _, b := range s {
-		c := codeTable[b]
-		if c == 0xFF {
-			continue
-		}
-		valid++
-		if c == C || c == G {
-			gc++
-		}
-	}
-	if valid == 0 {
-		return 0
-	}
-	return float64(gc) / float64(valid)
 }

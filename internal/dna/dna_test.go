@@ -45,15 +45,6 @@ func TestMustCodePanics(t *testing.T) {
 	MustCode('N')
 }
 
-func TestComplementCode(t *testing.T) {
-	pairs := map[byte]byte{A: T, C: G, G: C, T: A}
-	for c, want := range pairs {
-		if got := ComplementCode(c); got != want {
-			t.Errorf("ComplementCode(%d) = %d, want %d", c, got, want)
-		}
-	}
-}
-
 func TestReverseComplement(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", ""},
@@ -67,20 +58,6 @@ func TestReverseComplement(t *testing.T) {
 	for _, c := range cases {
 		if got := string(ReverseComplement([]byte(c.in))); got != c.want {
 			t.Errorf("ReverseComplement(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestReverseComplementInPlaceMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(100)
-		s := randomSeq(rng, n)
-		want := ReverseComplement(s)
-		got := append([]byte(nil), s...)
-		ReverseComplementInPlace(got)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("in-place RC mismatch for %q: got %q want %q", s, got, want)
 		}
 	}
 }
@@ -106,90 +83,6 @@ func TestIsValid(t *testing.T) {
 	}
 	if !IsValid(nil) {
 		t.Error("empty sequence should be valid")
-	}
-}
-
-func TestCountValid(t *testing.T) {
-	if got := CountValid([]byte("ACNNGT")); got != 4 {
-		t.Errorf("CountValid = %d, want 4", got)
-	}
-}
-
-func TestPackedRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		n := rng.Intn(200)
-		s := randomSeq(rng, n)
-		p := NewPacked(s)
-		if p.Len() != n {
-			t.Fatalf("Len = %d, want %d", p.Len(), n)
-		}
-		if !bytes.Equal(p.Bytes(), s) {
-			t.Fatalf("Bytes mismatch: got %q want %q", p.Bytes(), s)
-		}
-		for i := 0; i < n; i++ {
-			if p.ByteAt(i) != s[i] {
-				t.Fatalf("ByteAt(%d) = %q, want %q", i, p.ByteAt(i), s[i])
-			}
-		}
-	}
-}
-
-func TestPackedAppendCode(t *testing.T) {
-	var p Packed
-	codes := []byte{A, C, G, T, T, G, C, A}
-	for _, c := range codes {
-		p.AppendCode(c)
-	}
-	if p.Len() != len(codes) {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	for i, c := range codes {
-		if p.CodeAt(i) != c {
-			t.Errorf("CodeAt(%d) = %d, want %d", i, p.CodeAt(i), c)
-		}
-	}
-}
-
-func TestPackedOutOfRangePanics(t *testing.T) {
-	p := NewPacked([]byte("ACGT"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CodeAt(4) did not panic")
-		}
-	}()
-	p.CodeAt(4)
-}
-
-func TestPackedSizeBytes(t *testing.T) {
-	p := NewPacked(bytes.Repeat([]byte("A"), 33))
-	if p.SizeBytes() != 16 { // 33 bases -> 2 words
-		t.Errorf("SizeBytes = %d, want 16", p.SizeBytes())
-	}
-}
-
-func TestPackedInvalidBecomesA(t *testing.T) {
-	p := NewPacked([]byte("ANA"))
-	if got := string(p.Bytes()); got != "AAA" {
-		t.Errorf("packed ANA = %q, want AAA", got)
-	}
-}
-
-func TestGC(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-	}{
-		{"", 0},
-		{"AT", 0},
-		{"GC", 1},
-		{"ACGT", 0.5},
-		{"NNGC", 1},
-	}
-	for _, c := range cases {
-		if got := GC([]byte(c.in)); got != c.want {
-			t.Errorf("GC(%q) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }
 

@@ -50,14 +50,6 @@ func (r Result) Precision() float64 {
 	return float64(r.TruePositives+r.NearMisses) / float64(r.Predicted)
 }
 
-// StrictPrecision returns TP / predicted (near misses count against).
-func (r Result) StrictPrecision() float64 {
-	if r.Predicted == 0 {
-		return 0
-	}
-	return float64(r.TruePositives) / float64(r.Predicted)
-}
-
 // F1 returns the harmonic mean of Recall and Precision.
 func (r Result) F1() float64 {
 	p, c := r.Precision(), r.Recall()

@@ -46,9 +46,6 @@ func TestEvaluateCounts(t *testing.T) {
 	if res.Precision() != 2.0/3 {
 		t.Errorf("Precision = %v", res.Precision())
 	}
-	if res.StrictPrecision() != 1.0/3 {
-		t.Errorf("StrictPrecision = %v", res.StrictPrecision())
-	}
 	if res.F1() <= 0 || res.F1() > 1 {
 		t.Errorf("F1 = %v", res.F1())
 	}

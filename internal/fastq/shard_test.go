@@ -242,8 +242,8 @@ func TestShardedReadStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Sharded() || s.NumReads() != len(recs) || s.ParsedBytes != 1234 {
-		t.Errorf("sharded=%v reads=%d parsed=%d", s.Sharded(), s.NumReads(), s.ParsedBytes)
+	if !s.sharded || s.NumReads() != len(recs) || s.ParsedBytes != 1234 {
+		t.Errorf("sharded=%v reads=%d parsed=%d", s.sharded, s.NumReads(), s.ParsedBytes)
 	}
 	for id := 0; id < len(recs); id++ {
 		if s.Name(uint32(id)) != recs[id].Name || s.Len(uint32(id)) != recs[id].Len() {

@@ -77,9 +77,6 @@ func NewShardedReadStore(rank int, ranges [][2]int, names []string, lens []int32
 	}, nil
 }
 
-// Sharded reports whether the store holds only its own rank's records.
-func (s *ReadStore) Sharded() bool { return s.sharded }
-
 // NumReads returns the number of reads in the (global) set.
 func (s *ReadStore) NumReads() int {
 	if s.sharded {

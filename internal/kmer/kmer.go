@@ -79,15 +79,6 @@ func (km Kmer) Bytes(k int) []byte {
 // used on hot paths. Prefer Bytes(k).
 func (km Kmer) String() string { return fmt.Sprintf("Kmer(%#016x)", uint64(km)) }
 
-// BaseAt returns the 2-bit code of the base at offset i (0 = 5' end).
-func (km Kmer) BaseAt(i, k int) byte {
-	checkK(k)
-	if i < 0 || i >= k {
-		panic(fmt.Sprintf("kmer: offset %d out of range [0,%d)", i, k))
-	}
-	return byte(uint64(km)>>(2*uint(k-1-i))) & 3
-}
-
 // AppendBase shifts the k-mer left by one base and appends code, keeping
 // length k. This is the rolling-extraction step.
 func (km Kmer) AppendBase(code byte, k int) Kmer {
@@ -148,9 +139,6 @@ func (km Kmer) Owner(p int) int {
 	// than %.
 	return int((km.Hash() >> 32 * uint64(p)) >> 32)
 }
-
-// Less orders k-mers lexicographically (they share a fixed k).
-func (km Kmer) Less(other Kmer) bool { return km < other }
 
 // Occurrence is one sighting of a k-mer within the read set: the read it
 // came from, the offset of its first base within that read, and whether the

@@ -67,16 +67,6 @@ func TestLexicographicOrder(t *testing.T) {
 	}
 }
 
-func TestBaseAt(t *testing.T) {
-	km := MustPack([]byte("ACGT"), 4)
-	want := []byte{dna.A, dna.C, dna.G, dna.T}
-	for i, w := range want {
-		if got := km.BaseAt(i, 4); got != w {
-			t.Errorf("BaseAt(%d) = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestReverseComplementKnown(t *testing.T) {
 	cases := []struct {
 		in, want string

@@ -1,10 +1,10 @@
 package overlap
 
-// This file implements the paper's communication/computation bounds for
-// the overlap stage (§8, Equations 3-5). The bounds are phrased over the
-// retained k-mer count (ι·K in the paper's notation) and the maximum
-// retained frequency m; they hold for any workload and are checked against
-// measured pair counts in tests.
+// This file implements the paper's bounds on the overlap stage's task count
+// (§8, Equations 3-4). The bounds are phrased over the retained k-mer count
+// (ι·K in the paper's notation) and the maximum retained frequency m; they
+// hold for any workload and are checked against measured pair counts in
+// tests.
 
 // PairBounds returns the paper's bounds on the global number of alignment
 // tasks generated from `retained` retained k-mers with frequency cutoff m:
@@ -22,13 +22,4 @@ func PairBounds(retained int64, m int) (lo, hi int64) {
 		return 0, 0
 	}
 	return retained, retained * int64(m) * int64(m-1) / 2
-}
-
-// ParallelComplexity returns Eq. 5: the per-processor computational
-// complexity of Algorithm 1's pair enumeration, O(retained·m²/P).
-func ParallelComplexity(retained int64, m, p int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return float64(retained) * float64(m) * float64(m) / float64(p)
 }

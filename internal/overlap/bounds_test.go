@@ -38,15 +38,6 @@ func TestPairBoundsOrdering(t *testing.T) {
 	}
 }
 
-func TestParallelComplexity(t *testing.T) {
-	if ParallelComplexity(1000, 10, 10) != 1000*100/10 {
-		t.Error("Eq. 5 arithmetic wrong")
-	}
-	if ParallelComplexity(1000, 10, 0) != 0 {
-		t.Error("p=0 should give 0")
-	}
-}
-
 // The measured pair counts of a real run must respect Eq. 3's upper bound.
 func TestMeasuredPairsWithinBounds(t *testing.T) {
 	seqs := overlappingReads(8)

@@ -151,29 +151,26 @@ func Run(c *spmd.Comm, model *machine.Model, part *dht.Partition, owner OwnerFun
 			}
 		}
 	})
-	st.LocalVirtual += price(c, model, float64(st.RetainedScanned), machine.RateOverlapScan) +
-		price(c, model, float64(st.PairsGenerated), machine.RatePairGen)
+	st.LocalVirtual += stats.Price(c, model, float64(st.RetainedScanned), machine.RateOverlapScan, 0) +
+		stats.Price(c, model, float64(st.PairsGenerated), machine.RatePairGen, 0)
 	st.LocalWall += walltime.Since(t0)
 
 	t0 = walltime.Now()
 	st.BytesPacked = st.PairsGenerated * 16
-	st.PackVirtual += price(c, model, float64(st.BytesPacked), machine.RatePack)
+	st.PackVirtual += stats.Price(c, model, float64(st.BytesPacked), machine.RatePack, 0)
 	st.PackWall += walltime.Since(t0)
 
 	// Irregular all-to-all of buffered tasks.
-	t0 = walltime.Now()
 	pre := c.Stats()
 	recv := spmd.Alltoallv(c, send)
-	post := c.Stats()
-	st.ExchangeVirtual += post.ExchangeVirtual - pre.ExchangeVirtual
-	st.ExchangeWall += walltime.Since(t0)
+	st.AddComm(pre, c.Stats())
 
 	// Consolidate per-pair seed lists, filter, and emit deterministic
 	// task order.
 	t0 = walltime.Now()
 	tasks, seedsIn := consolidate(recv, cfg, &st)
-	st.LocalVirtual += price(c, model, float64(st.TasksReceived), machine.RatePairGen) +
-		price(c, model, float64(seedsIn), machine.RateSeedPrep)
+	st.LocalVirtual += stats.Price(c, model, float64(st.TasksReceived), machine.RatePairGen, 0) +
+		stats.Price(c, model, float64(seedsIn), machine.RateSeedPrep, 0)
 	st.LocalWall += walltime.Since(t0)
 	return tasks, st, nil
 }
@@ -224,16 +221,6 @@ func Consolidate(batches [][]PairMsg, cfg Config) ([]Task, Stats, error) {
 	var st Stats
 	tasks, _ := consolidate(batches, cfg, &st)
 	return tasks, st, nil
-}
-
-// price converts counted ops into virtual seconds on c's clock.
-func price(c *spmd.Comm, model *machine.Model, ops, rate float64) float64 {
-	if model == nil || ops <= 0 {
-		return 0
-	}
-	d := model.ComputeTime(ops, rate, 0)
-	c.Tick(d)
-	return d
 }
 
 // oddEvenOwner is Algorithm 1's odd/even heuristic: alternate which member

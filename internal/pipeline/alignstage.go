@@ -38,15 +38,6 @@ type Alignment struct {
 	SeedsConsumed int // seeds the pair carried (after filtering)
 }
 
-// addComm accumulates one collective's exchange and overlap cost into b
-// from Comm stats snapshots taken around it.
-func addComm(b *stats.Breakdown, pre, post spmd.Stats) {
-	b.ExchangeVirtual += post.ExchangeVirtual - pre.ExchangeVirtual
-	b.OverlapVirtual += post.OverlapVirtual - pre.OverlapVirtual
-	b.ExchangeWall += post.ExchangeWall - pre.ExchangeWall
-	b.OverlapWall += post.OverlapWall - pre.OverlapWall
-}
-
 // readView abstracts the read access the alignment stage needs: the
 // batch pipeline passes the rank's *fastq.LocalView; the serve-mode
 // query path passes a view that additionally owns the broadcast query
@@ -104,7 +95,7 @@ func (al *aligner) revComp(id uint32, seq []byte) []byte {
 		buf, al.rcFree = al.rcFree[n-1], al.rcFree[:n-1]
 	}
 	rc := dna.AppendReverseComplement(buf[:0], seq)
-	al.st.LocalVirtual += price(al.c, al.model, float64(len(seq)), machine.RatePack, 0)
+	al.st.LocalVirtual += stats.Price(al.c, al.model, float64(len(seq)), machine.RatePack, 0)
 	al.rc[id] = rc
 	return rc
 }
@@ -205,8 +196,8 @@ func (al *aligner) alignSeeds(task overlap.Task, seqA, seqB []byte) {
 	if haveRev && bestRev.Score >= cfg.MinAlignScore {
 		al.out = append(al.out, bestRev)
 	}
-	al.st.LocalVirtual += price(al.c, al.model, float64(cells), machine.RateCell, 0) +
-		price(al.c, al.model, float64(seedOps), machine.RateSeedPrep, 0)
+	al.st.LocalVirtual += stats.Price(al.c, al.model, float64(cells), machine.RateCell, 0) +
+		stats.Price(al.c, al.model, float64(seedOps), machine.RateSeedPrep, 0)
 }
 
 // alignStage fetches non-local reads and computes every seed's x-drop
@@ -231,7 +222,7 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 	} else {
 		al.alignStreamed(reqs, tasks)
 	}
-	addComm(&st.Breakdown, preComm, c.Stats())
+	st.AddComm(preComm, c.Stats())
 	return al.out, st
 }
 
@@ -258,7 +249,7 @@ func (al *aligner) planRequests(tasks []overlap.Task) [][]uint32 {
 		sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
 	}
 	st.BytesPacked += int64(len(needed)) * 4 // request payload: one uint32 ID per wanted read
-	st.LocalVirtual += price(al.c, al.model, float64(len(needed)), machine.RatePairGen, 0)
+	st.LocalVirtual += stats.Price(al.c, al.model, float64(len(needed)), machine.RatePairGen, 0)
 	st.LocalWall += walltime.Since(t0)
 	return reqs
 }
@@ -278,7 +269,7 @@ func (al *aligner) packReplies(incoming [][]uint32) []spmd.PackedBufs {
 		}
 	}
 	st.BytesPacked += packedBytes // reply payload: the requested sequences
-	st.PackVirtual += price(al.c, al.model, float64(packedBytes), machine.RatePack, 0)
+	st.PackVirtual += stats.Price(al.c, al.model, float64(packedBytes), machine.RatePack, 0)
 	st.PackWall += walltime.Since(t0)
 	return replies
 }
@@ -299,7 +290,7 @@ func (al *aligner) alignSync(reqs [][]uint32, tasks []overlap.Task) {
 			st.FetchedBytes += int64(len(items[i]))
 		}
 	}
-	st.LocalVirtual += price(al.c, al.model, float64(st.FetchedBytes), machine.RatePack, 0)
+	st.LocalVirtual += stats.Price(al.c, al.model, float64(st.FetchedBytes), machine.RatePack, 0)
 	for _, task := range tasks {
 		al.alignTask(task)
 	}
@@ -377,7 +368,7 @@ func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs, rem
 			}
 			delete(waiting, id)
 		}
-		st.LocalVirtual += price(al.c, al.model, float64(installed), machine.RatePack, 0)
+		st.LocalVirtual += stats.Price(al.c, al.model, float64(installed), machine.RatePack, 0)
 		st.LocalWall += walltime.Since(t0)
 	}
 	spmd.IAlltoallvStreamed(al.c, replies,

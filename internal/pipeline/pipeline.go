@@ -170,16 +170,6 @@ func (cfg *Config) setDefaults() error {
 	return nil
 }
 
-// price converts counted operations into virtual seconds on c's clock.
-func price(c *spmd.Comm, model *machine.Model, ops, rate, workingSet float64) float64 {
-	if model == nil || ops <= 0 {
-		return 0
-	}
-	d := model.ComputeTime(ops, rate, workingSet)
-	c.Tick(d)
-	return d
-}
-
 // StageMem is one rank's estimated resident footprint per stage,
 // sampled at each stage's end (Bloom inside the build, while the filter
 // is still alive — its peak instant). It feeds the -breakdown peak-mem

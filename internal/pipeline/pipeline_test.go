@@ -22,8 +22,12 @@ func TestConfigDefaults(t *testing.T) {
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.K < 14 || cfg.K > 20 || cfg.MaxFreq < 2 || cfg.XDrop != 7 {
+	if cfg.K < 14 || cfg.K > 20 || cfg.MaxFreq < 5 || cfg.XDrop != 7 {
 		t.Errorf("derived config: %+v", cfg)
+	}
+	// No k reaches the seed-detection target at 90% error.
+	if hopeless := (Config{ErrorRate: 0.9, Coverage: 30, GenomeEst: 1e6}); hopeless.setDefaults() == nil {
+		t.Error("unsatisfiable k derivation accepted")
 	}
 	if cfg.Scoring != align.DefaultScoring {
 		t.Error("default scoring not applied")

@@ -154,8 +154,8 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		}
 	}
 	qs.KmersRouted += routed
-	qs.LocalVirtual += price(c, model, float64(routed), machine.RateParse, 0)
-	qs.PackVirtual += price(c, model, float64(routed*16), machine.RatePack, 0)
+	qs.LocalVirtual += stats.Price(c, model, float64(routed), machine.RateParse, 0)
+	qs.PackVirtual += stats.Price(c, model, float64(routed*16), machine.RatePack, 0)
 	qs.LocalWall += walltime.Since(t0)
 
 	preComm := c.Stats()
@@ -222,9 +222,9 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		}
 	}
 	qs.PairsMade += made
-	qs.LocalVirtual += price(c, model, float64(distinct), machine.RateOverlapScan, 0) +
-		price(c, model, float64(made), machine.RatePairGen, 0)
-	qs.PackVirtual += price(c, model, float64(made*16), machine.RatePack, 0)
+	qs.LocalVirtual += stats.Price(c, model, float64(distinct), machine.RateOverlapScan, 0) +
+		stats.Price(c, model, float64(made), machine.RatePairGen, 0)
+	qs.PackVirtual += stats.Price(c, model, float64(made*16), machine.RatePack, 0)
 	qs.LocalWall += walltime.Since(t0)
 
 	pairRecv := spmd.Alltoallv(c, pairSend)
@@ -237,8 +237,8 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		return nil, err
 	}
 	qs.Tasks += int64(len(tasks))
-	qs.LocalVirtual += price(c, model, float64(ovStats.TasksReceived), machine.RatePairGen, 0) +
-		price(c, model, float64(ovStats.SeedsKept+ovStats.SeedsDropped), machine.RateSeedPrep, 0)
+	qs.LocalVirtual += stats.Price(c, model, float64(ovStats.TasksReceived), machine.RatePairGen, 0) +
+		stats.Price(c, model, float64(ovStats.SeedsKept+ovStats.SeedsDropped), machine.RateSeedPrep, 0)
 	qs.LocalWall += walltime.Since(t0)
 
 	// Align collectively, through the batch stage's schedule. Every task
@@ -247,7 +247,7 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	qv := &batchQueryView{world: w.view, base: base, batch: batch}
 	recs, alStats := alignStage(c, model, qv, tasks, cfg)
 	qs.Alignments += alStats.Alignments
-	qs.addComm(preComm, c.Stats())
+	qs.AddComm(preComm, c.Stats())
 
 	all := spmd.GatherTo(c, recs, root)
 	if c.Rank() != root {
@@ -259,15 +259,6 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
 	return out, nil
-}
-
-// addComm accumulates the exchange/overlap deltas of the batch's
-// collectives into the query accounting.
-func (qs *QueryStats) addComm(pre, post spmd.Stats) {
-	qs.ExchangeVirtual += post.ExchangeVirtual - pre.ExchangeVirtual
-	qs.OverlapVirtual += post.OverlapVirtual - pre.OverlapVirtual
-	qs.ExchangeWall += post.ExchangeWall - pre.ExchangeWall
-	qs.OverlapWall += post.OverlapWall - pre.OverlapWall
 }
 
 // QueryPAF renders served alignments as PAF using the store's names for

@@ -165,15 +165,6 @@ func (w *World) Comm() *spmd.Comm { return w.c }
 // unpriced).
 func (w *World) Model() *machine.Model { return w.model }
 
-// Store returns the global read store backing the world.
-func (w *World) Store() *fastq.ReadStore { return w.store }
-
-// Config returns the resolved pipeline configuration.
-func (w *World) Config() Config { return w.cfg }
-
-// Report returns a copy of this rank's accumulated accounting.
-func (w *World) Report() RankReport { return w.rr }
-
 // QueryStats returns a copy of this rank's accumulated query-path
 // accounting.
 func (w *World) QueryStats() QueryStats { return w.query }

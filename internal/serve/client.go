@@ -21,9 +21,6 @@ type Client struct {
 	timeout time.Duration
 }
 
-// Dial connects to a daemon's frontend.
-func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
-
 // DialTimeout connects to a daemon's frontend, bounding the connection
 // attempt and — via SetTimeout — every subsequent request/response
 // round trip. timeout <= 0 means no bound.

@@ -170,7 +170,7 @@ func TestGobEraClientIsRefusedByName(t *testing.T) {
 			}
 		}
 		refusal = err
-		cl, err := Dial(addr)
+		cl, err := DialTimeout(addr, 0)
 		if err != nil {
 			shutdownErr = err
 			return

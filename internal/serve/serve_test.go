@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,6 +22,8 @@ import (
 	"dibella/internal/pipeline"
 	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
+	"dibella/internal/walltime"
+	"dibella/internal/wire"
 )
 
 // splitDataset synthesizes a read set and splits it: the head is
@@ -141,7 +145,7 @@ func TestServeMatchesBatch(t *testing.T) {
 		stats := runServeWorld(t, p, indexed, cfg, Options{
 			Addr: "127.0.0.1:0", MaxBatches: 1,
 		}, func(addr string) {
-			cl, err := Dial(addr)
+			cl, err := DialTimeout(addr, 0)
 			if err != nil {
 				qerr = err
 				return
@@ -196,7 +200,7 @@ func TestServeMatchesBatchTCP(t *testing.T) {
 	driveDone := make(chan struct{})
 	drive := func(addr string) {
 		defer close(driveDone)
-		cl, err := Dial(addr)
+		cl, err := DialTimeout(addr, 0)
 		if err != nil {
 			qerr = err
 			return
@@ -288,7 +292,7 @@ func TestServeConcurrentClients(t *testing.T) {
 				if cli == 1 {
 					batch = batchB
 				}
-				cl, err := Dial(addr)
+				cl, err := DialTimeout(addr, 0)
 				if err != nil {
 					qerrs[cli*perClient] = err
 					return
@@ -383,7 +387,7 @@ func TestServeRejectsOverWire(t *testing.T) {
 	runServeWorld(t, 2, indexed, cfg, Options{
 		Addr: "127.0.0.1:0", MaxBatches: 1, Tenants: []string{"alice"},
 	}, func(addr string) {
-		cl, err := Dial(addr)
+		cl, err := DialTimeout(addr, 0)
 		if err != nil {
 			okErr = err
 			return
@@ -397,6 +401,79 @@ func TestServeRejectsOverWire(t *testing.T) {
 	}
 	if okErr != nil {
 		t.Errorf("allowed tenant rejected: %v", okErr)
+	}
+}
+
+// TestGarbageHeaderLosesItsConnection: a client whose first bytes are not a
+// dibella frame header — random bytes, or a magic outside the 0xD1 brand,
+// so not a version mismatch either — loses its connection without a reply
+// frame, and its handler goroutine exits. A well-formed client connected
+// all along is served afterwards.
+func TestGarbageHeaderLosesItsConnection(t *testing.T) {
+	indexed, query, _ := splitDataset(t, 5, 3)
+	noise := make([]byte, 64)
+	rand.New(rand.NewSource(29)).Read(noise)
+	noise[0] = 0x5A
+	garbage := []struct {
+		name string
+		b    []byte
+	}{
+		{"random bytes", noise},
+		{"foreign magic", wire.U32(wire.U8(wire.U16(nil, 0x47C1), frameQuery), 16)},
+	}
+	var paf []byte
+	stats := runServeWorld(t, 2, indexed, serveTestConfig(), Options{
+		Addr: "127.0.0.1:0", MaxBatches: 1, Tenants: []string{"alice"},
+	}, func(addr string) {
+		cl, err := DialTimeout(addr, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close()
+		// A refusal round trip: the good client's handler is up before
+		// the baseline is counted.
+		if err := cl.Shutdown("mallory"); !errors.Is(err, ErrBadTenant) {
+			t.Errorf("wrong-tenant shutdown: got %v, want ErrBadTenant", err)
+			return
+		}
+		baseline := runtime.NumGoroutine()
+		for _, g := range garbage {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := conn.Write(g.b); err != nil {
+				t.Errorf("%s: %v", g.name, err)
+			}
+			conn.SetReadDeadline(walltime.Deadline(5 * time.Second))
+			n, err := conn.Read(make([]byte, 1))
+			conn.Close()
+			var ne net.Error
+			switch {
+			case n > 0:
+				t.Errorf("%s: the daemon answered", g.name)
+			case errors.As(err, &ne) && ne.Timeout():
+				t.Errorf("%s: still connected after 5s", g.name)
+			}
+		}
+		for i := 0; runtime.NumGoroutine() > baseline; i++ {
+			if i == 100 {
+				t.Errorf("%d goroutines after the garbage connections closed, %d before", runtime.NumGoroutine(), baseline)
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		res, err := cl.Query("alice", query)
+		if err != nil {
+			t.Errorf("well-formed client after the garbage: %v", err)
+			return
+		}
+		paf = res.PAF
+	})
+	if stats.Served != 1 || len(paf) == 0 {
+		t.Errorf("served %d batches, %d PAF bytes; want 1 batch with rows", stats.Served, len(paf))
 	}
 }
 
@@ -431,7 +508,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 				driveErr = err
 			}
 		}
-		cl, err := Dial(addr)
+		cl, err := DialTimeout(addr, 0)
 		if err != nil {
 			fail(err)
 			return
@@ -533,7 +610,7 @@ func TestShutdownAckSurvivesTeardown(t *testing.T) {
 		var err error
 		runServeWorld(t, 2, indexed[:8], cfg, Options{Addr: "127.0.0.1:0"}, func(addr string) {
 			var cl *Client
-			if cl, err = Dial(addr); err != nil {
+			if cl, err = DialTimeout(addr, 0); err != nil {
 				return
 			}
 			defer cl.Close()

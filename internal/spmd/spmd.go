@@ -381,25 +381,6 @@ func poison(b []byte) {
 	}
 }
 
-// Alltoall delivers exactly one element to every rank: rank i's send[j]
-// becomes rank j's recv[i]. It matches MPI_Alltoall with count 1 and is
-// how the pipeline exchanges per-destination counts before an Alltoallv.
-func Alltoall[T any](c *Comm, send []T) []T {
-	if len(send) != c.Size() {
-		panic(fmt.Sprintf("spmd: Alltoall send length %d != world size %d", len(send), c.Size()))
-	}
-	per := make([][]T, c.Size())
-	for i, v := range send {
-		per[i] = []T{v}
-	}
-	parts := Alltoallv(c, per)
-	out := make([]T, c.Size())
-	for i, p := range parts {
-		out[i] = p[0]
-	}
-	return out
-}
-
 // Op selects a reduction operator.
 type Op int
 
@@ -407,7 +388,6 @@ type Op int
 const (
 	OpSum Op = iota
 	OpMax
-	OpMin
 )
 
 // gatherVals runs the allgather underlying the small collectives and
@@ -463,32 +443,19 @@ func replicate[T any](c *Comm, row []T) [][]T {
 	return send
 }
 
-// reduce folds the gathered values in rank order, so a floating-point sum
-// is the same on every rank.
-func reduce[T int64 | float64](vals []T, op Op) T {
+// AllreduceI64 reduces one int64 across ranks; every rank gets the result.
+func AllreduceI64(c *Comm, v int64, op Op) int64 {
+	vals := gatherVals(c, v)
 	acc := vals[0]
 	for _, x := range vals[1:] {
-		switch op {
-		case OpSum:
+		if op == OpSum {
 			acc += x
-		case OpMax:
-			if x > acc {
-				acc = x
-			}
-		case OpMin:
-			if x < acc {
-				acc = x
-			}
+		} else {
+			acc = max(acc, x)
 		}
 	}
 	return acc
 }
-
-// AllreduceI64 reduces one int64 across ranks; every rank gets the result.
-func AllreduceI64(c *Comm, v int64, op Op) int64 { return reduce(gatherVals(c, v), op) }
-
-// AllreduceF64 reduces one float64 across ranks; every rank gets the result.
-func AllreduceF64(c *Comm, v float64, op Op) float64 { return reduce(gatherVals(c, v), op) }
 
 // Allgather collects one value (see gatherVals for what may travel) from
 // every rank, ordered by rank.
@@ -500,17 +467,6 @@ func Bcast[T any](c *Comm, v T, root int) T {
 		panic(fmt.Sprintf("spmd: Bcast root %d out of range", root))
 	}
 	return gatherVals(c, v)[root]
-}
-
-// ExclusiveScanI64 returns the sum of v over ranks strictly below this one
-// (0 on rank 0), the standard prefix used to assign global IDs.
-func ExclusiveScanI64(c *Comm, v int64) int64 {
-	vals := gatherVals(c, v)
-	var sum int64
-	for r := 0; r < c.Rank(); r++ {
-		sum += vals[r]
-	}
-	return sum
 }
 
 // GatherTo collects one row of pointer-free elements from every rank on

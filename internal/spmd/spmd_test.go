@@ -125,26 +125,6 @@ func TestAlltoallvRandomized(t *testing.T) {
 	}
 }
 
-func TestAlltoall(t *testing.T) {
-	const p = 5
-	err := Run(p, func(c *Comm) error {
-		send := make([]int, p)
-		for dst := range send {
-			send[dst] = c.Rank()*100 + dst
-		}
-		recv := Alltoall(c, send)
-		for src, v := range recv {
-			if v != src*100+c.Rank() {
-				return fmt.Errorf("recv[%d] = %d", src, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllreduce(t *testing.T) {
 	const p = 7
 	err := Run(p, func(c *Comm) error {
@@ -155,12 +135,6 @@ func TestAllreduce(t *testing.T) {
 		if got := AllreduceI64(c, r, OpMax); got != p-1 {
 			return fmt.Errorf("max = %d", got)
 		}
-		if got := AllreduceI64(c, r, OpMin); got != 0 {
-			return fmt.Errorf("min = %d", got)
-		}
-		if got := AllreduceF64(c, float64(c.Rank()), OpSum); got != float64(p*(p-1)/2) {
-			return fmt.Errorf("fsum = %v", got)
-		}
 		return nil
 	})
 	if err != nil {
@@ -168,7 +142,7 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
-func TestAllgatherBcastScan(t *testing.T) {
+func TestAllgatherBcast(t *testing.T) {
 	const p = 6
 	err := Run(p, func(c *Comm) error {
 		got := Allgather(c, c.Rank()*2)
@@ -179,10 +153,6 @@ func TestAllgatherBcastScan(t *testing.T) {
 		}
 		if v := Bcast(c, c.Rank()+50, 3); v != 53 {
 			return fmt.Errorf("Bcast = %d", v)
-		}
-		scan := ExclusiveScanI64(c, 10)
-		if scan != int64(c.Rank()*10) {
-			return fmt.Errorf("scan = %d", scan)
 		}
 		return nil
 	})

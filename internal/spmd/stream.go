@@ -44,17 +44,15 @@ type StreamOpts struct {
 
 // StreamDelivery is one per-source batch of a streamed exchange: the items
 // from rank Src that became complete when a chunk round landed. Items
-// appear in packing order; First is the index of Items[0] within Src's
-// overall contribution, and Final marks the batch carrying Src's last item
-// (sources contributing no items produce no deliveries at all). Items, and
-// the slice holding them, are valid until deliver returns: they are views
-// of the received round, or of a buffer reused for the next item a chunk
-// boundary cuts.
+// appear in packing order, and First is the index of Items[0] within Src's
+// overall contribution (sources contributing no items produce no
+// deliveries at all). Items, and the slice holding them, are valid until
+// deliver returns: they are views of the received round, or of a buffer
+// reused for the next item a chunk boundary cuts.
 type StreamDelivery struct {
 	Src   int
 	First int
 	Items [][]byte
-	Final bool
 }
 
 // streamCarry reassembles one source's items from the chunks that carry
@@ -177,7 +175,7 @@ func IAlltoallvStreamed(c *Comm, send []PackedBufs, opt StreamOpts, deliver func
 			collectiveFailed(c, priceChunk.op, fmt.Errorf("rank %d sent %w", src, err))
 		}
 		if len(items) > 0 && deliver != nil {
-			deliver(StreamDelivery{Src: src, First: first, Items: items, Final: carry[src].done()})
+			deliver(StreamDelivery{Src: src, First: first, Items: items})
 		}
 	}
 	for src := range carry {

@@ -35,35 +35,26 @@ func streamWorkload(rank, p, seed int) []PackedBufs {
 // checkStreamProgram runs one streamed exchange under opts and verifies that
 // the deliveries rebuild, item for item, what the blocking packed exchange of
 // the same payload receives from every source, in order, in contiguous
-// batches with consistent First/Final markers. Each item is copied where it
+// batches with consistent First markers. Each item is copied where it
 // is delivered: the stream's contract is that it is valid until then only.
 func checkStreamProgram(opts StreamOpts, seed int) func(*Comm) error {
 	return func(c *Comm) error {
 		p := c.Size()
-		type rebuilt struct {
-			items [][]byte
-			final bool
-		}
-		got := make([]rebuilt, p)
+		got := make([][][]byte, p)
 		deliver := func(d StreamDelivery) {
 			if d.Src < 0 || d.Src >= p {
 				panic(fmt.Sprintf("delivery from out-of-range src %d", d.Src))
 			}
-			r := &got[d.Src]
-			if r.final {
-				panic(fmt.Sprintf("delivery from src %d after its Final batch", d.Src))
-			}
-			if d.First != len(r.items) {
+			if d.First != len(got[d.Src]) {
 				panic(fmt.Sprintf("src %d: batch First=%d, want %d (batches must be contiguous)",
-					d.Src, d.First, len(r.items)))
+					d.Src, d.First, len(got[d.Src])))
 			}
 			if len(d.Items) == 0 {
 				panic(fmt.Sprintf("src %d: empty delivery", d.Src))
 			}
 			for _, it := range d.Items {
-				r.items = append(r.items, append([]byte(nil), it...))
+				got[d.Src] = append(got[d.Src], append([]byte(nil), it...))
 			}
-			r.final = d.Final
 		}
 		IAlltoallvStreamed(c, streamWorkload(c.Rank(), p, seed), opts, deliver)
 
@@ -71,18 +62,14 @@ func checkStreamProgram(opts StreamOpts, seed int) func(*Comm) error {
 		want := AlltoallvPacked(c, streamWorkload(c.Rank(), p, seed))
 		for src := 0; src < p; src++ {
 			wantItems := want[src].Items()
-			if len(got[src].items) != len(wantItems) {
+			if len(got[src]) != len(wantItems) {
 				return fmt.Errorf("rank %d: %d delivered items from %d, want %d",
-					c.Rank(), len(got[src].items), src, len(wantItems))
+					c.Rank(), len(got[src]), src, len(wantItems))
 			}
 			for i := range wantItems {
-				if !bytes.Equal(got[src].items[i], wantItems[i]) {
+				if !bytes.Equal(got[src][i], wantItems[i]) {
 					return fmt.Errorf("rank %d: delivered item %d from %d differs", c.Rank(), i, src)
 				}
-			}
-			if len(wantItems) > 0 && !got[src].final {
-				return fmt.Errorf("rank %d: src %d delivered %d items but never Final",
-					c.Rank(), src, len(wantItems))
 			}
 		}
 		// The world must be clean for blocking collectives afterwards.
@@ -289,10 +276,10 @@ func TestStreamSteadyStateAllocatesNothing(t *testing.T) {
 // FuzzStreamReassembly holds the carry to PackedBufs.Items on any lengths,
 // payload and chunking: the chunks are the payload cut every chunk bytes
 // and at every cut, the lengths are int16s and may be negative or
-// disagree with the payload. Either the batches rebuild Items exactly —
-// in order, contiguous, Final on the last — or start, take or the end of
-// the chunks reports an error; nothing panics, and the carry never holds
-// more than the longest item.
+// disagree with the payload. Either the batches rebuild Items exactly — in
+// order, contiguous, the carry done with the last — or start, take or the
+// end of the chunks reports an error; nothing panics, and the carry never
+// holds more than the longest item.
 func FuzzStreamReassembly(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 5, 0}, []byte("abcdefgh"), uint8(3), []byte{})
 	f.Add([]byte{0, 0, 8, 0, 0, 0}, []byte("abcdefgh"), uint8(1), []byte{4})
@@ -368,7 +355,7 @@ func FuzzStreamReassembly(f *testing.F) {
 		}
 		want := (&PackedBufs{Data: data, Lens: lens}).Items()
 		if len(got) != len(want) || len(want) > 0 && !final {
-			t.Fatalf("%d items, Final %v; want %d", len(got), final, len(want))
+			t.Fatalf("%d items, done %v; want %d", len(got), final, len(want))
 		}
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {

@@ -104,8 +104,8 @@ func TestTCPSmallCollectives(t *testing.T) {
 		if got := AllreduceI64(c, int64(c.Rank()), OpSum); got != p*(p-1)/2 {
 			return fmt.Errorf("sum = %d", got)
 		}
-		if got := AllreduceF64(c, float64(c.Rank()), OpMax); got != p-1 {
-			return fmt.Errorf("fmax = %v", got)
+		if got := AllreduceI64(c, int64(c.Rank()), OpMax); got != p-1 {
+			return fmt.Errorf("max = %d", got)
 		}
 		gathered := Allgather(c, []byte(fmt.Sprintf("rank-%d", c.Rank())))
 		for i, s := range gathered {
@@ -116,9 +116,6 @@ func TestTCPSmallCollectives(t *testing.T) {
 		if v := Bcast(c, c.Rank()+50, 2); v != 52 {
 			return fmt.Errorf("Bcast = %d", v)
 		}
-		if scan := ExclusiveScanI64(c, 10); scan != int64(c.Rank()*10) {
-			return fmt.Errorf("scan = %d", scan)
-		}
 		// A row of wider elements, lengths differing by rank, one empty.
 		for i, row := range Allgather(c, make([]int32, c.Rank())) {
 			if len(row) != i {
@@ -126,8 +123,8 @@ func TestTCPSmallCollectives(t *testing.T) {
 			}
 		}
 		c.Barrier()
-		if st := c.Stats(); st.Collectives != 7 {
-			return fmt.Errorf("collectives = %d, want 7", st.Collectives)
+		if st := c.Stats(); st.Collectives != 6 {
+			return fmt.Errorf("collectives = %d, want 6", st.Collectives)
 		}
 		return nil
 	})

@@ -2,7 +2,7 @@
 // stages and the figure harness: per-stage time breakdowns (split into
 // packing, local processing, and exchange, the decomposition of the paper's
 // Fig. 4 and Figs. 9–10), load-imbalance and efficiency calculators, and
-// simple series/table formatting for regenerating the paper's plots as
+// the series and table formatting that regenerates the paper's plots as
 // text.
 package stats
 
@@ -11,6 +11,9 @@ import (
 	"math"
 	"strings"
 	"time"
+
+	"dibella/internal/machine"
+	"dibella/internal/spmd"
 )
 
 // Breakdown splits one stage's cost into the paper's three buckets, in
@@ -71,6 +74,28 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.OverlapWall += o.OverlapWall
 }
 
+// AddComm adds what a Comm's collectives cost between two of its Stats
+// snapshots, pre and post: exchange and overlap time, modeled and
+// measured.
+func (b *Breakdown) AddComm(pre, post spmd.Stats) {
+	b.ExchangeVirtual += post.ExchangeVirtual - pre.ExchangeVirtual
+	b.OverlapVirtual += post.OverlapVirtual - pre.OverlapVirtual
+	b.ExchangeWall += post.ExchangeWall - pre.ExchangeWall
+	b.OverlapWall += post.OverlapWall - pre.OverlapWall
+}
+
+// Price converts ops counted operations at rate into modeled seconds,
+// ticks c's clock by them and returns them. A nil model prices everything
+// at zero (wall time is still measured).
+func Price(c *spmd.Comm, model *machine.Model, ops, rate, workingSet float64) float64 {
+	if model == nil || ops <= 0 {
+		return 0
+	}
+	d := model.ComputeTime(ops, rate, workingSet)
+	c.Tick(d)
+	return d
+}
+
 // Imbalance returns max/mean over per-rank values — the paper's Fig. 8
 // metric, where 1.0 is perfect balance. It returns 0 for empty input and
 // 1 when the mean is zero.
@@ -90,18 +115,6 @@ func Imbalance(values []float64) float64 {
 		return 1
 	}
 	return maxV / mean
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range values {
-		sum += v
-	}
-	return sum / float64(len(values))
 }
 
 // Max returns the maximum (0 for empty input).
@@ -128,29 +141,11 @@ func Efficiency(tBase float64, nBase int, t float64, n int) float64 {
 	return tBase * float64(nBase) / (t * float64(n))
 }
 
-// Speedup returns tBase/t (0 when t is 0).
-func Speedup(tBase, t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return tBase / t
-}
-
 // Series is one plotted line: a name with (x, y) points.
 type Series struct {
 	Name string
 	X    []float64
 	Y    []float64
-}
-
-// Format renders the series as "name: (x, y) (x, y) ...".
-func (s Series) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:", s.Name)
-	for i := range s.X {
-		fmt.Fprintf(&b, " (%g, %.4g)", s.X[i], s.Y[i])
-	}
-	return b.String()
 }
 
 // FormatTable renders rows under headers with aligned columns, the output

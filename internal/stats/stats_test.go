@@ -68,12 +68,9 @@ func TestImbalanceAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestMeanMax(t *testing.T) {
-	if Mean(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty Mean/Max not 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
+func TestMax(t *testing.T) {
+	if Max(nil) != 0 {
+		t.Error("empty Max not 0")
 	}
 	if Max([]float64{1, 5, 3}) != 5 {
 		t.Error("Max wrong")
@@ -95,23 +92,6 @@ func TestEfficiency(t *testing.T) {
 	// Superlinear: more than halved.
 	if got := Efficiency(10, 1, 4, 2); got <= 1 {
 		t.Errorf("superlinear = %v", got)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 2) != 5 {
-		t.Error("Speedup wrong")
-	}
-	if Speedup(10, 0) != 0 {
-		t.Error("zero-time Speedup should be 0")
-	}
-}
-
-func TestSeriesFormat(t *testing.T) {
-	s := Series{Name: "Cori", X: []float64{1, 2}, Y: []float64{0.5, 0.25}}
-	got := s.Format()
-	if !strings.Contains(got, "Cori:") || !strings.Contains(got, "(1, 0.5)") {
-		t.Errorf("Format = %q", got)
 	}
 }
 

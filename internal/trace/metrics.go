@@ -106,10 +106,6 @@ type CounterVec struct {
 // first use. Label values must be bounded: sentinel names, ranks.
 func (v *CounterVec) With(value string) *Counter { return v.with(value) }
 
-// WithRank is With over a rank number — the registry's only sanctioned
-// dynamic label, bounded by the world size.
-func (v *CounterVec) WithRank(rank int) *Counter { return v.with(strconv.Itoa(rank)) }
-
 // GaugeVec is a gauge family keyed by one label.
 type GaugeVec struct {
 	label string
