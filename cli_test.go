@@ -657,20 +657,12 @@ func TestCLIFlagValidation(t *testing.T) {
 		{[]string{"-coverage", "0"}, "-coverage must be"},
 		{[]string{"-genome", "-1"}, "-genome must be"},
 		{[]string{"-nodes", "0"}, "-nodes must be"},
-		{[]string{"-reply-chunk", "-1"}, "-reply-chunk must be"},
-		{[]string{"-reply-chunk", "0"}, "-reply-chunk must be at least 1"},
-		{[]string{"-reply-depth", "0"}, "-reply-depth must be"},
-		{[]string{"-reply-depth", "64"}, "-reply-depth must be"},
-		{[]string{"-async-exchange=false", "-reply-chunk", "4096"}, "-reply-chunk streams"},
-		{[]string{"-async-exchange=false", "-reply-depth", "4"}, "-reply-depth streams"},
-		{[]string{"-async-exchange=false", "-build-depth", "4"}, "-build-depth keeps non-blocking exchanges in flight"},
 		{[]string{"-window", "0"}, "-window must be"},
 		{[]string{"-seed", "foo"}, "unknown -seed"},
 		{[]string{"-window", "7"}, "-window only applies"},
 		{[]string{"-transport", "bogus"}, "unknown -transport"},
 		{[]string{"-seed-mode", "bogus"}, "unknown -seed-mode"},
 		{[]string{"-platform", "bogus"}, "unknown platform"},
-		{[]string{"-hosts", "a", "-hostfile", "b"}, "mutually exclusive"},
 		// The router's flag went with the router (PR 20); spelled in two
 		// pieces so a grep for the name finds no Go source.
 		{[]string{"-serve-addr", "127.0.0.1:0", "-route-" + "scorers", "x"}, "flag provided but not defined"},

@@ -45,22 +45,22 @@ type runParams struct {
 	class  map[string]flagClass
 	bounds []intBound
 
-	Out, Transport, Hosts, Hostfile, Join string
-	CPUProfile, MemProfile                string
-	P                                     int
-	Breakdown                             bool
-	FormTimeout                           time.Duration
+	Out, Transport, Hosts, Join string
+	CPUProfile, MemProfile      string
+	P                           int
+	Breakdown                   bool
+	FormTimeout                 time.Duration
 
 	In, SeedMode, Seed, Platform, Trace          string
 	K, MaxFreq, Window, MinDist, XDrop, MinScore int
 	ErrorRate, Coverage, Genome                  float64
 	AsyncExchange                                bool
-	Nodes, ReplyChunk, ReplyDepth, BuildDepth    int
+	Nodes                                        int
 
 	ServeAddr, ServeTenants, MetricsAddr       string
 	ServeInflight, ServeMaxReads, ServeBatches int
 
-	CkptDir, CkptEvery, CkptAbortAfter, Resume string
+	CkptDir, CkptAbortAfter, Resume string
 }
 
 // intBound is one integer flag's accepted range, declared with the flag.
@@ -92,8 +92,6 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 		fs.BoolVar(v, name, def, usage)
 		p.class[name] = c
 	}
-	depths := spmd.MaxStreamDepth
-
 	str(&p.In, outputAffecting, "in", "", "input FASTQ/FASTA file (required unless -resume)")
 	str(&p.Out, perProcess, "out", "", "output PAF file (default: stdout)")
 	num(&p.P, perProcess, "p", 8, 1, unbounded, "number of ranks (goroutines, or processes with -transport tcp)")
@@ -113,9 +111,6 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 	flg(&p.Breakdown, perProcess, "breakdown", false, "print the per-stage time breakdown")
 
 	flg(&p.AsyncExchange, shared, "async-exchange", true, "overlap exchanges with computation via non-blocking collectives (same output; disable for the paper's bulk-synchronous schedule)")
-	num(&p.ReplyChunk, shared, "reply-chunk", spmd.DefaultChunkBytes, 1, unbounded, "stream the alignment stage's read-reply exchange in per-peer chunks of this many bytes, aligning tasks as their sequences land (same output; requires -async-exchange)")
-	num(&p.ReplyDepth, shared, "reply-depth", spmd.DefaultStreamDepth, 1, depths, fmt.Sprintf("streamed reply chunk exchanges in flight while a rank waits, 1..%d (1 = blocking chunk rounds; with -reply-chunk; requires -async-exchange)", depths))
-	num(&p.BuildDepth, shared, "build-depth", 0, 0, depths, fmt.Sprintf("DHT-build exchange rounds kept in flight per pass, 1..%d (0: default 2; schedule-only, the built table is identical at every depth; requires -async-exchange)", depths))
 
 	str(&p.Trace, shared, "trace", "", "record per-rank flight-recorder timelines and write a Chrome trace-event file here at teardown (open in Perfetto; observability-only: output is byte-identical with or without it)")
 	str(&p.MetricsAddr, serveOnly, "metrics-addr", "", "serve mode: rank 0 serves Prometheus /metrics and /debug/pprof/ on this address")
@@ -126,14 +121,12 @@ func bindFlags(fs *flag.FlagSet) *runParams {
 	str(&p.ServeTenants, serveOnly, "serve-tenants", "", "serve mode: comma-separated tenant allow list (empty admits any tenant)")
 	num(&p.ServeBatches, serveOnly, "serve-batches", 0, 0, unbounded, "serve mode: exit after serving this many batches (0: serve until a client requests shutdown)")
 
-	str(&p.CkptDir, shared, "ckpt-dir", "", "snapshot pipeline state at stage boundaries into this directory (per-rank segments + rank-0 manifest)")
-	str(&p.CkptEvery, shared, "ckpt-every", "", "comma-separated stage boundaries to snapshot: load, dht, overlap (default: all; with -ckpt-dir)")
+	str(&p.CkptDir, shared, "ckpt-dir", "", "snapshot pipeline state at every stage boundary (load, dht, overlap) into this directory (per-rank segments + rank-0 manifest)")
 	str(&p.CkptAbortAfter, shared, "ckpt-abort-after", "", "abort the run right after this stage's snapshot commits — a kill switch for restart drills (with -ckpt-dir)")
 	str(&p.Resume, shared, "resume", "", "restart from this checkpoint directory's latest complete snapshot (any -p; config comes from the snapshot manifest)")
 
 	str(&p.Transport, perProcess, "transport", "mem", "spmd backend: mem (goroutine ranks) | tcp (one OS process per rank)")
 	str(&p.Hosts, perProcess, "hosts", "", "comma-separated host[:ranks] list for a multi-host TCP world (first entry is this machine; loopback entries are simulated locally)")
-	str(&p.Hostfile, perProcess, "hostfile", "", "file with one host[:ranks] per line (alternative to -hosts)")
 	str(&p.Join, perProcess, "join", "", "enter a -hosts world: the rendezvous address its launcher printed")
 	str(&p.CPUProfile, perProcess, "cpuprofile", "", "write this process's CPU profile here (with -transport tcp every rank process writes its own, suffixed .rankN)")
 	str(&p.MemProfile, perProcess, "memprofile", "", "write this process's allocation profile here at exit (suffixed .rankN like -cpuprofile)")
@@ -180,18 +173,10 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 		return nil, fmt.Errorf("-form-timeout must be positive, got %v", p.FormTimeout)
 	case p.Transport != "mem" && p.Transport != "tcp":
 		return nil, fmt.Errorf("unknown -transport %q (want mem or tcp)", p.Transport)
-	case p.Hosts != "" && p.Hostfile != "":
-		return nil, fmt.Errorf("-hosts and -hostfile are mutually exclusive")
 	case p.In == "" && p.Resume == "" && !follower:
 		return nil, fmt.Errorf("-in is required (or -resume to restart from a snapshot)")
 	case explicit["window"] && p.Seed != "minimizer":
 		return nil, fmt.Errorf("-window only applies with -seed minimizer")
-	case explicit["reply-chunk"] && !p.AsyncExchange:
-		return nil, fmt.Errorf("-reply-chunk streams over non-blocking exchanges; drop it or re-enable -async-exchange")
-	case explicit["reply-depth"] && !p.AsyncExchange:
-		return nil, fmt.Errorf("-reply-depth streams over non-blocking exchanges; drop it or re-enable -async-exchange")
-	case explicit["build-depth"] && !p.AsyncExchange:
-		return nil, fmt.Errorf("-build-depth keeps non-blocking exchanges in flight; drop it or re-enable -async-exchange")
 	}
 	var err error
 	p.fs.VisitAll(func(f *flag.Flag) {
@@ -200,7 +185,7 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 		case c == serveOnly && p.ServeAddr == "":
 			err = fmt.Errorf("-%s only applies in serve mode (set -serve-addr)", f.Name)
 		case c == outputAffecting && p.Resume != "":
-			err = fmt.Errorf("-%s has no effect with -resume: the snapshot's manifest supplies the configuration (only scheduling flags like -reply-chunk may change on resume)", f.Name)
+			err = fmt.Errorf("-%s has no effect with -resume: the snapshot's manifest supplies the configuration (only scheduling flags like -async-exchange may change on resume)", f.Name)
 		}
 	})
 	if err != nil {
@@ -212,7 +197,6 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 		MinDist: p.MinDist, XDrop: p.XDrop, MinAlignScore: p.MinScore,
 		ErrorRate: p.ErrorRate, Coverage: p.Coverage, GenomeEst: p.Genome,
 		KeepAlignments: true,
-		BuildDepth:     p.BuildDepth,
 		// The resident index must keep singletons (and high-frequency
 		// tombstones): a query occurrence can lift an indexed singleton to
 		// a reportable pair.
@@ -221,9 +205,7 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 	// Schedule selection: the paper's bulk-synchronous reference when
 	// -async-exchange=false, the streamed schedule otherwise. Output is
 	// byte-identical across the two.
-	if p.AsyncExchange {
-		plan.cfg.ReplyChunk, plan.cfg.ReplyDepth = p.ReplyChunk, p.ReplyDepth
-	} else {
+	if !p.AsyncExchange {
 		plan.cfg.Exchange = pipeline.ExchangeSync
 	}
 	switch p.SeedMode {
@@ -255,14 +237,11 @@ func (p *runParams) resolve(explicit map[string]bool, follower bool) (*runPlan, 
 	}
 	if p.CkptDir != "" {
 		plan.ckpt = &pipeline.CkptOptions{Dir: p.CkptDir, AbortAfter: p.CkptAbortAfter}
-		if p.CkptEvery != "all" {
-			plan.ckpt.Stages = splitList(p.CkptEvery)
-		}
 		if err := plan.ckpt.Validate(); err != nil {
-			return nil, fmt.Errorf("-ckpt-every/-ckpt-abort-after: %w", err)
+			return nil, fmt.Errorf("-ckpt-abort-after: %w", err)
 		}
-	} else if p.CkptEvery != "" || p.CkptAbortAfter != "" {
-		return nil, fmt.Errorf("-ckpt-every/-ckpt-abort-after require -ckpt-dir")
+	} else if p.CkptAbortAfter != "" {
+		return nil, fmt.Errorf("-ckpt-abort-after requires -ckpt-dir")
 	}
 	if p.ServeAddr != "" {
 		// Serve mode keeps the formed world resident; the batch-only
@@ -298,19 +277,15 @@ func splitList(s string) []string {
 	return out
 }
 
-// hostList resolves -hosts/-hostfile into a fully-assigned host list; with
-// neither, this machine is the whole list. Explicit per-host counts
-// determine the world size on their own unless -p was given too.
+// hostList resolves -hosts into a fully-assigned host list; without it,
+// this machine is the whole list. Explicit per-host counts determine the
+// world size on their own unless -p was given too.
 func (p *runParams) hostList(pExplicit bool) ([]spmd.HostSpec, error) {
-	parse, list := spmd.ParseHostList, p.Hosts
-	switch {
-	case list != "":
-	case p.Hostfile != "":
-		parse, list = spmd.ParseHostFile, p.Hostfile
-	default:
+	list := p.Hosts
+	if list == "" {
 		list = fmt.Sprintf("127.0.0.1:%d", p.P)
 	}
-	hosts, err := parse(list)
+	hosts, err := spmd.ParseHostList(list)
 	if err != nil {
 		return nil, err
 	}
@@ -330,9 +305,6 @@ func (p *runParams) hostList(pExplicit bool) ([]spmd.HostSpec, error) {
 // verifies that against the manifest's config hash regardless.
 func (pl *runPlan) reschedule(c *pipeline.Config) {
 	c.Exchange = pl.cfg.Exchange
-	c.ReplyChunk = pl.cfg.ReplyChunk
-	c.ReplyDepth = pl.cfg.ReplyDepth
-	c.BuildDepth = pl.cfg.BuildDepth
 	c.KeepAlignments = true // rank 0 writes PAF
 }
 

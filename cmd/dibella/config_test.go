@@ -46,7 +46,7 @@ func say(t *testing.T, rank int, args ...string) map[string]string {
 }
 
 var launcherArgs = []string{"-in", "reads.fastq", "-platform", "cori", "-nodes", "8",
-	"-k", "17", "-seed-mode", "dist", "-error-rate", "0.06", "-reply-chunk", "65536", "-ckpt-dir", "ck"}
+	"-k", "17", "-seed-mode", "dist", "-error-rate", "0.06", "-async-exchange=false", "-ckpt-dir", "ck"}
 
 // TestRunParamsRoundtrip: a bare follower that adopts rank 0's encoded
 // flags resolves to exactly rank 0's plan.
@@ -73,7 +73,7 @@ func TestRunParamsRoundtrip(t *testing.T) {
 	if follower.In != "reads.fastq" || follower.Nodes != 8 || follower.CkptDir != "ck" {
 		t.Errorf("adoption lost fields: %+v", follower)
 	}
-	if got.cfg != want.cfg || got.cfg.K != 17 || got.cfg.SeedMode != overlap.MinDistance || got.cfg.ReplyChunk != 65536 {
+	if got.cfg != want.cfg || got.cfg.K != 17 || got.cfg.SeedMode != overlap.MinDistance || got.cfg.Exchange != pipeline.ExchangeSync {
 		t.Errorf("adopted cfg = %+v, launcher's = %+v", got.cfg, want.cfg)
 	}
 	if got.platform == nil || got.platform.Name != want.platform.Name || got.ckpt == nil || got.ckpt.Dir != "ck" {
@@ -131,29 +131,15 @@ func TestCkptOptionsValidation(t *testing.T) {
 	if plan, err := resolve(); err != nil || plan.ckpt != nil {
 		t.Errorf("no ckpt flags: plan=%+v err=%v", plan, err)
 	}
-	if _, err := resolve("-ckpt-every", "dht"); err == nil {
-		t.Error("-ckpt-every without -ckpt-dir accepted")
+	if _, err := resolve("-ckpt-abort-after", "dht"); err == nil {
+		t.Error("-ckpt-abort-after without -ckpt-dir accepted")
 	}
-	plan, err := resolve("-ckpt-dir", "ck", "-ckpt-every", "dht")
-	if err != nil || len(plan.ckpt.Stages) != 1 || plan.ckpt.Stages[0] != "dht" {
+	plan, err := resolve("-ckpt-dir", "ck", "-ckpt-abort-after", "dht")
+	if err != nil || plan.ckpt.Dir != "ck" || plan.ckpt.AbortAfter != "dht" {
 		t.Errorf("plan=%+v err=%v", plan, err)
 	}
-	plan, err = resolve("-ckpt-dir", "ck", "-ckpt-every", "load, overlap")
-	if err != nil || len(plan.ckpt.Stages) != 2 {
-		t.Errorf("comma list: plan=%+v err=%v", plan, err)
-	}
-	plan, err = resolve("-ckpt-dir", "ck", "-ckpt-every", "all")
-	if err != nil || len(plan.ckpt.Stages) != 0 {
-		t.Errorf("all: plan=%+v err=%v", plan, err)
-	}
-	if _, err := resolve("-ckpt-dir", "ck", "-ckpt-every", "bloom"); err == nil || !strings.Contains(err.Error(), "bloom") {
-		t.Errorf("typo stage: %v", err)
-	}
-	if _, err := resolve("-ckpt-dir", "ck", "-ckpt-abort-after", "nope"); err == nil {
-		t.Error("bad -ckpt-abort-after accepted")
-	}
-	if _, err := resolve("-ckpt-dir", "ck", "-ckpt-every", "load", "-ckpt-abort-after", "dht"); err == nil {
-		t.Error("-ckpt-abort-after outside -ckpt-every accepted")
+	if _, err := resolve("-ckpt-dir", "ck", "-ckpt-abort-after", "nope"); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("bad -ckpt-abort-after: %v", err)
 	}
 }
 
@@ -163,7 +149,7 @@ func TestResumeFlagError(t *testing.T) {
 		_, err := p.resolve(explicit, false)
 		return err
 	}
-	if err := resolve("-p", "3", "-reply-chunk", "4096", "-out", "x.paf"); err != nil {
+	if err := resolve("-p", "3", "-async-exchange=false", "-out", "x.paf"); err != nil {
 		t.Errorf("schedule flags rejected: %v", err)
 	}
 	if err := resolve("-k", "19"); err == nil || !strings.Contains(err.Error(), "-k has no effect") {

@@ -29,11 +29,11 @@
 // of the input (cooperative I/O) and output is byte-identical to a
 // -transport mem run.
 //
-// With -hosts (or -hostfile) the same launcher spans machines (-transport
-// tcp alone is the host list "127.0.0.1:P"): it assigns each host a
-// contiguous rank range and prints the one address of the world, its
-// rendezvous, in the `dibella -join <addr>` command to run on each remote
-// host. Host entries that resolve to loopback are simulated — the launcher
+// With -hosts the same launcher spans machines (-transport tcp alone is
+// the host list "127.0.0.1:P"): it assigns each host a contiguous rank
+// range and prints the one address of the world, its rendezvous, in the
+// `dibella -join <addr>` command to run on each remote host. Workers
+// inherit the launcher's command line, -form-timeout included. Host entries that resolve to loopback are simulated — the launcher
 // forks their agents locally — so a multi-host launch can be rehearsed on
 // one machine. Schedulers that already place one process per rank skip all
 // of this by exporting DIBELLA_RANK, DIBELLA_WORLD_SIZE, and
@@ -45,7 +45,7 @@
 // no config flags, and one whose flag disagrees with rank 0's fails the
 // run on every rank, naming it.
 //
-// With -ckpt-dir the pipeline snapshots its state at stage boundaries
+// With -ckpt-dir the pipeline snapshots its state at every stage boundary
 // (sharded read store after loading, k-mer DHT partitions after
 // construction, overlap task sets after detection) into per-rank segment
 // files plus a rank-0 manifest; -resume <dir> restarts from the latest
@@ -101,7 +101,7 @@ func main() {
 	if err != nil {
 		usageError("%v", err)
 	}
-	if boot == nil && (params.Transport == "tcp" || params.Hosts != "" || params.Hostfile != "") {
+	if boot == nil && (params.Transport == "tcp" || params.Hosts != "") {
 		hosts, err := params.hostList(explicit["p"])
 		if err != nil {
 			usageError("%v", err)

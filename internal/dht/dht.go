@@ -40,11 +40,9 @@ type Config struct {
 	// (default 0.01).
 	BloomFP float64
 
-	// DistinctRatio estimates |distinct k-mers| / |k-mer bag| when sizing
-	// the Bloom filter from Equation 2 (default from bella theory given
-	// ErrorRate; fallback 0.75).
-	DistinctRatio float64
-	ErrorRate     float64 // used to derive DistinctRatio when set
+	// ErrorRate, when set, derives the share of distinct k-mers in the bag
+	// the Bloom filter is sized for (Equation 2); unset, it is 0.75.
+	ErrorRate float64
 
 	// MinimizerWindow > 1 ships only (w,k)-minimizers instead of every
 	// k-mer (the Minimap2-style compaction of §11's related work),
@@ -89,14 +87,6 @@ func (cfg *Config) setDefaults() error {
 	}
 	if cfg.BloomFP < 0 || cfg.BloomFP >= 1 {
 		return fmt.Errorf("dht: bloom false-positive rate %v out of (0,1)", cfg.BloomFP)
-	}
-	if cfg.DistinctRatio == 0 {
-		if cfg.ErrorRate > 0 {
-			// Erroneous instances are distinct with near certainty.
-			cfg.DistinctRatio = 1 - bella.ProbKmerCorrect(cfg.ErrorRate, cfg.K) + 0.05
-		} else {
-			cfg.DistinctRatio = 0.75
-		}
 	}
 	if cfg.MinimizerWindow < 0 {
 		return fmt.Errorf("dht: minimizer window %d must be non-negative", cfg.MinimizerWindow)
@@ -176,7 +166,12 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// never affects output — a Bloom false positive creates a table entry
 	// whose count stays below 2 and is pruned — only memory and modeled
 	// insert time.
-	bs.DistinctEstimate = float64(globalBag) * cfg.DistinctRatio *
+	distinct := 0.75 // |distinct k-mers| / |k-mer bag|
+	if cfg.ErrorRate > 0 {
+		// Erroneous instances are distinct with near certainty.
+		distinct = 1 - bella.ProbKmerCorrect(cfg.ErrorRate, cfg.K) + 0.05
+	}
+	bs.DistinctEstimate = float64(globalBag) * distinct *
 		kmer.MinimizerDensity(cfg.MinimizerWindow)
 	perRank := uint64(bs.DistinctEstimate/float64(c.Size())*1.1) + 64
 	filter := bloom.NewWithEstimate(perRank, cfg.BloomFP)
@@ -232,10 +227,9 @@ type stream struct {
 	k       int
 	w       int // minimizer window; <=1 streams every k-mer
 	idx     int
-	sc      kmer.Scanner // over the current read, held by value: no allocation per read
+	sc      kmer.Scanner          // over the current read (exact), held by value: no allocation per read
+	mz      kmer.MinimizerScanner // over the current read (w > 1), its deque reused across reads
 	inRead  bool
-	mins    []kmer.Extracted // current read's minimizers (w > 1)
-	mIdx    int
 	scanned int64 // k-mers scanned since the last takeScanned
 }
 
@@ -252,35 +246,29 @@ func (s *stream) takeScanned() int64 {
 	return n
 }
 
-// next returns the next extracted k-mer, ok=false at end of all reads.
+// next returns the next extracted k-mer, ok=false at end of all reads. A
+// minimizer read is charged its whole scan when it starts.
 func (s *stream) next() (kmer.Extracted, bool) {
-	if s.w > 1 {
-		for {
-			if s.mIdx < len(s.mins) {
-				ex := s.mins[s.mIdx]
-				s.mIdx++
-				return ex, true
-			}
-			if s.idx >= len(s.reads.Seqs) {
-				return kmer.Extracted{}, false
-			}
-			seq := s.reads.Seqs[s.idx]
-			s.mins = kmer.Minimizers(seq, s.k, s.w, s.reads.IDStart+uint32(s.idx))
-			s.scanned += int64(kmer.Count(len(seq), s.k))
-			s.mIdx = 0
-			s.idx++
-		}
-	}
 	for {
 		if !s.inRead {
 			if s.idx >= len(s.reads.Seqs) {
 				return kmer.Extracted{}, false
 			}
-			s.sc, s.inRead = *kmer.NewScanner(s.reads.Seqs[s.idx], s.k, s.reads.IDStart+uint32(s.idx)), true
+			seq, id := s.reads.Seqs[s.idx], s.reads.IDStart+uint32(s.idx)
+			if s.w > 1 {
+				s.mz.Reset(seq, s.k, s.w, id)
+				s.scanned += int64(kmer.Count(len(seq), s.k))
+			} else {
+				s.sc = *kmer.NewScanner(seq, s.k, id)
+			}
+			s.inRead = true
 			s.idx++
 		}
-		ex, ok := s.sc.Next()
-		if ok {
+		if s.w > 1 {
+			if ex, ok := s.mz.Next(); ok {
+				return ex, true
+			}
+		} else if ex, ok := s.sc.Next(); ok {
 			s.scanned++
 			return ex, true
 		}

@@ -117,7 +117,7 @@
 // (TestStreamingRoundsMatchSingleRound, TestEncodeMatchesReference).
 //
 // With Config.MinimizerWindow > 1 both passes extract and exchange only
-// (w,k)-minimizer occurrences (kmer.Minimizers) instead of every k-mer,
+// (w,k)-minimizer occurrences (kmer.MinimizerScanner) instead of every k-mer,
 // shrinking the index and the exchanged bytes to ~2/(w+1) of the exact
 // mode's at a small recall cost. Reads are still scanned in full — only
 // the shipped subset changes — so local parse time is priced on the full

@@ -12,8 +12,9 @@
 // extraction from ASCII reads that restarts across non-ACGT bytes, and the
 // 64-bit mixing hash used for rank assignment and Bloom-filter indexing.
 //
-// The package also implements (w,k)-minimizer selection (Minimizers,
-// MinimizerCount; Roberts et al. 2004, the scheme Minimap2 builds on):
+// The package also implements (w,k)-minimizer selection (one streaming
+// sweep, MinimizerScanner, behind Minimizers and MinimizerCount; Roberts
+// et al. 2004, the scheme Minimap2 builds on):
 // per window of w consecutive k-mers, only the minimum-hash one is kept.
 // On random sequence the expected density is 2/(w+1) (MinimizerDensity),
 // and two reads sharing an exact run of at least w+k-1 bases are

@@ -221,8 +221,8 @@ func Count(n, k int) int {
 }
 
 // ExtractAll returns all canonical k-mers of seq with their occurrence
-// metadata. It is a convenience wrapper over Scanner used by tests and by
-// the single-node baseline; the distributed pipeline streams instead.
+// metadata. It is a convenience wrapper over Scanner for tests; the
+// pipeline streams instead.
 func ExtractAll(seq []byte, k int, readID uint32) []Extracted {
 	sc := NewScanner(seq, k, readID)
 	var out []Extracted

@@ -8,7 +8,7 @@ import (
 	"dibella/internal/seqgen"
 )
 
-// TestBuildDepthPAFEquivalence pins down -build-depth as schedule-only:
+// TestBuildDepthPAFEquivalence pins down Config.BuildDepth as schedule-only:
 // the DHT build's round pipeline must produce byte-identical PAF at
 // every legal depth, from the degenerate blocking schedule (1) to the
 // cap (spmd.MaxStreamDepth). KeepSingletons rides along: retained

@@ -49,26 +49,23 @@ const (
 // resume drills, operator fire drills).
 var ErrCkptAbort = errors.New("pipeline: aborted after checkpoint (as requested)")
 
-// CkptOptions configures stage-boundary snapshots of a run.
+// CkptOptions configures stage-boundary snapshots of a run: every boundary
+// (ckpt.StageLoad, ckpt.StageDHT, ckpt.StageOverlap) is snapshotted.
 type CkptOptions struct {
 	// Dir is the checkpoint directory (shared across ranks — a shared
 	// file system, as cluster checkpointing assumes).
 	Dir string
-	// Stages selects which boundaries to snapshot (ckpt.StageLoad,
-	// ckpt.StageDHT, ckpt.StageOverlap). Empty: all of them.
-	Stages []string
 	// AbortAfter, when set to a stage name, aborts the pipeline with
 	// ErrCkptAbort right after that stage's snapshot commits.
 	AbortAfter string
 }
 
 // outputConfig is the subset of Config that determines the pipeline's
-// output. Scheduling knobs (Exchange, ReplyChunk/Depth,
-// MaxKmersPerRound) and the sizing heuristic (BloomFP) move the
-// same data on different timetables and are deliberately excluded: a
-// snapshot may be resumed under a different schedule, never under a
-// different k. Derivation inputs (ErrorRate, Coverage, GenomeEst) are
-// covered through the derived K/MaxFreq.
+// output. Scheduling knobs (Exchange, ReplyChunk/Depth, BuildDepth,
+// MaxKmersPerRound) move the same data on different timetables and are
+// deliberately excluded: a snapshot may be resumed under a different
+// schedule, never under a different k. Derivation inputs (ErrorRate,
+// Coverage, GenomeEst) are covered through the derived K/MaxFreq.
 type outputConfig struct {
 	K               int
 	MaxFreq         int
@@ -105,37 +102,23 @@ func (cfg *Config) outputHash() string {
 // ckptState is one rank's snapshot-emission state. A nil *ckptState is
 // valid and inert, so the stage driver calls snapshot unconditionally.
 type ckptState struct {
-	w    *ckpt.Writer
-	want map[string]bool
+	w *ckpt.Writer
 	// skipThrough suppresses re-snapshotting stages a resumed run
 	// restored (their snapshots already exist and are what we loaded).
 	skipThrough int
 	abortAfter  string
 }
 
-// Validate checks the options on their own terms: a directory is named,
-// every stage is a real boundary, and the kill switch is among the stages
-// being snapshotted. It is the one place stage names are checked — the CLI
-// calls it at startup, newCkptState before a run.
+// Validate checks the options on their own terms: a directory is named and
+// the kill switch, if set, is a real boundary. It is the one place stage
+// names are checked — the CLI calls it at startup, newCkptState before a
+// run.
 func (o *CkptOptions) Validate() error {
 	if o.Dir == "" {
 		return fmt.Errorf("pipeline: checkpointing requested without a directory")
 	}
-	abortListed := len(o.Stages) == 0
-	for _, s := range o.Stages {
-		if ckpt.StageOrder(s) < 0 {
-			return fmt.Errorf("pipeline: unknown checkpoint stage %q (want load, dht, or overlap)", s)
-		}
-		abortListed = abortListed || s == o.AbortAfter
-	}
-	if o.AbortAfter == "" {
-		return nil
-	}
-	if ckpt.StageOrder(o.AbortAfter) < 0 {
+	if o.AbortAfter != "" && ckpt.StageOrder(o.AbortAfter) < 0 {
 		return fmt.Errorf("pipeline: unknown abort-after stage %q (want load, dht, or overlap)", o.AbortAfter)
-	}
-	if !abortListed {
-		return fmt.Errorf("pipeline: abort-after stage %q is not among the snapshotted stages %q", o.AbortAfter, o.Stages)
 	}
 	return nil
 }
@@ -149,14 +132,6 @@ func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFr
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	stages := opts.Stages
-	if len(stages) == 0 {
-		stages = ckpt.Stages
-	}
-	want := make(map[string]bool, len(stages))
-	for _, s := range stages {
-		want[s] = true
 	}
 	if opts.AbortAfter != "" && ckpt.StageOrder(opts.AbortAfter) <= ckpt.StageOrder(resumedFrom) {
 		// The resume restored this boundary instead of re-running it, so
@@ -175,19 +150,18 @@ func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFr
 			ConfigJSON: blob, KeepThrough: resumedFrom,
 			Model: model,
 		},
-		want:        want,
 		skipThrough: ckpt.StageOrder(resumedFrom),
 		abortAfter:  opts.AbortAfter,
 	}, nil
 }
 
-// snapshot collectively commits one stage boundary (when configured to),
-// books what the writer charged for the snapshot I/O to the adjacent
-// stage's packing account, and aborts the run when this boundary is the
-// configured kill point. sections is called only when the boundary is
+// snapshot collectively commits one stage boundary (unless a resume
+// restored it), books what the writer charged for the snapshot I/O to the
+// adjacent stage's packing account, and aborts the run when this boundary
+// is the configured kill point. sections is called only when the boundary is
 // written: a run without checkpoints encodes nothing.
 func (ck *ckptState) snapshot(c *spmd.Comm, stage string, sections func() []ckpt.Section, brk *stats.Breakdown) error {
-	if ck == nil || !ck.want[stage] || ckpt.StageOrder(stage) <= ck.skipThrough {
+	if ck == nil || ckpt.StageOrder(stage) <= ck.skipThrough {
 		return nil
 	}
 	rec := trace.Rec(c.Rank())

@@ -71,7 +71,6 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 	part, buildStats, err := dht.Build(c, model, local, dht.Config{
 		K: cfg.K, MaxFreq: cfg.MaxFreq,
 		MaxKmersPerRound: cfg.MaxKmersPerRound,
-		BloomFP:          cfg.BloomFP,
 		ErrorRate:        cfg.ErrorRate,
 		MinimizerWindow:  cfg.MinimizerWindow,
 		Async:            cfg.Exchange != ExchangeSync,
@@ -180,9 +179,14 @@ func (w *World) MemBytes() int64 {
 	return n
 }
 
-// GatherMemBytes allgathers every rank's MemBytes. All ranks must call
-// it collectively; the serve daemon seeds its per-rank resident-memory
-// gauge with the result at start-up.
+// GatherMemBytes allgathers every rank's MemBytes and sets the
+// resident-memory gauge of every rank from it, so one process's /metrics
+// (the serve daemon's, on rank 0) carries the whole world's series. All
+// ranks must call it collectively.
 func (w *World) GatherMemBytes() []int64 {
-	return spmd.Allgather(w.c, w.MemBytes())
+	mem := spmd.Allgather(w.c, w.MemBytes())
+	for r, m := range mem {
+		residentMemory.WithRank(r).Set(m)
+	}
+	return mem
 }

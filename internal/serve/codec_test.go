@@ -288,6 +288,99 @@ func TestStalledPayloadLosesItsConnection(t *testing.T) {
 	}
 }
 
+// TestTricklingPayloadLosesItsConnection is the slow-loris half of the
+// payload bound: a client that keeps a frame's payload coming, one byte
+// every 50 ms and so never idle for long, still loses its connection once
+// frontendPayloadTimeout has passed since the header. The deadline is set
+// once per frame, not refreshed per read. No reply frame is sent, the
+// handler goroutine exits, and a well-formed client is served afterwards.
+func TestTricklingPayloadLosesItsConnection(t *testing.T) {
+	defer func(d time.Duration) { frontendPayloadTimeout = d }(frontendPayloadTimeout)
+	frontendPayloadTimeout = 500 * time.Millisecond
+	const drip = 50 * time.Millisecond
+	indexed, query, _ := splitDataset(t, 5, 3)
+	var paf []byte
+	stats := runServeWorld(t, 2, indexed, serveTestConfig(), Options{
+		Addr: "127.0.0.1:0", MaxBatches: 1, Tenants: []string{"alice"},
+	}, func(addr string) {
+		cl, err := DialTimeout(addr, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close()
+		// A refusal round trip: the good client's handler is up before
+		// the baseline is counted.
+		if err := cl.Shutdown("mallory"); !errors.Is(err, ErrBadTenant) {
+			t.Errorf("wrong-tenant shutdown: got %v, want ErrBadTenant", err)
+			return
+		}
+		baseline := runtime.NumGoroutine()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := conn.Write(wire.U32(wire.U8(wire.U16(nil, frontendMagic), frameQuery), 1<<20)); err != nil {
+			t.Error(err)
+			conn.Close()
+			return
+		}
+		start := time.Now()
+		stop, dripped := make(chan struct{}), make(chan int)
+		go func() {
+			n := 0
+			defer func() { dripped <- n }()
+			tick := time.NewTicker(drip)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					if _, err := conn.Write([]byte{0}); err != nil {
+						return
+					}
+					n++
+				}
+			}
+		}()
+		conn.SetReadDeadline(walltime.Deadline(4 * frontendPayloadTimeout))
+		got, err := conn.Read(make([]byte, 1))
+		held := time.Since(start)
+		close(stop)
+		bytesSent := <-dripped
+		conn.Close()
+		var ne net.Error
+		switch {
+		case got > 0:
+			t.Errorf("the daemon answered a frame it never received")
+		case errors.As(err, &ne) && ne.Timeout():
+			t.Errorf("a trickling payload (%d bytes, one per %v) still held its connection after %v", bytesSent, drip, 4*frontendPayloadTimeout)
+		case held > 2*frontendPayloadTimeout:
+			t.Errorf("a trickling payload held its connection for %v, bound 2×%v", held, frontendPayloadTimeout)
+		case bytesSent < 2:
+			t.Errorf("only %d payload bytes trickled in before the close: not a trickle", bytesSent)
+		}
+		for i := 0; runtime.NumGoroutine() > baseline; i++ {
+			if i == 100 {
+				t.Errorf("%d goroutines after the trickling connection closed, %d before", runtime.NumGoroutine(), baseline)
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		res, err := cl.Query("alice", query)
+		if err != nil {
+			t.Errorf("well-formed client after the trickle: %v", err)
+			return
+		}
+		paf = res.PAF
+	})
+	if stats.Served != 1 || len(paf) == 0 {
+		t.Errorf("served %d batches, %d PAF bytes; want 1 batch with rows", stats.Served, len(paf))
+	}
+}
+
 // FuzzFrontend: bytes off the frontend socket never panic the frame reader
 // or a message decoder, never buy more memory than they are long, and
 // whatever decodes re-encodes to the same bytes.

@@ -41,11 +41,10 @@ const (
 	traceBatch  = "serve.batch"
 	traceReply  = "serve.reply"
 
-	metricRequests    = "dibella_serve_requests_total"
-	metricRejections  = "dibella_serve_rejections_total"
-	metricInflight    = "dibella_serve_inflight"
-	metricLatency     = "dibella_serve_batch_latency_seconds"
-	metricResidentMem = "dibella_resident_memory_bytes" // shared with the pipeline gauge
+	metricRequests   = "dibella_serve_requests_total"
+	metricRejections = "dibella_serve_rejections_total"
+	metricInflight   = "dibella_serve_inflight"
+	metricLatency    = "dibella_serve_batch_latency_seconds"
 )
 
 var (
@@ -57,8 +56,6 @@ var (
 		"batches admitted but not yet answered")
 	batchLatency = trace.RegisterHistogram(metricLatency,
 		"admission-to-reply latency of served batches, seconds", nil)
-	residentMemoryServe = trace.RegisterGaugeVec(metricResidentMem,
-		"estimated resident bytes (partition + replicas) per rank", "rank")
 )
 
 // Admission rejections, surfaced to clients as structured error frames.
@@ -257,9 +254,9 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 	c := w.Comm()
 
 	// One collective memory snapshot up front: the partition footprint
-	// is fixed after forming, so this gather is the resident-memory
-	// gauge's value for the daemon's lifetime.
-	mem := w.GatherMemBytes()
+	// is fixed after forming, so this gather sets the resident-memory
+	// gauge of every rank for the daemon's lifetime.
+	w.GatherMemBytes()
 
 	// Rank 0's frontend setup is local; a listen failure reaches the
 	// other ranks through the op stream (opFail) below, so the world
@@ -267,7 +264,7 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 	var s *server
 	var setupErr error
 	if c.Rank() == 0 {
-		s, setupErr = startFrontend(w, opts, mem)
+		s, setupErr = startFrontend(w, opts)
 	}
 
 	v0 := c.Now()
@@ -321,14 +318,11 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 // startFrontend builds rank 0's server state and brings up the
 // listener and accept loop. No collectives: a failure here is local
 // until the op stream shares it.
-func startFrontend(w *pipeline.World, opts Options, mem []int64) (*server, error) {
+func startFrontend(w *pipeline.World, opts Options) (*server, error) {
 	s := &server{
 		w: w, opts: opts,
 		jobs: make(chan *job, opts.MaxInflight+16),
 		rec:  trace.Rec(w.Comm().Rank()),
-	}
-	for r, m := range mem {
-		residentMemoryServe.WithRank(r).Set(m)
 	}
 	if len(opts.Tenants) > 0 {
 		s.tenants = make(map[string]bool, len(opts.Tenants))

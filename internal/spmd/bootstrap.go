@@ -118,42 +118,23 @@ const (
 	EnvRank = "DIBELLA_RANK"
 	// EnvWorldSize is the world size P.
 	EnvWorldSize = "DIBELLA_WORLD_SIZE"
-	// EnvHostIndex tells a process asking for a placement which host-list
-	// entry it stands in for, so rank-range assignment is deterministic.
-	EnvHostIndex = "DIBELLA_HOST_INDEX"
 	// EnvListenAddr optionally overrides the mesh listener bind address
 	// (JoinBootstrap.ListenAddr).
 	EnvListenAddr = "DIBELLA_LISTEN_ADDR"
-	// EnvFormTimeout optionally bounds world formation (Go duration).
-	EnvFormTimeout = "DIBELLA_FORM_TIMEOUT"
 )
 
 // BootstrapFromEnv reads the DIBELLA_* env contract: a JoinBootstrap when
 // EnvRank is set, a HostJoinBootstrap when only EnvRendezvous is, nil when
-// neither is (this process was started by hand). timeout applies unless
-// EnvFormTimeout overrides it; a set-but-malformed contract is an error.
+// neither is (this process was started by hand). timeout bounds formation
+// either way; a set-but-malformed contract is an error.
 func BootstrapFromEnv(timeout time.Duration) (Bootstrap, error) {
 	rendezvous := os.Getenv(EnvRendezvous)
 	_, placed := os.LookupEnv(EnvRank)
 	if !placed && rendezvous == "" {
 		return nil, nil
 	}
-	if s := os.Getenv(EnvFormTimeout); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return nil, fmt.Errorf("spmd: %s=%q: %v", EnvFormTimeout, s, err)
-		}
-		timeout = d
-	}
 	if !placed {
-		b := &HostJoinBootstrap{Addr: rendezvous, Timeout: timeout}
-		if _, ok := os.LookupEnv(EnvHostIndex); ok {
-			var err error
-			if b.HostIndex, err = envInt(EnvHostIndex); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		return &HostJoinBootstrap{Addr: rendezvous, Timeout: timeout}, nil
 	}
 	rank, err := envInt(EnvRank)
 	if err != nil {
@@ -191,12 +172,10 @@ type worker struct {
 // forkRankWorkers forks ranks [start,end) of a size-rank world as
 // env-contract workers of the current binary. On a fork failure the
 // already-started workers are reaped.
-func forkRankWorkers(start, end, size int, rendezvous string,
-	timeout time.Duration, out io.Writer) ([]worker, error) {
-
+func forkRankWorkers(start, end, size int, rendezvous string, out io.Writer) ([]worker, error) {
 	var workers []worker
 	for r := start; r < end; r++ {
-		w, err := forkWorker(fmt.Sprintf("rank %d", r), out, rendezvous, timeout,
+		w, err := forkWorker(fmt.Sprintf("rank %d", r), out, rendezvous,
 			EnvRank+"="+strconv.Itoa(r), EnvWorldSize+"="+strconv.Itoa(size))
 		if err != nil {
 			reapWorkers(workers)
@@ -210,9 +189,10 @@ func forkRankWorkers(start, end, size int, rendezvous string,
 // forkWorker starts one copy of the current binary (same arguments) placed
 // through the env contract: the parent's environment scrubbed of DIBELLA_*
 // (an agent's own coordinates must not leak into its children) plus the
-// rendezvous, the formation deadline and the child's coords. Both output
-// streams are prefixed "[label] " so interleaved logs stay attributable.
-func forkWorker(label string, out io.Writer, rendezvous string, timeout time.Duration, coords ...string) (worker, error) {
+// rendezvous and the child's coords; the formation deadline comes with the
+// command line. Both output streams are prefixed "[label] " so interleaved
+// logs stay attributable.
+func forkWorker(label string, out io.Writer, rendezvous string, coords ...string) (worker, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return worker{}, err
@@ -224,9 +204,6 @@ func forkWorker(label string, out io.Writer, rendezvous string, timeout time.Dur
 		}
 	}
 	cmd.Env = append(append(cmd.Env, EnvRendezvous+"="+rendezvous), coords...)
-	if timeout > 0 {
-		cmd.Env = append(cmd.Env, EnvFormTimeout+"="+timeout.String())
-	}
 	pw := newPrefixWriter(out, "["+label+"] ")
 	// Workers never own the launcher's stdout (the PAF stream); both
 	// their streams are demoted to prefixed log output. exec.Cmd copies

@@ -21,25 +21,23 @@ func TestJoinBootstrapFromEnv(t *testing.T) {
 		t.Setenv(EnvRank, "0")
 		t.Setenv(EnvWorldSize, "4")
 		t.Setenv(EnvRendezvous, "127.0.0.1:9999")
-		t.Setenv(EnvFormTimeout, "5s")
 		boot, err := BootstrapFromEnv(time.Minute)
 		b, ok := boot.(*JoinBootstrap)
 		if !ok || err != nil {
 			t.Fatalf("boot=%T err=%v", boot, err)
 		}
-		if b.Rank != 0 || b.Size != 4 || b.Rendezvous != "127.0.0.1:9999" || b.Timeout != 5*time.Second {
+		if b.Rank != 0 || b.Size != 4 || b.Rendezvous != "127.0.0.1:9999" || b.Timeout != time.Minute {
 			t.Errorf("parsed %+v", b)
 		}
 	})
 	t.Run("asks for a placement", func(t *testing.T) {
 		t.Setenv(EnvRendezvous, "127.0.0.1:9999")
-		t.Setenv(EnvHostIndex, "2")
 		boot, err := BootstrapFromEnv(time.Minute)
 		b, ok := boot.(*HostJoinBootstrap)
 		if !ok || err != nil {
 			t.Fatalf("boot=%T err=%v", boot, err)
 		}
-		if b.Addr != "127.0.0.1:9999" || b.HostIndex != 2 || b.Timeout != time.Minute {
+		if b.Addr != "127.0.0.1:9999" || b.Timeout != time.Minute {
 			t.Errorf("parsed %+v", b)
 		}
 	})
@@ -86,6 +84,60 @@ func TestParseHostList(t *testing.T) {
 		if _, err := ParseHostList(bad); err == nil {
 			t.Errorf("ParseHostList(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseHostListIPv6: brackets delimit an IPv6 host and are not part of
+// it, an unbracketed entry with more than one ':' is a bare host, and
+// whatever parses joins a port into an address that splits back to it.
+func TestParseHostListIPv6(t *testing.T) {
+	cases := []struct {
+		entry    string
+		host     string
+		ranks    int
+		loopback bool
+	}{
+		{"::1", "::1", 0, true},
+		{"[::1]", "::1", 0, true},
+		{"[::1]:2", "::1", 2, true},
+		{"[fe80::1]:3", "fe80::1", 3, false},
+		{"h:2", "h", 2, false},
+	}
+	for _, c := range cases {
+		hosts, err := ParseHostList(c.entry)
+		if err != nil {
+			t.Errorf("%q: %v", c.entry, err)
+			continue
+		}
+		h := hosts[0]
+		if len(hosts) != 1 || h.Host != c.host || h.Ranks != c.ranks {
+			t.Errorf("%q parsed to %+v, want host %q with %d ranks", c.entry, hosts, c.host, c.ranks)
+		}
+		if got := isLoopbackHost(h.Host); got != c.loopback {
+			t.Errorf("%q: isLoopbackHost(%q) = %v, want %v", c.entry, h.Host, got, c.loopback)
+		}
+		addr := net.JoinHostPort(h.Host, "4242")
+		if host, port, err := net.SplitHostPort(addr); err != nil || host != c.host || port != "4242" {
+			t.Errorf("%q: rendezvous %q splits to %q, %q, %v", c.entry, addr, host, port, err)
+		}
+	}
+	for _, bad := range []string{"[::1", "[::1]x", "[::1]:", "[::1]:0", "[]:2"} {
+		if hosts, err := ParseHostList(bad); err == nil {
+			t.Errorf("ParseHostList(%q) = %+v, want an error", bad, hosts)
+		}
+	}
+	// A launcher on an all-loopback IPv6 list is reachable at the
+	// rendezvous it prints.
+	launcher := &HostListBootstrap{Hosts: []HostSpec{{"::1", 1}}, Output: io.Discard, NoSpawn: true}
+	jb, err := launcher.Form()
+	if err != nil {
+		t.Skipf("no listener on the IPv6 loopback: %v", err)
+	}
+	defer jb.Listener.Close()
+	if conn, err := net.Dial("tcp", jb.Rendezvous); err != nil {
+		t.Errorf("dialing the printed rendezvous: %v", err)
+	} else {
+		conn.Close()
 	}
 }
 
@@ -174,14 +226,14 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 		})
 		errs[slot] = b.Finish(errs[slot])
 	}
-	agent1 := &HostJoinBootstrap{Addr: rendezvous, HostIndex: 2, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
+	agent1 := &HostJoinBootstrap{Addr: rendezvous, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
 	agent2 := &HostJoinBootstrap{Addr: rendezvous, Timeout: 20 * time.Second, Output: &log, NoSpawn: true}
 	wg.Add(3)
 	go run(0, launcher)
-	// Agent for host 2 carries its index; the host-1 agent relies on
-	// first-free matching — both paths must assign correctly.
+	// No list entry names this machine's hostname, so both agents are
+	// placed first-free, in the order they ask.
 	go run(1, agent1)
-	time.Sleep(100 * time.Millisecond) // let host 2 claim its slot first
+	time.Sleep(100 * time.Millisecond) // let the first agent claim host 1
 	go run(2, agent2)
 	wg.Wait()
 
@@ -190,8 +242,8 @@ func TestHostListBootstrapLoopback(t *testing.T) {
 			t.Fatalf("slot %d: %v\nlog:\n%s", i, err, log.String())
 		}
 	}
-	if ranks[0] != 0 || ranks[1] != 2 || ranks[2] != 1 {
-		t.Errorf("ranks = %v, want launcher 0, indexed agent 2, free agent 1", ranks)
+	if ranks[0] != 0 || ranks[1] != 1 || ranks[2] != 2 {
+		t.Errorf("ranks = %v, want launcher 0, first agent 1, second agent 2", ranks)
 	}
 	for i, s := range sums {
 		if s != 6 {
@@ -270,6 +322,38 @@ func TestHandshakeRejectsVersionMismatch(t *testing.T) {
 	err = <-rootErr
 	if err == nil || !strings.Contains(err.Error(), "protocol version") {
 		t.Errorf("rank 0 error = %v, want protocol version mismatch", err)
+	}
+}
+
+// TestLauncherRefusesVersion4Join: a placement request in the version-4
+// shape, which carried a host-list index before the hostname, fails the
+// forming world with an error naming both protocol versions.
+func TestLauncherRefusesVersion4Join(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	launcher := &HostListBootstrap{
+		Hosts:   []HostSpec{{"127.0.0.1", 1}, {"127.0.0.1", 1}},
+		Timeout: 5 * time.Second, Output: io.Discard, NoSpawn: true, Listener: ln,
+	}
+	rootErr := make(chan error, 1)
+	go func() {
+		_, err := Connect(launcher)
+		rootErr <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	v4 := wire.Bytes(putInt(wire.U32(wire.U32(nil, protoMagic), 4), 1), "nid00042")
+	if err := writeFrame(conn, &frame{Type: frameJoin, Payload: v4}); err != nil {
+		t.Fatal(err)
+	}
+	err = <-rootErr
+	if want := fmt.Sprintf("protocol version 4, this binary speaks %d", protoVersion); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("launcher error = %v, want it to contain %q", err, want)
 	}
 }
 

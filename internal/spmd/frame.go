@@ -37,8 +37,7 @@ const (
 	// frameAbort poisons the receiver's world (a peer failed).
 	frameAbort
 	// frameJoin is a host agent's request for a placement in a host-list
-	// world: its host index (or -1) and hostname, sent to the rendezvous in
-	// place of a hello.
+	// world: its hostname, sent to the rendezvous in place of a hello.
 	frameJoin
 	// frameAssign is rank 0's reply: the agent's contiguous rank range and
 	// the world size, or why there is no placement for it.
@@ -133,10 +132,11 @@ func readFrameBuf(r io.Reader, limit uint32, alloc func(n int) []byte) (frame, e
 // the join assignment and the worker environment; version 3 replaced the
 // gob control payloads with the ones below; version 4 moved the placement
 // request onto the rendezvous port (the assignment names no second port and
-// may carry a refusal).
+// may carry a refusal); version 5 dropped the host-list index from the
+// placement request, which now carries only the joiner's hostname.
 const (
 	protoMagic   = 0x44694245 // "DiBE"
-	protoVersion = 4
+	protoVersion = 5
 )
 
 func writeProto(b []byte) []byte { return wire.U32(wire.U32(b, protoMagic), protoVersion) }
@@ -155,7 +155,7 @@ func openPayload(b []byte) *wire.Reader {
 	return r
 }
 
-// rank-sized ints travel as int32: HostIndex is -1 when unknown.
+// rank-sized ints travel as int32.
 func putInt(b []byte, v int) []byte { return wire.U32(b, uint32(int32(v))) }
 func getInt(r *wire.Reader) int     { return int(int32(r.U32())) }
 
@@ -188,12 +188,12 @@ func decodePeers(b []byte) ([]string, error) {
 }
 
 func (m joinMsg) encode() []byte {
-	return wire.Bytes(putInt(writeProto(nil), m.HostIndex), m.Hostname)
+	return wire.Bytes(writeProto(nil), m.Hostname)
 }
 
 func decodeJoin(b []byte) (m joinMsg, err error) {
 	r := openPayload(b)
-	m = joinMsg{HostIndex: getInt(r), Hostname: r.String()}
+	m = joinMsg{Hostname: r.String()}
 	return m, r.Finish()
 }
 

@@ -15,7 +15,7 @@ import (
 var (
 	sampleHello  = helloMsg{Rank: 3, Addr: "10.0.0.7:4123"}
 	samplePeers  = []string{"127.0.0.1:1", "", "[::1]:65535"}
-	sampleJoin   = joinMsg{HostIndex: -1, Hostname: "nid00042"}
+	sampleJoin   = joinMsg{Hostname: "nid00042"}
 	sampleAssign = assignMsg{HostIndex: 2, RankStart: 8, RankEnd: 12, Size: 16, Refused: "every host slot is already assigned"}
 )
 

@@ -11,8 +11,8 @@ import (
 )
 
 // The host-list launch: a world on one machine or spanning several, formed
-// from a `-hosts h1,h2:4,...` list (or hostfile; `-transport tcp -p N` is
-// the list "127.0.0.1:N"). The launcher runs on the first host, becomes
+// from a `-hosts h1,h2:4,...` list (`-transport tcp -p N` is the list
+// "127.0.0.1:N"). The launcher runs on the first host, becomes
 // rank 0, and gives each host a contiguous rank range. An agent started on
 // another host with `dibella -join <rendezvous>` (HostJoinBootstrap) asks
 // for its range and forks its local share of ranks, which then enter the
@@ -27,8 +27,12 @@ type HostSpec struct {
 	Ranks int // 0 after parsing = share the unallocated ranks evenly
 }
 
-// ParseHostList parses a comma-separated "host[:ranks]" list. Entries
-// without an explicit count get Ranks 0; AssignHostRanks fills them.
+// ParseHostList parses a comma-separated "host[:ranks]" list, split as
+// net.SplitHostPort splits an address: an IPv6 host is bracketed
+// ("[::1]:2", "[::1]"; the brackets are not part of Host), and an
+// unbracketed entry with more than one ':' is a bare IPv6 host ("::1").
+// Entries without an explicit count get Ranks 0; AssignHostRanks fills
+// them.
 func ParseHostList(spec string) ([]HostSpec, error) {
 	var hosts []HostSpec
 	for _, entry := range strings.Split(spec, ",") {
@@ -37,12 +41,16 @@ func ParseHostList(spec string) ([]HostSpec, error) {
 			continue
 		}
 		h := HostSpec{Host: entry}
-		if i := strings.LastIndexByte(entry, ':'); i >= 0 {
-			n, err := strconv.Atoi(entry[i+1:])
+		if host, count, err := net.SplitHostPort(entry); err == nil {
+			n, err := strconv.Atoi(count)
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("spmd: host entry %q: rank count after ':' must be a positive integer", entry)
 			}
-			h = HostSpec{Host: entry[:i], Ranks: n}
+			h = HostSpec{Host: host, Ranks: n}
+		} else if inner, ok := strings.CutPrefix(entry, "["); ok {
+			if h.Host, ok = strings.CutSuffix(inner, "]"); !ok {
+				return nil, fmt.Errorf("spmd: host entry %q: want [host] or [host]:ranks", entry)
+			}
 		}
 		if h.Host == "" {
 			return nil, fmt.Errorf("spmd: host entry %q has an empty host", entry)
@@ -53,28 +61,6 @@ func ParseHostList(spec string) ([]HostSpec, error) {
 		return nil, fmt.Errorf("spmd: empty host list")
 	}
 	return hosts, nil
-}
-
-// ParseHostFile parses a hostfile: one "host[:ranks]" per line, blank
-// lines and '#' comments ignored.
-func ParseHostFile(path string) ([]HostSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		if line = strings.TrimSpace(line); line != "" {
-			entries = append(entries, line)
-		}
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("spmd: hostfile %s lists no hosts", path)
-	}
-	return ParseHostList(strings.Join(entries, ","))
 }
 
 // AssignHostRanks distributes total ranks over the host list: entries with
@@ -142,8 +128,7 @@ func isLoopbackHost(host string) bool {
 // joinMsg is the payload of a frameJoin: an agent asking for its
 // assignment.
 type joinMsg struct {
-	HostIndex int    // host-list index the agent stands in for; <= 0 if unknown
-	Hostname  string // os.Hostname, matched against the host list as a fallback
+	Hostname string // os.Hostname, matched against the host list
 }
 
 // assignMsg is the payload of a frameAssign: rank 0's reply.
@@ -164,8 +149,8 @@ type hostTable struct {
 	out      io.Writer
 }
 
-// place picks the host-list entry for one request — by explicit index,
-// then hostname, then first free — and marks it taken.
+// place picks the host-list entry for one request — by hostname, then
+// first free — and marks it taken.
 func (h *hostTable) place(req joinMsg) assignMsg {
 	if h == nil {
 		return assignMsg{Refused: "its ranks are placed explicitly, not from a host list: there is no placement to ask for"}
@@ -178,10 +163,7 @@ func (h *hostTable) place(req joinMsg) assignMsg {
 		}
 		return -1
 	}
-	idx := firstFree(func(i int) bool { return i == req.HostIndex })
-	if idx < 0 {
-		idx = firstFree(func(i int) bool { return h.hosts[i].Host == req.Hostname })
-	}
+	idx := firstFree(func(i int) bool { return h.hosts[i].Host == req.Hostname })
 	if idx < 0 {
 		idx = firstFree(func(int) bool { return true })
 	}
@@ -236,7 +218,8 @@ type HostListBootstrap struct {
 
 	// Listener, when set, is the pre-bound rendezvous socket (tests bind
 	// first so the address is known before Form runs). Unset, Form binds
-	// loopback for an all-loopback list and every interface otherwise.
+	// the first entry's address for an all-loopback list and every
+	// interface otherwise.
 	Listener net.Listener
 
 	workers []worker
@@ -247,7 +230,7 @@ type HostListBootstrap struct {
 // placement carrying the host table.
 func (b *HostListBootstrap) Form() (*JoinBootstrap, error) {
 	ranges, size := hostRanges(b.Hosts)
-	bind := "127.0.0.1:0"
+	bind := net.JoinHostPort(b.Hosts[0].Host, "0")
 	for i, h := range b.Hosts {
 		if h.Ranks <= 0 {
 			return nil, fmt.Errorf("spmd: host %d (%s) has %d ranks; run the list through AssignHostRanks", i, h.Host, h.Ranks)
@@ -286,11 +269,12 @@ func (b *HostListBootstrap) Form() (*JoinBootstrap, error) {
 
 	if !b.NoSpawn {
 		// This host's remaining ranks (rank 0 is the calling process).
-		if b.workers, err = forkRankWorkers(1, ranges[0][1], size, rendezvous, b.Timeout, out); err != nil {
+		if b.workers, err = forkRankWorkers(1, ranges[0][1], size, rendezvous, out); err != nil {
 			return fail(err)
 		}
 		// Simulated hosts: loopback entries get their agent forked locally,
-		// told where to ask but not who it is; real hosts are joined by the
+		// told where to ask but not which entry it is (the launcher places
+		// it by hostname, then first free); real hosts are joined by the
 		// operator.
 		for i := 1; i < len(b.Hosts); i++ {
 			if !isLoopbackHost(b.Hosts[i].Host) {
@@ -298,7 +282,7 @@ func (b *HostListBootstrap) Form() (*JoinBootstrap, error) {
 					rendezvous, b.Hosts[i].Host, ranges[i][0], ranges[i][1]-1)
 				continue
 			}
-			w, err := forkWorker(fmt.Sprintf("host %d", i), out, rendezvous, b.Timeout, EnvHostIndex+"="+strconv.Itoa(i))
+			w, err := forkWorker(fmt.Sprintf("host %d", i), out, rendezvous)
 			if err != nil {
 				return fail(err)
 			}
@@ -324,11 +308,6 @@ func (b *HostListBootstrap) Finish(runErr error) error {
 type HostJoinBootstrap struct {
 	// Addr is the world's rendezvous address, as the launcher printed it.
 	Addr string
-
-	// HostIndex pins this agent to a host-list entry (launcher-forked
-	// simulated agents set it); <= 0 lets the launcher match by hostname
-	// or first-free slot.
-	HostIndex int
 
 	// Timeout bounds the placement request and world formation (default
 	// 30s).
@@ -358,7 +337,7 @@ func (b *HostJoinBootstrap) Form() (*JoinBootstrap, error) {
 	defer conn.Close()
 	conn.SetDeadline(deadline)
 	hostname, _ := os.Hostname()
-	join := joinMsg{HostIndex: b.HostIndex, Hostname: hostname}
+	join := joinMsg{Hostname: hostname}
 	if err := writeFrame(conn, &frame{Type: frameJoin, Payload: join.encode()}); err != nil {
 		return nil, fmt.Errorf("spmd: sending join request to %s: %w", b.Addr, err)
 	}
@@ -387,7 +366,7 @@ func (b *HostJoinBootstrap) Form() (*JoinBootstrap, error) {
 		// Workers inherit the agent's command line, which may be just
 		// `-join <addr>`: like every rank, they learn the run's
 		// configuration from rank 0 once the world has formed.
-		b.workers, err = forkRankWorkers(assign.RankStart+1, assign.RankEnd, assign.Size, b.Addr, b.Timeout, out)
+		b.workers, err = forkRankWorkers(assign.RankStart+1, assign.RankEnd, assign.Size, b.Addr, out)
 		if err != nil {
 			return nil, err
 		}

@@ -48,6 +48,7 @@ var keep = map[string]string{
 	"internal/dna.MustCode":                      testHelper,
 	"internal/fastq.LocalView.ReplicaCount":      testHelper,
 	"internal/fastq.ReadStore.Len":               testHelper,
+	"internal/kmer.ExtractAll":                   testHelper,
 	"internal/kmer.Kmer.Bytes":                   testHelper,
 	"internal/kmer.MustPack":                     testHelper,
 	"internal/pipeline.World.QueryStats":         testHelper,
