@@ -1,14 +1,14 @@
 package align
 
-import "math"
+import (
+	"math"
+
+	"dibella/internal/cpuid"
+)
 
 // useAVX2 selects the assembly routine under extend. It is decided once, from
 // CPUID, and only tests ever write it again.
-var useAVX2 = cpuHasAVX2()
-
-// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers (xdrop_amd64.s).
-func cpuHasAVX2() bool
+var useAVX2 = cpuid.AVX2()
 
 // maxSteady caps the antidiagonals one assembly call scores. Assembly has no
 // preemption point, so without a cap a stop-the-world would wait on a whole

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"dibella/internal/cpuid"
 )
 
 // setAssembly switches the assembly routine under extend and reports whether
@@ -309,7 +311,7 @@ func TestSteadyDeclinesPastTheBound(t *testing.T) {
 // paths through the routine are counted from the Go loop's windows, and each
 // has to have been taken.
 func TestSteadyMatchesLoop(t *testing.T) {
-	if !cpuHasAVX2() {
+	if !cpuid.AVX2() {
 		t.Skip("no AVX2 on this host: the Go loop is the whole kernel, and the other tests cover it")
 	}
 	var entered, edges, deaths, fills, caps, rebased int

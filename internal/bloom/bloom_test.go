@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,32 +15,25 @@ func TestNewRoundsUp(t *testing.T) {
 	for _, c := range []struct{ m, want uint64 }{
 		{1, 512}, {100, 512}, {512, 512}, {513, 1024}, {64 * 10, 1024},
 	} {
-		if got := New(c.m, 3).NumBits(); got != c.want {
+		if got := New(c.m).NumBits(); got != c.want {
 			t.Errorf("New(%d).NumBits() = %d, want %d: sizes round up to whole 512-bit blocks", c.m, got, c.want)
 		}
 	}
 }
 
 func TestSizeBytes(t *testing.T) {
-	if got := New(64*10, 2).SizeBytes(); got != 128 {
+	if got := New(64 * 10).SizeBytes(); got != 128 {
 		t.Errorf("SizeBytes = %d, want 128 (two 64-byte blocks)", got)
 	}
 }
 
 func TestNewPanics(t *testing.T) {
-	for _, c := range []struct {
-		m uint64
-		h int
-	}{{0, 1}, {64, 0}, {64, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%d,%d) did not panic", c.m, c.h)
-				}
-			}()
-			New(c.m, c.h)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New(0) did not panic")
+		}
+	}()
+	New(0)
 }
 
 func TestNewWithEstimatePanics(t *testing.T) {
@@ -68,7 +62,7 @@ func FuzzBloomNoFalseNegatives(f *testing.F) {
 		return b
 	}
 	f.Add(key(42), uint32(1), uint8(1))
-	f.Add(key(0, ^uint64(0), 1<<63, 1), uint32(53), uint8(1)) // 9.59 bits/key: 53 keys fill one block,
+	f.Add(key(0, ^uint64(0), 1<<63, 1), uint32(53), uint8(1)) // 9.66 bits/key: 53 keys fill one block,
 	f.Add(key(7, 7, 7), uint32(54), uint8(1))                 // 54 spill into a second
 	f.Add(key(1, 2, 3, 4, 5, 6, 7, 8, 9), uint32(2), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint32(100000), uint8(2))
@@ -213,7 +207,7 @@ func TestInsertAndTestSemantics(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	bf := New(1024, 3)
+	bf := New(1024)
 	bf.InsertAndTest(7)
 	if !bf.Contains(7) {
 		t.Fatal("insert failed")
@@ -281,4 +275,150 @@ func BenchmarkInsertAndTest(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(seen)/float64(b.N), "fp/op")
+}
+
+// checkKernels holds the batched kernels to the per-key methods on one set
+// of keys: InsertAndTestKmers must leave the words InsertAndTest leaves and
+// report the keys it reports, and Route over p segments of blocks blocks —
+// each filled with the inserted keys its rank owns — must answer what
+// kmer.Owner and Contains answer, for those keys and for others.
+func checkKernels(t *testing.T, keys, others []kmer.Kmer, blocks uint64, p int) {
+	t.Helper()
+	got, want := New(blocks*blockBits), New(blocks*blockBits)
+	seen := got.InsertAndTestKmers(keys, nil)
+	var wantSeen []uint32
+	for i, km := range keys {
+		if want.InsertAndTest(km.Hash()) {
+			wantSeen = append(wantSeen, uint32(i))
+		}
+	}
+	if !slices.Equal(seen, wantSeen) {
+		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers saw %v, InsertAndTest %v", len(keys), blocks, seen, wantSeen)
+	}
+	if !slices.Equal(got.bits, want.bits) {
+		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers left other words than InsertAndTest", len(keys), blocks)
+	}
+
+	segs := make([]*Filter, p)
+	words := make([][]uint64, p)
+	for r := range segs {
+		segs[r] = New(blocks * blockBits)
+		words[r] = segs[r].Words()
+	}
+	for _, km := range keys {
+		segs[km.Owner(p)].InsertAndTest(km.Hash())
+	}
+	own := NewOwners(words)
+	probes := append(slices.Clip(keys), others...)
+	owner := make([]int32, len(probes))
+	own.Route(probes, owner)
+	for i, km := range probes {
+		r := km.Owner(p)
+		want := int32(-1)
+		if segs[r].Contains(km.Hash()) {
+			want = int32(r)
+		}
+		if owner[i] != want {
+			t.Fatalf("P=%d, %d blocks a segment: Route sent k-mer %#x to %d, Owner and Contains say %d", p, blocks, uint64(km), owner[i], want)
+		}
+		if i < len(keys) && owner[i] != int32(r) {
+			t.Fatalf("P=%d: inserted k-mer %#x routed absent: a false negative", p, uint64(km))
+		}
+	}
+}
+
+func kmersOf(data []byte) []kmer.Kmer {
+	var out []kmer.Kmer
+	for ; len(data) >= 8; data = data[8:] {
+		out = append(out, kmer.Kmer(binary.LittleEndian.Uint64(data)))
+	}
+	return out
+}
+
+// FuzzBloomKernelMatchesGo holds the assembly insert and route (on amd64
+// with AVX2; elsewhere the fallback loops) to the per-key Go methods on any
+// keys, repeats included, any segment size and any world size.
+func FuzzBloomKernelMatchesGo(f *testing.F) {
+	f.Add([]byte("0123456789abcdef0123456789abcdef"), []byte("fedcba9876543210"), uint16(1), uint8(1))
+	f.Add(make([]byte, 64), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(3), uint8(2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80}, []byte{}, uint16(1000), uint8(7))
+	f.Fuzz(func(t *testing.T, keys, others []byte, blocks uint16, p uint8) {
+		checkKernels(t, kmersOf(keys), kmersOf(others), uint64(blocks%4096)+1, int(p%64)+1)
+	})
+}
+
+// The same on rows longer than one assembly call takes, filled past design
+// load so that most keys land in blocks already touched.
+func TestKernelsMatchGoOnLongRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		n      int
+		blocks uint64
+		p      int
+	}{{3 * maxKernelKeys / 2, 64, 2}, {20000, 300, 5}, {maxKernelKeys, 1, 64}} {
+		keys := make([]kmer.Kmer, c.n)
+		for i := range keys {
+			keys[i] = kmer.Kmer(rng.Uint64())
+			if i%7 == 3 {
+				keys[i] = keys[rng.Intn(i)] // a repeat
+			}
+		}
+		others := make([]kmer.Kmer, c.n)
+		for i := range others {
+			others[i] = kmer.Kmer(rng.Uint64())
+		}
+		checkKernels(t, keys, others, c.blocks, c.p)
+	}
+}
+
+// NewCapped sizes as NewWithEstimate below its cap and takes the whole
+// blocks the cap holds above it; a cap below one block is no filter.
+func TestNewCapped(t *testing.T) {
+	full := NewWithEstimate(100000, 0.01).NumBits()
+	if got := NewCapped(100000, 0.01, full+blockBits).NumBits(); got != full {
+		t.Errorf("NewCapped above the estimate: %d bits, NewWithEstimate %d", got, full)
+	}
+	if got := NewCapped(100000, 0.01, full/2+100).NumBits(); got != full/2/blockBits*blockBits {
+		t.Errorf("NewCapped at half the estimate: %d bits, want the %d whole blocks of the cap", got, full/2/blockBits)
+	}
+	if f := NewCapped(100000, 0.01, blockBits-1); f != nil {
+		t.Errorf("NewCapped under one block gave %d bits, want nil", f.NumBits())
+	}
+}
+
+// A segment that is not the size of the others is a caller's bug the
+// assembly would turn into reads past the segment: refused.
+func TestNewOwnersRefusesUnequalSegments(t *testing.T) {
+	for _, segs := range [][][]uint64{
+		{make([]uint64, 16), make([]uint64, 8)},
+		{make([]uint64, 8), make([]uint64, 9)},
+		{{}, {}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewOwners accepted segments of %d and %d words", len(segs[0]), len(segs[1]))
+				}
+			}()
+			NewOwners(segs)
+		}()
+	}
+}
+
+// The batched insert on the microbenchmark's filter: the size dht.Build
+// gives one rank on the bench workloads, refilled to design load.
+func BenchmarkInsertAndTestKmers(b *testing.B) {
+	const n, row = 1 << 20, 1 << 15
+	bf := NewWithEstimate(n, 0.01)
+	keys := make([]kmer.Kmer, row)
+	var seen []uint32
+	for i := 0; i < b.N; i += row {
+		if i%n == 0 {
+			bf.Reset()
+		}
+		for j := range keys {
+			keys[j] = kmer.Kmer(uint64(i+j) * 0x9e3779b97f4a7c15)
+		}
+		seen = bf.InsertAndTestKmers(keys, seen[:0])
+	}
 }

@@ -120,11 +120,12 @@ type BuildStats struct {
 	Hash             StageStats
 	BloomBits        uint64
 	DistinctEstimate float64
-	TableEntries     int   // keys resident after the Bloom pass
-	Retained         int   // keys surviving the prune
-	PrunedSingleton  int   // Bloom false positives removed
-	PrunedHighFreq   int   // repeat k-mers removed (count > m)
-	BloomMemBytes    int64 // resident bytes at the Bloom pass's end (filter + nascent table + exchange buffers)
+	TableEntries     int    // keys resident after the Bloom pass
+	Retained         int    // keys surviving the prune
+	PrunedSingleton  int    // Bloom false positives removed
+	PrunedHighFreq   int    // repeat k-mers removed (count > m)
+	BloomMemBytes    int64  // resident bytes at the Bloom pass's end (filter + nascent table + exchange buffers)
+	OwnerBits        uint64 // every owner-filter segment together, at most BloomBits; 0 without owner filters
 	// ExchangeMemBytes is what the two passes' exchanges hold, the hash
 	// pass's wider records included: the ring of send rows both pack into
 	// and, on a transport that does not share memory, the received frames
@@ -198,13 +199,27 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	bs.BloomMemBytes = part.MemBytes() + int64(filter.NumBits()/8) + bufs.MemBytes()
 	rec.End(traceBloomPass, c.Now(), bs.Bloom.BytesPacked)
 	// The paper frees the Bloom filter here; dropping the reference is the
-	// Go equivalent.
+	// Go equivalent. Its bits are the owner filters' budget.
+	freedBits := filter.NumBits()
 	filter = nil
 	_ = filter
 
-	// Pass 2: occurrence accumulation and pruning.
+	// Pass 2: occurrence accumulation and pruning, each occurrence shipped
+	// only if its owner's table may hold its key. A KeepSingletons table
+	// holds every key, so it has no owner filters, as it has no Bloom test.
 	rec.Begin(traceHashPass, c.Now())
-	bs.Hash = hashPass(c, model, reads, cfg, bufs, rounds, localUnits, part)
+	bs.Hash = StageStats{Rounds: rounds}
+	var owners *bloom.Owners
+	if !cfg.KeepSingletons {
+		var err error
+		if owners, err = ownerFilters(c, model, cfg, part, freedBits, &bs.Hash); err != nil {
+			return nil, BuildStats{}, err
+		}
+		if owners != nil {
+			bs.OwnerBits = uint64(owners.SizeBytes()) * 8
+		}
+	}
+	hashPass(c, model, reads, cfg, bufs, localUnits, part, owners, &bs.Hash)
 	bs.ExchangeMemBytes = bufs.MemBytes()
 	t0 := walltime.Now()
 	prunedS, prunedH := part.prune(cfg.KeepSingletons)
@@ -215,6 +230,59 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	bs.Retained = part.n
 	rec.End(traceHashPass, c.Now(), bs.Hash.BytesPacked)
 	return part, bs, nil
+}
+
+// ownerFilters builds the world's owner filters: this rank inserts its table
+// keys into its segment, and one Alltoallv gives every rank every segment.
+// The segments are one size, for the largest table at cfg.BloomFP, and
+// together take at most freedBits — past that the rate rises, not the
+// memory; nil if freedBits cannot hold a block per rank. The work and the
+// exchange are booked to st. A segment received at another size fails the
+// build on every rank.
+func ownerFilters(c *spmd.Comm, model *machine.Model, cfg Config, part *Partition, freedBits uint64, st *StageStats) (*bloom.Owners, error) {
+	pre := c.Stats()
+	defer func() { st.AddComm(pre, c.Stats()) }()
+	keys := spmd.AllreduceI64(c, int64(part.n), spmd.OpMax)
+	seg := bloom.NewCapped(uint64(keys), cfg.BloomFP, freedBits/uint64(c.Size()))
+	if seg == nil {
+		return nil, nil
+	}
+	t0 := walltime.Now()
+	for i, ctrl := range part.used() {
+		if ctrl != 0 {
+			seg.InsertAndTest(part.slots[i].key.Hash())
+		}
+	}
+	st.LocalVirtual += stats.Price(c, model, float64(part.n), machine.RateBloomInsert, float64(seg.SizeBytes()))
+	st.LocalWall += walltime.Since(t0)
+	st.BytesPacked += int64(seg.SizeBytes() * c.Size())
+	return exchangeOwners(c, seg.Words(), len(seg.Words()))
+}
+
+// exchangeOwners sends mine, this rank's segment, to every rank and returns
+// the owner filters of the segments received. Every rank sized its segment
+// from the same agreed key count, so each must arrive at words words: one
+// that does not is an error on every rank, naming the rank that sent it.
+func exchangeOwners(c *spmd.Comm, mine []uint64, words int) (*bloom.Owners, error) {
+	send := make([][]uint64, c.Size())
+	for dst := range send {
+		send[dst] = mine
+	}
+	recv := spmd.Alltoallv(c, send)
+	if bad := spmd.AllreduceI64(c, int64(badSegment(recv, words)), spmd.OpMax); bad >= 0 {
+		return nil, fmt.Errorf("dht: rank %d sent an owner-filter segment that is not the agreed %d words", bad, words)
+	}
+	return bloom.NewOwners(recv), nil
+}
+
+// badSegment returns the first rank whose segment is not words long, or -1.
+func badSegment(segs [][]uint64, words int) int {
+	for src, s := range segs {
+		if len(s) != words {
+			return src
+		}
+	}
+	return -1
 }
 
 // stream walks a rank's reads emitting k-mers (or minimizers) in batches
@@ -351,17 +419,23 @@ func bloomPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config,
 		st.PackVirtual += stats.Price(c, model, float64(parsed*8), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
 	}
+	var seen []uint32 // indices of a batch's keys the filter had seen
 	process := func(recv [][]kmer.Kmer) {
 		t0 := walltime.Now()
 		received := int64(0)
 		for _, batch := range recv {
-			for _, km := range batch {
-				// Serve-mode index: every distinct key gets an entry — a
-				// later query occurrence may be its second sighting.
-				if cfg.KeepSingletons || filter.InsertAndTest(km.Hash()) {
+			received += int64(len(batch))
+			// Serve-mode index: every distinct key gets an entry — a
+			// later query occurrence may be its second sighting.
+			if cfg.KeepSingletons {
+				for _, km := range batch {
 					part.admit(km)
 				}
-				received++
+				continue
+			}
+			seen = filter.InsertAndTestKmers(batch, seen[:0])
+			for _, i := range seen {
+				part.admit(batch[i])
 			}
 		}
 		st.KmersReceived += received
@@ -378,12 +452,19 @@ type occMsg struct {
 	O  Occ
 }
 
-// hashPass streams occurrences to owners, accumulating counts and
-// locations for resident keys. left is as in bloomPass.
-func hashPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, rounds int, left int64,
-	part *Partition) StageStats {
+// routeChunk is how many scanned k-mers the hash pass routes per call of the
+// owner filters' kernel: 10 KiB of keys, occurrences and answers, on pack's
+// stack.
+const routeChunk = 512
 
-	st := StageStats{Rounds: rounds}
+// hashPass streams occurrences to owners, accumulating counts and locations
+// for resident keys, into st. With owner filters (owners non-nil) an
+// occurrence is shipped only if its owner's segment may hold its key; the
+// filters have no false negatives, so every occurrence of a resident key
+// still arrives, in the order it would have. left is as in bloomPass.
+func hashPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, bufs *spmd.RoundBufs, left int64,
+	part *Partition, owners *bloom.Owners, st *StageStats) {
+
 	p := c.Size()
 	str := newStream(reads, cfg.K, cfg.MinimizerWindow)
 	ws := func() float64 { return float64(part.n) * 64 }
@@ -395,25 +476,50 @@ func hashPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, 
 	pack := func(send [][]occMsg) {
 		t0 := walltime.Now()
 		sizeRows(send, cfg, left, 1)
-		parsed := int64(0)
-		for parsed < int64(cfg.MaxKmersPerRound) {
-			ex, ok := str.next()
-			if !ok {
-				break
+		var (
+			keys  [routeChunk]kmer.Kmer
+			occs  [routeChunk]Occ
+			owner [routeChunk]int32
+		)
+		parsed, shipped := int64(0), int64(0)
+		for more := true; more && parsed < int64(cfg.MaxKmersPerRound); {
+			n := 0
+			for n < routeChunk && parsed < int64(cfg.MaxKmersPerRound) {
+				ex, ok := str.next()
+				if more = ok; !ok {
+					break
+				}
+				keys[n], occs[n] = ex.Kmer, MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)
+				n++
+				parsed++
 			}
-			dst := ex.Kmer.Owner(p)
-			send[dst] = append(send[dst], occMsg{Km: ex.Kmer, O: MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)})
-			parsed++
+			if owners != nil {
+				owners.Route(keys[:n], owner[:n])
+			} else {
+				for i, km := range keys[:n] {
+					owner[i] = int32(km.Owner(p))
+				}
+			}
+			for i, dst := range owner[:n] {
+				if dst >= 0 {
+					send[dst] = append(send[dst], occMsg{Km: keys[i], O: occs[i]})
+					shipped++
+				}
+			}
 		}
 		left -= parsed
 		st.KmersParsed += parsed
 		// Full scan priced, as in bloomPass: minimizer selection is not
-		// free even though only the minima travel.
+		// free even though only the minima travel. So is the sender's probe
+		// of the owner filters, one lookup per scanned k-mer.
 		st.LocalVirtual += stats.Price(c, model, float64(str.takeScanned()), machine.RateParse, ws())
+		if owners != nil {
+			st.LocalVirtual += stats.Price(c, model, float64(parsed), machine.RateHTInsert, float64(owners.SizeBytes()))
+		}
 		st.LocalWall += walltime.Since(t0)
 		t0 = walltime.Now()
-		st.BytesPacked += parsed * 16
-		st.PackVirtual += stats.Price(c, model, float64(parsed*16), machine.RatePack, ws())
+		st.BytesPacked += shipped * 16
+		st.PackVirtual += stats.Price(c, model, float64(shipped*16), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
 	}
 	process := func(recv [][]occMsg) {
@@ -431,6 +537,5 @@ func hashPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, 
 		st.LocalVirtual += stats.Price(c, model, float64(received), machine.RateHTInsert, ws())
 		st.LocalWall += walltime.Since(t0)
 	}
-	runRounds(c, &st, bufs, rounds, pack, process)
-	return st
+	runRounds(c, st, bufs, st.Rounds, pack, process)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -578,8 +579,10 @@ func TestIndexFormAllocsIndependentOfKeys(t *testing.T) {
 // TestBuildIndependentOfBloomFP is the written-down reason a change to the
 // Bloom filter (its layout, its hash, its sizing) cannot reach the PAF: a
 // false positive only ever admits a key whose count stays below 2, and the
-// prune removes it. Filters from near-exact to one-in-three-wrong must
-// leave identical partitions and differ only in how much the prune removed.
+// prune removes it. The owner filters are sized at the same rate, and a
+// false positive of theirs only ships an occurrence the owner drops.
+// Filters from near-exact to one-in-three-wrong must leave identical
+// partitions and differ only in how much the prune removed.
 func TestBuildIndependentOfBloomFP(t *testing.T) {
 	seqs := sparseReads(12, 60000)
 	for _, p := range []int{1, 2, 4} {
@@ -588,8 +591,11 @@ func TestBuildIndependentOfBloomFP(t *testing.T) {
 		for _, fp := range []float64{0.001, 0.01, 0.3} {
 			got, stats := buildDistributed(t, seqs, p, 17, 8, Config{BloomFP: fp})
 			n := 0
-			for _, st := range stats {
+			for r, st := range stats {
 				n += st.PrunedSingleton
+				if st.OwnerBits == 0 {
+					t.Errorf("p=%d rank %d: BloomFP %v built no owner filters", p, r, fp)
+				}
 			}
 			pruned[n] = true
 			if want == nil {
@@ -601,5 +607,100 @@ func TestBuildIndependentOfBloomFP(t *testing.T) {
 		if len(want) == 0 || len(pruned) != 3 {
 			t.Errorf("p=%d: %d retained k-mers; pruned-singleton counts %v should differ per FP rate", p, len(want), pruned)
 		}
+	}
+}
+
+// badSegment names the first rank whose segment is not the agreed length,
+// whichever way it is off.
+func TestBadSegment(t *testing.T) {
+	seg := func(n int) []uint64 { return make([]uint64, n) }
+	for _, c := range []struct {
+		name string
+		segs [][]uint64
+		want int
+	}{
+		{"agreed", [][]uint64{seg(16), seg(16), seg(16)}, -1},
+		{"short", [][]uint64{seg(16), seg(8), seg(16)}, 1},
+		{"long", [][]uint64{seg(16), seg(16), seg(24)}, 2},
+		{"empty", [][]uint64{seg(0), seg(16), seg(16)}, 0},
+		{"first of two", [][]uint64{seg(16), seg(15), seg(17)}, 1},
+	} {
+		if got := badSegment(c.segs, 16); got != c.want {
+			t.Errorf("%s: badSegment = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// A rank that sends an owner-filter segment of any other length than the
+// agreed one — short, long or empty — fails the build on every rank with an
+// error naming it, before any rank routes a key through what it sent.
+func TestBadOwnerSegmentFailsEveryRank(t *testing.T) {
+	const p, words, bad = 3, 16, 1
+	for _, sent := range []int{8, 24, 0} {
+		errs := make([]error, p)
+		err := spmd.Run(p, func(c *spmd.Comm) error {
+			mine := make([]uint64, words)
+			if c.Rank() == bad {
+				mine = make([]uint64, sent)
+			}
+			_, errs[c.Rank()] = exchangeOwners(c, mine, words)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("segment of %d words: %v", sent, err)
+		}
+		for r, e := range errs {
+			if e == nil || !strings.Contains(e.Error(), fmt.Sprintf("rank %d sent", bad)) {
+				t.Errorf("segment of %d words: rank %d got %v, want an error naming rank %d", sent, r, e, bad)
+			}
+		}
+	}
+}
+
+// The hash pass ships an occurrence only if its owner's segment may hold the
+// key: every occurrence of a key seen twice (the filters have no false
+// negatives), and of the rest about the filters' false-positive share, while
+// the owner filters fit in the Bloom filter's bits. A serve-mode index keeps
+// every key and ships everything, with no filters.
+func TestOwnerFiltersShipOnlyResidentKeys(t *testing.T) {
+	seqs := sparseReads(14, 200000)
+	counts := map[kmer.Kmer]int64{}
+	for id, s := range seqs {
+		for _, ex := range kmer.ExtractAll(s, 17, uint32(id)) {
+			counts[ex.Kmer]++
+		}
+	}
+	var repeated int64
+	for _, n := range counts {
+		if n > 1 {
+			repeated += n
+		}
+	}
+	for _, p := range []int{1, 2, 4} {
+		_, stats := buildDistributed(t, seqs, p, 17, 8, Config{})
+		var scanned, shipped int64
+		for r, st := range stats {
+			if st.OwnerBits == 0 || st.OwnerBits > st.BloomBits {
+				t.Errorf("p=%d rank %d: owner filters of %d bits, Bloom filter %d", p, r, st.OwnerBits, st.BloomBits)
+			}
+			scanned += st.Hash.KmersParsed
+			shipped += st.Hash.KmersReceived
+		}
+		t.Logf("p=%d: shipped %d of %d scanned occurrences, %d of them of repeated k-mers", p, shipped, scanned, repeated)
+		if shipped < repeated || shipped > repeated+(scanned-repeated)/20 {
+			t.Errorf("p=%d: the hash pass shipped %d of %d occurrences; %d are of repeated k-mers", p, shipped, scanned, repeated)
+		}
+	}
+	_, stats := buildDistributed(t, seqs, 2, 17, 8, Config{KeepSingletons: true})
+	var scanned, shipped int64
+	for r, st := range stats {
+		if st.OwnerBits != 0 {
+			t.Errorf("KeepSingletons rank %d: owner filters of %d bits", r, st.OwnerBits)
+		}
+		scanned += st.Hash.KmersParsed
+		shipped += st.Hash.KmersReceived
+	}
+	if shipped != scanned {
+		t.Errorf("KeepSingletons: shipped %d of %d scanned occurrences", shipped, scanned)
 	}
 }

@@ -19,6 +19,34 @@
 // high-frequency repeat k-mers (count > m). Surviving keys are the
 // "retained" k-mers — the edges of the read-overlap graph.
 //
+// The paper ships every occurrence in Stage 2, although Stage 1 has just
+// learned that most of them are of keys no owner holds. Here they stop at
+// the sender. Between the passes each rank inserts its table keys into its
+// segment of the world's owner filters (bloom.Owners: one split-block
+// segment per rank, all sized alike for the largest table at BloomFP, the
+// size agreed with one AllreduceI64), and one Alltoallv gives every rank
+// every segment. The hash pass's pack scans as before, asks the owner
+// filters about each chunk of scanned k-mers in one kernel call, and
+// appends only the hits: on the two-rank bench workloads 2.0% of the
+// occurrences at 1x coverage, 8.6% at 16x. The output cannot move. A
+// segment has no false negatives, so every occurrence of a resident key is
+// still shipped, in the same (round, source, row) order; the owner's
+// record sees the same stream, and a false positive of the owner filter
+// ships an occurrence find drops, as every occurrence of a non-resident key
+// was before. Rounds still count scanned k-mers, so the round schedule is
+// unchanged too. The owner filters are memory the Bloom filter has just
+// given back: all P segments together take at most its bits — past that
+// the segments shrink and their rate rises, and if those bits cannot hold
+// a block per rank there are no owner filters and every occurrence ships.
+// On the bench workloads they take 1-6% of them. A segment received at any
+// other length than the agreed one fails the build on every rank, naming
+// its sender, before any rank routes a key through it
+// (TestBadOwnerSegmentFailsEveryRank). A KeepSingletons build holds every
+// key, so it builds no owner filters, as it makes no Bloom test. Pricing:
+// the segment build is RateBloomInsert a key, the sender's probe
+// RateHTInsert a scanned k-mer over the segments' bytes, BytesPacked counts
+// what is shipped, the segments included, and the exchange prices itself.
+//
 // Both passes run in memory-limited rounds: ranks agree (via all-reduce) on
 // the global round count and exchange at most MaxKmersPerRound k-mers per
 // rank per round, so the full k-mer bag never resides in memory — the
@@ -91,18 +119,21 @@
 // TCP the frame payloads where the transport read them, back in its pool
 // once process returns, the rank's own column its own send row on both.
 // Neither pass keeps one: the Bloom pass folds keys into the filter and the
-// table, the hash pass copies occurrences into the arena. A build
+// table, the hash pass copies occurrences into the arena. (The owner
+// filters' segments are the exception that proves it: they travel in one
+// blocking Alltoallv, whose received rows are the caller's own.) A build
 // therefore allocates its ring, its filter and its table — in under 500
 // objects and no more bytes when the same reads are cut into more rounds
 // (TestBuildAllocationBudget) — where fresh buffers per round allocated
 // 1.06x every byte shipped.
 //
-// The round is 1<<16 k-mers: a hash-pass round is 1 MiB of records, which
-// is still in cache when the transport sends it and again when the
-// receiver walks it, and the ring is 4 x 1.06 MiB per rank at the default
-// depth. Prototype round sizes on the two-rank loopback-TCP workload of
-// bench/ (a 2 Mb sample at 1x; CPU seconds per run, largest resident set
-// of either process):
+// The round is 1<<16 k-mers: a hash-pass round is at most 1 MiB of
+// records, which is still in cache when the transport sends it and again
+// when the receiver walks it, and the ring is 4 x 1.06 MiB per rank at the
+// default depth. Prototype round sizes on the two-rank loopback-TCP
+// workload of bench/ (a 2 Mb sample at 1x; CPU seconds per run, largest
+// resident set of either process; measured when the hash pass still
+// shipped every occurrence, so its rounds were full):
 //
 //	round   cpu_s   max RSS
 //	1<<19   0.323   59.7 MB   (the previous default; with it, fresh buffers)

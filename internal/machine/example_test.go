@@ -46,8 +46,8 @@ func ExampleNewModelScaled() {
 	}
 	// Output:
 	// platform       modeled s  exchange s  hidden  M align/s   M k-mer/s
-	// Cori (XC40)      0.00889     0.01097     24%      0.791        68.1
-	// Edison (XC30)    0.00937     0.01130     24%      0.751        68.4
-	// Titan (XK7)      0.01217     0.01290     24%      0.578        55.3
-	// AWS              0.04218     0.05053     21%      0.167        12.7
+	// Cori (XC40)      0.00971     0.01164     21%      0.724        68.1
+	// Edison (XC30)    0.01004     0.01183     22%      0.701        68.4
+	// Titan (XK7)      0.01234     0.01299     23%      0.570        55.3
+	// AWS              0.04496     0.05278     19%      0.156        12.7
 }

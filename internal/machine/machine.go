@@ -428,7 +428,7 @@ const (
 	// RateParse: k-mers parsed+hashed from reads per second.
 	RateParse = 8e6
 	// RateBloomInsert: Bloom filter insert-and-test operations per second
-	// (h hash probes and bit updates per op).
+	// (a block's eight bit tests and updates per op).
 	RateBloomInsert = 4e6
 	// RateHTInsert: hash-table occurrence inserts per second (one probe
 	// plus an append; lighter than a Bloom insert-and-test, which is how

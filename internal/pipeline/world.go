@@ -85,10 +85,10 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 	// Stage-end memory samples: Bloom's peak (filter + nascent table +
 	// exchange buffers) was taken inside the build while the filter was
 	// still alive; Hash is the world's footprint now that the table stands,
-	// plus the exchange buffers the pass held until a moment ago. What stays
-	// resident is the world alone.
+	// plus the exchange buffers and the owner filters the pass held until a
+	// moment ago. What stays resident is the world alone.
 	w.rr.MemPeak.Bloom = buildStats.BloomMemBytes
-	w.rr.MemPeak.Hash = w.MemBytes() + buildStats.ExchangeMemBytes
+	w.rr.MemPeak.Hash = w.MemBytes() + buildStats.ExchangeMemBytes + int64(buildStats.OwnerBits/8)
 	residentMemory.WithRank(c.Rank()).Set(w.MemBytes())
 	stageExchangeBytes.With(string(StageBloom)).Add(buildStats.Bloom.BytesPacked)
 	stageExchangeBytes.With(string(StageHash)).Add(buildStats.Hash.BytesPacked)

@@ -65,15 +65,24 @@ type frame struct {
 	Payload []byte
 }
 
-// writeFrame writes one frame to w.
-func writeFrame(w io.Writer, f *frame) error {
+// frameHeader holds one frame header's bytes. A peer connection keeps one
+// for each direction, so a frame read or written mid-world allocates no
+// header: a fresh one would escape through the io.Reader or io.Writer.
+type frameHeader [frameHeaderSize]byte
+
+// writeFrame writes one frame to w, in a header of its own: for
+// formation-time frames, of which a connection sends a few.
+func writeFrame(w io.Writer, f *frame) error { return writeFrameBuf(w, new(frameHeader), f) }
+
+// writeFrameBuf writes one frame to w, encoding its header in hdr.
+func writeFrameBuf(w io.Writer, hdr *frameHeader, f *frame) error {
 	if len(f.Payload) > maxFramePayload {
 		return fmt.Errorf("spmd: frame payload %d exceeds limit %d", len(f.Payload), maxFramePayload)
 	}
-	hdr := wire.U8(wire.U16(make([]byte, 0, frameHeaderSize), frameMagic), uint8(f.Type))
-	hdr = wire.F64(wire.F64(wire.U64(hdr, f.Seq), f.Clock), f.Bytes)
-	hdr = wire.U32(hdr, uint32(len(f.Payload)))
-	if _, err := w.Write(hdr); err != nil {
+	b := wire.U8(wire.U16(hdr[:0], frameMagic), uint8(f.Type))
+	b = wire.F64(wire.F64(wire.U64(b, f.Seq), f.Clock), f.Bytes)
+	b = wire.U32(b, uint32(len(f.Payload)))
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
 	if len(f.Payload) > 0 {
@@ -88,15 +97,14 @@ func writeFrame(w io.Writer, f *frame) error {
 // payload claim above maxControlPayload is refused before it is allocated.
 // The returned payload is freshly allocated and owned by the caller.
 func readFrame(r io.Reader) (frame, error) {
-	return readFrameBuf(r, maxControlPayload, func(n int) []byte { return make([]byte, n) })
+	return readFrameBuf(r, new(frameHeader), maxControlPayload, func(n int) []byte { return make([]byte, n) })
 }
 
-// readFrameBuf reads one frame from r, refusing a payload longer than limit
-// and obtaining the payload buffer from alloc (which must return a length-n
-// slice). The pooled mid-world read path passes maxFramePayload and
-// getFrameBuf.
-func readFrameBuf(r io.Reader, limit uint32, alloc func(n int) []byte) (frame, error) {
-	var hdr [frameHeaderSize]byte
+// readFrameBuf reads one frame from r into hdr, refusing a payload longer
+// than limit and obtaining the payload buffer from alloc (which must return
+// a length-n slice). The pooled mid-world read path passes maxFramePayload
+// and getFrameBuf.
+func readFrameBuf(r io.Reader, hdr *frameHeader, limit uint32, alloc func(n int) []byte) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}

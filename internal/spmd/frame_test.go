@@ -3,6 +3,7 @@ package spmd
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -158,7 +159,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		asked := 0
-		got, err := readFrameBuf(bytes.NewReader(b), uint32(len(b)), func(n int) []byte {
+		got, err := readFrameBuf(bytes.NewReader(b), new(frameHeader), uint32(len(b)), func(n int) []byte {
 			asked += n
 			return make([]byte, n)
 		})
@@ -173,4 +174,33 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("frame re-encoding differs (%v): %x -> %x", err, b, again.Bytes())
 		}
 	})
+}
+
+// A connection's frame headers are its own two scratch arrays: encoding and
+// decoding one allocates nothing (a header made per frame escaped through
+// the io.Writer or io.Reader on every frame, both ways).
+func TestFrameHeaderAllocatesNothing(t *testing.T) {
+	var hdr frameHeader
+	payload := make([]byte, 64)
+	f := &frame{Type: frameColl, Seq: 7, Clock: 0.5, Bytes: 64, Payload: payload}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := writeFrameBuf(io.Discard, &hdr, f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("writing a frame allocated %v times", n)
+	}
+	var buf bytes.Buffer
+	writeFrame(&buf, f)
+	encoded := buf.Bytes()
+	r := bytes.NewReader(encoded)
+	alloc := func(n int) []byte { return payload[:n] }
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(encoded)
+		if _, err := readFrameBuf(r, &hdr, maxFramePayload, alloc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("reading a frame allocated %v times", n)
+	}
 }

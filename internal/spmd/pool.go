@@ -94,11 +94,11 @@ type recvBufRecycler interface {
 	recycleRecvBuf(b []byte)
 }
 
-// readFramePooled reads one mid-world frame: the payload may be as large
-// as a collective's (maxFramePayload) and is drawn from the frame pool
-// instead of a fresh allocation. Only the collective read loop uses it —
+// readFramePooled reads one mid-world frame into hdr, the connection's read
+// header: the payload may be as large as a collective's (maxFramePayload)
+// and is drawn from the frame pool instead of a fresh allocation. Only the collective read loop uses it —
 // formation-time frames (hello, peer table, join) keep plain readFrame and
 // its small cap, since their senders are not yet known to be peers.
-func readFramePooled(r io.Reader) (frame, error) {
-	return readFrameBuf(r, maxFramePayload, getFrameBuf)
+func readFramePooled(r io.Reader, hdr *frameHeader) (frame, error) {
+	return readFrameBuf(r, hdr, maxFramePayload, getFrameBuf)
 }

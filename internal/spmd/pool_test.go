@@ -114,7 +114,7 @@ func TestReadFramePooled(t *testing.T) {
 	reused := false
 	var prev *byte
 	for i := 0; i < rounds; i++ {
-		f, err := readFramePooled(&wire)
+		f, err := readFramePooled(&wire, new(frameHeader))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,6 +67,8 @@ type peerConn struct {
 	conn   net.Conn
 	wmu    sync.Mutex // serializes writes (writer goroutine vs. abort)
 	bw     *bufio.Writer
+	whdr   frameHeader // written under wmu
+	rhdr   frameHeader // the read loop's
 	frames chan peerMsg
 	sendq  chan outFrame
 }
@@ -334,7 +336,7 @@ func (t *tcpTransport) admit(r int, conn net.Conn) error {
 func (p *peerConn) write(f *frame) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	if err := writeFrame(p.bw, f); err != nil {
+	if err := writeFrameBuf(p.bw, &p.whdr, f); err != nil {
 		return err
 	}
 	return p.bw.Flush()
@@ -378,7 +380,7 @@ func (t *tcpTransport) writeLoop(p *peerConn) {
 func (t *tcpTransport) readLoop(p *peerConn) {
 	br := bufio.NewReaderSize(p.conn, 64<<10)
 	for {
-		f, err := readFramePooled(br)
+		f, err := readFramePooled(br, &p.rhdr)
 		var msg peerMsg
 		switch {
 		case err != nil:

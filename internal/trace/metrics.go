@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	rtmetrics "runtime/metrics"
@@ -324,6 +325,7 @@ const (
 	goGoroutines = "go_goroutines"
 	goHeapLive   = "go_heap_live_bytes"
 	goGCCycles   = "go_gc_cycles_total"
+	goGCPause    = "go_gc_pause_seconds"
 )
 
 var runtimeSeries = [...]struct{ name, kind, help, sample string }{
@@ -332,12 +334,20 @@ var runtimeSeries = [...]struct{ name, kind, help, sample string }{
 	{goGCCycles, "counter", "GC cycles completed.", "/gc/cycles/total:gc-cycles"},
 }
 
-// writeRuntime renders the runtime series, in the order of runtimeSeries.
+// gcPauseSample is the runtime's histogram of stop-the-world pauses for
+// the collector, and gcPauseBounds the buckets /metrics folds it into.
+const gcPauseSample = "/sched/pauses/total/gc:seconds"
+
+var gcPauseBounds = [...]float64{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1}
+
+// writeRuntime renders the runtime series, in the order of runtimeSeries,
+// then the GC pause histogram.
 func writeRuntime(w io.Writer) error {
-	var samples [len(runtimeSeries)]rtmetrics.Sample
+	var samples [len(runtimeSeries) + 1]rtmetrics.Sample
 	for i, s := range runtimeSeries {
 		samples[i].Name = s.sample
 	}
+	samples[len(runtimeSeries)].Name = gcPauseSample
 	rtmetrics.Read(samples[:])
 	for i, s := range runtimeSeries {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
@@ -345,7 +355,49 @@ func writeRuntime(w io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	return writeGCPauses(w, samples[len(runtimeSeries)].Value.Float64Histogram())
+}
+
+// writeGCPauses folds the runtime's pause histogram into gcPauseBounds. A
+// runtime bucket counts under the first bound at or above its upper edge,
+// so a bucket's count never understates the pauses up to its bound. The
+// runtime keeps counts, not a sum: _sum adds each bucket's midpoint (its
+// finite edge at the two open ends), so it is off by at most half the width
+// of the runtime's buckets.
+func writeGCPauses(w io.Writer, h *rtmetrics.Float64Histogram) error {
+	var below [len(gcPauseBounds)]uint64
+	var count uint64
+	sum := 0.0
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		for b, bound := range gcPauseBounds {
+			if hi <= bound {
+				below[b] += n
+			}
+		}
+		mid := (lo + hi) / 2
+		switch {
+		case math.IsInf(lo, -1):
+			mid = hi
+		case math.IsInf(hi, 1):
+			mid = lo
+		}
+		sum += float64(n) * mid
+		count += n
+	}
+	if _, err := fmt.Fprintf(w, "# HELP %s Stop-the-world pauses for the garbage collector.\n# TYPE %s histogram\n", goGCPause, goGCPause); err != nil {
+		return err
+	}
+	for b, bound := range gcPauseBounds {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", goGCPause, formatBound(bound), below[b]); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", goGCPause, count, goGCPause, sum, goGCPause, count)
+	return err
 }
 
 // NewObservabilityMux returns an http.Handler exposing /metrics plus

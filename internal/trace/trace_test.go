@@ -226,6 +226,48 @@ func TestMetricsHandlerRuntimeSeries(t *testing.T) {
 	}
 }
 
+// The GC pause histogram is read at scrape time too: after a collection it
+// has at least one pause, its buckets are cumulative and end in _count, and
+// its bounds are the fixed ones, ascending.
+func TestMetricsHandlerGCPauseHistogram(t *testing.T) {
+	runtime.GC()
+	rec := httptest.NewRecorder()
+	MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var les []string
+	var buckets []uint64
+	var count uint64
+	sum := -1.0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		var le string
+		var v uint64
+		switch {
+		case strings.HasPrefix(line, goGCPause+"_bucket{"):
+			if _, err := fmt.Sscanf(strings.TrimPrefix(line, goGCPause+"_bucket{le="), "%q} %d", &le, &v); err != nil {
+				t.Fatalf("unparsable bucket %q: %v", line, err)
+			}
+			les, buckets = append(les, le), append(buckets, v)
+		case strings.HasPrefix(line, goGCPause+"_sum "):
+			fmt.Sscanf(line, goGCPause+"_sum %g", &sum)
+		case strings.HasPrefix(line, goGCPause+"_count "):
+			fmt.Sscanf(line, goGCPause+"_count %d", &count)
+		}
+	}
+	if len(buckets) != len(gcPauseBounds)+1 || les[len(les)-1] != "+Inf" {
+		t.Fatalf("%d buckets ending in le=%v, want the %d bounds and +Inf:\n%s", len(buckets), les, len(gcPauseBounds), rec.Body.String())
+	}
+	for i := range gcPauseBounds {
+		if les[i] != formatBound(gcPauseBounds[i]) || (i > 0 && gcPauseBounds[i] <= gcPauseBounds[i-1]) {
+			t.Errorf("bucket %d is le=%q, bound %v", i, les[i], gcPauseBounds[i])
+		}
+		if buckets[i+1] < buckets[i] {
+			t.Errorf("bucket le=%s holds %d, fewer than le=%s's %d", les[i+1], buckets[i+1], les[i], buckets[i])
+		}
+	}
+	if count < 1 || buckets[len(buckets)-1] != count || sum <= 0 {
+		t.Errorf("after a collection: _count %d, +Inf bucket %d, _sum %g", count, buckets[len(buckets)-1], sum)
+	}
+}
+
 // TestRankEventsCodec: the teardown gather's byte row round-trips every
 // field, and every proper prefix or extension of it is refused.
 func TestRankEventsCodec(t *testing.T) {
