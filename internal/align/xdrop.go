@@ -1,8 +1,10 @@
 package align
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -171,13 +173,25 @@ func (r *reversal) fill(d int) {
 	if r.back {
 		lo, hi = l-to, l-r.done
 	}
-	dst, src := r.dst[lo:hi], r.src[l-hi:l-lo]
-	for p := range dst {
-		dst[p] = src[len(src)-1-p]
-	}
+	reverseInto(r.dst[lo:hi], r.src[l-hi:l-lo])
 	r.done = to
 	if to == l {
 		r.done = math.MaxInt // no antidiagonal asks again
+	}
+}
+
+// reverseInto writes src reversed into dst, which is as long: eight bases a
+// step as one byte-reversed word, the last len%8 one at a time.
+func reverseInto(dst, src []byte) {
+	n := len(src)
+	dst = dst[:n]
+	p := 0
+	for ; p+8 <= n; p += 8 {
+		w := binary.LittleEndian.Uint64(src[n-p-8 : n-p])
+		binary.LittleEndian.PutUint64(dst[p:p+8], bits.ReverseBytes64(w))
+	}
+	for ; p < n; p++ {
+		dst[p] = src[n-1-p]
 	}
 }
 

@@ -346,3 +346,18 @@ func BenchmarkXDropShortExtensions(b *testing.B) {
 	}
 	benchXDrop(b, s, u, 6000, 6000, 17, 7)
 }
+
+// TestReverseInto: the word-at-a-time reversal a flank is built with
+// matches the byte loop at every length around the word size.
+func TestReverseInto(t *testing.T) {
+	src := []byte("ACGTTGCAACCGGTTAGCTAGGATCCATGCATTTAAACCCGG")
+	for n := 0; n <= len(src); n++ {
+		dst := make([]byte, n)
+		reverseInto(dst, src[:n])
+		for p := range dst {
+			if dst[p] != src[n-1-p] {
+				t.Fatalf("n=%d: reversed %q", n, dst)
+			}
+		}
+	}
+}

@@ -285,7 +285,7 @@ func badSegment(segs [][]uint64, words int) int {
 	return -1
 }
 
-// stream walks a rank's reads emitting k-mers (or minimizers) in batches
+// stream walks a rank's reads emitting k-mers (or minimizers) in blocks
 // across rounds. It also counts the k-mers *scanned* to produce what it
 // emits: a minimizer stream still reads every k-mer to find each window's
 // minimum, so local parse time is priced on the scanned count while
@@ -295,7 +295,7 @@ type stream struct {
 	k       int
 	w       int // minimizer window; <=1 streams every k-mer
 	idx     int
-	sc      kmer.Scanner          // over the current read (exact), held by value: no allocation per read
+	sc      kmer.Scanner          // over the current read (exact), reset per read: no allocation per read
 	mz      kmer.MinimizerScanner // over the current read (w > 1), its deque reused across reads
 	inRead  bool
 	scanned int64 // k-mers scanned since the last takeScanned
@@ -314,33 +314,52 @@ func (s *stream) takeScanned() int64 {
 	return n
 }
 
-// next returns the next extracted k-mer, ok=false at end of all reads. A
-// minimizer read is charged its whole scan when it starts.
-func (s *stream) next() (kmer.Extracted, bool) {
-	for {
+// fill writes the stream's next k-mers and their locations into keys and
+// locs, crossing from read to read, and returns how many: len(keys) unless
+// the reads ran out. The records and their order are those of the reads
+// scanned one after another, however the calls cut them. A minimizer read
+// is charged its whole scan when it starts.
+func (s *stream) fill(keys []kmer.Kmer, locs []kmer.Loc) int {
+	n := 0
+	for n < len(keys) {
 		if !s.inRead {
 			if s.idx >= len(s.reads.Seqs) {
-				return kmer.Extracted{}, false
+				break
 			}
 			seq, id := s.reads.Seqs[s.idx], s.reads.IDStart+uint32(s.idx)
 			if s.w > 1 {
 				s.mz.Reset(seq, s.k, s.w, id)
 				s.scanned += int64(kmer.Count(len(seq), s.k))
 			} else {
-				s.sc = *kmer.NewScanner(seq, s.k, id)
+				s.sc.Reset(seq, s.k, id)
 			}
 			s.inRead = true
 			s.idx++
 		}
+		var got int
 		if s.w > 1 {
-			if ex, ok := s.mz.Next(); ok {
-				return ex, true
-			}
-		} else if ex, ok := s.sc.Next(); ok {
-			s.scanned++
-			return ex, true
+			got = s.mz.Fill(keys[n:], locs[n:])
+		} else {
+			got = s.sc.Fill(keys[n:], locs[n:])
+			s.scanned += int64(got)
 		}
-		s.inRead = false
+		// A short fill means the read is done.
+		s.inRead = got == len(keys)-n
+		n += got
+	}
+	return n
+}
+
+// routeChunk is how many k-mers a pass's pack takes from its stream per
+// fill and routes per call of the owner filters' kernel: 10 KiB of keys,
+// locations and owners, on pack's stack.
+const routeChunk = 512
+
+// routeOwners writes the owner rank of each key among p.
+func routeOwners(keys []kmer.Kmer, owner []int32, p int) {
+	owner = owner[:len(keys)]
+	for i, km := range keys {
+		owner[i] = int32(km.Owner(p))
 	}
 }
 
@@ -397,15 +416,23 @@ func bloomPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config,
 	pack := func(send [][]kmer.Kmer) {
 		t0 := walltime.Now()
 		sizeRows(send, cfg, left, 2)
+		var (
+			keys  [routeChunk]kmer.Kmer
+			locs  [routeChunk]kmer.Loc
+			owner [routeChunk]int32
+		)
 		parsed := int64(0)
 		for parsed < int64(cfg.MaxKmersPerRound) {
-			ex, ok := str.next()
-			if !ok {
+			want := int(min(routeChunk, int64(cfg.MaxKmersPerRound)-parsed))
+			n := str.fill(keys[:want], locs[:want])
+			routeOwners(keys[:n], owner[:n], p)
+			for i, dst := range owner[:n] {
+				send[dst] = append(send[dst], keys[i])
+			}
+			parsed += int64(n)
+			if n < want {
 				break
 			}
-			dst := ex.Kmer.Owner(p)
-			send[dst] = append(send[dst], ex.Kmer)
-			parsed++
 		}
 		left -= parsed
 		st.KmersParsed += parsed
@@ -452,11 +479,6 @@ type occMsg struct {
 	O  Occ
 }
 
-// routeChunk is how many scanned k-mers the hash pass routes per call of the
-// owner filters' kernel: 10 KiB of keys, occurrences and answers, on pack's
-// stack.
-const routeChunk = 512
-
 // hashPass streams occurrences to owners, accumulating counts and locations
 // for resident keys, into st. With owner filters (owners non-nil) an
 // occurrence is shipped only if its owner's segment may hold its key; the
@@ -478,33 +500,27 @@ func hashPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config, 
 		sizeRows(send, cfg, left, 1)
 		var (
 			keys  [routeChunk]kmer.Kmer
-			occs  [routeChunk]Occ
+			locs  [routeChunk]kmer.Loc
 			owner [routeChunk]int32
 		)
 		parsed, shipped := int64(0), int64(0)
-		for more := true; more && parsed < int64(cfg.MaxKmersPerRound); {
-			n := 0
-			for n < routeChunk && parsed < int64(cfg.MaxKmersPerRound) {
-				ex, ok := str.next()
-				if more = ok; !ok {
-					break
-				}
-				keys[n], occs[n] = ex.Kmer, MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)
-				n++
-				parsed++
-			}
+		for parsed < int64(cfg.MaxKmersPerRound) {
+			want := int(min(routeChunk, int64(cfg.MaxKmersPerRound)-parsed))
+			n := str.fill(keys[:want], locs[:want])
 			if owners != nil {
 				owners.Route(keys[:n], owner[:n])
 			} else {
-				for i, km := range keys[:n] {
-					owner[i] = int32(km.Owner(p))
-				}
+				routeOwners(keys[:n], owner[:n], p)
 			}
 			for i, dst := range owner[:n] {
 				if dst >= 0 {
-					send[dst] = append(send[dst], occMsg{Km: keys[i], O: occs[i]})
+					send[dst] = append(send[dst], occMsg{Km: keys[i], O: LocOcc(locs[i])})
 					shipped++
 				}
+			}
+			parsed += int64(n)
+			if n < want {
+				break
 			}
 		}
 		left -= parsed

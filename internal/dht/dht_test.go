@@ -704,3 +704,56 @@ func TestOwnerFiltersShipOnlyResidentKeys(t *testing.T) {
 		t.Errorf("KeepSingletons: shipped %d of %d scanned occurrences", shipped, scanned)
 	}
 }
+
+// TestStreamFillCutsAnywhere: a pass's stream, filled in blocks of any
+// length, emits the reads' k-mers (or minimizers) one read after another in
+// read order, with their read IDs, positions and strands — however the
+// fills cut them, so a round's contents depend only on where it stops — and
+// charges every scanned k-mer once.
+func TestStreamFillCutsAnywhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	seqs := randReads(rng, 9, 0, 700)
+	seqs[3] = append(append([]byte(nil), seqs[3]...), 'N', 'A', 'C')
+	seqs = append(seqs, nil, []byte("ACGTNACGT"))
+	reads := LocalReads{Seqs: seqs, IDStart: 40}
+	const k = 13
+	for _, w := range []int{1, 6} {
+		var want []occMsg
+		scanned := int64(0)
+		for i, s := range seqs {
+			id := reads.IDStart + uint32(i)
+			// A minimizer read is charged its whole scan when it starts.
+			exs, charged := kmer.ExtractAll(s, k, id), kmer.Count(len(s), k)
+			if w > 1 {
+				exs = kmer.Minimizers(s, k, w, id)
+			} else {
+				charged = len(exs)
+			}
+			scanned += int64(charged)
+			for _, ex := range exs {
+				want = append(want, occMsg{ex.Kmer, MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)})
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			str := newStream(reads, k, w)
+			var got []occMsg
+			for {
+				n := 1 + rng.Intn([]int{3, 64, 1024}[trial%3])
+				keys, locs := make([]kmer.Kmer, n), make([]kmer.Loc, n)
+				m := str.fill(keys, locs)
+				for i := range m {
+					got = append(got, occMsg{keys[i], LocOcc(locs[i])})
+				}
+				if m < n {
+					break
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("w=%d trial %d: stream emitted %d records, the reads %d, or in another order", w, trial, len(got), len(want))
+			}
+			if s := str.takeScanned(); s != scanned {
+				t.Errorf("w=%d trial %d: stream charged %d scanned k-mers, want %d", w, trial, s, scanned)
+			}
+		}
+	}
+}

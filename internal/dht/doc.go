@@ -52,6 +52,20 @@
 // rank per round, so the full k-mer bag never resides in memory — the
 // paper's streaming design.
 //
+// Both passes scan in blocks. A pass's stream fills a routeChunk (512) of
+// keys and packed locations (kmer.Loc) per call, straight from
+// kmer.Scanner.Fill or, in minimizer mode, MinimizerScanner.Fill, crossing
+// from read to read inside a block; the Bloom pass then takes the block's
+// owners in one loop (routeOwners), and the hash pass asks the owner
+// filters about the whole block in one kernel call and appends only the
+// hits. The blocks cannot move a round's contents: a fill writes the
+// records the reads yield one after another, in read order, however the
+// calls cut them (TestStreamFillCutsAnywhere), and the last fill of a round
+// asks for no more than the MaxKmersPerRound the round has left, so every
+// round stops at the record it stopped at when the stream handed out one
+// k-mer per call. Rows, segments, PAF and every priced count are as they
+// were.
+//
 // A partition is three pointer-free arrays (table.go). The table is an
 // open-addressed, linearly probed []slot, each slot holding its entry
 // inline: the k-mer, the sighting count, and the offset and length of the

@@ -349,11 +349,18 @@ func referenceBuild(store *fastq.ReadStore, p, rank int, cfg Config, perRound in
 	streams := make([][]kmer.Extracted, p)
 	rounds := 0
 	for src := range streams {
-		str := newStream(localReadsOf(store, src), cfg.K, cfg.MinimizerWindow)
-		for ex, ok := str.next(); ok; ex, ok = str.next() {
-			streams[src] = append(streams[src], ex)
-			if ex.Kmer.Owner(p) == rank {
-				ref.insert(ex.Kmer)
+		reads := localReadsOf(store, src)
+		for i, seq := range reads.Seqs {
+			id := reads.IDStart + uint32(i)
+			exs := kmer.ExtractAll(seq, cfg.K, id)
+			if cfg.MinimizerWindow > 1 {
+				exs = kmer.Minimizers(seq, cfg.K, cfg.MinimizerWindow, id)
+			}
+			for _, ex := range exs {
+				streams[src] = append(streams[src], ex)
+				if ex.Kmer.Owner(p) == rank {
+					ref.insert(ex.Kmer)
+				}
 			}
 		}
 		rounds = max(rounds, (len(streams[src])+perRound-1)/perRound)

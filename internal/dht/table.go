@@ -26,6 +26,10 @@ func MakeOcc(read, pos uint32, forward bool) Occ {
 	return Occ{Read: read, PosFlag: pf}
 }
 
+// LocOcc is the occurrence a scanner's location names: kmer.Loc keeps the
+// read in its high half and Occ's PosFlag in its low.
+func LocOcc(l kmer.Loc) Occ { return Occ{Read: uint32(l >> 32), PosFlag: uint32(l)} }
+
 // Pos returns the k-mer's offset within the read.
 func (o Occ) Pos() uint32 { return o.PosFlag >> 1 }
 

@@ -79,12 +79,6 @@ func (km Kmer) Bytes(k int) []byte {
 // used on hot paths. Prefer Bytes(k).
 func (km Kmer) String() string { return fmt.Sprintf("Kmer(%#016x)", uint64(km)) }
 
-// AppendBase shifts the k-mer left by one base and appends code, keeping
-// length k. This is the rolling-extraction step.
-func (km Kmer) AppendBase(code byte, k int) Kmer {
-	return Kmer((uint64(km)<<2 | uint64(code&3)) & mask(k))
-}
-
 // ReverseComplement returns the reverse complement of the k-mer.
 //
 // The 2-bit code was chosen so complementation is XOR with all-ones; the
@@ -156,58 +150,171 @@ type Extracted struct {
 	Occ  Occurrence
 }
 
-// Scanner iterates over the canonical k-mers of a read using rolling
-// extraction: each step shifts one base into the forward k-mer and its
-// complement into the reverse-complement k-mer from the other end; runs
-// are restarted after any non-ACGT byte, so no emitted k-mer spans an
-// ambiguous base.
+// Loc is where a scanned k-mer was read, packed in one word: the read's ID
+// in the high 32 bits and, in the low 32, the offset of the k-mer's first
+// base shifted left once with the strand bit (1 = the canonical form is the
+// read's forward strand) in bit 0.
+type Loc uint64
+
+// Occurrence unpacks l.
+func (l Loc) Occurrence() Occurrence {
+	return Occurrence{ReadID: uint32(l >> 32), Pos: uint32(l) >> 1, Forward: l&1 == 1}
+}
+
+// blockLen is how many k-mers Next buffers per Fill.
+const blockLen = 512
+
+// Scanner extracts the canonical k-mers of a read by rolling extraction:
+// each step shifts one base into the forward k-mer and its complement into
+// the reverse-complement k-mer from the other end; a run restarts after any
+// non-ACGT byte, so no k-mer spans an ambiguous base. Fill scans a block of
+// k-mers per call and resumes where the last call stopped; Next hands out
+// one k-mer at a time from a block Fill buffered in the Scanner. A read is
+// consumed through one or the other, not both.
 type Scanner struct {
-	seq    []byte
-	k      int
-	readID uint32
-	pos    int  // index of the *next* byte to consume
-	run    int  // number of consecutive valid bases ending just before pos
-	cur    Kmer // rolling forward k-mer over the current run
-	rc     Kmer // its reverse complement, once run >= k
+	seq  []byte
+	id   Loc // readID<<32, the high half of every Loc
+	enc  roller
+	pos  int    // index of the next byte to consume
+	run  int    // consecutive valid bases ending just before pos
+	cur  uint64 // rolling forward k-mer over the current run
+	rc   uint64 // its reverse complement, once run >= k
+	at   int    // Next's view: the next unread slot of keys and locs
+	n    int    // and how many of them Fill wrote
+	keys [blockLen]Kmer
+	locs [blockLen]Loc
+}
+
+// roller is what rolling one base in takes at a given k: the forward
+// k-mer's mask, and per base code its complement at the reverse
+// complement's 5' end; and whether the assembly routine takes k (AVX2,
+// 8 <= k <= 31).
+type roller struct {
+	mask uint64
+	rcIn [4]uint64
+	k    int
+	wide bool
 }
 
 // NewScanner returns a Scanner over seq for the given k and read identifier.
 func NewScanner(seq []byte, k int, readID uint32) *Scanner {
-	checkK(k)
-	return &Scanner{seq: seq, k: k, readID: readID}
+	s := new(Scanner)
+	s.Reset(seq, k, readID)
+	return s
 }
 
-// Next returns the next canonical k-mer and its occurrence metadata.
-// ok=false signals the end of the read.
-func (s *Scanner) Next() (ex Extracted, ok bool) {
-	for s.pos < len(s.seq) {
-		code, valid := dna.Code(s.seq[s.pos])
-		s.pos++
-		if !valid {
-			s.run = 0
+// Reset points s at a new read, keeping its block buffer.
+func (s *Scanner) Reset(seq []byte, k int, readID uint32) {
+	checkK(k)
+	s.seq, s.id = seq, Loc(readID)<<32
+	s.enc.mask, s.enc.k, s.enc.wide = mask(k), k, useAVX2 && k >= 8 && k <= 31
+	for c := range s.enc.rcIn {
+		s.enc.rcIn[c] = uint64(3^c) << (2 * uint(k-1))
+	}
+	s.pos, s.run, s.cur, s.rc, s.at, s.n = 0, 0, 0, 0, 0, 0
+}
+
+// Fill writes the read's next canonical k-mers into keys and their
+// locations into locs (which must be at least as long), and returns how many
+// it wrote. It writes len(keys) unless the read runs out first, so a short
+// count means the read is done, and 0 that it already was.
+//
+// The first k-1 bases of a run complete no k-mer and are rolled in one at a
+// time; from there on every valid base completes one, and roll takes them a
+// block at a time, up to the next non-ACGT byte, which restarts the run.
+func (s *Scanner) Fill(keys []Kmer, locs []Loc) int {
+	locs = locs[:len(keys)]
+	enc := &s.enc
+	k := enc.k
+	cur, rc, run := s.cur, s.rc, s.run
+	seq, i, j := s.seq, s.pos, 0
+	for j < len(keys) && i < len(seq) {
+		if run < k-1 {
+			c, _ := dna.Code(seq[i])
+			i++
+			if c > 3 { // not ACGT: dna.Code's 0xFF
+				run = 0
+				continue
+			}
+			cur = (cur<<2 | uint64(c)) & enc.mask
+			// Bases older than k positions shift out of rc's low end, so
+			// stale bits from before a run restart are gone by the time
+			// run reaches k.
+			rc = rc>>2 | enc.rcIn[c]
+			run++
 			continue
 		}
-		s.cur = s.cur.AppendBase(code, s.k)
-		// Bases older than k positions shift out of rc's low end, so stale
-		// bits from before a run restart are gone by the time run reaches k.
-		s.rc = s.rc>>2 | Kmer(3-code)<<(2*uint(s.k-1))
-		s.run++
-		if s.run >= s.k {
-			canon, fwd := s.cur, true
-			if s.rc < s.cur {
-				canon, fwd = s.rc, false
-			}
-			return Extracted{
-				Kmer: canon,
-				Occ: Occurrence{
-					ReadID:  s.readID,
-					Pos:     uint32(s.pos - s.k),
-					Forward: fwd,
-				},
-			}, true
+		chunk := seq[i : i+min(len(seq)-i, len(keys)-j)]
+		var t int
+		t, cur, rc = enc.roll(chunk, keys[j:], locs[j:], cur, rc, s.id+Loc(2*(i+1-k)))
+		i, j, run = i+t, j+t, run+t
+		if t < len(chunk) {
+			i, run = i+1, 0
 		}
 	}
-	return Extracted{}, false
+	s.pos, s.cur, s.rc, s.run = i, cur, rc, run
+	return j
+}
+
+// roll rolls the bases of chunk into cur and rc for as long as they are
+// ACGT, writing the canonical k-mer each completes and its location to keys
+// and locs, and returns how many bases that was with the rolled cur and rc.
+// The run must already hold k-1 bases; l is the location of the k-mer
+// chunk[0] completes. Where the assembly routine takes k, it rolls the
+// leading whole 32-byte windows of ACGT and rollGo the rest.
+func (r *roller) roll(chunk []byte, keys []Kmer, locs []Loc, cur, rc uint64, l Loc) (int, uint64, uint64) {
+	n := 0
+	if r.wide && len(chunk) >= 32 {
+		n, cur, rc = rollAVX2(chunk, keys[:len(chunk)], locs[:len(chunk)], r.k, cur, rc, l)
+	}
+	t, cur, rc := r.rollGo(chunk[n:], keys[n:], locs[n:], cur, rc, l+Loc(2*n))
+	return n + t, cur, rc
+}
+
+// rollGo is roll in Go, the assembly routine's fallback and oracle. The key
+// is min(forward, reverse complement) and the strand bit forward <= reverse
+// complement, so a palindrome reads forward; neither takes a branch. It is
+// a function of its own so that cur and rc stay in registers.
+func (r *roller) rollGo(chunk []byte, keys []Kmer, locs []Loc, cur, rc uint64, l Loc) (int, uint64, uint64) {
+	keys, locs = keys[:len(chunk)], locs[:len(chunk)]
+	for t, b := range chunk {
+		c, _ := dna.Code(b)
+		if c > 3 {
+			return t, cur, rc
+		}
+		cur = (cur<<2 | uint64(c)) & r.mask
+		rc = rc>>2 | r.rcIn[c]
+		var fwd Loc
+		if cur <= rc {
+			fwd = 1
+		}
+		keys[t] = Kmer(min(cur, rc))
+		locs[t] = l + Loc(2*t) | fwd
+	}
+	return len(chunk), cur, rc
+}
+
+// Next returns the next canonical k-mer and its occurrence metadata from
+// the block Fill last buffered, refilling it when it is spent. ok=false
+// signals the end of the read.
+func (s *Scanner) Next() (ex Extracted, ok bool) {
+	i := s.at
+	if i >= s.n {
+		if !s.refill() {
+			return Extracted{}, false
+		}
+		i = 0
+	}
+	s.at = i + 1
+	i &= blockLen - 1 // in range already; the mask spares a bounds check
+	return Extracted{Kmer: s.keys[i], Occ: s.locs[i].Occurrence()}, true
+}
+
+// refill scans the next block into s.keys and s.locs for Next; false means
+// the read is done.
+func (s *Scanner) refill() bool {
+	s.at, s.n = 0, s.Fill(s.keys[:], s.locs[:])
+	return s.n > 0
 }
 
 // Count returns the number of k-mers a read of length n yields when every
@@ -229,11 +336,8 @@ func ExtractAll(seq []byte, k int, readID uint32) []Extracted {
 	if n := Count(len(seq), k); n > 0 {
 		out = make([]Extracted, 0, n)
 	}
-	for {
-		ex, ok := sc.Next()
-		if !ok {
-			return out
-		}
+	for ex, ok := sc.Next(); ok; ex, ok = sc.Next() {
 		out = append(out, ex)
 	}
+	return out
 }

@@ -146,7 +146,7 @@ func TestAppendBaseRolls(t *testing.T) {
 	s := []byte("ACGTACGTA")
 	km := MustPack(s[:k], k)
 	for i := k; i < len(s); i++ {
-		km = km.AppendBase(dna.MustCode(s[i]), k)
+		km = km.appendBase(dna.MustCode(s[i]), k)
 		want := MustPack(s[i-k+1:i+1], k)
 		if km != want {
 			t.Fatalf("rolled k-mer at %d = %q, want %q", i, km.Bytes(k), want.Bytes(k))
@@ -344,4 +344,20 @@ func BenchmarkHash(b *testing.B) {
 		acc ^= Kmer(i).Hash()
 	}
 	_ = acc
+}
+
+func BenchmarkScannerFill(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	seq := randomSeq(rng, 10000)
+	b.SetBytes(int64(len(seq)))
+	var (
+		sc   Scanner
+		keys [512]Kmer
+		locs [512]Loc
+	)
+	for i := 0; i < b.N; i++ {
+		sc.Reset(seq, 17, 0)
+		for sc.Fill(keys[:], locs[:]) == len(keys) {
+		}
+	}
 }

@@ -17,9 +17,10 @@ package kmer
 // across overlapping windows, in read order. w <= 1 streams every k-mer.
 // A read yielding fewer than w k-mers streams its single global minimizer
 // once the read is exhausted, so no read with at least one k-mer is left
-// unrepresented. The sweep keeps a monotone deque of candidates with
-// non-decreasing hash front to back, in a ring that Reset reuses: a
-// scanner held across reads allocates nothing per read.
+// unrepresented. The sweep takes the read's k-mers a block at a time from
+// its Scanner and keeps a monotone deque of candidates with non-decreasing
+// hash front to back, in a ring that Reset reuses: a scanner held across
+// reads allocates nothing per read.
 type MinimizerScanner struct {
 	sc   Scanner
 	w    int
@@ -31,74 +32,88 @@ type MinimizerScanner struct {
 	done bool
 }
 
-// minCand is one deque entry: the i-th k-mer of the read and its hash.
+// minCand is one deque entry: the i-th k-mer of the read, its location and
+// its hash.
 type minCand struct {
-	i  int
-	h  uint64
-	ex Extracted
+	i   int
+	h   uint64
+	km  Kmer
+	loc Loc
 }
 
 // Reset points m at a new read.
 func (m *MinimizerScanner) Reset(seq []byte, k, w int, readID uint32) {
 	w = max(w, 1)
-	ring := m.ring
-	if len(ring) <= w {
+	if len(m.ring) <= w {
 		size := 2
 		for size <= w {
 			size <<= 1
 		}
-		ring = make([]minCand, size)
+		m.ring = make([]minCand, size)
 	}
-	*m = MinimizerScanner{sc: *NewScanner(seq, k, readID), w: w, ring: ring, last: -1}
+	m.sc.Reset(seq, k, readID)
+	m.w, m.head, m.n, m.i, m.last, m.done = w, 0, 0, 0, -1, false
 }
 
-// at returns the deque's j-th candidate from the front.
-func (m *MinimizerScanner) at(j int) *minCand {
-	return &m.ring[(m.head+j)&(len(m.ring)-1)]
-}
-
-// Next returns the read's next minimizer; ok=false signals the end of the
-// read.
-func (m *MinimizerScanner) Next() (Extracted, bool) {
-	for !m.done {
-		ex, ok := m.sc.Next()
-		if !ok {
+// Fill writes the read's next minimizers into keys and their locations
+// into locs, with Scanner.Fill's contract: len(keys) of them unless the
+// read runs out first, so a short count means the read is done. The deque
+// lives in locals while a block is swept.
+func (m *MinimizerScanner) Fill(keys []Kmer, locs []Loc) int {
+	locs = locs[:len(keys)]
+	sc, j := &m.sc, 0
+	ring, wrap, w := m.ring, len(m.ring)-1, m.w
+	for j < len(keys) && !m.done {
+		if sc.at == sc.n && !sc.refill() {
 			m.done = true
-			if m.i > 0 && m.i < m.w {
-				return m.at(0).ex, true // fewer than w k-mers: the global minimizer
+			if m.i > 0 && m.i < w { // fewer than w k-mers: the global minimizer
+				front := &ring[m.head&wrap]
+				keys[j], locs[j] = front.km, front.loc
+				j++
 			}
 			break
 		}
-		h := ex.Kmer.Hash()
-		for m.n > 0 && m.at(m.n-1).h > h {
-			m.n--
+		head, n, i, last, at := m.head, m.n, m.i, m.last, sc.at
+		for ; at < sc.n && j < len(keys); at++ {
+			km := sc.keys[at&(blockLen-1)]
+			h := km.Hash()
+			for n > 0 && ring[(head+n-1)&wrap].h > h {
+				n--
+			}
+			ring[(head+n)&wrap] = minCand{i: i, h: h, km: km, loc: sc.locs[at&(blockLen-1)]}
+			n++
+			if ring[head&wrap].i <= i-w {
+				head, n = head+1, n-1
+			}
+			i++
+			if front := &ring[head&wrap]; i >= w && front.i != last {
+				last = front.i
+				keys[j], locs[j] = front.km, front.loc
+				j++
+			}
 		}
-		*m.at(m.n) = minCand{i: m.i, h: h, ex: ex}
-		m.n++
-		if m.at(0).i <= m.i-m.w {
-			m.head = (m.head + 1) & (len(m.ring) - 1)
-			m.n--
-		}
-		m.i++
-		if front := m.at(0); m.i >= m.w && front.i != m.last {
-			m.last = front.i
-			return front.ex, true
-		}
+		m.head, m.n, m.i, m.last, sc.at = head&wrap, n, i, last, at
 	}
-	return Extracted{}, false
+	return j
 }
 
 // Minimizers returns the (w,k)-minimizer occurrences of seq, as a
 // MinimizerScanner streams them (nil for a read without a k-mer).
 func Minimizers(seq []byte, k, w int, readID uint32) []Extracted {
-	var m MinimizerScanner
+	var (
+		m    MinimizerScanner
+		keys [blockLen]Kmer
+		locs [blockLen]Loc
+		out  []Extracted
+	)
 	m.Reset(seq, k, w, readID)
-	var out []Extracted
-	for ex, ok := m.Next(); ok; ex, ok = m.Next() {
+	for n := m.Fill(keys[:], locs[:]); n > 0; n = m.Fill(keys[:], locs[:]) {
 		if out == nil {
 			out = make([]Extracted, 0, int(float64(Count(len(seq), k))*MinimizerDensity(w))+1)
 		}
-		out = append(out, ex)
+		for i, km := range keys[:n] {
+			out = append(out, Extracted{Kmer: km, Occ: locs[i].Occurrence()})
+		}
 	}
 	return out
 }
@@ -108,11 +123,15 @@ func Minimizers(seq []byte, k, w int, readID uint32) []Extracted {
 // agree on the exchange round count from what each rank will actually
 // stream, instead of overestimating with the full k-mer count.
 func MinimizerCount(seq []byte, k, w int) int {
-	var m MinimizerScanner
+	var (
+		m    MinimizerScanner
+		keys [blockLen]Kmer
+		locs [blockLen]Loc
+	)
 	m.Reset(seq, k, w, 0)
 	n := 0
-	for _, ok := m.Next(); ok; _, ok = m.Next() {
-		n++
+	for c := m.Fill(keys[:], locs[:]); c > 0; c = m.Fill(keys[:], locs[:]) {
+		n += c
 	}
 	return n
 }

@@ -7,9 +7,10 @@ import (
 	"testing/quick"
 )
 
-// naiveMinimizers selects per-window minima by brute force.
+// naiveMinimizers selects per-window minima by brute force over the
+// reference scanner's k-mers.
 func naiveMinimizers(seq []byte, k, w int, readID uint32) []Extracted {
-	kms := ExtractAll(seq, k, readID)
+	kms := referenceExtract(seq, k, readID)
 	if len(kms) == 0 {
 		return nil
 	}

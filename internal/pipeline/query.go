@@ -137,20 +137,20 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	for dst := range send {
 		send[dst] = make([]queryOcc, 0, min(n, n/p+n/(16*p)+32))
 	}
-	var routed int64
+	var (
+		routed int64
+		sc     kmer.Scanner
+		keys   [512]kmer.Kmer
+		locs   [512]kmer.Loc
+	)
 	for j := lo; j < hi; j++ {
-		sc := kmer.NewScanner(batch[j].Seq, cfg.K, base+uint32(j))
-		for {
-			ex, ok := sc.Next()
-			if !ok {
-				break
+		sc.Reset(batch[j].Seq, cfg.K, base+uint32(j))
+		for n := sc.Fill(keys[:], locs[:]); n > 0; n = sc.Fill(keys[:], locs[:]) {
+			for i, km := range keys[:n] {
+				dst := km.Owner(p)
+				send[dst] = append(send[dst], queryOcc{Km: km, O: dht.LocOcc(locs[i])})
 			}
-			dst := ex.Kmer.Owner(p)
-			send[dst] = append(send[dst], queryOcc{
-				Km: ex.Kmer,
-				O:  dht.MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward),
-			})
-			routed++
+			routed += int64(n)
 		}
 	}
 	qs.KmersRouted += routed

@@ -242,7 +242,7 @@ func TestStalledPayloadLosesItsConnection(t *testing.T) {
 	go func() {
 		defer close(served)
 		if conn, err := ln.Accept(); err == nil {
-			s.handleConn(conn)
+			s.handleConn(&frontConn{Conn: conn})
 		}
 	}()
 	client, err := net.Dial("tcp", ln.Addr().String())
@@ -283,6 +283,80 @@ func TestStalledPayloadLosesItsConnection(t *testing.T) {
 	for i := 0; runtime.NumGoroutine() > baseline; i++ {
 		if i == 100 {
 			t.Fatalf("%d goroutines after the connection closed, %d before it opened", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMidFrameConnectionsAreNotEvicted: when every held connection is
+// mid-frame, a connection past the cap is the one closed, and the held ones
+// keep waiting for their payloads.
+func TestMidFrameConnectionsAreNotEvicted(t *testing.T) {
+	defer func(n int) { maxFrontendConns = n }(maxFrontendConns)
+	maxFrontendConns = 2
+	baseline := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{}
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		s.acceptLoop(ln)
+	}()
+	// A header claiming 1 MiB and one byte of it: mid-frame until the
+	// payload timeout.
+	hdr := append(wire.U32(wire.U8(wire.U16(nil, frontendMagic), frameQuery), 1<<20), 0)
+	var held []net.Conn
+	for range maxFrontendConns {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, conn)
+	}
+	for i := 0; ; i++ {
+		s.connMu.Lock()
+		busy := len(s.conns) == maxFrontendConns
+		for _, c := range s.conns {
+			busy = busy && c.idleSince == 0
+		}
+		s.connMu.Unlock()
+		if busy {
+			break
+		}
+		if i == 200 {
+			t.Fatal("the held connections never read their headers")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	extra, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer extra.Close()
+	extra.SetReadDeadline(walltime.Deadline(5 * time.Second))
+	var ne net.Error
+	if _, err := extra.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Errorf("a connection past a cap of mid-frame ones was held: read returned %v", err)
+	}
+	for i, conn := range held {
+		conn.SetReadDeadline(walltime.Deadline(50 * time.Millisecond))
+		if _, err := conn.Read(make([]byte, 1)); !errors.As(err, &ne) || !ne.Timeout() {
+			t.Errorf("mid-frame connection %d was closed: read returned %v", i, err)
+		}
+	}
+	ln.Close()
+	<-accepted
+	s.closeConns()
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the connections closed, %d before", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -477,6 +477,94 @@ func TestGarbageHeaderLosesItsConnection(t *testing.T) {
 	}
 }
 
+// TestConnectAndHoldIsBounded: clients that connect and never send a frame
+// hold at most maxFrontendConns handler goroutines. Each connection past
+// the cap closes the one that has waited longest for a header, so the
+// oldest holders see EOF and the newest stay connected; a well-formed
+// client that arrives after them is served, and once they hang up the
+// goroutines are back to where they were.
+func TestConnectAndHoldIsBounded(t *testing.T) {
+	defer func(n int) { maxFrontendConns = n }(maxFrontendConns)
+	const limit = 4
+	maxFrontendConns = limit
+	indexed, query, _ := splitDataset(t, 7, 3)
+	var paf []byte
+	stats := runServeWorld(t, 2, indexed, serveTestConfig(), Options{
+		Addr: "127.0.0.1:0", MaxBatches: 1, Tenants: []string{"alice"},
+	}, func(addr string) {
+		baseline := runtime.NumGoroutine()
+		var holders []net.Conn
+		defer func() {
+			for _, c := range holders {
+				c.Close()
+			}
+			if paf == nil { // failed before the batch: stop the daemon instead of waiting on it
+				if cl, err := DialTimeout(addr, 5*time.Second); err == nil {
+					cl.Shutdown("alice")
+					cl.Close()
+				}
+			}
+		}()
+		for range limit + 16 {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			holders = append(holders, conn)
+			// One at a time, so that accept order is dial order.
+			for i := 0; ; i++ {
+				s := runtime.NumGoroutine() - baseline
+				if s == min(len(holders), limit) {
+					break
+				}
+				if i == 200 {
+					t.Errorf("%d connections held by %d goroutines above baseline, cap %d", len(holders), s, limit)
+					return
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		for i, conn := range holders {
+			conn.SetReadDeadline(walltime.Deadline(100 * time.Millisecond))
+			_, err := conn.Read(make([]byte, 1))
+			var ne net.Error
+			if timedOut := errors.As(err, &ne) && ne.Timeout(); timedOut != (i >= 16) {
+				t.Errorf("holder %d of %d: read returned %v; want EOF for the 16 oldest, a timeout for the %d newest",
+					i, len(holders), err, limit)
+			}
+		}
+
+		cl, err := DialTimeout(addr, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer cl.Close()
+		res, err := cl.Query("alice", query)
+		if err != nil {
+			t.Errorf("well-formed client after %d holders: %v", len(holders), err)
+			return
+		}
+		paf = res.PAF
+		for _, c := range holders {
+			c.Close()
+		}
+		holders = nil
+		cl.Close()
+		for i := 0; runtime.NumGoroutine() > baseline; i++ {
+			if i == 200 {
+				t.Errorf("%d goroutines after every client hung up, %d before", runtime.NumGoroutine(), baseline)
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	if stats.Served != 1 || len(paf) == 0 {
+		t.Errorf("served %d batches, %d PAF bytes; want 1 batch with rows", stats.Served, len(paf))
+	}
+}
+
 // TestServeMetricsEndpoint reconciles the /metrics scrape against
 // client-observed ground truth: two deterministic bad-tenant rejections
 // (a query and a shutdown request) and two served batches must appear in
@@ -641,7 +729,7 @@ func TestDropConnKeepsAcceptOrder(t *testing.T) {
 	var closed []int
 	s := &server{}
 	for id := 0; id < 4; id++ {
-		s.conns = append(s.conns, &closeLogConn{id: id, log: &closed})
+		s.conns = append(s.conns, &frontConn{Conn: &closeLogConn{id: id, log: &closed}})
 	}
 	s.dropConn(s.conns[1])
 	s.closeConns()

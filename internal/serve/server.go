@@ -238,8 +238,18 @@ type server struct {
 	// conns is a slice, not a map: closeConns walks it, and the serve
 	// package is detmap-audited — connection teardown order stays
 	// deterministic (accept order) rather than map-iteration order.
-	connMu sync.Mutex
-	conns  []net.Conn
+	// idleClock stamps a connection each time it starts waiting for a
+	// frame header, so the smallest stamp has waited longest.
+	connMu    sync.Mutex
+	conns     []*frontConn
+	idleClock uint64
+}
+
+// frontConn is a registered frontend connection.
+type frontConn struct {
+	net.Conn
+	idleSince uint64 // idleClock when it began waiting for a header; 0 mid-frame
+	evicted   bool   // closed to make room for a newer connection
 }
 
 // Serve runs the daemon over w's world. All ranks call it collectively
@@ -506,6 +516,14 @@ func (s *server) admit(req *queryRequest, reqBytes int) (*job, error) {
 	return j, nil
 }
 
+// maxFrontendConns caps the frontend connections held at once, each a
+// handler goroutine and its buffers. A connection past the cap takes the
+// place of the one that has waited longest for a frame header; one that is
+// mid-frame or waiting for an admitted batch is never closed, and when
+// every held connection is, the new one is. It is a variable only so that
+// tests can lower it.
+var maxFrontendConns = 256
+
 // acceptLoop accepts frontend connections until the listener closes.
 func (s *server) acceptLoop(ln net.Listener) {
 	for {
@@ -513,11 +531,56 @@ func (s *server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		s.connMu.Lock()
-		s.conns = append(s.conns, conn)
-		s.connMu.Unlock()
-		go s.handleConn(conn)
+		fc := &frontConn{Conn: conn}
+		if !s.register(fc) {
+			conn.Close()
+			continue
+		}
+		go s.handleConn(fc)
 	}
+}
+
+// register adds fc to the registry as the newest idle connection, first
+// closing the longest-idle held one if the registry is full; false means it
+// was full of connections that are all mid-frame.
+func (s *server) register(fc *frontConn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	s.idleClock++
+	fc.idleSince = s.idleClock
+	if len(s.conns) >= maxFrontendConns {
+		victim := -1
+		for i, c := range s.conns {
+			if c.idleSince != 0 && (victim < 0 || c.idleSince < s.conns[victim].idleSince) {
+				victim = i
+			}
+		}
+		if victim < 0 {
+			return false
+		}
+		s.conns[victim].evicted = true
+		s.conns[victim].Close()
+		s.conns = slices.Delete(s.conns, victim, victim+1)
+	}
+	s.conns = append(s.conns, fc)
+	return true
+}
+
+// idle marks fc as waiting for a frame header, the newest to do so.
+func (s *server) idle(fc *frontConn) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	s.idleClock++
+	fc.idleSince = s.idleClock
+}
+
+// busy marks fc as mid-frame, past eviction; false means it was evicted
+// while its header arrived.
+func (s *server) busy(fc *frontConn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	fc.idleSince = 0
+	return !fc.evicted
 }
 
 func (s *server) closeConns() {
@@ -531,10 +594,10 @@ func (s *server) closeConns() {
 
 // dropConn removes one connection from the registry, preserving the
 // accept order of the rest (closeConns' teardown order).
-func (s *server) dropConn(conn net.Conn) {
+func (s *server) dropConn(fc *frontConn) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
-	if i := slices.Index(s.conns, conn); i >= 0 {
+	if i := slices.Index(s.conns, fc); i >= 0 {
 		s.conns = slices.Delete(s.conns, i, i+1)
 	}
 }
@@ -547,7 +610,7 @@ var frontendPayloadTimeout = 30 * time.Second
 
 // handleConn serves one client connection: a sequence of query (or
 // shutdown) frames, each answered in order.
-func (s *server) handleConn(conn net.Conn) {
+func (s *server) handleConn(conn *frontConn) {
 	defer func() {
 		conn.Close()
 		s.dropConn(conn)
@@ -555,7 +618,9 @@ func (s *server) handleConn(conn net.Conn) {
 	refuse := func(err error) error {
 		return writeFrontendFrame(conn, frameErr, errorResponse{Code: errCode(err), Msg: err.Error()}.encode())
 	}
-	for {
+	// Only while it waits for a header may a newer connection take its
+	// place: register stamps it idle, and so does the end of every frame.
+	for ; ; s.idle(conn) {
 		// A connection may sit idle between frames (a closed-loop client
 		// holds it open between queries), but once a header is in, the
 		// payload it announced must follow within frontendPayloadTimeout.
@@ -570,6 +635,9 @@ func (s *server) handleConn(conn net.Conn) {
 				io.Copy(io.Discard, conn)
 			}
 			return // closed or malformed; nothing sane to answer
+		}
+		if !s.busy(conn) {
+			return
 		}
 		conn.SetReadDeadline(walltime.Deadline(frontendPayloadTimeout))
 		body, err := readFrontendPayload(conn, plen)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dibella/internal/wire"
 )
@@ -194,10 +195,12 @@ func scrapeRuntime(t *testing.T) map[string]uint64 {
 }
 
 // The runtime series are read at scrape time: 64 goroutines parked on a
-// channel raise go_goroutines by at least 64, and a collection raises
-// go_gc_cycles_total and leaves go_heap_live_bytes non-zero.
+// channel count in go_goroutines until they are released, and a collection
+// raises go_gc_cycles_total and leaves go_heap_live_bytes non-zero. The
+// goroutine count is compared with a scrape taken after the parked ones
+// exit, not one taken before they start: a goroutine an earlier test left
+// may exit in between, and only the 64 are this test's to count.
 func TestMetricsHandlerRuntimeSeries(t *testing.T) {
-	before := scrapeRuntime(t)
 	release := make(chan struct{})
 	var parked, done sync.WaitGroup
 	for range 64 {
@@ -213,11 +216,16 @@ func TestMetricsHandlerRuntimeSeries(t *testing.T) {
 	during := scrapeRuntime(t)
 	close(release)
 	done.Wait()
-	if during[goGoroutines] < before[goGoroutines]+64 {
-		t.Errorf("%s %d with 64 goroutines parked, %d before", goGoroutines, during[goGoroutines], before[goGoroutines])
-	}
 	runtime.GC()
 	after := scrapeRuntime(t)
+	// done.Wait returns before the last of them has exited.
+	for i := 0; int64(during[goGoroutines])-int64(after[goGoroutines]) < 64 && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		after = scrapeRuntime(t)
+	}
+	if int64(during[goGoroutines])-int64(after[goGoroutines]) < 64 {
+		t.Errorf("%s %d with 64 goroutines parked, %d once they exited", goGoroutines, during[goGoroutines], after[goGoroutines])
+	}
 	if after[goGCCycles] <= during[goGCCycles] {
 		t.Errorf("%s %d after a collection, %d before", goGCCycles, after[goGCCycles], during[goGCCycles])
 	}
