@@ -1,18 +1,8 @@
 package main
 
-// The analyzer framework: diagnostics, the //lint:ignore suppression
-// convention, and the type-resolution helpers shared by the analyzers.
-//
-// Suppression: a diagnostic is suppressed by
-//
-//	//lint:ignore <analyzer> <reason>
-//
-// on the flagged line or on the line directly above it. The reason is
-// mandatory — a suppression without one is itself reported (analyzer
-// "suppress") and does not suppress anything. A well-formed directive
-// that matches no diagnostic is stale — the code it excused has been
-// fixed or moved — and is reported too, so suppressions cannot outlive
-// their findings.
+// The analyzer framework: diagnostics, the per-package driver, and the
+// type-resolution helpers shared by the analyzers. There is no
+// suppression directive: the gate's contract is zero findings.
 
 import (
 	"fmt"
@@ -20,18 +10,15 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	// Suppressed carries the //lint:ignore reason when one applied.
-	Suppressed string `json:"suppressed,omitempty"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // Analyzer is one static check over a type-checked package. Run also
@@ -50,86 +37,21 @@ func allAnalyzers() []*Analyzer {
 	return []*Analyzer{spmdorderAnalyzer, detmapAnalyzer, collecterrAnalyzer, tracenameAnalyzer}
 }
 
-// suppression is one parsed //lint:ignore directive.
-type suppression struct {
-	analyzer string
-	reason   string
-	pos      token.Pos
-	used     bool
-}
-
-// collectSuppressions parses every //lint:ignore directive in the package,
-// keyed by file and line. Malformed directives (no analyzer, or no reason)
-// are reported immediately.
-func collectSuppressions(p *Pkg, report reporter) map[string]map[int]*suppression {
-	sups := make(map[string]map[int]*suppression)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					report(c.Pos(), "malformed //lint:ignore: need an analyzer name and a reason")
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				byLine := sups[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]*suppression)
-					sups[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = &suppression{analyzer: fields[0], reason: strings.Join(fields[1:], " "), pos: c.Pos()}
-			}
-		}
-	}
-	return sups
-}
-
-// runAnalyzers runs the given analyzers over one package, applies
-// suppressions, and returns all diagnostics (suppressed ones carry the
-// reason and do not fail the run). A directive that suppressed nothing
-// is reported as stale.
+// runAnalyzers runs the given analyzers over one package and returns
+// their diagnostics sorted by position.
 func runAnalyzers(p *Pkg, prog *Program, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	reportAs := func(name string) reporter {
-		return func(pos token.Pos, format string, args ...any) {
+	for _, a := range analyzers {
+		a.Run(p, prog, cfg, func(pos token.Pos, format string, args ...any) {
 			position := p.Fset.Position(pos)
 			diags = append(diags, Diagnostic{
-				Analyzer: name,
+				Analyzer: a.Name,
 				File:     position.Filename,
 				Line:     position.Line,
 				Col:      position.Column,
 				Message:  fmt.Sprintf(format, args...),
 			})
-		}
-	}
-	sups := collectSuppressions(p, reportAs("suppress"))
-	for _, a := range analyzers {
-		a.Run(p, prog, cfg, reportAs(a.Name))
-	}
-	for i := range diags {
-		d := &diags[i]
-		if d.Analyzer == "suppress" {
-			continue
-		}
-		for _, line := range []int{d.Line, d.Line - 1} {
-			if s, ok := sups[d.File][line]; ok && s.analyzer == d.Analyzer {
-				d.Suppressed = s.reason
-				s.used = true
-				break
-			}
-		}
-	}
-	reportStale := reportAs("suppress")
-	for _, byLine := range sups {
-		for _, s := range byLine {
-			if !s.used {
-				reportStale(s.pos, "//lint:ignore %s suppresses nothing: the finding it excused is gone, remove the stale directive", s.analyzer)
-			}
-		}
+		})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

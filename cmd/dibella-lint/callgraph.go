@@ -24,13 +24,15 @@ type declInfo struct {
 	decl *ast.FuncDecl
 	fn   *types.Func
 	key  string
+	// sites are the body's collective sites from the fixpoint's last
+	// sweep, which ran under the final summaries: what spmdorder reports.
+	sites []collectiveSite
 }
 
 // Program indexes every loaded package for interprocedural analysis.
 type Program struct {
 	cfg       *Config
 	decls     []*declInfo
-	byDecl    map[*ast.FuncDecl]*declInfo
 	summaries map[string]*FuncSummary
 }
 
@@ -41,7 +43,6 @@ type Program struct {
 func NewProgram(pkgs []*Pkg, cfg *Config) *Program {
 	prog := &Program{
 		cfg:       cfg,
-		byDecl:    make(map[*ast.FuncDecl]*declInfo),
 		summaries: make(map[string]*FuncSummary),
 	}
 	for _, p := range pkgs {
@@ -52,7 +53,6 @@ func NewProgram(pkgs []*Pkg, cfg *Config) *Program {
 			}
 			d := &declInfo{pkg: p, decl: fd, fn: fn, key: funcKey(fn)}
 			prog.decls = append(prog.decls, d)
-			prog.byDecl[fd] = d
 			// Start from the empty summary: the fixpoint only ever adds
 			// facts, so initializing low keeps every pass monotone.
 			prog.summaries[d.key] = &FuncSummary{}
@@ -60,16 +60,6 @@ func NewProgram(pkgs []*Pkg, cfg *Config) *Program {
 	}
 	prog.solve()
 	return prog
-}
-
-// declOf returns the index entry of a declaration (nil when it has no
-// type-checked function object).
-func (prog *Program) declOf(p *Pkg, fd *ast.FuncDecl) *declInfo {
-	d := prog.byDecl[fd]
-	if d != nil && d.pkg == p {
-		return d
-	}
-	return nil
 }
 
 // SummaryOf returns the summary for fn, or nil when fn was not declared
@@ -98,12 +88,15 @@ func funcKey(fn *types.Func) string {
 // changes. Each field only grows (bools flip false→true, bit sets gain
 // bits, the chain is written once), so termination is immediate from
 // monotonicity; the iteration count is bounded by the call-graph depth.
+// The last sweep changes nothing, so every declaration's sites were
+// last computed under the final summaries.
 func (prog *Program) solve() {
 	for changed := true; changed; {
 		changed = false
 		for _, d := range prog.decls {
 			old := prog.summaries[d.key]
-			next := computeSummary(prog, d)
+			var next *FuncSummary
+			next, d.sites = computeSummary(prog, d)
 			if old.Collects {
 				// The chain is diagnostic garnish; freezing it at first
 				// discovery keeps recursive cycles from growing it forever.

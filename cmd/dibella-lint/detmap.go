@@ -19,9 +19,9 @@ package main
 //   - a sort.* / slices.Sort* call follows the loop in the same function
 //     (the collect-then-sort idiom).
 //
-// Both are heuristics (a later sort of something unrelated also passes);
-// they are deliberately cheap to reason about, and the //lint:ignore
-// escape hatch covers what they cannot see.
+// Both are heuristics (a later sort of something unrelated also passes),
+// deliberately cheap to reason about. What they cannot see is rewritten
+// (collect, then sort) or taught to the analyzer with a fixture.
 //
 // The same analyzer bans time.Now and math/rand in audited packages:
 // wall-clock accounting must go through internal/walltime, whose opaque

@@ -3,9 +3,7 @@ package main
 // Table-driven fixture tests. Each package under testdata/src encodes its
 // expected diagnostics as comments:
 //
-//	// want <analyzer>:"substring"      unsuppressed diagnostic on this line
-//	// wantsup <analyzer>:"substring"   suppressed diagnostic on this line
-//	// want(-1) <analyzer>:"substring"  diagnostic one line above
+//	// want <analyzer>:"substring"
 //
 // The fixtures are real compiled packages, loaded through the same
 // go list / export-data path as production runs and importing the real
@@ -16,7 +14,6 @@ package main
 
 import (
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,15 +21,14 @@ import (
 const fixtureBase = "dibella/cmd/dibella-lint/testdata/src/"
 
 type expectation struct {
-	file       string
-	line       int
-	analyzer   string
-	substr     string
-	suppressed bool
-	matched    bool
+	file     string
+	line     int
+	analyzer string
+	substr   string
+	matched  bool
 }
 
-var wantRe = regexp.MustCompile(`^//\s*want(sup)?(?:\((-?\d+)\))?\s+(\w+):"([^"]*)"`)
+var wantRe = regexp.MustCompile(`^//\s*want\s+(\w+):"([^"]*)"`)
 
 // collectExpectations parses the // want comments of a loaded package.
 func collectExpectations(t *testing.T, p *Pkg) []*expectation {
@@ -46,19 +42,11 @@ func collectExpectations(t *testing.T, p *Pkg) []*expectation {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
-				offset := 0
-				if m[2] != "" {
-					var err error
-					if offset, err = strconv.Atoi(m[2]); err != nil {
-						t.Fatalf("%s:%d: bad want offset %q", pos.Filename, pos.Line, m[2])
-					}
-				}
 				wants = append(wants, &expectation{
-					file:       pos.Filename,
-					line:       pos.Line + offset,
-					analyzer:   m[3],
-					substr:     m[4],
-					suppressed: m[1] == "sup",
+					file:     pos.Filename,
+					line:     pos.Line,
+					analyzer: m[1],
+					substr:   m[2],
 				})
 			}
 		}
@@ -75,9 +63,6 @@ func claim(wants []*expectation, d Diagnostic) bool {
 		if !strings.Contains(d.Message, w.substr) {
 			continue
 		}
-		if w.suppressed != (d.Suppressed != "") {
-			continue
-		}
 		w.matched = true
 		return true
 	}
@@ -86,7 +71,7 @@ func claim(wants []*expectation, d Diagnostic) bool {
 
 func TestFixtures(t *testing.T) {
 	// primary is the analyzer the fixture exists to exercise: it must
-	// produce at least one unsuppressed diagnostic there. "" marks a
+	// produce at least one diagnostic there. "" marks a
 	// support package (helpers a cross-package fixture calls into) that
 	// only has to stay clean.
 	fixtures := []struct {
@@ -133,33 +118,29 @@ func TestFixtures(t *testing.T) {
 				t.Fatalf("fixture %s declares no expectations", p.ImportPath)
 			}
 			// Every primary fixture must show its analyzer both catching
-			// a violation (unsuppressed want) and letting clean code pass
+			// a violation (a want) and letting clean code pass
 			// (the Good* functions, checked by the unexpected-diagnostic
 			// loop below).
 			if primary != "" {
 				caught := false
 				for _, w := range wants {
-					caught = caught || w.analyzer == primary && !w.suppressed
+					caught = caught || w.analyzer == primary
 				}
 				if !caught {
-					t.Errorf("fixture %s has no unsuppressed %s expectation", p.ImportPath, primary)
+					t.Errorf("fixture %s has no %s expectation", p.ImportPath, primary)
 				}
 			}
 
 			diags := runAnalyzers(p, prog, cfg, allAnalyzers())
 			for _, d := range diags {
 				if !claim(wants, d) {
-					t.Errorf("unexpected diagnostic %s:%d: %s: %s (suppressed=%q)",
-						d.File, d.Line, d.Analyzer, d.Message, d.Suppressed)
+					t.Errorf("unexpected diagnostic %s:%d: %s: %s",
+						d.File, d.Line, d.Analyzer, d.Message)
 				}
 			}
 			for _, w := range wants {
 				if !w.matched {
-					kind := "diagnostic"
-					if w.suppressed {
-						kind = "suppressed diagnostic"
-					}
-					t.Errorf("missing %s at %s:%d: %s:%q", kind, w.file, w.line, w.analyzer, w.substr)
+					t.Errorf("missing diagnostic at %s:%d: %s:%q", w.file, w.line, w.analyzer, w.substr)
 				}
 			}
 		})

@@ -1,9 +1,9 @@
 package main
 
-// Package loading without golang.org/x/tools: packages are enumerated
-// with `go list -json`, their dependencies' type information comes from
-// the compiler's export data (`go list -deps -export -json` builds and
-// names the export files), and each audited package is parsed and
+// Package loading without golang.org/x/tools: one `go list -deps
+// -export -json` enumerates the audited packages (its DepOnly: false
+// entries) and builds and names the compiler export data of their whole
+// dependency closure; each audited package is then parsed and
 // type-checked from source against that export data. This gives the
 // analyzers full go/types resolution using only the standard library.
 
@@ -39,16 +39,15 @@ type listedPkg struct {
 	GoFiles    []string
 	Export     string
 	Standard   bool
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// goList runs `go list` with the given flags and patterns and decodes the
-// JSON package stream.
-func goList(flags []string, patterns []string) ([]listedPkg, error) {
-	args := append([]string{"list"}, flags...)
-	args = append(args, "--")
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -deps -export -json` over patterns and decodes
+// the package stream: the matched packages and their dependencies, with
+// export data built for each.
+func goList(patterns []string) ([]listedPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json", "--"}, patterns...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -64,28 +63,12 @@ func goList(flags []string, patterns []string) ([]listedPkg, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("go list %v: decoding output: %v", patterns, err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// exportMap builds import path → export data file for the full dependency
-// closure of patterns, compiling as needed.
-func exportMap(patterns []string) (map[string]string, error) {
-	pkgs, err := goList([]string{"-deps", "-export", "-json"}, patterns)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
 		if p.Error != nil {
 			return nil, fmt.Errorf("load %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if p.Export != "" {
-			m[p.ImportPath] = p.Export
-		}
+		pkgs = append(pkgs, p)
 	}
-	return m, nil
+	return pkgs, nil
 }
 
 // exportImporter resolves imports from compiler export data.
@@ -130,21 +113,20 @@ func typecheckDir(fset *token.FileSet, importPath, dir string, goFiles []string,
 // loadPackages loads every package matching patterns, type-checked and
 // ready for analysis.
 func loadPackages(patterns []string) ([]*Pkg, error) {
-	targets, err := goList([]string{"-json"}, patterns)
+	listed, err := goList(patterns)
 	if err != nil {
 		return nil, err
 	}
-	exports, err := exportMap(patterns)
-	if err != nil {
-		return nil, err
+	exports := make(map[string]string, len(listed))
+	for _, l := range listed {
+		if l.Export != "" {
+			exports[l.ImportPath] = l.Export
+		}
 	}
 	fset := token.NewFileSet()
 	var pkgs []*Pkg
-	for _, t := range targets {
-		if t.Error != nil {
-			return nil, fmt.Errorf("load %s: %s", t.ImportPath, t.Error.Err)
-		}
-		if t.Standard || len(t.GoFiles) == 0 {
+	for _, t := range listed {
+		if t.DepOnly || t.Standard || len(t.GoFiles) == 0 {
 			continue
 		}
 		p, err := typecheckDir(fset, t.ImportPath, t.Dir, t.GoFiles, exports)

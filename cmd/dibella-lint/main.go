@@ -11,19 +11,17 @@
 //
 // Usage:
 //
-//	dibella-lint [-json] [-sarif file] [packages ...]
+//	dibella-lint [-sarif file] [packages ...]
 //
 // Packages default to ./... and use `go list` syntax. spmdorder reasons
 // over an interprocedural engine: whole-run call-graph summaries computed
-// to a fixpoint over every loaded package (see docs/LINT.md).
-// Diagnostics are suppressed per line with
-// `//lint:ignore <analyzer> <reason>` (reason mandatory); a directive
-// that suppresses nothing is itself reported as stale. Exit status:
-// 0 clean, 1 diagnostics, 2 load failure.
+// to a fixpoint over every loaded package (see docs/LINT.md). There is
+// no suppression: a finding is fixed in the code, or, if it is a false
+// positive, in the analyzer. Exit status: 0 clean, 1 diagnostics, 2 load
+// failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,11 +29,9 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	showSuppressed := flag.Bool("suppressed", false, "also print suppressed diagnostics (with their reasons)")
 	sarifOut := flag.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to `file`")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dibella-lint [-json] [-suppressed] [-sarif file] [packages ...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dibella-lint [-sarif file] [packages ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -69,39 +65,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-
-	failing := 0
-	var shown []Diagnostic
 	for _, d := range all {
-		if d.Suppressed == "" {
-			failing++
-			shown = append(shown, d)
-		} else if *showSuppressed {
-			shown = append(shown, d)
-		}
+		fmt.Printf("%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if shown == nil {
-			shown = []Diagnostic{}
-		}
-		if err := enc.Encode(shown); err != nil {
-			fmt.Fprintf(os.Stderr, "dibella-lint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range shown {
-			suffix := ""
-			if d.Suppressed != "" {
-				suffix = fmt.Sprintf(" (suppressed: %s)", d.Suppressed)
-			}
-			fmt.Printf("%s:%d:%d: %s: %s%s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message, suffix)
-		}
-	}
-	if failing > 0 {
-		fmt.Fprintf(os.Stderr, "dibella-lint: %d diagnostic(s)\n", failing)
+	if len(all) > 0 {
+		fmt.Fprintf(os.Stderr, "dibella-lint: %d diagnostic(s)\n", len(all))
 		os.Exit(1)
 	}
 }

@@ -1,10 +1,7 @@
 package main
 
 // SARIF 2.1.0 output for GitHub code scanning: the CI lint job uploads
-// the log so diagnostics annotate pull requests inline. Suppressed
-// diagnostics are included with their //lint:ignore reason as an
-// in-source suppression, so code scanning shows them as dismissed
-// rather than open.
+// the log so diagnostics annotate pull requests inline.
 
 import (
 	"encoding/json"
@@ -43,11 +40,10 @@ type sarifText struct {
 }
 
 type sarifResult struct {
-	RuleID       string             `json:"ruleId"`
-	Level        string             `json:"level"`
-	Message      sarifText          `json:"message"`
-	Locations    []sarifLocation    `json:"locations"`
-	Suppressions []sarifSuppression `json:"suppressions,omitempty"`
+	RuleID    string          `json:"ruleId"`
+	Level     string          `json:"level"`
+	Message   sarifText       `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifLocation struct {
@@ -68,19 +64,11 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-type sarifSuppression struct {
-	Kind          string `json:"kind"`
-	Justification string `json:"justification,omitempty"`
-}
-
-// writeSARIF writes all diagnostics (suppressed included) as one SARIF
-// run. File paths are made repo-relative so code scanning can map them.
+// writeSARIF writes all diagnostics as one SARIF run, one rule per
+// analyzer. File paths are made repo-relative so code scanning can map them.
 func writeSARIF(path string, analyzers []*Analyzer, diags []Diagnostic) error {
 	cwd, _ := os.Getwd()
-	rules := []sarifRule{{
-		ID:               "suppress",
-		ShortDescription: sarifText{Text: "malformed or stale //lint:ignore directives"},
-	}}
+	rules := make([]sarifRule, 0, len(analyzers))
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
 	}
@@ -92,7 +80,7 @@ func writeSARIF(path string, analyzers []*Analyzer, diags []Diagnostic) error {
 				uri = rel
 			}
 		}
-		r := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:  d.Analyzer,
 			Level:   "error",
 			Message: sarifText{Text: d.Message},
@@ -100,11 +88,7 @@ func writeSARIF(path string, analyzers []*Analyzer, diags []Diagnostic) error {
 				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(uri)},
 				Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Col},
 			}}},
-		}
-		if d.Suppressed != "" {
-			r.Suppressions = []sarifSuppression{{Kind: "inSource", Justification: d.Suppressed}}
-		}
-		results = append(results, r)
+		})
 	}
 	log := sarifLog{
 		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",

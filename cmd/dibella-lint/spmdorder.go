@@ -37,14 +37,14 @@ var spmdorderAnalyzer = &Analyzer{
 	Run:  runSpmdorder,
 }
 
-func runSpmdorder(p *Pkg, prog *Program, cfg *Config, report reporter) {
-	for _, fd := range funcDecls(p) {
-		d := prog.declOf(p, fd)
-		if d == nil {
+// runSpmdorder reports from the sites the program fixpoint left on each
+// declaration; it derives nothing itself.
+func runSpmdorder(p *Pkg, prog *Program, _ *Config, report reporter) {
+	for _, d := range prog.decls {
+		if d.pkg != p {
 			continue
 		}
-		labels := funcLabels(prog, d)
-		for _, site := range funcCollectiveSites(prog, d, labels) {
+		for _, site := range d.sites {
 			if site.mask&rankBit == 0 {
 				continue
 			}

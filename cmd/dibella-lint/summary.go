@@ -328,9 +328,10 @@ func funcDisplayName(fn *types.Func) string {
 	return name
 }
 
-// computeSummary evaluates one function's summary under the current
-// program summaries (one step of the fixpoint in Program.solve).
-func computeSummary(prog *Program, d *declInfo) *FuncSummary {
+// computeSummary evaluates one function's summary, and the collective
+// sites it was derived from, under the current program summaries (one
+// step of the fixpoint in Program.solve).
+func computeSummary(prog *Program, d *declInfo) (*FuncSummary, []collectiveSite) {
 	labels := funcLabels(prog, d)
 	ctx := &labelCtx{info: d.pkg.Info, cfg: prog.cfg, prog: prog, labels: labels}
 	s := &FuncSummary{}
@@ -361,7 +362,8 @@ func computeSummary(prog *Program, d *declInfo) *FuncSummary {
 	})
 
 	// Collectives and what guards them.
-	for _, site := range funcCollectiveSites(prog, d, labels) {
+	sites := funcCollectiveSites(prog, d, labels)
+	for _, site := range sites {
 		if !site.argFlow && !s.Collects {
 			s.Collects = true
 			s.CollectChain = site.name
@@ -376,5 +378,5 @@ func computeSummary(prog *Program, d *declInfo) *FuncSummary {
 			}
 		}
 	}
-	return s
+	return s, sites
 }

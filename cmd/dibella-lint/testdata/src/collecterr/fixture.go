@@ -46,10 +46,3 @@ func GoodTeardown(tr spmd.Transport) {
 	defer tr.Close()
 	tr.Abort()
 }
-
-// SuppressedDrop documents why the decision is ignorable here; the
-// diagnostic is emitted but suppressed.
-func SuppressedDrop(c *spmd.Comm, v spmd.CommitVote) {
-	//lint:ignore collecterr fixture exercising the suppression path
-	spmd.AgreeCommit(c, v) // wantsup collecterr:"commit decision"
-}

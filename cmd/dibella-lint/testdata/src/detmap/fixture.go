@@ -54,14 +54,3 @@ func GoodSetInsert(m map[string]int) map[string]bool {
 	}
 	return seen
 }
-
-// SuppressedRange documents why order cannot matter here; the diagnostic
-// is emitted but suppressed.
-func SuppressedRange(m map[string]int) []string {
-	var out []string
-	//lint:ignore detmap caller treats the result as an unordered set
-	for k := range m { // wantsup detmap:"map iteration order"
-		out = append(out, k)
-	}
-	return out
-}

@@ -62,21 +62,3 @@ func GoodRankLocalLoop(c *spmd.Comm) int {
 	}
 	return sum
 }
-
-// SuppressedHelper shows the interprocedural finding riding the same
-// suppression machinery as the direct ones.
-func SuppressedHelper(c *spmd.Comm) {
-	if c.Rank() == 0 {
-		//lint:ignore spmdorder fixture exercising suppression of a via-helper finding
-		helpers.DoExchange(c, 2) // wantsup spmdorder:"helpers.DoExchange"
-	}
-}
-
-// StaleDirective carries a well-formed directive that excuses nothing:
-// the barrier below is unconditional, so the directive itself is
-// reported (as analyzer "suppress", which cannot be suppressed).
-func StaleDirective(c *spmd.Comm) {
-	//lint:ignore spmdorder this barrier used to be rank-guarded
-	// want(-1) suppress:"suppresses nothing"
-	c.Barrier()
-}

@@ -48,21 +48,27 @@ func GoodUnconditional(c *spmd.Comm) int64 {
 	return spmd.AllreduceI64(c, 1, spmd.OpMax)
 }
 
-// SuppressedDiagnostic carries a reasoned //lint:ignore: the diagnostic
-// is still emitted but marked suppressed and does not fail the run.
-func SuppressedDiagnostic(c *spmd.Comm) {
+// BadRankElse puts the collective in the else arm: the ranks that fail
+// the test are the ones that diverge.
+func BadRankElse(c *spmd.Comm) int {
+	v := 0
 	if c.Rank() == 0 {
-		//lint:ignore spmdorder fixture exercising the suppression path
-		c.Barrier() // wantsup spmdorder:"control-dependent"
+		v = 1
+	} else {
+		c.Barrier() // want spmdorder:"control-dependent"
+	}
+	return v
+}
+
+// BadLaterCallee calls, under a rank test, a helper declared below it.
+// The fixpoint's first sweep reaches this call before the helper's
+// summary says it collects, so only sites kept from the final sweep,
+// under the final summaries, report it.
+func BadLaterCallee(c *spmd.Comm) {
+	if c.Rank() == 0 {
+		syncAll(c) // want spmdorder:"call to spmdorder.syncAll"
 	}
 }
 
-// MissingReason shows that a reasonless directive is itself a diagnostic
-// and suppresses nothing.
-func MissingReason(c *spmd.Comm) {
-	if c.Rank() == 0 {
-		//lint:ignore spmdorder
-		// want(-1) suppress:"need an analyzer name and a reason"
-		c.Barrier() // want spmdorder:"control-dependent"
-	}
-}
+// syncAll collects unconditionally: clean itself.
+func syncAll(c *spmd.Comm) { c.Barrier() }

@@ -63,9 +63,3 @@ func BadComputed(tenant string) {
 func BadConcat(rec *trace.Recorder, suffix string) {
 	rec.Instant(traceGoodMark+suffix, 0, 0) // want tracename:"concatenation"
 }
-
-// SuppressedLiteral shows the escape hatch for a deliberate one-off.
-func SuppressedLiteral(rec *trace.Recorder) {
-	//lint:ignore tracename a deliberate fixture-only literal
-	rec.Instant("fixture.oneoff", 0, 0) // wantsup tracename:"string literal"
-}

@@ -309,7 +309,11 @@ func runWorld(c *spmd.Comm, mdl *machine.Model, plan *runPlan, preloaded *fastq.
 	if !trace.Enabled() {
 		return nil, nil, nil
 	}
-	return &pipeline.Report{Trace: pipeline.GatherTrace(c)}, nil, nil
+	ranks, err := pipeline.GatherTrace(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &pipeline.Report{Trace: ranks}, nil, nil
 }
 
 // writeTrace writes the gathered flight-recorder buffers as a Chrome

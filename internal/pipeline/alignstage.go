@@ -6,6 +6,7 @@ import (
 
 	"dibella/internal/align"
 	"dibella/internal/dna"
+	"dibella/internal/fastq"
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
 	"dibella/internal/spmd"
@@ -38,25 +39,14 @@ type Alignment struct {
 	SeedsConsumed int // seeds the pair carried (after filtering)
 }
 
-// readView abstracts the read access the alignment stage needs: the
-// batch pipeline passes the rank's *fastq.LocalView; the serve-mode
-// query path passes a view that additionally owns the broadcast query
-// sequences on every rank.
-type readView interface {
-	Owns(id uint32) bool
-	Seq(id uint32) []byte
-	OwnedSeq(id uint32) []byte
-	AddReplica(id uint32, seq []byte)
-	OwnerOf(id uint32) int
-}
-
-// aligner is the per-rank alignment state shared by the synchronous and
-// streamed schedules: the read view, a reverse-complement cache (one RC
-// per read, however many tasks touch it), and the accumulating output.
+// aligner is the per-rank alignment state shared by the batch stage's
+// synchronous and streamed schedules and the served query epoch: the
+// sequence lookup, a reverse-complement cache (one RC per read, however
+// many tasks touch it), and the accumulating output.
 type aligner struct {
 	c      *spmd.Comm
 	model  *machine.Model
-	view   readView
+	seq    func(id uint32) []byte // nil for a read not resident on this rank
 	cfg    Config
 	st     *AlignStats
 	rc     map[uint32][]byte // reverse complements by read ID
@@ -67,9 +57,9 @@ type aligner struct {
 
 // newAligner starts a stage over tasks: each opposite-strand task holds one
 // claim on read B's reverse complement until alignTask releases it.
-func newAligner(c *spmd.Comm, model *machine.Model, view readView, cfg Config, st *AlignStats, tasks []overlap.Task) *aligner {
+func newAligner(c *spmd.Comm, model *machine.Model, seq func(id uint32) []byte, cfg Config, st *AlignStats, tasks []overlap.Task) *aligner {
 	al := &aligner{
-		c: c, model: model, view: view, cfg: cfg, st: st,
+		c: c, model: model, seq: seq, cfg: cfg, st: st,
 		rc:     make(map[uint32][]byte),
 		rcNeed: make(map[uint32]int),
 		out:    make([]Alignment, 0, len(tasks)),
@@ -117,8 +107,8 @@ func needsRC(task overlap.Task) bool {
 // defensive missing-sequence return included — or the RC entry leaks for
 // the rest of the stage.
 func (al *aligner) alignTask(task overlap.Task) {
-	seqA := al.view.Seq(task.Pair.A)
-	seqB := al.view.Seq(task.Pair.B)
+	seqA := al.seq(task.Pair.A)
+	seqB := al.seq(task.Pair.B)
 	if seqA != nil && seqB != nil {
 		al.alignSeeds(task, seqA, seqB)
 	}
@@ -207,7 +197,7 @@ func (al *aligner) alignSeeds(task overlap.Task, seqA, seqB []byte) {
 // (alignSync) or the overlapped, streamed one (alignStreamed). The emitted
 // alignments are identical under both (records are sorted into a total
 // order before output).
-func alignStage(c *spmd.Comm, model *machine.Model, view readView,
+func alignStage(c *spmd.Comm, model *machine.Model, view *fastq.LocalView,
 	tasks []overlap.Task, cfg Config) ([]Alignment, AlignStats) {
 
 	st := AlignStats{Tasks: int64(len(tasks))}
@@ -215,12 +205,12 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 	// stage: everything else here only ticks local time, so the stats
 	// delta is exactly the two exchanges (posting costs included).
 	preComm := c.Stats()
-	al := newAligner(c, model, view, cfg, &st, tasks)
-	reqs := al.planRequests(tasks)
+	al := newAligner(c, model, view.Seq, cfg, &st, tasks)
+	reqs := al.planRequests(view, tasks)
 	if cfg.Exchange == ExchangeSync {
-		al.alignSync(reqs, tasks)
+		al.alignSync(view, reqs, tasks)
 	} else {
-		al.alignStreamed(reqs, tasks)
+		al.alignStreamed(view, reqs, tasks)
 	}
 	st.AddComm(preComm, c.Stats())
 	return al.out, st
@@ -228,8 +218,8 @@ func alignStage(c *spmd.Comm, model *machine.Model, view readView,
 
 // planRequests identifies the remote reads this rank needs, deduplicated
 // and sorted, per owner.
-func (al *aligner) planRequests(tasks []overlap.Task) [][]uint32 {
-	st, view := al.st, al.view
+func (al *aligner) planRequests(view *fastq.LocalView, tasks []overlap.Task) [][]uint32 {
+	st := al.st
 	t0 := walltime.Now()
 	needed := make(map[uint32]bool)
 	for _, task := range tasks {
@@ -256,14 +246,14 @@ func (al *aligner) planRequests(tasks []overlap.Task) [][]uint32 {
 
 // packReplies packs the sequences each peer requested, in request order,
 // so no IDs need to travel back.
-func (al *aligner) packReplies(incoming [][]uint32) []spmd.PackedBufs {
+func (al *aligner) packReplies(view *fastq.LocalView, incoming [][]uint32) []spmd.PackedBufs {
 	st := al.st
 	t0 := walltime.Now()
 	replies := make([]spmd.PackedBufs, len(incoming))
 	var packedBytes int64
 	for src, ids := range incoming {
 		for _, id := range ids {
-			seq := al.view.OwnedSeq(id)
+			seq := view.OwnedSeq(id)
 			replies[src].AppendItem(seq)
 			packedBytes += int64(len(seq))
 		}
@@ -276,16 +266,16 @@ func (al *aligner) packReplies(incoming [][]uint32) []spmd.PackedBufs {
 
 // alignSync is the paper's bulk-synchronous schedule: request exchange,
 // reply exchange, install every replica, then align every task.
-func (al *aligner) alignSync(reqs [][]uint32, tasks []overlap.Task) {
+func (al *aligner) alignSync(view *fastq.LocalView, reqs [][]uint32, tasks []overlap.Task) {
 	st := al.st
 	incoming := spmd.Alltoallv(al.c, reqs)
-	got := spmd.AlltoallvPacked(al.c, al.packReplies(incoming))
+	got := spmd.AlltoallvPacked(al.c, al.packReplies(view, incoming))
 
 	t0 := walltime.Now()
 	for src := range got {
 		items := got[src].Items()
 		for i, id := range reqs[src] {
-			al.view.AddReplica(id, items[i])
+			view.AddReplica(id, items[i])
 			st.ReadsFetched++
 			st.FetchedBytes += int64(len(items[i]))
 		}
@@ -301,12 +291,12 @@ func (al *aligner) alignSync(reqs [][]uint32, tasks []overlap.Task) {
 // local align while the posted request exchange flies, and the reply
 // exchange is streamed (streamReplies) so each remote task aligns the
 // moment its last missing sequence is installed.
-func (al *aligner) alignStreamed(reqs [][]uint32, tasks []overlap.Task) {
+func (al *aligner) alignStreamed(view *fastq.LocalView, reqs [][]uint32, tasks []overlap.Task) {
 	var remote []overlap.Task
 	incoming := spmd.AlltoallvDuring(al.c, reqs, func() {
 		t0 := walltime.Now()
 		for _, task := range tasks {
-			if al.view.Owns(task.Pair.A) && al.view.Owns(task.Pair.B) {
+			if view.Owns(task.Pair.A) && view.Owns(task.Pair.B) {
 				al.alignTask(task)
 			} else {
 				remote = append(remote, task)
@@ -314,7 +304,7 @@ func (al *aligner) alignStreamed(reqs [][]uint32, tasks []overlap.Task) {
 		}
 		al.st.LocalWall += walltime.Since(t0)
 	})
-	al.streamReplies(reqs, al.packReplies(incoming), remote)
+	al.streamReplies(view, reqs, al.packReplies(view, incoming), remote)
 }
 
 // replicaSlab is the memory streamReplies copies replicas into at a time.
@@ -327,7 +317,7 @@ const replicaSlab = 1 << 20
 // waits, so it hides the modeled (and wall) cost of the rounds still in
 // flight; the blocking tail shrinks to whatever compute the final chunk
 // leaves behind.
-func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs, remote []overlap.Task) {
+func (al *aligner) streamReplies(view *fastq.LocalView, reqs [][]uint32, replies []spmd.PackedBufs, remote []overlap.Task) {
 
 	st := al.st
 	// Index remote tasks by the reads they are missing. A task appears
@@ -337,7 +327,7 @@ func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs, rem
 	waiting := make(map[uint32][]int)
 	for ti, task := range remote {
 		for _, id := range [2]uint32{task.Pair.A, task.Pair.B} {
-			if !al.view.Owns(id) {
+			if !view.Owns(id) {
 				waiting[id] = append(waiting[id], ti)
 				waitCount[ti]++
 			}
@@ -356,7 +346,7 @@ func (al *aligner) streamReplies(reqs [][]uint32, replies []spmd.PackedBufs, rem
 			n := len(slab)
 			slab = append(slab, item...)
 			id := reqs[d.Src][d.First+i]
-			al.view.AddReplica(id, slab[n:len(slab):len(slab)])
+			view.AddReplica(id, slab[n:len(slab):len(slab)])
 			st.ReadsFetched++
 			st.FetchedBytes += int64(len(item))
 			installed += int64(len(item))

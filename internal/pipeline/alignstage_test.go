@@ -43,7 +43,7 @@ func TestReverseComplementBuffersRecycled(t *testing.T) {
 	view := fastq.NewReadStore(recs, 1).View(0)
 	cfg := Config{K: k, XDrop: 7, Scoring: align.DefaultScoring}
 	var st AlignStats
-	al := newAligner(nil, nil, view, cfg, &st, tasks)
+	al := newAligner(nil, nil, view.Seq, cfg, &st, tasks)
 
 	// The stage's eviction rule replayed on the task list alone.
 	remaining := make(map[uint32]int)

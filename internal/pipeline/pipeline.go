@@ -519,7 +519,9 @@ func executeGather(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, c
 	// so the flight recorder stays observability-only. Enabled() is not
 	// rank-derived; every rank agrees on it before the world forms.
 	if trace.Enabled() {
-		rep.Trace = GatherTrace(c)
+		if rep.Trace, err = GatherTrace(c); err != nil {
+			return nil, err
+		}
 	}
 	return rep, nil
 }

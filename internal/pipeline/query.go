@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"dibella/internal/dht"
-	"dibella/internal/fastq"
 	"dibella/internal/kmer"
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
@@ -46,41 +45,6 @@ type queryOcc struct {
 	O  dht.Occ
 }
 
-// batchQueryView is the alignment stage's read access for a served
-// batch: query sequences are resident on every rank (the serve loop
-// broadcast the batch) and RunQuery places every task that touches an
-// indexed read with that read, so the stage finds both reads of every
-// task here and fetches nothing.
-type batchQueryView struct {
-	world *fastq.LocalView
-	base  uint32
-	batch []QueryRead
-}
-
-func (v *batchQueryView) Owns(id uint32) bool { return id >= v.base || v.world.Owns(id) }
-
-func (v *batchQueryView) Seq(id uint32) []byte {
-	if id >= v.base {
-		return v.batch[id-v.base].Seq
-	}
-	return v.world.Seq(id)
-}
-
-func (v *batchQueryView) OwnedSeq(id uint32) []byte {
-	if id >= v.base {
-		return v.batch[id-v.base].Seq
-	}
-	return v.world.OwnedSeq(id)
-}
-
-// AddReplica is the alignment stage installing a fetched read: a served
-// task that needed one was sent to the wrong rank.
-func (v *batchQueryView) AddReplica(id uint32, _ []byte) {
-	panic(fmt.Sprintf("pipeline: served batch fetched read %d; query tasks are placed with their indexed read", id))
-}
-
-func (v *batchQueryView) OwnerOf(id uint32) int { return v.world.OwnerOf(id) }
-
 // RunQuery answers one query batch against the resident partition. All
 // ranks must call it collectively with the same root and batch (the
 // serve loop broadcasts the batch before calling). The returned
@@ -93,7 +57,8 @@ func (v *batchQueryView) OwnerOf(id uint32) int { return v.world.OwnerOf(id) }
 // task is placed by rule: an indexed×query pair is consolidated and
 // aligned by the rank that owns the indexed read, a query×query pair by
 // rank (the lower query read's index in the batch) mod p. Query
-// sequences are resident everywhere, so no sequence travels.
+// sequences are resident everywhere, so no sequence travels: a rank
+// posts three exchanges per batch (route, pairs, gather).
 //
 // The house invariant: the records equal a batch-mode run over the
 // indexed reads plus the batch restricted to pairs involving at least
@@ -241,13 +206,23 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		stats.Price(c, model, float64(ovStats.SeedsKept+ovStats.SeedsDropped), machine.RateSeedPrep, 0)
 	qs.LocalWall += walltime.Since(t0)
 
-	// Align collectively, through the batch stage's schedule. Every task
-	// has both reads resident where it landed, so the stage's request and
-	// reply exchanges carry no sequence.
-	qv := &batchQueryView{world: w.view, base: base, batch: batch}
-	recs, alStats := alignStage(c, model, qv, tasks, cfg)
+	// Align where the tasks landed. Every task has both reads resident
+	// here — the query read everywhere, the indexed read by placement —
+	// so there is nothing to request and no exchange to run.
+	seq := func(id uint32) []byte {
+		if id >= base {
+			return batch[id-base].Seq
+		}
+		return w.view.Seq(id)
+	}
+	var alStats AlignStats
+	al := newAligner(c, model, seq, cfg, &alStats, tasks)
+	for _, task := range tasks {
+		al.alignTask(task)
+	}
 	qs.Alignments += alStats.Alignments
 	qs.AddComm(preComm, c.Stats())
+	recs := al.out
 
 	all := spmd.GatherTo(c, recs, root)
 	if c.Rank() != root {

@@ -139,3 +139,50 @@ func TestRunQuerySpreadsAlignment(t *testing.T) {
 		}
 	}
 }
+
+// TestRunQueryExchanges pins the served epoch to the three exchanges it
+// needs — route the batch's k-mers, ship the pairs, gather the records —
+// on every rank and under both alignment schedules: the tasks align
+// where they were placed, so nothing is requested or replied.
+func TestRunQueryExchanges(t *testing.T) {
+	ds, err := seqgen.Generate(seqgen.Config{
+		GenomeLen: 8000, Seed: 3, Coverage: 8, MeanReadLen: 1500, MinReadLen: 500,
+		ErrorRate: 0.08, BothStrands: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, queries = 3, 6
+	nIndexed := len(ds.Reads) - queries
+	var batch []QueryRead
+	for _, r := range ds.Reads[nIndexed:] {
+		batch = append(batch, QueryRead{Name: r.Name, Seq: r.Seq})
+	}
+	for _, ex := range []ExchangeMode{ExchangeSync, ExchangeStreamed} {
+		cfg := Config{
+			K: 17, MaxFreq: 8, SeedMode: overlap.MinDistance, MinDist: 500,
+			KeepAlignments: true, KeepSingletons: true, Exchange: ex,
+		}
+		err := spmd.Run(p, func(c *spmd.Comm) error {
+			w, err := FormWorld(c, nil, fastq.NewReadStore(ds.Reads[:nIndexed], p), cfg)
+			if err != nil {
+				return err
+			}
+			before := c.Stats().Alltoallvs
+			recs, err := w.RunQuery(0, batch)
+			if err != nil {
+				return err
+			}
+			if n := c.Stats().Alltoallvs - before; n != 3 {
+				t.Errorf("exchange %v, rank %d: one query posted %d exchanges, want 3", ex, c.Rank(), n)
+			}
+			if c.Rank() == 0 && len(recs) == 0 {
+				t.Errorf("exchange %v: the query aligned nothing", ex)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -34,18 +34,25 @@ var (
 // collective events never appear in the emitted trace. All ranks must
 // call it collectively; callers gate on trace.Enabled(), which every
 // rank of a world agrees on by construction (-trace is part of the
-// configuration every rank of a world adopts from rank 0).
-func GatherTrace(c *spmd.Comm) []trace.RankEvents {
-	rows := spmd.GatherTo(c, trace.Snapshot(c.Rank()).Encode(), 0)
+// configuration every rank of a world adopts from rank 0). A row that
+// does not decode, or that claims another rank than the one that sent
+// it, is an error on rank 0 naming the sender: the rows cross a socket.
+func GatherTrace(c *spmd.Comm) ([]trace.RankEvents, error) {
+	return decodeTraceRows(spmd.GatherTo(c, trace.Snapshot(c.Rank()).Encode(), 0))
+}
+
+// decodeTraceRows decodes the gathered rows, row i sent by rank i.
+func decodeTraceRows(rows [][]byte) ([]trace.RankEvents, error) {
 	var all []trace.RankEvents
 	for rank, row := range rows {
 		snap, err := trace.DecodeRankEvents(row)
 		if err != nil {
-			// Bytes this binary's Encode wrote on a peer the handshake
-			// matched to it: only a bug gets here.
-			panic(fmt.Sprintf("pipeline: trace gather from rank %d: %v", rank, err))
+			return nil, fmt.Errorf("pipeline: trace gather from rank %d: %w", rank, err)
+		}
+		if snap.Rank != rank {
+			return nil, fmt.Errorf("pipeline: trace gather from rank %d: row claims rank %d", rank, snap.Rank)
 		}
 		all = append(all, snap)
 	}
-	return all
+	return all, nil
 }

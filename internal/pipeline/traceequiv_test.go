@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -161,4 +162,32 @@ func runTCPLoopbackWorldModel(t *testing.T, p int, mdl *machine.Model, fn func(c
 		}
 	}
 	return nil
+}
+
+// TestTraceRowsFailByRank: a gathered trace row that does not decode, or
+// that claims a rank other than its sender's, is an error naming the
+// sender, not a panic on rank 0.
+func TestTraceRowsFailByRank(t *testing.T) {
+	good := func(rank int) []byte {
+		return trace.RankEvents{Rank: rank, Events: []trace.Event{{Name: traceQuery, Arg: 7}}}.Encode()
+	}
+	if got, err := decodeTraceRows([][]byte{good(0), good(1)}); err != nil || len(got) != 2 || got[1].Rank != 1 {
+		t.Fatalf("well-formed rows: %v, %v", got, err)
+	}
+	for name, rows := range map[string][][]byte{
+		"truncated":    {good(0), good(1)[:9]},
+		"trailing":     {good(0), append(good(1), 0)},
+		"empty":        {good(0), nil},
+		"wrong rank":   {good(0), good(2)},
+		"swapped rows": {good(1), good(0)},
+	} {
+		_, err := decodeTraceRows(rows)
+		want := "rank 1"
+		if name == "swapped rows" {
+			want = "rank 0"
+		}
+		if err == nil || !strings.Contains(err.Error(), "from "+want) {
+			t.Errorf("%s: got %v, want an error naming %s", name, err, want)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -127,13 +128,40 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
+// exposition renders the registry and returns its series lines, keyed
+// by name and labels, with their values.
+func exposition(t *testing.T) (string, map[string]float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		key, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		series[key] = v
+	}
+	return buf.String(), series
+}
+
+// TestPrometheusExposition checks each series against the value read
+// before this test's own increments: the registry is process-global, so
+// a second run in one process (-count=2) starts from the first run's
+// totals.
 func TestPrometheusExposition(t *testing.T) {
 	c := RegisterCounter(tcounter, "events seen")
 	cv := RegisterCounterVec(tcvec, "rejections by reason", "reason")
 	g := RegisterGauge(tgauge, "queue depth")
 	h := RegisterHistogram(thist, "latency", []float64{0.1, 1})
 
-	before := c.Value()
+	_, before := exposition(t)
 	c.Add(3)
 	cv.With("queue-full").Add(2)
 	cv.With("bad-tenant").Inc()
@@ -143,30 +171,35 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(3)
 
 	// Registration is idempotent: same collector back, values intact.
-	if again := RegisterCounter(tcounter, "events seen"); again.Value() != before+3 {
-		t.Errorf("re-registered counter = %d, want %d", again.Value(), before+3)
+	if again := RegisterCounter(tcounter, "events seen"); float64(again.Value()) != before[tcounter]+3 {
+		t.Errorf("re-registered counter = %d, want %g", again.Value(), before[tcounter]+3)
 	}
 
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, after := exposition(t)
 	for _, want := range []string{
 		"# TYPE " + tcounter + " counter\n",
 		"# TYPE " + tgauge + " gauge\n",
 		"# TYPE " + thist + " histogram\n",
-		tcvec + `{reason="bad-tenant"} 1` + "\n",
-		tcvec + `{reason="queue-full"} 2` + "\n",
-		tgauge + " 5\n",
-		thist + `_bucket{le="0.1"} 1` + "\n",
-		thist + `_bucket{le="1"} 2` + "\n",
-		thist + `_bucket{le="+Inf"} 3` + "\n",
-		thist + "_count 3\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
+	}
+	for series, delta := range map[string]float64{
+		tcounter:                        3,
+		tcvec + `{reason="bad-tenant"}`: 1,
+		tcvec + `{reason="queue-full"}`: 2,
+		thist + `_bucket{le="0.1"}`:     1,
+		thist + `_bucket{le="1"}`:       2,
+		thist + `_bucket{le="+Inf"}`:    3,
+		thist + "_count":                3,
+	} {
+		if got, ok := after[series]; !ok || got != before[series]+delta {
+			t.Errorf("%s = %g (present %v), want %g + %g\n%s", series, got, ok, before[series], delta, out)
+		}
+	}
+	if after[tgauge] != 5 {
+		t.Errorf("%s = %g, want 5", tgauge, after[tgauge])
 	}
 	// Label values render sorted: bad-tenant before queue-full.
 	if strings.Index(out, `"bad-tenant"`) > strings.Index(out, `"queue-full"`) {
@@ -300,4 +333,30 @@ func TestRankEventsCodec(t *testing.T) {
 	if _, err := DecodeRankEvents(append(blob, 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
+}
+
+// FuzzDecodeRankEvents: the teardown gather's rows cross a socket, so any
+// bytes decode to a snapshot or an error, never a panic; a snapshot holds
+// no more events than the bytes can encode, and encodes back to exactly
+// the bytes it came from.
+func FuzzDecodeRankEvents(f *testing.F) {
+	f.Add(RankEvents{}.Encode())
+	f.Add(RankEvents{Rank: 3, Dropped: 7, Events: []Event{
+		{Name: "stage.align", Phase: PhaseBegin, Wall: 1234567, Virt: 0.25, Tag: "alice"},
+		{Name: "spmd.exchange", Phase: PhaseFlowOut, Wall: -1, Virt: -0.5, Arg: -42, Flow: 1<<63 + 9},
+	}}.Encode())
+	// A header that promises 2^64-1 events and delivers none.
+	f.Add(append(RankEvents{Rank: 1}.Encode()[:12], 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		re, err := DecodeRankEvents(b)
+		if err != nil {
+			return
+		}
+		if len(re.Events)*minEventSize > len(b) {
+			t.Fatalf("%d events from a %d-byte row", len(re.Events), len(b))
+		}
+		if back := re.Encode(); !bytes.Equal(back, b) {
+			t.Fatalf("re-encoding differs: %x -> %x", b, back)
+		}
+	})
 }
