@@ -13,7 +13,9 @@
 package overlap
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dibella/internal/dht"
@@ -178,8 +180,8 @@ func Run(c *spmd.Comm, model *machine.Model, part *dht.Partition, owner OwnerFun
 // consolidate merges received pair messages into per-pair seed lists,
 // applies the exploration filter, and returns the tasks in (A, B) order,
 // accumulating counts into st. The arrival order of the messages cannot
-// matter: FilterSeeds fully sorts each pair's seed list before
-// filtering, and the task list is sorted before return.
+// matter: FilterSeeds's result depends only on the set of a pair's
+// seeds, and the task list is sorted before return.
 func consolidate(batches [][]PairMsg, cfg Config, st *Stats) (tasks []Task, seedsIn int64) {
 	byPair := make(map[Pair][]Seed)
 	for _, batch := range batches {
@@ -253,22 +255,23 @@ func normalize(msg PairMsg) (Pair, Seed) {
 }
 
 // FilterSeeds applies the exploration constraint to a pair's seed list and
-// returns the kept seeds sorted by PosA. The input order is irrelevant.
+// returns the kept seeds sorted by (PosA, PosB) in a fresh slice. The input
+// order is irrelevant.
 func FilterSeeds(seeds []Seed, cfg Config) []Seed {
 	if len(seeds) == 0 {
 		return nil
 	}
-	sorted := append([]Seed(nil), seeds...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].PosA != sorted[j].PosA {
-			return sorted[i].PosA < sorted[j].PosA
-		}
-		return sorted[i].PosB < sorted[j].PosB
-	})
 	var minDist uint32
 	switch cfg.Mode {
 	case OneSeed:
-		return sorted[:1]
+		// (PosA, PosB) fixes the seed's flags, so the minimum is unique.
+		best := seeds[0]
+		for _, s := range seeds[1:] {
+			if s.PosA < best.PosA || s.PosA == best.PosA && s.PosB < best.PosB {
+				best = s
+			}
+		}
+		return []Seed{best}
 	case MinDistance:
 		minDist = uint32(cfg.MinDist)
 	case AllSeeds:
@@ -276,6 +279,10 @@ func FilterSeeds(seeds []Seed, cfg Config) []Seed {
 	default:
 		panic(fmt.Sprintf("overlap: unknown seed mode %d", cfg.Mode))
 	}
+	sorted := slices.Clone(seeds)
+	slices.SortFunc(sorted, func(a, b Seed) int {
+		return cmp.Or(cmp.Compare(a.PosA, b.PosA), cmp.Compare(a.PosB, b.PosB))
+	})
 	kept := sorted[:1]
 	for _, s := range sorted[1:] {
 		if s.PosA-kept[len(kept)-1].PosA >= minDist {

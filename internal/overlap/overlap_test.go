@@ -3,6 +3,9 @@ package overlap
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -206,6 +209,72 @@ func TestFilterSeedsInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// filterSeedsSorted is FilterSeeds as it stood before OneSeed took its
+// minimum by scanning: clone, sort by (PosA, PosB), then filter — the
+// oracle TestFilterSeedsMatchesSortedOracle holds FilterSeeds against.
+func filterSeedsSorted(seeds []Seed, cfg Config) []Seed {
+	if len(seeds) == 0 {
+		return nil
+	}
+	sorted := append([]Seed(nil), seeds...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].PosA != sorted[j].PosA {
+			return sorted[i].PosA < sorted[j].PosA
+		}
+		return sorted[i].PosB < sorted[j].PosB
+	})
+	var minDist uint32
+	switch cfg.Mode {
+	case OneSeed:
+		return sorted[:1]
+	case MinDistance:
+		minDist = uint32(cfg.MinDist)
+	case AllSeeds:
+		minDist = uint32(cfg.K)
+	}
+	kept := sorted[:1]
+	for _, s := range sorted[1:] {
+		if s.PosA-kept[len(kept)-1].PosA >= minDist {
+			kept = append(kept, s)
+			if cfg.MaxSeeds > 0 && len(kept) >= cfg.MaxSeeds {
+				break
+			}
+		}
+	}
+	return kept
+}
+
+// TestFilterSeedsMatchesSortedOracle holds FilterSeeds against the
+// sorting oracle under every mode and several caps, on random seed lists
+// with repeated positions. As in a real pair, a seed's flags are a
+// function of its positions (the k-mer at a read position has one
+// orientation), so equal (PosA, PosB) means equal seeds. FilterSeeds must
+// not reorder its input either: daligner hands it a list it keeps.
+func TestFilterSeedsMatchesSortedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		n, span := rng.Intn(40), 1+rng.Intn(3000)
+		seeds := make([]Seed, n)
+		for i := range seeds {
+			a, b := uint32(rng.Intn(span)), uint32(rng.Intn(span))
+			seeds[i] = Seed{PosA: a, PosB: b, FwdA: a%3 == 0, FwdB: b%2 == 0}
+		}
+		in := slices.Clone(seeds)
+		for mode := OneSeed; mode <= AllSeeds; mode++ {
+			for maxSeeds := 0; maxSeeds <= 3; maxSeeds++ {
+				cfg := Config{K: 17, Mode: mode, MinDist: 300, MaxSeeds: maxSeeds}
+				got, want := FilterSeeds(seeds, cfg), filterSeedsSorted(seeds, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d, mode %d, max %d: kept %v, oracle %v", trial, mode, maxSeeds, got, want)
+				}
+				if !reflect.DeepEqual(seeds, in) {
+					t.Fatalf("trial %d, mode %d: FilterSeeds reordered its input", trial, mode)
+				}
+			}
+		}
 	}
 }
 

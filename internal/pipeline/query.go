@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -45,6 +44,76 @@ type queryOcc struct {
 	O  dht.Occ
 }
 
+// queryGroups groups one batch's received query occurrences by k-mer in
+// linear time. An open-addressed table of group ids, indexed by the low
+// bits of kmer.Hash (the high bits are Owner's, and every k-mer a rank
+// receives shares them), numbers the k-mers in first-arrival order and
+// counts their occurrences; a prefix sum over the counts and a scatter
+// pass lay every k-mer's occurrences out as one contiguous run in
+// arrival order. The buffers live on the World and are reused by every
+// batch it serves.
+type queryGroups struct {
+	table []int32     // group id+1 per slot, 0 if empty; len a power of two
+	kmers []kmer.Kmer // per group, in first-arrival order
+	ends  []int32     // per group: its count, then its run's end in runs
+	gid   []int32     // per occurrence in arrival order: its group
+	runs  []queryOcc  // the occurrences, group by group
+}
+
+// group fills g from recv, whose concatenation is the arrival order.
+// Group i's run is runs[ends[i-1]:ends[i]] (from 0 for i = 0).
+func (g *queryGroups) group(recv [][]queryOcc) {
+	n := 0
+	for _, src := range recv {
+		n += len(src)
+	}
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(g.table) < size {
+		g.table = make([]int32, size)
+	} else {
+		g.table = g.table[:size]
+		clear(g.table)
+	}
+	mask := uint64(size - 1)
+	g.kmers, g.ends, g.gid = g.kmers[:0], g.ends[:0], slices.Grow(g.gid[:0], n)
+	for _, src := range recv {
+		for _, o := range src {
+			i := o.Km.Hash() & mask
+			for g.table[i] != 0 && g.kmers[g.table[i]-1] != o.Km {
+				i = (i + 1) & mask
+			}
+			if g.table[i] == 0 {
+				g.kmers = append(g.kmers, o.Km)
+				g.ends = append(g.ends, 0)
+				g.table[i] = int32(len(g.kmers))
+			}
+			id := g.table[i] - 1
+			g.ends[id]++
+			g.gid = append(g.gid, id)
+		}
+	}
+	// Exclusive prefix sums make ends the runs' starts; scattering
+	// advances each to its run's end.
+	off := int32(0)
+	for id, c := range g.ends {
+		g.ends[id] = off
+		off += c
+	}
+	g.runs = slices.Grow(g.runs[:0], n)[:n]
+	k := 0
+	for _, src := range recv {
+		for _, o := range src {
+			id := g.gid[k]
+			g.runs[g.ends[id]] = o
+			g.ends[id]++
+			k++
+		}
+	}
+}
+
 // RunQuery answers one query batch against the resident partition. All
 // ranks must call it collectively with the same root and batch (the
 // serve loop broadcasts the batch before calling). The returned
@@ -63,8 +132,8 @@ type queryOcc struct {
 // The house invariant: the records equal a batch-mode run over the
 // indexed reads plus the batch restricted to pairs involving at least
 // one query read — every seed of a pair reaches one rank, consolidation
-// sorts tasks, seed filtering sorts seeds, and the gathered records are
-// sorted into the same total order batch mode uses.
+// sorts tasks, seed filtering depends on a pair's seed set alone, and the
+// gathered records are sorted into the same total order batch mode uses.
 func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	c, model, cfg := w.c, w.model, w.cfg
 	p := c.Size()
@@ -92,6 +161,7 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	// read IDs appended after the indexed ID space. Owner spreads the
 	// slice's k-mers uniformly, so each destination is sized once, as the
 	// build's rounds are.
+	rec.Begin(traceQueryProbe, c.Now())
 	t0 := walltime.Now()
 	lo, hi := blockRange(len(batch), p, c.Rank())
 	n := 0
@@ -132,29 +202,24 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	// and high-frequency tombstones included — KeepSingletons keeps
 	// both resident), the query occurrences are this batch's.
 	//
-	// The received occurrences are sorted once and walked as runs of one
-	// k-mer. (k-mer, read, position) is a total order and, within a k-mer,
-	// the order they arrived in: sources hold ascending blocks of the batch
-	// and scan each read front to back.
+	// The received occurrences are grouped by k-mer in one hashed pass
+	// (queryGroups) and walked as runs of one k-mer, as diBELLA's overlap
+	// stage walks the hash table: nothing is sorted. Within a run the
+	// occurrences keep their arrival order, which is (read, position)
+	// ascending — sources hold ascending blocks of the batch and scan each
+	// read front to back. The order runs come in cannot reach the output:
+	// Consolidate merges seeds by pair, FilterSeeds's result depends on a
+	// pair's seed set alone, and tasks and gathered records are sorted.
 	t0 = walltime.Now()
-	occs := slices.Concat(recv...)
-	slices.SortFunc(occs, func(a, b queryOcc) int {
-		if a.Km != b.Km {
-			return cmp.Compare(a.Km, b.Km)
-		}
-		return cmp.Compare(uint64(a.O.Read)<<32|uint64(a.O.PosFlag), uint64(b.O.Read)<<32|uint64(b.O.PosFlag))
-	})
+	g := &w.groups
+	g.group(recv)
 	pairSend := make([][]overlap.PairMsg, p)
-	var made, distinct int64
-	for len(occs) > 0 {
-		km := occs[0].Km
-		end := 1
-		for end < len(occs) && occs[end].Km == km {
-			end++
-		}
-		q := occs[:end]
-		occs = occs[end:]
-		distinct++
+	var made int64
+	distinct := int64(len(g.kmers))
+	start := int32(0)
+	for id, km := range g.kmers {
+		q := g.runs[start:g.ends[id]]
+		start = g.ends[id]
 		count, indexed, _ := w.part.Lookup(km)
 		combined := count + len(q)
 		if combined < 2 || combined > w.part.MaxFreq {
@@ -177,7 +242,7 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 				if q[i].O.Read == q[j].O.Read {
 					continue // a repeat within one query read is not an overlap
 				}
-				// q is sorted by read, so q[i] is the pair's lower read.
+				// q is in arrival order, so q[i] is the pair's lower read.
 				dst := int(q[i].O.Read-base) % p
 				pairSend[dst] = append(pairSend[dst], overlap.PairMsg{
 					RA: q[i].O.Read, RB: q[j].O.Read, PFA: q[i].O.PosFlag, PFB: q[j].O.PosFlag,
@@ -191,14 +256,17 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		stats.Price(c, model, float64(made), machine.RatePairGen, 0)
 	qs.PackVirtual += stats.Price(c, model, float64(made*16), machine.RatePack, 0)
 	qs.LocalWall += walltime.Since(t0)
+	rec.End(traceQueryProbe, c.Now(), made)
 
 	pairRecv := spmd.Alltoallv(c, pairSend)
 
 	// Consolidate this rank's share — the batch stage's merge/filter/sort,
 	// so task and seed order are placement-independent.
+	rec.Begin(traceQueryAlign, c.Now())
 	t0 = walltime.Now()
 	tasks, ovStats, err := overlap.Consolidate(pairRecv, cfg.overlapConfig())
 	if err != nil {
+		rec.End(traceQueryAlign, c.Now(), 0)
 		return nil, err
 	}
 	qs.Tasks += int64(len(tasks))
@@ -221,6 +289,7 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		al.alignTask(task)
 	}
 	qs.Alignments += alStats.Alignments
+	rec.End(traceQueryAlign, c.Now(), alStats.Alignments)
 	qs.AddComm(preComm, c.Stats())
 	recs := al.out
 

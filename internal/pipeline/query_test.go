@@ -1,13 +1,21 @@
 package pipeline
 
 import (
+	"bytes"
+	"cmp"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dibella/internal/dht"
 	"dibella/internal/fastq"
+	"dibella/internal/kmer"
+	"dibella/internal/machine"
 	"dibella/internal/overlap"
 	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
+	"dibella/internal/trace"
 )
 
 // TestRunQuerySpreadsAlignment pins the query epoch's placement rule
@@ -63,8 +71,8 @@ func TestRunQuerySpreadsAlignment(t *testing.T) {
 					t.Errorf("rank %d returned records gathered on root %d", c.Rank(), root)
 				}
 			}
-			// batchQueryView.AddReplica panics, so getting here at all means
-			// no task fetched a sequence; the world's own view took none either.
+			// Every task aligned where it was placed: no rank installed a
+			// replica of another rank's read.
 			if n := w.view.ReplicaBytes(); n != 0 {
 				t.Errorf("rank %d holds %d replica bytes after serving: a query moved sequence", c.Rank(), n)
 			}
@@ -140,11 +148,10 @@ func TestRunQuerySpreadsAlignment(t *testing.T) {
 	}
 }
 
-// TestRunQueryExchanges pins the served epoch to the three exchanges it
-// needs — route the batch's k-mers, ship the pairs, gather the records —
-// on every rank and under both alignment schedules: the tasks align
-// where they were placed, so nothing is requested or replied.
-func TestRunQueryExchanges(t *testing.T) {
+// smallQueryInput is an 8 kb genome sampled at 8x whose last six reads
+// are the query batch and the rest the indexed reads.
+func smallQueryInput(t *testing.T) (indexed []*fastq.Record, batch []QueryRead) {
+	t.Helper()
 	ds, err := seqgen.Generate(seqgen.Config{
 		GenomeLen: 8000, Seed: 3, Coverage: 8, MeanReadLen: 1500, MinReadLen: 500,
 		ErrorRate: 0.08, BothStrands: true,
@@ -152,19 +159,28 @@ func TestRunQueryExchanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const p, queries = 3, 6
-	nIndexed := len(ds.Reads) - queries
-	var batch []QueryRead
-	for _, r := range ds.Reads[nIndexed:] {
+	const queries = 6
+	indexed = ds.Reads[:len(ds.Reads)-queries]
+	for _, r := range ds.Reads[len(indexed):] {
 		batch = append(batch, QueryRead{Name: r.Name, Seq: r.Seq})
 	}
+	return indexed, batch
+}
+
+// TestRunQueryExchanges pins the served epoch to the three exchanges it
+// needs — route the batch's k-mers, ship the pairs, gather the records —
+// on every rank and under both alignment schedules: the tasks align
+// where they were placed, so nothing is requested or replied.
+func TestRunQueryExchanges(t *testing.T) {
+	const p = 3
+	indexed, batch := smallQueryInput(t)
 	for _, ex := range []ExchangeMode{ExchangeSync, ExchangeStreamed} {
 		cfg := Config{
 			K: 17, MaxFreq: 8, SeedMode: overlap.MinDistance, MinDist: 500,
 			KeepAlignments: true, KeepSingletons: true, Exchange: ex,
 		}
 		err := spmd.Run(p, func(c *spmd.Comm) error {
-			w, err := FormWorld(c, nil, fastq.NewReadStore(ds.Reads[:nIndexed], p), cfg)
+			w, err := FormWorld(c, nil, fastq.NewReadStore(indexed, p), cfg)
 			if err != nil {
 				return err
 			}
@@ -183,6 +199,159 @@ func TestRunQueryExchanges(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// sortRuns is the query probe's former grouping, kept as the oracle of
+// queryGroups: sort the received occurrences by (k-mer, read, position)
+// and cut them into runs of one k-mer.
+func sortRuns(recv [][]queryOcc) map[kmer.Kmer][]queryOcc {
+	occs := slices.Concat(recv...)
+	slices.SortFunc(occs, func(a, b queryOcc) int {
+		if a.Km != b.Km {
+			return cmp.Compare(a.Km, b.Km)
+		}
+		return cmp.Compare(uint64(a.O.Read)<<32|uint64(a.O.PosFlag), uint64(b.O.Read)<<32|uint64(b.O.PosFlag))
+	})
+	runs := make(map[kmer.Kmer][]queryOcc)
+	for len(occs) > 0 {
+		end := 1
+		for end < len(occs) && occs[end].Km == occs[0].Km {
+			end++
+		}
+		runs[occs[0].Km] = occs[:end]
+		occs = occs[end:]
+	}
+	return runs
+}
+
+// FuzzQueryGroupMatchesSort holds the probe's hashed grouping against the
+// sort it replaced. Each input byte is one occurrence: its low four bits
+// pick one of sixteen k-mers, so repeats happen; bit 4 starts the next
+// read and bit 5 is the strand flag. The occurrences, ascending in (read,
+// position) as a batch's are, are split over 1–4 sources in ascending
+// blocks. Every run must equal the oracle's run for its k-mer element for
+// element, and the runs must come in first-arrival order. One reused
+// queryGroups groups the input and then its first half, as a World serves
+// batches of different sizes.
+func FuzzQueryGroupMatchesSort(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 1, 0, 0x12, 1, 0x20}, uint8(1))
+	f.Add(bytes.Repeat([]byte{3, 0x17, 3, 0x2b, 0}, 30), uint8(3))
+	var g queryGroups
+	f.Fuzz(func(t *testing.T, data []byte, sources uint8) {
+		check := func(data []byte) {
+			var occs []queryOcc
+			read, pos := uint32(1000), uint32(0)
+			for _, b := range data {
+				if b&0x10 != 0 {
+					read, pos = read+1, 0
+				}
+				km := kmer.Kmer(uint64(b&0xf+1) * 0x9e3779b97f4a7c15)
+				occs = append(occs, queryOcc{Km: km, O: dht.Occ{Read: read, PosFlag: pos<<1 | uint32(b>>5&1)}})
+				pos++
+			}
+			p := 1 + int(sources%4)
+			recv := make([][]queryOcc, p)
+			for r := range recv {
+				lo, hi := blockRange(len(occs), p, r)
+				recv[r] = occs[lo:hi]
+			}
+
+			g.group(recv)
+			want := sortRuns(recv)
+			if len(g.kmers) != len(want) {
+				t.Fatalf("%d groups, the sort made %d", len(g.kmers), len(want))
+			}
+			seen := make(map[kmer.Kmer]bool)
+			var firsts []kmer.Kmer
+			for _, o := range occs {
+				if !seen[o.Km] {
+					seen[o.Km] = true
+					firsts = append(firsts, o.Km)
+				}
+			}
+			if !slices.Equal(g.kmers, firsts) {
+				t.Fatalf("groups in order %v, first arrivals %v", g.kmers, firsts)
+			}
+			start := int32(0)
+			for id, km := range g.kmers {
+				run := g.runs[start:g.ends[id]]
+				start = g.ends[id]
+				if !slices.Equal(run, want[km]) {
+					t.Fatalf("k-mer %#x: run %v, the sort's %v", uint64(km), run, want[km])
+				}
+			}
+			if int(start) != len(occs) {
+				t.Fatalf("runs cover %d of %d occurrences", start, len(occs))
+			}
+		}
+		check(data)
+		check(data[:len(data)/2])
+	})
+}
+
+// TestRunQueryTraceSpans: a traced epoch records query.probe and then
+// query.align nested in query.batch on every rank, and tracing leaves the
+// epoch's records and every rank's virtual clock bit-identical to an
+// untraced epoch's.
+func TestRunQueryTraceSpans(t *testing.T) {
+	const p = 3
+	indexed, batch := smallQueryInput(t)
+	mdl, err := machine.NewModelScaled(machine.Cori, 4, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		K: 17, MaxFreq: 8, SeedMode: overlap.MinDistance, MinDist: 500,
+		KeepAlignments: true, KeepSingletons: true,
+	}
+	epoch := func() (recs []Alignment, now [p]float64) {
+		err := spmd.RunWithModel(p, mdl, func(c *spmd.Comm) error {
+			w, err := FormWorld(c, mdl, fastq.NewReadStore(indexed, p), cfg)
+			if err != nil {
+				return err
+			}
+			out, err := w.RunQuery(0, batch)
+			if c.Rank() == 0 {
+				recs = out
+			}
+			now[c.Rank()] = c.Now()
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs, now
+	}
+
+	trace.Disable()
+	offRecs, offNow := epoch()
+	trace.Enable(trace.DefaultCapacity)
+	defer trace.Disable()
+	onRecs, onNow := epoch()
+
+	if len(offRecs) == 0 {
+		t.Fatal("the untraced epoch aligned nothing")
+	}
+	if !reflect.DeepEqual(offRecs, onRecs) {
+		t.Errorf("records differ with tracing on (%d vs %d)", len(offRecs), len(onRecs))
+	}
+	want := []string{"B query.batch", "B query.probe", "E query.probe", "B query.align", "E query.align", "E query.batch"}
+	for r := 0; r < p; r++ {
+		if math.Float64bits(offNow[r]) != math.Float64bits(onNow[r]) || offNow[r] == 0 {
+			t.Errorf("rank %d: virtual clock %v untraced, %v traced", r, offNow[r], onNow[r])
+		}
+		var got []string
+		for _, e := range trace.Snapshot(r).Events {
+			switch e.Name {
+			case traceQuery, traceQueryProbe, traceQueryAlign:
+				got = append(got, string(e.Phase)+" "+e.Name)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("rank %d: query spans %v, want %v", r, got, want)
 		}
 	}
 }

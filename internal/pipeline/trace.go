@@ -11,11 +11,13 @@ import (
 // boundaries, and the pipeline's metric names. Registered package-level
 // constants, as the tracename analyzer requires.
 const (
-	traceLoad     = "stage.load"
-	traceOverlap  = "stage.overlap"
-	traceAlign    = "stage.align"
-	traceCkptSnap = "ckpt.snapshot"
-	traceQuery    = "query.batch"
+	traceLoad       = "stage.load"
+	traceOverlap    = "stage.overlap"
+	traceAlign      = "stage.align"
+	traceCkptSnap   = "ckpt.snapshot"
+	traceQuery      = "query.batch"
+	traceQueryProbe = "query.probe"
+	traceQueryAlign = "query.align"
 
 	metricStageExchangeBytes = "dibella_stage_exchange_bytes_total"
 	metricResidentMemory     = "dibella_resident_memory_bytes"

@@ -17,14 +17,15 @@ import (
 // world once, keeps the partition resident, and answers query batches
 // against it (RunQuery) for the daemon's lifetime.
 type World struct {
-	c     *spmd.Comm
-	model *machine.Model
-	store *fastq.ReadStore
-	cfg   Config
-	view  *fastq.LocalView
-	part  *dht.Partition
-	rr    RankReport
-	query QueryStats
+	c      *spmd.Comm
+	model  *machine.Model
+	store  *fastq.ReadStore
+	cfg    Config
+	view   *fastq.LocalView
+	part   *dht.Partition
+	rr     RankReport
+	query  QueryStats
+	groups queryGroups // the query probe's grouping scratch
 }
 
 // FormWorld runs the load and build stages collectively and returns the
