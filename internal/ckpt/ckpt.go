@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"dibella/internal/machine"
 	"dibella/internal/spmd"
@@ -14,69 +15,25 @@ import (
 // Every rank holds its own Writer over the same directory (a shared file
 // system, as cluster checkpointing assumes); Snapshot is collective.
 //
-// Manifest lineage: the first commit of a run decides what survives from
-// the directory's previous contents. A run with a different ConfigHash —
-// or a fresh (non-resumed) run — starts an empty manifest, so stale
-// stages from an earlier run can never be mixed with the new run's. A
-// resumed run sets KeepThrough to the stage it resumed from, preserving
-// that snapshot (and its predecessors) while dropping the now-superseded
-// later stages.
+// The directory holds one snapshot: each commit replaces the manifest's
+// record outright and sweeps every segment file the new record does not
+// name — an earlier stage of this run, an earlier run's snapshot, a
+// vetoed epoch's leftovers.
 type Writer struct {
 	Dir        string
 	ConfigHash string
 	// ConfigJSON is the run's resolved configuration, recorded in the
 	// manifest so a resume needs no flags.
 	ConfigJSON []byte
-	// KeepThrough, when non-empty, preserves existing manifest stages up
-	// to and including this stage (same ConfigHash only).
-	KeepThrough string
 	// Model prices each committed segment write on the writing rank's
 	// clock (machine.Model.SnapshotTime); nil runs unpriced.
 	Model *machine.Model
-
-	inited   bool
-	manifest *Manifest // maintained on rank 0 only
-	// prevStages remembers the directory's pre-existing manifest entries
-	// (rank 0 only): once a commit supersedes one of them with a durable
-	// new manifest, its now-unreferenced segment files are removed.
-	prevStages map[string]StageInfo
-}
-
-// init prepares rank 0's manifest state on first commit.
-func (w *Writer) init() {
-	if w.inited {
-		return
-	}
-	w.inited = true
-	fresh := &Manifest{
-		Version: manifestVersion, ConfigHash: w.ConfigHash,
-		ConfigJSON: json.RawMessage(w.ConfigJSON),
-		Stages:     make(map[string]StageInfo),
-	}
-	w.manifest = fresh
-	m, err := ReadManifest(w.Dir)
-	if err != nil {
-		// No (or unreadable) previous manifest: nothing valid to keep.
-		return
-	}
-	// Epochs stay monotone within a directory across runs, so segment
-	// headers from different lineages can never collide.
-	fresh.Epoch = m.Epoch
-	w.prevStages = m.Stages
-	if m.ConfigHash == w.ConfigHash && w.KeepThrough != "" {
-		keep := StageOrder(w.KeepThrough)
-		for name, st := range m.Stages {
-			if StageOrder(name) <= keep {
-				fresh.Stages[name] = st
-			}
-		}
-	}
 }
 
 // Snapshot collectively commits one stage boundary: every rank durably
 // writes its segment (the given sections), the world agrees the epoch
 // via spmd.AgreeCommit — any rank's failure vetoes it — and rank 0 then
-// publishes the updated manifest. Once the commit stands, the segment
+// publishes the new manifest. Once the commit stands, the segment
 // write is charged to c's clock under the Writer's Model: a checkpointed
 // run is never modeled as free, and a vetoed one is not charged for a
 // snapshot it does not have. Returns the segment's byte count and the
@@ -86,10 +43,13 @@ func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (nbyte
 	if StageOrder(stage) < 0 {
 		return 0, 0, fmt.Errorf("ckpt: unknown stage %q", stage)
 	}
-	var next uint64
+	// Epochs stay monotone within a directory, across runs too, so a
+	// segment header from one commit can never pass for another's.
+	next := uint64(1)
 	if c.Rank() == 0 {
-		w.init()
-		next = w.manifest.Epoch + 1
+		if m, err := ReadManifest(w.Dir); err == nil {
+			next = m.Snapshot.Epoch + 1
+		}
 	}
 	epoch := spmd.Bcast(c, next, 0)
 
@@ -105,38 +65,29 @@ func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (nbyte
 	votes, ok := spmd.AgreeCommit(c, vote)
 	if !ok {
 		// Epoch-suffixed file names mean this failed epoch touched no
-		// file any manifest references: the previous snapshot (same
-		// stage included) is still fully intact.
+		// file the manifest references: the previous snapshot (same
+		// stage included) is still fully intact. What it did write, the
+		// next commit sweeps.
 		return nbytes, 0, fmt.Errorf("ckpt: %s snapshot (epoch %d) aborted: %s",
 			stage, epoch, spmd.CommitFailure(votes))
 	}
 
 	status := ""
 	if c.Rank() == 0 {
-		// The stage entry this commit replaces: from the directory's
-		// pre-existing manifest (a re-run or resumed run superseding an
-		// older snapshot of the same stage), or — defensively — from this
-		// run's own manifest.
-		superseded := w.manifest.Stages[stage].Segments
-		if prev, ok := w.prevStages[stage]; ok && prev.Epoch != epoch {
-			superseded = append(superseded, prev.Segments...)
-			delete(w.prevStages, stage)
+		m := &Manifest{
+			Version: manifestVersion, ConfigHash: w.ConfigHash,
+			ConfigJSON: json.RawMessage(w.ConfigJSON),
+			Snapshot:   StageInfo{Stage: stage, Epoch: epoch, World: c.Size(), Segments: make([]SegmentInfo, len(votes))},
 		}
-		segs := make([]SegmentInfo, len(votes))
 		for r, v := range votes {
-			segs[r] = SegmentInfo{Rank: r, File: SegmentFile(stage, r, epoch), Bytes: v.Bytes, CRC64: v.Digest}
+			m.Snapshot.Segments[r] = SegmentInfo{Bytes: v.Bytes, CRC64: v.Digest}
 		}
-		w.manifest.Stages[stage] = StageInfo{Stage: stage, Epoch: epoch, World: c.Size(), Segments: segs}
-		w.manifest.Epoch = epoch
-		if err := writeManifest(w.Dir, w.manifest); err != nil {
+		if err := writeManifest(w.Dir, m); err != nil {
 			status = err.Error()
 		} else {
-			// The new manifest is durable; the superseded epoch's
-			// segments are now unreferenced. Best-effort GC — a leftover
-			// file is wasted space, never a correctness problem.
-			for _, seg := range superseded {
-				os.Remove(filepath.Join(w.Dir, seg.File))
-			}
+			// The new manifest is durable and every other rank waits in
+			// the Bcast below, so no segment write is in flight.
+			sweep(w.Dir, &m.Snapshot)
 		}
 	}
 	// The commit point is the manifest rename; every rank must share its
@@ -150,4 +101,25 @@ func (w *Writer) Snapshot(c *spmd.Comm, stage string, sections []Section) (nbyte
 		c.Tick(charged)
 	}
 	return nbytes, charged, nil
+}
+
+// sweep removes every segment file (seg-*.ckpt) and segment temporary
+// (.seg-*) in the stage directories that st does not name. Nothing else in
+// dir is touched, directories included. Best effort: a leftover file is wasted space, never a
+// correctness problem.
+func sweep(dir string, st *StageInfo) {
+	keep := make(map[string]bool, len(st.Segments))
+	for r := range st.Segments {
+		keep[SegmentFile(st.Stage, r, st.Epoch)] = true
+	}
+	for _, stage := range Stages {
+		entries, _ := os.ReadDir(filepath.Join(dir, stage))
+		for _, e := range entries {
+			name := filepath.Join(stage, e.Name())
+			seg, _ := filepath.Match("seg-*.ckpt", e.Name())
+			if (seg || strings.HasPrefix(e.Name(), ".seg-")) && !e.IsDir() && !keep[name] {
+				os.Remove(filepath.Join(dir, name))
+			}
+		}
+	}
 }

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -99,9 +103,8 @@ func FuzzDecodeSegment(f *testing.F) {
 // decoder ReadManifest hands the file to (fuzzed without the file: the os
 // calls make coverage irreproducible and the engine spends its budget
 // minimizing), and a manifest it accepts is one pipeline.ResumeComm can
-// index without looking again — every recorded stage is a known one, filed
-// under its own name, with exactly World segments and segment i recorded
-// for rank i — and survives being written back and read again.
+// index without looking again — its snapshot is of a known stage, with
+// exactly World segments — and survives being written back and read again.
 func FuzzDecodeManifest(f *testing.F) {
 	manifestBytes := func(m *Manifest) []byte {
 		blob, err := json.MarshalIndent(m, "", "  ")
@@ -113,41 +116,32 @@ func FuzzDecodeManifest(f *testing.F) {
 	stage := func(name string, world, segments int) StageInfo {
 		st := StageInfo{Stage: name, Epoch: 1, World: world}
 		for r := 0; r < segments; r++ {
-			st.Segments = append(st.Segments, SegmentInfo{Rank: r, File: SegmentFile(name, r, 1), Bytes: 64, CRC64: uint64(r)})
+			st.Segments = append(st.Segments, SegmentInfo{Bytes: 64, CRC64: uint64(r)})
 		}
 		return st
 	}
 	for _, world := range []int{1, 3} {
 		f.Add(manifestBytes(&Manifest{
-			Version: manifestVersion, ConfigHash: "abc", ConfigJSON: []byte(`{"k":17}`), Epoch: 2,
-			Stages: map[string]StageInfo{StageLoad: stage(StageLoad, world, world), StageDHT: stage(StageDHT, world, world)},
+			Version: manifestVersion, ConfigHash: "abc", ConfigJSON: []byte(`{"k":17}`),
+			Snapshot: stage(StageDHT, world, world),
 		}))
 	}
 	// A stage that claims a billion ranks and lists one segment.
 	f.Add(manifestBytes(&Manifest{
 		Version: manifestVersion, ConfigJSON: []byte(`null`),
-		Stages: map[string]StageInfo{StageOverlap: stage(StageOverlap, 1<<30, 1)},
+		Snapshot: stage(StageOverlap, 1<<30, 1),
 	}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := decodeManifest("fuzz", b)
 		if err != nil {
 			return
 		}
-		for name, st := range m.Stages {
-			if name != st.Stage || StageOrder(name) < 0 {
-				t.Fatalf("accepted stage %q under key %q", st.Stage, name)
-			}
-			if len(st.Segments) != st.World || st.World > len(b) {
-				t.Fatalf("stage %q: %d segments for world %d from a %d-byte manifest", name, len(st.Segments), st.World, len(b))
-			}
-			for i, seg := range st.Segments {
-				if seg.Rank != i {
-					t.Fatalf("stage %q: segment %d recorded for rank %d", name, i, seg.Rank)
-				}
-			}
+		st := m.Snapshot
+		if StageOrder(st.Stage) < 0 {
+			t.Fatalf("accepted unknown stage %q", st.Stage)
 		}
-		if latest, ok := m.Latest(); ok != (len(m.Stages) > 0) || ok && m.Stages[latest.Stage].Epoch != latest.Epoch {
-			t.Fatalf("Latest() = %+v, %v over %d stages", latest, ok, len(m.Stages))
+		if len(st.Segments) != st.World || st.World > len(b) {
+			t.Fatalf("stage %q: %d segments for world %d from a %d-byte manifest", st.Stage, len(st.Segments), st.World, len(b))
 		}
 		// Re-marshaled as writeManifest does, less its fsync and rename.
 		blob, err := json.MarshalIndent(m, "", "  ")
@@ -158,10 +152,54 @@ func FuzzDecodeManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshaled manifest refused: %v", err)
 		}
-		if len(back.Stages) != len(m.Stages) || back.Epoch != m.Epoch || back.ConfigHash != m.ConfigHash {
+		if !reflect.DeepEqual(back.Snapshot, m.Snapshot) || back.ConfigHash != m.ConfigHash {
 			t.Fatalf("re-marshaled manifest differs: %+v -> %+v", m, back)
 		}
 	})
+}
+
+// segmentFiles lists every *.ckpt file under dir, relative to it and
+// sorted: what `find dir -name '*.ckpt' -type f` prints.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".ckpt") {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files = append(files, rel)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	return files
+}
+
+// onlySnapshot reads dir's manifest and checks that its snapshot is of
+// stage at world size world, and that the segment files it names are the
+// only ones on disk.
+func onlySnapshot(t *testing.T, dir, stage string, world int) *Manifest {
+	t.Helper()
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := m.Snapshot
+	if st.Stage != stage || st.World != world {
+		t.Fatalf("snapshot of %q at world %d, want %q at world %d", st.Stage, st.World, stage, world)
+	}
+	var want []string
+	for r := 0; r < world; r++ {
+		want = append(want, SegmentFile(stage, r, st.Epoch))
+	}
+	sort.Strings(want)
+	if got := segmentFiles(t, dir); !slices.Equal(got, want) {
+		t.Errorf("segment files on disk %v, want only the snapshot's %v", got, want)
+	}
+	return m
 }
 
 // snapshotWorld commits the given stages over a p-rank in-process world,
@@ -202,15 +240,14 @@ func TestWriterCommitAndLoad(t *testing.T) {
 	if err := json.Unmarshal(m.ConfigJSON, &cfg); err != nil || m.ConfigHash != "abc" || cfg.K != 17 {
 		t.Errorf("manifest config: hash %q json %q (%v)", m.ConfigHash, m.ConfigJSON, err)
 	}
-	latest, ok := m.Latest()
-	if !ok || latest.Stage != StageDHT || latest.World != p {
-		t.Fatalf("latest = %+v ok=%v", latest, ok)
-	}
-	if latest.Epoch <= m.Stages[StageLoad].Epoch {
-		t.Error("epochs not monotone across stages")
+	// Exactly one snapshot exists after the second commit: the load
+	// snapshot (epoch 1) is swept.
+	st := onlySnapshot(t, dir, StageDHT, p).Snapshot
+	if st.Epoch != 2 {
+		t.Errorf("dht snapshot at epoch %d, want 2", st.Epoch)
 	}
 	for r := 0; r < p; r++ {
-		secs, err := ReadSegment(dir, &latest, &latest.Segments[r])
+		secs, err := ReadSegment(dir, &st, r)
 		if err != nil {
 			t.Fatalf("rank %d segment: %v", r, err)
 		}
@@ -233,8 +270,8 @@ func TestReadSegmentRejectsTamperedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stages[StageLoad]
-	path := filepath.Join(dir, st.Segments[0].File)
+	st := m.Snapshot
+	path := filepath.Join(dir, SegmentFile(st.Stage, 0, st.Epoch))
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +280,7 @@ func TestReadSegmentRejectsTamperedFile(t *testing.T) {
 	if err := os.WriteFile(path, img[:len(img)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSegment(dir, &st, &st.Segments[0]); err == nil || !strings.Contains(err.Error(), "truncated or partial") {
+	if _, err := ReadSegment(dir, &st, 0); err == nil || !strings.Contains(err.Error(), "truncated or partial") {
 		t.Errorf("truncated segment: %v", err)
 	}
 	// Bit flip at same length: digest mismatch.
@@ -252,7 +289,7 @@ func TestReadSegmentRejectsTamperedFile(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSegment(dir, &st, &st.Segments[0]); err == nil || !strings.Contains(err.Error(), "digest") {
+	if _, err := ReadSegment(dir, &st, 0); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Errorf("corrupt segment: %v", err)
 	}
 }
@@ -291,11 +328,8 @@ func TestWriterVetoLeavesPreviousSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, exists := m.Stages[StageDHT]; exists {
-		t.Error("vetoed stage appears in the manifest")
-	}
-	if _, ok := m.Stages[StageLoad]; !ok {
-		t.Error("previous snapshot lost")
+	if st := m.Snapshot; st.Stage != StageLoad || st.Epoch != 1 {
+		t.Errorf("snapshot after a vetoed dht commit: %q at epoch %d, want the epoch-1 load snapshot", st.Stage, st.Epoch)
 	}
 }
 
@@ -359,8 +393,8 @@ func TestSnapshotSyncsEveryRenamedDirectory(t *testing.T) {
 		}
 		if m, err := ReadManifest(dir); err != nil {
 			t.Fatal(err)
-		} else if _, ok := m.Stages[StageDHT]; ok {
-			t.Error("a vetoed stage appears in the manifest")
+		} else if m.Snapshot.Stage != StageLoad {
+			t.Errorf("a vetoed commit replaced the load snapshot with %q", m.Snapshot.Stage)
 		}
 	}
 }
@@ -443,11 +477,11 @@ func TestWriterVetoedResnapshotKeepsLatestStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := m.Latest()
-	if !ok || st.Stage != StageLoad || st.Epoch != 1 {
-		t.Fatalf("latest = %+v ok=%v, want epoch-1 load snapshot", st, ok)
+	st := m.Snapshot
+	if st.Stage != StageLoad || st.Epoch != 1 {
+		t.Fatalf("snapshot = %+v, want epoch-1 load snapshot", st)
 	}
-	secs, err := ReadSegment(dir, &st, &st.Segments[0])
+	secs, err := ReadSegment(dir, &st, 0)
 	if err != nil {
 		t.Fatalf("previous snapshot unreadable after vetoed re-snapshot: %v", err)
 	}
@@ -475,44 +509,137 @@ func TestWriterGCsSupersededSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stages[StageLoad]
+	st := m.Snapshot
 	if st.Epoch != 2 {
 		t.Fatalf("epoch = %d", st.Epoch)
 	}
-	if _, err := ReadSegment(dir, &st, &st.Segments[0]); err != nil {
+	if _, err := ReadSegment(dir, &st, 0); err != nil {
 		t.Errorf("replacing snapshot unreadable: %v", err)
 	}
 }
 
-func TestWriterLineage(t *testing.T) {
+// TestWriterKeepsOneSnapshot: whatever the directory held before, exactly
+// one snapshot exists after each commit — the one the manifest records —
+// and epochs keep rising across runs.
+func TestWriterKeepsOneSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	w1 := &Writer{Dir: dir, ConfigHash: "cfg1"}
 	snapshotWorld(t, dir, func(int) *Writer { return w1 }, 1, []string{StageLoad, StageDHT, StageOverlap})
-
-	// A resumed run (same config, resumed from dht) keeps load+dht,
-	// drops overlap on its first commit.
-	w2 := &Writer{Dir: dir, ConfigHash: "cfg1", KeepThrough: StageDHT}
-	snapshotWorld(t, dir, func(int) *Writer { return w2 }, 1, []string{StageOverlap})
-	m, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Stages) != 3 {
-		t.Errorf("resumed lineage has %d stages, want 3", len(m.Stages))
-	}
-	if m.Stages[StageOverlap].Epoch <= m.Stages[StageDHT].Epoch {
-		t.Error("re-written overlap stage did not advance the epoch")
+	if m := onlySnapshot(t, dir, StageOverlap, 1); m.Snapshot.Epoch != 3 {
+		t.Errorf("third commit at epoch %d", m.Snapshot.Epoch)
 	}
 
-	// A run with a different config starts an empty lineage.
-	w3 := &Writer{Dir: dir, ConfigHash: "cfg2", KeepThrough: StageOverlap}
+	// A second run over the same directory (a resume at world 2 that
+	// re-runs overlap) replaces the snapshot.
+	w2 := &Writer{Dir: dir, ConfigHash: "cfg1"}
+	snapshotWorld(t, dir, func(int) *Writer { return w2 }, 2, []string{StageOverlap})
+	if m := onlySnapshot(t, dir, StageOverlap, 2); m.Snapshot.Epoch != 4 {
+		t.Errorf("re-written overlap snapshot at epoch %d, want 4", m.Snapshot.Epoch)
+	}
+
+	// A run with a different config replaces it too.
+	w3 := &Writer{Dir: dir, ConfigHash: "cfg2"}
 	snapshotWorld(t, dir, func(int) *Writer { return w3 }, 1, []string{StageLoad})
-	m, err = ReadManifest(dir)
-	if err != nil {
+	if m := onlySnapshot(t, dir, StageLoad, 1); m.ConfigHash != "cfg2" {
+		t.Errorf("manifest hash %s after a cfg2 commit", m.ConfigHash)
+	}
+}
+
+// TestSweepRemovesOrphans: segment files no manifest names — an earlier
+// run's three stages under a fresh writer with another config, or the
+// segments a vetoed epoch's successful ranks wrote — are gone after the
+// next commit.
+func TestSweepRemovesOrphans(t *testing.T) {
+	const p = 2
+	t.Run("earlier run", func(t *testing.T) {
+		dir := t.TempDir()
+		old := &Writer{Dir: dir, ConfigHash: "old"}
+		snapshotWorld(t, dir, func(int) *Writer { return old }, p, []string{StageLoad, StageDHT, StageOverlap})
+		// Leftovers of a crashed earlier commit: one at each stage's
+		// segment name, one temporary.
+		for _, f := range []string{SegmentFile(StageDHT, 0, 2), SegmentFile(StageDHT, 1, 2), filepath.Join(StageOverlap, ".seg-123")} {
+			if err := os.WriteFile(filepath.Join(dir, f), []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh := &Writer{Dir: dir, ConfigHash: "new"}
+		snapshotWorld(t, dir, func(int) *Writer { return fresh }, p, []string{StageLoad})
+		onlySnapshot(t, dir, StageLoad, p)
+		if _, err := os.Stat(filepath.Join(dir, StageOverlap, ".seg-123")); !os.IsNotExist(err) {
+			t.Errorf("segment temporary survived the sweep: %v", err)
+		}
+	})
+	t.Run("vetoed epoch", func(t *testing.T) {
+		dir := t.TempDir()
+		writers := []*Writer{{Dir: dir, ConfigHash: "h"}, {Dir: dir, ConfigHash: "h"}}
+		snapshotWorld(t, dir, func(r int) *Writer { return writers[r] }, p, []string{StageLoad})
+		// Epoch 2's dht commit is vetoed by rank 1; rank 0's dht segment
+		// is written and left behind.
+		if err := os.MkdirAll(filepath.Join(dir, SegmentFile(StageDHT, 1, 2)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		err := spmd.Run(p, func(c *spmd.Comm) error {
+			if _, _, err := writers[c.Rank()].Snapshot(c, StageDHT, []Section{{Name: "payload", Data: []byte("x")}}); err == nil {
+				return fmt.Errorf("rank %d: blocked dht snapshot committed", c.Rank())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, SegmentFile(StageDHT, 0, 2))); err != nil {
+			t.Fatalf("the vetoed epoch left no segment of rank 0 to sweep: %v", err)
+		}
+		snapshotWorld(t, dir, func(r int) *Writer { return writers[r] }, p, []string{StageOverlap})
+		onlySnapshot(t, dir, StageOverlap, p)
+	})
+}
+
+// TestSweepStaysInsideStageDirectories: a manifest read from disk names no
+// path — a "file" field, as older manifests carried, is ignored — and the
+// sweep removes only segment-named files inside the three stage
+// directories, whatever else the checkpoint directory or its parent holds.
+func TestSweepStaysInsideStageDirectories(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "ck")
+	keep := []string{
+		filepath.Join(parent, "victim.txt"),
+		filepath.Join(parent, "seg-00000-e000001.ckpt"),
+		filepath.Join(dir, "seg-00000-e000001.ckpt"),
+		filepath.Join(dir, "other", "seg-00000-e000001.ckpt"),
+		filepath.Join(dir, StageLoad, "notes.txt"),
+		filepath.Join(dir, StageLoad, "seg-00000-e000001.ckpt.bak"),
+	}
+	stale := filepath.Join(dir, SegmentFile(StageLoad, 0, 1))
+	for _, f := range append(keep, stale) {
+		if err := os.MkdirAll(filepath.Dir(f), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hostile := fmt.Sprintf(`{"version": %d, "config_hash": "h", "config": null,
+  "snapshot": {"stage": "load", "epoch": 1, "world": 1,
+    "segments": [{"file": "../victim.txt", "bytes": 4, "crc64": 0}]}}`, manifestVersion)
+	if err := os.WriteFile(ManifestPath(dir), []byte(hostile), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Stages) != 1 || m.ConfigHash != "cfg2" {
-		t.Errorf("config change kept %d stages (hash %s)", len(m.Stages), m.ConfigHash)
+	if _, err := ReadManifest(dir); err != nil {
+		t.Fatalf("manifest with a stray file field refused: %v", err)
+	}
+	wr := &Writer{Dir: dir, ConfigHash: "h"}
+	snapshotWorld(t, dir, func(int) *Writer { return wr }, 1, []string{StageDHT})
+	for _, f := range keep {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("the sweep touched %s: %v", f, err)
+		}
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("the sweep left the unnamed load segment: %v", err)
+	}
+	if m, err := ReadManifest(dir); err != nil || m.Snapshot.Stage != StageDHT || m.Snapshot.Epoch != 2 {
+		t.Errorf("commit over an epoch-1 load manifest: %+v, %v; want the epoch-2 dht snapshot", m, err)
 	}
 }
 
@@ -527,14 +654,29 @@ func TestManifestValidation(t *testing.T) {
 	if _, err := ReadManifest(dir); err == nil {
 		t.Error("corrupt manifest accepted")
 	}
-	bad := &Manifest{Version: manifestVersion, Stages: map[string]StageInfo{
-		"dht": {Stage: "dht", World: 2, Segments: []SegmentInfo{{Rank: 0}}},
-	}}
-	if err := writeManifest(dir, bad); err != nil {
+	for _, tc := range []struct {
+		m    Manifest
+		want string
+	}{
+		{Manifest{Version: manifestVersion, Snapshot: StageInfo{Stage: StageDHT, World: 2, Segments: make([]SegmentInfo, 1)}}, "1 segments for world size 2"},
+		{Manifest{Version: manifestVersion}, "records no snapshot"},
+		{Manifest{Version: manifestVersion, Snapshot: StageInfo{Stage: "align", World: 1, Segments: make([]SegmentInfo, 1)}}, "unknown stage"},
+	} {
+		if err := writeManifest(dir, &tc.m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("manifest %+v: err = %v, want %q", tc.m, err, tc.want)
+		}
+	}
+	// The schema before version 3, a map of stages, is refused by version.
+	v2 := `{"version": 2, "config_hash": "h", "config": null, "epoch": 1, "stages": {"load": {"stage": "load", "epoch": 1, "world": 1,
+  "segments": [{"rank": 0, "file": "load/seg-00000-e000001.ckpt", "bytes": 4, "crc64": 0}]}}}`
+	if err := os.WriteFile(ManifestPath(dir), []byte(v2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
-		t.Error("segment/world mismatch accepted")
+	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "manifest version 2, this binary reads 3") {
+		t.Errorf("version-2 manifest: err = %v", err)
 	}
 }
 

@@ -26,8 +26,7 @@ const (
 // Stages lists the checkpointable boundaries in pipeline order.
 var Stages = []string{StageLoad, StageDHT, StageOverlap}
 
-// StageOrder returns a stage's position in the pipeline (later stages
-// supersede earlier ones when picking a resume point), or -1 for an
+// StageOrder returns a stage's position in the pipeline, or -1 for an
 // unknown stage.
 func StageOrder(stage string) int {
 	for i, s := range Stages {
@@ -42,23 +41,23 @@ func StageOrder(stage string) int {
 // directory.
 const manifestName = "manifest.json"
 
-// manifestVersion is bumped on incompatible manifest schema changes, and
-// with segVersion: version 2 manifests point at version 2 segments, so a
+// manifestVersion is bumped on incompatible manifest schema changes, so a
 // directory an older binary wrote is refused here, by version, before its
-// config hash or a segment is looked at.
-const manifestVersion = 2
+// config hash or a segment is looked at. Version 3 records one snapshot
+// and no segment paths.
+const manifestVersion = 3
 
-// SegmentInfo is the manifest's record of one rank's committed segment.
+// SegmentInfo is the manifest's record of one rank's committed segment;
+// its index in StageInfo.Segments is the rank, and its file is
+// SegmentFile(stage, rank, epoch).
 type SegmentInfo struct {
-	Rank  int    `json:"rank"`
-	File  string `json:"file"` // manifest-relative path
 	Bytes int64  `json:"bytes"`
 	CRC64 uint64 `json:"crc64"`
 }
 
-// StageInfo is the manifest's record of one committed stage snapshot:
-// which epoch it belongs to, the world size that wrote it, and every
-// rank's segment.
+// StageInfo is the manifest's record of the committed snapshot: which
+// stage boundary and epoch it belongs to, the world size that wrote it,
+// and every rank's segment.
 type StageInfo struct {
 	Stage    string        `json:"stage"`
 	Epoch    uint64        `json:"epoch"`
@@ -69,26 +68,14 @@ type StageInfo struct {
 // Manifest is the checkpoint directory's commit record. It is only ever
 // written by rank 0, after the whole world agreed the epoch's segments
 // are durable, and only by atomic rename — its presence and contents
-// therefore define exactly which snapshots exist.
+// therefore define the one snapshot the directory holds.
 type Manifest struct {
 	Version    int    `json:"version"`
 	ConfigHash string `json:"config_hash"`
 	// ConfigJSON is the producing run's resolved pipeline configuration,
 	// so `dibella -resume <dir>` needs no other flags.
-	ConfigJSON json.RawMessage      `json:"config"`
-	Epoch      uint64               `json:"epoch"` // last committed epoch
-	Stages     map[string]StageInfo `json:"stages"`
-}
-
-// Latest returns the most advanced committed stage snapshot (the resume
-// point), ok=false when the manifest records none.
-func (m *Manifest) Latest() (StageInfo, bool) {
-	for i := len(Stages) - 1; i >= 0; i-- {
-		if st, ok := m.Stages[Stages[i]]; ok {
-			return st, true
-		}
-	}
-	return StageInfo{}, false
+	ConfigJSON json.RawMessage `json:"config"`
+	Snapshot   StageInfo       `json:"snapshot"`
 }
 
 // ManifestPath returns the manifest's location inside a checkpoint
@@ -114,23 +101,16 @@ func decodeManifest(path string, blob []byte) (*Manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("ckpt: manifest version %d, this binary reads %d", m.Version, manifestVersion)
 	}
-	for name, st := range m.Stages {
-		if name != st.Stage {
-			return nil, fmt.Errorf("ckpt: manifest stage %q recorded under key %q", st.Stage, name)
-		}
-		if StageOrder(st.Stage) < 0 {
-			return nil, fmt.Errorf("ckpt: manifest records unknown stage %q", st.Stage)
-		}
-		if st.World <= 0 || len(st.Segments) != st.World {
-			return nil, fmt.Errorf("ckpt: manifest stage %q has %d segments for world size %d",
-				st.Stage, len(st.Segments), st.World)
-		}
-		for i, seg := range st.Segments {
-			if seg.Rank != i {
-				return nil, fmt.Errorf("ckpt: manifest stage %q segment %d recorded for rank %d",
-					st.Stage, i, seg.Rank)
-			}
-		}
+	st := &m.Snapshot
+	if st.Stage == "" {
+		return nil, fmt.Errorf("ckpt: %s records no snapshot", path)
+	}
+	if StageOrder(st.Stage) < 0 {
+		return nil, fmt.Errorf("ckpt: manifest records unknown stage %q", st.Stage)
+	}
+	if st.World <= 0 || len(st.Segments) != st.World {
+		return nil, fmt.Errorf("ckpt: manifest stage %q has %d segments for world size %d",
+			st.Stage, len(st.Segments), st.World)
 	}
 	return &m, nil
 }

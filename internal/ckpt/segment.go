@@ -5,8 +5,13 @@
 //
 // Layout of a checkpoint directory:
 //
-//	<dir>/manifest.json        rank 0's commit record (atomic rename)
-//	<dir>/<stage>/seg-<rank>.ckpt
+//	<dir>/manifest.json                  rank 0's commit record (atomic rename)
+//	<dir>/<stage>/seg-<rank>-e<epoch>.ckpt
+//
+// The directory holds one snapshot: the manifest records the latest
+// commit only, segment paths are derived from its stage, epoch and rank
+// (SegmentFile), and each commit sweeps the segment files it does not
+// name.
 //
 // A segment file is a self-describing container (header + named
 // sections) whose CRC-64 digest and byte count are recorded in the
@@ -113,14 +118,15 @@ func decodeSegment(b []byte) (SegmentHeader, []Section, error) {
 	return hdr, sections, nil
 }
 
-// SegmentFile returns the manifest-relative path of a stage's per-rank
-// segment for one commit epoch. The epoch is part of the name so a
-// re-snapshot of the same stage never writes over the previous
-// snapshot's files: until the new manifest is published (the commit
-// point), the old manifest's segments remain intact on disk, keeping
-// the previous-snapshot-wins guarantee even for a vetoed or crashed
-// re-snapshot of the manifest's latest stage. Superseded files are
-// garbage-collected only after the replacing manifest is durable.
+// SegmentFile returns the directory-relative path of a stage's per-rank
+// segment for one commit epoch; writer and loader both derive it, so the
+// manifest stores no path. The epoch is part of the name so a re-snapshot
+// of the same stage never writes over the previous snapshot's files:
+// until the new manifest is published (the commit point), the old
+// manifest's segments remain intact on disk, keeping the
+// previous-snapshot-wins guarantee even for a vetoed or crashed
+// re-snapshot of the same stage. Superseded files are swept only after
+// the replacing manifest is durable.
 func SegmentFile(stage string, rank int, epoch uint64) string {
 	return filepath.Join(stage, fmt.Sprintf("seg-%05d-e%06d.ckpt", rank, epoch))
 }
@@ -175,12 +181,13 @@ var syncDir = func(dir string) error {
 	return err
 }
 
-// ReadSegment loads and verifies one segment file against its manifest
-// record: byte count, CRC-64 digest, and header identity must all match
-// before any section is handed to a decoder. Sections alias the file
-// image read into memory.
-func ReadSegment(dir string, st *StageInfo, seg *SegmentInfo) ([]Section, error) {
-	path := filepath.Join(dir, seg.File)
+// ReadSegment loads and verifies one rank's segment of the snapshot st
+// against its manifest record: byte count, CRC-64 digest, and header
+// identity must all match before any section is handed to a decoder.
+// Sections alias the file image read into memory.
+func ReadSegment(dir string, st *StageInfo, rank int) ([]Section, error) {
+	seg := &st.Segments[rank]
+	path := filepath.Join(dir, SegmentFile(st.Stage, rank, st.Epoch))
 	img, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %w", err)
@@ -197,9 +204,9 @@ func ReadSegment(dir string, st *StageInfo, seg *SegmentInfo) ([]Section, error)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
-	if hdr.Stage != st.Stage || hdr.Epoch != st.Epoch || hdr.World != st.World || hdr.Rank != seg.Rank {
+	if hdr.Stage != st.Stage || hdr.Epoch != st.Epoch || hdr.World != st.World || hdr.Rank != rank {
 		return nil, fmt.Errorf("ckpt: %s header (stage %q epoch %d world %d rank %d) does not match manifest (stage %q epoch %d world %d rank %d)",
-			path, hdr.Stage, hdr.Epoch, hdr.World, hdr.Rank, st.Stage, st.Epoch, st.World, seg.Rank)
+			path, hdr.Stage, hdr.Epoch, hdr.World, hdr.Rank, st.Stage, st.Epoch, st.World, rank)
 	}
 	return sections, nil
 }

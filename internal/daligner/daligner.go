@@ -38,7 +38,6 @@ type Config struct {
 	MaxFreq  int // frequency filter upper bound (as diBELLA's m)
 	SeedMode overlap.SeedMode
 	MinDist  int
-	MaxSeeds int
 	XDrop    int
 	Scoring  align.Scoring
 	Threads  int // alignment workers (default: GOMAXPROCS)
@@ -239,7 +238,7 @@ func alignAll(reads []*fastq.Record, byPair map[overlap.Pair][]overlap.Seed, cfg
 		seeds []overlap.Seed
 	}
 	tasks := make([]task, 0, len(byPair))
-	ocfg := overlap.Config{K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds}
+	ocfg := overlap.Config{K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist}
 	for pair, seeds := range byPair {
 		tasks = append(tasks, task{pair: pair, seeds: overlap.FilterSeeds(seeds, ocfg)})
 	}

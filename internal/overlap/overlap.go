@@ -68,10 +68,9 @@ const (
 
 // Config controls the overlap stage.
 type Config struct {
-	K        int
-	Mode     SeedMode
-	MinDist  int // used by MinDistance (default 1000)
-	MaxSeeds int // optional cap on seeds per pair; 0 = unlimited
+	K       int
+	Mode    SeedMode
+	MinDist int // used by MinDistance (default 1000)
 }
 
 func (cfg *Config) setDefaults() error {
@@ -83,9 +82,6 @@ func (cfg *Config) setDefaults() error {
 	}
 	if cfg.MinDist < 0 {
 		return fmt.Errorf("overlap: min seed distance %d must be non-negative", cfg.MinDist)
-	}
-	if cfg.MaxSeeds < 0 {
-		return fmt.Errorf("overlap: max seeds %d must be non-negative", cfg.MaxSeeds)
 	}
 	return nil
 }
@@ -287,9 +283,6 @@ func FilterSeeds(seeds []Seed, cfg Config) []Seed {
 	for _, s := range sorted[1:] {
 		if s.PosA-kept[len(kept)-1].PosA >= minDist {
 			kept = append(kept, s)
-			if cfg.MaxSeeds > 0 && len(kept) >= cfg.MaxSeeds {
-				break
-			}
 		}
 	}
 	return kept

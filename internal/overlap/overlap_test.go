@@ -20,7 +20,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{K: 0},
 		{K: 17, MinDist: -1},
-		{K: 17, MaxSeeds: -2},
 	}
 	for i, cfg := range bad {
 		c := cfg
@@ -156,20 +155,6 @@ func TestFilterSeedsAllSeeds(t *testing.T) {
 	}
 }
 
-func TestFilterSeedsMaxSeedsCap(t *testing.T) {
-	var seeds []Seed
-	for i := 0; i < 100; i++ {
-		seeds = append(seeds, Seed{PosA: uint32(i * 2000)})
-	}
-	kept := FilterSeeds(seeds, Config{K: 17, Mode: MinDistance, MinDist: 1000, MaxSeeds: 5})
-	if len(kept) != 5 {
-		t.Errorf("cap ignored: kept %d", len(kept))
-	}
-	if FilterSeeds(nil, Config{K: 17}) != nil {
-		t.Error("empty seeds should filter to nil")
-	}
-}
-
 // Property: filtered seeds are sorted, respect spacing, and form a subset
 // of the input.
 func TestFilterSeedsInvariants(t *testing.T) {
@@ -239,16 +224,13 @@ func filterSeedsSorted(seeds []Seed, cfg Config) []Seed {
 	for _, s := range sorted[1:] {
 		if s.PosA-kept[len(kept)-1].PosA >= minDist {
 			kept = append(kept, s)
-			if cfg.MaxSeeds > 0 && len(kept) >= cfg.MaxSeeds {
-				break
-			}
 		}
 	}
 	return kept
 }
 
 // TestFilterSeedsMatchesSortedOracle holds FilterSeeds against the
-// sorting oracle under every mode and several caps, on random seed lists
+// sorting oracle under every mode, on random seed lists
 // with repeated positions. As in a real pair, a seed's flags are a
 // function of its positions (the k-mer at a read position has one
 // orientation), so equal (PosA, PosB) means equal seeds. FilterSeeds must
@@ -264,15 +246,13 @@ func TestFilterSeedsMatchesSortedOracle(t *testing.T) {
 		}
 		in := slices.Clone(seeds)
 		for mode := OneSeed; mode <= AllSeeds; mode++ {
-			for maxSeeds := 0; maxSeeds <= 3; maxSeeds++ {
-				cfg := Config{K: 17, Mode: mode, MinDist: 300, MaxSeeds: maxSeeds}
-				got, want := FilterSeeds(seeds, cfg), filterSeedsSorted(seeds, cfg)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d, mode %d, max %d: kept %v, oracle %v", trial, mode, maxSeeds, got, want)
-				}
-				if !reflect.DeepEqual(seeds, in) {
-					t.Fatalf("trial %d, mode %d: FilterSeeds reordered its input", trial, mode)
-				}
+			cfg := Config{K: 17, Mode: mode, MinDist: 300}
+			got, want := FilterSeeds(seeds, cfg), filterSeedsSorted(seeds, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, mode %d: kept %v, oracle %v", trial, mode, got, want)
+			}
+			if !reflect.DeepEqual(seeds, in) {
+				t.Fatalf("trial %d, mode %d: FilterSeeds reordered its input", trial, mode)
 			}
 		}
 	}

@@ -71,7 +71,6 @@ type outputConfig struct {
 	MaxFreq         int
 	SeedMode        overlap.SeedMode
 	MinDist         int
-	MaxSeeds        int
 	XDrop           int
 	Scoring         align.Scoring
 	MinAlignScore   int
@@ -88,7 +87,7 @@ type outputConfig struct {
 func (cfg *Config) outputHash() string {
 	blob, err := json.Marshal(outputConfig{
 		K: cfg.K, MaxFreq: cfg.MaxFreq,
-		SeedMode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds,
+		SeedMode: cfg.SeedMode, MinDist: cfg.MinDist,
 		XDrop: cfg.XDrop, Scoring: cfg.Scoring,
 		MinAlignScore: cfg.MinAlignScore, MinimizerWindow: cfg.MinimizerWindow,
 		KeepSingletons: cfg.KeepSingletons,
@@ -147,8 +146,7 @@ func newCkptState(cfg Config, model *machine.Model, opts *CkptOptions, resumedFr
 	return &ckptState{
 		w: &ckpt.Writer{
 			Dir: opts.Dir, ConfigHash: cfg.outputHash(),
-			ConfigJSON: blob, KeepThrough: resumedFrom,
-			Model: model,
+			ConfigJSON: blob, Model: model,
 		},
 		skipThrough: ckpt.StageOrder(resumedFrom),
 		abortAfter:  opts.AbortAfter,
@@ -206,8 +204,7 @@ func storeSections(store *fastq.ReadStore, rank int) []ckpt.Section {
 	return []ckpt.Section{{Name: sectionReads, Data: fastq.EncodeShardSegment(start, recs)}}
 }
 
-// ResumeComm restarts the pipeline collectively from dir's latest
-// complete snapshot. The stored manifest supplies the configuration (so
+// ResumeComm restarts the pipeline collectively from dir's snapshot. The stored manifest supplies the configuration (so
 // no flags need repeating); mutate, when non-nil, may adjust
 // schedule-only knobs (Exchange, ReplyChunk/Depth, KeepAlignments, ...)
 // — changing anything output-affecting is rejected against the
@@ -239,10 +236,7 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 	if err := json.Unmarshal(spmd.Bcast(c, blob, 0), &m); err != nil {
 		return nil, nil, fmt.Errorf("pipeline: manifest from rank 0: %w", err)
 	}
-	latest, ok := m.Latest()
-	if !ok {
-		return nil, nil, fmt.Errorf("pipeline: %s has no committed snapshot to resume from", dir)
-	}
+	snap := &m.Snapshot
 
 	// Reconstruct and (optionally) adjust the configuration.
 	var cfg Config
@@ -262,7 +256,7 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 		return nil, nil, fmt.Errorf("pipeline: resume configuration (hash %s) changes output-affecting parameters of the snapshot (hash %s); only scheduling knobs may differ on resume", h, m.ConfigHash)
 	}
 
-	held, partHold, taskHold, parsedBytes, loadErr := loadSegments(c, dir, &latest, &cfg)
+	held, partHold, taskHold, parsedBytes, loadErr := loadSegments(c, dir, snap, &cfg)
 	if err := agreeError(c, "loading snapshot segments from "+dir, loadErr); err != nil {
 		return nil, nil, err
 	}
@@ -273,8 +267,8 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 		return nil, nil, err
 	}
 
-	res := &resumeState{stage: latest.Stage}
-	switch latest.Stage {
+	res := &resumeState{stage: snap.Stage}
+	switch snap.Stage {
 	case ckpt.StageDHT:
 		if res.part, err = dht.Reshard(c, partHold); err != nil {
 			return nil, nil, err
@@ -285,7 +279,7 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 		}
 	}
 
-	ck, err := newCkptState(cfg, model, opts, latest.Stage)
+	ck, err := newCkptState(cfg, model, opts, snap.Stage)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -301,17 +295,17 @@ func ResumeComm(c *spmd.Comm, model *machine.Model, dir string, mutate func(*Con
 // goes to new rank s*P/W... — i.e. new rank r loads segments
 // [r*W/P, (r+1)*W/P). With P > W some ranks load nothing and contribute
 // empty runs to the re-shard, which handles them naturally.
-func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config) (
+func loadSegments(c *spmd.Comm, dir string, snap *ckpt.StageInfo, cfg *Config) (
 	held []*fastq.Record, partHold *dht.Partition, taskHold []overlap.Task,
 	parsedBytes int64, err error) {
 
-	W, P, rank := latest.World, c.Size(), c.Rank()
+	W, P, rank := snap.World, c.Size(), c.Rank()
 	lo, hi := rank*W/P, (rank+1)*W/P
 	partHold = &dht.Partition{K: cfg.K, MaxFreq: cfg.MaxFreq}
 	expectNext := -1
 	for s := lo; s < hi; s++ {
-		seg := &latest.Segments[s]
-		sections, err := ckpt.ReadSegment(dir, latest, seg)
+		name := ckpt.SegmentFile(snap.Stage, s, snap.Epoch)
+		sections, err := ckpt.ReadSegment(dir, snap, s)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}
@@ -321,17 +315,17 @@ func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config)
 		}
 		idStart, recs, err := fastq.DecodeShardSegment(readsBlob)
 		if err != nil {
-			return nil, nil, nil, 0, fmt.Errorf("segment %s: %w", seg.File, err)
+			return nil, nil, nil, 0, fmt.Errorf("segment %s: %w", name, err)
 		}
 		if expectNext >= 0 && int(idStart) != expectNext {
 			return nil, nil, nil, 0, fmt.Errorf("segment %s starts at read %d, expected %d (segments not contiguous)",
-				seg.File, idStart, expectNext)
+				name, idStart, expectNext)
 		}
 		expectNext = int(idStart) + len(recs)
 		held = append(held, recs...)
-		parsedBytes += seg.Bytes
+		parsedBytes += snap.Segments[s].Bytes
 
-		switch latest.Stage {
+		switch snap.Stage {
 		case ckpt.StageDHT:
 			blob, err := ckpt.SectionByName(sections, sectionDHT)
 			if err != nil {
@@ -339,14 +333,14 @@ func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config)
 			}
 			part, err := dht.DecodePartition(blob)
 			if err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("segment %s: %w", seg.File, err)
+				return nil, nil, nil, 0, fmt.Errorf("segment %s: %w", name, err)
 			}
 			if part.K != cfg.K || part.MaxFreq != cfg.MaxFreq {
 				return nil, nil, nil, 0, fmt.Errorf("segment %s was built with k=%d m=%d, resume config has k=%d m=%d",
-					seg.File, part.K, part.MaxFreq, cfg.K, cfg.MaxFreq)
+					name, part.K, part.MaxFreq, cfg.K, cfg.MaxFreq)
 			}
 			if err := partHold.Merge(part); err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("segment %s repeats an earlier segment: %w", seg.File, err)
+				return nil, nil, nil, 0, fmt.Errorf("segment %s repeats an earlier segment: %w", name, err)
 			}
 		case ckpt.StageOverlap:
 			blob, err := ckpt.SectionByName(sections, sectionTasks)
@@ -355,7 +349,7 @@ func loadSegments(c *spmd.Comm, dir string, latest *ckpt.StageInfo, cfg *Config)
 			}
 			tasks, err := overlap.DecodeTasks(blob)
 			if err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("segment %s: %w", seg.File, err)
+				return nil, nil, nil, 0, fmt.Errorf("segment %s: %w", name, err)
 			}
 			taskHold = append(taskHold, tasks...)
 		}

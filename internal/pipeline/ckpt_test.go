@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -48,8 +49,7 @@ func runResume(p int, model *machine.Model, dir string, mutate func(*Config),
 }
 
 // killAt runs a checkpointed in-process pipeline that aborts right after
-// the given stage's snapshot commits, leaving dir holding snapshots up
-// to and including that stage.
+// the given stage's snapshot commits, leaving dir holding that snapshot.
 func killAt(t *testing.T, p int, reads []*fastq.Record, cfg Config, dir, stage string) {
 	t.Helper()
 	_, err := runCkpt(p, nil, reads, cfg, CkptOptions{Dir: dir, AbortAfter: stage})
@@ -60,8 +60,8 @@ func killAt(t *testing.T, p int, reads []*fastq.Record, cfg Config, dir, stage s
 	if err != nil {
 		t.Fatalf("manifest after kill at %s: %v", stage, err)
 	}
-	if latest, ok := m.Latest(); !ok || latest.Stage != stage {
-		t.Fatalf("latest snapshot after kill at %s: %+v ok=%v", stage, latest, ok)
+	if m.Snapshot.Stage != stage {
+		t.Fatalf("snapshot after kill at %s: %+v", stage, m.Snapshot)
 	}
 }
 
@@ -187,8 +187,7 @@ func TestResumeRejectsCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	latest, _ := m.Latest()
-	path := filepath.Join(dir, latest.Segments[1].File)
+	path := filepath.Join(dir, ckpt.SegmentFile(m.Snapshot.Stage, 1, m.Snapshot.Epoch))
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -248,15 +247,14 @@ func TestOutputHashPinned(t *testing.T) {
 	if err := cfg.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cfg.outputHash(), "92489aaa3b15abb5"; got != want {
+	if got, want := cfg.outputHash(), "17824dac3660c561"; got != want {
 		t.Errorf("outputHash of the default k=17 configuration = %s, pinned %s", got, want)
 	}
 }
 
 // TestResumeContinuesCheckpointing: a resumed run may itself checkpoint;
-// its first commit preserves the resumed-from stage and supersedes the
-// later ones, and a second-generation resume still reproduces the fresh
-// run.
+// its first commit replaces the resumed-from snapshot, leaving exactly one
+// on disk, and a second-generation resume still reproduces the fresh run.
 func TestResumeContinuesCheckpointing(t *testing.T) {
 	reads := input(t, equivalenceInput).Reads
 	cfg := equivalenceConfig()
@@ -273,11 +271,19 @@ func TestResumeContinuesCheckpointing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := m.Stages[ckpt.StageDHT]; !ok || st.World != 4 {
-		t.Errorf("resumed-from dht snapshot lost or rewritten: %+v ok=%v", m.Stages[ckpt.StageDHT], ok)
+	if st := m.Snapshot; st.Stage != ckpt.StageOverlap || st.World != 2 {
+		t.Errorf("snapshot after the resumed world's commit: %q at world %d, want overlap at world 2", st.Stage, st.World)
 	}
-	if st, ok := m.Stages[ckpt.StageOverlap]; !ok || st.World != 2 {
-		t.Errorf("overlap snapshot from the resumed world missing: %+v ok=%v", st, ok)
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSegs := []string{
+		filepath.Join(dir, ckpt.SegmentFile(ckpt.StageOverlap, 0, m.Snapshot.Epoch)),
+		filepath.Join(dir, ckpt.SegmentFile(ckpt.StageOverlap, 1, m.Snapshot.Epoch)),
+	}
+	if !slices.Equal(segs, wantSegs) {
+		t.Errorf("segment files %v, want only the overlap snapshot's %v", segs, wantSegs)
 	}
 	// Second-generation resume, again elastic.
 	rep, store, err := runResume(3, nil, dir, nil, nil)

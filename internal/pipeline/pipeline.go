@@ -73,7 +73,6 @@ type Config struct {
 
 	SeedMode overlap.SeedMode
 	MinDist  int // seed spacing for MinDistance mode (default 1000)
-	MaxSeeds int // optional per-pair seed cap
 
 	XDrop         int           // x-drop threshold (default 7, BELLA's)
 	Scoring       align.Scoring // zero value: align.DefaultScoring
@@ -416,7 +415,7 @@ func (rep *Report) TaskImbalance() float64 {
 // overlapConfig builds the overlap stage's configuration (shared by the
 // batch stage and the served query epoch's consolidation).
 func (cfg *Config) overlapConfig() overlap.Config {
-	return overlap.Config{K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist, MaxSeeds: cfg.MaxSeeds}
+	return overlap.Config{K: cfg.K, Mode: cfg.SeedMode, MinDist: cfg.MinDist}
 }
 
 // run is the stage driver: optionally emitting stage-boundary
