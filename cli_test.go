@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"dibella/internal/paf"
+	"dibella/internal/pipeline"
 )
 
 func buildTool(t *testing.T, dir, pkg string) string {
@@ -98,7 +99,8 @@ func TestCLIPipelineRoundTrip(t *testing.T) {
 // TestCLITCPTransportMatchesMem is the acceptance check for the TCP
 // backend: the same seeded read set run with -transport tcp across 4 real
 // worker OS processes must produce byte-identical PAF output to the
-// default in-process run.
+// default in-process run, and the two must report the same thing: the
+// same modeled ledger, and parsed-byte counters that tile the file.
 func TestCLITCPTransportMatchesMem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test in short mode")
@@ -122,10 +124,11 @@ func TestCLITCPTransportMatchesMem(t *testing.T) {
 	// world, whose command lines are identical, each write their own.
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	common := []string{"-in", reads, "-p", "4", "-k", "17", "-error-rate", "0.06",
+		"-platform", "cori", "-nodes", "2", "-breakdown",
 		"-cpuprofile", cpu, "-memprofile", mem}
-	if out, err := exec.Command(dibella,
-		append(common, "-out", memPAF)...).CombinedOutput(); err != nil {
-		t.Fatalf("dibella -transport mem: %v\n%s", err, out)
+	memOut, err := exec.Command(dibella, append(common, "-out", memPAF)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("dibella -transport mem: %v\n%s", err, memOut)
 	}
 	profiles := []string{cpu, mem}
 	out, err := exec.Command(dibella,
@@ -144,6 +147,12 @@ func TestCLITCPTransportMatchesMem(t *testing.T) {
 	if !strings.Contains(string(out), "world of 4 ranks over 1 host(s); rendezvous 127.0.0.1:") {
 		t.Errorf("tcp run did not announce a one-host loopback world:\n%s", out)
 	}
+	checkShardCounters(t, "mem", memOut, reads, 4)
+	checkShardCounters(t, "tcp", out, reads, 4)
+	memLedger := strings.Join(modeledLedger(t, "mem", memOut), "\n")
+	if tcpLedger := strings.Join(modeledLedger(t, "tcp", out), "\n"); memLedger != tcpLedger {
+		t.Errorf("modeled ledgers differ between transports:\nmem:\n%s\ntcp:\n%s", memLedger, tcpLedger)
+	}
 
 	memBytes, err := os.ReadFile(memPAF)
 	if err != nil {
@@ -160,6 +169,76 @@ func TestCLITCPTransportMatchesMem(t *testing.T) {
 		t.Errorf("PAF output differs between transports (%d vs %d bytes)",
 			len(memBytes), len(tcpBytes))
 	}
+}
+
+// checkShardCounters requires a -breakdown run's per-rank parsed-byte
+// counters to be the cooperative load's: each of ranks ranks parsed a
+// proper shard of the file, and the shards tile it.
+func checkShardCounters(t *testing.T, run string, out []byte, path string, ranks int) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "input bytes parsed per rank:"); ok {
+			lines = append(lines, rest)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("%s run printed %d parsed-byte counter lines, want 1:\n%s", run, len(lines), out)
+	}
+	fields := strings.Fields(lines[0])
+	if len(fields) != ranks {
+		t.Fatalf("%s run: expected %d per-rank counters, got %q", run, ranks, lines[0])
+	}
+	var sum int64
+	for r, f := range fields {
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			t.Fatalf("%s run: counter %q: %v", run, f, err)
+		}
+		if n <= 0 || n >= fi.Size() {
+			t.Errorf("%s run: rank %d parsed %d bytes of a %d-byte file, want a proper shard", run, r, n, fi.Size())
+		}
+		sum += n
+	}
+	if sum != fi.Size() {
+		t.Errorf("%s run: per-rank counters sum to %d, file is %d bytes", run, sum, fi.Size())
+	}
+}
+
+// modeledLedger extracts what a -platform -breakdown run reports about the
+// modeled machine: the summary's virtual= and overlap= fields, then every
+// stage row without its wall and peak mem columns, which measure this host
+// (over TCP the peak also counts borrowed receive frames).
+func modeledLedger(t *testing.T, run string, out []byte) []string {
+	t.Helper()
+	var ledger []string
+	for _, line := range strings.Split(string(out), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if strings.HasPrefix(line, "ranks=") {
+			for _, f := range fields {
+				if strings.HasPrefix(f, "virtual=") || strings.HasPrefix(f, "overlap=") {
+					ledger = append(ledger, f)
+				}
+			}
+			continue
+		}
+		for _, stage := range pipeline.Stages {
+			if fields[0] == string(stage) && len(fields) == 8 {
+				ledger = append(ledger, strings.Join(append([]string{fields[0]}, fields[2:7]...), " "))
+			}
+		}
+	}
+	if want := 2 + len(pipeline.Stages); len(ledger) != want {
+		t.Fatalf("%s run: found %d ledger entries, want %d:\n%s", run, len(ledger), want, out)
+	}
+	return ledger
 }
 
 // TestCLIPeakRSSBounded holds the build's memory bound where a user meets
@@ -224,14 +303,6 @@ func TestCLIHostListMatchesMem(t *testing.T) {
 	).CombinedOutput(); err != nil {
 		t.Fatalf("seqgen: %v\n%s", err, out)
 	}
-	readsSize := func() int64 {
-		fi, err := os.Stat(reads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fi.Size()
-	}()
-
 	memPAF := filepath.Join(dir, "mem.paf")
 	hostsPAF := filepath.Join(dir, "hosts.paf")
 	common := []string{"-in", reads, "-p", "4", "-k", "17", "-error-rate", "0.06"}
@@ -249,37 +320,12 @@ func TestCLIHostListMatchesMem(t *testing.T) {
 		"world of 4 ranks over 2 host(s)", // launcher banner
 		"joined, assigned ranks 2-3",      // the simulated host's join
 		"[host 1] ",                       // its prefixed agent output
-		"input bytes parsed per rank:",    // the cooperative-I/O counter
 	} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("hosts run output missing %q:\n%s", want, out)
 		}
 	}
-	// Each rank parsed a proper shard and the shards tile the file.
-	for _, line := range strings.Split(string(out), "\n") {
-		rest, ok := strings.CutPrefix(line, "input bytes parsed per rank:")
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) != 4 {
-			t.Fatalf("expected 4 per-rank counters, got %q", line)
-		}
-		var sum int64
-		for r, f := range fields {
-			n, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				t.Fatalf("counter %q: %v", f, err)
-			}
-			if n <= 0 || n >= readsSize {
-				t.Errorf("rank %d parsed %d bytes of a %d-byte file, want a proper shard", r, n, readsSize)
-			}
-			sum += n
-		}
-		if sum != readsSize {
-			t.Errorf("per-rank counters sum to %d, file is %d bytes", sum, readsSize)
-		}
-	}
+	checkShardCounters(t, "hosts", out, reads, 4)
 
 	memBytes, err := os.ReadFile(memPAF)
 	if err != nil {

@@ -25,9 +25,10 @@
 // 1..P-1, coordinates passed through DIBELLA_* environment variables —
 // see the README's env-var contract), and participates as rank 0. The
 // workers form a full TCP mesh with rank 0 and run the identical
-// bulk-synchronous pipeline; each rank parses only its byte-range shard
-// of the input (cooperative I/O) and output is byte-identical to a
-// -transport mem run.
+// bulk-synchronous pipeline; output is byte-identical to a -transport mem
+// run. On either transport each rank parses only its byte-range shard of
+// the input (cooperative I/O); gzip and FASTA, which cannot be split, are
+// parsed once, by rank 0, and re-homed.
 //
 // With -hosts the same launcher spans machines (-transport tcp alone is
 // the host list "127.0.0.1:P"): it assigns each host a contiguous rank
@@ -152,7 +153,7 @@ func (pl *runPlan) model(ranks int, announce bool) (*machine.Model, error) {
 }
 
 // runInProcess starts the run body on -p goroutine ranks, which share this
-// process's plan and its one parse of the input (a resume reads none).
+// process's plan; they load the input cooperatively, as process ranks do.
 func runInProcess(plan *runPlan) (*pipeline.Report, *fastq.ReadStore, error) {
 	p := plan.params
 	if p.Trace != "" {
@@ -162,17 +163,8 @@ func runInProcess(plan *runPlan) (*pipeline.Report, *fastq.ReadStore, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var preloaded *fastq.ReadStore
-	if p.Resume == "" {
-		reads, err := fastq.ReadFile(p.In)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "loaded %s: %s\n", p.In, fastq.Summarize(reads))
-		preloaded = fastq.NewReadStore(reads, p.P)
-	}
 	return pipeline.InProcess(p.P, mdl, func(c *spmd.Comm) (*pipeline.Report, *fastq.ReadStore, error) {
-		return runWorld(c, mdl, plan, preloaded)
+		return runWorld(c, mdl, plan)
 	})
 }
 
@@ -213,7 +205,7 @@ func runProcesses(boot spmd.Bootstrap, params *runParams, explicit map[string]bo
 		comm = mdl
 	}
 	err = spmd.RunTransport(tr, comm, func(c *spmd.Comm) error {
-		r, s, err := runWorld(c, mdl, plan, nil)
+		r, s, err := runWorld(c, mdl, plan)
 		if c.Rank() == 0 {
 			rep, store = r, s
 		}
@@ -254,10 +246,9 @@ func agreeParams(tr spmd.Transport, params *runParams, explicit map[string]bool)
 
 // runWorld is the run body: what every rank of the world executes,
 // whichever transport backs c. It obtains the read store — a resume's
-// snapshot, else the store the launcher preloaded for its goroutine ranks,
-// else this rank's shard of a cooperative load — then resumes, executes or
-// serves. The caller keeps rank 0's report and store.
-func runWorld(c *spmd.Comm, mdl *machine.Model, plan *runPlan, preloaded *fastq.ReadStore) (
+// snapshot, else this rank's part of a cooperative load — then resumes,
+// executes or serves. The caller keeps rank 0's report and store.
+func runWorld(c *spmd.Comm, mdl *machine.Model, plan *runPlan) (
 	*pipeline.Report, *fastq.ReadStore, error) {
 
 	p := plan.params
@@ -269,16 +260,13 @@ func runWorld(c *spmd.Comm, mdl *machine.Model, plan *runPlan, preloaded *fastq.
 		}
 		return rep, store, err
 	}
-	store := preloaded
-	if preloaded == nil {
-		var err error
-		if store, err = pipeline.LoadStore(c, p.In); err != nil {
-			return nil, nil, err
-		}
-		if root {
-			fmt.Fprintf(os.Stderr, "loaded %s cooperatively: %s (rank 0 parsed %d bytes)\n",
-				p.In, store.Stats(), store.ParsedBytes)
-		}
+	store, err := pipeline.LoadStore(c, p.In)
+	if err != nil {
+		return nil, nil, err
+	}
+	if root {
+		fmt.Fprintf(os.Stderr, "loaded %s cooperatively: %s (rank 0 parsed %d bytes)\n",
+			p.In, store.Stats(), store.ParsedBytes)
 	}
 	if plan.serve == nil {
 		rep, err := pipeline.ExecuteComm(c, mdl, store, plan.cfg, plan.ckpt)

@@ -393,7 +393,7 @@ func TestMinimizerRoundCountMatchesStream(t *testing.T) {
 		recs[i] = &fastq.Record{Name: fmt.Sprintf("r%d", i), Seq: s}
 	}
 	maxUnits := 0
-	for _, rg := range fastq.PartitionByBytes(recs, 3) {
+	for _, rg := range fastq.NewReadStore(recs, 3).Ranges {
 		units := 0
 		for i := rg[0]; i < rg[1]; i++ {
 			units += kmer.MinimizerCount(seqs[i], k, w)

@@ -248,46 +248,15 @@ func WriteFasta(w io.Writer, recs []*Record) error {
 	return bw.Flush()
 }
 
-// Partition splits n records into p contiguous shards whose sizes differ by
-// at most one, returning half-open index ranges. It mirrors the paper's
-// block distribution of reads across ranks.
-func Partition(n, p int) [][2]int {
-	if p <= 0 {
-		panic("fastq: non-positive partition count")
-	}
-	ranges := make([][2]int, p)
-	base, rem := n/p, n%p
-	start := 0
-	for i := 0; i < p; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		ranges[i] = [2]int{start, start + sz}
-		start += sz
-	}
-	return ranges
-}
-
-// PartitionByBytes splits records into p shards balanced by total sequence
-// bytes rather than record count (greedy prefix split). The paper
-// partitions reads "as uniformly as possible ... by the read size in
-// memory"; with long-read length variance this differs measurably from a
-// count split.
-func PartitionByBytes(recs []*Record, p int) [][2]int {
-	lens := make([]int32, len(recs))
-	for i, r := range recs {
-		lens[i] = int32(r.Len())
-	}
-	return PartitionLens(lens, p)
-}
-
-// PartitionLens is PartitionByBytes over a length vector alone — the form
-// a cooperative sharded load can evaluate after allgathering per-read
-// lengths, without any rank holding the full record set. The two always
-// produce identical ranges, which is what keeps a sharded run's block
-// distribution (and therefore its output) byte-identical to a whole-file
-// load's.
+// PartitionLens splits a length vector into p contiguous shards balanced
+// by total sequence bytes rather than record count (greedy prefix split).
+// The paper partitions reads "as uniformly as possible ... by the read
+// size in memory"; with long-read length variance this differs measurably
+// from a count split. It needs the lengths alone, so a cooperative load
+// evaluates it after allgathering them, and NewReadStore over the same
+// reads produces identical ranges — which is what keeps a sharded run's
+// block distribution (and therefore its output) byte-identical to a
+// whole-file load's.
 func PartitionLens(lens []int32, p int) [][2]int {
 	if p <= 0 {
 		panic("fastq: non-positive partition count")
@@ -485,11 +454,11 @@ func min64(a, b int64) int64 {
 // assigned by rank-order concatenation match a whole-file load.
 //
 // parsed is the number of input bytes this process actually read and
-// parsed: the shard's byte extent on the cooperative path. Inputs the
-// byte-range splitter cannot handle (gzip streams, FASTA's variable
-// record shape) fall back to every rank parsing the whole file and
-// keeping its record-count share, reported honestly as the full file
-// size.
+// parsed: the shard's byte extent. An input the byte-range splitter cannot
+// cut (a gzip stream, FASTA's variable record shape), or a one-rank world,
+// is read whole by rank 0, which counts the file size; every other rank
+// returns an empty shard and counts 0. The world still parses the file
+// once, and the caller's reshuffle re-homes the records.
 func LoadShard(path string, rank, size int) (recs []*Record, parsed int64, err error) {
 	if size <= 0 {
 		return nil, 0, fmt.Errorf("fastq: non-positive shard count %d", size)
@@ -501,19 +470,18 @@ func LoadShard(path string, rank, size int) (recs []*Record, parsed int64, err e
 	if err != nil {
 		return nil, 0, err
 	}
-	if size == 1 {
+	whole := size == 1 || strings.HasSuffix(path, ".gz")
+	if !whole {
+		if whole, err = isFastaFile(path); err != nil {
+			return nil, 0, err
+		}
+	}
+	if whole {
+		if rank != 0 {
+			return nil, 0, nil
+		}
 		recs, err := ReadFile(path)
 		return recs, fi.Size(), err
-	}
-	if strings.HasSuffix(path, ".gz") {
-		return loadShardWhole(path, rank, size, fi.Size())
-	}
-	fasta, err := isFastaFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if fasta {
-		return loadShardWhole(path, rank, size, fi.Size())
 	}
 	start, end, err := ShardOffsets(path, rank, size)
 	if err != nil {
@@ -524,17 +492,6 @@ func LoadShard(path string, rank, size int) (recs []*Record, parsed int64, err e
 		return nil, 0, err
 	}
 	return recs, end - start, nil
-}
-
-// loadShardWhole is LoadShard's fallback for unsplittable inputs: parse
-// everything, keep the rank's record-count share.
-func loadShardWhole(path string, rank, size int, fileSize int64) ([]*Record, int64, error) {
-	recs, err := ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	r := Partition(len(recs), size)[rank]
-	return recs[r[0]:r[1]], fileSize, nil
 }
 
 // isFastaFile peeks the first record marker of a file.
@@ -600,18 +557,4 @@ func (s Stats) String() string {
 }
 
 // Summarize computes Stats over a record set.
-func Summarize(recs []*Record) Stats {
-	s := Stats{}
-	for i, r := range recs {
-		n := r.Len()
-		s.Reads++
-		s.TotalBases += int64(n)
-		if i == 0 || n < s.MinLen {
-			s.MinLen = n
-		}
-		if n > s.MaxLen {
-			s.MaxLen = n
-		}
-	}
-	return s
-}
+func Summarize(recs []*Record) Stats { return NewReadStore(recs, 1).Stats() }

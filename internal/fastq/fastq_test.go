@@ -176,33 +176,8 @@ func TestWriteFasta(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	cases := []struct{ n, p int }{{0, 1}, {1, 4}, {10, 3}, {100, 7}, {5, 5}}
-	for _, c := range cases {
-		ranges := Partition(c.n, c.p)
-		if len(ranges) != c.p {
-			t.Fatalf("Partition(%d,%d) returned %d ranges", c.n, c.p, len(ranges))
-		}
-		prev := 0
-		total := 0
-		for _, r := range ranges {
-			if r[0] != prev {
-				t.Errorf("Partition(%d,%d): gap at %v", c.n, c.p, r)
-			}
-			sz := r[1] - r[0]
-			if sz < c.n/c.p || sz > c.n/c.p+1 {
-				t.Errorf("Partition(%d,%d): shard size %d", c.n, c.p, sz)
-			}
-			total += sz
-			prev = r[1]
-		}
-		if total != c.n {
-			t.Errorf("Partition(%d,%d): covered %d", c.n, c.p, total)
-		}
-	}
-}
-
-// Property: PartitionByBytes covers all records exactly once, in order.
+// Property: a store's byte-balanced ranges cover all records exactly once,
+// in order.
 func TestPartitionByBytesCoverage(t *testing.T) {
 	f := func(seed int64, nRaw, pRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -212,7 +187,7 @@ func TestPartitionByBytesCoverage(t *testing.T) {
 		for i := range recs {
 			recs[i] = &Record{Seq: make([]byte, rng.Intn(500)+1)}
 		}
-		ranges := PartitionByBytes(recs, p)
+		ranges := NewReadStore(recs, p).Ranges
 		if len(ranges) != p {
 			return false
 		}
@@ -240,7 +215,7 @@ func TestPartitionByBytesBalance(t *testing.T) {
 		total += n
 	}
 	const p = 8
-	ranges := PartitionByBytes(recs, p)
+	ranges := NewReadStore(recs, p).Ranges
 	for r, rg := range ranges {
 		sz := 0
 		for i := rg[0]; i < rg[1]; i++ {

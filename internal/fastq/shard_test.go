@@ -167,8 +167,9 @@ func TestLoadShardUltraLongRead(t *testing.T) {
 }
 
 // TestLoadShardFallbacks: gzip and FASTA inputs cannot be byte-range
-// split; every rank parses the whole file and keeps its record-count
-// share, with the full file size as its honest parsed-bytes counter.
+// split, so rank 0 parses the whole file, holds every record and counts
+// the file size; every other rank holds none and counts 0. The world
+// parses the file once, not once per rank.
 func TestLoadShardFallbacks(t *testing.T) {
 	recs := genRecords(t, 11, 200, 3)
 	dir := t.TempDir()
@@ -186,23 +187,27 @@ func TestLoadShardFallbacks(t *testing.T) {
 
 	for _, path := range []string{gz, fasta} {
 		const p = 3
-		var got []*Record
 		for r := 0; r < p; r++ {
 			shard, parsed, err := LoadShard(path, r, p)
 			if err != nil {
 				t.Fatalf("%s rank %d: %v", path, r, err)
 			}
-			if parsed != fileSize(t, path) {
-				t.Errorf("%s rank %d: parsed %d bytes, want whole file %d", path, r, parsed, fileSize(t, path))
+			if r != 0 {
+				if len(shard) != 0 || parsed != 0 {
+					t.Errorf("%s rank %d: holds %d records and counts %d bytes, want none", path, r, len(shard), parsed)
+				}
+				continue
 			}
-			got = append(got, shard...)
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("%s: reassembled %d records, want %d", path, len(got), len(recs))
-		}
-		for i := range got {
-			if got[i].Name != recs[i].Name || !bytes.Equal(got[i].Seq, recs[i].Seq) {
-				t.Fatalf("%s: record %d mismatch", path, i)
+			if parsed != fileSize(t, path) {
+				t.Errorf("%s rank 0: parsed %d bytes, want whole file %d", path, parsed, fileSize(t, path))
+			}
+			if len(shard) != len(recs) {
+				t.Fatalf("%s rank 0: holds %d records, want %d", path, len(shard), len(recs))
+			}
+			for i := range shard {
+				if shard[i].Name != recs[i].Name || !bytes.Equal(shard[i].Seq, recs[i].Seq) {
+					t.Fatalf("%s: record %d mismatch", path, i)
+				}
 			}
 		}
 	}
@@ -215,7 +220,7 @@ func TestLoadShardFallbacks(t *testing.T) {
 	}
 }
 
-// TestShardedReadStore checks the sharded layout end to end: global
+// TestShardedReadStore checks an owned-range store end to end: global
 // metadata answers for every ID, sequences only inside the owned range.
 func TestShardedReadStore(t *testing.T) {
 	recs := genRecords(t, 29, 250, 13)
@@ -231,7 +236,7 @@ func TestShardedReadStore(t *testing.T) {
 	ranges := PartitionLens(lens, p)
 	for i := range ranges {
 		if ranges[i] != whole.Ranges[i] {
-			t.Fatalf("PartitionLens diverges from PartitionByBytes at rank %d: %v vs %v",
+			t.Fatalf("PartitionLens diverges from NewReadStore at rank %d: %v vs %v",
 				i, ranges[i], whole.Ranges[i])
 		}
 	}
@@ -242,22 +247,22 @@ func TestShardedReadStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.sharded || s.NumReads() != len(recs) || s.ParsedBytes != 1234 {
-		t.Errorf("sharded=%v reads=%d parsed=%d", s.sharded, s.NumReads(), s.ParsedBytes)
+	if s.NumReads() != len(recs) || s.ParsedBytes != 1234 {
+		t.Errorf("reads=%d parsed=%d", s.NumReads(), s.ParsedBytes)
 	}
 	for id := 0; id < len(recs); id++ {
 		if s.Name(uint32(id)) != recs[id].Name || s.Len(uint32(id)) != recs[id].Len() {
 			t.Fatalf("global metadata wrong for id %d", id)
 		}
 		if s.Owner(uint32(id)) != whole.Owner(uint32(id)) {
-			t.Fatalf("owner of %d differs between layouts", id)
+			t.Fatalf("owner of %d differs from the whole store's", id)
 		}
 	}
 	if !bytes.Equal(s.Seq(uint32(start)), recs[start].Seq) {
 		t.Error("owned sequence differs")
 	}
 	if s.Stats() != Summarize(recs) {
-		t.Errorf("sharded stats %v, whole %v", s.Stats(), Summarize(recs))
+		t.Errorf("owned-range stats %v, whole %v", s.Stats(), Summarize(recs))
 	}
 	func() {
 		defer func() {
@@ -270,7 +275,7 @@ func TestShardedReadStore(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("foreign view on a sharded store did not panic")
+				t.Error("foreign view on an owned-range store did not panic")
 			}
 		}()
 		s.View(0)

@@ -6,44 +6,42 @@ import "fmt"
 // distribution map used across the pipeline: read IDs are assigned in file
 // order, and rank r owns the contiguous ID range Ranges[r].
 //
-// A store comes in two layouts:
-//
-//   - whole: every record is resident (NewReadStore); the in-process
-//     backend shares one whole store across its goroutine ranks.
-//   - sharded: this process holds only the records its rank owns, plus the
-//     global per-read names and lengths gathered during cooperative
-//     loading (NewShardedReadStore). Sequence access outside the owned
-//     range is an ownership-protocol violation and panics; names and
-//     lengths stay globally available, which is all the overlap placement
-//     heuristics and PAF output need.
-//
-// The alignment stage replicates non-local reads on demand; Replica storage
-// is kept separate so owned reads are never duplicated.
+// A store has one layout: the global per-read names and lengths, which
+// answer for every ID on every rank (all the overlap placement heuristics
+// and PAF output need), plus one resident run of records [first,
+// first+len). NewReadStore's run covers every read, so goroutine ranks can
+// share it; a cooperatively loaded store (NewShardedReadStore) holds its
+// rank's owned range only. Sequence access outside the resident run is an
+// ownership-protocol violation and panics: remote sequences travel
+// through the alignment stage's replica exchange, whose Replica storage is
+// kept separate so owned reads are never duplicated.
 type ReadStore struct {
-	Reads  []*Record // all reads, indexed by global ReadID (whole stores only)
-	Ranges [][2]int  // per-rank [start,end) ID ranges
+	Ranges [][2]int // per-rank [start,end) ID ranges
 
 	// ParsedBytes counts the input bytes this process parsed to build its
 	// part of the store — the per-rank cooperative-I/O counter surfaced in
-	// pipeline reports. A whole store counts its total sequence bytes.
+	// pipeline reports. NewReadStore counts its total sequence bytes.
 	ParsedBytes int64
 
-	// Sharded-store state.
-	sharded bool
-	rank    int       // the one rank whose records are resident
-	owned   []*Record // records of Ranges[rank], indexed by id - start
-	names   []string  // global read names by ID
-	lens    []int32   // global read lengths by ID
+	names []string  // global read names by ID
+	lens  []int32   // global read lengths by ID
+	first int       // global ID of recs[0]
+	recs  []*Record // the resident run
 }
 
 // NewReadStore block-distributes recs over p ranks balanced by sequence
-// bytes (the paper's layout) and assigns global IDs in file order.
+// bytes (the paper's layout) and assigns global IDs in file order. Every
+// record is resident.
 func NewReadStore(recs []*Record, p int) *ReadStore {
+	names := make([]string, len(recs))
+	lens := make([]int32, len(recs))
 	var bases int64
-	for _, r := range recs {
+	for i, r := range recs {
+		names[i], lens[i] = r.Name, int32(r.Len())
 		bases += int64(r.Len())
 	}
-	return &ReadStore{Reads: recs, Ranges: PartitionByBytes(recs, p), ParsedBytes: bases}
+	return &ReadStore{Ranges: PartitionLens(lens, p), ParsedBytes: bases,
+		names: names, lens: lens, recs: recs}
 }
 
 // NewShardedReadStore assembles one rank's endpoint of a distributed
@@ -71,19 +69,12 @@ func NewShardedReadStore(rank int, ranges [][2]int, names []string, lens []int32
 				start+i, rec.Len(), lens[start+i])
 		}
 	}
-	return &ReadStore{
-		Ranges: ranges, ParsedBytes: parsedBytes,
-		sharded: true, rank: rank, owned: owned, names: names, lens: lens,
-	}, nil
+	return &ReadStore{Ranges: ranges, ParsedBytes: parsedBytes,
+		names: names, lens: lens, first: start, recs: owned}, nil
 }
 
 // NumReads returns the number of reads in the (global) set.
-func (s *ReadStore) NumReads() int {
-	if s.sharded {
-		return len(s.lens)
-	}
-	return len(s.Reads)
-}
+func (s *ReadStore) NumReads() int { return len(s.lens) }
 
 // Owner returns the rank owning a read ID under the block distribution.
 func (s *ReadStore) Owner(id uint32) int {
@@ -106,50 +97,29 @@ func (s *ReadStore) LocalIDs(rank int) (start, end uint32) {
 	return uint32(r[0]), uint32(r[1])
 }
 
-// Get returns the record for a global read ID. On a sharded store only the
-// owned range is resident; anything else panics (an ownership-protocol
-// violation — remote sequences must travel through the alignment stage's
-// replica exchange).
+// Get returns the record for a global read ID, which must be resident.
 func (s *ReadStore) Get(id uint32) *Record {
-	if s.sharded {
-		start, end := s.LocalIDs(s.rank)
-		if id < start || id >= end {
-			panic(fmt.Sprintf("fastq: read %d is not resident on rank %d (owns [%d,%d))", id, s.rank, start, end))
-		}
-		return s.owned[id-start]
+	i := int(id) - s.first
+	if i < 0 || i >= len(s.recs) {
+		panic(fmt.Sprintf("fastq: read %d is not resident (this store holds [%d,%d) of %d reads)",
+			id, s.first, s.first+len(s.recs), len(s.lens)))
 	}
-	if int(id) >= len(s.Reads) {
-		panic(fmt.Sprintf("fastq: read ID %d out of range (%d reads)", id, len(s.Reads)))
-	}
-	return s.Reads[id]
+	return s.recs[i]
 }
 
 // Seq returns the sequence for a global read ID.
 func (s *ReadStore) Seq(id uint32) []byte { return s.Get(id).Seq }
 
 // Len returns the length of a read. Unlike Seq it is valid for every
-// global ID on any store: sharded stores gather the global length vector
-// at load time (4 bytes per read, as the paper's MPI startup would).
-func (s *ReadStore) Len(id uint32) int {
-	if s.sharded {
-		return int(s.lens[id])
-	}
-	return s.Reads[id].Len()
-}
+// global ID: a cooperative load gathers the global length vector (4 bytes
+// per read, as the paper's MPI startup would).
+func (s *ReadStore) Len(id uint32) int { return int(s.lens[id]) }
 
 // Name returns the name of a read; like Len it is globally valid.
-func (s *ReadStore) Name(id uint32) string {
-	if s.sharded {
-		return s.names[id]
-	}
-	return s.Reads[id].Name
-}
+func (s *ReadStore) Name(id uint32) string { return s.names[id] }
 
-// Stats summarizes the global read set (valid on any store layout).
+// Stats summarizes the global read set.
 func (s *ReadStore) Stats() Stats {
-	if !s.sharded {
-		return Summarize(s.Reads)
-	}
 	st := Stats{}
 	for i, n := range s.lens {
 		st.Reads++
@@ -174,13 +144,14 @@ type LocalView struct {
 	replicas map[uint32][]byte
 }
 
-// View returns rank's local view of the store. On a sharded store only the
-// resident rank's view exists.
+// View returns rank's local view of the store; rank's owned range must be
+// resident.
 func (s *ReadStore) View(rank int) *LocalView {
-	if s.sharded && rank != s.rank {
-		panic(fmt.Sprintf("fastq: rank %d's view requested from rank %d's sharded store", rank, s.rank))
-	}
 	start, end := s.LocalIDs(rank)
+	if int(start) < s.first || int(end) > s.first+len(s.recs) {
+		panic(fmt.Sprintf("fastq: rank %d's view needs [%d,%d), this store holds [%d,%d)",
+			rank, start, end, s.first, s.first+len(s.recs)))
+	}
 	return &LocalView{store: s, rank: rank, start: start, end: end,
 		replicas: make(map[uint32][]byte)}
 }

@@ -7,7 +7,9 @@
 // all-to-all. The resulting sharded stores carry the exact global ID map
 // a whole-file load would have produced, so every downstream stage — and
 // the PAF output — is byte-identical; only the I/O and resident memory
-// drop from O(file) to O(file/P) per rank.
+// drop from O(file) to O(file/P) per rank. Every world loads this way,
+// goroutine ranks included. An input the splitter cannot cut (gzip,
+// FASTA) is parsed once, by rank 0, and the same reshuffle re-homes it.
 //
 // The assembly half (metadata allgather + boundary reshuffle) is shared
 // with the checkpoint loader: a resume hands each rank the contiguous
@@ -19,6 +21,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"dibella/internal/fastq"
@@ -75,29 +78,22 @@ func LoadStore(c *spmd.Comm, path string) (*fastq.ReadStore, error) {
 // owners in one packed all-to-all.
 func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.ReadStore, error) {
 	p, rank := c.Size(), c.Rank()
-	// One rank's contribution to the global read-ID map, as one byte row:
-	// the count, then the length and name of each record it holds.
-	meta := wire.U32(nil, uint32(len(held)))
-	for _, rec := range held {
-		meta = wire.Bytes(wire.U32(meta, uint32(rec.Len())), rec.Name)
-	}
-
 	// Global ID map: IDs follow the rank-order concatenation of the held
 	// runs. heldStart[r] is the first global ID rank r holds.
 	heldStart := make([]int, p+1)
+	myNames, myLens := make([]string, len(held)), make([]int32, len(held))
+	for i, rec := range held {
+		myNames[i], myLens[i] = rec.Name, int32(rec.Len())
+	}
 	var names []string
 	var lens []int32
-	for r, row := range spmd.Allgather(c, meta) {
-		rd := wire.NewReader(row)
-		n := rd.Count(uint64(rd.U32()), 8)
-		for i := 0; i < n; i++ {
-			lens = append(lens, int32(rd.U32()))
-			names = append(names, rd.String())
-		}
-		if err := rd.Finish(); err != nil {
+	for r, row := range spmd.Allgather(c, encodeReadMeta(myNames, myLens)) {
+		rowNames, rowLens, err := decodeReadMeta(row)
+		if err != nil {
 			return nil, fmt.Errorf("pipeline: read metadata from rank %d: %w", r, err)
 		}
-		heldStart[r+1] = heldStart[r] + n
+		names, lens = append(names, rowNames...), append(lens, rowLens...)
+		heldStart[r+1] = heldStart[r] + len(rowLens)
 	}
 	ranges := fastq.PartitionLens(lens, p)
 
@@ -149,6 +145,36 @@ func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.Rea
 		}
 	}
 	return fastq.NewShardedReadStore(rank, ranges, names, lens, owned, parsed)
+}
+
+// encodeReadMeta is one rank's contribution to the global read-ID map, as
+// one byte row: the count, then the length and name of each read it holds.
+func encodeReadMeta(names []string, lens []int32) []byte {
+	row := wire.U32(nil, uint32(len(lens)))
+	for i, n := range lens {
+		row = wire.Bytes(wire.U32(row, uint32(n)), names[i])
+	}
+	return row
+}
+
+// decodeReadMeta parses an encodeReadMeta row. It either decodes exactly
+// or is refused, and refuses a length no read can have.
+func decodeReadMeta(row []byte) (names []string, lens []int32, err error) {
+	rd := wire.NewReader(row)
+	n := rd.Count(uint64(rd.U32()), 8) // a read is at least its two length fields
+	names, lens = make([]string, 0, n), make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		ln := rd.U32()
+		if ln > math.MaxInt32 {
+			rd.Fail(fmt.Errorf("read %d: length %d exceeds %d", i, ln, math.MaxInt32))
+		}
+		lens = append(lens, int32(ln))
+		names = append(names, rd.String())
+	}
+	if err := rd.Finish(); err != nil {
+		return nil, nil, err
+	}
+	return names, lens, nil
 }
 
 // ownerOf returns the rank whose contiguous range holds gid.

@@ -120,7 +120,8 @@ func checkShardedEquivalence(t *testing.T, path string, nReads int, cfg Config, 
 // shard must produce byte-identical PAF to the whole-file load, on both
 // the in-process and the TCP transport — and the report's per-rank
 // parsed-bytes counters must show that each rank really read only its
-// share.
+// share. Gzip and FASTA copies of the input, which rank 0 reads whole,
+// must match too, with counters that still sum to the file.
 func TestShardedLoadMatchesWholeFile(t *testing.T) {
 	ds := input(t, equivalenceInput)
 	dir := t.TempDir()
@@ -177,6 +178,23 @@ func TestShardedLoadMatchesWholeFile(t *testing.T) {
 		}
 	}
 	checkShardedEquivalence(t, spacedPath, len(ds.Reads), cfg, want, true)
+
+	// Inputs the splitter cannot cut: rank 0 parses the whole file and the
+	// reshuffle re-homes its records, so the world still parses it once.
+	gzPath := filepath.Join(dir, "reads.fastq.gz")
+	if err := fastq.WriteFile(gzPath, ds.Reads); err != nil {
+		t.Fatal(err)
+	}
+	checkShardedEquivalence(t, gzPath, len(ds.Reads), cfg, want, false)
+	var fasta bytes.Buffer
+	if err := fastq.WriteFasta(&fasta, ds.Reads); err != nil {
+		t.Fatal(err)
+	}
+	fastaPath := filepath.Join(dir, "reads.fasta")
+	if err := os.WriteFile(fastaPath, fasta.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkShardedEquivalence(t, fastaPath, len(ds.Reads), cfg, want, false)
 }
 
 // TestShardedLoadUltraLongRead repeats the equivalence check on a file
@@ -249,4 +267,64 @@ func TestLoadStoreFailsCollectively(t *testing.T) {
 			t.Errorf("rank %d: error %v does not name the failing rank", r, err)
 		}
 	}
+}
+
+func TestReadMetaRoundtrip(t *testing.T) {
+	names := []string{"read/1", "", "long name"}
+	lens := []int32{8, 0, 1<<31 - 1}
+	row := encodeReadMeta(names, lens)
+	gotNames, gotLens, err := decodeReadMeta(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(gotNames, "|") != strings.Join(names, "|") || len(gotLens) != len(lens) {
+		t.Fatalf("decoded %q %v, want %q %v", gotNames, gotLens, names, lens)
+	}
+	for i := range lens {
+		if gotLens[i] != lens[i] {
+			t.Errorf("read %d: length %d, want %d", i, gotLens[i], lens[i])
+		}
+	}
+	if names, lens, err := decodeReadMeta(encodeReadMeta(nil, nil)); err != nil || len(names) != 0 || len(lens) != 0 {
+		t.Errorf("empty row: %q %v %v", names, lens, err)
+	}
+}
+
+// TestReadMetaRejectsCorruption: a row cut at any byte, a row with a
+// trailing byte, and a length no read can have are refused, never
+// decoded into a shorter map.
+func TestReadMetaRejectsCorruption(t *testing.T) {
+	row := encodeReadMeta([]string{"a", "bc"}, []int32{12, 3})
+	for cut := 0; cut < len(row); cut++ {
+		if _, _, err := decodeReadMeta(row[:cut]); err == nil {
+			t.Errorf("truncation to %d of %d bytes accepted", cut, len(row))
+		}
+	}
+	if _, _, err := decodeReadMeta(append(append([]byte(nil), row...), 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	negative := []byte{0, 0, 0, 1, 0x80, 0, 0, 0, 0, 0, 0, 0}
+	if _, _, err := decodeReadMeta(negative); err == nil {
+		t.Error("a 2 GiB read length accepted")
+	}
+}
+
+// FuzzDecodeReadMeta: arbitrary bytes never panic the decoder, and any
+// accepted row re-encodes to the same bytes.
+func FuzzDecodeReadMeta(f *testing.F) {
+	f.Add(encodeReadMeta(nil, nil))
+	f.Add(encodeReadMeta([]string{"read/1", "", "x"}, []int32{8, 0, 1<<31 - 1}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, row []byte) {
+		names, lens, err := decodeReadMeta(row)
+		if err != nil {
+			return
+		}
+		if len(names) != len(lens) {
+			t.Fatalf("%d names, %d lengths", len(names), len(lens))
+		}
+		if back := encodeReadMeta(names, lens); !bytes.Equal(back, row) {
+			t.Fatalf("re-encoding differs: %x -> %x", row, back)
+		}
+	})
 }
