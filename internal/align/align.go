@@ -45,29 +45,42 @@
 // An extension in progress is a front (xdrop.go): the next antidiagonal d, the
 // surviving window lo1..hi1 of d-1, best and the first cell that scored it,
 // the cell count, n, m, x and the three scores, how far past their last base
-// the two views may be read, and the narrow layout's base, floor and ceil (all
-// below); for the length of an assembly call also index 0 of the three narrow
-// rows and of the two base views, and a stop horizon. Two kernels pick an
-// extension up from there and leave it there. advance is the Go loop, on the
-// int32 rows: the whole kernel on every GOARCH but amd64, on an amd64 without
-// AVX2 and for an x the narrow rows cannot hold, the edge handler otherwise,
-// and the oracle. steadyAVX2 (xdrop_amd64.s; AVX2 probed once from CPUID, no
-// flag, no build tag) is the same loop in assembly, sixteen int16 cells a
-// step: it computes lo, hi and the width, scores the window, finds a new best
-// and its first cell, rebases if it must, shrinks the window, writes the two
-// sentinels, rotates the rows and goes on, and it returns to Go only for a
+// the two views may be read, the rows' rotation, and the narrow layout's
+// base, floor and ceil (all below); while the assembly routine has it, also
+// index 0 of the three narrow rows and of the two base views, best-base and
+// x as vectors, a stop horizon and the next front on the routine's ring. Two
+// kernels pick an extension up from there and leave it there. advance is the
+// Go loop, on the int32 rows: the whole kernel on every GOARCH but amd64, on
+// an amd64 without AVX2 and for an x the narrow rows cannot hold, the edge
+// handler otherwise, and the oracle. frontsAVX2 (xdrop_amd64.s; AVX2 probed
+// once from CPUID, no flag, no build tag) is the same loop in assembly,
+// sixteen int16 cells a step, over several extensions at once.
+//
+// XDropBatch queues its seeds' extensions, each seed's right flank and then
+// its left, and runs them in a workspace of fronts slots (four: below), each
+// with its own front, rows, narrow rows and reversal buffer. Every slot
+// takes the queue's next extension; the routine walks the ring of live
+// fronts, one antidiagonal of each in turn (it computes lo, hi and the width,
+// scores the window, finds a new best and its first cell, shrinks the
+// window, writes the two sentinels, rotates the rows, and turns to the next
+// front), and returns the first front that must go back to Go, with the
 // reason: the window is at an edge (below), antidiagonal d has no live cell
-// (the extension is over), or d has passed the stop horizon, which
-// workspace.steady sets to the last antidiagonal whose bases the reversal has
-// produced, and at most 4096 on: assembly has no preemption point, and a
-// stop-the-world should not wait on a 100 kb read. extend offers the routine
-// the extension from its first antidiagonal, and after an edge runs eight
-// antidiagonals of Go loop before offering it again; whether the routine may
-// run at all is decided once per extension, and without it the Go loop simply
-// runs to the end. The routine stores no pointer (there is no write barrier in
-// assembly): the rows rotate by a count (workspace.rot) that the caller
-// advances by as far as d moved. The front's pointers into the caller's reads
-// are cleared before the workspace goes back to the pool.
+// (the extension is over), or d has passed the front's stop horizon. Go
+// deals with that front alone while the others wait in the routine's form
+// (slot.resume): after an edge the Go loop runs eight antidiagonals before
+// the routine is offered the extension again; after a stop it fills the
+// reversal further, or rebases (below), and the routine takes the front up
+// where it stopped; an extension that is over adds its part to its seed's
+// Result, and the slot takes the queue's next, so the fronts stay busy
+// across seeds and tasks, however lopsided a seed's two flanks are. The
+// next call starts at the slot after the one that returned. The horizon is
+// the last antidiagonal whose bases the reversal has produced, at most 4096
+// on (assembly has no preemption point, and a stop-the-world should not wait
+// on a 100 kb read), and no later than best-base could pass ceil. XDrop is a
+// batch of one seed: its two flanks are two fronts. The routine stores no
+// pointer (there is no write barrier in assembly): the rows rotate by a
+// count (front.rot) that both kernels keep. The fronts' pointers into the
+// caller's reads are cleared before the workspace goes back to the pool.
 //
 // The routine's rows are int16: a narrow cell holds its score less
 // front.base, and pruned is math.MinInt16. Its adds saturate (VPADDSW), so a
@@ -83,20 +96,17 @@
 // MaxInt16, and pruned+maxAbs under the prune threshold. enter sets base so
 // that best-base is floor and narrows the two windows antidiagonal d reads
 // (d-1 over its window and sentinels, d-2 over what d reads of it: O(window)),
-// and widens the two the Go loop reads next on the way out. When a new best
-// takes best-base above ceil, the routine rebases: it moves best-base down to
-// floor, or by 32767 if that is less (the most one saturating subtraction
-// moves), and subtracts the same from the three carried registers, from d's
-// stored vectors and from d-1 from lo to the end of them, which is all the
-// next antidiagonal can read; saturating, so pruned stays pruned. At unit
-// scores that never happens: a call scores at most 4096 antidiagonals, best
-// climbs at most 1 an antidiagonal, and enter starts every call at floor,
-// 65 524 below ceil at x=7. TestSteadyMatchesLoop forces it with scores at
-// MaxScoreMagnitude. floor <= ceil is x+3·maxAbs <= 65534 (front.fits):
-// x=7 and x=30 fit at any scores, -xdrop 1000000000 fits until x's clamp
-// (2·total·maxAbs) passes it. Beyond it the routine declines the whole
-// extension, which runs on the Go loop as it would without AVX2
-// (TestSteadyDeclinesPastTheBound).
+// and leave widens the two the Go loop reads next. best-base only climbs, by
+// at most maxAbs an antidiagonal, so the horizon ends the call where it
+// could first pass ceil, and Go rebases: it leaves and enters again, which
+// puts best-base back at floor. At unit scores best climbs at most one an
+// antidiagonal, so only an extension more than 65 524 antidiagonals long
+// (at x=7) is rebased; TestSteadyMatchesLoop and the batch tests force it
+// with scores at MaxScoreMagnitude. floor <= ceil is
+// x+3·maxAbs <= 65534 (front.fits): x=7 and x=30 fit at any scores,
+// -xdrop 1000000000 fits until x's clamp (2·total·maxAbs) passes it. Beyond
+// it the routine is not offered the extension, which runs on the Go loop as
+// it would without AVX2 (TestSteadyDeclinesPastTheBound).
 //
 // The routine works in whole vectors, so with vw the window width rounded up
 // to 16 it reads vw bases of each sequence, vw+1 cells of the d-1 row and vw
@@ -117,53 +127,60 @@
 // owns the far edge: the last dozen or so antidiagonals of an extension that
 // reaches the end of a read.
 //
-// At x=7 one vector is the antidiagonal 98 times in a hundred on the
-// pipeline's read pairs, and then the routine does not load the d-1 and d-2
-// rows at all. Let C be the vector it just stored for antidiagonal d-1,
-// scored over a window starting at lo', and up', left' the two vectors C was
-// scored from. For antidiagonal d, starting at lo, lane k needs left =
-// row(d-1)[lo+k+1], up = row(d-1)[lo+k] and diag = row(d-2)[lo+k], and C's
-// lane k is row(d-1)[lo'+k+1]. With s = lo-lo':
+// At x=7 one vector is the window on every antidiagonal of the pipeline's
+// read pairs (TestSteadyPathsOnTheRungs), and that path has a body of its
+// own, straight through: no loop over vectors and no branch on a cell.
+// best, its first cell, lo and hi come from masks (VPMOVMSKB, BSF, BSR) and
+// conditional moves, and the sentinels are written without looking. The
+// one-front routine this replaced branched on all of that, cell by cell,
+// and for a single extension branching is right: the predictor hands lo and
+// hi to the next antidiagonal before this one is scored, and computing them
+// puts the whole antidiagonal on the path to the next one's addresses (730
+// Mcells/s fell to 500). With fronts interleaved it is the other way round.
+// A mispredicted branch throws away every front's work behind it, and the
+// history the predictor learns from is several extensions' at once. Branched,
+// more fronts ran slower. Branch-free, the other fronts' antidiagonals fill
+// the latency. Measured on the development host (a 2-vCPU Sapphire Rapids
+// Xeon) on BenchmarkXDropBatchPipelineX7's 231 seeds, against the one-front
+// routine's 455-469 Mcells/s one XDrop call at a time, with F fronts:
 //
-//	s = 0: left = C; up = C moved one lane up, pruned in lane 0; diag = up'
-//	s = 1: up = C; left = C moved one lane down, pruned in lane 15; diag = left'
+//	branchy, rows carried in the front   F=1 440-471  F=2 371-408  F=3 283-285  F=4 307-312
+//	branch-free shrink, branchy best     F=1 335-347  F=2 454-478  F=3 432-535  F=4 409-413
 //
-// one VPERM2I128 (pruned beside the half that crosses) and one VPALIGNR. The
-// lanes shifted in are pruned by construction. Lane 0 at s=0 stands for
-// row(d-1)[lo]: lo is then d-1's surviving lo1, and index lo1 is where its
-// lower sentinel is. Lane 15 at s=1 stands for row(d-1)[lo'+17]: if lane 15
-// is inside d's window at all (hi <= hi1+1, so only when d-1's lane 15
-// survived), that index is hi1+2, the upper sentinel. Every other lane of C is
-// the row as stored, pruned lanes past the width included. diag inherits the
-// argument one antidiagonal later. Anything else (a window wider than 16, a
-// start that moved by 2 or more, the first antidiagonal of a call) loads its
-// neighbours from the rows, which are still stored every antidiagonal.
-// TestSteadyMatchesLoop enters the routine at every antidiagonal of a set of
-// extensions and holds what it leaves to the Go loop advanced as far; it
-// counts the paths, and carried windows of 9 to 16 cells, a width-16 window
-// with a live lane 15, a start that jumps by 2 and a call that rebased are
-// each required to have been reached.
+// in Mcells/s from separate go test runs; and as kept, as its speed over
+// the one-front routine's, the medians of three runs of 60 rounds
+// alternating the two in one process:
+//
+//	branch-free                          F=1 0.87-0.91  F=2 1.32-1.43  F=3 1.35-1.51  F=4 1.29-1.47
+//
+// Two to four fronts tie on the kernel's rung. On the pipeline four win: on
+// longread_align's wall, four fronts took 13-18% off where two took 2-7%,
+// so fronts is 4. A front's turn is one antidiagonal: at a point where one
+// antidiagonal a turn ran at 1.23-1.25x, turns of two, which load and store
+// a front's registers half as often, ran at 1.07-1.08x, and of four at
+// 0.86-0.96x; carrying the row in the front (stored, and loaded back at the
+// same address, where the store forwards), the one-front routine's answer
+// to loading a row a lane to the side of the store that wrote it, ran at
+// 1.04-1.11x. Deriving the wider path's up from its left (VPERM2I128,
+// VPALIGNR) instead of loading it a lane to the side changed the divergent
+// x=30 rung by 1.03x and 0.95x. None of the three is kept. Wider windows
+// take the same masks a vector at a time: lo from the first vector with a
+// live lane, hi from the last. TestSteadyMatchesLoop enters the routine at
+// every antidiagonal of a set of extensions, beside a second front, and
+// holds what both leave to the Go loop advanced as far; it counts the
+// paths, and one-vector and wider windows, a new best past a wide window's
+// first vector, every exit, a stop at the rebase horizon and a rebase of
+// the other front are each required to have been reached.
 //
 // Things to know before touching the assembly. It must be VEX-encoded
 // throughout: one legacy-SSE instruction (MOVQ AX, X0 where VMOVD was meant)
 // among the broadcasts makes every call pay the SSE/AVX state transition,
 // and a single one made the whole x=7 kernel ten times slower. go vet's
 // asmdecl checks the frame, not the front: field offsets come from go_asm.h,
-// so a reordered struct still assembles right. The bookkeeping is branches
-// on purpose: the shrink reads the stored row cell by cell, and the branch
-// predictor hands lo and hi to the next antidiagonal before this one has
-// been scored. Computing them (VMOVMSKPS, BSF, BSR) removes the
-// mispredictions and puts the whole antidiagonal on the path to the next
-// one's addresses: 730 Mcells/s fell to 500. For the same reason the shift
-// is the cross-lane pair even for windows of 8 cells or fewer, where two
-// in-lane instructions (VPSLLDQ or VPSRLDQ and a VPBLENDW) would do: the
-// branch on the width that picks them cost the x=7 rungs 15% on a Sapphire
-// Rapids Xeon (family 6 model 143). And the
-// sentinels are written only after looking: a vector load that overlaps a
-// narrower store still in flight is not forwarded and waits for the cache,
-// the multi-vector path loads the row a vector at a time, and more often than
-// not the sentinel is there already (the window shrank over a pruned cell, or
-// a lane past the width was stored).
+// so a reordered struct still assembles right. The new best's maximum is
+// the in-lane shuffle ladder after one VPERM2I128, not VPHMINPOSUW: three
+// micro-operations fewer, but four cycles longer on the chain from one
+// antidiagonal's best to the next one's prune, and the batch lost 5%.
 //
 // int32 is safe for the Go loop because it is checked, not assumed:
 // Scoring.Validate bounds each score by MaxScoreMagnitude, and XDrop panics

@@ -25,6 +25,14 @@ func referenceXDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result 
 	}
 }
 
+// extension is one flank's outcome: the best score, the extents achieving
+// it, and the cells computed.
+type extension struct {
+	score      int
+	aLen, bLen int
+	cells      int64
+}
+
 // referenceExtend grows an alignment from position (0,0) of a and b (or of
 // their reversals when rev is true), maximizing the extension score under
 // x-drop pruning. Unlike local alignment the score may go negative (down to
@@ -228,4 +236,82 @@ func toBases(raw []byte) []byte {
 		out[i] = "ACGT"[b&3]
 	}
 	return out
+}
+
+// FuzzXDropBatchMatchesReference holds XDropBatch to referenceXDrop field for
+// field, seed by seed, on the host's kernel and, where that is the assembly
+// routine, on the Go loop alone. The raw bytes become up to three read pairs
+// (the second read of each a mutation of the first, at a rate the bytes
+// pick) and one to six seeds over them, each with its own pair, positions
+// and flank lengths, so the routine's fronts end in every order and refill
+// from the queue: one dying on its first antidiagonal while another runs to
+// the far edge, among others. k, scoring and x are the batch's.
+func FuzzXDropBatchMatchesReference(f *testing.F) {
+	f.Add([]byte("ACGTACGTACGTTGCA"), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(11), uint8(2), uint8(0), uint8(0), uint8(0))
+	// Three 300-base pairs at three error rates and six seeds among them,
+	// at the pipeline's x: a seed near a read's end, whose short flank ends
+	// at once, beside seeds whose long flanks run to the far edge.
+	long := randomSeq(rand.New(rand.NewSource(67)), 300)
+	f.Add(long, []byte{3, 0, 10, 10, 40, 1, 150, 150, 90, 2, 250, 251, 200, 0, 5, 4, 60, 1, 140, 139}, uint8(16), uint8(2), uint8(0), uint8(0), uint8(0))
+	// The same at the largest scores, where the routine rebases.
+	f.Add(long, []byte{3, 0, 10, 10, 40, 1, 150, 150, 90, 2, 250, 251}, uint8(16), uint8(2), uint8(4), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, raw, plan []byte, kRaw, xSel, mSel, misSel, gSel uint8) {
+		if len(raw) == 0 || len(plan) < 5 {
+			t.Skip()
+		}
+		// plan[0] picks the pairs' error rates; each further four bytes are
+		// a seed: its pair, its positions, and how much of the reads it sees.
+		bases := toBases(raw)
+		rng := rand.New(rand.NewSource(int64(plan[0])))
+		var pairs [3][2][]byte
+		for p := range pairs {
+			rate := []float64{0, 0.05, 0.15, 1}[(int(plan[0])>>(2*p))&3]
+			pairs[p] = [2][]byte{bases, mutate(rng, bases, rate)}
+			if rate >= 1 {
+				pairs[p][1] = randomSeq(rng, len(bases))
+			}
+		}
+		k := 1 + int(kRaw)%min(len(bases), 32)
+		var seeds []Seed
+		for q := 1; q+4 <= len(plan) && len(seeds) < 6; q += 4 {
+			pr := pairs[int(plan[q])%3]
+			s, u := pr[0], pr[1]
+			if len(u) < k {
+				continue
+			}
+			if plan[q+3]&1 == 1 { // a shorter second read
+				u = u[:k+int(plan[q+3])%(len(u)-k+1)]
+			}
+			seeds = append(seeds, Seed{S: s, T: u,
+				PosS: int(plan[q+1]) % (len(s) - k + 1), PosT: int(plan[q+2]) % (len(u) - k + 1)})
+		}
+		if len(seeds) == 0 {
+			t.Skip()
+		}
+		sc := Scoring{
+			Match:    fuzzScores[int(mSel)%len(fuzzScores)],
+			Mismatch: -fuzzScores[int(misSel)%len(fuzzScores)],
+			Gap:      -fuzzScores[int(gSel)%len(fuzzScores)],
+		}
+		x := fuzzXs[int(xSel)%len(fuzzXs)]
+		want := make([]Result, len(seeds))
+		for i, sd := range seeds {
+			want[i] = referenceXDrop(sd.S, sd.T, sd.PosS, sd.PosT, k, sc, x)
+		}
+		check := func(kernel string) {
+			got := make([]Result, len(seeds))
+			XDropBatch(seeds, k, sc, x, got)
+			for i, sd := range seeds {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d of %d (|s|=%d |u|=%d seed=(%d,%d) k=%d sc=%+v x=%d), %s\n got %+v\nwant %+v",
+						i, len(seeds), len(sd.S), len(sd.T), sd.PosS, sd.PosT, k, sc, x, kernel, got[i], want[i])
+				}
+			}
+		}
+		check("kernel as the host selects it")
+		if setAssembly(false) {
+			defer setAssembly(true)
+			check("Go loop alone")
+		}
+	})
 }

@@ -16,47 +16,123 @@ import (
 //
 // This reimplements the greedy x-drop extension of Zhang, Schwartz, Wagner
 // & Miller (2000) — the algorithm behind SeqAn's extendSeed that diBELLA
-// calls — over antidiagonals with a shrinking active window.
+// calls — over antidiagonals with a shrinking active window. It is
+// XDropBatch over one seed.
 //
 // DP scores are held in int32. XDrop panics, as it does for a bad seed, when
 // a score magnitude exceeds MaxScoreMagnitude or (len(s)+len(t))·max|score|
 // is too large for the pruned-cell sentinel to stay below every live score.
 func XDrop(s, t []byte, seedS, seedT, k int, sc Scoring, x int) Result {
-	if k <= 0 || seedS < 0 || seedT < 0 || seedS+k > len(s) || seedT+k > len(t) {
-		panic(fmt.Sprintf("align: bad seed (s:%d t:%d k:%d |s|:%d |t|:%d)",
-			seedS, seedT, k, len(s), len(t)))
-	}
-	if x < 0 {
-		panic(fmt.Sprintf("align: negative x-drop %d", x))
-	}
-	x32 := clampXDrop(len(s)+len(t), sc, x)
+	seeds := [1]Seed{{S: s, T: t, PosS: seedS, PosT: seedT}}
+	var out [1]Result
+	XDropBatch(seeds[:], k, sc, x, out[:])
+	return out[0]
+}
 
+// Seed is one alignment of a batch: the k bases at S[PosS:] and T[PosT:]
+// are taken to match exactly.
+type Seed struct {
+	S, T       []byte
+	PosS, PosT int
+}
+
+// XDropBatch sets out[i] to XDrop(seeds[i].S, seeds[i].T, seeds[i].PosS,
+// seeds[i].PosT, k, sc, x) for every i. The extensions of the whole batch,
+// each seed's right flank and then its left, are queued and run several at
+// a time, which is what keeps the assembly routine busy: one extension's
+// antidiagonals depend on each other, two extensions' do not. It panics as
+// XDrop does, before aligning anything, and when out is not as long as
+// seeds.
+func XDropBatch(seeds []Seed, k int, sc Scoring, x int, out []Result) {
+	if len(out) != len(seeds) {
+		panic(fmt.Sprintf("align: %d results for %d seeds", len(out), len(seeds)))
+	}
+	for _, sd := range seeds {
+		if k <= 0 || sd.PosS < 0 || sd.PosT < 0 || sd.PosS+k > len(sd.S) || sd.PosT+k > len(sd.T) {
+			panic(fmt.Sprintf("align: bad seed (s:%d t:%d k:%d |s|:%d |t|:%d)",
+				sd.PosS, sd.PosT, k, len(sd.S), len(sd.T)))
+		}
+		if x < 0 {
+			panic(fmt.Sprintf("align: negative x-drop %d", x))
+		}
+		clampXDrop(len(sd.S)+len(sd.T), sc, x)
+	}
+	for i, sd := range seeds {
+		out[i] = Result{Score: k * sc.Match, SStart: sd.PosS, SEnd: sd.PosS + k, TStart: sd.PosT, TEnd: sd.PosT + k}
+	}
 	w := workspaces.Get().(*workspace)
+	b := batch{seeds: seeds, out: out, k: k, sc: sc, x: x}
+	if useAVX2 {
+		w.runFronts(&b)
+	} else {
+		sl := &w.slots[0]
+		for b.take(sl) {
+			sl.advance(sl.st.n + sl.st.m)
+			b.finish(sl)
+		}
+	}
+	// Do not pin the caller's reads from the pool.
+	for i := range w.slots {
+		sl := &w.slots[i]
+		sl.rev, sl.a, sl.brev = reversal{}, nil, nil
+		sl.st.a, sl.st.brevm = nil, nil
+	}
+	workspaces.Put(w)
+}
+
+// batch is the queue of one XDropBatch call: extension e is seeds[e/2]'s
+// right flank when e is even and its left flank when e is odd, and each
+// adds its part to out[e/2] as it ends.
+type batch struct {
+	seeds []Seed
+	out   []Result
+	k     int
+	sc    Scoring
+	x     int
+	next  int // the next extension to start
+}
+
+// take starts the queue's next extension in sl, reporting false when the
+// queue is empty.
+func (b *batch) take(sl *slot) bool {
+	if b.next == 2*len(b.seeds) {
+		return false
+	}
+	e := b.next
+	b.next++
+	sd, k := b.seeds[e/2], b.k
+	x := clampXDrop(len(sd.S)+len(sd.T), b.sc, b.x)
+	sl.ext = e
 	// The kernel reads a[i] and brev[m-j] for 0 <= i <= n, 0 <= j <= m, so
 	// each view carries one extra base at i == 0 / j == 0: the last seed base
 	// on the un-reversed side, the buffer's spare slot on the reversed side.
 	// Past a[n] and brev[m] each view runs on for overread bases where there
 	// are any: the buffer's, or the rest of the seed on t's side.
-	tail := t[seedT+k:]
-	buf := w.buffer(len(tail) + 1 + overread)
-	w.rev = reversal{src: tail, dst: buf[:len(tail)], back: true}
-	right := w.extend(s[seedS+k-1:], buf, len(s)-seedS-k, len(tail), sc, x32)
+	if e%2 == 0 {
+		tail := sd.T[sd.PosT+k:]
+		buf := sl.buffer(len(tail) + 1 + overread)
+		sl.rev = reversal{src: tail, dst: buf[:len(tail)], back: true}
+		sl.begin(sd.S[sd.PosS+k-1:], buf, len(sd.S)-sd.PosS-k, len(tail), b.sc, x)
+	} else {
+		buf := sl.buffer(sd.PosS + 1 + overread)
+		sl.rev = reversal{src: sd.S[:sd.PosS], dst: buf[1 : sd.PosS+1]}
+		sl.begin(buf, sd.T[:min(len(sd.T), sd.PosT+1+overread)], sd.PosS, sd.PosT, b.sc, x)
+	}
+	return true
+}
 
-	buf = w.buffer(seedS + 1 + overread)
-	w.rev = reversal{src: s[:seedS], dst: buf[1 : seedS+1]}
-	left := w.extend(buf, t[:min(len(t), seedT+1+overread)], seedS, seedT, sc, x32)
-
-	// Do not pin the caller's reads from the pool.
-	w.rev = reversal{}
-	w.st.a, w.st.brev = nil, nil
-	workspaces.Put(w)
-	return Result{
-		Score:  k*sc.Match + right.score + left.score,
-		SStart: seedS - left.aLen,
-		SEnd:   seedS + k + right.aLen,
-		TStart: seedT - left.bLen,
-		TEnd:   seedT + k + right.bLen,
-		Cells:  right.cells + left.cells,
+// finish adds the extension that has ended in sl to its seed's result.
+func (b *batch) finish(sl *slot) {
+	st := &sl.st
+	r := &b.out[sl.ext/2]
+	r.Score += int(st.best)
+	r.Cells += st.cells
+	if sl.ext%2 == 0 {
+		r.SEnd += st.bestI
+		r.TEnd += st.bestD - st.bestI
+	} else {
+		r.SStart -= st.bestI
+		r.TStart -= st.bestD - st.bestI
 	}
 }
 
@@ -88,68 +164,87 @@ func (sc Scoring) maxAbs() int {
 	return max(sc.Match, -sc.Match, sc.Mismatch, -sc.Mismatch, sc.Gap, -sc.Gap)
 }
 
-type extension struct {
-	score      int
-	aLen, bLen int // extension extents achieving the best score
-	cells      int64
+// fronts is how many extensions the assembly routine advances at once: the
+// slots of a workspace. Measured, not configured (the package comment has
+// the numbers for one to four).
+const fronts = 4
+
+// workspace is the scratch one XDropBatch call needs: a slot per front.
+// Pooled, so steady state allocates nothing; nothing in it is cleared
+// between calls but the pointers into the caller's reads.
+type workspace struct {
+	slots [fronts]slot
 }
 
-// workspace is the scratch one XDrop call needs: three rolling antidiagonal
-// rows for the Go loop and three narrow ones for the assembly routine, the
-// buffer the reversed flank is built in, and the extension in progress.
-// Pooled, so steady state allocates nothing; nothing in it is cleared between
-// calls but the pointers into the caller's reads.
-type workspace struct {
-	rows   [3][]int32
-	narrow [3][]int16
-	rot    int // rows[rot%3], rows[(rot+1)%3] and rows[(rot+2)%3] are antidiagonals d-2, d-1 and d; narrow likewise
-	buf    []byte
-	rev    reversal
-	st     front
+// slot is one extension in progress and what it runs in: three rolling
+// antidiagonal rows for the Go loop and three narrow ones for the assembly
+// routine, the buffer its reversed flank is built in, and its two base
+// views.
+type slot struct {
+	rows    [3][]int32
+	narrow  [3][]int16
+	buf     []byte
+	rev     reversal
+	a, brev []byte
+	st      front
+	ext     int // which extension of the batch it is
+	entered int // st.d when the routine last took it over
 }
 
 // front is an extension between two antidiagonals: everything scoring the
 // next one needs, and everything the result is read from. The Go loop
-// (advance) and the assembly routine (steadyAVX2, which reads this struct by
+// (advance) and the assembly routine (frontsAVX2, which reads this struct by
 // field offset) each pick an extension up from here and leave it here, so
-// either can continue where the other stopped. The pointers and base are set
-// for an assembly call (workspace.enter) and mean nothing to the Go loop; the
-// two pointers into the caller's reads are cleared before the workspace is
-// pooled.
+// either can continue where the other stopped. floor, ceil and maxAbs are
+// the narrow layout's bounds, set with the rest by begin; past them, the
+// fields are the routine's, set when it takes the extension over
+// (slot.enter) and meaning nothing to the Go loop. The two pointers into the
+// caller's reads are cleared before the workspace is pooled.
 type front struct {
-	cur, p1, p2 *int16 // index 0 of the narrow rows of antidiagonals d, d-1, d-2
-	a, brev     *byte  // index 0 of the two base views
-	n, m        int
-	alast       int // the last index of a the routine may read: n, or up to overread past it
-	bpad        int // how far past brev[m] it may read, at most overread
-	d           int // the next antidiagonal to score
-	stop        int // the last one the assembly may score in this call
-	lo1, hi1    int // surviving window of antidiagonal d-1
-	bestI       int // first cell, in ascending d then i, to score best
-	bestD       int
-	cells       int64
-	best, x     int32
-	match       int32
-	mismatch    int32
-	gap         int32
-	base        int32 // a narrow cell holds its score minus base
-	floor       int32 // best-base after a rebase (and on entry)
-	ceil        int32 // the largest best-base an antidiagonal is scored from
+	n, m     int
+	alast    int // the last index of a the routine may read: n, or up to overread past it
+	bpad     int // how far past brev[m] it may read, at most overread
+	d        int // the next antidiagonal to score
+	lo1, hi1 int // surviving window of antidiagonal d-1
+	bestI    int // first cell, in ascending d then i, to score best
+	bestD    int
+	cells    int64
+	best, x  int32
+	match    int32
+	mismatch int32
+	gap      int32
+	rot      int   // rows[rot], rows[(rot+1)%3] and rows[(rot+2)%3] are antidiagonals d-2, d-1 and d; narrow likewise
+	floor    int32 // best-base on entry
+	ceil     int32 // the largest best-base an antidiagonal is scored from
+	maxAbs   int32 // the most best climbs in an antidiagonal
+
+	rows  [5]*int16    // index 0 of the narrow rows, twice round: rows[rot:] starts at d-2's
+	a     *byte        // a[0]
+	brevm *byte        // brev[m], so that brev[m-d+i] is brevm[i-d]
+	stop  int          // the last antidiagonal the routine may score before it hands the extension back
+	next  *front       // the front the routine turns to after this one
+	id    int          // the slot's index, which the routine returns
+	base  int32        // a narrow cell holds its score minus base
+	vbest [lanes]int16 // best-base, in every lane
+	vx    [lanes]int16 // x
 }
 
+// lanes is the routine's vector: sixteen int16 cells.
+const lanes = 16
+
 // fits reports whether the extension's scores fit the narrow rows: whether
-// a rebase leaves best-base at or below ceil (the package comment has the
-// arithmetic). It holds when x+3·maxAbs <= 65534, that is, for every x a
+// entering at floor leaves best-base at or below ceil (the package comment
+// has the arithmetic). It holds when x+3·maxAbs <= 65534, that is, for every x a
 // pipeline would use; beyond it the Go loop runs the whole extension.
 func (st *front) fits() bool { return st.floor <= st.ceil }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-func (w *workspace) buffer(n int) []byte {
-	if cap(w.buf) < n {
-		w.buf = make([]byte, n)
+func (sl *slot) buffer(n int) []byte {
+	if cap(sl.buf) < n {
+		sl.buf = make([]byte, n)
 	}
-	return w.buf[:n]
+	return sl.buf[:n]
 }
 
 // reversal builds dst[p] = src[len(src)-1-p] on demand, from dst's low end
@@ -195,73 +290,44 @@ func reverseInto(dst, src []byte) {
 	}
 }
 
-// extend grows an alignment from cell (0,0) over bases a[1..n] and b[1..m],
-// maximizing the extension score under x-drop pruning. b arrives reversed,
-// brev[m-j] holding base j, so that along an antidiagonal both sequences are
-// read in ascending index order. Unlike local alignment the score may go
-// negative (down to best-x) before recovering. a[0] and brev[m] exist but
-// are never scored: the cells that read them have a pruned diagonal; nor is
-// anything past a[n] or brev[m], which only the routine's lanes past a window
-// read.
+// begin starts the extension of a[1..n] over brev[0..m-1] from cell (0,0):
+// it sizes the rows for a first sequence of n bases and leaves in sl.st the
+// extension that has scored cell (0,0) and nothing else. The narrow rows are
+// overread cells longer, for the routine's lanes past a window at the n
+// edge.
 //
-// Antidiagonal d holds cell (i, d-i) at row index i+1, live over a window
-// [lo,hi] with a pruned sentinel stored at lo-1 and hi+1, so the three
-// neighbour reads need no window or edge test (see the package comment).
-// Whichever of a, brev is w.rev.dst is filled ahead of the antidiagonal
-// that reads it.
-func (w *workspace) extend(a, brev []byte, n, m int, sc Scoring, x int32) extension {
-	w.begin(a, brev, n, m, sc, x)
-	st := &w.st
-	// steady runs the extension until its window reaches an edge, where the
-	// assembly's whole-vector reads would leave the slices, and the Go loop
-	// runs edgeRun antidiagonals from there before it offers the extension
-	// again. Which antidiagonals are which the assembly decides (it returns
-	// at once from one it may not score). Without AVX2, or with scores too
-	// wide for the narrow rows, the loop runs to the end as if there were
-	// nothing to hand off to.
-	vector := useAVX2 && st.fits()
-	run := n + m
-	if vector {
-		run = edgeRun
-	}
-	for alive := true; alive && st.d <= n+m; {
-		if vector {
-			if alive = w.steady(a, brev); !alive || st.d > n+m {
-				break
-			}
+// An extension maximizes its score under x-drop pruning. b arrives
+// reversed, brev[m-j] holding base j, so that along an antidiagonal both
+// sequences are read in ascending index order. Unlike local alignment the
+// score may go negative (down to best-x) before recovering. a[0] and brev[m]
+// exist but are never scored: the cells that read them have a pruned
+// diagonal; nor is anything past a[n] or brev[m], which only the routine's
+// lanes past a window read. Whichever of a, brev is sl.rev.dst is filled
+// ahead of the antidiagonal that reads it.
+func (sl *slot) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
+	for r := range sl.rows {
+		if cap(sl.rows[r]) < n+3 {
+			sl.rows[r] = make([]int32, n+3)
 		}
-		alive = w.advance(a, brev, min(n+m, st.d+run-1))
-	}
-	return extension{score: int(st.best), aLen: st.bestI, bLen: st.bestD - st.bestI, cells: st.cells}
-}
-
-// begin sizes the rows for a first sequence of n bases and leaves in w.st the
-// extension of a[:n+1] over brev[:m+1] that has scored cell (0,0) and nothing
-// else. The narrow rows are overread cells longer, for the routine's lanes
-// past a window at the n edge.
-func (w *workspace) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
-	for r := range w.rows {
-		if cap(w.rows[r]) < n+3 {
-			w.rows[r] = make([]int32, n+3)
+		if cap(sl.narrow[r]) < n+3+overread {
+			sl.narrow[r] = make([]int16, n+3+overread)
 		}
-		if cap(w.narrow[r]) < n+3+overread {
-			w.narrow[r] = make([]int16, n+3+overread)
-		}
-		w.rows[r], w.narrow[r] = w.rows[r][:n+3], w.narrow[r][:n+3+overread]
+		sl.rows[r], sl.narrow[r] = sl.rows[r][:n+3], sl.narrow[r][:n+3+overread]
 	}
-	w.rot = 0
-	p2, p1, _ := w.threeRows()
+	sl.a, sl.brev = a, brev
+	st := &sl.st
+	st.rot = 0
+	p2, p1, _ := sl.threeRows()
 	// d-1 is the single cell (0,0) scoring 0; d-2 is empty.
 	p1[0], p1[1], p1[2] = pruned, 0, pruned
 	p2[0], p2[1] = pruned, pruned
-	st := &w.st
 	st.n, st.m, st.d, st.lo1, st.hi1 = n, m, 1, 0, 0
 	st.alast, st.bpad = min(len(a)-1, n+overread), min(len(brev)-1-m, overread)
 	st.best, st.bestI, st.bestD, st.cells = 0, 0, 0, 0
 	st.x, st.match, st.mismatch, st.gap = x, int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
-	maxAbs := int32(sc.maxAbs())
-	st.floor = math.MinInt16 + 1 + x + 2*maxAbs
-	st.ceil = math.MaxInt16 - maxAbs
+	st.maxAbs = int32(sc.maxAbs())
+	st.floor = math.MinInt16 + 1 + x + 2*st.maxAbs
+	st.ceil = math.MaxInt16 - st.maxAbs
 }
 
 // edgeRun is how many antidiagonals the Go loop scores before it offers the
@@ -277,7 +343,7 @@ const overread = 15
 
 // Why the assembly routine returned.
 const (
-	exitStop = iota // front.stop scored: next the flank needs filling, or the call cap
+	exitStop = iota // front.stop scored: next the flank needs filling, or the cap
 	exitEdge        // a whole-vector read of antidiagonal d would leave the slices
 	exitDead        // antidiagonal d has no live cell: the extension is over
 )
@@ -285,19 +351,20 @@ const (
 // threeRows returns the rows of antidiagonals d-2, d-1 and d. They rotate
 // by count, not by moving slices: the assembly cannot store a pointer (no
 // write barrier), and the Go loop saves three of them per call.
-func (w *workspace) threeRows() (p2, p1, cur []int32) {
-	r := w.rot % 3
-	return w.rows[r], w.rows[(r+1)%3], w.rows[(r+2)%3]
+func (sl *slot) threeRows() (p2, p1, cur []int32) {
+	r := sl.st.rot
+	return sl.rows[r], sl.rows[(r+1)%3], sl.rows[(r+2)%3]
 }
 
-// advance is the x-drop kernel in Go: it scores antidiagonals w.st.d to until
-// and leaves the extension in w.st, reporting false once it is over (an empty
-// window, or a whole antidiagonal pruned).
-func (w *workspace) advance(a, brev []byte, until int) (alive bool) {
-	st := &w.st
+// advance is the x-drop kernel in Go: it scores antidiagonals sl.st.d to
+// until and leaves the extension in sl.st, reporting false once it is over
+// (an empty window, or a whole antidiagonal pruned).
+func (sl *slot) advance(until int) (alive bool) {
+	st := &sl.st
+	a, brev := sl.a, sl.brev
 	n, m, x := st.n, st.m, st.x
 	match, mismatch, gap := st.match, st.mismatch, st.gap
-	p2, p1, cur := w.threeRows()
+	p2, p1, cur := sl.threeRows()
 	lo1, hi1 := st.lo1, st.hi1
 	best, bestI, bestD := st.best, st.bestI, st.bestD
 	cells := st.cells
@@ -309,8 +376,8 @@ func (w *workspace) advance(a, brev []byte, until int) (alive bool) {
 			alive = false
 			break
 		}
-		if d > w.rev.done {
-			w.rev.fill(d)
+		if d > sl.rev.done {
+			sl.rev.fill(d)
 		}
 		width := hi - lo + 1
 		cells += int64(width) // every cell of the window, before it shrinks
@@ -338,7 +405,7 @@ func (w *workspace) advance(a, brev []byte, until int) (alive bool) {
 		p2, p1, cur = p1, cur, p2
 		lo1, hi1 = lo, hi
 	}
-	w.rot += d - st.d
+	st.rot = (st.rot + d - st.d) % 3
 	st.d, st.lo1, st.hi1 = d, lo1, hi1
 	st.best, st.bestI, st.bestD = best, bestI, bestD
 	st.cells = cells
@@ -350,7 +417,7 @@ func (w *workspace) advance(a, brev []byte, until int) (alive bool) {
 // they hold d-1's (i, j-1), d-2's (i-1, j-1) and the two bases; up is d-1's
 // (i-1, j) for c[0], and the previous left thereafter. It is a function of
 // its own because the loop then competes for registers with nothing but its
-// own operands; written inline in extend it ran a sixth slower at x=30.
+// own operands; written inline in advance it ran a sixth slower at x=30.
 func antidiagonal(c, left, diag []int32, ai, bj []byte, up, prune, match, mismatch, gap int32) int32 {
 	left, diag, ai, bj = left[:len(c)], diag[:len(c)], ai[:len(c)], bj[:len(c)]
 	rowMax := int32(pruned)

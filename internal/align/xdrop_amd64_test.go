@@ -11,7 +11,7 @@ import (
 	"dibella/internal/cpuid"
 )
 
-// setAssembly switches the assembly routine under extend and reports whether
+// setAssembly switches the assembly routine on or off and reports whether
 // it was on. Turning it on where the CPU has no AVX2 is the caller's bug.
 func setAssembly(on bool) (was bool) {
 	was, useAVX2 = useAVX2, on
@@ -24,14 +24,13 @@ const (
 	canaryRoom   = 16 // cells or bases either side of a row or a base view
 )
 
-// guarded is a workspace whose rows, wide and narrow, sit between canaries,
-// with its two base views and their canaried backing, for one right-hand
+// guarded is a slot whose rows, wide and narrow, sit between canaries, with
+// its two base views and their canaried backing, for one right-hand
 // extension of a over b.
 type guarded struct {
-	w         workspace
+	sl        slot
 	rowMem    [3][]int32
 	narrowMem [3][]int16
-	a, brev   []byte
 	baseMem   [2][]byte
 	baseWant  [2][]byte
 }
@@ -45,23 +44,23 @@ func newGuarded(a, b []byte, sc Scoring, x int32, apad, bpad int) *guarded {
 	pad := func(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
 	g.baseMem[0] = concat(pad(canaryRoom), a, pad(canaryRoom))
 	g.baseMem[1] = pad(canaryRoom + len(b) + 1 + canaryRoom)
-	g.a = g.baseMem[0][canaryRoom:][: len(a)+apad : len(a)+apad]
-	g.brev = g.baseMem[1][canaryRoom:][: len(b)+1+bpad : len(b)+1+bpad]
-	g.w.rev = reversal{src: b, dst: g.brev[:len(b)], back: true}
+	av := g.baseMem[0][canaryRoom:][: len(a)+apad : len(a)+apad]
+	brev := g.baseMem[1][canaryRoom:][: len(b)+1+bpad : len(b)+1+bpad]
+	g.sl.rev = reversal{src: b, dst: brev[:len(b)], back: true}
 	n := len(a) - 1
 	for r := range g.rowMem {
 		g.rowMem[r] = make([]int32, canaryRoom+n+3+canaryRoom)
 		for k := range g.rowMem[r] {
 			g.rowMem[r][k] = rowCanary
 		}
-		g.w.rows[r] = g.rowMem[r][canaryRoom:][: n+3 : n+3]
+		g.sl.rows[r] = g.rowMem[r][canaryRoom:][: n+3 : n+3]
 		g.narrowMem[r] = make([]int16, canaryRoom+n+3+overread+canaryRoom)
 		for k := range g.narrowMem[r] {
 			g.narrowMem[r][k] = narrowCanary
 		}
-		g.w.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3+overread : n+3+overread]
+		g.sl.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3+overread : n+3+overread]
 	}
-	g.w.begin(g.a, g.brev, n, len(b), sc, x)
+	g.sl.begin(av, brev, n, len(b), sc, x)
 	return g
 }
 
@@ -69,20 +68,20 @@ func newGuarded(a, b []byte, sc Scoring, x int32, apad, bpad int) *guarded {
 // included, so the two copies can be advanced by different kernels.
 func (g *guarded) clone() *guarded {
 	c := new(guarded)
-	c.w.rot, c.w.st = g.w.rot, g.w.st
+	c.sl.st, c.sl.entered = g.sl.st, g.sl.entered
 	for r := range g.rowMem {
 		c.rowMem[r] = slices.Clone(g.rowMem[r])
-		c.w.rows[r] = c.rowMem[r][canaryRoom:][:len(g.w.rows[r]):len(g.w.rows[r])]
+		c.sl.rows[r] = c.rowMem[r][canaryRoom:][:len(g.sl.rows[r]):len(g.sl.rows[r])]
 		c.narrowMem[r] = slices.Clone(g.narrowMem[r])
-		c.w.narrow[r] = c.narrowMem[r][canaryRoom:][:len(g.w.narrow[r]):len(g.w.narrow[r])]
+		c.sl.narrow[r] = c.narrowMem[r][canaryRoom:][:len(g.sl.narrow[r]):len(g.sl.narrow[r])]
 	}
 	for v := range g.baseMem {
 		c.baseMem[v] = slices.Clone(g.baseMem[v])
 	}
-	c.a = c.baseMem[0][canaryRoom:][:len(g.a):len(g.a)]
-	c.brev = c.baseMem[1][canaryRoom:][:len(g.brev):len(g.brev)]
-	c.w.rev = g.w.rev
-	c.w.rev.dst = c.brev[:len(g.w.rev.dst)]
+	c.sl.a = c.baseMem[0][canaryRoom:][:len(g.sl.a):len(g.sl.a)]
+	c.sl.brev = c.baseMem[1][canaryRoom:][:len(g.sl.brev):len(g.sl.brev)]
+	c.sl.rev = g.sl.rev
+	c.sl.rev.dst = c.sl.brev[:len(g.sl.rev.dst)]
 	return c
 }
 
@@ -118,89 +117,56 @@ func (g *guarded) untouched(t *testing.T, when string) {
 	}
 }
 
-// window is one scored antidiagonal as the Go loop saw it.
-type window struct {
-	lo, width int // before the shrink
-	hi1       int // the last cell to survive it
-}
-
-// pathTally counts the antidiagonals of one assembly call by the path the
-// routine takes through them, as the Go loop's windows determine it.
+// pathTally counts antidiagonals by the path the routine takes through
+// them, as the Go loop's windows determine it.
 type pathTally struct {
-	carried0, carried1 int // neighbours from registers, window start moved by 0 or 1
-	lane15             int // of carried1: behind a width-16 window whose lane 15 survived
-	over8              int // of the carried: windows of 9 to 16 cells
-	jumped             int // from the rows: a single vector after one, start moved by 2+
-	first              int // from the rows: a single vector with nothing to carry from
-	multi              int // from the rows: wider than one vector
-	carry              bool
-	prev               window
+	one      int // one vector: best and the shrink from masks
+	wide     int // wider than a vector: the shrink cell by cell
+	wideBest int // of the wide: a new best first reached past the window's first vector
 }
 
-// score advances w by one antidiagonal on the Go loop and files it,
+// score advances sl by one antidiagonal on the Go loop and files it,
 // reporting whether the extension lives on.
-func (p *pathTally) score(w *workspace, a, brev []byte) (alive bool) {
-	st := &w.st
+func (p *pathTally) score(sl *slot) (alive bool) {
+	st := &sl.st
 	lo, hi := max(st.lo1, st.d-st.m), min(st.hi1+1, st.n)
-	width := hi - lo + 1
-	alive = w.advance(a, brev, st.d)
-	switch s := lo - p.prev.lo; {
-	case width > lanes:
-		p.multi++
-	case !p.carry:
-		p.first++
-	case s == 0 || s == 1:
-		if s == 0 {
-			p.carried0++
-		} else {
-			p.carried1++
-			if p.prev.width == lanes && p.prev.hi1 == p.prev.lo+lanes-1 {
-				p.lane15++ // the lane shifted in stands for the upper sentinel
-			}
+	best := st.best
+	alive = sl.advance(st.d)
+	if hi-lo+1 > lanes {
+		p.wide++
+		if st.best > best && st.bestI >= lo+lanes {
+			p.wideBest++
 		}
-		if width > 8 {
-			p.over8++
-		}
-	default:
-		p.jumped++
+	} else {
+		p.one++
 	}
-	p.carry, p.prev = width <= lanes, window{lo, width, st.hi1}
 	return alive
 }
 
 func (p *pathTally) add(q pathTally) {
-	p.carried0 += q.carried0
-	p.carried1 += q.carried1
-	p.lane15 += q.lane15
-	p.over8 += q.over8
-	p.jumped += q.jumped
-	p.first += q.first
-	p.multi += q.multi
+	p.one += q.one
+	p.wide += q.wide
+	p.wideBest += q.wideBest
 }
 
 func (p pathTally) String() string {
-	total := float64(p.carried0+p.carried1+p.jumped+p.first+p.multi) / 100
-	return fmt.Sprintf("carried s=0 %d (%.1f%%), carried s=1 %d (%.1f%%, %d behind a live lane 15), of the carried %d (%.1f%%) 9 to 16 cells wide, rows after a jump %d (%.1f%%), rows with nothing carried %d (%.1f%%), rows wider than a vector %d (%.1f%%)",
-		p.carried0, float64(p.carried0)/total, p.carried1, float64(p.carried1)/total, p.lane15,
-		p.over8, float64(p.over8)/total,
-		p.jumped, float64(p.jumped)/total, p.first, float64(p.first)/total, p.multi, float64(p.multi)/total)
+	total := float64(p.one+p.wide) / 100
+	return fmt.Sprintf("one vector %d (%.1f%%), wider %d (%.1f%%, %d with a new best past the first vector)",
+		p.one, float64(p.one)/total, p.wide, float64(p.wide)/total, p.wideBest)
 }
 
-// lanes is the routine's vector: sixteen int16 cells.
-const lanes = 16
-
-// The x=7 rungs are the carried path's: on BenchmarkXDropPipelineX7's and
-// BenchmarkXDropSimilarX7's pairs, taken as one assembly call from the first
-// antidiagonal on, nearly every antidiagonal finds its neighbours in
-// registers. A change that made the carry rarely valid would pass every
-// equivalence test and lose the kernel its speed; this is where it fails. The
-// shares are logged for CHANGES.md.
+// The x=7 rungs are the one-vector path's: on BenchmarkXDropPipelineX7's and
+// BenchmarkXDropSimilarX7's pairs nearly every antidiagonal is one vector
+// wide, and the routine finds best and the shrink from masks, with no
+// branch on the data. A change that made that path rare would pass every
+// equivalence test and lose the kernel its speed; this is where it fails.
+// The shares are logged for CHANGES.md.
 func TestSteadyPathsOnTheRungs(t *testing.T) {
 	for _, rung := range []struct {
-		name    string
-		length  int
-		x       int
-		carried float64 // least share of carried antidiagonals
+		name   string
+		length int
+		x      int
+		one    float64 // least share of one-vector antidiagonals
 	}{
 		{"PipelineX7", 0, 7, 0.95},
 		{"SimilarX7", 6000, 7, 0.95},
@@ -215,12 +181,11 @@ func TestSteadyPathsOnTheRungs(t *testing.T) {
 		}
 		g := newGuarded(a, b, DefaultScoring, clampXDrop(len(a)+len(b), DefaultScoring, rung.x), 0, overread)
 		var tally pathTally
-		for g.w.st.d <= g.w.st.n+g.w.st.m && tally.score(&g.w, g.a, g.brev) {
+		for g.sl.st.d <= g.sl.st.n+g.sl.st.m && tally.score(&g.sl) {
 		}
 		t.Logf("%s: %v", rung.name, tally)
-		total := tally.carried0 + tally.carried1 + tally.jumped + tally.first + tally.multi
-		if got := float64(tally.carried0+tally.carried1) / float64(total); got < rung.carried {
-			t.Errorf("%s: %.1f%% of antidiagonals carried, want at least %.0f%%", rung.name, 100*got, 100*rung.carried)
+		if got := float64(tally.one) / float64(tally.one+tally.wide); got < rung.one {
+			t.Errorf("%s: %.1f%% of antidiagonals one vector wide, want at least %.0f%%", rung.name, 100*got, 100*rung.one)
 		}
 	}
 }
@@ -228,7 +193,7 @@ func TestSteadyPathsOnTheRungs(t *testing.T) {
 // steadyCase is one extension of TestSteadyMatchesLoop.
 type steadyCase struct {
 	name string
-	a, b []byte // a[0] is the spare base XDrop hands extend
+	a, b []byte // a[0] is the spare base XDropBatch hands begin
 	sc   Scoring
 	x    int32
 }
@@ -276,7 +241,7 @@ func steadyCases() []steadyCase {
 	return cases
 }
 
-// Past narrowXMax the routine declines: extend never offers it the
+// Past narrowXMax the routine declines: refill never offers it the
 // extension, and the Go loop alone gives the reference's answer. At it, the
 // routine takes it and gives the same answer.
 func TestSteadyDeclinesPastTheBound(t *testing.T) {
@@ -284,10 +249,10 @@ func TestSteadyDeclinesPastTheBound(t *testing.T) {
 	s, u, seedS, seedU := seededPair(rng, 300, 12, 0.05)
 	for _, sc := range []Scoring{maxScores, {MaxScoreMagnitude, -1, -1}, {3, -5, -2}} {
 		for _, x := range []int{narrowXMax(sc) - 1, narrowXMax(sc), narrowXMax(sc) + 1} {
-			var w workspace
-			w.begin(make([]byte, 11), make([]byte, 11), 10, 10, sc, int32(x))
-			if fits := x <= narrowXMax(sc); w.st.fits() != fits {
-				t.Errorf("sc=%+v x=%d: fits() = %v, want %v", sc, x, w.st.fits(), fits)
+			var sl slot
+			sl.begin(make([]byte, 11), make([]byte, 11), 10, 10, sc, int32(x))
+			if fits := x <= narrowXMax(sc); sl.st.fits() != fits {
+				t.Errorf("sc=%+v x=%d: fits() = %v, want %v", sc, x, sl.st.fits(), fits)
 			}
 			got := XDrop(s, u, seedS, seedU, 12, sc, x)
 			if want := referenceXDrop(s, u, seedS, seedU, 12, sc, x); got != want {
@@ -297,80 +262,171 @@ func TestSteadyDeclinesPastTheBound(t *testing.T) {
 	}
 }
 
-// The assembly routine is the Go loop, antidiagonal for antidiagonal. Every
-// extension here is walked by the Go loop alone; at every antidiagonal D of
-// that walk the routine is entered on a copy, with a stop horizon that lets
-// it score between one antidiagonal and all that the flank allows, and what
-// it leaves is compared with the Go loop advanced over the same
-// antidiagonals: the two rows the Go loop would go on from, as enter widens
-// them from the narrow rows (every row whole, if it scored nothing), lo1,
-// hi1, best, bestI, bestD, cells and d, and the reason it gave for stopping,
-// which has to be true. The base views run on past their last base by what
-// XDrop's views may (nothing, a little, overread); canaries either side of
-// every row, wide and narrow, and of both base views stay as they were. The
-// paths through the routine are counted from the Go loop's windows, and each
-// has to have been taken.
+// call runs the routine over the ring of the fronts of sls, in that order,
+// each handed to it as runFronts hands it (enter), the first with its stop
+// horizon lowered to stop, until the first front exits. A stop of any other
+// front is taken up again as runFronts takes it up (resume: a rebase, or a
+// new horizon); any other exit of theirs is returned as it is. Every front
+// is left with its best written back and its rows widened for the Go loop
+// (leave), unless it died.
+func call(stop int, sls ...*slot) (id, exit int) {
+	for i, sl := range sls {
+		sl.st.id = i
+		sl.enter()
+		sl.st.next = &sls[(i+1)%len(sls)].st
+	}
+	st := &sls[0].st
+	st.stop = min(stop, st.stop)
+	for {
+		id, exit = frontsAVX2(&sls[0].st)
+		if id == 0 || exit != exitStop || !sls[id].resume(exit) {
+			break
+		}
+	}
+	for i, sl := range sls {
+		if i != id { // best as the routine writes it back when a front exits
+			sl.st.best = int32(sl.st.vbest[0]) + sl.st.base
+		}
+		if i != id || exit != exitDead {
+			sl.leave()
+		}
+	}
+	return id, exit
+}
+
+// matchLoop compares the extension the routine left in got with want, the
+// same extension advanced over as many antidiagonals by the Go loop: d,
+// best, bestI, bestD and cells, and unless it died, the window, the
+// rotation and the two rows the Go loop goes on from (every row whole, if
+// the routine scored nothing past d0, where it took the extension up).
+func matchLoop(got, want *slot, d0, exit int, fail func(format string, args ...any)) {
+	gs, ws := &got.st, &want.st
+	if gs.d != ws.d || gs.best != ws.best || gs.bestI != ws.bestI || gs.bestD != ws.bestD || gs.cells != ws.cells {
+		fail("\n got d=%d best=%d at (%d,%d) cells=%d\nwant d=%d best=%d at (%d,%d) cells=%d",
+			gs.d, gs.best, gs.bestI, gs.bestD, gs.cells, ws.d, ws.best, ws.bestI, ws.bestD, ws.cells)
+	}
+	if exit == exitDead { // a dead extension's window and rows are read by no one
+		return
+	}
+	if gs.lo1 != ws.lo1 || gs.hi1 != ws.hi1 || gs.rot != ws.rot {
+		fail("window [%d,%d] rot %d, want [%d,%d] rot %d", gs.lo1, gs.hi1, gs.rot, ws.lo1, ws.hi1, ws.rot)
+	}
+	scored := gs.d != d0
+	rows := 3 // a call that scored nothing left every row as it was
+	if scored {
+		rows = 2
+	}
+	for back := 1; back <= rows; back++ {
+		r := (ws.rot + 5 - back) % 3 // the row of antidiagonal d-back
+		grow, wrow := got.rows[r], want.rows[r]
+		if scored { // as leave widened them: d-1 with its sentinels, d-2 as far as d reads it
+			end := ws.hi1 + 4 - back
+			grow, wrow = grow[ws.lo1:end], wrow[ws.lo1:end]
+		}
+		if !slices.Equal(grow, wrow) {
+			fail("row of antidiagonal d-%d\n got %v\nwant %v", back, grow, wrow)
+		}
+	}
+}
+
+// companion is the front TestSteadyMatchesLoop runs beside each case scored
+// by sc (the routine's fronts share their scores): two reads of one 6 kb
+// template at 2% error, at an x that outlasts any one error, its flank
+// reversed in full, so it is live for longer than any case. At the largest
+// scores its x is near the largest the routine takes, so that best may pass
+// ceil within four antidiagonals: it stops every few antidiagonals and is
+// rebased.
+func companion(sc Scoring) *guarded {
+	rng := rand.New(rand.NewSource(31))
+	tmpl := randomSeq(rng, 6000)
+	a, b := concat([]byte("A"), mutate(rng, tmpl, 0.02)), mutate(rng, tmpl, 0.02)
+	x := 4*sc.maxAbs() + 3
+	if sc == maxScores {
+		x = narrowXMax(sc) - 4*sc.maxAbs()
+	}
+	g := newGuarded(a, b, sc, int32(x), 0, overread)
+	g.sl.rev.fill(len(a) + len(b))
+	return g
+}
+
+// The assembly routine is the Go loop, antidiagonal for antidiagonal, with
+// another front beside it. Every extension here is walked by the Go loop
+// alone; at every antidiagonal D of that walk the routine is entered on a
+// copy, beside a fresh copy of the companion, with a stop horizon that lets
+// the case score between one antidiagonal and all that the flank allows.
+// The case's front has to be the one to exit, for a reason that is true, and
+// both fronts have to be where the Go loop leaves them after as many
+// antidiagonals as the routine scored of each (matchLoop). The case's base
+// views run on past their last base by what XDrop's views may (nothing, a
+// little, overread); canaries either side of every row, wide and narrow, and
+// of both base views stay as they were. The paths through the routine are
+// counted from the Go loop's windows, and each has to have been taken.
 func TestSteadyMatchesLoop(t *testing.T) {
 	if !cpuid.AVX2() {
 		t.Skip("no AVX2 on this host: the Go loop is the whole kernel, and the other tests cover it")
 	}
-	var entered, edges, deaths, fills, caps, rebased int
+	var entered, edges, deaths, fills, caps, rooms, rebased int
 	var paths pathTally
 	for c, tc := range steadyCases() {
+		comp := companion(tc.sc)
 		n, m := len(tc.a)-1, len(tc.b)
-		windowAt := func(st *front) (lo, hi int) { // extend's window arithmetic
-			return max(st.lo1, st.d-m), min(st.hi1+1, n)
-		}
 		pad := [...][2]int{{0, overread}, {overread, overread}, {overread, 0}, {0, 0}, {overread, 7}}[c%5]
 		ref := newGuarded(tc.a, tc.b, tc.sc, tc.x, pad[0], pad[1])
 		for D := 1; D <= n+m; D++ {
-			if D > ref.w.rev.done {
-				ref.w.rev.fill(D) // as steady does ahead of the routine
+			if D > ref.sl.rev.done {
+				ref.sl.rev.fill(D) // as horizon does ahead of the routine
 			}
-			// Stop horizons: a single antidiagonal, a few (a call's cap is
-			// this comparison), and everything the flank allows.
+			// Stop horizons: a single antidiagonal, a few (a cap is this
+			// comparison), and everything the flank allows.
 			horizon := [...]int{D, D + 2 + D%7, math.MaxInt}[D%3]
-			stop := min(horizon, ref.w.rev.done)
+			stop := min(horizon, ref.sl.rev.done)
 
-			got := ref.clone()
+			got, other := ref.clone(), comp.clone()
 			got.snapshot()
-			got.w.st.a, got.w.st.brev = &got.a[0], &got.brev[0]
-			exit := got.w.enter(stop)
-			got.untouched(t, tc.name)
-			steps := got.w.st.d - D
-			entered++
-
-			// The Go loop advanced over as many.
-			want := ref.clone()
-			if steps > 0 && !want.w.advance(want.a, want.brev, D+steps-1) {
-				t.Fatalf("%s: entered at d=%d the routine scored %d antidiagonals; the Go loop died at %d",
-					tc.name, D, steps, want.w.st.d)
+			id, exit := call(stop, &got.sl, &other.sl)
+			if other.sl.st.base != comp.sl.st.best-comp.sl.st.floor {
+				rebased++ // the companion's base moved from where enter put it: resume rebased it
 			}
-			gs, ws := &got.w.st, &want.w.st
+			got.untouched(t, tc.name)
+			steps := got.sl.st.d - D
+			entered++
 			fail := func(format string, args ...any) {
 				t.Helper()
 				t.Fatalf("%s: entered at d=%d, stop %d, exit %d after %d antidiagonals: "+format,
 					append([]any{tc.name, D, stop, exit, steps}, args...)...)
 			}
+			if id != 0 {
+				fail("the companion exited first, at d=%d", other.sl.st.d)
+			}
+
+			// The Go loop advanced over as many.
+			want := ref.clone()
+			if steps > 0 && !want.sl.advance(D+steps-1) {
+				fail("the Go loop died at %d", want.sl.st.d)
+			}
+			gs, ws := &got.sl.st, &want.sl.st
 			switch exit {
 			case exitStop:
-				if gs.d != min(stop, n+m)+1 {
-					fail("exitStop at d=%d", gs.d)
+				if gs.d != gs.stop+1 || gs.stop > min(stop, n+m) {
+					fail("exitStop at d=%d, horizon %d", gs.d, gs.stop)
 				}
-				if stop == ref.w.rev.done && stop < n+m {
+				switch {
+				case gs.stop < min(stop, n+m):
+					rooms++
+				case stop == ref.sl.rev.done && stop < n+m:
 					fills++
-				} else if stop < n+m {
+				case stop < n+m:
 					caps++
 				}
 			case exitEdge:
-				lo, hi := windowAt(ws)
+				lo, hi := max(ws.lo1, ws.d-m), min(ws.hi1+1, n)
 				vw := (hi - lo + 1 + lanes - 1) &^ (lanes - 1)
 				if last := lo + vw - 1; lo > hi || (last <= n+pad[0] && last <= ws.d+pad[1]) {
 					fail("window [%d,%d] at d=%d of n=%d m=%d is no edge", lo, hi, gs.d, n, m)
 				}
 				edges++
 			case exitDead:
-				if want.w.advance(want.a, want.brev, gs.d) {
+				if want.sl.advance(gs.d) {
 					fail("the Go loop lives on past d=%d", gs.d)
 				}
 				deaths++
@@ -380,67 +436,78 @@ func TestSteadyMatchesLoop(t *testing.T) {
 			if gs.d-1 > stop {
 				fail("scored up to d=%d", gs.d-1)
 			}
-			if gs.d != ws.d || gs.best != ws.best || gs.bestI != ws.bestI || gs.bestD != ws.bestD || gs.cells != ws.cells {
-				fail("\n got d=%d best=%d at (%d,%d) cells=%d\nwant d=%d best=%d at (%d,%d) cells=%d",
-					gs.d, gs.best, gs.bestI, gs.bestD, gs.cells, ws.d, ws.best, ws.bestI, ws.bestD, ws.cells)
+			matchLoop(&got.sl, &want.sl, D, exit, fail)
+
+			// The companion, mid-extension, is where the Go loop would be.
+			wantOther := comp.clone()
+			if k := other.sl.st.d - wantOther.sl.st.d; k > 0 && !wantOther.sl.advance(wantOther.sl.st.d+k-1) {
+				fail("the companion's Go loop died")
 			}
-			if exit != exitDead { // a dead extension's window and rows are read by no one
-				if gs.lo1 != ws.lo1 || gs.hi1 != ws.hi1 || got.w.rot%3 != want.w.rot%3 {
-					fail("window [%d,%d] rot %d, want [%d,%d] rot %d",
-						gs.lo1, gs.hi1, got.w.rot%3, ws.lo1, ws.hi1, want.w.rot%3)
-				}
-				rows := 3 // a call that scored nothing left every row as it was
-				if steps > 0 {
-					rows = 2
-				}
-				for back := 1; back <= rows; back++ {
-					r := (want.w.rot + 5 - back) % 3 // the row of antidiagonal d-back
-					grow, wrow := got.w.rows[r], want.w.rows[r]
-					if steps > 0 { // as enter widened them: d-1 with its sentinels, d-2 as far as d reads it
-						end := ws.hi1 + 4 - back
-						grow, wrow = grow[ws.lo1:end], wrow[ws.lo1:end]
-					}
-					if !slices.Equal(grow, wrow) {
-						fail("row of antidiagonal d-%d\n got %v\nwant %v", back, grow, wrow)
-					}
-				}
-			}
-			if gs.base != ref.w.st.best-ref.w.st.floor {
-				rebased++
-			}
+			matchLoop(&other.sl, &wantOther.sl, comp.sl.st.d, exitStop, func(format string, args ...any) {
+				t.Helper()
+				fail("companion: "+format, args...)
+			})
 
 			// Which paths this call took, from the Go loop's windows.
 			walk, tally := ref.clone(), pathTally{}
 			for d := D; d < D+steps; d++ {
-				tally.score(&walk.w, walk.a, walk.brev)
+				tally.score(&walk.sl)
 			}
 			paths.add(tally)
 
-			if !ref.w.advance(ref.a, ref.brev, D) {
+			if !ref.sl.advance(D) {
 				break
 			}
 		}
 	}
-	t.Logf("%d entries, %d of them rebased; antidiagonals %v; exits: %d edge, %d dead, %d flank, %d cap",
-		entered, rebased, paths, edges, deaths, fills, caps)
+	t.Logf("%d entries, %d with the companion rebased; antidiagonals %v; exits: %d edge, %d dead, %d flank, %d cap, %d rebase room",
+		entered, rebased, paths, edges, deaths, fills, caps, rooms)
 	for _, reached := range []struct {
 		what  string
 		count int
 	}{
-		{"antidiagonals carried at s=0", paths.carried0},
-		{"antidiagonals carried at s=1", paths.carried1},
-		{"width-16 windows with a live lane 15 ahead of an s=1", paths.lane15},
-		{"carried windows of 9 to 16 cells", paths.over8},
-		{"window starts that jump by 2+ between single vectors", paths.jumped},
-		{"antidiagonals wider than one vector", paths.multi},
-		{"edge exits", edges},
-		{"deaths inside the routine", deaths},
+		{"antidiagonals of one vector", paths.one},
+		{"antidiagonals wider than one vector", paths.wide},
+		{"wide antidiagonals with a new best past the first vector", paths.wideBest},
+		{"edge exits beside a live front", edges},
+		{"deaths inside the routine beside a live front", deaths},
 		{"stops because the flank needs filling", fills},
 		{"stops at a call's cap", caps},
-		{"calls that rebased", rebased},
+		{"stops where best may next pass ceil", rooms},
+		{"rebases of the companion beside the case's live front", rebased},
 	} {
 		if reached.count == 0 {
 			t.Errorf("no case reached: %s", reached.what)
 		}
+	}
+}
+
+// The routine's slots refill from the queue: after a batch of more
+// extensions than there are slots, run as XDropBatch runs it, every result
+// is the reference's and some slot ended holding an extension past the
+// first fronts of the queue, which it took when an earlier one ended.
+func TestFrontsRefillFromTheQueue(t *testing.T) {
+	if !cpuid.AVX2() {
+		t.Skip("no AVX2 on this host: there are no fronts to refill")
+	}
+	seeds := batchSeeds(rand.New(rand.NewSource(17)), 12)
+	out := make([]Result, len(seeds))
+	for i, sd := range seeds {
+		out[i] = Result{Score: 13 * DefaultScoring.Match, SStart: sd.PosS, SEnd: sd.PosS + 13, TStart: sd.PosT, TEnd: sd.PosT + 13}
+	}
+	var w workspace
+	b := batch{seeds: seeds, out: out, k: 13, sc: DefaultScoring, x: 7}
+	w.runFronts(&b)
+	for i, sd := range seeds {
+		if want := referenceXDrop(sd.S, sd.T, sd.PosS, sd.PosT, 13, DefaultScoring, 7); out[i] != want {
+			t.Fatalf("seed %d: got %+v want %+v", i, out[i], want)
+		}
+	}
+	refilled := false
+	for i := range w.slots {
+		refilled = refilled || w.slots[i].ext >= fronts
+	}
+	if b.next != 2*len(seeds) || !refilled {
+		t.Errorf("%d of %d extensions taken; no slot refilled: %v", b.next, 2*len(seeds), !refilled)
 	}
 }

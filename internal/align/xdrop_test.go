@@ -114,6 +114,68 @@ func TestXDropZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state XDrop allocates %v times per call, want 0", allocs)
 	}
+	seeds := batchSeeds(rng, 9)
+	out := make([]Result, len(seeds))
+	XDropBatch(seeds, 13, DefaultScoring, 7, out) // size every slot
+	allocs = testing.AllocsPerRun(50, func() {
+		XDropBatch(seeds, 13, DefaultScoring, 7, out)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state XDropBatch allocates %v times per call, want 0", allocs)
+	}
+}
+
+// batchSeeds is n seeds over read pairs of differing lengths and
+// similarity, from unrelated flanks to near-identical ones, so the fronts of
+// a batch end in no particular order; k is 13.
+func batchSeeds(rng *rand.Rand, n int) []Seed {
+	seeds := make([]Seed, n)
+	for i := range seeds {
+		s, u, seedS, seedU := seededPair(rng, 50+rng.Intn(900), 13, []float64{0.02, 0.1, 0.2, 1}[i%4])
+		seeds[i] = Seed{S: s, T: u, PosS: seedS, PosT: seedU}
+	}
+	return seeds
+}
+
+// A batch is its seeds aligned one at a time: more extensions than the
+// routine has fronts, so slots refill from the queue, over pairs whose
+// extensions end at every length.
+func TestXDropBatchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, n := range []int{0, 1, 2, 3, 7, 40} {
+		seeds := batchSeeds(rng, n)
+		if n == 7 { // a seed at the start of s: an empty left flank, over at once
+			seeds[3].S, seeds[3].PosS = seeds[3].S[seeds[3].PosS:], 0
+		}
+		if 2*n > fronts && n < 7 {
+			t.Logf("%d seeds: %d extensions over %d fronts", n, 2*n, fronts)
+		}
+		out := make([]Result, n)
+		XDropBatch(seeds, 13, DefaultScoring, 7, out)
+		for i, sd := range seeds {
+			if want := referenceXDrop(sd.S, sd.T, sd.PosS, sd.PosT, 13, DefaultScoring, 7); out[i] != want {
+				t.Fatalf("batch of %d, seed %d: got %+v want %+v", n, i, out[i], want)
+			}
+		}
+	}
+	// At the largest scores best climbs 1024 an antidiagonal, so the
+	// routine's fronts stop every few dozen antidiagonals to be rebased.
+	seeds := batchSeeds(rng, 6)
+	out := make([]Result, len(seeds))
+	XDropBatch(seeds, 13, maxScores, 7000, out)
+	for i, sd := range seeds {
+		if want := referenceXDrop(sd.S, sd.T, sd.PosS, sd.PosT, 13, maxScores, 7000); out[i] != want {
+			t.Fatalf("batch at the largest scores, seed %d: got %+v want %+v", i, out[i], want)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("XDropBatch with too few results did not panic")
+			}
+		}()
+		XDropBatch(batchSeeds(rng, 2), 13, DefaultScoring, 7, make([]Result, 1))
+	}()
 }
 
 // Eight goroutines align the same shared inputs at once; a workspace handed
@@ -130,16 +192,30 @@ func TestXDropConcurrent(t *testing.T) {
 		s, u, seedS, seedU := seededPair(rng, 100+rng.Intn(900), 13, []float64{0.1, 1}[i%2])
 		inputs[i] = input{s, u, seedS, seedU, referenceXDrop(s, u, seedS, seedU, 13, DefaultScoring, 7)}
 	}
+	seeds := make([]Seed, len(inputs))
+	for i, in := range inputs {
+		seeds[i] = Seed{S: in.s, T: in.u, PosS: in.seedS, PosT: in.seedU}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			out := make([]Result, 5)
 			for round := 0; round < 20; round++ {
 				in := inputs[(g+round)%len(inputs)]
 				if got := XDrop(in.s, in.u, in.seedS, in.seedU, 13, DefaultScoring, 7); got != in.want {
 					t.Errorf("goroutine %d round %d: got %+v want %+v", g, round, got, in.want)
 					return
+				}
+				// And as a batch of five, beside the other goroutines' calls.
+				first := (g + round) % (len(inputs) - len(out) + 1)
+				XDropBatch(seeds[first:first+len(out)], 13, DefaultScoring, 7, out)
+				for i, got := range out {
+					if want := inputs[first+i].want; got != want {
+						t.Errorf("goroutine %d round %d, batch seed %d: got %+v want %+v", g, round, i, got, want)
+						return
+					}
 				}
 			}
 		}(g)
@@ -163,6 +239,7 @@ func TestPortableKernel(t *testing.T) {
 		{"WorkspaceGrows", TestXDropWorkspaceGrows},
 		{"AtMostSmithWaterman", TestXDropAtMostSmithWaterman},
 		{"ZeroAllocs", TestXDropZeroAllocs},
+		{"BatchMatchesReference", TestXDropBatchMatchesReference},
 		{"Concurrent", TestXDropConcurrent},
 		{"ExtremeScoresUnboundedX", TestXDropExtremeScoresUnboundedX},
 		{"IdenticalStrings", TestXDropIdenticalStrings},
@@ -313,6 +390,74 @@ func pipelinePair(tb testing.TB) (s, u []byte, seedS, seedU int) {
 func BenchmarkXDropPipelineX7(b *testing.B) {
 	s, u, seedS, seedU := pipelinePair(b)
 	benchXDrop(b, s, u, seedS, seedU, 17, 7)
+}
+
+// pipelineSeeds is the seeds of a pipeline-shaped read set: 6 kb reads at
+// 8x over a 24 kb genome, as cmd/seqgen makes them at 15% error, and for each
+// pair of distinct reads sharing a 17-mer the one at the least position in
+// the first read, at its first position in the second.
+var pipelineSeeds = sync.OnceValues(func() ([]Seed, error) {
+	ds, err := seqgen.Generate(seqgen.Config{GenomeLen: 24000, Seed: 1, Coverage: 8,
+		MeanReadLen: 6000, MinReadLen: 6000, ErrorRate: 0.15})
+	if err != nil {
+		return nil, err
+	}
+	const k = 17
+	first := make([]map[string]int, len(ds.Reads))
+	for j, r := range ds.Reads {
+		first[j] = make(map[string]int)
+		for p := len(r.Seq) - k; p >= 0; p-- {
+			first[j][string(r.Seq[p:p+k])] = p
+		}
+	}
+	var seeds []Seed
+	for i, ri := range ds.Reads {
+		for j := i + 1; j < len(ds.Reads); j++ {
+			for p := 0; p+k <= len(ri.Seq); p++ {
+				if q, ok := first[j][string(ri.Seq[p:p+k])]; ok {
+					seeds = append(seeds, Seed{S: ri.Seq, T: ds.Reads[j].Seq, PosS: p, PosT: q})
+					break
+				}
+			}
+		}
+	}
+	return seeds, nil
+})
+
+// The pipeline's read set as the alignment stage hands it over: every
+// seed's two extensions queued at once (batch), against the same list as
+// one XDrop call a seed (calls). On an AVX2 host the batch keeps the
+// routine's fronts busy across seeds.
+func BenchmarkXDropBatchPipelineX7(b *testing.B) {
+	seeds, err := pipelineSeeds()
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]Result, len(seeds))
+	for _, run := range []struct {
+		name string
+		f    func()
+	}{
+		{"batch", func() { XDropBatch(seeds, 17, DefaultScoring, 7, out) }},
+		{"calls", func() {
+			for i, sd := range seeds {
+				out[i] = XDrop(sd.S, sd.T, sd.PosS, sd.PosT, 17, DefaultScoring, 7)
+			}
+		}},
+	} {
+		b.Run(run.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				run.f()
+				for _, r := range out {
+					cells += r.Cells
+				}
+			}
+			b.ReportMetric(float64(len(seeds)), "seeds/op")
+			b.ReportMetric(float64(cells)/1e6/b.Elapsed().Seconds(), "Mcells/s")
+		})
+	}
 }
 
 func BenchmarkXDropDivergent(b *testing.B) {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dibella/internal/align"
@@ -11,6 +12,7 @@ import (
 	"dibella/internal/overlap"
 	"dibella/internal/spmd"
 	"dibella/internal/stats"
+	"dibella/internal/trace"
 	"dibella/internal/walltime"
 )
 
@@ -42,24 +44,41 @@ type Alignment struct {
 // aligner is the per-rank alignment state shared by the batch stage's
 // synchronous and streamed schedules and the served query epoch: the
 // sequence lookup, a reverse-complement cache (one RC per read, however
-// many tasks touch it), and the accumulating output.
+// many tasks touch it), the x-drop batch being assembled, and the
+// accumulating output.
 type aligner struct {
-	c      *spmd.Comm
-	model  *machine.Model
-	seq    func(id uint32) []byte // nil for a read not resident on this rank
-	cfg    Config
-	st     *AlignStats
-	rc     map[uint32][]byte // reverse complements by read ID
-	rcNeed map[uint32]int    // tasks still needing each read's RC; at 0 the entry is evicted
-	rcFree [][]byte          // evicted entries' buffers, taken last-in first-out by the next RC built
-	out    []Alignment
+	c       *spmd.Comm
+	model   *machine.Model
+	seq     func(id uint32) []byte // nil for a read not resident on this rank
+	cfg     Config
+	st      *AlignStats
+	rec     *trace.Recorder
+	rc      map[uint32][]byte // reverse complements by read ID
+	rcNeed  map[uint32]int    // tasks still needing each read's RC; at 0 the entry is evicted
+	rcFree  [][]byte          // evicted entries' buffers, taken last-in first-out by the next RC built
+	seeds   []align.Seed      // the batch's seeds, task by task
+	strands []byte            // each seed's strand
+	res     []align.Result    // each seed's result
+	runs    []taskRun         // the batch's tasks, in order
+	out     []Alignment
+}
+
+// taskRun is one task of a batch: its sequences, where its seeds are in
+// aligner.seeds, and whether it built read B's reverse complement, which is
+// charged when the task is reduced.
+type taskRun struct {
+	task        overlap.Task
+	seqA, seqB  []byte
+	first, last int
+	builtRC     bool
 }
 
 // newAligner starts a stage over tasks: each opposite-strand task holds one
-// claim on read B's reverse complement until alignTask releases it.
+// claim on read B's reverse complement until alignBatch releases it.
 func newAligner(c *spmd.Comm, model *machine.Model, seq func(id uint32) []byte, cfg Config, st *AlignStats, tasks []overlap.Task) *aligner {
 	al := &aligner{
 		c: c, model: model, seq: seq, cfg: cfg, st: st,
+		rec:    trace.Rec(c.Rank()),
 		rc:     make(map[uint32][]byte),
 		rcNeed: make(map[uint32]int),
 		out:    make([]Alignment, 0, len(tasks)),
@@ -75,19 +94,19 @@ func newAligner(c *spmd.Comm, model *machine.Model, seq func(id uint32) []byte, 
 // revComp returns (computing and caching on first use) the reverse
 // complement of read id's sequence, built in a buffer an evicted entry left
 // behind when there is one: the stage allocates as many as are ever live at
-// once, not one per opposite-strand read.
-func (al *aligner) revComp(id uint32, seq []byte) []byte {
+// once, not one per opposite-strand read. It reports whether this call
+// built it.
+func (al *aligner) revComp(id uint32, seq []byte) (rc []byte, built bool) {
 	if rc, ok := al.rc[id]; ok {
-		return rc
+		return rc, false
 	}
 	var buf []byte
 	if n := len(al.rcFree); n > 0 {
 		buf, al.rcFree = al.rcFree[n-1], al.rcFree[:n-1]
 	}
-	rc := dna.AppendReverseComplement(buf[:0], seq)
-	al.st.LocalVirtual += stats.Price(al.c, al.model, float64(len(seq)), machine.RatePack, 0)
+	rc = dna.AppendReverseComplement(buf[:0], seq)
 	al.rc[id] = rc
-	return rc
+	return rc, true
 }
 
 // needsRC reports whether any seed aligns the pair on opposite strands
@@ -101,20 +120,108 @@ func needsRC(task overlap.Task) bool {
 	return false
 }
 
-// alignTask runs one task's alignments and releases the task's claim on
-// read B's reverse-complement cache entry. Each task started the stage
-// counted in rcNeed, so the release must run on every exit path — the
-// defensive missing-sequence return included — or the RC entry leaks for
-// the rest of the stage.
-func (al *aligner) alignTask(task overlap.Task) {
-	seqA := al.seq(task.Pair.A)
-	seqB := al.seq(task.Pair.B)
-	if seqA != nil && seqB != nil {
-		al.alignSeeds(task, seqA, seqB)
+// alignBatch runs a ready list of tasks: every seed of every task goes into
+// one align.XDropBatch, whose fronts refill across tasks, and then, task by
+// task in list order, the task's reduction, its prices and the release of
+// its claim on read B's reverse complement, so the output, the virtual
+// clock and the RC cache see what aligning the tasks one at a time showed
+// them.
+func (al *aligner) alignBatch(tasks []overlap.Task) {
+	if len(tasks) == 0 {
+		return
 	}
-	// A nil sequence is unreachable by construction; a logic error
-	// surfaces as missing output rather than a crash, and falls through
-	// to the release below.
+	cfg := &al.cfg
+	al.seeds, al.strands, al.runs = al.seeds[:0], al.strands[:0], al.runs[:0]
+	for _, task := range tasks {
+		run := taskRun{task: task, seqA: al.seq(task.Pair.A), seqB: al.seq(task.Pair.B), first: len(al.seeds)}
+		// A nil sequence is unreachable by construction; a logic error
+		// surfaces as missing output rather than a crash.
+		if run.seqA != nil && run.seqB != nil {
+			for _, seed := range task.Seeds {
+				posA, posB := int(seed.PosA), int(seed.PosB)
+				strand, tgt := byte('+'), run.seqB
+				if !seed.SameStrand() {
+					var built bool
+					tgt, built = al.revComp(task.Pair.B, run.seqB)
+					run.builtRC = run.builtRC || built
+					posB = len(run.seqB) - cfg.K - posB
+					strand = '-'
+				}
+				if posA < 0 || posB < 0 || posA+cfg.K > len(run.seqA) || posB+cfg.K > len(tgt) {
+					continue // corrupted seed; skip defensively
+				}
+				al.seeds = append(al.seeds, align.Seed{S: run.seqA, T: tgt, PosS: posA, PosT: posB})
+				al.strands = append(al.strands, strand)
+			}
+		}
+		run.last = len(al.seeds)
+		al.runs = append(al.runs, run)
+	}
+	al.res = slices.Grow(al.res[:0], len(al.seeds))[:len(al.seeds)]
+	al.rec.Begin(traceAlignBatch, al.c.Now())
+	align.XDropBatch(al.seeds, cfg.K, cfg.Scoring, cfg.XDrop, al.res)
+	al.rec.End(traceAlignBatch, al.c.Now(), int64(2*len(al.seeds)))
+	for i := range al.runs {
+		al.reduce(&al.runs[i])
+	}
+	clear(al.seeds) // pin no read past the batch
+	clear(al.runs)
+}
+
+// reduce charges one task of a batch, appends its surviving alignments and
+// releases its claim on read B's reverse complement. Only the best-scoring
+// alignment per (pair, strand) is kept — BELLA's semantics; a multi-seed
+// pair otherwise emits duplicate overlapping records. Ties keep the
+// earliest seed's alignment (seed lists arrive sorted by PosA), so the
+// choice is deterministic and schedule-independent. Every task started the
+// stage counted in rcNeed, so the release runs for every task, the
+// defensive missing-sequence one included, or the RC entry leaks for the
+// rest of the stage.
+func (al *aligner) reduce(run *taskRun) {
+	cfg := &al.cfg
+	task := run.task
+	if run.builtRC {
+		al.st.LocalVirtual += stats.Price(al.c, al.model, float64(len(run.seqB)), machine.RatePack, 0)
+	}
+	if run.seqA != nil && run.seqB != nil {
+		var bestFwd, bestRev Alignment
+		var haveFwd, haveRev bool
+		var cells int64
+		for k := run.first; k < run.last; k++ {
+			r, strand := al.res[k], al.strands[k]
+			al.st.Alignments++
+			al.st.Cells += r.Cells
+			cells += r.Cells
+			a := Alignment{
+				A: task.Pair.A, B: task.Pair.B, Strand: strand,
+				Score: r.Score, Cells: r.Cells,
+				AStart: r.SStart, AEnd: r.SEnd,
+				ALen: len(run.seqA), BLen: len(run.seqB),
+				SeedsConsumed: len(task.Seeds),
+			}
+			if strand == '+' {
+				a.BStart, a.BEnd = r.TStart, r.TEnd
+			} else {
+				// Map the span back to B's forward coordinates.
+				a.BStart, a.BEnd = len(run.seqB)-r.TEnd, len(run.seqB)-r.TStart
+			}
+			if strand == '+' {
+				if !haveFwd || a.Score > bestFwd.Score {
+					bestFwd, haveFwd = a, true
+				}
+			} else if !haveRev || a.Score > bestRev.Score {
+				bestRev, haveRev = a, true
+			}
+		}
+		if haveFwd && bestFwd.Score >= cfg.MinAlignScore {
+			al.out = append(al.out, bestFwd)
+		}
+		if haveRev && bestRev.Score >= cfg.MinAlignScore {
+			al.out = append(al.out, bestRev)
+		}
+		al.st.LocalVirtual += stats.Price(al.c, al.model, float64(cells), machine.RateCell, 0) +
+			stats.Price(al.c, al.model, float64(len(task.Seeds)), machine.RateSeedPrep, 0)
+	}
 	if needsRC(task) {
 		// Last task touching B's reverse complement releases it, keeping
 		// the cache bounded by concurrently-live RCs rather than every
@@ -128,66 +235,6 @@ func (al *aligner) alignTask(task overlap.Task) {
 			}
 		}
 	}
-}
-
-// alignSeeds runs every seed's x-drop extension for one task and appends
-// the surviving alignments. Only the best-scoring alignment per (pair,
-// strand) is kept — BELLA's semantics; a multi-seed pair otherwise emits
-// duplicate overlapping records. Ties keep the earliest seed's alignment
-// (seed lists arrive sorted by PosA), so the choice is deterministic and
-// schedule-independent.
-func (al *aligner) alignSeeds(task overlap.Task, seqA, seqB []byte) {
-	cfg := &al.cfg
-	var bestFwd, bestRev Alignment
-	var haveFwd, haveRev bool
-	var seedOps, cells int64
-	for _, seed := range task.Seeds {
-		seedOps++
-		posA := int(seed.PosA)
-		posB := int(seed.PosB)
-		strand := byte('+')
-		tgt := seqB
-		if !seed.SameStrand() {
-			tgt = al.revComp(task.Pair.B, seqB)
-			posB = len(seqB) - cfg.K - posB
-			strand = '-'
-		}
-		if posA < 0 || posB < 0 || posA+cfg.K > len(seqA) || posB+cfg.K > len(tgt) {
-			continue // corrupted seed; skip defensively
-		}
-		r := align.XDrop(seqA, tgt, posA, posB, cfg.K, cfg.Scoring, cfg.XDrop)
-		al.st.Alignments++
-		al.st.Cells += r.Cells
-		cells += r.Cells
-		a := Alignment{
-			A: task.Pair.A, B: task.Pair.B, Strand: strand,
-			Score: r.Score, Cells: r.Cells,
-			AStart: r.SStart, AEnd: r.SEnd,
-			ALen: len(seqA), BLen: len(seqB),
-			SeedsConsumed: len(task.Seeds),
-		}
-		if strand == '+' {
-			a.BStart, a.BEnd = r.TStart, r.TEnd
-		} else {
-			// Map the span back to B's forward coordinates.
-			a.BStart, a.BEnd = len(seqB)-r.TEnd, len(seqB)-r.TStart
-		}
-		if strand == '+' {
-			if !haveFwd || a.Score > bestFwd.Score {
-				bestFwd, haveFwd = a, true
-			}
-		} else if !haveRev || a.Score > bestRev.Score {
-			bestRev, haveRev = a, true
-		}
-	}
-	if haveFwd && bestFwd.Score >= cfg.MinAlignScore {
-		al.out = append(al.out, bestFwd)
-	}
-	if haveRev && bestRev.Score >= cfg.MinAlignScore {
-		al.out = append(al.out, bestRev)
-	}
-	al.st.LocalVirtual += stats.Price(al.c, al.model, float64(cells), machine.RateCell, 0) +
-		stats.Price(al.c, al.model, float64(seedOps), machine.RateSeedPrep, 0)
 }
 
 // alignStage fetches non-local reads and computes every seed's x-drop
@@ -281,9 +328,7 @@ func (al *aligner) alignSync(view *fastq.LocalView, reqs [][]uint32, tasks []ove
 		}
 	}
 	st.LocalVirtual += stats.Price(al.c, al.model, float64(st.FetchedBytes), machine.RatePack, 0)
-	for _, task := range tasks {
-		al.alignTask(task)
-	}
+	al.alignBatch(tasks)
 	st.LocalWall += walltime.Since(t0)
 }
 
@@ -292,16 +337,17 @@ func (al *aligner) alignSync(view *fastq.LocalView, reqs [][]uint32, tasks []ove
 // exchange is streamed (streamReplies) so each remote task aligns the
 // moment its last missing sequence is installed.
 func (al *aligner) alignStreamed(view *fastq.LocalView, reqs [][]uint32, tasks []overlap.Task) {
-	var remote []overlap.Task
+	var local, remote []overlap.Task
 	incoming := spmd.AlltoallvDuring(al.c, reqs, func() {
 		t0 := walltime.Now()
 		for _, task := range tasks {
 			if view.Owns(task.Pair.A) && view.Owns(task.Pair.B) {
-				al.alignTask(task)
+				local = append(local, task)
 			} else {
 				remote = append(remote, task)
 			}
 		}
+		al.alignBatch(local)
 		al.st.LocalWall += walltime.Since(t0)
 	})
 	al.streamReplies(view, reqs, al.packReplies(view, incoming), remote)
@@ -336,9 +382,11 @@ func (al *aligner) streamReplies(view *fastq.LocalView, reqs [][]uint32, replies
 	// A delivered item is the stream's until deliver returns, so each
 	// replica is copied into slabs the stage owns: the one receive-side copy.
 	var slab []byte
+	var ready []overlap.Task
 	deliver := func(d spmd.StreamDelivery) {
 		t0 := walltime.Now()
 		var installed int64
+		ready = ready[:0]
 		for i, item := range d.Items {
 			if cap(slab)-len(slab) < len(item) {
 				slab = make([]byte, 0, max(len(item), replicaSlab))
@@ -353,11 +401,12 @@ func (al *aligner) streamReplies(view *fastq.LocalView, reqs [][]uint32, replies
 			for _, ti := range waiting[id] {
 				waitCount[ti]--
 				if waitCount[ti] == 0 {
-					al.alignTask(remote[ti])
+					ready = append(ready, remote[ti])
 				}
 			}
 			delete(waiting, id)
 		}
+		al.alignBatch(ready)
 		st.LocalVirtual += stats.Price(al.c, al.model, float64(installed), machine.RatePack, 0)
 		st.LocalWall += walltime.Since(t0)
 	}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dibella/internal/align"
 	"dibella/internal/dna"
 	"dibella/internal/fastq"
 	"dibella/internal/overlap"
+	"dibella/internal/spmd"
 )
 
 // The alignment stage builds a reverse complement per opposite-strand read
@@ -43,7 +45,22 @@ func TestReverseComplementBuffersRecycled(t *testing.T) {
 	view := fastq.NewReadStore(recs, 1).View(0)
 	cfg := Config{K: k, XDrop: 7, Scoring: align.DefaultScoring}
 	var st AlignStats
-	al := newAligner(nil, nil, view.Seq, cfg, &st, tasks)
+	var al *aligner
+	var whole []Alignment
+	if err := spmd.Run(1, func(c *spmd.Comm) error {
+		al = newAligner(c, nil, view.Seq, cfg, &st, tasks)
+		// The whole list as one batch releases every claim too, and
+		// aligns as the task-at-a-time batches below do.
+		once := newAligner(c, nil, view.Seq, cfg, &AlignStats{}, tasks)
+		once.alignBatch(tasks)
+		if len(once.rc) != 0 || len(once.rcNeed) != 0 {
+			t.Errorf("one batch ended with %d cached reverse complements and %d open claims", len(once.rc), len(once.rcNeed))
+		}
+		whole = once.out
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	// The stage's eviction rule replayed on the task list alone.
 	remaining := make(map[uint32]int)
@@ -56,7 +73,7 @@ func TestReverseComplementBuffersRecycled(t *testing.T) {
 	live, peak := make(map[uint32]bool), 0
 	buffers := make(map[*byte]bool)
 	for _, task := range tasks {
-		al.alignTask(task)
+		al.alignBatch([]overlap.Task{task})
 		if b := task.Pair.B; needsRC(task) {
 			live[b] = true
 			peak = max(peak, len(live))
@@ -79,6 +96,9 @@ func TestReverseComplementBuffersRecycled(t *testing.T) {
 	}
 	if len(al.rc) != 0 || len(al.rcNeed) != 0 {
 		t.Errorf("stage ended with %d cached reverse complements and %d open claims", len(al.rc), len(al.rcNeed))
+	}
+	if !slices.Equal(al.out, whole) {
+		t.Errorf("task-at-a-time batches made %d alignments, one batch %d, and they differ", len(al.out), len(whole))
 	}
 	if len(buffers) != peak {
 		t.Errorf("stage allocated %d reverse-complement buffers; %d were live at the peak", len(buffers), peak)

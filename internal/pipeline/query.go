@@ -285,9 +285,7 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	}
 	var alStats AlignStats
 	al := newAligner(c, model, seq, cfg, &alStats, tasks)
-	for _, task := range tasks {
-		al.alignTask(task)
-	}
+	al.alignBatch(tasks)
 	qs.Alignments += alStats.Alignments
 	rec.End(traceQueryAlign, c.Now(), alStats.Alignments)
 	qs.AddComm(preComm, c.Stats())

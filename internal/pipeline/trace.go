@@ -14,6 +14,7 @@ const (
 	traceLoad       = "stage.load"
 	traceOverlap    = "stage.overlap"
 	traceAlign      = "stage.align"
+	traceAlignBatch = "align.batch"
 	traceCkptSnap   = "ckpt.snapshot"
 	traceQuery      = "query.batch"
 	traceQueryProbe = "query.probe"

@@ -191,3 +191,63 @@ func TestTraceRowsFailByRank(t *testing.T) {
 		}
 	}
 }
+
+// Each ready task list the batch stage aligns is one align.batch span, on
+// every rank, inside that rank's stage.align span, its End's arg the
+// extensions it ran; and arming the spans leaves every rank's modeled clock
+// bit-identical to an untraced run.
+func TestAlignBatchSpansNest(t *testing.T) {
+	const p = 3
+	ds := input(t, equivalenceInput)
+	cfg := defaultConfig()
+	mdl, err := machine.NewModelScaled(machine.Cori, 3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.Disable()
+	off, err := Execute(p, mdl, ds.Reads, cfg)
+	if err != nil {
+		t.Fatalf("untraced run: %v", err)
+	}
+	trace.Enable(trace.DefaultCapacity)
+	defer trace.Disable()
+	on, err := Execute(p, mdl, ds.Reads, cfg)
+	if err != nil {
+		t.Fatalf("traced run: %v", err)
+	}
+	for r := range off.PerRank {
+		if a, b := off.PerRank[r].VirtualTotal, on.PerRank[r].VirtualTotal; math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("rank %d: modeled clock %v untraced, %v traced", r, a, b)
+		}
+	}
+	if len(on.Trace) != p {
+		t.Fatalf("traced report gathered %d rank buffers, want %d", len(on.Trace), p)
+	}
+	for _, re := range on.Trace {
+		inStage, open, batches, extensions := false, false, 0, int64(0)
+		for _, e := range re.Events {
+			switch e.Name {
+			case traceAlign:
+				inStage = e.Phase == trace.PhaseBegin
+				if !inStage && open {
+					t.Errorf("rank %d: stage.align closed inside an align.batch span", re.Rank)
+				}
+			case traceAlignBatch:
+				if !inStage {
+					t.Errorf("rank %d: align.batch %c outside stage.align", re.Rank, e.Phase)
+				}
+				open = e.Phase == trace.PhaseBegin
+				if !open {
+					batches++
+					extensions += e.Arg
+				}
+			}
+		}
+		if batches == 0 || extensions == 0 {
+			t.Errorf("rank %d: %d align.batch spans over %d extensions", re.Rank, batches, extensions)
+		}
+		if want := 2 * on.PerRank[re.Rank].Align.Alignments; extensions != want {
+			t.Errorf("rank %d: align.batch spans ran %d extensions, the stage %d", re.Rank, extensions, want)
+		}
+	}
+}
