@@ -72,6 +72,7 @@ func TestCLIPipelineRoundTrip(t *testing.T) {
 	if !strings.Contains(string(out), "Alignment") {
 		t.Errorf("missing breakdown in output:\n%s", out)
 	}
+	checkAlignRate(t, string(out))
 
 	f, err := os.Open(pafPath)
 	if err != nil {
@@ -93,6 +94,29 @@ func TestCLIPipelineRoundTrip(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(string(tdata)), "\n")) < 2 {
 		t.Error("truth file suspiciously small")
+	}
+}
+
+// checkAlignRate requires a -breakdown run to print the alignment rate
+// line, and its cells to be the summary's cells=.
+func checkAlignRate(t *testing.T, out string) {
+	t.Helper()
+	var summary, rate string
+	for _, line := range strings.Split(out, "\n") {
+		for _, f := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(f, "cells="); ok {
+				summary = v
+			}
+		}
+		if rest, ok := strings.CutPrefix(line, "alignment rate: "); ok {
+			rate, _, _ = strings.Cut(rest, " cells;")
+			if !strings.Contains(rest, "Mcells/s") {
+				t.Errorf("alignment rate line without a rate: %q", line)
+			}
+		}
+	}
+	if rate == "" || rate != summary {
+		t.Errorf("alignment rate line counts %q cells, summary cells=%q:\n%s", rate, summary, out)
 	}
 }
 

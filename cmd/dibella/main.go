@@ -384,6 +384,7 @@ func printBreakdown(rep *pipeline.Report) {
 	fmt.Fprintf(os.Stderr, "alignment load imbalance: %.3f (tasks %.4f)\n",
 		rep.AlignImbalance(), rep.TaskImbalance())
 	fmt.Fprintln(os.Stderr, pipeline.DescribeLoad(rep))
+	fmt.Fprintln(os.Stderr, pipeline.DescribeAlignRate(rep))
 }
 
 // fatal reports a failure and exits, distinguishing the deliberate

@@ -48,39 +48,38 @@
 // the two views may be read, the rows' rotation, and the narrow layout's
 // base, floor and ceil (all below); while the assembly routine has it, also
 // index 0 of the three narrow rows and of the two base views, best-base and
-// x as vectors, a stop horizon and the next front on the routine's ring. Two
-// kernels pick an extension up from there and leave it there. advance is the
-// Go loop, on the int32 rows: the whole kernel on every GOARCH but amd64, on
-// an amd64 without AVX2 and for an x the narrow rows cannot hold, the edge
-// handler otherwise, and the oracle. frontsAVX2 (xdrop_amd64.s; AVX2 probed
-// once from CPUID, no flag, no build tag) is the same loop in assembly,
-// sixteen int16 cells a step, over several extensions at once.
+// x as vectors, a stop horizon, the next front on the routine's ring, and
+// the band's own fields (below). Two kernels pick an extension up from there
+// and leave it there. advance is the Go loop, on the int32 rows: the whole
+// kernel on every GOARCH but amd64, on an amd64 without AVX2 and for an x
+// the narrow rows cannot hold, the edge handler otherwise, and the oracle.
+// frontsAVX2 (xdrop_amd64.s; AVX2 probed once from CPUID, no flag, no build
+// tag) is the same loop in assembly, sixteen int16 cells a step, over two
+// extensions at once.
 //
 // XDropBatch queues its seeds' extensions, each seed's right flank and then
-// its left, and runs them in a workspace of fronts slots (four: below), each
+// its left, and runs them in a workspace of fronts slots (two: below), each
 // with its own front, rows, narrow rows and reversal buffer. Every slot
-// takes the queue's next extension; the routine walks the ring of live
-// fronts, one antidiagonal of each in turn (it computes lo, hi and the width,
-// scores the window, finds a new best and its first cell, shrinks the
-// window, writes the two sentinels, rotates the rows, and turns to the next
-// front), and returns the first front that must go back to Go, with the
-// reason: the window is at an edge (below), antidiagonal d has no live cell
-// (the extension is over), or d has passed the front's stop horizon. Go
-// deals with that front alone while the others wait in the routine's form
-// (slot.resume): after an edge the Go loop runs eight antidiagonals before
-// the routine is offered the extension again; after a stop it fills the
-// reversal further, or rebases (below), and the routine takes the front up
-// where it stopped; an extension that is over adds its part to its seed's
-// Result, and the slot takes the queue's next, so the fronts stay busy
-// across seeds and tasks, however lopsided a seed's two flanks are. The
-// next call starts at the slot after the one that returned. The horizon is
-// the last antidiagonal whose bases the reversal has produced, at most 4096
-// on (assembly has no preemption point, and a stop-the-world should not wait
-// on a 100 kb read), and no later than best-base could pass ceil. XDrop is a
-// batch of one seed: its two flanks are two fronts. The routine stores no
-// pointer (there is no write barrier in assembly): the rows rotate by a
-// count (front.rot) that both kernels keep. The fronts' pointers into the
-// caller's reads are cleared before the workspace goes back to the pool.
+// takes the queue's next extension; the routine advances the live fronts,
+// one antidiagonal of each in turn, and returns the first front that must
+// go back to Go, with the reason: the window is at an edge (below),
+// antidiagonal d has no live cell (the extension is over), or d has passed
+// the front's stop horizon. Go deals with that front alone while the other
+// waits in the routine's form (slot.resume): after an edge the Go loop runs
+// eight antidiagonals before the routine is offered the extension again;
+// after a stop it fills the reversal further, or rebases (below), and the
+// routine takes the front up where it stopped; an extension that is over
+// adds its part to its seed's Result, and the slot takes the queue's next,
+// so the fronts stay busy across seeds and tasks, however lopsided a seed's
+// two flanks are. The next call starts at the slot after the one that
+// returned. The horizon is the last antidiagonal whose bases the reversal
+// has produced, at most 4096 on (assembly has no preemption point, and a
+// stop-the-world should not wait on a 100 kb read), and no later than
+// best-base could pass ceil. XDrop is a batch of one seed: its two flanks
+// are the two fronts. The routine stores no pointer (there is no write
+// barrier in assembly): the rows rotate by a count (front.rot) that both
+// kernels keep. The fronts' pointers into the caller's reads are cleared
+// before the workspace goes back to the pool.
 //
 // The routine's rows are int16: a narrow cell holds its score less
 // front.base, and pruned is math.MinInt16. Its adds saturate (VPADDSW), so a
@@ -119,7 +118,10 @@
 // inside t. Before every antidiagonal the routine checks that all of it lies
 // inside the views as they are, lo+vw-1 <= alast (n, plus the overread a's
 // view has) and lo+vw-1 <= d+bpad (the overread brev's view has), and returns
-// exitEdge otherwise, so the Go side forms no pointer by arithmetic, makes no
+// exitEdge otherwise. The band (below) reads sixteen lanes from its anchor,
+// never below lo, so it checks the same two bounds with vw = 16 each time
+// the anchor moves, and that its lane 0 does not read before brev's first
+// base each antidiagonal. So the Go side forms no pointer by arithmetic, makes no
 // padded copy of a read and grows no row but its own narrow ones, which are
 // overread cells longer. With both overreads, as on both views of a left
 // extension and brev's of a right one, no window near cell (0,0) is an edge,
@@ -127,57 +129,97 @@
 // owns the far edge: the last dozen or so antidiagonals of an extension that
 // reaches the end of a read.
 //
-// At x=7 one vector is the window on every antidiagonal of the pipeline's
-// read pairs (TestSteadyPathsOnTheRungs), and that path has a body of its
-// own, straight through: no loop over vectors and no branch on a cell.
-// best, its first cell, lo and hi come from masks (VPMOVMSKB, BSF, BSR) and
-// conditional moves, and the sentinels are written without looking. The
-// one-front routine this replaced branched on all of that, cell by cell,
-// and for a single extension branching is right: the predictor hands lo and
-// hi to the next antidiagonal before this one is scored, and computing them
-// puts the whole antidiagonal on the path to the next one's addresses (730
-// Mcells/s fell to 500). With fronts interleaved it is the other way round.
-// A mispredicted branch throws away every front's work behind it, and the
-// history the predictor learns from is several extensions' at once. Branched,
-// more fronts ran slower. Branch-free, the other fronts' antidiagonals fill
-// the latency. Measured on the development host (a 2-vCPU Sapphire Rapids
-// Xeon) on BenchmarkXDropBatchPipelineX7's 231 seeds, against the one-front
-// routine's 455-469 Mcells/s one XDrop call at a time, with F fronts:
+// # The band
 //
-//	branchy, rows carried in the front   F=1 440-471  F=2 371-408  F=3 283-285  F=4 307-312
-//	branch-free shrink, branchy best     F=1 335-347  F=2 454-478  F=3 432-535  F=4 409-413
+// At x=7 one vector is the window on nearly every antidiagonal of the
+// pipeline's read pairs, and there the routine keeps each front in
+// registers (the band loop of xdrop_amd64.s): two fronts' rows and best in
+// eight of the sixteen ymm registers, the scores and masks in six more.
+// A band is sixteen lanes anchored at a fixed i, front.anchor: lane k holds
+// cell i = anchor+k of antidiagonal d-1 (P), and of d-2 the cell its
+// diagonal is (D). Each antidiagonal d takes up as P moved one lane
+// (VPERM2I128, VPALIGNR), left as P itself and diag as D, and its up
+// becomes the next antidiagonal's D; a's sixteen bases from the anchor stay
+// in a register while the anchor holds, and only brev's are loaded. Lanes
+// outside [lo, hi] are forced to pruned by two masks read from a table at
+// offsets the window gives: unlike a vector anchored at lo, the band has
+// lanes below the window, and a cell there whose only live neighbour is its
+// diagonal would otherwise live. The window itself is the two counts of
+// the live lanes' mask, TZCNT and LZCNT, kept as they come out (twice the
+// lowest lane, 30 less twice the highest), so the mask offsets need no
+// arithmetic; d, the cells and best stay in registers, and the compares that
+// can send a front out of the loop are two a front an antidiagonal, each
+// against a threshold set when the anchor moves. Lane 15 is kept outside the
+// window, because D has lost d-2's lane 15 to the shift that made it. The
+// anchor moves up to lo1 when the window's top reaches lane 15 (or n), or
+// when lane 0 would read before brev's first base: P and D shift down by a
+// VPSHUFB pair from a table of sixteen (bandShifts), and a's bases are
+// loaded at the new anchor. On the pipeline's pairs it moves once every
+// fifteen antidiagonals or so. Best's first cell costs no scalar work an
+// antidiagonal: every row is stored, at an address a conditional mask picks
+// (front.bslot: the row that raised best, or a slot that takes the others),
+// and bestI is read from that row, with the anchor it had, when the anchor
+// next moves or the front leaves the band.
 //
-// in Mcells/s from separate go test runs; and as kept, as its speed over
-// the one-front routine's, the medians of three runs of 60 rounds
-// alternating the two in one process:
+// The band holds a window of up to fifteen cells whose low end is lo1. A
+// wider one, or one the d-m bound cuts from below (lane 0's up would be
+// d-1's cell below the band), sends both fronts to the memory loop: their
+// state in their structs and their rows in the narrow rows, a loop over
+// the window's vectors with the shrink from masks, as before the band. It
+// hands back to the band loop once a window is ten cells or fewer and the
+// next front's last one was too. On any exit the routine spills every front in
+// registers to its struct and narrow rows (front.d, rot, lo1, hi1, the
+// cells, best, bestI and bestD; d-1's row with its sentinels, and what d
+// reads of d-2's), exactly where leave, the memory loop and a later entry
+// read them; the Go side (runFronts, slot.resume, enter and leave,
+// horizon, the queue) does not know the band exists. TestSteadyPathsOnTheRungs
+// holds at least 95% of PipelineX7's and SimilarX7's antidiagonals to the
+// band (99.7% and 99.8%).
 //
-//	branch-free                          F=1 0.87-0.91  F=2 1.32-1.43  F=3 1.35-1.51  F=4 1.29-1.47
+// Two fronts, because that is what the registers hold, and it is faster
+// than one: a band's antidiagonal is a chain of some 20 cycles (the live
+// mask, TZCNT or LZCNT, the mask load, three VPMINSW), and a second front's
+// chain fills it. Measured on a 2-vCPU Sapphire Rapids Xeon at about 2.3
+// GHz as the speed over the four-front memory-row routine the band
+// replaced, medians of three runs of 40 rounds alternating the two in one
+// process on BenchmarkXDropBatchPipelineX7's 231 seeds:
 //
-// Two to four fronts tie on the kernel's rung. On the pipeline four win: on
-// longread_align's wall, four fronts took 13-18% off where two took 2-7%,
-// so fronts is 4. A front's turn is one antidiagonal: at a point where one
-// antidiagonal a turn ran at 1.23-1.25x, turns of two, which load and store
-// a front's registers half as often, ran at 1.07-1.08x, and of four at
-// 0.86-0.96x; carrying the row in the front (stored, and loaded back at the
-// same address, where the store forwards), the one-front routine's answer
-// to loading a row a lane to the side of the store that wrote it, ran at
-// 1.04-1.11x. Deriving the wider path's up from its left (VPERM2I128,
-// VPALIGNR) instead of loading it a lane to the side changed the divergent
-// x=30 rung by 1.03x and 0.95x. None of the three is kept. Wider windows
-// take the same masks a vector at a time: lo from the first vector with a
-// live lane, hi from the last. TestSteadyMatchesLoop enters the routine at
-// every antidiagonal of a set of extensions, beside a second front, and
-// holds what both leave to the Go loop advanced as far; it counts the
-// paths, and one-vector and wider windows, a new best past a wide window's
-// first vector, every exit, a stop at the rebase horizon and a rebase of
-// the other front are each required to have been reached.
+//	batch   fronts=1 1.23-1.30x   fronts=2 1.62-1.66x
+//	calls   fronts=1 1.75-1.91x   fronts=2 1.82-1.88x
+//
+// (calls, one XDrop a seed, has two flanks a call either way). The x=30
+// rungs, wide windows on the memory loop, ran at 0.97-1.01x (Divergent) and
+// 1.00-1.02x (Similar). On the way: moving the band by storing it and
+// loading it back shifted (a forwarding stall each move) cost 10-15% of the
+// routine against the VPSHUFB shift; keeping the window as lanes, with BSF,
+// BSR and a NEG for each offset and a compare for each bound, left the batch
+// at 1.47x where the counts as they come out reach 1.6x; storing the best
+// row with a masked store (VPMASKMOVD) at a fixed address instead of the
+// conditional one changed nothing; sending d-m-bound windows to the Go
+// loop rather than the memory loop took the divergent x=30 rung to 0.93x;
+// and the memory loop's own body for one-vector windows, which the band
+// leaves it under 1% of the x=7 antidiagonals, was deleted for no rung's
+// loss (0.96-1.02x against keeping it).
+// TestSteadyMatchesLoop enters the routine at every antidiagonal of a set of
+// extensions, alone and beside a second front, and holds what both leave to
+// the Go loop advanced as far. It requires the band, windows of one vector
+// and of more on the memory loop, a new best past a wide window's
+// first vector, moves of the anchor, a band that went wide and came back, a
+// spill from the band at each exit, every exit, a stop at the rebase
+// horizon, a lone front and a rebase of the other front to have been
+// reached; the front counts the band's part itself (front.inBand, moves,
+// spills, toMemory, toBand).
 //
 // Things to know before touching the assembly. It must be VEX-encoded
 // throughout: one legacy-SSE instruction (MOVQ AX, X0 where VMOVD was meant)
 // among the broadcasts makes every call pay the SSE/AVX state transition,
 // and a single one made the whole x=7 kernel ten times slower. go vet's
 // asmdecl checks the frame, not the front: field offsets come from go_asm.h,
-// so a reordered struct still assembles right. The new best's maximum is
+// so a reordered struct still assembles right. The band loop is written as
+// macros (LOAD, STEP, SLOWPATH, SPILL) expanded once for each register
+// set; pprof charges a macro's samples to the line that expands it. The
+// band's LZCNT runs as BSR, silently wrong, on a CPU without it: cpuid.AVX2
+// checks for it (every CPU with AVX2 has it). The new best's maximum is
 // the in-lane shuffle ladder after one VPERM2I128, not VPHMINPOSUW: three
 // micro-operations fewer, but four cycles longer on the chain from one
 // antidiagonal's best to the next one's prune, and the batch lost 5%.

@@ -177,12 +177,13 @@ func FuzzXDropMatchesReference(f *testing.F) {
 			f.Add(long, near, uint16(48), uint16(49), uint8(7), x, mag, mag, uint8(0))
 		}
 	}
-	// The assembly routine carries a row in registers from one antidiagonal
-	// to the next while one vector is the window and its start moves by 0 or
-	// 1: 150 bases either side of the seed, two substitutions, an insertion
-	// and a deletion apart, keep it there for some 250 antidiagonals a side at
-	// x=7 and x=1 (a window of one to three cells), under unit scores and
-	// 2/-3/-2; the deletion of two bases makes the window start jump.
+	// The assembly routine holds a narrow window in registers, in its band,
+	// and moves the band's anchor as the window climbs: 150 bases either
+	// side of the seed, two substitutions, an insertion and a deletion apart,
+	// keep it there for some 250 antidiagonals a side at x=7 and x=1 (a
+	// window of one to three cells), under unit scores and 2/-3/-2; the
+	// deletion of two bases makes the window start jump, which is what the
+	// band's mask below the window is for.
 	long = randomSeq(rand.New(rand.NewSource(65)), 317)
 	near = concat(long[:40], []byte("C"), long[41:100], []byte("A"), long[100:201], long[203:260], []byte("T"), long[261:])
 	for _, x := range []uint8{2, 1} {

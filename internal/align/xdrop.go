@@ -38,8 +38,8 @@ type Seed struct {
 
 // XDropBatch sets out[i] to XDrop(seeds[i].S, seeds[i].T, seeds[i].PosS,
 // seeds[i].PosT, k, sc, x) for every i. The extensions of the whole batch,
-// each seed's right flank and then its left, are queued and run several at
-// a time, which is what keeps the assembly routine busy: one extension's
+// each seed's right flank and then its left, are queued and run two at a
+// time, which is what keeps the assembly routine busy: one extension's
 // antidiagonals depend on each other, two extensions' do not. It panics as
 // XDrop does, before aligning anything, and when out is not as long as
 // seeds.
@@ -165,9 +165,9 @@ func (sc Scoring) maxAbs() int {
 }
 
 // fronts is how many extensions the assembly routine advances at once: the
-// slots of a workspace. Measured, not configured (the package comment has
-// the numbers for one to four).
-const fronts = 4
+// slots of a workspace, and the bands its registers hold. Measured, not
+// configured (the package comment has the numbers for one and two).
+const fronts = 2
 
 // workspace is the scratch one XDropBatch call needs: a slot per front.
 // Pooled, so steady state allocates nothing; nothing in it is cleared
@@ -227,6 +227,33 @@ type front struct {
 	base  int32        // a narrow cell holds its score minus base
 	vbest [lanes]int16 // best-base, in every lane
 	vx    [lanes]int16 // x
+
+	// The band's, while the routine holds the front in registers: set and
+	// read by the routine alone. The two addresses are brev's, kept as
+	// numbers: qlow is brev[0]'s, qstop brev[m-stop+anchor]'s.
+	anchor int              // the i of the band's lane 0
+	nA     int              // n-anchor: the lane of a's last base
+	ztop   int              // 32-2·min(14, nA): a window top's LZCNT below it is past the band or n
+	qlow   uintptr          // below it, lane 0 would read before brev[0]
+	qstop  uintptr          // below it, d has passed stop
+	qmin   uintptr          // the larger of the two
+	bound  [3 * lanes]int16 // pruned, MaxInt16, pruned: the window's masks are read from it
+	bslot  [2]bandRow       // [1] holds the row that last raised best; [0] takes the rows that did not
+
+	// What the routine has done with the extension, counted for the tests
+	// (begin zeroes them): antidiagonals scored in the band, moves of the
+	// anchor, spills from the band, and hand-overs from the band to the
+	// memory loop and back.
+	inBand, moves, spills, toMemory, toBand int
+}
+
+// bandRow is a row of the routine's band as it stored it, with brev's
+// address for the antidiagonal the row is of: 64 bytes, the step between
+// the two slots the routine's conditional address picks from.
+type bandRow struct {
+	row [lanes]int16
+	q   uintptr // zero in bslot[1]: no row has raised best since the band was last anchored
+	_   [3]uint64
 }
 
 // lanes is the routine's vector: sixteen int16 cells.
@@ -324,6 +351,7 @@ func (sl *slot) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
 	st.n, st.m, st.d, st.lo1, st.hi1 = n, m, 1, 0, 0
 	st.alast, st.bpad = min(len(a)-1, n+overread), min(len(brev)-1-m, overread)
 	st.best, st.bestI, st.bestD, st.cells = 0, 0, 0, 0
+	st.inBand, st.moves, st.spills, st.toMemory, st.toBand = 0, 0, 0, 0, 0
 	st.x, st.match, st.mismatch, st.gap = x, int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
 	st.maxAbs = int32(sc.maxAbs())
 	st.floor = math.MinInt16 + 1 + x + 2*st.maxAbs

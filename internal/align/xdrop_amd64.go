@@ -17,13 +17,42 @@ var useAVX2 = cpuid.AVX2()
 // antidiagonals, some 200 µs.
 const maxSteady = 4096
 
+// bandShift moves a band s lanes down, lane k+s to lane k, and fills the
+// top s lanes with pruned: the band's lanes within each half by a VPSHUFB
+// of ctrl, those the upper half hands the lower by a VPSHUFB of cross
+// (over the upper half, moved down), and the fill OR'd in.
+type bandShift struct {
+	ctrl, cross, fill [2 * lanes]byte
+}
+
+// bandShifts is the bandShift for each s, which the routine reads by name.
+var bandShifts = func() (t [lanes]bandShift) {
+	for s := range t {
+		for half := 0; half < 2; half++ {
+			for b := 0; b < lanes; b++ {
+				ctrl, cross := byte(0x80), byte(0x80) // VPSHUFB's zero
+				if src := b + 2*s; src < lanes {
+					ctrl = byte(src)
+				} else if half == 0 && src-lanes < lanes {
+					cross = byte(src - lanes)
+				}
+				t[s].ctrl[half*lanes+b], t[s].cross[half*lanes+b] = ctrl, cross
+			}
+		}
+		for k := lanes - s; k < lanes; k++ {
+			t[s].fill[2*k+1] = 0x80 // pruned's high byte: the lane is zero before the OR
+		}
+	}
+	return t
+}()
+
 // runFronts runs the batch on the assembly routine, fronts extensions at a
 // time. Every slot takes an extension from the queue; the routine advances
 // the live ones in turn, an antidiagonal each, and returns the first to
-// exit. Go then deals with that one alone (slot.resume) while the others
-// wait in the routine's form, and when an extension ends, its seed's result
-// takes its part and the slot takes the queue's next extension. The next
-// call starts at the slot after the one that exited.
+// exit. Go then deals with that one alone (slot.resume) while the other
+// waits in the routine's form, and when an extension ends, its seed's
+// result takes its part and the slot takes the queue's next extension. The
+// next call starts at the slot after the one that exited.
 func (w *workspace) runFronts(b *batch) {
 	var live [fronts]bool
 	for i := range w.slots {
@@ -202,17 +231,18 @@ func widenCells(dst []int32, src []int16, base int32) {
 }
 
 // frontsAVX2 is advance's loop in assembly (xdrop_amd64.s) over the ring of
-// fronts that st is on: it scores an antidiagonal of each front in turn,
-// exactly as advance would, sixteen int16 cells a step, and returns the
-// first front to meet one of the exit conditions, by id, with the reason.
-// That front's d, lo1, hi1, best, bestI, bestD and cells are then what
-// advance would have left (after exitDead only the last four mean anything,
-// as after advance), and its narrow rows and base are where leave widens
-// them from; every other front is as the routine will next take it up. It
-// loads and stores whole vectors, and returns exitEdge, having scored
-// nothing of antidiagonal d, when that would leave the rows or the bases
-// (the package comment has the two conditions). Every front on the ring
-// fits() and shares st's scores.
+// fronts that st is on, st alone or st and the front after it: it scores an
+// antidiagonal of each front in turn, exactly as advance would, sixteen
+// int16 cells a step, and returns the first front to meet one of the exit
+// conditions, by id, with the reason. That front's d, lo1, hi1, best,
+// bestI, bestD and cells are then what advance would have left (after
+// exitDead only the last four mean anything, as after advance), and its
+// narrow rows and base are where leave widens them from; the other front is
+// as the routine will next take it up, its state in its struct and rows
+// however the routine held it. It loads and stores whole vectors, and
+// returns exitEdge, having scored nothing of antidiagonal d, when that would
+// leave the rows or the bases (the package comment has the conditions).
+// Every front on the ring fits() and shares st's scores.
 //
 //go:noescape
 func frontsAVX2(st *front) (id, exit int)

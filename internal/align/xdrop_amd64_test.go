@@ -117,11 +117,11 @@ func (g *guarded) untouched(t *testing.T, when string) {
 	}
 }
 
-// pathTally counts antidiagonals by the path the routine takes through
-// them, as the Go loop's windows determine it.
+// pathTally counts antidiagonals by the width of their window, as the Go
+// loop's windows determine it.
 type pathTally struct {
-	one      int // one vector: best and the shrink from masks
-	wide     int // wider than a vector: the shrink cell by cell
+	one      int // one vector: in the band, or on the memory loop beside a wide front
+	wide     int // wider than a vector: the memory loop's vector loop
 	wideBest int // of the wide: a new best first reached past the window's first vector
 }
 
@@ -155,18 +155,35 @@ func (p pathTally) String() string {
 		p.one, float64(p.one)/total, p.wide, float64(p.wide)/total, p.wideBest)
 }
 
-// The x=7 rungs are the one-vector path's: on BenchmarkXDropPipelineX7's and
-// BenchmarkXDropSimilarX7's pairs nearly every antidiagonal is one vector
-// wide, and the routine finds best and the shrink from masks, with no
-// branch on the data. A change that made that path rare would pass every
+// runAlone runs the extension in sl to its end as runFronts runs a lone
+// front: the routine, and the Go loop wherever resume hands it back.
+func runAlone(sl *slot) {
+	sl.st.id, sl.st.next = 0, &sl.st
+	sl.enter()
+	for {
+		if _, exit := frontsAVX2(&sl.st); !sl.resume(exit) {
+			return
+		}
+	}
+}
+
+// The x=7 rungs are the band's: on BenchmarkXDropPipelineX7's and
+// BenchmarkXDropSimilarX7's pairs nearly every antidiagonal is scored with
+// the front in registers, and the routine finds best and the shrink from
+// masks, with no branch on the data. A change that made the band rare
+// (a window test that sent it to the memory loop, say) would pass every
 // equivalence test and lose the kernel its speed; this is where it fails.
-// The shares are logged for CHANGES.md.
+// The shares, the anchor's moves and the hand-overs are logged for
+// CHANGES.md.
 func TestSteadyPathsOnTheRungs(t *testing.T) {
+	if !cpuid.AVX2() {
+		t.Skip("no AVX2 on this host: there is no band")
+	}
 	for _, rung := range []struct {
 		name   string
 		length int
 		x      int
-		one    float64 // least share of one-vector antidiagonals
+		band   float64 // least share of antidiagonals scored in the band
 	}{
 		{"PipelineX7", 0, 7, 0.95},
 		{"SimilarX7", 6000, 7, 0.95},
@@ -180,12 +197,13 @@ func TestSteadyPathsOnTheRungs(t *testing.T) {
 			a, b = concat([]byte("A"), s), u
 		}
 		g := newGuarded(a, b, DefaultScoring, clampXDrop(len(a)+len(b), DefaultScoring, rung.x), 0, overread)
-		var tally pathTally
-		for g.sl.st.d <= g.sl.st.n+g.sl.st.m && tally.score(&g.sl) {
-		}
-		t.Logf("%s: %v", rung.name, tally)
-		if got := float64(tally.one) / float64(tally.one+tally.wide); got < rung.one {
-			t.Errorf("%s: %.1f%% of antidiagonals one vector wide, want at least %.0f%%", rung.name, 100*got, 100*rung.one)
+		runAlone(&g.sl)
+		st := &g.sl.st
+		got := float64(st.inBand) / float64(st.d-1)
+		t.Logf("%s: %d of %d antidiagonals (%.1f%%) in the band, %d moves of its anchor, %d to the memory loop and %d back",
+			rung.name, st.inBand, st.d-1, 100*got, st.moves, st.toMemory, st.toBand)
+		if got < rung.band {
+			t.Errorf("%s: %.1f%% of antidiagonals in the band, want at least %.0f%%", rung.name, 100*got, 100*rung.band)
 		}
 	}
 }
@@ -226,17 +244,17 @@ func steadyCases() []steadyCase {
 	add("b short, d-m edge, x=1000", a, b[:40], DefaultScoring, 1000)
 	add("a short, n edge, x=1000", a[:40], b, DefaultScoring, 1000)
 	a, b = pair(1500, 0.15)
-	add("pipeline-like x=7", a, b, DefaultScoring, 7) // windows of 9 to 16 cells, carried
+	add("pipeline-like x=7", a, b, DefaultScoring, 7) // windows of 9 to 16 cells: the anchor moves often, and the band goes wide
 	// Identity at the largest scores: best climbs 512 an antidiagonal, so the
 	// routine rebases every few dozen antidiagonals at x=44 000 (windows of
-	// two or three vectors) and every hundred or so at x=2 000 (one vector,
-	// carried); at the largest x it takes, ceil is floor and it rebases at
-	// every new best.
+	// two or three vectors, on the memory loop) and every hundred or so at
+	// x=2 000 (in the band); at the largest x it takes, ceil is floor and it
+	// rebases at every new best.
 	tmpl := randomSeq(rng, 2000)
 	add("identity, max scores, x=44000", concat([]byte("A"), tmpl), tmpl, maxScores, 44000)
 	add("identity, max scores, x=2000", concat([]byte("A"), tmpl), tmpl, maxScores, 2000)
 	a, b = pair(500, 0.075)
-	add("similar, max scores, x=3000", a, b, maxScores, 3000) // rebases with a row carried at either s
+	add("similar, max scores, x=3000", a, b, maxScores, 3000) // rebases from the band and from the memory loop
 	add("similar, max scores, largest x", a, b, maxScores, narrowXMax(maxScores))
 	return cases
 }
@@ -350,22 +368,25 @@ func companion(sc Scoring) *guarded {
 }
 
 // The assembly routine is the Go loop, antidiagonal for antidiagonal, with
-// another front beside it. Every extension here is walked by the Go loop
-// alone; at every antidiagonal D of that walk the routine is entered on a
-// copy, beside a fresh copy of the companion, with a stop horizon that lets
-// the case score between one antidiagonal and all that the flank allows.
-// The case's front has to be the one to exit, for a reason that is true, and
-// both fronts have to be where the Go loop leaves them after as many
-// antidiagonals as the routine scored of each (matchLoop). The case's base
-// views run on past their last base by what XDrop's views may (nothing, a
-// little, overread); canaries either side of every row, wide and narrow, and
-// of both base views stay as they were. The paths through the routine are
-// counted from the Go loop's windows, and each has to have been taken.
+// another front beside it or alone. Every extension here is walked by the
+// Go loop alone; at every antidiagonal D of that walk the routine is entered
+// on a copy, on three D in four beside a fresh copy of the companion, with a
+// stop horizon that lets the case score between one antidiagonal and all
+// that the flank allows. The case's front has to be the one to exit, for a
+// reason that is true, and both fronts have to be where the Go loop leaves
+// them after as many antidiagonals as the routine scored of each
+// (matchLoop). The case's base views run on past their last base by what
+// XDrop's views may (nothing, a little, overread); canaries either side of
+// every row, wide and narrow, and of both base views stay as they were. The
+// paths through the routine are counted, from the Go loop's windows and from
+// the front's own counts, and each has to have been taken.
 func TestSteadyMatchesLoop(t *testing.T) {
 	if !cpuid.AVX2() {
 		t.Skip("no AVX2 on this host: the Go loop is the whole kernel, and the other tests cover it")
 	}
-	var entered, edges, deaths, fills, caps, rooms, rebased int
+	var entered, alone, edges, deaths, fills, caps, rooms, rebased int
+	var inBand, moves, wideAndBack int
+	var spilled [3]int // by exit: the case left from the band
 	var paths pathTally
 	for c, tc := range steadyCases() {
 		comp := companion(tc.sc)
@@ -383,17 +404,24 @@ func TestSteadyMatchesLoop(t *testing.T) {
 
 			got, other := ref.clone(), comp.clone()
 			got.snapshot()
-			id, exit := call(stop, &got.sl, &other.sl)
-			if other.sl.st.base != comp.sl.st.best-comp.sl.st.floor {
-				rebased++ // the companion's base moved from where enter put it: resume rebased it
+			lone := D%4 == 3
+			var id, exit int
+			if lone {
+				id, exit = call(stop, &got.sl)
+				alone++
+			} else {
+				id, exit = call(stop, &got.sl, &other.sl)
+				if other.sl.st.base != comp.sl.st.best-comp.sl.st.floor {
+					rebased++ // the companion's base moved from where enter put it: resume rebased it
+				}
 			}
 			got.untouched(t, tc.name)
 			steps := got.sl.st.d - D
 			entered++
 			fail := func(format string, args ...any) {
 				t.Helper()
-				t.Fatalf("%s: entered at d=%d, stop %d, exit %d after %d antidiagonals: "+format,
-					append([]any{tc.name, D, stop, exit, steps}, args...)...)
+				t.Fatalf("%s: entered at d=%d, stop %d, alone %v, exit %d after %d antidiagonals: "+format,
+					append([]any{tc.name, D, stop, lone, exit, steps}, args...)...)
 			}
 			if id != 0 {
 				fail("the companion exited first, at d=%d", other.sl.st.d)
@@ -439,41 +467,66 @@ func TestSteadyMatchesLoop(t *testing.T) {
 			matchLoop(&got.sl, &want.sl, D, exit, fail)
 
 			// The companion, mid-extension, is where the Go loop would be.
-			wantOther := comp.clone()
-			if k := other.sl.st.d - wantOther.sl.st.d; k > 0 && !wantOther.sl.advance(wantOther.sl.st.d+k-1) {
-				fail("the companion's Go loop died")
+			if !lone {
+				wantOther := comp.clone()
+				if k := other.sl.st.d - wantOther.sl.st.d; k > 0 && !wantOther.sl.advance(wantOther.sl.st.d+k-1) {
+					fail("the companion's Go loop died")
+				}
+				matchLoop(&other.sl, &wantOther.sl, comp.sl.st.d, exitStop, func(format string, args ...any) {
+					t.Helper()
+					fail("companion: "+format, args...)
+				})
 			}
-			matchLoop(&other.sl, &wantOther.sl, comp.sl.st.d, exitStop, func(format string, args ...any) {
-				t.Helper()
-				fail("companion: "+format, args...)
-			})
 
-			// Which paths this call took, from the Go loop's windows.
+			// Which paths this call took: the windows from the Go loop's
+			// walk, the band's part from the front's counts.
 			walk, tally := ref.clone(), pathTally{}
 			for d := D; d < D+steps; d++ {
 				tally.score(&walk.sl)
 			}
 			paths.add(tally)
+			was := &ref.sl.st
+			if gs.inBand-was.inBand > steps {
+				fail("%d antidiagonals in the band of %d scored", gs.inBand-was.inBand, steps)
+			}
+			inBand += gs.inBand - was.inBand
+			moves += gs.moves - was.moves
+			if gs.toMemory > was.toMemory && gs.toBand > was.toBand {
+				wideAndBack++
+			}
+			if gs.spills > was.spills {
+				spilled[exit]++
+			}
 
 			if !ref.sl.advance(D) {
 				break
 			}
 		}
 	}
-	t.Logf("%d entries, %d with the companion rebased; antidiagonals %v; exits: %d edge, %d dead, %d flank, %d cap, %d rebase room",
-		entered, rebased, paths, edges, deaths, fills, caps, rooms)
+	t.Logf("%d entries, %d alone, %d with the companion rebased; antidiagonals %v, %d of them in the band; "+
+		"%d moves of the anchor; %d calls went wide and back; exits: %d edge, %d dead, %d flank, %d cap, %d rebase room; "+
+		"from the band: %d stop, %d edge, %d dead",
+		entered, alone, rebased, paths, inBand, moves, wideAndBack, edges, deaths, fills, caps, rooms,
+		spilled[exitStop], spilled[exitEdge], spilled[exitDead])
 	for _, reached := range []struct {
 		what  string
 		count int
 	}{
-		{"antidiagonals of one vector", paths.one},
+		{"antidiagonals in the band", inBand},
+		{"antidiagonals of one vector on the memory loop", paths.one - inBand},
 		{"antidiagonals wider than one vector", paths.wide},
 		{"wide antidiagonals with a new best past the first vector", paths.wideBest},
+		{"moves of the band's anchor", moves},
+		{"calls whose band went to the memory loop and back", wideAndBack},
 		{"edge exits beside a live front", edges},
 		{"deaths inside the routine beside a live front", deaths},
 		{"stops because the flank needs filling", fills},
 		{"stops at a call's cap", caps},
 		{"stops where best may next pass ceil", rooms},
+		{"spills from the band at a stop", spilled[exitStop]},
+		{"spills from the band at an edge", spilled[exitEdge]},
+		{"spills from the band at a death", spilled[exitDead]},
+		{"entries of a lone front", alone},
 		{"rebases of the companion beside the case's live front", rebased},
 	} {
 		if reached.count == 0 {

@@ -355,10 +355,9 @@ func BenchmarkXDropSimilar(b *testing.B) {
 // x=7 on 6 kb reads at 7.5% error each, which is 15% pairwise: half the
 // divergence of the pipeline's reads (BenchmarkXDropPipelineX7). The window is
 // 8 cells or fewer on nine antidiagonals in ten, so on an AVX2 host this times
-// the assembly routine's carried-row path (99% of antidiagonals take their
-// neighbours from registers, TestSteadyPathsOnTheRungs) and the branch
-// mispredictions of its bookkeeping; the Go loop runs the last few of some
-// 12 000. Anywhere else it times the Go loop.
+// the assembly routine's band, the two flanks' fronts in registers (99.8% of
+// some 12 000 antidiagonals, TestSteadyPathsOnTheRungs), and the moves of its
+// anchor; the Go loop runs the last few. Anywhere else it times the Go loop.
 func BenchmarkXDropSimilarX7(b *testing.B) {
 	s, u, seedS, seedU := similarPair(b, 6000, 0.075)
 	benchXDrop(b, s, u, seedS, seedU, 17, 7)
@@ -385,8 +384,9 @@ func pipelinePair(tb testing.TB) (s, u []byte, seedS, seedU int) {
 }
 
 // The pipeline's own shape: x=7 on the pair above, as the longread_align
-// workload aligns. On an AVX2 host one int16 vector is the window on 98% of
-// its antidiagonals, carried in registers.
+// workload aligns. On an AVX2 host the band holds the window on 99.7% of its
+// antidiagonals; a window of 16 cells or one the d-m bound cuts goes to the
+// memory loop.
 func BenchmarkXDropPipelineX7(b *testing.B) {
 	s, u, seedS, seedU := pipelinePair(b)
 	benchXDrop(b, s, u, seedS, seedU, 17, 7)
@@ -426,8 +426,9 @@ var pipelineSeeds = sync.OnceValues(func() ([]Seed, error) {
 
 // The pipeline's read set as the alignment stage hands it over: every
 // seed's two extensions queued at once (batch), against the same list as
-// one XDrop call a seed (calls). On an AVX2 host the batch keeps the
-// routine's fronts busy across seeds.
+// one XDrop call a seed (calls). On an AVX2 host the batch keeps both of
+// the routine's fronts busy across seeds; a call's two flanks are its two
+// fronts until the shorter ends, and then the other runs alone.
 func BenchmarkXDropBatchPipelineX7(b *testing.B) {
 	seeds, err := pipelineSeeds()
 	if err != nil {

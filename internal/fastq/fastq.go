@@ -79,6 +79,8 @@ func (r *Reader) detect() error {
 	}
 }
 
+// readLine returns the next line, without its line ending, in a slice of
+// its own.
 func (r *Reader) readLine() ([]byte, error) {
 	line, err := r.br.ReadBytes('\n')
 	if len(line) == 0 && err != nil {
@@ -87,6 +89,26 @@ func (r *Reader) readLine() ([]byte, error) {
 	return bytes.TrimRight(line, "\r\n"), nil
 }
 
+// peekLine is readLine for a line the caller is done with before it reads
+// again: it is returned in the reader's buffer when it fits there, and so
+// allocates nothing but for a line longer than the buffer.
+func (r *Reader) peekLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		line = append([]byte(nil), line...)
+		var rest []byte
+		rest, err = r.br.ReadBytes('\n')
+		line = append(line, rest...)
+	}
+	if len(line) == 0 && err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// nextFastq parses a record in four allocations: the name, the sequence,
+// the quality line and the Record. The sequence and the quality stay
+// separate allocations, so a store that drops the qualities frees them.
 func (r *Reader) nextFastq() (*Record, error) {
 	// Blank lines between records and after the last one are skipped, as
 	// detect skips them before the first: a trailing newline is the
@@ -94,18 +116,19 @@ func (r *Reader) nextFastq() (*Record, error) {
 	var header []byte
 	for len(header) == 0 {
 		var err error
-		if header, err = r.readLine(); err != nil {
+		if header, err = r.peekLine(); err != nil {
 			return nil, err
 		}
 	}
 	if header[0] != '@' {
 		return nil, fmt.Errorf("fastq: record %d: malformed header %q", r.nRec, header)
 	}
+	name := nameOf(header[1:])
 	seq, err := r.readLine()
 	if err != nil {
 		return nil, fmt.Errorf("fastq: record %d: truncated sequence: %w", r.nRec, err)
 	}
-	plus, err := r.readLine()
+	plus, err := r.peekLine()
 	if err != nil || len(plus) == 0 || plus[0] != '+' {
 		return nil, fmt.Errorf("fastq: record %d: missing '+' separator", r.nRec)
 	}
@@ -118,17 +141,18 @@ func (r *Reader) nextFastq() (*Record, error) {
 			r.nRec, len(qual), len(seq))
 	}
 	r.nRec++
-	return &Record{Name: nameOf(header[1:]), Seq: seq, Qual: qual}, nil
+	return &Record{Name: name, Seq: seq, Qual: qual}, nil
 }
 
 func (r *Reader) nextFasta() (*Record, error) {
-	header, err := r.readLine()
+	header, err := r.peekLine()
 	if err != nil {
 		return nil, err
 	}
 	if len(header) == 0 || header[0] != '>' {
 		return nil, fmt.Errorf("fastq: record %d: malformed FASTA header %q", r.nRec, header)
 	}
+	name := nameOf(header[1:])
 	var seq []byte
 	for {
 		b, err := r.br.Peek(1)
@@ -141,14 +165,14 @@ func (r *Reader) nextFasta() (*Record, error) {
 		if b[0] == '>' {
 			break
 		}
-		line, err := r.readLine()
+		line, err := r.peekLine()
 		if err != nil {
 			return nil, err
 		}
 		seq = append(seq, line...)
 	}
 	r.nRec++
-	return &Record{Name: nameOf(header[1:]), Seq: seq}, nil
+	return &Record{Name: name, Seq: seq}, nil
 }
 
 // nameOf trims a header to the first whitespace-delimited token.

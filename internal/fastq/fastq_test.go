@@ -457,6 +457,61 @@ func TestReaderLargeRecordStreaming(t *testing.T) {
 	}
 }
 
+// The header, the '+' line and the sequence each longer than the reader's
+// 64 KiB buffer, with CRLF line endings: the header and '+' lines, read in
+// the buffer when they fit, are read whole when they do not, and the
+// record after them parses too.
+func TestLinesLongerThanTheBuffer(t *testing.T) {
+	long := func(unit string) string { return strings.Repeat(unit, 70000/len(unit)+1) }
+	name, seq := "n"+long("ame"), long("ACGTTGCA")
+	qual := strings.Repeat("I", len(seq))
+	in := "@" + name + " " + long("comment ") + "\r\n" + seq + "\r\n+" + name + "\r\n" + qual + "\r\n" +
+		"@next\r\nACGT\r\n+next\r\n!!!!\r\n"
+	recs, err := ReadAll(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("%d records, want 2", len(recs))
+	}
+	if r := recs[0]; r.Name != name || string(r.Seq) != seq || string(r.Qual) != qual {
+		t.Errorf("long record: name %d bytes, seq %d, qual %d; want %d, %d, %d",
+			len(r.Name), len(r.Seq), len(r.Qual), len(name), len(seq), len(qual))
+	}
+	if r := recs[1]; r.Name != "next" || string(r.Seq) != "ACGT" || string(r.Qual) != "!!!!" {
+		t.Errorf("record after it: %q %q %q", r.Name, r.Seq, r.Qual)
+	}
+}
+
+// A FASTQ record costs four allocations: its name, sequence, quality line
+// and the Record. The header and '+' lines are read in the reader's buffer.
+func TestParseAllocsPerRecord(t *testing.T) {
+	const n = 200
+	var buf bytes.Buffer
+	recs := make([]*Record, n)
+	for i := range recs {
+		recs[i] = &Record{Name: fmt.Sprintf("read%d", i), Seq: bytes.Repeat([]byte("ACGT"), 50+i)}
+	}
+	if err := Write(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	parse := func(in []byte) func() {
+		return func() {
+			r := NewReader(bytes.NewReader(in))
+			for {
+				if _, err := r.Next(); err != nil {
+					return
+				}
+			}
+		}
+	}
+	setup := testing.AllocsPerRun(10, parse(nil))
+	perRecord := (testing.AllocsPerRun(10, parse(buf.Bytes())) - setup) / n
+	if perRecord > 4 {
+		t.Errorf("%.2f allocations a record, want at most 4", perRecord)
+	}
+}
+
 func TestNextAfterEOF(t *testing.T) {
 	r := NewReader(strings.NewReader(sampleFastq))
 	for {

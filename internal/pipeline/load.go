@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"time"
 
 	"dibella/internal/fastq"
 	"dibella/internal/spmd"
@@ -78,6 +79,12 @@ func LoadStore(c *spmd.Comm, path string) (*fastq.ReadStore, error) {
 // owners in one packed all-to-all.
 func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.ReadStore, error) {
 	p, rank := c.Size(), c.Rank()
+	// No stage downstream of loading reads a quality, and nothing writes a
+	// loaded store back out: a store holds none, here or after a reshuffle
+	// (below), and the parser's quality lines go to the collector now.
+	for _, rec := range held {
+		rec.Qual = nil
+	}
 	// Global ID map: IDs follow the rank-order concatenation of the held
 	// runs. heldStart[r] is the first global ID rank r holds.
 	heldStart := make([]int, p+1)
@@ -133,9 +140,8 @@ func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.Rea
 		}
 		seq := items[src][cursor[src]]
 		cursor[src]++
-		// Qualities are not reshuffled: no stage downstream of loading
-		// reads them, and dropping them keeps the exchange at sequence
-		// bytes, the paper's bound.
+		// Qualities are not reshuffled either, which keeps the exchange at
+		// sequence bytes, the paper's bound.
 		owned = append(owned, &fastq.Record{Name: names[gid], Seq: seq})
 	}
 	for s := 0; s < p; s++ {
@@ -201,4 +207,28 @@ func DescribeLoad(rep *Report) string {
 		fmt.Fprintf(&b, " %d", rep.PerRank[i].InputBytes)
 	}
 	return b.String()
+}
+
+// DescribeAlignRate is the x-drop kernel's rate as the run measured it: the
+// cells of every rank's alignments, then each rank's cells, the local wall
+// time its alignment stage spent computing them, and the two's quotient, as
+// the least and the most over the ranks.
+func DescribeAlignRate(rep *Report) string {
+	var cells int64
+	cellsLo, cellsHi := int64(math.MaxInt64), int64(0)
+	wallLo, wallHi := time.Duration(math.MaxInt64), time.Duration(0)
+	rateLo, rateHi := math.Inf(1), 0.0
+	for i := range rep.PerRank {
+		a := &rep.PerRank[i].Align
+		cells += a.Cells
+		cellsLo, cellsHi = min(cellsLo, a.Cells), max(cellsHi, a.Cells)
+		wallLo, wallHi = min(wallLo, a.LocalWall), max(wallHi, a.LocalWall)
+		rate := 0.0
+		if a.LocalWall > 0 {
+			rate = float64(a.Cells) / 1e6 / a.LocalWall.Seconds()
+		}
+		rateLo, rateHi = min(rateLo, rate), max(rateHi, rate)
+	}
+	return fmt.Sprintf("alignment rate: %d cells; a rank: %d-%d cells, %v-%v local wall, %.1f-%.1f Mcells/s",
+		cells, cellsLo, cellsHi, wallLo.Round(time.Microsecond), wallHi.Round(time.Microsecond), rateLo, rateHi)
 }
