@@ -57,12 +57,6 @@ type Config struct {
 	// sum). The inserted data is identical to the blocking schedule.
 	Async bool
 
-	// BuildDepth is how many exchanges the Async round pipeline keeps in
-	// flight per pass (default 2 — the schedule the repo has always run;
-	// capped at spmd.MaxStreamDepth). Depth 1 degenerates to the blocking
-	// schedule. The inserted data is identical at every depth.
-	BuildDepth int
-
 	// KeepSingletons retains k-mers seen only once: the Bloom admission
 	// heuristic is bypassed (every received key gets a table entry) and
 	// the prune drops only the high-frequency tail. Serve mode needs this
@@ -91,17 +85,14 @@ func (cfg *Config) setDefaults() error {
 	if cfg.MinimizerWindow < 0 {
 		return fmt.Errorf("dht: minimizer window %d must be non-negative", cfg.MinimizerWindow)
 	}
-	if cfg.BuildDepth == 0 {
-		cfg.BuildDepth = 2
-	}
-	if cfg.BuildDepth < 1 || cfg.BuildDepth > spmd.MaxStreamDepth {
-		return fmt.Errorf("dht: build depth %d out of [1,%d]", cfg.BuildDepth, spmd.MaxStreamDepth)
-	}
-	if !cfg.Async {
-		cfg.BuildDepth = 1 // the paper's bulk-synchronous pack → exchange → process
-	}
 	return nil
 }
+
+// buildDepth is how many exchanges the Async round pipeline keeps in flight
+// per pass: each round is posted one ahead of the round being processed.
+// Depths 4 and 8 built no faster than 2 on the benchmark's inputs, and
+// depth 1, the blocking schedule, is what Async off selects.
+const buildDepth = 2
 
 // StageStats is the per-rank accounting of one pipeline stage, split the
 // way the paper's Fig. 4 splits efficiency: packing (send-buffer
@@ -186,7 +177,11 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	}
 
 	// Both passes exchange out of one ring of send rows.
-	bufs := spmd.NewRoundBufs(cfg.BuildDepth)
+	depth := 1 // without Async: the paper's bulk-synchronous schedule
+	if cfg.Async {
+		depth = buildDepth
+	}
+	bufs := spmd.NewRoundBufs(depth)
 
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
@@ -366,8 +361,8 @@ func routeOwners(keys []kmer.Kmer, owner []int32, p int) {
 // runRounds drives one pass's exchange rounds through spmd.Rounds: pack
 // fills the next round's send rows (charging parse/pack time to st), process
 // consumes one round's received batches. bufs carries the window: with
-// cfg.Async up to cfg.BuildDepth exchanges are in flight (default 2),
-// without it one, the paper's bulk-synchronous pack → exchange → process.
+// cfg.Async up to buildDepth exchanges are in flight, without it one, the
+// paper's bulk-synchronous pack → exchange → process.
 // The process calls see identical data in identical order either way.
 //
 // Exchange/overlap accounting snapshots Comm stats once around the whole

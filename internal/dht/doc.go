@@ -124,8 +124,8 @@
 // again only when every rank has finished reading it, and on the in-process
 // transport receivers read the sender's memory while they process the
 // round, after their Wait: the earliest safe reuse of round r's set is
-// after this rank's Wait(r+BuildDepth) — a peer posts that round only once
-// it has processed round r — i.e. a ring of 2·BuildDepth sets, which holds
+// after this rank's Wait(r+d) at depth d — a peer posts that round only once
+// it has processed round r — i.e. a ring of 2·d sets, which holds
 // at depth 1 with two (spmd.RoundBufs carries the argument, and
 // TestRoundsRingReuse the stamped, slow-rank, race-detected check). In the
 // other direction the rows process is handed are valid only until it

@@ -8,11 +8,8 @@ import (
 
 // Shard-segment codec: the checkpoint representation of one rank's owned
 // block of the distributed read store. A segment is a contiguous run of
-// global read IDs starting at idStart, each record carrying its name and
-// sequence. Qualities are deliberately dropped — no pipeline stage
-// downstream of loading reads them (the cooperative loader already drops
-// them for reshuffled boundary reads), and omitting them keeps segment
-// size at sequence bytes.
+// global read IDs starting at idStart, each record its name and sequence,
+// so a segment's size is the sequence bytes plus the names.
 //
 // The format is byte-deterministic for a given record run, so per-rank
 // segment digests are stable across runs and transports: idStart and the

@@ -2,6 +2,10 @@
 // record-boundary-aligned byte-range partitioning that diBELLA's parallel
 // I/O uses to hand each rank a near-equal share of the input reads.
 //
+// A read is a name and a sequence: no stage of the pipeline reads a base
+// quality, so the parser checks each FASTQ quality line and keeps none, and
+// Write puts a constant one back.
+//
 // The paper's input files are PacBio FASTQ (266 MB and 929 MB); reads carry
 // no locality with respect to genome position, so a plain byte-range split
 // already yields a near-uniform distribution of bases per rank.
@@ -17,11 +21,11 @@ import (
 	"strings"
 )
 
-// Record is a single sequencing read. Qual is empty for FASTA input.
+// Record is a single sequencing read: its name and its bases, FASTQ and
+// FASTA alike.
 type Record struct {
 	Name string
 	Seq  []byte
-	Qual []byte
 }
 
 // Len returns the number of bases in the read.
@@ -106,9 +110,9 @@ func (r *Reader) peekLine() ([]byte, error) {
 	return bytes.TrimRight(line, "\r\n"), nil
 }
 
-// nextFastq parses a record in four allocations: the name, the sequence,
-// the quality line and the Record. The sequence and the quality stay
-// separate allocations, so a store that drops the qualities frees them.
+// nextFastq parses a record in three allocations: the name, the sequence
+// and the Record. The quality line is checked in the reader's buffer — it
+// must be there and as long as the sequence — and kept nowhere.
 func (r *Reader) nextFastq() (*Record, error) {
 	// Blank lines between records and after the last one are skipped, as
 	// detect skips them before the first: a trailing newline is the
@@ -132,7 +136,7 @@ func (r *Reader) nextFastq() (*Record, error) {
 	if err != nil || len(plus) == 0 || plus[0] != '+' {
 		return nil, fmt.Errorf("fastq: record %d: missing '+' separator", r.nRec)
 	}
-	qual, err := r.readLine()
+	qual, err := r.peekLine()
 	if err != nil {
 		return nil, fmt.Errorf("fastq: record %d: truncated quality: %w", r.nRec, err)
 	}
@@ -141,7 +145,7 @@ func (r *Reader) nextFastq() (*Record, error) {
 			r.nRec, len(qual), len(seq))
 	}
 	r.nRec++
-	return &Record{Name: name, Seq: seq, Qual: qual}, nil
+	return &Record{Name: name, Seq: seq}, nil
 }
 
 func (r *Reader) nextFasta() (*Record, error) {
@@ -218,16 +222,17 @@ func ReadFile(path string) ([]*Record, error) {
 	return ReadAll(f)
 }
 
-// Write emits records in FASTQ format (records lacking qualities get a
-// constant placeholder quality, as real PacBio FASTQ always carries one).
+// Write emits records in FASTQ format. It is the one place that knows a
+// FASTQ record has a quality line: a reader wants one quality per base, and
+// as no stage reads them every base gets the constant 'I'.
 func Write(w io.Writer, recs []*Record) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
+	var qual []byte
 	for _, rec := range recs {
-		qual := rec.Qual
-		if len(qual) != len(rec.Seq) {
-			qual = bytes.Repeat([]byte{'!'}, len(rec.Seq))
+		if len(qual) < len(rec.Seq) {
+			qual = bytes.Repeat([]byte{'I'}, len(rec.Seq))
 		}
-		if _, err := fmt.Fprintf(bw, "@%s\n%s\n+\n%s\n", rec.Name, rec.Seq, qual); err != nil {
+		if _, err := fmt.Fprintf(bw, "@%s\n%s\n+\n%s\n", rec.Name, rec.Seq, qual[:len(rec.Seq)]); err != nil {
 			return err
 		}
 	}
@@ -408,7 +413,7 @@ func nextRecordStart(f *os.File, off, size int64) (int64, error) {
 		return size, nil
 	}
 	for window := int64(scanWindow); ; window *= 2 {
-		n := min64(window, size-off)
+		n := min(window, size-off)
 		buf := make([]byte, n)
 		if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
 			return 0, err
@@ -462,13 +467,6 @@ func scanRecordStart(buf []byte, atEOF bool) (pos int, found, needMore bool) {
 		i += lineEnd + 1
 	}
 	return 0, false, !atEOF
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // LoadShard parses only this rank's shard of a read file: the records

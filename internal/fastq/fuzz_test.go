@@ -6,26 +6,21 @@ import (
 	"testing"
 )
 
-// fuzzSeeds are read files as Write lays them out (one read and three), one
-// whose quality lines start with '@', and the blank-line layouts the reader
+// fuzzSeeds are a read file as Write lays it out, three reads whose quality
+// lines start with '@' and '+', and the blank-line layouts the reader
 // accepts.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
-	written := func(recs ...*Record) []byte {
-		var buf bytes.Buffer
-		if err := Write(&buf, recs); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	var one bytes.Buffer
+	if err := Write(&one, []*Record{{Name: "r0", Seq: []byte("ACGTACGT")}}); err != nil {
+		f.Fatal(err)
 	}
-	one := written(&Record{Name: "r0", Seq: []byte("ACGTACGT"), Qual: []byte("IIIIIIII")})
-	three := written(
-		&Record{Name: "a", Seq: []byte("ACGT"), Qual: []byte("IIII")},
-		&Record{Name: "b", Seq: []byte("TT")},
-		&Record{Name: "c", Seq: []byte("GATTACA"), Qual: []byte("@+@+@+@")},
+	three := rawFastq(
+		[]*Record{{Name: "a", Seq: []byte("ACGT")}, {Name: "b", Seq: []byte("TT")}, {Name: "c", Seq: []byte("GATTACA")}},
+		[][]byte{[]byte("IIII"), []byte("!!"), []byte("@+@+@+@")},
 	)
 	return [][]byte{
-		one, three,
+		one.Bytes(), three,
 		[]byte("@r0\nACGT\n+\n@III\n@r1\nGG\n+\n@@\n"),
 		[]byte("@r\nACGT\n+\nIIII\n\n"),
 		[]byte("\n\n@r0\nACGT\n+\nIIII\n\r\n@r1\r\nGG\r\n+\r\n@!\r\n\r\n"),
@@ -33,11 +28,28 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 }
 
-// FuzzReader: arbitrary bytes never panic the parser; what it accepts as
-// FASTQ has a quality per base, and written back out it parses to the same
-// records (names, bases, and for FASTQ qualities). The one thing Write cannot
+// qualityLines returns the fourth line of each FASTQ record in b, read the
+// way the parser reads b: blank lines skipped where a header is due, a line
+// ending trimmed of its carriage returns.
+func qualityLines(b []byte) [][]byte {
+	lines := bytes.Split(b, []byte("\n"))
+	var quals [][]byte
+	for i := 0; i+3 < len(lines); {
+		if len(bytes.TrimRight(lines[i], "\r")) == 0 {
+			i++
+			continue
+		}
+		quals = append(quals, bytes.TrimRight(lines[i+3], "\r"))
+		i += 4
+	}
+	return quals
+}
+
+// FuzzReader: arbitrary bytes never panic the parser; every FASTQ record it
+// accepts had a quality line as long as its sequence, and written back out
+// the records parse to the same names and bases. The one thing Write cannot
 // put back is a carriage return ending a name ("@r\r desc"): the reader takes
-// CR LF for the line end, so such inputs stop at the quality check.
+// CR LF for the line end, so such inputs stop after the length check.
 func FuzzReader(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -47,11 +59,18 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		isFastq := bytes.HasPrefix(bytes.TrimLeft(b, "\r\n"), []byte("@"))
-		for i, rec := range recs {
-			if isFastq && len(rec.Qual) != len(rec.Seq) {
-				t.Fatalf("record %d: %d qualities for %d bases", i, len(rec.Qual), len(rec.Seq))
+		if bytes.HasPrefix(bytes.TrimLeft(b, "\r\n"), []byte("@")) {
+			quals := qualityLines(b)
+			if len(quals) != len(recs) {
+				t.Fatalf("%d records accepted from %d quality lines\n in %q", len(recs), len(quals), b)
 			}
+			for i, rec := range recs {
+				if len(quals[i]) != len(rec.Seq) {
+					t.Fatalf("record %d: a quality line of %d for %d bases\n in %q", i, len(quals[i]), len(rec.Seq), b)
+				}
+			}
+		}
+		for _, rec := range recs {
 			if strings.HasSuffix(rec.Name, "\r") {
 				return
 			}
@@ -68,8 +87,7 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("%d records written back parse to %d\n in %q", len(recs), len(back), b)
 		}
 		for i := range recs {
-			if back[i].Name != recs[i].Name || !bytes.Equal(back[i].Seq, recs[i].Seq) ||
-				(isFastq && !bytes.Equal(back[i].Qual, recs[i].Qual)) {
+			if back[i].Name != recs[i].Name || !bytes.Equal(back[i].Seq, recs[i].Seq) {
 				t.Fatalf("record %d: %+v written back parses to %+v", i, recs[i], back[i])
 			}
 		}

@@ -26,11 +26,12 @@ func mustCreate(t *testing.T, path string) *os.File {
 	return f
 }
 
-// genRecords builds a deterministic synthetic read set.
-func genRecords(t *testing.T, n, meanLen int, seed int64) []*Record {
+// genRecords builds a deterministic synthetic read set and a random quality
+// line for each read ('@' among the characters), for writeRaw.
+func genRecords(t *testing.T, n, meanLen int, seed int64) ([]*Record, [][]byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	recs := make([]*Record, n)
+	recs, quals := make([]*Record, n), make([][]byte, n)
 	for i := range recs {
 		ln := meanLen/2 + rng.Intn(meanLen)
 		seq := make([]byte, ln)
@@ -39,21 +40,20 @@ func genRecords(t *testing.T, n, meanLen int, seed int64) []*Record {
 			seq[j] = "ACGT"[rng.Intn(4)]
 			qual[j] = byte('!' + rng.Intn(60))
 		}
-		recs[i] = &Record{Name: "read" + string(rune('A'+i%26)) + "-" + string(rune('0'+i%10)), Seq: seq, Qual: qual}
+		recs[i] = &Record{Name: "read" + string(rune('A'+i%26)) + "-" + string(rune('0'+i%10)), Seq: seq}
+		quals[i] = qual
 	}
-	return recs
+	return recs, quals
 }
 
 // TestLoadShardConcatenation: the rank-order concatenation of every
 // shard must be exactly the whole file's record sequence, and the
 // per-shard parsed-byte counters must tile the file.
 func TestLoadShardConcatenation(t *testing.T) {
-	recs := genRecords(t, 57, 300, 7)
+	recs, quals := genRecords(t, 57, 300, 7)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "reads.fastq")
-	if err := WriteFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
+	writeRaw(t, path, recs, quals)
 	whole, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +91,10 @@ func TestLoadShardConcatenation(t *testing.T) {
 // the property that lets P ranks scan O(P) boundaries in aggregate and
 // still tile the file.
 func TestShardOffsetsMatchSplitOffsets(t *testing.T) {
-	recs := genRecords(t, 43, 350, 17)
+	recs, quals := genRecords(t, 43, 350, 17)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "reads.fastq")
-	if err := WriteFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
+	writeRaw(t, path, recs, quals)
 	for _, p := range []int{1, 2, 5, 16, 128} {
 		offs, err := SplitOffsets(path, p)
 		if err != nil {
@@ -121,6 +119,7 @@ func TestShardOffsetsMatchSplitOffsets(t *testing.T) {
 // the split. The shards must still tile the file exactly.
 func TestLoadShardUltraLongRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	var quals [][]byte
 	mk := func(name string, n int) *Record {
 		seq := make([]byte, n)
 		qual := make([]byte, n)
@@ -129,7 +128,8 @@ func TestLoadShardUltraLongRead(t *testing.T) {
 			qual[j] = byte('!' + rng.Intn(60))
 		}
 		qual[0] = '@' // keep the header/quality ambiguity in play
-		return &Record{Name: name, Seq: seq, Qual: qual}
+		quals = append(quals, qual)
+		return &Record{Name: name, Seq: seq}
 	}
 	recs := []*Record{
 		mk("head", 1500),
@@ -138,9 +138,7 @@ func TestLoadShardUltraLongRead(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ultra.fastq")
-	if err := WriteFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
+	writeRaw(t, path, recs, quals)
 	for _, p := range []int{2, 3, 4} {
 		var got []*Record
 		var parsedTotal int64
@@ -171,7 +169,7 @@ func TestLoadShardUltraLongRead(t *testing.T) {
 // the file size; every other rank holds none and counts 0. The world
 // parses the file once, not once per rank.
 func TestLoadShardFallbacks(t *testing.T) {
-	recs := genRecords(t, 11, 200, 3)
+	recs, _ := genRecords(t, 11, 200, 3)
 	dir := t.TempDir()
 
 	gz := filepath.Join(dir, "reads.fastq.gz")
@@ -223,7 +221,7 @@ func TestLoadShardFallbacks(t *testing.T) {
 // TestShardedReadStore checks an owned-range store end to end: global
 // metadata answers for every ID, sequences only inside the owned range.
 func TestShardedReadStore(t *testing.T) {
-	recs := genRecords(t, 29, 250, 13)
+	recs, _ := genRecords(t, 29, 250, 13)
 	const p = 4
 	whole := NewReadStore(recs, p)
 

@@ -61,10 +61,10 @@ type CkptOptions struct {
 }
 
 // outputConfig is the subset of Config that determines the pipeline's
-// output. Scheduling knobs (Exchange, ReplyChunk/Depth, BuildDepth,
-// MaxKmersPerRound) move the same data on different timetables and are
-// deliberately excluded: a snapshot may be resumed under a different
-// schedule, never under a different k. Derivation inputs (ErrorRate,
+// output. Scheduling knobs (Exchange, ReplyChunk/Depth, MaxKmersPerRound)
+// move the same data on different timetables and are deliberately
+// excluded: a snapshot may be resumed under a different schedule, never
+// under a different k. Derivation inputs (ErrorRate,
 // Coverage, GenomeEst) are covered through the derived K/MaxFreq.
 type outputConfig struct {
 	K               int
@@ -77,8 +77,7 @@ type outputConfig struct {
 	MinimizerWindow int
 	// KeepSingletons changes what the DHT snapshot contains (singletons
 	// and tombstones stay resident), so a serve-formed checkpoint can
-	// never resume into a batch run or vice versa. BuildDepth, by
-	// contrast, is schedule-only and deliberately absent.
+	// never resume into a batch run or vice versa.
 	KeepSingletons bool
 }
 

@@ -146,8 +146,10 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 	// Minimizer seeding rides the same snapshot path: the DHT boundary
 	// snapshots the (sparser) minimizer partitions, the manifest's config
 	// hash covers the window, and a P/2-elastic resume must reproduce the
-	// fresh minimizer run byte-for-byte. A window override on resume would
-	// change output and must be rejected like any output-affecting flag.
+	// fresh minimizer run byte-for-byte — also on one-byte reply chunks at
+	// the deepest reply window, schedule knobs the hash must accept. A
+	// window override on resume would change output and must be rejected
+	// like any output-affecting flag.
 	t.Run("minimizer/dht", func(t *testing.T) {
 		mcfg := cfg
 		mcfg.MinimizerWindow = 5
@@ -167,7 +169,20 @@ func TestResumeMatchesFreshRun(t *testing.T) {
 					resumeP, len(got), len(mwant))
 			}
 		}
-		_, _, err := runResume(p, nil, dir, func(c *Config) { c.MinimizerWindow = 9 }, nil)
+		tiny := func(c *Config) { c.ReplyChunk, c.ReplyDepth = 1, spmd.MaxStreamDepth }
+		rep, store, err := runResume(p/2, nil, dir, tiny, nil)
+		if err != nil {
+			t.Fatalf("minimizer resume at P=%d on one-byte reply chunks: %v", p/2, err)
+		}
+		if rep.Config.ReplyChunk != 1 || rep.Config.ReplyDepth != spmd.MaxStreamDepth {
+			t.Errorf("resume ran reply chunk %d at depth %d, want 1 at %d",
+				rep.Config.ReplyChunk, rep.Config.ReplyDepth, spmd.MaxStreamDepth)
+		}
+		if got := pafBytesStore(t, rep, store); !bytes.Equal(mwant, got) {
+			t.Errorf("minimizer resume at P=%d on one-byte reply chunks: PAF diverges from fresh run (%d vs %d bytes)",
+				p/2, len(got), len(mwant))
+		}
+		_, _, err = runResume(p, nil, dir, func(c *Config) { c.MinimizerWindow = 9 }, nil)
 		if err == nil || !strings.Contains(err.Error(), "output-affecting") {
 			t.Errorf("window override on resume: err = %v, want output-affecting rejection", err)
 		}

@@ -79,12 +79,6 @@ func LoadStore(c *spmd.Comm, path string) (*fastq.ReadStore, error) {
 // owners in one packed all-to-all.
 func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.ReadStore, error) {
 	p, rank := c.Size(), c.Rank()
-	// No stage downstream of loading reads a quality, and nothing writes a
-	// loaded store back out: a store holds none, here or after a reshuffle
-	// (below), and the parser's quality lines go to the collector now.
-	for _, rec := range held {
-		rec.Qual = nil
-	}
 	// Global ID map: IDs follow the rank-order concatenation of the held
 	// runs. heldStart[r] is the first global ID rank r holds.
 	heldStart := make([]int, p+1)
@@ -107,12 +101,16 @@ func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.Rea
 	// Reshuffle: held-but-not-owned sequences travel to their owners.
 	// Receivers know exactly which IDs arrive from whom — the overlap of
 	// src's held interval with our owned range, in ID order — so the
-	// exchange carries raw sequence bytes, nothing else.
+	// exchange carries raw sequence bytes, nothing else. Held IDs ascend,
+	// so the owner only ever advances over the contiguous ranges.
 	send := make([]spmd.PackedBufs, p)
 	myHeld := heldStart[rank]
+	owner := 0
 	for i, rec := range held {
-		gid := myHeld + i
-		if owner := ownerOf(ranges, gid); owner != rank {
+		for myHeld+i >= ranges[owner][1] {
+			owner++
+		}
+		if owner != rank {
 			send[owner].AppendItem(rec.Seq)
 		}
 	}
@@ -140,8 +138,6 @@ func assembleStore(c *spmd.Comm, held []*fastq.Record, parsed int64) (*fastq.Rea
 		}
 		seq := items[src][cursor[src]]
 		cursor[src]++
-		// Qualities are not reshuffled either, which keeps the exchange at
-		// sequence bytes, the paper's bound.
 		owned = append(owned, &fastq.Record{Name: names[gid], Seq: seq})
 	}
 	for s := 0; s < p; s++ {
@@ -181,20 +177,6 @@ func decodeReadMeta(row []byte) (names []string, lens []int32, err error) {
 		return nil, nil, err
 	}
 	return names, lens, nil
-}
-
-// ownerOf returns the rank whose contiguous range holds gid.
-func ownerOf(ranges [][2]int, gid int) int {
-	lo, hi := 0, len(ranges)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if gid >= ranges[mid][1] {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // DescribeLoad renders the per-rank parsed-byte counters of a gathered

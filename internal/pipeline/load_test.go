@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,52 +39,6 @@ func executeSharded(c *spmd.Comm, path string, cfg Config, out *shardedResult, m
 		mu.Unlock()
 	}
 	return nil
-}
-
-// A loaded store keeps no quality line, on either kind of load (shards,
-// and a gzip input rank 0 parses whole), at any world size, and the PAF is
-// the whole-file run's.
-func TestLoadedStoreHoldsNoQualities(t *testing.T) {
-	ds := input(t, equivalenceInput)
-	dir := t.TempDir()
-	plain, gz := filepath.Join(dir, "reads.fastq"), filepath.Join(dir, "reads.fastq.gz")
-	for _, path := range []string{plain, gz} {
-		if err := fastq.WriteFile(path, ds.Reads); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := defaultConfig()
-	want := pafBytes(t, sharedRun(t, equivalenceInput, 3, cfg), ds.Reads)
-	for _, path := range []string{plain, gz} {
-		for _, p := range []int{1, 2, 3} {
-			var mu sync.Mutex
-			var res shardedResult
-			if err := spmd.Run(p, func(c *spmd.Comm) error {
-				store, err := LoadStore(c, path)
-				if err != nil {
-					return err
-				}
-				start, end := store.LocalIDs(c.Rank())
-				for id := start; id < end; id++ {
-					if rec := store.Get(id); rec.Qual != nil {
-						return fmt.Errorf("rank %d holds read %d (%s) with %d quality bytes", c.Rank(), id, rec.Name, len(rec.Qual))
-					}
-				}
-				rep, err := ExecuteComm(c, nil, store, cfg, nil)
-				if err == nil && c.Rank() == 0 {
-					mu.Lock()
-					res = shardedResult{rep: rep, store: store}
-					mu.Unlock()
-				}
-				return err
-			}); err != nil {
-				t.Fatalf("%s at p=%d: %v", filepath.Base(path), p, err)
-			}
-			if got := pafBytesStore(t, res.rep, res.store); !bytes.Equal(got, want) {
-				t.Errorf("%s at p=%d: PAF differs from the whole-file run (%d vs %d bytes)", filepath.Base(path), p, len(got), len(want))
-			}
-		}
-	}
 }
 
 // checkShardedEquivalence runs the sharded-load pipeline on both
@@ -168,7 +121,8 @@ func checkShardedEquivalence(t *testing.T, path string, nReads int, cfg Config, 
 // the in-process and the TCP transport — and the report's per-rank
 // parsed-bytes counters must show that each rank really read only its
 // share. Gzip and FASTA copies of the input, which rank 0 reads whole,
-// must match too, with counters that still sum to the file.
+// must match too, with counters that still sum to the file, and the gzip
+// copy at every world size from one rank up.
 func TestShardedLoadMatchesWholeFile(t *testing.T) {
 	ds := input(t, equivalenceInput)
 	dir := t.TempDir()
@@ -233,6 +187,18 @@ func TestShardedLoadMatchesWholeFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkShardedEquivalence(t, gzPath, len(ds.Reads), cfg, want, false)
+	for _, p := range []int{1, 2, 3} {
+		var mu sync.Mutex
+		var res shardedResult
+		if err := spmd.Run(p, func(c *spmd.Comm) error {
+			return executeSharded(c, gzPath, cfg, &res, &mu)
+		}); err != nil {
+			t.Fatalf("gzip at p=%d: %v", p, err)
+		}
+		if got := pafBytesStore(t, res.rep, res.store); !bytes.Equal(got, want) {
+			t.Errorf("gzip at p=%d: PAF differs from the whole-file run (%d vs %d bytes)", p, len(got), len(want))
+		}
+	}
 	var fasta bytes.Buffer
 	if err := fastq.WriteFasta(&fasta, ds.Reads); err != nil {
 		t.Fatal(err)

@@ -103,17 +103,10 @@ type Config struct {
 	// 0: spmd.DefaultChunkBytes).
 	ReplyChunk int
 	// ReplyDepth is how many reply chunk rounds are in flight while a
-	// rank waits, as BuildDepth counts the build's rounds (ExchangeStreamed
-	// only; 0: spmd.DefaultStreamDepth, capped at spmd.MaxStreamDepth; 1
-	// is blocking chunk rounds, priced as the blocking exchanges they are).
+	// rank waits (ExchangeStreamed only; 0: spmd.DefaultStreamDepth,
+	// capped at spmd.MaxStreamDepth; 1 is blocking chunk rounds, priced as
+	// the blocking exchanges they are).
 	ReplyDepth int
-
-	// BuildDepth is how many exchange rounds the hash-table build's
-	// non-blocking round pipeline keeps in flight per pass (default 2 —
-	// the post-one-ahead schedule; capped at spmd.MaxStreamDepth; 1
-	// degenerates to the blocking schedule). Schedule-only: the built
-	// table is identical at every depth.
-	BuildDepth int
 
 	// KeepSingletons retains singleton k-mers (and high-frequency
 	// tombstone counts) in the DHT. Serve mode sets it when forming the
@@ -161,9 +154,6 @@ func (cfg *Config) setDefaults() error {
 	}
 	if cfg.MinimizerWindow < 0 {
 		return fmt.Errorf("pipeline: negative minimizer window %d", cfg.MinimizerWindow)
-	}
-	if cfg.BuildDepth < 0 || cfg.BuildDepth > spmd.MaxStreamDepth {
-		return fmt.Errorf("pipeline: build depth %d out of [0,%d]", cfg.BuildDepth, spmd.MaxStreamDepth)
 	}
 	return nil
 }

@@ -8,13 +8,10 @@ import (
 	"dibella/internal/seqgen"
 )
 
-// TestBuildDepthPAFEquivalence pins down Config.BuildDepth as schedule-only:
-// the DHT build's round pipeline must produce byte-identical PAF at
-// every legal depth, from the degenerate blocking schedule (1) to the
-// cap (spmd.MaxStreamDepth). KeepSingletons rides along: retained
-// singletons and high-frequency tombstones never pair, so a serve-shaped
-// index answers batch mode identically too.
-func TestBuildDepthPAFEquivalence(t *testing.T) {
+// TestKeepSingletonsPAFEquivalence: retained singletons and high-frequency
+// tombstones never pair, so a serve-shaped index (KeepSingletons) answers
+// batch mode byte-identically to the pruned one.
+func TestKeepSingletonsPAFEquivalence(t *testing.T) {
 	const p = 4
 	ds, err := seqgen.Generate(seqgen.Config{
 		GenomeLen: 18000, Coverage: 9, MeanReadLen: 1400, MinReadLen: 400,
@@ -26,7 +23,7 @@ func TestBuildDepthPAFEquivalence(t *testing.T) {
 	base := Config{
 		K: 17, ErrorRate: 0.07, Coverage: 9, KeepAlignments: true,
 		SeedMode: overlap.MinDistance, MinDist: 500,
-		MaxKmersPerRound: 1 << 12, // several rounds per pass, so depth matters
+		MaxKmersPerRound: 1 << 12, // several rounds per pass
 	}
 	ref, err := Execute(p, nil, ds.Reads, base)
 	if err != nil {
@@ -36,19 +33,6 @@ func TestBuildDepthPAFEquivalence(t *testing.T) {
 		t.Fatal("reference run produced no alignments; nothing to compare")
 	}
 	want := pafBytes(t, ref, ds.Reads)
-
-	for _, depth := range []int{1, 3, 8} {
-		cfg := base
-		cfg.BuildDepth = depth
-		rep, err := Execute(p, nil, ds.Reads, cfg)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if got := pafBytes(t, rep, ds.Reads); !bytes.Equal(want, got) {
-			t.Errorf("depth %d: PAF diverges from the default schedule (%d vs %d bytes)",
-				depth, len(got), len(want))
-		}
-	}
 
 	cfg := base
 	cfg.KeepSingletons = true

@@ -75,7 +75,6 @@ func formWorld(c *spmd.Comm, model *machine.Model, store *fastq.ReadStore, cfg C
 		ErrorRate:        cfg.ErrorRate,
 		MinimizerWindow:  cfg.MinimizerWindow,
 		Async:            cfg.Exchange != ExchangeSync,
-		BuildDepth:       cfg.BuildDepth,
 		KeepSingletons:   cfg.KeepSingletons,
 	})
 	if err != nil {

@@ -182,7 +182,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		ds.Reads = append(ds.Reads, &fastq.Record{
 			Name: fmt.Sprintf("%ssim_%06d/%d_%d", cfg.NamePrefix, id, start, start+n),
 			Seq:  seq,
-			Qual: constantQual(len(seq)),
 		})
 		ds.Origins = append(ds.Origins, Origin{Start: start, End: start + n, RC: rc})
 		emitted += float64(n)
@@ -251,14 +250,6 @@ func reverseComplement(s []byte) {
 	if i == j {
 		s[i] = comp[s[i]]
 	}
-}
-
-func constantQual(n int) []byte {
-	q := make([]byte, n)
-	for i := range q {
-		q[i] = 'I'
-	}
-	return q
 }
 
 // EColi30x returns a configuration mirroring the paper's first data set —

@@ -84,9 +84,6 @@ func TestGenerateCoverageAndLengths(t *testing.T) {
 		if !dna.IsValid(r.Seq) {
 			t.Fatalf("read %d contains invalid bases", i)
 		}
-		if len(r.Qual) != len(r.Seq) {
-			t.Fatalf("read %d quality length mismatch", i)
-		}
 	}
 }
 
