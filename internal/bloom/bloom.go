@@ -148,27 +148,29 @@ func (f *Filter) InsertAndTest(hash uint64) bool {
 
 // InsertAndTestKmers inserts the k-mers of row in order, each by its
 // kmer.Hash, and appends to seen the index in row of every one that
-// InsertAndTest would have reported present. On amd64 with AVX2 it is one
+// InsertAndTest would have reported present, and to hashes that k-mer's
+// hash: the caller need not hash it again. On amd64 with AVX2 it is one
 // assembly routine (bloom_amd64.s); elsewhere, InsertAndTest key by key.
-func (f *Filter) InsertAndTestKmers(row []kmer.Kmer, seen []uint32) []uint32 {
+func (f *Filter) InsertAndTestKmers(row []kmer.Kmer, seen []uint32, hashes []uint64) ([]uint32, []uint64) {
 	if !useAVX2 {
 		for i, km := range row {
-			if f.InsertAndTest(km.Hash()) {
-				seen = append(seen, uint32(i))
+			if h := km.Hash(); f.InsertAndTest(h) {
+				seen, hashes = append(seen, uint32(i)), append(hashes, h)
 			}
 		}
-		return seen
+		return seen, hashes
 	}
-	seen = slices.Grow(seen, len(row))
+	seen, hashes = slices.Grow(seen, len(row)), slices.Grow(hashes, len(row))
 	for start := 0; start < len(row); start += maxKernelKeys {
 		keys := row[start:min(len(row), start+maxKernelKeys)]
 		from := len(seen)
-		seen = seen[:from+insertAVX2(f.bits, f.blocks, keys, seen[from:from+len(keys)])]
+		n := insertAVX2(f.bits, f.blocks, keys, seen[from:from+len(keys)], hashes[len(hashes):len(hashes)+len(keys)])
+		seen, hashes = seen[:from+n], hashes[:len(hashes)+n]
 		for j := range seen[from:] {
 			seen[from+j] += uint32(start)
 		}
 	}
-	return seen
+	return seen, hashes
 }
 
 // Reset clears the filter for reuse.

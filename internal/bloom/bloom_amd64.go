@@ -11,11 +11,11 @@ var useAVX2 = cpuid.AVX2()
 
 // insertAVX2 is InsertAndTest over keys in order, each hashed by kmer.Hash
 // (bloom_amd64.s): it writes the index of every key that was present before
-// its insertion to seen, in order, and returns how many it wrote. seen must
-// be as long as keys.
+// its insertion to seen and its hash to hashes, in order, and returns how
+// many it wrote. seen and hashes must be as long as keys.
 //
 //go:noescape
-func insertAVX2(words []uint64, blocks uint64, keys []kmer.Kmer, seen []uint32) int
+func insertAVX2(words []uint64, blocks uint64, keys []kmer.Kmer, seen []uint32, hashes []uint64) int
 
 // routeAVX2 is Route over segs, blocks blocks each (bloom_amd64.s). owner
 // must be as long as keys.

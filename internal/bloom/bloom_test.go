@@ -284,20 +284,7 @@ func BenchmarkInsertAndTest(b *testing.B) {
 // kmer.Owner and Contains answer, for those keys and for others.
 func checkKernels(t *testing.T, keys, others []kmer.Kmer, blocks uint64, p int) {
 	t.Helper()
-	got, want := New(blocks*blockBits), New(blocks*blockBits)
-	seen := got.InsertAndTestKmers(keys, nil)
-	var wantSeen []uint32
-	for i, km := range keys {
-		if want.InsertAndTest(km.Hash()) {
-			wantSeen = append(wantSeen, uint32(i))
-		}
-	}
-	if !slices.Equal(seen, wantSeen) {
-		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers saw %v, InsertAndTest %v", len(keys), blocks, seen, wantSeen)
-	}
-	if !slices.Equal(got.bits, want.bits) {
-		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers left other words than InsertAndTest", len(keys), blocks)
-	}
+	checkInsert(t, keys, blocks)
 
 	segs := make([]*Filter, p)
 	words := make([][]uint64, p)
@@ -327,6 +314,31 @@ func checkKernels(t *testing.T, keys, others []kmer.Kmer, blocks uint64, p int) 
 	}
 }
 
+// checkInsert holds InsertAndTestKmers to InsertAndTest on keys, inserted
+// into a filter of blocks blocks: the words it leaves, the keys it reports
+// and the hashes it hands back with them.
+func checkInsert(t *testing.T, keys []kmer.Kmer, blocks uint64) {
+	t.Helper()
+	got, want := New(blocks*blockBits), New(blocks*blockBits)
+	seen, hashes := got.InsertAndTestKmers(keys, nil, nil)
+	var wantSeen []uint32
+	var wantHashes []uint64
+	for i, km := range keys {
+		if want.InsertAndTest(km.Hash()) {
+			wantSeen, wantHashes = append(wantSeen, uint32(i)), append(wantHashes, km.Hash())
+		}
+	}
+	if !slices.Equal(seen, wantSeen) {
+		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers saw %v, InsertAndTest %v", len(keys), blocks, seen, wantSeen)
+	}
+	if !slices.Equal(hashes, wantHashes) {
+		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers handed back hashes %x, want %x", len(keys), blocks, hashes, wantHashes)
+	}
+	if !slices.Equal(got.bits, want.bits) {
+		t.Fatalf("%d keys into %d blocks: InsertAndTestKmers left other words than InsertAndTest", len(keys), blocks)
+	}
+}
+
 func kmersOf(data []byte) []kmer.Kmer {
 	var out []kmer.Kmer
 	for ; len(data) >= 8; data = data[8:] {
@@ -342,6 +354,8 @@ func FuzzBloomKernelMatchesGo(f *testing.F) {
 	f.Add([]byte("0123456789abcdef0123456789abcdef"), []byte("fedcba9876543210"), uint16(1), uint8(1))
 	f.Add(make([]byte, 64), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(3), uint8(2))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0x80}, []byte{}, uint16(1000), uint8(7))
+	// The first key again after five others, inside one group of the insert.
+	f.Add(slices.Concat(make([]byte, 7), []byte{1}, []byte("23456789abcdefghijklmnopqrstuvwxyzABCDEF"), make([]byte, 7), []byte{1}), []byte{}, uint16(4095), uint8(1))
 	f.Fuzz(func(t *testing.T, keys, others []byte, blocks uint16, p uint8) {
 		checkKernels(t, kmersOf(keys), kmersOf(others), uint64(blocks%4096)+1, int(p%64)+1)
 	})
@@ -368,6 +382,59 @@ func TestKernelsMatchGoOnLongRows(t *testing.T) {
 			others[i] = kmer.Kmer(rng.Uint64())
 		}
 		checkKernels(t, keys, others, c.blocks, c.p)
+	}
+}
+
+// kernelGroup is GROUP in bloom_amd64.s: the keys the insert locates before
+// it sets any.
+const kernelGroup = 64
+
+// The grouped insert's edges, each held to InsertAndTest by checkInsert:
+// every group tail, a repeat at every distance inside a group and across a
+// group's end, keys that all share one block, and rows that cross an
+// assembly call's end.
+func TestInsertKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fresh := func(n int) []kmer.Kmer {
+		keys := make([]kmer.Kmer, n)
+		for i := range keys {
+			keys[i] = kmer.Kmer(rng.Uint64())
+		}
+		return keys
+	}
+	// 50 blocks fill up, so keys also share blocks with keys before them.
+	for n := 1; n <= 3*kernelGroup+1; n++ {
+		checkInsert(t, fresh(n), 50)
+	}
+	// In 4096 blocks a repeat is nearly the only key found present, so
+	// one answered out of row order, or before its first copy's bits were
+	// set, shows.
+	for d := 1; d <= kernelGroup; d++ {
+		for _, at := range []int{0, kernelGroup/2 - 1, kernelGroup - 1, 2*kernelGroup - d} {
+			keys := fresh(3*kernelGroup + 1)
+			keys[at+d] = keys[at]
+			checkInsert(t, keys, 4096)
+		}
+	}
+	// Every key in block 7 of 64: each set reads and writes the line the
+	// key before it wrote.
+	f := New(64 * blockBits)
+	var oneBlock []kmer.Kmer
+	for len(oneBlock) < 2*kernelGroup+3 {
+		km := kmer.Kmer(rng.Uint64())
+		if block, _ := locate(f.bits, f.blocks, km.Hash()); &block[0] == &f.bits[7*blockWords] {
+			oneBlock = append(oneBlock, km, km)
+		}
+	}
+	checkInsert(t, oneBlock, 64)
+	checkInsert(t, oneBlock, 1)
+	// Rows around an assembly call's end, with a key repeated across it.
+	for _, n := range []int{maxKernelKeys - 1, maxKernelKeys, maxKernelKeys + 1, 2*maxKernelKeys + kernelGroup/2} {
+		keys := fresh(n)
+		if n > maxKernelKeys {
+			keys[maxKernelKeys] = keys[maxKernelKeys-1]
+		}
+		checkInsert(t, keys, 4096)
 	}
 }
 
@@ -406,12 +473,22 @@ func TestNewOwnersRefusesUnequalSegments(t *testing.T) {
 }
 
 // The batched insert on the microbenchmark's filter: the size dht.Build
-// gives one rank on the bench workloads, refilled to design load.
-func BenchmarkInsertAndTestKmers(b *testing.B) {
-	const n, row = 1 << 20, 1 << 15
-	bf := NewWithEstimate(n, 0.01)
+// gives one rank on the bench workloads (~1.2 MB), refilled to design load.
+func BenchmarkInsertAndTestKmers(b *testing.B) { benchInsertKmers(b, 1<<20) }
+
+// The same on the filter one rank builds at seqgen's 30x preset, scale 0.1
+// (~10 MB): larger than a core's L2, so most inserts miss there.
+func BenchmarkInsertAndTestKmersLarge(b *testing.B) { benchInsertKmers(b, 1<<23) }
+
+func benchInsertKmers(b *testing.B, n int) {
+	const row = 1 << 15
+	bf := NewWithEstimate(uint64(n), 0.01)
 	keys := make([]kmer.Kmer, row)
-	var seen []uint32
+	var (
+		seen   []uint32
+		hashes []uint64
+	)
+	b.ResetTimer()
 	for i := 0; i < b.N; i += row {
 		if i%n == 0 {
 			bf.Reset()
@@ -419,6 +496,6 @@ func BenchmarkInsertAndTestKmers(b *testing.B) {
 		for j := range keys {
 			keys[j] = kmer.Kmer(uint64(i+j) * 0x9e3779b97f4a7c15)
 		}
-		seen = bf.InsertAndTestKmers(keys, seen[:0])
+		seen, hashes = bf.InsertAndTestKmers(keys, seen[:0], hashes[:0])
 	}
 }

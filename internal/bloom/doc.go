@@ -51,15 +51,41 @@
 // time (Owners.Route). On amd64 with AVX2 (internal/cpuid) each is one
 // assembly routine (bloom_amd64.s) that hashes the k-mer as kmer.Hash does,
 // locates it, builds its eight bits with two variable shifts, and tests (and
-// for an insert, sets) them with two vector loads: a row's keys are
-// independent but for a block they happen to share, which goes through
-// memory, so one key's cache miss overlaps the next's. InsertAndTest and
-// Contains, key by key, are the kernel elsewhere and the oracle
-// everywhere: FuzzBloomKernelMatchesGo holds the routines to them, words
-// left and answers given, on any keys, segment size and world size. On the
-// 1.2 MB filter of BenchmarkInsertAndTest a key costs 21 ns through
-// InsertAndTest and 10 ns through the routine (a 2-vCPU Xeon VM; the
-// blocked layout's InsertAndTest, with seven probes of nine bits each, 23).
+// for an insert, sets) them with two vector loads. Both take the keys 64 at
+// a time, in two phases. Phase A hashes and locates every key of the group,
+// keeps its block, its y and its hash (the route: its owner) in the
+// routine's frame, and prefetches the block; nothing in it waits on a
+// block, so the group's cache misses are in flight together instead of one
+// behind the other. Phase B then tests, and sets, the keys in row order.
+// The order is the contract, not a convenience: a key repeated inside a
+// group must find the bits its earlier copy set, as InsertAndTest key by key
+// would, so phase A reads no bits at all. The insert hands each present
+// key's hash back beside its index, and the table's admit probes with it
+// instead of hashing the key again.
+//
+// InsertAndTest and Contains, key by key, are the kernel elsewhere and the
+// oracle everywhere: FuzzBloomKernelMatchesGo holds the routines to them —
+// words left, keys reported, hashes handed back, owners answered — on any
+// keys, segment size and world size, and TestInsertKernelEdges on every
+// group tail, a repeat at every distance inside and across a group, keys
+// that share one block and rows across an assembly call's end. Reversing
+// phase B, answering from a test in phase A, or dropping a row's last short
+// group each fail both.
+//
+// Measured on a 2-vCPU Sapphire Rapids VM (2 MB of L2 a core), medians of
+// 10 interleaved pairs against the one-key loops:
+// BenchmarkInsertAndTestKmers, on the bench's ~1.2 MB filter, 12.7 → 9.5
+// ns a key (1.35×), and BenchmarkInsertAndTestKmersLarge, on the ~10 MB
+// filter a rank builds at seqgen's 30x preset, scale 0.1, 42.2 → 17.8 ns
+// (2.36×). Timed in place, inside the sparse_kmer_tcp build, the routine
+// went from 23–29 to 16–18 ns a key. Groups of 32 were some 4 ns a key
+// slower, and 128 no faster than 64. The per-key InsertAndTest costs 21 ns
+// on the small filter (the blocked layout's, with seven probes of nine
+// bits each, 23). The grouped route took the HashTable stage of the
+// scale-0.1 run from 194 to 164 ms (10 alternated runs, 10 faster), but
+// costs about 1 ns a key more than the one-key loop where every segment
+// sits in L1, as on the bench's workloads (two ~12 KB segments: 9.0 → 10.0
+// ns).
 //
 // # Owner filters
 //

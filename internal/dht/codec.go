@@ -57,7 +57,7 @@ func (p *Partition) readEntry(r *wire.Reader) (kmer.Kmer, bool) {
 	km := kmer.Kmer(r.U64())
 	count := int32(r.U32())
 	n := r.Count(uint64(r.U32()), occSize)
-	s, added := p.insert(km)
+	s, added := p.insert(km, km.Hash())
 	if !added {
 		return km, false
 	}

@@ -395,6 +395,12 @@ func sizeRows[T any](send [][]T, cfg Config, left, fit int64) {
 	}
 }
 
+// insertSlice is how many of a received row's keys bloomPass hands the
+// Bloom filter at once, so that seen and hashes hold one slice's answer
+// (48 KB at most), not a row's: grown to a row's (384 KB a rank), they
+// raised the median peak RSS of a two-rank longread_align process by 4 MiB.
+const insertSlice = 4096
+
 // bloomPass streams k-mer keys to their owners and populates the Bloom
 // filter, seeding the table with keys seen (probably) more than once. left
 // is how many keys this rank's stream will emit (an upper bound when reads
@@ -441,7 +447,10 @@ func bloomPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config,
 		st.PackVirtual += stats.Price(c, model, float64(parsed*8), machine.RatePack, ws())
 		st.PackWall += walltime.Since(t0)
 	}
-	var seen []uint32 // indices of a batch's keys the filter had seen
+	var (
+		seen   []uint32 // indices of a slice's keys the filter had seen
+		hashes []uint64 // and their hashes
+	)
 	process := func(recv [][]kmer.Kmer) {
 		t0 := walltime.Now()
 		received := int64(0)
@@ -451,13 +460,17 @@ func bloomPass(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config,
 			// later query occurrence may be its second sighting.
 			if cfg.KeepSingletons {
 				for _, km := range batch {
-					part.admit(km)
+					part.admit(km, km.Hash())
 				}
 				continue
 			}
-			seen = filter.InsertAndTestKmers(batch, seen[:0])
-			for _, i := range seen {
-				part.admit(batch[i])
+			for len(batch) > 0 {
+				keys := batch[:min(len(batch), insertSlice)]
+				batch = batch[len(keys):]
+				seen, hashes = filter.InsertAndTestKmers(keys, seen[:0], hashes[:0])
+				for j, i := range seen {
+					part.admit(keys[i], hashes[j])
+				}
 			}
 		}
 		st.KmersReceived += received

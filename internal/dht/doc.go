@@ -87,29 +87,32 @@
 // key and k = 32 uses all 64 bits. A slot's arena offset is 32 bits, so a
 // partition holds at most 2³² occurrences (32 GiB of arena per rank).
 //
-// The two passes fill it in place. The Bloom pass admits keys and counts,
-// up to the cutoff, the sightings each admitted key goes on to receive;
-// between the passes layOut turns those counts into spans (plus one for a
-// key admitted at its second sighting, the latest the filter allows) and
-// allocates the arena once; the hash pass writes each occurrence into its
-// key's span; prune deletes in place by backward shift — no tombstones, so
-// a later miss still stops at the first empty slot — and leaves the dropped
-// keys' short spans as holes in the arena. The table is sized once where
-// the entry count is known beforehand (DecodePartition's header, Reshard's
-// received items, Merge, and a KeepSingletons build, where every distinct
-// key gets an entry and the Eq. 2 estimate that sizes the Bloom filter is
-// the count); otherwise it starts at 64 slots and doubles whenever more
-// than 5/8 are used, the discarded arrays being pointer-free garbage. The
-// slot index is a multiply-shift of the k-mer hash, so the capacity need
-// not be a power of two — but of the hash remixed by one odd multiply, as
-// bloom.locate's block index is: kmer.Owner routed on the hash's top bits,
-// so every key a rank holds shares them and the bare hash would crowd 1/P
-// of the slots. Slot order is a function of capacity and insertion
-// history, so nothing that leaves the process follows it: ForEach, Encode
-// and Reshard walk the keys in ascending order, and Encode's bytes are
-// those the map-backed partition wrote (reference_test.go keeps that
-// implementation as the oracle; TestEncodeMatchesReference,
-// FuzzTableMatchesMap).
+// The two passes fill it in place. The Bloom pass admits keys, each with
+// the hash the filter's insert handed back (so it is hashed once), and
+// counts, up to the cutoff, the sightings each admitted key goes on to
+// receive; between the passes layOut turns those counts into spans (plus
+// one for a key admitted at its second sighting, the latest the filter
+// allows) and allocates the arena once; the hash pass writes each
+// occurrence into its key's span; prune deletes in place by backward
+// shift — no tombstones, so a later miss still stops at the first empty
+// slot — and leaves the dropped keys' short spans as holes in the arena.
+// The table is sized once where the entry count is known beforehand
+// (DecodePartition's header, Reshard's received items, Merge, and a
+// KeepSingletons build, where every distinct key gets an entry and the
+// Eq. 2 estimate that sizes the Bloom filter is the count); otherwise it
+// starts at 64 slots and doubles whenever more than 5/8 are used, the
+// discarded arrays being pointer-free garbage. The slot index is a
+// multiply-shift of the k-mer hash, so the capacity need not be a power of
+// two — but of the hash remixed by one odd multiply, as bloom.locate's
+// block index is: kmer.Owner routed on the hash's top bits, so every key a
+// rank holds shares them and the bare hash would crowd 1/P of the slots.
+// Slot order is a function of capacity and insertion history, so nothing
+// that leaves the process follows it: ForEach, Encode and Reshard walk the
+// keys in ascending order (forEachSlot sorts each key with its slot index
+// packed beneath it, so no key is probed twice, unless the two do not fit
+// one word), and Encode's bytes are those the map-backed partition wrote
+// (reference_test.go keeps that implementation as the oracle;
+// TestEncodeMatchesReference, FuzzTableMatchesMap).
 //
 // Both passes exchange out of one fixed ring of send rows
 // (spmd.RoundBufs), so a rank's exchange memory is a constant and its peak

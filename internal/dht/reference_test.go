@@ -175,7 +175,7 @@ func runBuild(t *testing.T, stream []kmer.Kmer, falsePositive func(i int) bool, 
 	seen := make(map[kmer.Kmer]bool)
 	for i, km := range stream {
 		if keepSingletons || seen[km] || falsePositive(i) {
-			p.admit(km)
+			p.admit(km, km.Hash())
 			ref.insert(km)
 		}
 		seen[km] = true
@@ -262,7 +262,7 @@ func TestRemoveAcrossTheWrap(t *testing.T) {
 	for x := uint64(1); len(keys) < 24; x++ {
 		km := kmer.Kmer(x * 0x9e3779b97f4a7c15)
 		if home, _ := p.probe(km.Hash()); home >= len(p.slots)-6 {
-			p.insert(km)
+			p.insert(km, km.Hash())
 			keys = append(keys, km)
 		}
 	}

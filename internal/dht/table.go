@@ -110,16 +110,38 @@ func (p *Partition) ForEach(fn func(km kmer.Kmer, occs []Occ)) {
 	p.forEachSlot(func(s *slot) { fn(s.key, p.span(s)) })
 }
 
+// forEachSlot visits every used slot in ascending key order. When every
+// key fits in one word beside a slot index (a 17-mer's 34 bits leave room
+// for 2³⁰ slots), each slot's index is packed under its key, and one sort
+// of the words gives the slots in key order with no second probe; wider
+// keys are sorted alone and found again.
 func (p *Partition) forEachSlot(fn func(s *slot)) {
-	kms := make([]kmer.Kmer, 0, p.n)
+	order := make([]uint64, 0, p.n)
+	var width uint64
 	for i, c := range p.used() {
 		if c != 0 {
-			kms = append(kms, p.slots[i].key)
+			order = append(order, uint64(p.slots[i].key))
+			width |= uint64(p.slots[i].key)
 		}
 	}
-	slices.Sort(kms)
-	for _, km := range kms {
-		fn(p.find(km))
+	shift := bits.Len(uint(len(p.slots)))
+	packed := bits.Len64(width)+shift <= 64
+	if packed {
+		j := 0
+		for i, c := range p.used() {
+			if c != 0 {
+				order[j] = order[j]<<shift | uint64(i)
+				j++
+			}
+		}
+	}
+	slices.Sort(order)
+	for _, o := range order {
+		if packed {
+			fn(&p.slots[o&(1<<shift-1)])
+		} else {
+			fn(p.find(kmer.Kmer(o)))
+		}
 	}
 }
 
@@ -146,7 +168,7 @@ func (p *Partition) Merge(other *Partition) error {
 // put adds one whole entry — count and occurrences — to a partition that
 // is not mid-build, reporting false (and changing nothing) if km is there.
 func (p *Partition) put(km kmer.Kmer, count int32, occs []Occ) bool {
-	s, added := p.insert(km)
+	s, added := p.insert(km, km.Hash())
 	if added {
 		s.count = count
 		s.off, s.n = uint32(len(p.occs)), uint32(len(occs))
@@ -199,12 +221,13 @@ func (p *Partition) setCtrl(i int, c uint8) {
 
 // seek walks km's probe run a window of control bytes at a time, with no
 // branch per slot: it returns km's slot, or — the run ended, the table
-// lacks km — the empty slot that ended it, where km would go. want is
-// km's control byte. The load bound keeps at least one slot empty, which
-// is what ends a miss; the table must not be the zero-capacity one.
-func (p *Partition) seek(km kmer.Kmer) (i int, found bool, want uint8) {
+// lacks km — the empty slot that ended it, where km would go. hash is
+// km's kmer.Hash and want its control byte. The load bound keeps at least
+// one slot empty, which is what ends a miss; the table must not be the
+// zero-capacity one.
+func (p *Partition) seek(km kmer.Kmer, hash uint64) (i int, found bool, want uint8) {
 	const lsb, msb = 0x0101010101010101, 0x8080808080808080
-	i, want = p.probe(km.Hash())
+	i, want = p.probe(hash)
 	for {
 		w := binary.LittleEndian.Uint64(p.ctrl[i:])
 		empty := ^w & msb // a used byte carries ctrlUsed, an empty one is zero
@@ -233,19 +256,20 @@ func (p *Partition) find(km kmer.Kmer) *slot {
 	if len(p.slots) == 0 {
 		return nil
 	}
-	if i, found, _ := p.seek(km); found {
+	if i, found, _ := p.seek(km, km.Hash()); found {
 		return &p.slots[i]
 	}
 	return nil
 }
 
 // insert returns km's slot, adding an entry with no sightings if the table
-// lacks it. The pointer is good until the next insert.
-func (p *Partition) insert(km kmer.Kmer) (s *slot, added bool) {
+// lacks it; hash is km's kmer.Hash. The pointer is good until the next
+// insert.
+func (p *Partition) insert(km kmer.Kmer, hash uint64) (s *slot, added bool) {
 	if (p.n+1)*loadDen > len(p.slots)*loadNum {
 		p.rehash(max(minSlots, 2*len(p.slots)))
 	}
-	i, found, want := p.seek(km)
+	i, found, want := p.seek(km, hash)
 	if !found {
 		p.setCtrl(i, want)
 		p.slots[i] = slot{key: km}
@@ -270,7 +294,7 @@ func (p *Partition) rehash(capacity int) {
 	p.ctrl, p.slots = make([]uint8, capacity+ctrlWindow-1), make([]slot, capacity)
 	for i, c := range used {
 		if c != 0 {
-			j, _, _ := p.seek(slots[i].key)
+			j, _, _ := p.seek(slots[i].key, slots[i].key.Hash())
 			p.setCtrl(j, c)
 			p.slots[j] = slots[i]
 		}
@@ -300,9 +324,11 @@ func (p *Partition) remove(i int) {
 
 // admit is the Bloom pass's step for a key that gets (or has) an entry:
 // it counts, up to the cutoff, the sightings the pass sees from the
-// entry's creation on — what layOut sizes the key's span from.
-func (p *Partition) admit(km kmer.Kmer) {
-	if s, _ := p.insert(km); int(s.n) < p.MaxFreq {
+// entry's creation on — what layOut sizes the key's span from. hash is
+// km's kmer.Hash: the one InsertAndTestKmers computed and handed back with
+// the key, so a key the filter admits is hashed once.
+func (p *Partition) admit(km kmer.Kmer, hash uint64) {
+	if s, _ := p.insert(km, hash); int(s.n) < p.MaxFreq {
 		s.n++
 	}
 }

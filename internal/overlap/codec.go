@@ -2,7 +2,7 @@ package overlap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dibella/internal/spmd"
 	"dibella/internal/wire"
@@ -110,11 +110,6 @@ func ReshardTasks(c *spmd.Comm, tasks []Task, owner OwnerFunc) ([]Task, error) {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pair.A != out[j].Pair.A {
-			return out[i].Pair.A < out[j].Pair.A
-		}
-		return out[i].Pair.B < out[j].Pair.B
-	})
+	slices.SortFunc(out, taskOrder)
 	return out, nil
 }

@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dibella/internal/dht"
 	"dibella/internal/kmer"
@@ -196,13 +195,14 @@ func consolidate(batches [][]PairMsg, cfg Config, st *Stats) (tasks []Task, seed
 		tasks = append(tasks, Task{Pair: pair, Seeds: kept})
 	}
 	st.SeedsDropped = seedsIn - st.SeedsKept
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Pair.A != tasks[j].Pair.A {
-			return tasks[i].Pair.A < tasks[j].Pair.A
-		}
-		return tasks[i].Pair.B < tasks[j].Pair.B
-	})
+	slices.SortFunc(tasks, taskOrder)
 	return tasks, seedsIn
+}
+
+// taskOrder orders tasks by read pair, A then B. Each pair has one task, so
+// the order is total and any sort gives the same list.
+func taskOrder(a, b Task) int {
+	return cmp.Or(cmp.Compare(a.Pair.A, b.Pair.A), cmp.Compare(a.Pair.B, b.Pair.B))
 }
 
 // Consolidate is the exported consolidation entry point for the

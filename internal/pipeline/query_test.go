@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"math"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -165,6 +166,79 @@ func smallQueryInput(t *testing.T) (indexed []*fastq.Record, batch []QueryRead) 
 		batch = append(batch, QueryRead{Name: r.Name, Seq: r.Seq})
 	}
 	return indexed, batch
+}
+
+// An index a daemon serves is loaded from a file, as the batch run's reads
+// are, not handed over in memory. The indexed part of a seqgen set, written
+// as gzip (rank 0 parses it whole and reshuffles the records) and as plain
+// FASTQ (each rank parses its shard), forms a three-rank KeepSingletons
+// world through LoadStore; the same RunQuery batches on each must return
+// the records of the world formed from fastq.NewReadStore.
+func TestQueryOnLoadedIndexMatchesInMemory(t *testing.T) {
+	ds, err := seqgen.Generate(seqgen.Config{
+		GenomeLen: 20000, Seed: 11, Coverage: 12, MeanReadLen: 1800, MinReadLen: 500,
+		ErrorRate: 0.08, BothStrands: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p, queries = 3, 16
+	indexed := ds.Reads[:len(ds.Reads)-queries]
+	var all []QueryRead
+	for _, r := range ds.Reads[len(indexed):] {
+		all = append(all, QueryRead{Name: r.Name, Seq: r.Seq})
+	}
+	batches := [][]QueryRead{all[:1], all}
+	cfg := Config{
+		K: 17, MaxFreq: 8, SeedMode: overlap.MinDistance, MinDist: 500,
+		KeepAlignments: true, KeepSingletons: true,
+	}
+	serve := func(load func(c *spmd.Comm) (*fastq.ReadStore, error)) [][]Alignment {
+		records := make([][]Alignment, len(batches))
+		err := spmd.Run(p, func(c *spmd.Comm) error {
+			store, err := load(c)
+			if err != nil {
+				return err
+			}
+			w, err := FormWorld(c, nil, store, cfg)
+			if err != nil {
+				return err
+			}
+			for b, batch := range batches {
+				recs, err := w.RunQuery(0, batch)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					records[b] = recs
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	want := serve(func(*spmd.Comm) (*fastq.ReadStore, error) { return fastq.NewReadStore(indexed, p), nil })
+	for b := range batches {
+		if len(want[b]) == 0 {
+			t.Fatalf("batch %d: no records from the in-memory index; nothing to compare", b)
+		}
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"indexed.fastq.gz", "indexed.fastq"} {
+		path := filepath.Join(dir, name)
+		if err := fastq.WriteFile(path, indexed); err != nil {
+			t.Fatal(err)
+		}
+		got := serve(func(c *spmd.Comm) (*fastq.ReadStore, error) { return LoadStore(c, path) })
+		for b := range batches {
+			if !reflect.DeepEqual(got[b], want[b]) {
+				t.Errorf("%s, batch %d: %d records, the in-memory index gave %d, or they differ", name, b, len(got[b]), len(want[b]))
+			}
+		}
+	}
 }
 
 // TestRunQueryExchanges pins the served epoch to the three exchanges it
