@@ -63,3 +63,14 @@ func BadComputed(tenant string) {
 func BadConcat(rec *trace.Recorder, suffix string) {
 	rec.Instant(traceGoodMark+suffix, 0, 0) // want tracename:"concatenation"
 }
+
+// GoodProfileLabel labels a region for the profiler with a registered span
+// name; the rank is data.
+func GoodProfileLabel(rank int) {
+	trace.Do(traceGoodSpan, rank, func() {})
+}
+
+// BadProfileLabel labels it with a literal, which no span carries.
+func BadProfileLabel(rank int) {
+	trace.Do("fixture.region", rank, func() {}) // want tracename:"string literal"
+}

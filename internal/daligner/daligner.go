@@ -10,6 +10,16 @@
 // then reuses the identical x-drop kernel, so the Table 2 comparison
 // isolates the candidate-discovery strategy exactly as the paper intends.
 //
+// The sort is the tree's one grouping sort, overlap.RadixSort, which the
+// pipeline's overlap stage and query probe also use: a tuple is a
+// KeyVal, the k-mer its key and the occurrence (read<<32 | position and
+// strand) its value. The consolidation is not shared, and must not be:
+// the seeds of a pair are merged here in a map of their own, with
+// containsSeed dropping the repeats block mode rescans, because this
+// package is the independent comparator TestBaselineMatchesPipelinePairs
+// holds the pipeline's pair set against. A consolidation shared with the
+// pipeline would check the pipeline against itself.
+//
 // The paper notes DALIGNER reaches beyond-single-node scale only through
 // script-generated block decomposition with heavy re-reading of blocks;
 // Blocks > 1 emulates that mode: the tuple set is split into B blocks and
@@ -103,11 +113,6 @@ func (r *Result) Total() time.Duration {
 	return r.ExtractTime + r.SortTime + r.ScanTime + r.AlignTime
 }
 
-type tuple struct {
-	km  kmer.Kmer
-	occ dht.Occ
-}
-
 // Run executes the baseline on a read set.
 func Run(reads []*fastq.Record, cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
@@ -117,7 +122,7 @@ func Run(reads []*fastq.Record, cfg Config) (*Result, error) {
 
 	// Phase 1: tuple extraction (canonical k-mers, as diBELLA).
 	t0 := time.Now()
-	var tuples []tuple
+	var tuples []overlap.KeyVal
 	for id, rec := range reads {
 		sc := kmer.NewScanner(rec.Seq, cfg.K, uint32(id))
 		for {
@@ -125,10 +130,8 @@ func Run(reads []*fastq.Record, cfg Config) (*Result, error) {
 			if !ok {
 				break
 			}
-			tuples = append(tuples, tuple{
-				km:  ex.Kmer,
-				occ: dht.MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward),
-			})
+			o := dht.MakeOcc(ex.Occ.ReadID, ex.Occ.Pos, ex.Occ.Forward)
+			tuples = append(tuples, overlap.KeyVal{Key: uint64(ex.Kmer), Val: uint64(o.Read)<<32 | uint64(o.PosFlag)})
 		}
 	}
 	res.Tuples = int64(len(tuples))
@@ -139,24 +142,25 @@ func Run(reads []*fastq.Record, cfg Config) (*Result, error) {
 	byPair := make(map[overlap.Pair][]overlap.Seed)
 	if cfg.Blocks == 1 {
 		t0 = time.Now()
-		radixSort(tuples)
+		tuples, _ = overlap.RadixSort(tuples, nil)
 		res.SortTime = time.Since(t0)
 		t0 = time.Now()
 		scanRuns(tuples, cfg, byPair)
 		res.ScanTime = time.Since(t0)
 	} else {
 		blocks := splitBlocks(tuples, cfg.Blocks)
+		var scratch []overlap.KeyVal
 		for i := range blocks {
 			// Each block is re-sorted for every pairing, mirroring the
 			// re-reading cost of DALIGNER's scripted distribution.
 			for j := i; j < len(blocks); j++ {
 				t0 = time.Now()
-				merged := make([]tuple, 0, len(blocks[i])+len(blocks[j]))
+				merged := make([]overlap.KeyVal, 0, len(blocks[i])+len(blocks[j]))
 				merged = append(merged, blocks[i]...)
 				if j != i {
 					merged = append(merged, blocks[j]...)
 				}
-				radixSort(merged)
+				merged, scratch = overlap.RadixSort(merged, scratch)
 				res.SortTime += time.Since(t0)
 				t0 = time.Now()
 				scanRuns(merged, cfg, byPair)
@@ -175,10 +179,10 @@ func Run(reads []*fastq.Record, cfg Config) (*Result, error) {
 
 // splitBlocks partitions tuples round-robin by read ID to mimic
 // DALIGNER's database blocks.
-func splitBlocks(tuples []tuple, b int) [][]tuple {
-	out := make([][]tuple, b)
+func splitBlocks(tuples []overlap.KeyVal, b int) [][]overlap.KeyVal {
+	out := make([][]overlap.KeyVal, b)
 	for _, t := range tuples {
-		i := int(t.occ.Read) % b
+		i := int(occOf(t).Read) % b
 		out[i] = append(out[i], t)
 	}
 	return out
@@ -187,37 +191,36 @@ func splitBlocks(tuples []tuple, b int) [][]tuple {
 // scanRuns walks sorted tuples, emitting all pairs within each k-mer run
 // that passes the [2, MaxFreq] filter. Duplicate seeds from block-pair
 // rescans are deduplicated by the pair map's seed identity.
-func scanRuns(sorted []tuple, cfg Config, byPair map[overlap.Pair][]overlap.Seed) {
-	i := 0
-	for i < len(sorted) {
-		j := i + 1
-		for j < len(sorted) && sorted[j].km == sorted[i].km {
-			j++
+func scanRuns(sorted []overlap.KeyVal, cfg Config, byPair map[overlap.Pair][]overlap.Seed) {
+	for run := range overlap.Runs(sorted) {
+		if len(run) < 2 || len(run) > cfg.MaxFreq {
+			continue
 		}
-		run := sorted[i:j]
-		if len(run) >= 2 && len(run) <= cfg.MaxFreq {
-			for a := 0; a < len(run); a++ {
-				for b := a + 1; b < len(run); b++ {
-					oa, ob := run[a].occ, run[b].occ
-					if oa.Read == ob.Read {
-						continue
-					}
-					if oa.Read > ob.Read {
-						oa, ob = ob, oa
-					}
-					pair := overlap.Pair{A: oa.Read, B: ob.Read}
-					seed := overlap.Seed{
-						PosA: oa.Pos(), PosB: ob.Pos(),
-						FwdA: oa.Forward(), FwdB: ob.Forward(),
-					}
-					if !containsSeed(byPair[pair], seed) {
-						byPair[pair] = append(byPair[pair], seed)
-					}
+		for a := 0; a < len(run); a++ {
+			for b := a + 1; b < len(run); b++ {
+				oa, ob := occOf(run[a]), occOf(run[b])
+				if oa.Read == ob.Read {
+					continue
+				}
+				if oa.Read > ob.Read {
+					oa, ob = ob, oa
+				}
+				pair := overlap.Pair{A: oa.Read, B: ob.Read}
+				seed := overlap.Seed{
+					PosA: oa.Pos(), PosB: ob.Pos(),
+					FwdA: oa.Forward(), FwdB: ob.Forward(),
+				}
+				if !containsSeed(byPair[pair], seed) {
+					byPair[pair] = append(byPair[pair], seed)
 				}
 			}
 		}
-		i = j
 	}
+}
+
+// occOf unpacks a tuple's occurrence from its value, Read<<32|PosFlag.
+func occOf(t overlap.KeyVal) dht.Occ {
+	return dht.Occ{Read: uint32(t.Val >> 32), PosFlag: uint32(t.Val)}
 }
 
 // containsSeed reports seed-identity duplicates (possible only in block

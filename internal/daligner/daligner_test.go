@@ -1,64 +1,13 @@
 package daligner
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"dibella/internal/align"
-	"dibella/internal/dht"
-	"dibella/internal/kmer"
 	"dibella/internal/overlap"
 	"dibella/internal/pipeline"
 	"dibella/internal/seqgen"
 )
-
-func TestRadixSortMatchesStdSort(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw) % 2000
-		rng := rand.New(rand.NewSource(seed))
-		ts := make([]tuple, n)
-		for i := range ts {
-			ts[i] = tuple{km: kmer.Kmer(rng.Uint64()), occ: dht.MakeOcc(uint32(i), 0, true)}
-		}
-		want := append([]tuple(nil), ts...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].km < want[j].km })
-		radixSort(ts)
-		for i := range ts {
-			if ts[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRadixSortStability(t *testing.T) {
-	// Equal keys must keep input order (occ.Read ascending here).
-	ts := []tuple{
-		{km: 5, occ: dht.MakeOcc(0, 0, true)},
-		{km: 3, occ: dht.MakeOcc(1, 0, true)},
-		{km: 5, occ: dht.MakeOcc(2, 0, true)},
-		{km: 3, occ: dht.MakeOcc(3, 0, true)},
-	}
-	radixSort(ts)
-	if ts[0].occ.Read != 1 || ts[1].occ.Read != 3 || ts[2].occ.Read != 0 || ts[3].occ.Read != 2 {
-		t.Errorf("unstable sort: %+v", ts)
-	}
-}
-
-func TestRadixSortSmall(t *testing.T) {
-	radixSort(nil)
-	one := []tuple{{km: 42}}
-	radixSort(one)
-	if one[0].km != 42 {
-		t.Error("single-element sort broke")
-	}
-}
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(nil, Config{K: 0, MaxFreq: 8}); err == nil {

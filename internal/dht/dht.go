@@ -186,7 +186,9 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceBloomPass, c.Now())
-	bs.Bloom = bloomPass(c, model, reads, cfg, bufs, rounds, localUnits, filter, part)
+	trace.Do(traceBloomPass, c.Rank(), func() {
+		bs.Bloom = bloomPass(c, model, reads, cfg, bufs, rounds, localUnits, filter, part)
+	})
 	bs.TableEntries = part.n
 	// The Bloom stage's peak footprint is the filter plus the nascent
 	// table — both alive this one instant, the filter freed just below —
@@ -204,24 +206,28 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// holds every key, so it has no owner filters, as it has no Bloom test.
 	rec.Begin(traceHashPass, c.Now())
 	bs.Hash = StageStats{Rounds: rounds}
-	var owners *bloom.Owners
-	if !cfg.KeepSingletons {
-		var err error
-		if owners, err = ownerFilters(c, model, cfg, part, freedBits, &bs.Hash); err != nil {
-			return nil, BuildStats{}, err
+	var err error
+	trace.Do(traceHashPass, c.Rank(), func() {
+		var owners *bloom.Owners
+		if !cfg.KeepSingletons {
+			if owners, err = ownerFilters(c, model, cfg, part, freedBits, &bs.Hash); err != nil {
+				return
+			}
+			if owners != nil {
+				bs.OwnerBits = uint64(owners.SizeBytes()) * 8
+			}
 		}
-		if owners != nil {
-			bs.OwnerBits = uint64(owners.SizeBytes()) * 8
-		}
+		hashPass(c, model, reads, cfg, bufs, localUnits, part, owners, &bs.Hash)
+		bs.ExchangeMemBytes = bufs.MemBytes()
+		t0 := walltime.Now()
+		bs.PrunedSingleton, bs.PrunedHighFreq = part.prune(cfg.KeepSingletons)
+		bs.Hash.LocalVirtual += stats.Price(c, model, float64(bs.TableEntries),
+			machine.RateHTPrune, float64(bs.TableEntries)*64)
+		bs.Hash.LocalWall += walltime.Since(t0)
+	})
+	if err != nil {
+		return nil, BuildStats{}, err
 	}
-	hashPass(c, model, reads, cfg, bufs, localUnits, part, owners, &bs.Hash)
-	bs.ExchangeMemBytes = bufs.MemBytes()
-	t0 := walltime.Now()
-	prunedS, prunedH := part.prune(cfg.KeepSingletons)
-	bs.Hash.LocalVirtual += stats.Price(c, model, float64(bs.TableEntries),
-		machine.RateHTPrune, float64(bs.TableEntries)*64)
-	bs.Hash.LocalWall += walltime.Since(t0)
-	bs.PrunedSingleton, bs.PrunedHighFreq = prunedS, prunedH
 	bs.Retained = part.n
 	rec.End(traceHashPass, c.Now(), bs.Hash.BytesPacked)
 	return part, bs, nil

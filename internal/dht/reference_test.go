@@ -151,10 +151,23 @@ func checkAgainstReference(t *testing.T, p *Partition, ref *refPartition, probes
 	}
 }
 
-// Keys the fuzzer draws from: the two a sentinel-keyed table would lose
-// (poly-A is 0, poly-T at k = 32 is all ones) ahead of enough ordinary ones
-// to grow the table past minSlots.
-func fuzzKey(b byte) kmer.Kmer {
+// Keys the fuzzer draws from, in one of three shapes an input, because a
+// table's key width picks forEachSlot's path:
+//   - scattered: b × the golden ratio, 64 bits wide, so ForEach sorts the
+//     keys alone and finds each again; b = 0 and 1 are the two keys a
+//     sentinel-keyed table would lose (poly-A is 0, poly-T at k = 32 is all
+//     ones);
+//   - packed 17-mers: the scattered key's top 34 bits, narrow enough that
+//     ForEach packs each slot's index under its key;
+//   - low byte: one 17-mer with b as its low byte, so the keys differ there
+//     alone and an order fault confined to that byte shows.
+func fuzzKey(shape, b byte) kmer.Kmer {
+	switch shape % 3 {
+	case 1:
+		return kmer.Kmer(uint64(b) * 0x9e3779b97f4a7c15 >> 30)
+	case 2:
+		return kmer.Kmer(0x2_c0de_1700 | uint64(b))
+	}
 	switch b {
 	case 0:
 		return 0
@@ -207,26 +220,29 @@ func runBuild(t *testing.T, stream []kmer.Kmer, falsePositive func(i int) bool, 
 // FuzzTableMatchesMap: random admit / count / record / prune / lookup /
 // encode sequences leave the flat table and the map it replaced
 // indistinguishable. Each input byte is one k-mer instance — its low bit
-// a Bloom false positive, the rest the key.
+// a Bloom false positive, the rest the key — and shape picks the keys'
+// shape (fuzzKey).
 func FuzzTableMatchesMap(f *testing.F) {
 	sightings := func(key byte, n int) []byte { return bytes.Repeat([]byte{key << 1}, n) }
 	// maxFreq arrives as 2 + the byte mod 16: 2 means a cutoff of 4.
-	f.Add([]byte{}, uint8(2), false)
-	f.Add(sightings(0, 2), uint8(2), false)                             // k-mer 0 is a key
-	f.Add(sightings(1, 3), uint8(2), false)                             // so is the all-ones k = 32 key
-	f.Add(sightings(7, 5), uint8(2), false)                             // MaxFreq+1 sightings: dropped
-	f.Add(sightings(7, 5), uint8(2), true)                              // ... or kept as a tombstone
-	f.Add(append(sightings(0, 1), sightings(1, 9)...), uint8(2), true)  // a kept singleton beside one
-	f.Add([]byte{7<<1 | 1, 9 << 1, 7 << 1, 11<<1 | 1}, uint8(2), false) // false positives: one repeats, one is pruned
+	f.Add([]byte{}, uint8(2), false, uint8(0))
+	f.Add(sightings(0, 2), uint8(2), false, uint8(0))                             // k-mer 0 is a key
+	f.Add(sightings(1, 3), uint8(2), false, uint8(0))                             // so is the all-ones k = 32 key
+	f.Add(sightings(7, 5), uint8(2), false, uint8(0))                             // MaxFreq+1 sightings: dropped
+	f.Add(sightings(7, 5), uint8(2), true, uint8(0))                              // ... or kept as a tombstone
+	f.Add(append(sightings(0, 1), sightings(1, 9)...), uint8(2), true, uint8(0))  // a kept singleton beside one
+	f.Add([]byte{7<<1 | 1, 9 << 1, 7 << 1, 11<<1 | 1}, uint8(2), false, uint8(0)) // false positives: one repeats, one is pruned
 	var crowd []byte
 	for key := 0; key < 128; key++ {
 		crowd = append(crowd, sightings(byte(key), 1+key%5)...)
 	}
-	f.Add(crowd, uint8(1), false) // growth, then a prune that removes from the middle of probe runs
-	f.Fuzz(func(t *testing.T, instances []byte, maxFreq uint8, keepSingletons bool) {
+	f.Add(crowd, uint8(1), false, uint8(0))                                                  // growth, then a prune that removes from the middle of probe runs
+	f.Add(crowd, uint8(1), false, uint8(1))                                                  // the same over packed 17-mers
+	f.Add([]byte{9 << 1, 3 << 1, 9 << 1, 3 << 1, 5 << 1, 5 << 1}, uint8(2), false, uint8(2)) // keys apart in the low byte only
+	f.Fuzz(func(t *testing.T, instances []byte, maxFreq uint8, keepSingletons bool, shape uint8) {
 		stream := make([]kmer.Kmer, len(instances))
 		for i, b := range instances {
-			stream[i] = fuzzKey(b >> 1)
+			stream[i] = fuzzKey(shape, b>>1)
 		}
 		runBuild(t, stream, func(i int) bool { return instances[i]&1 == 1 }, 2+int(maxFreq%16), keepSingletons)
 	})

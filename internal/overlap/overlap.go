@@ -5,6 +5,10 @@
 // locality for the alignment stage), and consolidate per-pair shared-seed
 // lists on the receiving side.
 //
+// Consolidation is a grouping by the tree's one grouping sort, RadixSort,
+// which the serve-mode query probe and the DALIGNER baseline share: one
+// record a pair message, keyed by the pair, sorted once; a run is a task.
+//
 // After consolidation the seed lists are filtered by the paper's
 // "exploration" parameters: exactly one seed per pair (the one-seed
 // minimum-intensity configuration), all seeds separated by at least a
@@ -165,38 +169,53 @@ func Run(c *spmd.Comm, model *machine.Model, part *dht.Partition, owner OwnerFun
 	// Consolidate per-pair seed lists, filter, and emit deterministic
 	// task order.
 	t0 = walltime.Now()
-	tasks, seedsIn := consolidate(recv, cfg, &st)
+	tasks := consolidate(recv, cfg, &st)
 	st.LocalVirtual += stats.Price(c, model, float64(st.TasksReceived), machine.RatePairGen, 0) +
-		stats.Price(c, model, float64(seedsIn), machine.RateSeedPrep, 0)
+		stats.Price(c, model, float64(st.TasksReceived), machine.RateSeedPrep, 0)
 	st.LocalWall += walltime.Since(t0)
 	return tasks, st, nil
 }
 
 // consolidate merges received pair messages into per-pair seed lists,
 // applies the exploration filter, and returns the tasks in (A, B) order,
-// accumulating counts into st. The arrival order of the messages cannot
-// matter: FilterSeeds's result depends only on the set of a pair's
-// seeds, and the task list is sorted before return.
-func consolidate(batches [][]PairMsg, cfg Config, st *Stats) (tasks []Task, seedsIn int64) {
-	byPair := make(map[Pair][]Seed)
+// accumulating counts into st. Each message becomes one record — the
+// normalized pair A<<32|B its key, the seed's packed positions PFA<<32|PFB
+// its value — and each batch is dropped once copied. One RadixSort later a
+// run of one key is one task, its seeds in arrival order (the sort is
+// stable; FilterSeeds depends only on the seed set anyway), and the runs
+// come in taskOrder.
+func consolidate(batches [][]PairMsg, cfg Config, st *Stats) []Task {
+	n := 0
 	for _, batch := range batches {
-		for _, msg := range batch {
-			st.TasksReceived++
-			pair, seed := normalize(msg)
-			byPair[pair] = append(byPair[pair], seed)
-		}
+		n += len(batch)
 	}
-	st.Pairs = int64(len(byPair))
-	tasks = make([]Task, 0, len(byPair))
-	for pair, seeds := range byPair {
-		seedsIn += int64(len(seeds))
+	recs := make([]KeyVal, 0, n)
+	for i, batch := range batches {
+		for _, m := range batch {
+			if m.RA > m.RB {
+				m.RA, m.RB, m.PFA, m.PFB = m.RB, m.RA, m.PFB, m.PFA
+			}
+			recs = append(recs, KeyVal{Key: uint64(m.RA)<<32 | uint64(m.RB), Val: uint64(m.PFA)<<32 | uint64(m.PFB)})
+		}
+		batches[i] = nil
+	}
+	recs, _ = RadixSort(recs, nil)
+	var tasks []Task
+	var seeds []Seed
+	for run := range Runs(recs) {
+		seeds = seeds[:0]
+		for _, r := range run {
+			a, b := dht.Occ{PosFlag: uint32(r.Val >> 32)}, dht.Occ{PosFlag: uint32(r.Val)}
+			seeds = append(seeds, Seed{PosA: a.Pos(), PosB: b.Pos(), FwdA: a.Forward(), FwdB: b.Forward()})
+		}
 		kept := FilterSeeds(seeds, cfg)
 		st.SeedsKept += int64(len(kept))
-		tasks = append(tasks, Task{Pair: pair, Seeds: kept})
+		tasks = append(tasks, Task{Pair: Pair{A: uint32(run[0].Key >> 32), B: uint32(run[0].Key)}, Seeds: kept})
 	}
-	st.SeedsDropped = seedsIn - st.SeedsKept
-	slices.SortFunc(tasks, taskOrder)
-	return tasks, seedsIn
+	st.TasksReceived += int64(len(recs))
+	st.Pairs += int64(len(tasks))
+	st.SeedsDropped = st.TasksReceived - st.SeedsKept
+	return tasks
 }
 
 // taskOrder orders tasks by read pair, A then B. Each pair has one task, so
@@ -209,16 +228,17 @@ func taskOrder(a, b Task) int {
 // serve-mode query path: each rank feeds the pair messages it received
 // from every partition owner — the pairs whose indexed read it owns, plus
 // its share of the batch's query×query pairs — through the same
-// merge/filter/sort pipeline the batch overlap stage uses, so the served
-// task lists together are bit-for-bit the batch task list restricted to
-// query-involving pairs. Returns the tasks and the per-batch counts.
+// sort/walk/filter the batch overlap stage uses, so the served task lists
+// together are bit-for-bit the batch task list restricted to
+// query-involving pairs. Like consolidate it drops each batch of batches
+// once copied. Returns the tasks, in (A, B) order, and the per-batch
+// counts.
 func Consolidate(batches [][]PairMsg, cfg Config) ([]Task, Stats, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, Stats{}, err
 	}
 	var st Stats
-	tasks, _ := consolidate(batches, cfg, &st)
-	return tasks, st, nil
+	return consolidate(batches, cfg, &st), st, nil
 }
 
 // oddEvenOwner is Algorithm 1's odd/even heuristic: alternate which member
@@ -233,20 +253,6 @@ func oddEvenOwner(ra, rb uint32, owner OwnerFunc) int {
 		return owner(ra)
 	default:
 		return owner(rb)
-	}
-}
-
-// normalize orders the pair as (A < B) and swaps the seed's sides to
-// match.
-func normalize(msg PairMsg) (Pair, Seed) {
-	oa := dht.Occ{Read: msg.RA, PosFlag: msg.PFA}
-	ob := dht.Occ{Read: msg.RB, PosFlag: msg.PFB}
-	if msg.RA > msg.RB {
-		oa, ob = ob, oa
-	}
-	return Pair{A: oa.Read, B: ob.Read}, Seed{
-		PosA: oa.Pos(), PosB: ob.Pos(),
-		FwdA: oa.Forward(), FwdB: ob.Forward(),
 	}
 }
 

@@ -102,6 +102,101 @@ func TestTaskOwnerBalance(t *testing.T) {
 	}
 }
 
+// normalize orders the pair as (A < B) and swaps the seed's sides to
+// match: the map oracle's normalization.
+func normalize(msg PairMsg) (Pair, Seed) {
+	oa := dht.Occ{Read: msg.RA, PosFlag: msg.PFA}
+	ob := dht.Occ{Read: msg.RB, PosFlag: msg.PFB}
+	if msg.RA > msg.RB {
+		oa, ob = ob, oa
+	}
+	return Pair{A: oa.Read, B: ob.Read}, Seed{
+		PosA: oa.Pos(), PosB: ob.Pos(),
+		FwdA: oa.Forward(), FwdB: ob.Forward(),
+	}
+}
+
+// consolidateMap is consolidate as it stood before the radix sort: a
+// map from pair to seeds appended in arrival order, then a sort of the
+// tasks — the oracle FuzzConsolidateMatchesMap holds consolidate against.
+func consolidateMap(batches [][]PairMsg, cfg Config, st *Stats) (tasks []Task, seedsIn int64) {
+	byPair := make(map[Pair][]Seed)
+	for _, batch := range batches {
+		for _, msg := range batch {
+			st.TasksReceived++
+			pair, seed := normalize(msg)
+			byPair[pair] = append(byPair[pair], seed)
+		}
+	}
+	st.Pairs = int64(len(byPair))
+	tasks = make([]Task, 0, len(byPair))
+	for pair, seeds := range byPair {
+		seedsIn += int64(len(seeds))
+		kept := FilterSeeds(seeds, cfg)
+		st.SeedsKept += int64(len(kept))
+		tasks = append(tasks, Task{Pair: pair, Seeds: kept})
+	}
+	st.SeedsDropped = seedsIn - st.SeedsKept
+	slices.SortFunc(tasks, taskOrder)
+	return tasks, seedsIn
+}
+
+// fuzzReads are the read IDs FuzzConsolidateMatchesMap draws pairs from:
+// IDs that differ from a neighbour only in the low byte, or only in the top
+// byte, so a sort that skips or mis-orders either byte of A or of B merges
+// or misorders pairs.
+var fuzzReads = [16]uint32{
+	0, 1, 0xff, 0x100,
+	0x01000000, 0xff000000, 0x01000001, 0xff0000ff,
+	0x12345678, 0x12345679, 0x92345678, 0x12345600,
+	0x00010000, 0x00ff0000, 0x7fffffff, 0xffffffff,
+}
+
+// FuzzConsolidateMatchesMap holds consolidate against the map it replaced.
+// Each three input bytes are one pair message: the first picks RA (low
+// nibble) and RB (high nibble) from fuzzReads, in either order, so half the
+// messages arrive with RA > RB; the other two are PFA and PFB, a 7-bit
+// position and the strand bit, so repeated seeds, one-message pairs and
+// pairs of many seeds all occur. The messages are dealt over 1–4 batches in
+// arrival order, and mode picks the seed mode. Tasks and Stats must equal
+// the oracle's, seed for seed: the filters see each pair's seeds in the same
+// order only if the sort is stable.
+func FuzzConsolidateMatchesMap(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{0x10, 4, 9}, uint8(0), uint8(1))
+	f.Add([]byte{0x10, 4, 9, 0x01, 9, 4, 0x10, 4, 9, 0x10, 40, 81}, uint8(2), uint8(3))
+	f.Add([]byte{0x32, 1, 2, 0x76, 3, 4, 0x98, 5, 6, 0xba, 7, 8, 0x23, 9, 10, 0x45, 11, 12}, uint8(1), uint8(2))
+	// Pairs apart only in the low byte of B, then of A, then in a top byte.
+	f.Add([]byte{0x20, 1, 2, 0x10, 3, 4, 0x21, 5, 6, 0x98, 7, 8, 0x8b, 9, 10, 0x54, 11, 12, 0xa8, 13, 14, 0x45, 15, 16}, uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, mode, batches uint8) {
+		var msgs []PairMsg
+		for ; len(data) >= 3; data = data[3:] {
+			msgs = append(msgs, PairMsg{
+				RA: fuzzReads[data[0]&0xf], RB: fuzzReads[data[0]>>4],
+				PFA: uint32(data[1]), PFB: uint32(data[2]),
+			})
+		}
+		deal := func() [][]PairMsg {
+			p := 1 + int(batches%4)
+			out := make([][]PairMsg, p)
+			for r := range out {
+				out[r] = slices.Clone(msgs[len(msgs)*r/p : len(msgs)*(r+1)/p])
+			}
+			return out
+		}
+		cfg := Config{K: 17, Mode: SeedMode(mode % 3), MinDist: 20}
+		var got, want Stats
+		tasks := consolidate(deal(), cfg, &got)
+		oracle, _ := consolidateMap(deal(), cfg, &want)
+		if len(tasks)+len(oracle) > 0 && !reflect.DeepEqual(tasks, oracle) {
+			t.Fatalf("tasks differ from the map's:\n got %v\nwant %v", tasks, oracle)
+		}
+		if got != want {
+			t.Fatalf("stats %+v, the map's %+v", got, want)
+		}
+	})
+}
+
 func TestNormalize(t *testing.T) {
 	msg := PairMsg{RA: 9, RB: 3,
 		PFA: dht.MakeOcc(9, 100, true).PosFlag,

@@ -52,8 +52,14 @@ func agreeError(c *spmd.Comm, op string, err error) error {
 // rank's sharded ReadStore. All ranks must call it collectively with the
 // same path; a load failure on any rank fails every rank (no partial
 // worlds). The store's block distribution is identical to
-// fastq.NewReadStore over the whole file.
-func LoadStore(c *spmd.Comm, path string) (*fastq.ReadStore, error) {
+// fastq.NewReadStore over the whole file. The load runs under the profiler
+// labels stage=stage.load and the rank (trace.Do).
+func LoadStore(c *spmd.Comm, path string) (store *fastq.ReadStore, err error) {
+	trace.Do(traceLoad, c.Rank(), func() { store, err = loadStore(c, path) })
+	return store, err
+}
+
+func loadStore(c *spmd.Comm, path string) (*fastq.ReadStore, error) {
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceLoad, c.Now())
 	shard, parsed, err := fastq.LoadShard(path, c.Rank(), c.Size())

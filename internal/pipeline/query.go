@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"dibella/internal/dht"
@@ -37,81 +36,24 @@ type QueryStats struct {
 	stats.Breakdown
 }
 
-// queryOcc routes one query k-mer occurrence to the k-mer's partition
-// owner — the build pass's occMsg shape, 16 bytes on the wire.
-type queryOcc struct {
-	Km kmer.Kmer
-	O  dht.Occ
+// probeBufs is the query probe's memory, reused by every batch a World
+// serves: the occurrences a rank received, concatenated, and the scratch
+// their sort runs through.
+type probeBufs struct {
+	occs, scratch []overlap.KeyVal
 }
 
-// queryGroups groups one batch's received query occurrences by k-mer in
-// linear time. An open-addressed table of group ids, indexed by the low
-// bits of kmer.Hash (the high bits are Owner's, and every k-mer a rank
-// receives shares them), numbers the k-mers in first-arrival order and
-// counts their occurrences; a prefix sum over the counts and a scatter
-// pass lay every k-mer's occurrences out as one contiguous run in
-// arrival order. The buffers live on the World and are reused by every
-// batch it serves.
-type queryGroups struct {
-	table []int32     // group id+1 per slot, 0 if empty; len a power of two
-	kmers []kmer.Kmer // per group, in first-arrival order
-	ends  []int32     // per group: its count, then its run's end in runs
-	gid   []int32     // per occurrence in arrival order: its group
-	runs  []queryOcc  // the occurrences, group by group
-}
-
-// group fills g from recv, whose concatenation is the arrival order.
-// Group i's run is runs[ends[i-1]:ends[i]] (from 0 for i = 0).
-func (g *queryGroups) group(recv [][]queryOcc) {
-	n := 0
+// group concatenates recv source by source — the arrival order — and sorts
+// it by k-mer with the overlap stage's stable radix sort, so each run of one
+// k-mer holds its occurrences in arrival order. An occurrence is a KeyVal
+// of the k-mer and its kmer.Loc, read<<32 | position and strand.
+func (b *probeBufs) group(recv [][]overlap.KeyVal) []overlap.KeyVal {
+	b.occs = b.occs[:0]
 	for _, src := range recv {
-		n += len(src)
+		b.occs = append(b.occs, src...)
 	}
-	size := 16
-	for size < 2*n {
-		size <<= 1
-	}
-	if cap(g.table) < size {
-		g.table = make([]int32, size)
-	} else {
-		g.table = g.table[:size]
-		clear(g.table)
-	}
-	mask := uint64(size - 1)
-	g.kmers, g.ends, g.gid = g.kmers[:0], g.ends[:0], slices.Grow(g.gid[:0], n)
-	for _, src := range recv {
-		for _, o := range src {
-			i := o.Km.Hash() & mask
-			for g.table[i] != 0 && g.kmers[g.table[i]-1] != o.Km {
-				i = (i + 1) & mask
-			}
-			if g.table[i] == 0 {
-				g.kmers = append(g.kmers, o.Km)
-				g.ends = append(g.ends, 0)
-				g.table[i] = int32(len(g.kmers))
-			}
-			id := g.table[i] - 1
-			g.ends[id]++
-			g.gid = append(g.gid, id)
-		}
-	}
-	// Exclusive prefix sums make ends the runs' starts; scattering
-	// advances each to its run's end.
-	off := int32(0)
-	for id, c := range g.ends {
-		g.ends[id] = off
-		off += c
-	}
-	g.runs = slices.Grow(g.runs[:0], n)[:n]
-	k := 0
-	for _, src := range recv {
-		for _, o := range src {
-			id := g.gid[k]
-			g.runs[g.ends[id]] = o
-			g.ends[id]++
-			k++
-		}
-	}
+	b.occs, b.scratch = overlap.RadixSort(b.occs, b.scratch)
+	return b.occs
 }
 
 // RunQuery answers one query batch against the resident partition. All
@@ -134,7 +76,15 @@ func (g *queryGroups) group(recv [][]queryOcc) {
 // one query read — every seed of a pair reaches one rank, consolidation
 // sorts tasks, seed filtering depends on a pair's seed set alone, and the
 // gathered records are sorted into the same total order batch mode uses.
-func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
+//
+// The epoch runs under the profiler labels stage=query.batch and the rank
+// (trace.Do).
+func (w *World) RunQuery(root int, batch []QueryRead) (out []Alignment, err error) {
+	trace.Do(traceQuery, w.c.Rank(), func() { out, err = w.runQuery(root, batch) })
+	return out, err
+}
+
+func (w *World) runQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	c, model, cfg := w.c, w.model, w.cfg
 	p := c.Size()
 	if w.part == nil {
@@ -168,9 +118,9 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	for j := lo; j < hi; j++ {
 		n += kmer.Count(len(batch[j].Seq), cfg.K)
 	}
-	send := make([][]queryOcc, p)
+	send := make([][]overlap.KeyVal, p)
 	for dst := range send {
-		send[dst] = make([]queryOcc, 0, min(n, n/p+n/(16*p)+32))
+		send[dst] = make([]overlap.KeyVal, 0, min(n, n/p+n/(16*p)+32))
 	}
 	var (
 		routed int64
@@ -183,7 +133,7 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		for n := sc.Fill(keys[:], locs[:]); n > 0; n = sc.Fill(keys[:], locs[:]) {
 			for i, km := range keys[:n] {
 				dst := km.Owner(p)
-				send[dst] = append(send[dst], queryOcc{Km: km, O: dht.LocOcc(locs[i])})
+				send[dst] = append(send[dst], overlap.KeyVal{Key: uint64(km), Val: uint64(locs[i])})
 			}
 			routed += int64(n)
 		}
@@ -202,25 +152,21 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	// and high-frequency tombstones included — KeepSingletons keeps
 	// both resident), the query occurrences are this batch's.
 	//
-	// The received occurrences are grouped by k-mer in one hashed pass
-	// (queryGroups) and walked as runs of one k-mer, as diBELLA's overlap
-	// stage walks the hash table: nothing is sorted. Within a run the
-	// occurrences keep their arrival order, which is (read, position)
-	// ascending — sources hold ascending blocks of the batch and scan each
-	// read front to back. The order runs come in cannot reach the output:
-	// Consolidate merges seeds by pair, FilterSeeds's result depends on a
-	// pair's seed set alone, and tasks and gathered records are sorted.
+	// The received occurrences are sorted by k-mer once (group) and
+	// walked as runs of one k-mer, as diBELLA's overlap stage walks the
+	// hash table. The sort is stable, so within a run the occurrences keep
+	// their arrival order, which is (read, position) ascending — sources
+	// hold ascending blocks of the batch and scan each read front to back.
+	// The runs come in ascending k-mer order, and that order cannot reach
+	// the output: Consolidate merges seeds by pair, FilterSeeds's result
+	// depends on a pair's seed set alone, and tasks and gathered records
+	// are sorted.
 	t0 = walltime.Now()
-	g := &w.groups
-	g.group(recv)
 	pairSend := make([][]overlap.PairMsg, p)
-	var made int64
-	distinct := int64(len(g.kmers))
-	start := int32(0)
-	for id, km := range g.kmers {
-		q := g.runs[start:g.ends[id]]
-		start = g.ends[id]
-		count, indexed, _ := w.part.Lookup(km)
+	var made, distinct int64
+	for q := range overlap.Runs(w.groups.group(recv)) {
+		distinct++
+		count, indexed, _ := w.part.Lookup(kmer.Kmer(q[0].Key))
 		combined := count + len(q)
 		if combined < 2 || combined > w.part.MaxFreq {
 			continue
@@ -230,22 +176,25 @@ func (w *World) RunQuery(root int, batch []QueryRead) ([]Alignment, error) {
 			// never be a same-read repeat. It goes where the indexed read
 			// lives; the query read lives everywhere.
 			dst := w.view.OwnerOf(oi.Read)
-			for _, oq := range q {
+			for _, r := range q {
+				oq := dht.LocOcc(kmer.Loc(r.Val))
 				pairSend[dst] = append(pairSend[dst], overlap.PairMsg{
-					RA: oi.Read, RB: oq.O.Read, PFA: oi.PosFlag, PFB: oq.O.PosFlag,
+					RA: oi.Read, RB: oq.Read, PFA: oi.PosFlag, PFB: oq.PosFlag,
 				})
 				made++
 			}
 		}
-		for i := 0; i < len(q); i++ {
-			for j := i + 1; j < len(q); j++ {
-				if q[i].O.Read == q[j].O.Read {
+		for i := range q {
+			oi := dht.LocOcc(kmer.Loc(q[i].Val))
+			for _, r := range q[i+1:] {
+				oj := dht.LocOcc(kmer.Loc(r.Val))
+				if oi.Read == oj.Read {
 					continue // a repeat within one query read is not an overlap
 				}
-				// q is in arrival order, so q[i] is the pair's lower read.
-				dst := int(q[i].O.Read-base) % p
+				// q is in arrival order, so oi is the pair's lower read.
+				dst := int(oi.Read-base) % p
 				pairSend[dst] = append(pairSend[dst], overlap.PairMsg{
-					RA: q[i].O.Read, RB: q[j].O.Read, PFA: q[i].O.PosFlag, PFB: q[j].O.PosFlag,
+					RA: oi.Read, RB: oj.Read, PFA: oi.PosFlag, PFB: oj.PosFlag,
 				})
 				made++
 			}

@@ -9,9 +9,7 @@ import (
 	"slices"
 	"testing"
 
-	"dibella/internal/dht"
 	"dibella/internal/fastq"
-	"dibella/internal/kmer"
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
 	"dibella/internal/seqgen"
@@ -277,88 +275,53 @@ func TestRunQueryExchanges(t *testing.T) {
 	}
 }
 
-// sortRuns is the query probe's former grouping, kept as the oracle of
-// queryGroups: sort the received occurrences by (k-mer, read, position)
-// and cut them into runs of one k-mer.
-func sortRuns(recv [][]queryOcc) map[kmer.Kmer][]queryOcc {
+// sortRuns is the oracle of the query probe's grouping: sort the received
+// occurrences by (k-mer, read, position), the order the probe's argument
+// needs, with a comparison sort.
+func sortRuns(recv [][]overlap.KeyVal) []overlap.KeyVal {
 	occs := slices.Concat(recv...)
-	slices.SortFunc(occs, func(a, b queryOcc) int {
-		if a.Km != b.Km {
-			return cmp.Compare(a.Km, b.Km)
-		}
-		return cmp.Compare(uint64(a.O.Read)<<32|uint64(a.O.PosFlag), uint64(b.O.Read)<<32|uint64(b.O.PosFlag))
+	slices.SortFunc(occs, func(a, b overlap.KeyVal) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Val, b.Val))
 	})
-	runs := make(map[kmer.Kmer][]queryOcc)
-	for len(occs) > 0 {
-		end := 1
-		for end < len(occs) && occs[end].Km == occs[0].Km {
-			end++
-		}
-		runs[occs[0].Km] = occs[:end]
-		occs = occs[end:]
-	}
-	return runs
+	return occs
 }
 
-// FuzzQueryGroupMatchesSort holds the probe's hashed grouping against the
-// sort it replaced. Each input byte is one occurrence: its low four bits
-// pick one of sixteen k-mers, so repeats happen; bit 4 starts the next
-// read and bit 5 is the strand flag. The occurrences, ascending in (read,
-// position) as a batch's are, are split over 1–4 sources in ascending
-// blocks. Every run must equal the oracle's run for its k-mer element for
-// element, and the runs must come in first-arrival order. One reused
-// queryGroups groups the input and then its first half, as a World serves
-// batches of different sizes.
+// FuzzQueryGroupMatchesSort holds the probe's grouping — a stable sort by
+// k-mer alone — to the full (k-mer, read, position) sort: the two agree
+// only because arrival order is (read, position) ascending, which is the
+// argument the probe's pair emission rests on. Each input byte is one
+// occurrence: its low four bits pick one of sixteen k-mers, so repeats
+// happen; bit 4 starts the next read and bit 5 is the strand flag. The
+// occurrences, ascending in (read, position) as a batch's are, are split
+// over 1–4 sources in ascending blocks. One reused probeBufs groups the
+// input and then its first half, as a World serves batches of different
+// sizes.
 func FuzzQueryGroupMatchesSort(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 1, 0, 0x12, 1, 0x20}, uint8(1))
 	f.Add(bytes.Repeat([]byte{3, 0x17, 3, 0x2b, 0}, 30), uint8(3))
-	var g queryGroups
+	var g probeBufs
 	f.Fuzz(func(t *testing.T, data []byte, sources uint8) {
 		check := func(data []byte) {
-			var occs []queryOcc
-			read, pos := uint32(1000), uint32(0)
+			var occs []overlap.KeyVal
+			read, pos := uint64(1000), uint64(0)
 			for _, b := range data {
 				if b&0x10 != 0 {
 					read, pos = read+1, 0
 				}
-				km := kmer.Kmer(uint64(b&0xf+1) * 0x9e3779b97f4a7c15)
-				occs = append(occs, queryOcc{Km: km, O: dht.Occ{Read: read, PosFlag: pos<<1 | uint32(b>>5&1)}})
+				km := uint64(b&0xf+1) * 0x9e3779b97f4a7c15
+				occs = append(occs, overlap.KeyVal{Key: km, Val: read<<32 | pos<<1 | uint64(b>>5&1)})
 				pos++
 			}
 			p := 1 + int(sources%4)
-			recv := make([][]queryOcc, p)
+			recv := make([][]overlap.KeyVal, p)
 			for r := range recv {
 				lo, hi := blockRange(len(occs), p, r)
 				recv[r] = occs[lo:hi]
 			}
-
-			g.group(recv)
 			want := sortRuns(recv)
-			if len(g.kmers) != len(want) {
-				t.Fatalf("%d groups, the sort made %d", len(g.kmers), len(want))
-			}
-			seen := make(map[kmer.Kmer]bool)
-			var firsts []kmer.Kmer
-			for _, o := range occs {
-				if !seen[o.Km] {
-					seen[o.Km] = true
-					firsts = append(firsts, o.Km)
-				}
-			}
-			if !slices.Equal(g.kmers, firsts) {
-				t.Fatalf("groups in order %v, first arrivals %v", g.kmers, firsts)
-			}
-			start := int32(0)
-			for id, km := range g.kmers {
-				run := g.runs[start:g.ends[id]]
-				start = g.ends[id]
-				if !slices.Equal(run, want[km]) {
-					t.Fatalf("k-mer %#x: run %v, the sort's %v", uint64(km), run, want[km])
-				}
-			}
-			if int(start) != len(occs) {
-				t.Fatalf("runs cover %d of %d occurrences", start, len(occs))
+			if got := g.group(recv); !slices.Equal(got, want) {
+				t.Fatalf("grouped %v, the sort %v", got, want)
 			}
 		}
 		check(data)

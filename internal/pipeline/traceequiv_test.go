@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,49 @@ func TestTraceObservabilityOnly(t *testing.T) {
 			t.Fatalf("traced report gathered %d rank buffers, want %d", len(on.Trace), p)
 		}
 	})
+}
+
+// TestProfileObservabilityOnly is TestTraceObservabilityOnly's twin for
+// the profiler labels each stage body and query epoch runs under
+// (trace.Do): a run under a CPU profile, the labels' one reader and what
+// -cpuprofile starts, leaves the PAF bytes byte-identical and the modeled
+// virtual_seconds bit-identical to an unprofiled run, on both transports.
+func TestProfileObservabilityOnly(t *testing.T) {
+	const p = 4
+	ds := input(t, equivalenceInput)
+	cfg := defaultConfig()
+	mdl, err := machine.NewModelScaled(machine.Cori, 4, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) (*Report, error)
+	}{
+		{"mem", func(*testing.T) (*Report, error) { return Execute(p, mdl, ds.Reads, cfg) }},
+		{"tcp", func(t *testing.T) (*Report, error) { return executeTCPLoopbackModel(t, p, mdl, ds.Reads, cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			off, err := tc.run(t)
+			if err != nil {
+				t.Fatalf("unprofiled run: %v", err)
+			}
+			var prof bytes.Buffer
+			if err := pprof.StartCPUProfile(&prof); err != nil {
+				t.Skipf("the CPU profiler is taken: %v", err)
+			}
+			on, err := tc.run(t)
+			pprof.StopCPUProfile()
+			if err != nil {
+				t.Fatalf("profiled run: %v", err)
+			}
+			if prof.Len() == 0 {
+				t.Error("the profiled run wrote no profile")
+			}
+			assertTraceNeutral(t, pafBytes(t, off, ds.Reads), pafBytes(t, on, ds.Reads),
+				off.VirtualTime, on.VirtualTime)
+		})
+	}
 }
 
 // assertTraceNeutral fails unless the traced run's output is

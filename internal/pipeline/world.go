@@ -25,7 +25,7 @@ type World struct {
 	part   *dht.Partition
 	rr     RankReport
 	query  QueryStats
-	groups queryGroups // the query probe's grouping scratch
+	groups probeBufs // the query probe's sort memory
 }
 
 // FormWorld runs the load and build stages collectively and returns the
@@ -114,13 +114,16 @@ func (w *World) overlapStage(ck *ckptState, res *resumeState, retain bool) ([]ov
 	}
 	rec := trace.Rec(w.c.Rank())
 	rec.Begin(traceOverlap, w.c.Now())
-	tasks, ovStats, err := overlap.Run(w.c, w.model, w.part, w.store.Owner, w.cfg.overlapConfig())
+	var tasks []overlap.Task
+	var err error
+	trace.Do(traceOverlap, w.c.Rank(), func() {
+		tasks, w.rr.Overlap, err = overlap.Run(w.c, w.model, w.part, w.store.Owner, w.cfg.overlapConfig())
+	})
 	if err != nil {
 		return nil, err
 	}
-	w.rr.Overlap = ovStats
-	rec.End(traceOverlap, w.c.Now(), ovStats.BytesPacked)
-	stageExchangeBytes.With(string(StageOverlap)).Add(ovStats.BytesPacked)
+	rec.End(traceOverlap, w.c.Now(), w.rr.Overlap.BytesPacked)
+	stageExchangeBytes.With(string(StageOverlap)).Add(w.rr.Overlap.BytesPacked)
 	// Overlap's peak: the partition is still resident alongside the
 	// consolidated tasks — sample before dropping it.
 	w.rr.MemPeak.Overlap = w.MemBytes()
@@ -144,11 +147,11 @@ func (w *World) overlapStage(ck *ckptState, res *resumeState, retain bool) ([]ov
 func (w *World) alignTasks(tasks []overlap.Task) []Alignment {
 	rec := trace.Rec(w.c.Rank())
 	rec.Begin(traceAlign, w.c.Now())
-	recs, alStats := alignStage(w.c, w.model, w.view, tasks, w.cfg)
-	w.rr.Align = alStats
+	var recs []Alignment
+	trace.Do(traceAlign, w.c.Rank(), func() { recs, w.rr.Align = alignStage(w.c, w.model, w.view, tasks, w.cfg) })
 	w.rr.VirtualTotal = w.c.Now()
-	rec.End(traceAlign, w.c.Now(), alStats.BytesPacked)
-	stageExchangeBytes.With(string(StageAlign)).Add(alStats.BytesPacked)
+	rec.End(traceAlign, w.c.Now(), w.rr.Align.BytesPacked)
+	stageExchangeBytes.With(string(StageAlign)).Add(w.rr.Align.BytesPacked)
 	// Align's footprint: replicas fetched for remote tasks are installed
 	// on the view; the partition is gone by now in batch runs.
 	w.rr.MemPeak.Align = w.MemBytes()

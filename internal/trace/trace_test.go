@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -359,4 +360,39 @@ func FuzzDecodeRankEvents(f *testing.F) {
 			t.Fatalf("re-encoding differs: %x -> %x", b, back)
 		}
 	})
+}
+
+// TestDoLabelsTheGoroutine: inside Do the calling goroutine carries the
+// stage and rank labels, as the goroutine profile prints them, and after it
+// returns it carries none.
+func TestDoLabelsTheGoroutine(t *testing.T) {
+	const stage = "stage.test"
+	labelsOf := func() string {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		// Goroutines are printed in blocks, one per stack; this test's own
+		// block names labelsOf's caller.
+		for _, block := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(block, "TestDoLabelsTheGoroutine") {
+				for _, line := range strings.Split(block, "\n") {
+					if l, ok := strings.CutPrefix(line, "# labels: "); ok {
+						return l
+					}
+				}
+				return ""
+			}
+		}
+		t.Fatal("the goroutine profile does not list this test's goroutine")
+		return ""
+	}
+	var inside string
+	Do(stage, 3, func() { inside = labelsOf() })
+	if want := `{"rank":"3", "stage":"stage.test"}`; inside != want {
+		t.Errorf("labels inside Do: %s, want %s", inside, want)
+	}
+	if after := labelsOf(); after != "" {
+		t.Errorf("labels after Do: %s, want none", after)
+	}
 }
