@@ -246,7 +246,10 @@ func toBases(raw []byte) []byte {
 // pick) and one to six seeds over them, each with its own pair, positions
 // and flank lengths, so the routine's fronts end in every order and refill
 // from the queue: one dying on its first antidiagonal while another runs to
-// the far edge, among others. k, scoring and x are the batch's.
+// the far edge, among others. k, scoring and x are the batch's. Each seed's
+// reads are handed over as guard-paged copies (guardPaged), flush against a
+// faulting page on the side its bytes pick, so a read outside them fails
+// the target.
 func FuzzXDropBatchMatchesReference(f *testing.F) {
 	f.Add([]byte("ACGTACGTACGTTGCA"), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(11), uint8(2), uint8(0), uint8(0), uint8(0))
 	// Three 300-base pairs at three error rates and six seeds among them,
@@ -256,6 +259,18 @@ func FuzzXDropBatchMatchesReference(f *testing.F) {
 	f.Add(long, []byte{3, 0, 10, 10, 40, 1, 150, 150, 90, 2, 250, 251, 200, 0, 5, 4, 60, 1, 140, 139}, uint8(16), uint8(2), uint8(0), uint8(0), uint8(0))
 	// The same at the largest scores, where the routine rebases.
 	f.Add(long, []byte{3, 0, 10, 10, 40, 1, 150, 150, 90, 2, 250, 251}, uint8(16), uint8(2), uint8(4), uint8(0), uint8(0))
+	// Seeds at the reads' edges, with k under 16: positions below 16, whose
+	// left flanks run to s[0] and t[0] and whose right flanks' lanes past a
+	// window read the seed and the bases before it, down to t[0]; seeds near
+	// the reads' ends, whose right flanks run to t's end; identical pairs
+	// (rate 0) so that the flanks live to the edges, at x=7 and x=30, with
+	// every placement of the guard pages.
+	for _, x := range []uint8{2, 3} {
+		for _, rates := range []byte{0, 21} { // identical pairs, and 5% apart
+			f.Add(long, []byte{rates, 0, 0, 0, 0, 0, 3, 3, 2, 0, 9, 9, 4, 0, 14, 2, 6, 2, 250, 250, 0, 0, 2, 40, 41},
+				uint8(5), x, uint8(0), uint8(0), uint8(0))
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw, plan []byte, kRaw, xSel, mSel, misSel, gSel uint8) {
 		if len(raw) == 0 || len(plan) < 5 {
 			t.Skip()
@@ -280,10 +295,12 @@ func FuzzXDropBatchMatchesReference(f *testing.F) {
 			if len(u) < k {
 				continue
 			}
-			if plan[q+3]&1 == 1 { // a shorter second read
+			// plan[q+3]: bit 0 a shorter second read, bits 1 and 2 the guard
+			// pages before s and before u rather than after them.
+			if plan[q+3]&1 == 1 {
 				u = u[:k+int(plan[q+3])%(len(u)-k+1)]
 			}
-			seeds = append(seeds, Seed{S: s, T: u,
+			seeds = append(seeds, Seed{S: guardPaged(t, s, plan[q+3]&2 == 2), T: guardPaged(t, u, plan[q+3]&4 == 4),
 				PosS: int(plan[q+1]) % (len(s) - k + 1), PosT: int(plan[q+2]) % (len(u) - k + 1)})
 		}
 		if len(seeds) == 0 {
