@@ -77,7 +77,7 @@ func DefaultConfig() *Config {
 			"FlowOut": 0, "FlowIn": 0,
 			"RegisterCounter": 0, "RegisterCounterVec": 0,
 			"RegisterGauge": 0, "RegisterGaugeVec": 0,
-			"RegisterHistogram": 0, "Do": 0,
+			"RegisterHistogram": 0, "Do": 1,
 		},
 	}
 }

@@ -4,6 +4,8 @@
 package tracename
 
 import (
+	"context"
+
 	"fmt"
 
 	"dibella/cmd/dibella-lint/testdata/src/tracename/helpers"
@@ -67,10 +69,10 @@ func BadConcat(rec *trace.Recorder, suffix string) {
 // GoodProfileLabel labels a region for the profiler with a registered span
 // name; the rank is data.
 func GoodProfileLabel(rank int) {
-	trace.Do(traceGoodSpan, rank, func() {})
+	trace.Do(context.Background(), traceGoodSpan, rank, func(context.Context) {})
 }
 
 // BadProfileLabel labels it with a literal, which no span carries.
 func BadProfileLabel(rank int) {
-	trace.Do("fixture.region", rank, func() {}) // want tracename:"string literal"
+	trace.Do(context.Background(), "fixture.region", rank, func(context.Context) {}) // want tracename:"string literal"
 }

@@ -32,24 +32,26 @@
 // seed base, or a spare buffer slot): cells (0,j) and (i,0) index it, and
 // their diagonal neighbour is a sentinel, so what the base is cannot matter.
 //
-// Along an antidiagonal i rises while j falls, so the second sequence is
-// held reversed and both are read in ascending order over pre-sliced
-// windows, which lets the compiler drop the bounds checks in the loop. The
-// right extension reverses t's flank; the left extension is the same loop
-// over reversed views, which means reversing s's flank and reading t's as
-// it lies. The reversal is built on demand, doubling ahead of the
-// antidiagonal that needs it, so an extension that dies after a few cells
-// costs a few dozen bytes of copying, not a flank. Rows and the reversal
-// buffer live in a sync.Pool'd workspace: steady state allocates nothing.
+// The flanks are read where they lie in the caller's reads: no base is
+// copied. Base 0 of each view is the seed base beside the flank; a right
+// flank reads s and t forward from the seed's last base, a left flank
+// backward from its first (front.sigma, +1 or -1). Along an antidiagonal i
+// rises while j falls, so one view is always read against its memory
+// order: t's on a right flank, s's on a left. The Go loop takes the window
+// of the view read ascending and the window of the one read descending,
+// and since the substitution test is symmetric one loop serves both
+// flanks; its bounds checks are outside the loop. Rows live in a
+// sync.Pool'd workspace: steady state allocates nothing.
 //
 // An extension in progress is a front (xdrop.go): the next antidiagonal d, the
 // surviving window lo1..hi1 of d-1, best and the first cell that scored it,
-// the cell count, n, m, x and the three scores, how far past their last base
-// the two views may be read, the rows' rotation, and the narrow layout's
-// base, floor and ceil (all below); while the assembly routine has it, also
-// index 0 of the three narrow rows and of the two base views, best-base and
-// x as vectors, a stop horizon, the next front on the routine's ring, and
-// the band's own fields (below). Two kernels pick an extension up from there
+// the cell count, n, m, x and the three scores, the flank's direction and
+// how far past t's base 0 the routine may read, the rows' rotation, and the
+// narrow layout's base, floor and ceil (all below); while the assembly
+// routine has it, also index 0 of the three narrow rows, base 0 of the two
+// views and how a vector of each is loaded, best-base and x as vectors, a
+// stop horizon, the next front on the routine's ring, and the band's own
+// fields (below). Two kernels pick an extension up from there
 // and leave it there. advance is the Go loop, on the int32 rows: the whole
 // kernel on every GOARCH but amd64, on an amd64 without AVX2 and for an x
 // the narrow rows cannot hold, the edge handler otherwise, and the oracle.
@@ -59,7 +61,7 @@
 //
 // XDropBatch queues its seeds' extensions, each seed's right flank and then
 // its left, and runs them in a workspace of fronts slots (two: below), each
-// with its own front, rows, narrow rows and reversal buffer. Every slot
+// with its own front, rows, narrow rows and base views. Every slot
 // takes the queue's next extension; the routine advances the live fronts,
 // one antidiagonal of each in turn, and returns the first front that must
 // go back to Go, with the reason: the window is at an edge (below),
@@ -67,15 +69,15 @@
 // the front's stop horizon. Go deals with that front alone while the other
 // waits in the routine's form (slot.resume): after an edge the Go loop runs
 // eight antidiagonals before the routine is offered the extension again;
-// after a stop it fills the reversal further, or rebases (below), and the
-// routine takes the front up where it stopped; an extension that is over
-// adds its part to its seed's Result, and the slot takes the queue's next,
-// so the fronts stay busy across seeds and tasks, however lopsided a seed's
-// two flanks are. The next call starts at the slot after the one that
-// returned. The horizon is the last antidiagonal whose bases the reversal
-// has produced, at most 4096 on (assembly has no preemption point, and a
-// stop-the-world should not wait on a 100 kb read), and no later than
-// best-base could pass ceil. XDrop is a batch of one seed: its two flanks
+// after a stop it rebases (below), or sets a new horizon past the cap, and
+// the routine takes the front up where it stopped; an extension that is
+// over adds its part to its seed's Result, and the slot takes the queue's
+// next, so the fronts stay busy across seeds and tasks, however lopsided a
+// seed's two flanks are. The next call starts at the slot after the one
+// that returned. The horizon is at most 4096 antidiagonals on (assembly has
+// no preemption point, and a stop-the-world should not wait on a 100 kb
+// read), no later than n+m, and no later than best-base could pass ceil.
+// XDrop is a batch of one seed: its two flanks
 // are the two fronts. The routine stores no pointer (there is no write
 // barrier in assembly): the rows rotate by a count (front.rot) that both
 // kernels keep. The fronts' pointers into the caller's reads are cleared
@@ -111,23 +113,30 @@
 // to 16 it reads vw bases of each sequence, vw+1 cells of the d-1 row and vw
 // of the d-2 row, and stores vw cells; the lanes past the window are computed
 // from whatever lies there (stale cells, bases outside the window) and stored
-// as pruned, which is what a cell beyond the upper sentinel may hold. Those
-// lanes' reads run past the window's last base, so each base view may run on
-// for up to 15 bases (overread) past its last: the reversal buffer's own spare
-// bytes, and on t's side of a left extension the rest of the seed, which lies
-// inside t. Before every antidiagonal the routine checks that all of it lies
-// inside the views as they are, lo+vw-1 <= alast (n, plus the overread a's
-// view has) and lo+vw-1 <= d+bpad (the overread brev's view has), and returns
-// exitEdge otherwise. The band (below) reads sixteen lanes from its anchor,
-// never below lo, so it checks the same two bounds with vw = 16 each time
-// the anchor moves, and that its lane 0 does not read before brev's first
-// base each antidiagonal. So the Go side forms no pointer by arithmetic, makes no
-// padded copy of a read and grows no row but its own narrow ones, which are
-// overread cells longer. With both overreads, as on both views of a left
-// extension and brev's of a right one, no window near cell (0,0) is an edge,
-// and the routine takes an extension from its first antidiagonal. The Go loop
-// owns the far edge: the last dozen or so antidiagonals of an extension that
-// reaches the end of a read.
+// as pruned, which is what a cell beyond the upper sentinel may hold. A
+// vector of bases is one 16-byte load into both halves of a register and a
+// VPSHUFB that zero-extends the bytes into the lanes in order, for the view
+// read ascending, or reversed, for the one read descending, whose load
+// starts 15 bytes below lane 0's base (front.amask, qmask, aoff, qoff). The
+// lanes past the window read past the window's last base: on s's side past
+// base n, which is the end of s on a right flank and s[0] on a left, so
+// they may not run past n at all; on t's side to bases j below 0, which are
+// the seed and the bases before it on a right flank and the seed and those
+// after it on a left, so they may run on for bpad bases, as many as t holds
+// there and at most 15 (overread). Before every antidiagonal the routine
+// checks that all of it lies inside the reads, lo+vw-1 <= n and lo+vw-1 <=
+// d+bpad, and returns exitEdge otherwise. The band (below) reads sixteen
+// lanes from its anchor, never below lo, so it checks the same two bounds
+// with vw = 16 each time the anchor moves, and that its lane 0 does not
+// read past t's base m each antidiagonal. So the Go side forms no pointer
+// outside the caller's slices, makes no copy of a read and grows no row but
+// its own. With the seed's k bases and more on t's side, no window near
+// cell (0,0) is an edge on a flank at least 16 bases long, and the routine
+// takes the extension from its first antidiagonal. The Go loop owns the far
+// edge: the last dozen or so antidiagonals of an extension that reaches the
+// end of a read, and the whole of a flank of s under 16 bases.
+// TestXDropReadsStayInsideTheReads holds both kernels inside the reads with
+// the reads flush against a page that faults.
 //
 // # The band
 //
@@ -140,7 +149,8 @@
 // diagonal is (D). Each antidiagonal d takes up as P moved one lane
 // (VPERM2I128, VPALIGNR), left as P itself and diag as D, and its up
 // becomes the next antidiagonal's D; a's sixteen bases from the anchor stay
-// in a register while the anchor holds, and only brev's are loaded. Lanes
+// in a register while the anchor holds, and only t's are loaded, from an
+// address that steps by sigma an antidiagonal. Lanes
 // outside [lo, hi] are forced to pruned by two masks read from a table at
 // offsets the window gives: unlike a vector anchored at lo, the band has
 // lanes below the window, and a cell there whose only live neighbour is its
@@ -149,10 +159,13 @@
 // lowest lane, 30 less twice the highest), so the mask offsets need no
 // arithmetic; d, the cells and best stay in registers, and the compares that
 // can send a front out of the loop are two a front an antidiagonal, each
-// against a threshold set when the anchor moves. Lane 15 is kept outside the
+// against a threshold set when the anchor moves: the window's top against
+// the band's, and a count of the antidiagonals scored, kept in the high
+// bits of the cell counter, against the first at which d passes stop or
+// lane 0 would read past t's base m. Lane 15 is kept outside the
 // window, because D has lost d-2's lane 15 to the shift that made it. The
 // anchor moves up to lo1 when the window's top reaches lane 15 (or n), or
-// when lane 0 would read before brev's first base: P and D shift down by a
+// when lane 0 would read past t's base m: P and D shift down by a
 // VPSHUFB pair from a table of sixteen (bandShifts), and a's bases are
 // loaded at the new anchor. On the pipeline's pairs it moves once every
 // fifteen antidiagonals or so. Best's first cell costs no scalar work an
@@ -215,7 +228,12 @@
 // among the broadcasts makes every call pay the SSE/AVX state transition,
 // and a single one made the whole x=7 kernel ten times slower. go vet's
 // asmdecl checks the frame, not the front: field offsets come from go_asm.h,
-// so a reordered struct still assembles right. The band loop is written as
+// so a reordered struct still assembles right, but it may not run as fast:
+// the window's mask loads are on the band's chain, and a mask or a best row
+// that straddles two cache lines costs every antidiagonal. When the
+// reversal's fields left the slot, the front's vectors moved by a few
+// words and the lone band ran a tenth slower until they were laid out on
+// whole lines again (TestFrontVectorsAreAligned). The band loop is written as
 // macros (LOAD, STEP, SLOWPATH, SPILL) expanded once for each register
 // set; pprof charges a macro's samples to the line that expands it. The
 // band's LZCNT runs as BSR, silently wrong, on a CPU without it: cpuid.AVX2

@@ -1,10 +1,8 @@
 package align
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 )
 
@@ -74,8 +72,8 @@ func XDropBatch(seeds []Seed, k int, sc Scoring, x int, out []Result) {
 	// Do not pin the caller's reads from the pool.
 	for i := range w.slots {
 		sl := &w.slots[i]
-		sl.rev, sl.a, sl.brev = reversal{}, nil, nil
-		sl.st.a, sl.st.brevm = nil, nil
+		sl.a, sl.b = nil, nil
+		sl.st.a, sl.st.b = nil, nil
 	}
 	workspaces.Put(w)
 }
@@ -103,20 +101,15 @@ func (b *batch) take(sl *slot) bool {
 	sd, k := b.seeds[e/2], b.k
 	x := clampXDrop(len(sd.S)+len(sd.T), b.sc, b.x)
 	sl.ext = e
-	// The kernel reads a[i] and brev[m-j] for 0 <= i <= n, 0 <= j <= m, so
-	// each view carries one extra base at i == 0 / j == 0: the last seed base
-	// on the un-reversed side, the buffer's spare slot on the reversed side.
-	// Past a[n] and brev[m] each view runs on for overread bases where there
-	// are any: the buffer's, or the rest of the seed on t's side.
+	// Each flank is read where it lies, from the seed base beside it, which
+	// is base 0 of both views: forward from the seed's last base on the
+	// right, backward from its first on the left. The routine's lanes past a
+	// window read on along t for up to overread bases: on the right into the
+	// seed and the bases before it, on the left into the seed and past it.
 	if e%2 == 0 {
-		tail := sd.T[sd.PosT+k:]
-		buf := sl.buffer(len(tail) + 1 + overread)
-		sl.rev = reversal{src: tail, dst: buf[:len(tail)], back: true}
-		sl.begin(sd.S[sd.PosS+k-1:], buf, len(sd.S)-sd.PosS-k, len(tail), b.sc, x)
+		sl.begin(sd.S[sd.PosS+k-1:], sd.T[sd.PosT+k-1:], 1, min(overread, sd.PosT+k-1), b.sc, x)
 	} else {
-		buf := sl.buffer(sd.PosS + 1 + overread)
-		sl.rev = reversal{src: sd.S[:sd.PosS], dst: buf[1 : sd.PosS+1]}
-		sl.begin(buf, sd.T[:min(len(sd.T), sd.PosT+1+overread)], sd.PosS, sd.PosT, b.sc, x)
+		sl.begin(sd.S[:sd.PosS+1], sd.T[:sd.PosT+1], -1, min(overread, len(sd.T)-1-sd.PosT), b.sc, x)
 	}
 	return true
 }
@@ -171,24 +164,26 @@ const fronts = 2
 
 // workspace is the scratch one XDropBatch call needs: a slot per front.
 // Pooled, so steady state allocates nothing; nothing in it is cleared
-// between calls but the pointers into the caller's reads.
+// between calls but the pointers into the caller's reads. The allocator
+// puts an object this size that holds pointers 8 bytes past a cache line
+// (a header precedes it), so 56 bytes in, the first slot is on one, and a
+// slot being a multiple of 64 bytes, so is the second
+// (TestFrontVectorsAreAligned).
 type workspace struct {
+	_     [56]byte
 	slots [fronts]slot
 }
 
 // slot is one extension in progress and what it runs in: three rolling
 // antidiagonal rows for the Go loop and three narrow ones for the assembly
-// routine, the buffer its reversed flank is built in, and its two base
-// views.
+// routine, and its two base views, slices of the caller's reads.
 type slot struct {
+	st      front
 	rows    [3][]int32
 	narrow  [3][]int16
-	buf     []byte
-	rev     reversal
-	a, brev []byte
-	st      front
-	ext     int // which extension of the batch it is
-	entered int // st.d when the routine last took it over
+	a, b    []byte // base i of the flank of s is a[i], and base j of t's b[j]; a[n-i] and b[m-j] when st.sigma < 0
+	ext     int    // which extension of the batch it is
+	entered int    // st.d when the routine last took it over
 }
 
 // front is an extension between two antidiagonals: everything scoring the
@@ -200,10 +195,20 @@ type slot struct {
 // fields are the routine's, set when it takes the extension over
 // (slot.enter) and meaning nothing to the Go loop. The two pointers into the
 // caller's reads are cleared before the workspace is pooled.
+//
+// The vectors the routine reads or writes every antidiagonal come first, a
+// workspace and a slot being multiples of 64 bytes, so that none of them
+// straddles a cache line (TestFrontVectorsAreAligned).
 type front struct {
+	bslot        [2]bandRow          // [1] holds the row that last raised best; [0] takes the rows that did not
+	bound        [2][2 * lanes]int16 // pruned then MaxInt16, and MaxInt16 then pruned: the window's masks are read from them
+	vbest        [lanes]int16        // best-base, in every lane
+	vx           [lanes]int16        // x
+	amask, qmask [2 * lanes]byte     // ascending or descending: how a vector of a's bases and of b's is laid into lanes
+
 	n, m     int
-	alast    int // the last index of a the routine may read: n, or up to overread past it
-	bpad     int // how far past brev[m] it may read, at most overread
+	sigma    int // +1 on a right flank, -1 on a left: the bases run that way through memory
+	bpad     int // how many bases past base 0 of b, against the flank, the routine may read: at most overread
 	d        int // the next antidiagonal to score
 	lo1, hi1 int // surviving window of antidiagonal d-1
 	bestI    int // first cell, in ascending d then i, to score best
@@ -218,27 +223,20 @@ type front struct {
 	ceil     int32 // the largest best-base an antidiagonal is scored from
 	maxAbs   int32 // the most best climbs in an antidiagonal
 
-	rows  [5]*int16    // index 0 of the narrow rows, twice round: rows[rot:] starts at d-2's
-	a     *byte        // a[0]
-	brevm *byte        // brev[m], so that brev[m-d+i] is brevm[i-d]
-	stop  int          // the last antidiagonal the routine may score before it hands the extension back
-	next  *front       // the front the routine turns to after this one
-	id    int          // the slot's index, which the routine returns
-	base  int32        // a narrow cell holds its score minus base
-	vbest [lanes]int16 // best-base, in every lane
-	vx    [lanes]int16 // x
+	rows       [5]*int16 // index 0 of the narrow rows, twice round: rows[rot:] starts at d-2's
+	a, b       *byte     // base 0 of each view: base i of a lies sigma·i bytes on, base j of b sigma·j
+	aoff, qoff int       // where a vector of a's bases and of b's is loaded from, past lane 0's base: 0, or 1-lanes for a view read descending
+	stop       int       // the last antidiagonal the routine may score before it hands the extension back
+	next       *front    // the front the routine turns to after this one
+	id         int       // the slot's index, which the routine returns
+	base       int32     // a narrow cell holds its score minus base
 
 	// The band's, while the routine holds the front in registers: set and
-	// read by the routine alone. The two addresses are brev's, kept as
-	// numbers: qlow is brev[0]'s, qstop brev[m-stop+anchor]'s.
-	anchor int              // the i of the band's lane 0
-	nA     int              // n-anchor: the lane of a's last base
-	ztop   int              // 32-2·min(14, nA): a window top's LZCNT below it is past the band or n
-	qlow   uintptr          // below it, lane 0 would read before brev[0]
-	qstop  uintptr          // below it, d has passed stop
-	qmin   uintptr          // the larger of the two
-	bound  [3 * lanes]int16 // pruned, MaxInt16, pruned: the window's masks are read from it
-	bslot  [2]bandRow       // [1] holds the row that last raised best; [0] takes the rows that did not
+	// read by the routine alone.
+	anchor int // the i of the band's lane 0
+	nA     int // n-anchor: the lane of a's last base
+	ztop   int // 32-2·min(14, nA): a window top's LZCNT below it is past the band or n
+	climit int // the band's count at which d passes stop or lane 0 would read past b[m]
 
 	// What the routine has done with the extension, counted for the tests
 	// (begin zeroes them): antidiagonals scored in the band, moves of the
@@ -247,12 +245,12 @@ type front struct {
 	inBand, moves, spills, toMemory, toBand int
 }
 
-// bandRow is a row of the routine's band as it stored it, with brev's
-// address for the antidiagonal the row is of: 64 bytes, the step between
-// the two slots the routine's conditional address picks from.
+// bandRow is a row of the routine's band as it stored it, with the band's
+// count as it was once the row's antidiagonal was scored: 64 bytes, the
+// step between the two slots the routine's conditional address picks from.
 type bandRow struct {
 	row [lanes]int16
-	q   uintptr // zero in bslot[1]: no row has raised best since the band was last anchored
+	c   int // zero in bslot[1]: no row has raised best since the band was last anchored
 	_   [3]uint64
 }
 
@@ -267,81 +265,30 @@ func (st *front) fits() bool { return st.floor <= st.ceil }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-func (sl *slot) buffer(n int) []byte {
-	if cap(sl.buf) < n {
-		sl.buf = make([]byte, n)
-	}
-	return sl.buf[:n]
-}
-
-// reversal builds dst[p] = src[len(src)-1-p] on demand, from dst's low end
-// or (back) its high end, so an extension that dies after a few
-// antidiagonals does not pay to reverse a whole flank.
-type reversal struct {
-	src, dst []byte
-	back     bool
-	done     int // bases reversed so far
-}
-
-// fill makes the first d bases of src available, at least doubling the
-// reversed span so total work stays proportional to how far d gets. The
-// first span is 32 bases: an extension with nothing to align dies within 16
-// antidiagonals at the default x, and reversing more than that is most of
-// what such a call would cost.
-func (r *reversal) fill(d int) {
-	l := len(r.src)
-	to := min(l, max(2*d, 32))
-	lo, hi := r.done, to
-	if r.back {
-		lo, hi = l-to, l-r.done
-	}
-	reverseInto(r.dst[lo:hi], r.src[l-hi:l-lo])
-	r.done = to
-	if to == l {
-		r.done = math.MaxInt // no antidiagonal asks again
-	}
-}
-
-// reverseInto writes src reversed into dst, which is as long: eight bases a
-// step as one byte-reversed word, the last len%8 one at a time.
-func reverseInto(dst, src []byte) {
-	n := len(src)
-	dst = dst[:n]
-	p := 0
-	for ; p+8 <= n; p += 8 {
-		w := binary.LittleEndian.Uint64(src[n-p-8 : n-p])
-		binary.LittleEndian.PutUint64(dst[p:p+8], bits.ReverseBytes64(w))
-	}
-	for ; p < n; p++ {
-		dst[p] = src[n-1-p]
-	}
-}
-
-// begin starts the extension of a[1..n] over brev[0..m-1] from cell (0,0):
-// it sizes the rows for a first sequence of n bases and leaves in sl.st the
-// extension that has scored cell (0,0) and nothing else. The narrow rows are
-// overread cells longer, for the routine's lanes past a window at the n
-// edge.
+// begin starts the extension of bases 1..n of a over bases 1..m of b from
+// cell (0,0), n and m being len(a)-1 and len(b)-1: it sizes the rows for
+// n and leaves in sl.st the extension that has scored cell (0,0) and
+// nothing else. Base i of a is a[i] and base j of b is b[j] when sigma is
+// +1, a[n-i] and b[m-j] when it is -1; the routine may read bpad bases of
+// the caller's read past base 0 of b, on the side away from base 1.
 //
-// An extension maximizes its score under x-drop pruning. b arrives
-// reversed, brev[m-j] holding base j, so that along an antidiagonal both
-// sequences are read in ascending index order. Unlike local alignment the
-// score may go negative (down to best-x) before recovering. a[0] and brev[m]
-// exist but are never scored: the cells that read them have a pruned
-// diagonal; nor is anything past a[n] or brev[m], which only the routine's
-// lanes past a window read. Whichever of a, brev is sl.rev.dst is filled
-// ahead of the antidiagonal that reads it.
-func (sl *slot) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
+// An extension maximizes its score under x-drop pruning. Unlike local
+// alignment the score may go negative (down to best-x) before recovering.
+// Base 0 of each view is the seed base beside the flank, which is never
+// scored: the cells that read it have a pruned diagonal; nor is any base
+// the routine reads past a window, which only its lanes past a window read.
+func (sl *slot) begin(a, b []byte, sigma, bpad int, sc Scoring, x int32) {
+	n, m := len(a)-1, len(b)-1
 	for r := range sl.rows {
 		if cap(sl.rows[r]) < n+3 {
 			sl.rows[r] = make([]int32, n+3)
 		}
-		if cap(sl.narrow[r]) < n+3+overread {
-			sl.narrow[r] = make([]int16, n+3+overread)
+		if cap(sl.narrow[r]) < n+3 {
+			sl.narrow[r] = make([]int16, n+3)
 		}
-		sl.rows[r], sl.narrow[r] = sl.rows[r][:n+3], sl.narrow[r][:n+3+overread]
+		sl.rows[r], sl.narrow[r] = sl.rows[r][:n+3], sl.narrow[r][:n+3]
 	}
-	sl.a, sl.brev = a, brev
+	sl.a, sl.b = a, b
 	st := &sl.st
 	st.rot = 0
 	p2, p1, _ := sl.threeRows()
@@ -349,7 +296,7 @@ func (sl *slot) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
 	p1[0], p1[1], p1[2] = pruned, 0, pruned
 	p2[0], p2[1] = pruned, pruned
 	st.n, st.m, st.d, st.lo1, st.hi1 = n, m, 1, 0, 0
-	st.alast, st.bpad = min(len(a)-1, n+overread), min(len(brev)-1-m, overread)
+	st.sigma, st.bpad = sigma, bpad
 	st.best, st.bestI, st.bestD, st.cells = 0, 0, 0, 0
 	st.inBand, st.moves, st.spills, st.toMemory, st.toBand = 0, 0, 0, 0, 0
 	st.x, st.match, st.mismatch, st.gap = x, int32(sc.Match), int32(sc.Mismatch), int32(sc.Gap)
@@ -365,13 +312,13 @@ func (sl *slot) begin(a, brev []byte, n, m int, sc Scoring, x int32) {
 // declined, each for about the cost of one antidiagonal.
 const edgeRun = 8
 
-// overread is how many bases past the last one a view holds the routine
-// reads in the lanes past a window: a vector less one.
-const overread = 15
+// overread is how many bases past a window the routine reads in its lanes
+// past the window: a vector less one.
+const overread = lanes - 1
 
 // Why the assembly routine returned.
 const (
-	exitStop = iota // front.stop scored: next the flank needs filling, or the cap
+	exitStop = iota // front.stop scored: the cap, or the rebase
 	exitEdge        // a whole-vector read of antidiagonal d would leave the slices
 	exitDead        // antidiagonal d has no live cell: the extension is over
 )
@@ -389,7 +336,6 @@ func (sl *slot) threeRows() (p2, p1, cur []int32) {
 // (an empty window, or a whole antidiagonal pruned).
 func (sl *slot) advance(until int) (alive bool) {
 	st := &sl.st
-	a, brev := sl.a, sl.brev
 	n, m, x := st.n, st.m, st.x
 	match, mismatch, gap := st.match, st.mismatch, st.gap
 	p2, p1, cur := sl.threeRows()
@@ -397,19 +343,22 @@ func (sl *slot) advance(until int) (alive bool) {
 	best, bestI, bestD := st.best, st.bestI, st.bestD
 	cells := st.cells
 	d := st.d
+	// Cell i of antidiagonal d reads asc[ao+i] and desc[do-i]: a[i] and
+	// b[d-i] on a right flank, b[m-d+i] and a[n-i] on a left.
+	asc, desc, ao, do, aStep, dStep := sl.a, sl.b, 0, d, 0, 1
+	if st.sigma < 0 {
+		asc, desc, ao, do, aStep, dStep = sl.b, sl.a, m-d, n, -1, 0
+	}
 	alive = true
-	for ; d <= until; d++ {
+	for ; d <= until; d, ao, do = d+1, ao+aStep, do+dStep {
 		lo, hi := max(lo1, d-m), min(hi1+1, n)
 		if lo > hi {
 			alive = false
 			break
 		}
-		if d > sl.rev.done {
-			sl.rev.fill(d)
-		}
 		width := hi - lo + 1
 		cells += int64(width) // every cell of the window, before it shrinks
-		rowMax := antidiagonal(cur[lo+1:][:width], p1[lo+1:], p2[lo:], a[lo:], brev[m-d+lo:],
+		rowMax := antidiagonal(cur[lo+1:][:width], p1[lo+1:], p2[lo:], asc[ao+lo:], desc[do-hi:],
 			p1[lo], best-x, match, mismatch, gap)
 		if rowMax == pruned {
 			alive = false
@@ -441,17 +390,22 @@ func (sl *slot) advance(until int) (alive bool) {
 }
 
 // antidiagonal scores the window c of antidiagonal d and returns its largest
-// cell. left, diag, ai and bj are aligned with c: for the cell (i, j) at c[k]
-// they hold d-1's (i, j-1), d-2's (i-1, j-1) and the two bases; up is d-1's
-// (i-1, j) for c[0], and the previous left thereafter. It is a function of
-// its own because the loop then competes for registers with nothing but its
-// own operands; written inline in advance it ran a sixth slower at x=30.
-func antidiagonal(c, left, diag []int32, ai, bj []byte, up, prune, match, mismatch, gap int32) int32 {
-	left, diag, ai, bj = left[:len(c)], diag[:len(c)], ai[:len(c)], bj[:len(c)]
+// cell. left, diag and asc are aligned with c, and desc with c reversed: for
+// the cell (i, j) at c[k] they hold d-1's (i, j-1), d-2's (i-1, j-1) and the
+// two bases, asc[k] and desc[len(c)-1-k], which one is of i and which of j
+// mattering not to the substitution test; up is d-1's (i-1, j) for c[0],
+// and the previous left thereafter. It is a function of its own because the
+// loop then competes for registers with nothing but its own operands;
+// written inline in advance it ran a sixth slower at x=30.
+func antidiagonal(c, left, diag []int32, asc, desc []byte, up, prune, match, mismatch, gap int32) int32 {
+	left, diag, asc, desc = left[:len(c)], diag[:len(c)], asc[:len(c)], desc[:len(c)]
 	rowMax := int32(pruned)
-	for k := range c {
+	// k walks up c and the rest, j walks down desc: the prove pass drops
+	// the bounds checks of both only when each is a condition of the loop
+	// (j's first) and k, unsigned, cannot fall below zero.
+	for k, j := uint(0), len(desc)-1; j >= 0 && k < uint(len(c)); k, j = k+1, j-1 {
 		sub := mismatch
-		if ai[k] == bj[k] {
+		if asc[k] == desc[j] {
 			sub = match
 		}
 		l := left[k]

@@ -46,6 +46,26 @@ var bandShifts = func() (t [lanes]bandShift) {
 	return t
 }()
 
+// ascending and descending are how the routine lays sixteen bases of a
+// view into its lanes: loaded as 16 bytes into both halves of a vector, a
+// VPSHUFB by one of them zero-extends byte k into lane k (a view read
+// ascending along an antidiagonal) or byte 15-k (one read descending, whose
+// 16 bytes are loaded from 15 below lane 0's base), lanes 0 to 7 from the
+// low half and 8 to 15 from the high. The memory loop reads descending by
+// name.
+var ascending, descending = byLane(false), byLane(true)
+
+func byLane(rev bool) (mask [2 * lanes]byte) {
+	for lane := range lanes {
+		src := lane
+		if rev {
+			src = lanes - 1 - lane
+		}
+		mask[lane/8*lanes+lane%8*2], mask[lane/8*lanes+lane%8*2+1] = byte(src), 0x80
+	}
+	return mask
+}
+
 // runFronts runs the batch on the assembly routine, fronts extensions at a
 // time. Every slot takes an extension from the queue; the routine advances
 // the live ones in turn, an antidiagonal each, and returns the first to
@@ -123,8 +143,8 @@ func (w *workspace) link(live *[fronts]bool, i int) *front {
 // whether the extension goes back to the routine. After an edge the Go loop
 // runs edgeRun antidiagonals, on rows widened from the narrow ones, before
 // the routine is offered the extension again. After a stop the extension is
-// rebased if best-base has passed ceil, and otherwise the reversal is
-// filled further and the routine goes on where it stopped.
+// rebased if best-base has passed ceil, and otherwise (the cap) the routine
+// goes on where it stopped.
 func (sl *slot) resume(exit int) bool {
 	st := &sl.st
 	switch exit {
@@ -150,24 +170,21 @@ func (sl *slot) resume(exit int) bool {
 	return true
 }
 
-// horizon fills the reversed flank ahead of st.d and sets how far the
-// routine may go: to the last antidiagonal whose bases the reversal has
-// produced, at most maxSteady on, and no further than best-base may climb
-// without passing ceil before the antidiagonal is scored (best climbs at
-// most maxAbs an antidiagonal).
+// horizon sets how far the routine may go: maxSteady antidiagonals on at
+// most, and no further than best-base may climb without passing ceil
+// before the antidiagonal is scored (best climbs at most maxAbs an
+// antidiagonal).
 func (sl *slot) horizon() {
 	st := &sl.st
-	if st.d > sl.rev.done {
-		sl.rev.fill(st.d)
-	}
 	room := int((st.ceil - (st.best - st.base)) / st.maxAbs)
-	st.stop = min(sl.rev.done, st.d+maxSteady-1, st.n+st.m, st.d+room)
+	st.stop = min(st.d+maxSteady-1, st.n+st.m, st.d+room)
 }
 
 // enter hands the extension to the routine, which scores the narrow rows:
 // the two windows antidiagonal d reads go in narrowed, relative to a base
 // that puts best at floor (d-1 over its window and sentinels, d-2 over what
-// d reads of it), and the routine's own fields are set.
+// d reads of it), and the routine's own fields are set: among them base 0
+// of each view, and which of the two it reads ascending.
 func (sl *slot) enter() {
 	st := &sl.st
 	p2, p1, _ := sl.threeRows()
@@ -177,7 +194,10 @@ func (sl *slot) enter() {
 	narrowCells(q2[st.lo1:st.hi1+2], p2[st.lo1:], st.base)
 	q := &sl.narrow
 	st.rows = [5]*int16{&q[0][0], &q[1][0], &q[2][0], &q[0][0], &q[1][0]}
-	st.a, st.brevm = &sl.a[0], &sl.brev[st.m]
+	st.a, st.b, st.amask, st.qmask, st.aoff, st.qoff = &sl.a[0], &sl.b[0], ascending, descending, 0, 1-lanes
+	if st.sigma < 0 {
+		st.a, st.b, st.amask, st.qmask, st.aoff, st.qoff = &sl.a[st.n], &sl.b[st.m], descending, ascending, 1-lanes, 0
+	}
 	for k := range lanes {
 		st.vbest[k], st.vx[k] = int16(st.floor), int16(st.x)
 	}

@@ -44,11 +44,13 @@ GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 // held as the two counts the shrink's live mask (two bits a lane) gives:
 // LO its TZCNT, twice the lowest lane, and HZ its LZCNT, 30 less twice the
 // highest; lane 15 stays outside it, so that D, which has lost d-2's lane
-// 15 to the shift that made it, never needs it. Q is brev's address for
-// lane 0 on antidiagonal d, brevm+anchor-d, and C the sum of LO+HZ over the
-// antidiagonals scored since the band was loaded (a window of d-1 gives d
-// a window (34-LO-HZ)/2 cells wide). AV is a's sixteen bases from the
-// anchor, which stay put until it moves; B is best-base in every lane.
+// 15 to the shift that made it, never needs it. Q is the address the
+// bases of b that antidiagonal d reads are loaded from (front.qv), which
+// steps by sigma an antidiagonal, and C counts the antidiagonals scored
+// since the band was loaded in its bits from 20 up (STEPONE each) and the
+// sum of their LO+HZ below (a window of d-1 gives d a window (34-LO-HZ)/2
+// cells wide). AV is a's sixteen bases from the anchor (front.av), which
+// stay put until it moves; B is best-base in every lane.
 //
 // General registers: AX, BX, CX, DX scratch, and
 //	front 0: DI the front, R8 LO, R9 HZ, R10 Q, R11 C
@@ -59,6 +61,15 @@ GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 //	Y8 match-mismatch  Y9 mismatch  Y10 gap  Y11 pruned  Y12 math.MaxInt16
 //	Y15 swapwords  Y13, Y14 scratch
 
+// C's count of one antidiagonal.
+#define STEPONE 0x100000
+
+// DOF sets R to the d that C has reached.
+#define DOF(F, C, R) \
+	MOVQ C, R; \
+	SHRQ $20, R; \
+	ADDQ front_d(F), R
+
 // RESOLVE settles best's first cell from the row in bslot[1], if a row has
 // raised best since the band was anchored where it is: bestD is the row's
 // antidiagonal and bestI the anchor plus its first lane holding best.
@@ -66,9 +77,8 @@ GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 	MOVQ      front_bslot+96(F), CX; \
 	TESTQ     CX, CX; \
 	JEQ       NONE; \
-	MOVQ      front_brevm(F), DX; \
-	ADDQ      front_anchor(F), DX; \
-	SUBQ      CX, DX; \
+	DOF(F, CX, DX); \
+	DECQ      DX; \
 	MOVQ      DX, front_bestD(F); \
 	VPCMPEQW  front_bslot+64(F), B, Y13; \
 	VPMOVMSKB Y13, CX; \
@@ -79,28 +89,42 @@ GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 	MOVQ      $0, front_bslot+96(F); \
 NONE:
 
-// ANCHOR puts the band's lane 0 at i = AX: it sets the anchor and the
-// thresholds the loop compares with, from n, stop, brevm and qlow.
-#define ANCHOR(F) \
+// ANCHOR puts the band's lane 0 at i = AX, d being DX: it sets the anchor
+// and the thresholds the loop compares with, from n, m and stop. C may
+// count on until d passes stop or lane 0 would read past b[m] (its j,
+// d-anchor, passes m).
+#define ANCHOR(F, C) \
 	MOVQ    AX, front_anchor(F); \
 	MOVQ    front_n(F), CX; \
 	SUBQ    AX, CX; \
 	MOVQ    CX, front_nA(F); \
-	MOVQ    $14, DX; \
-	CMPQ    CX, DX; \
-	CMOVQLT CX, DX; \
-	SHLQ    $1, DX; \
-	NEGQ    DX; \
-	ADDQ    $32, DX; \
-	MOVQ    DX, front_ztop(F); \
-	MOVQ    front_brevm(F), CX; \
+	MOVQ    $14, BX; \
+	CMPQ    CX, BX; \
+	CMOVQLT CX, BX; \
+	SHLQ    $1, BX; \
+	NEGQ    BX; \
+	ADDQ    $32, BX; \
+	MOVQ    BX, front_ztop(F); \
+	MOVQ    front_m(F), CX; \
 	ADDQ    AX, CX; \
-	SUBQ    front_stop(F), CX; \
-	MOVQ    CX, front_qstop(F); \
-	MOVQ    front_qlow(F), DX; \
-	CMPQ    CX, DX; \
-	CMOVQLT DX, CX; \
-	MOVQ    CX, front_qmin(F)
+	MOVQ    front_stop(F), BX; \
+	CMPQ    BX, CX; \
+	CMOVQLT BX, CX; \
+	SUBQ    DX, CX; \
+	SHLQ    $20, CX; \
+	MOVQ    C, BX; \
+	ANDQ    $-STEPONE, BX; \
+	LEAQ    STEPONE(BX)(CX*1), CX; \
+	MOVQ    CX, front_climit(F)
+
+// HELD loads a's sixteen bases from i = AX into AV.
+#define HELD(F, AV) \
+	MOVQ           AX, CX; \
+	IMULQ          front_sigma(F), CX; \
+	ADDQ           front_a(F), CX; \
+	ADDQ           front_aoff(F), CX; \
+	VBROADCASTI128 (CX), AV; \
+	VPSHUFB        front_amask(F), AV, AV
 
 // LOAD takes the front in F into registers, anchored at lo1, or leaves by
 // one of the four labels with nothing of it changed: d is past stop, d's
@@ -128,58 +152,58 @@ NONE:
 	CMPQ      BX, $14; \
 	JGT       WIDE; \
 	LEAQ      15(AX), CX; \
-	CMPQ      CX, front_alast(F); \
+	CMPQ      CX, front_n(F); \
 	JGT       EDGE; \
 	SUBQ      front_bpad(F), CX; \
 	CMPQ      CX, DX; \
 	JGT       EDGE; \
-	MOVQ      front_brevm(F), Q; \
-	MOVQ      Q, CX; \
-	SUBQ      front_m(F), CX; \
-	MOVQ      CX, front_qlow(F); \
-	ADDQ      AX, Q; \
-	SUBQ      DX, Q; \
-	ANCHOR(F); \
+	MOVQ      DX, Q; \
+	SUBQ      AX, Q; \
+	IMULQ     front_sigma(F), Q; \
+	ADDQ      front_b(F), Q; \
+	ADDQ      front_qoff(F), Q; \
+	XORL      C, C; \
+	ANCHOR(F, C); \
 	MOVQ      front_hi1(F), HZ; \
 	SUBQ      AX, HZ; \
 	SHLQ      $1, HZ; \
 	NEGQ      HZ; \
 	ADDQ      $30, HZ; \
 	XORL      LO, LO; \
-	XORL      C, C; \
 	MOVQ      front_rot(F), CX; \
 	MOVQ      front_rows(F)(CX*8), BX; \
 	VMOVDQU   (BX)(AX*2), D; \
 	MOVQ      front_rows+8(F)(CX*8), BX; \
 	VMOVDQU   2(BX)(AX*2), P; \
-	MOVQ      front_a(F), BX; \
-	VPMOVZXBW (BX)(AX*1), AV; \
+	HELD(F, AV); \
 	VMOVDQU   front_vbest(F), B; \
 	VMOVDQU   Y11, front_bound(F); \
 	VMOVDQU   Y12, front_bound+32(F); \
-	VMOVDQU   Y11, front_bound+64(F); \
+	VMOVDQU   Y12, front_bound+64(F); \
+	VMOVDQU   Y11, front_bound+96(F); \
 	MOVQ      $0, front_bslot+96(F)
 
 // STEP scores antidiagonal d of the front in F, in its band: advance's
 // loop body, with nothing stored but the row that raises best (if one
 // does: the row is stored either way, where the conditional address puts
 // it). Its two compares send it to SLOW when d is past stop or lane 0 would
-// read before brev, and to MOVE when d's window reaches past lane 14 or
-// past n; both come back to TOP or SCORE. It leaves by DEADS when no cell
-// of d lives.
+// read past b[m], and to MOVE when d's window reaches past lane 14 or past
+// n; both come back to TOP or SCORE. It leaves by DEADS when no cell of d
+// lives.
 #define STEP(F, LO, HZ, Q, C, P, D, AV, B, TOP, SCORE, SLOW, MOVE, DEADS) \
 TOP: \
-	CMPQ       Q, front_qmin(F); \
-	JLT        SLOW; \
-	CMPQ       HZ, front_ztop(F); \
-	JLT        MOVE; \
+	CMPQ           C, front_climit(F); \
+	JGE            SLOW; \
+	CMPQ           HZ, front_ztop(F); \
+	JLT            MOVE; \
 SCORE: \
-	ADDQ       HZ, C; \
-	ADDQ       LO, C; \
-	MOVQ       LO, AX; \
-	NEGQ       AX; \
-	VPMOVZXBW  (Q), Y13; \
-	VPCMPEQW   AV, Y13, Y13; \
+	LEAQ           STEPONE(C)(HZ*1), C; \
+	ADDQ           LO, C; \
+	MOVQ           LO, AX; \
+	NEGQ           AX; \
+	VBROADCASTI128 (Q), Y13; \
+	VPSHUFB        front_qmask(F), Y13, Y13; \
+	VPCMPEQW       AV, Y13, Y13; \
 	VPAND      Y8, Y13, Y13; \
 	VPADDW     Y9, Y13, Y13; \
 	VPADDSW    D, Y13, Y13; \
@@ -192,7 +216,7 @@ SCORE: \
 	VPCMPGTW   Y13, Y14, Y14; \
 	VPXOR      Y12, Y14, Y14; \
 	VPMINSW    front_bound+32(F)(AX*1), Y13, Y13; \
-	VPMINSW    front_bound+30(F)(HZ*1), Y13, Y13; \
+	VPMINSW    front_bound+62(F)(HZ*1), Y13, Y13; \
 	VPMINSW    Y14, Y13, P; \
 	VPERM2I128 $0x01, P, P, Y13; \
 	VPMAXSW    Y13, P, Y13; \
@@ -207,14 +231,14 @@ SCORE: \
 	VMOVD      X14, CX; \
 	ANDL       $64, CX; \
 	VMOVDQU    P, front_bslot(F)(CX*1); \
-	MOVQ       Q, front_bslot+32(F)(CX*1); \
+	MOVQ       C, front_bslot+32(F)(CX*1); \
 	VPCMPGTW   Y11, P, Y13; \
 	VPMOVMSKB  Y13, DX; \
 	TESTL      DX, DX; \
 	JEQ        DEADS; \
 	TZCNTL     DX, LO; \
 	LZCNTL     DX, HZ; \
-	DECQ       Q
+	ADDQ       front_sigma(F), Q
 
 // CLAMP cuts d's window at n: BX is HZ as if d-1's window had ended a lane
 // below min(hi1+1, n), and CX twice d's top lane.
@@ -230,22 +254,23 @@ SCORE: \
 	SUBQ    BX, CX
 
 // SLOWPATH is where STEP's two compares send it. SLOW leaves by STOP when
-// d is past stop; otherwise lane 0 reads before brev[0], and the anchor
-// moves up to lo1 unless d's window is empty (DEAD) or the d-m bound is
-// above lo1 (EDGE). MOVE cuts the window at n and goes on to SCORE if it
-// then fits the band as anchored, or leaves by DEAD if it is empty; if not,
-// the anchor moves up to lo1. A move leaves by WIDE when the window is
-// wider than the band and by EDGE when sixteen lanes from lo1 run past a
-// view; else it settles best's first cell, shifts P and D down, loads a's
-// bases at the new anchor and goes back to TOP.
-#define SLOWPATH(F, LO, HZ, Q, P, D, AV, B, TOP, SCORE, STOP, DEAD, EDGE, WIDE, SLOW, MOVE, SHIFT, NONE) \
+// d is past stop; otherwise lane 0 reads past b[m], and the anchor moves
+// up to lo1 unless d's window is empty (DEAD) or the d-m bound is above
+// lo1 (WIDE). MOVE cuts the window at n and goes on to SCORE if it then
+// fits the band as anchored, or leaves by DEAD if it is empty; if not, the
+// anchor moves up to lo1. A move leaves by WIDE when the window is wider
+// than the band and by EDGE when sixteen lanes from lo1 run past a view;
+// else it settles best's first cell, shifts P and D down, moves Q with the
+// anchor, loads a's bases at the new anchor and goes back to TOP.
+#define SLOWPATH(F, LO, HZ, Q, C, P, D, AV, B, TOP, SCORE, STOP, DEAD, EDGE, WIDE, SLOW, MOVE, SHIFT, NONE) \
 SLOW: \
-	CMPQ       Q, front_qstop(F); \
-	JLT        STOP; \
-	CLAMP(F, HZ); \
-	MOVQ       front_qlow(F), AX; \
-	SUBQ       Q, AX; \
+	DOF(F, C, AX); \
+	CMPQ       AX, front_stop(F); \
+	JGT        STOP; \
+	SUBQ       front_m(F), AX; \
+	SUBQ       front_anchor(F), AX; \
 	SHLQ       $1, AX; \
+	CLAMP(F, HZ); \
 	CMPQ       AX, CX; \
 	JGT        DEAD; \
 	CMPQ       LO, CX; \
@@ -269,12 +294,10 @@ SHIFT: \
 	SHRQ       $1, AX; \
 	ADDQ       front_anchor(F), AX; \
 	LEAQ       15(AX), CX; \
-	CMPQ       CX, front_alast(F); \
+	CMPQ       CX, front_n(F); \
 	JGT        EDGE; \
 	SUBQ       front_bpad(F), CX; \
-	MOVQ       front_brevm(F), DX; \
-	ADDQ       front_anchor(F), DX; \
-	SUBQ       Q, DX; \
+	DOF(F, C, DX); \
 	CMPQ       CX, DX; \
 	JGT        EDGE; \
 	RESOLVE(F, B, NONE); \
@@ -292,32 +315,33 @@ SHIFT: \
 	VPSHUFB    (CX), D, D; \
 	VPOR       Y13, D, D; \
 	VPOR       64(CX), D, D; \
-	MOVQ       LO, CX; \
-	SHRQ       $1, CX; \
-	ADDQ       CX, Q; \
+	MOVQ       LO, AX; \
+	SHRQ       $1, AX; \
+	MOVQ       AX, CX; \
+	IMULQ      front_sigma(F), CX; \
+	SUBQ       CX, Q; \
 	ADDQ       LO, HZ; \
 	XORL       LO, LO; \
-	ADDQ       front_anchor(F), CX; \
-	MOVQ       CX, AX; \
-	MOVQ       front_a(F), CX; \
-	VPMOVZXBW  (CX)(AX*1), AV; \
-	ANCHOR(F); \
+	ADDQ       front_anchor(F), AX; \
+	HELD(F, AV); \
+	DOF(F, C, DX); \
+	ANCHOR(F, C); \
 	INCQ       front_moves(F); \
 	JMP        TOP
 
 // SPILL hands the front in F back to its struct and narrow rows, as the
 // memory loop and leave read them: d, the rotation it would have reached,
 // lo1, hi1 and the cells, best and its first cell, and the two rows d reads
-// with d-1's sentinels.
-#define SPILL(F, LO, HZ, Q, C, P, D, B, NONE) \
+// with d-1's sentinels. C's count is rounded, as a dead front's sum may be
+// below zero; the cells are 34 a count less the sum, halved.
+#define SPILL(F, LO, HZ, C, P, D, B, NONE) \
 	RESOLVE(F, B, NONE); \
 	INCQ    front_spills(F); \
-	MOVQ    front_brevm(F), AX; \
-	ADDQ    front_anchor(F), AX; \
-	SUBQ    Q, AX; \
-	MOVQ    AX, CX; \
-	SUBQ    front_d(F), CX; \
-	IMUL3Q  $34, CX, DX; \
+	LEAQ    0x80000(C), CX; \
+	SHRQ    $20, CX; \
+	MOVQ    front_d(F), AX; \
+	ADDQ    CX, AX; \
+	IMUL3Q  $(STEPONE+34), CX, DX; \
 	SUBQ    C, DX; \
 	SHRQ    $1, DX; \
 	ADDQ    DX, front_cells(F); \
@@ -390,10 +414,10 @@ TEXT ·frontsAVX2(SB), NOSPLIT, $0-24
 
 band:
 	MOVQ front_next(DI), SI
-	LOAD(DI, R8, R9, R10, R11, Y0, Y1, Y2, Y3, stop, dead, edge, memnext)
+	LOAD(DI, R8, R9, R10, R11, Y0, Y1, Y2, Y3, stop, dead, edge, memory)
 	CMPQ SI, DI
 	JEQ  lone
-	LOAD(SI, R12, R13, R14, R15, Y4, Y5, Y6, Y7, load1stop, load1dead, load1edge, memnext)
+	LOAD(SI, R12, R13, R14, R15, Y4, Y5, Y6, Y7, load1stop, load1dead, load1edge, memory)
 
 pair:
 	STEP(DI, R8, R9, R10, R11, Y0, Y1, Y2, Y3, top0, score0, slow0, move0, scoreddead0)
@@ -404,17 +428,18 @@ lone:
 	STEP(DI, R8, R9, R10, R11, Y0, Y1, Y2, Y3, topl, scorel, slowl, movel, scoreddead0)
 	JMP lone
 
-	SLOWPATH(DI, R8, R9, R10, Y0, Y1, Y2, Y3, top0, score0, stop0, dead0, edge0, wide0, slow0, move0, shift0, none0)
-	SLOWPATH(SI, R12, R13, R14, Y4, Y5, Y6, Y7, top1, score1, stop1, dead1, edge1, wide1, slow1, move1, shift1, none1)
-	SLOWPATH(DI, R8, R9, R10, Y0, Y1, Y2, Y3, topl, scorel, stop0, dead0, edge0, wide0, slowl, movel, shiftl, nonel)
+	SLOWPATH(DI, R8, R9, R10, R11, Y0, Y1, Y2, Y3, top0, score0, stop0, dead0, edge0, wide0, slow0, move0, shift0, none0)
+	SLOWPATH(SI, R12, R13, R14, R15, Y4, Y5, Y6, Y7, top1, score1, stop1, dead1, edge1, wide1, slow1, move1, shift1, none1)
+	SLOWPATH(DI, R8, R9, R10, R11, Y0, Y1, Y2, Y3, topl, scorel, stop0, dead0, edge0, wide0, slowl, movel, shiftl, nonel)
 
 	// A scored antidiagonal with no live cell: C took its window, and d
-	// stays where it is, so C gives back the 34 the spill counts a d by.
+	// stays where it is, so C gives back the count and the 34 the spill
+	// counts a d by.
 scoreddead0:
-	SUBQ $34, R11
+	SUBQ $(STEPONE+34), R11
 	JMP  dead0
 scoreddead1:
-	SUBQ $34, R15
+	SUBQ $(STEPONE+34), R15
 	JMP  dead1
 
 	// A front in registers leaves. exit+16(FP) takes the reason (-1: to the
@@ -449,10 +474,10 @@ out1:
 out0:
 	MOVQ $0, id+8(FP)
 out:
-	SPILL(DI, R8, R9, R10, R11, Y0, Y1, Y3, spilled0)
+	SPILL(DI, R8, R9, R11, Y0, Y1, Y3, spilled0)
 	CMPQ SI, DI
 	JEQ  spilled
-	SPILL(SI, R12, R13, R14, R15, Y4, Y5, Y7, spilled1)
+	SPILL(SI, R12, R13, R15, Y4, Y5, Y7, spilled1)
 spilled:
 	CMPQ id+8(FP), $0
 	JEQ  spilledwhich
@@ -461,7 +486,10 @@ spilledwhich:
 	CMPQ exit+16(FP), $0
 	JGE  done
 	INCQ front_toMemory(DI)
-	JMP  memnext
+
+memory:
+	VMOVDQU ·descending(SB), Y14
+	JMP     memnext
 
 	// The second front could not be loaded: the first, loaded, is as it was.
 load1stop:
@@ -477,14 +505,15 @@ load1edge:
 	// The memory loop. General registers, for one antidiagonal of the
 	// front in DI:
 	//	DI the front             R8  cur          R11 d
-	//	SI a                     R9  p1           R12 lo1, then lo
-	//	DX brev+m-d              R10 p2           R13 hi1, then hi
-	//	BX rot
-	//	AX, CX, R14, R15 scratch
+	//	SI the ascending view    R9  p1           R12 lo1, then lo
+	//	DX the descending view   R10 p2           R13 hi1, then hi
+	//	BX rot                   R14 i
+	//	AX, CX, R15 scratch
 	// and vector registers, beside the band's constants:
 	//	Y7 best-base (front.vbest)  Y5 prune
 	//	Y3 the row's last vector as stored
 	//	Y13 the bound of the window's last vector (tailbound)
+	//	Y14 descending's mask
 memnext:
 	MOVQ front_d(DI), R11
 	CMPQ R11, front_stop(DI)
@@ -510,9 +539,16 @@ memnext:
 	MOVQ    front_rows(DI)(BX*8), R10
 	MOVQ    front_rows+8(DI)(BX*8), R9
 	MOVQ    front_rows+16(DI)(BX*8), R8
+	// Lane i's base of a lies at a+sigma·i and of b at (b+sigma·d)-sigma·i:
+	// SI+i and DX-i, a's and b's or (sigma < 0) b's and a's.
+	MOVQ    R11, R14
+	IMULQ   front_sigma(DI), R14
+	ADDQ    front_b(DI), R14
 	MOVQ    front_a(DI), SI
-	MOVQ    front_brevm(DI), DX
-	SUBQ    R11, DX
+	MOVQ    R14, DX
+	CMPQ    front_sigma(DI), $0
+	CMOVQLT R14, SI
+	CMOVQLT front_a(DI), DX
 	VMOVDQU front_vbest(DI), Y7
 	VPSUBW  front_vx(DI), Y7, Y5  // prune = best - x
 	// Back to the band loop when this window is ten cells or fewer and the
@@ -534,13 +570,14 @@ memnext:
 	JMP  band
 
 vectors:
-	// With vw the width rounded up to 16, the vectors cover
-	// a[lo:lo+vw], brev[m-d+lo:][:vw], p1[lo:lo+vw+1], p2[lo:lo+vw] and
-	// cur[lo+1:][:vw], and the same two conditions keep them inside.
+	// With vw the width rounded up to 16, the vectors cover bases i and
+	// d-i of the two views for i in [lo, lo+vw), p1[lo:lo+vw+1],
+	// p2[lo:lo+vw] and cur[lo+1:][:vw], and the same two conditions keep
+	// them inside.
 	LEAQ 15(AX), R14
 	ANDQ $-16, R14
 	LEAQ -1(CX)(R14*1), R14
-	CMPQ R14, front_alast(DI)
+	CMPQ R14, front_n(DI)
 	JGT  edge
 	SUBQ front_bpad(DI), R14
 	CMPQ R14, R11
@@ -559,29 +596,35 @@ vectors:
 	// The window, a vector at a time, the last masked by Y13.
 	VMOVDQA Y11, Y6               // running max
 	MOVQ    R12, R14              // i of lane 0
+	SUBQ    R12, DX               // the descending view's base of lane 0
 	ADDQ    R12, AX               // one past the window
 
+	JMP     vector
+
+full:
+	VPMINSW Y1, Y0, Y3
+	VMOVDQU Y3, -30(R8)(R14*2)    // cur[i+1:], i the vector's lane 0
+	VPMAXSW Y3, Y6, Y6
+
 vector:
-	VPMOVZXBW (SI)(R14*1), Y0
-	VPMOVZXBW (DX)(R14*1), Y1
-	VPCMPEQW  Y0, Y1, Y0
-	VPAND     Y8, Y0, Y0
-	VPADDW    Y9, Y0, Y0          // sub
-	VPADDSW   (R10)(R14*2), Y0, Y0 // diag + sub
-	VMOVDQU   (R9)(R14*2), Y4     // up
-	VPMAXSW   2(R9)(R14*2), Y4, Y1 // max(up, left)
-	VPADDSW   Y10, Y1, Y1         // + gap
-	VPMAXSW   Y0, Y1, Y0          // v
-	VPCMPGTW  Y0, Y5, Y1          // v < prune
-	VPXOR     Y12, Y1, Y1         // v < prune ? pruned : MaxInt16
-	LEAQ      16(R14), CX
-	CMPQ      CX, AX
-	JGE       last
-	VPMINSW   Y1, Y0, Y3
-	VMOVDQU   Y3, 2(R8)(R14*2)
-	VPMAXSW   Y3, Y6, Y6
-	MOVQ      CX, R14
-	JMP       vector
+	VPMOVZXBW      (SI)(R14*1), Y0
+	VBROADCASTI128 -15(DX), Y1     // 1-lanes past lane 0's base, as descending has it
+	VPSHUFB        Y14, Y1, Y1
+	VPCMPEQW       Y0, Y1, Y0
+	VPAND          Y8, Y0, Y0
+	VPADDW         Y9, Y0, Y0          // sub
+	VPADDSW        (R10)(R14*2), Y0, Y0 // diag + sub
+	VMOVDQU        (R9)(R14*2), Y4     // up
+	VPMAXSW        2(R9)(R14*2), Y4, Y1 // max(up, left)
+	VPADDSW        Y10, Y1, Y1         // + gap
+	VPMAXSW        Y0, Y1, Y0          // v
+	VPCMPGTW       Y0, Y5, Y1          // v < prune
+	VPXOR          Y12, Y1, Y1         // v < prune ? pruned : MaxInt16
+	ADDQ           $16, R14
+	SUBQ           $16, DX
+	CMPQ           R14, AX
+	JLT            full
+	SUBQ           $16, R14
 
 last:
 	VPMINSW   Y13, Y0, Y0         // past the window: pruned

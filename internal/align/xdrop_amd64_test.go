@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -25,8 +26,8 @@ const (
 )
 
 // guarded is a slot whose rows, wide and narrow, sit between canaries, with
-// its two base views and their canaried backing, for one right-hand
-// extension of a over b.
+// its two base views and their canaried backing, for one extension of a
+// over b.
 type guarded struct {
 	sl        slot
 	rowMem    [3][]int32
@@ -36,17 +37,21 @@ type guarded struct {
 }
 
 // newGuarded starts the extension of a[1:] over b as XDrop starts its
-// right-hand one: a as it lies, b reversed on demand into a buffer one base
-// longer. The views run on for apad and bpad canary bytes, which the
-// routine may read and nothing may write.
-func newGuarded(a, b []byte, sc Scoring, x int32, apad, bpad int) *guarded {
+// right-hand one (sigma +1), a's base 0 being a[0] and b's a spare, or as
+// it starts its left-hand one (sigma -1), on the two views reversed.
+// Canaries lie either side of both views: bpad of them, past b's base 0,
+// the routine may read, and none may be written.
+func newGuarded(a, b []byte, sc Scoring, x int32, sigma, bpad int) *guarded {
 	g := new(guarded)
 	pad := func(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
-	g.baseMem[0] = concat(pad(canaryRoom), a, pad(canaryRoom))
-	g.baseMem[1] = pad(canaryRoom + len(b) + 1 + canaryRoom)
-	av := g.baseMem[0][canaryRoom:][: len(a)+apad : len(a)+apad]
-	brev := g.baseMem[1][canaryRoom:][: len(b)+1+bpad : len(b)+1+bpad]
-	g.sl.rev = reversal{src: b, dst: brev[:len(b)], back: true}
+	views := [2][]byte{a, concat([]byte("A"), b)}
+	for v, view := range views {
+		if sigma < 0 {
+			view = reversed(view)
+		}
+		g.baseMem[v] = concat(pad(canaryRoom), view, pad(canaryRoom))
+		views[v] = g.baseMem[v][canaryRoom:][:len(view):len(view)]
+	}
 	n := len(a) - 1
 	for r := range g.rowMem {
 		g.rowMem[r] = make([]int32, canaryRoom+n+3+canaryRoom)
@@ -54,18 +59,18 @@ func newGuarded(a, b []byte, sc Scoring, x int32, apad, bpad int) *guarded {
 			g.rowMem[r][k] = rowCanary
 		}
 		g.sl.rows[r] = g.rowMem[r][canaryRoom:][: n+3 : n+3]
-		g.narrowMem[r] = make([]int16, canaryRoom+n+3+overread+canaryRoom)
+		g.narrowMem[r] = make([]int16, canaryRoom+n+3+canaryRoom)
 		for k := range g.narrowMem[r] {
 			g.narrowMem[r][k] = narrowCanary
 		}
-		g.sl.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3+overread : n+3+overread]
+		g.sl.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3 : n+3]
 	}
-	g.sl.begin(av, brev, n, len(b), sc, x)
+	g.sl.begin(views[0], views[1], sigma, bpad, sc, x)
 	return g
 }
 
-// clone copies the extension in progress, canaries and reversal state
-// included, so the two copies can be advanced by different kernels.
+// clone copies the extension in progress, canaries included, so the two
+// copies can be advanced by different kernels.
 func (g *guarded) clone() *guarded {
 	c := new(guarded)
 	c.sl.st, c.sl.entered = g.sl.st, g.sl.entered
@@ -79,9 +84,7 @@ func (g *guarded) clone() *guarded {
 		c.baseMem[v] = slices.Clone(g.baseMem[v])
 	}
 	c.sl.a = c.baseMem[0][canaryRoom:][:len(g.sl.a):len(g.sl.a)]
-	c.sl.brev = c.baseMem[1][canaryRoom:][:len(g.sl.brev):len(g.sl.brev)]
-	c.sl.rev = g.sl.rev
-	c.sl.rev.dst = c.sl.brev[:len(g.sl.rev.dst)]
+	c.sl.b = c.baseMem[1][canaryRoom:][:len(g.sl.b):len(g.sl.b)]
 	return c
 }
 
@@ -196,7 +199,7 @@ func TestSteadyPathsOnTheRungs(t *testing.T) {
 			s, u, _, _ := pipelinePair(t)
 			a, b = concat([]byte("A"), s), u
 		}
-		g := newGuarded(a, b, DefaultScoring, clampXDrop(len(a)+len(b), DefaultScoring, rung.x), 0, overread)
+		g := newGuarded(a, b, DefaultScoring, clampXDrop(len(a)+len(b), DefaultScoring, rung.x), 1, overread)
 		runAlone(&g.sl)
 		st := &g.sl.st
 		got := float64(st.inBand) / float64(st.d-1)
@@ -348,13 +351,13 @@ func matchLoop(got, want *slot, d0, exit int, fail func(format string, args ...a
 }
 
 // companion is the front TestSteadyMatchesLoop runs beside each case scored
-// by sc (the routine's fronts share their scores): two reads of one 6 kb
-// template at 2% error, at an x that outlasts any one error, its flank
-// reversed in full, so it is live for longer than any case. At the largest
-// scores its x is near the largest the routine takes, so that best may pass
-// ceil within four antidiagonals: it stops every few antidiagonals and is
-// rebased.
-func companion(sc Scoring) *guarded {
+// by sc (the routine's fronts share their scores), a right or (sigma -1) a
+// left flank: two reads of one 6 kb template at 2% error, at an x that
+// outlasts any one error, so it is live for longer than any case. At the
+// largest scores its x is near the largest the routine takes, so that best
+// may pass ceil within four antidiagonals: it stops every few antidiagonals
+// and is rebased.
+func companion(sc Scoring, sigma int) *guarded {
 	rng := rand.New(rand.NewSource(31))
 	tmpl := randomSeq(rng, 6000)
 	a, b := concat([]byte("A"), mutate(rng, tmpl, 0.02)), mutate(rng, tmpl, 0.02)
@@ -362,45 +365,44 @@ func companion(sc Scoring) *guarded {
 	if sc == maxScores {
 		x = narrowXMax(sc) - 4*sc.maxAbs()
 	}
-	g := newGuarded(a, b, sc, int32(x), 0, overread)
-	g.sl.rev.fill(len(a) + len(b))
-	return g
+	return newGuarded(a, b, sc, int32(x), sigma, overread)
 }
 
 // The assembly routine is the Go loop, antidiagonal for antidiagonal, with
 // another front beside it or alone. Every extension here is walked by the
-// Go loop alone; at every antidiagonal D of that walk the routine is entered
-// on a copy, on three D in four beside a fresh copy of the companion, with a
-// stop horizon that lets the case score between one antidiagonal and all
-// that the flank allows. The case's front has to be the one to exit, for a
-// reason that is true, and both fronts have to be where the Go loop leaves
-// them after as many antidiagonals as the routine scored of each
-// (matchLoop). The case's base views run on past their last base by what
-// XDrop's views may (nothing, a little, overread); canaries either side of
-// every row, wide and narrow, and of both base views stay as they were. The
-// paths through the routine are counted, from the Go loop's windows and from
-// the front's own counts, and each has to have been taken.
+// Go loop alone, once as a right flank and once as a left, on its views
+// reversed; at every antidiagonal D of that walk the routine is entered on
+// a copy of one of the two, on three D in four beside a fresh copy of the
+// companion, with a stop horizon that lets the case score between one
+// antidiagonal and all that it may. The case's front has to be the one to
+// exit, for a reason that is true, and both fronts have to be where the Go
+// loop leaves them after as many antidiagonals as the routine scored of
+// each (matchLoop). The lanes past a window may read b's view on past its
+// base 0 by what XDrop's may (nothing, a little, overread); canaries either
+// side of every row, wide and narrow, and of both base views stay as they
+// were. The paths through the routine are counted, from the Go loop's
+// windows and from the front's own counts, and each has to have been
+// taken.
 func TestSteadyMatchesLoop(t *testing.T) {
 	if !cpuid.AVX2() {
 		t.Skip("no AVX2 on this host: the Go loop is the whole kernel, and the other tests cover it")
 	}
-	var entered, alone, edges, deaths, fills, caps, rooms, rebased int
+	var entered, alone, edges, deaths, caps, rooms, rebased int
 	var inBand, moves, wideAndBack int
 	var spilled [3]int // by exit: the case left from the band
+	var flanks [2]int  // entries of a right flank and of a left
 	var paths pathTally
 	for c, tc := range steadyCases() {
-		comp := companion(tc.sc)
+		comp := companion(tc.sc, 1-c%2*2)
 		n, m := len(tc.a)-1, len(tc.b)
-		pad := [...][2]int{{0, overread}, {overread, overread}, {overread, 0}, {0, 0}, {overread, 7}}[c%5]
-		ref := newGuarded(tc.a, tc.b, tc.sc, tc.x, pad[0], pad[1])
+		bpad := [...]int{overread, 0, 7}[c%3]
+		refs := [2]*guarded{newGuarded(tc.a, tc.b, tc.sc, tc.x, 1, bpad), newGuarded(tc.a, tc.b, tc.sc, tc.x, -1, bpad)}
 		for D := 1; D <= n+m; D++ {
-			if D > ref.sl.rev.done {
-				ref.sl.rev.fill(D) // as horizon does ahead of the routine
-			}
+			ref := refs[D/4%2]
+			flanks[D/4%2]++
 			// Stop horizons: a single antidiagonal, a few (a cap is this
-			// comparison), and everything the flank allows.
-			horizon := [...]int{D, D + 2 + D%7, math.MaxInt}[D%3]
-			stop := min(horizon, ref.sl.rev.done)
+			// comparison), and everything.
+			stop := [...]int{D, D + 2 + D%7, math.MaxInt}[D%3]
 
 			got, other := ref.clone(), comp.clone()
 			got.snapshot()
@@ -441,15 +443,13 @@ func TestSteadyMatchesLoop(t *testing.T) {
 				switch {
 				case gs.stop < min(stop, n+m):
 					rooms++
-				case stop == ref.sl.rev.done && stop < n+m:
-					fills++
 				case stop < n+m:
 					caps++
 				}
 			case exitEdge:
 				lo, hi := max(ws.lo1, ws.d-m), min(ws.hi1+1, n)
 				vw := (hi - lo + 1 + lanes - 1) &^ (lanes - 1)
-				if last := lo + vw - 1; lo > hi || (last <= n+pad[0] && last <= ws.d+pad[1]) {
+				if last := lo + vw - 1; lo > hi || (last <= n && last <= ws.d+bpad) {
 					fail("window [%d,%d] at d=%d of n=%d m=%d is no edge", lo, hi, gs.d, n, m)
 				}
 				edges++
@@ -498,15 +498,17 @@ func TestSteadyMatchesLoop(t *testing.T) {
 				spilled[exit]++
 			}
 
-			if !ref.sl.advance(D) {
+			if alive := refs[0].sl.advance(D); refs[1].sl.advance(D) != alive {
+				t.Fatalf("%s: the Go loop's right and left flanks part at d=%d", tc.name, D)
+			} else if !alive {
 				break
 			}
 		}
 	}
-	t.Logf("%d entries, %d alone, %d with the companion rebased; antidiagonals %v, %d of them in the band; "+
-		"%d moves of the anchor; %d calls went wide and back; exits: %d edge, %d dead, %d flank, %d cap, %d rebase room; "+
+	t.Logf("%d entries (%d of a right flank, %d of a left), %d alone, %d with the companion rebased; antidiagonals %v, %d of them in the band; "+
+		"%d moves of the anchor; %d calls went wide and back; exits: %d edge, %d dead, %d cap, %d rebase room; "+
 		"from the band: %d stop, %d edge, %d dead",
-		entered, alone, rebased, paths, inBand, moves, wideAndBack, edges, deaths, fills, caps, rooms,
+		entered, flanks[0], flanks[1], alone, rebased, paths, inBand, moves, wideAndBack, edges, deaths, caps, rooms,
 		spilled[exitStop], spilled[exitEdge], spilled[exitDead])
 	for _, reached := range []struct {
 		what  string
@@ -520,7 +522,6 @@ func TestSteadyMatchesLoop(t *testing.T) {
 		{"calls whose band went to the memory loop and back", wideAndBack},
 		{"edge exits beside a live front", edges},
 		{"deaths inside the routine beside a live front", deaths},
-		{"stops because the flank needs filling", fills},
 		{"stops at a call's cap", caps},
 		{"stops where best may next pass ceil", rooms},
 		{"spills from the band at a stop", spilled[exitStop]},
@@ -531,6 +532,27 @@ func TestSteadyMatchesLoop(t *testing.T) {
 	} {
 		if reached.count == 0 {
 			t.Errorf("no case reached: %s", reached.what)
+		}
+	}
+}
+
+// The vectors the routine reads or writes every antidiagonal lie in whole
+// cache lines, in both slots of a pooled workspace: the two best rows and
+// the two mask tables each on lines of their own, and no 32-byte load of
+// best-base, x or a base mask across two. Where this fails, the workspace's
+// leading pad is what to change.
+func TestFrontVectorsAreAligned(t *testing.T) {
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	for i := range w.slots {
+		st := reflect.ValueOf(&w.slots[i].st).Elem()
+		for _, v := range []struct {
+			field string
+			align uintptr
+		}{{"bslot", 64}, {"bound", 64}, {"vbest", 32}, {"vx", 32}, {"amask", 32}, {"qmask", 32}} {
+			if at := st.FieldByName(v.field).Addr().Pointer(); at%v.align != 0 {
+				t.Errorf("slot %d: front.%s at %#x, %d past a multiple of %d", i, v.field, at, at%v.align, v.align)
+			}
 		}
 	}
 }

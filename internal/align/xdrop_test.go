@@ -473,8 +473,8 @@ func BenchmarkXDropDivergentX7(b *testing.B) {
 
 // Many short extensions: a seed between 6 kb flanks with no base in common
 // dies within 100 cells a side, so what is timed is the per-call cost
-// (workspace checkout, row set-up, flank reversal), which must not grow
-// with the flank.
+// (workspace checkout, row set-up, the hand-over to the routine), which
+// must not grow with the flank.
 func BenchmarkXDropShortExtensions(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	flank := func(alphabet string) []byte {
@@ -491,19 +491,4 @@ func BenchmarkXDropShortExtensions(b *testing.B) {
 		b.Fatalf("short-extension pair computed %d cells", r.Cells)
 	}
 	benchXDrop(b, s, u, 6000, 6000, 17, 7)
-}
-
-// TestReverseInto: the word-at-a-time reversal a flank is built with
-// matches the byte loop at every length around the word size.
-func TestReverseInto(t *testing.T) {
-	src := []byte("ACGTTGCAACCGGTTAGCTAGGATCCATGCATTTAAACCCGG")
-	for n := 0; n <= len(src); n++ {
-		dst := make([]byte, n)
-		reverseInto(dst, src[:n])
-		for p := range dst {
-			if dst[p] != src[n-1-p] {
-				t.Fatalf("n=%d: reversed %q", n, dst)
-			}
-		}
-	}
 }

@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"context"
+
 	"fmt"
 
 	"dibella/internal/bella"
@@ -186,7 +188,7 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	// Pass 1: Bloom filter construction.
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceBloomPass, c.Now())
-	trace.Do(traceBloomPass, c.Rank(), func() {
+	trace.Do(context.Background(), traceBloomPass, c.Rank(), func(context.Context) {
 		bs.Bloom = bloomPass(c, model, reads, cfg, bufs, rounds, localUnits, filter, part)
 	})
 	bs.TableEntries = part.n
@@ -207,7 +209,7 @@ func Build(c *spmd.Comm, model *machine.Model, reads LocalReads, cfg Config) (*P
 	rec.Begin(traceHashPass, c.Now())
 	bs.Hash = StageStats{Rounds: rounds}
 	var err error
-	trace.Do(traceHashPass, c.Rank(), func() {
+	trace.Do(context.Background(), traceHashPass, c.Rank(), func(context.Context) {
 		var owners *bloom.Owners
 		if !cfg.KeepSingletons {
 			if owners, err = ownerFilters(c, model, cfg, part, freedBits, &bs.Hash); err != nil {

@@ -19,6 +19,8 @@
 package pipeline
 
 import (
+	"context"
+
 	"errors"
 	"fmt"
 	"math"
@@ -55,7 +57,7 @@ func agreeError(c *spmd.Comm, op string, err error) error {
 // fastq.NewReadStore over the whole file. The load runs under the profiler
 // labels stage=stage.load and the rank (trace.Do).
 func LoadStore(c *spmd.Comm, path string) (store *fastq.ReadStore, err error) {
-	trace.Do(traceLoad, c.Rank(), func() { store, err = loadStore(c, path) })
+	trace.Do(context.Background(), traceLoad, c.Rank(), func(context.Context) { store, err = loadStore(c, path) })
 	return store, err
 }
 

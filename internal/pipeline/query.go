@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -78,14 +79,16 @@ func (b *probeBufs) group(recv [][]overlap.KeyVal) []overlap.KeyVal {
 // gathered records are sorted into the same total order batch mode uses.
 //
 // The epoch runs under the profiler labels stage=query.batch and the rank
-// (trace.Do).
+// (trace.Do), its probe half (route, group, consolidate) under
+// stage=query.probe and its align half under stage=query.align, so that
+// `-tagfocus stage=query.align` reads the kernel's share of an epoch.
 func (w *World) RunQuery(root int, batch []QueryRead) (out []Alignment, err error) {
-	trace.Do(traceQuery, w.c.Rank(), func() { out, err = w.runQuery(root, batch) })
+	trace.Do(context.Background(), traceQuery, w.c.Rank(), func(ctx context.Context) { out, err = w.runQuery(ctx, root, batch) })
 	return out, err
 }
 
-func (w *World) runQuery(root int, batch []QueryRead) ([]Alignment, error) {
-	c, model, cfg := w.c, w.model, w.cfg
+func (w *World) runQuery(ctx context.Context, root int, batch []QueryRead) ([]Alignment, error) {
+	c, cfg := w.c, w.cfg
 	p := c.Size()
 	if w.part == nil {
 		return nil, fmt.Errorf("pipeline: query against a world whose partition was dropped")
@@ -99,12 +102,45 @@ func (w *World) runQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("pipeline: empty query batch")
 	}
-	qs := &w.query
-	qs.Batches++
-	base := uint32(w.store.NumReads())
+	w.query.Batches++
 	rec := trace.Rec(c.Rank())
 	rec.Begin(traceQuery, c.Now())
 	defer func() { rec.End(traceQuery, c.Now(), int64(len(batch))) }()
+
+	preComm := c.Stats()
+	var (
+		tasks []overlap.Task
+		recs  []Alignment
+		err   error
+	)
+	trace.Do(ctx, traceQueryProbe, c.Rank(), func(context.Context) { tasks, err = w.probeQuery(batch) })
+	if err != nil {
+		return nil, err
+	}
+	trace.Do(ctx, traceQueryAlign, c.Rank(), func(context.Context) { recs = w.alignQuery(batch, tasks) })
+	w.query.AddComm(preComm, c.Stats())
+
+	all := spmd.GatherTo(c, recs, root)
+	if c.Rank() != root {
+		return nil, nil
+	}
+	var out []Alignment
+	for _, rs := range all {
+		out = append(out, rs...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
+	return out, nil
+}
+
+// probeQuery is the probe half of an epoch: it routes this rank's slice of
+// the batch's k-mers, probes the resident partition, exchanges the pairs
+// and consolidates this rank's share into tasks.
+func (w *World) probeQuery(batch []QueryRead) ([]overlap.Task, error) {
+	c, model, cfg := w.c, w.model, w.cfg
+	p := c.Size()
+	qs := &w.query
+	base := uint32(w.store.NumReads())
+	rec := trace.Rec(c.Rank())
 
 	// Route this rank's slice of the batch's k-mer occurrences to their
 	// partition owners — the hash pass's exchange, one round, with query
@@ -143,7 +179,6 @@ func (w *World) runQuery(root int, batch []QueryRead) ([]Alignment, error) {
 	qs.PackVirtual += stats.Price(c, model, float64(routed*16), machine.RatePack, 0)
 	qs.LocalWall += walltime.Since(t0)
 
-	preComm := c.Stats()
 	recv := spmd.Alltoallv(c, send)
 
 	// Probe the resident partition and emit every query-involving pair.
@@ -205,23 +240,31 @@ func (w *World) runQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		stats.Price(c, model, float64(made), machine.RatePairGen, 0)
 	qs.PackVirtual += stats.Price(c, model, float64(made*16), machine.RatePack, 0)
 	qs.LocalWall += walltime.Since(t0)
-	rec.End(traceQueryProbe, c.Now(), made)
 
 	pairRecv := spmd.Alltoallv(c, pairSend)
 
 	// Consolidate this rank's share — the batch stage's merge/filter/sort,
 	// so task and seed order are placement-independent.
-	rec.Begin(traceQueryAlign, c.Now())
 	t0 = walltime.Now()
 	tasks, ovStats, err := overlap.Consolidate(pairRecv, cfg.overlapConfig())
+	rec.End(traceQueryProbe, c.Now(), made)
 	if err != nil {
-		rec.End(traceQueryAlign, c.Now(), 0)
 		return nil, err
 	}
 	qs.Tasks += int64(len(tasks))
 	qs.LocalVirtual += stats.Price(c, model, float64(ovStats.TasksReceived), machine.RatePairGen, 0) +
 		stats.Price(c, model, float64(ovStats.SeedsKept+ovStats.SeedsDropped), machine.RateSeedPrep, 0)
 	qs.LocalWall += walltime.Since(t0)
+	return tasks, nil
+}
+
+// alignQuery is the align half of an epoch: it aligns this rank's tasks
+// and returns their records.
+func (w *World) alignQuery(batch []QueryRead, tasks []overlap.Task) []Alignment {
+	c := w.c
+	base := uint32(w.store.NumReads())
+	rec := trace.Rec(c.Rank())
+	rec.Begin(traceQueryAlign, c.Now())
 
 	// Align where the tasks landed. Every task has both reads resident
 	// here — the query read everywhere, the indexed read by placement —
@@ -233,23 +276,11 @@ func (w *World) runQuery(root int, batch []QueryRead) ([]Alignment, error) {
 		return w.view.Seq(id)
 	}
 	var alStats AlignStats
-	al := newAligner(c, model, seq, cfg, &alStats, tasks)
+	al := newAligner(c, w.model, seq, w.cfg, &alStats, tasks)
 	al.alignBatch(tasks)
-	qs.Alignments += alStats.Alignments
+	w.query.Alignments += alStats.Alignments
 	rec.End(traceQueryAlign, c.Now(), alStats.Alignments)
-	qs.AddComm(preComm, c.Stats())
-	recs := al.out
-
-	all := spmd.GatherTo(c, recs, root)
-	if c.Rank() != root {
-		return nil, nil
-	}
-	var out []Alignment
-	for _, rs := range all {
-		out = append(out, rs...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
-	return out, nil
+	return al.out
 }
 
 // QueryPAF renders served alignments as PAF using the store's names for

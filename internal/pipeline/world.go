@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"context"
+
 	"dibella/internal/ckpt"
 	"dibella/internal/dht"
 	"dibella/internal/fastq"
@@ -116,7 +118,7 @@ func (w *World) overlapStage(ck *ckptState, res *resumeState, retain bool) ([]ov
 	rec.Begin(traceOverlap, w.c.Now())
 	var tasks []overlap.Task
 	var err error
-	trace.Do(traceOverlap, w.c.Rank(), func() {
+	trace.Do(context.Background(), traceOverlap, w.c.Rank(), func(context.Context) {
 		tasks, w.rr.Overlap, err = overlap.Run(w.c, w.model, w.part, w.store.Owner, w.cfg.overlapConfig())
 	})
 	if err != nil {
@@ -148,7 +150,9 @@ func (w *World) alignTasks(tasks []overlap.Task) []Alignment {
 	rec := trace.Rec(w.c.Rank())
 	rec.Begin(traceAlign, w.c.Now())
 	var recs []Alignment
-	trace.Do(traceAlign, w.c.Rank(), func() { recs, w.rr.Align = alignStage(w.c, w.model, w.view, tasks, w.cfg) })
+	trace.Do(context.Background(), traceAlign, w.c.Rank(), func(context.Context) {
+		recs, w.rr.Align = alignStage(w.c, w.model, w.view, tasks, w.cfg)
+	})
 	w.rr.VirtualTotal = w.c.Now()
 	rec.End(traceAlign, w.c.Now(), w.rr.Align.BytesPacked)
 	stageExchangeBytes.With(string(StageAlign)).Add(w.rr.Align.BytesPacked)

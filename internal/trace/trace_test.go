@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -363,10 +364,12 @@ func FuzzDecodeRankEvents(f *testing.F) {
 }
 
 // TestDoLabelsTheGoroutine: inside Do the calling goroutine carries the
-// stage and rank labels, as the goroutine profile prints them, and after it
+// stage and rank labels, as the goroutine profile prints them; inside a Do
+// nested in it, started from the context it hands its function, the inner
+// stage, and once that returns the outer labels again; after the outer Do
 // returns it carries none.
 func TestDoLabelsTheGoroutine(t *testing.T) {
-	const stage = "stage.test"
+	const stage, inner = "stage.test", "stage.inner"
 	labelsOf := func() string {
 		var buf bytes.Buffer
 		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
@@ -387,10 +390,20 @@ func TestDoLabelsTheGoroutine(t *testing.T) {
 		t.Fatal("the goroutine profile does not list this test's goroutine")
 		return ""
 	}
-	var inside string
-	Do(stage, 3, func() { inside = labelsOf() })
-	if want := `{"rank":"3", "stage":"stage.test"}`; inside != want {
-		t.Errorf("labels inside Do: %s, want %s", inside, want)
+	var inside, nested, back string
+	Do(context.Background(), stage, 3, func(ctx context.Context) {
+		inside = labelsOf()
+		Do(ctx, inner, 3, func(context.Context) { nested = labelsOf() })
+		back = labelsOf()
+	})
+	for _, c := range []struct{ when, got, want string }{
+		{"inside Do", inside, `{"rank":"3", "stage":"stage.test"}`},
+		{"inside the nested Do", nested, `{"rank":"3", "stage":"stage.inner"}`},
+		{"after the nested Do", back, `{"rank":"3", "stage":"stage.test"}`},
+	} {
+		if c.got != c.want {
+			t.Errorf("labels %s: %s, want %s", c.when, c.got, c.want)
+		}
 	}
 	if after := labelsOf(); after != "" {
 		t.Errorf("labels after Do: %s, want none", after)
