@@ -27,32 +27,27 @@
 // neighbour pruned" test and no i>=1 / j>=1 test: a cell fed only by pruned
 // neighbours falls below the prune threshold and is stored as pruned again.
 // Nothing is cleared between antidiagonals or between calls; cells outside
-// the sentinels are stale and unread. For the same reason the two sequences
-// are handed to the kernel with one spare base before their first (the last
-// seed base, or a spare buffer slot): cells (0,j) and (i,0) index it, and
-// their diagonal neighbour is a sentinel, so what the base is cannot matter.
+// the sentinels are stale and unread. Cells (0,j) and (i,0) read base 0 of
+// a sequence, the seed base beside the flank, and their diagonal neighbour
+// is a sentinel, so what the base is cannot matter.
 //
-// The flanks are read where they lie in the caller's reads: no base is
-// copied. Base 0 of each view is the seed base beside the flank; a right
-// flank reads s and t forward from the seed's last base, a left flank
-// backward from its first (front.sigma, +1 or -1). Along an antidiagonal i
-// rises while j falls, so one view is always read against its memory
-// order: t's on a right flank, s's on a left. The Go loop takes the window
-// of the view read ascending and the window of the one read descending,
-// and since the substitution test is symmetric one loop serves both
-// flanks; its bounds checks are outside the loop. Rows live in a
-// sync.Pool'd workspace: steady state allocates nothing.
+// The flanks are read where they lie in the caller's reads: a right flank
+// forward through s and t from the seed's last base, a left flank backward
+// from its first (front.sigma, +1 or -1). Along an antidiagonal i rises
+// while j falls, so one read is always read against its memory order: t on
+// a right flank, s on a left. The Go loop takes a window of each, one read
+// ascending and one descending; the substitution test being symmetric, one
+// loop serves both flanks, its bounds checks outside the loop. Rows live in
+// a sync.Pool'd workspace: steady state allocates nothing.
 //
-// An extension in progress is a front (xdrop.go): the next antidiagonal d, the
-// surviving window lo1..hi1 of d-1, best and the first cell that scored it,
-// the cell count, n, m, x and the three scores, the flank's direction and
-// how far past t's base 0 the routine may read, the rows' rotation, and the
-// narrow layout's base, floor and ceil (all below); while the assembly
-// routine has it, also index 0 of the three narrow rows, base 0 of the two
-// views and how a vector of each is loaded, best-base and x as vectors, a
-// stop horizon, the next front on the routine's ring, and the band's own
-// fields (below). Two kernels pick an extension up from there
-// and leave it there. advance is the Go loop, on the int32 rows: the whole
+// An extension in progress is a front (xdrop.go): the next antidiagonal d,
+// the surviving window lo1..hi1 of d-1, best and the first cell that scored
+// it, the cell count, n, m, x and the scores, the flank's direction, the
+// rows' rotation, and the narrow layout's base, floor and ceil (below); for
+// the assembly routine, also the narrow rows, the two reads and how a vector
+// of each is loaded, best-base and x as vectors, a stop horizon, the next
+// front on its ring and the band's fields. Two kernels pick an extension up
+// from there and leave it there. advance is the Go loop, on the int32 rows: the whole
 // kernel on every GOARCH but amd64, on an amd64 without AVX2 and for an x
 // the narrow rows cannot hold, the edge handler otherwise, and the oracle.
 // frontsAVX2 (xdrop_amd64.s; AVX2 probed once from CPUID, no flag, no build
@@ -60,9 +55,8 @@
 // extensions at once.
 //
 // XDropBatch queues its seeds' extensions, each seed's right flank and then
-// its left, and runs them in a workspace of fronts slots (two: below), each
-// with its own front, rows, narrow rows and base views. Every slot
-// takes the queue's next extension; the routine advances the live fronts,
+// its left, and runs them in a workspace of fronts slots (two: below).
+// Every slot takes the queue's next extension; the routine advances the live fronts,
 // one antidiagonal of each in turn, and returns the first front that must
 // go back to Go, with the reason: the window is at an edge (below),
 // antidiagonal d has no live cell (the extension is over), or d has passed
@@ -77,8 +71,8 @@
 // that returned. The horizon is at most 4096 antidiagonals on (assembly has
 // no preemption point, and a stop-the-world should not wait on a 100 kb
 // read), no later than n+m, and no later than best-base could pass ceil.
-// XDrop is a batch of one seed: its two flanks
-// are the two fronts. The routine stores no pointer (there is no write
+// XDrop is a batch of one seed: its two flanks are the two fronts. The
+// routine stores no pointer (there is no write
 // barrier in assembly): the rows rotate by a count (front.rot) that both
 // kernels keep. The fronts' pointers into the caller's reads are cleared
 // before the workspace goes back to the pool.
@@ -114,29 +108,24 @@
 // of the d-2 row, and stores vw cells; the lanes past the window are computed
 // from whatever lies there (stale cells, bases outside the window) and stored
 // as pruned, which is what a cell beyond the upper sentinel may hold. A
-// vector of bases is one 16-byte load into both halves of a register and a
-// VPSHUFB that zero-extends the bytes into the lanes in order, for the view
-// read ascending, or reversed, for the one read descending, whose load
-// starts 15 bytes below lane 0's base (front.amask, qmask, aoff, qoff). The
-// lanes past the window read past the window's last base: on s's side past
-// base n, which is the end of s on a right flank and s[0] on a left, so
-// they may not run past n at all; on t's side to bases j below 0, which are
-// the seed and the bases before it on a right flank and the seed and those
-// after it on a left, so they may run on for bpad bases, as many as t holds
-// there and at most 15 (overread). Before every antidiagonal the routine
-// checks that all of it lies inside the reads, lo+vw-1 <= n and lo+vw-1 <=
-// d+bpad, and returns exitEdge otherwise. The band (below) reads sixteen
-// lanes from its anchor, never below lo, so it checks the same two bounds
-// with vw = 16 each time the anchor moves, and that its lane 0 does not
-// read past t's base m each antidiagonal. So the Go side forms no pointer
-// outside the caller's slices, makes no copy of a read and grows no row but
-// its own. With the seed's k bases and more on t's side, no window near
-// cell (0,0) is an edge on a flank at least 16 bases long, and the routine
-// takes the extension from its first antidiagonal. The Go loop owns the far
-// edge: the last dozen or so antidiagonals of an extension that reaches the
-// end of a read, and the whole of a flank of s under 16 bases.
-// TestXDropReadsStayInsideTheReads holds both kernels inside the reads with
-// the reads flush against a page that faults.
+// vector of bases is a 16-byte load into both halves of a register and a
+// VPSHUFB that zero-extends the bytes into the lanes in order or, for the
+// read taken descending, reversed, its load starting 15 bytes lower
+// (front.amask, qmask, aoff, qoff). The lanes past a window read on past
+// its last cell: on s past base n, its end on a right flank and s[0] on a
+// left, so never past n; on t below base 0, into the seed and beyond, so
+// for bpad bases, as many as t holds there and at most 15 (overread).
+// Before every antidiagonal the routine checks lo+vw-1 <= n and lo+vw-1 <=
+// d+bpad, and returns exitEdge otherwise; the band (below) reads sixteen
+// lanes from its anchor, never below lo, so it checks the same with vw =
+// 16 each time the anchor moves, and each antidiagonal that its lane 0
+// does not read past t's base m. So no pointer is formed outside the
+// caller's slices. A flank of s 16 bases long or more, beside 15 bases of
+// t, is not at an edge near cell (0,0), and the routine takes it from its
+// first antidiagonal. The Go loop owns the far edge: the last dozen or so
+// antidiagonals of an extension that reaches the end of a read, and all of
+// a shorter flank. TestXDropReadsStayInsideTheReads runs both kernels on
+// reads flush against a page that faults.
 //
 // # The band
 //
@@ -192,27 +181,11 @@
 // Two fronts, because that is what the registers hold, and it is faster
 // than one: a band's antidiagonal is a chain of some 20 cycles (the live
 // mask, TZCNT or LZCNT, the mask load, three VPMINSW), and a second front's
-// chain fills it. Measured on a 2-vCPU Sapphire Rapids Xeon at about 2.3
-// GHz as the speed over the four-front memory-row routine the band
-// replaced, medians of three runs of 40 rounds alternating the two in one
-// process on BenchmarkXDropBatchPipelineX7's 231 seeds:
+// chain fills it: on BenchmarkXDropBatchPipelineX7's 231 seeds the band
+// ran 1.62-1.66x the four-front memory-row routine it replaced with two
+// fronts, 1.23-1.30x with one (CHANGES.md, PR 42, which also lists the
+// variants measured and dropped on the way).
 //
-//	batch   fronts=1 1.23-1.30x   fronts=2 1.62-1.66x
-//	calls   fronts=1 1.75-1.91x   fronts=2 1.82-1.88x
-//
-// (calls, one XDrop a seed, has two flanks a call either way). The x=30
-// rungs, wide windows on the memory loop, ran at 0.97-1.01x (Divergent) and
-// 1.00-1.02x (Similar). On the way: moving the band by storing it and
-// loading it back shifted (a forwarding stall each move) cost 10-15% of the
-// routine against the VPSHUFB shift; keeping the window as lanes, with BSF,
-// BSR and a NEG for each offset and a compare for each bound, left the batch
-// at 1.47x where the counts as they come out reach 1.6x; storing the best
-// row with a masked store (VPMASKMOVD) at a fixed address instead of the
-// conditional one changed nothing; sending d-m-bound windows to the Go
-// loop rather than the memory loop took the divergent x=30 rung to 0.93x;
-// and the memory loop's own body for one-vector windows, which the band
-// leaves it under 1% of the x=7 antidiagonals, was deleted for no rung's
-// loss (0.96-1.02x against keeping it).
 // TestSteadyMatchesLoop enters the routine at every antidiagonal of a set of
 // extensions, alone and beside a second front, and holds what both leave to
 // the Go loop advanced as far. It requires the band, windows of one vector
@@ -230,10 +203,9 @@
 // asmdecl checks the frame, not the front: field offsets come from go_asm.h,
 // so a reordered struct still assembles right, but it may not run as fast:
 // the window's mask loads are on the band's chain, and a mask or a best row
-// that straddles two cache lines costs every antidiagonal. When the
-// reversal's fields left the slot, the front's vectors moved by a few
-// words and the lone band ran a tenth slower until they were laid out on
-// whole lines again (TestFrontVectorsAreAligned). The band loop is written as
+// that straddles two cache lines costs every antidiagonal; moved by a few
+// words off whole lines, the front's vectors made the lone band a tenth
+// slower (TestFrontVectorsAreAligned). The band loop is written as
 // macros (LOAD, STEP, SLOWPATH, SPILL) expanded once for each register
 // set; pprof charges a macro's samples to the line that expands it. The
 // band's LZCNT runs as BSR, silently wrong, on a CPU without it: cpuid.AVX2

@@ -196,9 +196,9 @@ type slot struct {
 // (slot.enter) and meaning nothing to the Go loop. The two pointers into the
 // caller's reads are cleared before the workspace is pooled.
 //
-// The vectors the routine reads or writes every antidiagonal come first, a
-// workspace and a slot being multiples of 64 bytes, so that none of them
-// straddles a cache line (TestFrontVectorsAreAligned).
+// The vectors the routine reads or writes every antidiagonal come first, and
+// a slot is a multiple of 64 bytes, so that past the workspace's pad none of
+// them straddles a cache line (TestFrontVectorsAreAligned).
 type front struct {
 	bslot        [2]bandRow          // [1] holds the row that last raised best; [0] takes the rows that did not
 	bound        [2][2 * lanes]int16 // pruned then MaxInt16, and MaxInt16 then pruned: the window's masks are read from them

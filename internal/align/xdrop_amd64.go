@@ -51,20 +51,20 @@ var bandShifts = func() (t [lanes]bandShift) {
 // VPSHUFB by one of them zero-extends byte k into lane k (a view read
 // ascending along an antidiagonal) or byte 15-k (one read descending, whose
 // 16 bytes are loaded from 15 below lane 0's base), lanes 0 to 7 from the
-// low half and 8 to 15 from the high. The memory loop reads descending by
-// name.
-var ascending, descending = byLane(false), byLane(true)
-
-func byLane(rev bool) (mask [2 * lanes]byte) {
-	for lane := range lanes {
-		src := lane
-		if rev {
-			src = lanes - 1 - lane
-		}
-		mask[lane/8*lanes+lane%8*2], mask[lane/8*lanes+lane%8*2+1] = byte(src), 0x80
+// low half and 8 to 15 from the high; the memory loop reads descending by
+// name. bounds is front.bound: the routine prunes the lanes below a window
+// by a lane-wise minimum with the 32 bytes of the first at 32 less twice
+// the lowest lane, and those above it, or past a window's last vector,
+// with the 32 bytes of the second from twice the lanes the window leaves.
+var ascending, descending, bounds = func() (asc, desc [2 * lanes]byte, b [2][2 * lanes]int16) {
+	for k := range lanes {
+		at := k/8*lanes + k%8*2 // lane k's low byte, in its half
+		asc[at], asc[at+1], desc[at], desc[at+1] = byte(k), 0x80, byte(lanes-1-k), 0x80
+		b[0][k], b[0][lanes+k] = narrowPruned, math.MaxInt16
+		b[1][k], b[1][lanes+k] = math.MaxInt16, narrowPruned
 	}
-	return mask
-}
+	return asc, desc, b
+}()
 
 // runFronts runs the batch on the assembly routine, fronts extensions at a
 // time. Every slot takes an extension from the queue; the routine advances
@@ -194,6 +194,7 @@ func (sl *slot) enter() {
 	narrowCells(q2[st.lo1:st.hi1+2], p2[st.lo1:], st.base)
 	q := &sl.narrow
 	st.rows = [5]*int16{&q[0][0], &q[1][0], &q[2][0], &q[0][0], &q[1][0]}
+	st.bound = bounds
 	st.a, st.b, st.amask, st.qmask, st.aoff, st.qoff = &sl.a[0], &sl.b[0], ascending, descending, 0, 1-lanes
 	if st.sigma < 0 {
 		st.a, st.b, st.amask, st.qmask, st.aoff, st.qoff = &sl.a[st.n], &sl.b[st.m], descending, ascending, 1-lanes, 0

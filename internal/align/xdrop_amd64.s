@@ -9,25 +9,6 @@
 // pruned is the abandoned-cell sentinel of the narrow rows, math.MinInt16.
 #define pruned $const_narrowPruned
 
-// Sixteen words of math.MaxInt16, then sixteen of math.MinInt16: the 32
-// bytes at 2·(-w&15), taken as a lane-wise upper bound, prune the lanes past
-// the last vector of a window w cells wide and leave the others be.
-DATA tailbound<>+0(SB)/8, $0x7fff7fff7fff7fff
-DATA tailbound<>+8(SB)/8, $0x7fff7fff7fff7fff
-DATA tailbound<>+16(SB)/8, $0x7fff7fff7fff7fff
-DATA tailbound<>+24(SB)/8, $0x7fff7fff7fff7fff
-DATA tailbound<>+32(SB)/8, $-0x7fff7fff7fff8000
-DATA tailbound<>+40(SB)/8, $-0x7fff7fff7fff8000
-DATA tailbound<>+48(SB)/8, $-0x7fff7fff7fff8000
-DATA tailbound<>+56(SB)/8, $-0x7fff7fff7fff8000
-GLOBL tailbound<>(SB), RODATA|NOPTR, $64
-
-// rot+1 mod 3, by rot.
-DATA rotnext<>+0(SB)/8, $1
-DATA rotnext<>+8(SB)/8, $2
-DATA rotnext<>+16(SB)/8, $0
-GLOBL rotnext<>(SB), RODATA|NOPTR, $24
-
 // VPSHUFB indices that swap the two words of every doubleword.
 DATA swapwords<>+0(SB)/8, $0x0504070601000302
 DATA swapwords<>+8(SB)/8, $0x0d0c0f0e09080b0a
@@ -45,11 +26,11 @@ GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 // LO its TZCNT, twice the lowest lane, and HZ its LZCNT, 30 less twice the
 // highest; lane 15 stays outside it, so that D, which has lost d-2's lane
 // 15 to the shift that made it, never needs it. Q is the address the
-// bases of b that antidiagonal d reads are loaded from (front.qv), which
+// bases of b that antidiagonal d reads are loaded from (front.qmask), which
 // steps by sigma an antidiagonal, and C counts the antidiagonals scored
 // since the band was loaded in its bits from 20 up (STEPONE each) and the
 // sum of their LO+HZ below (a window of d-1 gives d a window (34-LO-HZ)/2
-// cells wide). AV is a's sixteen bases from the anchor (front.av), which
+// cells wide). AV is a's sixteen bases from the anchor (front.amask), which
 // stay put until it moves; B is best-base in every lane.
 //
 // General registers: AX, BX, CX, DX scratch, and
@@ -129,7 +110,7 @@ NONE:
 // LOAD takes the front in F into registers, anchored at lo1, or leaves by
 // one of the four labels with nothing of it changed: d is past stop, d's
 // window is empty, the band cannot hold the window where the views allow
-// (the d-m bound is above lo1, or sixteen lanes from lo1 run past a view),
+// (the d-m bound is above lo1, or sixteen lanes from lo1 run past a read),
 // or the window is wider than the band's fifteen lanes.
 #define LOAD(F, LO, HZ, Q, C, P, D, AV, B, STOP, DEAD, EDGE, WIDE) \
 	MOVQ      front_d(F), DX; \
@@ -177,10 +158,6 @@ NONE:
 	VMOVDQU   2(BX)(AX*2), P; \
 	HELD(F, AV); \
 	VMOVDQU   front_vbest(F), B; \
-	VMOVDQU   Y11, front_bound(F); \
-	VMOVDQU   Y12, front_bound+32(F); \
-	VMOVDQU   Y12, front_bound+64(F); \
-	VMOVDQU   Y11, front_bound+96(F); \
 	MOVQ      $0, front_bslot+96(F)
 
 // STEP scores antidiagonal d of the front in F, in its band: advance's
@@ -259,7 +236,7 @@ SCORE: \
 // lo1 (WIDE). MOVE cuts the window at n and goes on to SCORE if it then
 // fits the band as anchored, or leaves by DEAD if it is empty; if not, the
 // anchor moves up to lo1. A move leaves by WIDE when the window is wider
-// than the band and by EDGE when sixteen lanes from lo1 run past a view;
+// than the band and by EDGE when sixteen lanes from lo1 run past a read;
 // else it settles best's first cell, shifts P and D down, moves Q with the
 // anchor, loads a's bases at the new anchor and goes back to TOP.
 #define SLOWPATH(F, LO, HZ, Q, C, P, D, AV, B, TOP, SCORE, STOP, DEAD, EDGE, WIDE, SLOW, MOVE, SHIFT, NONE) \
@@ -512,7 +489,7 @@ load1edge:
 	// and vector registers, beside the band's constants:
 	//	Y7 best-base (front.vbest)  Y5 prune
 	//	Y3 the row's last vector as stored
-	//	Y13 the bound of the window's last vector (tailbound)
+	//	Y13 the bound of the window's last vector
 	//	Y14 descending's mask
 memnext:
 	MOVQ front_d(DI), R11
@@ -590,8 +567,7 @@ vectors:
 	MOVQ    AX, CX
 	NEGQ    CX
 	ANDQ    $15, CX
-	LEAQ    tailbound<>(SB), R14
-	VMOVDQU (R14)(CX*2), Y13      // the bound of the window's last vector
+	VMOVDQU front_bound+64(DI)(CX*2), Y13 // prunes the lanes past the window
 
 	// The window, a vector at a time, the last masked by Y13.
 	VMOVDQA Y11, Y6               // running max
@@ -710,9 +686,11 @@ rotate:
 	MOVQ R13, front_hi1(DI)
 	INCQ R11
 	MOVQ R11, front_d(DI)
-	LEAQ rotnext<>(SB), CX
-	MOVQ (CX)(BX*8), CX
-	MOVQ CX, front_rot(DI)
+	INCQ    BX                   // rot+1 mod 3
+	XORL    CX, CX
+	CMPQ    BX, $3
+	CMOVQEQ CX, BX
+	MOVQ    BX, front_rot(DI)
 	MOVQ front_next(DI), DI
 	JMP  memnext
 
