@@ -113,18 +113,20 @@
 // read taken descending, reversed, its load starting 15 bytes lower
 // (front.amask, qmask, aoff, qoff). The lanes past a window read on past
 // its last cell: on s past base n, its end on a right flank and s[0] on a
-// left, so never past n; on t below base 0, into the seed and beyond, so
-// for bpad bases, as many as t holds there and at most 15 (overread).
-// Before every antidiagonal the routine checks lo+vw-1 <= n and lo+vw-1 <=
-// d+bpad, and returns exitEdge otherwise; the band (below) reads sixteen
-// lanes from its anchor, never below lo, so it checks the same with vw =
-// 16 each time the anchor moves, and each antidiagonal that its lane 0
-// does not read past t's base m. So no pointer is formed outside the
-// caller's slices. A flank of s 16 bases long or more, beside 15 bases of
-// t, is not at an edge near cell (0,0), and the routine takes it from its
-// first antidiagonal. The Go loop owns the far edge: the last dozen or so
-// antidiagonals of an extension that reaches the end of a read, and all of
-// a shorter flank. TestXDropReadsStayInsideTheReads runs both kernels on
+// left, so never past n; on t below base 0, into the seed and beyond, for
+// bpad bases, as many as t holds there and at most 15 (overread). Before
+// every antidiagonal the memory loop checks lo+vw-1 <= n and lo+vw-1 <=
+// d+bpad, and returns exitEdge otherwise. The band (below) reads sixteen
+// lanes from its anchor, never below lo: it checks the second with vw = 16
+// each time the anchor moves, and each antidiagonal that its lane 0 does
+// not read past t's base m; a's bases it loads once an anchor, from at most
+// n-15, its mask moved up by the rest, so a lane past n holds a base no
+// scored cell reads, and its rows are 15 cells longer. So no pointer is
+// formed outside the caller's slices. A flank of s 16 bases long or more,
+// beside 15 bases of t, is not at an edge near cell (0,0), and the routine
+// takes it from its first antidiagonal. The Go loop owns the rest: a
+// shorter flank, and the windows near a read's end that the memory loop
+// cannot read whole. TestXDropReadsStayInsideTheReads runs both kernels on
 // reads flush against a page that faults.
 //
 // # The band
@@ -176,7 +178,7 @@
 // read them; the Go side (runFronts, slot.resume, enter and leave,
 // horizon, the queue) does not know the band exists. TestSteadyPathsOnTheRungs
 // holds at least 95% of PipelineX7's and SimilarX7's antidiagonals to the
-// band (99.7% and 99.8%).
+// band (99.8% and 100.0%).
 //
 // Two fronts, because that is what the registers hold, and it is faster
 // than one: a band's antidiagonal is a chain of some 20 cycles (the live

@@ -101,11 +101,9 @@ func (b *batch) take(sl *slot) bool {
 	sd, k := b.seeds[e/2], b.k
 	x := clampXDrop(len(sd.S)+len(sd.T), b.sc, b.x)
 	sl.ext = e
-	// Each flank is read where it lies, from the seed base beside it, which
-	// is base 0 of both views: forward from the seed's last base on the
-	// right, backward from its first on the left. The routine's lanes past a
-	// window read on along t for up to overread bases: on the right into the
-	// seed and the bases before it, on the left into the seed and past it.
+	// Each flank is read where it lies from the seed base beside it, base 0
+	// of both views; the routine's lanes past a window may read on along t,
+	// into the seed and beyond, for up to overread bases t has.
 	if e%2 == 0 {
 		sl.begin(sd.S[sd.PosS+k-1:], sd.T[sd.PosT+k-1:], 1, min(overread, sd.PosT+k-1), b.sc, x)
 	} else {
@@ -283,10 +281,10 @@ func (sl *slot) begin(a, b []byte, sigma, bpad int, sc Scoring, x int32) {
 		if cap(sl.rows[r]) < n+3 {
 			sl.rows[r] = make([]int32, n+3)
 		}
-		if cap(sl.narrow[r]) < n+3 {
-			sl.narrow[r] = make([]int16, n+3)
+		if cap(sl.narrow[r]) < n+3+overread {
+			sl.narrow[r] = make([]int16, n+3+overread)
 		}
-		sl.rows[r], sl.narrow[r] = sl.rows[r][:n+3], sl.narrow[r][:n+3]
+		sl.rows[r], sl.narrow[r] = sl.rows[r][:n+3], sl.narrow[r][:n+3+overread]
 	}
 	sl.a, sl.b = a, b
 	st := &sl.st

@@ -71,9 +71,8 @@ GLOBL swapwords<>(SB), RODATA|NOPTR, $32
 NONE:
 
 // ANCHOR puts the band's lane 0 at i = AX, d being DX: it sets the anchor
-// and the thresholds the loop compares with, from n, m and stop. C may
-// count on until d passes stop or lane 0 would read past b[m] (its j,
-// d-anchor, passes m).
+// and the thresholds the loop compares with, C's limit being where d
+// passes stop or lane 0's j, d-anchor, passes m.
 #define ANCHOR(F, C) \
 	MOVQ    AX, front_anchor(F); \
 	MOVQ    front_n(F), CX; \
@@ -98,19 +97,31 @@ NONE:
 	LEAQ    STEPONE(BX)(CX*1), CX; \
 	MOVQ    CX, front_climit(F)
 
-// HELD loads a's sixteen bases from i = AX into AV.
+// HELD loads a's sixteen bases from i = AX into AV: from min(AX, n-15),
+// inside a as n >= 15, the mask moved up by the rest, so that a lane past
+// n takes a byte, or zero, no cell it holds is scored with.
 #define HELD(F, AV) \
-	MOVQ           AX, CX; \
+	MOVQ           front_n(F), CX; \
+	SUBQ           $15, CX; \
+	CMPQ           AX, CX; \
+	CMOVQLT        AX, CX; \
+	MOVQ           AX, DX; \
+	SUBQ           CX, DX; \
 	IMULQ          front_sigma(F), CX; \
 	ADDQ           front_a(F), CX; \
 	ADDQ           front_aoff(F), CX; \
 	VBROADCASTI128 (CX), AV; \
-	VPSHUFB        front_amask(F), AV, AV
+	IMULQ          front_sigma(F), DX; \
+	ANDL           $0xff, DX; \
+	VMOVD          DX, X13; \
+	VPBROADCASTW   X13, Y13; \
+	VPADDB         front_amask(F), Y13, Y13; \
+	VPSHUFB        Y13, AV, AV
 
 // LOAD takes the front in F into registers, anchored at lo1, or leaves by
 // one of the four labels with nothing of it changed: d is past stop, d's
 // window is empty, the band cannot hold the window where the views allow
-// (the d-m bound is above lo1, or sixteen lanes from lo1 run past a read),
+// (s's flank is under 16 bases, or sixteen lanes from lo1 run past t),
 // or the window is wider than the band's fifteen lanes.
 #define LOAD(F, LO, HZ, Q, C, P, D, AV, B, STOP, DEAD, EDGE, WIDE) \
 	MOVQ      front_d(F), DX; \
@@ -132,9 +143,9 @@ NONE:
 	SUBQ      AX, BX; \
 	CMPQ      BX, $14; \
 	JGT       WIDE; \
+	CMPQ      front_n(F), $15; \
+	JLT       EDGE; \
 	LEAQ      15(AX), CX; \
-	CMPQ      CX, front_n(F); \
-	JGT       EDGE; \
 	SUBQ      front_bpad(F), CX; \
 	CMPQ      CX, DX; \
 	JGT       EDGE; \
@@ -236,7 +247,7 @@ SCORE: \
 // lo1 (WIDE). MOVE cuts the window at n and goes on to SCORE if it then
 // fits the band as anchored, or leaves by DEAD if it is empty; if not, the
 // anchor moves up to lo1. A move leaves by WIDE when the window is wider
-// than the band and by EDGE when sixteen lanes from lo1 run past a read;
+// than the band and by EDGE when sixteen lanes from lo1 run past t;
 // else it settles best's first cell, shifts P and D down, moves Q with the
 // anchor, loads a's bases at the new anchor and goes back to TOP.
 #define SLOWPATH(F, LO, HZ, Q, C, P, D, AV, B, TOP, SCORE, STOP, DEAD, EDGE, WIDE, SLOW, MOVE, SHIFT, NONE) \
@@ -270,9 +281,9 @@ SHIFT: \
 	MOVQ       LO, AX; \
 	SHRQ       $1, AX; \
 	ADDQ       front_anchor(F), AX; \
+	CMPQ       front_n(F), $15; \
+	JLT        EDGE; \
 	LEAQ       15(AX), CX; \
-	CMPQ       CX, front_n(F); \
-	JGT        EDGE; \
 	SUBQ       front_bpad(F), CX; \
 	DOF(F, C, DX); \
 	CMPQ       CX, DX; \

@@ -59,11 +59,11 @@ func newGuarded(a, b []byte, sc Scoring, x int32, sigma, bpad int) *guarded {
 			g.rowMem[r][k] = rowCanary
 		}
 		g.sl.rows[r] = g.rowMem[r][canaryRoom:][: n+3 : n+3]
-		g.narrowMem[r] = make([]int16, canaryRoom+n+3+canaryRoom)
+		g.narrowMem[r] = make([]int16, canaryRoom+n+3+overread+canaryRoom)
 		for k := range g.narrowMem[r] {
 			g.narrowMem[r][k] = narrowCanary
 		}
-		g.sl.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3 : n+3]
+		g.sl.narrow[r] = g.narrowMem[r][canaryRoom:][: n+3+overread : n+3+overread]
 	}
 	g.sl.begin(views[0], views[1], sigma, bpad, sc, x)
 	return g

@@ -355,7 +355,7 @@ func BenchmarkXDropSimilar(b *testing.B) {
 // x=7 on 6 kb reads at 7.5% error each, which is 15% pairwise: half the
 // divergence of the pipeline's reads (BenchmarkXDropPipelineX7). The window is
 // 8 cells or fewer on nine antidiagonals in ten, so on an AVX2 host this times
-// the assembly routine's band, the two flanks' fronts in registers (99.8% of
+// the assembly routine's band, the two flanks' fronts in registers (100.0% of
 // some 12 000 antidiagonals, TestSteadyPathsOnTheRungs), and the moves of its
 // anchor; the Go loop runs the last few. Anywhere else it times the Go loop.
 func BenchmarkXDropSimilarX7(b *testing.B) {
@@ -384,7 +384,7 @@ func pipelinePair(tb testing.TB) (s, u []byte, seedS, seedU int) {
 }
 
 // The pipeline's own shape: x=7 on the pair above, as the longread_align
-// workload aligns. On an AVX2 host the band holds the window on 99.7% of its
+// workload aligns. On an AVX2 host the band holds the window on 99.8% of its
 // antidiagonals; a window of 16 cells or one the d-m bound cuts goes to the
 // memory loop.
 func BenchmarkXDropPipelineX7(b *testing.B) {
