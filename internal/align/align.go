@@ -185,8 +185,8 @@
 // mask, TZCNT or LZCNT, the mask load, three VPMINSW), and a second front's
 // chain fills it: on BenchmarkXDropBatchPipelineX7's 231 seeds the band
 // ran 1.62-1.66x the four-front memory-row routine it replaced with two
-// fronts, 1.23-1.30x with one (CHANGES.md, PR 42, which also lists the
-// variants measured and dropped on the way).
+// fronts, 1.23-1.30x with one (CHANGES.md lists the variants measured and
+// dropped on the way).
 //
 // TestSteadyMatchesLoop enters the routine at every antidiagonal of a set of
 // extensions, alone and beside a second front, and holds what both leave to
