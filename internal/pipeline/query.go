@@ -142,18 +142,22 @@ func (w *World) probeQuery(batch []QueryRead) ([]overlap.Task, error) {
 	base := uint32(w.store.NumReads())
 	rec := trace.Rec(c.Rank())
 
-	// Route this rank's slice of the batch's k-mer occurrences to their
+	// Route this rank's block of the batch's k-mer positions to their
 	// partition owners — the hash pass's exchange, one round, with query
-	// read IDs appended after the indexed ID space. Owner spreads the
-	// slice's k-mers uniformly, so each destination is sized once, as the
-	// build's rounds are.
+	// read IDs appended after the indexed ID space. The positions are
+	// numbered read after read and block-distributed, so every rank scans
+	// a share even of a one-read batch: its slice of each read it meets,
+	// with the slice's start added back to each location. Owner spreads
+	// the block's k-mers uniformly, so each destination is sized once, as
+	// the build's rounds are.
 	rec.Begin(traceQueryProbe, c.Now())
 	t0 := walltime.Now()
-	lo, hi := blockRange(len(batch), p, c.Rank())
-	n := 0
-	for j := lo; j < hi; j++ {
-		n += kmer.Count(len(batch[j].Seq), cfg.K)
+	total := 0
+	for _, q := range batch {
+		total += kmer.Count(len(q.Seq), cfg.K)
 	}
+	lo, hi := blockRange(total, p, c.Rank())
+	n := hi - lo
 	send := make([][]overlap.KeyVal, p)
 	for dst := range send {
 		send[dst] = make([]overlap.KeyVal, 0, min(n, n/p+n/(16*p)+32))
@@ -164,12 +168,20 @@ func (w *World) probeQuery(batch []QueryRead) ([]overlap.Task, error) {
 		keys   [512]kmer.Kmer
 		locs   [512]kmer.Loc
 	)
-	for j := lo; j < hi; j++ {
-		sc.Reset(batch[j].Seq, cfg.K, base+uint32(j))
+	// first is the number of read j's first k-mer position.
+	for j, first := 0, 0; j < len(batch) && first < hi; j++ {
+		count := kmer.Count(len(batch[j].Seq), cfg.K)
+		from, to := max(lo-first, 0), min(hi-first, count)
+		first += count
+		if from >= to {
+			continue
+		}
+		sc.Reset(batch[j].Seq[from:to+cfg.K-1], cfg.K, base+uint32(j))
+		at := kmer.Loc(2 * from)
 		for n := sc.Fill(keys[:], locs[:]); n > 0; n = sc.Fill(keys[:], locs[:]) {
 			for i, km := range keys[:n] {
 				dst := km.Owner(p)
-				send[dst] = append(send[dst], overlap.KeyVal{Key: uint64(km), Val: uint64(locs[i])})
+				send[dst] = append(send[dst], overlap.KeyVal{Key: uint64(km), Val: uint64(locs[i] + at)})
 			}
 			routed += int64(n)
 		}
@@ -191,7 +203,8 @@ func (w *World) probeQuery(batch []QueryRead) ([]overlap.Task, error) {
 	// walked as runs of one k-mer, as diBELLA's overlap stage walks the
 	// hash table. The sort is stable, so within a run the occurrences keep
 	// their arrival order, which is (read, position) ascending — sources
-	// hold ascending blocks of the batch and scan each read front to back.
+	// hold ascending blocks of the batch's positions and scan each slice
+	// front to back.
 	// The runs come in ascending k-mer order, and that order cannot reach
 	// the output: Consolidate merges seeds by pair, FilterSeeds's result
 	// depends on a pair's seed set alone, and tasks and gathered records

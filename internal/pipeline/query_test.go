@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"dibella/internal/fastq"
+	"dibella/internal/kmer"
 	"dibella/internal/machine"
 	"dibella/internal/overlap"
+	"dibella/internal/paf"
 	"dibella/internal/seqgen"
 	"dibella/internal/spmd"
 	"dibella/internal/trace"
@@ -164,6 +166,75 @@ func smallQueryInput(t *testing.T) (indexed []*fastq.Record, batch []QueryRead) 
 		batch = append(batch, QueryRead{Name: r.Name, Seq: r.Seq})
 	}
 	return indexed, batch
+}
+
+// TestOneReadBatchRoutedByEveryRank: the route splits a batch's k-mer
+// positions, not its reads, so at p=3 every rank scans and routes a share
+// of a one-read batch, the shares sum to the read's k-mers, and the served
+// PAF is still the combined batch run's restricted to the query read.
+func TestOneReadBatchRoutedByEveryRank(t *testing.T) {
+	const p = 3
+	indexed, batch := smallQueryInput(t)
+	batch = batch[:1]
+	cfg := Config{
+		K: 17, MaxFreq: 8, SeedMode: overlap.MinDistance, MinDist: 500,
+		KeepAlignments: true, KeepSingletons: true,
+	}
+	routed := make([]int64, p)
+	var served bytes.Buffer
+	err := spmd.Run(p, func(c *spmd.Comm) error {
+		w, err := FormWorld(c, nil, fastq.NewReadStore(indexed, p), cfg)
+		if err != nil {
+			return err
+		}
+		recs, err := w.RunQuery(0, batch)
+		if err != nil {
+			return err
+		}
+		routed[c.Rank()] = w.QueryStats().KmersRouted
+		if c.Rank() == 0 {
+			return paf.Write(&served, w.QueryPAF(batch, recs))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for r, n := range routed {
+		if n == 0 {
+			t.Errorf("rank %d routed none of a one-read batch's k-mers", r)
+		}
+		sum += n
+	}
+	if want := int64(kmer.Count(len(batch[0].Seq), cfg.K)); sum != want {
+		t.Errorf("ranks routed %v k-mers, summing to %d; the read has %d", routed, sum, want)
+	}
+
+	all := append(slices.Clip(indexed), &fastq.Record{Name: batch[0].Name, Seq: batch[0].Seq})
+	batchCfg := cfg
+	batchCfg.KeepSingletons = false
+	rep, err := Execute(p, nil, all, batchCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []Alignment
+	for _, a := range rep.Records {
+		if int(a.B) >= len(indexed) {
+			kept = append(kept, a)
+		}
+	}
+	rep.Records = kept
+	var want bytes.Buffer
+	if err := paf.Write(&want, rep.PAFRecords(all)); err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 {
+		t.Fatal("degenerate reference: the query read overlaps nothing")
+	}
+	if !bytes.Equal(served.Bytes(), want.Bytes()) {
+		t.Errorf("served PAF (%d bytes) differs from the batch reference (%d bytes)", served.Len(), want.Len())
+	}
 }
 
 // An index a daemon serves is loaded from a file, as the batch run's reads

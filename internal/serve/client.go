@@ -63,9 +63,9 @@ type QueryResult struct {
 
 // roundTrip sends one frame and reads the daemon's answer to it. An error
 // frame comes back as the error it carries.
-func (cl *Client) roundTrip(typ uint8, payload []byte) (uint8, []byte, error) {
+func (cl *Client) roundTrip(frame []byte) (uint8, []byte, error) {
 	cl.deadline()
-	if err := writeFrontendFrame(cl.bw, typ, payload); err != nil {
+	if err := writeFrontendFrame(cl.bw, frame); err != nil {
 		return 0, nil, err
 	}
 	if err := cl.bw.Flush(); err != nil {
@@ -86,7 +86,7 @@ func (cl *Client) roundTrip(typ uint8, payload []byte) (uint8, []byte, error) {
 // (ErrQueueFull, ErrBadTenant, ErrTooLarge, ErrEmptyBatch,
 // ErrShuttingDown); a daemon from another build answers ErrBadVersion.
 func (cl *Client) Query(tenant string, reads []pipeline.QueryRead) (*QueryResult, error) {
-	typ, body, err := cl.roundTrip(frameQuery, queryRequest{Tenant: tenant, Reads: reads}.encode())
+	typ, body, err := cl.roundTrip(queryRequest{Tenant: tenant, Reads: reads}.encode(newFrame(frameQuery)))
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func (cl *Client) Query(tenant string, reads []pipeline.QueryRead) (*QueryResult
 // Shutdown asks the daemon to stop admitting work and exit once the
 // admitted queue drains.
 func (cl *Client) Shutdown(tenant string) error {
-	typ, _, err := cl.roundTrip(frameShutdown, wire.Bytes(nil, tenant))
+	typ, _, err := cl.roundTrip(wire.Bytes(newFrame(frameShutdown), tenant))
 	if errors.Is(err, ErrShuttingDown) {
 		return nil // the expected acknowledgement
 	}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"dibella/internal/pipeline"
 	"dibella/internal/wire"
@@ -83,8 +85,10 @@ func readReads(r *wire.Reader) []pipeline.QueryRead {
 	return reads
 }
 
-func (q queryRequest) encode() []byte {
-	b := make([]byte, 0, 4+len(q.Tenant)+readsLen(q.Reads))
+// encode appends q to b. Every message's encode appends: to nil for a bare
+// payload, to newFrame for a frame writeFrontendFrame sends.
+func (q queryRequest) encode(b []byte) []byte {
+	b = slices.Grow(b, 4+len(q.Tenant)+readsLen(q.Reads))
 	return appendReads(wire.Bytes(b, q.Tenant), q.Reads)
 }
 
@@ -100,8 +104,8 @@ func decodeTenant(b []byte) (string, error) {
 	return tenant, r.Finish()
 }
 
-func (q QueryResult) encode() []byte {
-	b := wire.Bytes(make([]byte, 0, 24+len(q.PAF)), q.PAF)
+func (q QueryResult) encode(b []byte) []byte {
+	b = wire.Bytes(slices.Grow(b, 24+len(q.PAF)), q.PAF)
 	b = wire.U32(b, uint32(q.Records))
 	return wire.F64(wire.F64(b, q.VirtualSeconds), q.QueueWaitSecs)
 }
@@ -115,7 +119,7 @@ func decodeQueryResult(b []byte) (QueryResult, error) {
 	return q, r.Finish()
 }
 
-func (e errorResponse) encode() []byte { return wire.Bytes(wire.Bytes(nil, e.Code), e.Msg) }
+func (e errorResponse) encode(b []byte) []byte { return wire.Bytes(wire.Bytes(b, e.Code), e.Msg) }
 
 func decodeErrorResponse(b []byte) (errorResponse, error) {
 	r := wire.NewReader(b)
@@ -123,8 +127,8 @@ func decodeErrorResponse(b []byte) (errorResponse, error) {
 	return e, r.Finish()
 }
 
-func (op servOp) encode() []byte {
-	b := make([]byte, 0, 5+len(op.Msg)+readsLen(op.Batch))
+func (op servOp) encode(b []byte) []byte {
+	b = slices.Grow(b, 5+len(op.Msg)+readsLen(op.Batch))
 	return appendReads(wire.Bytes(wire.U8(b, uint8(op.Kind)), op.Msg), op.Batch)
 }
 
@@ -134,16 +138,22 @@ func decodeServOp(b []byte) (servOp, error) {
 	return op, r.Finish()
 }
 
-// writeFrontendFrame writes one frame.
-func writeFrontendFrame(w io.Writer, typ uint8, payload []byte) error {
-	if len(payload) > maxFrontendPayload {
-		return fmt.Errorf("serve: frame payload %d exceeds limit %d", len(payload), maxFrontendPayload)
+// newFrame returns a frame of type typ with no payload yet: its header, the
+// length left for writeFrontendFrame to fill. A message is encoded onto it,
+// so a frame is built in one buffer and its payload is never copied again.
+func newFrame(typ uint8) []byte {
+	return wire.U32(wire.U8(wire.U16(make([]byte, 0, frontendHeaderLen), frontendMagic), typ), 0)
+}
+
+// writeFrontendFrame writes frame, a newFrame with its payload appended, in
+// one Write: a reply leaves as one syscall and wakes the peer's reader once.
+func writeFrontendFrame(w io.Writer, frame []byte) error {
+	plen := len(frame) - frontendHeaderLen
+	if plen > maxFrontendPayload {
+		return fmt.Errorf("serve: frame payload %d exceeds limit %d", plen, maxFrontendPayload)
 	}
-	hdr := wire.U8(wire.U16(make([]byte, 0, frontendHeaderLen), frontendMagic), typ)
-	if _, err := w.Write(wire.U32(hdr, uint32(len(payload)))); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame[frontendHeaderLen-4:], uint32(plen))
+	_, err := w.Write(frame)
 	return err
 }
 

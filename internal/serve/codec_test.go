@@ -34,46 +34,46 @@ var messageCodecs = []struct {
 	sample []byte
 	recode func(b []byte) (back []byte, elems int, err error)
 }{
-	{"queryRequest", sampleRequest.encode(), func(b []byte) ([]byte, int, error) {
+	{"queryRequest", sampleRequest.encode(nil), func(b []byte) ([]byte, int, error) {
 		m, err := decodeQueryRequest(b)
-		return m.encode(), len(m.Reads), err
+		return m.encode(nil), len(m.Reads), err
 	}},
 	{"shutdown", wire.Bytes(nil, "alice"), func(b []byte) ([]byte, int, error) {
 		tenant, err := decodeTenant(b)
 		return wire.Bytes(nil, tenant), 0, err
 	}},
-	{"QueryResult", sampleResult.encode(), func(b []byte) ([]byte, int, error) {
+	{"QueryResult", sampleResult.encode(nil), func(b []byte) ([]byte, int, error) {
 		m, err := decodeQueryResult(b)
-		return m.encode(), 0, err
+		return m.encode(nil), 0, err
 	}},
-	{"errorResponse", sampleError.encode(), func(b []byte) ([]byte, int, error) {
+	{"errorResponse", sampleError.encode(nil), func(b []byte) ([]byte, int, error) {
 		m, err := decodeErrorResponse(b)
-		return m.encode(), 0, err
+		return m.encode(nil), 0, err
 	}},
-	{"servOp", sampleOp.encode(), func(b []byte) ([]byte, int, error) {
+	{"servOp", sampleOp.encode(nil), func(b []byte) ([]byte, int, error) {
 		m, err := decodeServOp(b)
-		return m.encode(), len(m.Batch), err
+		return m.encode(nil), len(m.Batch), err
 	}},
 }
 
 func TestMessagesRoundTrip(t *testing.T) {
-	if got, err := decodeQueryRequest(sampleRequest.encode()); err != nil || got.Tenant != "alice" || !sameReads(got.Reads, testReads) {
+	if got, err := decodeQueryRequest(sampleRequest.encode(nil)); err != nil || got.Tenant != "alice" || !sameReads(got.Reads, testReads) {
 		t.Errorf("queryRequest: %+v, %v", got, err)
 	}
-	if got, err := decodeQueryRequest(queryRequest{}.encode()); err != nil || got.Reads != nil {
+	if got, err := decodeQueryRequest(queryRequest{}.encode(nil)); err != nil || got.Reads != nil {
 		t.Errorf("empty queryRequest: %+v, %v", got, err)
 	}
 	if got, err := decodeTenant(wire.Bytes(nil, "bob")); err != nil || got != "bob" {
 		t.Errorf("shutdown tenant: %q, %v", got, err)
 	}
-	if got, err := decodeQueryResult(sampleResult.encode()); err != nil || !reflect.DeepEqual(got, sampleResult) {
+	if got, err := decodeQueryResult(sampleResult.encode(nil)); err != nil || !reflect.DeepEqual(got, sampleResult) {
 		t.Errorf("QueryResult: %+v, %v", got, err)
 	}
-	if got, err := decodeErrorResponse(sampleError.encode()); err != nil || got != sampleError {
+	if got, err := decodeErrorResponse(sampleError.encode(nil)); err != nil || got != sampleError {
 		t.Errorf("errorResponse: %+v, %v", got, err)
 	}
 	for _, op := range []servOp{sampleOp, {Kind: opStop}, {Kind: opFail, Msg: "listen: in use"}} {
-		got, err := decodeServOp(op.encode())
+		got, err := decodeServOp(op.encode(nil))
 		if err != nil || got.Kind != op.Kind || got.Msg != op.Msg || !sameReads(got.Batch, op.Batch) {
 			t.Errorf("servOp %+v: %+v, %v", op, got, err)
 		}
@@ -109,13 +109,58 @@ func TestMessagesRejectCorruption(t *testing.T) {
 	}
 }
 
+// callCounter records each Write it is handed.
+type callCounter struct {
+	bytes.Buffer
+	calls int
+}
+
+func (w *callCounter) Write(b []byte) (int, error) {
+	w.calls++
+	return w.Buffer.Write(b)
+}
+
+// TestFrontendFrameIsOneWrite: every frame the daemon and the client send —
+// a reply, a refusal, a query, a shutdown — reaches the connection as one
+// Write, a megabyte reply included, and reads back as the payload it holds.
+func TestFrontendFrameIsOneWrite(t *testing.T) {
+	bigPAF := QueryResult{PAF: bytes.Repeat([]byte("r\tq\n"), 1<<18), Records: 1 << 18}
+	for _, c := range []struct {
+		name    string
+		typ     uint8
+		frame   []byte
+		payload []byte
+	}{
+		{"reply", framePAF, sampleResult.encode(newFrame(framePAF)), sampleResult.encode(nil)},
+		{"large reply", framePAF, bigPAF.encode(newFrame(framePAF)), bigPAF.encode(nil)},
+		{"refusal", frameErr, sampleError.encode(newFrame(frameErr)), sampleError.encode(nil)},
+		{"query", frameQuery, sampleRequest.encode(newFrame(frameQuery)), sampleRequest.encode(nil)},
+		{"shutdown", frameShutdown, wire.Bytes(newFrame(frameShutdown), "alice"), wire.Bytes(nil, "alice")},
+	} {
+		var w callCounter
+		if err := writeFrontendFrame(&w, c.frame); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if w.calls != 1 {
+			t.Errorf("%s: %d Write calls for one frame, want 1", c.name, w.calls)
+		}
+		typ, body, err := readFrontendFrame(&w)
+		if err != nil || typ != c.typ || !bytes.Equal(body, c.payload) {
+			t.Errorf("%s: read back type %d, %d bytes (want %d), %v", c.name, typ, len(body), len(c.payload), err)
+		}
+		if w.Len() != 0 {
+			t.Errorf("%s: %d bytes past the frame", c.name, w.Len())
+		}
+	}
+}
+
 func TestFrontendFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payload := sampleRequest.encode()
-	if err := writeFrontendFrame(&buf, frameQuery, payload); err != nil {
+	payload := sampleRequest.encode(nil)
+	if err := writeFrontendFrame(&buf, append(newFrame(frameQuery), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrontendFrame(&buf, frameShutdown, nil); err != nil {
+	if err := writeFrontendFrame(&buf, newFrame(frameShutdown)); err != nil {
 		t.Fatal(err)
 	}
 	stream := append([]byte(nil), buf.Bytes()...)
@@ -461,7 +506,7 @@ func TestTricklingPayloadLosesItsConnection(t *testing.T) {
 func FuzzFrontend(f *testing.F) {
 	for i, c := range messageCodecs {
 		var buf bytes.Buffer
-		writeFrontendFrame(&buf, frameQuery, c.sample)
+		writeFrontendFrame(&buf, append(newFrame(frameQuery), c.sample...))
 		f.Add(uint8(i), buf.Bytes())
 	}
 	f.Add(uint8(0), gobEraQuery())
@@ -474,7 +519,7 @@ func FuzzFrontend(f *testing.F) {
 			t.Fatalf("%d payload bytes from a %d-byte input", len(body), len(b))
 		}
 		var again bytes.Buffer
-		if err := writeFrontendFrame(&again, typ, body); err != nil || !bytes.Equal(again.Bytes(), b[:again.Len()]) {
+		if err := writeFrontendFrame(&again, append(newFrame(typ), body...)); err != nil || !bytes.Equal(again.Bytes(), b[:again.Len()]) {
 			t.Fatalf("frame re-encoding differs (%v): %x -> %x", err, b, again.Bytes())
 		}
 		c := messageCodecs[int(which)%len(messageCodecs)]

@@ -294,7 +294,7 @@ func Serve(w *pipeline.World, opts Options) (Stats, error) {
 				local, j = s.next(served)
 			}
 		}
-		op, err := decodeServOp(spmd.Bcast(c, local.encode(), 0))
+		op, err := decodeServOp(spmd.Bcast(c, local.encode(nil), 0))
 		if err != nil {
 			return Stats{}, fmt.Errorf("serve: op from rank 0: %w", err)
 		}
@@ -616,7 +616,7 @@ func (s *server) handleConn(conn *frontConn) {
 		s.dropConn(conn)
 	}()
 	refuse := func(err error) error {
-		return writeFrontendFrame(conn, frameErr, errorResponse{Code: errCode(err), Msg: err.Error()}.encode())
+		return writeFrontendFrame(conn, errorResponse{Code: errCode(err), Msg: err.Error()}.encode(newFrame(frameErr)))
 	}
 	// Only while it waits for a header may a newer connection take its
 	// place: register stamps it idle, and so does the end of every frame.
@@ -664,7 +664,7 @@ func (s *server) handleConn(conn *frontConn) {
 			if res.err != nil {
 				werr = refuse(res.err)
 			} else {
-				werr = writeFrontendFrame(conn, framePAF, res.resp.encode())
+				werr = writeFrontendFrame(conn, res.resp.encode(newFrame(framePAF)))
 			}
 			s.respWG.Done()
 			if werr != nil {
@@ -686,7 +686,7 @@ func (s *server) handleConn(conn *frontConn) {
 			}
 			// Ack before signalling the loop: once it hears the stop,
 			// shutdown's closeConns may cut this connection at any moment.
-			writeFrontendFrame(conn, frameErr, errorResponse{Code: "shutting-down", Msg: "shutdown accepted"}.encode())
+			writeFrontendFrame(conn, errorResponse{Code: "shutting-down", Msg: "shutdown accepted"}.encode(newFrame(frameErr)))
 			s.stopOnce.Do(func() { s.jobs <- nil })
 		default:
 			return

@@ -1,6 +1,11 @@
 package spmd
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // The in-process transport: ranks are goroutines in one address space.
 // Each posted exchange gets its own sequence-numbered slot (the per-rank
@@ -10,6 +15,31 @@ import "sync"
 // are delivered zero-copy (receivers alias the sender's memory). A slot is
 // reclaimed once every rank has read its column, and reused by a later
 // exchange: a world in steady state allocates nothing per exchange.
+//
+// A rank that waits an exchange its peers have not all posted polls before
+// it parks. Parking on the condition variable costs a hand-off: the peer
+// that posts last readies the parked rank, and the scheduler runs it when a
+// P comes free — on a 2-vCPU host a median 70 µs and a p90 350 µs after the
+// post (a -trace of 64 single-read serve epochs), once per collective. So
+// wait first reads an atomic count of completed exchanges, yielding its P
+// every pollYield reads so that goroutines sharing it (a serve frontend's
+// handlers, the collector's workers) still run, for at most pollBound; then
+// it parks as before. pollBound was chosen by ablation over 0, 100 µs,
+// 300 µs, 1 ms and 3 ms (CHANGES.md): 1 ms took serve_queries' wall 21%
+// down for about one 10 ms CPU tick more, where 100 µs and 300 µs took it
+// 9–11%; 3 ms took it 6% further but gave back longread_align's gain, and
+// it burns three times the CPU on every wait that outlasts it. A world
+// polls only when it has no more ranks than GOMAXPROCS, the condition
+// under which sync.Mutex spins: with more ranks than Ps, a polling rank
+// would take the P the rank it waits for needs.
+
+const (
+	// pollBound is how long a waiting rank polls before it parks.
+	pollBound = time.Millisecond
+	// pollYield is how many reads of the completion count a polling rank
+	// makes between yields of its P (and reads of the clock).
+	pollYield = 32
+)
 
 // memSlot is one outstanding exchange: per-rank staged rows plus the
 // running maxima of the posting clocks and byte counts.
@@ -24,6 +54,15 @@ type memSlot struct {
 // memWorld is the state shared by all ranks of one in-process world.
 type memWorld struct {
 	size int
+	// poll is whether a waiting rank polls before it parks: the world has
+	// no more ranks than GOMAXPROCS had when it was made.
+	poll bool
+	// completed counts the exchanges every rank has posted. Ranks post in
+	// sequence order, so exchanges complete in it too: exchange seq is
+	// ready once completed > seq. stopped mirrors aborted. Both are
+	// written under mu and read without it by a polling rank.
+	completed atomic.Uint64
+	stopped   atomic.Bool
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -36,7 +75,7 @@ type memWorld struct {
 }
 
 func newMemWorld(p int) *memWorld {
-	w := &memWorld{size: p}
+	w := &memWorld{size: p, poll: p <= runtime.GOMAXPROCS(0)}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -81,6 +120,7 @@ func (m *memRank) Close() error { return nil }
 func (m *memRank) Abort() {
 	m.w.mu.Lock()
 	m.w.aborted = true
+	m.w.stopped.Store(true)
 	m.w.cond.Broadcast()
 	m.w.mu.Unlock()
 }
@@ -101,6 +141,7 @@ func (m *memRank) ialltoallv(send [][]byte, clock, sentBytes float64) (pendingEx
 	sl.maxBytes = max(sl.maxBytes, sentBytes)
 	sl.posted++
 	if sl.posted == w.size {
+		w.completed.Add(1)
 		w.cond.Broadcast()
 	}
 	m.posted++
@@ -109,6 +150,9 @@ func (m *memRank) ialltoallv(send [][]byte, clock, sentBytes float64) (pendingEx
 
 func (m *memRank) wait() ([][]byte, float64, float64, error) {
 	w := m.w
+	if w.poll {
+		w.pollFor(m.waited)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	sl := w.slot(m.waited)
@@ -134,4 +178,22 @@ func (m *memRank) wait() ([][]byte, float64, float64, error) {
 		w.slots = w.slots[:copy(w.slots, w.slots[1:])]
 	}
 	return m.recv, maxClock, maxBytes, nil
+}
+
+// pollFor polls until exchange seq completes, the world aborts or
+// pollBound passes, whichever is first; wait then takes the mutex and, if
+// the exchange is still open, parks.
+func (w *memWorld) pollFor(seq uint64) {
+	if w.completed.Load() > seq {
+		return
+	}
+	start := time.Now()
+	for i := 1; w.completed.Load() <= seq && !w.stopped.Load(); i++ {
+		if i%pollYield == 0 {
+			runtime.Gosched()
+			if time.Since(start) >= pollBound {
+				return
+			}
+		}
+	}
 }

@@ -13,6 +13,16 @@
 // data moves only at the collective, happens-before across it) match
 // MPI's on both backends, which is all the algorithm depends on.
 //
+// A blocked rank waits as MPI's blocking calls do on each backend's own
+// terms. An in-process rank polls for its exchange for up to a fixed bound
+// (1 ms, chosen by ablation) and then parks, and it polls only in a world
+// with no more ranks than GOMAXPROCS, the condition under which sync.Mutex
+// spins: a parked goroutine resumes tens to hundreds of microseconds after
+// the post that readies it, which a served query would pay at every
+// collective (mem.go). A TCP rank's wait is a reader goroutine parked in
+// the netpoller: its ranks are processes sharing the host's CPUs, where a
+// polling rank would take the CPU its peer needs.
+//
 // The typed layer's contract is one rule on every transport: a collective
 // carries a pointer-free value (Allgather, Bcast, the reductions) or rows
 // of pointer-free elements (Alltoallv, GatherTo, a row handed to Allgather

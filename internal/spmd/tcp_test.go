@@ -505,12 +505,22 @@ func TestMalformedRowFailsEveryRank(t *testing.T) {
 					errs <- RunTransport(tr, nil, func(c *Comm) error { path.exchange(c); return nil })
 				}()
 			}
+			// Once one malformed frame is out, the rank that read it fails
+			// and the world aborts: a rank may close its connections before
+			// the raw peer's later frames reach it, so only a write before
+			// the first frame landed anywhere is a fault of the test. A
+			// connection that refused a frame gets no more.
+			sent := false
 			for _, conn := range rawPeer(t, ln.Addr().String(), p) {
 				for seq, payload := range path.frames {
 					bad := &frame{Type: frameColl, Seq: uint64(seq), Payload: payload}
 					if err := writeFrame(conn, bad); err != nil {
-						t.Errorf("raw peer writing its frame: %v", err)
+						if !sent {
+							t.Errorf("raw peer writing its first frame: %v", err)
+						}
+						break
 					}
+					sent = true
 				}
 			}
 			named := false

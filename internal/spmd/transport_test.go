@@ -22,15 +22,24 @@ var backends = []struct {
 	name string
 	form func(t *testing.T, p int) []Transport
 }{
-	{"mem", func(_ *testing.T, p int) []Transport {
+	{"mem", func(_ *testing.T, p int) []Transport { return memRanks(newMemWorld(p)) }},
+	// The same world with polling off, so the parking path is checked
+	// whatever GOMAXPROCS the host gives.
+	{"mem-parked", func(_ *testing.T, p int) []Transport {
 		w := newMemWorld(p)
-		trs := make([]Transport, p)
-		for r := range trs {
-			trs[r] = w.rank(r)
-		}
-		return trs
+		w.poll = false
+		return memRanks(w)
 	}},
 	{"tcp", func(t *testing.T, p int) []Transport { return formTCPWorld(t, p) }},
+}
+
+// memRanks returns every rank's handle on w.
+func memRanks(w *memWorld) []Transport {
+	trs := make([]Transport, w.size)
+	for r := range trs {
+		trs[r] = w.rank(r)
+	}
+	return trs
 }
 
 func TestTransportConformance(t *testing.T) {
