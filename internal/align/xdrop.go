@@ -182,15 +182,16 @@ type slot struct {
 	a, b    []byte // base i of the flank of s is a[i], and base j of t's b[j]; a[n-i] and b[m-j] when st.sigma < 0
 	ext     int    // which extension of the batch it is
 	entered int    // st.d when the routine last took it over
+	_       [16]byte
 }
 
 // front is an extension between two antidiagonals: everything scoring the
 // next one needs, and everything the result is read from. The Go loop
 // (advance) and the assembly routine (frontsAVX2, which reads this struct by
 // field offset) each pick an extension up from here and leave it here, so
-// either can continue where the other stopped. floor, ceil and maxAbs are
-// the narrow layout's bounds, set with the rest by begin; past them, the
-// fields are the routine's, set when it takes the extension over
+// either can continue where the other stopped. floor, ceil, maxAbs, floor8
+// and room8 are the narrow layouts' bounds, set with the rest by begin; past
+// them, the fields are the routine's, set when it takes the extension over
 // (slot.enter) and meaning nothing to the Go loop. The two pointers into the
 // caller's reads are cleared before the workspace is pooled.
 //
@@ -198,11 +199,14 @@ type slot struct {
 // a slot is a multiple of 64 bytes, so that past the workspace's pad none of
 // them straddles a cache line (TestFrontVectorsAreAligned).
 type front struct {
-	bslot        [2]bandRow          // [1] holds the row that last raised best; [0] takes the rows that did not
-	bound        [2][2 * lanes]int16 // pruned then MaxInt16, and MaxInt16 then pruned: the window's masks are read from them
-	vbest        [lanes]int16        // best-base, in every lane
-	vx           [lanes]int16        // x
-	amask, qmask [2 * lanes]byte     // ascending or descending: how a vector of a's bases and of b's is laid into lanes
+	bslot        [2]bandRow       // [1] holds the band row that last raised best; [0] takes the rows that did not
+	tail         [2 * lanes]int16 // MaxInt16, then pruned: the memory loop prunes the lanes past a window with it
+	vbest        [lanes]int16     // best-base, in every lane
+	vx           [lanes]int16     // x
+	amask, qmask [lanes]byte      // ascending or descending: how sixteen of a's bases and of b's are laid into band lanes
+	x1           [lanes]byte      // x+1, modulo 256: the band's prune threshold is best8 less it
+	_            [16]byte
+	lotab, hitab [3 * lanes]byte // the band's window masks, read at 16-LO and at HZ
 
 	n, m     int
 	sigma    int // +1 on a right flank, -1 on a left: the bases run that way through memory
@@ -220,10 +224,12 @@ type front struct {
 	floor    int32 // best-base on entry
 	ceil     int32 // the largest best-base an antidiagonal is scored from
 	maxAbs   int32 // the most best climbs in an antidiagonal
+	floor8   int   // best8 when the band is anchored
+	room8    int   // how many antidiagonals past an anchoring the band may score; below zero, the band cannot hold the extension
 
 	rows       [5]*int16 // index 0 of the narrow rows, twice round: rows[rot:] starts at d-2's
 	a, b       *byte     // base 0 of each view: base i of a lies sigma·i bytes on, base j of b sigma·j
-	aoff, qoff int       // where a vector of a's bases and of b's is loaded from, past lane 0's base: 0, or 1-lanes for a view read descending
+	aoff, qoff int       // where sixteen of a's bases and of b's are loaded from, past lane 0's base: 0, or 1-lanes for a view read descending
 	stop       int       // the last antidiagonal the routine may score before it hands the extension back
 	next       *front    // the front the routine turns to after this one
 	id         int       // the slot's index, which the routine returns
@@ -231,10 +237,10 @@ type front struct {
 
 	// The band's, while the routine holds the front in registers: set and
 	// read by the routine alone.
-	anchor int // the i of the band's lane 0
-	nA     int // n-anchor: the lane of a's last base
-	ztop   int // 32-2·min(14, nA): a window top's LZCNT below it is past the band or n
-	climit int // the band's count at which d passes stop or lane 0 would read past b[m]
+	anchor int // the band's i of lane 0 at a count of zero: the c-th antidiagonal scored since the load is held from anchor+c/2
+	adelta int // where an S step loads a's bases from, less where the next U step loads b's
+	climit int // the band's count past which a step would pass stop, let best8 pass ceil8, or read a past n or b past m
+	boff   int // a band cell holds its score minus base minus boff
 
 	// What the routine has done with the extension, counted for the tests
 	// (begin zeroes them): antidiagonals scored in the band, moves of the
@@ -243,16 +249,18 @@ type front struct {
 	inBand, moves, spills, toMemory, toBand int
 }
 
-// bandRow is a row of the routine's band as it stored it, with the band's
-// count as it was once the row's antidiagonal was scored: 64 bytes, the
-// step between the two slots the routine's conditional address picks from.
+// bandRow is a front's half of the band as the routine stored it, with the
+// band's count as it was once the row's antidiagonal was scored: 64 bytes,
+// the step between the two slots the routine's conditional address picks
+// from.
 type bandRow struct {
-	row [lanes]int16
+	row [lanes]int8
 	c   int // zero in bslot[1]: no row has raised best since the band was last anchored
-	_   [3]uint64
+	_   [5]uint64
 }
 
-// lanes is the routine's vector: sixteen int16 cells.
+// lanes is the routine's vector: sixteen int16 cells in the memory loop, and
+// a front's half of the band, sixteen int8 cells.
 const lanes = 16
 
 // fits reports whether the extension's scores fit the narrow rows: whether
@@ -301,6 +309,13 @@ func (sl *slot) begin(a, b []byte, sigma, bpad int, sc Scoring, x int32) {
 	st.maxAbs = int32(sc.maxAbs())
 	st.floor = math.MinInt16 + 1 + x + 2*st.maxAbs
 	st.ceil = math.MaxInt16 - st.maxAbs
+	// The band's int8 cells: the same bounds at MinInt8 and MaxInt8. room8
+	// is how far best8 may climb from floor8 before ceil8, in antidiagonals.
+	st.floor8 = math.MinInt8 + 1 + int(x) + 2*int(st.maxAbs)
+	st.room8 = -1
+	if ceil8 := math.MaxInt8 - int(st.maxAbs); st.maxAbs > 0 && st.floor8 <= ceil8 {
+		st.room8 = (ceil8 - st.floor8) / int(st.maxAbs)
+	}
 }
 
 // edgeRun is how many antidiagonals the Go loop scores before it offers the
@@ -356,8 +371,9 @@ func (sl *slot) advance(until int) (alive bool) {
 		}
 		width := hi - lo + 1
 		cells += int64(width) // every cell of the window, before it shrinks
-		rowMax := antidiagonal(cur[lo+1:][:width], p1[lo+1:], p2[lo:], asc[ao+lo:], desc[do-hi:],
-			p1[lo], best-x, match, mismatch, gap)
+		c := cur[lo+1:][:width]
+		substitute(c, p2[lo:], asc[ao+lo:], desc[do-hi:], match, mismatch)
+		rowMax := antidiagonal(c, p1[lo:], best-x, gap)
 		if rowMax == pruned {
 			alive = false
 			break
@@ -387,17 +403,15 @@ func (sl *slot) advance(until int) (alive bool) {
 	return alive
 }
 
-// antidiagonal scores the window c of antidiagonal d and returns its largest
-// cell. left, diag and asc are aligned with c, and desc with c reversed: for
-// the cell (i, j) at c[k] they hold d-1's (i, j-1), d-2's (i-1, j-1) and the
-// two bases, asc[k] and desc[len(c)-1-k], which one is of i and which of j
-// mattering not to the substitution test; up is d-1's (i-1, j) for c[0],
-// and the previous left thereafter. It is a function of its own because the
-// loop then competes for registers with nothing but its own operands;
-// written inline in advance it ran a sixth slower at x=30.
-func antidiagonal(c, left, diag []int32, asc, desc []byte, up, prune, match, mismatch, gap int32) int32 {
-	left, diag, asc, desc = left[:len(c)], diag[:len(c)], asc[:len(c)], desc[:len(c)]
-	rowMax := int32(pruned)
+// substitute sets each cell of the window c of antidiagonal d to its
+// diagonal term, the first half of scoring the window (antidiagonal
+// finishes it): for the cell (i, j) at c[k], diag[k] is d-2's (i-1, j-1)
+// and asc[k] and desc[len(c)-1-k] are the two bases, which one is of i and
+// which of j mattering not to the substitution test.
+//
+//go:noinline
+func substitute(c, diag []int32, asc, desc []byte, match, mismatch int32) {
+	diag, asc, desc = diag[:len(c)], asc[:len(c)], desc[:len(c)]
 	// k walks up c and the rest, j walks down desc: the prove pass drops
 	// the bounds checks of both only when each is a condition of the loop
 	// (j's first) and k, unsigned, cannot fall below zero.
@@ -406,8 +420,24 @@ func antidiagonal(c, left, diag []int32, asc, desc []byte, up, prune, match, mis
 		if asc[k] == desc[j] {
 			sub = match
 		}
-		l := left[k]
-		v := max(max(up, l)+gap, diag[k]+sub)
+		c[k] = diag[k] + sub
+	}
+}
+
+// antidiagonal scores the window c of antidiagonal d, which substitute has
+// set to each cell's diagonal term, and returns its largest cell: the cell
+// (i, j) at c[k] is up to upLeft[k], d-1's (i-1, j), and left to
+// upLeft[k+1], d-1's (i, j-1). The two halves are functions of their own,
+// kept out of advance, so that each loop competes for registers only with
+// its own operands: written as one loop, its running max and three of its
+// pointers lived on the stack, and inlined, advance's own values did.
+//
+//go:noinline
+func antidiagonal(c, upLeft []int32, prune, gap int32) int32 {
+	up, left := upLeft[0], upLeft[1:][:len(c)]
+	rowMax := int32(pruned)
+	for k, l := range left {
+		v := max(max(up, l)+gap, c[k])
 		if v < prune {
 			v = pruned
 		}

@@ -17,53 +17,59 @@ var useAVX2 = cpuid.AVX2()
 // antidiagonals, some 200 µs.
 const maxSteady = 4096
 
-// bandShift moves a band s lanes down, lane k+s to lane k, and fills the
-// top s lanes with pruned: the band's lanes within each half by a VPSHUFB
-// of ctrl, those the upper half hands the lower by a VPSHUFB of cross
-// (over the upper half, moved down), and the fill OR'd in.
+// bandShift moves one front's half of the band t lanes down, lane k+t to
+// lane k (up, for t < 0), and fills the lanes it empties with pruned: a
+// VPSHUFB of ctrl, which leaves the other half as it is, and the fill OR'd
+// in.
 type bandShift struct {
-	ctrl, cross, fill [2 * lanes]byte
+	ctrl, fill [2 * lanes]byte
 }
 
-// bandShifts is the bandShift for each s, which the routine reads by name.
-var bandShifts = func() (t [lanes]bandShift) {
-	for s := range t {
-		for half := 0; half < 2; half++ {
-			for b := 0; b < lanes; b++ {
-				ctrl, cross := byte(0x80), byte(0x80) // VPSHUFB's zero
-				if src := b + 2*s; src < lanes {
-					ctrl = byte(src)
-				} else if half == 0 && src-lanes < lanes {
-					cross = byte(src - lanes)
+// bandShifts is the bandShift for each t from 1-lanes to lanes-1 (at
+// t+lanes-1) and half, which the routine reads by name.
+var bandShifts = func() (tab [2*lanes - 1][2]bandShift) {
+	for i := range tab {
+		t := i - (lanes - 1)
+		for half := range tab[i] {
+			sh := &tab[i][half]
+			for k := range 2 * lanes {
+				sh.ctrl[k] = byte(k % lanes)
+				if k/lanes != half {
+					continue
 				}
-				t[s].ctrl[half*lanes+b], t[s].cross[half*lanes+b] = ctrl, cross
+				if src := k%lanes + t; src >= 0 && src < lanes {
+					sh.ctrl[k] = byte(src)
+				} else {
+					sh.ctrl[k], sh.fill[k] = 0x80, 0x80 // VPSHUFB's zero, OR'd into pruned
+				}
 			}
 		}
-		for k := lanes - s; k < lanes; k++ {
-			t[s].fill[2*k+1] = 0x80 // pruned's high byte: the lane is zero before the OR
-		}
 	}
-	return t
+	return tab
 }()
 
-// ascending and descending are how the routine lays sixteen bases of a
-// view into its lanes: loaded as 16 bytes into both halves of a vector, a
-// VPSHUFB by one of them zero-extends byte k into lane k (a view read
-// ascending along an antidiagonal) or byte 15-k (one read descending, whose
-// 16 bytes are loaded from 15 below lane 0's base), lanes 0 to 7 from the
-// low half and 8 to 15 from the high; the memory loop reads descending by
-// name. bounds is front.bound: the routine prunes the lanes below a window
-// by a lane-wise minimum with the 32 bytes of the first at 32 less twice
-// the lowest lane, and those above it, or past a window's last vector,
-// with the 32 bytes of the second from twice the lanes the window leaves.
-var ascending, descending, bounds = func() (asc, desc [2 * lanes]byte, b [2][2 * lanes]int16) {
+// ascending and descending are how the band lays sixteen bases of a view
+// into a front's lanes: a VPSHUFB by one of them puts byte k in lane k (a
+// view read ascending along an antidiagonal) or byte 15-k (one read
+// descending, whose 16 bytes are loaded from 15 below lane 0's base).
+// tail is front.tail. lotab and hitab are front's: 16 bytes read from
+// lotab at 16-lo are 0x7f in the lanes from lo, and from hitab at hz in the
+// lanes up to 16-hz, 0x80 in the others.
+var ascending, descending, tail, lotab, hitab = func() (asc, desc [lanes]byte, t [2 * lanes]int16, lo, hi [3 * lanes]byte) {
 	for k := range lanes {
-		at := k/8*lanes + k%8*2 // lane k's low byte, in its half
-		asc[at], asc[at+1], desc[at], desc[at+1] = byte(k), 0x80, byte(lanes-1-k), 0x80
-		b[0][k], b[0][lanes+k] = narrowPruned, math.MaxInt16
-		b[1][k], b[1][lanes+k] = math.MaxInt16, narrowPruned
+		asc[k], desc[k] = byte(k), byte(lanes-1-k)
+		t[k], t[lanes+k] = math.MaxInt16, narrowPruned
 	}
-	return asc, desc, b
+	for i := range 3 * lanes {
+		lo[i], hi[i] = 0x80, 0x80
+		if i >= lanes {
+			lo[i] = 0x7f
+		}
+		if i <= lanes {
+			hi[i] = 0x7f
+		}
+	}
+	return asc, desc, t, lo, hi
 }()
 
 // runFronts runs the batch on the assembly routine, fronts extensions at a
@@ -194,13 +200,13 @@ func (sl *slot) enter() {
 	narrowCells(q2[st.lo1:st.hi1+2], p2[st.lo1:], st.base)
 	q := &sl.narrow
 	st.rows = [5]*int16{&q[0][0], &q[1][0], &q[2][0], &q[0][0], &q[1][0]}
-	st.bound = bounds
+	st.tail, st.lotab, st.hitab = tail, lotab, hitab
 	st.a, st.b, st.amask, st.qmask, st.aoff, st.qoff = &sl.a[0], &sl.b[0], ascending, descending, 0, 1-lanes
 	if st.sigma < 0 {
 		st.a, st.b, st.amask, st.qmask, st.aoff, st.qoff = &sl.a[st.n], &sl.b[st.m], descending, ascending, 1-lanes, 0
 	}
 	for k := range lanes {
-		st.vbest[k], st.vx[k] = int16(st.floor), int16(st.x)
+		st.vbest[k], st.vx[k], st.x1[k] = int16(st.floor), int16(st.x), byte(st.x+1)
 	}
 	sl.entered = st.d
 	sl.horizon()

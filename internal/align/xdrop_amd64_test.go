@@ -283,6 +283,47 @@ func TestSteadyDeclinesPastTheBound(t *testing.T) {
 	}
 }
 
+// The band's cells are int8: it holds an extension only while x+3·maxAbs
+// <= 254 (front.room8 >= 0), the int8 twin of fits. At a match of 84, a
+// mismatch of -84 and a gap of -1, a window stays narrow at x=2 and x=3;
+// the first fits the band, and nearly every antidiagonal is scored there,
+// the second does not, and the memory loop scores it all. XDrop gives the
+// reference's result either way, and the walk the routine makes alone
+// leaves what the Go loop does.
+func TestBandHoldsOnlyWhatFitsInt8(t *testing.T) {
+	if !cpuid.AVX2() {
+		t.Skip("no AVX2 on this host: there is no band")
+	}
+	sc := Scoring{84, -84, -1}
+	rng := rand.New(rand.NewSource(37))
+	s, u, seedS, seedU := seededPair(rng, 1500, 17, 0.02)
+	tmpl := randomSeq(rng, 1500)
+	a, b := concat([]byte("A"), mutate(rng, tmpl, 0.02)), mutate(rng, tmpl, 0.02)
+	for _, x := range []int{2, 3} {
+		fits := x+3*sc.maxAbs() <= 254
+		if got, want := XDrop(s, u, seedS, seedU, 17, sc, x), referenceXDrop(s, u, seedS, seedU, 17, sc, x); got != want {
+			t.Errorf("x=%d: got %+v want %+v", x, got, want)
+		}
+		g := newGuarded(a, b, sc, clampXDrop(len(a)+len(b), sc, x), 1, overread)
+		if (g.sl.st.room8 >= 0) != fits {
+			t.Fatalf("x=%d: room8 %d, want it below zero exactly when x+3·maxAbs > 254", x, g.sl.st.room8)
+		}
+		want := g.clone()
+		want.sl.advance(want.sl.st.n + want.sl.st.m)
+		runAlone(&g.sl)
+		st, ws := &g.sl.st, &want.sl.st
+		if st.best != ws.best || st.bestI != ws.bestI || st.bestD != ws.bestD || st.cells != ws.cells {
+			t.Errorf("x=%d: best %d at (%d,%d) cells %d, the Go loop's %d at (%d,%d) cells %d",
+				x, st.best, st.bestI, st.bestD, st.cells, ws.best, ws.bestI, ws.bestD, ws.cells)
+		}
+		inBand := float64(st.inBand) / float64(st.d-1)
+		t.Logf("x=%d: %d of %d antidiagonals (%.1f%%) in the band", x, st.inBand, st.d-1, 100*inBand)
+		if fits && inBand < 0.9 || !fits && st.inBand != 0 {
+			t.Errorf("x=%d: %.1f%% of antidiagonals in the band, fits %v", x, 100*inBand, fits)
+		}
+	}
+}
+
 // call runs the routine over the ring of the fronts of sls, in that order,
 // each handed to it as runFronts hands it (enter), the first with its stop
 // horizon lowered to stop, until the first front exits. A stop of any other
@@ -549,7 +590,7 @@ func TestFrontVectorsAreAligned(t *testing.T) {
 		for _, v := range []struct {
 			field string
 			align uintptr
-		}{{"bslot", 64}, {"bound", 64}, {"vbest", 32}, {"vx", 32}, {"amask", 32}, {"qmask", 32}} {
+		}{{"bslot", 64}, {"tail", 64}, {"vbest", 32}, {"vx", 32}, {"amask", 16}, {"qmask", 16}, {"x1", 16}} {
 			if at := st.FieldByName(v.field).Addr().Pointer(); at%v.align != 0 {
 				t.Errorf("slot %d: front.%s at %#x, %d past a multiple of %d", i, v.field, at, at%v.align, v.align)
 			}
