@@ -14,6 +14,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Record is one pairwise alignment (or overlap candidate).
@@ -47,19 +48,32 @@ func (r *Record) Validate() error {
 
 // String renders the record as one PAF line (without newline).
 func (r *Record) String() string {
-	return fmt.Sprintf("%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d",
-		r.QName, r.QLen, r.QStart, r.QEnd, r.Strand,
-		r.TName, r.TLen, r.TStart, r.TEnd, r.Score, r.NSeeds)
+	return string(r.appendTo(nil))
+}
+
+// appendTo appends the record's line (without newline) to dst: what
+// fmt.Sprintf("%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d", ...) would
+// make, byte for byte, without its reflection or its allocation.
+func (r *Record) appendTo(dst []byte) []byte {
+	dst = append(dst, r.QName...)
+	for _, v := range [...]int{r.QLen, r.QStart, r.QEnd} {
+		dst = strconv.AppendInt(append(dst, '\t'), int64(v), 10)
+	}
+	dst = utf8.AppendRune(append(dst, '\t'), rune(r.Strand))
+	dst = append(append(dst, '\t'), r.TName...)
+	for _, v := range [...]int{r.TLen, r.TStart, r.TEnd, r.Score, r.NSeeds} {
+		dst = strconv.AppendInt(append(dst, '\t'), int64(v), 10)
+	}
+	return dst
 }
 
 // Write emits records, one line each.
 func Write(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i := range recs {
-		if _, err := bw.WriteString(recs[i].String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(recs[i].appendTo(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

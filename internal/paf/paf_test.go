@@ -2,6 +2,10 @@ package paf
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,5 +82,67 @@ func TestStringTabs(t *testing.T) {
 	line := sample()[0].String()
 	if got := strings.Count(line, "\t"); got != 10 {
 		t.Errorf("line has %d tabs, want 10", got)
+	}
+}
+
+// A record renders exactly as the 11-verb fmt.Sprintf it replaced, over
+// random names, coordinates of either sign and any strand byte (%c of a byte
+// past ASCII is its rune's UTF-8), and Write's output parses back to the
+// records it was given.
+func TestStringMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	name := func() string {
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	num := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Intn(10)
+		case 1:
+			return -rng.Intn(1000)
+		case 2:
+			return int(rng.Int63())
+		}
+		return math.MinInt64 + rng.Intn(3)
+	}
+	for i := 0; i < 2000; i++ {
+		r := Record{QName: name(), QLen: num(), QStart: num(), QEnd: num(), Strand: byte(rng.Intn(256)),
+			TName: name(), TLen: num(), TStart: num(), TEnd: num(), Score: num(), NSeeds: num()}
+		want := fmt.Sprintf("%s\t%d\t%d\t%d\t%c\t%s\t%d\t%d\t%d\t%d\t%d",
+			r.QName, r.QLen, r.QStart, r.QEnd, r.Strand, r.TName, r.TLen, r.TStart, r.TEnd, r.Score, r.NSeeds)
+		if got := r.String(); got != want {
+			t.Fatalf("record %+v:\n got %q\nwant %q", r, got, want)
+		}
+	}
+
+	var recs []Record
+	for i := 0; i < 500; i++ {
+		ql, tl := 1+rng.Intn(20000), 1+rng.Intn(20000)
+		qs, ts := rng.Intn(ql), rng.Intn(tl)
+		recs = append(recs, Record{QName: fmt.Sprintf("read%d", rng.Intn(1e6)), QLen: ql, QStart: qs, QEnd: qs + rng.Intn(ql-qs+1),
+			Strand: "+-"[rng.Intn(2)], TName: fmt.Sprintf("read%d", rng.Intn(1e6)), TLen: tl, TStart: ts, TEnd: ts + rng.Intn(tl-ts+1),
+			Score: rng.Intn(20000) - 100, NSeeds: rng.Intn(50)})
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i := range recs {
+		want.WriteString(recs[i].String() + "\n")
+	}
+	if buf.String() != want.String() {
+		t.Fatal("Write differs from String line by line")
+	}
+	back, err := Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, recs) {
+		t.Fatal("Parse(Write(recs)) != recs")
 	}
 }
