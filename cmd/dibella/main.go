@@ -385,6 +385,7 @@ func printBreakdown(rep *pipeline.Report) {
 		rep.AlignImbalance(), rep.TaskImbalance())
 	fmt.Fprintln(os.Stderr, pipeline.DescribeLoad(rep))
 	fmt.Fprintln(os.Stderr, pipeline.DescribeAlignRate(rep))
+	fmt.Fprintln(os.Stderr, pipeline.DescribeWait(rep))
 }
 
 // fatal reports a failure and exits, distinguishing the deliberate

@@ -19,6 +19,7 @@ package pipeline
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"dibella/internal/walltime"
@@ -356,6 +357,32 @@ func (rep *Report) StageWall(s StageName) time.Duration {
 		}
 	}
 	return m
+}
+
+// stageWait is the part of rank i's stage s wall that was neither local
+// work nor packing: its wall less its local and pack walls, the time it
+// spent waiting on an exchange.
+func (rep *Report) stageWait(s StageName, i int) time.Duration {
+	b := rep.PerRank[i].breakdownOf(s)
+	return b.TotalWall() - b.LocalWall - b.PackWall
+}
+
+// DescribeWait renders every stage's wait (stageWait) rank by rank, the
+// line -breakdown prints under its table: a kernel change shows there as a
+// shorter stage with the same wait, a schedule change as a different wait.
+func DescribeWait(rep *Report) string {
+	var b strings.Builder
+	b.WriteString("wait (stage wall - local - pack), by rank:")
+	for k, s := range Stages {
+		if k > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s", s)
+		for i := range rep.PerRank {
+			fmt.Fprintf(&b, " %v", rep.stageWait(s, i).Round(time.Microsecond))
+		}
+	}
+	return b.String()
 }
 
 // TotalVirtual returns the summed per-stage modeled times (the figure

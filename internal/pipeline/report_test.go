@@ -3,7 +3,9 @@ package pipeline
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"dibella/internal/stats"
 )
@@ -123,5 +125,35 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if back.OverlapFraction() != rep.OverlapFraction() {
 		t.Error("overlap fraction changed across round-trip")
+	}
+}
+
+// A stage's wait is its wall less its local and pack walls, rank by rank,
+// and DescribeWait prints it for every stage in pipeline order: on a report
+// whose ranks waited known amounts, each amount appears after its stage's
+// name, in rank order.
+func TestDescribeWait(t *testing.T) {
+	rep := &Report{Ranks: 2}
+	for r := range 2 {
+		rr := RankReport{Rank: r}
+		for k, b := range []*stats.Breakdown{&rr.Bloom.Breakdown, &rr.Hash.Breakdown, &rr.Overlap.Breakdown, &rr.Align.Breakdown} {
+			b.PackWall = time.Duration(r+1) * time.Millisecond
+			b.LocalWall = 7 * time.Millisecond
+			b.ExchangeWall = time.Duration(10*k+r) * time.Microsecond
+		}
+		rep.PerRank = append(rep.PerRank, rr)
+	}
+	for k, s := range Stages {
+		for r := range 2 {
+			if got, want := rep.stageWait(s, r), time.Duration(10*k+r)*time.Microsecond; got != want {
+				t.Errorf("%s rank %d: wait %v, want %v", s, r, got, want)
+			}
+		}
+	}
+	want := "wait (stage wall - local - pack), by rank: " + strings.Join([]string{
+		string(Stages[0]) + " 0s 1µs", string(Stages[1]) + " 10µs 11µs",
+		string(Stages[2]) + " 20µs 21µs", string(Stages[3]) + " 30µs 31µs"}, ", ")
+	if got := DescribeWait(rep); got != want {
+		t.Errorf("DescribeWait:\n got %q\nwant %q", got, want)
 	}
 }
