@@ -51,8 +51,9 @@
 // kernel on every GOARCH but amd64, on an amd64 without AVX2 and for an x
 // the narrow rows cannot hold, the edge handler otherwise, and the oracle.
 // frontsAVX2 (xdrop_amd64.s; AVX2 probed once from CPUID, no flag, no build
-// tag) is the same loop in assembly, sixteen int16 cells a step, over two
-// extensions at once.
+// tag) is the same loop in assembly over two extensions at once: sixteen
+// int8 cells of each a step in the band (below), sixteen int16 cells a
+// vector in its memory loop.
 //
 // XDropBatch queues its seeds' extensions, each seed's right flank and then
 // its left, and runs them in a workspace of fronts slots (two: below).
@@ -77,8 +78,9 @@
 // kernels keep. The fronts' pointers into the caller's reads are cleared
 // before the workspace goes back to the pool.
 //
-// The routine's rows are int16: a narrow cell holds its score less
-// front.base, and pruned is math.MinInt16. Its adds saturate (VPADDSW), so a
+// The routine's rows (what its memory loop scores, and where the band
+// spills) are int16: a narrow cell holds its score less front.base, and
+// pruned is math.MinInt16. Its adds saturate (VPADDSW), so a
 // cell fed only by pruned neighbours comes out at most maxAbs above pruned,
 // the max and the prune compare are signed word operations, and nothing
 // overflows as long as every live cell it reads or makes is in range. That
@@ -117,82 +119,89 @@
 // bpad bases, as many as t holds there and at most 15 (overread). Before
 // every antidiagonal the memory loop checks lo+vw-1 <= n and lo+vw-1 <=
 // d+bpad, and returns exitEdge otherwise. The band (below) reads sixteen
-// lanes from its anchor, never below lo: it checks the second with vw = 16
-// each time the anchor moves, and each antidiagonal that its lane 0 does
-// not read past t's base m; a's bases it loads once an anchor, from at most
-// n-15, its mask moved up by the rest, so a lane past n holds a base no
-// scored cell reads, and its rows are 15 cells longer. So no pointer is
-// formed outside the caller's slices. A flank of s 16 bases long or more,
-// beside 15 bases of t, is not at an edge near cell (0,0), and the routine
-// takes it from its first antidiagonal. The Go loop owns the rest: a
-// shorter flank, and the windows near a read's end that the memory loop
-// cannot read whole. TestXDropReadsStayInsideTheReads runs both kernels on
-// reads flush against a page that faults.
+// bases of each read from its anchor, never below lo: it loads a's from
+// an anchor of at most n-15 and checks t's against bpad each time it is
+// loaded or recentred, and its limit ends a run of steps before lane 0
+// would read past t's base m or the anchor past n-15 (the narrow rows are
+// 15 cells longer for its stores). So no pointer is formed outside the
+// caller's slices. A flank of s 16 bases long or more, beside 15 bases of
+// t, is not at an edge near cell (0,0), and the routine takes it from its
+// first antidiagonal. The Go loop owns the rest: a shorter flank, and the
+// windows near a read's end that neither loop can read whole.
+// TestXDropReadsStayInsideTheReads runs both kernels on reads flush against
+// a page that faults.
 //
 // # The band
 //
 // At x=7 one vector is the window on nearly every antidiagonal of the
 // pipeline's read pairs, and there the routine keeps each front in
-// registers (the band loop of xdrop_amd64.s): two fronts' rows and best in
-// eight of the sixteen ymm registers, the scores and masks in six more.
-// A band is sixteen lanes anchored at a fixed i, front.anchor: lane k holds
-// cell i = anchor+k of antidiagonal d-1 (P), and of d-2 the cell its
-// diagonal is (D). Each antidiagonal d takes up as P moved one lane
-// (VPERM2I128, VPALIGNR), left as P itself and diag as D, and its up
-// becomes the next antidiagonal's D; a's sixteen bases from the anchor stay
-// in a register while the anchor holds, and only t's are loaded, from an
-// address that steps by sigma an antidiagonal. Lanes
-// outside [lo, hi] are forced to pruned by two masks read from a table at
-// offsets the window gives: unlike a vector anchored at lo, the band has
-// lanes below the window, and a cell there whose only live neighbour is its
-// diagonal would otherwise live. The window itself is the two counts of
-// the live lanes' mask, TZCNT and LZCNT, kept as they come out (twice the
-// lowest lane, 30 less twice the highest), so the mask offsets need no
-// arithmetic; d, the cells and best stay in registers, and the compares that
-// can send a front out of the loop are two a front an antidiagonal, each
-// against a threshold set when the anchor moves: the window's top against
-// the band's, and a count of the antidiagonals scored, kept in the high
-// bits of the cell counter, against the first at which d passes stop or
-// lane 0 would read past t's base m. Lane 15 is kept outside the
-// window, because D has lost d-2's lane 15 to the shift that made it. The
-// anchor moves up to lo1 when the window's top reaches lane 15 (or n), or
-// when lane 0 would read past t's base m: P and D shift down by a
-// VPSHUFB pair from a table of sixteen (bandShifts), and a's bases are
-// loaded at the new anchor. On the pipeline's pairs it moves once every
-// fifteen antidiagonals or so. Best's first cell costs no scalar work an
-// antidiagonal: every row is stored, at an address a conditional mask picks
-// (front.bslot: the row that raised best, or a slot that takes the others),
-// and bestI is read from that row, with the anchor it had, when the anchor
-// next moves or the front leaves the band.
+// registers (the band loop of xdrop_amd64.s). A front's band is sixteen
+// int8 lanes, one 128-bit half of a ymm register, and two fronts share
+// every register: lane k of P holds cell anchor+k of the last antidiagonal
+// scored and lane k of D cell anchor'+k of the one before, and a step
+// scores an antidiagonal of both fronts with one set of vector
+// instructions. Up or left is P moved a lane within its half (VPALIGNR, so
+// no cross-lane shuffle is on the chain), one horizontal max of in-lane
+// rotations raises both fronts' best, and one VPMOVMSKB gives both live
+// masks, whose TZCNT and LZCNT are each front's window.
 //
-// The band holds a window of up to fifteen cells whose low end is lo1. A
-// wider one, or one the d-m bound cuts from below (lane 0's up would be
-// d-1's cell below the band), sends both fronts to the memory loop: their
-// state in their structs and their rows in the narrow rows, a loop over
-// the window's vectors with the shrink from masks, as before the band. It
-// hands back to the band loop once a window is ten cells or fewer and the
-// next front's last one was too. On any exit the routine spills every front in
-// registers to its struct and narrow rows (front.d, rot, lo1, hi1, the
-// cells, best, bestI and bestD; d-1's row with its sentinels, and what d
-// reads of d-2's), exactly where leave, the memory loop and a later entry
-// read them; the Go side (runFronts, slot.resume, enter and leave,
-// horizon, the queue) does not know the band exists. TestSteadyPathsOnTheRungs
-// holds at least 95% of PipelineX7's and SimilarX7's antidiagonals to the
-// band (99.8% and 100.0%).
+// The band slides: its anchor moves up a lane every second antidiagonal
+// (an S step; a U step keeps it), so a path along the diagonal stays in
+// place, left and up swap between P and P moved, and the diagonal is D
+// itself, unmoved. The next antidiagonal's window, d-1's cells from lo1 to
+// hi1+1, is the hull of the cells with a live left or up, read from the
+// live lanes by a carry (x|-x) within each quadword and a shuffle across
+// them, once as they lie and once reversed (HULLU, HULLS); the lanes
+// outside it are pruned, since a cell there whose only live neighbour is
+// its diagonal would otherwise live. Only when the window would leave the
+// lanes (its top past lane 14 before a U step, its bottom at lane 0 before
+// an S step), or the band's limit is reached, does the routine leave the
+// loop: it recentres the band on the window (P and D moved by a VPSHUFB of
+// a table, bandShifts), rebases, and loads the bases at the new anchor. On
+// the pipeline's pairs that is once in some 180 antidiagonals; a band
+// anchored where the window starts, as the int16 band was, moved every 15.
+// a's and b's bases are loaded a vector at a step, b's on a U step and a's
+// on an S step; best's first cell costs no scalar work a step: every row is
+// stored, at an address a conditional mask picks (front.bslot), and bestI
+// is read from the row that last raised best when the band is recentred or
+// the front leaves it.
 //
-// Two fronts, because that is what the registers hold, and it is faster
-// than one: a band's antidiagonal is a chain of some 20 cycles (the live
-// mask, TZCNT or LZCNT, the mask load, three VPMINSW), and a second front's
-// chain fills it: on BenchmarkXDropBatchPipelineX7's 231 seeds the band
-// ran 1.62-1.66x the four-front memory-row routine it replaced with two
-// fronts, 1.23-1.30x with one (CHANGES.md lists the variants measured and
-// dropped on the way).
+// A band cell is its score less front.base less front.boff, and pruned is
+// -128; adds saturate (VPADDSB). The bounds of the int16 rows hold at int8
+// with floor8 = MinInt8+1+x+2·maxAbs and ceil8 = MaxInt8-maxAbs: boff puts
+// best at floor8 when the band is loaded, each recentring rebases it there
+// (P, D and B less best8-floor8, saturating, so pruned stays pruned), and
+// the band's limit (front.climit) ends a run of steps before best8 could
+// pass ceil8, room8 = (ceil8-floor8)/maxAbs antidiagonals on, when the
+// routine recentres in place. floor8 <= ceil8 is x+3·maxAbs <= 254: x=7
+// and x=30 at unit scores fit; an extension that does not fit is never
+// loaded into the band, and runs on the memory loop
+// (TestBandHoldsOnlyWhatFitsInt8). The band holds a window of up to fifteen
+// cells. A wider one, or one the d-m bound cuts from below, sends both
+// fronts to the memory loop: their state in their structs and their rows
+// in the narrow rows (int16, widened from the band), a loop over the
+// window's vectors with the shrink from masks. It hands back to the band
+// loop once a window is ten cells or fewer and the next front's last one
+// was too. On any exit the routine spills every front in registers to its
+// struct and narrow rows (front.d, rot, lo1, hi1, the cells, best, bestI
+// and bestD; d-1's row with its sentinels, d-2's with one below the band),
+// exactly where leave, the memory loop and a later entry read them; the Go
+// side (runFronts, slot.resume, enter and leave, horizon, the queue) does
+// not know the band exists. TestSteadyPathsOnTheRungs holds at least 95%
+// of PipelineX7's and SimilarX7's antidiagonals to the band (99.7% and
+// 99.9%).
+//
+// On BenchmarkXDropBatchPipelineX7's 231 seeds the band runs 1.50x the
+// int16 band of two fronts in registers it replaced (/batch, eleven
+// alternated pairs on one host) and 1.19x one seed a call (/calls), where a
+// call's longer flank runs alone in the low half (CHANGES.md has the
+// variants measured on the way).
 //
 // TestSteadyMatchesLoop enters the routine at every antidiagonal of a set of
 // extensions, alone and beside a second front, and holds what both leave to
 // the Go loop advanced as far. It requires the band, windows of one vector
 // and of more on the memory loop, a new best past a wide window's
-// first vector, moves of the anchor, a band that went wide and came back, a
+// first vector, recentrings of the band, a band that went wide and came back, a
 // spill from the band at each exit, every exit, a stop at the rebase
 // horizon, a lone front and a rebase of the other front to have been
 // reached; the front counts the band's part itself (front.inBand, moves,
@@ -204,17 +213,19 @@
 // and a single one made the whole x=7 kernel ten times slower. go vet's
 // asmdecl checks the frame, not the front: field offsets come from go_asm.h,
 // so a reordered struct still assembles right, but it may not run as fast:
-// the window's mask loads are on the band's chain, and a mask or a best row
-// that straddles two cache lines costs every antidiagonal; moved by a few
-// words off whole lines, the front's vectors made the lone band a tenth
-// slower (TestFrontVectorsAreAligned). The band loop is written as
-// macros (LOAD, STEP, SLOWPATH, SPILL) expanded once for each register
-// set; pprof charges a macro's samples to the line that expands it. The
+// a best row the band stores every antidiagonal, or a vector the memory
+// loop reads, that straddles two cache lines costs every antidiagonal;
+// moved by a few words off whole lines, the front's vectors once made the
+// lone band a tenth slower (TestFrontVectorsAreAligned). The band loop is
+// written as macros (LOAD, VSTEPU and VSTEPS, SLOWPATH, SPILL) expanded once
+// for each front, step and register set; pprof charges a macro's samples to
+// the line that expands it. The
 // band's LZCNT runs as BSR, silently wrong, on a CPU without it: cpuid.AVX2
-// checks for it (every CPU with AVX2 has it). The new best's maximum is
-// the in-lane shuffle ladder after one VPERM2I128, not VPHMINPOSUW: three
-// micro-operations fewer, but four cycles longer on the chain from one
-// antidiagonal's best to the next one's prune, and the batch lost 5%.
+// checks for it (every CPU with AVX2 has it). The band's window is the hull
+// computed from the live lanes, not a table load indexed by TZCNT and
+// LZCNT: eight fewer micro-operations a step, but the scalar round trip is
+// some eight cycles longer on the chain from one antidiagonal's live lanes
+// to the next one's, and the batch lost 13%.
 //
 // int32 is safe for the Go loop because it is checked, not assumed:
 // Scoring.Validate bounds each score by MaxScoreMagnitude, and XDrop panics

@@ -179,10 +179,10 @@ type slot struct {
 	st      front
 	rows    [3][]int32
 	narrow  [3][]int16
-	a, b    []byte // base i of the flank of s is a[i], and base j of t's b[j]; a[n-i] and b[m-j] when st.sigma < 0
-	ext     int    // which extension of the batch it is
-	entered int    // st.d when the routine last took it over
-	_       [16]byte
+	a, b    []byte   // base i of the flank of s is a[i], and base j of t's b[j]; a[n-i] and b[m-j] when st.sigma < 0
+	ext     int      // which extension of the batch it is
+	entered int      // st.d when the routine last took it over
+	_       [32]byte // a slot is a multiple of 64 bytes
 }
 
 // front is an extension between two antidiagonals: everything scoring the
@@ -205,8 +205,7 @@ type front struct {
 	vx           [lanes]int16     // x
 	amask, qmask [lanes]byte      // ascending or descending: how sixteen of a's bases and of b's are laid into band lanes
 	x1           [lanes]byte      // x+1, modulo 256: the band's prune threshold is best8 less it
-	_            [16]byte
-	lotab, hitab [3 * lanes]byte // the band's window masks, read at 16-LO and at HZ
+	lotab, hitab [3 * lanes]byte  // the band's window masks, read at 16-LO and at HZ when it is loaded or recentred
 
 	n, m     int
 	sigma    int // +1 on a right flank, -1 on a left: the bases run that way through memory
@@ -243,8 +242,8 @@ type front struct {
 	boff   int // a band cell holds its score minus base minus boff
 
 	// What the routine has done with the extension, counted for the tests
-	// (begin zeroes them): antidiagonals scored in the band, moves of the
-	// anchor, spills from the band, and hand-overs from the band to the
+	// (begin zeroes them): antidiagonals scored in the band, recentrings of
+	// the band, spills from it, and hand-overs from the band to the
 	// memory loop and back.
 	inBand, moves, spills, toMemory, toBand int
 }

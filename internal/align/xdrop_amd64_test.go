@@ -203,7 +203,7 @@ func TestSteadyPathsOnTheRungs(t *testing.T) {
 		runAlone(&g.sl)
 		st := &g.sl.st
 		got := float64(st.inBand) / float64(st.d-1)
-		t.Logf("%s: %d of %d antidiagonals (%.1f%%) in the band, %d moves of its anchor, %d to the memory loop and %d back",
+		t.Logf("%s: %d of %d antidiagonals (%.1f%%) in the band, %d recentrings, %d to the memory loop and %d back",
 			rung.name, st.inBand, st.d-1, 100*got, st.moves, st.toMemory, st.toBand)
 		if got < rung.band {
 			t.Errorf("%s: %.1f%% of antidiagonals in the band, want at least %.0f%%", rung.name, 100*got, 100*rung.band)
@@ -547,7 +547,7 @@ func TestSteadyMatchesLoop(t *testing.T) {
 		}
 	}
 	t.Logf("%d entries (%d of a right flank, %d of a left), %d alone, %d with the companion rebased; antidiagonals %v, %d of them in the band; "+
-		"%d moves of the anchor; %d calls went wide and back; exits: %d edge, %d dead, %d cap, %d rebase room; "+
+		"%d recentrings; %d calls went wide and back; exits: %d edge, %d dead, %d cap, %d rebase room; "+
 		"from the band: %d stop, %d edge, %d dead",
 		entered, flanks[0], flanks[1], alone, rebased, paths, inBand, moves, wideAndBack, edges, deaths, caps, rooms,
 		spilled[exitStop], spilled[exitEdge], spilled[exitDead])
@@ -559,7 +559,7 @@ func TestSteadyMatchesLoop(t *testing.T) {
 		{"antidiagonals of one vector on the memory loop", paths.one - inBand},
 		{"antidiagonals wider than one vector", paths.wide},
 		{"wide antidiagonals with a new best past the first vector", paths.wideBest},
-		{"moves of the band's anchor", moves},
+		{"recentrings of the band", moves},
 		{"calls whose band went to the memory loop and back", wideAndBack},
 		{"edge exits beside a live front", edges},
 		{"deaths inside the routine beside a live front", deaths},

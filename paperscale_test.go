@@ -11,6 +11,15 @@ package dibella
 // reports the rest (wall per stage, cells, Mcells/s a rank, peak RSS,
 // exchange bytes per stage, the p2/p1 speedup) to the log and, under
 // GitHub Actions, to the job summary.
+//
+// With -paperscale-base REV it also checks REV out beside the tree (git
+// worktree add --detach), builds that tree's dibella, and alternates the
+// two at p=2 in process, -paperscale-pairs times; it reports the medians of
+// each stage's wall, the slowest rank's kernel wall, the run wall and the
+// peak RSS, with the median pair ratio (this tree's over REV's) and the
+// pairs this tree won, and gates only that both trees write the same PAF:
+//
+//	go test -run TestPaperScale -paperscale -paperscale-base HEAD~1 -timeout 20m .
 
 import (
 	"bufio"
@@ -20,6 +29,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -30,7 +41,11 @@ import (
 	"dibella/internal/seqgen"
 )
 
-var paperScale = flag.Bool("paperscale", false, "run TestPaperScale: the paper's E. coli 30x at scale 1 (minutes, over 1 GB)")
+var (
+	paperScale      = flag.Bool("paperscale", false, "run TestPaperScale: the paper's E. coli 30x at scale 1 (minutes, over 1 GB)")
+	paperScaleBase  = flag.String("paperscale-base", "", "with -paperscale, alternate this git revision's dibella with this tree's at p=2 in process, and report the pairs")
+	paperScalePairs = flag.Int("paperscale-pairs", 3, "with -paperscale-base, how many pairs of runs")
+)
 
 const (
 	// paperScaleFactor is the genome scale the run uses: the whole genome.
@@ -54,7 +69,37 @@ type paperRun struct {
 	maxRSS float64       // MiB, the largest process of the run
 	stages [][3]string   // -breakdown's stage rows: name, wall, exchange bytes
 	rate   string        // -breakdown's alignment rate line
+	kernel time.Duration // the slowest rank's local alignment wall, from the rate line
 }
+
+// run runs bin on the reads with -breakdown and r's arguments, writing the
+// PAF to out, and fills in what the run measured.
+func (r *paperRun) run(t *testing.T, bin, reads, out string) {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{"-in", reads, "-out", out, "-breakdown"}, r.args...)...)
+	start := time.Now()
+	log, err := cmd.CombinedOutput()
+	r.wall = time.Since(start)
+	if err != nil {
+		t.Fatalf("dibella %s: %v\n%s", r.name, err, log)
+	}
+	// A tcp launcher is rank 0 and waits for the worker it forked, so
+	// its rusage covers the tree; Maxrss is the largest, in KiB.
+	if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
+		r.maxRSS = float64(ru.Maxrss) / 1024
+	}
+	r.stages, r.rate = parseBreakdown(log)
+	if m := kernelWall.FindStringSubmatch(r.rate); m != nil {
+		r.kernel, _ = time.ParseDuration(m[1])
+	}
+	if r.paf, err = os.ReadFile(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kernelWall picks the slowest rank's local wall out of the alignment rate
+// line ("..., 19.2s-20.1s local wall, ...").
+var kernelWall = regexp.MustCompile(`-(\S+) local wall`)
 
 func TestPaperScale(t *testing.T) {
 	if !*paperScale {
@@ -77,23 +122,7 @@ func TestPaperScale(t *testing.T) {
 		{name: "p=2 tcp", args: []string{"-p", "2", "-transport", "tcp"}},
 	}
 	for i, r := range runs {
-		out := filepath.Join(dir, fmt.Sprintf("run%d.paf", i))
-		cmd := exec.Command(dibella, append([]string{"-in", reads, "-out", out, "-breakdown"}, r.args...)...)
-		start := time.Now()
-		log, err := cmd.CombinedOutput()
-		r.wall = time.Since(start)
-		if err != nil {
-			t.Fatalf("dibella %s: %v\n%s", r.name, err, log)
-		}
-		// A tcp launcher is rank 0 and waits for the worker it forked, so
-		// its rusage covers the tree; Maxrss is the largest, in KiB.
-		if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
-			r.maxRSS = float64(ru.Maxrss) / 1024
-		}
-		r.stages, r.rate = parseBreakdown(log)
-		if r.paf, err = os.ReadFile(out); err != nil {
-			t.Fatal(err)
-		}
+		r.run(t, dibella, reads, filepath.Join(dir, fmt.Sprintf("run%d.paf", i)))
 	}
 	identical := true
 	for _, r := range runs[1:] {
@@ -126,6 +155,9 @@ func TestPaperScale(t *testing.T) {
 	}
 
 	summary := paperSummary(runs, identical, score)
+	if *paperScaleBase != "" {
+		summary += pairedRuns(t, dir, reads, dibella, runs[0].paf, *paperScaleBase, *paperScalePairs)
+	}
 	t.Log("\n" + summary)
 	if path := os.Getenv("GITHUB_STEP_SUMMARY"); path != "" {
 		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY|os.O_CREATE, 0o644)
@@ -212,4 +244,90 @@ func paperSummary(runs []*paperRun, identical bool, score evalx.Result) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// pairedRuns builds rev's dibella in a worktree beside the tree and
+// alternates it with this tree's (change) at p=2 in process, pairs times,
+// base first. It fails the test if any run's PAF differs from want, and
+// renders the pairs: for each stage's wall, the slowest rank's kernel wall,
+// the run wall and the peak RSS, the two medians, the median ratio of a
+// pair (change over base) and the pairs change won.
+func pairedRuns(t *testing.T, dir, reads, change string, want []byte, rev string, pairs int) string {
+	wt := filepath.Join(dir, "base")
+	if out, err := exec.Command("git", "worktree", "add", "--detach", wt, rev).CombinedOutput(); err != nil {
+		t.Fatalf("git worktree add %s: %v\n%s", rev, err, out)
+	}
+	t.Cleanup(func() {
+		if out, err := exec.Command("git", "worktree", "remove", "--force", wt).CombinedOutput(); err != nil {
+			t.Errorf("git worktree remove: %v\n%s", err, out)
+		}
+	})
+	base := filepath.Join(dir, "dibella-base")
+	build := exec.Command("go", "build", "-o", base, "./cmd/dibella")
+	build.Dir = wt
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building %s's dibella: %v\n%s", rev, err, out)
+	}
+
+	var sides [2][]*paperRun // base, change
+	for i := range pairs {
+		for side, bin := range [2]string{base, change} {
+			r := &paperRun{name: fmt.Sprintf("%s pair %d", [2]string{"base", "change"}[side], i+1), args: []string{"-p", "2", "-transport", "mem"}}
+			r.run(t, bin, reads, filepath.Join(dir, "paired.paf"))
+			if !bytes.Equal(r.paf, want) {
+				t.Errorf("%s PAF (%d bytes) differs from the p=1 run's (%d bytes)", r.name, len(r.paf), len(want))
+			}
+			r.paf = nil
+			sides[side] = append(sides[side], r)
+		}
+	}
+
+	type metric struct {
+		name string
+		of   func(*paperRun) float64
+	}
+	var metrics []metric
+	for k, st := range sides[0][0].stages {
+		metrics = append(metrics, metric{st[0] + " wall (s)", func(r *paperRun) float64 {
+			if k >= len(r.stages) {
+				return 0
+			}
+			d, _ := time.ParseDuration(r.stages[k][1])
+			return d.Seconds()
+		}})
+	}
+	metrics = append(metrics,
+		metric{"slowest rank's kernel wall (s)", func(r *paperRun) float64 { return r.kernel.Seconds() }},
+		metric{"run wall (s)", func(r *paperRun) float64 { return r.wall.Seconds() }},
+		metric{"peak RSS (MiB)", func(r *paperRun) float64 { return r.maxRSS }})
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "\n## Paired with %s: p=2 in process, %d pairs, base first\n\n", rev, pairs)
+	b.WriteString("| | base median | change median | median ratio | pairs won |\n|---|---|---|---|---|\n")
+	for _, m := range metrics {
+		var bv, cv, ratio []float64
+		won := 0
+		for i := range pairs {
+			x, y := m.of(sides[0][i]), m.of(sides[1][i])
+			bv, cv = append(bv, x), append(cv, y)
+			if x > 0 {
+				ratio = append(ratio, y/x)
+			}
+			if y < x {
+				won++
+			}
+		}
+		fmt.Fprintf(&b, "| %s | %.3f | %.3f | %.3f | %d of %d |\n", m.name, median(bv), median(cv), median(ratio), won, pairs)
+	}
+	return b.String()
+}
+
+// median is the middle of vs, or the mean of the two middle values.
+func median(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(vs))
+	n := len(s)
+	return (s[(n-1)/2] + s[n/2]) / 2
 }
