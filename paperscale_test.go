@@ -14,10 +14,11 @@ package dibella
 //
 // With -paperscale-base REV it also checks REV out beside the tree (git
 // worktree add --detach), builds that tree's dibella, and alternates the
-// two at p=2 in process, -paperscale-pairs times; it reports the medians of
-// each stage's wall, the slowest rank's kernel wall, the run wall and the
-// peak RSS, with the median pair ratio (this tree's over REV's) and the
-// pairs this tree won, and gates only that both trees write the same PAF:
+// two at p=2 in process, -paperscale-pairs times, each pair's first run
+// REV's and this tree's in turn; it reports the medians of each stage's
+// wall, the slowest rank's kernel wall, the run wall and the peak RSS, with
+// each pair's ratio (this tree's over REV's), their median and the pairs
+// this tree won, and gates only that both trees write the same PAF:
 //
 //	go test -run TestPaperScale -paperscale -paperscale-base HEAD~1 -timeout 20m .
 
@@ -248,10 +249,12 @@ func paperSummary(runs []*paperRun, identical bool, score evalx.Result) string {
 
 // pairedRuns builds rev's dibella in a worktree beside the tree and
 // alternates it with this tree's (change) at p=2 in process, pairs times,
-// base first. It fails the test if any run's PAF differs from want, and
-// renders the pairs: for each stage's wall, the slowest rank's kernel wall,
-// the run wall and the peak RSS, the two medians, the median ratio of a
-// pair (change over base) and the pairs change won.
+// base first in the odd pairs and change first in the even ones, so a host
+// that drifts slower through the runs favours neither. It fails the test if
+// any run's PAF differs from want, and renders the pairs: for each stage's
+// wall, the slowest rank's kernel wall, the run wall and the peak RSS, the
+// two medians, each pair's ratio (change over base), their median and the
+// pairs change won.
 func pairedRuns(t *testing.T, dir, reads, change string, want []byte, rev string, pairs int) string {
 	wt := filepath.Join(dir, "base")
 	if out, err := exec.Command("git", "worktree", "add", "--detach", wt, rev).CombinedOutput(); err != nil {
@@ -269,11 +272,13 @@ func pairedRuns(t *testing.T, dir, reads, change string, want []byte, rev string
 		t.Fatalf("building %s's dibella: %v\n%s", rev, err, out)
 	}
 
-	var sides [2][]*paperRun // base, change
+	bins, names := [2]string{base, change}, [2]string{"base", "change"}
+	var sides [2][]*paperRun
 	for i := range pairs {
-		for side, bin := range [2]string{base, change} {
-			r := &paperRun{name: fmt.Sprintf("%s pair %d", [2]string{"base", "change"}[side], i+1), args: []string{"-p", "2", "-transport", "mem"}}
-			r.run(t, bin, reads, filepath.Join(dir, "paired.paf"))
+		for k := range 2 {
+			side := (i + k) % 2
+			r := &paperRun{name: fmt.Sprintf("%s pair %d", names[side], i+1), args: []string{"-p", "2", "-transport", "mem"}}
+			r.run(t, bins[side], reads, filepath.Join(dir, "paired.paf"))
 			if !bytes.Equal(r.paf, want) {
 				t.Errorf("%s PAF (%d bytes) differs from the p=1 run's (%d bytes)", r.name, len(r.paf), len(want))
 			}
@@ -302,22 +307,24 @@ func pairedRuns(t *testing.T, dir, reads, change string, want []byte, rev string
 		metric{"peak RSS (MiB)", func(r *paperRun) float64 { return r.maxRSS }})
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "\n## Paired with %s: p=2 in process, %d pairs, base first\n\n", rev, pairs)
-	b.WriteString("| | base median | change median | median ratio | pairs won |\n|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "\n## Paired with %s: p=2 in process, %d pairs, base first in the odd ones\n\n", rev, pairs)
+	b.WriteString("| | base median | change median | pair ratios | median ratio | pairs won |\n|---|---|---|---|---|---|\n")
 	for _, m := range metrics {
 		var bv, cv, ratio []float64
+		var each []string
 		won := 0
 		for i := range pairs {
 			x, y := m.of(sides[0][i]), m.of(sides[1][i])
 			bv, cv = append(bv, x), append(cv, y)
 			if x > 0 {
 				ratio = append(ratio, y/x)
+				each = append(each, fmt.Sprintf("%.3f", y/x))
 			}
 			if y < x {
 				won++
 			}
 		}
-		fmt.Fprintf(&b, "| %s | %.3f | %.3f | %.3f | %d of %d |\n", m.name, median(bv), median(cv), median(ratio), won, pairs)
+		fmt.Fprintf(&b, "| %s | %.3f | %.3f | %s | %.3f | %d of %d |\n", m.name, median(bv), median(cv), strings.Join(each, " "), median(ratio), won, pairs)
 	}
 	return b.String()
 }
