@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -358,61 +357,47 @@ func sortRuns(recv [][]overlap.KeyVal) []overlap.KeyVal {
 	return occs
 }
 
-// TestQueryGroupMatchesSort holds the probe's grouping — a stable sort by
+// FuzzQueryGroupMatchesSort holds the probe's grouping — a stable sort by
 // k-mer alone — to the full (k-mer, read, position) sort: the two agree
 // only because arrival order is (read, position) ascending, which is the
 // argument the probe's pair emission rests on. Each input byte is one
 // occurrence: its low four bits pick one of sixteen k-mers, so repeats
 // happen; bit 4 starts the next read and bit 5 is the strand flag. The
 // occurrences, ascending in (read, position) as a batch's are, are split
-// over 1–4 sources in ascending blocks. One reused probeBufs groups each
+// over 1–4 sources in ascending blocks. One reused probeBufs groups the
 // input and then its first half, as a World serves batches of different
-// sizes. The inputs are a few fixed ones and a few hundred random ones; the
-// sort itself, overlap.RadixSort, is fuzzed through
-// FuzzConsolidateMatchesMap.
-func TestQueryGroupMatchesSort(t *testing.T) {
-	type input struct {
-		data    []byte
-		sources uint8
-	}
-	inputs := []input{
-		{nil, 0},
-		{[]byte{0, 1, 0, 0x12, 1, 0x20}, 1},
-		{bytes.Repeat([]byte{3, 0x17, 3, 0x2b, 0}, 30), 3},
-	}
-	rng := rand.New(rand.NewSource(1))
-	for range 300 {
-		data := make([]byte, rng.Intn(400))
-		rng.Read(data)
-		inputs = append(inputs, input{data, uint8(rng.Intn(4))})
-	}
+// sizes.
+func FuzzQueryGroupMatchesSort(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 1, 0, 0x12, 1, 0x20}, uint8(1))
+	f.Add(bytes.Repeat([]byte{3, 0x17, 3, 0x2b, 0}, 30), uint8(3))
 	var g probeBufs
-	check := func(data []byte, sources uint8) {
-		var occs []overlap.KeyVal
-		read, pos := uint64(1000), uint64(0)
-		for _, b := range data {
-			if b&0x10 != 0 {
-				read, pos = read+1, 0
+	f.Fuzz(func(t *testing.T, data []byte, sources uint8) {
+		check := func(data []byte) {
+			var occs []overlap.KeyVal
+			read, pos := uint64(1000), uint64(0)
+			for _, b := range data {
+				if b&0x10 != 0 {
+					read, pos = read+1, 0
+				}
+				km := uint64(b&0xf+1) * 0x9e3779b97f4a7c15
+				occs = append(occs, overlap.KeyVal{Key: km, Val: read<<32 | pos<<1 | uint64(b>>5&1)})
+				pos++
 			}
-			km := uint64(b&0xf+1) * 0x9e3779b97f4a7c15
-			occs = append(occs, overlap.KeyVal{Key: km, Val: read<<32 | pos<<1 | uint64(b>>5&1)})
-			pos++
+			p := 1 + int(sources%4)
+			recv := make([][]overlap.KeyVal, p)
+			for r := range recv {
+				lo, hi := blockRange(len(occs), p, r)
+				recv[r] = occs[lo:hi]
+			}
+			want := sortRuns(recv)
+			if got := g.group(recv); !slices.Equal(got, want) {
+				t.Fatalf("grouped %v, the sort %v", got, want)
+			}
 		}
-		p := 1 + int(sources%4)
-		recv := make([][]overlap.KeyVal, p)
-		for r := range recv {
-			lo, hi := blockRange(len(occs), p, r)
-			recv[r] = occs[lo:hi]
-		}
-		want := sortRuns(recv)
-		if got := g.group(recv); !slices.Equal(got, want) {
-			t.Fatalf("input %v over %d sources: grouped %v, the sort %v", data, p, got, want)
-		}
-	}
-	for _, in := range inputs {
-		check(in.data, in.sources)
-		check(in.data[:len(in.data)/2], in.sources)
-	}
+		check(data)
+		check(data[:len(data)/2])
+	})
 }
 
 // TestRunQueryTraceSpans: a traced epoch records query.probe and then
